@@ -18,6 +18,7 @@ pub mod diag;
 pub mod experiments;
 pub mod shard;
 
+use std::io;
 use std::sync::Arc;
 
 use dft_auth::KeyDirectory;
@@ -26,7 +27,16 @@ use dft_core::{
     linear_consensus_for_all_nodes, AbConsensus, AlmostEverywhereAgreement, Checkpointing,
     FewCrashesConsensus, Gossip, ManyCrashesConsensus, SpreadCommonValue, SystemConfig,
 };
-use dft_sim::{RandomCrashes, Runner, SinglePortRunner};
+use dft_sim::shard::{
+    serve_multi_port, serve_single_port, Recovery, RecoveryStats, ShardTransport, ShardedRunner,
+    SpShardedRunner, Wire, WireOutput,
+};
+use dft_sim::{
+    CrashAdversary, ExecutionReport, NodeSet, Participant, RandomCrashes, Runner,
+    SinglePortProtocol, SinglePortRunner, SyncProtocol,
+};
+
+use crate::shard::ShardFaults;
 use serde::{Deserialize, Serialize};
 
 /// One measured execution.
@@ -48,9 +58,7 @@ pub struct Measurement {
 }
 
 impl Measurement {
-    fn from_report<O: Clone + PartialEq + std::fmt::Debug>(
-        report: &dft_sim::ExecutionReport<O>,
-    ) -> Self {
+    fn from_report<O: Clone + PartialEq + std::fmt::Debug>(report: &ExecutionReport<O>) -> Self {
         Measurement {
             rounds: report.metrics.rounds,
             messages: report.metrics.messages,
@@ -125,7 +133,7 @@ impl Workload {
         self
     }
 
-    fn adversary(&self, horizon: u64) -> Box<dyn dft_sim::CrashAdversary> {
+    fn adversary(&self, horizon: u64) -> Box<dyn CrashAdversary> {
         if self.crashes == 0 {
             Box::new(dft_sim::NoFaults)
         } else {
@@ -264,140 +272,258 @@ pub(crate) fn build_parallel_ds(w: &Workload) -> BuiltNodes<ParallelDsConsensus>
     }
 }
 
-/// Runs a built multi-port workload locally under the workload's crash
-/// adversary and fault budget.
-fn run_multi_port<P: dft_sim::SyncProtocol<Output: PartialEq>>(
+/// The part of a measurement that depends on the round model: which runner
+/// executes the nodes in this process, which one coordinates them across
+/// shard workers, and which loop a shard worker serves its chunk with.
+/// Everything else about a measurement — local or sharded — is written
+/// once, generically over this trait.
+pub(crate) trait RoundModel<P> {
+    type Output: WireOutput;
+    /// Rounds allowed beyond the protocol's own budget.
+    const ROUND_SLACK: u64;
+
+    fn run(nodes: Vec<P>, terms: Terms, jobs: usize) -> ExecutionReport<Self::Output>;
+
+    fn run_sharded(
+        w: &Workload,
+        terms: Terms,
+        transports: Vec<Box<dyn ShardTransport>>,
+        recovery: Recovery,
+    ) -> (ExecutionReport<Self::Output>, RecoveryStats);
+
+    fn serve(chunk: Vec<P>, base: usize, transport: &mut dyn ShardTransport) -> io::Result<()>;
+}
+
+/// What an execution runs under: the crash adversary, its fault budget and
+/// the round cap.
+pub(crate) struct Terms {
+    adversary: Box<dyn CrashAdversary>,
+    budget: usize,
+    max_rounds: u64,
+}
+
+/// Section 2's model: `Runner` / `ShardedRunner` / `serve_multi_port`.
+pub(crate) struct MultiPort;
+
+/// Section 8's model: `SinglePortRunner` / `SpShardedRunner` /
+/// `serve_single_port`.
+pub(crate) struct SinglePort;
+
+impl<P: SyncProtocol> RoundModel<P> for MultiPort
+where
+    P::Msg: Wire,
+    P::Output: WireOutput,
+{
+    type Output = P::Output;
+    const ROUND_SLACK: u64 = 2;
+
+    fn run(nodes: Vec<P>, terms: Terms, jobs: usize) -> ExecutionReport<P::Output> {
+        let runner = Runner::with_adversary(nodes, terms.adversary, terms.budget);
+        runner
+            .expect("runner")
+            .with_jobs(jobs)
+            .run(terms.max_rounds)
+    }
+
+    fn run_sharded(
+        w: &Workload,
+        terms: Terms,
+        transports: Vec<Box<dyn ShardTransport>>,
+        recovery: Recovery,
+    ) -> (ExecutionReport<P::Output>, RecoveryStats) {
+        let (adversary, honest) = (terms.adversary, NodeSet::empty(w.n));
+        let runner = ShardedRunner::<P::Msg, P::Output>::connect(
+            w.n,
+            adversary,
+            terms.budget,
+            honest,
+            w.shards,
+            transports,
+        );
+        let mut runner = runner.expect("sharded coordinator");
+        let report = runner.set_recovery(recovery).run(terms.max_rounds);
+        (report.expect("sharded execution"), runner.recovery_stats())
+    }
+
+    fn serve(chunk: Vec<P>, base: usize, transport: &mut dyn ShardTransport) -> io::Result<()> {
+        let chunk = chunk.into_iter().map(Participant::Honest).collect();
+        serve_multi_port(chunk, base, transport)
+    }
+}
+
+impl<P: SinglePortProtocol> RoundModel<P> for SinglePort
+where
+    P::Msg: Wire,
+    P::Output: WireOutput,
+{
+    type Output = P::Output;
+    const ROUND_SLACK: u64 = 4;
+
+    fn run(nodes: Vec<P>, terms: Terms, jobs: usize) -> ExecutionReport<P::Output> {
+        let runner = SinglePortRunner::with_adversary(nodes, terms.adversary, terms.budget);
+        runner
+            .expect("runner")
+            .with_jobs(jobs)
+            .run(terms.max_rounds)
+    }
+
+    fn run_sharded(
+        w: &Workload,
+        terms: Terms,
+        transports: Vec<Box<dyn ShardTransport>>,
+        recovery: Recovery,
+    ) -> (ExecutionReport<P::Output>, RecoveryStats) {
+        let runner = SpShardedRunner::<P::Msg, P::Output>::connect(
+            w.n,
+            terms.adversary,
+            terms.budget,
+            w.shards,
+            transports,
+        );
+        let mut runner = runner.expect("sharded coordinator");
+        let report = runner.set_recovery(recovery).run(terms.max_rounds);
+        (report.expect("sharded execution"), runner.recovery_stats())
+    }
+
+    fn serve(chunk: Vec<P>, base: usize, transport: &mut dyn ShardTransport) -> io::Result<()> {
+        serve_single_port(chunk, base, transport)
+    }
+}
+
+/// Runs one measurement in this process.
+fn run_local<X: RoundModel<P>, P>(
+    kind: MeasureKind,
     w: &Workload,
     built: BuiltNodes<P>,
-    fault_budget: usize,
-    adversary: Box<dyn dft_sim::CrashAdversary>,
 ) -> Measurement {
-    let mut runner = Runner::with_adversary(built.nodes, adversary, fault_budget).expect("runner");
-    runner.set_jobs(w.jobs);
-    Measurement::from_report(&runner.run(built.rounds + 2))
+    let terms = kind.terms::<X, P>(w, built.rounds);
+    Measurement::from_report(&X::run(built.nodes, terms, w.jobs))
 }
 
-/// Measures `Almost-Everywhere-Agreement` (Theorem 5).
-pub fn measure_aea(w: &Workload) -> Measurement {
-    if w.shards > 1 {
-        return shard::measure_sharded(shard::MeasureKind::Aea, w);
-    }
-    let built = build_aea(w);
-    let adversary = w.adversary(built.rounds);
-    run_multi_port(w, built, w.t, adversary)
+/// The one table of measurements.  A row gives the kind, its code in the
+/// `--shard-worker` handshake (wire format: never renumber), the public
+/// entry point, the node builder (which names the protocol type), the round
+/// model, and whether the execution runs under the workload's crash
+/// adversary (the authenticated-Byzantine measurements run fault-free with
+/// budget 0: their cost side counts non-faulty messages, which is maximal
+/// when everyone is honest).  Everything that must agree per kind — the
+/// enum, both directions of the code, the local run, the sharded drive and
+/// what a shard worker serves — is generated from it.
+macro_rules! measure_kinds {
+    ($($(#[$doc:meta])* $kind:ident = $code:literal, $measure:ident, $build:ident, $model:ident, $crashes:literal;)*) => {
+        /// Which measurement to run — and, for a shard worker, to rebuild.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum MeasureKind {
+            $($(#[$doc])* $kind = $code,)*
+        }
+
+        impl MeasureKind {
+            pub(crate) fn code(self) -> u8 {
+                self as u8
+            }
+
+            pub(crate) fn from_code(code: u8) -> Option<MeasureKind> {
+                match code {
+                    $($code => Some(MeasureKind::$kind),)*
+                    _ => None,
+                }
+            }
+
+            fn uses_crash_adversary(self) -> bool {
+                match self {
+                    $(MeasureKind::$kind => $crashes,)*
+                }
+            }
+
+            fn measure_local(self, w: &Workload) -> Measurement {
+                match self {
+                    $(MeasureKind::$kind => run_local::<$model, _>(self, w, $build(w)),)*
+                }
+            }
+
+            /// Drives the measurement across shard worker processes.
+            pub(crate) fn drive(self, w: &Workload, faults: &ShardFaults) -> (Measurement, RecoveryStats) {
+                match self {
+                    $(MeasureKind::$kind => shard::drive::<$model, _>($build, self, w, faults),)*
+                }
+            }
+
+            /// Rebuilds the measurement's nodes and serves shard `index`.
+            pub(crate) fn serve(
+                self,
+                w: &Workload,
+                index: usize,
+                with_ack: bool,
+                transport: &mut dyn ShardTransport,
+            ) -> io::Result<()> {
+                match self {
+                    $(MeasureKind::$kind => {
+                        shard::serve_chunk::<$model, _>($build(w), w, index, with_ack, transport)
+                    })*
+                }
+            }
+        }
+
+        $(
+            $(#[$doc])*
+            pub fn $measure(w: &Workload) -> Measurement {
+                MeasureKind::$kind.measure(w)
+            }
+        )*
+    };
 }
 
-/// Measures `Spread-Common-Value` (Theorem 6) with 3/5·n initialized nodes.
-pub fn measure_scv(w: &Workload) -> Measurement {
-    if w.shards > 1 {
-        return shard::measure_sharded(shard::MeasureKind::Scv, w);
-    }
-    let built = build_scv(w);
-    let adversary = w.adversary(built.rounds);
-    run_multi_port(w, built, w.t, adversary)
+measure_kinds! {
+    /// `Almost-Everywhere-Agreement` (Theorem 5).
+    Aea = 0, measure_aea, build_aea, MultiPort, true;
+    /// `Spread-Common-Value` (Theorem 6) with 3/5·n initialized nodes.
+    Scv = 1, measure_scv, build_scv, MultiPort, true;
+    /// `Few-Crashes-Consensus` (Theorem 7).
+    FewCrashes = 2, measure_few_crashes, build_few_crashes, MultiPort, true;
+    /// `Many-Crashes-Consensus` (Theorem 8 / Corollary 1).
+    ManyCrashes = 3, measure_many_crashes, build_many_crashes, MultiPort, true;
+    /// `Gossip` (Theorem 9).
+    Gossip = 4, measure_gossip, build_gossip, MultiPort, true;
+    /// `Checkpointing` (Theorem 10).
+    Checkpointing = 5, measure_checkpointing, build_checkpointing, MultiPort, true;
+    /// `AB-Consensus` (Theorem 11) with all-honest participants.
+    AbConsensus = 6, measure_ab_consensus, build_ab_consensus, MultiPort, false;
+    /// Single-port `Linear-Consensus` (Theorem 12).
+    LinearConsensus = 7, measure_linear_consensus, build_linear_consensus, SinglePort, true;
+    /// The flooding-consensus baseline.
+    Flooding = 8, measure_flooding, build_flooding, MultiPort, true;
+    /// The all-to-all gossip baseline.
+    AllToAllGossip = 9, measure_all_to_all_gossip, build_all_to_all_gossip, MultiPort, true;
+    /// The naive checkpointing baseline.
+    NaiveCheckpointing = 10, measure_naive_checkpointing, build_naive_checkpointing, MultiPort, true;
+    /// The parallel Dolev–Strong Byzantine baseline.
+    ParallelDs = 11, measure_parallel_ds, build_parallel_ds, MultiPort, false;
 }
 
-/// Measures `Few-Crashes-Consensus` (Theorem 7).
-pub fn measure_few_crashes(w: &Workload) -> Measurement {
-    if w.shards > 1 {
-        return shard::measure_sharded(shard::MeasureKind::FewCrashes, w);
+impl MeasureKind {
+    /// What the measurement runs under, given its protocol's round budget.
+    fn terms<X: RoundModel<P>, P>(self, w: &Workload, rounds: u64) -> Terms {
+        let (adversary, budget) = if self.uses_crash_adversary() {
+            (w.adversary(rounds), w.t)
+        } else {
+            (Box::new(dft_sim::NoFaults) as Box<dyn CrashAdversary>, 0)
+        };
+        Terms {
+            adversary,
+            budget,
+            max_rounds: rounds + X::ROUND_SLACK,
+        }
     }
-    let built = build_few_crashes(w);
-    let adversary = w.adversary(built.rounds);
-    run_multi_port(w, built, w.t, adversary)
-}
 
-/// Measures `Many-Crashes-Consensus` (Theorem 8 / Corollary 1).
-pub fn measure_many_crashes(w: &Workload) -> Measurement {
-    if w.shards > 1 {
-        return shard::measure_sharded(shard::MeasureKind::ManyCrashes, w);
+    /// Runs the measurement: in this process, or — `w.shards > 1` —
+    /// partitioned across shard worker processes, byte-identically.
+    pub fn measure(self, w: &Workload) -> Measurement {
+        if w.shards > 1 {
+            shard::measure_sharded(self, w)
+        } else {
+            self.measure_local(w)
+        }
     }
-    let built = build_many_crashes(w);
-    let adversary = w.adversary(built.rounds);
-    run_multi_port(w, built, w.t, adversary)
-}
-
-/// Measures `Gossip` (Theorem 9).
-pub fn measure_gossip(w: &Workload) -> Measurement {
-    if w.shards > 1 {
-        return shard::measure_sharded(shard::MeasureKind::Gossip, w);
-    }
-    let built = build_gossip(w);
-    let adversary = w.adversary(built.rounds);
-    run_multi_port(w, built, w.t, adversary)
-}
-
-/// Measures `Checkpointing` (Theorem 10).
-pub fn measure_checkpointing(w: &Workload) -> Measurement {
-    if w.shards > 1 {
-        return shard::measure_sharded(shard::MeasureKind::Checkpointing, w);
-    }
-    let built = build_checkpointing(w);
-    let adversary = w.adversary(built.rounds);
-    run_multi_port(w, built, w.t, adversary)
-}
-
-/// Measures `AB-Consensus` (Theorem 11) with all-honest participants (the
-/// cost side of the theorem counts non-faulty messages, which is maximised
-/// when everyone is honest).
-pub fn measure_ab_consensus(w: &Workload) -> Measurement {
-    if w.shards > 1 {
-        return shard::measure_sharded(shard::MeasureKind::AbConsensus, w);
-    }
-    let built = build_ab_consensus(w);
-    run_multi_port(w, built, 0, Box::new(dft_sim::NoFaults))
-}
-
-/// Measures single-port `Linear-Consensus` (Theorem 12).
-pub fn measure_linear_consensus(w: &Workload) -> Measurement {
-    if w.shards > 1 {
-        return shard::measure_sharded(shard::MeasureKind::LinearConsensus, w);
-    }
-    let built = build_linear_consensus(w);
-    let sp_rounds = built.rounds;
-    let mut runner =
-        SinglePortRunner::with_adversary(built.nodes, w.adversary(sp_rounds), w.t).expect("runner");
-    runner.set_jobs(w.jobs);
-    Measurement::from_report(&runner.run(sp_rounds + 4))
-}
-
-/// Measures the flooding-consensus baseline.
-pub fn measure_flooding(w: &Workload) -> Measurement {
-    if w.shards > 1 {
-        return shard::measure_sharded(shard::MeasureKind::Flooding, w);
-    }
-    let built = build_flooding(w);
-    let adversary = w.adversary(built.rounds);
-    run_multi_port(w, built, w.t, adversary)
-}
-
-/// Measures the all-to-all gossip baseline.
-pub fn measure_all_to_all_gossip(w: &Workload) -> Measurement {
-    if w.shards > 1 {
-        return shard::measure_sharded(shard::MeasureKind::AllToAllGossip, w);
-    }
-    let built = build_all_to_all_gossip(w);
-    let adversary = w.adversary(built.rounds);
-    run_multi_port(w, built, w.t, adversary)
-}
-
-/// Measures the naive checkpointing baseline.
-pub fn measure_naive_checkpointing(w: &Workload) -> Measurement {
-    if w.shards > 1 {
-        return shard::measure_sharded(shard::MeasureKind::NaiveCheckpointing, w);
-    }
-    let built = build_naive_checkpointing(w);
-    let adversary = w.adversary(built.rounds);
-    run_multi_port(w, built, w.t, adversary)
-}
-
-/// Measures the parallel Dolev–Strong Byzantine baseline.
-pub fn measure_parallel_ds(w: &Workload) -> Measurement {
-    if w.shards > 1 {
-        return shard::measure_sharded(shard::MeasureKind::ParallelDs, w);
-    }
-    let built = build_parallel_ds(w);
-    run_multi_port(w, built, 0, Box::new(dft_sim::NoFaults))
 }
 
 /// A labelled table of measurement rows, printable as aligned text.

@@ -26,112 +26,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
-use dft_baselines::{Membership, RumorMap, SignedBatch};
-use dft_core::{AbMsg, CheckpointMsg, ExtantSet, FcMsg, GossipMsg, McMsg};
 use dft_sim::shard::{
-    self, frame, open_frame, serve_multi_port, serve_single_port, shard_count, shard_range,
-    ArmedPlan, ChannelTransport, DeadlineTransport, FaultPlan, Recovery, RecoveryStats,
-    ShardTransport, ShardedRunner, SpShardedRunner, StreamTransport, TransportFactory, Wire,
-    WireMsg, WireOutput,
+    self, frame, open_frame, shard_count, shard_range, ArmedPlan, ChannelTransport,
+    DeadlineTransport, FaultPlan, Recovery, RecoveryStats, ShardTransport, StreamTransport,
+    TransportFactory, Wire,
 };
-use dft_sim::{NodeSet, Participant, SinglePortProtocol, SyncProtocol};
 
-use crate::{
-    build_ab_consensus, build_aea, build_all_to_all_gossip, build_checkpointing, build_few_crashes,
-    build_flooding, build_gossip, build_linear_consensus, build_many_crashes,
-    build_naive_checkpointing, build_parallel_ds, build_scv, BuiltNodes, Measurement, Workload,
-};
+pub use crate::MeasureKind;
+use crate::{BuiltNodes, Measurement, RoundModel, Workload};
 
 /// Handshake frame tags (distinct from the round-protocol tags of
 /// `dft_sim::shard`, which start lower).
 const TAG_HELLO: u8 = 200;
 const TAG_HELLO_ACK: u8 = 201;
-
-/// Which measurement a shard worker should reconstruct.
-///
-/// The discriminant is part of the handshake wire format; variants map 1:1
-/// onto the crate's `measure_*` functions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MeasureKind {
-    /// `measure_aea` (Theorem 5).
-    Aea,
-    /// `measure_scv` (Theorem 6).
-    Scv,
-    /// `measure_few_crashes` (Theorem 7).
-    FewCrashes,
-    /// `measure_many_crashes` (Theorem 8).
-    ManyCrashes,
-    /// `measure_gossip` (Theorem 9).
-    Gossip,
-    /// `measure_checkpointing` (Theorem 10).
-    Checkpointing,
-    /// `measure_ab_consensus` (Theorem 11).
-    AbConsensus,
-    /// `measure_linear_consensus` (Theorem 12, single-port).
-    LinearConsensus,
-    /// `measure_flooding` (baseline).
-    Flooding,
-    /// `measure_all_to_all_gossip` (baseline).
-    AllToAllGossip,
-    /// `measure_naive_checkpointing` (baseline).
-    NaiveCheckpointing,
-    /// `measure_parallel_ds` (baseline).
-    ParallelDs,
-}
-
-impl MeasureKind {
-    fn code(self) -> u8 {
-        match self {
-            MeasureKind::Aea => 0,
-            MeasureKind::Scv => 1,
-            MeasureKind::FewCrashes => 2,
-            MeasureKind::ManyCrashes => 3,
-            MeasureKind::Gossip => 4,
-            MeasureKind::Checkpointing => 5,
-            MeasureKind::AbConsensus => 6,
-            MeasureKind::LinearConsensus => 7,
-            MeasureKind::Flooding => 8,
-            MeasureKind::AllToAllGossip => 9,
-            MeasureKind::NaiveCheckpointing => 10,
-            MeasureKind::ParallelDs => 11,
-        }
-    }
-
-    fn from_code(code: u8) -> Option<MeasureKind> {
-        Some(match code {
-            0 => MeasureKind::Aea,
-            1 => MeasureKind::Scv,
-            2 => MeasureKind::FewCrashes,
-            3 => MeasureKind::ManyCrashes,
-            4 => MeasureKind::Gossip,
-            5 => MeasureKind::Checkpointing,
-            6 => MeasureKind::AbConsensus,
-            7 => MeasureKind::LinearConsensus,
-            8 => MeasureKind::Flooding,
-            9 => MeasureKind::AllToAllGossip,
-            10 => MeasureKind::NaiveCheckpointing,
-            11 => MeasureKind::ParallelDs,
-            _ => return None,
-        })
-    }
-
-    /// Whether the local `measure_*` path runs this kind under the
-    /// workload's crash adversary (the authenticated-Byzantine measurements
-    /// run fault-free with budget 0).
-    fn uses_crash_adversary(self) -> bool {
-        !matches!(self, MeasureKind::AbConsensus | MeasureKind::ParallelDs)
-    }
-
-    /// Extra rounds beyond the protocol budget the local path allows
-    /// (`+ 2` multi-port, `+ 4` single-port — see `measure_*`).
-    fn round_slack(self) -> u64 {
-        if self == MeasureKind::LinearConsensus {
-            4
-        } else {
-            2
-        }
-    }
-}
 
 /// Default per-frame read deadline on worker pipes: a worker that stalls
 /// longer than this trips `TimedOut` and enters the recovery ladder instead
@@ -145,7 +52,7 @@ pub const DEFAULT_MAX_RESPAWNS: u32 = 2;
 
 /// Process-wide fault/recovery configuration for sharded measurements.
 #[derive(Clone, Debug)]
-struct ShardFaults {
+pub(crate) struct ShardFaults {
     plan: FaultPlan,
     max_respawns: u32,
     deadline: Duration,
@@ -390,7 +297,7 @@ fn fallback_factory(kind: MeasureKind, w: &Workload) -> TransportFactory {
     Box::new(move |index| {
         let (parent_end, mut worker_end) = ChannelTransport::pair();
         std::thread::spawn(move || {
-            if let Err(err) = serve_measure(kind, &w, index, false, &mut worker_end) {
+            if let Err(err) = kind.serve(&w, index, false, &mut worker_end) {
                 eprintln!("in-process shard fallback {index}: {err}");
             }
         });
@@ -398,96 +305,25 @@ fn fallback_factory(kind: MeasureKind, w: &Workload) -> TransportFactory {
     })
 }
 
-fn adversary_for(
-    kind: MeasureKind,
-    w: &Workload,
-    rounds: u64,
-) -> (Box<dyn dft_sim::CrashAdversary>, usize) {
-    if kind.uses_crash_adversary() {
-        (w.adversary(rounds), w.t)
-    } else {
-        (Box::new(dft_sim::NoFaults), 0)
-    }
-}
-
-fn drive<M: WireMsg, O: WireOutput>(
+/// Drives one sharded measurement: spawns the workers, arms the recovery
+/// ladder, runs the model's sharded coordinator and reaps the children.
+/// `_protocol` is the kind's node builder, here only to name the protocol
+/// type — the parent never builds nodes.
+pub(crate) fn drive<X: RoundModel<P>, P>(
+    _protocol: fn(&Workload) -> BuiltNodes<P>,
     kind: MeasureKind,
     w: &Workload,
     faults: &ShardFaults,
 ) -> (Measurement, RecoveryStats) {
     let armed = faults.plan.arm();
     let (children, transports, rounds) = spawn_workers(kind, w, faults, &armed);
-    let (adversary, budget) = adversary_for(kind, w, rounds);
-    let mut runner = ShardedRunner::<M, O>::connect(
-        w.n,
-        adversary,
-        budget,
-        NodeSet::empty(w.n),
-        w.shards,
-        transports,
-    )
-    .expect("sharded coordinator");
-    runner.set_recovery(
-        Recovery::new(
-            faults.max_respawns,
-            respawn_factory(kind, w, faults, &armed, &children, rounds),
-        )
-        .with_fallback(fallback_factory(kind, w)),
-    );
-    let report = runner
-        .run(rounds + kind.round_slack())
-        .expect("sharded execution");
-    let stats = runner.recovery_stats();
-    drop(runner);
+    let terms = kind.terms::<X, P>(w, rounds);
+    let respawn = respawn_factory(kind, w, faults, &armed, &children, rounds);
+    let recovery =
+        Recovery::new(faults.max_respawns, respawn).with_fallback(fallback_factory(kind, w));
+    let (report, stats) = X::run_sharded(w, terms, transports, recovery);
     reap(&children, !stats.any());
     (Measurement::from_report(&report), stats)
-}
-
-fn drive_single_port<M: WireMsg, O: WireOutput>(
-    kind: MeasureKind,
-    w: &Workload,
-    faults: &ShardFaults,
-) -> (Measurement, RecoveryStats) {
-    let armed = faults.plan.arm();
-    let (children, transports, rounds) = spawn_workers(kind, w, faults, &armed);
-    let (adversary, budget) = adversary_for(kind, w, rounds);
-    let mut runner = SpShardedRunner::<M, O>::connect(w.n, adversary, budget, w.shards, transports)
-        .expect("sharded coordinator");
-    runner.set_recovery(
-        Recovery::new(
-            faults.max_respawns,
-            respawn_factory(kind, w, faults, &armed, &children, rounds),
-        )
-        .with_fallback(fallback_factory(kind, w)),
-    );
-    let report = runner
-        .run(rounds + kind.round_slack())
-        .expect("sharded execution");
-    let stats = runner.recovery_stats();
-    drop(runner);
-    reap(&children, !stats.any());
-    (Measurement::from_report(&report), stats)
-}
-
-fn measure_sharded_with(
-    kind: MeasureKind,
-    w: &Workload,
-    faults: &ShardFaults,
-) -> (Measurement, RecoveryStats) {
-    match kind {
-        MeasureKind::Aea => drive::<dft_core::AeaMsg<bool>, bool>(kind, w, faults),
-        MeasureKind::Scv => drive::<dft_core::ScvMsg<bool>, bool>(kind, w, faults),
-        MeasureKind::FewCrashes => drive::<FcMsg<bool>, bool>(kind, w, faults),
-        MeasureKind::ManyCrashes => drive::<McMsg, bool>(kind, w, faults),
-        MeasureKind::Gossip => drive::<GossipMsg, ExtantSet>(kind, w, faults),
-        MeasureKind::Checkpointing => drive::<CheckpointMsg, Vec<usize>>(kind, w, faults),
-        MeasureKind::AbConsensus => drive::<AbMsg, u64>(kind, w, faults),
-        MeasureKind::LinearConsensus => drive_single_port::<FcMsg<bool>, bool>(kind, w, faults),
-        MeasureKind::Flooding => drive::<bool, bool>(kind, w, faults),
-        MeasureKind::AllToAllGossip => drive::<Arc<RumorMap>, RumorMap>(kind, w, faults),
-        MeasureKind::NaiveCheckpointing => drive::<Arc<Membership>, Vec<usize>>(kind, w, faults),
-        MeasureKind::ParallelDs => drive::<Arc<SignedBatch>, u64>(kind, w, faults),
-    }
 }
 
 /// Runs one measurement partitioned across `w.shards` worker processes
@@ -496,7 +332,7 @@ fn measure_sharded_with(
 /// every recovery path.
 pub(crate) fn measure_sharded(kind: MeasureKind, w: &Workload) -> Measurement {
     let faults = global_faults();
-    let (measurement, stats) = measure_sharded_with(kind, w, &faults);
+    let (measurement, stats) = kind.drive(w, &faults);
     record_totals(stats);
     measurement
 }
@@ -518,7 +354,7 @@ pub fn measure_sharded_faulty(
         max_respawns,
         deadline: deadline.unwrap_or(DEFAULT_READ_DEADLINE),
     };
-    measure_sharded_with(kind, w, &faults)
+    kind.drive(w, &faults)
 }
 
 // ---------------------------------------------------------------------------
@@ -575,46 +411,7 @@ fn serve(transport: &mut dyn ShardTransport) -> io::Result<()> {
         jobs: 1,
         shards,
     };
-    serve_measure(kind, &w, index, true, transport)
-}
-
-/// Deterministically rebuilds the named measurement's nodes and serves this
-/// shard's range.  `with_ack` controls whether the handshake ack precedes
-/// the round protocol: worker processes ack, the in-process fallback does
-/// not (the coordinator's replay log carries only round frames).
-fn serve_measure(
-    kind: MeasureKind,
-    w: &Workload,
-    index: usize,
-    with_ack: bool,
-    transport: &mut dyn ShardTransport,
-) -> io::Result<()> {
-    match kind {
-        MeasureKind::Aea => serve_chunk(build_aea(w), w, index, with_ack, transport),
-        MeasureKind::Scv => serve_chunk(build_scv(w), w, index, with_ack, transport),
-        MeasureKind::FewCrashes => serve_chunk(build_few_crashes(w), w, index, with_ack, transport),
-        MeasureKind::ManyCrashes => {
-            serve_chunk(build_many_crashes(w), w, index, with_ack, transport)
-        }
-        MeasureKind::Gossip => serve_chunk(build_gossip(w), w, index, with_ack, transport),
-        MeasureKind::Checkpointing => {
-            serve_chunk(build_checkpointing(w), w, index, with_ack, transport)
-        }
-        MeasureKind::AbConsensus => {
-            serve_chunk(build_ab_consensus(w), w, index, with_ack, transport)
-        }
-        MeasureKind::LinearConsensus => {
-            serve_chunk_single_port(build_linear_consensus(w), w, index, with_ack, transport)
-        }
-        MeasureKind::Flooding => serve_chunk(build_flooding(w), w, index, with_ack, transport),
-        MeasureKind::AllToAllGossip => {
-            serve_chunk(build_all_to_all_gossip(w), w, index, with_ack, transport)
-        }
-        MeasureKind::NaiveCheckpointing => {
-            serve_chunk(build_naive_checkpointing(w), w, index, with_ack, transport)
-        }
-        MeasureKind::ParallelDs => serve_chunk(build_parallel_ds(w), w, index, with_ack, transport),
-    }
+    kind.serve(&w, index, true, transport)
 }
 
 fn ack(transport: &mut dyn ShardTransport, rounds: u64) -> io::Result<()> {
@@ -623,55 +420,23 @@ fn ack(transport: &mut dyn ShardTransport, rounds: u64) -> io::Result<()> {
     transport.send(&out)
 }
 
-fn serve_chunk<P>(
+/// Serves this shard's range of the deterministically rebuilt nodes.
+/// `with_ack` controls whether the handshake ack precedes the round
+/// protocol: worker processes ack, the in-process fallback does not (the
+/// coordinator's replay log carries only round frames).
+pub(crate) fn serve_chunk<X: RoundModel<P>, P>(
     built: BuiltNodes<P>,
     w: &Workload,
     index: usize,
     with_ack: bool,
     transport: &mut dyn ShardTransport,
-) -> io::Result<()>
-where
-    P: SyncProtocol,
-    P::Msg: Wire,
-    P::Output: Wire,
-{
+) -> io::Result<()> {
     if with_ack {
         ack(transport, built.rounds)?;
     }
     let range = shard_range(w.n, w.shards, index);
-    let chunk: Vec<Participant<P>> = built
-        .nodes
-        .into_iter()
-        .skip(range.start)
-        .take(range.len())
-        .map(Participant::Honest)
-        .collect();
-    serve_multi_port(chunk, range.start, transport)
-}
-
-fn serve_chunk_single_port<P>(
-    built: BuiltNodes<P>,
-    w: &Workload,
-    index: usize,
-    with_ack: bool,
-    transport: &mut dyn ShardTransport,
-) -> io::Result<()>
-where
-    P: SinglePortProtocol,
-    P::Msg: Wire,
-    P::Output: Wire,
-{
-    if with_ack {
-        ack(transport, built.rounds)?;
-    }
-    let range = shard_range(w.n, w.shards, index);
-    let chunk: Vec<P> = built
-        .nodes
-        .into_iter()
-        .skip(range.start)
-        .take(range.len())
-        .collect();
-    serve_single_port(chunk, range.start, transport)
+    let chunk = built.nodes.into_iter().skip(range.start).take(range.len());
+    X::serve(chunk.collect(), range.start, transport)
 }
 
 #[cfg(test)]
@@ -705,10 +470,17 @@ mod tests {
 
     #[test]
     fn byzantine_kinds_run_fault_free() {
-        assert!(!MeasureKind::AbConsensus.uses_crash_adversary());
-        assert!(!MeasureKind::ParallelDs.uses_crash_adversary());
-        assert!(MeasureKind::Gossip.uses_crash_adversary());
-        assert_eq!(MeasureKind::LinearConsensus.round_slack(), 4);
-        assert_eq!(MeasureKind::Aea.round_slack(), 2);
+        let w = Workload::full_budget(60, 8, 3);
+        for (kind, budget) in [
+            (MeasureKind::AbConsensus, 0),
+            (MeasureKind::ParallelDs, 0),
+            (MeasureKind::Gossip, w.t),
+        ] {
+            let terms = kind.terms::<crate::MultiPort, dft_core::Gossip>(&w, 10);
+            assert_eq!((terms.budget, terms.max_rounds), (budget, 12), "{kind:?}");
+        }
+        let terms = MeasureKind::LinearConsensus
+            .terms::<crate::SinglePort, dft_core::LinearConsensus<bool>>(&w, 10);
+        assert_eq!(terms.max_rounds, 14, "single-port slack");
     }
 }

@@ -18,6 +18,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::adversary::{AdversaryView, CrashAdversary, DeliveryFilter};
+use crate::error::{SimError, SimResult};
 use crate::metrics::Metrics;
 use crate::node::{NodeId, NodeSet};
 use crate::protocol::NodeStatus;
@@ -62,9 +63,23 @@ pub(crate) struct EngineCore {
 }
 
 impl EngineCore {
-    /// Creates core state for `n` nodes with the given crash budget.
-    pub fn new(n: usize, fault_budget: usize) -> Self {
-        EngineCore {
+    /// Creates core state for `n` nodes with the given crash budget — the
+    /// one place a system's size and budget are validated.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::EmptySystem`] for zero nodes, [`SimError::InvalidConfig`]
+    /// unless the budget is smaller than the number of nodes.
+    pub fn new(n: usize, fault_budget: usize) -> SimResult<Self> {
+        if n == 0 {
+            return Err(SimError::EmptySystem);
+        }
+        if fault_budget >= n {
+            return Err(SimError::InvalidConfig(format!(
+                "fault budget {fault_budget} must be smaller than the number of nodes {n}"
+            )));
+        }
+        Ok(EngineCore {
             status: vec![NodeStatus::Running; n],
             alive: NodeSet::full(n),
             crashed: NodeSet::empty(n),
@@ -78,7 +93,7 @@ impl EngineCore {
             filters: vec![None; n],
             struck: Vec::new(),
             running: n,
-        }
+        })
     }
 
     /// Number of nodes.
@@ -283,7 +298,7 @@ mod tests {
 
     #[test]
     fn core_tracks_crashes_incrementally() {
-        let mut core = EngineCore::new(4, 2);
+        let mut core = EngineCore::new(4, 2).unwrap();
         let mut adversary = FixedCrashSchedule::new()
             .crash_at(0, CrashDirective::silent(NodeId::new(1)))
             .crash_at(1, CrashDirective::silent(NodeId::new(2)))
@@ -327,7 +342,7 @@ mod tests {
                 }
             }
         }
-        let mut core = EngineCore::new(3, 1);
+        let mut core = EngineCore::new(3, 1).unwrap();
         let intents = vec![Vec::new(); 3];
         let polls = vec![None; 3];
         let mut adversary = Checking { expect_alive: 3 };
@@ -341,7 +356,7 @@ mod tests {
     fn halted_nodes_stay_in_alive_set() {
         // `alive` means "not crashed": halted nodes still belong, matching
         // the per-round sets the seed engines derived from the status vector.
-        let mut core = EngineCore::new(2, 1);
+        let mut core = EngineCore::new(2, 1).unwrap();
         core.mark_halted(0);
         let intents = vec![Vec::new(); 2];
         let polls = vec![None; 2];
@@ -358,7 +373,7 @@ mod tests {
 
     #[test]
     fn running_count_tracks_crashes_and_halts() {
-        let mut core = EngineCore::new(4, 2);
+        let mut core = EngineCore::new(4, 2).unwrap();
         assert_eq!(core.running_nodes(), 4);
         core.mark_halted(0);
         assert_eq!(core.running_nodes(), 3);

@@ -12,12 +12,20 @@
 //! 4. [`RoundCore::finalize`] — drive `receive`, record decisions and halts,
 //!    and return a [`RoundOutcome`].
 //!
-//! The core knows nothing about threads, pipes, or sockets: every backend —
-//! the in-process runners ([`crate::Runner`] / [`crate::SinglePortRunner`]),
-//! their worker-pool phase dispatch, the shard workers of [`crate::shard`],
-//! and the `dft-node` TCP cluster — drives the *same* struct and differs
-//! only in how phase inputs and outputs move.  That is what keeps every
-//! backend byte-identical: the round semantics live here exactly once.
+//! The core knows nothing about threads, pipes, or sockets, and nothing
+//! about the other cores of its execution.  Everything order-sensitive
+//! *across* cores — the four backend obligations: central crash phase;
+//! deliver, then merge in node order; finalize, then replay in node order;
+//! the backend owns the single-port ports — is implemented once per model
+//! in `crate::coordinator`, over a host that only decides where the cores
+//! live: in this process (inline or on the worker pool) or behind shard
+//! transports (whose workers drive a core per chunk from decoded frames,
+//! see [`crate::shard`]).  The `dft-node` TCP cluster is the one backend
+//! outside that coordinator: a mesh of single-node cores with a
+//! pre-extracted crash schedule has no central process to run it.  In
+//! every case the *same* struct runs the phase bodies, which is what keeps
+//! every backend byte-identical: the round semantics live here exactly
+//! once.
 //!
 //! This module is a layer boundary enforced by `dft-analyze`'s
 //! `sans-io-boundary` rule: no `std::net`, `std::io` or `std::thread`
@@ -27,9 +35,8 @@
 //!
 //! The crash adversary's contract ([`crate::CrashAdversary`]) hands one
 //! mutable strategy a coherent view of the *whole* round, so the phase can
-//! never be split across cores.  Backends run it centrally (the runners on
-//! the main thread, the shard coordinator in the parent process, the
-//! cluster launcher before spawning) and mirror its verdicts into each
+//! never be split across cores.  The coordinator runs it centrally (the
+//! cluster launcher: before spawning) and mirrors its verdicts into each
 //! core with [`RoundCore::set_crashed`]; the resulting delivery filters are
 //! passed to [`RoundCore::deliver`].  Because the shipped adversaries are
 //! deterministic functions of `(seed, round)`, every backend derives the

@@ -23,22 +23,24 @@
 //!   total bits they carry, counting only non-faulty senders in the Byzantine
 //!   model.
 //! * [`driver`] — the sans-I/O round cores ([`RoundCore`] /
-//!   [`SinglePortCore`]): the four-phase round semantics as pure state
-//!   transitions, with no knowledge of threads, pipes, or sockets.  Every
-//!   backend below — the in-process runners, the worker pool, the shard
-//!   workers, and the `dft-node` TCP cluster — drives these same structs.
-//! * [`parallel`] — the deterministic parallel-execution layer: both
-//!   runners accept a job count (`set_jobs`) and split their per-node phase
-//!   loops across a *persistent* worker pool (spawned once per runner,
-//!   parked between phases; see the `pool` module), merging per-worker
-//!   scratch in fixed node-index order so parallel runs are byte-identical
-//!   to serial ones.  The crash-adversary phase always stays serial.
-//! * [`shard`] — the cross-process layer above the pool: one execution's
-//!   chunks served by shard workers (in-process threads or
-//!   `run_experiments --shard-worker` child processes) behind a versioned
-//!   binary wire format, with the crash phase and the fixed-chunk-order
-//!   merge kept in the coordinating process so sharded runs stay
-//!   byte-identical too.
+//!   [`SinglePortCore`]): what one round does to one chunk of nodes, as
+//!   pure state transitions, with no knowledge of threads, pipes, or
+//!   sockets.
+//! * [`Coordinator`] — the one round loop per model: everything
+//!   order-sensitive across chunks (the central crash phase, the merge and
+//!   the event replay in node order, the single-port port map), generic
+//!   over a *host* that only decides where the chunks live.  [`Runner`],
+//!   [`SinglePortRunner`], [`shard::ShardedRunner`] and
+//!   [`shard::SpShardedRunner`] are type aliases that pick a model and a
+//!   host, so every one of them is byte-identical to the serial run by
+//!   construction of the one loop they share.
+//! * [`parallel`] / [`pool`] — the in-process host's parallel side: with a
+//!   job count (`set_jobs`) the cores are spread over a *persistent* worker
+//!   pool (spawned once per runner, parked between phases).
+//! * [`shard`] — the framed host: one execution's chunks served by shard
+//!   workers (in-process threads or `run_experiments --shard-worker` child
+//!   processes) behind a versioned binary wire format, with a frame log
+//!   and a recovery ladder for workers that die.
 //!
 //! # Quick example
 //!
@@ -99,9 +101,14 @@
 #![warn(missing_docs)]
 
 pub mod adversary;
+#[cfg(test)]
+#[path = "tests/conformance.rs"]
+mod conformance;
+mod coordinator;
 mod delivery;
 pub mod driver;
 mod error;
+mod in_process;
 mod message;
 mod metrics;
 mod node;
@@ -119,6 +126,7 @@ pub use adversary::{
     AdaptiveSplitAdversary, AdversaryView, CrashAdversary, CrashDirective, DeliveryFilter,
     FixedCrashSchedule, NoFaults, RandomCrashes, TargetedCrashes,
 };
+pub use coordinator::Coordinator;
 pub use driver::{NodeEvent, RoundCore, RoundOutcome, SinglePortCore};
 pub use error::{SimError, SimResult};
 pub use message::{Delivered, Outgoing, Payload};

@@ -1,21 +1,20 @@
-//! Deterministic parallel-execution helpers for the round engines.
+//! Deterministic parallel-execution helpers for the in-process host.
 //!
-//! Both runners can split their per-node phase loops (send collection,
-//! delivery, receive) across the persistent worker pool in
-//! [`crate::pool`].  The parallel schedule is *deterministic by
-//! construction*: nodes are partitioned into contiguous index chunks, each
-//! chunk is pinned to one pool worker, and every cross-chunk effect
-//! (delivered messages, metric counters, decision and halt events) is
-//! collected into per-chunk scratch buffers that the main thread merges in
+//! With a job count above one the in-process host (`crate::in_process`)
+//! splits the per-node phase loops (send collection, delivery, receive)
+//! across the persistent worker pool in [`crate::pool`].  The parallel
+//! schedule is *deterministic by construction*: nodes are partitioned into
+//! contiguous index chunks, each chunk is pinned to one pool worker, and
+//! every cross-chunk effect (delivered messages, metric counters, decision
+//! and halt events) is staged per chunk and merged by the coordinator in
 //! fixed node-index order.  Serial and parallel executions of the same
 //! seeded workload therefore produce byte-identical reports, traces and
-//! experiment tables — the determinism suite in
-//! `crates/bench/tests/determinism.rs` pins this.
+//! experiment tables.
 //!
 //! The crash-adversary phase is *never* parallelised: the adversary contract
 //! ([`crate::CrashAdversary`]) hands a single mutable strategy a coherent
-//! view of the whole round, so it runs serially on the main thread between
-//! the send and delivery phases (see `EngineCore::apply_crash_phase`).
+//! view of the whole round, so the coordinator runs it between the send and
+//! delivery phases.
 
 /// Number of worker threads worth spawning on this machine: the standard
 /// library's available-parallelism estimate, with a fallback of 1 when the
@@ -27,25 +26,19 @@ pub fn available_jobs() -> usize {
 }
 
 /// Below this node count the per-round dispatch overhead outweighs any
-/// speedup; the runners fall back to their serial loops (which are
+/// speedup; the host keeps its single inline core (which is
 /// observationally identical, so the cutoff is invisible to callers).
 ///
 /// This is the multi-port threshold: a multi-port round moves
 /// `O(n · degree)` messages, so even modest systems amortise the ~µs cost
-/// of handing the phase closures to the persistent pool (the
-/// `pool_handoff` criterion bench measures the handoff against the retired
-/// per-phase `thread::scope` spawn, which cost ~0.3–0.5 ms).
+/// of handing the phase closures to the persistent pool.
 pub(crate) const MIN_NODES_PER_FORK: usize = 128;
 
 /// The single-port fork threshold: a single-port round is one send and one
-/// poll per node — `O(n)` work with a tiny constant — while executions run
-/// for `Θ(t + log n)` slots (tens of thousands of rounds at paper scale).
-/// Under the per-phase `thread::scope` engine this had to be 8192: three
-/// ~0.3–0.5 ms spawns per round would have dominated 10⁴–10⁵-round
-/// executions.  The persistent pool's ~µs handoff amortises three orders
-/// of magnitude earlier, so paper-scale single-port systems (n ≥ 1024) now
-/// engage the pool (measured in `crates/bench/benches/pool_handoff.rs`;
-/// numbers recorded in `DESIGN.md`).
+/// poll per node — `O(n)` work with a tiny constant — so the pool's two
+/// handoffs per round (~30 µs, ~14 % of a serial n = 1024 round) only pay
+/// off from paper-scale systems up (measured in
+/// `crates/bench/benches/pool_handoff.rs`).
 pub(crate) const MIN_NODES_PER_FORK_SINGLE_PORT: usize = 1024;
 
 /// Normalises a requested job count: `0` means "pick for me"
@@ -83,9 +76,9 @@ impl ChunkPlan {
         }
     }
 
-    /// The chunk index owning node `node`.
-    pub fn chunk_of(&self, node: usize) -> usize {
-        node / self.chunk_len
+    /// The chunk owning node `node` and the node's index within it.
+    pub fn locate(&self, node: usize) -> (usize, usize) {
+        (node / self.chunk_len, node % self.chunk_len)
     }
 
     /// The node range of chunk `index` within an `n`-node system.
@@ -122,13 +115,14 @@ mod tests {
                     let range = plan.range(chunk, n);
                     assert!(!range.is_empty(), "empty chunk {chunk} n={n} jobs={jobs}");
                 }
-                // The ranges tile 0..n exactly and `chunk_of` is their
+                // The ranges tile 0..n exactly and `locate` is their
                 // inverse.
                 let mut covered = 0;
                 for chunk in 0..plan.chunks {
                     for node in plan.range(chunk, n) {
                         assert_eq!(node, covered, "contiguous coverage");
-                        assert_eq!(plan.chunk_of(node), chunk);
+                        let local = node - plan.range(chunk, n).start;
+                        assert_eq!(plan.locate(node), (chunk, local));
                         covered += 1;
                     }
                 }

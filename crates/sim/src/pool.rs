@@ -1,47 +1,43 @@
-//! A persistent, deterministic worker pool for the round engines.
+//! A persistent, deterministic worker pool for the in-process host.
 //!
-//! PR 3 parallelised the per-node phase loops with one [`std::thread::scope`]
-//! per phase — three fork/joins per round, each costing ~0.3–0.5 ms of thread
-//! spawn/teardown.  Single-port executions run for Θ(t + log n) rounds (tens
-//! of thousands at paper scale), so that overhead forced the single-port
-//! fork threshold up to 8192 nodes.  This pool spawns its workers **once**
-//! (lazily, on the first forked round of a runner) and hands them phase work
-//! over per-worker channels; between phases the workers block on their queue
-//! (a futex wait — parked, not spinning), so a phase handoff costs about a
-//! microsecond of channel traffic instead of a fresh spawn.
+//! A runner with more than one job (see [`crate::parallel`]) spawns its
+//! workers **once**, lazily, on the first round that crosses the fork
+//! threshold, and hands them phase work over per-worker channels; between
+//! phases the workers block on their queue (a futex wait — parked, not
+//! spinning), so a phase handoff costs about a microsecond of channel
+//! traffic, not a thread spawn.  Single-port executions run for
+//! Θ(t + log n) rounds — tens of thousands at paper scale — which is why
+//! the cost per handoff, not per run, is what matters.
 //!
 //! # Ownership-shuttle design (why there is no `unsafe` here)
 //!
-//! Scoped threads get their borrows from the scope's lifetime; a persistent
-//! pool has no scope, and this crate forbids `unsafe`, so the runners never
-//! *lend* state to workers at all.  Instead each runner partitions its
-//! per-node state into owned chunk structs (one per worker, contiguous node
-//! ranges).  A phase dispatch **moves** each chunk into a boxed closure,
-//! sends it to the chunk's dedicated worker, and the closure sends the chunk
-//! back through a per-phase result channel when done.  Moving a chunk moves
-//! a few `Vec` headers, not node state, and the chunk's scratch buffers
+//! A persistent pool has no scope to borrow from, and this crate forbids
+//! `unsafe`, so nothing is ever *lent* to a worker.  The host partitions
+//! the per-node state into owned cores (one per worker, contiguous node
+//! ranges).  A phase dispatch **moves** each core into a boxed closure,
+//! sends it to the core's dedicated worker, and the closure sends the core
+//! back through a per-phase result channel when done.  Moving a core moves
+//! a few `Vec` headers, not node state, and the core's scratch buffers
 //! (outgoing queues, delivered-message scratch, event lists, metric
-//! counters) persist across rounds inside the chunk instead of being
-//! reallocated per phase.
+//! counters) persist across rounds inside it.
 //!
-//! Determinism is unchanged from the scoped design: chunk `i` always covers
-//! the same contiguous node range and always runs on worker `i`, and the
-//! main thread merges returned chunks in fixed chunk order (= node-index
-//! order).  The determinism suite in `crates/bench/tests/determinism.rs`
-//! pins byte-identical reports, traces and tables against serial runs.
+//! Determinism: core `i` always covers the same contiguous node range and
+//! always runs on worker `i`, and [`WorkerPool::run_phase`] puts the cores
+//! back in their old order, so the coordinator merges them in node-index
+//! order whichever worker finished first.  The conformance tables in
+//! `crates/sim/src/tests/conformance.rs` pin byte-identical reports and
+//! traces against serial runs.
 //!
 //! # Panic behaviour
 //!
 //! If a phase closure panics, its worker thread unwinds and the closure's
-//! clone of the result sender is dropped without a send.  Dispatch sites
-//! drop their own sender before collecting, so the receiver disconnects
-//! instead of deadlocking and the main thread panics with a clear message
-//! (matching the old `scope.join().expect(...)` behaviour).
+//! clone of the result sender is dropped without a send.  The dispatcher
+//! drops its own sender before collecting, so the receiver disconnects
+//! instead of deadlocking and the main thread panics with a clear message.
 //!
 //! The module is public so `crates/bench/benches/pool_handoff.rs` can put a
-//! number on the handoff itself (against a fresh `thread::scope` fork/join,
-//! the cost the runners used to pay per phase); the runners remain the only
-//! in-tree dispatchers.
+//! number on the handoff itself; the in-process host and the in-process
+//! shard spawner remain the only in-tree dispatchers.
 
 use std::sync::mpsc::{Receiver, Sender};
 use std::thread::JoinHandle;
@@ -52,7 +48,7 @@ pub type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// A persistent set of worker threads, one job queue per worker.
 ///
-/// Workers are identified by index; the runners always send chunk `i` to
+/// Workers are identified by index; a dispatch always sends chunk `i` to
 /// worker `i`, which keeps the chunk's cache footprint on one thread across
 /// rounds and makes the assignment deterministic by construction.
 pub struct WorkerPool {
@@ -102,10 +98,11 @@ impl WorkerPool {
     }
 
     /// One full phase dispatch of the ownership-shuttle protocol: moves
-    /// each chunk in `chunks` (all slots must be home, i.e. `Some`) to its
-    /// pinned worker, runs `phase` on it there, and waits for every chunk
-    /// to come home.  Both runners route all their phase loops through
-    /// this, so the dispatch/panic protocol lives in exactly one place.
+    /// each chunk in `chunks` to its pinned worker (chunk `i` to worker
+    /// `i`), runs `phase` on it there, and waits for every chunk to come
+    /// home, in its old position.  Every pooled phase of every model goes
+    /// through here, so the dispatch/panic protocol lives in exactly one
+    /// place.
     ///
     /// # Panics
     ///
@@ -114,12 +111,12 @@ impl WorkerPool {
     /// and the panic is re-raised here on the main thread.
     pub fn run_phase<C: Send + 'static>(
         &self,
-        chunks: &mut [Option<C>],
+        chunks: &mut Vec<C>,
         phase: impl Fn(&mut C) + Clone + Send + 'static,
     ) {
         let (tx, rx) = std::sync::mpsc::channel::<(usize, C)>();
-        for (ci, slot) in chunks.iter_mut().enumerate() {
-            let mut chunk = slot.take().expect("chunk home");
+        let count = chunks.len();
+        for (ci, mut chunk) in chunks.drain(..).enumerate() {
             let tx = tx.clone();
             let phase = phase.clone();
             self.submit(
@@ -131,10 +128,11 @@ impl WorkerPool {
             );
         }
         drop(tx);
-        for _ in 0..chunks.len() {
-            let (ci, chunk) = rx.recv().expect("phase worker panicked");
-            chunks[ci] = Some(chunk);
-        }
+        let mut home: Vec<(usize, C)> = (0..count)
+            .map(|_| rx.recv().expect("phase worker panicked"))
+            .collect();
+        home.sort_unstable_by_key(|(ci, _)| *ci);
+        chunks.extend(home.into_iter().map(|(_, chunk)| chunk));
     }
 }
 

@@ -5,36 +5,32 @@
 //! paper reports: rounds until all non-faulty nodes halt, messages and bits
 //! sent by non-faulty nodes.
 //!
-//! The round semantics live in the sans-I/O [`RoundCore`]
-//! (see [`crate::driver`]): the runner partitions its nodes into one or more
-//! cores and drives the same four-phase protocol every backend drives —
-//! collect sends, run the crash adversary centrally, deliver, finalize.
-//! With one core (the default) the phases run inline on this thread; with
-//! [`Runner::set_jobs`] the per-core phase bodies run on the persistent
-//! worker pool of [`crate::pool`] (workers are spawned once, on the first
-//! forked round, and phase work is handed to them by moving owned cores
-//! over channels — the ownership-shuttle design described in the pool
-//! module docs).  The crash-adversary phase always stays serial.
-//!
-//! Execution is deterministic regardless of the partition: per-core scratch
-//! buffers are merged in fixed node-index order, so reports, metrics and
-//! traces are byte-identical across core counts (see [`crate::parallel`]
-//! and the threading-model notes in `DESIGN.md`).
+//! [`Runner`] is a configuration, not a loop: the multi-port round of
+//! [`crate::coordinator`] over the in-process host of
+//! [`crate::in_process`], whose chunks are the sans-I/O [`RoundCore`]s of
+//! [`crate::driver`].  This module holds the constructors and the
+//! multi-port half of that host — how each phase reaches the cores and
+//! how its outputs come back in node order.  With one core (the default)
+//! a phase is a direct call; `set_jobs` spreads the cores over the
+//! persistent worker pool of [`crate::pool`].  Reports, metrics and traces
+//! are byte-identical across job counts.
 
+use std::convert::Infallible;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::adversary::byzantine::ByzantineStrategy;
 use crate::adversary::{CrashAdversary, DeliveryFilter, NoFaults};
-use crate::delivery::EngineCore;
-use crate::driver::RoundCore;
-use crate::error::{SimError, SimResult};
+use crate::coordinator::{Central, Coordinator, Host, MultiPort, MultiPortHost, Staged};
+use crate::driver::{NodeEvent, RoundCore};
+use crate::error::SimResult;
+use crate::in_process::{never_fails, Chunk, InProcess};
+use crate::message::Delivered;
 use crate::node::{NodeId, NodeSet};
-use crate::parallel::{self, ChunkPlan};
-use crate::pool::WorkerPool;
-use crate::protocol::{NodeStatus, SyncProtocol};
-use crate::report::{ExecutionReport, Termination};
+use crate::parallel;
+use crate::protocol::SyncProtocol;
+use crate::report::ExecutionReport;
 use crate::round::Round;
-use crate::trace::Trace;
 
 /// A participant in an execution: either an honest node running the protocol
 /// under test or a Byzantine node running an arbitrary strategy.
@@ -53,6 +49,18 @@ impl<P: SyncProtocol> Participant<P> {
     pub(crate) fn is_byzantine(&self) -> bool {
         matches!(self, Participant::Byzantine(_))
     }
+
+    /// The Byzantine members of `participants`, as the coordinator and the
+    /// report want them.
+    pub(crate) fn byzantine_set(participants: &[Self]) -> NodeSet {
+        let byzantine = participants.iter().enumerate();
+        NodeSet::from_iter(
+            participants.len(),
+            byzantine
+                .filter(|(_, p)| p.is_byzantine())
+                .map(|(i, _)| NodeId::new(i)),
+        )
+    }
 }
 
 impl<P: SyncProtocol> std::fmt::Debug for Participant<P> {
@@ -68,7 +76,7 @@ impl<P: SyncProtocol> std::fmt::Debug for Participant<P> {
 ///
 /// Messages addressed to nodes that have crashed **or halted** are dropped
 /// at delivery time (they are still counted against the sender): a halted
-/// node no longer participates in the protocol.  Both runners share this
+/// node no longer participates in the protocol.  Both models share this
 /// rule — see `SinglePortRunner` for the buffered-port variant.
 ///
 /// # Examples
@@ -93,49 +101,14 @@ impl<P: SyncProtocol> std::fmt::Debug for Participant<P> {
 /// assert!(report.all_non_faulty_decided());
 /// assert_eq!(report.metrics.rounds, 1);
 /// ```
-pub struct Runner<P: SyncProtocol> {
-    /// `byzantine_mask[i]` iff participant `i` is Byzantine.  Membership is
-    /// fixed at construction; the mask lets delivery workers read it without
-    /// requiring `Sync` on participants.
-    byzantine_mask: Vec<bool>,
-    adversary: Box<dyn CrashAdversary>,
-    core: EngineCore,
-    /// Worker threads used for the per-node phase loops (1 = serial).
-    jobs: usize,
-    /// Node count above which `jobs > 1` engages the worker pool (see
-    /// `parallel::MIN_NODES_PER_FORK`).
-    fork_threshold: usize,
-    /// Per-node intended destinations handed to the adversary (reused).
-    send_intents: Vec<Vec<NodeId>>,
-    /// The multi-port model has no polling; the adversary still sees one
-    /// (always-`None`) slot per node.  See [`crate::AdversaryView`].
-    poll_intents: Vec<Option<NodeId>>,
-    /// Byzantine participants still running — with
-    /// [`EngineCore::running_nodes`] this makes the per-round "has every
-    /// non-faulty node halted?" check O(1).
-    byz_running: usize,
-    /// Persistent phase workers; spawned lazily on the first forked round
-    /// and reused for every subsequent one (kept across re-partitions).
-    pool: Option<WorkerPool>,
-    /// The shared empty filter list for rounds with no fresh crashes (the
-    /// overwhelmingly common case): cloning this `Arc` is a refcount bump,
-    /// so the delivery phase only allocates a filter list on the at most
-    /// `t` rounds in which a crash actually lands.
-    no_filters: Arc<Vec<(usize, DeliveryFilter)>>,
-    /// The sans-I/O cores holding all per-node state, partitioned per
-    /// `plan` (one core while serial).  Slots are `None` only transiently,
-    /// while their core is out on a pool worker.
-    cores: Vec<Option<RoundCore<P>>>,
-    /// The partition the current `cores` were built with.
-    plan: ChunkPlan,
-}
+pub type Runner<P> = Coordinator<InProcess<RoundCore<P>>, MultiPort<<P as SyncProtocol>::Msg>>;
 
 impl<P: SyncProtocol> Runner<P> {
     /// Creates a runner over honest nodes only, with no faults.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::EmptySystem`] if `protocols` is empty.
+    /// Returns [`crate::SimError::EmptySystem`] if `protocols` is empty.
     pub fn new(protocols: Vec<P>) -> SimResult<Self> {
         Self::with_adversary(protocols, Box::new(NoFaults), 0)
     }
@@ -145,9 +118,9 @@ impl<P: SyncProtocol> Runner<P> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::EmptySystem`] if `protocols` is empty, or
-    /// [`SimError::InvalidConfig`] if the budget is not smaller than the
-    /// number of nodes.
+    /// Returns [`crate::SimError::EmptySystem`] if `protocols` is empty, or
+    /// [`crate::SimError::InvalidConfig`] if the budget is not smaller than
+    /// the number of nodes.
     pub fn with_adversary(
         protocols: Vec<P>,
         adversary: Box<dyn CrashAdversary>,
@@ -161,353 +134,139 @@ impl<P: SyncProtocol> Runner<P> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::EmptySystem`] if `participants` is empty, or
-    /// [`SimError::InvalidConfig`] if the crash budget is not smaller than
-    /// the number of nodes.
+    /// Returns [`crate::SimError::EmptySystem`] if `participants` is empty,
+    /// or [`crate::SimError::InvalidConfig`] if the crash budget is not
+    /// smaller than the number of nodes.
     pub fn with_participants(
         participants: Vec<Participant<P>>,
         adversary: Box<dyn CrashAdversary>,
         fault_budget: usize,
     ) -> SimResult<Self> {
-        if participants.is_empty() {
-            return Err(SimError::EmptySystem);
-        }
-        if fault_budget >= participants.len() {
-            return Err(SimError::InvalidConfig(format!(
-                "fault budget {fault_budget} must be smaller than the number of nodes {}",
-                participants.len()
-            )));
-        }
         let n = participants.len();
-        let byzantine_mask: Vec<bool> =
-            participants.iter().map(Participant::is_byzantine).collect();
-        let byz_running = byzantine_mask.iter().filter(|&&b| b).count();
-        Ok(Runner {
-            byzantine_mask,
-            adversary,
-            core: EngineCore::new(n, fault_budget),
-            jobs: 1,
-            fork_threshold: parallel::MIN_NODES_PER_FORK,
-            send_intents: (0..n).map(|_| Vec::new()).collect(),
-            poll_intents: vec![None; n],
-            byz_running,
-            pool: None,
-            no_filters: Arc::new(Vec::new()),
-            cores: vec![Some(RoundCore::new(0, participants))],
-            plan: ChunkPlan::new(n, 1),
-        })
-    }
-
-    /// Enables coarse-grained event tracing.
-    pub fn enable_trace(&mut self) -> &mut Self {
-        self.core.trace = Trace::enabled();
-        self
-    }
-
-    /// Sets the number of worker threads for the per-node phase loops.
-    ///
-    /// `1` (the default) keeps the single inline core; `0` means "pick for
-    /// me" ([`parallel::available_jobs`]).  Parallel execution is
-    /// deterministic — reports, metrics and traces are byte-identical to a
-    /// serial run — so this is purely a performance knob.  Systems below
-    /// the fork threshold stay on the single-core path regardless.
-    pub fn set_jobs(&mut self, jobs: usize) -> &mut Self {
-        self.jobs = parallel::effective_jobs(jobs);
-        self
-    }
-
-    /// Builder-style variant of [`Runner::set_jobs`].
-    #[must_use]
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.set_jobs(jobs);
-        self
-    }
-
-    /// The configured worker-thread count.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// Overrides the node-count threshold above which `jobs > 1` engages
-    /// the worker pool (default: `parallel::MIN_NODES_PER_FORK`).  Both
-    /// paths are byte-identical; this only trades fork/join overhead
-    /// against parallel speedup, e.g. for rounds that do unusually heavy
-    /// per-node work.
-    pub fn set_fork_threshold(&mut self, nodes: usize) -> &mut Self {
-        self.fork_threshold = nodes.max(1);
-        self
-    }
-
-    /// Number of nodes.
-    pub fn n(&self) -> usize {
-        self.core.n()
-    }
-
-    /// The current round (the next one to be executed).
-    pub fn round(&self) -> Round {
-        self.core.round
-    }
-
-    /// The recorded trace (empty unless [`Runner::enable_trace`] was called).
-    pub fn trace(&self) -> &Trace {
-        &self.core.trace
-    }
-
-    /// Runs rounds until every non-faulty node has halted or `max_rounds`
-    /// rounds have been executed, and returns the execution report.
-    pub fn run(&mut self, max_rounds: u64) -> ExecutionReport<P::Output> {
-        let mut termination = Termination::RoundLimit;
-        for _ in 0..max_rounds {
-            self.step();
-            if self.all_non_faulty_halted() {
-                termination = Termination::AllHalted;
-                break;
-            }
-        }
-        self.report(termination)
-    }
-
-    /// Whether every node that has not crashed has halted voluntarily.
-    ///
-    /// O(1): the engine core counts running nodes incrementally and
-    /// Byzantine participants never halt, so the check reduces to "are the
-    /// only nodes still running the surviving Byzantine ones?".
-    pub fn all_non_faulty_halted(&self) -> bool {
-        self.core.running_nodes() == self.byz_running
-    }
-
-    /// Executes one synchronous round: collect sends, apply the crash
-    /// adversary, deliver, finalize statuses.
-    ///
-    /// The four phases drive the sans-I/O [`RoundCore`]s; everything
-    /// order-sensitive (crash phase, metric merge, inbox routing,
-    /// decision/halt replay) happens on this thread in fixed node-index
-    /// order.  With more than one configured job (see [`Runner::set_jobs`])
-    /// the per-core phase bodies run on the runner's persistent worker
-    /// pool; the partition is invisible to callers.
-    pub fn step(&mut self) {
-        let n = self.n();
-        let desired = if parallel::should_fork(n, self.jobs, self.fork_threshold) {
-            ChunkPlan::new(n, self.jobs)
-        } else {
-            ChunkPlan::new(n, 1)
-        };
-        self.ensure_plan(desired);
-        let plan = self.plan;
-        let round = self.core.round;
-
-        // Phase 1: collect sends and intents in the cores.
-        self.run_phase(move |core| core.begin_round(round));
-        // Expose the freshly collected intents to the adversary through the
-        // flat per-node view its contract promises: ownership of each
-        // node's intent vector ping-pongs between the core and the flat
-        // slot (both sides rebuild per round, so only capacity persists).
-        for slot in &mut self.cores {
-            let core = slot.as_mut().expect("core home between phases");
-            for (i, intents) in core.send_intents.iter_mut().enumerate() {
-                std::mem::swap(&mut self.send_intents[core.base + i], intents);
-            }
-        }
-
-        // Phase 2 (always serial): the crash adversary picks this round's
-        // victims from one coherent view of the whole round; new crashes
-        // are mirrored into the owning cores' status copies, and their
-        // delivery filters collected for the delivery phase.
-        self.apply_crash_phase();
-        let mut filters: Vec<(usize, DeliveryFilter)> = Vec::new();
-        for &idx in self.core.crashed_this_round() {
-            let core = self.cores[plan.chunk_of(idx)]
-                .as_mut()
-                .expect("core home between phases");
-            let local = idx - core.base;
-            core.status[local] = self.core.status[idx];
-            if let Some(filter) = self.core.filter(idx) {
-                filters.push((idx, filter.clone()));
-            }
-        }
-
-        // Phase 3: cores scan their senders into per-core delivery
-        // scratch; the merge below walks cores in ascending order, which
-        // *is* sender-index order, so inbox ordering and metric totals are
-        // independent of the partition.
-        let filters = if filters.is_empty() {
-            Arc::clone(&self.no_filters)
-        } else {
-            Arc::new(filters)
-        };
-        self.run_phase(move |core| core.deliver(&filters));
-        for ci in 0..self.cores.len() {
-            let (msgs, bits, byz, mut delivered) = {
-                let core = self.cores[ci].as_mut().expect("core home");
-                (
-                    core.msgs,
-                    core.bits,
-                    core.byz_msgs,
-                    std::mem::take(&mut core.delivered),
-                )
-            };
-            self.core
-                .metrics
-                .record_messages(round.as_u64(), msgs, bits);
-            self.core.metrics.byzantine_messages += byz;
-            for (dest, msg) in delivered.drain(..) {
-                if dest < n && self.core.status[dest].is_running() {
-                    let dest_core = self.cores[plan.chunk_of(dest)].as_mut().expect("core home");
-                    dest_core.inboxes[dest - dest_core.base].push(msg);
-                }
-            }
-            // Hand the (now empty) scratch back so its capacity persists.
-            self.cores[ci].as_mut().expect("core home").delivered = delivered;
-        }
-
-        // Phase 4: cores drive `receive`; the replay below walks cores in
-        // ascending order, so decisions and halts land in node-index order
-        // and the trace is independent of the partition.
-        self.run_phase(move |core| {
-            core.finalize(round);
-        });
-        for ci in 0..self.cores.len() {
-            let events = {
-                let core = self.cores[ci].as_mut().expect("core home");
-                std::mem::take(&mut core.events)
-            };
-            for event in &events {
-                if event.decided {
-                    let core = self.cores[ci].as_ref().expect("core home");
-                    let output = core.outputs[event.node - core.base]
-                        .as_ref()
-                        .expect("decision recorded");
-                    self.core.record_decision(event.node, output);
-                }
-                if event.halted {
-                    self.core.mark_halted(event.node);
-                    let core = self.cores[ci].as_mut().expect("core home");
-                    core.status[event.node - core.base] = NodeStatus::Halted;
-                }
-            }
-            self.cores[ci].as_mut().expect("core home").events = events;
-        }
-        self.core.finish_round();
-    }
-
-    /// Runs the crash phase and keeps the Byzantine-survivor count in sync
-    /// (every crash must route through here).
-    fn apply_crash_phase(&mut self) {
-        self.core
-            .apply_crash_phase(&mut *self.adversary, &self.send_intents, &self.poll_intents);
-        for &idx in self.core.crashed_this_round() {
-            if self.byzantine_mask[idx] {
-                // Byzantine nodes never halt, so a struck one was running.
-                self.byz_running -= 1;
-            }
-        }
-    }
-
-    /// Runs one phase body over every core: inline on this thread while the
-    /// partition has a single core, on the persistent pool otherwise.
-    /// Core `i` always runs on worker `i`; see [`WorkerPool::run_phase`]
-    /// for the ownership-shuttle protocol and the panic behaviour.
-    fn run_phase(&mut self, phase: impl Fn(&mut RoundCore<P>) + Clone + Send + 'static) {
-        if self.cores.len() > 1 {
-            let pool = self.pool.as_ref().expect("pool engaged");
-            pool.run_phase(&mut self.cores, phase);
-        } else {
-            let core = self.cores[0].as_mut().expect("core home");
-            phase(core);
-        }
-    }
-
-    /// Re-partitions the cores (and spawns or resizes the pool) according
-    /// to `plan`.  No-op when the current cores already follow `plan`.
-    fn ensure_plan(&mut self, plan: ChunkPlan) {
-        if self.plan == plan {
-            return;
-        }
-        let n = self.n();
-        if plan.chunks > 1 && self.pool.as_ref().map(WorkerPool::workers) != Some(plan.chunks) {
-            self.pool = Some(WorkerPool::new(plan.chunks));
-        }
-        // Drain the old partition into flat per-node state, then deal it
-        // back out chunk by chunk (statuses re-mirrored from the engine
-        // core, scratch rebuilt empty — it is between-rounds state).
-        let mut participants = Vec::with_capacity(n);
-        let mut outgoing = Vec::with_capacity(n);
-        let mut inboxes = Vec::with_capacity(n);
-        let mut byz_inboxes = Vec::with_capacity(n);
-        let mut outputs = Vec::with_capacity(n);
-        for slot in self.cores.drain(..) {
-            let core = slot.expect("core home");
-            participants.extend(core.participants);
-            outgoing.extend(core.outgoing);
-            inboxes.extend(core.inboxes);
-            byz_inboxes.extend(core.byz_inboxes);
-            outputs.extend(core.outputs);
-        }
-        let mut participants = participants.drain(..);
-        let mut outgoing = outgoing.drain(..);
-        let mut inboxes = inboxes.drain(..);
-        let mut byz_inboxes = byz_inboxes.drain(..);
-        let mut outputs = outputs.drain(..);
-        self.cores = (0..plan.chunks)
-            .map(|ci| {
-                let range = plan.range(ci, n);
-                let len = range.len();
-                Some(RoundCore {
-                    base: range.start,
-                    participants: participants.by_ref().take(len).collect(),
-                    status: self.core.status[range.clone()].to_vec(),
-                    byz: self.byzantine_mask[range].to_vec(),
-                    outgoing: outgoing.by_ref().take(len).collect(),
-                    send_intents: (0..len).map(|_| Vec::new()).collect(),
-                    inboxes: inboxes.by_ref().take(len).collect(),
-                    byz_inboxes: byz_inboxes.by_ref().take(len).collect(),
-                    outputs: outputs.by_ref().take(len).collect(),
-                    delivered: Vec::new(),
-                    events: Vec::new(),
-                    msgs: 0,
-                    bits: 0,
-                    byz_msgs: 0,
-                })
-            })
-            .collect();
-        self.plan = plan;
-    }
-
-    /// Builds the final report: outputs are gathered from the cores in
-    /// ascending base order.
-    fn report(&self, termination: Termination) -> ExecutionReport<P::Output> {
-        let n = self.n();
-        let byzantine = NodeSet::from_iter(
-            n,
-            self.byzantine_mask
-                .iter()
-                .enumerate()
-                .filter(|(_, &byz)| byz)
-                .map(|(i, _)| NodeId::new(i)),
-        );
-        let outputs = self
-            .cores
-            .iter()
-            .flat_map(|slot| slot.as_ref().expect("core home").outputs.iter().cloned())
-            .collect();
-        ExecutionReport {
-            outputs,
-            crashed_at: self.core.crashed_at.clone(),
-            halted_at: self.core.halted_at.clone(),
-            byzantine,
-            metrics: self.core.metrics.clone(),
-            termination,
-        }
+        let byzantine = Participant::byzantine_set(&participants);
+        let central = Central::new(n, byzantine, adversary, fault_budget)?;
+        let core = RoundCore::new(0, participants);
+        let host = InProcess::new(core, n, parallel::MIN_NODES_PER_FORK);
+        Ok(Coordinator::assemble(central, host))
     }
 }
 
-impl<P: SyncProtocol> std::fmt::Debug for Runner<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Runner")
-            .field("n", &self.n())
-            .field("round", &self.core.round)
-            .field("crashes", &self.core.crashes)
-            .finish_non_exhaustive()
+impl<P: SyncProtocol> Chunk for RoundCore<P> {
+    fn regroup(cores: Vec<Self>, ranges: impl Iterator<Item = Range<usize>>) -> Vec<Self> {
+        // What survives a round boundary: the state machines, their
+        // statuses and outputs, and what each Byzantine node saw last
+        // round.  Everything else is within-round scratch, rebuilt empty.
+        let mut participants = Vec::new();
+        let mut status = Vec::new();
+        let mut byz_inboxes = Vec::new();
+        let mut outputs = Vec::new();
+        for core in cores {
+            participants.extend(core.participants);
+            status.extend(core.status);
+            byz_inboxes.extend(core.byz_inboxes);
+            outputs.extend(core.outputs);
+        }
+        let mut participants = participants.into_iter();
+        let mut status = status.into_iter();
+        let mut byz_inboxes = byz_inboxes.into_iter();
+        let mut outputs = outputs.into_iter();
+        ranges
+            .map(|range| {
+                let len = range.len();
+                let mut core =
+                    RoundCore::new(range.start, participants.by_ref().take(len).collect());
+                core.status = status.by_ref().take(len).collect();
+                core.byz_inboxes = byz_inboxes.by_ref().take(len).collect();
+                core.outputs = outputs.by_ref().take(len).collect();
+                core
+            })
+            .collect()
+    }
+}
+
+impl<P: SyncProtocol> Host for InProcess<RoundCore<P>> {
+    type Output = P::Output;
+    type Error = Infallible;
+    type Outcome<T> = T;
+
+    fn outcome<T>(result: Result<T, Infallible>) -> T {
+        never_fails(result)
+    }
+
+    fn output(&self, node: usize) -> Option<&P::Output> {
+        let (chunk, local) = self.plan.locate(node);
+        self.cores[chunk].output(local)
+    }
+
+    fn set_halted(&mut self, node: usize) {
+        let (chunk, local) = self.plan.locate(node);
+        self.cores[chunk].set_halted(local);
+    }
+}
+
+impl<P: SyncProtocol> MultiPortHost for InProcess<RoundCore<P>> {
+    type Msg = P::Msg;
+
+    fn begin_round(
+        &mut self,
+        round: Round,
+        send_intents: &mut [Vec<NodeId>],
+    ) -> Result<(), Infallible> {
+        self.prepare();
+        self.run_phase(move |core| core.begin_round(round));
+        // Ownership of each node's intent vector ping-pongs between its
+        // core and the flat slot (both sides rebuild per round, so only
+        // capacity persists).
+        for core in &mut self.cores {
+            let slots = send_intents[core.base..].iter_mut();
+            for (slot, intents) in slots.zip(&mut core.send_intents) {
+                std::mem::swap(slot, intents);
+            }
+        }
+        Ok(())
+    }
+
+    fn deliver(
+        &mut self,
+        round: Round,
+        crashed: Vec<(usize, DeliveryFilter)>,
+        staged: &mut Vec<Staged<P::Msg>>,
+    ) -> Result<(), Infallible> {
+        for (victim, _) in &crashed {
+            let (chunk, local) = self.plan.locate(*victim);
+            self.cores[chunk].set_crashed(local, round);
+        }
+        if let [core] = self.cores.as_mut_slice() {
+            core.deliver(&crashed);
+        } else {
+            let filters = Arc::new(crashed);
+            self.run_phase(move |core| core.deliver(&filters));
+        }
+        // The staged messages change hands by swapping buffers with the
+        // (drained) ones of the round before, so both keep their capacity.
+        staged.resize_with(self.cores.len(), Staged::default);
+        for (slot, core) in staged.iter_mut().zip(&mut self.cores) {
+            slot.messages = core.msgs;
+            slot.bits = core.bits;
+            slot.byzantine_messages = core.byz_msgs;
+            std::mem::swap(&mut slot.delivered, &mut core.delivered);
+        }
+        Ok(())
+    }
+
+    fn accept(&mut self, dest: usize, msg: Delivered<P::Msg>) {
+        let (chunk, local) = self.plan.locate(dest);
+        self.cores[chunk].accept(local, msg);
+    }
+
+    fn finalize(&mut self, round: Round, events: &mut Vec<NodeEvent>) -> Result<(), Infallible> {
+        self.run_phase(move |core| {
+            core.finalize(round);
+        });
+        for core in &self.cores {
+            events.extend_from_slice(&core.events);
+        }
+        Ok(())
     }
 }
 
@@ -531,7 +290,9 @@ pub fn run_with_crashes<P: SyncProtocol>(
 mod tests {
     use super::*;
     use crate::adversary::{AdversaryView, CrashDirective, FixedCrashSchedule};
-    use crate::message::{Delivered, Outgoing};
+    use crate::message::Outgoing;
+    use crate::report::Termination;
+    use crate::SimError;
 
     /// Every node floods its input to all nodes each round; decides on the OR
     /// of everything seen after 3 rounds.
@@ -739,107 +500,6 @@ mod tests {
         fn has_halted(&self) -> bool {
             self.halt_after.is_some_and(|h| self.rounds >= h)
         }
-    }
-
-    /// Parallel phase loops must be observationally identical to the serial
-    /// ones: same report (outputs, crash/halt rounds, metrics including the
-    /// per-round profile) and same trace, event for event.  `n` sits above
-    /// the fork threshold so the worker-pool path actually runs.
-    #[test]
-    fn parallel_execution_is_byte_identical_to_serial() {
-        use crate::parallel::MIN_NODES_PER_FORK;
-        let n = MIN_NODES_PER_FORK + 9;
-        let run = |jobs: usize| {
-            let protocols: Vec<FloodOr> = (0..n).map(|i| FloodOr::new(n, i == 3)).collect();
-            let adversary = FixedCrashSchedule::new()
-                .crash_at(0, CrashDirective::silent(NodeId::new(1)))
-                .crash_at(
-                    1,
-                    CrashDirective {
-                        node: NodeId::new(4),
-                        deliver: crate::adversary::DeliveryFilter::Prefix(3),
-                    },
-                )
-                .crash_at(2, CrashDirective::after_send(NodeId::new(n - 1)));
-            let mut runner = Runner::with_adversary(protocols, Box::new(adversary), 3)
-                .unwrap()
-                .with_jobs(jobs);
-            runner.enable_trace();
-            let report = runner.run(10);
-            (report, runner.trace().events().to_vec())
-        };
-        let (serial_report, serial_trace) = run(1);
-        for jobs in [2, 4, 7] {
-            let (parallel_report, parallel_trace) = run(jobs);
-            assert_eq!(serial_report, parallel_report, "report with jobs={jobs}");
-            assert_eq!(serial_trace, parallel_trace, "trace with jobs={jobs}");
-        }
-        assert_eq!(serial_report.metrics.crashes, 3);
-        assert!(serial_report.all_non_faulty_decided());
-    }
-
-    /// A pool reused across two consecutive `run()`s on the same runner
-    /// produces transcripts identical to two fresh serial runs: the workers
-    /// and their core scratch persist between `run()` calls, and nothing
-    /// about that persistence may leak into results.
-    #[test]
-    fn pool_reused_across_two_runs_matches_two_serial_runs() {
-        use crate::parallel::MIN_NODES_PER_FORK;
-        let n = MIN_NODES_PER_FORK + 3;
-        let run_twice = |jobs: usize| {
-            let protocols: Vec<CountingSender> = (0..n)
-                .map(|i| CountingSender {
-                    target: (i + 1) % n,
-                    received: 0,
-                    halt_after: Some(7),
-                    rounds: 0,
-                })
-                .collect();
-            let adversary = FixedCrashSchedule::new()
-                .crash_at(1, CrashDirective::silent(NodeId::new(0)))
-                .crash_at(5, CrashDirective::after_send(NodeId::new(2)));
-            let mut runner = Runner::with_adversary(protocols, Box::new(adversary), 2)
-                .unwrap()
-                .with_jobs(jobs);
-            runner.enable_trace();
-            // Two back-to-back run() calls: the second resumes the same
-            // execution (and, with jobs > 1, the same pool and cores).
-            let first = runner.run(4);
-            let second = runner.run(10);
-            (first, second, runner.trace().events().to_vec())
-        };
-        let serial = run_twice(1);
-        let pooled = run_twice(4);
-        assert_eq!(serial.0, pooled.0, "first run() report");
-        assert_eq!(serial.1, pooled.1, "second run() report");
-        assert_eq!(serial.2, pooled.2, "combined trace");
-        assert_eq!(pooled.1.metrics.crashes, 2);
-    }
-
-    /// The parallel path preserves Byzantine accounting: uncounted Byzantine
-    /// messages, per-node inbox retention, identical honest-side metrics.
-    #[test]
-    fn parallel_execution_matches_serial_with_byzantine_nodes() {
-        use crate::adversary::byzantine::FloodByzantine;
-        use crate::parallel::MIN_NODES_PER_FORK;
-        let n = MIN_NODES_PER_FORK + 2;
-        let run = |jobs: usize| {
-            let mut participants: Vec<Participant<FloodOr>> = (1..n)
-                .map(|i| Participant::Honest(FloodOr::new(n, i == 1)))
-                .collect();
-            participants.insert(
-                0,
-                Participant::Byzantine(Box::new(FloodByzantine::<bool>::new(n))),
-            );
-            let mut runner = Runner::with_participants(participants, Box::new(NoFaults), 0)
-                .unwrap()
-                .with_jobs(jobs);
-            runner.run(10)
-        };
-        let serial = run(1);
-        let parallel = run(4);
-        assert_eq!(serial, parallel);
-        assert!(parallel.metrics.byzantine_messages > 0);
     }
 
     /// Regression test for the halted-destination rule: once a node halts,

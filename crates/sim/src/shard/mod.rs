@@ -1,14 +1,12 @@
 //! Sharding a **single execution** across OS worker processes.
 //!
-//! The persistent worker pool (see [`crate::pool`]) exhausted intra-process
-//! parallelism; this module is the next order of magnitude: the per-node
-//! phase work of one run is partitioned into contiguous node-range chunks —
-//! exactly the sans-I/O [`RoundCore`]/[`SinglePortCore`] ownership unit the
-//! pool already dispatches (see [`crate::driver`]) — and each chunk is
-//! served by a **shard worker** on the far side of a [`ShardTransport`].
-//! Two backends exist:
+//! The per-node phase work of one run is partitioned into contiguous
+//! node-range chunks — the sans-I/O [`RoundCore`]/[`SinglePortCore`]
+//! ownership unit of [`crate::driver`] — and each chunk is served by a
+//! **shard worker** on the far side of a [`ShardTransport`].  Two backends
+//! exist:
 //!
-//! * in-process: workers are jobs on the runner's own [`WorkerPool`],
+//! * in-process: workers are jobs on a [`WorkerPool`] of the runner's own,
 //!   connected by [`ChannelTransport`] pairs (every frame still crosses the
 //!   full wire codec, so the in-process backend exercises the same protocol
 //!   the pipes do);
@@ -18,32 +16,36 @@
 //!
 //! # Determinism
 //!
-//! The coordinating process keeps everything order-sensitive, exactly as the
-//! pool's forked path does: the **crash-adversary phase** runs only in the
-//! parent (the adversary contract hands one mutable strategy a coherent view
-//! of the whole round), and per-chunk results — intents, delivered messages
-//! in sender order, metric deltas, decision/halt events — are merged in
-//! **fixed chunk order**, which is node-index order.  A sharded run is
-//! therefore byte-identical to a serial or `--jobs N` run of the same
-//! seeded workload; `crates/bench/tests/determinism.rs` pins this with
-//! table diffs and transcript proptests.
+//! [`ShardedRunner`] and [`SpShardedRunner`] are not round loops of their
+//! own: they are the loops of `crate::coordinator` over the **framed
+//! host** of this module ([`Framed`]), which runs a phase on every chunk by
+//! exchanging frames.  The coordinating process therefore keeps everything
+//! order-sensitive exactly where the serial and pooled runners keep it —
+//! the crash-adversary phase, the merge in chunk (= node-index) order, the
+//! event replay, the single-port port map — and a sharded run is
+//! byte-identical to a serial or `--jobs N` run of the same seeded
+//! workload; `crates/bench/tests/determinism.rs` pins this with table
+//! diffs and transcript proptests.
 //!
 //! # Protocol
 //!
 //! Each frame is `[u16 version][u8 tag][payload]` (see [`WIRE_VERSION`] and
-//! the [`wire`] codec).  Per round the parent sends `Collect`, merges the
-//! returned intents, runs the crash phase, sends `Deliver` (multi-port; the
-//! worker returns surviving messages and metric deltas) or performs the
-//! port-map mutations itself (single-port), routes inbound messages, sends
-//! `Receive`, and replays the returned decision/halt events in chunk order.
+//! the [`wire`] codec).  Per round the host sends `Collect` and returns the
+//! intents; after the coordinator's crash phase it sends `Deliver`
+//! (multi-port; the worker returns surviving messages and metric deltas),
+//! queues the messages the coordinator routes, and sends them with
+//! `Receive` — or, single-port, sends the crash mirror and the pre-drained
+//! port contents with `SpReceive` — and returns the decision/halt events.
 //! `Shutdown` ends the loop; a worker treats transport EOF as shutdown, so
-//! a dying parent never leaves workers spinning.
+//! a dying parent never leaves workers spinning.  Both sides treat a frame
+//! as untrusted: an index outside the chunk, a list of the wrong length or
+//! an event for another chunk's node is an error, never a panic.
 //!
 //! # Worker-failure recovery
 //!
 //! A worker process is *substrate*, not a simulated node: its death must
 //! not change the computed execution.  When [`Recovery`] is configured the
-//! coordinator retains every request frame it sends (per shard; `Shutdown`
+//! host retains every request frame it sends (per shard; `Shutdown`
 //! excluded), and on any transport failure — EOF, I/O error, read deadline
 //! ([`DeadlineTransport`]), an unexpected tag, or a payload that fails to
 //! decode — it obtains a fresh transport (the respawn factory, bounded by
@@ -63,12 +65,13 @@ pub mod transport;
 pub mod wire;
 
 use std::io;
-use std::marker::PhantomData;
 use std::ops::Range;
 use std::time::Duration;
 
 use crate::adversary::{CrashAdversary, DeliveryFilter};
-use crate::delivery::{EngineCore, PortMap};
+use crate::coordinator::{
+    Central, Coordinator, Host, MultiPort, MultiPortHost, SinglePort, SinglePortHost, Staged,
+};
 use crate::driver::{NodeEvent, RoundCore, SinglePortCore};
 use crate::error::{ShardError, SimError, SimResult};
 use crate::message::{Delivered, Outgoing, Payload};
@@ -76,10 +79,8 @@ use crate::node::{NodeId, NodeSet};
 use crate::parallel::ChunkPlan;
 use crate::pool::WorkerPool;
 use crate::protocol::{NodeStatus, SinglePortProtocol, SyncProtocol};
-use crate::report::{ExecutionReport, Termination};
 use crate::round::Round;
 use crate::runner::Participant;
-use crate::trace::Trace;
 
 pub use fault::{ArmedPlan, FaultKind, FaultPlan, FaultSpec, FaultyTransport};
 pub use transport::{
@@ -137,8 +138,12 @@ pub fn open_frame(buf: &[u8]) -> WireResult<(u8, WireReader<'_>)> {
     Ok((tag, r))
 }
 
+fn bad_frame(detail: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, detail)
+}
+
 fn wire_io(err: WireError) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, err.to_string())
+    bad_frame(err.to_string())
 }
 
 /// Produces a replacement [`ShardTransport`] for the given shard index —
@@ -261,36 +266,72 @@ impl<O: Wire> Wire for WireEvent<O> {
 // Worker side
 // ---------------------------------------------------------------------------
 
+/// Decodes one field of a request; the frame is the parent's, but a worker
+/// trusts nothing it reads.
+fn field<T: Wire>(r: &mut WireReader<'_>) -> io::Result<T> {
+    T::decode(r).map_err(wire_io)
+}
+
+/// Rejects a chunk-local node index the chunk does not own.
+fn check_local(local: usize, len: usize) -> io::Result<usize> {
+    if local < len {
+        Ok(local)
+    } else {
+        Err(bad_frame(format!(
+            "local node index {local} outside a chunk of {len} nodes"
+        )))
+    }
+}
+
+/// The serve loop both models share: answers each request frame with what
+/// `answer` returns for its tag, until `Shutdown` or a clean EOF.
+fn serve(
+    transport: &mut dyn ShardTransport,
+    mut answer: impl FnMut(u8, &mut WireReader<'_>) -> io::Result<Vec<u8>>,
+) -> io::Result<()> {
+    loop {
+        let request = match transport.recv() {
+            Ok(frame) => frame,
+            Err(err) if err.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
+            Err(err) => return Err(err),
+        };
+        let (tag, mut r) = open_frame(&request).map_err(wire_io)?;
+        if tag == REQ_SHUTDOWN {
+            return Ok(());
+        }
+        transport.send(&answer(tag, &mut r)?)?;
+    }
+}
+
+fn unexpected_request(tag: u8) -> io::Error {
+    bad_frame(format!("unexpected shard request tag {tag}"))
+}
+
 /// Encodes a chunk's decision/halt events as a `RESP_EVENTS` frame and
-/// applies this round's voluntary halts to the chunk's local status mirror
-/// (the pool's forked path does the latter during the main thread's replay;
-/// on a shard worker the serve loop is the only writer).  Shared by both
-/// serve loops so the event semantics cannot drift between the runner
-/// families.
+/// applies this round's voluntary halts to the chunk's status mirror (the
+/// in-process host does the latter during the coordinator's replay; on a
+/// shard worker the serve loop is the only writer).
 fn events_response<O: Wire + Clone>(
     events: &[NodeEvent],
     outputs: &[Option<O>],
     status: &mut [NodeStatus],
     base: usize,
 ) -> Vec<u8> {
-    let mut resp = frame(RESP_EVENTS);
     let wire_events: Vec<WireEvent<O>> = events
         .iter()
         .map(|event| WireEvent {
             node: event.node,
             halted: event.halted,
-            output: event.decided.then(|| {
-                outputs[event.node - base]
-                    .clone()
-                    .expect("decided event has an output")
-            }),
+            output: outputs[event.node - base]
+                .as_ref()
+                .filter(|_| event.decided)
+                .cloned(),
         })
         .collect();
+    let mut resp = frame(RESP_EVENTS);
     wire_events.encode(&mut resp);
-    for event in events {
-        if event.halted {
-            status[event.node - base] = NodeStatus::Halted;
-        }
+    for event in events.iter().filter(|event| event.halted) {
+        status[event.node - base] = NodeStatus::Halted;
     }
     resp
 }
@@ -305,7 +346,9 @@ fn events_response<O: Wire + Clone>(
 /// # Errors
 ///
 /// Returns an I/O error when the transport fails mid-execution or a frame is
-/// malformed; a clean EOF before a request is treated as shutdown.
+/// malformed ([`io::ErrorKind::InvalidData`]: bad header, unknown tag,
+/// undecodable payload, or an index outside this chunk); a clean EOF before
+/// a request is treated as shutdown.
 pub fn serve_multi_port<P>(
     participants: Vec<Participant<P>>,
     base: usize,
@@ -317,58 +360,46 @@ where
     P::Output: Wire,
 {
     let mut chunk = RoundCore::new(base, participants);
-    loop {
-        let request = match transport.recv() {
-            Ok(frame) => frame,
-            Err(err) if err.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
-            Err(err) => return Err(err),
-        };
-        let (tag, mut r) = open_frame(&request).map_err(wire_io)?;
-        match tag {
-            REQ_COLLECT => {
-                let round = Round::decode(&mut r).map_err(wire_io)?;
-                chunk.begin_round(round);
-                let mut resp = frame(RESP_INTENTS);
-                chunk.send_intents.encode(&mut resp);
-                transport.send(&resp)?;
-            }
-            REQ_DELIVER => {
-                let round = Round::decode(&mut r).map_err(wire_io)?;
-                let crashed: Vec<(usize, DeliveryFilter)> = Vec::decode(&mut r).map_err(wire_io)?;
-                let mut filters = Vec::with_capacity(crashed.len());
-                for (local, filter) in crashed {
-                    chunk.status[local] = NodeStatus::Crashed(round);
-                    filters.push((base + local, filter));
-                }
-                chunk.deliver(&filters);
-                let mut resp = frame(RESP_DELIVERED);
-                chunk.msgs.encode(&mut resp);
-                chunk.bits.encode(&mut resp);
-                chunk.byz_msgs.encode(&mut resp);
-                chunk.delivered.encode(&mut resp);
-                chunk.delivered.clear();
-                transport.send(&resp)?;
-            }
-            REQ_RECEIVE => {
-                let round = Round::decode(&mut r).map_err(wire_io)?;
-                let inbound: Vec<(usize, Delivered<P::Msg>)> =
-                    Vec::decode(&mut r).map_err(wire_io)?;
-                for (local, msg) in inbound {
-                    chunk.accept(local, msg);
-                }
-                chunk.finalize(round);
-                let resp = events_response(&chunk.events, &chunk.outputs, &mut chunk.status, base);
-                transport.send(&resp)?;
-            }
-            REQ_SHUTDOWN => return Ok(()),
-            other => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unexpected shard request tag {other}"),
-                ))
-            }
+    serve(transport, |tag, r| match tag {
+        REQ_COLLECT => {
+            chunk.begin_round(field(r)?);
+            let mut resp = frame(RESP_INTENTS);
+            chunk.send_intents.encode(&mut resp);
+            Ok(resp)
         }
-    }
+        REQ_DELIVER => {
+            let round: Round = field(r)?;
+            let crashed: Vec<(usize, DeliveryFilter)> = field(r)?;
+            let mut filters = Vec::with_capacity(crashed.len());
+            for (local, filter) in crashed {
+                chunk.set_crashed(check_local(local, chunk.len())?, round);
+                filters.push((base + local, filter));
+            }
+            chunk.deliver(&filters);
+            let mut resp = frame(RESP_DELIVERED);
+            chunk.msgs.encode(&mut resp);
+            chunk.bits.encode(&mut resp);
+            chunk.byz_msgs.encode(&mut resp);
+            chunk.delivered.encode(&mut resp);
+            chunk.delivered.clear();
+            Ok(resp)
+        }
+        REQ_RECEIVE => {
+            let round: Round = field(r)?;
+            let inbound: Vec<(usize, Delivered<P::Msg>)> = field(r)?;
+            for (local, msg) in inbound {
+                chunk.accept(check_local(local, chunk.len())?, msg);
+            }
+            chunk.finalize(round);
+            Ok(events_response(
+                &chunk.events,
+                &chunk.outputs,
+                &mut chunk.status,
+                base,
+            ))
+        }
+        other => Err(unexpected_request(other)),
+    })
 }
 
 /// Serves one single-port chunk over `transport` until `Shutdown` (or EOF).
@@ -380,8 +411,8 @@ where
 ///
 /// # Errors
 ///
-/// Returns an I/O error when the transport fails mid-execution or a frame is
-/// malformed; a clean EOF before a request is treated as shutdown.
+/// As [`serve_multi_port`]; a drained-port list whose length is not the
+/// chunk's is malformed too.
 pub fn serve_single_port<P>(
     nodes: Vec<P>,
     base: usize,
@@ -393,62 +424,57 @@ where
     P::Output: Wire,
 {
     let mut chunk = SinglePortCore::new(base, nodes);
-    loop {
-        let request = match transport.recv() {
-            Ok(frame) => frame,
-            Err(err) if err.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
-            Err(err) => return Err(err),
-        };
-        let (tag, mut r) = open_frame(&request).map_err(wire_io)?;
-        match tag {
-            REQ_COLLECT => {
-                let round = Round::decode(&mut r).map_err(wire_io)?;
-                chunk.begin_round(round);
-                let mut resp = frame(RESP_SP_INTENTS);
-                // The parent enqueues the sends itself, so they are *moved*
-                // out of the chunk exactly as the pool's forked path takes
-                // them.
-                let sends: Vec<Option<Outgoing<P::Msg>>> =
-                    chunk.sends.iter_mut().map(Option::take).collect();
-                sends.encode(&mut resp);
-                chunk.polls.encode(&mut resp);
-                transport.send(&resp)?;
-            }
-            REQ_SP_RECEIVE => {
-                let round = Round::decode(&mut r).map_err(wire_io)?;
-                let crashed: Vec<usize> = Vec::decode(&mut r).map_err(wire_io)?;
-                let drained: Vec<Option<Vec<P::Msg>>> = Vec::decode(&mut r).map_err(wire_io)?;
-                for local in crashed {
-                    chunk.status[local] = NodeStatus::Crashed(round);
-                }
-                chunk.drained = drained;
-                chunk.finalize(round);
-                let resp = events_response(&chunk.events, &chunk.outputs, &mut chunk.status, base);
-                transport.send(&resp)?;
-            }
-            REQ_SHUTDOWN => return Ok(()),
-            other => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unexpected shard request tag {other}"),
-                ))
-            }
+    serve(transport, |tag, r| match tag {
+        REQ_COLLECT => {
+            chunk.begin_round(field(r)?);
+            // The parent enqueues the sends itself, so they are *moved* out
+            // of the chunk, exactly as the in-process host takes them.
+            let sends: Vec<Option<Outgoing<P::Msg>>> =
+                chunk.sends.iter_mut().map(Option::take).collect();
+            let mut resp = frame(RESP_SP_INTENTS);
+            sends.encode(&mut resp);
+            chunk.polls.encode(&mut resp);
+            Ok(resp)
         }
-    }
+        REQ_SP_RECEIVE => {
+            let round: Round = field(r)?;
+            let crashed: Vec<usize> = field(r)?;
+            let drained: Vec<Option<Vec<P::Msg>>> = field(r)?;
+            if drained.len() != chunk.len() {
+                return Err(bad_frame(format!(
+                    "{} drained ports for a chunk of {} nodes",
+                    drained.len(),
+                    chunk.len()
+                )));
+            }
+            for local in crashed {
+                chunk.set_crashed(check_local(local, chunk.len())?, round);
+            }
+            chunk.drained = drained;
+            chunk.finalize(round);
+            Ok(events_response(
+                &chunk.events,
+                &chunk.outputs,
+                &mut chunk.status,
+                base,
+            ))
+        }
+        other => Err(unexpected_request(other)),
+    })
 }
 
 // ---------------------------------------------------------------------------
 // Parent side
 // ---------------------------------------------------------------------------
 
-/// State common to both sharded coordinators.
-struct Coordinator {
-    core: EngineCore,
-    adversary: Box<dyn CrashAdversary>,
+/// The parent's end of one sharded execution: the transports, the retained
+/// request log and the recovery ladder.
+struct Link {
     transports: Vec<Box<dyn ShardTransport>>,
     plan: ChunkPlan,
-    send_intents: Vec<Vec<NodeId>>,
-    poll_intents: Vec<Option<NodeId>>,
+    n: usize,
+    /// The round being executed, for error context.
+    round: u64,
     /// Per-shard retained request log (only fed while recovery is
     /// configured; `Shutdown` is never logged).  On recovery the whole log
     /// is replayed to the fresh transport — sound because the worker
@@ -460,63 +486,18 @@ struct Coordinator {
     respawns_used: Vec<u32>,
     fallback_active: Vec<bool>,
     stats: RecoveryStats,
-    /// Keeps in-process serving threads alive for the coordinator's
-    /// lifetime; `None` for remote (process/pipe) backends.
+    /// Keeps in-process serving threads alive for the host's lifetime;
+    /// `None` for remote (process/pipe) backends.
     _pool: Option<WorkerPool>,
 }
 
-impl Coordinator {
-    fn new(
-        n: usize,
-        adversary: Box<dyn CrashAdversary>,
-        fault_budget: usize,
-        shards: usize,
-        transports: Vec<Box<dyn ShardTransport>>,
-        pool: Option<WorkerPool>,
-    ) -> SimResult<Self> {
-        if n == 0 {
-            return Err(SimError::EmptySystem);
-        }
-        if fault_budget >= n {
-            return Err(SimError::InvalidConfig(format!(
-                "fault budget {fault_budget} must be smaller than the number of nodes {n}"
-            )));
-        }
-        // Parent and workers must agree on the partition, so both derive it
-        // from the *requested* shard count (see [`shard_count`] /
-        // [`shard_range`]), never from the transport count.
-        let plan = ChunkPlan::new(n, shards.max(1));
-        if plan.chunks != transports.len() {
-            return Err(SimError::InvalidConfig(format!(
-                "{} shard transports for a partition of {} chunks (use shard_count({n}, {shards}))",
-                transports.len(),
-                plan.chunks
-            )));
-        }
-        let chunks = transports.len();
-        Ok(Coordinator {
-            core: EngineCore::new(n, fault_budget),
-            adversary,
-            transports,
-            plan,
-            send_intents: (0..n).map(|_| Vec::new()).collect(),
-            poll_intents: vec![None; n],
-            frame_log: (0..chunks).map(|_| Vec::new()).collect(),
-            stashed: (0..chunks).map(|_| None).collect(),
-            recovery: None,
-            respawns_used: vec![0; chunks],
-            fallback_active: vec![false; chunks],
-            stats: RecoveryStats::default(),
-            _pool: pool,
-        })
+impl Link {
+    fn chunks(&self) -> usize {
+        self.transports.len()
     }
 
-    fn n(&self) -> usize {
-        self.core.n()
-    }
-
-    fn set_recovery(&mut self, recovery: Recovery) {
-        self.recovery = Some(recovery);
+    fn range(&self, ci: usize) -> Range<usize> {
+        self.plan.range(ci, self.n)
     }
 
     /// Sends one request to shard `ci`, retaining it in the frame log and
@@ -534,23 +515,20 @@ impl Coordinator {
         Ok(())
     }
 
-    /// Broadcasts one already-encoded request to every shard worker.
+    /// Sends one already-encoded request to every shard.
     fn broadcast(&mut self, request: &[u8]) -> SimResult<()> {
-        for ci in 0..self.transports.len() {
-            self.send_to(ci, request)?;
-        }
-        Ok(())
+        (0..self.chunks()).try_for_each(|ci| self.send_to(ci, request))
     }
 
-    /// Receives shard `ci`'s pending response, checks its tag, and decodes
-    /// the payload with `parse`; any failure — transport error, bad frame,
-    /// wrong tag, undecodable payload — enters the recovery ladder and the
-    /// replayed response is tried again.
-    fn transact<T>(
+    /// Receives shard `ci`'s pending response, checks its tag, decodes the
+    /// payload and has `check` vet it; any failure — transport error, bad
+    /// frame, wrong tag, undecodable or implausible payload — enters the
+    /// recovery ladder and the replayed response is tried again.
+    fn transact<T: Wire>(
         &mut self,
         ci: usize,
         expected: u8,
-        parse: impl Fn(&mut WireReader<'_>) -> Result<T, String>,
+        check: impl Fn(&T) -> Result<(), String>,
     ) -> SimResult<T> {
         loop {
             let response = match self.stashed[ci].take() {
@@ -559,10 +537,13 @@ impl Coordinator {
             };
             let detail = match response {
                 Ok(bytes) => match open_frame(&bytes) {
-                    Ok((tag, mut r)) if tag == expected => match parse(&mut r) {
-                        Ok(value) => return Ok(value),
-                        Err(detail) => format!("response payload: {detail}"),
-                    },
+                    Ok((tag, mut r)) if tag == expected => {
+                        let payload = T::decode(&mut r).map_err(|err| err.to_string());
+                        match payload.and_then(|value| check(&value).map(|()| value)) {
+                            Ok(value) => return Ok(value),
+                            Err(detail) => format!("response payload: {detail}"),
+                        }
+                    }
                     Ok((tag, _)) => format!("answered with tag {tag}, expected {expected}"),
                     Err(err) => format!("response frame: {err}"),
                 },
@@ -577,7 +558,7 @@ impl Coordinator {
     /// retained log has been replayed and the outstanding request's
     /// response, if any, is stashed.
     fn recover(&mut self, ci: usize, tag: Option<u8>, reason: String) -> SimResult<()> {
-        let round = self.core.round.as_u64();
+        let round = self.round;
         let fail = move |detail: String| -> SimError {
             let mut err = ShardError::new(ci, detail).with_round(round);
             if let Some(tag) = tag {
@@ -663,14 +644,14 @@ impl Coordinator {
         self.stashed[ci] = last_response;
         Ok(())
     }
+}
 
-    /// Best-effort shutdown of every worker (errors ignored: a worker that
-    /// already went away has nothing left to shut down).
-    fn shutdown(&mut self) {
-        let request = frame(REQ_SHUTDOWN);
-        for transport in &mut self.transports {
-            let _ = transport.send(&request);
-        }
+/// Vets the length of a per-node list a worker reported for its chunk.
+fn sized(got: usize, want: usize, what: &str) -> Result<(), String> {
+    if got == want {
+        Ok(())
+    } else {
+        Err(format!("{got} {what} for {want} nodes"))
     }
 }
 
@@ -682,22 +663,321 @@ impl<M: Payload + Wire> WireMsg for M {}
 pub trait WireOutput: Wire + Clone + PartialEq + std::fmt::Debug + Send + 'static {}
 impl<O: Wire + Clone + PartialEq + std::fmt::Debug + Send + 'static> WireOutput for O {}
 
-/// Coordinates one **multi-port** execution whose chunks live behind shard
-/// transports.
+/// The framed host: the chunks live behind shard transports, and a phase
+/// runs on every chunk by sending each worker a request frame and decoding
+/// its response (through the recovery ladder, when one is configured).
 ///
-/// The coordinator is generic over the message and output wire types only —
-/// it never holds protocol state machines, so the worker-process backend
-/// does not pay for a redundant parent-side node construction.  Use
-/// [`ShardedRunner::in_process`] to serve the chunks on this process's own
-/// worker pool, or [`ShardedRunner::connect`] with transports to external
-/// workers (see `run_experiments --shard-worker`).
-pub struct ShardedRunner<M: WireMsg, O: WireOutput> {
-    inner: Coordinator,
+/// It never holds protocol state machines — only the outputs the workers
+/// report (`O`) and, per chunk, what is queued for its next request (`Q`).
+pub struct Framed<O, Q> {
+    link: Link,
     outputs: Vec<Option<O>>,
-    byzantine: NodeSet,
-    byz_running: usize,
-    _msg: PhantomData<fn() -> M>,
+    queued: Vec<Q>,
 }
+
+/// Multi-port: the messages routed to a chunk (chunk-local destination)
+/// since its last `Receive`.
+pub type Inbound<M> = Vec<(usize, Delivered<M>)>;
+
+/// Single-port: a chunk's pending sends (the parent enqueues them), and the
+/// crash mirror and pre-drained ports for its next `SpReceive`.
+pub struct SpQueued<M> {
+    sends: Vec<Option<Outgoing<M>>>,
+    crashed: Vec<usize>,
+    drained: Vec<Option<Vec<M>>>,
+}
+
+impl<M> Default for SpQueued<M> {
+    fn default() -> Self {
+        SpQueued {
+            sends: Vec::new(),
+            crashed: Vec::new(),
+            drained: Vec::new(),
+        }
+    }
+}
+
+/// Opens a round-phase request: tag, then the round.
+fn round_request(tag: u8, round: Round) -> Vec<u8> {
+    let mut request = frame(tag);
+    round.encode(&mut request);
+    request
+}
+
+impl<O: WireOutput, Q: Default> Framed<O, Q> {
+    /// A host over `n` nodes whose chunks are served behind `transports`.
+    fn new(
+        n: usize,
+        shards: usize,
+        transports: Vec<Box<dyn ShardTransport>>,
+        pool: Option<WorkerPool>,
+    ) -> SimResult<Self> {
+        // Parent and workers must agree on the partition, so both derive it
+        // from the *requested* shard count (see [`shard_count`] /
+        // [`shard_range`]), never from the transport count.
+        let plan = ChunkPlan::new(n, shards);
+        let chunks = transports.len();
+        if plan.chunks != chunks {
+            return Err(SimError::InvalidConfig(format!(
+                "{chunks} shard transports for a partition of {} chunks (use shard_count({n}, {shards}))",
+                plan.chunks
+            )));
+        }
+        Ok(Framed {
+            link: Link {
+                transports,
+                plan,
+                n,
+                round: 0,
+                frame_log: vec![Vec::new(); chunks],
+                stashed: vec![None; chunks],
+                recovery: None,
+                respawns_used: vec![0; chunks],
+                fallback_active: vec![false; chunks],
+                stats: RecoveryStats::default(),
+                _pool: pool,
+            },
+            outputs: vec![None; n],
+            queued: (0..chunks).map(|_| Q::default()).collect(),
+        })
+    }
+
+    /// Receives every chunk's `RESP_EVENTS`, keeps the reported outputs and
+    /// appends the events in chunk (= node) order.  A worker may only speak
+    /// for the nodes of its own chunk.
+    fn recv_events(&mut self, events: &mut Vec<NodeEvent>) -> SimResult<()> {
+        for ci in 0..self.link.chunks() {
+            let range = self.link.range(ci);
+            let reported =
+                self.link
+                    .transact(ci, RESP_EVENTS, |reported: &Vec<WireEvent<O>>| {
+                        let stray = reported.iter().find(|event| !range.contains(&event.node));
+                        stray.map_or(Ok(()), |event| {
+                            Err(format!(
+                                "an event for node {}, outside the chunk's {range:?}",
+                                event.node
+                            ))
+                        })
+                    })?;
+            for event in reported {
+                events.push(NodeEvent {
+                    node: event.node,
+                    decided: event.output.is_some(),
+                    halted: event.halted,
+                });
+                if event.output.is_some() {
+                    self.outputs[event.node] = event.output;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+impl<O: WireOutput, Q> Host for Framed<O, Q> {
+    type Output = O;
+    type Error = SimError;
+    type Outcome<T> = SimResult<T>;
+
+    fn outcome<T>(result: SimResult<T>) -> SimResult<T> {
+        result
+    }
+
+    fn output(&self, node: usize) -> Option<&O> {
+        self.outputs[node].as_ref()
+    }
+
+    /// A worker applies its own halts (see [`serve_multi_port`]).
+    fn set_halted(&mut self, _node: usize) {}
+
+    /// Best-effort (errors ignored: a worker that already went away has
+    /// nothing left to shut down).
+    fn shutdown(&mut self) {
+        let request = frame(REQ_SHUTDOWN);
+        for transport in &mut self.link.transports {
+            let _ = transport.send(&request);
+        }
+    }
+}
+
+impl<M: WireMsg, O: WireOutput> MultiPortHost for Framed<O, Inbound<M>> {
+    type Msg = M;
+
+    fn begin_round(&mut self, round: Round, send_intents: &mut [Vec<NodeId>]) -> SimResult<()> {
+        self.link.round = round.as_u64();
+        self.link.broadcast(&round_request(REQ_COLLECT, round))?;
+        for ci in 0..self.link.chunks() {
+            let range = self.link.range(ci);
+            let len = range.len();
+            let intents = self
+                .link
+                .transact(ci, RESP_INTENTS, |intents: &Vec<Vec<NodeId>>| {
+                    sized(intents.len(), len, "intent lists")
+                })?;
+            for (slot, list) in send_intents[range].iter_mut().zip(intents) {
+                *slot = list;
+            }
+        }
+        Ok(())
+    }
+
+    fn deliver(
+        &mut self,
+        round: Round,
+        crashed: Vec<(usize, DeliveryFilter)>,
+        staged: &mut Vec<Staged<M>>,
+    ) -> SimResult<()> {
+        let mut crashed_by_chunk = vec![Vec::new(); self.link.chunks()];
+        for (victim, filter) in crashed {
+            let (ci, local) = self.link.plan.locate(victim);
+            crashed_by_chunk[ci].push((local, filter));
+        }
+        for (ci, crashed) in crashed_by_chunk.iter().enumerate() {
+            let mut request = round_request(REQ_DELIVER, round);
+            crashed.encode(&mut request);
+            self.link.send_to(ci, &request)?;
+        }
+        staged.clear();
+        for ci in 0..self.link.chunks() {
+            // Counters, then the surviving messages — nested so the tuple
+            // codec reads them in the order the worker wrote them.
+            let ((messages, bits, byzantine_messages), delivered) =
+                self.link.transact(ci, RESP_DELIVERED, |_| Ok(()))?;
+            staged.push(Staged {
+                messages,
+                bits,
+                byzantine_messages,
+                delivered,
+            });
+        }
+        Ok(())
+    }
+
+    fn accept(&mut self, dest: usize, msg: Delivered<M>) {
+        let (ci, local) = self.link.plan.locate(dest);
+        self.queued[ci].push((local, msg));
+    }
+
+    fn finalize(&mut self, round: Round, events: &mut Vec<NodeEvent>) -> SimResult<()> {
+        for (ci, inbound) in self.queued.iter_mut().enumerate() {
+            let mut request = round_request(REQ_RECEIVE, round);
+            inbound.encode(&mut request);
+            inbound.clear();
+            self.link.send_to(ci, &request)?;
+        }
+        self.recv_events(events)
+    }
+}
+
+impl<M: WireMsg, O: WireOutput> SinglePortHost for Framed<O, SpQueued<M>> {
+    type Msg = M;
+
+    fn begin_round(
+        &mut self,
+        round: Round,
+        send_intents: &mut [Vec<NodeId>],
+        polls: &mut [Option<NodeId>],
+    ) -> SimResult<()> {
+        self.link.round = round.as_u64();
+        self.link.broadcast(&round_request(REQ_COLLECT, round))?;
+        for (ci, queued) in self.queued.iter_mut().enumerate() {
+            let range = self.link.range(ci);
+            let len = range.len();
+            type SpIntents<M> = (Vec<Option<Outgoing<M>>>, Vec<Option<NodeId>>);
+            let check = |(sends, polled): &SpIntents<M>| {
+                sized(sends.len(), len, "sends").and(sized(polled.len(), len, "polled ports"))
+            };
+            let (sends, polled) = self.link.transact(ci, RESP_SP_INTENTS, check)?;
+            for (node, (send, poll)) in range.zip(sends.iter().zip(polled)) {
+                send_intents[node].clear();
+                send_intents[node].extend(send.iter().map(|out| out.to));
+                polls[node] = poll;
+            }
+            queued.sends = sends;
+        }
+        Ok(())
+    }
+
+    fn set_crashed(&mut self, node: usize, _round: Round) {
+        let (ci, local) = self.link.plan.locate(node);
+        self.queued[ci].crashed.push(local);
+    }
+
+    fn drain_sends(&mut self, mut enqueue: impl FnMut(usize, Outgoing<M>)) {
+        for (ci, queued) in self.queued.iter_mut().enumerate() {
+            let senders = self.link.plan.range(ci, self.link.n);
+            for (sender, send) in senders.zip(queued.sends.drain(..)) {
+                if let Some(out) = send {
+                    enqueue(sender, out);
+                }
+            }
+        }
+    }
+
+    fn fill_drained(&mut self, mut drain: impl FnMut(usize) -> Option<Vec<M>>) {
+        for (ci, queued) in self.queued.iter_mut().enumerate() {
+            let pollers = self.link.plan.range(ci, self.link.n);
+            queued.drained.extend(pollers.map(&mut drain));
+        }
+    }
+
+    fn finalize(&mut self, round: Round, events: &mut Vec<NodeEvent>) -> SimResult<()> {
+        for (ci, queued) in self.queued.iter_mut().enumerate() {
+            let mut request = round_request(REQ_SP_RECEIVE, round);
+            queued.crashed.encode(&mut request);
+            queued.drained.encode(&mut request);
+            queued.crashed.clear();
+            queued.drained.clear();
+            self.link.send_to(ci, &request)?;
+        }
+        self.recv_events(events)
+    }
+}
+
+/// Splits `items` (one per node) into the chunks of `shards` and serves
+/// each chunk with `serve` on a job of a fresh [`WorkerPool`], behind a
+/// [`ChannelTransport`] — the same wire protocol the worker-process backend
+/// speaks, without the processes.
+fn spawn_in_process<T: Send + 'static>(
+    items: Vec<T>,
+    shards: usize,
+    serve: impl Fn(Vec<T>, usize, &mut dyn ShardTransport) -> io::Result<()> + Clone + Send + 'static,
+) -> (WorkerPool, Vec<Box<dyn ShardTransport>>) {
+    let n = items.len();
+    let plan = ChunkPlan::new(n, shards);
+    let pool = WorkerPool::new(plan.chunks);
+    let mut items = items.into_iter();
+    let transports = (0..plan.chunks)
+        .map(|ci| {
+            let range = plan.range(ci, n);
+            let chunk: Vec<T> = items.by_ref().take(range.len()).collect();
+            let (parent_end, mut worker_end) = ChannelTransport::pair();
+            let serve = serve.clone();
+            pool.submit(
+                ci,
+                Box::new(move || {
+                    serve(chunk, range.start, &mut worker_end)
+                        .expect("in-process shard worker failed");
+                }),
+            );
+            Box::new(parent_end) as Box<dyn ShardTransport>
+        })
+        .collect();
+    (pool, transports)
+}
+
+/// Coordinates one **multi-port** execution whose chunks live behind shard
+/// transports: the multi-port round of `crate::coordinator` over the
+/// [`Framed`] host.
+///
+/// Generic over the message and output wire types only — the parent never
+/// holds protocol state machines, so the worker-process backend does not
+/// pay for a redundant parent-side node construction.  Use
+/// [`ShardedRunner::in_process`] to serve the chunks on a worker pool of
+/// this process, or [`ShardedRunner::connect`] with transports to external
+/// workers (see `run_experiments --shard-worker`).  `run` is single-shot:
+/// it shuts the workers down.
+pub type ShardedRunner<M, O> = Coordinator<Framed<O, Inbound<M>>, MultiPort<M>>;
 
 impl<M: WireMsg, O: WireOutput> ShardedRunner<M, O> {
     /// Connects a coordinator over `n` nodes to already-serving shard
@@ -720,26 +1000,20 @@ impl<M: WireMsg, O: WireOutput> ShardedRunner<M, O> {
         shards: usize,
         transports: Vec<Box<dyn ShardTransport>>,
     ) -> SimResult<Self> {
-        let byz_running = byzantine.len();
-        Ok(ShardedRunner {
-            inner: Coordinator::new(n, adversary, fault_budget, shards, transports, None)?,
-            outputs: (0..n).map(|_| None).collect(),
-            byzantine,
-            byz_running,
-            _msg: PhantomData,
-        })
+        let central = Central::new(n, byzantine, adversary, fault_budget)?;
+        let host = Framed::new(n, shards, transports, None)?;
+        Ok(Coordinator::assemble(central, host))
     }
 
     /// Spawns an in-process sharded execution: the participants are split
     /// into `shard_count(n, shards)` chunks, each served by a job on a
-    /// fresh [`WorkerPool`] behind a [`ChannelTransport`] — the same wire
-    /// protocol the worker-process backend speaks, without the processes.
+    /// fresh `WorkerPool` behind a [`ChannelTransport`].
     ///
     /// # Errors
     ///
     /// Returns [`SimError::EmptySystem`] if `participants` is empty, or
     /// [`SimError::InvalidConfig`] if the budget is not smaller than the
-    /// number of nodes.
+    /// number of nodes — before any worker is spawned.
     pub fn in_process<P>(
         participants: Vec<Participant<P>>,
         adversary: Box<dyn CrashAdversary>,
@@ -749,251 +1023,19 @@ impl<M: WireMsg, O: WireOutput> ShardedRunner<M, O> {
     where
         P: SyncProtocol<Msg = M, Output = O>,
     {
-        if participants.is_empty() {
-            return Err(SimError::EmptySystem);
-        }
         let n = participants.len();
-        let byzantine = NodeSet::from_iter(
-            n,
-            participants
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| matches!(p, Participant::Byzantine(_)))
-                .map(|(i, _)| NodeId::new(i)),
-        );
-        let plan = ChunkPlan::new(n, shards.max(1));
-        let pool = WorkerPool::new(plan.chunks);
-        let mut transports: Vec<Box<dyn ShardTransport>> = Vec::with_capacity(plan.chunks);
-        let mut participants = participants.into_iter();
-        for ci in 0..plan.chunks {
-            let range = plan.range(ci, n);
-            let chunk_participants: Vec<Participant<P>> =
-                participants.by_ref().take(range.len()).collect();
-            let (parent_end, mut worker_end) = ChannelTransport::pair();
-            let base = range.start;
-            pool.submit(
-                ci,
-                Box::new(move || {
-                    serve_multi_port(chunk_participants, base, &mut worker_end)
-                        .expect("in-process shard worker failed");
-                }),
-            );
-            transports.push(Box::new(parent_end));
-        }
-        let byz_running = byzantine.len();
-        Ok(ShardedRunner {
-            inner: Coordinator::new(n, adversary, fault_budget, shards, transports, Some(pool))?,
-            outputs: (0..n).map(|_| None).collect(),
-            byzantine,
-            byz_running,
-            _msg: PhantomData,
-        })
-    }
-
-    /// Enables coarse-grained event tracing (decisions, halts, crashes) in
-    /// the coordinator.
-    pub fn enable_trace(&mut self) -> &mut Self {
-        self.inner.core.trace = Trace::enabled();
-        self
-    }
-
-    /// The recorded trace.
-    pub fn trace(&self) -> &Trace {
-        &self.inner.core.trace
-    }
-
-    /// Arms worker-failure recovery: from now on every request frame is
-    /// retained and a failing shard transport climbs the
-    /// respawn → fallback → error ladder instead of aborting the run.
-    pub fn set_recovery(&mut self, recovery: Recovery) -> &mut Self {
-        self.inner.set_recovery(recovery);
-        self
-    }
-
-    /// What the recovery ladder did so far.
-    pub fn recovery_stats(&self) -> RecoveryStats {
-        self.inner.stats
-    }
-
-    /// Whether every node that has not crashed has halted voluntarily.
-    pub fn all_non_faulty_halted(&self) -> bool {
-        self.inner.core.running_nodes() == self.byz_running
-    }
-
-    /// Runs the sharded execution until every non-faulty node has halted or
-    /// `max_rounds` rounds have been executed, shuts the workers down, and
-    /// returns the execution report.
-    ///
-    /// Single-shot: the workers are gone afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Shard`] when a worker dies or answers with a
-    /// malformed frame mid-execution.
-    pub fn run(&mut self, max_rounds: u64) -> SimResult<ExecutionReport<O>> {
-        let mut termination = Termination::RoundLimit;
-        for _ in 0..max_rounds {
-            self.step()?;
-            if self.all_non_faulty_halted() {
-                termination = Termination::AllHalted;
-                break;
-            }
-        }
-        self.inner.shutdown();
-        Ok(ExecutionReport {
-            outputs: self.outputs.clone(),
-            crashed_at: self.inner.core.crashed_at.clone(),
-            halted_at: self.inner.core.halted_at.clone(),
-            byzantine: self.byzantine.clone(),
-            metrics: self.inner.core.metrics.clone(),
-            termination,
-        })
-    }
-
-    /// One sharded multi-port round: the transcription of the pool engine's
-    /// forked `step` with the three phase dispatches replaced by frames.
-    fn step(&mut self) -> SimResult<()> {
-        let n = self.inner.n();
-        let plan = self.inner.plan;
-        let round = self.inner.core.round;
-
-        // Phase 1: collect sends on the workers; merge intents flat.
-        let mut request = frame(REQ_COLLECT);
-        round.encode(&mut request);
-        self.inner.broadcast(&request)?;
-        for ci in 0..self.inner.transports.len() {
-            let range = plan.range(ci, n);
-            let range_len = range.len();
-            let intents: Vec<Vec<NodeId>> = self.inner.transact(ci, RESP_INTENTS, move |r| {
-                let intents: Vec<Vec<NodeId>> =
-                    Vec::decode(r).map_err(|err| format!("intents: {err}"))?;
-                if intents.len() != range_len {
-                    return Err(format!(
-                        "{} intent lists for {range_len} nodes",
-                        intents.len()
-                    ));
-                }
-                Ok(intents)
-            })?;
-            for (i, list) in intents.into_iter().enumerate() {
-                self.inner.send_intents[range.start + i] = list;
-            }
-        }
-
-        // Phase 2 (parent only): the crash adversary sees the whole round.
-        self.inner.core.apply_crash_phase(
-            &mut *self.inner.adversary,
-            &self.inner.send_intents,
-            &self.inner.poll_intents,
-        );
-        let mut crashed_by_chunk: Vec<Vec<(usize, DeliveryFilter)>> =
-            (0..self.inner.transports.len())
-                .map(|_| Vec::new())
-                .collect();
-        for &idx in self.inner.core.crashed_this_round() {
-            if self.byzantine.contains(NodeId::new(idx)) {
-                self.byz_running -= 1;
-            }
-            let ci = plan.chunk_of(idx);
-            let filter = self
-                .inner
-                .core
-                .filter(idx)
-                .cloned()
-                .unwrap_or(DeliveryFilter::All);
-            crashed_by_chunk[ci].push((idx - plan.range(ci, n).start, filter));
-        }
-
-        // Phase 3: workers deliver; merge metric deltas and route surviving
-        // messages in ascending chunk (= sender) order.
-        for (ci, crashed) in crashed_by_chunk.into_iter().enumerate() {
-            let mut request = frame(REQ_DELIVER);
-            round.encode(&mut request);
-            crashed.encode(&mut request);
-            self.inner.send_to(ci, &request)?;
-        }
-        let mut inbound_by_chunk: Vec<Vec<(usize, Delivered<M>)>> =
-            (0..self.inner.transports.len())
-                .map(|_| Vec::new())
-                .collect();
-        for ci in 0..self.inner.transports.len() {
-            let (msgs, bits, byz_msgs, delivered) =
-                self.inner.transact(ci, RESP_DELIVERED, |r| {
-                    let context = |err| format!("delivery: {err}");
-                    let msgs = u64::decode(r).map_err(context)?;
-                    let bits = u64::decode(r).map_err(context)?;
-                    let byz_msgs = u64::decode(r).map_err(context)?;
-                    let delivered: Vec<(usize, Delivered<M>)> = Vec::decode(r).map_err(context)?;
-                    Ok((msgs, bits, byz_msgs, delivered))
-                })?;
-            self.inner
-                .core
-                .metrics
-                .record_messages(round.as_u64(), msgs, bits);
-            self.inner.core.metrics.byzantine_messages += byz_msgs;
-            for (dest, msg) in delivered {
-                if dest < n && self.inner.core.status[dest].is_running() {
-                    let dest_chunk = plan.chunk_of(dest);
-                    let local = dest - plan.range(dest_chunk, n).start;
-                    inbound_by_chunk[dest_chunk].push((local, msg));
-                }
-            }
-        }
-
-        // Phase 4: workers receive; replay decision/halt events in chunk
-        // order so traces and statuses update exactly as in a serial run.
-        for (ci, inbound) in inbound_by_chunk.into_iter().enumerate() {
-            let mut request = frame(REQ_RECEIVE);
-            round.encode(&mut request);
-            inbound.encode(&mut request);
-            self.inner.send_to(ci, &request)?;
-        }
-        for ci in 0..self.inner.transports.len() {
-            let events: Vec<WireEvent<O>> = self.inner.transact(ci, RESP_EVENTS, |r| {
-                let events: Vec<WireEvent<O>> =
-                    Vec::decode(r).map_err(|err| format!("events: {err}"))?;
-                if let Some(event) = events.iter().find(|event| event.node >= n) {
-                    return Err(format!("an event for node {} of {n}", event.node));
-                }
-                Ok(events)
-            })?;
-            for event in events {
-                if let Some(output) = event.output {
-                    self.inner.core.record_decision(event.node, &output);
-                    self.outputs[event.node] = Some(output);
-                }
-                if event.halted {
-                    self.inner.core.mark_halted(event.node);
-                }
-            }
-        }
-        self.inner.core.finish_round();
-        Ok(())
-    }
-}
-
-impl<M: WireMsg, O: WireOutput> std::fmt::Debug for ShardedRunner<M, O> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedRunner")
-            .field("n", &self.inner.n())
-            .field("round", &self.inner.core.round)
-            .field("shards", &self.inner.transports.len())
-            .finish_non_exhaustive()
+        let byzantine = Participant::byzantine_set(&participants);
+        let central = Central::new(n, byzantine, adversary, fault_budget)?;
+        let (pool, transports) = spawn_in_process(participants, shards, serve_multi_port);
+        let host = Framed::new(n, shards, transports, Some(pool))?;
+        Ok(Coordinator::assemble(central, host))
     }
 }
 
 /// Coordinates one **single-port** execution whose chunks live behind shard
-/// transports.
-///
-/// The sparse port map and every mutation of it (enqueue in sender order,
-/// pre-drain in poller order, crash/halt-time drops) stay in the parent —
-/// exactly the split the pool's forked path uses.
-pub struct SpShardedRunner<M: WireMsg, O: WireOutput> {
-    inner: Coordinator,
-    outputs: Vec<Option<O>>,
-    ports: PortMap<M>,
-    sends: Vec<Option<Outgoing<M>>>,
-}
+/// transports: the single-port round of `crate::coordinator` — sparse port
+/// map included — over the [`Framed`] host.
+pub type SpShardedRunner<M, O> = Coordinator<Framed<O, SpQueued<M>>, SinglePort<M>>;
 
 impl<M: WireMsg, O: WireOutput> SpShardedRunner<M, O> {
     /// Connects a coordinator over `n` nodes to already-serving single-port
@@ -1011,12 +1053,9 @@ impl<M: WireMsg, O: WireOutput> SpShardedRunner<M, O> {
         shards: usize,
         transports: Vec<Box<dyn ShardTransport>>,
     ) -> SimResult<Self> {
-        Ok(SpShardedRunner {
-            inner: Coordinator::new(n, adversary, fault_budget, shards, transports, None)?,
-            outputs: (0..n).map(|_| None).collect(),
-            ports: PortMap::new(),
-            sends: (0..n).map(|_| None).collect(),
-        })
+        let central = Central::new(n, NodeSet::empty(n), adversary, fault_budget)?;
+        let host = Framed::new(n, shards, transports, None)?;
+        Ok(Coordinator::assemble(central, host))
     }
 
     /// Spawns an in-process sharded single-port execution (see
@@ -1026,7 +1065,7 @@ impl<M: WireMsg, O: WireOutput> SpShardedRunner<M, O> {
     ///
     /// Returns [`SimError::EmptySystem`] if `nodes` is empty, or
     /// [`SimError::InvalidConfig`] if the budget is not smaller than the
-    /// number of nodes.
+    /// number of nodes — before any worker is spawned.
     pub fn in_process<P>(
         nodes: Vec<P>,
         adversary: Box<dyn CrashAdversary>,
@@ -1036,231 +1075,29 @@ impl<M: WireMsg, O: WireOutput> SpShardedRunner<M, O> {
     where
         P: SinglePortProtocol<Msg = M, Output = O>,
     {
-        if nodes.is_empty() {
-            return Err(SimError::EmptySystem);
-        }
         let n = nodes.len();
-        let plan = ChunkPlan::new(n, shards.max(1));
-        let pool = WorkerPool::new(plan.chunks);
-        let mut transports: Vec<Box<dyn ShardTransport>> = Vec::with_capacity(plan.chunks);
-        let mut nodes = nodes.into_iter();
-        for ci in 0..plan.chunks {
-            let range = plan.range(ci, n);
-            let chunk_nodes: Vec<P> = nodes.by_ref().take(range.len()).collect();
-            let (parent_end, mut worker_end) = ChannelTransport::pair();
-            let base = range.start;
-            pool.submit(
-                ci,
-                Box::new(move || {
-                    serve_single_port(chunk_nodes, base, &mut worker_end)
-                        .expect("in-process shard worker failed");
-                }),
-            );
-            transports.push(Box::new(parent_end));
-        }
-        Ok(SpShardedRunner {
-            inner: Coordinator::new(n, adversary, fault_budget, shards, transports, Some(pool))?,
-            outputs: (0..n).map(|_| None).collect(),
-            ports: PortMap::new(),
-            sends: (0..n).map(|_| None).collect(),
-        })
+        let central = Central::new(n, NodeSet::empty(n), adversary, fault_budget)?;
+        let (pool, transports) = spawn_in_process(nodes, shards, serve_single_port);
+        let host = Framed::new(n, shards, transports, Some(pool))?;
+        Ok(Coordinator::assemble(central, host))
     }
+}
 
-    /// Enables coarse-grained event tracing in the coordinator.
-    pub fn enable_trace(&mut self) -> &mut Self {
-        self.inner.core.trace = Trace::enabled();
-        self
-    }
-
-    /// The recorded trace.
-    pub fn trace(&self) -> &Trace {
-        &self.inner.core.trace
-    }
-
-    /// Arms worker-failure recovery (see [`ShardedRunner::set_recovery`]).
+impl<O, Q, X> Coordinator<Framed<O, Q>, X>
+where
+    Framed<O, Q>: Host,
+{
+    /// Arms worker-failure recovery: from now on every request frame is
+    /// retained and a failing shard transport climbs the
+    /// respawn → fallback → error ladder instead of aborting the run.
     pub fn set_recovery(&mut self, recovery: Recovery) -> &mut Self {
-        self.inner.set_recovery(recovery);
+        self.host.link.recovery = Some(recovery);
         self
     }
 
     /// What the recovery ladder did so far.
     pub fn recovery_stats(&self) -> RecoveryStats {
-        self.inner.stats
-    }
-
-    /// Total sent-but-not-yet-polled messages currently buffered on ports.
-    pub fn buffered_messages(&self) -> usize {
-        self.ports.buffered_messages()
-    }
-
-    /// Number of ports currently buffering at least one message.
-    pub fn ports_in_use(&self) -> usize {
-        self.ports.ports_in_use()
-    }
-
-    /// Whether every node that has not crashed has halted voluntarily.
-    pub fn all_non_faulty_halted(&self) -> bool {
-        self.inner.core.running_nodes() == 0
-    }
-
-    /// Runs the sharded execution until every non-faulty node has halted or
-    /// `max_rounds` rounds have been executed, shuts the workers down, and
-    /// returns the execution report.  Single-shot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Shard`] when a worker dies or answers with a
-    /// malformed frame mid-execution.
-    pub fn run(&mut self, max_rounds: u64) -> SimResult<ExecutionReport<O>> {
-        let mut termination = Termination::RoundLimit;
-        for _ in 0..max_rounds {
-            self.step()?;
-            if self.all_non_faulty_halted() {
-                termination = Termination::AllHalted;
-                break;
-            }
-        }
-        self.inner.shutdown();
-        Ok(ExecutionReport {
-            outputs: self.outputs.clone(),
-            crashed_at: self.inner.core.crashed_at.clone(),
-            halted_at: self.inner.core.halted_at.clone(),
-            byzantine: NodeSet::empty(self.inner.n()),
-            metrics: self.inner.core.metrics.clone(),
-            termination,
-        })
-    }
-
-    /// One sharded single-port round: the transcription of the pool
-    /// engine's forked `step` with the two phase dispatches replaced by
-    /// frames.
-    fn step(&mut self) -> SimResult<()> {
-        let n = self.inner.n();
-        let plan = self.inner.plan;
-        let round = self.inner.core.round;
-
-        // Phase 1: collect each node's single send and poll intent.
-        let mut request = frame(REQ_COLLECT);
-        round.encode(&mut request);
-        self.inner.broadcast(&request)?;
-        for ci in 0..self.inner.transports.len() {
-            let range = plan.range(ci, n);
-            let range_len = range.len();
-            let (sends, polls) = self.inner.transact(ci, RESP_SP_INTENTS, move |r| {
-                let context = |err| format!("intents: {err}");
-                let sends: Vec<Option<Outgoing<M>>> = Vec::decode(r).map_err(context)?;
-                let polls: Vec<Option<NodeId>> = Vec::decode(r).map_err(context)?;
-                if sends.len() != range_len || polls.len() != range_len {
-                    return Err(format!(
-                        "{}/{} send/poll slots for {range_len} nodes",
-                        sends.len(),
-                        polls.len()
-                    ));
-                }
-                Ok((sends, polls))
-            })?;
-            for (i, (send, poll)) in sends.into_iter().zip(polls).enumerate() {
-                let global = range.start + i;
-                self.inner.send_intents[global].clear();
-                self.inner.send_intents[global].extend(send.iter().map(|o| o.to));
-                self.sends[global] = send;
-                self.inner.poll_intents[global] = poll;
-            }
-        }
-
-        // Phase 2 (parent only): crash adversary; crashed destinations'
-        // buffered ports are freed, exactly as in the serial engine.
-        self.inner.core.apply_crash_phase(
-            &mut *self.inner.adversary,
-            &self.inner.send_intents,
-            &self.inner.poll_intents,
-        );
-        let mut crashed_by_chunk: Vec<Vec<usize>> = (0..self.inner.transports.len())
-            .map(|_| Vec::new())
-            .collect();
-        for &victim in self.inner.core.crashed_this_round() {
-            self.ports.drop_destination(victim);
-            let ci = plan.chunk_of(victim);
-            crashed_by_chunk[ci].push(victim - plan.range(ci, n).start);
-        }
-
-        // Phase 3 (parent only): enqueue onto destination ports in sender
-        // order, applying mid-round crash filters and counting every send.
-        for sender_idx in 0..n {
-            let Some(out) = self.sends[sender_idx].take() else {
-                continue;
-            };
-            if let Some(filter) = self.inner.core.filter(sender_idx) {
-                if !filter.allows(0, out.to) {
-                    continue;
-                }
-            }
-            self.inner
-                .core
-                .metrics
-                .record_message(round.as_u64(), out.msg.bit_len());
-            let dest = out.to.index();
-            if dest < n && self.inner.core.status[dest].is_running() {
-                self.ports.push(dest, sender_idx, out.msg);
-            }
-        }
-
-        // Pre-drain polled ports in node-index order, then hand each chunk
-        // its drained contents together with this round's crash mirror.
-        for (ci, crashed) in crashed_by_chunk.into_iter().enumerate() {
-            let range = plan.range(ci, n);
-            let drained: Vec<Option<Vec<M>>> = range
-                .clone()
-                .map(|global| {
-                    if self.inner.core.status[global].is_running() {
-                        self.inner.poll_intents[global]
-                            .map(|port| self.ports.drain(global, port.index()))
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            let mut request = frame(REQ_SP_RECEIVE);
-            round.encode(&mut request);
-            crashed.encode(&mut request);
-            drained.encode(&mut request);
-            self.inner.send_to(ci, &request)?;
-        }
-
-        // Phase 4: replay decision/halt events in chunk order; halted
-        // nodes' buffered ports are freed.
-        for ci in 0..self.inner.transports.len() {
-            let events: Vec<WireEvent<O>> = self.inner.transact(ci, RESP_EVENTS, |r| {
-                let events: Vec<WireEvent<O>> =
-                    Vec::decode(r).map_err(|err| format!("events: {err}"))?;
-                if let Some(event) = events.iter().find(|event| event.node >= n) {
-                    return Err(format!("an event for node {} of {n}", event.node));
-                }
-                Ok(events)
-            })?;
-            for event in events {
-                if let Some(output) = event.output {
-                    self.inner.core.record_decision(event.node, &output);
-                    self.outputs[event.node] = Some(output);
-                }
-                if event.halted {
-                    self.inner.core.mark_halted(event.node);
-                    self.ports.drop_destination(event.node);
-                }
-            }
-        }
-        self.inner.core.finish_round();
-        Ok(())
-    }
-}
-
-impl<M: WireMsg, O: WireOutput> std::fmt::Debug for SpShardedRunner<M, O> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpShardedRunner")
-            .field("n", &self.inner.n())
-            .field("round", &self.inner.core.round)
-            .field("shards", &self.inner.transports.len())
-            .finish_non_exhaustive()
+        self.host.link.stats
     }
 }
 

@@ -1,133 +1,18 @@
-//! Shard-layer tests: the sharded coordinators must be byte-identical to
-//! the serial runners, over both transport backends.
-
-use std::io::{self, Read, Write};
-use std::sync::mpsc::{Receiver, Sender};
+//! Shard-layer tests: the partition helpers, constructor validation, the
+//! recovery ladder's corners and hostile frames.  That a sharded run is
+//! byte-identical to the serial one — over channels, over streams, through
+//! a kill and through the fallback — is a row of the conformance tables in
+//! `crate::conformance`, whose toy protocols and worker helpers these
+//! tests share.
 
 use super::*;
-use crate::adversary::byzantine::FloodByzantine;
-use crate::adversary::{CrashDirective, FixedCrashSchedule, NoFaults};
+use crate::adversary::NoFaults;
+use crate::conformance::{
+    crash_schedule, multi_port_worker, spawn_worker, ChannelStream, FloodOr, Ring, Wiring,
+};
+use crate::report::ExecutionReport;
 use crate::runner::Runner;
 use crate::single_port::SinglePortRunner;
-
-/// Every node floods the OR of everything seen; decides after 3 receives.
-struct FloodOr {
-    n: usize,
-    value: bool,
-    rounds: u64,
-    decided: Option<bool>,
-}
-
-impl FloodOr {
-    fn nodes(n: usize, one_at: usize) -> Vec<FloodOr> {
-        (0..n)
-            .map(|i| FloodOr {
-                n,
-                value: i == one_at,
-                rounds: 0,
-                decided: None,
-            })
-            .collect()
-    }
-}
-
-impl SyncProtocol for FloodOr {
-    type Msg = bool;
-    type Output = bool;
-
-    fn send(&mut self, _round: Round, out: &mut Vec<Outgoing<bool>>) {
-        out.extend((0..self.n).map(|i| Outgoing::new(NodeId::new(i), self.value)));
-    }
-
-    fn receive(&mut self, _round: Round, inbox: &[Delivered<bool>]) {
-        for m in inbox {
-            self.value |= m.msg;
-        }
-        self.rounds += 1;
-        if self.rounds >= 3 {
-            self.decided = Some(self.value);
-        }
-    }
-
-    fn output(&self) -> Option<bool> {
-        self.decided
-    }
-
-    fn has_halted(&self) -> bool {
-        self.decided.is_some()
-    }
-}
-
-/// Ring for the single-port model: node `i` sends its OR to `i + 1`, polls
-/// `i − 1`, decides after `2n` receives.
-struct Ring {
-    me: usize,
-    n: usize,
-    value: bool,
-    rounds: u64,
-    decided: Option<bool>,
-}
-
-impl Ring {
-    fn nodes(n: usize, one_at: usize) -> Vec<Ring> {
-        (0..n)
-            .map(|me| Ring {
-                me,
-                n,
-                value: me == one_at,
-                rounds: 0,
-                decided: None,
-            })
-            .collect()
-    }
-}
-
-impl SinglePortProtocol for Ring {
-    type Msg = bool;
-    type Output = bool;
-
-    fn send(&mut self, _round: Round) -> Option<Outgoing<bool>> {
-        Some(Outgoing::new(
-            NodeId::new((self.me + 1) % self.n),
-            self.value,
-        ))
-    }
-
-    fn poll(&mut self, _round: Round) -> Option<NodeId> {
-        Some(NodeId::new((self.me + self.n - 1) % self.n))
-    }
-
-    fn receive(&mut self, _round: Round, _from: NodeId, msgs: &mut Vec<bool>) {
-        for m in msgs.drain(..) {
-            self.value |= m;
-        }
-        self.rounds += 1;
-        if self.rounds >= 2 * self.n as u64 {
-            self.decided = Some(self.value);
-        }
-    }
-
-    fn output(&self) -> Option<bool> {
-        self.decided
-    }
-
-    fn has_halted(&self) -> bool {
-        self.decided.is_some()
-    }
-}
-
-fn crash_schedule(n: usize) -> FixedCrashSchedule {
-    FixedCrashSchedule::new()
-        .crash_at(0, CrashDirective::silent(NodeId::new(1)))
-        .crash_at(
-            1,
-            CrashDirective {
-                node: NodeId::new(n / 2),
-                deliver: DeliveryFilter::Prefix(3),
-            },
-        )
-        .crash_at(2, CrashDirective::after_send(NodeId::new(n - 1)))
-}
 
 #[test]
 fn shard_partition_helpers_tile_the_node_range() {
@@ -148,114 +33,6 @@ fn shard_partition_helpers_tile_the_node_range() {
 }
 
 #[test]
-fn multi_port_sharded_transcript_matches_serial() {
-    let n = 24;
-    let serial = {
-        let mut runner =
-            Runner::with_adversary(FloodOr::nodes(n, 3), Box::new(crash_schedule(n)), 3).unwrap();
-        runner.enable_trace();
-        let report = runner.run(10);
-        (report, runner.trace().events().to_vec())
-    };
-    for shards in [1usize, 2, 3, 5] {
-        let participants = FloodOr::nodes(n, 3)
-            .into_iter()
-            .map(Participant::Honest)
-            .collect();
-        let mut sharded = ShardedRunner::<bool, bool>::in_process(
-            participants,
-            Box::new(crash_schedule(n)),
-            3,
-            shards,
-        )
-        .unwrap();
-        sharded.enable_trace();
-        let report = sharded.run(10).expect("sharded run");
-        assert_eq!(serial.0, report, "report with shards={shards}");
-        assert_eq!(
-            serial.1,
-            sharded.trace().events().to_vec(),
-            "trace with shards={shards}"
-        );
-    }
-    assert_eq!(serial.0.metrics.crashes, 3);
-    assert!(serial.0.all_non_faulty_decided());
-}
-
-#[test]
-fn multi_port_sharded_matches_serial_with_byzantine_nodes() {
-    let n = 12;
-    let build = || {
-        let mut participants: Vec<Participant<FloodOr>> = FloodOr::nodes(n, 1)
-            .into_iter()
-            .skip(1)
-            .map(Participant::Honest)
-            .collect();
-        participants.insert(
-            0,
-            Participant::Byzantine(Box::new(FloodByzantine::<bool>::new(n))),
-        );
-        participants
-    };
-    let serial = {
-        let mut runner = Runner::with_participants(build(), Box::new(NoFaults), 0).unwrap();
-        runner.run(10)
-    };
-    let mut sharded =
-        ShardedRunner::<bool, bool>::in_process(build(), Box::new(NoFaults), 0, 3).unwrap();
-    let report = sharded.run(10).expect("sharded run");
-    assert_eq!(serial, report);
-    assert!(report.byzantine.contains(NodeId::new(0)));
-    assert!(report.metrics.byzantine_messages > 0);
-}
-
-#[test]
-fn single_port_sharded_transcript_matches_serial() {
-    let n = 16;
-    let serial = {
-        let mut runner =
-            SinglePortRunner::with_adversary(Ring::nodes(n, 0), Box::new(crash_schedule(n)), 3)
-                .unwrap();
-        runner.enable_trace();
-        let report = runner.run(3 * n as u64);
-        (
-            report,
-            runner.trace().events().to_vec(),
-            runner.buffered_messages(),
-            runner.ports_in_use(),
-        )
-    };
-    for shards in [2usize, 4] {
-        let mut sharded = SpShardedRunner::<bool, bool>::in_process(
-            Ring::nodes(n, 0),
-            Box::new(crash_schedule(n)),
-            3,
-            shards,
-        )
-        .unwrap();
-        sharded.enable_trace();
-        let report = sharded.run(3 * n as u64).expect("sharded run");
-        assert_eq!(serial.0, report, "report with shards={shards}");
-        assert_eq!(
-            serial.1,
-            sharded.trace().events().to_vec(),
-            "trace with shards={shards}"
-        );
-        assert_eq!(
-            serial.2,
-            sharded.buffered_messages(),
-            "buffered with shards={shards}"
-        );
-        assert_eq!(
-            serial.3,
-            sharded.ports_in_use(),
-            "ports with shards={shards}"
-        );
-    }
-    assert_eq!(serial.0.metrics.crashes, 3);
-}
-
-#[test]
 fn coordinator_rejects_mismatched_transport_count() {
     let (a, _b) = ChannelTransport::pair();
     let err = ShardedRunner::<bool, bool>::connect(
@@ -270,24 +47,42 @@ fn coordinator_rejects_mismatched_transport_count() {
     assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
 }
 
+/// One check, one message, for all four runners — and the in-process
+/// sharded constructors run it before they spawn a worker.
 #[test]
 fn coordinator_rejects_empty_and_overbudget_systems() {
-    assert!(matches!(
-        ShardedRunner::<bool, bool>::connect(
-            0,
-            Box::new(NoFaults),
-            0,
-            NodeSet::empty(0),
-            1,
-            Vec::new()
-        ),
-        Err(SimError::EmptySystem)
-    ));
-    let (a, _b) = ChannelTransport::pair();
-    assert!(matches!(
-        SpShardedRunner::<bool, bool>::connect(3, Box::new(NoFaults), 3, 1, vec![Box::new(a)]),
-        Err(SimError::InvalidConfig(_))
-    ));
+    let no_faults = || Box::new(NoFaults);
+    let transport =
+        || -> Vec<Box<dyn ShardTransport>> { vec![Box::new(ChannelTransport::pair().0)] };
+    let honest = |n| {
+        FloodOr::nodes(n, 0)
+            .into_iter()
+            .map(Participant::Honest)
+            .collect()
+    };
+    let empty = [
+        ShardedRunner::<bool, bool>::connect(0, no_faults(), 0, NodeSet::empty(0), 1, Vec::new())
+            .err(),
+        ShardedRunner::in_process(honest(0), no_faults(), 0, 2).err(),
+        SpShardedRunner::<bool, bool>::connect(0, no_faults(), 0, 1, Vec::new()).err(),
+        SpShardedRunner::in_process(Ring::nodes(0, 0), no_faults(), 0, 2).err(),
+    ];
+    assert_eq!(empty, [const { Some(SimError::EmptySystem) }; 4]);
+
+    let overbudget = [
+        Runner::with_adversary(FloodOr::nodes(3, 0), no_faults(), 3).err(),
+        SinglePortRunner::with_adversary(Ring::nodes(3, 0), no_faults(), 3).err(),
+        ShardedRunner::<bool, bool>::connect(3, no_faults(), 3, NodeSet::empty(3), 1, transport())
+            .err(),
+        ShardedRunner::in_process(honest(3), no_faults(), 3, 2).err(),
+        SpShardedRunner::<bool, bool>::connect(3, no_faults(), 3, 1, transport()).err(),
+        SpShardedRunner::in_process(Ring::nodes(3, 0), no_faults(), 3, 2).err(),
+    ];
+    assert!(matches!(overbudget[0], Some(SimError::InvalidConfig(_))));
+    assert!(
+        overbudget.iter().all(|err| *err == overbudget[0]),
+        "{overbudget:?}"
+    );
 }
 
 #[test]
@@ -307,152 +102,17 @@ fn dead_worker_surfaces_as_shard_error_not_a_hang() {
     assert!(matches!(err, SimError::Shard(_)), "{err}");
 }
 
-/// A `Read`/`Write` pair over byte channels, so the stream transport can be
-/// exercised end-to-end without OS pipes.
-struct ChannelStream {
-    tx: Sender<Vec<u8>>,
-    rx: Receiver<Vec<u8>>,
-    pending: Vec<u8>,
-}
-
-impl ChannelStream {
-    fn pair() -> (ChannelStream, ChannelStream) {
-        let (a_tx, b_rx) = std::sync::mpsc::channel();
-        let (b_tx, a_rx) = std::sync::mpsc::channel();
-        (
-            ChannelStream {
-                tx: a_tx,
-                rx: a_rx,
-                pending: Vec::new(),
-            },
-            ChannelStream {
-                tx: b_tx,
-                rx: b_rx,
-                pending: Vec::new(),
-            },
-        )
-    }
-}
-
-impl Read for ChannelStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if self.pending.is_empty() {
-            match self.rx.recv() {
-                Ok(bytes) => self.pending = bytes,
-                Err(_) => return Ok(0), // EOF
-            }
-        }
-        let len = buf.len().min(self.pending.len());
-        buf[..len].copy_from_slice(&self.pending[..len]);
-        self.pending.drain(..len);
-        Ok(len)
-    }
-}
-
-impl Write for ChannelStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.tx
-            .send(buf.to_vec())
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "peer gone"))?;
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-/// End-to-end over the *stream* backend: a worker thread serving its chunk
-/// through length-prefixed frames (the same path `--shard-worker` pipes
-/// use) produces a transcript identical to the serial runner.
-#[test]
-fn stream_backend_matches_serial() {
-    let n = 10;
-    let shards = 2;
-    let serial = {
-        let mut runner =
-            Runner::with_adversary(FloodOr::nodes(n, 2), Box::new(crash_schedule(n)), 3).unwrap();
-        runner.run(10)
-    };
-
-    let mut transports: Vec<Box<dyn ShardTransport>> = Vec::new();
-    let mut handles = Vec::new();
-    let mut all_nodes = FloodOr::nodes(n, 2).into_iter();
-    for index in 0..shard_count(n, shards) {
-        let range = shard_range(n, shards, index);
-        let chunk: Vec<Participant<FloodOr>> = all_nodes
-            .by_ref()
-            .take(range.len())
-            .map(Participant::Honest)
-            .collect();
-        // One simplex stream per direction: the parent writes into the
-        // first pair, the worker into the second.
-        let (parent_to_worker_w, parent_to_worker_r) = ChannelStream::pair();
-        let (worker_to_parent_w, worker_to_parent_r) = ChannelStream::pair();
-        let base = range.start;
-        handles.push(std::thread::spawn(move || {
-            let mut transport = StreamTransport::new(parent_to_worker_r, worker_to_parent_w);
-            serve_multi_port(chunk, base, &mut transport).expect("stream worker");
-        }));
-        transports.push(Box::new(StreamTransport::new(
-            worker_to_parent_r,
-            parent_to_worker_w,
-        )));
-    }
-    let mut sharded = ShardedRunner::<bool, bool>::connect(
-        n,
-        Box::new(crash_schedule(n)),
-        3,
-        NodeSet::empty(n),
-        shards,
-        transports,
-    )
-    .unwrap();
-    let report = sharded.run(10).expect("sharded run");
-    assert_eq!(serial, report);
-    for handle in handles {
-        handle.join().expect("worker thread");
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Worker-failure recovery
 // ---------------------------------------------------------------------------
 
-/// Spawns a fresh serving thread for multi-port shard `index`, rebuilding
-/// its chunk deterministically — exactly what a respawned `--shard-worker`
-/// process does from the handshake.  A replaced worker sees EOF when the
-/// parent drops its old transport end and exits cleanly.
-fn flood_or_worker(n: usize, shards: usize, index: usize) -> Box<dyn ShardTransport> {
-    let range = shard_range(n, shards, index);
-    let chunk: Vec<Participant<FloodOr>> = FloodOr::nodes(n, 2)
-        .into_iter()
-        .skip(range.start)
-        .take(range.len())
-        .map(Participant::Honest)
-        .collect();
-    let (parent_end, mut worker_end) = ChannelTransport::pair();
-    let base = range.start;
-    std::thread::spawn(move || {
-        let _ = serve_multi_port(chunk, base, &mut worker_end);
-    });
-    Box::new(parent_end)
+fn honest_flood(n: usize) -> Vec<Participant<FloodOr>> {
+    let nodes = FloodOr::nodes(n, 2).into_iter();
+    nodes.map(Participant::Honest).collect()
 }
 
-/// Same, for single-port `Ring` chunks.
-fn ring_worker(n: usize, shards: usize, index: usize) -> Box<dyn ShardTransport> {
-    let range = shard_range(n, shards, index);
-    let chunk: Vec<Ring> = Ring::nodes(n, 0)
-        .into_iter()
-        .skip(range.start)
-        .take(range.len())
-        .collect();
-    let (parent_end, mut worker_end) = ChannelTransport::pair();
-    let base = range.start;
-    std::thread::spawn(move || {
-        let _ = serve_single_port(chunk, base, &mut worker_end);
-    });
-    Box::new(parent_end)
+fn flood_or_worker(n: usize, shards: usize, index: usize) -> Box<dyn ShardTransport> {
+    multi_port_worker(honest_flood, n, shards, index, Wiring::Channel)
 }
 
 fn flood_or_serial(n: usize) -> ExecutionReport<bool> {
@@ -496,22 +156,6 @@ fn faulted_flood_or(
     }
     sharded.set_recovery(recovery);
     sharded
-}
-
-#[test]
-fn killed_worker_is_respawned_and_replayed_byte_identically() {
-    let n = 10;
-    let shards = 2;
-    let serial = flood_or_serial(n);
-    let plan = FaultPlan::parse("kill:1@4").unwrap();
-    let mut sharded = faulted_flood_or(n, shards, &plan, 2, false);
-    let report = sharded.run(10).expect("recovered run");
-    assert_eq!(serial, report);
-    let stats = sharded.recovery_stats();
-    assert_eq!(stats.respawns, 1, "{stats:?}");
-    assert_eq!(stats.fallbacks, 0, "{stats:?}");
-    assert!(stats.replayed_frames > 0, "{stats:?}");
-    assert!(stats.any());
 }
 
 #[test]
@@ -582,22 +226,6 @@ fn dead_transport_on_send_recovers_through_the_same_ladder() {
 }
 
 #[test]
-fn exhausted_respawns_degrade_to_the_fallback() {
-    let n = 10;
-    let shards = 2;
-    let serial = flood_or_serial(n);
-    let plan = FaultPlan::parse("kill:0@3").unwrap();
-    // max_respawns = 0: the first failure goes straight to the fallback —
-    // the `--max-worker-respawns 0` degradation path.
-    let mut sharded = faulted_flood_or(n, shards, &plan, 0, true);
-    let report = sharded.run(10).expect("fallback run");
-    assert_eq!(serial, report);
-    let stats = sharded.recovery_stats();
-    assert_eq!(stats.respawns, 0, "{stats:?}");
-    assert_eq!(stats.fallbacks, 1, "{stats:?}");
-}
-
-#[test]
 fn exhausted_ladder_is_a_hard_structured_error() {
     let n = 10;
     let shards = 2;
@@ -628,18 +256,16 @@ fn stalled_worker_trips_the_read_deadline_and_recovers() {
     // process backend runs — with the stall fault layered on top.
     fn deadline_worker(n: usize, shards: usize, index: usize) -> Box<dyn ShardTransport> {
         let range = shard_range(n, shards, index);
-        let chunk: Vec<Participant<FloodOr>> = FloodOr::nodes(n, 2)
+        let chunk: Vec<_> = honest_flood(n)
             .into_iter()
             .skip(range.start)
             .take(range.len())
-            .map(Participant::Honest)
             .collect();
         let (parent_to_worker_w, parent_to_worker_r) = ChannelStream::pair();
         let (worker_to_parent_w, worker_to_parent_r) = ChannelStream::pair();
-        let base = range.start;
         std::thread::spawn(move || {
             let mut transport = StreamTransport::new(parent_to_worker_r, worker_to_parent_w);
-            let _ = serve_multi_port(chunk, base, &mut transport);
+            let _ = serve_multi_port(chunk, range.start, &mut transport);
         });
         Box::new(DeadlineTransport::new(
             worker_to_parent_r,
@@ -673,39 +299,114 @@ fn stalled_worker_trips_the_read_deadline_and_recovers() {
     assert_eq!(sharded.recovery_stats().respawns, 1);
 }
 
-#[test]
-fn single_port_killed_worker_recovers_byte_identically() {
-    let n = 8;
-    let shards = 2;
-    let serial = {
-        let mut runner =
-            SinglePortRunner::with_adversary(Ring::nodes(n, 0), Box::new(crash_schedule(n)), 3)
-                .unwrap();
-        runner.run(3 * n as u64)
+// ---------------------------------------------------------------------------
+// Hostile frames: an error, never a panic
+// ---------------------------------------------------------------------------
+
+/// Serves a 2-node chunk at base 4 on this thread against one request.
+fn serve_one(single_port: bool, request: Vec<u8>) -> io::Error {
+    let (mut parent, mut worker) = ChannelTransport::pair();
+    parent.send(&request).unwrap();
+    let served = if single_port {
+        serve_single_port(Ring::nodes(2, 0), 4, &mut worker)
+    } else {
+        serve_multi_port(honest_flood(2), 4, &mut worker)
     };
-    let armed = FaultPlan::parse("kill:1@6").unwrap().arm();
-    let transports: Vec<Box<dyn ShardTransport>> = (0..shard_count(n, shards))
-        .map(|index| armed.wrap(index, ring_worker(n, shards, index)))
-        .collect();
-    let mut sharded = SpShardedRunner::<bool, bool>::connect(
+    served.expect_err("a hostile frame must be refused")
+}
+
+fn request(tag: u8, payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut request = round_request(tag, Round::ZERO);
+    payload(&mut request);
+    request
+}
+
+#[test]
+fn worker_refuses_indices_and_lengths_outside_its_chunk() {
+    let hostile = [
+        // A crash verdict for local node 2 of a 2-node chunk.
+        (
+            false,
+            request(REQ_DELIVER, |out| {
+                vec![(2usize, DeliveryFilter::All)].encode(out)
+            }),
+        ),
+        // A message routed to local node 7.
+        (
+            false,
+            request(REQ_RECEIVE, |out| {
+                vec![(7usize, Delivered::new(NodeId::new(0), true))].encode(out)
+            }),
+        ),
+        // Single-port: a crash verdict for local node 2 ...
+        (
+            true,
+            request(REQ_SP_RECEIVE, |out| {
+                vec![2usize].encode(out);
+                vec![None::<Vec<bool>>; 2].encode(out);
+            }),
+        ),
+        // ... and three drained ports for two nodes.
+        (
+            true,
+            request(REQ_SP_RECEIVE, |out| {
+                Vec::<usize>::new().encode(out);
+                vec![None::<Vec<bool>>; 3].encode(out);
+            }),
+        ),
+    ];
+    for (single_port, frame) in hostile {
+        let err = serve_one(single_port, frame);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+}
+
+/// A worker may report decisions and halts only for its own nodes: shard 1
+/// (nodes 2..4) claiming that node 0 halted is a malformed response — the
+/// recovery ladder, then a structured error.
+#[test]
+fn parent_refuses_events_for_another_chunks_node() {
+    let n = 4;
+    let lying = spawn_worker(Wiring::Channel, |transport| loop {
+        let (tag, _) = open_frame(&transport.recv()?).map_err(wire_io)?;
+        let mut resp;
+        match tag {
+            REQ_COLLECT => {
+                resp = frame(RESP_INTENTS);
+                vec![Vec::<NodeId>::new(); 2].encode(&mut resp);
+            }
+            REQ_DELIVER => {
+                resp = frame(RESP_DELIVERED);
+                (0u64, 0u64, 0u64).encode(&mut resp);
+                Vec::<(usize, Delivered<bool>)>::new().encode(&mut resp);
+            }
+            _ => {
+                resp = frame(RESP_EVENTS);
+                let stray = WireEvent {
+                    node: 0,
+                    halted: true,
+                    output: Some(true),
+                };
+                vec![stray].encode(&mut resp);
+            }
+        }
+        transport.send(&resp)?;
+    });
+    let transports = vec![flood_or_worker(n, 2, 0), lying];
+    let mut sharded = ShardedRunner::<bool, bool>::connect(
         n,
-        Box::new(crash_schedule(n)),
-        3,
-        shards,
+        Box::new(NoFaults),
+        0,
+        NodeSet::empty(n),
+        2,
         transports,
     )
     .unwrap();
-    let respawn_armed = armed.clone();
-    sharded.set_recovery(
-        Recovery::new(
-            2,
-            Box::new(move |index| Ok(respawn_armed.wrap(index, ring_worker(n, shards, index)))),
-        )
-        .with_backoff(Duration::ZERO),
-    );
-    let report = sharded.run(3 * n as u64).expect("recovered run");
-    assert_eq!(serial, report);
-    assert_eq!(sharded.recovery_stats().respawns, 1);
+    let Err(SimError::Shard(err)) = sharded.run(5) else {
+        panic!("a stray event must fail the run");
+    };
+    assert_eq!((err.shard, err.frame_tag), (1, Some(RESP_EVENTS)));
+    assert!(err.detail.contains("outside the chunk"), "{}", err.detail);
 }
 
 #[test]

@@ -6,26 +6,26 @@
 //! messages; it must decide which port to poll blindly.  Messages sent to a
 //! port are buffered until polled.
 //!
-//! The engine shares the batched-delivery core of
-//! [`delivery`](crate::delivery) with the multi-port runner, and drives the
-//! sans-I/O [`SinglePortCore`] of [`crate::driver`]
-//! for the per-node phase bodies.  Port buffers live in a sparse
-//! `PortMap`(crate::delivery) rather than the seed's dense `n × n` queue
-//! matrix, so a runner over `n` nodes costs `O(n + live messages)` memory —
-//! the property that makes paper-scale `n = 10^3`–`10^4` runs feasible.
+//! [`SinglePortRunner`] is a configuration, not a loop: the single-port
+//! round of [`crate::coordinator`] — which owns the sparse port map, so a
+//! runner over `n` nodes costs `O(n + live messages)` memory — over the
+//! in-process host of [`crate::in_process`], whose chunks are the sans-I/O
+//! [`SinglePortCore`]s of [`crate::driver`].  This module holds the
+//! constructors and the single-port half of that host.
+
+use std::convert::Infallible;
+use std::ops::Range;
 
 use crate::adversary::{CrashAdversary, NoFaults};
-use crate::delivery::{EngineCore, PortMap};
-use crate::driver::SinglePortCore;
-use crate::error::{SimError, SimResult};
-use crate::message::{Outgoing, Payload};
-use crate::metrics::Metrics;
+use crate::coordinator::{Central, Coordinator, Host, SinglePort, SinglePortHost};
+use crate::driver::{NodeEvent, SinglePortCore};
+use crate::error::SimResult;
+use crate::in_process::{never_fails, Chunk, InProcess};
+use crate::message::Outgoing;
 use crate::node::{NodeId, NodeSet};
-use crate::parallel::{self, ChunkPlan};
-use crate::pool::WorkerPool;
-use crate::protocol::{NodeStatus, SinglePortProtocol};
-use crate::report::{ExecutionReport, Termination};
-use crate::trace::Trace;
+use crate::parallel;
+use crate::protocol::SinglePortProtocol;
+use crate::round::Round;
 
 /// Single-port synchronous runner.
 ///
@@ -82,45 +82,15 @@ use crate::trace::Trace;
 /// let report = runner.run(5);
 /// assert_eq!(report.agreed_value(), Some(&true));
 /// ```
-pub struct SinglePortRunner<P: SinglePortProtocol> {
-    adversary: Box<dyn CrashAdversary>,
-    core: EngineCore,
-    /// Per-node poll intent for the current round, copied flat from the
-    /// cores for the adversary view and the port pre-drain walk (reused).
-    polls: Vec<Option<NodeId>>,
-    /// Per-node intended destinations handed to the adversary (reused; each
-    /// holds at most one entry in this model).
-    send_intents: Vec<Vec<NodeId>>,
-    /// Sparse `(destination, sender)` port buffers.
-    ports: PortMap<P::Msg>,
-    /// Scratch used to ferry emptied poll buffers from the cores back into
-    /// the port map each round (reused; empty between rounds).
-    spares: Vec<Vec<P::Msg>>,
-    /// Worker threads used for the per-node phase loops (1 = serial).
-    jobs: usize,
-    /// Node count above which `jobs > 1` engages the worker pool.  The
-    /// single-port default (`parallel::MIN_NODES_PER_FORK_SINGLE_PORT`)
-    /// is higher than the multi-port one: a single-port round is one send
-    /// and one poll per node, so even the pool's ~µs dispatch only pays
-    /// off once a round's node loop is itself substantial.
-    fork_threshold: usize,
-    /// Persistent phase workers; spawned lazily on the first forked round
-    /// and reused for every subsequent one.
-    pool: Option<WorkerPool>,
-    /// The sans-I/O cores holding all per-node state, partitioned per
-    /// `plan` (one core while serial).  Slots are `None` only transiently,
-    /// while their core is out on a pool worker.
-    cores: Vec<Option<SinglePortCore<P>>>,
-    /// The partition the current `cores` were built with.
-    plan: ChunkPlan,
-}
+pub type SinglePortRunner<P> =
+    Coordinator<InProcess<SinglePortCore<P>>, SinglePort<<P as SinglePortProtocol>::Msg>>;
 
 impl<P: SinglePortProtocol> SinglePortRunner<P> {
     /// Creates a fault-free single-port runner.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::EmptySystem`] if `nodes` is empty.
+    /// Returns [`crate::SimError::EmptySystem`] if `nodes` is empty.
     pub fn new(nodes: Vec<P>) -> SimResult<Self> {
         Self::with_adversary(nodes, Box::new(NoFaults), 0)
     }
@@ -128,358 +98,140 @@ impl<P: SinglePortProtocol> SinglePortRunner<P> {
     /// Creates a single-port runner with a crash adversary limited to
     /// `fault_budget` crashes.
     ///
+    /// The pool engages later than in the multi-port model
+    /// (`parallel::MIN_NODES_PER_FORK_SINGLE_PORT`): a single-port round is
+    /// one send and one poll per node, so a dispatch only pays off once a
+    /// round's node loop is itself substantial.
+    ///
     /// # Errors
     ///
-    /// Returns [`SimError::EmptySystem`] if `nodes` is empty, or
-    /// [`SimError::InvalidConfig`] if the budget is not smaller than the
-    /// number of nodes.
+    /// Returns [`crate::SimError::EmptySystem`] if `nodes` is empty, or
+    /// [`crate::SimError::InvalidConfig`] if the budget is not smaller than
+    /// the number of nodes.
     pub fn with_adversary(
         nodes: Vec<P>,
         adversary: Box<dyn CrashAdversary>,
         fault_budget: usize,
     ) -> SimResult<Self> {
-        if nodes.is_empty() {
-            return Err(SimError::EmptySystem);
-        }
-        if fault_budget >= nodes.len() {
-            return Err(SimError::InvalidConfig(format!(
-                "fault budget {fault_budget} must be smaller than the number of nodes {}",
-                nodes.len()
-            )));
-        }
         let n = nodes.len();
-        Ok(SinglePortRunner {
-            adversary,
-            core: EngineCore::new(n, fault_budget),
-            polls: vec![None; n],
-            send_intents: (0..n).map(|_| Vec::new()).collect(),
-            ports: PortMap::new(),
-            spares: Vec::new(),
-            jobs: 1,
-            fork_threshold: parallel::MIN_NODES_PER_FORK_SINGLE_PORT,
-            pool: None,
-            cores: vec![Some(SinglePortCore::new(0, nodes))],
-            plan: ChunkPlan::new(n, 1),
-        })
-    }
-
-    /// Sets the number of worker threads for the per-node phase loops.
-    ///
-    /// `1` (the default) keeps the single inline core; `0` means "pick for
-    /// me" ([`parallel::available_jobs`]).  Parallel execution is
-    /// deterministic — reports, metrics and traces are byte-identical to a
-    /// serial run — so this is purely a performance knob.
-    pub fn set_jobs(&mut self, jobs: usize) -> &mut Self {
-        self.jobs = parallel::effective_jobs(jobs);
-        self
-    }
-
-    /// Builder-style variant of [`SinglePortRunner::set_jobs`].
-    #[must_use]
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.set_jobs(jobs);
-        self
-    }
-
-    /// The configured worker-thread count.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// Overrides the node-count threshold above which `jobs > 1` engages
-    /// the worker pool (default:
-    /// `parallel::MIN_NODES_PER_FORK_SINGLE_PORT`).  Both paths are
-    /// byte-identical; this only trades fork/join overhead against
-    /// parallel speedup, e.g. for protocols with unusually heavy per-node
-    /// `send`/`receive` work.
-    pub fn set_fork_threshold(&mut self, nodes: usize) -> &mut Self {
-        self.fork_threshold = nodes.max(1);
-        self
-    }
-
-    /// Enables coarse-grained event tracing.
-    pub fn enable_trace(&mut self) -> &mut Self {
-        self.core.trace = Trace::enabled();
-        self
-    }
-
-    /// Number of nodes.
-    pub fn n(&self) -> usize {
-        self.core.n()
-    }
-
-    /// The recorded trace.
-    pub fn trace(&self) -> &Trace {
-        &self.core.trace
-    }
-
-    /// Total number of sent-but-not-yet-polled messages currently buffered
-    /// on ports.  Together with [`SinglePortRunner::ports_in_use`] this
-    /// exposes the engine's memory footprint: both are `O(live messages)`,
-    /// never `O(n²)`.
-    pub fn buffered_messages(&self) -> usize {
-        self.ports.buffered_messages()
-    }
-
-    /// Number of ports currently buffering at least one message.
-    pub fn ports_in_use(&self) -> usize {
-        self.ports.ports_in_use()
-    }
-
-    /// Whether every node that has not crashed has halted voluntarily.
-    ///
-    /// O(1): the engine core counts running nodes incrementally, so
-    /// long-running single-port executions do not pay an O(n) status scan
-    /// per round.
-    pub fn all_non_faulty_halted(&self) -> bool {
-        self.core.running_nodes() == 0
-    }
-
-    /// Runs until all non-faulty nodes halt or `max_rounds` rounds elapse.
-    pub fn run(&mut self, max_rounds: u64) -> ExecutionReport<P::Output> {
-        let mut termination = Termination::RoundLimit;
-        for _ in 0..max_rounds {
-            self.step();
-            if self.all_non_faulty_halted() {
-                termination = Termination::AllHalted;
-                break;
-            }
-        }
-        self.report(termination)
-    }
-
-    /// Executes one single-port round.
-    ///
-    /// The per-node phase bodies (send/poll collection, receive) drive the
-    /// sans-I/O [`SinglePortCore`]s; with more than one configured job (see
-    /// [`SinglePortRunner::set_jobs`]) they run on the runner's persistent
-    /// worker pool.  The crash-adversary phase and the port-map mutations
-    /// (enqueue in sender order, pre-drain in poller order, halt-time
-    /// drops) always stay serial — the sparse `PortMap` is shared state,
-    /// and at one message per node per round the enqueue loop is
-    /// memory-movement bound anyway.  The partition is invisible to
-    /// callers: every core count produces byte-identical state.
-    pub fn step(&mut self) {
-        let n = self.n();
-        let desired = if parallel::should_fork(n, self.jobs, self.fork_threshold) {
-            ChunkPlan::new(n, self.jobs)
-        } else {
-            ChunkPlan::new(n, 1)
-        };
-        self.ensure_plan(desired);
-        let plan = self.plan;
-        let round = self.core.round;
-
-        // Phase 1: collect sends and poll intents in the cores.
-        self.run_phase(move |core| core.begin_round(round));
-
-        // Phase 2 (always serial): expose intents to the adversary through
-        // the flat per-node view its contract promises, then apply crashes
-        // and mirror the new statuses into the owning cores.
-        for slot in &mut self.cores {
-            let core = slot.as_mut().expect("core home between phases");
-            for (i, send) in core.sends.iter().enumerate() {
-                let global = core.base + i;
-                self.send_intents[global].clear();
-                self.send_intents[global].extend(send.iter().map(|o| o.to));
-                self.polls[global] = core.polls[i];
-            }
-        }
-        self.apply_crash_phase();
-        for &victim in self.core.crashed_this_round() {
-            let core = self.cores[plan.chunk_of(victim)]
-                .as_mut()
-                .expect("core home between phases");
-            core.status[victim - core.base] = self.core.status[victim];
-        }
-
-        // Return the poll buffers the cores emptied last round to the port
-        // map before enqueueing, so this round's pushes and drains reuse
-        // them instead of constructing fresh queues.
-        for slot in &mut self.cores {
-            let core = slot.as_mut().expect("core home");
-            core.take_spares(&mut self.spares);
-        }
-        self.ports.reclaim(&mut self.spares);
-
-        // Phase 3 (always serial): enqueue onto destination ports, walking
-        // cores in ascending order — exactly sender-index order.
-        for ci in 0..self.cores.len() {
-            let (base, len) = {
-                let core = self.cores[ci].as_ref().expect("core home");
-                (core.base, core.len())
-            };
-            for i in 0..len {
-                let out = self.cores[ci].as_mut().expect("core home").take_send(i);
-                let Some(out) = out else { continue };
-                self.enqueue(base + i, out);
-            }
-        }
-
-        // Pre-drain polled ports serially in node-index order (each drain
-        // touches only the polling node's own in-ports, and `receive` never
-        // touches the port map, so draining everything up front is exactly
-        // equivalent to draining inside the receive loop).
-        for slot in &mut self.cores {
-            let core = slot.as_mut().expect("core home");
-            for i in 0..core.len() {
-                let global = core.base + i;
-                let drained = if core.status[i].is_running() {
-                    core.polls[i].map(|port| self.ports.drain(global, port.index()))
-                } else {
-                    None
-                };
-                core.set_drained(i, drained);
-            }
-        }
-
-        // Phase 4: cores drive `receive`; the replay below walks cores in
-        // ascending order so decisions, halts and halted-port drops land in
-        // node-index order, independent of the partition.
-        self.run_phase(move |core| {
-            core.finalize(round);
-        });
-        for ci in 0..self.cores.len() {
-            let events = {
-                let core = self.cores[ci].as_mut().expect("core home");
-                std::mem::take(&mut core.events)
-            };
-            for event in &events {
-                if event.decided {
-                    let core = self.cores[ci].as_ref().expect("core home");
-                    let output = core.outputs[event.node - core.base]
-                        .as_ref()
-                        .expect("decision recorded");
-                    self.core.record_decision(event.node, output);
-                }
-                if event.halted {
-                    self.core.mark_halted(event.node);
-                    // A halted node never polls again; free its buffered
-                    // ports.
-                    self.ports.drop_destination(event.node);
-                    let core = self.cores[ci].as_mut().expect("core home");
-                    core.status[event.node - core.base] = NodeStatus::Halted;
-                }
-            }
-            self.cores[ci].as_mut().expect("core home").events = events;
-        }
-        self.core.finish_round();
-    }
-
-    /// Runs the crash phase and frees crashed destinations' buffered ports
-    /// (every crash routes through here).
-    fn apply_crash_phase(&mut self) {
-        self.core
-            .apply_crash_phase(&mut *self.adversary, &self.send_intents, &self.polls);
-        for &victim in self.core.crashed_this_round() {
-            // A crashed node never polls again; free its buffered ports.
-            self.ports.drop_destination(victim);
-        }
-    }
-
-    /// Phase 3 body: filters, counts and buffers one sender's message.
-    fn enqueue(&mut self, sender_idx: usize, out: Outgoing<P::Msg>) {
-        if let Some(filter) = self.core.filter(sender_idx) {
-            if !filter.allows(0, out.to) {
-                return;
-            }
-        }
-        self.core
-            .metrics
-            .record_message(self.core.round.as_u64(), out.msg.bit_len());
-        let dest = out.to.index();
-        if dest < self.core.n() && self.core.status[dest].is_running() {
-            self.ports.push(dest, sender_idx, out.msg);
-        }
-    }
-
-    /// Runs one phase body over every core: inline on this thread while the
-    /// partition has a single core, on the persistent pool otherwise (see
-    /// [`WorkerPool::run_phase`] for the ownership-shuttle protocol and the
-    /// panic behaviour).
-    fn run_phase(&mut self, phase: impl Fn(&mut SinglePortCore<P>) + Clone + Send + 'static) {
-        if self.cores.len() > 1 {
-            let pool = self.pool.as_ref().expect("pool engaged");
-            pool.run_phase(&mut self.cores, phase);
-        } else {
-            let core = self.cores[0].as_mut().expect("core home");
-            phase(core);
-        }
-    }
-
-    /// Re-partitions the cores (and spawns or resizes the pool) according
-    /// to `plan`.  No-op when the current cores already follow `plan`.
-    fn ensure_plan(&mut self, plan: ChunkPlan) {
-        if self.plan == plan {
-            return;
-        }
-        let n = self.n();
-        if plan.chunks > 1 && self.pool.as_ref().map(WorkerPool::workers) != Some(plan.chunks) {
-            self.pool = Some(WorkerPool::new(plan.chunks));
-        }
-        // Drain the old partition into flat per-node state, then deal it
-        // back out chunk by chunk (statuses re-mirrored from the engine
-        // core, scratch rebuilt empty — it is between-rounds state).
-        let mut nodes = Vec::with_capacity(n);
-        let mut outputs = Vec::with_capacity(n);
-        for slot in self.cores.drain(..) {
-            let core = slot.expect("core home");
-            nodes.extend(core.nodes);
-            outputs.extend(core.outputs);
-        }
-        let mut nodes = nodes.drain(..);
-        let mut outputs = outputs.drain(..);
-        self.cores = (0..plan.chunks)
-            .map(|ci| {
-                let range = plan.range(ci, n);
-                let len = range.len();
-                Some(SinglePortCore {
-                    base: range.start,
-                    nodes: nodes.by_ref().take(len).collect(),
-                    status: self.core.status[range].to_vec(),
-                    sends: (0..len).map(|_| None).collect(),
-                    polls: vec![None; len],
-                    drained: (0..len).map(|_| None).collect(),
-                    spare: Vec::new(),
-                    outputs: outputs.by_ref().take(len).collect(),
-                    events: Vec::new(),
-                })
-            })
-            .collect();
-        self.plan = plan;
-    }
-
-    /// Builds the final report: outputs are gathered from the cores in
-    /// ascending base order.
-    fn report(&self, termination: Termination) -> ExecutionReport<P::Output> {
-        let outputs = self
-            .cores
-            .iter()
-            .flat_map(|slot| slot.as_ref().expect("core home").outputs.iter().cloned())
-            .collect();
-        ExecutionReport {
-            outputs,
-            crashed_at: self.core.crashed_at.clone(),
-            halted_at: self.core.halted_at.clone(),
-            byzantine: NodeSet::empty(self.n()),
-            metrics: self.core.metrics.clone(),
-            termination,
-        }
-    }
-
-    /// The metrics accumulated so far (also available via the report).
-    pub fn metrics(&self) -> &Metrics {
-        &self.core.metrics
+        let central = Central::new(n, NodeSet::empty(n), adversary, fault_budget)?;
+        let core = SinglePortCore::new(0, nodes);
+        let host = InProcess::new(core, n, parallel::MIN_NODES_PER_FORK_SINGLE_PORT);
+        Ok(Coordinator::assemble(central, host))
     }
 }
 
-impl<P: SinglePortProtocol> std::fmt::Debug for SinglePortRunner<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SinglePortRunner")
-            .field("n", &self.n())
-            .field("round", &self.core.round)
-            .field("crashes", &self.core.crashes)
-            .finish_non_exhaustive()
+impl<P: SinglePortProtocol> Chunk for SinglePortCore<P> {
+    fn regroup(cores: Vec<Self>, ranges: impl Iterator<Item = Range<usize>>) -> Vec<Self> {
+        // What survives a round boundary: the state machines, their
+        // statuses and outputs.  Sends, polls and poll buffers are
+        // within-round scratch, rebuilt empty.
+        let mut nodes = Vec::new();
+        let mut status = Vec::new();
+        let mut outputs = Vec::new();
+        for core in cores {
+            nodes.extend(core.nodes);
+            status.extend(core.status);
+            outputs.extend(core.outputs);
+        }
+        let mut nodes = nodes.into_iter();
+        let mut status = status.into_iter();
+        let mut outputs = outputs.into_iter();
+        ranges
+            .map(|range| {
+                let len = range.len();
+                let mut core = SinglePortCore::new(range.start, nodes.by_ref().take(len).collect());
+                core.status = status.by_ref().take(len).collect();
+                core.outputs = outputs.by_ref().take(len).collect();
+                core
+            })
+            .collect()
+    }
+}
+
+impl<P: SinglePortProtocol> Host for InProcess<SinglePortCore<P>> {
+    type Output = P::Output;
+    type Error = Infallible;
+    type Outcome<T> = T;
+
+    fn outcome<T>(result: Result<T, Infallible>) -> T {
+        never_fails(result)
+    }
+
+    fn output(&self, node: usize) -> Option<&P::Output> {
+        let (chunk, local) = self.plan.locate(node);
+        self.cores[chunk].output(local)
+    }
+
+    fn set_halted(&mut self, node: usize) {
+        let (chunk, local) = self.plan.locate(node);
+        self.cores[chunk].set_halted(local);
+    }
+}
+
+impl<P: SinglePortProtocol> SinglePortHost for InProcess<SinglePortCore<P>> {
+    type Msg = P::Msg;
+
+    fn begin_round(
+        &mut self,
+        round: Round,
+        send_intents: &mut [Vec<NodeId>],
+        polls: &mut [Option<NodeId>],
+    ) -> Result<(), Infallible> {
+        self.prepare();
+        self.run_phase(move |core| core.begin_round(round));
+        for core in &self.cores {
+            let slots = send_intents[core.base..]
+                .iter_mut()
+                .zip(&mut polls[core.base..]);
+            let collected = core.sends.iter().zip(&core.polls);
+            for ((intents, poll), (send, polled)) in slots.zip(collected) {
+                intents.clear();
+                intents.extend(send.iter().map(|out| out.to));
+                *poll = *polled;
+            }
+        }
+        Ok(())
+    }
+
+    fn set_crashed(&mut self, node: usize, round: Round) {
+        let (chunk, local) = self.plan.locate(node);
+        self.cores[chunk].set_crashed(local, round);
+    }
+
+    fn take_spares(&mut self, out: &mut Vec<Vec<P::Msg>>) {
+        for core in &mut self.cores {
+            core.take_spares(out);
+        }
+    }
+
+    fn drain_sends(&mut self, mut enqueue: impl FnMut(usize, Outgoing<P::Msg>)) {
+        for core in &mut self.cores {
+            for local in 0..core.len() {
+                if let Some(out) = core.take_send(local) {
+                    enqueue(core.base + local, out);
+                }
+            }
+        }
+    }
+
+    fn fill_drained(&mut self, mut drain: impl FnMut(usize) -> Option<Vec<P::Msg>>) {
+        for core in &mut self.cores {
+            for local in 0..core.len() {
+                let drained = drain(core.base + local);
+                core.set_drained(local, drained);
+            }
+        }
+    }
+
+    fn finalize(&mut self, round: Round, events: &mut Vec<NodeEvent>) -> Result<(), Infallible> {
+        self.run_phase(move |core| {
+            core.finalize(round);
+        });
+        for core in &self.cores {
+            events.extend_from_slice(&core.events);
+        }
+        Ok(())
     }
 }
 
@@ -487,8 +239,8 @@ impl<P: SinglePortProtocol> std::fmt::Debug for SinglePortRunner<P> {
 mod tests {
     use super::*;
     use crate::adversary::AdaptiveSplitAdversary;
-    use crate::message::Outgoing;
-    use crate::round::Round;
+    use crate::report::Termination;
+    use crate::SimError;
 
     /// A round-robin token ring: node i sends its accumulated OR to node
     /// (i+1) mod n in round i, and polls port (i-1) mod n in every round.
@@ -693,7 +445,7 @@ mod tests {
         // Round 0: node 1 still runs, so node 0's first message is buffered;
         // node 1 halts at the end of the round and its ports are dropped.
         runner.step();
-        assert_eq!(runner.core.halted_at[1], Some(Round::new(0)));
+        assert_eq!(runner.run(0).halted_at[1], Some(Round::new(0)));
         assert_eq!(runner.buffered_messages(), 0, "halted ports freed");
         // Rounds 1..: messages to the halted node are counted, not buffered.
         for _ in 0..4 {
@@ -702,80 +454,6 @@ mod tests {
         assert_eq!(runner.metrics().messages, 5, "every send is counted");
         assert_eq!(runner.buffered_messages(), 0);
         assert_eq!(runner.ports_in_use(), 0);
-    }
-
-    /// Parallel phase loops must be observationally identical to the serial
-    /// ones: same report, same trace, same buffered-port diagnostics.
-    #[test]
-    fn parallel_execution_is_byte_identical_to_serial() {
-        use crate::adversary::{CrashDirective, FixedCrashSchedule};
-        use crate::parallel::MIN_NODES_PER_FORK;
-        let n = MIN_NODES_PER_FORK + 5;
-        let run = |jobs: usize| {
-            let adversary = FixedCrashSchedule::new()
-                .crash_at(1, CrashDirective::silent(NodeId::new(2)))
-                .crash_at(3, CrashDirective::after_send(NodeId::new(n - 1)));
-            let mut runner = SinglePortRunner::with_adversary(ring(n, 0), Box::new(adversary), 2)
-                .unwrap()
-                .with_jobs(jobs);
-            // The single-port default threshold only engages the pool for
-            // very large systems; force it so this test exercises the
-            // parallel path at a testable size.
-            runner.set_fork_threshold(1);
-            runner.enable_trace();
-            let report = runner.run(3 * n as u64);
-            (
-                report,
-                runner.trace().events().to_vec(),
-                runner.buffered_messages(),
-                runner.ports_in_use(),
-            )
-        };
-        let serial = run(1);
-        for jobs in [2, 4] {
-            let parallel = run(jobs);
-            assert_eq!(serial.0, parallel.0, "report with jobs={jobs}");
-            assert_eq!(serial.1, parallel.1, "trace with jobs={jobs}");
-            assert_eq!(serial.2, parallel.2, "buffered messages with jobs={jobs}");
-            assert_eq!(serial.3, parallel.3, "ports in use with jobs={jobs}");
-        }
-        assert_eq!(serial.0.metrics.crashes, 2);
-    }
-
-    /// A pool reused across two consecutive `run()`s on the same runner
-    /// produces transcripts identical to two fresh serial runs (the
-    /// single-port variant of the multi-port runner's test: port buffers
-    /// carry state across the boundary too).
-    #[test]
-    fn pool_reused_across_two_runs_matches_two_serial_runs() {
-        use crate::adversary::{CrashDirective, FixedCrashSchedule};
-        let n = 40;
-        let run_twice = |jobs: usize| {
-            let adversary = FixedCrashSchedule::new()
-                .crash_at(2, CrashDirective::silent(NodeId::new(3)))
-                .crash_at(n as u64, CrashDirective::after_send(NodeId::new(7)));
-            let mut runner = SinglePortRunner::with_adversary(ring(n, 0), Box::new(adversary), 2)
-                .unwrap()
-                .with_jobs(jobs);
-            // Force the pool at a testable size (the production threshold
-            // only engages it at paper scale).
-            runner.set_fork_threshold(1);
-            runner.enable_trace();
-            let first = runner.run(n as u64);
-            let second = runner.run(3 * n as u64);
-            (
-                first,
-                second,
-                runner.trace().events().to_vec(),
-                runner.buffered_messages(),
-            )
-        };
-        let serial = run_twice(1);
-        let pooled = run_twice(4);
-        assert_eq!(serial.0, pooled.0, "first run() report");
-        assert_eq!(serial.1, pooled.1, "second run() report");
-        assert_eq!(serial.2, pooled.2, "combined trace");
-        assert_eq!(serial.3, pooled.3, "buffered ports after both runs");
     }
 
     #[test]
@@ -812,7 +490,7 @@ mod tests {
         // Round 2: node 2 crashes before delivery; its buffered ports are
         // dropped and this round's sends to it are skipped at push time.
         runner.step();
-        assert!(runner.core.status[2].is_crashed());
+        assert_eq!(runner.run(0).crashed_at[2], Some(Round::new(2)));
         assert_eq!(runner.buffered_messages(), 0, "crash freed node 2's ports");
         assert_eq!(runner.ports_in_use(), 0);
         assert_eq!(runner.metrics().messages, 8, "sends still counted");

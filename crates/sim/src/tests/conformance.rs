@@ -1,0 +1,506 @@
+//! Host conformance: one table per round model.
+//!
+//! Every way of hosting an execution's chunks — one core inline, cores on
+//! the worker pool, shard workers behind channels or byte streams, a worker
+//! killed and replayed, a worker replaced by the in-process fallback — must
+//! be observationally identical to the serial run: same report, same trace,
+//! same buffered-port diagnostics.  The rows of the two tables below are
+//! those host configurations; the workload (Byzantine participant and three
+//! kinds of crash included) is the same in every row.
+//!
+//! The toy protocols and worker helpers are shared with the recovery tests
+//! in `shard/tests.rs`.
+
+use std::io::{self, Read, Write};
+use std::sync::mpsc::{Receiver, Sender};
+use std::time::Duration;
+
+use crate::adversary::byzantine::FloodByzantine;
+use crate::adversary::{CrashDirective, DeliveryFilter, FixedCrashSchedule};
+use crate::message::{Delivered, Outgoing};
+use crate::node::NodeId;
+use crate::parallel::MIN_NODES_PER_FORK;
+use crate::protocol::{SinglePortProtocol, SyncProtocol};
+use crate::report::ExecutionReport;
+use crate::round::Round;
+use crate::runner::{Participant, Runner};
+use crate::shard::{
+    serve_multi_port, serve_single_port, shard_count, shard_range, ChannelTransport, FaultPlan,
+    Recovery, RecoveryStats, ShardTransport, ShardedRunner, SpShardedRunner, StreamTransport,
+};
+use crate::single_port::SinglePortRunner;
+use crate::trace::Event;
+
+/// Every node floods the OR of everything seen; decides after 3 receives.
+pub(crate) struct FloodOr {
+    n: usize,
+    value: bool,
+    rounds: u64,
+    decided: Option<bool>,
+}
+
+impl FloodOr {
+    pub(crate) fn nodes(n: usize, one_at: usize) -> Vec<FloodOr> {
+        (0..n)
+            .map(|i| FloodOr {
+                n,
+                value: i == one_at,
+                rounds: 0,
+                decided: None,
+            })
+            .collect()
+    }
+}
+
+impl SyncProtocol for FloodOr {
+    type Msg = bool;
+    type Output = bool;
+
+    fn send(&mut self, _round: Round, out: &mut Vec<Outgoing<bool>>) {
+        out.extend((0..self.n).map(|i| Outgoing::new(NodeId::new(i), self.value)));
+    }
+
+    fn receive(&mut self, _round: Round, inbox: &[Delivered<bool>]) {
+        for m in inbox {
+            self.value |= m.msg;
+        }
+        self.rounds += 1;
+        if self.rounds >= 3 {
+            self.decided = Some(self.value);
+        }
+    }
+
+    fn output(&self) -> Option<bool> {
+        self.decided
+    }
+
+    fn has_halted(&self) -> bool {
+        self.decided.is_some()
+    }
+}
+
+/// Ring for the single-port model: node `i` sends its OR to `i + 1`, polls
+/// `i − 1`, decides after `2n` receives.
+pub(crate) struct Ring {
+    me: usize,
+    n: usize,
+    value: bool,
+    rounds: u64,
+    decided: Option<bool>,
+}
+
+impl Ring {
+    pub(crate) fn nodes(n: usize, one_at: usize) -> Vec<Ring> {
+        (0..n)
+            .map(|me| Ring {
+                me,
+                n,
+                value: me == one_at,
+                rounds: 0,
+                decided: None,
+            })
+            .collect()
+    }
+}
+
+impl SinglePortProtocol for Ring {
+    type Msg = bool;
+    type Output = bool;
+
+    fn send(&mut self, _round: Round) -> Option<Outgoing<bool>> {
+        Some(Outgoing::new(
+            NodeId::new((self.me + 1) % self.n),
+            self.value,
+        ))
+    }
+
+    fn poll(&mut self, _round: Round) -> Option<NodeId> {
+        Some(NodeId::new((self.me + self.n - 1) % self.n))
+    }
+
+    fn receive(&mut self, _round: Round, _from: NodeId, msgs: &mut Vec<bool>) {
+        for m in msgs.drain(..) {
+            self.value |= m;
+        }
+        self.rounds += 1;
+        if self.rounds >= 2 * self.n as u64 {
+            self.decided = Some(self.value);
+        }
+    }
+
+    fn output(&self) -> Option<bool> {
+        self.decided
+    }
+
+    fn has_halted(&self) -> bool {
+        self.decided.is_some()
+    }
+}
+
+/// One crash of each kind: silent, partial delivery, after the send.
+pub(crate) fn crash_schedule(n: usize) -> FixedCrashSchedule {
+    FixedCrashSchedule::new()
+        .crash_at(0, CrashDirective::silent(NodeId::new(1)))
+        .crash_at(
+            1,
+            CrashDirective {
+                node: NodeId::new(n / 2),
+                deliver: DeliveryFilter::Prefix(3),
+            },
+        )
+        .crash_at(2, CrashDirective::after_send(NodeId::new(n - 1)))
+}
+
+/// A `Read`/`Write` pair over byte channels, so the stream transport can be
+/// exercised end-to-end without OS pipes.
+pub(crate) struct ChannelStream {
+    tx: Sender<Vec<u8>>,
+    rx: Receiver<Vec<u8>>,
+    pending: Vec<u8>,
+}
+
+impl ChannelStream {
+    pub(crate) fn pair() -> (ChannelStream, ChannelStream) {
+        let (a_tx, b_rx) = std::sync::mpsc::channel();
+        let (b_tx, a_rx) = std::sync::mpsc::channel();
+        let end = |tx, rx| ChannelStream {
+            tx,
+            rx,
+            pending: Vec::new(),
+        };
+        (end(a_tx, a_rx), end(b_tx, b_rx))
+    }
+}
+
+impl Read for ChannelStream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.pending.is_empty() {
+            match self.rx.recv() {
+                Ok(bytes) => self.pending = bytes,
+                Err(_) => return Ok(0), // EOF
+            }
+        }
+        let len = buf.len().min(self.pending.len());
+        buf[..len].copy_from_slice(&self.pending[..len]);
+        self.pending.drain(..len);
+        Ok(len)
+    }
+}
+
+impl Write for ChannelStream {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.tx
+            .send(buf.to_vec())
+            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "peer gone"))?;
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// How a shard worker thread is reached.
+#[derive(Clone, Copy)]
+pub(crate) enum Wiring {
+    /// A [`ChannelTransport`] pair.
+    Channel,
+    /// Length-prefixed frames over byte streams — the path `--shard-worker`
+    /// pipes use.
+    Stream,
+}
+
+/// Runs `serve` on a fresh thread and returns the parent's end.  A
+/// replaced worker sees EOF when the parent drops its end and exits; its
+/// result is ignored, exactly as a killed process's exit status is.
+pub(crate) fn spawn_worker(
+    wiring: Wiring,
+    serve: impl FnOnce(&mut dyn ShardTransport) -> io::Result<()> + Send + 'static,
+) -> Box<dyn ShardTransport> {
+    match wiring {
+        Wiring::Channel => {
+            let (parent_end, mut worker_end) = ChannelTransport::pair();
+            std::thread::spawn(move || serve(&mut worker_end));
+            Box::new(parent_end)
+        }
+        Wiring::Stream => {
+            // One simplex stream per direction.
+            let (to_worker_w, to_worker_r) = ChannelStream::pair();
+            let (to_parent_w, to_parent_r) = ChannelStream::pair();
+            std::thread::spawn(move || serve(&mut StreamTransport::new(to_worker_r, to_parent_w)));
+            Box::new(StreamTransport::new(to_parent_r, to_worker_w))
+        }
+    }
+}
+
+/// Serves chunk `index` of `build()`'s nodes, rebuilding them
+/// deterministically — exactly what a respawned `--shard-worker` process
+/// does from the handshake.
+pub(crate) fn multi_port_worker<P>(
+    build: fn(usize) -> Vec<Participant<P>>,
+    n: usize,
+    shards: usize,
+    index: usize,
+    wiring: Wiring,
+) -> Box<dyn ShardTransport>
+where
+    P: SyncProtocol<Msg = bool, Output = bool>,
+{
+    let range = shard_range(n, shards, index);
+    let chunk: Vec<_> = build(n)
+        .into_iter()
+        .skip(range.start)
+        .take(range.len())
+        .collect();
+    spawn_worker(wiring, move |transport| {
+        serve_multi_port(chunk, range.start, transport)
+    })
+}
+
+/// Same, for single-port `Ring` chunks.
+pub(crate) fn ring_worker(
+    n: usize,
+    shards: usize,
+    index: usize,
+    wiring: Wiring,
+) -> Box<dyn ShardTransport> {
+    let range = shard_range(n, shards, index);
+    let chunk: Vec<Ring> = Ring::nodes(n, 0)
+        .into_iter()
+        .skip(range.start)
+        .take(range.len())
+        .collect();
+    spawn_worker(wiring, move |transport| {
+        serve_single_port(chunk, range.start, transport)
+    })
+}
+
+/// A host configuration: one row of a conformance table.
+#[derive(Clone, Copy, Debug)]
+enum Hosting {
+    /// Cores in this process on `jobs` threads; `split` runs the execution
+    /// in two `run()` calls, so the pool and the cores' scratch persist
+    /// across the boundary.
+    InProcess { jobs: usize, split: bool },
+    /// `in_process` shard workers on the runner's own pool.
+    Shards(usize),
+    /// Two workers behind [`StreamTransport`]s.
+    Streams,
+    /// Two workers, a fault plan, a respawn budget and (maybe) a fallback;
+    /// the last field is the expected `(respawns, fallbacks)`.
+    Faulted(&'static str, u32, bool, (u64, u64)),
+}
+
+const IN_PROCESS_AND_SHARDED: [Hosting; 12] = [
+    Hosting::InProcess {
+        jobs: 1,
+        split: true,
+    },
+    Hosting::InProcess {
+        jobs: 2,
+        split: false,
+    },
+    Hosting::InProcess {
+        jobs: 4,
+        split: false,
+    },
+    Hosting::InProcess {
+        jobs: 7,
+        split: false,
+    },
+    Hosting::InProcess {
+        jobs: 4,
+        split: true,
+    },
+    Hosting::Shards(1),
+    Hosting::Shards(2),
+    Hosting::Shards(3),
+    Hosting::Shards(5),
+    Hosting::Streams,
+    // Worker 1 dies at its 4th frame: respawned, log replayed.
+    Hosting::Faulted("kill:1@4", 2, false, (1, 0)),
+    // Respawn budget 0: the first failure degrades to the fallback.
+    Hosting::Faulted("kill:0@3", 0, true, (0, 1)),
+];
+
+/// Everything observable about one execution.
+#[derive(Debug, PartialEq)]
+struct Transcript {
+    /// The first `run()`'s report when the execution was split in two.
+    partial: Option<ExecutionReport<bool>>,
+    report: ExecutionReport<bool>,
+    trace: Vec<Event>,
+    /// `(buffered_messages, ports_in_use)` at the end (single-port).
+    ports: (usize, usize),
+}
+
+/// Connects and arms what a [`Hosting::Faulted`] or [`Hosting::Streams`]
+/// row needs: the initial transports and, for a faulted row, the recovery
+/// ladder (whose respawned workers are wrapped by the same armed plan, so a
+/// recovered fault does not re-fire).
+fn wire_up(
+    hosting: Hosting,
+    n: usize,
+    worker: impl Fn(usize, Wiring) -> Box<dyn ShardTransport> + Clone + Send + 'static,
+) -> (Vec<Box<dyn ShardTransport>>, Option<Recovery>) {
+    let indices = 0..shard_count(n, 2);
+    let Hosting::Faulted(plan, max_respawns, with_fallback, _) = hosting else {
+        return (indices.map(|i| worker(i, Wiring::Stream)).collect(), None);
+    };
+    let armed = FaultPlan::parse(plan).expect("fault plan").arm();
+    let transports = indices
+        .map(|i| armed.wrap(i, worker(i, Wiring::Channel)))
+        .collect();
+    let respawned = worker.clone();
+    let mut recovery = Recovery::new(
+        max_respawns,
+        Box::new(move |i| Ok(armed.wrap(i, respawned(i, Wiring::Channel)))),
+    )
+    .with_backoff(Duration::ZERO);
+    if with_fallback {
+        recovery = recovery.with_fallback(Box::new(move |i| Ok(worker(i, Wiring::Channel))));
+    }
+    (transports, Some(recovery))
+}
+
+fn check_recovery(hosting: Hosting, stats: RecoveryStats) {
+    if let Hosting::Faulted(_, _, _, (respawns, fallbacks)) = hosting {
+        assert_eq!((stats.respawns, stats.fallbacks), (respawns, fallbacks));
+        assert!(stats.replayed_frames > 0 && stats.any(), "{stats:?}");
+    } else {
+        assert_eq!(stats, RecoveryStats::default(), "{hosting:?}");
+    }
+}
+
+/// Node 0 is Byzantine (floods everyone, never halts); the rest flood the
+/// OR of what they have seen.
+fn flood_participants(n: usize) -> Vec<Participant<FloodOr>> {
+    let mut participants: Vec<_> = FloodOr::nodes(n, 3)
+        .into_iter()
+        .map(Participant::Honest)
+        .collect();
+    participants[0] = Participant::Byzantine(Box::new(FloodByzantine::<bool>::new(n)));
+    participants
+}
+
+fn run_multi_port(hosting: Hosting, n: usize) -> Transcript {
+    const ROUNDS: u64 = 10;
+    let adversary = Box::new(crash_schedule(n));
+    let participants = flood_participants(n);
+    if let Hosting::InProcess { jobs, split } = hosting {
+        let mut runner = Runner::with_participants(participants, adversary, 3)
+            .unwrap()
+            .with_jobs(jobs);
+        runner.enable_trace();
+        return Transcript {
+            partial: split.then(|| runner.run(2)),
+            report: runner.run(ROUNDS),
+            trace: runner.trace().events().to_vec(),
+            ports: (0, 0),
+        };
+    }
+    let mut runner = if let Hosting::Shards(shards) = hosting {
+        ShardedRunner::in_process(participants, adversary, 3, shards).unwrap()
+    } else {
+        let worker =
+            move |index, wiring| multi_port_worker(flood_participants, n, 2, index, wiring);
+        let (transports, recovery) = wire_up(hosting, n, worker);
+        let byzantine = Participant::byzantine_set(&participants);
+        let mut runner = ShardedRunner::connect(n, adversary, 3, byzantine, 2, transports).unwrap();
+        if let Some(recovery) = recovery {
+            runner.set_recovery(recovery);
+        }
+        runner
+    };
+    runner.enable_trace();
+    let report = runner.run(ROUNDS).expect("sharded run");
+    check_recovery(hosting, runner.recovery_stats());
+    Transcript {
+        partial: None,
+        report,
+        trace: runner.trace().events().to_vec(),
+        ports: (0, 0),
+    }
+}
+
+fn run_single_port(hosting: Hosting, n: usize) -> Transcript {
+    let rounds = 3 * n as u64;
+    let adversary = Box::new(crash_schedule(n));
+    if let Hosting::InProcess { jobs, split } = hosting {
+        let mut runner = SinglePortRunner::with_adversary(Ring::nodes(n, 0), adversary, 3)
+            .unwrap()
+            .with_jobs(jobs);
+        // The production threshold engages the pool only at paper scale.
+        runner.set_fork_threshold(1);
+        runner.enable_trace();
+        return Transcript {
+            partial: split.then(|| runner.run(n as u64)),
+            report: runner.run(rounds),
+            trace: runner.trace().events().to_vec(),
+            ports: (runner.buffered_messages(), runner.ports_in_use()),
+        };
+    }
+    let mut runner = if let Hosting::Shards(shards) = hosting {
+        SpShardedRunner::in_process(Ring::nodes(n, 0), adversary, 3, shards).unwrap()
+    } else {
+        let worker = move |index, wiring| ring_worker(n, 2, index, wiring);
+        let (transports, recovery) = wire_up(hosting, n, worker);
+        let mut runner = SpShardedRunner::connect(n, adversary, 3, 2, transports).unwrap();
+        if let Some(recovery) = recovery {
+            runner.set_recovery(recovery);
+        }
+        runner
+    };
+    runner.enable_trace();
+    let report = runner.run(rounds).expect("sharded run");
+    check_recovery(hosting, runner.recovery_stats());
+    Transcript {
+        partial: None,
+        report,
+        trace: runner.trace().events().to_vec(),
+        ports: (runner.buffered_messages(), runner.ports_in_use()),
+    }
+}
+
+/// Runs every row and compares it with the serial transcript (the whole
+/// one, or the one split in two `run()` calls at the same round).
+fn assert_conformance(run: impl Fn(Hosting) -> Transcript) -> Transcript {
+    let serial = run(Hosting::InProcess {
+        jobs: 1,
+        split: false,
+    });
+    for hosting in IN_PROCESS_AND_SHARDED {
+        let mut transcript = run(hosting);
+        let partial = transcript.partial.take();
+        assert_eq!(serial, transcript, "{hosting:?}");
+        if let Some(partial) = partial {
+            assert_ne!(partial, serial.report, "{hosting:?}: split mid-execution");
+            let split_serially = run(Hosting::InProcess {
+                jobs: 1,
+                split: true,
+            });
+            assert_eq!(split_serially.partial, Some(partial), "{hosting:?}");
+        }
+    }
+    serial
+}
+
+#[test]
+fn multi_port_hosts_conform_to_the_serial_run() {
+    // Above the fork threshold, so `jobs > 1` really engages the pool.
+    let n = MIN_NODES_PER_FORK + 9;
+    let serial = assert_conformance(|hosting| run_multi_port(hosting, n));
+    assert_eq!(serial.report.metrics.crashes, 3);
+    assert!(serial.report.byzantine.contains(NodeId::new(0)));
+    assert!(serial.report.metrics.byzantine_messages > 0);
+    assert!(serial.report.all_non_faulty_decided());
+    assert!(!serial.trace.is_empty());
+}
+
+#[test]
+fn single_port_hosts_conform_to_the_serial_run() {
+    let serial = assert_conformance(|hosting| run_single_port(hosting, 24));
+    assert_eq!(serial.report.metrics.crashes, 3);
+    assert!(serial.report.all_non_faulty_decided());
+    assert!(!serial.trace.is_empty());
+}

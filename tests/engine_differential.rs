@@ -8,15 +8,18 @@
 //! per-round `NodeSet` rebuilds, freshly allocated inboxes, dense `n × n`
 //! port matrix and all — so any divergence in delivery order, crash
 //! application, halting semantics or metric accounting shows up as a
-//! mismatch.  Random crash schedules are property-tested over both engine
-//! paths (multi-port and single-port).
+//! mismatch.  Random crash schedules are property-tested over both round
+//! models and, for each, over every host of the model's one round loop
+//! (inline core, worker pool, in-process shard workers) — so the tier-1
+//! suite exercises the pool and the shard codec too.
 
 use std::collections::VecDeque;
 
+use linear_dft::sim::shard::{ShardedRunner, SpShardedRunner};
 use linear_dft::sim::{
     AdversaryView, CrashAdversary, Delivered, DeliveryFilter, ExecutionReport, Metrics, NodeId,
-    NodeSet, NodeStatus, Outgoing, Payload, RandomCrashes, Round, Runner, SinglePortProtocol,
-    SinglePortRunner, SyncProtocol,
+    NodeSet, NodeStatus, Outgoing, Participant, Payload, RandomCrashes, Round, Runner,
+    SinglePortProtocol, SinglePortRunner, SyncProtocol,
 };
 use proptest::prelude::*;
 
@@ -431,12 +434,39 @@ fn single_port_engine_matches_reference_without_faults() {
     reference.assert_matches(&report);
 }
 
+/// The fork threshold of the multi-port runner (`dft_sim::parallel`): a
+/// system this much larger than a small one really engages the pool.
+const ABOVE_FORK_THRESHOLD: usize = 128;
+
+/// One generated multi-port case at one size: the reference against every
+/// host of the round loop — one core inline, cores on the worker pool
+/// (engaged only when `n` is above the fork threshold), and two in-process
+/// shard workers behind the wire codec.
+fn check_multi_port_hosts(n: usize, t_frac: usize, input_bits: u64, horizon: u64, crash_seed: u64) {
+    let t = (n / t_frac).max(1).min(n - 1);
+    let max_rounds = horizon + t as u64 + 4;
+    let nodes = || flood_or_nodes(n, input_bits, horizon);
+    let adversary = || Box::new(RandomCrashes::new(n, t, max_rounds, crash_seed));
+    let reference = reference_multi_port(nodes(), adversary(), t, max_rounds);
+
+    let mut serial = Runner::with_adversary(nodes(), adversary(), t).expect("a valid system");
+    reference.assert_matches(&serial.run(max_rounds));
+    let mut pooled = Runner::with_adversary(nodes(), adversary(), t)
+        .expect("a valid system")
+        .with_jobs(4);
+    reference.assert_matches(&pooled.run(max_rounds));
+    let participants = nodes().into_iter().map(Participant::Honest).collect();
+    let mut sharded =
+        ShardedRunner::in_process(participants, adversary(), t, 2).expect("a valid system");
+    reference.assert_matches(&sharded.run(max_rounds).expect("no shard worker fails"));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random crash schedules through the batched multi-port engine and the
-    /// seed-behaviour reference produce identical reports, including the
-    /// full per-round message profile.
+    /// Random crash schedules through every host of the multi-port round
+    /// loop and the seed-behaviour reference produce identical reports,
+    /// including the full per-round message profile.
     #[test]
     fn multi_port_engine_matches_reference_under_random_crashes(
         n in 4usize..40,
@@ -445,21 +475,13 @@ proptest! {
         horizon in 2u64..6,
         crash_seed in any::<u64>(),
     ) {
-        let t = (n / t_frac).max(1).min(n - 1);
-        let max_rounds = horizon + t as u64 + 4;
-        let nodes = flood_or_nodes(n, input_bits, horizon);
-        let adversary = RandomCrashes::new(n, t, max_rounds, crash_seed);
-        let mut runner =
-            Runner::with_adversary(nodes.clone(), Box::new(adversary), t).unwrap();
-        let report = runner.run(max_rounds);
-        let adversary = RandomCrashes::new(n, t, max_rounds, crash_seed);
-        let reference =
-            reference_multi_port(nodes, Box::new(adversary), t, max_rounds);
-        reference.assert_matches(&report);
+        check_multi_port_hosts(n, t_frac, input_bits, horizon, crash_seed);
+        check_multi_port_hosts(ABOVE_FORK_THRESHOLD + n, t_frac, input_bits, horizon, crash_seed);
     }
 
-    /// The same property over the single-port engine path: the sparse port
-    /// map reproduces the dense seed matrix byte for byte.
+    /// The same property over the single-port round loop: the sparse port
+    /// map reproduces the dense seed matrix byte for byte, whichever host
+    /// holds the chunks.
     #[test]
     fn single_port_engine_matches_reference_under_random_crashes(
         n in 3usize..24,
@@ -469,14 +491,20 @@ proptest! {
     ) {
         let t = (n / t_frac).max(1).min(n - 1);
         let max_rounds = 3 * n as u64;
-        let nodes = ring_nodes(n, input_bits);
-        let adversary = RandomCrashes::new(n, t, max_rounds, crash_seed);
-        let mut runner =
-            SinglePortRunner::with_adversary(nodes.clone(), Box::new(adversary), t).unwrap();
-        let report = runner.run(max_rounds);
-        let adversary = RandomCrashes::new(n, t, max_rounds, crash_seed);
-        let reference =
-            reference_single_port(nodes, Box::new(adversary), t, max_rounds);
-        reference.assert_matches(&report);
+        let nodes = || ring_nodes(n, input_bits);
+        let adversary = || Box::new(RandomCrashes::new(n, t, max_rounds, crash_seed));
+        let reference = reference_single_port(nodes(), adversary(), t, max_rounds);
+
+        let mut serial = SinglePortRunner::with_adversary(nodes(), adversary(), t).unwrap();
+        reference.assert_matches(&serial.run(max_rounds));
+        let mut pooled = SinglePortRunner::with_adversary(nodes(), adversary(), t)
+            .unwrap()
+            .with_jobs(4);
+        // The single-port threshold is paper-scale; the dense reference
+        // matrix is not, so bring the threshold down instead of `n` up.
+        pooled.set_fork_threshold(1);
+        reference.assert_matches(&pooled.run(max_rounds));
+        let mut sharded = SpShardedRunner::in_process(nodes(), adversary(), t, 2).unwrap();
+        reference.assert_matches(&sharded.run(max_rounds).unwrap());
     }
 }
