@@ -111,9 +111,10 @@ impl SignedValue {
 
     /// Whether the chain is valid *and* contains at least `required`
     /// distinct signatures — the acceptance test of Dolev–Strong round
-    /// `required`.
+    /// `required`.  The length is compared first: a chain that is too
+    /// short is rejected without verifying a signature.
     pub fn verify_chain_with_length(&self, directory: &KeyDirectory, required: usize) -> bool {
-        self.verify_chain(directory) && self.chain_len() >= required
+        self.chain_len() >= required && self.verify_chain(directory)
     }
 
     /// Wire size in bits: source id, value and the signature chain.

@@ -58,7 +58,8 @@
 //! * `--timings` appends one `[time] Ek: …s` line per experiment so perf
 //!   regressions show up in CI logs; with `--samples K > 1` the line becomes
 //!   the criterion-style `[min mean max] trimmed …` summary with IQR outlier
-//!   rejection;
+//!   rejection; a `--shards` run also ends with `[wire] TAG: … frames, …
+//!   bytes` lines, the coordinator's traffic per shard frame tag;
 //! * `--bench-json PATH` writes the machine-readable perf baseline
 //!   (`dft_bench::baseline::BenchReport`): per-experiment wall / trimmed
 //!   timings, message and bit totals, and the run configuration including
@@ -585,6 +586,25 @@ fn main() -> ExitCode {
                 alloc.allocs, alloc.bytes,
             );
         }
+    }
+
+    // Where a sharded run's bytes went, per frame tag (coordinator side,
+    // all experiments together).  Substrate counters: printed, never gated.
+    let wire = dft_bench::shard::wire_totals();
+    let total = wire.total();
+    if timings && total.frames > 0 {
+        for (tag, count) in wire.tags() {
+            println!(
+                "[wire] {}: {} frames, {} bytes",
+                dft_sim::shard::tag_name(tag),
+                count.frames,
+                count.bytes
+            );
+        }
+        println!(
+            "[wire] total: {} frames, {} bytes\n",
+            total.frames, total.bytes
+        );
     }
 
     if bench_json.is_none() && bench_compare.is_none() {

@@ -28,15 +28,15 @@ use dft_core::{
     FewCrashesConsensus, Gossip, ManyCrashesConsensus, SpreadCommonValue, SystemConfig,
 };
 use dft_sim::shard::{
-    serve_multi_port, serve_single_port, Recovery, RecoveryStats, ShardTransport, ShardedRunner,
-    SpShardedRunner, Wire, WireOutput,
+    serve_multi_port, serve_single_port, Recovery, ShardTransport, ShardedRunner, SpShardedRunner,
+    Wire, WireOutput,
 };
 use dft_sim::{
     CrashAdversary, ExecutionReport, NodeSet, Participant, RandomCrashes, Runner,
     SinglePortProtocol, SinglePortRunner, SyncProtocol,
 };
 
-use crate::shard::ShardFaults;
+use crate::shard::{ShardFaults, ShardStats};
 use serde::{Deserialize, Serialize};
 
 /// One measured execution.
@@ -289,7 +289,7 @@ pub(crate) trait RoundModel<P> {
         terms: Terms,
         transports: Vec<Box<dyn ShardTransport>>,
         recovery: Recovery,
-    ) -> (ExecutionReport<Self::Output>, RecoveryStats);
+    ) -> (ExecutionReport<Self::Output>, ShardStats);
 
     fn serve(chunk: Vec<P>, base: usize, transport: &mut dyn ShardTransport) -> io::Result<()>;
 }
@@ -330,7 +330,7 @@ where
         terms: Terms,
         transports: Vec<Box<dyn ShardTransport>>,
         recovery: Recovery,
-    ) -> (ExecutionReport<P::Output>, RecoveryStats) {
+    ) -> (ExecutionReport<P::Output>, ShardStats) {
         let (adversary, honest) = (terms.adversary, NodeSet::empty(w.n));
         let runner = ShardedRunner::<P::Msg, P::Output>::connect(
             w.n,
@@ -342,7 +342,11 @@ where
         );
         let mut runner = runner.expect("sharded coordinator");
         let report = runner.set_recovery(recovery).run(terms.max_rounds);
-        (report.expect("sharded execution"), runner.recovery_stats())
+        let stats = ShardStats {
+            recovery: runner.recovery_stats(),
+            wire: runner.wire_stats().clone(),
+        };
+        (report.expect("sharded execution"), stats)
     }
 
     fn serve(chunk: Vec<P>, base: usize, transport: &mut dyn ShardTransport) -> io::Result<()> {
@@ -372,7 +376,7 @@ where
         terms: Terms,
         transports: Vec<Box<dyn ShardTransport>>,
         recovery: Recovery,
-    ) -> (ExecutionReport<P::Output>, RecoveryStats) {
+    ) -> (ExecutionReport<P::Output>, ShardStats) {
         let runner = SpShardedRunner::<P::Msg, P::Output>::connect(
             w.n,
             terms.adversary,
@@ -382,7 +386,11 @@ where
         );
         let mut runner = runner.expect("sharded coordinator");
         let report = runner.set_recovery(recovery).run(terms.max_rounds);
-        (report.expect("sharded execution"), runner.recovery_stats())
+        let stats = ShardStats {
+            recovery: runner.recovery_stats(),
+            wire: runner.wire_stats().clone(),
+        };
+        (report.expect("sharded execution"), stats)
     }
 
     fn serve(chunk: Vec<P>, base: usize, transport: &mut dyn ShardTransport) -> io::Result<()> {
@@ -442,7 +450,7 @@ macro_rules! measure_kinds {
             }
 
             /// Drives the measurement across shard worker processes.
-            pub(crate) fn drive(self, w: &Workload, faults: &ShardFaults) -> (Measurement, RecoveryStats) {
+            pub(crate) fn drive(self, w: &Workload, faults: &ShardFaults) -> (Measurement, ShardStats) {
                 match self {
                     $(MeasureKind::$kind => shard::drive::<$model, _>($build, self, w, faults),)*
                 }

@@ -29,7 +29,7 @@ use std::time::Duration;
 use dft_sim::shard::{
     self, frame, open_frame, shard_count, shard_range, ArmedPlan, ChannelTransport,
     DeadlineTransport, FaultPlan, Recovery, RecoveryStats, ShardTransport, StreamTransport,
-    TransportFactory, Wire,
+    TransportFactory, Wire, WireStats,
 };
 
 pub use crate::MeasureKind;
@@ -91,11 +91,22 @@ static TOTAL_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 static TOTAL_REPLAYED_FRAMES: AtomicU64 = AtomicU64::new(0);
 static TOTAL_REPLAYED_ROUNDS: AtomicU64 = AtomicU64::new(0);
 
-fn record_totals(stats: RecoveryStats) {
-    TOTAL_RESPAWNS.fetch_add(stats.respawns, Ordering::Relaxed);
-    TOTAL_FALLBACKS.fetch_add(stats.fallbacks, Ordering::Relaxed);
-    TOTAL_REPLAYED_FRAMES.fetch_add(stats.replayed_frames, Ordering::Relaxed);
-    TOTAL_REPLAYED_ROUNDS.fetch_add(stats.replayed_rounds, Ordering::Relaxed);
+static TOTAL_WIRE: Mutex<WireStats> = Mutex::new(WireStats::new());
+
+/// What one sharded execution's coordinator counted: the recovery ladder's
+/// actions and the frames it exchanged.
+pub(crate) struct ShardStats {
+    pub(crate) recovery: RecoveryStats,
+    pub(crate) wire: WireStats,
+}
+
+fn record_totals(stats: &ShardStats) {
+    let recovery = stats.recovery;
+    TOTAL_RESPAWNS.fetch_add(recovery.respawns, Ordering::Relaxed);
+    TOTAL_FALLBACKS.fetch_add(recovery.fallbacks, Ordering::Relaxed);
+    TOTAL_REPLAYED_FRAMES.fetch_add(recovery.replayed_frames, Ordering::Relaxed);
+    TOTAL_REPLAYED_ROUNDS.fetch_add(recovery.replayed_rounds, Ordering::Relaxed);
+    lock(&TOTAL_WIRE).absorb(&stats.wire);
 }
 
 /// Recovery actions accumulated over every sharded measurement this process
@@ -107,6 +118,12 @@ pub fn recovery_totals() -> RecoveryStats {
         replayed_frames: TOTAL_REPLAYED_FRAMES.load(Ordering::Relaxed),
         replayed_rounds: TOTAL_REPLAYED_ROUNDS.load(Ordering::Relaxed),
     }
+}
+
+/// Frames and bytes per frame tag, accumulated over every sharded
+/// measurement this process ran (printed under `--timings`; never gated).
+pub fn wire_totals() -> WireStats {
+    lock(&TOTAL_WIRE).clone()
 }
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -314,7 +331,7 @@ pub(crate) fn drive<X: RoundModel<P>, P>(
     kind: MeasureKind,
     w: &Workload,
     faults: &ShardFaults,
-) -> (Measurement, RecoveryStats) {
+) -> (Measurement, ShardStats) {
     let armed = faults.plan.arm();
     let (children, transports, rounds) = spawn_workers(kind, w, faults, &armed);
     let terms = kind.terms::<X, P>(w, rounds);
@@ -322,7 +339,7 @@ pub(crate) fn drive<X: RoundModel<P>, P>(
     let recovery =
         Recovery::new(faults.max_respawns, respawn).with_fallback(fallback_factory(kind, w));
     let (report, stats) = X::run_sharded(w, terms, transports, recovery);
-    reap(&children, !stats.any());
+    reap(&children, !stats.recovery.any());
     (Measurement::from_report(&report), stats)
 }
 
@@ -333,7 +350,7 @@ pub(crate) fn drive<X: RoundModel<P>, P>(
 pub(crate) fn measure_sharded(kind: MeasureKind, w: &Workload) -> Measurement {
     let faults = global_faults();
     let (measurement, stats) = kind.drive(w, &faults);
-    record_totals(stats);
+    record_totals(&stats);
     measurement
 }
 
@@ -354,7 +371,8 @@ pub fn measure_sharded_faulty(
         max_respawns,
         deadline: deadline.unwrap_or(DEFAULT_READ_DEADLINE),
     };
-    kind.drive(w, &faults)
+    let (measurement, stats) = kind.drive(w, &faults);
+    (measurement, stats.recovery)
 }
 
 // ---------------------------------------------------------------------------

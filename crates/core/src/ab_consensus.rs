@@ -117,6 +117,16 @@ impl Payload for AbMsg {
             AbMsg::Inquiry(_) => Signature::BIT_LEN,
         }
     }
+
+    /// The bulky variants are nothing but their `Arc`.
+    fn share_key(&self) -> Option<usize> {
+        match self {
+            AbMsg::Ds(batch) => Some(Arc::as_ptr(batch).addr()),
+            AbMsg::Endorse(entries) => Some(Arc::as_ptr(entries).addr()),
+            AbMsg::CommonSet(set) => Some(Arc::as_ptr(set).addr()),
+            AbMsg::Inquiry(_) => None,
+        }
+    }
 }
 
 /// Static configuration shared by every node running [`AbConsensus`].

@@ -70,6 +70,13 @@ impl Payload for CheckpointMsg {
             CheckpointMsg::Consensus(m) => m.bit_len(),
         }
     }
+
+    fn share_key(&self) -> Option<usize> {
+        match self {
+            CheckpointMsg::Gossip(m) => m.share_key(),
+            CheckpointMsg::Consensus(_) => None,
+        }
+    }
 }
 
 /// The decided checkpoint: the agreed set of node indices.

@@ -194,17 +194,21 @@ impl SyncProtocol for DolevStrong {
                     let Some(idx) = self.source_index(sv.source) else {
                         continue;
                     };
-                    // Acceptance: valid chain with at least r+1 signatures.
-                    if !sv.verify_chain_with_length(&self.config.directory, r as usize + 1) {
+                    // Skip already-accepted values before paying for chain
+                    // verification.  Acceptance: valid chain with at least
+                    // r+1 signatures.
+                    let accepted = &mut self.accepted[idx];
+                    if accepted.contains(&sv.value)
+                        || !sv.verify_chain_with_length(&self.config.directory, r as usize + 1)
+                    {
                         continue;
                     }
-                    if self.accepted[idx].insert(sv.value) {
-                        // Newly accepted: relay with our countersignature in
-                        // the next round (if any remain).
-                        let mut relay = sv.clone();
-                        relay.countersign(&self.signer);
-                        self.relay_queue.push(relay);
-                    }
+                    // Newly accepted: relay with our countersignature in the
+                    // next round (if any remain).
+                    accepted.insert(sv.value);
+                    let mut relay = sv.clone();
+                    relay.countersign(&self.signer);
+                    self.relay_queue.push(relay);
                 }
             }
         }

@@ -110,6 +110,15 @@ impl Payload for GossipMsg {
             GossipMsg::Completion(bits) => bits.wire_bits(),
         }
     }
+
+    /// The set-valued variants are nothing but their `Arc`.
+    fn share_key(&self) -> Option<usize> {
+        match self {
+            GossipMsg::Inquiry | GossipMsg::Pair { .. } => None,
+            GossipMsg::Extant(set) => Some(Arc::as_ptr(set).addr()),
+            GossipMsg::Completion(bits) => Some(Arc::as_ptr(bits).addr()),
+        }
+    }
 }
 
 /// Which part of the algorithm a round belongs to.

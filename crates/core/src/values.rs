@@ -270,6 +270,12 @@ impl ExtantSet {
         self.present
     }
 
+    /// The proper pairs `(index, rumor)`, in ascending index order.
+    pub fn pairs(&self) -> impl Iterator<Item = (usize, Rumor)> + '_ {
+        let slots = self.entries.iter().enumerate();
+        slots.filter_map(|(idx, entry)| entry.map(|rumor| (idx, rumor)))
+    }
+
     /// The set of present node indices.
     pub fn present_nodes(&self) -> Vec<usize> {
         (0..self.len()).filter(|&i| self.is_present(i)).collect()

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use dft_sim::shard::{Wire, WireError, WireReader, WireResult};
+use dft_sim::shard::{Wire, WireError, WireReader, WireResult, MAX_FRAME_LEN};
 
 use crate::ab_consensus::{AbMsg, CommonSet};
 use crate::aea::AeaMsg;
@@ -122,40 +122,81 @@ impl Wire for McMsg {
     }
 }
 
+/// The bit length, then the backing words as a sequence (word count, words).
 impl Wire for BitVector {
     fn encode(&self, out: &mut Vec<u8>) {
         self.len().encode(out);
-        self.raw_words().to_vec().encode(out);
+        self.raw_words().len().encode(out);
+        for word in self.raw_words() {
+            word.encode(out);
+        }
     }
 
     fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
         let len = usize::decode(r)?;
-        let words = Vec::decode(r)?;
+        let count = r.len()?;
+        // The words must still be in the frame: a corrupt prefix allocates
+        // nothing.  (`from_raw_words` checks the count against `len`.)
+        if count > r.remaining() / 8 {
+            return Err(WireError::new(format!(
+                "BitVector of {count} words with {} bytes left",
+                r.remaining()
+            )));
+        }
+        let mut words = Vec::with_capacity(count);
+        for _ in 0..count {
+            words.push(r.u64()?);
+        }
         BitVector::from_raw_words(len, words)
             .ok_or_else(|| WireError::new("BitVector word count does not match its length"))
     }
 }
 
+/// The slot count, then the proper pairs as a sequence (pair count, then
+/// `(index, rumor)` in strictly ascending index order — the one encoding of
+/// a set, so an accepted frame re-encodes to the same bytes).
 impl Wire for ExtantSet {
     fn encode(&self, out: &mut Vec<u8>) {
+        out.reserve(16 + 16 * self.present_count());
         self.len().encode(out);
-        let pairs: Vec<(usize, u64)> = (0..self.len())
-            .filter_map(|idx| self.rumor_of(idx).map(|rumor| (idx, rumor)))
-            .collect();
-        pairs.encode(out);
+        self.present_count().encode(out);
+        for (idx, rumor) in self.pairs() {
+            idx.encode(out);
+            rumor.encode(out);
+        }
     }
 
     fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
         let len = usize::decode(r)?;
-        let pairs: Vec<(usize, u64)> = Vec::decode(r)?;
+        let count = r.len()?;
+        // A decoded set holds 16 bytes per slot whatever the frame carried,
+        // so — unlike a `Vec` prefix — the slot count is not bounded by the
+        // bytes that follow it.  Cap it where the allocation reaches what a
+        // maximal frame could make any decoder allocate; the pairs
+        // themselves must still be in the frame.
+        if len > MAX_FRAME_LEN as usize / 16 {
+            return Err(WireError::new(format!(
+                "ExtantSet of {len} slots exceeds the maximum frame size"
+            )));
+        }
+        if count > len || count > r.remaining() / 16 {
+            return Err(WireError::new(format!(
+                "ExtantSet of {len} slots with {count} pairs ({} bytes left)",
+                r.remaining()
+            )));
+        }
         let mut set = ExtantSet::nil(len);
-        for (idx, rumor) in pairs {
-            if idx >= len {
+        let mut floor = 0;
+        for _ in 0..count {
+            let idx = r.len()?;
+            let rumor = r.u64()?;
+            if idx < floor || idx >= len {
                 return Err(WireError::new(format!(
-                    "ExtantSet pair index {idx} out of range {len}"
+                    "ExtantSet pair index {idx} outside {floor}..{len} (indices ascend strictly)"
                 )));
             }
             set.update(idx, rumor);
+            floor = idx + 1;
         }
         Ok(set)
     }
@@ -327,6 +368,42 @@ mod tests {
         70usize.encode(&mut bad);
         vec![u64::MAX].encode(&mut bad);
         assert!(from_bytes::<BitVector>(&bad).is_err());
+    }
+
+    /// The sibling of `malformed_input_is_an_error_not_a_panic` in the
+    /// simulator's codec: a corrupt slot count must not size an allocation.
+    #[test]
+    fn malformed_extant_set_is_an_error_not_an_allocation() {
+        let frame = |len: u64, pairs: &[(u64, u64)]| {
+            let mut bytes = to_bytes(&len);
+            (pairs.len() as u64).encode(&mut bytes);
+            for pair in pairs {
+                pair.encode(&mut bytes);
+            }
+            bytes
+        };
+        // A slot count straight off a corrupt prefix: 16 * len bytes would
+        // abort the process, not fail the frame.
+        for len in [u64::MAX, 1 << 40, u64::from(MAX_FRAME_LEN)] {
+            assert!(from_bytes::<ExtantSet>(&frame(len, &[])).is_err(), "{len}");
+        }
+        // More pairs than slots, or than the frame still holds.
+        assert!(from_bytes::<ExtantSet>(&frame(1, &[(0, 5), (0, 6)])).is_err());
+        let mut short = frame(8, &[]);
+        short[8..16].copy_from_slice(&3u64.to_le_bytes());
+        assert!(from_bytes::<ExtantSet>(&short).is_err());
+        // Indices out of range, repeated or descending.
+        assert!(from_bytes::<ExtantSet>(&frame(4, &[(4, 5)])).is_err());
+        assert!(from_bytes::<ExtantSet>(&frame(4, &[(2, 5), (2, 6)])).is_err());
+        assert!(from_bytes::<ExtantSet>(&frame(4, &[(3, 5), (1, 6)])).is_err());
+        // What is accepted re-encodes to the bytes it came from.
+        let accepted = frame(4, &[(1, 6), (3, 5)]);
+        let set: ExtantSet = from_bytes(&accepted).expect("ascending pairs decode");
+        assert_eq!(to_bytes(&set), accepted);
+        // The bit vector's word count is pinned by its length.
+        let mut bits = to_bytes(&(1u64 << 50));
+        (1u64 << 44).encode(&mut bits);
+        assert!(from_bytes::<BitVector>(&bits).is_err());
     }
 
     #[test]

@@ -41,6 +41,21 @@ use crate::node::NodeId;
 pub trait Payload: Clone + fmt::Debug + Send + Sync + 'static {
     /// Number of bits this payload occupies on the wire.
     fn bit_len(&self) -> u64;
+
+    /// The address of the shared allocation this message points at, when
+    /// it is an `Arc`-shared copy of a payload other messages of the round
+    /// may carry too; `None` (the default) for a message that owns its
+    /// data.
+    ///
+    /// The shard layer uses it to write each distinct payload once per
+    /// frame (see `crate::shard::intern`); serial runs never call it.
+    /// Contract: two messages of one round that return the same key are
+    /// equal — identity stands in for equality, so an override returns the
+    /// address only when the whole message is determined by that
+    /// allocation (an enum variant wrapping one `Arc`, say).
+    fn share_key(&self) -> Option<usize> {
+        None
+    }
 }
 
 impl Payload for bool {
@@ -102,6 +117,10 @@ impl<T: Payload> Payload for std::sync::Arc<T> {
     /// changing the bit accounting.
     fn bit_len(&self) -> u64 {
         self.as_ref().bit_len()
+    }
+
+    fn share_key(&self) -> Option<usize> {
+        Some(std::sync::Arc::as_ptr(self).addr())
     }
 }
 

@@ -36,6 +36,9 @@
 //! queues the messages the coordinator routes, and sends them with
 //! `Receive` — or, single-port, sends the crash mirror and the pre-drained
 //! port contents with `SpReceive` — and returns the decision/halt events.
+//! The two bulk message lists (`Delivered` response, `Receive` request) are
+//! interned per frame: each distinct `Arc`-shared payload is written once
+//! and every further copy as a back-reference (see [`intern`]).
 //! `Shutdown` ends the loop; a worker treats transport EOF as shutdown, so
 //! a dying parent never leaves workers spinning.  Both sides treat a frame
 //! as untrusted: an index outside the chunk, a list of the wrong length or
@@ -61,9 +64,11 @@
 //! [`WorkerPool`]: crate::pool::WorkerPool
 
 pub mod fault;
+pub mod intern;
 pub mod transport;
 pub mod wire;
 
+use std::collections::BTreeMap;
 use std::io;
 use std::ops::Range;
 use std::time::Duration;
@@ -83,6 +88,7 @@ use crate::round::Round;
 use crate::runner::Participant;
 
 pub use fault::{ArmedPlan, FaultKind, FaultPlan, FaultSpec, FaultyTransport};
+pub use intern::{Slot, Slots};
 pub use transport::{
     read_frame, write_frame, ChannelTransport, DeadlineTransport, ShardTransport, StreamTransport,
     MAX_FRAME_LEN,
@@ -94,7 +100,7 @@ pub use wire::{
 /// Version of the shard wire format.  Every frame carries it; both sides
 /// reject a mismatch, so a stale worker binary fails loudly instead of
 /// silently mis-decoding.
-pub const WIRE_VERSION: u16 = 1;
+pub const WIRE_VERSION: u16 = 2;
 
 /// Frame tags (parent → worker).
 const REQ_COLLECT: u8 = 1;
@@ -108,6 +114,22 @@ const RESP_INTENTS: u8 = 64;
 const RESP_SP_INTENTS: u8 = 65;
 const RESP_DELIVERED: u8 = 66;
 const RESP_EVENTS: u8 = 67;
+
+/// The protocol's name for a frame tag (`"?"` for a tag it does not define).
+pub fn tag_name(tag: u8) -> &'static str {
+    match tag {
+        REQ_COLLECT => "Collect",
+        REQ_DELIVER => "Deliver",
+        REQ_RECEIVE => "Receive",
+        REQ_SP_RECEIVE => "SpReceive",
+        REQ_SHUTDOWN => "Shutdown",
+        RESP_INTENTS => "Intents",
+        RESP_SP_INTENTS => "SpIntents",
+        RESP_DELIVERED => "Delivered",
+        RESP_EVENTS => "Events",
+        _ => "?",
+    }
+}
 
 /// Starts a frame: the `[u16 version][u8 tag]` header every shard frame
 /// (including the bench layer's handshake) opens with.  Append the payload
@@ -220,6 +242,72 @@ impl RecoveryStats {
     /// Whether any recovery action ran.
     pub fn any(&self) -> bool {
         self.respawns > 0 || self.fallbacks > 0
+    }
+}
+
+/// Frames and bytes (headers included) under one frame tag.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TagCount {
+    /// Frames exchanged.
+    pub frames: u64,
+    /// Their total length in bytes.
+    pub bytes: u64,
+}
+
+/// What the coordinator put on and took off the shard transports, per frame
+/// tag: every request it sent (`Shutdown` and recovery replays excluded —
+/// [`RecoveryStats`] counts those) and every response it consumed.
+///
+/// Counters only: they describe the substrate, and nothing they record may
+/// reach a decision table.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct WireStats {
+    per_tag: BTreeMap<u8, TagCount>,
+}
+
+impl WireStats {
+    /// No frames yet.
+    pub const fn new() -> Self {
+        WireStats {
+            per_tag: BTreeMap::new(),
+        }
+    }
+
+    fn record(&mut self, tag: u8, len: usize) {
+        let count = self.per_tag.entry(tag).or_default();
+        count.frames += 1;
+        count.bytes += len as u64;
+    }
+
+    /// The counts under the tag [`tag_name`] calls `name` (zero for a tag
+    /// never seen).
+    pub fn named(&self, name: &str) -> TagCount {
+        let mut tags = self.tags();
+        let found = tags.find(|(tag, _)| tag_name(*tag) == name);
+        found.map(|(_, count)| count).unwrap_or_default()
+    }
+
+    /// Every tag seen, in tag order.
+    pub fn tags(&self) -> impl Iterator<Item = (u8, TagCount)> + '_ {
+        self.per_tag.iter().map(|(tag, count)| (*tag, *count))
+    }
+
+    /// Adds another execution's counts to these.
+    pub fn absorb(&mut self, other: &WireStats) {
+        for (tag, count) in other.tags() {
+            let sum = self.per_tag.entry(tag).or_default();
+            sum.frames += count.frames;
+            sum.bytes += count.bytes;
+        }
+    }
+
+    /// All tags together.
+    pub fn total(&self) -> TagCount {
+        self.tags()
+            .fold(TagCount::default(), |sum, (_, count)| TagCount {
+                frames: sum.frames + count.frames,
+                bytes: sum.bytes + count.bytes,
+            })
     }
 }
 
@@ -380,13 +468,12 @@ where
             chunk.msgs.encode(&mut resp);
             chunk.bits.encode(&mut resp);
             chunk.byz_msgs.encode(&mut resp);
-            chunk.delivered.encode(&mut resp);
-            chunk.delivered.clear();
+            intern::intern(&mut chunk.delivered).encode(&mut resp);
             Ok(resp)
         }
         REQ_RECEIVE => {
             let round: Round = field(r)?;
-            let inbound: Vec<(usize, Delivered<P::Msg>)> = field(r)?;
+            let inbound = intern::resolve(field::<Slots<P::Msg>>(r)?).map_err(wire_io)?;
             for (local, msg) in inbound {
                 chunk.accept(check_local(local, chunk.len())?, msg);
             }
@@ -486,6 +573,7 @@ struct Link {
     respawns_used: Vec<u32>,
     fallback_active: Vec<bool>,
     stats: RecoveryStats,
+    wire: WireStats,
     /// Keeps in-process serving threads alive for the host's lifetime;
     /// `None` for remote (process/pipe) backends.
     _pool: Option<WorkerPool>,
@@ -504,6 +592,9 @@ impl Link {
     /// entering the recovery ladder on failure.
     fn send_to(&mut self, ci: usize, request: &[u8]) -> SimResult<()> {
         let tag = request.get(2).copied();
+        if let Some(tag) = tag {
+            self.wire.record(tag, request.len());
+        }
         if self.recovery.is_some() {
             self.frame_log[ci].push(request.to_vec());
         }
@@ -521,15 +612,15 @@ impl Link {
     }
 
     /// Receives shard `ci`'s pending response, checks its tag, decodes the
-    /// payload and has `check` vet it; any failure — transport error, bad
-    /// frame, wrong tag, undecodable or implausible payload — enters the
-    /// recovery ladder and the replayed response is tried again.
-    fn transact<T: Wire>(
+    /// payload and has `vet` check and finish it; any failure — transport
+    /// error, bad frame, wrong tag, undecodable or implausible payload —
+    /// enters the recovery ladder and the replayed response is tried again.
+    fn transact<T: Wire, U>(
         &mut self,
         ci: usize,
         expected: u8,
-        check: impl Fn(&T) -> Result<(), String>,
-    ) -> SimResult<T> {
+        vet: impl Fn(T) -> Result<U, String>,
+    ) -> SimResult<U> {
         loop {
             let response = match self.stashed[ci].take() {
                 Some(replayed) => Ok(replayed),
@@ -537,14 +628,18 @@ impl Link {
             };
             let detail = match response {
                 Ok(bytes) => match open_frame(&bytes) {
-                    Ok((tag, mut r)) if tag == expected => {
-                        let payload = T::decode(&mut r).map_err(|err| err.to_string());
-                        match payload.and_then(|value| check(&value).map(|()| value)) {
-                            Ok(value) => return Ok(value),
-                            Err(detail) => format!("response payload: {detail}"),
+                    Ok((tag, mut r)) => {
+                        self.wire.record(tag, bytes.len());
+                        if tag == expected {
+                            let payload = T::decode(&mut r).map_err(|err| err.to_string());
+                            match payload.and_then(&vet) {
+                                Ok(value) => return Ok(value),
+                                Err(detail) => format!("response payload: {detail}"),
+                            }
+                        } else {
+                            format!("answered with tag {tag}, expected {expected}")
                         }
                     }
-                    Ok((tag, _)) => format!("answered with tag {tag}, expected {expected}"),
                     Err(err) => format!("response frame: {err}"),
                 },
                 Err(err) => format!("receiving response: {err}"),
@@ -735,6 +830,7 @@ impl<O: WireOutput, Q: Default> Framed<O, Q> {
                 respawns_used: vec![0; chunks],
                 fallback_active: vec![false; chunks],
                 stats: RecoveryStats::default(),
+                wire: WireStats::default(),
                 _pool: pool,
             },
             outputs: vec![None; n],
@@ -748,17 +844,17 @@ impl<O: WireOutput, Q: Default> Framed<O, Q> {
     fn recv_events(&mut self, events: &mut Vec<NodeEvent>) -> SimResult<()> {
         for ci in 0..self.link.chunks() {
             let range = self.link.range(ci);
-            let reported =
-                self.link
-                    .transact(ci, RESP_EVENTS, |reported: &Vec<WireEvent<O>>| {
-                        let stray = reported.iter().find(|event| !range.contains(&event.node));
-                        stray.map_or(Ok(()), |event| {
-                            Err(format!(
-                                "an event for node {}, outside the chunk's {range:?}",
-                                event.node
-                            ))
-                        })
-                    })?;
+            let own_nodes_only = |reported: Vec<WireEvent<O>>| match reported
+                .iter()
+                .find(|event| !range.contains(&event.node))
+            {
+                None => Ok(reported),
+                Some(stray) => Err(format!(
+                    "an event for node {}, outside the chunk's {range:?}",
+                    stray.node
+                )),
+            };
+            let reported = self.link.transact(ci, RESP_EVENTS, own_nodes_only)?;
             for event in reported {
                 events.push(NodeEvent {
                     node: event.node,
@@ -811,8 +907,8 @@ impl<M: WireMsg, O: WireOutput> MultiPortHost for Framed<O, Inbound<M>> {
             let len = range.len();
             let intents = self
                 .link
-                .transact(ci, RESP_INTENTS, |intents: &Vec<Vec<NodeId>>| {
-                    sized(intents.len(), len, "intent lists")
+                .transact(ci, RESP_INTENTS, |intents: Vec<Vec<NodeId>>| {
+                    sized(intents.len(), len, "intent lists").map(|()| intents)
                 })?;
             for (slot, list) in send_intents[range].iter_mut().zip(intents) {
                 *slot = list;
@@ -839,10 +935,15 @@ impl<M: WireMsg, O: WireOutput> MultiPortHost for Framed<O, Inbound<M>> {
         }
         staged.clear();
         for ci in 0..self.link.chunks() {
-            // Counters, then the surviving messages — nested so the tuple
-            // codec reads them in the order the worker wrote them.
+            // Counters, then the surviving messages in frame form — nested so
+            // the tuple codec reads them in the order the worker wrote them.
+            type Delivery<M> = ((u64, u64, u64), Slots<M>);
             let ((messages, bits, byzantine_messages), delivered) =
-                self.link.transact(ci, RESP_DELIVERED, |_| Ok(()))?;
+                self.link
+                    .transact(ci, RESP_DELIVERED, |(counters, slots): Delivery<M>| {
+                        let delivered = intern::resolve(slots).map_err(|err| err.to_string())?;
+                        Ok((counters, delivered))
+                    })?;
             staged.push(Staged {
                 messages,
                 bits,
@@ -861,8 +962,7 @@ impl<M: WireMsg, O: WireOutput> MultiPortHost for Framed<O, Inbound<M>> {
     fn finalize(&mut self, round: Round, events: &mut Vec<NodeEvent>) -> SimResult<()> {
         for (ci, inbound) in self.queued.iter_mut().enumerate() {
             let mut request = round_request(REQ_RECEIVE, round);
-            inbound.encode(&mut request);
-            inbound.clear();
+            intern::intern(inbound).encode(&mut request);
             self.link.send_to(ci, &request)?;
         }
         self.recv_events(events)
@@ -884,10 +984,12 @@ impl<M: WireMsg, O: WireOutput> SinglePortHost for Framed<O, SpQueued<M>> {
             let range = self.link.range(ci);
             let len = range.len();
             type SpIntents<M> = (Vec<Option<Outgoing<M>>>, Vec<Option<NodeId>>);
-            let check = |(sends, polled): &SpIntents<M>| {
-                sized(sends.len(), len, "sends").and(sized(polled.len(), len, "polled ports"))
+            let vet = |(sends, polled): SpIntents<M>| {
+                sized(sends.len(), len, "sends")
+                    .and(sized(polled.len(), len, "polled ports"))
+                    .map(|()| (sends, polled))
             };
-            let (sends, polled) = self.link.transact(ci, RESP_SP_INTENTS, check)?;
+            let (sends, polled) = self.link.transact(ci, RESP_SP_INTENTS, vet)?;
             for (node, (send, poll)) in range.zip(sends.iter().zip(polled)) {
                 send_intents[node].clear();
                 send_intents[node].extend(send.iter().map(|out| out.to));
@@ -1098,6 +1200,11 @@ where
     /// What the recovery ladder did so far.
     pub fn recovery_stats(&self) -> RecoveryStats {
         self.host.link.stats
+    }
+
+    /// Frames and bytes exchanged with the shard workers so far, per tag.
+    pub fn wire_stats(&self) -> &WireStats {
+        &self.host.link.wire
     }
 }
 

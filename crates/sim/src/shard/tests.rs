@@ -5,6 +5,8 @@
 //! `crate::conformance`, whose toy protocols and worker helpers these
 //! tests share.
 
+use std::sync::Arc;
+
 use super::*;
 use crate::adversary::NoFaults;
 use crate::conformance::{
@@ -300,6 +302,115 @@ fn stalled_worker_trips_the_read_deadline_and_recovers() {
 }
 
 // ---------------------------------------------------------------------------
+// Interned frames
+// ---------------------------------------------------------------------------
+
+/// Every node pushes what it knows to everyone, as two `Arc`-shared
+/// payloads alternating over the destinations — so each sender's part of a
+/// frame reads A, B, A, B and both must be found in the interning table.
+struct FloodSets {
+    n: usize,
+    known: Vec<u64>,
+    rounds: u64,
+}
+
+impl FloodSets {
+    fn participants(n: usize) -> Vec<Participant<FloodSets>> {
+        let node = |me| FloodSets {
+            n,
+            known: vec![me as u64],
+            rounds: 0,
+        };
+        (0..n).map(node).map(Participant::Honest).collect()
+    }
+}
+
+impl SyncProtocol for FloodSets {
+    type Msg = Arc<Vec<u64>>;
+    type Output = u64;
+
+    fn send(&mut self, _round: Round, out: &mut Vec<Outgoing<Self::Msg>>) {
+        let set = Arc::new(self.known.clone());
+        let digest = Arc::new(vec![self.known.iter().sum()]);
+        out.extend((0..self.n).map(|to| {
+            let payload = if to % 2 == 0 { &set } else { &digest };
+            Outgoing::new(NodeId::new(to), Arc::clone(payload))
+        }));
+    }
+
+    fn receive(&mut self, _round: Round, inbox: &[Delivered<Self::Msg>]) {
+        for delivered in inbox.iter().filter(|d| d.msg.len() > 1 || self.rounds == 0) {
+            self.known.extend(delivered.msg.iter());
+        }
+        self.known.sort_unstable();
+        self.known.dedup();
+        self.rounds += 1;
+    }
+
+    fn output(&self) -> Option<u64> {
+        (self.rounds >= 3).then(|| self.known.iter().sum())
+    }
+
+    fn has_halted(&self) -> bool {
+        self.rounds >= 3
+    }
+}
+
+fn flood_sets_sharded(n: usize, plan: &FaultPlan) -> ShardedRunner<Arc<Vec<u64>>, u64> {
+    let armed = plan.arm();
+    let worker =
+        move |index| multi_port_worker(FloodSets::participants, n, 2, index, Wiring::Channel);
+    let transports = (0..shard_count(n, 2))
+        .map(|index| armed.wrap(index, worker(index)))
+        .collect();
+    let mut sharded = ShardedRunner::connect(
+        n,
+        Box::new(crash_schedule(n)),
+        3,
+        NodeSet::empty(n),
+        2,
+        transports,
+    )
+    .unwrap();
+    let respawn = Box::new(move |index| Ok(armed.wrap(index, worker(index))));
+    sharded.set_recovery(Recovery::new(2, respawn).with_backoff(Duration::ZERO));
+    sharded
+}
+
+/// A worker killed mid-run is respawned and fed the retained frames — which
+/// now carry back-references — and the execution is still the serial one.
+/// The logical traffic is the clean run's: replays are not counted twice.
+#[test]
+fn killed_worker_replays_interned_frames_byte_identically() {
+    let n = 12;
+    let mut serial =
+        Runner::with_participants(FloodSets::participants(n), Box::new(crash_schedule(n)), 3)
+            .unwrap();
+    let serial = serial.run(10);
+    assert!(serial.all_non_faulty_decided());
+
+    let mut clean = flood_sets_sharded(n, &FaultPlan::default());
+    assert_eq!(serial, clean.run(10).expect("clean run"));
+    assert!(!clean.recovery_stats().any());
+
+    // Response frame 4 of shard 1 is round 1's `Delivered`.
+    let mut killed = flood_sets_sharded(n, &FaultPlan::parse("kill:1@4").unwrap());
+    assert_eq!(serial, killed.run(10).expect("recovered run"));
+    assert_eq!(killed.recovery_stats().respawns, 1);
+    assert!(killed.recovery_stats().replayed_frames > 0);
+
+    assert_eq!(clean.wire_stats(), killed.wire_stats());
+
+    // Each sender's two payloads cross once per frame, not once per copy:
+    // the `Delivered` frames, envelopes and all, are smaller than the
+    // payloads alone would be per copy (a `Vec<u64>` is as many bytes on
+    // the wire as `bit_len` counts bits, over eight).
+    let delivered = clean.wire_stats().named("Delivered");
+    assert_eq!(delivered.frames, 2 * 3, "two shards, three rounds");
+    assert!(delivered.bytes < serial.metrics.bits / 8, "{delivered:?}");
+}
+
+// ---------------------------------------------------------------------------
 // Hostile frames: an error, never a panic
 // ---------------------------------------------------------------------------
 
@@ -335,7 +446,14 @@ fn worker_refuses_indices_and_lengths_outside_its_chunk() {
         (
             false,
             request(REQ_RECEIVE, |out| {
-                vec![(7usize, Delivered::new(NodeId::new(0), true))].encode(out)
+                vec![(7usize, NodeId::new(0), Slot::Inline(true))].encode(out)
+            }),
+        ),
+        // A back-reference to a slot the frame has not defined.
+        (
+            false,
+            request(REQ_RECEIVE, |out| {
+                vec![(0usize, NodeId::new(0), Slot::<bool>::Shared(0))].encode(out)
             }),
         ),
         // Single-port: a crash verdict for local node 2 ...
@@ -378,7 +496,7 @@ fn parent_refuses_events_for_another_chunks_node() {
             REQ_DELIVER => {
                 resp = frame(RESP_DELIVERED);
                 (0u64, 0u64, 0u64).encode(&mut resp);
-                Vec::<(usize, Delivered<bool>)>::new().encode(&mut resp);
+                Slots::<bool>::new().encode(&mut resp);
             }
             _ => {
                 resp = frame(RESP_EVENTS);

@@ -20,12 +20,13 @@ use std::time::Duration;
 
 /// Maximum accepted frame length (1 GiB).  A corrupt length prefix must
 /// not make the receiver allocate unbounded memory, so the cap exists as a
-/// sanity bound, not a workload limit — but note that one `Delivered`
-/// response carries a chunk's whole round of surviving messages with
-/// `Arc`-shared payloads encoded **per copy**, so broadcast-heavy
-/// experiments at paper-scale `n` can reach hundreds of megabytes per
-/// frame.  Payload interning (ROADMAP) is the planned fix for that regime;
-/// until then this cap is sized to clear it rather than reject it.
+/// sanity bound, not a workload limit.  One `Delivered` response carries a
+/// chunk's whole round of surviving messages, but an `Arc`-shared payload
+/// is written once per frame and every further copy as a back-reference
+/// (`super::intern`), so a frame grows with the *distinct* payloads of a
+/// round plus 17 bytes per message.  Protocols that deep-copy a large
+/// payload per destination still pay per copy; the cap is sized to clear
+/// them at paper-scale `n` rather than reject them.
 pub const MAX_FRAME_LEN: u32 = 1024 * 1024 * 1024;
 
 /// A bidirectional, ordered, reliable frame pipe to one shard worker.

@@ -321,10 +321,13 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
 }
 
 impl<T: Wire> Wire for Arc<T> {
-    /// `Arc` is a sharing wrapper on the sending side only: each copy is
-    /// encoded in full, and decoding re-wraps a fresh allocation.  (Payload
-    /// interning across copies is a future optimisation; see the sharding
-    /// notes in `DESIGN.md`.)
+    /// The per-value codec is the inner value's: one `Arc` encodes in full
+    /// and decodes into a fresh allocation.  Sharing *between* the copies
+    /// of a round is the frame's business, not the value's: the bulk
+    /// message lists write each distinct allocation once and every further
+    /// copy as a back-reference, by address (see [`super::intern`] and
+    /// [`Payload::share_key`](crate::message::Payload::share_key)), so this
+    /// impl runs once per distinct payload per frame.
     fn encode(&self, out: &mut Vec<u8>) {
         self.as_ref().encode(out);
     }

@@ -26,7 +26,7 @@ use crate::round::Round;
 use crate::runner::{Participant, Runner};
 use crate::shard::{
     serve_multi_port, serve_single_port, shard_count, shard_range, ChannelTransport, FaultPlan,
-    Recovery, RecoveryStats, ShardTransport, ShardedRunner, SpShardedRunner, StreamTransport,
+    Recovery, RecoveryStats, ShardTransport, ShardedRunner, SpShardedRunner, StreamTransport, Wire,
 };
 use crate::single_port::SinglePortRunner;
 use crate::trace::Event;
@@ -244,7 +244,9 @@ pub(crate) fn multi_port_worker<P>(
     wiring: Wiring,
 ) -> Box<dyn ShardTransport>
 where
-    P: SyncProtocol<Msg = bool, Output = bool>,
+    P: SyncProtocol,
+    P::Msg: Wire,
+    P::Output: Wire,
 {
     let range = shard_range(n, shards, index);
     let chunk: Vec<_> = build(n)

@@ -1,0 +1,154 @@
+//! What a sharded execution puts on its transports, counted per frame tag
+//! by the coordinator (`wire_stats`) and checked against the per-message
+//! codec: a protocol that `Arc`-shares its payloads crosses each distinct
+//! payload once per frame, and a protocol that shares nothing pays exactly
+//! one slot-tag byte per message for the table it does not use.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use linear_dft::core::{FewCrashesConsensus, Gossip, SystemConfig};
+use linear_dft::sim::shard::{to_bytes, ShardedRunner, Wire, WireStats};
+use linear_dft::sim::{Delivered, NoFaults, Outgoing, Participant, Round, SyncProtocol};
+
+/// Messages and per-message `to_bytes` lengths, one direction.
+#[derive(Default)]
+struct Flow {
+    msgs: AtomicU64,
+    bytes: AtomicU64,
+}
+
+impl Flow {
+    fn add<M: Wire>(&self, msg: &M) {
+        self.msgs.fetch_add(1, Ordering::Relaxed);
+        self.bytes
+            .fetch_add(to_bytes(msg).len() as u64, Ordering::Relaxed);
+    }
+
+    fn read(&self) -> (u64, u64) {
+        (
+            self.msgs.load(Ordering::Relaxed),
+            self.bytes.load(Ordering::Relaxed),
+        )
+    }
+}
+
+/// Everything the nodes sent (what the `Delivered` responses carry when
+/// nobody crashes) and everything handed to a `receive` (what the `Receive`
+/// requests carry).
+#[derive(Default)]
+struct Tally {
+    sent: Flow,
+    received: Flow,
+}
+
+/// A state machine that tallies what its node sends and is handed; the
+/// execution is the wrapped protocol's.
+struct Tap<P> {
+    inner: P,
+    tally: Arc<Tally>,
+}
+
+impl<P: SyncProtocol> SyncProtocol for Tap<P>
+where
+    P::Msg: Wire,
+{
+    type Msg = P::Msg;
+    type Output = P::Output;
+
+    fn send(&mut self, round: Round, out: &mut Vec<Outgoing<P::Msg>>) {
+        let before = out.len();
+        self.inner.send(round, out);
+        for outgoing in &out[before..] {
+            self.tally.sent.add(&outgoing.msg);
+        }
+    }
+
+    fn receive(&mut self, round: Round, inbox: &[Delivered<P::Msg>]) {
+        for delivered in inbox {
+            self.tally.received.add(&delivered.msg);
+        }
+        self.inner.receive(round, inbox);
+    }
+
+    fn output(&self) -> Option<P::Output> {
+        self.inner.output()
+    }
+
+    fn has_halted(&self) -> bool {
+        self.inner.has_halted()
+    }
+}
+
+/// Runs `nodes` fault-free on two in-process shard workers and returns the
+/// coordinator's frame counters next to the nodes' own tally.
+fn run_tapped<P>(nodes: Vec<P>, max_rounds: u64) -> (WireStats, Arc<Tally>)
+where
+    P: SyncProtocol,
+    P::Msg: Wire,
+    P::Output: Wire + PartialEq,
+{
+    let tally = Arc::new(Tally::default());
+    let tap = |inner| Tap {
+        inner,
+        tally: Arc::clone(&tally),
+    };
+    let participants = nodes.into_iter().map(tap).map(Participant::Honest);
+    let mut sharded = ShardedRunner::in_process(participants.collect(), Box::new(NoFaults), 0, 2)
+        .expect("a valid system");
+    let report = sharded.run(max_rounds).expect("no shard worker fails");
+    assert!(report.all_non_faulty_decided());
+    (sharded.wire_stats().clone(), tally)
+}
+
+/// Bytes of the two bulk frame kinds outside the messages themselves.
+/// Per frame: the 3-byte header, then three `u64` counters (`Delivered`) or
+/// the round (`Receive`), then the list length.  Per message: the node the
+/// list is keyed by, the sender, and the slot tag.
+const DELIVERED_FRAME: u64 = 3 + 24 + 8;
+const RECEIVE_FRAME: u64 = 3 + 8 + 8;
+const ENVELOPE: u64 = 8 + 8;
+const SLOT_TAG: u64 = 1;
+
+#[test]
+fn shared_gossip_payloads_cross_the_transports_once_per_frame() {
+    let config = SystemConfig::new(200, 3).unwrap().with_seed(5);
+    let rumors: Vec<u64> = (0..200).map(|i| 9_000 + i).collect();
+    let nodes = Gossip::for_all_nodes(&config, &rumors).unwrap();
+    let rounds = nodes[0].total_rounds();
+    let (wire, tally) = run_tapped(nodes, rounds + 2);
+
+    let (sent, sent_bytes) = tally.sent.read();
+    let (received, received_bytes) = tally.received.read();
+    assert!(sent > 0 && received > 0 && received <= sent);
+    let bulk = wire.named("Delivered").bytes + wire.named("Receive").bytes;
+    let per_copy = sent_bytes + received_bytes;
+    assert!(
+        bulk <= per_copy / 4,
+        "{bulk} bytes over the transports for {per_copy} bytes of per-message encodings"
+    );
+}
+
+#[test]
+fn unshared_consensus_payloads_cost_one_tag_byte_per_message() {
+    let n = 120;
+    let config = SystemConfig::new(n, 9).unwrap().with_seed(5);
+    let inputs: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
+    let nodes = FewCrashesConsensus::for_all_nodes(&config, &inputs).unwrap();
+    let rounds = nodes[0].total_rounds();
+    let (wire, tally) = run_tapped(nodes, rounds + 2);
+
+    let (sent, sent_bytes) = tally.sent.read();
+    let delivered = wire.named("Delivered");
+    assert!(sent > 0);
+    assert_eq!(
+        delivered.bytes,
+        delivered.frames * DELIVERED_FRAME + sent * (ENVELOPE + SLOT_TAG) + sent_bytes
+    );
+    let (received, received_bytes) = tally.received.read();
+    let receive = wire.named("Receive");
+    assert_eq!(
+        receive.bytes,
+        receive.frames * RECEIVE_FRAME + received * (ENVELOPE + SLOT_TAG) + received_bytes
+    );
+}
