@@ -1,7 +1,7 @@
 //! A minimal JSON reader/writer.
 //!
-//! The vendored `serde` is a no-op stand-in (see `vendor/serde`), so the
-//! baseline file is read with this hand-rolled parser and written by
+//! The build has no registry access and so no JSON crate: the baseline
+//! file is read with this hand-rolled parser and written by
 //! [`escape`]-based emitters.  Unlike `dft_bench::baseline`'s line-oriented
 //! reader, baseline entries embed arbitrary source snippets — quotes,
 //! backslashes, anything — so strings need real escape handling, which is

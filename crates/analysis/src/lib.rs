@@ -13,11 +13,11 @@
 //!   protocol logic;
 //! * **panic hygiene** — `unwrap`/`expect`/`panic!`/indexing in library
 //!   code;
-//! * **wire-format completeness** — every `impl Wire for T` (tuples
-//!   included) named by a test, every frame decode routed through the
-//!   `WIRE_VERSION` check, and — via the structural [`schema`] pass —
-//!   encode/decode op-sequence symmetry for every impl, ratcheted by the
-//!   committed `WIRE_SCHEMA.json`;
+//! * **wire-format completeness** — every wire type (declared or leaf,
+//!   tuples included) named by a test, every frame decode routed through
+//!   the `WIRE_VERSION` check, and — via the [`schema`] pass — every
+//!   composite codec declared rather than hand-written, with the declared
+//!   layouts ratcheted by the committed `WIRE_SCHEMA.json`;
 //! * **layering** — a declared layer map ([`layering`]) of which
 //!   first-party crates each layer may import, generalizing the old
 //!   one-off sans-I/O boundary check;

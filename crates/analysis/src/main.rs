@@ -28,11 +28,12 @@
 //! `ALLOC_baseline.json` with the same flags and exit codes as the main
 //! scan (`--baseline` defaults to `ALLOC_baseline.json` under the root).
 //!
-//! The `schema` subcommand runs the wire-schema ratchet: it extracts the
-//! canonical encode/decode schema of every `impl Wire for T` and compares
-//! it against the committed `WIRE_SCHEMA.json` (`--schema PATH` to
-//! override the location).  Symmetry problems always fail; a content
-//! change at the same `WIRE_VERSION` fails until the version is bumped;
+//! The `schema` subcommand runs the wire-schema ratchet: it reads the
+//! layout every `wire_struct!` / `wire_enum!` declares, lists the leaf
+//! codecs, and compares the result against the committed
+//! `WIRE_SCHEMA.json` (`--schema PATH` to override the location).  A
+//! composite codec written by hand always fails; a content change at the
+//! same `WIRE_VERSION` fails until the version is bumped;
 //! `--update` regenerates the file after a bump (and refuses to paper
 //! over an unbumped change).
 //!
@@ -89,14 +90,14 @@ fn schema_main(args: impl Iterator<Item = String>) -> ExitCode {
         Ok(extraction) => extraction,
         Err(error) => return fail(&format!("cannot extract wire schema: {error}")),
     };
-    // Symmetry/resolution problems fail regardless of the committed file:
-    // an asymmetric impl is wrong even at the right version.
+    // A hand-written composite codec fails regardless of the committed
+    // file: it is outside the schema at any version.
     if !extraction.problems.is_empty() {
         for finding in &extraction.problems {
             println!("NEW {}", finding.render());
         }
         eprintln!(
-            "dft-analyze: {} wire-schema problem(s); fix the impls before ratcheting",
+            "dft-analyze: {} wire-schema problem(s); declare the types before ratcheting",
             extraction.problems.len()
         );
         return ExitCode::FAILURE;

@@ -1,6 +1,6 @@
 //! A recursive-descent layer over the token stream: bracket-matched token
-//! trees, `impl Wire for T` discovery, and the literal/constant readers the
-//! structural analyses need.
+//! trees, `impl Wire for T` discovery, function items, and the
+//! literal/constant readers the structural analyses need.
 //!
 //! The lexer ([`crate::lexer`]) stays deliberately flat; this module adds
 //! just enough structure on top for the wire-schema and layering analyses:
@@ -152,29 +152,14 @@ pub fn int_value(text: &str) -> Option<u64> {
 }
 
 /// The canonical type name for a tuple impl of the given arity: `Unit` for
-/// `()`, `Tuple2` for `(A, B)`, and so on.  Shared by the wire-untested
-/// rule and the schema extractor so the two can never disagree on what a
-/// test must name.
-pub fn tuple_type_name(arity: usize) -> String {
+/// `()`, `Tuple2` for `(A, B)`, and so on — the name a test must use for a
+/// tuple codec.
+fn tuple_type_name(arity: usize) -> String {
     if arity == 0 {
         "Unit".to_string()
     } else {
         format!("Tuple{arity}")
     }
-}
-
-/// One `fn` inside an impl body.
-#[derive(Clone, Debug)]
-pub struct FnDef {
-    /// The function's name.
-    pub name: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: usize,
-    /// Binding names of the non-`self` parameters, in order (`encode`'s
-    /// writer, `decode`'s reader).
-    pub params: Vec<String>,
-    /// The body's trees.
-    pub body: Vec<Tree>,
 }
 
 /// One `impl Wire for T` block (including qualified trait paths like
@@ -187,15 +172,6 @@ pub struct WireImpl {
     pub generics: Vec<String>,
     /// 1-based line of the `impl` keyword.
     pub line: usize,
-    /// The `fn`s of the impl body.
-    pub fns: Vec<FnDef>,
-}
-
-impl WireImpl {
-    /// The impl's `fn` of the given name, if present.
-    pub fn fn_def(&self, name: &str) -> Option<&FnDef> {
-        self.fns.iter().find(|f| f.name == name)
-    }
 }
 
 /// Collects every `impl … Wire for T` in the trees, recursing into module
@@ -254,14 +230,12 @@ fn parse_wire_impl(trees: &[Tree], i: usize) -> Option<(WireImpl, usize)> {
     // The body is the next `{` group.
     loop {
         let tree = trees.get(k)?;
-        if let Some(body) = tree.group('{') {
-            let fns = parse_fns(body);
+        if tree.group('{').is_some() {
             return Some((
                 WireImpl {
                     type_name,
                     generics,
                     line,
-                    fns,
                 },
                 k + 1,
             ));
@@ -272,7 +246,7 @@ fn parse_wire_impl(trees: &[Tree], i: usize) -> Option<(WireImpl, usize)> {
 
 /// Parses `<…>` impl generics at `k` (if present), collecting the type
 /// parameter names and leaving `k` just past the closing `>`.
-fn parse_generics(trees: &[Tree], k: &mut usize) -> Vec<String> {
+pub fn parse_generics(trees: &[Tree], k: &mut usize) -> Vec<String> {
     let mut params = Vec::new();
     if !trees.get(*k).is_some_and(|t| t.is_punct('<')) {
         return params;
@@ -301,10 +275,11 @@ fn parse_generics(trees: &[Tree], k: &mut usize) -> Vec<String> {
     params
 }
 
-/// Parses the implemented type after `for`, producing its canonical name:
-/// tuples become [`tuple_type_name`]s, paths keep their last segment, and
+/// Parses the type at `k` (the implemented type after `for`, or a declared
+/// field's type), producing its canonical name:
+/// tuples become `Unit` / `Tuple2` / …, paths keep their last segment, and
 /// generic arguments are dropped (`Outgoing<M>` → `Outgoing`).
-fn parse_self_type(trees: &[Tree], k: &mut usize) -> Option<String> {
+pub fn parse_self_type(trees: &[Tree], k: &mut usize) -> Option<String> {
     if let Some(elems) = trees.get(*k).and_then(|t| t.group('(')) {
         *k += 1;
         return Some(tuple_type_name(tuple_arity(elems)));
@@ -343,65 +318,6 @@ pub fn tuple_arity(elems: &[Tree]) -> usize {
         }
     }
     arity
-}
-
-/// Extracts the `fn`s of an impl body.
-fn parse_fns(body: &[Tree]) -> Vec<FnDef> {
-    let mut fns = Vec::new();
-    let mut i = 0;
-    while let Some(tree) = body.get(i) {
-        if !tree.is_ident("fn") {
-            i += 1;
-            continue;
-        }
-        let line = tree.line();
-        let Some(name) = body.get(i + 1).and_then(Tree::ident) else {
-            i += 1;
-            continue;
-        };
-        let Some(params) = body.get(i + 2).and_then(|t| t.group('(')) else {
-            i += 2;
-            continue;
-        };
-        // Skip the return type (if any) up to the body group.
-        let mut k = i + 3;
-        while k < body.len() && body.get(k).and_then(|t| t.group('{')).is_none() {
-            k += 1;
-        }
-        let fn_body = body.get(k).and_then(|t| t.group('{')).unwrap_or(&[]);
-        fns.push(FnDef {
-            name: name.to_string(),
-            line,
-            params: param_bindings(params),
-            body: fn_body.to_vec(),
-        });
-        i = k + 1;
-    }
-    fns
-}
-
-/// The binding names of the non-`self` parameters, in order.
-fn param_bindings(params: &[Tree]) -> Vec<String> {
-    let mut bindings = Vec::new();
-    let mut start_of_param = true;
-    for tree in params {
-        if tree.is_punct(',') {
-            start_of_param = true;
-            continue;
-        }
-        if !start_of_param {
-            continue;
-        }
-        match tree.ident() {
-            Some("mut") | None => {} // `&`, `mut` — keep looking
-            Some("self") => start_of_param = false,
-            Some(name) => {
-                bindings.push(name.to_string());
-                start_of_param = false;
-            }
-        }
-    }
-    bindings
 }
 
 /// One first-party function item: a free `fn`, an inherent or trait-impl
@@ -571,12 +487,18 @@ fn parse_fn_item(trees: &[Tree], i: usize, self_type: Option<&str>) -> Option<(F
 }
 
 /// Splits a group's trees at top-level commas into non-empty elements
-/// (tuple elements, struct-literal fields, use-group members).
+/// (declared fields and variants, use-group members); a comma between the
+/// angle brackets of a generic type (`Map<K, V>`) is not top-level.
 pub fn top_level_elements(trees: &[Tree]) -> Vec<&[Tree]> {
     let mut out = Vec::new();
     let mut start = 0;
+    let mut angle_depth = 0usize;
     for (i, tree) in trees.iter().enumerate() {
-        if tree.is_punct(',') {
+        if tree.is_punct('<') {
+            angle_depth += 1;
+        } else if tree.is_punct('>') {
+            angle_depth = angle_depth.saturating_sub(1);
+        } else if tree.is_punct(',') && angle_depth == 0 {
             if let Some(element) = trees.get(start..i) {
                 if !element.is_empty() {
                     out.push(element);
@@ -616,46 +538,6 @@ pub fn wire_version_const(tokens: &[Token]) -> Option<u64> {
         }
     }
     None
-}
-
-/// Type aliases (`type Name = Target;`) whose target is a plain path —
-/// the alias table the schema extractor resolves nested names through
-/// (`SignerId` → `usize`).  Generic aliases and non-path targets are
-/// skipped.
-pub fn type_aliases(tokens: &[Token], is_test: &dyn Fn(usize) -> bool) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    for (i, token) in tokens.iter().enumerate() {
-        if !token.is_ident("type") || is_test(token.line) {
-            continue;
-        }
-        let Some(name) = tokens.get(i + 1).filter(|t| t.kind == TokenKind::Ident) else {
-            continue;
-        };
-        if !tokens.get(i + 2).is_some_and(|t| t.is_punct('=')) {
-            continue;
-        }
-        let mut target: Option<&str> = None;
-        let mut ok = true;
-        for t in tokens.iter().skip(i + 3) {
-            if t.is_punct(';') {
-                break;
-            }
-            match t.kind {
-                TokenKind::Ident => target = Some(&t.text),
-                TokenKind::Punct(':') => {}
-                _ => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if ok {
-            if let Some(target) = target {
-                out.push((name.text.clone(), target.to_string()));
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -702,16 +584,8 @@ mod tests {
         );
         assert_eq!(found.len(), 2);
         assert_eq!(found[0].type_name, "NodeId");
-        assert_eq!(
-            found[0].fn_def("encode").map(|f| f.params.clone()),
-            Some(vec!["out".to_string()])
-        );
         assert_eq!(found[1].type_name, "Outgoing");
         assert_eq!(found[1].generics, vec!["M".to_string()]);
-        assert_eq!(
-            found[1].fn_def("decode").map(|f| f.params.clone()),
-            Some(vec!["r".to_string()])
-        );
     }
 
     #[test]
@@ -752,22 +626,6 @@ mod tests {
         assert_eq!(
             wire_version_const(&lex("let x = WIRE_VERSION;").tokens),
             None
-        );
-    }
-
-    #[test]
-    fn alias_table_keeps_plain_paths_only() {
-        let lexed = lex("pub type SignerId = usize;\n\
-             pub type WireResult<T> = Result<T, WireError>;\n\
-             type Unit = ();\n\
-             type Qualified = crate::keys::SignerId;");
-        let aliases = type_aliases(&lexed.tokens, &|_| false);
-        assert_eq!(
-            aliases,
-            vec![
-                ("SignerId".to_string(), "usize".to_string()),
-                ("Qualified".to_string(), "SignerId".to_string()),
-            ]
         );
     }
 }

@@ -43,7 +43,7 @@ pub const RULE_PANIC_MACRO: &str = "panic-macro";
 pub const RULE_INDEX: &str = "index-slicing";
 /// Frame decoding that bypasses `open_frame`'s `WIRE_VERSION` check.
 pub const RULE_WIRE_VERSION: &str = "wire-version";
-/// An `impl Wire for T` no test names — unpinned wire format.
+/// A wire type (declared or leaf) no test names — unpinned wire format.
 pub const RULE_WIRE_UNTESTED: &str = "wire-untested";
 /// `#[allow(…)]` without an adjacent justification comment.
 pub const RULE_ALLOW: &str = "allow-unjustified";
@@ -56,7 +56,7 @@ pub const RULE_SANS_IO: &str = "sans-io-boundary";
 pub const RULE_UNSAFE: &str = "unsafe-forbid";
 
 pub use crate::layering::RULE_LAYER;
-pub use crate::schema::RULE_WIRE_ASYM;
+pub use crate::schema::RULE_WIRE_HANDWRITTEN;
 
 /// Every rule, for documentation and validation.
 pub const RULES: &[&str] = &[
@@ -75,7 +75,7 @@ pub const RULES: &[&str] = &[
     RULE_SANS_IO,
     RULE_LAYER,
     RULE_UNSAFE,
-    RULE_WIRE_ASYM,
+    RULE_WIRE_HANDWRITTEN,
 ];
 
 /// Methods that iterate a hash collection in allocation order.
@@ -119,19 +119,34 @@ pub fn analyze(root: &Path) -> Result<Vec<Finding>, String> {
         }
     }
 
-    // Pass 2: per-file rules plus wire-impl collection.
+    // Pass 2: per-file rules.
     let mut findings = Vec::new();
     for p in &prepared {
         if p.file.kind != FileKind::Test {
-            check_file(p, &corpus, &mut findings);
+            check_file(p, &mut findings);
         }
     }
 
-    // Pass 3: the structural wire-schema pass — encode/decode symmetry,
-    // lengths-before-payloads, and nested-type resolution per impl.
+    // Pass 3: the wire schema — hand-written composite codecs, and every
+    // wire type (declared or leaf) that no test names.
     let extraction = schema::extract_schema(root)
         .map_err(|e| format!("cannot extract wire schema under {}: {e}", root.display()))?;
     findings.extend(extraction.problems);
+    for site in extraction.sites {
+        if !corpus.contains(&site.name) {
+            findings.push(Finding {
+                message: format!(
+                    "the `Wire` codec of `{0}` has no test naming `{0}` (roundtrip / \
+                     version-compat)",
+                    site.name
+                ),
+                file: site.file,
+                line: site.line,
+                rule: RULE_WIRE_UNTESTED,
+                snippet: site.snippet,
+            });
+        }
+    }
 
     crate::findings::sort_findings(&mut findings);
     Ok(findings)
@@ -176,7 +191,7 @@ impl Prepared {
     }
 }
 
-fn check_file(p: &Prepared, corpus: &BTreeSet<String>, out: &mut Vec<Finding>) {
+fn check_file(p: &Prepared, out: &mut Vec<Finding>) {
     let tokens = &p.lexed.tokens;
     let hash_names = hash_collection_names(tokens);
     let in_core = p.file.rel.starts_with("crates/core/src");
@@ -290,21 +305,6 @@ fn check_file(p: &Prepared, corpus: &BTreeSet<String>, out: &mut Vec<Finding>) {
                             RULE_HASH_ITER,
                             format!("`for … in {hash_name}` iterates in allocation order"),
                         ));
-                    }
-                }
-                // Wire impl coverage.
-                if name == "Wire" && matches!(tokens.get(i + 1), Some(t) if t.is_ident("for")) {
-                    if let Some(type_name) = wire_impl_type(tokens, i + 2) {
-                        if !corpus.contains(&type_name) {
-                            out.push(p.finding(
-                                line,
-                                RULE_WIRE_UNTESTED,
-                                format!(
-                                    "`impl Wire for {type_name}` has no test naming \
-                                     `{type_name}` (roundtrip / version-compat)"
-                                ),
-                            ));
-                        }
                     }
                 }
             }
@@ -613,59 +613,6 @@ fn forbids_unsafe(tokens: &[Token]) -> bool {
     })
 }
 
-/// Extracts the implemented type's name from the tokens after `Wire for`.
-/// Tuple impls get the canonical names the schema pass uses (`Unit`,
-/// `Tuple2`, …), so tests must name those too.
-fn wire_impl_type(tokens: &[Token], mut k: usize) -> Option<String> {
-    if matches!(tokens.get(k), Some(t) if t.is_punct('(')) {
-        let mut paren_depth = 0usize;
-        let mut angle_depth = 0usize;
-        let mut arity = 0usize;
-        let mut in_element = false;
-        while let Some(t) = tokens.get(k) {
-            match t.kind {
-                TokenKind::Punct('(') => {
-                    if paren_depth > 0 && !in_element {
-                        arity += 1;
-                        in_element = true;
-                    }
-                    paren_depth += 1;
-                }
-                TokenKind::Punct(')') => {
-                    paren_depth -= 1;
-                    if paren_depth == 0 {
-                        break;
-                    }
-                }
-                TokenKind::Punct('<') => angle_depth += 1,
-                TokenKind::Punct('>') => angle_depth = angle_depth.saturating_sub(1),
-                TokenKind::Punct(',') if paren_depth == 1 && angle_depth == 0 => {
-                    in_element = false;
-                }
-                _ if paren_depth == 1 && !in_element => {
-                    arity += 1;
-                    in_element = true;
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        return Some(crate::parser::tuple_type_name(arity));
-    }
-    let mut last = None;
-    while let Some(t) = tokens.get(k) {
-        match t.kind {
-            TokenKind::Ident if t.text == "where" => break,
-            TokenKind::Ident => last = Some(t.text.clone()),
-            TokenKind::Punct(':') | TokenKind::Punct('&') => {}
-            TokenKind::Punct('<') | TokenKind::Punct('{') => break,
-            _ => break,
-        }
-        k += 1;
-    }
-    last
-}
-
 /// For a `#` token at `i` opening an `allow` attribute, returns the
 /// attribute's line when no comment sits on it or the line above.
 fn unjustified_allow(p: &Prepared, tokens: &[Token], i: usize) -> Option<usize> {
@@ -776,35 +723,5 @@ mod tests {
         assert!(!sorted_at(
             "let mut ks: Vec<u64> = map.keys().copied().collect();\nks.reverse();"
         ));
-    }
-
-    #[test]
-    fn wire_impl_type_names() {
-        let toks = lex("impl Wire for NodeId {").tokens;
-        assert_eq!(wire_impl_type(&toks, 3), Some("NodeId".to_string()));
-        let toks = lex("impl<M: Wire> Wire for Outgoing<M> {").tokens;
-        // Find the `Wire for` pair and parse after it.
-        let pos = toks
-            .windows(2)
-            .position(|w| w[0].is_ident("Wire") && w[1].is_ident("for"))
-            .expect("impl header");
-        assert_eq!(wire_impl_type(&toks, pos + 2), Some("Outgoing".to_string()));
-        let tuple_name = |src: &str| {
-            let toks = lex(src).tokens;
-            let pos = toks
-                .windows(2)
-                .position(|w| w[0].is_ident("Wire") && w[1].is_ident("for"))
-                .expect("impl header");
-            wire_impl_type(&toks, pos + 2)
-        };
-        assert_eq!(
-            tuple_name("impl<A: Wire, B: Wire> Wire for (A, B) {"),
-            Some("Tuple2".to_string())
-        );
-        assert_eq!(
-            tuple_name("impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {"),
-            Some("Tuple3".to_string())
-        );
-        assert_eq!(tuple_name("impl Wire for () {"), Some("Unit".to_string()));
     }
 }

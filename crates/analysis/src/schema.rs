@@ -1,27 +1,30 @@
-//! Wire-schema extraction and encode/decode symmetry checking.
+//! Wire-schema extraction: the declared layouts, dumped and ratcheted.
 //!
 //! The shard wire format is the one contract tying serial runs, `--shards`
 //! workers and the `dft-node` TCP cluster to byte-identical decision
-//! tables, and its `Wire` impls are hand-written on both sides.  This pass
-//! parses every `impl Wire for T` (via [`crate::parser`]), extracts the
-//! ordered sequence of primitive write/read operations from `encode` and
-//! `decode`, and checks the two sides against each other:
+//! tables.  A type made of fields or of tagged variants declares its layout
+//! once, with `wire_struct!` / `wire_enum!` (`dft_sim::shard::wire`), and
+//! the compiler derives both `encode` and `decode` from that list — so the
+//! two directions agreeing, every field and variant being on the wire, and
+//! every nested type having a codec are compile errors, not findings.  What
+//! is left for this pass:
 //!
-//! * same op count, same order, with enum tag bytes, fixed-width
-//!   primitives, nested `Wire` fields, repeats (`for` loops) and
-//!   tag-dispatched variants (`match`) compared structurally;
-//! * field labels compared when both sides name them (`self.to.encode`
-//!   vs `to: NodeId::decode(r)?` — a reorder is a finding);
-//! * every repeat preceded by a scalar in the same op list
-//!   (lengths-before-payloads);
-//! * every nested type reference resolvable to a builtin, a generic
-//!   parameter, another extracted impl, or a plain type alias.
+//! * read every declaration (via [`crate::parser`]) and render it as one
+//!   `ops` string per type: `from:NodeId msg:M` for a struct,
+//!   `match{0=Rumor(V); 1=Decision(V)}` for an enum, types by their last
+//!   path segment;
+//! * list the hand-written leaf codecs the declarations bottom out in
+//!   (`LEAVES`) with `ops: "leaf"` — their byte layout is pinned by the
+//!   golden-bytes tests next to them, not by this file;
+//! * report any other hand-written `impl Wire for T` as
+//!   [`RULE_WIRE_HANDWRITTEN`], so "every composite type is declared once"
+//!   is itself enforced.
 //!
-//! The decode-side op sequences form the canonical schema, committed as
-//! `WIRE_SCHEMA.json` and ratcheted like `ANALYSIS_baseline.json`: a
-//! schema change without a `WIRE_VERSION` bump fails `dft-analyze schema
-//! --ci`, turning wire-format breaks from silent cross-process corruption
-//! into an explicit reviewed event.  See DESIGN.md §"Wire schema ratchet".
+//! The result is committed as `WIRE_SCHEMA.json` and ratcheted like
+//! `ANALYSIS_baseline.json`: a schema change without a `WIRE_VERSION` bump
+//! fails `dft-analyze schema --ci`, turning a wire-format break from silent
+//! cross-process corruption into an explicit reviewed event.  See DESIGN.md
+//! §"Wire schema ratchet".
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -31,810 +34,178 @@ use std::path::Path;
 use crate::findings::{normalize_snippet, Finding};
 use crate::json::{self, Json};
 use crate::lexer::lex;
-use crate::parser::{self, top_level_elements, Tree, WireImpl};
+use crate::parser::{self, top_level_elements, Tree};
 use crate::regions::test_regions;
 use crate::walk::{self, FileKind};
 
-/// Rule identifier for encode/decode symmetry and resolution findings.
-pub const RULE_WIRE_ASYM: &str = "wire-asymmetry";
+/// Rule identifier for a composite `Wire` impl written by hand.
+pub const RULE_WIRE_HANDWRITTEN: &str = "wire-handwritten";
 
-/// Builtin leaf types a nested reference may resolve to.
-const BUILTINS: [&str; 7] = ["bool", "u8", "u16", "u32", "u64", "u128", "usize"];
-
-/// One primitive operation of an encode or decode body, in source order.
-#[derive(Clone, Debug, PartialEq)]
-enum Op {
-    /// A literal tag byte (`out.push(3)`).
-    Tag(u64),
-    /// A fixed-width primitive read/write (`u8`, `u16`, `u32`, `u64`,
-    /// `len`).
-    Prim(&'static str),
-    /// A nested `Wire` field.  `ty` is known on the decode side
-    /// (`NodeId::decode(r)`), `label` when either side names the field
-    /// (`self.to` / `to:`).  A field with neither is *weak*: it matches
-    /// any single op.
-    Field {
-        ty: Option<String>,
-        label: Option<String>,
-    },
-    /// A `for` loop body (sequence payload).
-    Repeat(Vec<Op>),
-    /// A tag-dispatched `match` (the tag byte is absorbed into the arms).
-    Switch(Vec<Arm>),
-}
-
-/// One arm of a [`Op::Switch`].
-#[derive(Clone, Debug, PartialEq)]
-struct Arm {
-    tag: Option<u64>,
-    label: Option<String>,
-    ops: Vec<Op>,
-}
-
-fn width(prim: &str) -> usize {
-    match prim {
-        "u8" => 1,
-        "u16" => 2,
-        "u32" => 4,
-        "len" | "u64" => 8,
-        _ => 0,
-    }
-}
-
-fn is_uppercase_ident(name: &str) -> bool {
-    name.chars().next().is_some_and(char::is_uppercase)
-}
+/// The hand-written codecs, by file: primitives and containers, the two
+/// identifier newtypes whose fields are private to their modules, and the
+/// two value types whose decoders bound allocations and accept only
+/// canonical forms.  Everything else is declared.
+const LEAVES: &[(&str, &[&str])] = &[
+    (
+        "crates/sim/src/shard/wire.rs",
+        &[
+            "Unit", "bool", "u8", "u16", "u32", "u64", "usize", "Vec", "Tuple2", "Tuple3", "Arc",
+            "NodeId", "Round",
+        ],
+    ),
+    ("crates/core/src/wire.rs", &["BitVector", "ExtantSet"]),
+];
 
 // ---------------------------------------------------------------------------
-// Encode-side extraction
+// Reading declarations
 // ---------------------------------------------------------------------------
 
-/// Extracts the ordered write ops of an `encode` body.  `writer` is the
-/// output-parameter binding, `strong` the struct-destructured bindings in
-/// scope (which carry field labels), `self_ty` the implemented type (for
-/// `self.to_le_bytes()` widths).
-fn encode_ops(trees: &[Tree], writer: &str, strong: &BTreeSet<String>, self_ty: &str) -> Vec<Op> {
-    let mut ops = Vec::new();
-    let mut i = 0;
-    while i < trees.len() {
-        // `writer.push(..)` / `writer.extend_from_slice(..)`.
-        if trees.get(i).is_some_and(|t| t.is_ident(writer))
-            && trees.get(i + 1).is_some_and(|t| t.is_punct('.'))
-        {
-            if let (Some(method), Some(args)) = (
-                trees.get(i + 2).and_then(Tree::ident),
-                trees.get(i + 3).and_then(|t| t.group('(')),
-            ) {
-                match method {
-                    "push" => {
-                        ops.push(match args {
-                            [one] if one.int().is_some() => Op::Tag(one.int().unwrap_or_default()),
-                            _ => Op::Prim("u8"),
-                        });
-                        i += 4;
-                        continue;
-                    }
-                    "extend_from_slice" => {
-                        ops.push(le_bytes_op(args, self_ty));
-                        i += 4;
-                        continue;
-                    }
-                    _ => {}
-                }
-            }
-        }
-        // `RECV.encode(writer)`.
-        if trees.get(i).is_some_and(|t| t.is_ident("encode"))
-            && i >= 2
-            && trees.get(i - 1).is_some_and(|t| t.is_punct('.'))
-            && trees
-                .get(i + 1)
-                .and_then(|t| t.group('('))
-                .is_some_and(|args| args.iter().any(|a| a.is_ident(writer)))
-        {
-            ops.push(encode_receiver(trees, i, strong));
-            i += 2;
-            continue;
-        }
-        // `match` with `self` in the scrutinee → tag dispatch.
-        if trees.get(i).is_some_and(|t| t.is_ident("match")) {
-            let mut k = i + 1;
-            let mut has_self = false;
-            while let Some(tree) = trees.get(k) {
-                if let Some(body) = tree.group('{') {
-                    if has_self {
-                        ops.push(Op::Switch(encode_arms(body, writer, strong, self_ty)));
-                        i = k + 1;
-                    } else {
-                        i += 1;
-                    }
-                    break;
-                }
-                if tree.is_ident("self") {
-                    has_self = true;
-                }
-                k += 1;
-            }
-            if trees.get(k).is_none() {
-                i = k;
-            }
-            continue;
-        }
-        // `for PAT in ITER { body }` → repeat.
-        if trees.get(i).is_some_and(|t| t.is_ident("for")) {
-            let mut k = i + 1;
-            while let Some(tree) = trees.get(k) {
-                if let Some(body) = tree.group('{') {
-                    let inner = encode_ops(body, writer, strong, self_ty);
-                    if !inner.is_empty() {
-                        ops.push(Op::Repeat(inner));
-                    }
-                    break;
-                }
-                k += 1;
-            }
-            i = k + 1;
-            continue;
-        }
-        // Any other group (if/else blocks, parens): recurse.
-        if let Some(Tree::Group { trees: inner, .. }) = trees.get(i) {
-            ops.extend(encode_ops(inner, writer, strong, self_ty));
-        }
-        i += 1;
-    }
-    ops
+/// One `wire_struct!(…)` / `wire_enum!(…)` invocation.
+struct Declaration {
+    name: String,
+    generics: Vec<String>,
+    line: usize,
+    ops: String,
 }
 
-/// The op for `writer.extend_from_slice(&X.to_le_bytes())`.
-fn le_bytes_op(args: &[Tree], self_ty: &str) -> Op {
-    let weak = Op::Field {
-        ty: None,
-        label: None,
-    };
-    let Some(j) = args.iter().position(|t| t.is_ident("to_le_bytes")) else {
-        return weak;
-    };
-    if j < 2 || !args.get(j - 1).is_some_and(|t| t.is_punct('.')) {
-        return weak;
-    }
-    // `&self.to_le_bytes()` — the implemented type's own width.
-    if args.get(j - 2).is_some_and(|t| t.is_ident("self")) {
-        return match self_ty {
-            "u16" | "u32" | "u64" => Op::Prim(match self_ty {
-                "u16" => "u16",
-                "u32" => "u32",
-                _ => "u64",
-            }),
-            _ => weak,
+/// Collects every declaration in the trees, recursing into module bodies.
+/// The macros' own recursive calls (`wire_enum!(@variant …)`) do not open
+/// with a type name and are skipped.
+fn declarations(trees: &[Tree], is_test: &dyn Fn(usize) -> bool, out: &mut Vec<Declaration>) {
+    for (i, tree) in trees.iter().enumerate() {
+        if let Tree::Group { trees: inner, .. } = tree {
+            declarations(inner, is_test, out);
+            continue;
+        }
+        let is_enum = tree.is_ident("wire_enum");
+        if !(is_enum || tree.is_ident("wire_struct")) || is_test(tree.line()) {
+            continue;
+        }
+        if !trees.get(i + 1).is_some_and(|t| t.is_punct('!')) {
+            continue;
+        }
+        let Some(Tree::Group { trees: args, .. }) = trees.get(i + 2) else {
+            continue;
         };
-    }
-    // `&self.FIELD.to_le_bytes()` — a labelled field of unknown width.
-    if args.get(j - 3).is_some_and(|t| t.is_punct('.'))
-        && args.get(j - 4).is_some_and(|t| t.is_ident("self"))
-    {
-        if let Some(label) = leaf_text(args.get(j - 2)) {
-            return Op::Field {
-                ty: None,
-                label: Some(label),
-            };
-        }
-    }
-    weak
-}
-
-/// The text of an identifier or integer leaf (`self.id` / `self.0`).
-fn leaf_text(tree: Option<&Tree>) -> Option<String> {
-    match tree {
-        Some(t) => match (t.ident(), t.int()) {
-            (Some(name), _) => Some(name.to_string()),
-            (None, Some(v)) => Some(v.to_string()),
-            _ => None,
-        },
-        None => None,
-    }
-}
-
-/// The field op for the receiver of `.encode(writer)` at index `i` of the
-/// `encode` identifier.
-fn encode_receiver(trees: &[Tree], i: usize, strong: &BTreeSet<String>) -> Op {
-    // `self.FIELD.encode(..)` — strong label.
-    if trees
-        .get(i.wrapping_sub(3))
-        .is_some_and(|t| t.is_punct('.'))
-        && trees
-            .get(i.wrapping_sub(4))
-            .is_some_and(|t| t.is_ident("self"))
-    {
-        if let Some(label) = leaf_text(trees.get(i - 2)) {
-            return Op::Field {
-                ty: None,
-                label: Some(label),
-            };
-        }
-    }
-    // A struct-destructured binding — carries its field label.
-    if let Some(name) = trees.get(i.wrapping_sub(2)).and_then(Tree::ident) {
-        if strong.contains(name) {
-            return Op::Field {
-                ty: None,
-                label: Some(name.to_string()),
-            };
-        }
-    }
-    // Anything else (call chains, casts, loop bindings): weak.
-    Op::Field {
-        ty: None,
-        label: None,
-    }
-}
-
-/// Parses the arms of an encode-side `match self { … }`.
-fn encode_arms(trees: &[Tree], writer: &str, strong: &BTreeSet<String>, self_ty: &str) -> Vec<Arm> {
-    let mut arms = Vec::new();
-    for (pattern, body) in split_arms(trees) {
-        let label = pattern
-            .iter()
-            .filter_map(Tree::ident)
-            .rfind(|n| is_uppercase_ident(n))
-            .map(str::to_string);
-        // Struct-destructure bindings (`Pair { node, rumor }`) are strong.
-        let mut bindings = strong.clone();
-        for tree in pattern {
-            if let Some(inner) = tree.group('{') {
-                bindings.extend(inner.iter().filter_map(Tree::ident).map(str::to_string));
-            }
-        }
-        let mut ops = encode_ops(body, writer, &bindings, self_ty);
-        let tag = match ops.first() {
-            Some(Op::Tag(v)) => {
-                let v = *v;
-                ops.remove(0);
-                Some(v)
-            }
-            _ => None,
-        };
-        arms.push(Arm { tag, label, ops });
-    }
-    arms
-}
-
-/// Splits a `match` body into `(pattern, body)` tree slices: pattern up to
-/// `=>`, body either the following brace group or everything to the next
-/// top-level comma.
-fn split_arms(trees: &[Tree]) -> Vec<(&[Tree], &[Tree])> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < trees.len() {
-        let start = i;
-        // Pattern: up to `=` `>`.
-        while i < trees.len()
-            && !(trees.get(i).is_some_and(|t| t.is_punct('='))
-                && trees.get(i + 1).is_some_and(|t| t.is_punct('>')))
-        {
-            i += 1;
-        }
-        if i >= trees.len() {
-            break;
-        }
-        let pattern = trees.get(start..i).unwrap_or_default();
-        i += 2; // past `=>`
-        let body = match trees.get(i).and_then(|t| t.group('{')) {
-            Some(inner) => {
-                i += 1;
-                inner
-            }
-            None => {
-                let body_start = i;
-                while i < trees.len() && !trees.get(i).is_some_and(|t| t.is_punct(',')) {
-                    i += 1;
-                }
-                trees.get(body_start..i).unwrap_or_default()
-            }
-        };
-        if trees.get(i).is_some_and(|t| t.is_punct(',')) {
-            i += 1;
-        }
-        out.push((pattern, body));
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Decode-side extraction
-// ---------------------------------------------------------------------------
-
-/// Extracts the ordered read ops of a `decode` body.  `reader` is the
-/// `WireReader` binding.
-fn decode_ops(trees: &[Tree], reader: &str) -> Vec<Op> {
-    let mut ops = Vec::new();
-    let mut i = 0;
-    while i < trees.len() {
-        // `reader.u8()` / `.u16()` / `.u64()` / `.len()` / `.take(n, _)`.
-        if trees.get(i).is_some_and(|t| t.is_ident(reader))
-            && trees.get(i + 1).is_some_and(|t| t.is_punct('.'))
-        {
-            if let (Some(method), Some(args)) = (
-                trees.get(i + 2).and_then(Tree::ident),
-                trees.get(i + 3).and_then(|t| t.group('(')),
-            ) {
-                let op = match method {
-                    "u8" | "u16" | "u32" | "u64" | "len" => Some(Op::Prim(match method {
-                        "u8" => "u8",
-                        "u16" => "u16",
-                        "u32" => "u32",
-                        "u64" => "u64",
-                        _ => "len",
-                    })),
-                    "take" => Some(match args.first().and_then(Tree::int) {
-                        Some(1) => Op::Prim("u8"),
-                        Some(2) => Op::Prim("u16"),
-                        Some(4) => Op::Prim("u32"),
-                        Some(8) => Op::Prim("u64"),
-                        _ => Op::Field {
-                            ty: None,
-                            label: None,
-                        },
-                    }),
-                    _ => None,
-                };
-                if let Some(op) = op {
-                    ops.push(op);
-                    i += 4;
-                    continue;
-                }
-            }
-        }
-        // `PATH::decode(reader)` → nested field of that type.
-        if trees.get(i).is_some_and(|t| t.is_ident("decode"))
-            && i >= 3
-            && trees.get(i - 1).is_some_and(|t| t.is_punct(':'))
-            && trees.get(i - 2).is_some_and(|t| t.is_punct(':'))
-            && trees
-                .get(i + 1)
-                .and_then(|t| t.group('('))
-                .is_some_and(|args| args.iter().any(|a| a.is_ident(reader)))
-        {
-            ops.push(Op::Field {
-                ty: decode_path_type(trees, i),
-                label: None,
-            });
-            i += 2;
+        let Some(name) = args.first().and_then(Tree::ident) else {
             continue;
-        }
-        // `match SCRUTINEE { … }` — a `u8` scrutinee is a tag dispatch.
-        if trees.get(i).is_some_and(|t| t.is_ident("match")) {
-            let mut k = i + 1;
-            while k < trees.len() && trees.get(k).and_then(|t| t.group('{')).is_none() {
-                k += 1;
-            }
-            let scrutinee = trees.get(i + 1..k).unwrap_or_default();
-            let s_ops = decode_ops(scrutinee, reader);
-            if let Some(body) = trees.get(k).and_then(|t| t.group('{')) {
-                if s_ops == [Op::Prim("u8")] {
-                    ops.push(Op::Switch(decode_arms(body, reader)));
-                } else {
-                    ops.extend(s_ops);
-                    ops.extend(decode_ops(body, reader));
-                }
-                i = k + 1;
-            } else {
-                ops.extend(s_ops);
-                i = k;
-            }
-            continue;
-        }
-        // `for PAT in ITER { body }` → repeat (iterator trees skipped).
-        if trees.get(i).is_some_and(|t| t.is_ident("for")) {
-            let mut k = i + 1;
-            while k < trees.len() && trees.get(k).and_then(|t| t.group('{')).is_none() {
-                k += 1;
-            }
-            if let Some(body) = trees.get(k).and_then(|t| t.group('{')) {
-                let inner = decode_ops(body, reader);
-                if !inner.is_empty() {
-                    ops.push(Op::Repeat(inner));
-                }
-            }
-            i = k + 1;
-            continue;
-        }
-        // Constructors assign labels to the ops of their arguments.
-        if let Some(name) = trees.get(i).and_then(Tree::ident) {
-            if is_uppercase_ident(name) {
-                // `Name { field: expr, … }` — struct literal.
-                if let Some(inner) = trees.get(i + 1).and_then(|t| t.group('{')) {
-                    if struct_literal_shape(inner) {
-                        ops.extend(struct_literal_ops(inner, reader));
-                        i += 2;
-                        continue;
-                    }
-                }
-                // `Name(e0, e1, …)` — tuple constructor (positional labels;
-                // `Ok`/`Err` are transparent wrappers).
-                if let Some(inner) = trees.get(i + 1).and_then(|t| t.group('(')) {
-                    if name == "Ok" || name == "Err" {
-                        ops.extend(decode_ops(inner, reader));
-                    } else {
-                        ops.extend(positional_ops(inner, reader));
-                    }
-                    i += 2;
-                    continue;
-                }
-            }
-        }
-        // A bare tuple literal `(a, b)` labels positionally too.
-        if let Some(inner) = trees.get(i).and_then(|t| t.group('(')) {
-            let preceded_by_ident = i > 0 && trees.get(i - 1).and_then(Tree::ident).is_some();
-            if !preceded_by_ident && top_level_elements(inner).len() >= 2 {
-                ops.extend(positional_ops(inner, reader));
-                i += 1;
-                continue;
-            }
-        }
-        if let Some(Tree::Group { trees: inner, .. }) = trees.get(i) {
-            ops.extend(decode_ops(inner, reader));
-        }
-        i += 1;
-    }
-    ops
-}
-
-/// The last path segment before `::decode` at index `i`, skipping a
-/// turbofish (`Vec::<u64>::decode` → `Vec`).
-fn decode_path_type(trees: &[Tree], i: usize) -> Option<String> {
-    let mut j = i.checked_sub(3)?;
-    if trees.get(j).is_some_and(|t| t.is_punct('>')) {
-        let mut depth = 1usize;
-        while depth > 0 {
-            j = j.checked_sub(1)?;
-            if trees.get(j).is_some_and(|t| t.is_punct('>')) {
-                depth += 1;
-            } else if trees.get(j).is_some_and(|t| t.is_punct('<')) {
-                depth -= 1;
-            }
-        }
-        // Before the turbofish: `::` then the segment.
-        if !(trees
-            .get(j.checked_sub(1)?)
-            .is_some_and(|t| t.is_punct(':'))
-            && trees
-                .get(j.checked_sub(2)?)
-                .is_some_and(|t| t.is_punct(':')))
-        {
-            return None;
-        }
-        j = j.checked_sub(3)?;
-    }
-    trees.get(j).and_then(Tree::ident).map(str::to_string)
-}
-
-/// Whether a brace group has `ident : …` struct-literal shape.
-fn struct_literal_shape(inner: &[Tree]) -> bool {
-    inner.first().and_then(Tree::ident).is_some() && inner.get(1).is_some_and(|t| t.is_punct(':'))
-}
-
-/// Ops of a struct literal's fields, labelled by field name, in source
-/// order.
-fn struct_literal_ops(inner: &[Tree], reader: &str) -> Vec<Op> {
-    let mut out = Vec::new();
-    for element in top_level_elements(inner) {
-        let label = element.first().and_then(Tree::ident).map(str::to_string);
-        let expr = match element.get(1) {
-            Some(t) if t.is_punct(':') => element.get(2..).unwrap_or_default(),
-            _ => element,
         };
-        out.extend(labelled(decode_ops(expr, reader), label));
-    }
-    out
-}
-
-/// Ops of a tuple constructor's elements, labelled `0`, `1`, … in order.
-fn positional_ops(inner: &[Tree], reader: &str) -> Vec<Op> {
-    let mut out = Vec::new();
-    for (k, element) in top_level_elements(inner).into_iter().enumerate() {
-        out.extend(labelled(decode_ops(element, reader), Some(k.to_string())));
-    }
-    out
-}
-
-/// Applies a field label when the expression produced exactly one
-/// unlabelled field op.
-fn labelled(mut ops: Vec<Op>, label: Option<String>) -> Vec<Op> {
-    if ops.len() == 1 {
-        if let Some(Op::Field {
-            label: slot @ None, ..
-        }) = ops.first_mut()
-        {
-            *slot = label;
-        }
-    }
-    ops
-}
-
-/// Parses the arms of a decode-side `match r.u8()? { … }`.  Integer
-/// patterns carry the tag; identifier catch-alls (the error arm) are
-/// skipped.
-fn decode_arms(trees: &[Tree], reader: &str) -> Vec<Arm> {
-    let mut arms = Vec::new();
-    for (pattern, body) in split_arms(trees) {
-        let tag = pattern.iter().find_map(Tree::int);
-        if tag.is_none() {
-            continue; // `other => Err(..)` / `_ => ..`
-        }
-        arms.push(Arm {
-            tag,
-            label: arm_label(body),
-            ops: decode_ops(body, reader),
+        let mut k = 1;
+        let generics = parser::parse_generics(args, &mut k);
+        let ops = match args.get(k) {
+            Some(Tree::Group {
+                open: '(', trees, ..
+            }) => type_name(trees),
+            Some(Tree::Group { trees, .. }) if is_enum => variants(trees),
+            Some(Tree::Group { trees, .. }) => fields(trees),
+            _ => continue,
+        };
+        out.push(Declaration {
+            name: name.to_string(),
+            generics,
+            line: tree.line(),
+            ops,
         });
     }
-    arms
 }
 
-/// The variant label of a decode arm: the last segment of the first
-/// uppercase-starting path in the body, with `Ok` unwrapped.
-fn arm_label(body: &[Tree]) -> Option<String> {
-    let inner = match (body.first(), body.get(1)) {
-        (Some(first), Some(second)) if first.is_ident("Ok") => second.group('(').unwrap_or(body),
-        _ => body,
-    };
-    let mut i = 0;
-    while i < inner.len() {
-        if let Some(name) = inner.get(i).and_then(Tree::ident) {
-            if is_uppercase_ident(name) {
-                // Follow `::Segment` as long as segments continue.
-                let mut last = name.to_string();
-                let mut j = i;
-                while inner.get(j + 1).is_some_and(|t| t.is_punct(':'))
-                    && inner.get(j + 2).is_some_and(|t| t.is_punct(':'))
-                {
-                    match inner.get(j + 3).and_then(Tree::ident) {
-                        Some(seg) => {
-                            last = seg.to_string();
-                            j += 3;
-                        }
-                        None => break,
-                    }
+/// A type by its last path segment, generic arguments dropped
+/// (`Arc<Vec<SignedValue>>` → `Arc`, `dft_auth::Signature` → `Signature`).
+fn type_name(ty: &[Tree]) -> String {
+    parser::parse_self_type(ty, &mut 0).unwrap_or_else(|| "?".to_string())
+}
+
+/// `name: Type, …` as `name:Type …`.
+fn fields(body: &[Tree]) -> String {
+    let rendered: Vec<String> = top_level_elements(body)
+        .into_iter()
+        .map(|field| {
+            let name = field.first().and_then(Tree::ident).unwrap_or("?");
+            format!("{name}:{}", type_name(field.get(2..).unwrap_or_default()))
+        })
+        .collect();
+    rendered.join(" ")
+}
+
+/// `tag = Variant, tag = Variant(Type), tag = Variant { name: Type }` as
+/// `match{tag=Variant; tag=Variant(Type); tag=Variant(name:Type)}`, by tag.
+fn variants(body: &[Tree]) -> String {
+    let mut arms: Vec<(Option<u64>, String)> = top_level_elements(body)
+        .into_iter()
+        .map(|variant| {
+            let tag = variant.first().and_then(Tree::int);
+            let mut arm = tag.map_or("_".to_string(), |t| t.to_string());
+            let _ = write!(
+                arm,
+                "={}",
+                variant.get(2).and_then(Tree::ident).unwrap_or("?")
+            );
+            match variant.get(3) {
+                Some(Tree::Group {
+                    open: '(', trees, ..
+                }) => {
+                    let _ = write!(arm, "({})", type_name(trees));
                 }
-                return Some(last);
-            }
-        }
-        i += 1;
-    }
-    None
-}
-
-// ---------------------------------------------------------------------------
-// Symmetry comparison
-// ---------------------------------------------------------------------------
-
-fn describe(op: &Op) -> String {
-    match op {
-        Op::Tag(v) => format!("tag({v})"),
-        Op::Prim(p) => (*p).to_string(),
-        Op::Field { ty, label } => match (label, ty) {
-            (Some(l), Some(t)) => format!("{l}:{t}"),
-            (Some(l), None) => format!("{l}:?"),
-            (None, Some(t)) => t.clone(),
-            (None, None) => "?".to_string(),
-        },
-        Op::Repeat(_) => "seq(..)".to_string(),
-        Op::Switch(_) => "match{..}".to_string(),
-    }
-}
-
-/// Compares an encode op sequence against a decode op sequence; `Err`
-/// explains the first divergence.
-fn compat_seq(enc: &[Op], dec: &[Op]) -> Result<(), String> {
-    if enc.len() != dec.len() {
-        return Err(format!(
-            "encode writes {} op(s) but decode reads {} ({} vs {})",
-            enc.len(),
-            dec.len(),
-            enc.iter().map(describe).collect::<Vec<_>>().join(" "),
-            dec.iter().map(describe).collect::<Vec<_>>().join(" "),
-        ));
-    }
-    for (e, d) in enc.iter().zip(dec.iter()) {
-        compat(e, d)?;
-    }
-    Ok(())
-}
-
-fn numeric_label(label: &Option<String>) -> bool {
-    label
-        .as_deref()
-        .is_some_and(|l| l.chars().all(|c| c.is_ascii_digit()))
-}
-
-fn compat(e: &Op, d: &Op) -> Result<(), String> {
-    match (e, d) {
-        (Op::Tag(a), Op::Tag(b)) if a == b => Ok(()),
-        (Op::Tag(_), Op::Prim("u8")) | (Op::Prim("u8"), Op::Tag(_)) => Ok(()),
-        (Op::Prim(a), Op::Prim(b)) if width(a) == width(b) => Ok(()),
-        (Op::Prim(a), Op::Prim(b)) => Err(format!("encode writes `{a}` where decode reads `{b}`")),
-        (
-            Op::Field {
-                ty: et, label: el, ..
-            },
-            Op::Field {
-                ty: dt, label: dl, ..
-            },
-        ) => {
-            if let (Some(a), Some(b)) = (el, dl) {
-                // Positional labels only conflict with positional labels.
-                if a != b && numeric_label(el) == numeric_label(dl) {
-                    return Err(format!(
-                        "field order skew: encode writes `{a}` where decode reads `{b}`"
-                    ));
+                Some(Tree::Group { trees, .. }) => {
+                    let _ = write!(arm, "({})", fields(trees));
                 }
+                _ => {}
             }
-            if let (Some(a), Some(b)) = (et, dt) {
-                if a != b {
-                    return Err(format!("encode writes a `{a}` where decode reads a `{b}`"));
-                }
-            }
-            Ok(())
-        }
-        // A weak/labelled field matches any single leaf op (the encode side
-        // rarely knows its type).
-        (Op::Field { ty, .. }, Op::Prim(p)) | (Op::Prim(p), Op::Field { ty, .. }) => {
-            match ty.as_deref() {
-                Some(t) if BUILTINS.contains(&t) && width(t) != width(p) => {
-                    Err(format!("`{t}` does not match the {p} on the other side"))
-                }
-                _ => Ok(()),
-            }
-        }
-        (Op::Field { .. }, Op::Tag(_)) | (Op::Tag(_), Op::Field { .. }) => Ok(()),
-        (Op::Prim("u8"), Op::Switch(arms)) | (Op::Switch(arms), Op::Prim("u8"))
-            if arms.iter().all(|a| a.ops.is_empty()) =>
-        {
-            Ok(())
-        }
-        (Op::Repeat(a), Op::Repeat(b)) => {
-            compat_seq(a, b).map_err(|e| format!("inside a repeated block: {e}"))
-        }
-        (Op::Switch(a), Op::Switch(b)) => compat_switch(a, b),
-        (e, d) => Err(format!(
-            "encode `{}` does not match decode `{}`",
-            describe(e),
-            describe(d)
-        )),
-    }
-}
-
-fn compat_switch(enc: &[Arm], dec: &[Arm]) -> Result<(), String> {
-    let enc_tags: BTreeSet<_> = enc.iter().filter_map(|a| a.tag).collect();
-    let dec_tags: BTreeSet<_> = dec.iter().filter_map(|a| a.tag).collect();
-    if enc_tags != dec_tags {
-        return Err(format!(
-            "encode arms carry tags {enc_tags:?} but decode arms carry {dec_tags:?}"
-        ));
-    }
-    for e in enc {
-        let Some(tag) = e.tag else { continue };
-        let Some(d) = dec.iter().find(|a| a.tag == Some(tag)) else {
-            continue;
-        };
-        if let (Some(a), Some(b)) = (&e.label, &d.label) {
-            if a != b {
-                return Err(format!("tag {tag} is `{a}` on encode but `{b}` on decode"));
-            }
-        }
-        compat_seq(&e.ops, &d.ops).map_err(|err| format!("inside tag {tag}: {err}"))?;
-    }
-    Ok(())
-}
-
-/// Checks lengths-before-payloads: every repeat must be preceded by a
-/// scalar op in its own list (the length prefix it is driven by).
-fn repeats_have_lengths(ops: &[Op]) -> Result<(), String> {
-    let mut seen_scalar = false;
-    for op in ops {
-        match op {
-            Op::Tag(_) | Op::Prim(_) | Op::Field { .. } => seen_scalar = true,
-            Op::Repeat(inner) => {
-                if !seen_scalar {
-                    return Err("a repeated block has no preceding length/scalar op".to_string());
-                }
-                repeats_have_lengths(inner)?;
-            }
-            Op::Switch(arms) => {
-                for arm in arms {
-                    // The absorbed tag byte counts as the arm's scalar.
-                    let mut probe = vec![Op::Prim("u8")];
-                    probe.extend(arm.ops.iter().cloned());
-                    repeats_have_lengths(&probe)?;
-                }
-                seen_scalar = true;
-            }
-        }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Canonical rendering
-// ---------------------------------------------------------------------------
-
-fn render_ops(ops: &[Op]) -> String {
-    ops.iter().map(render_op).collect::<Vec<_>>().join(" ")
-}
-
-fn render_op(op: &Op) -> String {
-    match op {
-        Op::Tag(v) => format!("tag({v})"),
-        Op::Prim(p) => (*p).to_string(),
-        Op::Field { ty, label } => {
-            let label = label.as_deref().filter(|l| {
-                !l.chars().all(|c| c.is_ascii_digit()) // positional: omit
-            });
-            match (label, ty) {
-                (Some(l), Some(t)) => format!("{l}:{t}"),
-                (Some(l), None) => format!("{l}:?"),
-                (None, Some(t)) => t.clone(),
-                (None, None) => "?".to_string(),
-            }
-        }
-        Op::Repeat(inner) => format!("seq({})", render_ops(inner)),
-        Op::Switch(arms) => {
-            let mut sorted: Vec<&Arm> = arms.iter().collect();
-            sorted.sort_by_key(|a| a.tag);
-            let rendered: Vec<String> = sorted
-                .iter()
-                .map(|arm| {
-                    let mut s = match arm.tag {
-                        Some(t) => t.to_string(),
-                        None => "_".to_string(),
-                    };
-                    if let Some(label) = &arm.label {
-                        let _ = write!(s, "={label}");
-                    }
-                    if !arm.ops.is_empty() {
-                        let _ = write!(s, "({})", render_ops(&arm.ops));
-                    }
-                    s
-                })
-                .collect();
-            format!("match{{{}}}", rendered.join("; "))
-        }
-    }
+            (tag, arm)
+        })
+        .collect();
+    arms.sort();
+    let arms: Vec<String> = arms.into_iter().map(|(_, arm)| arm).collect();
+    format!("match{{{}}}", arms.join("; "))
 }
 
 // ---------------------------------------------------------------------------
 // Schema model, extraction, persistence
 // ---------------------------------------------------------------------------
 
-/// One extracted `impl Wire for T` in the canonical schema.
+/// One wire type in the canonical schema.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SchemaType {
     /// Canonical type name (`NodeId`, `Tuple2`, …).
     pub name: String,
-    /// Root-relative file the impl lives in.
+    /// Root-relative file the codec lives in.
     pub file: String,
-    /// Generic parameters of the impl.
+    /// Generic parameters of the codec.
     pub generics: Vec<String>,
-    /// Canonical decode-side op sequence.
+    /// The declared layout, or `leaf` for a hand-written codec.
     pub ops: String,
 }
 
-/// The full wire schema: every impl plus the wire version it describes.
+/// The full wire schema: every codec plus the wire version it describes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Schema {
     /// The workspace `WIRE_VERSION` the schema was extracted under.
     pub wire_version: Option<u64>,
-    /// Type aliases the extraction resolved through (`SignerId` → `usize`).
-    pub aliases: Vec<(String, String)>,
-    /// All impls, sorted by name.
+    /// All codecs, sorted by name.
     pub types: Vec<SchemaType>,
 }
 
-/// Extraction result: the schema plus any symmetry/resolution findings.
+/// Where one schema entry is written, for findings about it.
+#[derive(Clone, Debug)]
+pub struct Site {
+    /// The entry's type name.
+    pub name: String,
+    /// Root-relative file.
+    pub file: String,
+    /// 1-based line of the declaration or `impl`.
+    pub line: usize,
+    /// That line, normalized.
+    pub snippet: String,
+}
+
+/// Extraction result: the schema, where each entry is, and any problems.
 #[derive(Clone, Debug)]
 pub struct Extraction {
     /// The canonical schema.
     pub schema: Schema,
-    /// Symmetry, lengths-before-payloads, and resolution findings.
+    /// One site per schema entry.
+    pub sites: Vec<Site>,
+    /// Hand-written composite impls and duplicate names.
     pub problems: Vec<Finding>,
 }
 
@@ -858,164 +229,97 @@ pub enum SchemaStatus {
     },
 }
 
-/// Extracts the wire schema of every `impl Wire for T` under `root`,
-/// checking encode/decode symmetry along the way.
+/// Extracts the wire schema under `root`: every declaration, every leaf
+/// codec, and a problem for every other hand-written `impl Wire for T`.
 pub fn extract_schema(root: &Path) -> io::Result<Extraction> {
-    let files = walk::discover(root)?;
-    let mut impls: Vec<(WireImpl, String, Vec<String>)> = Vec::new(); // impl, rel, lines
-    let mut aliases: BTreeMap<String, String> = BTreeMap::new();
     let mut wire_version = None;
-    for file in &files {
+    let mut types = Vec::new();
+    let mut sites = Vec::new();
+    let mut problems = Vec::new();
+    let mut seen = BTreeSet::new();
+    for file in walk::discover(root)? {
         if file.kind == FileKind::Test {
             continue;
         }
         let content = std::fs::read_to_string(&file.path)?;
         let lexed = lex(&content);
         let regions = test_regions(&lexed.tokens);
+        let is_test = |line: usize| regions.contains(line);
         if wire_version.is_none() {
             wire_version = parser::wire_version_const(&lexed.tokens);
         }
-        for (name, target) in parser::type_aliases(&lexed.tokens, &|l| regions.contains(l)) {
-            aliases.entry(name).or_insert(target);
-        }
         let trees = parser::parse(&lexed.tokens);
-        let lines: Vec<String> = content.lines().map(str::to_string).collect();
-        for imp in parser::wire_impls(&trees, &|l| regions.contains(l)) {
-            impls.push((imp, file.rel.clone(), lines.clone()));
-        }
-    }
-
-    let impl_names: BTreeSet<String> = impls
-        .iter()
-        .map(|(imp, _, _)| imp.type_name.clone())
-        .collect();
-    let mut problems = Vec::new();
-    let mut used_aliases: BTreeMap<String, String> = BTreeMap::new();
-    let mut types = Vec::new();
-    let mut seen = BTreeSet::new();
-
-    for (imp, rel, lines) in &impls {
+        let mut found = Vec::new();
+        declarations(&trees, &is_test, &mut found);
+        let is_leaf = |name: &str| {
+            LEAVES
+                .iter()
+                .any(|(leaf_file, names)| *leaf_file == file.rel && names.contains(&name))
+        };
+        let snippet = |line: usize| {
+            normalize_snippet(content.lines().nth(line.saturating_sub(1)).unwrap_or(""))
+        };
         let problem = |line: usize, message: String| Finding {
-            file: rel.clone(),
+            file: file.rel.clone(),
             line,
-            rule: RULE_WIRE_ASYM,
+            rule: RULE_WIRE_HANDWRITTEN,
             message,
-            snippet: lines
-                .get(line.saturating_sub(1))
-                .map(|l| normalize_snippet(l))
-                .unwrap_or_default(),
+            snippet: snippet(line),
         };
-        if !seen.insert(imp.type_name.clone()) {
-            problems.push(problem(
-                imp.line,
-                format!("duplicate `Wire` impl for `{}`", imp.type_name),
-            ));
-            continue;
-        }
-        let (Some(enc), Some(dec)) = (imp.fn_def("encode"), imp.fn_def("decode")) else {
-            problems.push(problem(
-                imp.line,
-                format!(
-                    "`impl Wire for {}` is missing an encode or decode fn",
-                    imp.type_name
-                ),
-            ));
-            continue;
-        };
-        let writer = enc.params.first().map(String::as_str).unwrap_or("out");
-        let reader = dec.params.first().map(String::as_str).unwrap_or("r");
-        let strong = BTreeSet::new();
-        let enc_ops = encode_ops(&enc.body, writer, &strong, &imp.type_name);
-        let dec_ops = decode_ops(&dec.body, reader);
-        if let Err(msg) = compat_seq(&enc_ops, &dec_ops) {
-            problems.push(problem(
-                imp.line,
-                format!("encode/decode asymmetry in `{}`: {msg}", imp.type_name),
-            ));
-        }
-        for (side, ops) in [("encode", &enc_ops), ("decode", &dec_ops)] {
-            if let Err(msg) = repeats_have_lengths(ops) {
-                problems.push(problem(
-                    imp.line,
-                    format!("`{}` {side}: {msg}", imp.type_name),
-                ));
-            }
-        }
-        for ty in field_types(&dec_ops) {
-            if !resolve(&ty, &imp.generics, &impl_names, &aliases, &mut used_aliases) {
+        for imp in parser::wire_impls(&trees, &is_test) {
+            if is_leaf(&imp.type_name) {
+                found.push(Declaration {
+                    name: imp.type_name,
+                    generics: imp.generics,
+                    line: imp.line,
+                    ops: "leaf".to_string(),
+                });
+            } else {
                 problems.push(problem(
                     imp.line,
                     format!(
-                        "`{}` decodes a `{ty}` that is neither a builtin, a generic \
-                         parameter, an extracted `Wire` impl, nor a known alias",
+                        "`impl Wire for {}` is written by hand; declare it with `wire_struct!` / \
+                         `wire_enum!` (hand-written leaf codecs are listed in \
+                         crates/analysis/src/schema.rs)",
                         imp.type_name
                     ),
                 ));
             }
         }
-        types.push(SchemaType {
-            name: imp.type_name.clone(),
-            file: rel.clone(),
-            generics: imp.generics.clone(),
-            ops: render_ops(&dec_ops),
-        });
+        for decl in found {
+            if !seen.insert(decl.name.clone()) {
+                problems.push(problem(
+                    decl.line,
+                    format!(
+                        "`{}` has a second `Wire` codec; the schema is keyed by type name",
+                        decl.name
+                    ),
+                ));
+                continue;
+            }
+            sites.push(Site {
+                name: decl.name.clone(),
+                file: file.rel.clone(),
+                line: decl.line,
+                snippet: snippet(decl.line),
+            });
+            types.push(SchemaType {
+                name: decl.name,
+                file: file.rel.clone(),
+                generics: decl.generics,
+                ops: decl.ops,
+            });
+        }
     }
     types.sort_by(|a, b| a.name.cmp(&b.name));
-    problems.sort_by(|a, b| (&a.file, a.line, &a.message).cmp(&(&b.file, b.line, &b.message)));
     Ok(Extraction {
         schema: Schema {
             wire_version,
-            aliases: used_aliases.into_iter().collect(),
             types,
         },
+        sites,
         problems,
     })
-}
-
-/// All `Field` type names in an op tree.
-fn field_types(ops: &[Op]) -> Vec<String> {
-    let mut out = Vec::new();
-    for op in ops {
-        match op {
-            Op::Field { ty: Some(t), .. } => out.push(t.clone()),
-            Op::Repeat(inner) => out.extend(field_types(inner)),
-            Op::Switch(arms) => {
-                for arm in arms {
-                    out.extend(field_types(&arm.ops));
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-/// Whether `ty` resolves to a builtin, a generic parameter, or another
-/// extracted impl — possibly through a chain of plain type aliases.
-fn resolve(
-    ty: &str,
-    generics: &[String],
-    impl_names: &BTreeSet<String>,
-    aliases: &BTreeMap<String, String>,
-    used: &mut BTreeMap<String, String>,
-) -> bool {
-    let mut current = ty.to_string();
-    for _ in 0..8 {
-        if BUILTINS.contains(&current.as_str())
-            || generics.iter().any(|g| g == &current)
-            || impl_names.contains(&current)
-        {
-            return true;
-        }
-        match aliases.get(&current) {
-            Some(target) => {
-                used.insert(current.clone(), target.clone());
-                current = target.clone();
-            }
-            None => return false,
-        }
-    }
-    false
 }
 
 impl Schema {
@@ -1028,22 +332,7 @@ impl Schema {
             }
             None => out.push_str("  \"wire_version\": null,\n"),
         }
-        out.push_str("  \"aliases\": {");
-        for (i, (name, target)) in self.aliases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    \"{}\": \"{}\"",
-                json::escape(name),
-                json::escape(target)
-            );
-        }
-        if !self.aliases.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n  \"types\": [");
+        out.push_str("  \"types\": [");
         for (i, ty) in self.types.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -1078,13 +367,6 @@ impl Schema {
             .get("wire_version")
             .and_then(Json::as_usize)
             .map(|v| v as u64);
-        let mut aliases = Vec::new();
-        if let Some(Json::Obj(map)) = root.get("aliases") {
-            for (name, value) in map {
-                let target = value.as_str().ok_or("alias target must be a string")?;
-                aliases.push((name.clone(), target.to_string()));
-            }
-        }
         let mut types = Vec::new();
         for entry in root.get("types").and_then(Json::as_arr).unwrap_or(&[]) {
             let field = |key: &str| -> Result<String, String> {
@@ -1112,7 +394,6 @@ impl Schema {
         types.sort_by(|a, b| a.name.cmp(&b.name));
         Ok(Schema {
             wire_version,
-            aliases,
             types,
         })
     }
@@ -1158,9 +439,6 @@ pub fn compare(extracted: &Schema, committed: &Schema) -> SchemaStatus {
             details.push(format!("`{name}` was removed"));
         }
     }
-    if details.is_empty() {
-        details.push("alias table changed".to_string());
-    }
     SchemaStatus::Drift { details }
 }
 
@@ -1169,173 +447,100 @@ mod tests {
     use super::*;
     use crate::parser::parse;
 
-    fn ops_of(src: &str) -> (Vec<Op>, Vec<Op>) {
-        let lexed = lex(src);
-        let trees = parse(&lexed.tokens);
-        let impls = parser::wire_impls(&trees, &|_| false);
-        let imp = impls.first().expect("one impl");
-        let enc = imp.fn_def("encode").expect("encode");
-        let dec = imp.fn_def("decode").expect("decode");
-        let writer = enc.params.first().map(String::as_str).unwrap_or("out");
-        let reader = dec.params.first().map(String::as_str).unwrap_or("r");
-        (
-            encode_ops(&enc.body, writer, &BTreeSet::new(), &imp.type_name),
-            decode_ops(&dec.body, reader),
+    fn declared(src: &str) -> Vec<(String, Vec<String>, String)> {
+        let mut found = Vec::new();
+        declarations(&parse(&lex(src).tokens), &|_| false, &mut found);
+        found
+            .into_iter()
+            .map(|d| (d.name, d.generics, d.ops))
+            .collect()
+    }
+
+    fn ops_of(src: &str) -> String {
+        let found = declared(src);
+        assert_eq!(found.len(), 1, "one declaration in {src}");
+        found.into_iter().next().map(|d| d.2).unwrap_or_default()
+    }
+
+    #[test]
+    fn structs_render_fields_in_declared_order() {
+        assert_eq!(
+            ops_of("wire_struct!(Outgoing<M: Wire> { to: NodeId, msg: M });"),
+            "to:NodeId msg:M"
+        );
+        assert_eq!(
+            ops_of("dft_sim::shard::wire_struct!(SignedValue { source: crate::keys::SignerId, signatures: Vec<Signature>, });"),
+            "source:SignerId signatures:Vec"
+        );
+        assert_eq!(ops_of("wire_struct!(DsBatch(Vec<SignedValue>));"), "Vec");
+        // A comma between angle brackets does not end a field.
+        assert_eq!(
+            ops_of("wire_struct!(Table { rows: Map<K, V>, len: u8 });"),
+            "rows:Map len:u8"
+        );
+    }
+
+    #[test]
+    fn enums_render_every_variant_shape_by_tag() {
+        assert_eq!(
+            ops_of(
+                "wire_enum!(GossipMsg {
+                    2 = Extant(Arc<ExtantSet>),
+                    0 = Inquiry,
+                    1 = Pair { node: u64, rumor: u64 },
+                });"
+            ),
+            "match{0=Inquiry; 1=Pair(node:u64 rumor:u64); 2=Extant(Arc)}"
+        );
+    }
+
+    #[test]
+    fn generics_and_qualified_invocations_are_read() {
+        let found = declared(
+            "crate::wire_enum!(AeaMsg<V: JoinValue + Wire> { 0 = Rumor(V), 1 = Decision(V) });\n\
+             mod inner { wire_struct! { Pair<A: Wire, B: Wire> { a: A, b: B } } }",
+        );
+        assert_eq!(
+            found,
+            vec![
+                (
+                    "AeaMsg".to_string(),
+                    vec!["V".to_string()],
+                    "match{0=Rumor(V); 1=Decision(V)}".to_string()
+                ),
+                (
+                    "Pair".to_string(),
+                    vec!["A".to_string(), "B".to_string()],
+                    "a:A b:B".to_string()
+                ),
+            ]
+        );
+    }
+
+    #[test]
+    fn macro_definitions_and_test_regions_are_not_declarations() {
+        assert!(declared(
+            "macro_rules! wire_enum {
+                ($name:ident { $($v:tt)+ }) => { $crate::wire_enum!(@variant ($name) () $($v)+); };
+            }"
         )
-    }
-
-    #[test]
-    fn symmetric_struct_is_clean() {
-        let (enc, dec) = ops_of(
-            "impl Wire for Pair {
-                fn encode(&self, out: &mut Vec<u8>) {
-                    self.a.encode(out);
-                    self.b.encode(out);
-                }
-                fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-                    Ok(Pair { a: u16::decode(r)?, b: u64::decode(r)? })
-                }
-            }",
-        );
-        assert!(compat_seq(&enc, &dec).is_ok());
-        assert_eq!(render_ops(&dec), "a:u16 b:u64");
-    }
-
-    #[test]
-    fn field_order_skew_is_reported() {
-        let (enc, dec) = ops_of(
-            "impl Wire for Skewed {
-                fn encode(&self, out: &mut Vec<u8>) {
-                    self.a.encode(out);
-                    self.b.encode(out);
-                }
-                fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-                    Ok(Skewed { b: u64::decode(r)?, a: u16::decode(r)? })
-                }
-            }",
-        );
-        let err = compat_seq(&enc, &dec).expect_err("skew must be caught");
-        assert!(err.contains("field order skew"), "{err}");
-    }
-
-    #[test]
-    fn vec_shape_has_length_then_repeat() {
-        let (enc, dec) = ops_of(
-            "impl<T: Wire> Wire for Vec<T> {
-                fn encode(&self, out: &mut Vec<u8>) {
-                    self.len().encode(out);
-                    for item in self { item.encode(out); }
-                }
-                fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-                    let len = r.len()?;
-                    let mut items = Vec::new();
-                    for _ in 0..len { items.push(T::decode(r)?); }
-                    Ok(items)
-                }
-            }",
-        );
-        assert!(compat_seq(&enc, &dec).is_ok());
-        assert!(repeats_have_lengths(&dec).is_ok());
-        assert_eq!(render_ops(&dec), "len seq(T)");
-    }
-
-    #[test]
-    fn repeat_without_length_is_reported() {
-        let ops = vec![Op::Repeat(vec![Op::Prim("u8")])];
-        assert!(repeats_have_lengths(&ops).is_err());
-    }
-
-    #[test]
-    fn tagged_enum_arms_match_by_tag_and_label() {
-        let (enc, dec) = ops_of(
-            "impl<V: Wire> Wire for AeaMsg<V> {
-                fn encode(&self, out: &mut Vec<u8>) {
-                    match self {
-                        AeaMsg::Rumor(v) => { out.push(0); v.encode(out) }
-                        AeaMsg::Decision(v) => { out.push(1); v.encode(out) }
-                    }
-                }
-                fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-                    match r.u8()? {
-                        0 => Ok(AeaMsg::Rumor(V::decode(r)?)),
-                        1 => Ok(AeaMsg::Decision(V::decode(r)?)),
-                        other => Err(bad_tag(\"AeaMsg\", other)),
-                    }
-                }
-            }",
-        );
-        assert!(compat_seq(&enc, &dec).is_ok());
-        assert_eq!(render_ops(&dec), "match{0=Rumor(V); 1=Decision(V)}");
-    }
-
-    #[test]
-    fn tag_set_mismatch_is_reported() {
-        let (enc, dec) = ops_of(
-            "impl Wire for Lopsided {
-                fn encode(&self, out: &mut Vec<u8>) {
-                    match self {
-                        Lopsided::A => out.push(0),
-                        Lopsided::B => out.push(2),
-                    }
-                }
-                fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-                    match r.u8()? {
-                        0 => Ok(Lopsided::A),
-                        1 => Ok(Lopsided::B),
-                        other => Err(bad_tag(\"Lopsided\", other)),
-                    }
-                }
-            }",
-        );
-        let err = compat_seq(&enc, &dec).expect_err("tag sets differ");
-        assert!(err.contains("tags"), "{err}");
-    }
-
-    #[test]
-    fn bool_prim_matches_empty_arm_switch() {
-        let (enc, dec) = ops_of(
-            "impl Wire for bool {
-                fn encode(&self, out: &mut Vec<u8>) { out.push(u8::from(*self)); }
-                fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-                    match r.u8()? {
-                        0 => Ok(false),
-                        1 => Ok(true),
-                        other => Err(bad_tag(\"bool\", other)),
-                    }
-                }
-            }",
-        );
-        assert!(compat_seq(&enc, &dec).is_ok());
-        assert_eq!(render_ops(&dec), "match{0; 1}");
-    }
-
-    #[test]
-    fn tuple_positions_line_up() {
-        let (enc, dec) = ops_of(
-            "impl<A: Wire, B: Wire> Wire for (A, B) {
-                fn encode(&self, out: &mut Vec<u8>) {
-                    self.0.encode(out);
-                    self.1.encode(out);
-                }
-                fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-                    Ok((A::decode(r)?, B::decode(r)?))
-                }
-            }",
-        );
-        assert!(compat_seq(&enc, &dec).is_ok());
-        assert_eq!(render_ops(&dec), "A B");
+        .is_empty());
+        let lexed = lex("wire_struct!(Real(u8));\nwire_struct!(TestOnly(u8));");
+        let mut found = Vec::new();
+        declarations(&parse(&lexed.tokens), &|line| line == 2, &mut found);
+        assert_eq!(found.len(), 1);
+        assert_eq!(found.first().map(|d| d.name.as_str()), Some("Real"));
     }
 
     #[test]
     fn schema_json_round_trips() {
         let schema = Schema {
             wire_version: Some(3),
-            aliases: vec![("SignerId".to_string(), "usize".to_string())],
             types: vec![SchemaType {
-                name: "NodeId".to_string(),
+                name: "Outgoing".to_string(),
                 file: "crates/sim/src/shard/wire.rs".to_string(),
-                generics: Vec::new(),
-                ops: "len".to_string(),
+                generics: vec!["M".to_string()],
+                ops: "to:NodeId msg:M".to_string(),
             }],
         };
         let parsed = Schema::parse(&schema.to_json()).expect("round trip");
@@ -1347,7 +552,6 @@ mod tests {
     fn compare_detects_stale_and_drift() {
         let base = Schema {
             wire_version: Some(1),
-            aliases: Vec::new(),
             types: vec![SchemaType {
                 name: "Round".to_string(),
                 file: "w.rs".to_string(),

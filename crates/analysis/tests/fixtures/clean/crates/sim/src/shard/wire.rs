@@ -32,16 +32,8 @@ pub struct Pinned {
     pub id: u16,
 }
 
-impl Wire for Pinned {
-    // Covered: `tests/roundtrip.rs` names `Pinned`.
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.id.to_le_bytes());
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, String> {
-        Ok(Pinned { id: r.u16()? })
-    }
-}
+// Declared, not hand-written; covered: `tests/roundtrip.rs` names `Pinned`.
+wire_struct!(Pinned { id: u16 });
 
 // The dead-code allowance is justified by an adjacent prose comment, which
 // is exactly what the allow-unjustified rule checks for.

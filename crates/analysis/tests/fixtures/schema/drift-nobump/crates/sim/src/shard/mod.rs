@@ -1,5 +1,5 @@
 //! Drift fixture: same `WIRE_VERSION` as the committed schema, but the
-//! codec below reordered its fields — the ratchet must fail.
+//! declaration below reordered its fields — the ratchet must fail.
 
 pub mod wire;
 

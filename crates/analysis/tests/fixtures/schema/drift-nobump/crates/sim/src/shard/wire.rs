@@ -1,24 +1,12 @@
-//! The committed schema records `seq:u64 ack:u16`; this codec swapped the
-//! fields (symmetrically, so no asymmetry fires) without bumping
-//! `WIRE_VERSION` — an unversioned wire break.
+//! The committed schema records `seq:u64 ack:u16`; this declaration swapped
+//! the fields (both directions move together, so it still round-trips)
+//! without bumping `WIRE_VERSION` — an unversioned wire break.
 
-use crate::shard::{Wire, WireReader, WireResult};
+use crate::shard::wire_struct;
 
 pub struct Frame {
     pub seq: u64,
     pub ack: u16,
 }
 
-impl Wire for Frame {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.ack.to_le_bytes());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-        Ok(Frame {
-            ack: u16::decode(r)?,
-            seq: u64::decode(r)?,
-        })
-    }
-}
+wire_struct!(Frame { ack: u16, seq: u64 });

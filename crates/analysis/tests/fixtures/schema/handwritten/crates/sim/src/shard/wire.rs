@@ -1,5 +1,7 @@
-//! Seeded encode/decode asymmetry: `encode` writes `seq` then `ack`,
-//! `decode` reads them the other way around.
+//! A struct of fields with `encode` and `decode` written by hand — here
+//! with the two directions disagreeing on the field order, which is exactly
+//! what a declaration cannot do.  `Frame` is not a leaf codec, so the impl
+//! itself is the finding.
 
 use crate::shard::{Wire, WireReader, WireResult};
 
@@ -10,8 +12,8 @@ pub struct Frame {
 
 impl Wire for Frame {
     fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&self.ack.to_le_bytes());
+        self.seq.encode(out);
+        self.ack.encode(out);
     }
 
     fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {

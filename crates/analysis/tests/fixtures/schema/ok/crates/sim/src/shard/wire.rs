@@ -1,23 +1,11 @@
-//! A minimal symmetric codec: the committed `WIRE_SCHEMA.json` next to
-//! this tree matches what the extractor derives from it.
+//! A minimal declared codec: the committed `WIRE_SCHEMA.json` next to this
+//! tree matches what the extractor reads from it.
 
-use crate::shard::{Wire, WireReader, WireResult};
+use crate::shard::wire_struct;
 
 pub struct Frame {
     pub seq: u64,
     pub ack: u16,
 }
 
-impl Wire for Frame {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&self.ack.to_le_bytes());
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-        Ok(Frame {
-            seq: u64::decode(r)?,
-            ack: u16::decode(r)?,
-        })
-    }
-}
+wire_struct!(Frame { seq: u64, ack: u16 });

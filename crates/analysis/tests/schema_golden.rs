@@ -1,11 +1,11 @@
 //! Golden tests for the wire-schema ratchet over the seeded fixture trees.
 //!
 //! `fixtures/schema/ok` matches its committed `WIRE_SCHEMA.json`;
-//! `fixtures/schema/drift-nobump` reordered a codec's fields without
+//! `fixtures/schema/drift-nobump` reordered a declaration's fields without
 //! bumping `WIRE_VERSION` and must be reported as drift;
-//! `fixtures/schema/asym` seeds an encode/decode asymmetry that fails
-//! before any comparison.  Together they pin the three ways the ratchet
-//! can say no.
+//! `fixtures/schema/handwritten` writes a composite codec by hand, which
+//! fails before any comparison.  Together they pin the three ways the
+//! ratchet can say no.
 
 use std::path::PathBuf;
 
@@ -42,8 +42,8 @@ fn ok_tree_matches_its_committed_schema() {
 #[test]
 fn reordered_fields_without_version_bump_are_drift() {
     let extraction = extract_schema(&fixture("drift-nobump")).expect("extract drift tree");
-    // The reorder is symmetric, so it is not an asymmetry problem — only
-    // an unversioned change against the committed file.
+    // A reordered declaration is still a valid codec — only an
+    // unversioned change against the committed file.
     assert!(
         extraction.problems.is_empty(),
         "drift tree must extract cleanly: {:?}",
@@ -76,20 +76,24 @@ fn version_bump_turns_the_same_change_into_stale() {
 }
 
 #[test]
-fn seeded_asymmetry_fails_before_any_comparison() {
-    let extraction = extract_schema(&fixture("asym")).expect("extract asym tree");
+fn handwritten_composite_codec_fails_before_any_comparison() {
+    let extraction = extract_schema(&fixture("handwritten")).expect("extract handwritten tree");
     assert_eq!(
         extraction.problems.len(),
         1,
-        "exactly the seeded asymmetry: {:?}",
+        "exactly the hand-written impl: {:?}",
         extraction.problems
     );
     let finding = extraction.problems.first().expect("one finding");
-    assert_eq!(finding.rule, "wire-asymmetry");
+    assert_eq!(finding.rule, "wire-handwritten");
     assert_eq!(finding.file, "crates/sim/src/shard/wire.rs");
     assert!(
         finding.message.contains("Frame"),
         "finding names the impl: {}",
         finding.message
+    );
+    assert!(
+        extraction.schema.types.is_empty(),
+        "a hand-written composite codec is not a schema entry"
     );
 }

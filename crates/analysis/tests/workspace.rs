@@ -25,7 +25,7 @@ fn committed_wire_schema_matches_the_tree() {
     let extraction = extract_schema(&root).expect("extract workspace schema");
     assert!(
         extraction.problems.is_empty(),
-        "workspace wire impls must be symmetric and resolved:\n{}",
+        "every composite wire codec in the workspace must be declared:\n{}",
         extraction
             .problems
             .iter()

@@ -13,15 +13,13 @@
 //!   strategies for signing on behalf of others — the runner only gives a
 //!   Byzantine node its own [`Signer`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::hash::hash_words;
 
 /// Identifier of a signing node (the node's zero-based index).
 pub type SignerId = usize;
 
 /// A node's secret signing key.
-#[derive(Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct SecretKey(u64);
 
 impl SecretKey {
@@ -40,7 +38,7 @@ impl std::fmt::Debug for SecretKey {
 }
 
 /// The signing capability of a single node.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Signer {
     id: SignerId,
     key: SecretKey,
@@ -71,7 +69,7 @@ impl Signer {
 /// assert!(directory.verify_digest(&sig, 0xABCD));
 /// assert!(!directory.verify_digest(&sig, 0xABCE));
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct KeyDirectory {
     keys: Vec<SecretKey>,
 }

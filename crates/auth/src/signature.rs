@@ -1,7 +1,5 @@
 //! Signatures over message digests.
 
-use serde::{Deserialize, Serialize};
-
 use crate::keys::{KeyDirectory, Signer, SignerId};
 
 /// A signature: the signer's identity plus a MAC tag over a 64-bit message
@@ -11,7 +9,7 @@ use crate::keys::{KeyDirectory, Signer, SignerId};
 /// [`KeyDirectory::verify_digest`]; only the holder of the signer's secret
 /// key can produce a tag that verifies, which is exactly the unforgeability
 /// property the authenticated-Byzantine model requires.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Signature {
     /// The claimed signer.
     pub signer: SignerId,
@@ -24,19 +22,10 @@ impl Signature {
     pub const BIT_LEN: u64 = 64 + 64;
 }
 
-impl dft_sim::shard::Wire for Signature {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.signer.encode(out);
-        self.tag.encode(out);
-    }
-
-    fn decode(r: &mut dft_sim::shard::WireReader<'_>) -> dft_sim::shard::WireResult<Self> {
-        Ok(Signature {
-            signer: SignerId::decode(r)?,
-            tag: u64::decode(r)?,
-        })
-    }
-}
+dft_sim::shard::wire_struct!(Signature {
+    signer: SignerId,
+    tag: u64
+});
 
 impl Signer {
     /// Signs a 64-bit message digest.
@@ -90,6 +79,19 @@ mod tests {
             dft_sim::shard::decode_error_path_violations(&signature),
             Vec::<usize>::new(),
             "every truncated or oversized Signature frame must fail to decode"
+        );
+    }
+
+    #[test]
+    fn wire_golden_bytes() {
+        assert_eq!(dft_sim::shard::WIRE_VERSION, 3);
+        let signature = Signature {
+            signer: 2,
+            tag: 0x0102_0304_0506_0708,
+        };
+        assert_eq!(
+            dft_sim::shard::to_bytes(&signature),
+            b"\x02\0\0\0\0\0\0\0\x08\x07\x06\x05\x04\x03\x02\x01"
         );
     }
 

@@ -9,8 +9,6 @@
 //! relay or drop a signed value but cannot alter the value, invent a new
 //! source, or fabricate other nodes' endorsements.
 
-use serde::{Deserialize, Serialize};
-
 use crate::hash::hash_words;
 use crate::keys::{KeyDirectory, Signer, SignerId};
 use crate::signature::Signature;
@@ -22,7 +20,7 @@ pub fn value_digest(source: SignerId, value: u64) -> u64 {
 }
 
 /// A broadcast value together with its chain of endorsing signatures.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct SignedValue {
     /// The node that originated the value.
     pub source: SignerId,
@@ -33,21 +31,11 @@ pub struct SignedValue {
     pub signatures: Vec<Signature>,
 }
 
-impl dft_sim::shard::Wire for SignedValue {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.source.encode(out);
-        self.value.encode(out);
-        self.signatures.encode(out);
-    }
-
-    fn decode(r: &mut dft_sim::shard::WireReader<'_>) -> dft_sim::shard::WireResult<Self> {
-        Ok(SignedValue {
-            source: crate::keys::SignerId::decode(r)?,
-            value: u64::decode(r)?,
-            signatures: Vec::decode(r)?,
-        })
-    }
-}
+dft_sim::shard::wire_struct!(SignedValue {
+    source: SignerId,
+    value: u64,
+    signatures: Vec<Signature>,
+});
 
 impl SignedValue {
     /// Originates a new signed value: the source signs `(source, value)`.
@@ -151,6 +139,21 @@ mod tests {
             dft_sim::shard::decode_error_path_violations(&value),
             Vec::<usize>::new(),
             "every truncated or oversized SignedValue frame must fail to decode"
+        );
+    }
+
+    #[test]
+    fn wire_golden_bytes() {
+        assert_eq!(dft_sim::shard::WIRE_VERSION, 3);
+        let value = SignedValue {
+            source: 3,
+            value: 31,
+            signatures: vec![Signature { signer: 3, tag: 5 }],
+        };
+        assert_eq!(
+            dft_sim::shard::to_bytes(&value),
+            b"\x03\0\0\0\0\0\0\0\x1f\0\0\0\0\0\0\0\x01\0\0\0\0\0\0\0\
+              \x03\0\0\0\0\0\0\0\x05\0\0\0\0\0\0\0"
         );
     }
 

@@ -437,39 +437,11 @@ impl SyncProtocol for ParallelDsConsensus {
 /// Shard wire codecs for the baseline message/output types, so the
 /// quadratic baselines can also run under `run_experiments --shards N`.
 mod wire_impls {
-    use dft_sim::shard::{Wire, WireReader, WireResult};
-
     use super::{Membership, RumorMap, SignedBatch};
 
-    impl Wire for RumorMap {
-        fn encode(&self, out: &mut Vec<u8>) {
-            self.0.encode(out);
-        }
-
-        fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-            Ok(RumorMap(Vec::decode(r)?))
-        }
-    }
-
-    impl Wire for Membership {
-        fn encode(&self, out: &mut Vec<u8>) {
-            self.0.encode(out);
-        }
-
-        fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-            Ok(Membership(Vec::decode(r)?))
-        }
-    }
-
-    impl Wire for SignedBatch {
-        fn encode(&self, out: &mut Vec<u8>) {
-            self.0.encode(out);
-        }
-
-        fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-            Ok(SignedBatch(Vec::decode(r)?))
-        }
-    }
+    dft_sim::shard::wire_struct!(RumorMap(Vec<Option<u64>>));
+    dft_sim::shard::wire_struct!(Membership(Vec<bool>));
+    dft_sim::shard::wire_struct!(SignedBatch(Vec<dft_auth::SignedValue>));
 
     #[cfg(test)]
     mod tests {
@@ -497,6 +469,29 @@ mod wire_impls {
                 Vec::<usize>::new()
             );
             assert_eq!(decode_error_path_violations(&batch), Vec::<usize>::new());
+        }
+
+        #[test]
+        fn baseline_payloads_golden_bytes() {
+            assert_eq!(dft_sim::shard::WIRE_VERSION, 3);
+            assert_eq!(
+                to_bytes(&RumorMap(vec![Some(7), None])),
+                b"\x02\0\0\0\0\0\0\0\x01\x07\0\0\0\0\0\0\0\0"
+            );
+            assert_eq!(
+                to_bytes(&Membership(vec![true, false, true])),
+                b"\x03\0\0\0\0\0\0\0\x01\0\x01"
+            );
+            let value = dft_auth::SignedValue {
+                source: 1,
+                value: 12,
+                signatures: Vec::new(),
+            };
+            assert_eq!(
+                to_bytes(&SignedBatch(vec![value])),
+                b"\x01\0\0\0\0\0\0\0\x01\0\0\0\0\0\0\0\
+                  \x0c\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0"
+            );
         }
     }
 }

@@ -10,8 +10,8 @@
 //! experiment regresses more than [`DEFAULT_REGRESSION_FACTOR`]× against
 //! the committed baseline (`--bench-compare`).
 //!
-//! The vendored `serde` is a no-op stand-in, so the JSON is written and
-//! read by this module itself.  The emitter prints one key per line; the
+//! The build has no registry access and so no JSON crate: the JSON is
+//! written and read by this module itself.  The emitter prints one key per line; the
 //! reader only promises to parse what the emitter writes (plus arbitrary
 //! whitespace), which is all a self-produced baseline format needs.
 

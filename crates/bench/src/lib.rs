@@ -37,10 +37,9 @@ use dft_sim::{
 };
 
 use crate::shard::{ShardFaults, ShardStats};
-use serde::{Deserialize, Serialize};
 
 /// One measured execution.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Measurement {
     /// Rounds until all non-faulty nodes halted (or the cap).
     pub rounds: u64,
@@ -72,7 +71,7 @@ impl Measurement {
 
 /// A workload: system size, fault budget and how many of the budgeted
 /// crashes the adversary actually uses.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Workload {
     /// Number of nodes.
     pub n: usize,
@@ -535,7 +534,7 @@ impl MeasureKind {
 }
 
 /// A labelled table of measurement rows, printable as aligned text.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table {
     /// Experiment identifier (e.g. `"E4 thm7_few_crashes"`).
     pub id: String,

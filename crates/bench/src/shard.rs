@@ -40,6 +40,36 @@ use crate::{BuiltNodes, Measurement, RoundModel, Workload};
 const TAG_HELLO: u8 = 200;
 const TAG_HELLO_ACK: u8 = 201;
 
+/// The `TAG_HELLO` body: which measurement to rebuild, its workload, and
+/// the shard this worker serves.
+#[derive(Debug, PartialEq)]
+struct Hello {
+    kind: u8,
+    n: usize,
+    t: usize,
+    crashes: usize,
+    seed: u64,
+    shards: usize,
+    index: usize,
+}
+dft_sim::shard::wire_struct!(Hello {
+    kind: u8,
+    n: usize,
+    t: usize,
+    crashes: usize,
+    seed: u64,
+    shards: usize,
+    index: usize,
+});
+
+/// The `TAG_HELLO_ACK` body: the protocol round budget the worker derived
+/// from its rebuilt nodes.
+#[derive(Debug, PartialEq)]
+struct HelloAck {
+    rounds: u64,
+}
+dft_sim::shard::wire_struct!(HelloAck { rounds: u64 });
+
 /// Default per-frame read deadline on worker pipes: a worker that stalls
 /// longer than this trips `TimedOut` and enters the recovery ladder instead
 /// of hanging the whole run.  Generous — at quick and paper scales one
@@ -155,13 +185,16 @@ fn worker_binary() -> &'static Path {
 
 fn hello_frame(kind: MeasureKind, w: &Workload, index: usize) -> Vec<u8> {
     let mut out = frame(TAG_HELLO);
-    out.push(kind.code());
-    w.n.encode(&mut out);
-    w.t.encode(&mut out);
-    (w.crashes).encode(&mut out);
-    w.seed.encode(&mut out);
-    w.shards.encode(&mut out);
-    index.encode(&mut out);
+    Hello {
+        kind: kind.code(),
+        n: w.n,
+        t: w.t,
+        crashes: w.crashes,
+        seed: w.seed,
+        shards: w.shards,
+        index,
+    }
+    .encode(&mut out);
     out
 }
 
@@ -210,7 +243,7 @@ fn try_spawn_worker(
     if tag != TAG_HELLO_ACK {
         return Err(bad_data(format!("unexpected handshake ack tag {tag}")));
     }
-    let rounds = u64::decode(&mut r)
+    let HelloAck { rounds } = HelloAck::decode(&mut r)
         .map_err(|err| bad_data(format!("handshake ack round budget: {err}")))?;
     Ok(Worker {
         child,
@@ -407,15 +440,17 @@ fn serve(transport: &mut dyn ShardTransport) -> io::Result<()> {
     if tag != TAG_HELLO {
         return Err(bad_data(format!("expected handshake, got frame tag {tag}")));
     }
-    let kind_code = r.u8().map_err(decode_err)?;
-    let kind = MeasureKind::from_code(kind_code)
-        .ok_or_else(|| bad_data(format!("unknown measurement kind {kind_code}")))?;
-    let n = usize::decode(&mut r).map_err(decode_err)?;
-    let t = usize::decode(&mut r).map_err(decode_err)?;
-    let crashes = usize::decode(&mut r).map_err(decode_err)?;
-    let seed = u64::decode(&mut r).map_err(decode_err)?;
-    let shards = usize::decode(&mut r).map_err(decode_err)?;
-    let index = usize::decode(&mut r).map_err(decode_err)?;
+    let Hello {
+        kind,
+        n,
+        t,
+        crashes,
+        seed,
+        shards,
+        index,
+    } = Hello::decode(&mut r).map_err(decode_err)?;
+    let kind = MeasureKind::from_code(kind)
+        .ok_or_else(|| bad_data(format!("unknown measurement kind {kind}")))?;
     if index >= shard_count(n, shards) {
         return Err(bad_data(format!(
             "shard index {index} out of range for n = {n}, shards = {shards}"
@@ -434,7 +469,7 @@ fn serve(transport: &mut dyn ShardTransport) -> io::Result<()> {
 
 fn ack(transport: &mut dyn ShardTransport, rounds: u64) -> io::Result<()> {
     let mut out = frame(TAG_HELLO_ACK);
-    rounds.encode(&mut out);
+    HelloAck { rounds }.encode(&mut out);
     transport.send(&out)
 }
 
@@ -476,6 +511,7 @@ mod tests {
         let hello = hello_frame(MeasureKind::Gossip, &w, 1);
         let (tag, mut r) = open_frame(&hello).expect("version header");
         assert_eq!(tag, TAG_HELLO);
+        // The layout the handshake had when it was written field by field.
         assert_eq!(r.u8().unwrap(), MeasureKind::Gossip.code());
         assert_eq!(usize::decode(&mut r).unwrap(), 60);
         assert_eq!(usize::decode(&mut r).unwrap(), 8);
@@ -484,6 +520,26 @@ mod tests {
         assert_eq!(usize::decode(&mut r).unwrap(), 2);
         assert_eq!(usize::decode(&mut r).unwrap(), 1);
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn handshake_bodies_round_trip_and_reject_every_truncation() {
+        use dft_sim::shard::{decode_error_path_violations, from_bytes, to_bytes};
+        let hello = Hello {
+            kind: MeasureKind::Gossip.code(),
+            n: 60,
+            t: 8,
+            crashes: 8,
+            seed: 3,
+            shards: 2,
+            index: 1,
+        };
+        assert_eq!(from_bytes::<Hello>(&to_bytes(&hello)).as_ref(), Ok(&hello));
+        assert_eq!(decode_error_path_violations(&hello), Vec::<usize>::new());
+        let ack = HelloAck { rounds: 12 };
+        assert_eq!(to_bytes(&ack), 12u64.to_le_bytes());
+        assert_eq!(from_bytes::<HelloAck>(&to_bytes(&ack)).as_ref(), Ok(&ack));
+        assert_eq!(decode_error_path_violations(&ack), Vec::<usize>::new());
     }
 
     #[test]

@@ -3,13 +3,12 @@
 use std::sync::Arc;
 
 use dft_overlay::{build, Graph, InquiryFamily, OverlayParams};
-use serde::{Deserialize, Serialize};
 
 use crate::error::{CoreError, CoreResult};
 
 /// Whether overlay parameters follow the paper's formulas verbatim or the
 /// laptop-scale practical scaling (see `DESIGN.md`, substitution notes).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ParamMode {
     /// Verbatim paper formulas (`d = 5⁸`, `δ(d) = ½(d^{7/8} − d^{5/8})`, …);
     /// degrees are still capped at the sub-network size, which for any
@@ -24,7 +23,7 @@ pub enum ParamMode {
 /// The system-level parameters shared by every protocol: the number of nodes
 /// `n`, the fault bound `t`, a seed for the deterministic overlay
 /// constructions and the parameter mode.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SystemConfig {
     /// Number of nodes.
     pub n: usize,

@@ -10,8 +10,6 @@
 //! the operational nodes survives, which is how the algorithms identify a
 //! large well-connected core of non-crashed nodes.
 
-use serde::{Deserialize, Serialize};
-
 /// The per-node state of one local-probing instance.
 ///
 /// The owning protocol drives it: call [`LocalProbing::should_send`] when
@@ -40,7 +38,7 @@ use serde::{Deserialize, Serialize};
 /// probe.observe_round(0);
 /// assert!(!probe.survived());
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LocalProbing {
     delta: usize,
     duration: u64,

@@ -1,8 +1,6 @@
 //! Protocol value types: joinable candidate values, extant sets and
 //! completion sets.
 
-use serde::{Deserialize, Serialize};
-
 /// A value that can only grow under a join (least-upper-bound) operation.
 ///
 /// The paper's crash-tolerant algorithms flood information monotonically:
@@ -44,7 +42,7 @@ impl JoinValue for bool {
 /// A fixed-width bit vector joined by coordinate-wise OR — the "combined
 /// message" of `n` concurrent consensus instances used by checkpointing
 /// (Section 6).
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct BitVector {
     bits: Vec<u64>,
     len: usize,
@@ -180,7 +178,7 @@ pub type Rumor = u64;
 /// linear pass the compiler vectorises, which measured faster at paper
 /// scale than a presence-bitmask layout whose per-bit scatter loop defeats
 /// vectorisation.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct ExtantSet {
     entries: Vec<Option<Rumor>>,
     /// Number of proper pairs (cached).

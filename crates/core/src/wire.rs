@@ -2,15 +2,17 @@
 //! and output types, so any of the paper's executions can be partitioned
 //! across `run_experiments --shard-worker` processes.
 //!
-//! Encodings are tag-per-variant and little-endian throughout (the codec's
-//! house style); each type's encoding is the natural transcription of its
-//! fields.  The types also carry `serde` derives for the day the real
-//! crates.io `serde` replaces the vendored stand-in — at which point these
-//! impls become a thin adapter over a generic format.
+//! Each message type declares its layout once (tag per variant, fields in
+//! order) and gets both directions generated from it.  [`BitVector`] and
+//! [`ExtantSet`] are written by hand: their decoders bound what a corrupt
+//! prefix can allocate and accept only the canonical form of a value.
 
 use std::sync::Arc;
 
-use dft_sim::shard::{Wire, WireError, WireReader, WireResult, MAX_FRAME_LEN};
+use dft_auth::{Signature, SignedValue};
+use dft_sim::shard::{
+    wire_enum, wire_struct, Wire, WireError, WireReader, WireResult, MAX_FRAME_LEN,
+};
 
 use crate::ab_consensus::{AbMsg, CommonSet};
 use crate::aea::AeaMsg;
@@ -22,105 +24,25 @@ use crate::many_crashes::McMsg;
 use crate::scv::ScvMsg;
 use crate::values::{BitVector, ExtantSet, JoinValue};
 
-fn bad_tag(what: &str, tag: u8) -> WireError {
-    WireError::new(format!("invalid {what} tag {tag}"))
-}
-
-impl<V: JoinValue + Wire> Wire for AeaMsg<V> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            AeaMsg::Rumor(v) => {
-                out.push(0);
-                v.encode(out);
-            }
-            AeaMsg::Decision(v) => {
-                out.push(1);
-                v.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-        match r.u8()? {
-            0 => Ok(AeaMsg::Rumor(V::decode(r)?)),
-            1 => Ok(AeaMsg::Decision(V::decode(r)?)),
-            tag => Err(bad_tag("AeaMsg", tag)),
-        }
-    }
-}
-
-impl<V: JoinValue + Wire> Wire for ScvMsg<V> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ScvMsg::Value(v) => {
-                out.push(0);
-                v.encode(out);
-            }
-            ScvMsg::Inquiry => out.push(1),
-            ScvMsg::Response(v) => {
-                out.push(2);
-                v.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-        match r.u8()? {
-            0 => Ok(ScvMsg::Value(V::decode(r)?)),
-            1 => Ok(ScvMsg::Inquiry),
-            2 => Ok(ScvMsg::Response(V::decode(r)?)),
-            tag => Err(bad_tag("ScvMsg", tag)),
-        }
-    }
-}
-
-impl<V: JoinValue + Wire> Wire for FcMsg<V> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            FcMsg::Aea(m) => {
-                out.push(0);
-                m.encode(out);
-            }
-            FcMsg::Scv(m) => {
-                out.push(1);
-                m.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-        match r.u8()? {
-            0 => Ok(FcMsg::Aea(AeaMsg::decode(r)?)),
-            1 => Ok(FcMsg::Scv(ScvMsg::decode(r)?)),
-            tag => Err(bad_tag("FcMsg", tag)),
-        }
-    }
-}
-
-impl Wire for McMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            McMsg::Rumor(v) => {
-                out.push(0);
-                v.encode(out);
-            }
-            McMsg::Inquiry => out.push(1),
-            McMsg::Response(v) => {
-                out.push(2);
-                v.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-        match r.u8()? {
-            0 => Ok(McMsg::Rumor(bool::decode(r)?)),
-            1 => Ok(McMsg::Inquiry),
-            2 => Ok(McMsg::Response(bool::decode(r)?)),
-            tag => Err(bad_tag("McMsg", tag)),
-        }
-    }
-}
+wire_enum!(AeaMsg<V: JoinValue + Wire> { 0 = Rumor(V), 1 = Decision(V) });
+wire_enum!(ScvMsg<V: JoinValue + Wire> { 0 = Value(V), 1 = Inquiry, 2 = Response(V) });
+wire_enum!(FcMsg<V: JoinValue + Wire> { 0 = Aea(AeaMsg<V>), 1 = Scv(ScvMsg<V>) });
+wire_enum!(McMsg { 0 = Rumor(bool), 1 = Inquiry, 2 = Response(bool) });
+wire_enum!(GossipMsg {
+    0 = Inquiry,
+    1 = Pair { node: u64, rumor: u64 },
+    2 = Extant(Arc<ExtantSet>),
+    3 = Completion(Arc<BitVector>),
+});
+wire_enum!(CheckpointMsg { 0 = Gossip(GossipMsg), 1 = Consensus(FcMsg<BitVector>) });
+wire_struct!(DsBatch(Vec<SignedValue>));
+wire_struct!(CommonSet { entries: Vec<SignedValue> });
+wire_enum!(AbMsg {
+    0 = Ds(Arc<DsBatch>),
+    1 = Endorse(Arc<Vec<SignedValue>>),
+    2 = CommonSet(Arc<CommonSet>),
+    3 = Inquiry(Signature),
+});
 
 /// The bit length, then the backing words as a sequence (word count, words).
 impl Wire for BitVector {
@@ -202,122 +124,10 @@ impl Wire for ExtantSet {
     }
 }
 
-impl Wire for GossipMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            GossipMsg::Inquiry => out.push(0),
-            GossipMsg::Pair { node, rumor } => {
-                out.push(1);
-                node.encode(out);
-                rumor.encode(out);
-            }
-            GossipMsg::Extant(set) => {
-                out.push(2);
-                set.encode(out);
-            }
-            GossipMsg::Completion(bits) => {
-                out.push(3);
-                bits.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-        match r.u8()? {
-            0 => Ok(GossipMsg::Inquiry),
-            1 => Ok(GossipMsg::Pair {
-                node: u64::decode(r)?,
-                rumor: u64::decode(r)?,
-            }),
-            2 => Ok(GossipMsg::Extant(Arc::decode(r)?)),
-            3 => Ok(GossipMsg::Completion(Arc::decode(r)?)),
-            tag => Err(bad_tag("GossipMsg", tag)),
-        }
-    }
-}
-
-impl Wire for CheckpointMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            CheckpointMsg::Gossip(m) => {
-                out.push(0);
-                m.encode(out);
-            }
-            CheckpointMsg::Consensus(m) => {
-                out.push(1);
-                m.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-        match r.u8()? {
-            0 => Ok(CheckpointMsg::Gossip(GossipMsg::decode(r)?)),
-            1 => Ok(CheckpointMsg::Consensus(FcMsg::decode(r)?)),
-            tag => Err(bad_tag("CheckpointMsg", tag)),
-        }
-    }
-}
-
-impl Wire for DsBatch {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-        Ok(DsBatch(Vec::decode(r)?))
-    }
-}
-
-impl Wire for CommonSet {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.entries.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-        Ok(CommonSet {
-            entries: Vec::decode(r)?,
-        })
-    }
-}
-
-impl Wire for AbMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            AbMsg::Ds(batch) => {
-                out.push(0);
-                batch.encode(out);
-            }
-            AbMsg::Endorse(entries) => {
-                out.push(1);
-                entries.encode(out);
-            }
-            AbMsg::CommonSet(set) => {
-                out.push(2);
-                set.encode(out);
-            }
-            AbMsg::Inquiry(signature) => {
-                out.push(3);
-                signature.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-        match r.u8()? {
-            0 => Ok(AbMsg::Ds(Arc::decode(r)?)),
-            1 => Ok(AbMsg::Endorse(Arc::decode(r)?)),
-            2 => Ok(AbMsg::CommonSet(Arc::decode(r)?)),
-            3 => Ok(AbMsg::Inquiry(dft_auth::Signature::decode(r)?)),
-            tag => Err(bad_tag("AbMsg", tag)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dft_auth::{KeyDirectory, SignedValue};
+    use dft_auth::KeyDirectory;
     use dft_sim::shard::{decode_error_path_violations, from_bytes, to_bytes};
 
     fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(value: T) {
@@ -441,6 +251,105 @@ mod tests {
             entries: vec![value],
         })));
         round_trip(AbMsg::Inquiry(directory.signer(1).sign_digest(9)));
+    }
+
+    /// One sample value per codec of this module and the bytes it must
+    /// encode to.  A layout edit changes a line here and needs the version
+    /// bump asserted beside it.
+    #[test]
+    fn golden_bytes() {
+        assert_eq!(dft_sim::shard::WIRE_VERSION, 3);
+        let tagged = |tag: u8, body: &[u8]| [&[tag], body].concat();
+
+        assert_eq!(to_bytes(&AeaMsg::Rumor(true)), b"\0\x01");
+        assert_eq!(to_bytes(&AeaMsg::Decision(false)), b"\x01\0");
+        assert_eq!(to_bytes(&ScvMsg::Value(true)), b"\0\x01");
+        assert_eq!(to_bytes(&ScvMsg::<bool>::Inquiry), b"\x01");
+        assert_eq!(to_bytes(&ScvMsg::Response(false)), b"\x02\0");
+        assert_eq!(to_bytes(&FcMsg::Aea(AeaMsg::Rumor(true))), b"\0\0\x01");
+        assert_eq!(to_bytes(&FcMsg::<bool>::Scv(ScvMsg::Inquiry)), b"\x01\x01");
+        assert_eq!(to_bytes(&McMsg::Rumor(true)), b"\0\x01");
+        assert_eq!(to_bytes(&McMsg::Inquiry), b"\x01");
+        assert_eq!(to_bytes(&McMsg::Response(false)), b"\x02\0");
+
+        let bits = BitVector::from_set_bits(70, [0, 64, 69]);
+        let bits_bytes = b"\x46\0\0\0\0\0\0\0\x02\0\0\0\0\0\0\0\
+                           \x01\0\0\0\0\0\0\0\x21\0\0\0\0\0\0\0";
+        assert_eq!(to_bytes(&bits), bits_bytes);
+        let mut set = ExtantSet::nil(5);
+        set.update(1, 77);
+        set.update(4, 99);
+        let set_bytes = b"\x05\0\0\0\0\0\0\0\x02\0\0\0\0\0\0\0\
+                          \x01\0\0\0\0\0\0\0\x4d\0\0\0\0\0\0\0\
+                          \x04\0\0\0\0\0\0\0\x63\0\0\0\0\0\0\0";
+        assert_eq!(to_bytes(&set), set_bytes);
+
+        assert_eq!(to_bytes(&GossipMsg::Inquiry), b"\0");
+        assert_eq!(
+            to_bytes(&GossipMsg::Pair {
+                node: 3,
+                rumor: 1003
+            }),
+            b"\x01\x03\0\0\0\0\0\0\0\xeb\x03\0\0\0\0\0\0"
+        );
+        assert_eq!(
+            to_bytes(&GossipMsg::Extant(Arc::new(set))),
+            tagged(2, set_bytes)
+        );
+        assert_eq!(
+            to_bytes(&GossipMsg::Completion(Arc::new(bits))),
+            tagged(3, bits_bytes)
+        );
+        assert_eq!(
+            to_bytes(&CheckpointMsg::Gossip(GossipMsg::Inquiry)),
+            b"\0\0"
+        );
+        assert_eq!(
+            to_bytes(&CheckpointMsg::Consensus(FcMsg::Aea(AeaMsg::Rumor(
+                BitVector::from_set_bits(8, [0, 7])
+            )))),
+            b"\x01\0\0\x08\0\0\0\0\0\0\0\x01\0\0\0\0\0\0\0\x81\0\0\0\0\0\0\0"
+        );
+
+        let signature = dft_auth::Signature {
+            signer: 1,
+            tag: 0x0102_0304_0506_0708,
+        };
+        let signature_bytes = b"\x01\0\0\0\0\0\0\0\x08\x07\x06\x05\x04\x03\x02\x01";
+        let chain = vec![SignedValue {
+            source: 1,
+            value: 42,
+            signatures: vec![signature],
+        }];
+        // One value, its source and payload, one signature.
+        let chain_bytes = [
+            b"\x01\0\0\0\0\0\0\0\x01\0\0\0\0\0\0\0".as_slice(),
+            b"\x2a\0\0\0\0\0\0\0\x01\0\0\0\0\0\0\0",
+            signature_bytes,
+        ]
+        .concat();
+        let batch = DsBatch(chain.clone());
+        let common = CommonSet {
+            entries: chain.clone(),
+        };
+        assert_eq!(to_bytes(&batch), chain_bytes);
+        assert_eq!(to_bytes(&common), chain_bytes);
+        assert_eq!(
+            to_bytes(&AbMsg::Ds(Arc::new(batch))),
+            tagged(0, &chain_bytes)
+        );
+        assert_eq!(
+            to_bytes(&AbMsg::Endorse(Arc::new(chain))),
+            tagged(1, &chain_bytes)
+        );
+        assert_eq!(
+            to_bytes(&AbMsg::CommonSet(Arc::new(common))),
+            tagged(2, &chain_bytes)
+        );
+        assert_eq!(
+            to_bytes(&AbMsg::Inquiry(signature)),
+            tagged(3, signature_bytes)
+        );
     }
 
     #[test]

@@ -63,7 +63,7 @@ use dft_baselines::FloodingConsensus;
 use dft_bench::baseline::{self, BenchConfig, BenchReport, ExperimentBench, RecoveryTotals};
 use dft_bench::{Table, Workload};
 use dft_sim::shard::{
-    frame, from_bytes, open_frame, to_bytes, ShardTransport, StreamTransport, Wire,
+    frame, from_bytes, open_frame, to_bytes, ShardTransport, StreamTransport, Wire, WireReader,
 };
 use dft_sim::{
     AdversaryView, CrashAdversary, CrashDirective, Delivered, DeliveryFilter, FixedCrashSchedule,
@@ -567,6 +567,38 @@ fn link_mut(links: &mut [Option<Link>], p: usize) -> &mut Link {
     links[p].as_mut().expect("mesh link established at startup")
 }
 
+/// Reads the body of a `TAG_ROUND` frame that arrived on the link to peer
+/// `p` during `round`.  In the paper's model the link *is* the sender's
+/// identity, so the body is refused unless it is for this round, has no
+/// trailing bytes, and every message in it names `p` as its sender — a
+/// forged `from` would otherwise pass for another node's message (or, out
+/// of range, index a protocol's per-sender state).
+fn round_body(
+    p: usize,
+    round: Round,
+    reader: &mut WireReader<'_>,
+) -> Result<Vec<Delivered<bool>>, String> {
+    let (sent_round, msgs): (Round, Vec<Delivered<bool>>) =
+        Wire::decode(reader).map_err(|err| format!("bad round body from node {p}: {err}"))?;
+    if !reader.is_empty() {
+        return Err(format!("trailing bytes in round frame from node {p}"));
+    }
+    if sent_round != round {
+        return Err(format!(
+            "node {p} sent a round-{} frame during round {}",
+            sent_round.as_u64(),
+            round.as_u64()
+        ));
+    }
+    if let Some(forged) = msgs.iter().find(|msg| msg.from.index() != p) {
+        return Err(format!(
+            "node {p} sent a message claiming node {} as its sender",
+            forged.from.index()
+        ));
+    }
+    Ok(msgs)
+}
+
 fn run_worker(args: &WorkerArgs) -> Result<(), String> {
     let n = args.peers.len();
     let me = args.me;
@@ -730,21 +762,7 @@ fn run_worker(args: &WorkerArgs) -> Result<(), String> {
             let (tag, mut reader) =
                 open_frame(&buf).map_err(|err| format!("bad frame from node {p}: {err}"))?;
             match tag {
-                TAG_ROUND => {
-                    let (sent_round, msgs): (Round, Vec<Delivered<bool>>) =
-                        Wire::decode(&mut reader)
-                            .map_err(|err| format!("bad round body from node {p}: {err}"))?;
-                    if !reader.is_empty() {
-                        return Err(format!("trailing bytes in round frame from node {p}"));
-                    }
-                    if sent_round != round {
-                        return Err(format!(
-                            "node {p} sent a round-{} frame during round {r}",
-                            sent_round.as_u64()
-                        ));
-                    }
-                    from_peer[p] = msgs;
-                }
+                TAG_ROUND => from_peer[p] = round_body(p, round, &mut reader)?,
                 TAG_GOODBYE => {
                     goodbyed[p] = true;
                 }
@@ -1182,6 +1200,35 @@ mod tests {
         let bytes = hex_decode(&hex).expect("valid hex");
         let decoded: Schedule = from_bytes(&bytes).expect("valid wire bytes");
         assert_eq!(decoded, schedule);
+    }
+
+    #[test]
+    fn round_frames_must_name_their_link_as_the_sender() {
+        let round = Round::new(4);
+        let body_of = |sent: Round, from: usize| {
+            let mut buf = frame(TAG_ROUND);
+            (sent, vec![Delivered::new(NodeId::new(from), true)]).encode(&mut buf);
+            buf
+        };
+        let read = |buf: &[u8]| {
+            let (tag, mut reader) = open_frame(buf).expect("version header");
+            assert_eq!(tag, TAG_ROUND);
+            round_body(1, round, &mut reader)
+        };
+        assert_eq!(
+            read(&body_of(round, 1)),
+            Ok(vec![Delivered::new(NodeId::new(1), true)])
+        );
+        // Another node's identity, or one outside the system, on link 1.
+        for forged in [0, 2, usize::MAX] {
+            let err = read(&body_of(round, forged)).expect_err("forged sender");
+            assert!(err.contains("as its sender"), "{err}");
+        }
+        let err = read(&body_of(Round::new(3), 1)).expect_err("wrong round");
+        assert!(err.contains("round-3 frame during round 4"), "{err}");
+        let mut trailing = body_of(round, 1);
+        trailing.push(0);
+        assert!(read(&trailing).is_err());
     }
 
     /// The extraction replica must agree with what a real serial run

@@ -14,13 +14,11 @@
 //! capping each degree at `n − 1` (complete graph) as documented in
 //! `DESIGN.md`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::build;
 use crate::graph::Graph;
 
 /// How the per-phase degrees of an [`InquiryFamily`] are derived.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FamilyKind {
     /// The `Spread-Common-Value` family of Lemma 5: degree `10·2^i` in
     /// phase `i` (1-based).

@@ -2,8 +2,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{OverlayError, OverlayResult};
 
 /// Index of a vertex in an overlay graph.
@@ -32,7 +30,7 @@ pub type VertexId = usize;
 /// assert!(!g.has_edge(0, 2));
 /// assert_eq!(g.num_edges(), 2);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Graph {
     adjacency: Vec<Vec<VertexId>>,
     num_edges: usize,

@@ -15,8 +15,6 @@
 //! `γ`) at sizes where the simulation can actually run.  The substitution is
 //! documented in `DESIGN.md` and evaluated in experiment E11.
 
-use serde::{Deserialize, Serialize};
-
 /// `ℓ(n, d) = 4 n d^{-1/8}`, the minimum set size for which expansion and
 /// compactness of a Ramanujan graph are guaranteed (Section 3).
 pub fn ell(n: usize, d: usize) -> f64 {
@@ -43,7 +41,7 @@ pub fn probing_radius(m: usize) -> usize {
 
 /// Parameters of one overlay instance: the graph degree, the local-probing
 /// radius `γ` and the survival threshold `δ`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OverlayParams {
     /// Vertex degree of the overlay graph (capped at `m − 1` by the
     /// constructions).

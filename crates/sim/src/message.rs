@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::node::NodeId;
 
 /// A message payload exchanged by a protocol.
@@ -124,12 +122,10 @@ impl<T: Payload> Payload for std::sync::Arc<T> {
     }
 }
 
-/// A message a node asks the runner to transmit this round.
-///
-/// Carries `serde` derives for the day the real crates.io `serde` replaces
-/// the vendored stand-in; the shard layer's explicit codec
-/// ([`crate::shard::Wire`]) is what moves envelopes between processes today.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// A message a node asks the runner to transmit this round.  The shard
+/// layer's codec ([`crate::shard::Wire`]) is what moves envelopes between
+/// processes.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Outgoing<M> {
     /// Destination node.
     pub to: NodeId,
@@ -145,7 +141,7 @@ impl<M> Outgoing<M> {
 }
 
 /// A message delivered to a node, tagged with its sender.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Delivered<M> {
     /// The node that sent the message.
     pub from: NodeId,

@@ -8,8 +8,6 @@
 //!   total number of bits carried in them; for Byzantine faults, only
 //!   messages sent by non-faulty nodes are counted.
 
-use serde::{Deserialize, Serialize};
-
 /// How many trailing rounds of the per-round message profile are retained.
 ///
 /// Long single-port executions run tens of thousands of rounds; an unbounded
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 pub const MESSAGES_PER_ROUND_WINDOW: usize = 1024;
 
 /// Aggregated communication counters for one execution.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Metrics {
     /// Rounds elapsed until the runner stopped (all non-faulty nodes halted
     /// or the round cap was hit).
@@ -41,7 +39,7 @@ pub struct Metrics {
 
 /// A sliding window over per-round message counts: the last
 /// `MESSAGES_PER_ROUND_WINDOW` rounds, plus the exact all-time peak.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 struct PerRoundWindow {
     /// `counts[i]` is the number of messages recorded in round
     /// `first_round + i`.

@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identity of a node in a synchronous network of `n` nodes.
 ///
 /// `NodeId` is a zero-based index; the paper's one-based *name* is available
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(id.index(), 0);
 /// assert_eq!(id.name(), 1); // the paper's smallest node name
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(usize);
 
 impl NodeId {
@@ -114,7 +112,7 @@ impl From<NodeId> for usize {
 /// assert!(!alive.contains(NodeId::new(2)));
 /// assert!(alive.contains(NodeId::new(0)));
 /// ```
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct NodeSet {
     words: Vec<u64>,
     universe: usize,

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A round number in a synchronous execution, starting from zero.
 ///
 /// All non-faulty nodes begin an execution at round zero and proceed in lock
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!((r + 3).as_u64(), 3);
 /// assert!(r < r + 1);
 /// ```
-#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Round(u64);
 
 impl Round {

@@ -27,7 +27,7 @@
 
 use std::collections::hash_map::{Entry, HashMap};
 
-use super::wire::{Wire, WireError, WireReader, WireResult};
+use super::wire::{Wire, WireError, WireResult};
 use crate::message::{Delivered, Payload};
 use crate::node::NodeId;
 
@@ -41,28 +41,7 @@ pub enum Slot<M> {
     Shared(usize),
 }
 
-impl<M: Wire> Wire for Slot<M> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Slot::Inline(msg) => {
-                out.push(0);
-                msg.encode(out);
-            }
-            Slot::Shared(position) => {
-                out.push(1);
-                position.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-        match r.u8()? {
-            0 => Ok(Slot::Inline(M::decode(r)?)),
-            1 => Ok(Slot::Shared(r.len()?)),
-            other => Err(WireError::new(format!("invalid Slot tag {other}"))),
-        }
-    }
-}
+crate::wire_enum!(Slot<M: Wire> { 0 = Inline(M), 1 = Shared(usize) });
 
 /// A message list in frame form: per entry the node index the list is keyed
 /// by (global destination in `RESP_DELIVERED`, chunk-local destination in
@@ -188,6 +167,13 @@ mod tests {
         let slots = intern(&mut list);
         assert!(slots.iter().all(|(_, _, s)| matches!(s, Slot::Inline(_))));
         assert_eq!(to_bytes(&slots).len(), plain + 5);
+    }
+
+    #[test]
+    fn slot_golden_bytes() {
+        assert_eq!(crate::shard::WIRE_VERSION, 3);
+        assert_eq!(to_bytes(&Slot::Inline(0xBEEFu16)), b"\0\xef\xbe");
+        assert_eq!(to_bytes(&Slot::<u16>::Shared(3)), b"\x01\x03\0\0\0\0\0\0\0");
     }
 
     #[test]

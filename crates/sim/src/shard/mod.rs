@@ -96,11 +96,14 @@ pub use transport::{
 pub use wire::{
     decode_error_path_violations, from_bytes, to_bytes, Wire, WireError, WireReader, WireResult,
 };
+// `#[macro_export]` puts the declaration macros at the crate root; the codec's
+// users find them here, next to the trait they implement.
+pub use crate::{wire_enum, wire_struct};
 
 /// Version of the shard wire format.  Every frame carries it; both sides
 /// reject a mismatch, so a stale worker binary fails loudly instead of
 /// silently mis-decoding.
-pub const WIRE_VERSION: u16 = 2;
+pub const WIRE_VERSION: u16 = 3;
 
 /// Frame tags (parent → worker).
 const REQ_COLLECT: u8 = 1;
@@ -334,21 +337,7 @@ struct WireEvent<O> {
     output: Option<O>,
 }
 
-impl<O: Wire> Wire for WireEvent<O> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.node.encode(out);
-        self.halted.encode(out);
-        self.output.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-        Ok(WireEvent {
-            node: usize::decode(r)?,
-            halted: bool::decode(r)?,
-            output: Option::decode(r)?,
-        })
-    }
-}
+crate::wire_struct!(WireEvent<O: Wire> { node: usize, halted: bool, output: Option<O> });
 
 // ---------------------------------------------------------------------------
 // Worker side

@@ -528,6 +528,17 @@ fn parent_refuses_events_for_another_chunks_node() {
 }
 
 #[test]
+fn wire_event_golden_bytes() {
+    assert_eq!(WIRE_VERSION, 3);
+    let decided = WireEvent {
+        node: 17,
+        halted: false,
+        output: Some(0xABu8),
+    };
+    assert_eq!(to_bytes(&decided), b"\x11\0\0\0\0\0\0\0\0\x01\xab");
+}
+
+#[test]
 fn wire_event_round_trips() {
     let decided = WireEvent::<u64> {
         node: 17,

@@ -1,15 +1,17 @@
 //! The compact binary wire codec used by the sharding layer.
 //!
-//! The vendored `serde` is an offline stand-in whose derives generate no
-//! code, so the shard protocol defines its own explicit codec: the [`Wire`]
-//! trait encodes a value into a byte buffer and decodes it back through a
-//! bounds-checked [`WireReader`].  The format is deliberately boring —
-//! little-endian fixed-width integers, `u8` tags for enums, 64-bit length
-//! prefixes for sequences — because both endpoints are always the same
-//! binary; versioning happens at the frame level (see
-//! [`WIRE_VERSION`](super::WIRE_VERSION)), not per value.  When the real
-//! `serde` lands, payload types already carry `Serialize`/`Deserialize`
-//! derives and this module becomes a thin adapter.
+//! The [`Wire`] trait encodes a value into a byte buffer and decodes it back
+//! through a bounds-checked [`WireReader`].  The format is deliberately
+//! boring — little-endian fixed-width integers, `u8` tags for enums, 64-bit
+//! length prefixes for sequences — because both endpoints are always the
+//! same binary; versioning happens at the frame level (see
+//! [`WIRE_VERSION`](super::WIRE_VERSION)), not per value.
+//!
+//! A type made of fields or of tagged variants does not write `encode` and
+//! `decode`: it declares its layout once with [`wire_struct!`](crate::wire_struct)
+//! or [`wire_enum!`](crate::wire_enum), and both directions are generated
+//! from that one list, so they cannot disagree.  The impls written by hand
+//! in this module are the leaves the declarations bottom out in.
 //!
 //! Every decode error is a [`WireError`] naming what was expected; nothing
 //! here panics on malformed input (a truncated frame from a dying worker
@@ -175,6 +177,169 @@ pub fn decode_error_path_violations<T: Wire>(value: &T) -> Vec<usize> {
     violations
 }
 
+/// Declares the [`Wire`] codec of a struct from one field list: fields are
+/// written and read in the order declared, each through its own type's
+/// codec.
+///
+/// ```
+/// use dft_sim::shard::{from_bytes, to_bytes, Wire};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Ack<T> {
+///     seq: u64,
+///     body: T,
+/// }
+/// dft_sim::shard::wire_struct!(Ack<T: Wire> { seq: u64, body: T });
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Batch(Vec<u16>);
+/// dft_sim::shard::wire_struct!(Batch(Vec<u16>));
+///
+/// let ack = Ack { seq: 7, body: Batch(vec![1, 2]) };
+/// assert_eq!(from_bytes::<Ack<Batch>>(&to_bytes(&ack)), Ok(ack));
+/// ```
+///
+/// The list is checked against the struct by the compiler.  A field the
+/// declaration leaves out does not build:
+///
+/// ```compile_fail,E0027
+/// struct Ack {
+///     seq: u64,
+///     ack: u16,
+/// }
+/// dft_sim::shard::wire_struct!(Ack { seq: u64 });
+/// ```
+///
+/// Nor does a field declared with another type than the struct's:
+///
+/// ```compile_fail,E0308
+/// struct Ack {
+///     seq: u64,
+/// }
+/// dft_sim::shard::wire_struct!(Ack { seq: u16 });
+/// ```
+///
+/// Reordering the list reorders both directions together.
+#[macro_export]
+macro_rules! wire_struct {
+    ($name:ident $(<$($g:ident : $b0:ident $(+ $bn:ident)*),+>)? { $($field:ident : $ty:ty),+ $(,)? }) => {
+        impl $(<$($g: $b0 $(+ $bn)*),+>)? $crate::shard::Wire for $name $(<$($g),+>)? {
+            fn encode(&self, out: &mut Vec<u8>) {
+                let Self { $($field),+ } = self;
+                $($crate::shard::Wire::encode($field, out);)+
+            }
+
+            fn decode(r: &mut $crate::shard::WireReader<'_>) -> $crate::shard::WireResult<Self> {
+                Ok(Self { $($field: <$ty as $crate::shard::Wire>::decode(r)?),+ })
+            }
+        }
+    };
+    ($name:ident $(<$($g:ident : $b0:ident $(+ $bn:ident)*),+>)? ($ty:ty)) => {
+        impl $(<$($g: $b0 $(+ $bn)*),+>)? $crate::shard::Wire for $name $(<$($g),+>)? {
+            fn encode(&self, out: &mut Vec<u8>) {
+                let Self(inner) = self;
+                $crate::shard::Wire::encode(inner, out);
+            }
+
+            fn decode(r: &mut $crate::shard::WireReader<'_>) -> $crate::shard::WireResult<Self> {
+                Ok(Self(<$ty as $crate::shard::Wire>::decode(r)?))
+            }
+        }
+    };
+}
+
+/// Declares the [`Wire`] codec of an enum from one variant list: a `u8` tag
+/// per variant, then the variant's fields in the order declared.  A variant
+/// carries nothing, one unnamed field, or named fields; an unknown tag
+/// decodes to an error naming the enum.
+///
+/// ```
+/// use dft_sim::shard::{from_bytes, to_bytes, Wire};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Probe<V> {
+///     Ping,
+///     Value(V),
+///     Pair { node: u64, rumor: u64 },
+/// }
+/// dft_sim::shard::wire_enum!(Probe<V: Wire> {
+///     0 = Ping,
+///     1 = Value(V),
+///     2 = Pair { node: u64, rumor: u64 },
+/// });
+///
+/// assert_eq!(to_bytes(&Probe::Value(true)), [1, 1]);
+/// let err = from_bytes::<Probe<bool>>(&[9]).unwrap_err();
+/// assert!(err.to_string().contains("invalid Probe tag 9"));
+/// ```
+///
+/// The list is checked against the enum by the compiler.  A variant the
+/// declaration leaves out does not build:
+///
+/// ```compile_fail,E0004
+/// enum Probe {
+///     Ping,
+///     Pong,
+/// }
+/// dft_sim::shard::wire_enum!(Probe { 0 = Ping });
+/// ```
+///
+/// Nor do two variants under one tag (the second could never be decoded):
+///
+/// ```compile_fail
+/// enum Probe {
+///     Ping,
+///     Pong,
+/// }
+/// dft_sim::shard::wire_enum!(Probe { 0 = Ping, 0 = Pong });
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    ($name:ident $(<$($g:ident : $b0:ident $(+ $bn:ident)*),+>)? { $($variants:tt)+ }) => {
+        $crate::wire_enum!(@variant ($name $(<$($g : $b0 $(+ $bn)*),+>)?) () $($variants)+);
+    };
+    // Each step moves one variant into the list in the one shape the last
+    // rule reads: `(tag Variant { field: binding: Type, .. })`, where the
+    // unnamed field of `Variant(Type)` is field `0`.
+    (@variant $head:tt ($($done:tt)*) $tag:literal = $v:ident ($ty:ty) $(, $($rest:tt)*)?) => {
+        $crate::wire_enum!(@variant $head ($($done)* ($tag $v { 0: inner: $ty })) $($($rest)*)?);
+    };
+    (@variant $head:tt ($($done:tt)*)
+        $tag:literal = $v:ident { $($f:ident : $ty:ty),+ $(,)? } $(, $($rest:tt)*)?) => {
+        $crate::wire_enum!(@variant $head ($($done)* ($tag $v { $($f: $f: $ty),+ })) $($($rest)*)?);
+    };
+    (@variant $head:tt ($($done:tt)*) $tag:literal = $v:ident $(, $($rest:tt)*)?) => {
+        $crate::wire_enum!(@variant $head ($($done)* ($tag $v {})) $($($rest)*)?);
+    };
+    (@variant ($name:ident $(<$($g:ident : $b0:ident $(+ $bn:ident)*),+>)?)
+        ($(($tag:literal $v:ident { $($f:tt : $b:ident : $ty:ty),* }))+)) => {
+        impl $(<$($g: $b0 $(+ $bn)*),+>)? $crate::shard::Wire for $name $(<$($g),+>)? {
+            fn encode(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(Self::$v { $($f: $b),* } => {
+                        out.push($tag);
+                        $($crate::shard::Wire::encode($b, out);)*
+                    })+
+                }
+            }
+
+            // A tag declared twice would make its second variant unreachable.
+            #[deny(unreachable_patterns)]
+            fn decode(r: &mut $crate::shard::WireReader<'_>) -> $crate::shard::WireResult<Self> {
+                match r.u8()? {
+                    $($tag => Ok(Self::$v {
+                        $($f: <$ty as $crate::shard::Wire>::decode(r)?),*
+                    }),)+
+                    other => Err($crate::shard::WireError::new(format!(
+                        concat!("invalid ", stringify!($name), " tag {}"),
+                        other
+                    ))),
+                }
+            }
+        }
+    };
+}
+
 impl Wire for () {
     fn encode(&self, _out: &mut Vec<u8>) {}
 
@@ -248,25 +413,7 @@ impl Wire for usize {
     }
 }
 
-impl<T: Wire> Wire for Option<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            None => out.push(0),
-            Some(value) => {
-                out.push(1);
-                value.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-        match r.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode(r)?)),
-            other => Err(WireError::new(format!("invalid Option tag {other}"))),
-        }
-    }
-}
+wire_enum!(Option<T: Wire> { 0 = None, 1 = Some(T) });
 
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -357,62 +504,14 @@ impl Wire for Round {
     }
 }
 
-impl Wire for DeliveryFilter {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            DeliveryFilter::All => out.push(0),
-            DeliveryFilter::None => out.push(1),
-            DeliveryFilter::Prefix(k) => {
-                out.push(2);
-                k.encode(out);
-            }
-            DeliveryFilter::Only(dests) => {
-                out.push(3);
-                dests.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-        match r.u8()? {
-            0 => Ok(DeliveryFilter::All),
-            1 => Ok(DeliveryFilter::None),
-            2 => Ok(DeliveryFilter::Prefix(r.len()?)),
-            3 => Ok(DeliveryFilter::Only(Vec::decode(r)?)),
-            other => Err(WireError::new(format!(
-                "invalid DeliveryFilter tag {other}"
-            ))),
-        }
-    }
-}
-
-impl<M: Wire> Wire for Outgoing<M> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.to.encode(out);
-        self.msg.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-        Ok(Outgoing {
-            to: NodeId::decode(r)?,
-            msg: M::decode(r)?,
-        })
-    }
-}
-
-impl<M: Wire> Wire for Delivered<M> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.from.encode(out);
-        self.msg.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-        Ok(Delivered {
-            from: NodeId::decode(r)?,
-            msg: M::decode(r)?,
-        })
-    }
-}
+wire_enum!(DeliveryFilter {
+    0 = All,
+    1 = None,
+    2 = Prefix(usize),
+    3 = Only(Vec<NodeId>),
+});
+wire_struct!(Outgoing<M: Wire> { to: NodeId, msg: M });
+wire_struct!(Delivered<M: Wire> { from: NodeId, msg: M });
 
 #[cfg(test)]
 mod tests {
@@ -487,6 +586,56 @@ mod tests {
         round_trip(DeliveryFilter::Only(vec![NodeId::new(1), NodeId::new(4)]));
         round_trip(Outgoing::new(NodeId::new(2), true));
         round_trip(Delivered::new(NodeId::new(3), 8u64));
+    }
+
+    /// One sample value per codec of this module and the bytes it must
+    /// encode to.  A layout edit changes a line here and needs the version
+    /// bump asserted beside it.
+    #[test]
+    fn golden_bytes() {
+        assert_eq!(crate::shard::WIRE_VERSION, 3);
+        let unit: Unit = ();
+        let pair: Tuple2 = (true, 9);
+        let triple: Tuple3 = (7, 0xBEEF, 0xDEAD_BEEF);
+        assert_eq!(to_bytes(&unit), b"");
+        assert_eq!(to_bytes(&true), b"\x01");
+        assert_eq!(to_bytes(&0xABu8), b"\xab");
+        assert_eq!(to_bytes(&0xBEEFu16), b"\xef\xbe");
+        assert_eq!(to_bytes(&0xDEAD_BEEFu32), b"\xef\xbe\xad\xde");
+        assert_eq!(
+            to_bytes(&0x0102_0304_0506_0708u64),
+            b"\x08\x07\x06\x05\x04\x03\x02\x01"
+        );
+        assert_eq!(to_bytes(&258usize), b"\x02\x01\0\0\0\0\0\0");
+        assert_eq!(to_bytes(&None::<u8>), b"\0");
+        assert_eq!(to_bytes(&Some(7u8)), b"\x01\x07");
+        assert_eq!(
+            to_bytes(&vec![1u8, 2, 3]),
+            b"\x03\0\0\0\0\0\0\0\x01\x02\x03"
+        );
+        assert_eq!(to_bytes(&pair), b"\x01\x09\0\0\0\0\0\0\0");
+        assert_eq!(to_bytes(&triple), b"\x07\xef\xbe\xef\xbe\xad\xde");
+        assert_eq!(to_bytes(&Arc::new(0xBEEFu16)), b"\xef\xbe");
+        assert_eq!(to_bytes(&NodeId::new(12)), b"\x0c\0\0\0\0\0\0\0");
+        assert_eq!(to_bytes(&Round::new(99)), b"\x63\0\0\0\0\0\0\0");
+        assert_eq!(to_bytes(&DeliveryFilter::All), b"\0");
+        assert_eq!(to_bytes(&DeliveryFilter::None), b"\x01");
+        assert_eq!(
+            to_bytes(&DeliveryFilter::Prefix(5)),
+            b"\x02\x05\0\0\0\0\0\0\0"
+        );
+        assert_eq!(
+            to_bytes(&DeliveryFilter::Only(vec![NodeId::new(4)])),
+            b"\x03\x01\0\0\0\0\0\0\0\x04\0\0\0\0\0\0\0"
+        );
+        assert_eq!(
+            to_bytes(&Outgoing::new(NodeId::new(2), true)),
+            b"\x02\0\0\0\0\0\0\0\x01"
+        );
+        assert_eq!(
+            to_bytes(&Delivered::new(NodeId::new(3), 0xABu8)),
+            b"\x03\0\0\0\0\0\0\0\xab"
+        );
     }
 
     #[test]
