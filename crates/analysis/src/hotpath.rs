@@ -46,8 +46,9 @@ pub const RULE_HOT_ALLOC: &str = "hot-alloc";
 pub const RULE_HOT_CLONE: &str = "hot-clone";
 
 /// The declared hot-entry set: the phase bodies both round engines drive
-/// every round, delivery batching, rumor-set merging and the signature
-/// chain-verify loop (the ROADMAP's "hot trio" wall).  Matched against the
+/// every round, delivery batching, rumor-set merging, the signature
+/// chain-verify loop (the ROADMAP's "hot trio" wall) and the two functions
+/// `AB-Consensus` was measured to spend its time in.  Matched against the
 /// inventory by `(self type, method)` name, so the fixture trees can
 /// exercise the pass by declaring the same shapes.
 pub const HOT_ENTRIES: &[(Option<&str>, &str)] = &[
@@ -68,9 +69,14 @@ pub const HOT_ENTRIES: &[(Option<&str>, &str)] = &[
     // dft_core::values::ExtantSet — rumor-set merging (E6/E7 wall).
     (Some("ExtantSet"), "merge"),
     (Some("ExtantSet"), "update"),
-    // dft_auth — the Dolev–Strong chain-verify loop (E8 wall).
+    // dft_auth — the Dolev–Strong chain-verify loop (5 % of E8).
     (Some("SignedValue"), "verify_chain"),
     (Some("SignedValue"), "verify_chain_with_length"),
+    // dft_core::ab_consensus — the measured E8 wall: checking a common set
+    // (70 % before its verdict was remembered) and merging endorsements
+    // (22 % before the signer bitsets).
+    (Some("CommonSet"), "verify"),
+    (Some("AbConsensus"), "merge_endorsements"),
 ];
 
 /// A lexed file retained for snippet and suppression lookup.

@@ -41,16 +41,17 @@ use crate::walk::{self, FileKind};
 /// Rule identifier for a composite `Wire` impl written by hand.
 pub const RULE_WIRE_HANDWRITTEN: &str = "wire-handwritten";
 
-/// The hand-written codecs, by file: primitives and containers, the two
-/// identifier newtypes whose fields are private to their modules, and the
-/// two value types whose decoders bound allocations and accept only
-/// canonical forms.  Everything else is declared.
+/// The hand-written codecs, by file: primitives and containers, the memo
+/// cell that is deliberately not on the wire, the two identifier newtypes
+/// whose fields are private to their modules, and the two value types whose
+/// decoders bound allocations and accept only canonical forms.  Everything
+/// else is declared.
 const LEAVES: &[(&str, &[&str])] = &[
     (
         "crates/sim/src/shard/wire.rs",
         &[
             "Unit", "bool", "u8", "u16", "u32", "u64", "usize", "Vec", "Tuple2", "Tuple3", "Arc",
-            "NodeId", "Round",
+            "OnceLock", "NodeId", "Round",
         ],
     ),
     ("crates/core/src/wire.rs", &["BitVector", "ExtantSet"]),

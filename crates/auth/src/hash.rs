@@ -58,7 +58,10 @@ fn mix(mut x: u64) -> u64 {
 
 /// An incremental hasher over 64-bit words, used to build message digests
 /// without allocating intermediate buffers.
-#[derive(Clone, Debug)]
+///
+/// The state is one word, so a hasher that has absorbed a fixed prefix is a
+/// value to copy and resume from: a [`SecretKey`](crate::SecretKey) is one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WordHasher {
     state: u64,
 }

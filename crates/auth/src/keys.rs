@@ -13,20 +13,32 @@
 //!   strategies for signing on behalf of others — the runner only gives a
 //!   Byzantine node its own [`Signer`].
 
-use crate::hash::hash_words;
+use crate::hash::WordHasher;
 
 /// Identifier of a signing node (the node's zero-based index).
 pub type SignerId = usize;
 
-/// A node's secret signing key.
+/// A node's secret signing key, held in the form the MAC consumes.
+///
+/// A tag is `hash_words(&[material, id, digest])`, a byte-serial hash whose
+/// first two words are the same for every tag of one signer.  The key is
+/// therefore kept as the hasher that has already absorbed `[material, id]`:
+/// signing and verifying resume from it and absorb only the digest, for the
+/// same tag bit for bit.
 #[derive(Clone, Copy, PartialEq, Eq)]
-pub struct SecretKey(u64);
+pub struct SecretKey(WordHasher);
 
 impl SecretKey {
-    /// Raw key material (used only inside this crate's MAC computation and
-    /// in tests).
-    pub(crate) fn material(self) -> u64 {
-        self.0
+    fn new(material: u64, id: SignerId) -> Self {
+        let mut prefix = WordHasher::new();
+        prefix.write_u64(material).write_u64(id as u64);
+        SecretKey(prefix)
+    }
+
+    /// The MAC tag of `digest` under this key.
+    fn tag(self, digest: u64) -> u64 {
+        let mut hasher = self.0;
+        hasher.write_u64(digest).finish()
     }
 }
 
@@ -52,7 +64,7 @@ impl Signer {
 
     /// Computes the MAC tag of a digest under this signer's key.
     pub(crate) fn tag(&self, digest: u64) -> u64 {
-        hash_words(&[self.key.material(), self.id as u64, digest])
+        self.key.tag(digest)
     }
 }
 
@@ -72,15 +84,30 @@ impl Signer {
 #[derive(Clone, Debug)]
 pub struct KeyDirectory {
     keys: Vec<SecretKey>,
+    fingerprint: u64,
 }
 
 impl KeyDirectory {
     /// Deterministically generates keys for `n` nodes from a seed.
     pub fn generate(n: usize, seed: u64) -> Self {
+        // Node `i`'s key material is `hash_words(&[seed, 0x5EED, i])`; the
+        // two leading words are absorbed once for the whole table.
+        let mut seeded = WordHasher::new();
+        seeded.write_u64(seed).write_u64(0x5EED_u64);
+        let mut fingerprint = WordHasher::new();
+        fingerprint.write_u64(n as u64);
         let keys = (0..n)
-            .map(|i| SecretKey(hash_words(&[seed, 0x5EED_u64, i as u64])))
+            .map(|id| {
+                let mut hasher = seeded;
+                let material = hasher.write_u64(id as u64).finish();
+                fingerprint.write_u64(material);
+                SecretKey::new(material, id)
+            })
             .collect();
-        KeyDirectory { keys }
+        KeyDirectory {
+            keys,
+            fingerprint: fingerprint.finish(),
+        }
     }
 
     /// Number of nodes with keys.
@@ -91,6 +118,16 @@ impl KeyDirectory {
     /// Whether the directory is empty.
     pub fn is_empty(&self) -> bool {
         self.keys.is_empty()
+    }
+
+    /// A hash of the whole key table, computed once in
+    /// [`generate`](Self::generate): two directories verify the same
+    /// signatures exactly when they hold the same keys, so a verdict
+    /// remembered under one directory's fingerprint is not an answer under
+    /// another's.  (The directory's address would not do: addresses are
+    /// reused.)
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     /// The signer handed to node `id` (its own key only).
@@ -107,15 +144,14 @@ impl KeyDirectory {
 
     /// Recomputes the expected tag of `digest` under node `signer`'s key.
     pub(crate) fn expected_tag(&self, signer: SignerId, digest: u64) -> Option<u64> {
-        self.keys
-            .get(signer)
-            .map(|key| hash_words(&[key.material(), signer as u64, digest]))
+        self.keys.get(signer).map(|key| key.tag(digest))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::hash_words;
 
     #[test]
     fn generation_is_deterministic_per_seed() {
@@ -142,6 +178,47 @@ mod tests {
     fn secret_key_debug_is_redacted() {
         let d = KeyDirectory::generate(1, 3);
         assert_eq!(format!("{:?}", d.keys[0]), "SecretKey(..)");
+    }
+
+    /// The tags the parent of the prefix-state MAC produced, and the
+    /// definition they come from: a key kept as a resumed hasher signs what
+    /// the three-word hash signs.
+    #[test]
+    fn tags_are_those_of_the_three_word_hash() {
+        let captured: [(u64, usize, SignerId, u64, u64); 6] = [
+            (0x7, 1000, 0, 0x0, 0xc960_3d51_bb6e_8838),
+            (0x7, 1000, 154, 0xabcd, 0xb27a_6281_7e66_03ed),
+            (0x7, 1000, 999, u64::MAX, 0x70e1_3c63_b83a_462c),
+            (0x63, 4, 2, 0xabcd, 0xbc3b_ba33_f81a_e0dc),
+            (0x0, 1, 0, 0x1, 0x6644_1325_34dd_7e23),
+            (
+                u64::MAX,
+                70,
+                64,
+                0x0123_4567_89ab_cdef,
+                0x7453_ea6e_088b_74fa,
+            ),
+        ];
+        for (seed, n, id, digest, tag) in captured {
+            let directory = KeyDirectory::generate(n, seed);
+            let material = hash_words(&[seed, 0x5EED, id as u64]);
+            assert_eq!(tag, hash_words(&[material, id as u64, digest]));
+            assert_eq!(directory.signer(id).tag(digest), tag);
+            assert_eq!(directory.expected_tag(id, digest), Some(tag));
+        }
+    }
+
+    #[test]
+    fn fingerprint_names_the_key_table() {
+        let a = KeyDirectory::generate(5, 1);
+        assert_eq!(a.fingerprint(), KeyDirectory::generate(5, 1).fingerprint());
+        assert_eq!(a.fingerprint(), a.clone().fingerprint());
+        assert_ne!(a.fingerprint(), KeyDirectory::generate(5, 2).fingerprint());
+        assert_ne!(a.fingerprint(), KeyDirectory::generate(6, 1).fingerprint());
+        assert_ne!(
+            KeyDirectory::generate(0, 1).fingerprint(),
+            KeyDirectory::generate(1, 1).fingerprint()
+        );
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! * [`Signature`] — a keyed 64-bit MAC tag over a message digest;
 //! * [`SignedValue`] — a value plus its signature chain, the unit of the
 //!   Dolev–Strong broadcast and of the "authenticated common sets of values"
-//!   in `AB-Consensus`.
+//!   in `AB-Consensus`;
+//! * [`SignerSet`] — the bitset in which a signature walk finds a repeated
+//!   signer in one step.
 //!
 //! The MAC uses a small non-cryptographic hash ([`hash`]); inside a closed
 //! simulation this preserves unforgeability because key material never
@@ -50,8 +52,10 @@ pub mod hash;
 mod keys;
 mod signature;
 mod signed;
+mod signer_set;
 
 pub use error::{AuthError, AuthResult};
 pub use keys::{KeyDirectory, SecretKey, Signer, SignerId};
 pub use signature::Signature;
-pub use signed::{value_digest, SignedValue};
+pub use signed::{value_digest, SignedValue, DECISIVE_VALUES};
+pub use signer_set::SignerSet;

@@ -12,12 +12,20 @@
 use crate::hash::hash_words;
 use crate::keys::{KeyDirectory, Signer, SignerId};
 use crate::signature::Signature;
+use crate::signer_set::SignerSet;
 
 /// Canonical digest of a `(source, value)` pair, the object every signature
 /// in a chain covers.
 pub fn value_digest(source: SignerId, value: u64) -> u64 {
     hash_words(&[0x5167_u64, source as u64, value])
 }
+
+/// How many distinct values of one source a Dolev–Strong participant
+/// accepts, countersigns and relays.  Two settle the source: it resolves to
+/// null whatever else it signed, and every other participant learns as much
+/// from the two relays.  Without the cap a source that signs k values makes
+/// every non-faulty participant store and relay all k.
+pub const DECISIVE_VALUES: usize = 2;
 
 /// A broadcast value together with its chain of endorsing signatures.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -73,28 +81,29 @@ impl SignedValue {
         ids
     }
 
+    /// Whether every signature verifies against the canonical digest and no
+    /// signer appears twice — the one walk behind every check of a signature
+    /// list.  `seen` is reset first and holds the signers of the signatures
+    /// walked, so a caller can count a quorum in it, and can hand the same
+    /// set to the next value.
+    pub fn verify_signatures(&self, directory: &KeyDirectory, seen: &mut SignerSet) -> bool {
+        seen.reset(directory.len());
+        let digest = value_digest(self.source, self.value);
+        // The MAC comes first: only a signer the directory knows passes it,
+        // so every id that reaches the set is below its capacity.
+        self.signatures.iter().all(|signature| {
+            directory.verify_digest(signature, digest) && seen.insert(signature.signer)
+        })
+    }
+
     /// Whether the chain is valid: every signature verifies against the
     /// canonical digest, signers are pairwise distinct, and the first
     /// signature is the source's.
     pub fn verify_chain(&self, directory: &KeyDirectory) -> bool {
-        if self.signatures.is_empty() {
-            return false;
-        }
-        if self.signatures[0].signer != self.source {
-            return false;
-        }
-        let digest = value_digest(self.source, self.value);
-        let mut seen = Vec::with_capacity(self.signatures.len());
-        for signature in &self.signatures {
-            if seen.contains(&signature.signer) {
-                return false;
-            }
-            if !directory.verify_digest(signature, digest) {
-                return false;
-            }
-            seen.push(signature.signer);
-        }
-        true
+        self.signatures
+            .first()
+            .is_some_and(|first| first.signer == self.source)
+            && self.verify_signatures(directory, &mut SignerSet::default())
     }
 
     /// Whether the chain is valid *and* contains at least `required`
@@ -144,7 +153,7 @@ mod tests {
 
     #[test]
     fn wire_golden_bytes() {
-        assert_eq!(dft_sim::shard::WIRE_VERSION, 3);
+        assert_eq!(dft_sim::shard::WIRE_VERSION, 4);
         let value = SignedValue {
             source: 3,
             value: 31,
@@ -167,6 +176,27 @@ mod tests {
         assert_eq!(sv.chain_len(), 3);
         assert_eq!(sv.signers(), vec![0, 1, 2]);
         assert!(sv.verify_chain_with_length(&dir, 3));
+    }
+
+    #[test]
+    fn signature_walk_leaves_the_signers_in_the_set() {
+        let dir = directory();
+        let mut sv = SignedValue::originate(&dir.signer(1), 4);
+        sv.countersign(&dir.signer(4));
+        let mut signers = SignerSet::new(2);
+        signers.insert(0);
+        assert!(sv.verify_signatures(&dir, &mut signers));
+        assert!(!signers.contains(0), "the set is reset, whatever it held");
+        assert!(signers.contains(1) && signers.contains(4));
+        assert_eq!(signers.count_below(4), 1);
+        // A repeated signer is caught by the set, wherever it sits.
+        sv.signatures.push(sv.signatures[0]);
+        assert!(!sv.verify_signatures(&dir, &mut signers));
+        assert!(!sv.verify_chain(&dir));
+        // A signer the directory does not know fails its MAC before it can
+        // reach the set.
+        sv.signatures[2] = Signature { signer: 5, tag: 0 };
+        assert!(!sv.verify_signatures(&dir, &mut signers));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 
 use std::sync::Arc;
 
-use dft_auth::{KeyDirectory, SignedValue, Signer};
+use dft_auth::{KeyDirectory, SignedValue, Signer, DECISIVE_VALUES};
 use dft_sim::{Delivered, NodeId, Outgoing, Payload, Round, SyncProtocol};
 
 /// The textbook flooding consensus: for `t + 1` rounds every node broadcasts
@@ -392,16 +392,19 @@ impl SyncProtocol for ParallelDsConsensus {
         if r <= self.t as u64 {
             for delivered in inbox {
                 for sv in &delivered.msg.0 {
-                    // Skip already-accepted values before paying for chain
-                    // verification; relays of known values dominate later
-                    // rounds.
-                    if sv.source >= self.n
-                        || self.accepted[sv.source].contains(&sv.value)
+                    let Some(accepted) = self.accepted.get_mut(sv.source) else {
+                        continue;
+                    };
+                    // Skip settled sources and already-accepted values
+                    // before paying for chain verification; relays of known
+                    // values dominate later rounds.
+                    if accepted.len() >= DECISIVE_VALUES
+                        || accepted.contains(&sv.value)
                         || !sv.verify_chain_with_length(&self.directory, r as usize + 1)
                     {
                         continue;
                     }
-                    self.accepted[sv.source].insert(sv.value);
+                    accepted.insert(sv.value);
                     let mut relay = sv.clone();
                     relay.countersign(&self.signer);
                     self.relay_queue.push(relay);
@@ -473,7 +476,7 @@ mod wire_impls {
 
         #[test]
         fn baseline_payloads_golden_bytes() {
-            assert_eq!(dft_sim::shard::WIRE_VERSION, 3);
+            assert_eq!(dft_sim::shard::WIRE_VERSION, 4);
             assert_eq!(
                 to_bytes(&RumorMap(vec![Some(7), None])),
                 b"\x02\0\0\0\0\0\0\0\x01\x07\0\0\0\0\0\0\0\0"
@@ -586,5 +589,25 @@ mod tests {
         assert!(report.non_faulty_deciders_agree());
         assert_eq!(report.agreed_value(), Some(&(n as u64 - 1)));
         assert!(report.metrics.messages >= (n * (n - 1)) as u64);
+    }
+
+    #[test]
+    fn parallel_ds_settles_an_equivocating_source_at_two_values() {
+        let n = 8;
+        let directory = Arc::new(KeyDirectory::generate(n, 9));
+        let source = directory.signer(0);
+        let signed = (100..140).map(|value| SignedValue::originate(&source, value));
+        let inbox = [Delivered::new(
+            NodeId::new(0),
+            Arc::new(SignedBatch(signed.collect())),
+        )];
+        let mut node = ParallelDsConsensus::new(n, 2, 1, 5, directory);
+        node.receive(Round::ZERO, &inbox);
+        assert_eq!(node.accepted[0].len(), 2);
+        assert_eq!(
+            node.relay_queue.len(),
+            2,
+            "nothing past the second is relayed"
+        );
     }
 }

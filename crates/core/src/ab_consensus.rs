@@ -20,10 +20,11 @@
 //! Every node finally decides on the maximum value of its authenticated set.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use dft_auth::{KeyDirectory, Signature, SignedValue, Signer};
+use dft_auth::{KeyDirectory, Signature, SignedValue, Signer, SignerSet, DECISIVE_VALUES};
 use dft_overlay::Graph;
+use dft_sim::shard::wire_struct;
 use dft_sim::{Delivered, NodeId, Outgoing, Payload, Round, SyncProtocol};
 
 use crate::config::SystemConfig;
@@ -36,33 +37,129 @@ pub const NULL_VALUE: u64 = u64::MAX;
 
 /// An authenticated common set of values: one entry per little source, each
 /// endorsed by a quorum of little-node signatures.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// A set is immutable once built and travels as one shared [`Arc`]: a little
+/// node hands the same allocation to its related nodes and `H` forwards it
+/// on, so most of the n nodes that must check a set check the *same object*.
+/// The set therefore remembers its own verdict (see [`verify`](Self::verify)).
+/// That is sound because nothing can change the entries after the verdict
+/// exists — they are private, and there is no mutating method — and because
+/// only `verify` writes the memo: a set that is built, cloned from an
+/// unjudged set or decoded from the wire starts without one.
+#[derive(Clone)]
 pub struct CommonSet {
-    /// One signed entry per little source, indexed by source.
-    pub entries: Vec<SignedValue>,
+    entries: Vec<SignedValue>,
+    verdict: OnceLock<Verdict>,
+}
+
+/// Everything a verdict on a set depends on apart from the set's entries.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Question {
+    /// [`KeyDirectory::fingerprint`] of the directory to judge by.
+    directory: u64,
+    little: usize,
+    threshold: usize,
+}
+
+/// What [`CommonSet::verify`] found, beside the question it answers.
+#[derive(Clone, Copy, Debug)]
+struct Verdict {
+    asked: Question,
+    valid: bool,
+}
+
+// The memo is no part of the value: it is not on the wire (the `OnceLock`
+// codec writes nothing and reads an unset cell), and two sets are equal when
+// their entries are.
+wire_struct!(CommonSet {
+    entries: Vec<SignedValue>,
+    verdict: OnceLock<Verdict>,
+});
+
+impl PartialEq for CommonSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries == other.entries
+    }
+}
+
+impl std::fmt::Debug for CommonSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CommonSet")
+            .field("entries", &self.entries)
+            .finish()
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Verdicts this thread worked out in full for a caller (the debug
+    /// cross-check of a remembered verdict is not one).
+    static FULL_VERIFICATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 impl CommonSet {
+    /// A set of the given entries, not yet judged.
+    pub fn new(entries: Vec<SignedValue>) -> Self {
+        CommonSet {
+            entries,
+            verdict: OnceLock::new(),
+        }
+    }
+
+    /// The entries, one per little source, indexed by source.
+    pub fn entries(&self) -> &[SignedValue] {
+        &self.entries
+    }
+
     /// Verifies the set: one entry per little source in order, every
     /// signature valid over its entry, signers pairwise distinct, and at
     /// least `threshold` little-node signers per entry.
+    ///
+    /// The first call works the verdict out and stores it in the set with
+    /// what it was asked under — the directory (by fingerprint), `little`
+    /// and `threshold`; the same question asked again of this object, by
+    /// whichever node or thread, is answered from there.  Another question
+    /// is worked out in full and not stored.  The verdict is a pure function
+    /// of the entries and the question, so who asks first changes nothing;
+    /// debug builds check exactly that on every remembered answer.
     pub fn verify(&self, directory: &KeyDirectory, little: usize, threshold: usize) -> bool {
+        let full = || {
+            #[cfg(test)]
+            FULL_VERIFICATIONS.with(|count| count.set(count.get() + 1));
+            self.verdict_in_full(directory, little, threshold)
+        };
+        let asked = Question {
+            directory: directory.fingerprint(),
+            little,
+            threshold,
+        };
+        let mut remembered = true;
+        let verdict = self.verdict.get_or_init(|| {
+            remembered = false;
+            Verdict {
+                asked,
+                valid: full(),
+            }
+        });
+        if verdict.asked != asked {
+            return full();
+        }
+        debug_assert!(
+            !remembered || verdict.valid == self.verdict_in_full(directory, little, threshold),
+            "a remembered verdict differs from the verification it stands for"
+        );
+        verdict.valid
+    }
+
+    fn verdict_in_full(&self, directory: &KeyDirectory, little: usize, threshold: usize) -> bool {
         if self.entries.len() != little {
             return false;
         }
+        let mut signers = SignerSet::default();
         self.entries.iter().enumerate().all(|(source, entry)| {
-            if entry.source != source {
-                return false;
-            }
-            let digest = dft_auth::value_digest(entry.source, entry.value);
-            let mut seen: Vec<usize> = Vec::new();
-            for signature in &entry.signatures {
-                if seen.contains(&signature.signer) || !directory.verify_digest(signature, digest) {
-                    return false;
-                }
-                seen.push(signature.signer);
-            }
-            seen.iter().filter(|&&s| s < little).count() >= threshold
+            entry.source == source
+                && entry.verify_signatures(directory, &mut signers)
+                && signers.count_below(little) >= threshold
         })
     }
 
@@ -200,6 +297,18 @@ impl AbConfig {
     }
 }
 
+/// One source's resolved entry while endorsements are merged into it.
+#[derive(Clone, Debug)]
+struct Endorsement {
+    entry: SignedValue,
+    /// `value_digest` of the entry, which every endorsement of it signs.
+    digest: u64,
+    /// The little nodes among the entry's signers.  Only their signatures
+    /// count towards a quorum, so only theirs are merged, and the set is
+    /// `little` bits wide.
+    signers: SignerSet,
+}
+
 /// Per-node state machine for `AB-Consensus`.
 #[derive(Clone, Debug)]
 pub struct AbConsensus {
@@ -207,11 +316,13 @@ pub struct AbConsensus {
     me: usize,
     signer: Signer,
     input: u64,
-    /// Dolev–Strong state: accepted values per little source.
+    /// Dolev–Strong state: accepted values per little source, at most
+    /// [`DECISIVE_VALUES`] of them.
     accepted: Vec<BTreeMap<u64, SignedValue>>,
     relay_queue: Vec<SignedValue>,
-    /// Merged endorsement chains per source, keyed by resolved value.
-    endorsed: Vec<Option<SignedValue>>,
+    /// Merged endorsement chains per source, from the endorsement round
+    /// until they become the common set.
+    endorsed: Vec<Endorsement>,
     common: Option<Arc<CommonSet>>,
     forward_pending: bool,
     inquirers: Vec<usize>,
@@ -224,7 +335,6 @@ impl AbConsensus {
     pub fn new(config: AbConfig, me: usize, input: u64) -> Self {
         let signer = config.directory.signer(me);
         let accepted = vec![BTreeMap::new(); config.little];
-        let endorsed = vec![None; config.little];
         AbConsensus {
             config,
             me,
@@ -232,7 +342,7 @@ impl AbConsensus {
             input,
             accepted,
             relay_queue: Vec::new(),
-            endorsed,
+            endorsed: Vec::new(),
             common: None,
             forward_pending: false,
             inquirers: Vec::new(),
@@ -298,20 +408,20 @@ impl AbConsensus {
     /// Builds this little node's endorsed entries after Dolev–Strong
     /// resolution.
     fn build_endorsements(&mut self) -> Vec<SignedValue> {
-        let mut entries = Vec::with_capacity(self.config.little);
-        for source in 0..self.config.little {
-            let resolved: Option<(u64, SignedValue)> = if self.accepted[source].len() == 1 {
-                self.accepted[source]
-                    .iter()
-                    .next()
-                    .map(|(v, sv)| (*v, sv.clone()))
+        let little = self.config.little;
+        let mut entries = Vec::with_capacity(little);
+        self.endorsed = Vec::with_capacity(little);
+        for (source, accepted) in self.accepted.iter().enumerate() {
+            let resolved = if accepted.len() == 1 {
+                accepted.values().next()
             } else {
                 None
             };
-            let mut entry = match resolved {
-                Some((_, mut sv)) => {
-                    sv.countersign(&self.signer);
-                    sv
+            let entry = match resolved {
+                Some(chain) => {
+                    let mut entry = chain.clone();
+                    entry.countersign(&self.signer);
+                    entry
                 }
                 None => SignedValue {
                     source,
@@ -321,30 +431,39 @@ impl AbConsensus {
                         .sign_digest(dft_auth::value_digest(source, NULL_VALUE))],
                 },
             };
-            entry.source = source;
-            self.endorsed[source] = Some(entry.clone());
+            let mut signers = SignerSet::new(little);
+            for signature in &entry.signatures {
+                signers.insert(signature.signer);
+            }
+            self.endorsed.push(Endorsement {
+                digest: dft_auth::value_digest(source, entry.value),
+                signers,
+                entry: entry.clone(),
+            });
             entries.push(entry);
         }
         entries
     }
 
     /// Merges a peer's endorsements into our own chains (same source and
-    /// value only).
+    /// value only): each little node's signature once, if it verifies.
     fn merge_endorsements(&mut self, entries: &[SignedValue]) {
+        let directory = &self.config.directory;
         for entry in entries {
-            let Some(Some(own)) = self.endorsed.get_mut(entry.source) else {
+            let Some(own) = self.endorsed.get_mut(entry.source) else {
                 continue;
             };
-            if own.value != entry.value {
+            if own.entry.value != entry.value {
                 continue;
             }
-            let digest = dft_auth::value_digest(entry.source, entry.value);
             for signature in &entry.signatures {
-                if own.signatures.iter().any(|s| s.signer == signature.signer) {
-                    continue;
-                }
-                if self.config.directory.verify_digest(signature, digest) {
-                    own.signatures.push(*signature);
+                // Known signers are the common case (the source signs every
+                // copy); they are passed over without paying for a MAC.
+                if !own.signers.contains(signature.signer)
+                    && directory.verify_digest(signature, own.digest)
+                    && own.signers.insert(signature.signer)
+                {
+                    own.entry.signatures.push(*signature);
                 }
             }
         }
@@ -354,13 +473,10 @@ impl AbConsensus {
         if self.common.is_some() {
             return;
         }
-        let entries: Vec<SignedValue> = self
-            .endorsed
-            .iter()
-            .cloned()
-            .map(|e| e.expect("endorsements built before finalization"))
-            .collect();
-        let set = CommonSet { entries };
+        // The merged chains become the set; nothing reads them afterwards.
+        // (Had they not been built, the empty set fails its own check.)
+        let merged = std::mem::take(&mut self.endorsed);
+        let set = CommonSet::new(merged.into_iter().map(|e| e.entry).collect());
         if set.verify(
             &self.config.directory,
             self.config.little,
@@ -468,30 +584,34 @@ impl SyncProtocol for AbConsensus {
 
     fn receive(&mut self, round: Round, inbox: &[Delivered<AbMsg>]) {
         let r = round.as_u64();
-        let cfg = self.config.clone();
-        if r < cfg.endorse_round() {
+        let endorse_round = self.config.endorse_round();
+        if r < endorse_round {
             if self.is_little() {
+                let directory = &self.config.directory;
                 for delivered in inbox {
                     if let AbMsg::Ds(batch) = &delivered.msg {
                         for sv in &batch.0 {
+                            let Some(accepted) = self.accepted.get_mut(sv.source) else {
+                                continue;
+                            };
                             // Skip already-accepted values before paying for
                             // chain verification: relays of known values are
                             // the common case in later Dolev–Strong rounds.
-                            if sv.source >= cfg.little
-                                || self.accepted[sv.source].contains_key(&sv.value)
-                                || !sv.verify_chain_with_length(&cfg.directory, r as usize + 1)
+                            if accepted.len() >= DECISIVE_VALUES
+                                || accepted.contains_key(&sv.value)
+                                || !sv.verify_chain_with_length(directory, r as usize + 1)
                             {
                                 continue;
                             }
                             let mut relay = sv.clone();
                             relay.countersign(&self.signer);
-                            self.accepted[sv.source].insert(sv.value, sv.clone());
+                            accepted.insert(sv.value, sv.clone());
                             self.relay_queue.push(relay);
                         }
                     }
                 }
             }
-        } else if r == cfg.endorse_round() {
+        } else if r == endorse_round {
             if self.is_little() {
                 // Our own endorsements were built in `send`; merge peers'.
                 for delivered in inbox {
@@ -508,7 +628,7 @@ impl SyncProtocol for AbConsensus {
                         let digest =
                             dft_auth::hash::hash_words(&[0x1D_u64, delivered.from.index() as u64]);
                         if signature.signer == delivered.from.index()
-                            && cfg.directory.verify_digest(signature, digest)
+                            && self.config.directory.verify_digest(signature, digest)
                         {
                             self.inquirers.push(delivered.from.index());
                         }
@@ -517,7 +637,7 @@ impl SyncProtocol for AbConsensus {
                 }
             }
         }
-        if r + 1 >= cfg.total_rounds() {
+        if r + 1 >= self.config.total_rounds() {
             if let Some(set) = &self.common {
                 self.decided = Some(set.decision());
             }
@@ -593,8 +713,50 @@ mod tests {
         let _ = inputs;
     }
 
-    #[test]
-    fn equivocating_little_source_cannot_split_decisions() {
+    /// What an honest little node held about source 0 when it endorsed:
+    /// how many of its values it had accepted, and the entry it resolved to.
+    type SourceZero = Arc<std::sync::Mutex<Vec<(usize, u64)>>>;
+
+    /// An honest node that reports its view of source 0 as it endorses.
+    struct Probed {
+        node: AbConsensus,
+        views: SourceZero,
+    }
+
+    impl SyncProtocol for Probed {
+        type Msg = AbMsg;
+        type Output = u64;
+
+        fn send(&mut self, round: Round, out: &mut Vec<Outgoing<AbMsg>>) {
+            self.node.send(round, out);
+            if round.as_u64() == self.node.config.endorse_round() && self.node.is_little() {
+                let view = (
+                    self.node.accepted[0].len(),
+                    self.node.endorsed[0].entry.value,
+                );
+                self.views.lock().unwrap().push(view);
+            }
+        }
+
+        fn receive(&mut self, round: Round, inbox: &[Delivered<AbMsg>]) {
+            self.node.receive(round, inbox);
+        }
+
+        fn output(&self) -> Option<u64> {
+            self.node.output()
+        }
+
+        fn has_halted(&self) -> bool {
+            self.node.has_halted()
+        }
+    }
+
+    /// n = 30, t = 3, everyone's input 5; little node 0 is Byzantine and in
+    /// round 0 sends each other little node `p` its signature on every value
+    /// of `values_for(p)`.
+    fn run_with_equivocating_source(
+        values_for: impl Fn(usize) -> Vec<u64> + Send + 'static,
+    ) -> (dft_sim::ExecutionReport<u64>, Vec<(usize, u64)>) {
         let n = 30;
         let t = 3;
         let (config, directory) = setup(n, t, 9);
@@ -607,20 +769,35 @@ mod tests {
             }
             (1..little)
                 .map(|p| {
-                    let value = if p % 2 == 0 { 100 } else { 200 };
-                    let sv = SignedValue::originate(&byz_signer, value);
-                    Outgoing::new(NodeId::new(p), AbMsg::Ds(Arc::new(DsBatch(vec![sv]))))
+                    let signed = values_for(p)
+                        .into_iter()
+                        .map(|value| SignedValue::originate(&byz_signer, value))
+                        .collect();
+                    Outgoing::new(NodeId::new(p), AbMsg::Ds(Arc::new(DsBatch(signed))))
                 })
                 .collect()
         });
-        let mut participants: Vec<Participant<AbConsensus>> = Vec::new();
+        let views = SourceZero::default();
+        let mut participants: Vec<Participant<Probed>> = Vec::new();
         participants.push(Participant::Byzantine(Box::new(strategy)));
         for me in 1..n {
-            participants.push(Participant::Honest(AbConsensus::new(shared.clone(), me, 5)));
+            participants.push(Participant::Honest(Probed {
+                node: AbConsensus::new(shared.clone(), me, 5),
+                views: Arc::clone(&views),
+            }));
         }
         let total = shared.total_rounds();
         let mut runner = Runner::with_participants(participants, Box::new(NoFaults), 0).unwrap();
         let report = runner.run(total + 2);
+        let views = views.lock().unwrap().clone();
+        assert_eq!(views.len(), little - 1, "one view per honest little node");
+        (report, views)
+    }
+
+    #[test]
+    fn equivocating_little_source_cannot_split_decisions() {
+        let (report, views) =
+            run_with_equivocating_source(|p| vec![if p % 2 == 0 { 100 } else { 200 }]);
         assert!(
             report.non_faulty_deciders_agree(),
             "agreement under equivocation"
@@ -629,6 +806,33 @@ mod tests {
         // The equivocator resolves to null, so the decision is the maximum of
         // the honest little inputs (5), never 100 or 200.
         assert_eq!(report.agreed_value(), Some(&5));
+        assert!(views.iter().all(|&view| view == (2, NULL_VALUE)));
+    }
+
+    /// A source that signs 40 values costs the honest nodes what a source
+    /// that signs two does: two values settle it, and nobody accepts,
+    /// stores or relays a third.
+    #[test]
+    fn a_source_signing_many_values_is_settled_by_the_first_two() {
+        let (two, _) = run_with_equivocating_source(|p| vec![if p % 2 == 0 { 100 } else { 200 }]);
+        let (many, views) = run_with_equivocating_source(|_| (100..140).collect());
+        assert!(
+            views.iter().all(|&view| view == (2, NULL_VALUE)),
+            "{views:?}"
+        );
+        assert!(many.all_non_faulty_decided());
+        assert!(many.non_faulty_deciders_agree());
+        assert_eq!(many.agreed_value(), two.agreed_value());
+        assert_eq!(many.agreed_value(), Some(&5));
+        // Within 5 % of the two-value run, where the 40 values would
+        // otherwise each be relayed by every honest little node.
+        assert!(
+            many.metrics.bits <= two.metrics.bits + two.metrics.bits / 20,
+            "{} bits against {} for two values",
+            many.metrics.bits,
+            two.metrics.bits
+        );
+        assert!(many.metrics.messages <= two.metrics.messages);
     }
 
     #[test]
@@ -659,11 +863,261 @@ mod tests {
     fn common_set_verification_rejects_thin_quorums() {
         let directory = KeyDirectory::generate(10, 4);
         let entry = SignedValue::originate(&directory.signer(0), 3);
-        let set = CommonSet {
-            entries: vec![entry],
-        };
+        let set = CommonSet::new(vec![entry]);
         assert!(set.verify(&directory, 1, 1));
         assert!(!set.verify(&directory, 1, 2), "needs two little signatures");
         assert!(!set.verify(&directory, 2, 1), "wrong number of entries");
+    }
+
+    fn full_verifications() -> usize {
+        FULL_VERIFICATIONS.with(std::cell::Cell::get)
+    }
+
+    /// `little` entries, each signed by its source and the `quorum - 1`
+    /// little nodes after it.
+    fn endorsed_entries(
+        directory: &KeyDirectory,
+        little: usize,
+        quorum: usize,
+    ) -> Vec<SignedValue> {
+        (0..little)
+            .map(|source| {
+                let mut entry =
+                    SignedValue::originate(&directory.signer(source), 10 + source as u64);
+                for k in 1..quorum {
+                    entry.countersign(&directory.signer((source + k) % little));
+                }
+                entry
+            })
+            .collect()
+    }
+
+    /// The verdict of `entries` as a set asked `(little 5, threshold 3)`:
+    /// on the first call, from the memo, on a copy of the judged set and on
+    /// a copy taken before it was judged — all four must be one answer.
+    fn verdict_every_way(directory: &KeyDirectory, entries: Vec<SignedValue>) -> bool {
+        let set = CommonSet::new(entries);
+        let unjudged = set.clone();
+        let first = set.verify(directory, 5, 3);
+        assert_eq!(set.verify(directory, 5, 3), first, "second call");
+        assert_eq!(set.clone().verify(directory, 5, 3), first, "judged copy");
+        assert_eq!(unjudged.verify(directory, 5, 3), first, "unjudged copy");
+        first
+    }
+
+    #[test]
+    fn forged_sets_are_rejected_on_every_call() {
+        type Forgery = fn(&mut Vec<SignedValue>);
+        let forgeries: [(&str, Forgery); 8] = [
+            ("one flipped tag", |e| e[2].signatures[1].tag ^= 1),
+            ("a duplicated signer", |e| {
+                let repeat = e[1].signatures[0];
+                e[1].signatures.push(repeat);
+            }),
+            ("one entry one signature short", |e| {
+                e[3].signatures.pop();
+            }),
+            ("a quorum with a node that is not little", |e| {
+                e[3].signatures.pop();
+                let outsider = KeyDirectory::generate(12, 4).signer(9);
+                assert!(e[3].countersign(&outsider));
+            }),
+            ("entries swapped", |e| e.swap(0, 1)),
+            ("an entry missing", |e| {
+                e.pop();
+            }),
+            ("an entry too many", |e| {
+                let extra = e[4].clone();
+                e.push(extra);
+            }),
+            ("a signer the directory does not know", |e| {
+                e[0].signatures.push(Signature { signer: 12, tag: 7 });
+            }),
+        ];
+        let directory = KeyDirectory::generate(12, 4);
+        assert!(verdict_every_way(
+            &directory,
+            endorsed_entries(&directory, 5, 3)
+        ));
+        for (what, forge) in forgeries {
+            let mut entries = endorsed_entries(&directory, 5, 3);
+            forge(&mut entries);
+            assert!(!verdict_every_way(&directory, entries), "{what}");
+        }
+    }
+
+    #[test]
+    fn another_question_is_judged_again_not_answered_from_the_memo() {
+        let directory = KeyDirectory::generate(12, 4);
+        let set = CommonSet::new(endorsed_entries(&directory, 5, 3));
+        let before = full_verifications();
+        assert!(set.verify(&directory, 5, 3));
+        assert!(set.verify(&directory, 5, 3));
+        assert_eq!(full_verifications() - before, 1, "asked twice, judged once");
+        assert!(
+            !set.verify(&directory, 5, 4),
+            "the quorums are three strong"
+        );
+        assert!(!set.verify(&directory, 4, 3), "five entries, not four");
+        let other_keys = KeyDirectory::generate(12, 5);
+        assert!(!set.verify(&other_keys, 5, 3));
+        assert_eq!(full_verifications() - before, 4, "each judged in full");
+        // The remembered answer is still there, and belongs to the keys, not
+        // to the directory object that happened to hold them.
+        assert!(set.verify(&directory, 5, 3));
+        assert!(set.verify(&KeyDirectory::generate(12, 4), 5, 3));
+        assert_eq!(full_verifications() - before, 4);
+        // A set first asked a question it fails still passes the one it meets.
+        let strict_first = CommonSet::new(endorsed_entries(&directory, 5, 3));
+        assert!(!strict_first.verify(&directory, 5, 4));
+        assert!(strict_first.verify(&directory, 5, 3));
+        assert!(!strict_first.verify(&directory, 5, 4));
+    }
+
+    #[test]
+    fn the_memo_is_neither_compared_printed_nor_sent() {
+        let directory = KeyDirectory::generate(12, 4);
+        let judged = CommonSet::new(endorsed_entries(&directory, 5, 3));
+        let fresh = judged.clone();
+        assert!(judged.verify(&directory, 5, 3));
+        assert_eq!(judged, fresh);
+        assert_eq!(format!("{judged:?}"), format!("{fresh:?}"));
+        let bytes = dft_sim::shard::to_bytes(&judged);
+        assert_eq!(bytes, dft_sim::shard::to_bytes(&fresh));
+        // What arrives has no verdict: the receiver judges it for itself.
+        let received: CommonSet = dft_sim::shard::from_bytes(&bytes).unwrap();
+        assert_eq!(received.entries(), judged.entries());
+        let before = full_verifications();
+        assert!(received.verify(&directory, 5, 3));
+        assert_eq!(full_verifications() - before, 1);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Any one signature of a valid set, changed in any one bit of its
+        /// tag or in a low bit of its signer, invalidates the set — asked
+        /// once or twice.
+        #[test]
+        fn one_mutated_signature_invalidates_a_set(
+            entry in 0usize..5,
+            signature in 0usize..3,
+            bit in 0u32..64,
+            in_tag in proptest::any::<bool>(),
+        ) {
+            let directory = KeyDirectory::generate(12, 4);
+            let mut entries = endorsed_entries(&directory, 5, 3);
+            let target = &mut entries[entry].signatures[signature];
+            if in_tag {
+                target.tag ^= 1 << bit;
+            } else {
+                target.signer ^= 1 << (bit % 5);
+            }
+            assert!(!verdict_every_way(&directory, entries));
+        }
+    }
+
+    /// A Byzantine little node hands every node outside the little set a
+    /// forged common set in the notify round — its own related nodes among
+    /// them, who get no other set in Part 2.  Nobody adopts it: every honest
+    /// node decides the honest value, the related nodes through Parts 3–4.
+    #[test]
+    fn a_forged_common_set_is_adopted_by_nobody() {
+        let n = 60;
+        let t = 3;
+        let byzantine = 2;
+        let (config, directory) = setup(n, t, 11);
+        let shared = AbConfig::from_system(&config, directory.clone()).unwrap();
+        let (little, notify_round) = (shared.little, shared.notify_round());
+        let signer = directory.signer(byzantine);
+        let forged = Arc::new(CommonSet::new(
+            (0..little)
+                .map(|source| {
+                    // Its own genuine signature, and the rest of a quorum
+                    // claimed for the other little nodes.
+                    let mut entry = SignedValue {
+                        source,
+                        value: 999,
+                        signatures: vec![signer.sign_digest(dft_auth::value_digest(source, 999))],
+                    };
+                    let claimed = (0..little).filter(|&p| p != byzantine);
+                    entry.signatures.extend(claimed.map(|p| Signature {
+                        signer: p,
+                        tag: 0xF0 + p as u64,
+                    }));
+                    entry
+                })
+                .collect(),
+        ));
+        assert_eq!(forged.decision(), 999, "an adopter would decide 999");
+        let strategy = ScriptedByzantine::new(move |round: Round, _inbox: &[Delivered<AbMsg>]| {
+            if round.as_u64() != notify_round {
+                return Vec::new();
+            }
+            (little..n)
+                .map(|p| Outgoing::new(NodeId::new(p), AbMsg::CommonSet(Arc::clone(&forged))))
+                .collect()
+        });
+        let mut participants: Vec<Participant<AbConsensus>> = (0..n)
+            .map(|me| Participant::Honest(AbConsensus::new(shared.clone(), me, me as u64)))
+            .collect();
+        participants[byzantine] = Participant::Byzantine(Box::new(strategy));
+        let related = AbConsensus::new(shared.clone(), byzantine, 0).related_nodes();
+        assert_eq!(related, vec![17, 32, 47]);
+        let total = shared.total_rounds();
+        let mut runner = Runner::with_participants(participants, Box::new(NoFaults), 0).unwrap();
+        let report = runner.run(total + 2);
+        assert!(report.all_non_faulty_decided());
+        assert!(report.non_faulty_deciders_agree());
+        // The largest input of an honest little node.
+        assert_eq!(report.agreed_value(), Some(&(little as u64 - 1)));
+    }
+
+    /// Every little node judges the set it built; everyone else is handed
+    /// one of those objects and reads the verdict off it.
+    #[test]
+    fn each_common_set_is_verified_once() {
+        let (n, t) = (40, 4);
+        let little = SystemConfig::new(n, t).unwrap().little_count();
+        let before = full_verifications();
+        let inputs: Vec<u64> = (0..n as u64).collect();
+        let report = run_honest(n, t, &inputs);
+        assert!(report.all_non_faulty_decided());
+        let full = full_verifications() - before;
+        assert!(
+            (1..=little).contains(&full),
+            "{full} full verifications for {little} little nodes (n = {n})"
+        );
+    }
+
+    /// The count behind "verified once" at the benchmark's scale: n = 1000,
+    /// t = 31, with t Byzantine nodes alternately silent and replaying.
+    #[test]
+    #[ignore = "paper scale; run with --release -- --ignored"]
+    fn paper_scale_full_verifications_stay_below_little_plus_byzantine() {
+        use dft_sim::adversary::byzantine::ReplayByzantine;
+        let (n, t) = (1000, 31);
+        let (config, directory) = setup(n, t, 7);
+        let inputs: Vec<u64> = (0..n as u64).map(|i| 1 + (i * 7919) % 1_000_003).collect();
+        let nodes = AbConsensus::for_all_nodes(&config, &inputs, directory).unwrap();
+        let total = nodes[0].total_rounds();
+        let little = config.little_count();
+        let mut participants: Vec<_> = nodes.into_iter().map(Participant::Honest).collect();
+        for k in 0..t {
+            let victim = (k * 613 + 29) % n;
+            participants[victim] = if k % 2 == 0 {
+                Participant::Byzantine(Box::new(SilentByzantine))
+            } else {
+                Participant::Byzantine(Box::new(ReplayByzantine::new(n, 4, k as u64)))
+            };
+        }
+        let before = full_verifications();
+        let mut runner = Runner::with_participants(participants, Box::new(NoFaults), 0).unwrap();
+        let report = runner.run(total + 2);
+        assert!(report.all_non_faulty_decided());
+        assert!(report.non_faulty_deciders_agree());
+        let full = full_verifications() - before;
+        println!("{full} full verifications (little = {little}, Byzantine = {t}, n = {n})");
+        assert!((1..=little + t).contains(&full));
     }
 }

@@ -12,10 +12,10 @@
 //! with per-pair messages combined into a single batch, exactly as
 //! `AB-Consensus` Part 1 prescribes.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use dft_auth::{KeyDirectory, SignedValue, Signer};
+use dft_auth::{KeyDirectory, SignedValue, Signer, DECISIVE_VALUES};
 use dft_sim::{Delivered, NodeId, Outgoing, Payload, Round, SyncProtocol};
 
 use crate::config::SystemConfig;
@@ -88,7 +88,11 @@ pub struct DolevStrong {
     signer: Signer,
     /// My own input (used only if I am a source).
     input: u64,
-    /// Accepted values per source index (into `config.sources`).
+    /// Whether I am one of `config.participants`.
+    participating: bool,
+    /// Each source's index into `config.sources`.
+    source_index: BTreeMap<usize, usize>,
+    /// Accepted values per source index, at most [`DECISIVE_VALUES`] each.
     accepted: Vec<BTreeSet<u64>>,
     /// Values accepted this round, to be relayed next round.
     relay_queue: Vec<SignedValue>,
@@ -102,7 +106,13 @@ impl DolevStrong {
     pub fn new(config: DolevStrongConfig, me: usize, input: u64) -> Self {
         let signer = config.directory.signer(me);
         let accepted = vec![BTreeSet::new(); config.sources.len()];
+        let mut source_index = BTreeMap::new();
+        for (index, &source) in config.sources.iter().enumerate() {
+            source_index.entry(source).or_insert(index);
+        }
         DolevStrong {
+            participating: config.participants.contains(&me),
+            source_index,
             config,
             me,
             signer,
@@ -144,10 +154,6 @@ impl DolevStrong {
         self.accepted[source_index].iter().copied().collect()
     }
 
-    fn source_index(&self, source: usize) -> Option<usize> {
-        self.config.sources.iter().position(|&s| s == source)
-    }
-
     fn broadcast_targets(&self) -> Vec<usize> {
         self.config
             .participants
@@ -164,12 +170,12 @@ impl SyncProtocol for DolevStrong {
 
     fn send(&mut self, round: Round, out: &mut Vec<Outgoing<DsBatch>>) {
         let r = round.as_u64();
-        if r >= self.config.total_rounds() || !self.config.participants.contains(&self.me) {
+        if r >= self.config.total_rounds() || !self.participating {
             return;
         }
         let mut batch: Vec<SignedValue> = Vec::new();
         if r == 0 {
-            if let Some(idx) = self.source_index(self.me) {
+            if let Some(&idx) = self.source_index.get(&self.me) {
                 let sv = SignedValue::originate(&self.signer, self.input);
                 self.accepted[idx].insert(self.input);
                 batch.push(sv);
@@ -188,17 +194,18 @@ impl SyncProtocol for DolevStrong {
 
     fn receive(&mut self, round: Round, inbox: &[Delivered<DsBatch>]) {
         let r = round.as_u64();
-        if r < self.config.total_rounds() && self.config.participants.contains(&self.me) {
+        if r < self.config.total_rounds() && self.participating {
             for delivered in inbox {
                 for sv in &delivered.msg.0 {
-                    let Some(idx) = self.source_index(sv.source) else {
+                    let Some(&idx) = self.source_index.get(&sv.source) else {
                         continue;
                     };
-                    // Skip already-accepted values before paying for chain
-                    // verification.  Acceptance: valid chain with at least
-                    // r+1 signatures.
+                    // Skip settled sources and already-accepted values
+                    // before paying for chain verification.  Acceptance:
+                    // valid chain with at least r+1 signatures.
                     let accepted = &mut self.accepted[idx];
-                    if accepted.contains(&sv.value)
+                    if accepted.len() >= DECISIVE_VALUES
+                        || accepted.contains(&sv.value)
                         || !sv.verify_chain_with_length(&self.config.directory, r as usize + 1)
                     {
                         continue;
@@ -341,5 +348,56 @@ mod tests {
             DolevStrongConfig::all_nodes(&config, vec![0], Arc::new(KeyDirectory::generate(20, 1)))
                 .unwrap();
         assert_eq!(shared.total_rounds(), 7);
+    }
+
+    #[test]
+    fn a_source_is_settled_by_its_first_two_values() {
+        let n = 8;
+        let config = SystemConfig::new(n, 2).unwrap();
+        let dir = directory(n);
+        let shared = DolevStrongConfig::all_nodes(&config, vec![3, 0], dir.clone()).unwrap();
+        let source = dir.signer(0);
+        let signed = (100..140).map(|value| SignedValue::originate(&source, value));
+        let inbox = [Delivered::new(NodeId::new(0), DsBatch(signed.collect()))];
+        let mut node = DolevStrong::new(shared, 1, 5);
+        node.receive(Round::ZERO, &inbox);
+        assert_eq!(node.accepted_values(1), vec![100, 101]);
+        assert_eq!(
+            node.relay_queue.len(),
+            2,
+            "nothing past the second is relayed"
+        );
+        // One more value in the next round changes nothing: the source is
+        // null already.
+        let mut late = SignedValue::originate(&source, 7);
+        late.countersign(&dir.signer(2));
+        node.receive(
+            Round::new(1),
+            &[Delivered::new(NodeId::new(2), DsBatch(vec![late]))],
+        );
+        assert_eq!(node.accepted_values(1), vec![100, 101]);
+        assert_eq!(node.accepted_values(0), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn membership_and_source_indices_are_those_of_the_lists() {
+        let dir = directory(6);
+        let config = DolevStrongConfig {
+            t: 1,
+            participants: Arc::new(vec![0, 2, 4]),
+            sources: Arc::new(vec![4, 2, 4]),
+            directory: dir,
+        };
+        let member = DolevStrong::new(config.clone(), 4, 9);
+        assert!(member.participating);
+        // A source listed twice keeps its first index, as a scan would find.
+        assert_eq!(member.source_index.get(&4), Some(&0));
+        assert_eq!(member.source_index.get(&2), Some(&1));
+        assert_eq!(member.source_index.get(&0), None);
+        let mut outsider = DolevStrong::new(config, 3, 9);
+        assert!(!outsider.participating);
+        let mut out = Vec::new();
+        outsider.send(Round::ZERO, &mut out);
+        assert!(out.is_empty());
     }
 }

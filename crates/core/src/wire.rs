@@ -3,7 +3,8 @@
 //! across `run_experiments --shard-worker` processes.
 //!
 //! Each message type declares its layout once (tag per variant, fields in
-//! order) and gets both directions generated from it.  [`BitVector`] and
+//! order) and gets both directions generated from it; [`CommonSet`] does so
+//! in its own module, where its private fields are in reach.  [`BitVector`] and
 //! [`ExtantSet`] are written by hand: their decoders bound what a corrupt
 //! prefix can allocate and accept only the canonical form of a value.
 
@@ -36,7 +37,6 @@ wire_enum!(GossipMsg {
 });
 wire_enum!(CheckpointMsg { 0 = Gossip(GossipMsg), 1 = Consensus(FcMsg<BitVector>) });
 wire_struct!(DsBatch(Vec<SignedValue>));
-wire_struct!(CommonSet { entries: Vec<SignedValue> });
 wire_enum!(AbMsg {
     0 = Ds(Arc<DsBatch>),
     1 = Endorse(Arc<Vec<SignedValue>>),
@@ -242,14 +242,10 @@ mod tests {
         let mut value = SignedValue::originate(&directory.signer(0), 42);
         value.countersign(&directory.signer(2));
         round_trip(DsBatch(vec![value.clone()]));
-        round_trip(CommonSet {
-            entries: vec![value.clone()],
-        });
+        round_trip(CommonSet::new(vec![value.clone()]));
         round_trip(AbMsg::Ds(Arc::new(DsBatch(vec![value.clone()]))));
         round_trip(AbMsg::Endorse(Arc::new(vec![value.clone()])));
-        round_trip(AbMsg::CommonSet(Arc::new(CommonSet {
-            entries: vec![value],
-        })));
+        round_trip(AbMsg::CommonSet(Arc::new(CommonSet::new(vec![value]))));
         round_trip(AbMsg::Inquiry(directory.signer(1).sign_digest(9)));
     }
 
@@ -258,7 +254,7 @@ mod tests {
     /// bump asserted beside it.
     #[test]
     fn golden_bytes() {
-        assert_eq!(dft_sim::shard::WIRE_VERSION, 3);
+        assert_eq!(dft_sim::shard::WIRE_VERSION, 4);
         let tagged = |tag: u8, body: &[u8]| [&[tag], body].concat();
 
         assert_eq!(to_bytes(&AeaMsg::Rumor(true)), b"\0\x01");
@@ -329,9 +325,7 @@ mod tests {
         ]
         .concat();
         let batch = DsBatch(chain.clone());
-        let common = CommonSet {
-            entries: chain.clone(),
-        };
+        let common = CommonSet::new(chain.clone());
         assert_eq!(to_bytes(&batch), chain_bytes);
         assert_eq!(to_bytes(&common), chain_bytes);
         assert_eq!(

@@ -103,7 +103,7 @@ pub use crate::{wire_enum, wire_struct};
 /// Version of the shard wire format.  Every frame carries it; both sides
 /// reject a mismatch, so a stale worker binary fails loudly instead of
 /// silently mis-decoding.
-pub const WIRE_VERSION: u16 = 3;
+pub const WIRE_VERSION: u16 = 4;
 
 /// Frame tags (parent → worker).
 const REQ_COLLECT: u8 = 1;

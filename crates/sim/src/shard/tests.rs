@@ -529,7 +529,7 @@ fn parent_refuses_events_for_another_chunks_node() {
 
 #[test]
 fn wire_event_golden_bytes() {
-    assert_eq!(WIRE_VERSION, 3);
+    assert_eq!(WIRE_VERSION, 4);
     let decided = WireEvent {
         node: 17,
         halted: false,

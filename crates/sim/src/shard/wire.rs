@@ -17,7 +17,7 @@
 //! here panics on malformed input (a truncated frame from a dying worker
 //! process must surface as an error, not a parent crash).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::adversary::DeliveryFilter;
 use crate::message::{Delivered, Outgoing};
@@ -484,6 +484,17 @@ impl<T: Wire> Wire for Arc<T> {
     }
 }
 
+impl<T> Wire for OnceLock<T> {
+    /// A memo cell is no part of the value that carries it: nothing is
+    /// written, and a decoded value starts with the cell unset — whatever
+    /// the sender had worked out, the receiver works out for itself.
+    fn encode(&self, _out: &mut Vec<u8>) {}
+
+    fn decode(_r: &mut WireReader<'_>) -> WireResult<Self> {
+        Ok(OnceLock::new())
+    }
+}
+
 impl Wire for NodeId {
     fn encode(&self, out: &mut Vec<u8>) {
         self.index().encode(out);
@@ -567,6 +578,18 @@ mod tests {
     }
 
     #[test]
+    fn memo_cells_stay_off_the_wire() {
+        assert_eq!(to_bytes(&OnceLock::from(7u64)), b"");
+        assert_eq!(from_bytes::<OnceLock<u64>>(b""), Ok(OnceLock::new()));
+        assert!(from_bytes::<OnceLock<u64>>(&[0]).is_err(), "trailing byte");
+        // Beside a field that is on the wire, the cell costs nothing and
+        // comes back unset.
+        let decoded: (u8, OnceLock<u64>) =
+            from_bytes(&to_bytes(&(5u8, OnceLock::from(7u64)))).expect("the pair is one byte long");
+        assert_eq!(decoded, (5, OnceLock::new()));
+    }
+
+    #[test]
     fn tuple_aliases_round_trip() {
         let unit: Unit = ();
         let pair: Tuple2 = (false, 0x0102_0304_0506_0708);
@@ -593,7 +616,7 @@ mod tests {
     /// bump asserted beside it.
     #[test]
     fn golden_bytes() {
-        assert_eq!(crate::shard::WIRE_VERSION, 3);
+        assert_eq!(crate::shard::WIRE_VERSION, 4);
         let unit: Unit = ();
         let pair: Tuple2 = (true, 9);
         let triple: Tuple3 = (7, 0xBEEF, 0xDEAD_BEEF);
@@ -616,6 +639,7 @@ mod tests {
         assert_eq!(to_bytes(&pair), b"\x01\x09\0\0\0\0\0\0\0");
         assert_eq!(to_bytes(&triple), b"\x07\xef\xbe\xef\xbe\xad\xde");
         assert_eq!(to_bytes(&Arc::new(0xBEEFu16)), b"\xef\xbe");
+        assert_eq!(to_bytes(&OnceLock::from(0xBEEFu16)), b"");
         assert_eq!(to_bytes(&NodeId::new(12)), b"\x0c\0\0\0\0\0\0\0");
         assert_eq!(to_bytes(&Round::new(99)), b"\x63\0\0\0\0\0\0\0");
         assert_eq!(to_bytes(&DeliveryFilter::All), b"\0");

@@ -2,12 +2,18 @@
 //! the simulator under a variety of adversaries, checking the three consensus
 //! conditions (validity, agreement, termination) end to end.
 
+use std::sync::Arc;
+
+use linear_dft::auth::KeyDirectory;
 use linear_dft::core::{
-    linear_consensus_for_all_nodes, FewCrashesConsensus, ManyCrashesConsensus, SystemConfig,
+    linear_consensus_for_all_nodes, AbConsensus, FewCrashesConsensus, ManyCrashesConsensus,
+    SystemConfig,
 };
+use linear_dft::sim::adversary::byzantine::{ReplayByzantine, SilentByzantine};
+use linear_dft::sim::shard::ShardedRunner;
 use linear_dft::sim::{
-    CrashAdversary, FixedCrashSchedule, NoFaults, NodeId, RandomCrashes, Runner, SinglePortRunner,
-    TargetedCrashes,
+    CrashAdversary, FixedCrashSchedule, NoFaults, NodeId, Participant, RandomCrashes, Runner,
+    SinglePortRunner, TargetedCrashes,
 };
 
 fn check_consensus_report(report: &linear_dft::sim::ExecutionReport<bool>, inputs: &[bool]) {
@@ -167,4 +173,49 @@ fn consensus_message_complexity_beats_flooding_baseline() {
         ours.metrics.messages,
         baseline.metrics.messages
     );
+}
+
+/// `AB-Consensus` with a silent and a replaying Byzantine node on every host
+/// of the round loop: inline, on the worker pool, and on two shard workers
+/// behind the wire codec.  The common set carries its own verdict from node
+/// to node inside one process and arrives without one across the codec; the
+/// report must not be able to tell.
+#[test]
+fn authenticated_consensus_agrees_across_hosts_with_byzantine_nodes() {
+    let (n, t) = (40, 4);
+    let config = SystemConfig::new(n, t).expect("valid (n, t)").with_seed(17);
+    let directory = Arc::new(KeyDirectory::generate(n, 17));
+    let inputs: Vec<u64> = (0..n as u64).map(|i| 100 + (i * 13) % 37).collect();
+    let participants = || {
+        let nodes =
+            AbConsensus::for_all_nodes(&config, &inputs, Arc::clone(&directory)).expect("t < n/2");
+        let mut participants: Vec<_> = nodes.into_iter().map(Participant::Honest).collect();
+        // A little node that says nothing, and a node outside the little set
+        // that echoes whatever it is sent — common sets included.
+        participants[3] = Participant::Byzantine(Box::new(SilentByzantine));
+        participants[26] = Participant::Byzantine(Box::new(ReplayByzantine::new(n, 4, 5)));
+        participants
+    };
+    let rounds = AbConsensus::for_all_nodes(&config, &inputs, Arc::clone(&directory))
+        .expect("t < n/2")[0]
+        .total_rounds()
+        + 2;
+
+    let mut serial = Runner::with_participants(participants(), Box::new(NoFaults), 0).unwrap();
+    let report = serial.run(rounds);
+    assert!(report.all_non_faulty_decided(), "termination violated");
+    assert!(report.non_faulty_deciders_agree(), "agreement violated");
+    let little = config.little_count();
+    let decision = report.agreed_value().expect("agreed value");
+    assert!(inputs[..little].contains(decision), "validity violated");
+
+    let mut pooled = Runner::with_participants(participants(), Box::new(NoFaults), 0)
+        .unwrap()
+        .with_jobs(4);
+    pooled.set_fork_threshold(1);
+    assert_eq!(pooled.run(rounds), report, "worker pool against inline");
+
+    let mut sharded = ShardedRunner::in_process(participants(), Box::new(NoFaults), 0, 2).unwrap();
+    let sharded = sharded.run(rounds).expect("no shard worker fails");
+    assert_eq!(sharded, report, "two shard workers against inline");
 }
