@@ -89,11 +89,11 @@ pub struct BenchReport {
     pub config: BenchConfig,
     /// Per-experiment measurements, in canonical E1–E11 order.
     pub experiments: Vec<ExperimentBench>,
-    /// Worker-failure recovery totals across the whole run (see
-    /// `dft_bench::shard`): all zero for a fault-free run, and absent in
-    /// baselines captured before the recovery layer existed (parsed as
-    /// zero).  Not part of the regression gate — they describe the run's
-    /// fault history, not its performance.
+    /// What the run did about peers that failed: zero for `run_experiments`
+    /// (nothing there is recovered from) and absent in baselines captured
+    /// before the block existed (parsed as zero).  Not part of the
+    /// regression gate — it describes the run's fault history, not its
+    /// performance.
     pub recovery: RecoveryTotals,
     /// Wall time of the whole harness run, seconds.
     pub total_wall_s: f64,
@@ -102,15 +102,8 @@ pub struct BenchReport {
 /// Run-wide recovery counters surfaced in `--bench-json`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryTotals {
-    /// Shard worker processes respawned after a death or protocol fault.
-    pub respawns: u64,
-    /// Shards degraded to the in-process fallback after exhausting the
-    /// respawn budget.
-    pub fallbacks: u64,
-    /// Protocol rounds replayed into fresh transports during recovery.
-    pub replayed_rounds: u64,
     /// Cluster peers marked suspected by `dft-node` runs feeding this
-    /// report (always zero for the process-sharded harness itself).
+    /// report (always zero for `run_experiments`).
     pub suspected_peers: u64,
 }
 
@@ -159,11 +152,7 @@ impl BenchReport {
         out.push_str("  ],\n");
         let _ = writeln!(
             out,
-            "  \"recovery\": {{ \"respawns\": {}, \"fallbacks\": {}, \"replayed_rounds\": {}, \
-             \"suspected_peers\": {} }},",
-            self.recovery.respawns,
-            self.recovery.fallbacks,
-            self.recovery.replayed_rounds,
+            "  \"recovery\": {{ \"suspected_peers\": {} }},",
             self.recovery.suspected_peers,
         );
         let _ = writeln!(out, "  \"total_wall_s\": {:.6}", self.total_wall_s);
@@ -340,19 +329,14 @@ fn parse_opt(value: &str) -> Result<Option<u64>, String> {
     }
 }
 
-/// Parses the one-line `{ "respawns": 0, ... }` recovery object.
+/// Parses the one-line `{ "suspected_peers": 0 }` recovery object; keys it
+/// does not know (older files carry the retired shard-recovery counters)
+/// are skipped.
 fn parse_recovery(value: &str) -> Result<RecoveryTotals, String> {
     let body = value.trim_start_matches('{').trim_end_matches('}');
     let mut totals = RecoveryTotals::default();
     for part in body.split(", ") {
-        let part = part.trim();
-        if let Some(value) = field(part, "respawns") {
-            totals.respawns = parse_num(value)?;
-        } else if let Some(value) = field(part, "fallbacks") {
-            totals.fallbacks = parse_num(value)?;
-        } else if let Some(value) = field(part, "replayed_rounds") {
-            totals.replayed_rounds = parse_num(value)?;
-        } else if let Some(value) = field(part, "suspected_peers") {
+        if let Some(value) = field(part.trim(), "suspected_peers") {
             totals.suspected_peers = parse_num(value)?;
         }
     }
@@ -564,15 +548,19 @@ mod tests {
     #[test]
     fn recovery_totals_round_trip_and_default_for_old_baselines() {
         let mut report = sample();
-        report.recovery = RecoveryTotals {
-            respawns: 3,
-            fallbacks: 1,
-            replayed_rounds: 42,
-            suspected_peers: 2,
-        };
+        report.recovery = RecoveryTotals { suspected_peers: 2 };
         let json = report.to_json();
-        assert!(json.contains("\"respawns\": 3"));
+        assert!(json.contains("\"recovery\": { \"suspected_peers\": 2 },"));
         let parsed = BenchReport::parse(&json).unwrap();
+        assert_eq!(parsed.recovery, report.recovery);
+        // A file written while the shard-recovery counters existed still
+        // loads: the three retired keys are skipped.
+        let older = json.replace(
+            "{ \"suspected_peers\"",
+            "{ \"respawns\": 3, \"fallbacks\": 1, \"replayed_rounds\": 42, \"suspected_peers\"",
+        );
+        assert_ne!(older, json);
+        let parsed = BenchReport::parse(&older).unwrap();
         assert_eq!(parsed.recovery, report.recovery);
         // A baseline captured before the recovery layer has no such line.
         let legacy = json

@@ -4,11 +4,9 @@
 //!
 //! ```text
 //! run_experiments [--scale quick|full|paper] [--n N] [--t T] [--seed S]
-//!                 [--jobs J] [--shards S] [--fault-plan SPEC]
-//!                 [--max-worker-respawns N] [--samples K] [--timings]
+//!                 [--jobs J] [--shards S] [--samples K] [--timings]
 //!                 [--bench-json PATH] [--bench-compare BASELINE]
-//!                 [--diag-json PATH]
-//! run_experiments --shard-worker
+//!                 [--diag-json PATH] [--alloc-stats]
 //! ```
 //!
 //! * `--scale` picks the size tier (`quick` is the CI default, `full` the
@@ -29,29 +27,18 @@
 //!   E1–E11 order — the determinism suite in `tests/determinism.rs` pins
 //!   this;
 //! * `--shards S` partitions every measurement's execution across `S`
-//!   worker **processes** (spawned as `run_experiments --shard-worker`,
-//!   connected by length-prefixed pipes; see `dft_bench::shard` and the
-//!   sharding section of `DESIGN.md`).  The crash-adversary phase and the
-//!   deterministic merge stay in this process, so tables remain
-//!   byte-identical to `--jobs`/serial runs — CI diffs them.  Within a
-//!   sharded measurement each worker serves its node range serially:
+//!   in-process shard workers behind the wire codec (threads of the
+//!   coordinator's own pool, connected by channels; see `dft_sim::shard`
+//!   and the sharding section of `DESIGN.md`), so every message, intent and
+//!   decision of every experiment crosses the codec.  The crash-adversary
+//!   phase and the deterministic merge stay with the coordinator, so tables
+//!   remain byte-identical to `--jobs`/serial runs — CI diffs them.  Within
+//!   a sharded measurement each worker serves its node range serially:
 //!   `--shards` *displaces* the per-runner share of `--jobs` (which still
-//!   governs experiment fan-out in this process), so `--shards 2 --jobs 8`
-//!   runs up to 8 experiments at once, each split over 2 serial workers;
-//! * `--shard-worker` (internal) turns this invocation into a shard worker
-//!   serving its node range over stdin/stdout; never combine it with other
-//!   flags;
-//! * `--fault-plan SPEC` (requires `--shards >= 2`) injects transport
-//!   faults into the sharded pipes: a comma-separated list of
-//!   `kind:SHARD@FRAME` entries where `kind` is `kill`, `torn`, `stall` or
-//!   `garbage` (e.g. `kill:1@4,torn:0@2`; see `dft_sim::shard::FaultPlan`).
-//!   The recovery layer respawns the affected worker and replays its frame
-//!   log, so the printed tables stay byte-identical to a fault-free run —
-//!   the CI `chaos` job diffs exactly that;
-//! * `--max-worker-respawns N` (default 2) bounds respawns per shard
-//!   before a dead shard degrades to being served in-process; `0` disables
-//!   respawning entirely (every worker death goes straight to the
-//!   fallback);
+//!   governs experiment fan-out), so `--shards 2 --jobs 8` runs up to 8
+//!   experiments at once, each split over 2 serial workers.  A worker that
+//!   fails, or a frame that does not check out, aborts the run with the
+//!   shard error; nothing is retried;
 //! * `--samples K` measures each experiment `K` times (tables are printed
 //!   from the first sample; `K > 1` implies `--timings`, which is the only
 //!   consumer of the extra runs);
@@ -84,7 +71,9 @@
 //!   `--bench-json` report.  Implies serial experiment fan-out (the
 //!   counters are process-global, so concurrent experiments could not be
 //!   attributed); tables are unaffected, and the numbers are diagnostic
-//!   only — never part of the `--bench-compare` gate.
+//!   only — never part of the `--bench-compare` gate.  Under `--shards` the
+//!   counts include the shard workers' allocations and the codec's: the
+//!   workers are threads of this process.
 
 // This binary is the one deliberate exception to the workspace-wide
 // `#![forbid(unsafe_code)]` rule: a counting `GlobalAlloc` cannot be
@@ -101,11 +90,9 @@ use std::time::{Duration, Instant};
 use dft_bench::baseline::{self, BenchConfig, BenchReport, ExperimentBench, RecoveryTotals};
 use dft_bench::experiments::{experiment_catalog, Scale, SweepConfig};
 use dft_bench::Table;
-use dft_sim::shard::FaultPlan;
 
 const USAGE: &str = "usage: run_experiments [--scale quick|full|paper] [--n N] [--t T] \
-                     [--seed S] [--jobs J] [--shards S] [--fault-plan SPEC] \
-                     [--max-worker-respawns N] [--samples K] [--timings] \
+                     [--seed S] [--jobs J] [--shards S] [--samples K] [--timings] \
                      [--bench-json PATH] [--bench-compare BASELINE] [--diag-json PATH] \
                      [--alloc-stats]";
 
@@ -340,7 +327,6 @@ fn bench_report(
     shards: usize,
     samples: usize,
     outcomes: &[(&'static str, Outcome)],
-    recovery: RecoveryTotals,
     total_wall: Duration,
 ) -> BenchReport {
     let experiments = outcomes
@@ -375,29 +361,16 @@ fn bench_report(
             git_rev: baseline::git_revision(),
         },
         experiments,
-        recovery,
+        recovery: RecoveryTotals::default(),
         total_wall_s: total_wall.as_secs_f64(),
     }
 }
 
 fn main() -> ExitCode {
-    // Shard-worker mode first, before anything can touch stdout: the
-    // parent's frame pipe is this process's stdout.
-    {
-        let mut args = std::env::args().skip(1);
-        if args.next().as_deref() == Some("--shard-worker") {
-            if args.next().is_some() {
-                return fail("--shard-worker takes no further arguments");
-            }
-            return dft_bench::shard::serve_stdio();
-        }
-    }
     let mut cfg = SweepConfig::default();
     let mut timings = false;
     let mut jobs = dft_sim::available_jobs();
     let mut shards = 1usize;
-    let mut fault_plan: Option<FaultPlan> = None;
-    let mut max_respawns = dft_bench::shard::DEFAULT_MAX_RESPAWNS;
     let mut samples = 1usize;
     let mut bench_json: Option<String> = None;
     let mut bench_compare: Option<String> = None;
@@ -447,20 +420,6 @@ fn main() -> ExitCode {
                 Some(Ok(s)) if s >= 1 => shards = s,
                 _ => return fail("--shards needs an integer >= 1"),
             },
-            "--fault-plan" => {
-                let Some(spec) = args.next() else {
-                    return fail("--fault-plan needs a kind:SHARD@FRAME[,...] spec");
-                };
-                match FaultPlan::parse(&spec) {
-                    Ok(plan) => fault_plan = Some(plan),
-                    Err(error) => return fail(&format!("bad --fault-plan: {error}")),
-                }
-            }
-            "--max-worker-respawns" => match args.next().as_deref().map(str::parse) {
-                Some(Ok(r)) => max_respawns = r,
-                _ => return fail("--max-worker-respawns needs an integer >= 0"),
-            },
-            "--shard-worker" => return fail("--shard-worker must be the first and only argument"),
             "--samples" => match args.next().as_deref().map(str::parse) {
                 Some(Ok(k)) if k >= 1 => samples = k,
                 _ => return fail("--samples needs an integer >= 1"),
@@ -486,13 +445,6 @@ fn main() -> ExitCode {
     if samples > 1 {
         timings = true;
     }
-    // A fault plan only makes sense against the sharded pipes it injects
-    // into; silently accepting it on a serial run would report a clean
-    // "recovery" that never happened.
-    if fault_plan.is_some() && shards < 2 {
-        return fail("--fault-plan requires --shards >= 2");
-    }
-    dft_bench::shard::set_fault_config(fault_plan.unwrap_or_default(), max_respawns);
     cfg.shards = shards;
 
     // The shard count only appears in the header when sharding is active,
@@ -510,23 +462,6 @@ fn main() -> ExitCode {
     let start = Instant::now();
     let outcomes = run_catalog(&cfg, jobs, samples, alloc_stats);
     let total_wall = start.elapsed();
-    // What the recovery ladder did across the whole run: zero everywhere
-    // unless a worker died (or --fault-plan made one die) and was respawned
-    // or degraded to the in-process fallback.
-    let recovery_stats = dft_bench::shard::recovery_totals();
-    let recovery = RecoveryTotals {
-        respawns: recovery_stats.respawns,
-        fallbacks: recovery_stats.fallbacks,
-        replayed_rounds: recovery_stats.replayed_rounds,
-        suspected_peers: 0,
-    };
-    if recovery_stats.any() {
-        eprintln!(
-            "run_experiments: recovery: {} worker respawn(s), {} fallback(s), \
-             {} round(s) replayed — tables unaffected",
-            recovery.respawns, recovery.fallbacks, recovery.replayed_rounds,
-        );
-    }
     // Flush buffered per-experiment diagnostics in canonical E1-E11 order,
     // so stderr is stable under any --jobs/--shards fan-out.
     for (_, outcome) in &outcomes {
@@ -549,18 +484,6 @@ fn main() -> ExitCode {
                 ));
                 out.push('\n');
             }
-        }
-        if recovery_stats.any() {
-            out.push_str(&dft_bench::diag::json_line(
-                "run_experiments",
-                "warn",
-                "-",
-                &format!(
-                    "recovery: respawns={} fallbacks={} replayed_rounds={}",
-                    recovery.respawns, recovery.fallbacks, recovery.replayed_rounds,
-                ),
-            ));
-            out.push('\n');
         }
         if let Err(error) = std::fs::write(path, out) {
             return fail(&format!("cannot write {path}: {error}"));
@@ -590,7 +513,7 @@ fn main() -> ExitCode {
 
     // Where a sharded run's bytes went, per frame tag (coordinator side,
     // all experiments together).  Substrate counters: printed, never gated.
-    let wire = dft_bench::shard::wire_totals();
+    let wire = dft_bench::wire_totals();
     let total = wire.total();
     if timings && total.frames > 0 {
         for (tag, count) in wire.tags() {
@@ -610,7 +533,7 @@ fn main() -> ExitCode {
     if bench_json.is_none() && bench_compare.is_none() {
         return ExitCode::SUCCESS;
     }
-    let report = bench_report(&cfg, jobs, shards, samples, &outcomes, recovery, total_wall);
+    let report = bench_report(&cfg, jobs, shards, samples, &outcomes, total_wall);
     if let Some(path) = bench_json {
         if let Err(error) = std::fs::write(&path, report.to_json()) {
             eprintln!("run_experiments: cannot write {path}: {error}");

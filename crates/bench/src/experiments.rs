@@ -91,9 +91,9 @@ pub struct SweepConfig {
     /// serial).  Purely a performance knob: tables are byte-identical at any
     /// setting — the determinism suite pins this.
     pub jobs: usize,
-    /// Shard worker processes each measurement is partitioned across (`0`
-    /// and `1` both mean "this process only"; see `crate::shard`).  Also a
-    /// pure performance/topology knob — tables stay byte-identical.
+    /// In-process shard workers behind the wire codec each measurement is
+    /// partitioned across (`0` and `1` both mean "no sharding"; see
+    /// `dft_sim::shard`).  Tables stay byte-identical at any setting.
     pub shards: usize,
 }
 
@@ -134,7 +134,7 @@ impl SweepConfig {
         self.jobs.max(1)
     }
 
-    /// Resolved shard-process count (`0` is normalised to 1).
+    /// Resolved shard count (`0` is normalised to 1).
     pub fn shards(&self) -> usize {
         self.shards.max(1)
     }

@@ -16,10 +16,8 @@
 pub mod baseline;
 pub mod diag;
 pub mod experiments;
-pub mod shard;
 
-use std::io;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use dft_auth::KeyDirectory;
 use dft_baselines::{AllToAllGossip, FloodingConsensus, NaiveCheckpointing, ParallelDsConsensus};
@@ -27,16 +25,11 @@ use dft_core::{
     linear_consensus_for_all_nodes, AbConsensus, AlmostEverywhereAgreement, Checkpointing,
     FewCrashesConsensus, Gossip, ManyCrashesConsensus, SpreadCommonValue, SystemConfig,
 };
-use dft_sim::shard::{
-    serve_multi_port, serve_single_port, Recovery, ShardTransport, ShardedRunner, SpShardedRunner,
-    Wire, WireOutput,
-};
+use dft_sim::shard::{ShardedRunner, SpShardedRunner, Wire, WireOutput, WireStats};
 use dft_sim::{
-    CrashAdversary, ExecutionReport, NodeSet, Participant, RandomCrashes, Runner,
-    SinglePortProtocol, SinglePortRunner, SyncProtocol,
+    CrashAdversary, ExecutionReport, Participant, RandomCrashes, Runner, SinglePortProtocol,
+    SinglePortRunner, SyncProtocol,
 };
-
-use crate::shard::{ShardFaults, ShardStats};
 
 /// One measured execution.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -84,10 +77,10 @@ pub struct Workload {
     /// Worker threads for the runner's phase loops (1 = serial; purely a
     /// performance knob — measurements are byte-identical at any setting).
     pub jobs: usize,
-    /// Shard worker **processes** the execution is partitioned across
-    /// (1 = this process only).  Like `jobs`, purely a performance /
-    /// topology knob: sharded measurements are byte-identical to local
-    /// ones — the determinism suite pins this.
+    /// In-process shard workers behind the wire codec the execution is
+    /// partitioned across (1 = no codec: the runner holds the nodes).  Like
+    /// `jobs` it never changes a measurement — sharded ones are
+    /// byte-identical to local ones, and the determinism suite pins this.
     pub shards: usize,
 }
 
@@ -124,8 +117,8 @@ impl Workload {
         self
     }
 
-    /// Sets the number of shard worker processes (see [`crate::shard`];
-    /// `0` and `1` both mean "run in this process").
+    /// Sets the number of in-process shard workers (see [`dft_sim::shard`];
+    /// `0` and `1` both mean "no sharding").
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
@@ -141,9 +134,9 @@ impl Workload {
     }
 
     /// The deterministic mixed boolean inputs every execution path derives
-    /// from `(n, seed)` alone — `measure_*`, shard workers and the
-    /// `dft-node` cluster all call this so a process can rebuild its input
-    /// without any input wiring on the command line.
+    /// from `(n, seed)` alone — `measure_*` and the `dft-node` cluster both
+    /// call this so a process can rebuild its input without any input
+    /// wiring on the command line.
     pub fn mixed_inputs(&self) -> Vec<bool> {
         (0..self.n)
             .map(|i| (i + self.seed as usize).is_multiple_of(2))
@@ -158,9 +151,7 @@ fn config(w: &Workload) -> SystemConfig {
 }
 
 /// A deterministically constructed node set plus the protocol's round
-/// budget.  Both the local `measure_*` path and a `--shard-worker` process
-/// build through these, so a shard worker reconstructs byte-identical nodes
-/// from the workload alone (see [`crate::shard`]).
+/// budget.
 pub(crate) struct BuiltNodes<P> {
     pub(crate) nodes: Vec<P>,
     pub(crate) rounds: u64,
@@ -272,10 +263,9 @@ pub(crate) fn build_parallel_ds(w: &Workload) -> BuiltNodes<ParallelDsConsensus>
 }
 
 /// The part of a measurement that depends on the round model: which runner
-/// executes the nodes in this process, which one coordinates them across
-/// shard workers, and which loop a shard worker serves its chunk with.
-/// Everything else about a measurement — local or sharded — is written
-/// once, generically over this trait.
+/// executes the nodes directly and which one coordinates them across shard
+/// workers.  Everything else about a measurement — local or sharded — is
+/// written once, generically over this trait.
 pub(crate) trait RoundModel<P> {
     type Output: WireOutput;
     /// Rounds allowed beyond the protocol's own budget.
@@ -283,14 +273,14 @@ pub(crate) trait RoundModel<P> {
 
     fn run(nodes: Vec<P>, terms: Terms, jobs: usize) -> ExecutionReport<Self::Output>;
 
+    /// The same execution with the nodes on `shards` in-process shard
+    /// workers, every message through the wire codec; also returns what
+    /// the coordinator counted on the transports.
     fn run_sharded(
-        w: &Workload,
+        nodes: Vec<P>,
         terms: Terms,
-        transports: Vec<Box<dyn ShardTransport>>,
-        recovery: Recovery,
-    ) -> (ExecutionReport<Self::Output>, ShardStats);
-
-    fn serve(chunk: Vec<P>, base: usize, transport: &mut dyn ShardTransport) -> io::Result<()>;
+        shards: usize,
+    ) -> (ExecutionReport<Self::Output>, WireStats);
 }
 
 /// What an execution runs under: the crash adversary, its fault budget and
@@ -301,11 +291,10 @@ pub(crate) struct Terms {
     max_rounds: u64,
 }
 
-/// Section 2's model: `Runner` / `ShardedRunner` / `serve_multi_port`.
+/// Section 2's model: `Runner` / `ShardedRunner`.
 pub(crate) struct MultiPort;
 
-/// Section 8's model: `SinglePortRunner` / `SpShardedRunner` /
-/// `serve_single_port`.
+/// Section 8's model: `SinglePortRunner` / `SpShardedRunner`.
 pub(crate) struct SinglePort;
 
 impl<P: SyncProtocol> RoundModel<P> for MultiPort
@@ -325,32 +314,15 @@ where
     }
 
     fn run_sharded(
-        w: &Workload,
+        nodes: Vec<P>,
         terms: Terms,
-        transports: Vec<Box<dyn ShardTransport>>,
-        recovery: Recovery,
-    ) -> (ExecutionReport<P::Output>, ShardStats) {
-        let (adversary, honest) = (terms.adversary, NodeSet::empty(w.n));
-        let runner = ShardedRunner::<P::Msg, P::Output>::connect(
-            w.n,
-            adversary,
-            terms.budget,
-            honest,
-            w.shards,
-            transports,
-        );
+        shards: usize,
+    ) -> (ExecutionReport<P::Output>, WireStats) {
+        let nodes = nodes.into_iter().map(Participant::Honest).collect();
+        let runner = ShardedRunner::in_process(nodes, terms.adversary, terms.budget, shards);
         let mut runner = runner.expect("sharded coordinator");
-        let report = runner.set_recovery(recovery).run(terms.max_rounds);
-        let stats = ShardStats {
-            recovery: runner.recovery_stats(),
-            wire: runner.wire_stats().clone(),
-        };
-        (report.expect("sharded execution"), stats)
-    }
-
-    fn serve(chunk: Vec<P>, base: usize, transport: &mut dyn ShardTransport) -> io::Result<()> {
-        let chunk = chunk.into_iter().map(Participant::Honest).collect();
-        serve_multi_port(chunk, base, transport)
+        let report = runner.run(terms.max_rounds).expect("sharded execution");
+        (report, runner.wire_stats().clone())
     }
 }
 
@@ -371,102 +343,72 @@ where
     }
 
     fn run_sharded(
-        w: &Workload,
+        nodes: Vec<P>,
         terms: Terms,
-        transports: Vec<Box<dyn ShardTransport>>,
-        recovery: Recovery,
-    ) -> (ExecutionReport<P::Output>, ShardStats) {
-        let runner = SpShardedRunner::<P::Msg, P::Output>::connect(
-            w.n,
-            terms.adversary,
-            terms.budget,
-            w.shards,
-            transports,
-        );
+        shards: usize,
+    ) -> (ExecutionReport<P::Output>, WireStats) {
+        let runner = SpShardedRunner::in_process(nodes, terms.adversary, terms.budget, shards);
         let mut runner = runner.expect("sharded coordinator");
-        let report = runner.set_recovery(recovery).run(terms.max_rounds);
-        let stats = ShardStats {
-            recovery: runner.recovery_stats(),
-            wire: runner.wire_stats().clone(),
-        };
-        (report.expect("sharded execution"), stats)
-    }
-
-    fn serve(chunk: Vec<P>, base: usize, transport: &mut dyn ShardTransport) -> io::Result<()> {
-        serve_single_port(chunk, base, transport)
+        let report = runner.run(terms.max_rounds).expect("sharded execution");
+        (report, runner.wire_stats().clone())
     }
 }
 
-/// Runs one measurement in this process.
-fn run_local<X: RoundModel<P>, P>(
+static TOTAL_WIRE: Mutex<WireStats> = Mutex::new(WireStats::new());
+
+/// Frames and bytes per shard frame tag, accumulated over every sharded
+/// measurement this process ran (`run_experiments --timings` prints them as
+/// `[wire]` lines; never gated).
+pub fn wire_totals() -> WireStats {
+    let totals = TOTAL_WIRE.lock().unwrap_or_else(PoisonError::into_inner);
+    totals.clone()
+}
+
+/// Runs one measurement: the runner holds the nodes, or — `w.shards > 1` —
+/// shard workers do, byte-identically.
+fn run_measurement<X: RoundModel<P>, P>(
     kind: MeasureKind,
     w: &Workload,
     built: BuiltNodes<P>,
 ) -> Measurement {
     let terms = kind.terms::<X, P>(w, built.rounds);
-    Measurement::from_report(&X::run(built.nodes, terms, w.jobs))
+    if w.shards <= 1 {
+        return Measurement::from_report(&X::run(built.nodes, terms, w.jobs));
+    }
+    let (report, wire) = X::run_sharded(built.nodes, terms, w.shards);
+    let mut totals = TOTAL_WIRE.lock().unwrap_or_else(PoisonError::into_inner);
+    totals.absorb(&wire);
+    Measurement::from_report(&report)
 }
 
-/// The one table of measurements.  A row gives the kind, its code in the
-/// `--shard-worker` handshake (wire format: never renumber), the public
-/// entry point, the node builder (which names the protocol type), the round
+/// The one table of measurements.  A row gives the kind, the public entry
+/// point, the node builder (which names the protocol type), the round
 /// model, and whether the execution runs under the workload's crash
 /// adversary (the authenticated-Byzantine measurements run fault-free with
 /// budget 0: their cost side counts non-faulty messages, which is maximal
-/// when everyone is honest).  Everything that must agree per kind — the
-/// enum, both directions of the code, the local run, the sharded drive and
-/// what a shard worker serves — is generated from it.
+/// when everyone is honest).  Everything that must agree per kind is
+/// generated from it.
 macro_rules! measure_kinds {
-    ($($(#[$doc:meta])* $kind:ident = $code:literal, $measure:ident, $build:ident, $model:ident, $crashes:literal;)*) => {
-        /// Which measurement to run — and, for a shard worker, to rebuild.
+    ($($(#[$doc:meta])* $kind:ident, $measure:ident, $build:ident, $model:ident, $crashes:literal;)*) => {
+        /// Which measurement to run.
         #[derive(Clone, Copy, Debug, PartialEq, Eq)]
         pub enum MeasureKind {
-            $($(#[$doc])* $kind = $code,)*
+            $($(#[$doc])* $kind,)*
         }
 
         impl MeasureKind {
-            pub(crate) fn code(self) -> u8 {
-                self as u8
-            }
-
-            pub(crate) fn from_code(code: u8) -> Option<MeasureKind> {
-                match code {
-                    $($code => Some(MeasureKind::$kind),)*
-                    _ => None,
-                }
-            }
-
             fn uses_crash_adversary(self) -> bool {
                 match self {
                     $(MeasureKind::$kind => $crashes,)*
                 }
             }
 
-            fn measure_local(self, w: &Workload) -> Measurement {
+            /// Runs the measurement: in the runner, or — `w.shards > 1` —
+            /// partitioned across in-process shard workers behind the wire
+            /// codec, byte-identically.
+            pub fn measure(self, w: &Workload) -> Measurement {
                 match self {
-                    $(MeasureKind::$kind => run_local::<$model, _>(self, w, $build(w)),)*
-                }
-            }
-
-            /// Drives the measurement across shard worker processes.
-            pub(crate) fn drive(self, w: &Workload, faults: &ShardFaults) -> (Measurement, ShardStats) {
-                match self {
-                    $(MeasureKind::$kind => shard::drive::<$model, _>($build, self, w, faults),)*
-                }
-            }
-
-            /// Rebuilds the measurement's nodes and serves shard `index`.
-            pub(crate) fn serve(
-                self,
-                w: &Workload,
-                index: usize,
-                with_ack: bool,
-                transport: &mut dyn ShardTransport,
-            ) -> io::Result<()> {
-                match self {
-                    $(MeasureKind::$kind => {
-                        shard::serve_chunk::<$model, _>($build(w), w, index, with_ack, transport)
-                    })*
+                    $(MeasureKind::$kind => run_measurement::<$model, _>(self, w, $build(w)),)*
                 }
             }
         }
@@ -482,29 +424,29 @@ macro_rules! measure_kinds {
 
 measure_kinds! {
     /// `Almost-Everywhere-Agreement` (Theorem 5).
-    Aea = 0, measure_aea, build_aea, MultiPort, true;
+    Aea, measure_aea, build_aea, MultiPort, true;
     /// `Spread-Common-Value` (Theorem 6) with 3/5·n initialized nodes.
-    Scv = 1, measure_scv, build_scv, MultiPort, true;
+    Scv, measure_scv, build_scv, MultiPort, true;
     /// `Few-Crashes-Consensus` (Theorem 7).
-    FewCrashes = 2, measure_few_crashes, build_few_crashes, MultiPort, true;
+    FewCrashes, measure_few_crashes, build_few_crashes, MultiPort, true;
     /// `Many-Crashes-Consensus` (Theorem 8 / Corollary 1).
-    ManyCrashes = 3, measure_many_crashes, build_many_crashes, MultiPort, true;
+    ManyCrashes, measure_many_crashes, build_many_crashes, MultiPort, true;
     /// `Gossip` (Theorem 9).
-    Gossip = 4, measure_gossip, build_gossip, MultiPort, true;
+    Gossip, measure_gossip, build_gossip, MultiPort, true;
     /// `Checkpointing` (Theorem 10).
-    Checkpointing = 5, measure_checkpointing, build_checkpointing, MultiPort, true;
+    Checkpointing, measure_checkpointing, build_checkpointing, MultiPort, true;
     /// `AB-Consensus` (Theorem 11) with all-honest participants.
-    AbConsensus = 6, measure_ab_consensus, build_ab_consensus, MultiPort, false;
+    AbConsensus, measure_ab_consensus, build_ab_consensus, MultiPort, false;
     /// Single-port `Linear-Consensus` (Theorem 12).
-    LinearConsensus = 7, measure_linear_consensus, build_linear_consensus, SinglePort, true;
+    LinearConsensus, measure_linear_consensus, build_linear_consensus, SinglePort, true;
     /// The flooding-consensus baseline.
-    Flooding = 8, measure_flooding, build_flooding, MultiPort, true;
+    Flooding, measure_flooding, build_flooding, MultiPort, true;
     /// The all-to-all gossip baseline.
-    AllToAllGossip = 9, measure_all_to_all_gossip, build_all_to_all_gossip, MultiPort, true;
+    AllToAllGossip, measure_all_to_all_gossip, build_all_to_all_gossip, MultiPort, true;
     /// The naive checkpointing baseline.
-    NaiveCheckpointing = 10, measure_naive_checkpointing, build_naive_checkpointing, MultiPort, true;
+    NaiveCheckpointing, measure_naive_checkpointing, build_naive_checkpointing, MultiPort, true;
     /// The parallel Dolev–Strong Byzantine baseline.
-    ParallelDs = 11, measure_parallel_ds, build_parallel_ds, MultiPort, false;
+    ParallelDs, measure_parallel_ds, build_parallel_ds, MultiPort, false;
 }
 
 impl MeasureKind {
@@ -519,16 +461,6 @@ impl MeasureKind {
             adversary,
             budget,
             max_rounds: rounds + X::ROUND_SLACK,
-        }
-    }
-
-    /// Runs the measurement: in this process, or — `w.shards > 1` —
-    /// partitioned across shard worker processes, byte-identically.
-    pub fn measure(self, w: &Workload) -> Measurement {
-        if w.shards > 1 {
-            shard::measure_sharded(self, w)
-        } else {
-            self.measure_local(w)
         }
     }
 }
@@ -669,6 +601,22 @@ mod tests {
         assert_eq!(table.column_sum("messages"), Some(350));
         assert_eq!(table.column_sum("agreement"), Some(0), "no numeric cells");
         assert_eq!(table.column_sum("bits"), None, "no such column");
+    }
+
+    #[test]
+    fn byzantine_kinds_run_fault_free() {
+        let w = small();
+        for (kind, budget) in [
+            (MeasureKind::AbConsensus, 0),
+            (MeasureKind::ParallelDs, 0),
+            (MeasureKind::Gossip, w.t),
+        ] {
+            let terms = kind.terms::<MultiPort, Gossip>(&w, 10);
+            assert_eq!((terms.budget, terms.max_rounds), (budget, 12), "{kind:?}");
+        }
+        let terms = MeasureKind::LinearConsensus
+            .terms::<SinglePort, dft_core::LinearConsensus<bool>>(&w, 10);
+        assert_eq!(terms.max_rounds, 14, "single-port slack");
     }
 
     #[test]

@@ -12,11 +12,9 @@
 //! * property tests over random crash schedules comparing full
 //!   `Runner` / `SinglePortRunner` transcripts (report + trace) between
 //!   serial and parallel execution;
-//! * the sharding layer (PR 5): full experiment tables at `--shards 2`
-//!   diffed against serial ones (the shard workers are real
-//!   `run_experiments --shard-worker` child processes), in-process sharded
-//!   transcripts (report + trace) proptested against serial runs, and
-//!   worker-process measurements proptested under random crash schedules.
+//! * the sharding layer: full experiment tables at `--shards 2` diffed
+//!   against serial ones, and sharded transcripts (report + trace)
+//!   proptested against serial runs — every message through the wire codec.
 
 use dft_bench::experiments::{
     experiment_byzantine, experiment_many_crashes, experiment_single_port, experiment_table1,
@@ -52,14 +50,6 @@ fn cfg(jobs: usize, n: Option<usize>) -> SweepConfig {
         jobs,
         shards: 1,
     }
-}
-
-/// Points the sharding layer at the real `run_experiments` binary (the
-/// default — this test executable — cannot serve `--shard-worker`).
-fn use_real_worker_binary() {
-    dft_bench::shard::set_worker_binary(std::path::PathBuf::from(env!(
-        "CARGO_BIN_EXE_run_experiments"
-    )));
 }
 
 fn sharded_cfg(shards: usize, n: Option<usize>) -> SweepConfig {
@@ -118,12 +108,10 @@ fn e1_e5_e8_tables_are_byte_identical_below_old_single_port_threshold() {
     }
 }
 
-/// The tentpole pin for PR 5: fixed-seed E1/E5/E8 tables must be
-/// byte-identical between a serial run and one sharded across **two worker
-/// processes** (real `run_experiments --shard-worker` children over pipes).
+/// Fixed-seed E1/E5/E8 tables must be byte-identical between a serial run
+/// and one sharded across two shard workers behind the wire codec.
 #[test]
 fn e1_e5_e8_tables_are_byte_identical_across_shards() {
-    use_real_worker_binary();
     let experiments: [(&str, ExperimentFn); 3] = [
         ("E1", experiment_table1),
         ("E5", experiment_many_crashes),
@@ -136,18 +124,17 @@ fn e1_e5_e8_tables_are_byte_identical_across_shards() {
     }
 }
 
-/// Every remaining experiment kind under the worker-process backend: E2–E4,
-/// E6, E7 and the single-port E9/E10 cover the measurement kinds E1/E5/E8
-/// do not (AEA, SCV, the three quadratic baselines, linear consensus), so
-/// together with the test above every `--shard-worker` code path is diffed
-/// against serial output.
+/// Every remaining experiment kind, sharded: E2–E4, E6, E7 and the
+/// single-port E9/E10 cover the measurement kinds E1/E5/E8 do not (AEA,
+/// SCV, the three quadratic baselines, linear consensus), so together with
+/// the test above every measurement's payload types are diffed against
+/// serial output after crossing the codec.
 #[test]
 fn remaining_tables_are_byte_identical_across_shards() {
     use dft_bench::experiments::{
         experiment_aea, experiment_checkpointing, experiment_few_crashes, experiment_gossip,
         experiment_lower_bound, experiment_scv, experiment_single_port,
     };
-    use_real_worker_binary();
     let experiments: [(&str, ExperimentFn); 7] = [
         ("E2", experiment_aea),
         ("E3", experiment_scv),
@@ -437,157 +424,6 @@ proptest! {
         prop_assert_eq!(&serial_report, &sharded_report);
         prop_assert_eq!(serial_trace, sharded_trace);
     }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// The **worker-process** backend under random crash schedules: a
-    /// sharded `measure_few_crashes` (multi-port, real `--shard-worker`
-    /// children over pipes, `RandomCrashes` adversary in the parent) must
-    /// reproduce the local measurement exactly.
-    #[test]
-    fn worker_process_measurements_match_under_random_crashes(
-        n in 40usize..70,
-        seed in any::<u64>(),
-        shards in 2usize..4,
-    ) {
-        use_real_worker_binary();
-        let t = (n / 8).max(1);
-        let local = dft_bench::measure_few_crashes(
-            &dft_bench::Workload::full_budget(n, t, seed),
-        );
-        let sharded = dft_bench::measure_few_crashes(
-            &dft_bench::Workload::full_budget(n, t, seed).with_shards(shards),
-        );
-        prop_assert_eq!(local, sharded);
-    }
-
-    /// The single-port worker-process backend under random crash schedules.
-    #[test]
-    fn worker_process_single_port_measurements_match_under_random_crashes(
-        n in 30usize..50,
-        seed in any::<u64>(),
-    ) {
-        use_real_worker_binary();
-        let t = (n / 8).max(1);
-        let local = dft_bench::measure_linear_consensus(
-            &dft_bench::Workload::full_budget(n, t, seed),
-        );
-        let sharded = dft_bench::measure_linear_consensus(
-            &dft_bench::Workload::full_budget(n, t, seed).with_shards(2),
-        );
-        prop_assert_eq!(local, sharded);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Worker-failure recovery (PR 9): killing, tearing or stalling a real
-// `--shard-worker` child mid-measurement must leave the measurement
-// byte-identical to the local path — the parent respawns the worker and
-// replays its frame log.  See `dft_sim::shard`'s recovery section and the
-// `FaultPlan` spec format.
-// ---------------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// A worker killed at a random response frame, on a random shard, under
-    /// a random seed: the recovered measurement must equal the local one
-    /// exactly, with exactly one respawn doing the recovering.
-    #[test]
-    fn killed_worker_processes_recover_byte_identically(
-        n in 40usize..70,
-        seed in any::<u64>(),
-        shard in 0usize..2,
-        frame in 0u64..12,
-    ) {
-        use_real_worker_binary();
-        let t = (n / 8).max(1);
-        let local = dft_bench::measure_few_crashes(
-            &dft_bench::Workload::full_budget(n, t, seed),
-        );
-        let plan = dft_sim::shard::FaultPlan::parse(&format!("kill:{shard}@{frame}"))
-            .expect("well-formed plan");
-        let (recovered, stats) = dft_bench::shard::measure_sharded_faulty(
-            dft_bench::shard::MeasureKind::FewCrashes,
-            &dft_bench::Workload::full_budget(n, t, seed).with_shards(2),
-            plan,
-            2,
-            None,
-        );
-        prop_assert_eq!(local, recovered);
-        prop_assert_eq!(stats.respawns, 1);
-        prop_assert_eq!(stats.fallbacks, 0);
-    }
-
-    /// The single-port worker-process backend recovers from a random kill
-    /// the same way.
-    #[test]
-    fn killed_single_port_workers_recover_byte_identically(
-        n in 30usize..50,
-        seed in any::<u64>(),
-        frame in 0u64..8,
-    ) {
-        use_real_worker_binary();
-        let t = (n / 8).max(1);
-        let local = dft_bench::measure_linear_consensus(
-            &dft_bench::Workload::full_budget(n, t, seed),
-        );
-        let plan = dft_sim::shard::FaultPlan::parse(&format!("kill:1@{frame}"))
-            .expect("well-formed plan");
-        let (recovered, stats) = dft_bench::shard::measure_sharded_faulty(
-            dft_bench::shard::MeasureKind::LinearConsensus,
-            &dft_bench::Workload::full_budget(n, t, seed).with_shards(2),
-            plan,
-            2,
-            None,
-        );
-        prop_assert_eq!(local, recovered);
-        prop_assert_eq!(stats.respawns, 1);
-    }
-}
-
-/// Torn and garbage frames from a real worker (decode failures rather than
-/// EOFs) ride the same respawn-and-replay ladder; a stalled worker trips
-/// the per-frame read deadline instead of hanging the run.
-#[test]
-fn torn_garbage_and_stalled_workers_recover_byte_identically() {
-    use_real_worker_binary();
-    let local = dft_bench::measure_few_crashes(&dft_bench::Workload::full_budget(48, 6, 7));
-    let plan = dft_sim::shard::FaultPlan::parse("torn:0@2,garbage:1@5,stall:0@9")
-        .expect("well-formed plan");
-    let (recovered, stats) = dft_bench::shard::measure_sharded_faulty(
-        dft_bench::shard::MeasureKind::FewCrashes,
-        &dft_bench::Workload::full_budget(48, 6, 7).with_shards(2),
-        plan,
-        3,
-        // Short deadline so the stalled frame trips it in test time; the
-        // healthy frames of a quick measurement arrive in microseconds.
-        Some(std::time::Duration::from_millis(750)),
-    );
-    assert_eq!(local, recovered);
-    assert_eq!(stats.respawns, 3, "one respawn per injected fault");
-    assert_eq!(stats.fallbacks, 0);
-}
-
-/// `--max-worker-respawns 0`: a killed worker goes straight to the
-/// in-process fallback and the measurement still matches the local path.
-#[test]
-fn exhausted_respawns_degrade_to_in_process_serving() {
-    use_real_worker_binary();
-    let local = dft_bench::measure_few_crashes(&dft_bench::Workload::full_budget(44, 5, 11));
-    let plan = dft_sim::shard::FaultPlan::parse("kill:0@4").expect("well-formed plan");
-    let (recovered, stats) = dft_bench::shard::measure_sharded_faulty(
-        dft_bench::shard::MeasureKind::FewCrashes,
-        &dft_bench::Workload::full_budget(44, 5, 11).with_shards(2),
-        plan,
-        0,
-        None,
-    );
-    assert_eq!(local, recovered);
-    assert_eq!(stats.respawns, 0);
-    assert_eq!(stats.fallbacks, 1);
 }
 
 // ---------------------------------------------------------------------------

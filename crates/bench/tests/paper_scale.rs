@@ -8,9 +8,10 @@
 //! cargo test --release -p dft-bench --test paper_scale -- --ignored
 //! ```
 
+use dft_bench::experiments::{experiment_checkpointing, experiment_gossip, Scale, SweepConfig};
 use dft_bench::{
     measure_ab_consensus, measure_few_crashes, measure_linear_consensus, measure_many_crashes,
-    Workload,
+    Table, Workload,
 };
 use dft_sim::{NodeId, Outgoing, Round, SinglePortProtocol, SinglePortRunner};
 
@@ -58,6 +59,27 @@ fn crash_consensus_at_n_2000() {
     let m = measure_many_crashes(&Workload::full_budget(n, (9 * n) / 10, 19).with_jobs(0));
     assert!(m.all_decided && m.agreement, "alpha = 0.9 regression");
     assert!(m.rounds <= dft_core::round_budget_for(n, (9 * n) / 10));
+}
+
+/// E6/E7 at `--scale paper --n 1000` with two shard workers: the
+/// dense-payload experiments (extant sets, checkpoint vectors) cross the
+/// wire codec at paper scale and the tables equal the serial ones.
+#[test]
+#[ignore = "paper-scale; run with --ignored"]
+fn e6_e7_tables_at_n_1000_are_byte_identical_across_shards() {
+    let cfg = |shards| SweepConfig {
+        n: Some(1000),
+        shards,
+        ..SweepConfig::new(Scale::Paper)
+    };
+    type ExperimentFn = fn(&SweepConfig) -> Table;
+    let experiments: [(&str, ExperimentFn); 2] =
+        [("E6", experiment_gossip), ("E7", experiment_checkpointing)];
+    for (id, experiment) in experiments {
+        let serial = experiment(&cfg(1)).render();
+        let sharded = experiment(&cfg(2)).render();
+        assert_eq!(serial, sharded, "{id} tables drifted with --shards 2");
+    }
 }
 
 /// A minimal single-port protocol: each node sends one message around a ring

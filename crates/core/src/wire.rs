@@ -1,6 +1,6 @@
 //! Shard wire codecs ([`dft_sim::shard::Wire`]) for the protocol message
 //! and output types, so any of the paper's executions can be partitioned
-//! across `run_experiments --shard-worker` processes.
+//! across shard workers (`run_experiments --shards`) or `dft-node` peers.
 //!
 //! Each message type declares its layout once (tag per variant, fields in
 //! order) and gets both directions generated from it; [`CommonSet`] does so
@@ -254,7 +254,7 @@ mod tests {
     /// bump asserted beside it.
     #[test]
     fn golden_bytes() {
-        assert_eq!(dft_sim::shard::WIRE_VERSION, 4);
+        assert_eq!(dft_sim::shard::WIRE_VERSION, 5);
         let tagged = |tag: u8, body: &[u8]| [&[tag], body].concat();
 
         assert_eq!(to_bytes(&AeaMsg::Rumor(true)), b"\0\x01");

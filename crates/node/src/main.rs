@@ -1143,7 +1143,6 @@ fn run_cluster(args: &ClusterArgs) -> Result<ExitCode, String> {
             }],
             recovery: RecoveryTotals {
                 suspected_peers: total_suspected,
-                ..RecoveryTotals::default()
             },
             total_wall_s: wall_s,
         };

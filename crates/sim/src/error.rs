@@ -6,8 +6,8 @@ use std::fmt;
 /// A structured shard-protocol failure: which shard misbehaved, which frame
 /// tag (if any) was in flight, and the round the coordinator was executing.
 ///
-/// Recovery decisions (see `crate::shard`'s respawn/replay ladder) and
-/// diagnostics match on these fields directly instead of parsing strings.
+/// Callers and diagnostics match on these fields directly instead of
+/// parsing strings.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardError {
     /// Index of the shard whose transport or worker failed.

@@ -38,9 +38,9 @@
 //!   job count (`set_jobs`) the cores are spread over a *persistent* worker
 //!   pool (spawned once per runner, parked between phases).
 //! * [`shard`] — the framed host: one execution's chunks served by shard
-//!   workers (in-process threads or `run_experiments --shard-worker` child
-//!   processes) behind a versioned binary wire format, with a frame log
-//!   and a recovery ladder for workers that die.
+//!   workers (threads of the runner's own pool) behind a versioned binary
+//!   wire format; a transport or frame failure ends the run with a
+//!   structured error.
 //!
 //! # Quick example
 //!

@@ -1,25 +1,22 @@
-//! Sharding a **single execution** across OS worker processes.
+//! Sharding a **single execution** across the wire codec.
 //!
 //! The per-node phase work of one run is partitioned into contiguous
 //! node-range chunks — the sans-I/O [`RoundCore`]/[`SinglePortCore`]
 //! ownership unit of [`crate::driver`] — and each chunk is served by a
-//! **shard worker** on the far side of a [`ShardTransport`].  Two backends
-//! exist:
-//!
-//! * in-process: workers are jobs on a [`WorkerPool`] of the runner's own,
-//!   connected by [`ChannelTransport`] pairs (every frame still crosses the
-//!   full wire codec, so the in-process backend exercises the same protocol
-//!   the pipes do);
-//! * worker processes: `run_experiments --shard-worker` children connected
-//!   by length-prefixed pipes ([`StreamTransport`]); moving a shard to
-//!   another machine is a transport swap (pipe → socket), not a rewrite.
+//! **shard worker** on the far side of a [`ShardTransport`].  The workers
+//! are jobs on a [`WorkerPool`] of the runner's own, connected by
+//! [`ChannelTransport`] pairs ([`ShardedRunner::in_process`]); every frame
+//! crosses the full wire codec, so a sharded run exercises the protocol a
+//! socket would carry.  [`ShardedRunner::connect`] takes transports to
+//! workers served elsewhere (a thread behind a [`StreamTransport`], say):
+//! moving a shard is a transport swap, not a rewrite.
 //!
 //! # Determinism
 //!
 //! [`ShardedRunner`] and [`SpShardedRunner`] are not round loops of their
 //! own: they are the loops of `crate::coordinator` over the **framed
 //! host** of this module ([`Framed`]), which runs a phase on every chunk by
-//! exchanging frames.  The coordinating process therefore keeps everything
+//! exchanging frames.  The coordinator therefore keeps everything
 //! order-sensitive exactly where the serial and pooled runners keep it —
 //! the crash-adversary phase, the merge in chunk (= node-index) order, the
 //! event replay, the single-port port map — and a sharded run is
@@ -44,26 +41,17 @@
 //! as untrusted: an index outside the chunk, a list of the wrong length or
 //! an event for another chunk's node is an error, never a panic.
 //!
-//! # Worker-failure recovery
+//! # Failures
 //!
-//! A worker process is *substrate*, not a simulated node: its death must
-//! not change the computed execution.  When [`Recovery`] is configured the
-//! host retains every request frame it sends (per shard; `Shutdown`
-//! excluded), and on any transport failure — EOF, I/O error, read deadline
-//! ([`DeadlineTransport`]), an unexpected tag, or a payload that fails to
-//! decode — it obtains a fresh transport (the respawn factory, bounded by
-//! `max_respawns` with exponential backoff, then the in-process fallback
-//! factory once) and **replays** the retained log lock-step, discarding
-//! every response but the last.  Replay is sound because workers rebuild
-//! their state machines deterministically from the handshake and the parent
-//! authors every inbound frame: the same requests in the same order produce
-//! the same worker state and the same responses.  [`RecoveryStats`] counts
-//! what the ladder did.  Deterministic fault injection for all four entry
-//! points lives in [`fault`].
+//! A shard worker is *substrate*, not a simulated node, and nothing here
+//! masks its failure: a transport error, a frame that does not open, an
+//! unexpected tag, a payload that does not decode or does not fit the chunk
+//! ends the run with a structured [`SimError::Shard`] (shard, expected tag,
+//! round, detail) on first occurrence.  The faults the paper tolerates are
+//! node crashes, and those are the crash adversary's.
 //!
 //! [`WorkerPool`]: crate::pool::WorkerPool
 
-pub mod fault;
 pub mod intern;
 pub mod transport;
 pub mod wire;
@@ -71,7 +59,6 @@ pub mod wire;
 use std::collections::BTreeMap;
 use std::io;
 use std::ops::Range;
-use std::time::Duration;
 
 use crate::adversary::{CrashAdversary, DeliveryFilter};
 use crate::coordinator::{
@@ -87,11 +74,9 @@ use crate::protocol::{NodeStatus, SinglePortProtocol, SyncProtocol};
 use crate::round::Round;
 use crate::runner::Participant;
 
-pub use fault::{ArmedPlan, FaultKind, FaultPlan, FaultSpec, FaultyTransport};
 pub use intern::{Slot, Slots};
 pub use transport::{
-    read_frame, write_frame, ChannelTransport, DeadlineTransport, ShardTransport, StreamTransport,
-    MAX_FRAME_LEN,
+    read_frame, write_frame, ChannelTransport, ShardTransport, StreamTransport, MAX_FRAME_LEN,
 };
 pub use wire::{
     decode_error_path_violations, from_bytes, to_bytes, Wire, WireError, WireReader, WireResult,
@@ -101,9 +86,9 @@ pub use wire::{
 pub use crate::{wire_enum, wire_struct};
 
 /// Version of the shard wire format.  Every frame carries it; both sides
-/// reject a mismatch, so a stale worker binary fails loudly instead of
-/// silently mis-decoding.
-pub const WIRE_VERSION: u16 = 4;
+/// reject a mismatch, so a peer built from another revision fails loudly
+/// instead of silently mis-decoding.
+pub const WIRE_VERSION: u16 = 5;
 
 /// Frame tags (parent → worker).
 const REQ_COLLECT: u8 = 1;
@@ -135,8 +120,7 @@ pub fn tag_name(tag: u8) -> &'static str {
 }
 
 /// Starts a frame: the `[u16 version][u8 tag]` header every shard frame
-/// (including the bench layer's handshake) opens with.  Append the payload
-/// with [`Wire::encode`] calls.
+/// opens with.  Append the payload with [`Wire::encode`] calls.
 pub fn frame(tag: u8) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     WIRE_VERSION.encode(&mut out);
@@ -171,82 +155,14 @@ fn wire_io(err: WireError) -> io::Error {
     bad_frame(err.to_string())
 }
 
-/// Produces a replacement [`ShardTransport`] for the given shard index —
-/// a respawned worker process, a fresh serving thread, or an in-process
-/// fallback server over a channel pair.
-pub type TransportFactory = Box<dyn FnMut(usize) -> io::Result<Box<dyn ShardTransport>> + Send>;
-
-/// The worker-failure recovery ladder a coordinator climbs when a shard
-/// transport fails: up to `max_respawns` fresh transports from the respawn
-/// factory (with exponential backoff between consecutive attempts), then —
-/// budget exhausted — one in-process fallback, then a hard
-/// [`SimError::Shard`].
-pub struct Recovery {
-    max_respawns: u32,
-    backoff: Duration,
-    respawn: TransportFactory,
-    fallback: Option<TransportFactory>,
-}
-
-impl Recovery {
-    /// A ladder that respawns at most `max_respawns` times via `respawn`.
-    /// `max_respawns` of 0 means the first failure goes straight to the
-    /// fallback (or the hard error when none is configured).
-    pub fn new(max_respawns: u32, respawn: TransportFactory) -> Self {
-        Recovery {
-            max_respawns,
-            backoff: Duration::from_millis(10),
-            respawn,
-            fallback: None,
-        }
-    }
-
-    /// Adds the last rung: an in-process fallback used once per shard when
-    /// the respawn budget is exhausted.
-    #[must_use]
-    pub fn with_fallback(mut self, fallback: TransportFactory) -> Self {
-        self.fallback = Some(fallback);
-        self
-    }
-
-    /// Sets the base backoff delay (doubled per consecutive respawn of one
-    /// shard; the first respawn is immediate).  Zero disables sleeping.
-    #[must_use]
-    pub fn with_backoff(mut self, base: Duration) -> Self {
-        self.backoff = base;
-        self
-    }
-}
-
-impl std::fmt::Debug for Recovery {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Recovery")
-            .field("max_respawns", &self.max_respawns)
-            .field("backoff", &self.backoff)
-            .field("has_fallback", &self.fallback.is_some())
-            .finish_non_exhaustive()
-    }
-}
-
-/// What the recovery ladder did over one execution.
+/// What is left of the retired worker-failure recovery ladder: a unit
+/// value, equal to its own default, because `benchmark/benches/model.rs`
+/// compares [`Coordinator::recovery_stats`] against
+/// `RecoveryStats::default()` and that package could not change in the PR
+/// that deleted the ladder.  Follow-up: drop the comparison there, then this
+/// type and the accessor.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RecoveryStats {
-    /// Fresh transports obtained from the respawn factory.
-    pub respawns: u64,
-    /// Shards moved onto the in-process fallback.
-    pub fallbacks: u64,
-    /// Request frames replayed to fresh transports.
-    pub replayed_frames: u64,
-    /// Completed rounds whose frames were replayed (summed per recovery).
-    pub replayed_rounds: u64,
-}
-
-impl RecoveryStats {
-    /// Whether any recovery action ran.
-    pub fn any(&self) -> bool {
-        self.respawns > 0 || self.fallbacks > 0
-    }
-}
+pub struct RecoveryStats;
 
 /// Frames and bytes (headers included) under one frame tag.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -258,8 +174,8 @@ pub struct TagCount {
 }
 
 /// What the coordinator put on and took off the shard transports, per frame
-/// tag: every request it sent (`Shutdown` and recovery replays excluded —
-/// [`RecoveryStats`] counts those) and every response it consumed.
+/// tag: every request it sent (`Shutdown` excluded) and every response it
+/// consumed.
 ///
 /// Counters only: they describe the substrate, and nothing they record may
 /// reach a decision table.
@@ -543,28 +459,17 @@ where
 // Parent side
 // ---------------------------------------------------------------------------
 
-/// The parent's end of one sharded execution: the transports, the retained
-/// request log and the recovery ladder.
+/// The parent's end of one sharded execution: the transports and what the
+/// coordinator counted on them.
 struct Link {
     transports: Vec<Box<dyn ShardTransport>>,
     plan: ChunkPlan,
     n: usize,
     /// The round being executed, for error context.
     round: u64,
-    /// Per-shard retained request log (only fed while recovery is
-    /// configured; `Shutdown` is never logged).  On recovery the whole log
-    /// is replayed to the fresh transport — sound because the worker
-    /// rebuilds deterministically and the parent authors every request.
-    frame_log: Vec<Vec<Vec<u8>>>,
-    /// A response produced by replay, pending consumption by `transact`.
-    stashed: Vec<Option<Vec<u8>>>,
-    recovery: Option<Recovery>,
-    respawns_used: Vec<u32>,
-    fallback_active: Vec<bool>,
-    stats: RecoveryStats,
     wire: WireStats,
     /// Keeps in-process serving threads alive for the host's lifetime;
-    /// `None` for remote (process/pipe) backends.
+    /// `None` when the workers are served elsewhere.
     _pool: Option<WorkerPool>,
 }
 
@@ -577,22 +482,24 @@ impl Link {
         self.plan.range(ci, self.n)
     }
 
-    /// Sends one request to shard `ci`, retaining it in the frame log and
-    /// entering the recovery ladder on failure.
+    /// A failure of shard `ci` while the frame tagged `tag` was in flight.
+    fn fail(&self, ci: usize, tag: Option<u8>, detail: String) -> SimError {
+        let mut err = ShardError::new(ci, detail).with_round(self.round);
+        if let Some(tag) = tag {
+            err = err.with_tag(tag);
+        }
+        SimError::Shard(err)
+    }
+
+    /// Sends one request to shard `ci`.
     fn send_to(&mut self, ci: usize, request: &[u8]) -> SimResult<()> {
         let tag = request.get(2).copied();
         if let Some(tag) = tag {
             self.wire.record(tag, request.len());
         }
-        if self.recovery.is_some() {
-            self.frame_log[ci].push(request.to_vec());
-        }
-        if let Err(err) = self.transports[ci].send(request) {
-            // The request is already logged, so a successful replay leaves
-            // its response stashed for the upcoming `transact`.
-            self.recover(ci, tag, format!("sending request: {err}"))?;
-        }
-        Ok(())
+        self.transports[ci]
+            .send(request)
+            .map_err(|err| self.fail(ci, tag, format!("sending request: {err}")))
     }
 
     /// Sends one already-encoded request to every shard.
@@ -602,131 +509,28 @@ impl Link {
 
     /// Receives shard `ci`'s pending response, checks its tag, decodes the
     /// payload and has `vet` check and finish it; any failure — transport
-    /// error, bad frame, wrong tag, undecodable or implausible payload —
-    /// enters the recovery ladder and the replayed response is tried again.
+    /// error, bad frame, wrong tag, undecodable or implausible payload — is
+    /// the run's error.
     fn transact<T: Wire, U>(
         &mut self,
         ci: usize,
         expected: u8,
         vet: impl Fn(T) -> Result<U, String>,
     ) -> SimResult<U> {
-        loop {
-            let response = match self.stashed[ci].take() {
-                Some(replayed) => Ok(replayed),
-                None => self.transports[ci].recv(),
-            };
-            let detail = match response {
-                Ok(bytes) => match open_frame(&bytes) {
-                    Ok((tag, mut r)) => {
-                        self.wire.record(tag, bytes.len());
-                        if tag == expected {
-                            let payload = T::decode(&mut r).map_err(|err| err.to_string());
-                            match payload.and_then(&vet) {
-                                Ok(value) => return Ok(value),
-                                Err(detail) => format!("response payload: {detail}"),
-                            }
-                        } else {
-                            format!("answered with tag {tag}, expected {expected}")
-                        }
-                    }
-                    Err(err) => format!("response frame: {err}"),
-                },
-                Err(err) => format!("receiving response: {err}"),
-            };
-            self.recover(ci, Some(expected), detail)?;
+        let tag = Some(expected);
+        let received = self.transports[ci].recv();
+        let bytes =
+            received.map_err(|err| self.fail(ci, tag, format!("receiving response: {err}")))?;
+        let (got, mut r) = open_frame(&bytes)
+            .map_err(|err| self.fail(ci, tag, format!("response frame: {err}")))?;
+        self.wire.record(got, bytes.len());
+        if got != expected {
+            let detail = format!("answered with tag {got}, expected {expected}");
+            return Err(self.fail(ci, tag, detail));
         }
-    }
-
-    /// Climbs the recovery ladder for shard `ci`: respawn (bounded, with
-    /// backoff), then fallback (once), then the hard error.  On success the
-    /// retained log has been replayed and the outstanding request's
-    /// response, if any, is stashed.
-    fn recover(&mut self, ci: usize, tag: Option<u8>, reason: String) -> SimResult<()> {
-        let round = self.round;
-        let fail = move |detail: String| -> SimError {
-            let mut err = ShardError::new(ci, detail).with_round(round);
-            if let Some(tag) = tag {
-                err = err.with_tag(tag);
-            }
-            SimError::Shard(err)
-        };
-        if self.fallback_active[ci] {
-            return Err(fail(format!(
-                "{reason} (already on the in-process fallback)"
-            )));
-        }
-        let mut detail = reason;
-        loop {
-            let Some(recovery) = self.recovery.as_mut() else {
-                return Err(fail(detail));
-            };
-            let attempt = self.respawns_used[ci];
-            let via_fallback = attempt >= recovery.max_respawns;
-            let transport = if via_fallback {
-                let max_respawns = recovery.max_respawns;
-                let Some(fallback) = recovery.fallback.as_mut() else {
-                    return Err(fail(format!(
-                        "{detail} (respawn budget {max_respawns} exhausted, no fallback)"
-                    )));
-                };
-                match fallback(ci) {
-                    Ok(transport) => transport,
-                    Err(err) => {
-                        return Err(fail(format!("starting the in-process fallback: {err}")));
-                    }
-                }
-            } else {
-                if attempt > 0 && !recovery.backoff.is_zero() {
-                    // Exponential: immediate, base, 2*base, ... capped.
-                    let factor = 1u32 << (attempt - 1).min(5);
-                    std::thread::sleep(recovery.backoff * factor);
-                }
-                self.respawns_used[ci] += 1;
-                match (recovery.respawn)(ci) {
-                    Ok(transport) => transport,
-                    Err(err) => {
-                        detail = format!("respawning the shard worker: {err}");
-                        continue;
-                    }
-                }
-            };
-            self.transports[ci] = transport;
-            if via_fallback {
-                self.fallback_active[ci] = true;
-                self.stats.fallbacks += 1;
-            } else {
-                self.stats.respawns += 1;
-            }
-            match self.replay(ci) {
-                Ok(()) => {
-                    self.stats.replayed_frames += self.frame_log[ci].len() as u64;
-                    self.stats.replayed_rounds += round;
-                    return Ok(());
-                }
-                Err(err) => {
-                    if via_fallback {
-                        return Err(fail(format!(
-                            "replay on the in-process fallback failed: {err}"
-                        )));
-                    }
-                    detail = format!("replay after respawn: {err}");
-                }
-            }
-        }
-    }
-
-    /// Replays every retained request to shard `ci`'s (fresh) transport in
-    /// lock-step, discarding every response but the last, which is stashed
-    /// for the outstanding request.
-    fn replay(&mut self, ci: usize) -> io::Result<()> {
-        self.stashed[ci] = None;
-        let mut last_response = None;
-        for request in &self.frame_log[ci] {
-            self.transports[ci].send(request)?;
-            last_response = Some(self.transports[ci].recv()?);
-        }
-        self.stashed[ci] = last_response;
-        Ok(())
+        let payload = T::decode(&mut r).map_err(|err| err.to_string());
+        let vetted = payload.and_then(vet);
+        vetted.map_err(|detail| self.fail(ci, tag, format!("response payload: {detail}")))
     }
 }
 
@@ -749,7 +553,7 @@ impl<O: Wire + Clone + PartialEq + std::fmt::Debug + Send + 'static> WireOutput 
 
 /// The framed host: the chunks live behind shard transports, and a phase
 /// runs on every chunk by sending each worker a request frame and decoding
-/// its response (through the recovery ladder, when one is configured).
+/// its response.
 ///
 /// It never holds protocol state machines — only the outputs the workers
 /// report (`O`) and, per chunk, what is queued for its next request (`Q`).
@@ -813,12 +617,6 @@ impl<O: WireOutput, Q: Default> Framed<O, Q> {
                 plan,
                 n,
                 round: 0,
-                frame_log: vec![Vec::new(); chunks],
-                stashed: vec![None; chunks],
-                recovery: None,
-                respawns_used: vec![0; chunks],
-                fallback_active: vec![false; chunks],
-                stats: RecoveryStats::default(),
                 wire: WireStats::default(),
                 _pool: pool,
             },
@@ -1027,8 +825,7 @@ impl<M: WireMsg, O: WireOutput> SinglePortHost for Framed<O, SpQueued<M>> {
 
 /// Splits `items` (one per node) into the chunks of `shards` and serves
 /// each chunk with `serve` on a job of a fresh [`WorkerPool`], behind a
-/// [`ChannelTransport`] — the same wire protocol the worker-process backend
-/// speaks, without the processes.
+/// [`ChannelTransport`].
 fn spawn_in_process<T: Send + 'static>(
     items: Vec<T>,
     shards: usize,
@@ -1062,12 +859,10 @@ fn spawn_in_process<T: Send + 'static>(
 /// [`Framed`] host.
 ///
 /// Generic over the message and output wire types only — the parent never
-/// holds protocol state machines, so the worker-process backend does not
-/// pay for a redundant parent-side node construction.  Use
-/// [`ShardedRunner::in_process`] to serve the chunks on a worker pool of
-/// this process, or [`ShardedRunner::connect`] with transports to external
-/// workers (see `run_experiments --shard-worker`).  `run` is single-shot:
-/// it shuts the workers down.
+/// holds protocol state machines.  Use [`ShardedRunner::in_process`] to
+/// serve the chunks on a worker pool of this process, or
+/// [`ShardedRunner::connect`] with transports to workers served elsewhere.
+/// `run` is single-shot: it shuts the workers down.
 pub type ShardedRunner<M, O> = Coordinator<Framed<O, Inbound<M>>, MultiPort<M>>;
 
 impl<M: WireMsg, O: WireOutput> ShardedRunner<M, O> {
@@ -1178,17 +973,10 @@ impl<O, Q, X> Coordinator<Framed<O, Q>, X>
 where
     Framed<O, Q>: Host,
 {
-    /// Arms worker-failure recovery: from now on every request frame is
-    /// retained and a failing shard transport climbs the
-    /// respawn → fallback → error ladder instead of aborting the run.
-    pub fn set_recovery(&mut self, recovery: Recovery) -> &mut Self {
-        self.host.link.recovery = Some(recovery);
-        self
-    }
-
-    /// What the recovery ladder did so far.
+    /// Always the unit value — see [`RecoveryStats`] for why it is still
+    /// here and what drops it.
     pub fn recovery_stats(&self) -> RecoveryStats {
-        self.host.link.stats
+        RecoveryStats
     }
 
     /// Frames and bytes exchanged with the shard workers so far, per tag.

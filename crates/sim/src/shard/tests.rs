@@ -1,18 +1,16 @@
-//! Shard-layer tests: the partition helpers, constructor validation, the
-//! recovery ladder's corners and hostile frames.  That a sharded run is
-//! byte-identical to the serial one — over channels, over streams, through
-//! a kill and through the fallback — is a row of the conformance tables in
-//! `crate::conformance`, whose toy protocols and worker helpers these
-//! tests share.
+//! Shard-layer tests: the partition helpers, constructor validation, every
+//! way a transport or a frame can fail, and hostile frames.  That a sharded
+//! run is byte-identical to the serial one — over channels and over streams
+//! — is a row of the conformance tables in `crate::conformance`, whose toy
+//! protocols and worker helpers these tests share.
 
 use std::sync::Arc;
 
 use super::*;
 use crate::adversary::NoFaults;
 use crate::conformance::{
-    crash_schedule, multi_port_worker, spawn_worker, ChannelStream, FloodOr, Ring, Wiring,
+    crash_schedule, multi_port_worker, ring_worker, spawn_worker, FloodOr, Ring, Wiring,
 };
-use crate::report::ExecutionReport;
 use crate::runner::Runner;
 use crate::single_port::SinglePortRunner;
 
@@ -105,7 +103,7 @@ fn dead_worker_surfaces_as_shard_error_not_a_hang() {
 }
 
 // ---------------------------------------------------------------------------
-// Worker-failure recovery
+// Failing transports and malformed responses: an error, on first occurrence
 // ---------------------------------------------------------------------------
 
 fn honest_flood(n: usize) -> Vec<Participant<FloodOr>> {
@@ -117,188 +115,183 @@ fn flood_or_worker(n: usize, shards: usize, index: usize) -> Box<dyn ShardTransp
     multi_port_worker(honest_flood, n, shards, index, Wiring::Channel)
 }
 
-fn flood_or_serial(n: usize) -> ExecutionReport<bool> {
-    let mut runner =
-        Runner::with_adversary(FloodOr::nodes(n, 2), Box::new(crash_schedule(n)), 3).unwrap();
-    runner.run(10)
+/// What goes wrong in a [`Scripted`] transport's faulted exchange.
+#[derive(Clone, Copy)]
+enum Fault {
+    /// `send` finds the pipe broken.
+    Send,
+    /// `recv` finds the stream closed.
+    Recv,
+    /// `recv` returns what the function makes of the worker's response.
+    Respond(fn(Vec<u8>) -> Vec<u8>),
 }
 
-/// Builds a faulted sharded FloodOr run with a recovery ladder whose
-/// respawn factory rebuilds workers (wrapped by the same armed plan, so a
-/// recovered fault must not re-fire).
-fn faulted_flood_or(
-    n: usize,
-    shards: usize,
-    plan: &FaultPlan,
-    max_respawns: u32,
-    with_fallback: bool,
-) -> ShardedRunner<bool, bool> {
-    let armed = plan.arm();
-    let transports: Vec<Box<dyn ShardTransport>> = (0..shard_count(n, shards))
-        .map(|index| armed.wrap(index, flood_or_worker(n, shards, index)))
-        .collect();
-    let mut sharded = ShardedRunner::<bool, bool>::connect(
-        n,
-        Box::new(crash_schedule(n)),
-        3,
-        NodeSet::empty(n),
-        shards,
-        transports,
-    )
-    .unwrap();
-    let respawn_armed = armed.clone();
-    let mut recovery = Recovery::new(
-        max_respawns,
-        Box::new(move |index| Ok(respawn_armed.wrap(index, flood_or_worker(n, shards, index)))),
-    )
-    .with_backoff(Duration::ZERO);
-    if with_fallback {
-        recovery =
-            recovery.with_fallback(Box::new(move |index| Ok(flood_or_worker(n, shards, index))));
+/// A real worker's transport for `healthy` exchanges, then `fault`.
+struct Scripted {
+    inner: Box<dyn ShardTransport>,
+    healthy: usize,
+    fault: Fault,
+}
+
+impl ShardTransport for Scripted {
+    fn send(&mut self, frame: &[u8]) -> io::Result<()> {
+        if self.healthy == 0 && matches!(self.fault, Fault::Send) {
+            return Err(io::ErrorKind::BrokenPipe.into());
+        }
+        self.inner.send(frame)
     }
-    sharded.set_recovery(recovery);
-    sharded
-}
 
-#[test]
-fn killing_any_frame_of_any_shard_recovers_byte_identically() {
-    let n = 10;
-    let shards = 2;
-    let serial = flood_or_serial(n);
-    // The full run exchanges ~12 response frames per shard; sweep past the
-    // end so the no-fire (fault never reached) edge is covered too.
-    for shard in 0..shard_count(n, shards) {
-        for frame in 0..14 {
-            let plan = FaultPlan::parse(&format!("kill:{shard}@{frame}")).unwrap();
-            let mut sharded = faulted_flood_or(n, shards, &plan, 2, false);
-            let report = sharded
-                .run(10)
-                .unwrap_or_else(|err| panic!("kill:{shard}@{frame}: {err}"));
-            assert_eq!(serial, report, "kill:{shard}@{frame}");
+    fn recv(&mut self) -> io::Result<Vec<u8>> {
+        let real = self.inner.recv()?;
+        if self.healthy > 0 {
+            self.healthy -= 1;
+            return Ok(real);
+        }
+        match self.fault {
+            Fault::Respond(mangle) => Ok(mangle(real)),
+            _ => Err(io::ErrorKind::UnexpectedEof.into()),
         }
     }
 }
 
-#[test]
-fn torn_and_garbage_frames_trigger_respawn_and_stay_identical() {
-    let n = 10;
-    let shards = 2;
-    let serial = flood_or_serial(n);
-    let plan = FaultPlan::parse("torn:0@2,garbage:1@5").unwrap();
-    let mut sharded = faulted_flood_or(n, shards, &plan, 2, false);
-    let report = sharded.run(10).expect("recovered run");
-    assert_eq!(serial, report);
-    let stats = sharded.recovery_stats();
-    assert_eq!(
-        stats.respawns, 2,
-        "one respawn per corrupted shard: {stats:?}"
-    );
-}
-
-#[test]
-fn dead_transport_on_send_recovers_through_the_same_ladder() {
-    let n = 10;
-    let shards = 2;
-    let serial = flood_or_serial(n);
-    // Shard 0's initial transport is already dead: the very first broadcast
-    // send fails, exercising the send-side entry into recovery.
-    let (dead, gone) = ChannelTransport::pair();
-    drop(gone);
-    let transports: Vec<Box<dyn ShardTransport>> =
-        vec![Box::new(dead), flood_or_worker(n, shards, 1)];
-    let mut sharded = ShardedRunner::<bool, bool>::connect(
-        n,
-        Box::new(crash_schedule(n)),
-        3,
-        NodeSet::empty(n),
-        shards,
-        transports,
-    )
-    .unwrap();
-    sharded.set_recovery(
-        Recovery::new(
-            1,
-            Box::new(move |index| Ok(flood_or_worker(n, shards, index))),
-        )
-        .with_backoff(Duration::ZERO),
-    );
-    let report = sharded.run(10).expect("recovered run");
-    assert_eq!(serial, report);
-    assert_eq!(sharded.recovery_stats().respawns, 1);
-}
-
-#[test]
-fn exhausted_ladder_is_a_hard_structured_error() {
-    let n = 10;
-    let shards = 2;
-    let plan = FaultPlan::parse("kill:0@0").unwrap();
-    let mut sharded = faulted_flood_or(n, shards, &plan, 0, false);
-    let err = sharded.run(10).unwrap_err();
-    let SimError::Shard(shard_err) = err else {
-        panic!("expected a shard error, got {err}");
-    };
-    assert_eq!(shard_err.shard, 0);
-    assert_eq!(shard_err.frame_tag, Some(RESP_INTENTS));
-    assert_eq!(shard_err.round, Some(0));
-    assert!(
-        shard_err.detail.contains("no fallback"),
-        "detail names the exhausted ladder: {}",
-        shard_err.detail
-    );
-}
-
-#[test]
-fn stalled_worker_trips_the_read_deadline_and_recovers() {
-    let n = 10;
-    let shards = 2;
-    let serial = flood_or_serial(n);
-    let armed = FaultPlan::parse("stall:0@1").unwrap().arm();
-
-    // A worker behind a DeadlineTransport over byte streams — the stack the
-    // process backend runs — with the stall fault layered on top.
-    fn deadline_worker(n: usize, shards: usize, index: usize) -> Box<dyn ShardTransport> {
-        let range = shard_range(n, shards, index);
-        let chunk: Vec<_> = honest_flood(n)
-            .into_iter()
-            .skip(range.start)
-            .take(range.len())
-            .collect();
-        let (parent_to_worker_w, parent_to_worker_r) = ChannelStream::pair();
-        let (worker_to_parent_w, worker_to_parent_r) = ChannelStream::pair();
-        std::thread::spawn(move || {
-            let mut transport = StreamTransport::new(parent_to_worker_r, worker_to_parent_w);
-            let _ = serve_multi_port(chunk, range.start, &mut transport);
-        });
-        Box::new(DeadlineTransport::new(
-            worker_to_parent_r,
-            parent_to_worker_w,
-            Duration::from_millis(150),
-        ))
+/// A well-formed intents response for a chunk of one node.
+fn intents_for_one_node(real: Vec<u8>) -> Vec<u8> {
+    let mut resp = frame(real[2]);
+    if real[2] == RESP_INTENTS {
+        vec![Vec::<NodeId>::new()].encode(&mut resp);
+    } else {
+        vec![None::<Outgoing<bool>>].encode(&mut resp);
+        vec![None::<NodeId>].encode(&mut resp);
     }
+    resp
+}
 
-    let transports: Vec<Box<dyn ShardTransport>> = (0..shard_count(n, shards))
-        .map(|index| armed.wrap(index, deadline_worker(n, shards, index)))
-        .collect();
-    let mut sharded = ShardedRunner::<bool, bool>::connect(
-        n,
-        Box::new(crash_schedule(n)),
-        3,
-        NodeSet::empty(n),
-        shards,
-        transports,
-    )
-    .unwrap();
-    let respawn_armed = armed.clone();
-    sharded.set_recovery(
-        Recovery::new(
+/// Shard 1's `Collect` exchange of round 1 goes wrong in every way a
+/// transport or a frame can, under both round models: the run ends with the
+/// structured error — which shard, which frame, which round — and nothing
+/// is retried, masked or left hanging.
+#[test]
+fn every_transport_and_frame_failure_is_a_structured_error() {
+    let n = 10;
+    let faults: [(&str, Fault, &str); 7] = [
+        ("EOF on recv", Fault::Recv, "receiving response"),
+        ("broken pipe on send", Fault::Send, "sending request"),
+        (
+            "a strict prefix of the response",
+            Fault::Respond(|mut real| {
+                real.pop();
+                real
+            }),
+            "response payload",
+        ),
+        (
+            "another wire version",
+            Fault::Respond(|mut real| {
+                real[0] ^= 0xFF;
+                real
+            }),
+            "version mismatch",
+        ),
+        (
+            "an unexpected tag",
+            Fault::Respond(|mut real| {
+                real[2] = RESP_EVENTS;
+                real
+            }),
+            "answered with tag 67",
+        ),
+        (
+            "an undecodable payload",
+            Fault::Respond(|real| [&real[..3], &[0xFF; 9]].concat()),
+            "response payload",
+        ),
+        (
+            "a list of the wrong length",
+            Fault::Respond(intents_for_one_node),
+            "for 5 nodes",
+        ),
+    ];
+    for (name, fault, detail) in faults {
+        // Round 1's `Collect` is a model's fourth or third exchange.
+        let scripted = |inner, healthy| -> Box<dyn ShardTransport> {
+            Box::new(Scripted {
+                inner,
+                healthy,
+                fault,
+            })
+        };
+        let multi_port = ShardedRunner::<bool, bool>::connect(
+            n,
+            Box::new(crash_schedule(n)),
+            3,
+            NodeSet::empty(n),
             2,
-            Box::new(move |index| Ok(respawn_armed.wrap(index, deadline_worker(n, shards, index)))),
-        )
-        .with_backoff(Duration::ZERO),
+            vec![
+                flood_or_worker(n, 2, 0),
+                scripted(flood_or_worker(n, 2, 1), 3),
+            ],
+        );
+        let single_port = SpShardedRunner::<bool, bool>::connect(
+            n,
+            Box::new(crash_schedule(n)),
+            3,
+            2,
+            vec![
+                ring_worker(n, 2, 0, Wiring::Channel),
+                scripted(ring_worker(n, 2, 1, Wiring::Channel), 2),
+            ],
+        );
+        let outcomes = [
+            (multi_port.unwrap().run(10).unwrap_err(), RESP_INTENTS),
+            (single_port.unwrap().run(30).unwrap_err(), RESP_SP_INTENTS),
+        ];
+        for (err, response_tag) in outcomes {
+            let SimError::Shard(err) = err else {
+                panic!("{name}: expected a shard error, got {err}");
+            };
+            let tag = match fault {
+                Fault::Send => REQ_COLLECT,
+                _ => response_tag,
+            };
+            assert_eq!(
+                (err.shard, err.frame_tag, err.round),
+                (1, Some(tag), Some(1)),
+                "{name}: {err}"
+            );
+            assert!(err.detail.contains(detail), "{name}: {err}");
+        }
+    }
+}
+
+/// A worker on the runner's own pool that dies (here: a state machine that
+/// panics) closes its channel, and the run ends with the same error.
+#[test]
+fn failed_in_process_worker_is_a_shard_error() {
+    struct Bomb(usize);
+    impl SyncProtocol for Bomb {
+        type Msg = bool;
+        type Output = bool;
+        fn send(&mut self, round: Round, _out: &mut Vec<Outgoing<bool>>) {
+            assert!(self.0 != 7 || round < Round::new(2), "node 7 fails");
+        }
+        fn receive(&mut self, _round: Round, _inbox: &[Delivered<bool>]) {}
+        fn output(&self) -> Option<bool> {
+            None
+        }
+        fn has_halted(&self) -> bool {
+            false
+        }
+    }
+    let nodes = (0..10).map(Bomb).map(Participant::Honest).collect();
+    let mut sharded = ShardedRunner::in_process(nodes, Box::new(NoFaults), 0, 2).unwrap();
+    let Err(SimError::Shard(err)) = sharded.run(5) else {
+        panic!("a dead worker must fail the run");
+    };
+    assert_eq!(
+        (err.shard, err.frame_tag, err.round),
+        (1, Some(RESP_INTENTS), Some(2)),
+        "{err}"
     );
-    let report = sharded.run(10).expect("recovered run");
-    assert_eq!(serial, report);
-    assert_eq!(sharded.recovery_stats().respawns, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -356,32 +349,10 @@ impl SyncProtocol for FloodSets {
     }
 }
 
-fn flood_sets_sharded(n: usize, plan: &FaultPlan) -> ShardedRunner<Arc<Vec<u64>>, u64> {
-    let armed = plan.arm();
-    let worker =
-        move |index| multi_port_worker(FloodSets::participants, n, 2, index, Wiring::Channel);
-    let transports = (0..shard_count(n, 2))
-        .map(|index| armed.wrap(index, worker(index)))
-        .collect();
-    let mut sharded = ShardedRunner::connect(
-        n,
-        Box::new(crash_schedule(n)),
-        3,
-        NodeSet::empty(n),
-        2,
-        transports,
-    )
-    .unwrap();
-    let respawn = Box::new(move |index| Ok(armed.wrap(index, worker(index))));
-    sharded.set_recovery(Recovery::new(2, respawn).with_backoff(Duration::ZERO));
-    sharded
-}
-
-/// A worker killed mid-run is respawned and fed the retained frames — which
-/// now carry back-references — and the execution is still the serial one.
-/// The logical traffic is the clean run's: replays are not counted twice.
+/// Back-references resolve to the payloads the serial run delivers, and
+/// each sender's two payloads cross once per frame, not once per copy.
 #[test]
-fn killed_worker_replays_interned_frames_byte_identically() {
+fn interned_frames_carry_each_payload_once_and_match_the_serial_run() {
     let n = 12;
     let mut serial =
         Runner::with_participants(FloodSets::participants(n), Box::new(crash_schedule(n)), 3)
@@ -389,23 +360,15 @@ fn killed_worker_replays_interned_frames_byte_identically() {
     let serial = serial.run(10);
     assert!(serial.all_non_faulty_decided());
 
-    let mut clean = flood_sets_sharded(n, &FaultPlan::default());
-    assert_eq!(serial, clean.run(10).expect("clean run"));
-    assert!(!clean.recovery_stats().any());
+    let adversary = Box::new(crash_schedule(n));
+    let mut sharded =
+        ShardedRunner::in_process(FloodSets::participants(n), adversary, 3, 2).unwrap();
+    assert_eq!(serial, sharded.run(10).expect("sharded run"));
 
-    // Response frame 4 of shard 1 is round 1's `Delivered`.
-    let mut killed = flood_sets_sharded(n, &FaultPlan::parse("kill:1@4").unwrap());
-    assert_eq!(serial, killed.run(10).expect("recovered run"));
-    assert_eq!(killed.recovery_stats().respawns, 1);
-    assert!(killed.recovery_stats().replayed_frames > 0);
-
-    assert_eq!(clean.wire_stats(), killed.wire_stats());
-
-    // Each sender's two payloads cross once per frame, not once per copy:
-    // the `Delivered` frames, envelopes and all, are smaller than the
+    // The `Delivered` frames, envelopes and all, are smaller than the
     // payloads alone would be per copy (a `Vec<u64>` is as many bytes on
     // the wire as `bit_len` counts bits, over eight).
-    let delivered = clean.wire_stats().named("Delivered");
+    let delivered = sharded.wire_stats().named("Delivered");
     assert_eq!(delivered.frames, 2 * 3, "two shards, three rounds");
     assert!(delivered.bytes < serial.metrics.bits / 8, "{delivered:?}");
 }
@@ -480,8 +443,8 @@ fn worker_refuses_indices_and_lengths_outside_its_chunk() {
 }
 
 /// A worker may report decisions and halts only for its own nodes: shard 1
-/// (nodes 2..4) claiming that node 0 halted is a malformed response — the
-/// recovery ladder, then a structured error.
+/// (nodes 2..4) claiming that node 0 halted is a malformed response — a
+/// structured error.
 #[test]
 fn parent_refuses_events_for_another_chunks_node() {
     let n = 4;
@@ -529,7 +492,7 @@ fn parent_refuses_events_for_another_chunks_node() {
 
 #[test]
 fn wire_event_golden_bytes() {
-    assert_eq!(WIRE_VERSION, 4);
+    assert_eq!(WIRE_VERSION, 5);
     let decided = WireEvent {
         node: 17,
         halted: false,

@@ -1,22 +1,20 @@
 //! Frame transports for the sharding layer.
 //!
-//! A [`ShardTransport`] moves opaque byte frames between the coordinating
-//! (parent) process and one shard worker.  Two backends are provided:
+//! A [`ShardTransport`] moves opaque byte frames between the coordinator
+//! and one shard worker.  Two backends are provided:
 //!
 //! * [`ChannelTransport`] — in-process `mpsc` channel pairs, used when shard
 //!   workers run as threads on the runner's persistent [`WorkerPool`]
-//!   (see [`crate::pool`]); this is also how the wire codec is exercised by
-//!   every in-process test.
+//!   (see [`crate::pool`]): every sharded run of `run_experiments --shards`
+//!   and every in-process test.
 //! * [`StreamTransport`] — length-prefixed frames over any `Read`/`Write`
-//!   pair, used for the pipes of `run_experiments --shard-worker` child
-//!   processes (and, later, sockets to remote machines: swapping the stream
-//!   is the whole transport change).
+//!   pair; [`read_frame`] / [`write_frame`] are also the framing of
+//!   `dft-node`'s TCP links.
 //!
 //! [`WorkerPool`]: crate::pool::WorkerPool
 
 use std::io::{self, Read, Write};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::time::Duration;
+use std::sync::mpsc::{Receiver, Sender};
 
 /// Maximum accepted frame length (1 GiB).  A corrupt length prefix must
 /// not make the receiver allocate unbounded memory, so the cap exists as a
@@ -85,7 +83,7 @@ impl ShardTransport for ChannelTransport {
 }
 
 /// Stream transport: `[u32 little-endian length][bytes]` frames over any
-/// reader/writer pair (child-process pipes today, sockets tomorrow).
+/// reader/writer pair.
 pub struct StreamTransport<R, W> {
     reader: R,
     writer: W,
@@ -149,74 +147,29 @@ pub fn read_frame(reader: &mut impl Read) -> io::Result<Vec<u8>> {
             format!("shard frame length {len} exceeds MAX_FRAME_LEN ({MAX_FRAME_LEN} bytes)"),
         ));
     }
-    let mut frame = vec![0u8; len as usize];
-    read_full(reader, &mut frame)?;
+    let mut frame = Vec::new();
+    read_body(reader, len as usize, &mut frame)?;
     Ok(frame)
 }
 
-/// A [`StreamTransport`] whose reads carry a deadline: a stalled peer trips
-/// [`io::ErrorKind::TimedOut`] instead of blocking the coordinator forever.
-///
-/// The reader half is moved onto a dedicated thread that assembles frames
-/// (using the same [`read_frame`] codec) and hands them over an in-process
-/// channel; `recv` waits on that channel with a timeout.  Writes stay on the
-/// caller's thread.  The reader thread exits after delivering its first
-/// error (EOF included), so an abandoned transport does not leak a spinning
-/// thread — at worst the thread stays parked in `read(2)` until the peer's
-/// stream closes.
-pub struct DeadlineTransport<W> {
-    writer: W,
-    frames: Receiver<io::Result<Vec<u8>>>,
-    deadline: Duration,
-}
+/// The most that is set aside for a frame before any of it has arrived.
+const FIRST_RESERVE: usize = 64 * 1024;
 
-impl<W: Write + Send> DeadlineTransport<W> {
-    /// Spawns the reader thread and wraps the pair.
-    pub fn new<R: Read + Send + 'static>(reader: R, writer: W, deadline: Duration) -> Self {
-        let (tx, rx) = std::sync::mpsc::channel::<io::Result<Vec<u8>>>();
-        std::thread::spawn(move || {
-            let mut reader = reader;
-            loop {
-                let result = read_frame(&mut reader);
-                let failed = result.is_err();
-                if tx.send(result).is_err() || failed {
-                    return;
-                }
-            }
-        });
-        DeadlineTransport {
-            writer,
-            frames: rx,
-            deadline,
-        }
+/// Appends the `len` body bytes the prefix announced to `frame`.  The prefix
+/// is four bytes from the peer, so at most [`FIRST_RESERVE`] is set aside up
+/// front and the buffer then grows with what actually arrives (`read_to_end`
+/// retries short and interrupted reads, as [`read_full`] does): a corrupt or
+/// hostile prefix costs one reserve, not [`MAX_FRAME_LEN`].
+fn read_body(reader: &mut impl Read, len: usize, frame: &mut Vec<u8>) -> io::Result<()> {
+    frame.reserve(len.min(FIRST_RESERVE));
+    let arrived = reader.by_ref().take(len as u64).read_to_end(frame)?;
+    if arrived < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "shard stream closed mid-frame",
+        ));
     }
-
-    /// The configured per-frame read deadline.
-    pub fn deadline(&self) -> Duration {
-        self.deadline
-    }
-}
-
-impl<W: Write + Send> ShardTransport for DeadlineTransport<W> {
-    fn send(&mut self, frame: &[u8]) -> io::Result<()> {
-        write_frame(&mut self.writer, frame)
-    }
-
-    fn recv(&mut self) -> io::Result<Vec<u8>> {
-        match self.frames.recv_timeout(self.deadline) {
-            Ok(result) => result,
-            Err(RecvTimeoutError::Timeout) => Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                format!("no shard frame within {:?}", self.deadline),
-            )),
-            // The reader thread already delivered its terminal error and
-            // exited; any further recv finds the channel closed.
-            Err(RecvTimeoutError::Disconnected) => Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "shard stream reader terminated",
-            )),
-        }
-    }
+    Ok(())
 }
 
 /// Fills `buf` completely from `reader` — `read_exact` semantics, written
@@ -374,88 +327,29 @@ mod tests {
         assert_eq!(rx.recv().unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
     }
 
-    /// A blocking reader fed by an in-process channel: `read` parks until
-    /// bytes arrive (like a quiet socket) and reports EOF when the feeding
-    /// end is dropped.
-    struct ChannelReader {
-        rx: Receiver<Vec<u8>>,
-        buf: Vec<u8>,
-        pos: usize,
-    }
-
-    impl Read for ChannelReader {
-        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-            while self.pos >= self.buf.len() {
-                match self.rx.recv() {
-                    Ok(bytes) => {
-                        self.buf = bytes;
-                        self.pos = 0;
-                    }
-                    Err(_) => return Ok(0),
-                }
-            }
-            let n = (self.buf.len() - self.pos).min(out.len());
-            out[..n].copy_from_slice(&self.buf[self.pos..self.pos + n]);
-            self.pos += n;
-            Ok(n)
-        }
-    }
-
+    /// Four hostile bytes announce the largest frame there is and ten bytes
+    /// follow: an error after one reserve's worth of buffer, not a 1 GiB
+    /// allocation.
     #[test]
-    fn deadline_transport_delivers_then_times_out_then_reports_eof() {
-        let (tx, rx) = std::sync::mpsc::channel::<Vec<u8>>();
-        let reader = ChannelReader {
-            rx,
-            buf: Vec::new(),
-            pos: 0,
-        };
-        let mut transport = DeadlineTransport::new(reader, io::sink(), Duration::from_millis(200));
-        assert_eq!(transport.deadline(), Duration::from_millis(200));
+    fn hostile_length_prefix_is_an_error_not_an_allocation() {
+        let mut bytes = MAX_FRAME_LEN.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[7u8; 10]);
+        let err = read_frame(&mut bytes.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
 
-        // A frame that arrives within the deadline is delivered intact.
-        let mut encoded = Vec::new();
-        write_frame(&mut encoded, b"payload").unwrap();
-        tx.send(encoded).unwrap();
-        assert_eq!(transport.recv().unwrap(), b"payload");
-
-        // A silent peer trips the deadline instead of blocking forever.
-        let err = transport.recv().unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
-        assert!(
-            err.to_string().contains("200ms"),
-            "timeout error names the deadline: {err}"
-        );
-
-        // A departed peer surfaces as EOF, now and on every later recv.
-        drop(tx);
-        assert_eq!(
-            transport.recv().unwrap_err().kind(),
-            io::ErrorKind::UnexpectedEof
-        );
-        assert_eq!(
-            transport.recv().unwrap_err().kind(),
-            io::ErrorKind::UnexpectedEof
-        );
+        let mut frame = Vec::new();
+        let err = read_body(&mut &bytes[4..], MAX_FRAME_LEN as usize, &mut frame).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(frame.capacity() <= 10 + FIRST_RESERVE);
     }
 
+    /// A body longer than the first reserve grows the buffer as it arrives.
     #[test]
-    fn deadline_transport_writes_plain_stream_frames() {
-        let (_tx, rx) = std::sync::mpsc::channel::<Vec<u8>>();
-        let reader = ChannelReader {
-            rx,
-            buf: Vec::new(),
-            pos: 0,
-        };
-        let mut written: Vec<u8> = Vec::new();
-        {
-            let mut transport =
-                DeadlineTransport::new(reader, &mut written, Duration::from_millis(50));
-            transport.send(b"one").unwrap();
-            transport.send(&[5u8; 40]).unwrap();
-        }
-        let mut rx = StreamTransport::new(written.as_slice(), io::sink());
-        assert_eq!(rx.recv().unwrap(), b"one");
-        assert_eq!(rx.recv().unwrap(), vec![5u8; 40]);
+    fn frames_longer_than_the_first_reserve_round_trip() {
+        let body: Vec<u8> = (0..2 * FIRST_RESERVE + 5).map(|i| i as u8).collect();
+        let mut written = Vec::new();
+        write_frame(&mut written, &body).unwrap();
+        assert_eq!(read_frame(&mut written.as_slice()).unwrap(), body);
     }
 
     #[test]

@@ -1,19 +1,17 @@
 //! Host conformance: one table per round model.
 //!
 //! Every way of hosting an execution's chunks — one core inline, cores on
-//! the worker pool, shard workers behind channels or byte streams, a worker
-//! killed and replayed, a worker replaced by the in-process fallback — must
+//! the worker pool, shard workers behind channels or byte streams — must
 //! be observationally identical to the serial run: same report, same trace,
 //! same buffered-port diagnostics.  The rows of the two tables below are
 //! those host configurations; the workload (Byzantine participant and three
 //! kinds of crash included) is the same in every row.
 //!
-//! The toy protocols and worker helpers are shared with the recovery tests
+//! The toy protocols and worker helpers are shared with the failure tests
 //! in `shard/tests.rs`.
 
 use std::io::{self, Read, Write};
 use std::sync::mpsc::{Receiver, Sender};
-use std::time::Duration;
 
 use crate::adversary::byzantine::FloodByzantine;
 use crate::adversary::{CrashDirective, DeliveryFilter, FixedCrashSchedule};
@@ -25,8 +23,8 @@ use crate::report::ExecutionReport;
 use crate::round::Round;
 use crate::runner::{Participant, Runner};
 use crate::shard::{
-    serve_multi_port, serve_single_port, shard_count, shard_range, ChannelTransport, FaultPlan,
-    Recovery, RecoveryStats, ShardTransport, ShardedRunner, SpShardedRunner, StreamTransport, Wire,
+    serve_multi_port, serve_single_port, shard_count, shard_range, ChannelTransport,
+    ShardTransport, ShardedRunner, SpShardedRunner, StreamTransport, Wire,
 };
 use crate::single_port::SinglePortRunner;
 use crate::trace::Event;
@@ -205,14 +203,14 @@ impl Write for ChannelStream {
 pub(crate) enum Wiring {
     /// A [`ChannelTransport`] pair.
     Channel,
-    /// Length-prefixed frames over byte streams — the path `--shard-worker`
-    /// pipes use.
+    /// Length-prefixed frames over byte streams — the framing `dft-node`'s
+    /// links use.
     Stream,
 }
 
-/// Runs `serve` on a fresh thread and returns the parent's end.  A
-/// replaced worker sees EOF when the parent drops its end and exits; its
-/// result is ignored, exactly as a killed process's exit status is.
+/// Runs `serve` on a fresh thread and returns the parent's end.  The
+/// worker sees EOF when the parent drops its end and exits; its result is
+/// ignored.
 pub(crate) fn spawn_worker(
     wiring: Wiring,
     serve: impl FnOnce(&mut dyn ShardTransport) -> io::Result<()> + Send + 'static,
@@ -233,9 +231,7 @@ pub(crate) fn spawn_worker(
     }
 }
 
-/// Serves chunk `index` of `build()`'s nodes, rebuilding them
-/// deterministically — exactly what a respawned `--shard-worker` process
-/// does from the handshake.
+/// Serves chunk `index` of `build()`'s nodes.
 pub(crate) fn multi_port_worker<P>(
     build: fn(usize) -> Vec<Participant<P>>,
     n: usize,
@@ -288,12 +284,9 @@ enum Hosting {
     Shards(usize),
     /// Two workers behind [`StreamTransport`]s.
     Streams,
-    /// Two workers, a fault plan, a respawn budget and (maybe) a fallback;
-    /// the last field is the expected `(respawns, fallbacks)`.
-    Faulted(&'static str, u32, bool, (u64, u64)),
 }
 
-const IN_PROCESS_AND_SHARDED: [Hosting; 12] = [
+const IN_PROCESS_AND_SHARDED: [Hosting; 10] = [
     Hosting::InProcess {
         jobs: 1,
         split: true,
@@ -319,10 +312,6 @@ const IN_PROCESS_AND_SHARDED: [Hosting; 12] = [
     Hosting::Shards(3),
     Hosting::Shards(5),
     Hosting::Streams,
-    // Worker 1 dies at its 4th frame: respawned, log replayed.
-    Hosting::Faulted("kill:1@4", 2, false, (1, 0)),
-    // Respawn budget 0: the first failure degrades to the fallback.
-    Hosting::Faulted("kill:0@3", 0, true, (0, 1)),
 ];
 
 /// Everything observable about one execution.
@@ -336,42 +325,13 @@ struct Transcript {
     ports: (usize, usize),
 }
 
-/// Connects and arms what a [`Hosting::Faulted`] or [`Hosting::Streams`]
-/// row needs: the initial transports and, for a faulted row, the recovery
-/// ladder (whose respawned workers are wrapped by the same armed plan, so a
-/// recovered fault does not re-fire).
-fn wire_up(
-    hosting: Hosting,
+/// The transports of a [`Hosting::Streams`] row.
+fn stream_workers(
     n: usize,
-    worker: impl Fn(usize, Wiring) -> Box<dyn ShardTransport> + Clone + Send + 'static,
-) -> (Vec<Box<dyn ShardTransport>>, Option<Recovery>) {
+    worker: impl Fn(usize, Wiring) -> Box<dyn ShardTransport>,
+) -> Vec<Box<dyn ShardTransport>> {
     let indices = 0..shard_count(n, 2);
-    let Hosting::Faulted(plan, max_respawns, with_fallback, _) = hosting else {
-        return (indices.map(|i| worker(i, Wiring::Stream)).collect(), None);
-    };
-    let armed = FaultPlan::parse(plan).expect("fault plan").arm();
-    let transports = indices
-        .map(|i| armed.wrap(i, worker(i, Wiring::Channel)))
-        .collect();
-    let respawned = worker.clone();
-    let mut recovery = Recovery::new(
-        max_respawns,
-        Box::new(move |i| Ok(armed.wrap(i, respawned(i, Wiring::Channel)))),
-    )
-    .with_backoff(Duration::ZERO);
-    if with_fallback {
-        recovery = recovery.with_fallback(Box::new(move |i| Ok(worker(i, Wiring::Channel))));
-    }
-    (transports, Some(recovery))
-}
-
-fn check_recovery(hosting: Hosting, stats: RecoveryStats) {
-    if let Hosting::Faulted(_, _, _, (respawns, fallbacks)) = hosting {
-        assert_eq!((stats.respawns, stats.fallbacks), (respawns, fallbacks));
-        assert!(stats.replayed_frames > 0 && stats.any(), "{stats:?}");
-    } else {
-        assert_eq!(stats, RecoveryStats::default(), "{hosting:?}");
-    }
+    indices.map(|i| worker(i, Wiring::Stream)).collect()
 }
 
 /// Node 0 is Byzantine (floods everyone, never halts); the rest flood the
@@ -404,19 +364,13 @@ fn run_multi_port(hosting: Hosting, n: usize) -> Transcript {
     let mut runner = if let Hosting::Shards(shards) = hosting {
         ShardedRunner::in_process(participants, adversary, 3, shards).unwrap()
     } else {
-        let worker =
-            move |index, wiring| multi_port_worker(flood_participants, n, 2, index, wiring);
-        let (transports, recovery) = wire_up(hosting, n, worker);
+        let worker = |index, wiring| multi_port_worker(flood_participants, n, 2, index, wiring);
+        let transports = stream_workers(n, worker);
         let byzantine = Participant::byzantine_set(&participants);
-        let mut runner = ShardedRunner::connect(n, adversary, 3, byzantine, 2, transports).unwrap();
-        if let Some(recovery) = recovery {
-            runner.set_recovery(recovery);
-        }
-        runner
+        ShardedRunner::connect(n, adversary, 3, byzantine, 2, transports).unwrap()
     };
     runner.enable_trace();
     let report = runner.run(ROUNDS).expect("sharded run");
-    check_recovery(hosting, runner.recovery_stats());
     Transcript {
         partial: None,
         report,
@@ -445,17 +399,11 @@ fn run_single_port(hosting: Hosting, n: usize) -> Transcript {
     let mut runner = if let Hosting::Shards(shards) = hosting {
         SpShardedRunner::in_process(Ring::nodes(n, 0), adversary, 3, shards).unwrap()
     } else {
-        let worker = move |index, wiring| ring_worker(n, 2, index, wiring);
-        let (transports, recovery) = wire_up(hosting, n, worker);
-        let mut runner = SpShardedRunner::connect(n, adversary, 3, 2, transports).unwrap();
-        if let Some(recovery) = recovery {
-            runner.set_recovery(recovery);
-        }
-        runner
+        let transports = stream_workers(n, |index, wiring| ring_worker(n, 2, index, wiring));
+        SpShardedRunner::connect(n, adversary, 3, 2, transports).unwrap()
     };
     runner.enable_trace();
     let report = runner.run(rounds).expect("sharded run");
-    check_recovery(hosting, runner.recovery_stats());
     Transcript {
         partial: None,
         report,
