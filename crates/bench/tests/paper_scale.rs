@@ -22,7 +22,7 @@ use dft_sim::{NodeId, Outgoing, Round, SinglePortProtocol, SinglePortRunner};
 fn e8_ab_consensus_at_n_1000() {
     let n = 1000;
     let t = 31; // ⌊√n⌋, Table 1's claimed boundary.
-    let m = measure_ab_consensus(&Workload::fault_free(n, t, 31).with_jobs(0));
+    let m = measure_ab_consensus(&Workload::fault_free(n, t, 31));
     assert!(m.all_decided);
     assert!(m.agreement);
     assert!(
@@ -39,7 +39,7 @@ fn e8_ab_consensus_at_n_1000() {
 fn e9_single_port_consensus_at_n_1000() {
     let n = 1000;
     let t = n / 8;
-    let m = measure_linear_consensus(&Workload::full_budget(n, t, 37).with_jobs(0));
+    let m = measure_linear_consensus(&Workload::full_budget(n, t, 37));
     assert!(m.all_decided);
     assert!(m.agreement);
 }
@@ -52,11 +52,11 @@ fn e9_single_port_consensus_at_n_1000() {
 #[ignore = "paper-scale; run with --ignored"]
 fn crash_consensus_at_n_2000() {
     let n = 2000;
-    let m = measure_few_crashes(&Workload::full_budget(n, n / 8, 17).with_jobs(0));
+    let m = measure_few_crashes(&Workload::full_budget(n, n / 8, 17));
     assert!(m.all_decided && m.agreement);
-    let m = measure_many_crashes(&Workload::full_budget(n, n / 2, 19).with_jobs(0));
+    let m = measure_many_crashes(&Workload::full_budget(n, n / 2, 19));
     assert!(m.all_decided && m.agreement);
-    let m = measure_many_crashes(&Workload::full_budget(n, (9 * n) / 10, 19).with_jobs(0));
+    let m = measure_many_crashes(&Workload::full_budget(n, (9 * n) / 10, 19));
     assert!(m.all_decided && m.agreement, "alpha = 0.9 regression");
     assert!(m.rounds <= dft_core::round_budget_for(n, (9 * n) / 10));
 }

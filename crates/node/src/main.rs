@@ -608,7 +608,6 @@ fn run_worker(args: &WorkerArgs) -> Result<(), String> {
         t: args.t,
         crashes: 0,
         seed: args.seed,
-        jobs: 1,
         shards: 1,
     }
     .mixed_inputs();
@@ -1010,7 +1009,6 @@ fn run_cluster(args: &ClusterArgs) -> Result<ExitCode, String> {
         t: args.t,
         crashes: args.crashes,
         seed: args.seed,
-        jobs: 1,
         shards: 1,
     }
     .mixed_inputs();

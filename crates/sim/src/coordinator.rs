@@ -26,12 +26,12 @@
 //!
 //! A [`Coordinator`] is generic (static dispatch) over *where the chunks
 //! live*: a [`Host`] only answers "run phase X on every chunk and give me
-//! its outputs".  Two hosts exist — [`crate::in_process::InProcess`] calls
-//! the cores directly (inline with one core, through the worker pool with
-//! several) and [`crate::shard::Framed`] speaks frames to shard workers —
-//! and the four public runners are type aliases that pick a model and a
-//! host: serial, `--jobs`, `--shards`, recovery replay and the in-process
-//! fallback are configurations of the loops below, not loops of their own.
+//! its outputs".  Two hosts exist — one core holding every node, called
+//! directly on this thread ([`crate::RoundCore`], [`crate::SinglePortCore`])
+//! and [`crate::shard::Framed`], which speaks frames to shard workers — and
+//! the four public runners are type aliases that pick a model and a host:
+//! the serial run and `--shards` are configurations of the loops below, not
+//! loops of their own.
 //!
 //! The host traits are public only so the aliases can name them; the
 //! module is private, so no other crate can implement a host.
@@ -420,8 +420,8 @@ impl<H: Host, X: Model<H>> Coordinator<H, X> {
     ///
     /// # Errors
     ///
-    /// Sharded runners return [`crate::SimError::Shard`] when a worker
-    /// dies or answers with a malformed frame and recovery is exhausted.
+    /// Sharded runners return [`crate::SimError::Shard`] the first time a
+    /// worker dies or answers with a malformed frame.
     pub fn run(&mut self, max_rounds: u64) -> H::Outcome<ExecutionReport<H::Output>> {
         H::outcome(self.try_run(max_rounds))
     }

@@ -34,13 +34,13 @@
 //!   [`shard::SpShardedRunner`] are type aliases that pick a model and a
 //!   host, so every one of them is byte-identical to the serial run by
 //!   construction of the one loop they share.
-//! * [`parallel`] / [`pool`] — the in-process host's parallel side: with a
-//!   job count (`set_jobs`) the cores are spread over a *persistent* worker
-//!   pool (spawned once per runner, parked between phases).
 //! * [`shard`] — the framed host: one execution's chunks served by shard
-//!   workers (threads of the runner's own pool) behind a versioned binary
-//!   wire format; a transport or frame failure ends the run with a
-//!   structured error.
+//!   workers (threads of the runner's own) behind a versioned binary wire
+//!   format; a transport or frame failure ends the run with a structured
+//!   error.
+//! * [`parallel`] — the contiguous node partition the shards are cut by,
+//!   and [`available_jobs`], the default for a harness's experiment
+//!   fan-out.  An in-process execution itself is one thread.
 //!
 //! # Quick example
 //!
@@ -108,12 +108,11 @@ mod coordinator;
 mod delivery;
 pub mod driver;
 mod error;
-mod in_process;
 mod message;
 mod metrics;
 mod node;
 pub mod parallel;
-pub mod pool;
+mod pool;
 mod protocol;
 mod report;
 mod round;

@@ -15,8 +15,8 @@ use crate::node::NodeId;
 /// reproduce the paper's bit-communication accounting (e.g. the consensus
 /// algorithms of Section 4 send one-bit messages).
 ///
-/// Payloads are `Send + Sync + 'static` so the runners may hand a round's
-/// messages to the persistent worker pool, whose threads outlive any single
+/// Payloads are `Send + Sync + 'static` so a sharded runner may hand a
+/// round's messages to its shard workers, threads that outlive any single
 /// borrow (see the threading-model notes in `DESIGN.md`); every payload in
 /// this repository is plain owned data, so the bounds are auto-derived.
 ///

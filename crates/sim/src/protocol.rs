@@ -24,11 +24,11 @@ use crate::round::Round;
 /// deterministic and the test-suite relies on reproducible executions.
 ///
 /// Protocols are `Send + 'static` (and outputs `Send + 'static`) so a
-/// runner may hand disjoint groups of nodes to the persistent worker pool
-/// (`dft_sim::pool`), whose threads outlive any single borrow; state
-/// machines are plain owned data, so both bounds are auto-derived.
-/// Determinism is unaffected: the runners merge per-worker results in fixed
-/// node-index order (see `DESIGN.md`).
+/// sharded runner may hand disjoint groups of nodes to its shard workers,
+/// threads that outlive any single borrow; state machines are plain owned
+/// data, so both bounds are auto-derived.  Determinism is unaffected: the
+/// coordinator merges per-worker results in fixed node-index order (see
+/// `DESIGN.md`).
 ///
 /// # Examples
 ///
@@ -102,8 +102,8 @@ pub trait SyncProtocol: Send + 'static {
 /// Ports are buffered and give no delivery signal: a node must decide which
 /// port to poll without knowing whether anything is waiting there.
 ///
-/// Like [`SyncProtocol`], implementations are `Send + 'static` so the
-/// runner may hand disjoint node groups to the persistent worker pool.
+/// Like [`SyncProtocol`], implementations are `Send + 'static` so a
+/// sharded runner may hand disjoint node groups to its shard workers.
 pub trait SinglePortProtocol: Send + 'static {
     /// Payload type of messages exchanged by this protocol.
     type Msg: Payload;

@@ -6,28 +6,21 @@
 //! sent by non-faulty nodes.
 //!
 //! [`Runner`] is a configuration, not a loop: the multi-port round of
-//! [`crate::coordinator`] over the in-process host of
-//! [`crate::in_process`], whose chunks are the sans-I/O [`RoundCore`]s of
-//! [`crate::driver`].  This module holds the constructors and the
-//! multi-port half of that host — how each phase reaches the cores and
-//! how its outputs come back in node order.  With one core (the default)
-//! a phase is a direct call; `set_jobs` spreads the cores over the
-//! persistent worker pool of [`crate::pool`].  Reports, metrics and traces
-//! are byte-identical across job counts.
+//! [`crate::coordinator`] over the in-process host, which is one sans-I/O
+//! [`RoundCore`] of [`crate::driver`] owning every node.  One execution is
+//! one thread: each phase is a direct call on the caller's.  This module
+//! holds the constructors and the multi-port half of that host — how each
+//! phase reaches the core and how its outputs come back in node order.
 
 use std::convert::Infallible;
-use std::ops::Range;
-use std::sync::Arc;
 
 use crate::adversary::byzantine::ByzantineStrategy;
 use crate::adversary::{CrashAdversary, DeliveryFilter, NoFaults};
 use crate::coordinator::{Central, Coordinator, Host, MultiPort, MultiPortHost, Staged};
 use crate::driver::{NodeEvent, RoundCore};
 use crate::error::SimResult;
-use crate::in_process::{never_fails, Chunk, InProcess};
 use crate::message::Delivered;
 use crate::node::{NodeId, NodeSet};
-use crate::parallel;
 use crate::protocol::SyncProtocol;
 use crate::report::ExecutionReport;
 use crate::round::Round;
@@ -35,8 +28,8 @@ use crate::round::Round;
 /// A participant in an execution: either an honest node running the protocol
 /// under test or a Byzantine node running an arbitrary strategy.
 ///
-/// Byzantine strategies are boxed with a `Send` bound so the runner may call
-/// them from phase workers; every strategy in this repository is plain data.
+/// Byzantine strategies are boxed with a `Send` bound so a shard worker
+/// thread may own them; every strategy in this repository is plain data.
 pub enum Participant<P: SyncProtocol> {
     /// An honest node executing the protocol.
     Honest(P),
@@ -101,7 +94,7 @@ impl<P: SyncProtocol> std::fmt::Debug for Participant<P> {
 /// assert!(report.all_non_faulty_decided());
 /// assert_eq!(report.metrics.rounds, 1);
 /// ```
-pub type Runner<P> = Coordinator<InProcess<RoundCore<P>>, MultiPort<<P as SyncProtocol>::Msg>>;
+pub type Runner<P> = Coordinator<RoundCore<P>, MultiPort<<P as SyncProtocol>::Msg>>;
 
 impl<P: SyncProtocol> Runner<P> {
     /// Creates a runner over honest nodes only, with no faults.
@@ -142,49 +135,27 @@ impl<P: SyncProtocol> Runner<P> {
         adversary: Box<dyn CrashAdversary>,
         fault_budget: usize,
     ) -> SimResult<Self> {
-        let n = participants.len();
         let byzantine = Participant::byzantine_set(&participants);
-        let central = Central::new(n, byzantine, adversary, fault_budget)?;
-        let core = RoundCore::new(0, participants);
-        let host = InProcess::new(core, n, parallel::MIN_NODES_PER_FORK);
-        Ok(Coordinator::assemble(central, host))
+        let central = Central::new(participants.len(), byzantine, adversary, fault_budget)?;
+        Ok(Coordinator::assemble(
+            central,
+            RoundCore::new(0, participants),
+        ))
     }
 }
 
-impl<P: SyncProtocol> Chunk for RoundCore<P> {
-    fn regroup(cores: Vec<Self>, ranges: impl Iterator<Item = Range<usize>>) -> Vec<Self> {
-        // What survives a round boundary: the state machines, their
-        // statuses and outputs, and what each Byzantine node saw last
-        // round.  Everything else is within-round scratch, rebuilt empty.
-        let mut participants = Vec::new();
-        let mut status = Vec::new();
-        let mut byz_inboxes = Vec::new();
-        let mut outputs = Vec::new();
-        for core in cores {
-            participants.extend(core.participants);
-            status.extend(core.status);
-            byz_inboxes.extend(core.byz_inboxes);
-            outputs.extend(core.outputs);
-        }
-        let mut participants = participants.into_iter();
-        let mut status = status.into_iter();
-        let mut byz_inboxes = byz_inboxes.into_iter();
-        let mut outputs = outputs.into_iter();
-        ranges
-            .map(|range| {
-                let len = range.len();
-                let mut core =
-                    RoundCore::new(range.start, participants.by_ref().take(len).collect());
-                core.status = status.by_ref().take(len).collect();
-                core.byz_inboxes = byz_inboxes.by_ref().take(len).collect();
-                core.outputs = outputs.by_ref().take(len).collect();
-                core
-            })
-            .collect()
+/// [`Host::outcome`] for a host that cannot fail.
+pub(crate) fn never_fails<T>(result: Result<T, Infallible>) -> T {
+    match result {
+        Ok(value) => value,
+        Err(never) => match never {},
     }
 }
 
-impl<P: SyncProtocol> Host for InProcess<RoundCore<P>> {
+// The in-process host is the runner's one core.  It owns every node from
+// base 0, so a global node index *is* the core-local one; the phase bodies
+// called below are the core's own inherent methods of the same names.
+impl<P: SyncProtocol> Host for RoundCore<P> {
     type Output = P::Output;
     type Error = Infallible;
     type Outcome<T> = T;
@@ -194,17 +165,15 @@ impl<P: SyncProtocol> Host for InProcess<RoundCore<P>> {
     }
 
     fn output(&self, node: usize) -> Option<&P::Output> {
-        let (chunk, local) = self.plan.locate(node);
-        self.cores[chunk].output(local)
+        RoundCore::output(self, node)
     }
 
     fn set_halted(&mut self, node: usize) {
-        let (chunk, local) = self.plan.locate(node);
-        self.cores[chunk].set_halted(local);
+        RoundCore::set_halted(self, node);
     }
 }
 
-impl<P: SyncProtocol> MultiPortHost for InProcess<RoundCore<P>> {
+impl<P: SyncProtocol> MultiPortHost for RoundCore<P> {
     type Msg = P::Msg;
 
     fn begin_round(
@@ -212,16 +181,12 @@ impl<P: SyncProtocol> MultiPortHost for InProcess<RoundCore<P>> {
         round: Round,
         send_intents: &mut [Vec<NodeId>],
     ) -> Result<(), Infallible> {
-        self.prepare();
-        self.run_phase(move |core| core.begin_round(round));
-        // Ownership of each node's intent vector ping-pongs between its
+        RoundCore::begin_round(self, round);
+        // Ownership of each node's intent vector ping-pongs between the
         // core and the flat slot (both sides rebuild per round, so only
         // capacity persists).
-        for core in &mut self.cores {
-            let slots = send_intents[core.base..].iter_mut();
-            for (slot, intents) in slots.zip(&mut core.send_intents) {
-                std::mem::swap(slot, intents);
-            }
+        for (slot, intents) in send_intents.iter_mut().zip(&mut self.send_intents) {
+            std::mem::swap(slot, intents);
         }
         Ok(())
     }
@@ -233,39 +198,26 @@ impl<P: SyncProtocol> MultiPortHost for InProcess<RoundCore<P>> {
         staged: &mut Vec<Staged<P::Msg>>,
     ) -> Result<(), Infallible> {
         for (victim, _) in &crashed {
-            let (chunk, local) = self.plan.locate(*victim);
-            self.cores[chunk].set_crashed(local, round);
+            self.set_crashed(*victim, round);
         }
-        if let [core] = self.cores.as_mut_slice() {
-            core.deliver(&crashed);
-        } else {
-            let filters = Arc::new(crashed);
-            self.run_phase(move |core| core.deliver(&filters));
-        }
+        RoundCore::deliver(self, &crashed);
         // The staged messages change hands by swapping buffers with the
-        // (drained) ones of the round before, so both keep their capacity.
-        staged.resize_with(self.cores.len(), Staged::default);
-        for (slot, core) in staged.iter_mut().zip(&mut self.cores) {
-            slot.messages = core.msgs;
-            slot.bits = core.bits;
-            slot.byzantine_messages = core.byz_msgs;
-            std::mem::swap(&mut slot.delivered, &mut core.delivered);
-        }
+        // (drained) one of the round before, so both keep their capacity.
+        staged.resize_with(1, Staged::default);
+        let slot = &mut staged[0];
+        slot.messages = self.msgs;
+        slot.bits = self.bits;
+        slot.byzantine_messages = self.byz_msgs;
+        std::mem::swap(&mut slot.delivered, &mut self.delivered);
         Ok(())
     }
 
     fn accept(&mut self, dest: usize, msg: Delivered<P::Msg>) {
-        let (chunk, local) = self.plan.locate(dest);
-        self.cores[chunk].accept(local, msg);
+        RoundCore::accept(self, dest, msg);
     }
 
     fn finalize(&mut self, round: Round, events: &mut Vec<NodeEvent>) -> Result<(), Infallible> {
-        self.run_phase(move |core| {
-            core.finalize(round);
-        });
-        for core in &self.cores {
-            events.extend_from_slice(&core.events);
-        }
+        events.extend_from_slice(RoundCore::finalize(self, round).events);
         Ok(())
     }
 }

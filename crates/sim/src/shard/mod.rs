@@ -4,7 +4,7 @@
 //! node-range chunks — the sans-I/O [`RoundCore`]/[`SinglePortCore`]
 //! ownership unit of [`crate::driver`] — and each chunk is served by a
 //! **shard worker** on the far side of a [`ShardTransport`].  The workers
-//! are jobs on a [`WorkerPool`] of the runner's own, connected by
+//! are threads of a `WorkerPool` of the runner's own, connected by
 //! [`ChannelTransport`] pairs ([`ShardedRunner::in_process`]); every frame
 //! crosses the full wire codec, so a sharded run exercises the protocol a
 //! socket would carry.  [`ShardedRunner::connect`] takes transports to
@@ -17,12 +17,12 @@
 //! own: they are the loops of `crate::coordinator` over the **framed
 //! host** of this module ([`Framed`]), which runs a phase on every chunk by
 //! exchanging frames.  The coordinator therefore keeps everything
-//! order-sensitive exactly where the serial and pooled runners keep it —
-//! the crash-adversary phase, the merge in chunk (= node-index) order, the
+//! order-sensitive exactly where the serial runners keep it — the
+//! crash-adversary phase, the merge in chunk (= node-index) order, the
 //! event replay, the single-port port map — and a sharded run is
-//! byte-identical to a serial or `--jobs N` run of the same seeded
-//! workload; `crates/bench/tests/determinism.rs` pins this with table
-//! diffs and transcript proptests.
+//! byte-identical to a serial run of the same seeded workload;
+//! `crates/bench/tests/determinism.rs` pins this with table diffs and
+//! transcript proptests.
 //!
 //! # Protocol
 //!
@@ -49,8 +49,6 @@
 //! ends the run with a structured [`SimError::Shard`] (shard, expected tag,
 //! round, detail) on first occurrence.  The faults the paper tolerates are
 //! node crashes, and those are the crash adversary's.
-//!
-//! [`WorkerPool`]: crate::pool::WorkerPool
 
 pub mod intern;
 pub mod transport;

@@ -4,14 +4,11 @@
 //! and one shard worker.  Two backends are provided:
 //!
 //! * [`ChannelTransport`] — in-process `mpsc` channel pairs, used when shard
-//!   workers run as threads on the runner's persistent [`WorkerPool`]
-//!   (see [`crate::pool`]): every sharded run of `run_experiments --shards`
-//!   and every in-process test.
+//!   workers run as threads on the runner's own `WorkerPool`: every
+//!   sharded run of `run_experiments --shards` and every in-process test.
 //! * [`StreamTransport`] — length-prefixed frames over any `Read`/`Write`
 //!   pair; [`read_frame`] / [`write_frame`] are also the framing of
 //!   `dft-node`'s TCP links.
-//!
-//! [`WorkerPool`]: crate::pool::WorkerPool
 
 use std::io::{self, Read, Write};
 use std::sync::mpsc::{Receiver, Sender};

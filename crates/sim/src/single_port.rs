@@ -9,23 +9,22 @@
 //! [`SinglePortRunner`] is a configuration, not a loop: the single-port
 //! round of [`crate::coordinator`] — which owns the sparse port map, so a
 //! runner over `n` nodes costs `O(n + live messages)` memory — over the
-//! in-process host of [`crate::in_process`], whose chunks are the sans-I/O
-//! [`SinglePortCore`]s of [`crate::driver`].  This module holds the
-//! constructors and the single-port half of that host.
+//! in-process host, which is one sans-I/O [`SinglePortCore`] of
+//! [`crate::driver`] owning every node, called directly on the caller's
+//! thread.  This module holds the constructors and the single-port half of
+//! that host.
 
 use std::convert::Infallible;
-use std::ops::Range;
 
 use crate::adversary::{CrashAdversary, NoFaults};
 use crate::coordinator::{Central, Coordinator, Host, SinglePort, SinglePortHost};
 use crate::driver::{NodeEvent, SinglePortCore};
 use crate::error::SimResult;
-use crate::in_process::{never_fails, Chunk, InProcess};
 use crate::message::Outgoing;
 use crate::node::{NodeId, NodeSet};
-use crate::parallel;
 use crate::protocol::SinglePortProtocol;
 use crate::round::Round;
+use crate::runner::never_fails;
 
 /// Single-port synchronous runner.
 ///
@@ -83,7 +82,7 @@ use crate::round::Round;
 /// assert_eq!(report.agreed_value(), Some(&true));
 /// ```
 pub type SinglePortRunner<P> =
-    Coordinator<InProcess<SinglePortCore<P>>, SinglePort<<P as SinglePortProtocol>::Msg>>;
+    Coordinator<SinglePortCore<P>, SinglePort<<P as SinglePortProtocol>::Msg>>;
 
 impl<P: SinglePortProtocol> SinglePortRunner<P> {
     /// Creates a fault-free single-port runner.
@@ -98,11 +97,6 @@ impl<P: SinglePortProtocol> SinglePortRunner<P> {
     /// Creates a single-port runner with a crash adversary limited to
     /// `fault_budget` crashes.
     ///
-    /// The pool engages later than in the multi-port model
-    /// (`parallel::MIN_NODES_PER_FORK_SINGLE_PORT`): a single-port round is
-    /// one send and one poll per node, so a dispatch only pays off once a
-    /// round's node loop is itself substantial.
-    ///
     /// # Errors
     ///
     /// Returns [`crate::SimError::EmptySystem`] if `nodes` is empty, or
@@ -115,41 +109,17 @@ impl<P: SinglePortProtocol> SinglePortRunner<P> {
     ) -> SimResult<Self> {
         let n = nodes.len();
         let central = Central::new(n, NodeSet::empty(n), adversary, fault_budget)?;
-        let core = SinglePortCore::new(0, nodes);
-        let host = InProcess::new(core, n, parallel::MIN_NODES_PER_FORK_SINGLE_PORT);
-        Ok(Coordinator::assemble(central, host))
+        Ok(Coordinator::assemble(
+            central,
+            SinglePortCore::new(0, nodes),
+        ))
     }
 }
 
-impl<P: SinglePortProtocol> Chunk for SinglePortCore<P> {
-    fn regroup(cores: Vec<Self>, ranges: impl Iterator<Item = Range<usize>>) -> Vec<Self> {
-        // What survives a round boundary: the state machines, their
-        // statuses and outputs.  Sends, polls and poll buffers are
-        // within-round scratch, rebuilt empty.
-        let mut nodes = Vec::new();
-        let mut status = Vec::new();
-        let mut outputs = Vec::new();
-        for core in cores {
-            nodes.extend(core.nodes);
-            status.extend(core.status);
-            outputs.extend(core.outputs);
-        }
-        let mut nodes = nodes.into_iter();
-        let mut status = status.into_iter();
-        let mut outputs = outputs.into_iter();
-        ranges
-            .map(|range| {
-                let len = range.len();
-                let mut core = SinglePortCore::new(range.start, nodes.by_ref().take(len).collect());
-                core.status = status.by_ref().take(len).collect();
-                core.outputs = outputs.by_ref().take(len).collect();
-                core
-            })
-            .collect()
-    }
-}
-
-impl<P: SinglePortProtocol> Host for InProcess<SinglePortCore<P>> {
+// The in-process host is the runner's one core.  It owns every node from
+// base 0, so a global node index *is* the core-local one; the phase bodies
+// called below are the core's own inherent methods of the same names.
+impl<P: SinglePortProtocol> Host for SinglePortCore<P> {
     type Output = P::Output;
     type Error = Infallible;
     type Outcome<T> = T;
@@ -159,17 +129,15 @@ impl<P: SinglePortProtocol> Host for InProcess<SinglePortCore<P>> {
     }
 
     fn output(&self, node: usize) -> Option<&P::Output> {
-        let (chunk, local) = self.plan.locate(node);
-        self.cores[chunk].output(local)
+        SinglePortCore::output(self, node)
     }
 
     fn set_halted(&mut self, node: usize) {
-        let (chunk, local) = self.plan.locate(node);
-        self.cores[chunk].set_halted(local);
+        SinglePortCore::set_halted(self, node);
     }
 }
 
-impl<P: SinglePortProtocol> SinglePortHost for InProcess<SinglePortCore<P>> {
+impl<P: SinglePortProtocol> SinglePortHost for SinglePortCore<P> {
     type Msg = P::Msg;
 
     fn begin_round(
@@ -178,59 +146,40 @@ impl<P: SinglePortProtocol> SinglePortHost for InProcess<SinglePortCore<P>> {
         send_intents: &mut [Vec<NodeId>],
         polls: &mut [Option<NodeId>],
     ) -> Result<(), Infallible> {
-        self.prepare();
-        self.run_phase(move |core| core.begin_round(round));
-        for core in &self.cores {
-            let slots = send_intents[core.base..]
-                .iter_mut()
-                .zip(&mut polls[core.base..]);
-            let collected = core.sends.iter().zip(&core.polls);
-            for ((intents, poll), (send, polled)) in slots.zip(collected) {
-                intents.clear();
-                intents.extend(send.iter().map(|out| out.to));
-                *poll = *polled;
-            }
+        SinglePortCore::begin_round(self, round);
+        for (intents, send) in send_intents.iter_mut().zip(&self.sends) {
+            intents.clear();
+            intents.extend(send.iter().map(|out| out.to));
         }
+        polls.copy_from_slice(&self.polls);
         Ok(())
     }
 
     fn set_crashed(&mut self, node: usize, round: Round) {
-        let (chunk, local) = self.plan.locate(node);
-        self.cores[chunk].set_crashed(local, round);
+        SinglePortCore::set_crashed(self, node, round);
     }
 
     fn take_spares(&mut self, out: &mut Vec<Vec<P::Msg>>) {
-        for core in &mut self.cores {
-            core.take_spares(out);
-        }
+        SinglePortCore::take_spares(self, out);
     }
 
     fn drain_sends(&mut self, mut enqueue: impl FnMut(usize, Outgoing<P::Msg>)) {
-        for core in &mut self.cores {
-            for local in 0..core.len() {
-                if let Some(out) = core.take_send(local) {
-                    enqueue(core.base + local, out);
-                }
+        for node in 0..self.len() {
+            if let Some(out) = self.take_send(node) {
+                enqueue(node, out);
             }
         }
     }
 
     fn fill_drained(&mut self, mut drain: impl FnMut(usize) -> Option<Vec<P::Msg>>) {
-        for core in &mut self.cores {
-            for local in 0..core.len() {
-                let drained = drain(core.base + local);
-                core.set_drained(local, drained);
-            }
+        for node in 0..self.len() {
+            let drained = drain(node);
+            self.set_drained(node, drained);
         }
     }
 
     fn finalize(&mut self, round: Round, events: &mut Vec<NodeEvent>) -> Result<(), Infallible> {
-        self.run_phase(move |core| {
-            core.finalize(round);
-        });
-        for core in &self.cores {
-            events.extend_from_slice(&core.events);
-        }
+        events.extend_from_slice(SinglePortCore::finalize(self, round).events);
         Ok(())
     }
 }

@@ -1,9 +1,9 @@
 //! Host conformance: one table per round model.
 //!
-//! Every way of hosting an execution's chunks — one core inline, cores on
-//! the worker pool, shard workers behind channels or byte streams — must
-//! be observationally identical to the serial run: same report, same trace,
-//! same buffered-port diagnostics.  The rows of the two tables below are
+//! Every way of hosting an execution's chunks — one core inline, shard
+//! workers behind channels or byte streams — must be observationally
+//! identical to the serial run: same report, same trace, same
+//! buffered-port diagnostics.  The rows of the two tables below are
 //! those host configurations; the workload (Byzantine participant and three
 //! kinds of crash included) is the same in every row.
 //!
@@ -17,7 +17,6 @@ use crate::adversary::byzantine::FloodByzantine;
 use crate::adversary::{CrashDirective, DeliveryFilter, FixedCrashSchedule};
 use crate::message::{Delivered, Outgoing};
 use crate::node::NodeId;
-use crate::parallel::MIN_NODES_PER_FORK;
 use crate::protocol::{SinglePortProtocol, SyncProtocol};
 use crate::report::ExecutionReport;
 use crate::round::Round;
@@ -276,37 +275,17 @@ pub(crate) fn ring_worker(
 /// A host configuration: one row of a conformance table.
 #[derive(Clone, Copy, Debug)]
 enum Hosting {
-    /// Cores in this process on `jobs` threads; `split` runs the execution
-    /// in two `run()` calls, so the pool and the cores' scratch persist
-    /// across the boundary.
-    InProcess { jobs: usize, split: bool },
+    /// One core in this process; `split` runs the execution in two `run()`
+    /// calls, so the core's scratch persists across the boundary.
+    InProcess { split: bool },
     /// `in_process` shard workers on the runner's own pool.
     Shards(usize),
     /// Two workers behind [`StreamTransport`]s.
     Streams,
 }
 
-const IN_PROCESS_AND_SHARDED: [Hosting; 10] = [
-    Hosting::InProcess {
-        jobs: 1,
-        split: true,
-    },
-    Hosting::InProcess {
-        jobs: 2,
-        split: false,
-    },
-    Hosting::InProcess {
-        jobs: 4,
-        split: false,
-    },
-    Hosting::InProcess {
-        jobs: 7,
-        split: false,
-    },
-    Hosting::InProcess {
-        jobs: 4,
-        split: true,
-    },
+const IN_PROCESS_AND_SHARDED: [Hosting; 6] = [
+    Hosting::InProcess { split: true },
     Hosting::Shards(1),
     Hosting::Shards(2),
     Hosting::Shards(3),
@@ -349,10 +328,8 @@ fn run_multi_port(hosting: Hosting, n: usize) -> Transcript {
     const ROUNDS: u64 = 10;
     let adversary = Box::new(crash_schedule(n));
     let participants = flood_participants(n);
-    if let Hosting::InProcess { jobs, split } = hosting {
-        let mut runner = Runner::with_participants(participants, adversary, 3)
-            .unwrap()
-            .with_jobs(jobs);
+    if let Hosting::InProcess { split } = hosting {
+        let mut runner = Runner::with_participants(participants, adversary, 3).unwrap();
         runner.enable_trace();
         return Transcript {
             partial: split.then(|| runner.run(2)),
@@ -382,12 +359,8 @@ fn run_multi_port(hosting: Hosting, n: usize) -> Transcript {
 fn run_single_port(hosting: Hosting, n: usize) -> Transcript {
     let rounds = 3 * n as u64;
     let adversary = Box::new(crash_schedule(n));
-    if let Hosting::InProcess { jobs, split } = hosting {
-        let mut runner = SinglePortRunner::with_adversary(Ring::nodes(n, 0), adversary, 3)
-            .unwrap()
-            .with_jobs(jobs);
-        // The production threshold engages the pool only at paper scale.
-        runner.set_fork_threshold(1);
+    if let Hosting::InProcess { split } = hosting {
+        let mut runner = SinglePortRunner::with_adversary(Ring::nodes(n, 0), adversary, 3).unwrap();
         runner.enable_trace();
         return Transcript {
             partial: split.then(|| runner.run(n as u64)),
@@ -412,34 +385,24 @@ fn run_single_port(hosting: Hosting, n: usize) -> Transcript {
     }
 }
 
-/// Runs every row and compares it with the serial transcript (the whole
-/// one, or the one split in two `run()` calls at the same round).
+/// Runs every row and compares it with the serial transcript; a run split
+/// in two `run()` calls must really have stopped mid-execution and still
+/// end where the whole one does.
 fn assert_conformance(run: impl Fn(Hosting) -> Transcript) -> Transcript {
-    let serial = run(Hosting::InProcess {
-        jobs: 1,
-        split: false,
-    });
+    let serial = run(Hosting::InProcess { split: false });
     for hosting in IN_PROCESS_AND_SHARDED {
         let mut transcript = run(hosting);
-        let partial = transcript.partial.take();
-        assert_eq!(serial, transcript, "{hosting:?}");
-        if let Some(partial) = partial {
+        if let Some(partial) = transcript.partial.take() {
             assert_ne!(partial, serial.report, "{hosting:?}: split mid-execution");
-            let split_serially = run(Hosting::InProcess {
-                jobs: 1,
-                split: true,
-            });
-            assert_eq!(split_serially.partial, Some(partial), "{hosting:?}");
         }
+        assert_eq!(serial, transcript, "{hosting:?}");
     }
     serial
 }
 
 #[test]
 fn multi_port_hosts_conform_to_the_serial_run() {
-    // Above the fork threshold, so `jobs > 1` really engages the pool.
-    let n = MIN_NODES_PER_FORK + 9;
-    let serial = assert_conformance(|hosting| run_multi_port(hosting, n));
+    let serial = assert_conformance(|hosting| run_multi_port(hosting, 137));
     assert_eq!(serial.report.metrics.crashes, 3);
     assert!(serial.report.byzantine.contains(NodeId::new(0)));
     assert!(serial.report.metrics.byzantine_messages > 0);

@@ -9,9 +9,9 @@
 //! port matrix and all — so any divergence in delivery order, crash
 //! application, halting semantics or metric accounting shows up as a
 //! mismatch.  Random crash schedules are property-tested over both round
-//! models and, for each, over every host of the model's one round loop
-//! (inline core, worker pool, in-process shard workers) — so the tier-1
-//! suite exercises the pool and the shard codec too.
+//! models and, for each, over both hosts of the model's one round loop
+//! (the inline core, in-process shard workers) — so the tier-1 suite
+//! exercises the shard codec too.
 
 use std::collections::VecDeque;
 
@@ -434,14 +434,9 @@ fn single_port_engine_matches_reference_without_faults() {
     reference.assert_matches(&report);
 }
 
-/// The fork threshold of the multi-port runner (`dft_sim::parallel`): a
-/// system this much larger than a small one really engages the pool.
-const ABOVE_FORK_THRESHOLD: usize = 128;
-
-/// One generated multi-port case at one size: the reference against every
-/// host of the round loop — one core inline, cores on the worker pool
-/// (engaged only when `n` is above the fork threshold), and two in-process
-/// shard workers behind the wire codec.
+/// One generated multi-port case at one size: the reference against both
+/// hosts of the round loop — one core inline, and two in-process shard
+/// workers behind the wire codec.
 fn check_multi_port_hosts(n: usize, t_frac: usize, input_bits: u64, horizon: u64, crash_seed: u64) {
     let t = (n / t_frac).max(1).min(n - 1);
     let max_rounds = horizon + t as u64 + 4;
@@ -451,10 +446,6 @@ fn check_multi_port_hosts(n: usize, t_frac: usize, input_bits: u64, horizon: u64
 
     let mut serial = Runner::with_adversary(nodes(), adversary(), t).expect("a valid system");
     reference.assert_matches(&serial.run(max_rounds));
-    let mut pooled = Runner::with_adversary(nodes(), adversary(), t)
-        .expect("a valid system")
-        .with_jobs(4);
-    reference.assert_matches(&pooled.run(max_rounds));
     let participants = nodes().into_iter().map(Participant::Honest).collect();
     let mut sharded =
         ShardedRunner::in_process(participants, adversary(), t, 2).expect("a valid system");
@@ -464,9 +455,10 @@ fn check_multi_port_hosts(n: usize, t_frac: usize, input_bits: u64, horizon: u64
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random crash schedules through every host of the multi-port round
+    /// Random crash schedules through both hosts of the multi-port round
     /// loop and the seed-behaviour reference produce identical reports,
-    /// including the full per-round message profile.
+    /// including the full per-round message profile, at a small size and at
+    /// one where every shard holds many nodes.
     #[test]
     fn multi_port_engine_matches_reference_under_random_crashes(
         n in 4usize..40,
@@ -476,7 +468,7 @@ proptest! {
         crash_seed in any::<u64>(),
     ) {
         check_multi_port_hosts(n, t_frac, input_bits, horizon, crash_seed);
-        check_multi_port_hosts(ABOVE_FORK_THRESHOLD + n, t_frac, input_bits, horizon, crash_seed);
+        check_multi_port_hosts(128 + n, t_frac, input_bits, horizon, crash_seed);
     }
 
     /// The same property over the single-port round loop: the sparse port
@@ -497,13 +489,6 @@ proptest! {
 
         let mut serial = SinglePortRunner::with_adversary(nodes(), adversary(), t).unwrap();
         reference.assert_matches(&serial.run(max_rounds));
-        let mut pooled = SinglePortRunner::with_adversary(nodes(), adversary(), t)
-            .unwrap()
-            .with_jobs(4);
-        // The single-port threshold is paper-scale; the dense reference
-        // matrix is not, so bring the threshold down instead of `n` up.
-        pooled.set_fork_threshold(1);
-        reference.assert_matches(&pooled.run(max_rounds));
         let mut sharded = SpShardedRunner::in_process(nodes(), adversary(), t, 2).unwrap();
         reference.assert_matches(&sharded.run(max_rounds).unwrap());
     }
