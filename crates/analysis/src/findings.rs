@@ -45,14 +45,6 @@ impl Finding {
     }
 }
 
-/// The one deterministic finding order every pass and every `--json`
-/// emitter shares: `(file, line, rule)`.  Both `analyze` and `analyze_hot`
-/// sort through this, so output order can never depend on rule
-/// registration or graph traversal order.
-pub fn sort_findings(findings: &mut [Finding]) {
-    findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-}
-
 /// Collapses runs of whitespace to single spaces and trims — the snippet
 /// normalisation used for baseline matching.
 pub fn normalize_snippet(line: &str) -> String {
@@ -84,38 +76,6 @@ mod tests {
         assert_eq!(normalize_snippet("   a \t b  \n"), "a b");
         assert_eq!(normalize_snippet("x"), "x");
         assert_eq!(normalize_snippet("  "), "");
-    }
-
-    #[test]
-    fn shared_sort_orders_by_file_line_rule() {
-        let f = |file: &str, line: usize, rule: &'static str| Finding {
-            file: file.to_string(),
-            line,
-            rule,
-            message: String::new(),
-            snippet: String::new(),
-        };
-        // Deliberately out of order on every key.
-        let mut findings = vec![
-            f("b.rs", 1, "hot-alloc"),
-            f("a.rs", 9, "panic-unwrap"),
-            f("a.rs", 9, "hot-clone"),
-            f("a.rs", 2, "panic-unwrap"),
-        ];
-        sort_findings(&mut findings);
-        let keys: Vec<(&str, usize, &str)> = findings
-            .iter()
-            .map(|f| (f.file.as_str(), f.line, f.rule))
-            .collect();
-        assert_eq!(
-            keys,
-            vec![
-                ("a.rs", 2, "panic-unwrap"),
-                ("a.rs", 9, "hot-clone"),
-                ("a.rs", 9, "panic-unwrap"),
-                ("b.rs", 1, "hot-alloc"),
-            ]
-        );
     }
 
     #[test]

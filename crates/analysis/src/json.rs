@@ -1,11 +1,11 @@
 //! A minimal JSON reader/writer.
 //!
-//! The build has no registry access and so no JSON crate: the baseline
-//! file is read with this hand-rolled parser and written by
-//! [`escape`]-based emitters.  Unlike `dft_bench::baseline`'s line-oriented
-//! reader, baseline entries embed arbitrary source snippets — quotes,
-//! backslashes, anything — so strings need real escape handling, which is
-//! most of what this module is.
+//! The build has no registry access and so no JSON crate: every committed
+//! JSON file of the workspace — the analysis baseline, `WIRE_SCHEMA.json`
+//! and `dft-bench`'s `BENCH_*.json` — is read with this hand-rolled parser
+//! and written by [`escape`]-based emitters.  Baseline entries embed
+//! arbitrary source snippets — quotes, backslashes, anything — so strings
+//! need real escape handling, which is most of what this module is.
 
 use std::collections::BTreeMap;
 
@@ -17,7 +17,7 @@ pub enum Json {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any number (the baseline only uses non-negative integers).
+    /// Any number.
     Num(f64),
     /// A string.
     Str(String),
@@ -48,6 +48,14 @@ impl Json {
     pub fn as_usize(&self) -> Option<usize> {
         match self {
             Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as usize),
+            _ => None,
+        }
+    }
+
+    /// The value as a number, if it is one.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(n) => Some(*n),
             _ => None,
         }
     }
@@ -278,6 +286,8 @@ mod tests {
         let parsed = parse(doc).expect("parses");
         let arr = parsed.get("a").and_then(Json::as_arr).expect("array");
         assert_eq!(arr[0].as_usize(), Some(1));
+        assert_eq!(arr[1].as_f64(), Some(2.0));
+        assert_eq!(parsed.get("d").and_then(Json::as_f64), None);
         assert_eq!(arr[2].get("b"), Some(&Json::Null));
         assert_eq!(parsed.get("d").and_then(Json::as_str), Some("x"));
     }

@@ -2,7 +2,7 @@
 //!
 //! The workspace's architecture is a strict layering: pure sans-I/O
 //! protocol layers (`core`, `overlay`, `auth`, the `sim` driver module)
-//! sit below the I/O-owning backends (`sim`'s pool and shard transports),
+//! sit below the I/O-owning backends (`sim`'s shard workers and transports),
 //! which sit below the executables (`bench`, `node`).  The old
 //! `sans-io-boundary` rule pinned one corner of this (no `std::{net, io,
 //! thread}` in the driver and `core`); this module generalizes it into a
@@ -10,7 +10,7 @@
 //!
 //! * every first-party path a file mentions must be its own crate or a
 //!   declared import of the file's layer ([`RULE_LAYER`] otherwise), so
-//!   `core` cannot quietly reach into `sim`'s pool or sockets;
+//!   `core` cannot quietly reach into `sim`'s partition or sockets;
 //! * layers marked `io: false` keep the original sans-I/O check: no
 //!   `std::net`, `std::io` or `std::thread` anywhere in them.
 //!
@@ -58,7 +58,7 @@ struct Layer {
 const LAYERS: &[Layer] = &[
     // The driver module is sans-I/O *inside* an I/O-owning crate, and the
     // only layer that restricts its own crate: round semantics may touch
-    // the simulation vocabulary but not the pool/shard/transport backends.
+    // the simulation vocabulary but not the shard/transport backends.
     Layer {
         name: "sim-driver",
         prefixes: &["crates/sim/src/driver.rs"],
@@ -115,6 +115,9 @@ const LAYERS: &[Layer] = &[
         name: "bench",
         prefixes: &["crates/bench/"],
         allow: &[
+            // The workspace's one JSON reader, and nothing else of the
+            // analyser.
+            "dft_analysis::json",
             "dft_auth",
             "dft_auth::*",
             "dft_baselines",
@@ -389,37 +392,37 @@ mod tests {
     fn core_may_not_import_sim_internals() {
         let found = sites(
             "crates/core/src/protocol.rs",
-            "use dft_sim::shard::Wire;\nuse dft_sim::pool::WorkerPool;",
+            "use dft_sim::shard::Wire;\nuse dft_sim::parallel::ChunkPlan;",
         );
         assert_eq!(found.len(), 1, "{found:?}");
         assert_eq!(found.first().map(|s| s.line), Some(2));
         assert!(found
             .first()
-            .is_some_and(|s| s.message.contains("dft_sim::pool")));
+            .is_some_and(|s| s.message.contains("dft_sim::parallel")));
     }
 
     #[test]
     fn use_groups_fan_out_per_element() {
         let found = sites(
             "crates/core/src/protocol.rs",
-            "use dft_sim::{shard::frame, pool::scope, NodeId};",
+            "use dft_sim::{shard::frame, parallel::available_jobs, NodeId};",
         );
         assert_eq!(found.len(), 1, "{found:?}");
         assert!(found
             .first()
-            .is_some_and(|s| s.message.contains("dft_sim::pool::scope")));
+            .is_some_and(|s| s.message.contains("dft_sim::parallel::available_jobs")));
     }
 
     #[test]
     fn driver_layer_restricts_its_own_crate() {
         let found = sites(
             "crates/sim/src/driver.rs",
-            "use crate::round::Round;\nuse crate::pool::WorkerPool;",
+            "use crate::round::Round;\nuse crate::shard::ShardTransport;",
         );
         assert_eq!(found.len(), 1, "{found:?}");
         assert!(found
             .first()
-            .is_some_and(|s| s.message.contains("dft_sim::pool")));
+            .is_some_and(|s| s.message.contains("dft_sim::shard")));
     }
 
     #[test]
@@ -430,7 +433,7 @@ mod tests {
         );
         let rules: Vec<&str> = found.iter().map(|s| s.rule).collect();
         assert_eq!(rules, vec![RULE_SANS_IO, RULE_SANS_IO], "{found:?}");
-        let io_layer = sites("crates/sim/src/pool.rs", "use std::thread;");
+        let io_layer = sites("crates/sim/src/shard/mod.rs", "use std::thread;");
         assert!(io_layer.is_empty(), "{io_layer:?}");
     }
 
@@ -443,10 +446,10 @@ mod tests {
 
     #[test]
     fn glob_imports_record_the_prefix() {
-        let found = sites("crates/core/src/protocol.rs", "use dft_sim::pool::*;");
+        let found = sites("crates/core/src/protocol.rs", "use dft_sim::parallel::*;");
         assert_eq!(found.len(), 1, "{found:?}");
         assert!(found
             .first()
-            .is_some_and(|s| s.message.contains("dft_sim::pool")));
+            .is_some_and(|s| s.message.contains("dft_sim::parallel")));
     }
 }

@@ -16,16 +16,11 @@
 //! * **wire-format completeness** — every wire type (declared or leaf,
 //!   tuples included) named by a test, every frame decode routed through
 //!   the `WIRE_VERSION` check, and — via the [`schema`] pass — every
-//!   composite codec declared rather than hand-written, with the declared
-//!   layouts ratcheted by the committed `WIRE_SCHEMA.json`;
+//!   composite codec declared rather than hand-written, with the
+//!   declarations ratcheted verbatim by the committed `WIRE_SCHEMA.json`;
 //! * **layering** — a declared layer map ([`layering`]) of which
 //!   first-party crates each layer may import, generalizing the old
 //!   one-off sans-I/O boundary check;
-//! * **hot-path allocation hygiene** — the `hot` subcommand ([`hotpath`])
-//!   builds a name-resolved workspace call graph ([`callgraph`]), marks
-//!   everything reachable from the round cores' per-round phase bodies as
-//!   hot, and flags owned-container allocation and cloning there, ratcheted
-//!   by the committed `ALLOC_baseline.json`;
 //! * **unsafe hygiene** — every first-party crate root carries
 //!   `#![forbid(unsafe_code)]`;
 //! * **lint-suppression audit** — every `#[allow(…)]` justified by an
@@ -36,18 +31,21 @@
 //! intentional exceptions carry one-line justifications.  The wire schema
 //! has its own ratchet: `dft-analyze schema --ci` fails when the extracted
 //! schema drifts from `WIRE_SCHEMA.json` without a `WIRE_VERSION` bump.
+//! Allocation on the per-round paths is not a static pass: it is measured,
+//! and `run_experiments --bench-compare` gates the counts exactly.
 //! See `DESIGN.md` §"Determinism invariants" and §"Wire schema ratchet"
 //! for how these passes and the dynamic diffs split the enforcement, and
 //! `CONTRIBUTING.md` for both regeneration workflows.
+//!
+//! [`json`] is also the workspace's one JSON reader: `dft-bench` parses its
+//! `BENCH_*.json` baselines with it.
 //!
 //! [`ANALYSIS_baseline.json`]: baseline::Baseline
 
 #![forbid(unsafe_code)]
 
 pub mod baseline;
-pub mod callgraph;
 pub mod findings;
-pub mod hotpath;
 pub mod json;
 pub mod layering;
 pub mod lexer;
@@ -59,6 +57,5 @@ pub mod walk;
 
 pub use baseline::Baseline;
 pub use findings::Finding;
-pub use hotpath::analyze_hot;
 pub use rules::analyze;
 pub use schema::{extract_schema, SchemaStatus};

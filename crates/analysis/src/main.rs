@@ -3,8 +3,6 @@
 //! ```text
 //! dft-analyze [--root DIR] [--baseline PATH] [--ci] [--all]
 //!             [--json PATH] [--update-baseline]
-//! dft-analyze hot [--root DIR] [--baseline PATH] [--ci] [--all]
-//!                 [--json PATH] [--update-baseline]
 //! dft-analyze schema [--root DIR] [--schema PATH] [--ci] [--update]
 //! ```
 //!
@@ -22,14 +20,8 @@
 //!   current findings, preserving existing justifications and stamping
 //!   `TODO: justify` on new entries for review.
 //!
-//! The `hot` subcommand runs the hot-path allocation pass (see
-//! `dft_analysis::hotpath`): allocation and clone sites reachable from the
-//! round cores' per-round phase bodies, ratcheted against
-//! `ALLOC_baseline.json` with the same flags and exit codes as the main
-//! scan (`--baseline` defaults to `ALLOC_baseline.json` under the root).
-//!
-//! The `schema` subcommand runs the wire-schema ratchet: it reads the
-//! layout every `wire_struct!` / `wire_enum!` declares, lists the leaf
+//! The `schema` subcommand runs the wire-schema ratchet: it takes the text
+//! of every `wire_struct!` / `wire_enum!` declaration, lists the leaf
 //! codecs, and compares the result against the committed
 //! `WIRE_SCHEMA.json` (`--schema PATH` to override the location).  A
 //! composite codec written by hand always fails; a content change at the
@@ -42,15 +34,13 @@
 
 #![forbid(unsafe_code)]
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 use dft_analysis::schema::{compare, Schema, SchemaStatus};
-use dft_analysis::{analyze, analyze_hot, extract_schema, Baseline, Finding};
+use dft_analysis::{analyze, extract_schema, Baseline};
 
 const USAGE: &str = "usage: dft-analyze [--root DIR] [--baseline PATH] [--ci] [--all] \
-                     [--json PATH] [--update-baseline]\n       \
-                     dft-analyze hot [--root DIR] [--baseline PATH] [--ci] [--all] \
                      [--json PATH] [--update-baseline]\n       \
                      dft-analyze schema [--root DIR] [--schema PATH] [--ci] [--update]";
 
@@ -144,8 +134,9 @@ fn schema_main(args: impl Iterator<Item = String>) -> ExitCode {
                 return write_schema(&schema_path, &extraction.schema);
             }
             eprintln!(
-                "dft-analyze: {} records wire version {} but the tree is at {}; run \
-                 `dft-analyze schema --update` to regenerate it",
+                "dft-analyze: {} records wire version {} (a file in an older format reads as \
+                 <none>) but the tree is at {}; run `dft-analyze schema --update` to \
+                 regenerate it",
                 schema_path.display(),
                 version_label(committed),
                 version_label(extracted),
@@ -195,21 +186,12 @@ fn main() -> ExitCode {
     if args.peek().is_some_and(|a| a == "schema") {
         return schema_main(args.skip(1));
     }
-    if args.peek().is_some_and(|a| a == "hot") {
-        return ratchet_main(args.skip(1), "ALLOC_baseline.json", analyze_hot);
-    }
-    ratchet_main(args, "ANALYSIS_baseline.json", analyze)
+    scan_main(args)
 }
 
-/// The shared baseline-ratchet CLI: run an analysis, diff it against (or
-/// rewrite) a committed baseline, report, and exit 1 on new findings.  Both
-/// the main scan and the `hot` pass flow through here, so their flags,
-/// output shapes and `--json` ordering can never drift apart.
-fn ratchet_main(
-    args: impl Iterator<Item = String>,
-    default_baseline: &str,
-    run: fn(&Path) -> Result<Vec<Finding>, String>,
-) -> ExitCode {
+/// The main scan: run the analysis, diff it against (or rewrite) the
+/// committed baseline, report, and exit 1 on new findings.
+fn scan_main(args: impl Iterator<Item = String>) -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut baseline_path: Option<PathBuf> = None;
     let mut ci = false;
@@ -241,9 +223,9 @@ fn ratchet_main(
             other => return fail(&format!("unknown argument {other:?}")),
         }
     }
-    let baseline_path = baseline_path.unwrap_or_else(|| root.join(default_baseline));
+    let baseline_path = baseline_path.unwrap_or_else(|| root.join("ANALYSIS_baseline.json"));
 
-    let findings = match run(&root) {
+    let findings = match analyze(&root) {
         Ok(findings) => findings,
         Err(error) => return fail(&error),
     };

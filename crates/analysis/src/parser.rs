@@ -1,6 +1,6 @@
 //! A recursive-descent layer over the token stream: bracket-matched token
-//! trees, `impl Wire for T` discovery, function items, and the
-//! literal/constant readers the structural analyses need.
+//! trees, `impl Wire for T` discovery, and the literal/constant readers the
+//! structural analyses need.
 //!
 //! The lexer ([`crate::lexer`]) stays deliberately flat; this module adds
 //! just enough structure on top for the wire-schema and layering analyses:
@@ -56,14 +56,6 @@ impl Tree {
         }
     }
 
-    /// The literal value, if this is an integer leaf.
-    pub fn int(&self) -> Option<u64> {
-        match self {
-            Tree::Leaf(t) if t.kind == TokenKind::Int => int_value(&t.text),
-            _ => None,
-        }
-    }
-
     /// The contained trees, if this is a group opened by `open`.
     pub fn group(&self, want: char) -> Option<&[Tree]> {
         match self {
@@ -87,7 +79,8 @@ pub fn parse(tokens: &[Token]) -> Vec<Tree> {
     top
 }
 
-fn closer_of(open: char) -> char {
+/// The delimiter that closes a group opened by `open`.
+pub fn closer_of(open: char) -> char {
     match open {
         '(' => ')',
         '[' => ']',
@@ -168,8 +161,6 @@ fn tuple_type_name(arity: usize) -> String {
 pub struct WireImpl {
     /// Canonical implemented-type name (`NodeId`, `Vec`, `Tuple2`, …).
     pub type_name: String,
-    /// The impl's generic type parameters (`["M"]`, `["A", "B"]`, …).
-    pub generics: Vec<String>,
     /// 1-based line of the `impl` keyword.
     pub line: usize,
 }
@@ -204,7 +195,7 @@ fn collect_impls(trees: &[Tree], is_test: &dyn Fn(usize) -> bool, out: &mut Vec<
 fn parse_wire_impl(trees: &[Tree], i: usize) -> Option<(WireImpl, usize)> {
     let line = trees.get(i)?.line();
     let mut k = i + 1;
-    let generics = parse_generics(trees, &mut k);
+    skip_generics(trees, &mut k);
     // The trait path: identifiers and `::`, ending at `for`.  The impl is
     // interesting only when the path's last segment is `Wire`.
     let mut last_segment: Option<&str> = None;
@@ -231,55 +222,37 @@ fn parse_wire_impl(trees: &[Tree], i: usize) -> Option<(WireImpl, usize)> {
     loop {
         let tree = trees.get(k)?;
         if tree.group('{').is_some() {
-            return Some((
-                WireImpl {
-                    type_name,
-                    generics,
-                    line,
-                },
-                k + 1,
-            ));
+            return Some((WireImpl { type_name, line }, k + 1));
         }
         k += 1;
     }
 }
 
-/// Parses `<…>` impl generics at `k` (if present), collecting the type
-/// parameter names and leaving `k` just past the closing `>`.
-pub fn parse_generics(trees: &[Tree], k: &mut usize) -> Vec<String> {
-    let mut params = Vec::new();
+/// Skips `<…>` impl generics at `k` (if present), leaving `k` just past
+/// the closing `>`.
+fn skip_generics(trees: &[Tree], k: &mut usize) {
     if !trees.get(*k).is_some_and(|t| t.is_punct('<')) {
-        return params;
+        return;
     }
-    *k += 1;
-    let mut depth = 1usize;
-    let mut expect_param = true;
-    while depth > 0 {
-        let Some(tree) = trees.get(*k) else { break };
+    let mut depth = 0usize;
+    while let Some(tree) = trees.get(*k) {
+        *k += 1;
         if tree.is_punct('<') {
             depth += 1;
         } else if tree.is_punct('>') {
             depth -= 1;
-        } else if tree.is_punct(',') && depth == 1 {
-            expect_param = true;
-        } else if tree.is_punct(':') && depth == 1 {
-            expect_param = false;
-        } else if expect_param && depth == 1 {
-            if let Some(name) = tree.ident() {
-                params.push(name.to_string());
-                expect_param = false;
+            if depth == 0 {
+                return;
             }
         }
-        *k += 1;
     }
-    params
 }
 
-/// Parses the type at `k` (the implemented type after `for`, or a declared
-/// field's type), producing its canonical name:
-/// tuples become `Unit` / `Tuple2` / …, paths keep their last segment, and
-/// generic arguments are dropped (`Outgoing<M>` → `Outgoing`).
-pub fn parse_self_type(trees: &[Tree], k: &mut usize) -> Option<String> {
+/// Parses the implemented type at `k` (after `for`), producing its
+/// canonical name: tuples become `Unit` / `Tuple2` / …, paths keep their
+/// last segment, and generic arguments are dropped (`Outgoing<M>` →
+/// `Outgoing`).
+fn parse_self_type(trees: &[Tree], k: &mut usize) -> Option<String> {
     if let Some(elems) = trees.get(*k).and_then(|t| t.group('(')) {
         *k += 1;
         return Some(tuple_type_name(tuple_arity(elems)));
@@ -306,7 +279,7 @@ pub fn parse_self_type(trees: &[Tree], k: &mut usize) -> Option<String> {
 
 /// Number of elements in a tuple type's tree list (`()` → 0, `(A, B)` → 2),
 /// tolerating trailing commas.
-pub fn tuple_arity(elems: &[Tree]) -> usize {
+fn tuple_arity(elems: &[Tree]) -> usize {
     let mut arity = 0;
     let mut in_element = false;
     for tree in elems {
@@ -320,175 +293,9 @@ pub fn tuple_arity(elems: &[Tree]) -> usize {
     arity
 }
 
-/// One first-party function item: a free `fn`, an inherent or trait-impl
-/// method, or a trait definition's default method — with its body kept as
-/// token trees.  This is the raw inventory the call-graph layer
-/// ([`crate::callgraph`]) resolves names against.
-#[derive(Clone, Debug)]
-pub struct FnItem {
-    /// The function's name.
-    pub name: String,
-    /// Canonical self type of the enclosing `impl`/`trait`, if any
-    /// (`RoundCore` for `impl<P> RoundCore<P>`, the trait name for a
-    /// default method, `None` for a free function).
-    pub self_type: Option<String>,
-    /// Whether the parameter list starts with a `self` receiver.
-    pub has_self: bool,
-    /// 1-based line of the `fn` keyword.
-    pub line: usize,
-    /// The body's trees (empty for signature-only trait methods).
-    pub body: Vec<Tree>,
-}
-
-/// Collects every function item in the trees — free `fn`s, methods of
-/// inherent and trait impls, and trait default methods — recursing into
-/// module bodies.  `is_test` filters out items inside test regions by line.
-pub fn fn_items(trees: &[Tree], is_test: &dyn Fn(usize) -> bool) -> Vec<FnItem> {
-    let mut out = Vec::new();
-    collect_fn_items(trees, None, is_test, &mut out);
-    out
-}
-
-fn collect_fn_items(
-    trees: &[Tree],
-    self_type: Option<&str>,
-    is_test: &dyn Fn(usize) -> bool,
-    out: &mut Vec<FnItem>,
-) {
-    let mut i = 0;
-    while let Some(tree) = trees.get(i) {
-        if tree.is_ident("impl") && !is_test(tree.line()) {
-            if let Some(next) = collect_impl_items(trees, i, is_test, out) {
-                i = next;
-                continue;
-            }
-        }
-        if tree.is_ident("trait") && !is_test(tree.line()) {
-            if let Some(next) = collect_trait_items(trees, i, is_test, out) {
-                i = next;
-                continue;
-            }
-        }
-        if tree.is_ident("fn") && !is_test(tree.line()) {
-            if let Some((item, next)) = parse_fn_item(trees, i, self_type) {
-                out.push(item);
-                i = next;
-                continue;
-            }
-        }
-        if let Tree::Group { trees: inner, .. } = tree {
-            // Module bodies, blocks.  Impl/trait bodies never reach here:
-            // the branches above consume them together with their header.
-            collect_fn_items(inner, None, is_test, out);
-        }
-        i += 1;
-    }
-}
-
-/// Parses the impl header at `i` (inherent or trait impl alike), collects
-/// its body's methods under the impl's canonical self type, and returns the
-/// index just past the body.
-fn collect_impl_items(
-    trees: &[Tree],
-    i: usize,
-    is_test: &dyn Fn(usize) -> bool,
-    out: &mut Vec<FnItem>,
-) -> Option<usize> {
-    let mut k = i + 1;
-    parse_generics(trees, &mut k);
-    // For `impl Type { … }` and `impl Trait for Type { … }` alike, the
-    // canonical self type is the last depth-0 path segment before the body.
-    let self_type = parse_self_type(trees, &mut k)?;
-    loop {
-        let tree = trees.get(k)?;
-        if let Some(body) = tree.group('{') {
-            collect_fn_items(body, Some(&self_type), is_test, out);
-            return Some(k + 1);
-        }
-        k += 1;
-    }
-}
-
-/// Parses the trait definition at `i`, collecting its default methods under
-/// the trait's name, and returns the index just past the body.
-fn collect_trait_items(
-    trees: &[Tree],
-    i: usize,
-    is_test: &dyn Fn(usize) -> bool,
-    out: &mut Vec<FnItem>,
-) -> Option<usize> {
-    let name = trees.get(i + 1).and_then(Tree::ident)?.to_string();
-    let mut k = i + 2;
-    loop {
-        let tree = trees.get(k)?;
-        if let Some(body) = tree.group('{') {
-            collect_fn_items(body, Some(&name), is_test, out);
-            return Some(k + 1);
-        }
-        k += 1;
-    }
-}
-
-/// Parses one `fn` item starting at the `fn` keyword at `i`.  Returns the
-/// item and the index just past its body (or past the `;` of a
-/// signature-only trait method).
-fn parse_fn_item(trees: &[Tree], i: usize, self_type: Option<&str>) -> Option<(FnItem, usize)> {
-    let line = trees.get(i)?.line();
-    let name = trees.get(i + 1).and_then(Tree::ident)?.to_string();
-    let mut k = i + 2;
-    parse_generics(trees, &mut k);
-    let params = trees.get(k).and_then(|t| t.group('('))?;
-    let has_self = params
-        .iter()
-        .take_while(|t| !t.is_punct(','))
-        .any(|t| t.is_ident("self"));
-    // Skip the return type / where clause up to the body group, stopping at
-    // a `;` — a signature-only trait method has no body.
-    k += 1;
-    loop {
-        let Some(tree) = trees.get(k) else {
-            return Some((
-                FnItem {
-                    name,
-                    self_type: self_type.map(str::to_string),
-                    has_self,
-                    line,
-                    body: Vec::new(),
-                },
-                k,
-            ));
-        };
-        if tree.is_punct(';') {
-            return Some((
-                FnItem {
-                    name,
-                    self_type: self_type.map(str::to_string),
-                    has_self,
-                    line,
-                    body: Vec::new(),
-                },
-                k + 1,
-            ));
-        }
-        if let Some(body) = tree.group('{') {
-            return Some((
-                FnItem {
-                    name,
-                    self_type: self_type.map(str::to_string),
-                    has_self,
-                    line,
-                    body: body.to_vec(),
-                },
-                k + 1,
-            ));
-        }
-        k += 1;
-    }
-}
-
 /// Splits a group's trees at top-level commas into non-empty elements
-/// (declared fields and variants, use-group members); a comma between the
-/// angle brackets of a generic type (`Map<K, V>`) is not top-level.
+/// (use-group members); a comma between the angle brackets of a generic
+/// type (`Map<K, V>`) is not top-level.
 pub fn top_level_elements(trees: &[Tree]) -> Vec<&[Tree]> {
     let mut out = Vec::new();
     let mut start = 0;
@@ -585,7 +392,6 @@ mod tests {
         assert_eq!(found.len(), 2);
         assert_eq!(found[0].type_name, "NodeId");
         assert_eq!(found[1].type_name, "Outgoing");
-        assert_eq!(found[1].generics, vec!["M".to_string()]);
     }
 
     #[test]
@@ -599,14 +405,12 @@ mod tests {
         );
         let names: Vec<&str> = found.iter().map(|i| i.type_name.as_str()).collect();
         assert_eq!(names, vec!["SignedValue", "Unit", "Tuple2", "RumorMap"]);
-        assert_eq!(found[2].generics, vec!["A".to_string(), "B".to_string()]);
     }
 
     #[test]
-    fn bounded_generics_collect_only_params() {
-        let found = impls("impl<V: JoinValue + Wire> Wire for AeaMsg<V> { }");
+    fn bounded_generics_are_skipped() {
+        let found = impls("impl<V: JoinValue + Wire> Wire for AeaMsg<Box<V>> { }");
         assert_eq!(found.len(), 1);
-        assert_eq!(found[0].generics, vec!["V".to_string()]);
         assert_eq!(found[0].type_name, "AeaMsg");
     }
 

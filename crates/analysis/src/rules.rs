@@ -148,7 +148,9 @@ pub fn analyze(root: &Path) -> Result<Vec<Finding>, String> {
         }
     }
 
-    crate::findings::sort_findings(&mut findings);
+    // One deterministic order for the report and every `--json` line,
+    // independent of rule registration order.
+    findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(findings)
 }
 

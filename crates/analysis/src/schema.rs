@@ -9,12 +9,13 @@
 //! every nested type having a codec are compile errors, not findings.  What
 //! is left for this pass:
 //!
-//! * read every declaration (via [`crate::parser`]) and render it as one
-//!   `ops` string per type: `from:NodeId msg:M` for a struct,
-//!   `match{0=Rumor(V); 1=Decision(V)}` for an enum, types by their last
-//!   path segment;
+//! * record every declaration as its `decl`: the invocation's own tokens,
+//!   canonically spaced — `Outgoing<M: Wire> { to: NodeId, msg: M }`,
+//!   `AeaMsg<V: JoinValue + Wire> { 0 = Rumor(V), 1 = Decision(V) }` — so
+//!   the schema is the declaration itself (order, tags, generic arguments
+//!   and bounds included), not a rendering that could lose part of it;
 //! * list the hand-written leaf codecs the declarations bottom out in
-//!   (`LEAVES`) with `ops: "leaf"` — their byte layout is pinned by the
+//!   (`LEAVES`) with `decl: "leaf"` — their byte layout is pinned by the
 //!   golden-bytes tests next to them, not by this file;
 //! * report any other hand-written `impl Wire for T` as
 //!   [`RULE_WIRE_HANDWRITTEN`], so "every composite type is declared once"
@@ -26,20 +27,24 @@
 //! cross-process corruption into an explicit reviewed event.  See DESIGN.md
 //! §"Wire schema ratchet".
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
 use crate::findings::{normalize_snippet, Finding};
 use crate::json::{self, Json};
-use crate::lexer::lex;
-use crate::parser::{self, top_level_elements, Tree};
+use crate::lexer::{lex, TokenKind};
+use crate::parser::{self, Tree};
 use crate::regions::test_regions;
 use crate::walk::{self, FileKind};
 
 /// Rule identifier for a composite `Wire` impl written by hand.
 pub const RULE_WIRE_HANDWRITTEN: &str = "wire-handwritten";
+
+/// The `"schema"` format number of `WIRE_SCHEMA.json` this module writes
+/// and reads.
+const FORMAT: usize = 2;
 
 /// The hand-written codecs, by file: primitives and containers, the memo
 /// cell that is deliberately not on the wire, the two identifier newtypes
@@ -61,12 +66,11 @@ const LEAVES: &[(&str, &[&str])] = &[
 // Reading declarations
 // ---------------------------------------------------------------------------
 
-/// One `wire_struct!(…)` / `wire_enum!(…)` invocation.
+/// One `wire_struct!(…)` / `wire_enum!(…)` invocation, or a leaf impl.
 struct Declaration {
     name: String,
-    generics: Vec<String>,
     line: usize,
-    ops: String,
+    decl: String,
 }
 
 /// Collects every declaration in the trees, recursing into module bodies.
@@ -78,8 +82,7 @@ fn declarations(trees: &[Tree], is_test: &dyn Fn(usize) -> bool, out: &mut Vec<D
             declarations(inner, is_test, out);
             continue;
         }
-        let is_enum = tree.is_ident("wire_enum");
-        if !(is_enum || tree.is_ident("wire_struct")) || is_test(tree.line()) {
+        if !(tree.is_ident("wire_enum") || tree.is_ident("wire_struct")) || is_test(tree.line()) {
             continue;
         }
         if !trees.get(i + 1).is_some_and(|t| t.is_punct('!')) {
@@ -91,73 +94,64 @@ fn declarations(trees: &[Tree], is_test: &dyn Fn(usize) -> bool, out: &mut Vec<D
         let Some(name) = args.first().and_then(Tree::ident) else {
             continue;
         };
-        let mut k = 1;
-        let generics = parser::parse_generics(args, &mut k);
-        let ops = match args.get(k) {
-            Some(Tree::Group {
-                open: '(', trees, ..
-            }) => type_name(trees),
-            Some(Tree::Group { trees, .. }) if is_enum => variants(trees),
-            Some(Tree::Group { trees, .. }) => fields(trees),
-            _ => continue,
-        };
+        let mut decl = String::new();
+        render(args, &mut decl);
         out.push(Declaration {
             name: name.to_string(),
-            generics,
             line: tree.line(),
-            ops,
+            decl,
         });
     }
 }
 
-/// A type by its last path segment, generic arguments dropped
-/// (`Arc<Vec<SignedValue>>` → `Arc`, `dft_auth::Signature` → `Signature`).
-fn type_name(ty: &[Tree]) -> String {
-    parser::parse_self_type(ty, &mut 0).unwrap_or_else(|| "?".to_string())
-}
-
-/// `name: Type, …` as `name:Type …`.
-fn fields(body: &[Tree]) -> String {
-    let rendered: Vec<String> = top_level_elements(body)
-        .into_iter()
-        .map(|field| {
-            let name = field.first().and_then(Tree::ident).unwrap_or("?");
-            format!("{name}:{}", type_name(field.get(2..).unwrap_or_default()))
-        })
-        .collect();
-    rendered.join(" ")
-}
-
-/// `tag = Variant, tag = Variant(Type), tag = Variant { name: Type }` as
-/// `match{tag=Variant; tag=Variant(Type); tag=Variant(name:Type)}`, by tag.
-fn variants(body: &[Tree]) -> String {
-    let mut arms: Vec<(Option<u64>, String)> = top_level_elements(body)
-        .into_iter()
-        .map(|variant| {
-            let tag = variant.first().and_then(Tree::int);
-            let mut arm = tag.map_or("_".to_string(), |t| t.to_string());
-            let _ = write!(
-                arm,
-                "={}",
-                variant.get(2).and_then(Tree::ident).unwrap_or("?")
-            );
-            match variant.get(3) {
-                Some(Tree::Group {
-                    open: '(', trees, ..
-                }) => {
-                    let _ = write!(arm, "({})", type_name(trees));
-                }
-                Some(Tree::Group { trees, .. }) => {
-                    let _ = write!(arm, "({})", fields(trees));
-                }
-                _ => {}
+/// Writes `trees` as source text with one canonical spacing, so that two
+/// layouts of the same tokens give the same string: a space after `,` and
+/// after a lone `:`, around `=` and `+`, between words and before `{`
+/// (whose contents are padded); none inside `(…)`, `[…]`, `<…>` or `::`.  A
+/// trailing comma before a closer is dropped.
+fn render(trees: &[Tree], out: &mut String) {
+    let trees = match trees.split_last() {
+        Some((last, rest)) if last.is_punct(',') => rest,
+        _ => trees,
+    };
+    let spaced = |t: &Tree| t.is_punct('=') || t.is_punct('+');
+    let word = |t: &Tree| matches!(t, Tree::Leaf(t) if !matches!(t.kind, TokenKind::Punct(_)));
+    for (i, tree) in trees.iter().enumerate() {
+        let colon = |at: Option<usize>| {
+            at.and_then(|j| trees.get(j))
+                .is_some_and(|t| t.is_punct(':'))
+        };
+        if let Some(prev) = i.checked_sub(1).and_then(|j| trees.get(j)) {
+            let lone_colon = prev.is_punct(':') && !colon(i.checked_sub(2)) && !colon(Some(i));
+            if tree.group('{').is_some()
+                || spaced(tree)
+                || spaced(prev)
+                || prev.is_punct(',')
+                || lone_colon
+                || (word(prev) && word(tree))
+            {
+                out.push(' ');
             }
-            (tag, arm)
-        })
-        .collect();
-    arms.sort();
-    let arms: Vec<String> = arms.into_iter().map(|(_, arm)| arm).collect();
-    format!("match{{{}}}", arms.join("; "))
+        }
+        match tree {
+            Tree::Leaf(token) => match token.kind {
+                TokenKind::Punct(c) => out.push(c),
+                _ => out.push_str(&token.text),
+            },
+            Tree::Group { open, trees, .. } => {
+                let pad = if *open == '{' && !trees.is_empty() {
+                    " "
+                } else {
+                    ""
+                };
+                out.push(*open);
+                out.push_str(pad);
+                render(trees, out);
+                out.push_str(pad);
+                out.push(parser::closer_of(*open));
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -171,10 +165,8 @@ pub struct SchemaType {
     pub name: String,
     /// Root-relative file the codec lives in.
     pub file: String,
-    /// Generic parameters of the codec.
-    pub generics: Vec<String>,
-    /// The declared layout, or `leaf` for a hand-written codec.
-    pub ops: String,
+    /// The declaration's own text, or `leaf` for a hand-written codec.
+    pub decl: String,
 }
 
 /// The full wire schema: every codec plus the wire version it describes.
@@ -271,9 +263,8 @@ pub fn extract_schema(root: &Path) -> io::Result<Extraction> {
             if is_leaf(&imp.type_name) {
                 found.push(Declaration {
                     name: imp.type_name,
-                    generics: imp.generics,
                     line: imp.line,
-                    ops: "leaf".to_string(),
+                    decl: "leaf".to_string(),
                 });
             } else {
                 problems.push(problem(
@@ -307,8 +298,7 @@ pub fn extract_schema(root: &Path) -> io::Result<Extraction> {
             types.push(SchemaType {
                 name: decl.name,
                 file: file.rel.clone(),
-                generics: decl.generics,
-                ops: decl.ops,
+                decl: decl.decl,
             });
         }
     }
@@ -326,7 +316,7 @@ pub fn extract_schema(root: &Path) -> io::Result<Extraction> {
 impl Schema {
     /// The canonical committed representation (`WIRE_SCHEMA.json`).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": 1,\n");
+        let mut out = format!("{{\n  \"schema\": {FORMAT},\n");
         match self.wire_version {
             Some(v) => {
                 let _ = writeln!(out, "  \"wire_version\": {v},");
@@ -338,19 +328,12 @@ impl Schema {
             if i > 0 {
                 out.push(',');
             }
-            let generics: Vec<String> = ty
-                .generics
-                .iter()
-                .map(|g| format!("\"{}\"", json::escape(g)))
-                .collect();
             let _ = write!(
                 out,
-                "\n    {{\"name\": \"{}\", \"file\": \"{}\", \"generics\": [{}], \
-                 \"ops\": \"{}\"}}",
+                "\n    {{\"name\": \"{}\", \"file\": \"{}\", \"decl\": \"{}\"}}",
                 json::escape(&ty.name),
                 json::escape(&ty.file),
-                generics.join(", "),
-                json::escape(&ty.ops)
+                json::escape(&ty.decl)
             );
         }
         if !self.types.is_empty() {
@@ -360,10 +343,19 @@ impl Schema {
         out
     }
 
-    /// Parses a committed `WIRE_SCHEMA.json`.
+    /// Parses a committed `WIRE_SCHEMA.json`.  A file in another format
+    /// (format 1 recorded a lossy rendering of each declaration) says
+    /// nothing this reader can compare: it parses as version-less and
+    /// empty, which [`compare`] reports stale, so `--update` regenerates it.
     pub fn parse(text: &str) -> Result<Schema, String> {
         let root =
             json::parse(text).map_err(|e| format!("WIRE_SCHEMA.json is not valid JSON: {e}"))?;
+        if root.get("schema").and_then(Json::as_usize) != Some(FORMAT) {
+            return Ok(Schema {
+                wire_version: None,
+                types: Vec::new(),
+            });
+        }
         let wire_version = root
             .get("wire_version")
             .and_then(Json::as_usize)
@@ -377,19 +369,10 @@ impl Schema {
                     .map(str::to_string)
                     .ok_or(format!("type entry is missing `{key}`"))
             };
-            let mut generics = Vec::new();
-            for g in entry.get("generics").and_then(Json::as_arr).unwrap_or(&[]) {
-                generics.push(
-                    g.as_str()
-                        .ok_or("generic parameter must be a string")?
-                        .to_string(),
-                );
-            }
             types.push(SchemaType {
                 name: field("name")?,
                 file: field("file")?,
-                generics,
-                ops: field("ops")?,
+                decl: field("decl")?,
             });
         }
         types.sort_by(|a, b| a.name.cmp(&b.name));
@@ -412,32 +395,26 @@ pub fn compare(extracted: &Schema, committed: &Schema) -> SchemaStatus {
         return SchemaStatus::Match;
     }
     let mut details = Vec::new();
-    let committed_by_name: BTreeMap<&str, &SchemaType> = committed
-        .types
-        .iter()
-        .map(|t| (t.name.as_str(), t))
-        .collect();
-    let extracted_by_name: BTreeMap<&str, &SchemaType> = extracted
-        .types
-        .iter()
-        .map(|t| (t.name.as_str(), t))
-        .collect();
-    for (name, ty) in &extracted_by_name {
-        match committed_by_name.get(name) {
+    fn find<'a>(schema: &'a Schema, name: &str) -> Option<&'a SchemaType> {
+        schema.types.iter().find(|t| t.name == name)
+    }
+    for ty in &extracted.types {
+        let name = &ty.name;
+        match find(committed, name) {
             None => details.push(format!("`{name}` is new (not in the committed schema)")),
-            Some(old) if old.ops != ty.ops => details.push(format!(
+            Some(old) if old.decl != ty.decl => details.push(format!(
                 "`{name}` changed: committed `{}` vs extracted `{}`",
-                old.ops, ty.ops
+                old.decl, ty.decl
             )),
-            Some(old) if **old != **ty => {
-                details.push(format!("`{name}` moved or changed its generics"));
+            Some(old) if old.file != ty.file => {
+                details.push(format!("`{name}` moved from {} to {}", old.file, ty.file));
             }
             Some(_) => {}
         }
     }
-    for name in committed_by_name.keys() {
-        if !extracted_by_name.contains_key(name) {
-            details.push(format!("`{name}` was removed"));
+    for old in &committed.types {
+        if find(extracted, &old.name).is_none() {
+            details.push(format!("`{}` was removed", old.name));
         }
     }
     SchemaStatus::Drift { details }
@@ -448,71 +425,71 @@ mod tests {
     use super::*;
     use crate::parser::parse;
 
-    fn declared(src: &str) -> Vec<(String, Vec<String>, String)> {
+    fn declared(src: &str) -> Vec<(String, String)> {
         let mut found = Vec::new();
         declarations(&parse(&lex(src).tokens), &|_| false, &mut found);
-        found
-            .into_iter()
-            .map(|d| (d.name, d.generics, d.ops))
-            .collect()
+        found.into_iter().map(|d| (d.name, d.decl)).collect()
     }
 
-    fn ops_of(src: &str) -> String {
+    fn decl_of(src: &str) -> String {
         let found = declared(src);
         assert_eq!(found.len(), 1, "one declaration in {src}");
-        found.into_iter().next().map(|d| d.2).unwrap_or_default()
+        found.into_iter().next().map(|d| d.1).unwrap_or_default()
     }
 
     #[test]
-    fn structs_render_fields_in_declared_order() {
+    fn a_declaration_is_recorded_verbatim_with_canonical_spacing() {
         assert_eq!(
-            ops_of("wire_struct!(Outgoing<M: Wire> { to: NodeId, msg: M });"),
-            "to:NodeId msg:M"
+            decl_of("wire_struct!(Outgoing<M:Wire>{to:NodeId,msg:M});"),
+            "Outgoing<M: Wire> { to: NodeId, msg: M }"
+        );
+        // Paths, generic arguments at any depth and a trailing comma.
+        assert_eq!(
+            decl_of(
+                "dft_sim::shard::wire_struct!(SignedValue {\n    source: crate::keys::SignerId,\n    \
+                 signatures: Vec<Option<Signature>>,\n});"
+            ),
+            "SignedValue { source: crate::keys::SignerId, signatures: Vec<Option<Signature>> }"
         );
         assert_eq!(
-            ops_of("dft_sim::shard::wire_struct!(SignedValue { source: crate::keys::SignerId, signatures: Vec<Signature>, });"),
-            "source:SignerId signatures:Vec"
+            decl_of("wire_struct!(DsBatch(Vec<SignedValue>));"),
+            "DsBatch(Vec<SignedValue>)"
         );
-        assert_eq!(ops_of("wire_struct!(DsBatch(Vec<SignedValue>));"), "Vec");
-        // A comma between angle brackets does not end a field.
         assert_eq!(
-            ops_of("wire_struct!(Table { rows: Map<K, V>, len: u8 });"),
-            "rows:Map len:u8"
+            decl_of("wire_struct!(Table { rows: Map<K, V>, len: u8 });"),
+            "Table { rows: Map<K, V>, len: u8 }"
         );
     }
 
     #[test]
-    fn enums_render_every_variant_shape_by_tag() {
+    fn enums_keep_every_variant_shape_in_declared_order() {
         assert_eq!(
-            ops_of(
+            decl_of(
                 "wire_enum!(GossipMsg {
                     2 = Extant(Arc<ExtantSet>),
                     0 = Inquiry,
                     1 = Pair { node: u64, rumor: u64 },
                 });"
             ),
-            "match{0=Inquiry; 1=Pair(node:u64 rumor:u64); 2=Extant(Arc)}"
+            "GossipMsg { 2 = Extant(Arc<ExtantSet>), 0 = Inquiry, 1 = Pair { node: u64, rumor: u64 } }"
         );
     }
 
     #[test]
-    fn generics_and_qualified_invocations_are_read() {
-        let found = declared(
-            "crate::wire_enum!(AeaMsg<V: JoinValue + Wire> { 0 = Rumor(V), 1 = Decision(V) });\n\
-             mod inner { wire_struct! { Pair<A: Wire, B: Wire> { a: A, b: B } } }",
-        );
+    fn bounds_and_qualified_invocations_are_read() {
         assert_eq!(
-            found,
+            declared(
+                "crate::wire_enum!(AeaMsg<V: JoinValue+Wire> { 0 = Rumor(V), 1 = Decision(V) });\n\
+                 mod inner { wire_struct! { Pair<A: Wire, B: Wire> { a: A, b: B } } }",
+            ),
             vec![
                 (
                     "AeaMsg".to_string(),
-                    vec!["V".to_string()],
-                    "match{0=Rumor(V); 1=Decision(V)}".to_string()
+                    "AeaMsg<V: JoinValue + Wire> { 0 = Rumor(V), 1 = Decision(V) }".to_string()
                 ),
                 (
                     "Pair".to_string(),
-                    vec!["A".to_string(), "B".to_string()],
-                    "a:A b:B".to_string()
+                    "Pair<A: Wire, B: Wire> { a: A, b: B }".to_string()
                 ),
             ]
         );
@@ -533,46 +510,50 @@ mod tests {
         assert_eq!(found.first().map(|d| d.name.as_str()), Some("Real"));
     }
 
-    #[test]
-    fn schema_json_round_trips() {
-        let schema = Schema {
-            wire_version: Some(3),
+    fn one_type(version: u64, decl: &str) -> Schema {
+        Schema {
+            wire_version: Some(version),
             types: vec![SchemaType {
                 name: "Outgoing".to_string(),
                 file: "crates/sim/src/shard/wire.rs".to_string(),
-                generics: vec!["M".to_string()],
-                ops: "to:NodeId msg:M".to_string(),
+                decl: decl.to_string(),
             }],
-        };
-        let parsed = Schema::parse(&schema.to_json()).expect("round trip");
+        }
+    }
+
+    #[test]
+    fn schema_json_round_trips_and_an_older_format_is_stale() {
+        let schema = one_type(3, "Outgoing<M: Wire> { to: NodeId, msg: M }");
+        let json = schema.to_json();
+        let parsed = Schema::parse(&json).expect("round trip");
         assert_eq!(parsed, schema);
         assert_eq!(compare(&schema, &parsed), SchemaStatus::Match);
+        let format_1 = json.replace("\"schema\": 2", "\"schema\": 1");
+        assert_ne!(format_1, json);
+        let old = Schema::parse(&format_1).expect("still JSON");
+        assert!(matches!(
+            compare(&schema, &old),
+            SchemaStatus::Stale {
+                committed: None,
+                ..
+            }
+        ));
     }
 
     #[test]
     fn compare_detects_stale_and_drift() {
-        let base = Schema {
-            wire_version: Some(1),
-            types: vec![SchemaType {
-                name: "Round".to_string(),
-                file: "w.rs".to_string(),
-                generics: Vec::new(),
-                ops: "u64".to_string(),
-            }],
-        };
-        let mut bumped = base.clone();
-        bumped.wire_version = Some(2);
+        let base = one_type(1, "Outgoing { to: Arc<A> }");
         assert!(matches!(
-            compare(&bumped, &base),
+            compare(&one_type(2, "Outgoing { to: Arc<A> }"), &base),
             SchemaStatus::Stale { .. }
         ));
-        let mut drifted = base.clone();
-        if let Some(ty) = drifted.types.first_mut() {
-            ty.ops = "len".to_string();
-        }
-        match compare(&drifted, &base) {
+        // A generic argument is part of the contract.
+        match compare(&one_type(1, "Outgoing { to: Arc<B> }"), &base) {
             SchemaStatus::Drift { details } => {
-                assert!(details.iter().any(|d| d.contains("Round")), "{details:?}");
+                assert!(
+                    details.iter().any(|d| d.contains("Outgoing")),
+                    "{details:?}"
+                );
             }
             other => panic!("expected drift, got {other:?}"),
         }

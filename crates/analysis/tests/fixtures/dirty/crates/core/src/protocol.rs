@@ -4,9 +4,9 @@
 
 use std::collections::{HashMap, HashSet};
 
-// layer-boundary: `dft_sim::pool` is the simulator's thread-pool internals;
+// layer-boundary: `dft_sim::parallel` is the simulator's chunk partition;
 // the core layer may only name the sim root, adversary and shard surfaces.
-use dft_sim::pool::WorkerPool;
+use dft_sim::parallel::ChunkPlan;
 
 pub struct State {
     pub votes: HashMap<usize, u64>,

@@ -1,6 +1,7 @@
-//! The committed schema records `seq:u64 ack:u16`; this declaration swapped
-//! the fields (both directions move together, so it still round-trips)
-//! without bumping `WIRE_VERSION` — an unversioned wire break.
+//! The committed schema records `Frame { seq: u64, ack: u16 }`; this
+//! declaration swapped the fields (both directions move together, so it
+//! still round-trips) without bumping `WIRE_VERSION` — an unversioned wire
+//! break.
 
 use crate::shard::wire_struct;
 

@@ -54,8 +54,8 @@ fn dirty_tree_trips_every_rule() {
         // the sans-I/O layer, so the boundary rule fires alongside the
         // thread-id rule.
         (core, "sans-io-boundary", 1),
-        // `use dft_sim::pool::WorkerPool`: the layer map lets core name the
-        // sim root, adversary and shard surfaces — not the pool internals.
+        // `use dft_sim::parallel::ChunkPlan`: the layer map lets core name
+        // the sim root, adversary and shard surfaces — not the partition.
         (core, "layer-boundary", 1),
         // `std::io` twice (use + return type), `std::net`, `std::thread`.
         (driver, "sans-io-boundary", 4),

@@ -1,10 +1,11 @@
 //! Golden tests for the wire-schema ratchet over the seeded fixture trees.
 //!
 //! `fixtures/schema/ok` matches its committed `WIRE_SCHEMA.json`;
-//! `fixtures/schema/drift-nobump` reordered a declaration's fields without
-//! bumping `WIRE_VERSION` and must be reported as drift;
-//! `fixtures/schema/handwritten` writes a composite codec by hand, which
-//! fails before any comparison.  Together they pin the three ways the
+//! `fixtures/schema/drift-nobump` reordered a declaration's fields and
+//! `fixtures/schema/drift-generic-arg` changed a payload type inside
+//! `Arc<…>`, both without bumping `WIRE_VERSION`, and must be reported as
+//! drift; `fixtures/schema/handwritten` writes a composite codec by hand,
+//! which fails before any comparison.  Together they pin the ways the
 //! ratchet can say no.
 
 use std::path::PathBuf;
@@ -39,24 +40,41 @@ fn ok_tree_matches_its_committed_schema() {
     );
 }
 
-#[test]
-fn reordered_fields_without_version_bump_are_drift() {
-    let extraction = extract_schema(&fixture("drift-nobump")).expect("extract drift tree");
-    // A reordered declaration is still a valid codec — only an
-    // unversioned change against the committed file.
+/// Extracts the fixture tree, which must be a valid set of codecs — only an
+/// unversioned change against its committed file — and returns the one
+/// drift detail the comparison reports.
+fn only_drift_detail(name: &str) -> String {
+    let extraction = extract_schema(&fixture(name)).expect("extract drift tree");
     assert!(
         extraction.problems.is_empty(),
-        "drift tree must extract cleanly: {:?}",
+        "{name} must extract cleanly: {:?}",
         extraction.problems
     );
-    match compare(&extraction.schema, &committed("drift-nobump")) {
-        SchemaStatus::Drift { details } => {
-            assert_eq!(details.len(), 1, "one reordered type: {details:?}");
-            let detail = details.first().expect("one drift detail");
-            assert!(detail.contains("Frame"), "detail names the type: {detail}");
+    match compare(&extraction.schema, &committed(name)) {
+        SchemaStatus::Drift { mut details } => {
+            assert_eq!(details.len(), 1, "one changed type: {details:?}");
+            details.pop().expect("one drift detail")
         }
-        other => panic!("expected drift, got {other:?}"),
+        other => panic!("{name}: expected drift, got {other:?}"),
     }
+}
+
+#[test]
+fn reordered_fields_without_version_bump_are_drift() {
+    let detail = only_drift_detail("drift-nobump");
+    assert!(detail.contains("Frame"), "detail names the type: {detail}");
+}
+
+/// The miss of the format-1 schema: it kept `Arc` and dropped what was
+/// inside, so this change read as a match.
+#[test]
+fn changed_generic_argument_without_version_bump_is_drift() {
+    let detail = only_drift_detail("drift-generic-arg");
+    assert!(detail.contains("Frame"), "detail names the type: {detail}");
+    assert!(
+        detail.contains("Arc<Words>") && detail.contains("Arc<Bits>"),
+        "detail shows both payload types: {detail}"
+    );
 }
 
 #[test]

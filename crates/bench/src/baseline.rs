@@ -4,18 +4,19 @@
 //! harness run: the sweep configuration (n, t, scale, jobs, seed, git
 //! revision), per-experiment wall-clock timings (first sample plus the
 //! IQR-trimmed summary when `--samples K > 1`) and the message/bit totals
-//! read out of each experiment's table.  The committed `BENCH_quick.json`
-//! and `BENCH_paper.json` are the first points of the repo's perf
-//! trajectory; CI regenerates them on every run and fails when an
+//! read out of each experiment's table.  CI reruns the committed
+//! `BENCH_quick.json` / `BENCH_paper.json` workloads and fails when an
 //! experiment regresses more than [`DEFAULT_REGRESSION_FACTOR`]× against
-//! the committed baseline (`--bench-compare`).
+//! them, or allocates a different number of times (`--bench-compare`).
 //!
-//! The build has no registry access and so no JSON crate: the JSON is
-//! written and read by this module itself.  The emitter prints one key per line; the
-//! reader only promises to parse what the emitter writes (plus arbitrary
-//! whitespace), which is all a self-produced baseline format needs.
+//! The build has no registry access and so no JSON crate: the emitter
+//! below prints a stable layout by hand, and the reader is the workspace's
+//! one JSON parser (`dft_analysis::json`), so any layout of the same
+//! document parses to the same report.
 
 use std::fmt::Write as _;
+
+use dft_analysis::json::{self, Json};
 
 /// Default regression gate: fail CI when an experiment's wall time grows
 /// beyond this factor of the committed baseline.  Wall clocks on shared CI
@@ -72,14 +73,15 @@ pub struct ExperimentBench {
     pub bits: Option<u64>,
     /// Heap allocations during the experiment's first sample (`--jobs 1`
     /// runs only, where a delta can be attributed; absent otherwise and in
-    /// older baselines).  Diagnostic only — never part of the regression
-    /// gate.
+    /// older baselines).  Gated exactly where the table has no rounds
+    /// column to divide by.
     pub allocs: Option<u64>,
     /// Bytes requested by those allocations.
     pub alloc_bytes: Option<u64>,
     /// Allocations of the last sample divided by the table's total round
-    /// count: the steady-state allocations-per-round signal the hot-path
-    /// ratchet (`dft-analyze hot`) exists to drive down.
+    /// count: the steady-state allocations-per-round signal.  The same
+    /// binary on the same workload reproduces it to the unit, so
+    /// [`BenchReport::regressions_in`] gates it exactly.
     pub allocs_per_round: Option<u64>,
 }
 
@@ -90,22 +92,8 @@ pub struct BenchReport {
     pub config: BenchConfig,
     /// Per-experiment measurements, in canonical E1–E11 order.
     pub experiments: Vec<ExperimentBench>,
-    /// What the run did about peers that failed: zero for `run_experiments`
-    /// (nothing there is recovered from) and absent in baselines captured
-    /// before the block existed (parsed as zero).  Not part of the
-    /// regression gate — it describes the run's fault history, not its
-    /// performance.
-    pub recovery: RecoveryTotals,
     /// Wall time of the whole harness run, seconds.
     pub total_wall_s: f64,
-}
-
-/// Run-wide recovery counters surfaced in `--bench-json`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RecoveryTotals {
-    /// Cluster peers marked suspected by `dft-node` runs feeding this
-    /// report (always zero for `run_experiments`).
-    pub suspected_peers: u64,
 }
 
 fn json_opt(value: Option<u64>) -> String {
@@ -113,8 +101,8 @@ fn json_opt(value: Option<u64>) -> String {
 }
 
 impl BenchReport {
-    /// Renders the report as JSON (one key per line; stable layout — the
-    /// parser below and any external tooling may rely on it).
+    /// Renders the report as JSON (one config key and one experiment per
+    /// line; a stable layout, so a recapture diffs line by line).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n  \"schema\": 1,\n  \"config\": {\n");
@@ -127,6 +115,7 @@ impl BenchReport {
         let _ = writeln!(out, "    \"samples\": {},", self.config.samples);
         let _ = writeln!(out, "    \"git_rev\": \"{}\"", self.config.git_rev);
         out.push_str("  },\n  \"experiments\": [\n");
+        let last = self.experiments.len().saturating_sub(1);
         for (i, exp) in self.experiments.iter().enumerate() {
             let _ = writeln!(
                 out,
@@ -143,136 +132,122 @@ impl BenchReport {
                 json_opt(exp.allocs),
                 json_opt(exp.alloc_bytes),
                 json_opt(exp.allocs_per_round),
-                if i + 1 < self.experiments.len() {
-                    ","
-                } else {
-                    ""
-                },
+                if i < last { "," } else { "" },
             );
         }
         out.push_str("  ],\n");
-        let _ = writeln!(
-            out,
-            "  \"recovery\": {{ \"suspected_peers\": {} }},",
-            self.recovery.suspected_peers,
-        );
         let _ = writeln!(out, "  \"total_wall_s\": {:.6}", self.total_wall_s);
         out.push_str("}\n");
         out
     }
 
-    /// Parses a report produced by [`BenchReport::to_json`].
+    /// Parses a report written by [`BenchReport::to_json`], in any layout.
+    /// Unknown keys are ignored and absent ones take their defaults, so
+    /// older and newer baselines keep parsing.
     ///
     /// # Errors
     ///
     /// Returns a description of the first malformed field.
     pub fn parse(text: &str) -> Result<BenchReport, String> {
-        let mut report = BenchReport::default();
-        let mut in_experiments = false;
-        for raw in text.lines() {
-            let line = raw.trim();
-            if line.starts_with("\"experiments\"") {
-                in_experiments = true;
-                continue;
-            }
-            if in_experiments && line.starts_with('{') {
-                report.experiments.push(parse_experiment(line)?);
-                continue;
-            }
-            if line.starts_with(']') {
-                in_experiments = false;
-                continue;
-            }
-            if let Some(value) = field(line, "scale") {
-                report.config.scale = unquote(value)?;
-            } else if let Some(value) = field(line, "n") {
-                report.config.n = parse_opt(value)?;
-            } else if let Some(value) = field(line, "t") {
-                report.config.t = parse_opt(value)?;
-            } else if let Some(value) = field(line, "seed") {
-                report.config.seed = parse_opt(value)?;
-            } else if let Some(value) = field(line, "jobs") {
-                report.config.jobs = parse_num(value)?;
-            } else if let Some(value) = field(line, "shards") {
-                report.config.shards = parse_num(value)?;
-            } else if let Some(value) = field(line, "samples") {
-                report.config.samples = parse_num(value)?;
-            } else if let Some(value) = field(line, "git_rev") {
-                report.config.git_rev = unquote(value)?;
-            } else if let Some(value) = field(line, "recovery") {
-                report.recovery = parse_recovery(value)?;
-            } else if let Some(value) = field(line, "total_wall_s") {
-                report.total_wall_s = parse_float(value)?;
-            }
-        }
+        let root = json::parse(text)?;
+        let config = root.get("config").ok_or("missing config")?;
+        let experiments = root.get("experiments").and_then(Json::as_arr);
+        let report = BenchReport {
+            config: BenchConfig {
+                scale: string(config, "scale"),
+                n: int(config, "n")?,
+                t: int(config, "t")?,
+                seed: int(config, "seed")?,
+                jobs: int(config, "jobs")?.unwrap_or(0),
+                shards: int(config, "shards")?.unwrap_or(0),
+                samples: int(config, "samples")?.unwrap_or(0),
+                git_rev: string(config, "git_rev"),
+            },
+            experiments: experiments
+                .unwrap_or(&[])
+                .iter()
+                .map(|exp| {
+                    Ok(ExperimentBench {
+                        id: string(exp, "id"),
+                        wall_s: num(exp, "wall_s")?.unwrap_or(0.0),
+                        trimmed_mean_s: num(exp, "trimmed_mean_s")?.unwrap_or(0.0),
+                        min_s: num(exp, "min_s")?.unwrap_or(0.0),
+                        max_s: num(exp, "max_s")?.unwrap_or(0.0),
+                        messages: int(exp, "messages")?,
+                        bits: int(exp, "bits")?,
+                        allocs: int(exp, "allocs")?,
+                        alloc_bytes: int(exp, "alloc_bytes")?,
+                        allocs_per_round: int(exp, "allocs_per_round")?,
+                    })
+                })
+                .collect::<Result<_, String>>()?,
+            total_wall_s: num(&root, "total_wall_s")?.unwrap_or(0.0),
+        };
         if report.config.scale.is_empty() {
             return Err("missing config.scale".to_string());
+        }
+        if report.experiments.iter().any(|exp| exp.id.is_empty()) {
+            return Err("experiment entry without id".to_string());
         }
         Ok(report)
     }
 
-    /// Compares `current` against this baseline: every experiment whose
-    /// trimmed-mean wall time exceeds `factor ×` the baseline's is reported
-    /// as a regression line.
+    /// Compares `current` against this baseline.  Reported as regression
+    /// lines: every experiment whose trimmed-mean wall time exceeds
+    /// `factor ×` the baseline's, and every experiment whose allocations
+    /// per round (its allocations, where the table has no rounds column)
+    /// differ from the baseline's **at all**, in either direction.  The
+    /// counts have no tolerance because they have no noise: one binary on
+    /// one workload allocates the same number of times on every run.  A
+    /// baseline without counts (an older capture) skips that half.
     ///
     /// # Errors
     ///
     /// Returns an error when the two reports were captured under different
-    /// workloads (scale / n / t / seed) — comparing those wall times would
-    /// be meaningless — **or when their experiment sets differ**: a run
-    /// that drops an experiment present in the baseline (or a baseline
-    /// missing a newly added one) is a broken wiring, not a pass.
-    /// Comparing only the intersection used to let a silently-skipped
-    /// experiment sail through the perf gate.
+    /// workloads (scale / n / t / seed / shards), when the baseline carries
+    /// allocation counts and the run has none (they are only taken at
+    /// `--jobs 1`), **or when their experiment sets differ**: a run that
+    /// drops a baseline experiment, or a baseline missing a newly added
+    /// one, is a broken wiring, not a pass.
     pub fn regressions_in(
         &self,
         current: &BenchReport,
         factor: f64,
     ) -> Result<Vec<String>, String> {
-        let same_workload = self.config.scale == current.config.scale
-            && self.config.n == current.config.n
-            && self.config.t == current.config.t
-            && self.config.seed == current.config.seed;
-        if !same_workload {
+        let workload = |c: &BenchConfig| {
+            format!(
+                "scale {}, n {:?}, t {:?}, seed {:?}, shards {}",
+                c.scale, c.n, c.t, c.seed, c.shards
+            )
+        };
+        let (base, now) = (workload(&self.config), workload(&current.config));
+        if base != now {
             return Err(format!(
-                "baseline workload (scale {}, n {:?}, t {:?}, seed {:?}) does not match the \
-                 current run (scale {}, n {:?}, t {:?}, seed {:?})",
-                self.config.scale,
-                self.config.n,
-                self.config.t,
-                self.config.seed,
-                current.config.scale,
-                current.config.n,
-                current.config.t,
-                current.config.seed,
+                "baseline workload ({base}) does not match the current run ({now})"
             ));
         }
-        let baseline_ids: Vec<&str> = self.experiments.iter().map(|e| e.id.as_str()).collect();
-        let current_ids: Vec<&str> = current.experiments.iter().map(|e| e.id.as_str()).collect();
-        let dropped: Vec<&str> = baseline_ids
-            .iter()
-            .filter(|id| !current_ids.contains(id))
-            .copied()
-            .collect();
-        let unexpected: Vec<&str> = current_ids
-            .iter()
-            .filter(|id| !baseline_ids.contains(id))
-            .copied()
-            .collect();
-        if !dropped.is_empty() || !unexpected.is_empty() {
-            let mut parts = Vec::new();
-            if !dropped.is_empty() {
-                parts.push(format!(
-                    "the current run is missing baseline experiment(s) {}",
-                    dropped.join(", ")
-                ));
-            }
-            if !unexpected.is_empty() {
-                parts.push(format!(
-                    "the baseline has no entry for experiment(s) {} — recapture it",
-                    unexpected.join(", ")
-                ));
-            }
+        // The ids of `a`'s experiments that `b` lacks.
+        let only_in = |a: &BenchReport, b: &BenchReport| -> Vec<String> {
+            let ids = a.experiments.iter().map(|e| e.id.clone());
+            ids.filter(|id| b.experiments.iter().all(|e| e.id != *id))
+                .collect()
+        };
+        let mut parts = Vec::new();
+        let dropped = only_in(self, current);
+        if !dropped.is_empty() {
+            parts.push(format!(
+                "the current run is missing baseline experiment(s) {}",
+                dropped.join(", ")
+            ));
+        }
+        let unexpected = only_in(current, self);
+        if !unexpected.is_empty() {
+            parts.push(format!(
+                "the baseline has no entry for experiment(s) {} — recapture it",
+                unexpected.join(", ")
+            ));
+        }
+        if !parts.is_empty() {
             return Err(parts.join("; "));
         }
         let mut regressions = Vec::new();
@@ -282,10 +257,27 @@ impl BenchReport {
                 .iter()
                 .find(|e| e.id == base.id)
                 .expect("experiment sets verified equal");
-            if base.trimmed_mean_s < GATE_FLOOR_S {
-                continue;
+            let (unit, was, is) = match base.allocs_per_round {
+                Some(_) => ("allocs/round", base.allocs_per_round, now.allocs_per_round),
+                None => ("allocs", base.allocs, now.allocs),
+            };
+            match (was, is) {
+                (Some(was), Some(is)) if was != is => regressions.push(format!(
+                    "{}: {is} {unit} vs baseline {was} — the count is exact: find what \
+                     changed the allocations, or recapture the baseline if the change is meant",
+                    base.id,
+                )),
+                (Some(_), None) => {
+                    return Err(format!(
+                        "the baseline has allocation counts for {} and the current run has \
+                         none — they are only taken at --jobs 1",
+                        base.id,
+                    ))
+                }
+                _ => {}
             }
-            if now.trimmed_mean_s > factor * base.trimmed_mean_s {
+            let gated = base.trimmed_mean_s >= GATE_FLOOR_S;
+            if gated && now.trimmed_mean_s > factor * base.trimmed_mean_s {
                 regressions.push(format!(
                     "{}: {:.3}s vs baseline {:.3}s (> {factor:.1}x)",
                     base.id, now.trimmed_mean_s, base.trimmed_mean_s,
@@ -296,91 +288,35 @@ impl BenchReport {
     }
 }
 
-/// Extracts the raw value of `"key": value[,]` from a line, if it is one.
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let rest = line.strip_prefix(&format!("\"{key}\":"))?;
-    Some(rest.trim().trim_end_matches(','))
+/// `obj[key]` as a string; empty when absent.
+fn string(obj: &Json, key: &str) -> String {
+    let value = obj.get(key).and_then(Json::as_str);
+    value.unwrap_or_default().to_string()
 }
 
-fn unquote(value: &str) -> Result<String, String> {
-    value
-        .strip_prefix('"')
-        .and_then(|v| v.strip_suffix('"'))
-        .map(str::to_string)
-        .ok_or_else(|| format!("expected quoted string, got {value:?}"))
-}
-
-fn parse_num(value: &str) -> Result<u64, String> {
-    value
-        .parse()
-        .map_err(|_| format!("expected integer, got {value:?}"))
-}
-
-fn parse_float(value: &str) -> Result<f64, String> {
-    value
-        .parse()
-        .map_err(|_| format!("expected number, got {value:?}"))
-}
-
-fn parse_opt(value: &str) -> Result<Option<u64>, String> {
-    if value == "null" {
-        Ok(None)
-    } else {
-        parse_num(value).map(Some)
+/// `obj[key]` as a number; `None` when absent or `null`.
+fn num(obj: &Json, key: &str) -> Result<Option<f64>, String> {
+    match obj.get(key) {
+        None | Some(Json::Null) => Ok(None),
+        Some(value) => match value.as_f64() {
+            Some(n) => Ok(Some(n)),
+            None => Err(format!("`{key}`: expected a number, got {value:?}")),
+        },
     }
 }
 
-/// Parses the one-line `{ "suspected_peers": 0 }` recovery object; keys it
-/// does not know (older files carry the retired shard-recovery counters)
-/// are skipped.
-fn parse_recovery(value: &str) -> Result<RecoveryTotals, String> {
-    let body = value.trim_start_matches('{').trim_end_matches('}');
-    let mut totals = RecoveryTotals::default();
-    for part in body.split(", ") {
-        if let Some(value) = field(part.trim(), "suspected_peers") {
-            totals.suspected_peers = parse_num(value)?;
+/// `obj[key]` as a non-negative integer.  The parser holds numbers as
+/// `f64`, which stops holding every integer at 2^53: from there on the text
+/// may have been rounded on the way in, and a count that may be off by one
+/// is an error here, not a value.
+fn int(obj: &Json, key: &str) -> Result<Option<u64>, String> {
+    const EXACT_BELOW: f64 = 9_007_199_254_740_992.0;
+    match num(obj, key)? {
+        Some(n) if n < 0.0 || n.fract() != 0.0 || n >= EXACT_BELOW => {
+            Err(format!("`{key}`: expected an integer below 2^53, got {n}"))
         }
+        n => Ok(n.map(|n| n as u64)),
     }
-    Ok(totals)
-}
-
-/// Parses one `{ "id": "E1", ... }` experiment line.
-fn parse_experiment(line: &str) -> Result<ExperimentBench, String> {
-    let body = line
-        .trim_start_matches('{')
-        .trim_end_matches(',')
-        .trim_end_matches('}');
-    let mut exp = ExperimentBench::default();
-    for part in body.split(", ") {
-        let part = part.trim().trim_matches(|c| c == '{' || c == '}').trim();
-        if let Some(value) = field(part, "id") {
-            exp.id = unquote(value)?;
-        } else if let Some(value) = field(part, "wall_s") {
-            exp.wall_s = parse_float(value)?;
-        } else if let Some(value) = field(part, "trimmed_mean_s") {
-            exp.trimmed_mean_s = parse_float(value)?;
-        } else if let Some(value) = field(part, "min_s") {
-            exp.min_s = parse_float(value)?;
-        } else if let Some(value) = field(part, "max_s") {
-            exp.max_s = parse_float(value)?;
-        } else if let Some(value) = field(part, "messages") {
-            exp.messages = parse_opt(value)?;
-        } else if let Some(value) = field(part, "bits") {
-            exp.bits = parse_opt(value)?;
-        } else if let Some(value) = field(part, "allocs") {
-            exp.allocs = parse_opt(value)?;
-        } else if let Some(value) = field(part, "alloc_bytes") {
-            exp.alloc_bytes = parse_opt(value)?;
-        } else if let Some(value) = field(part, "allocs_per_round") {
-            exp.allocs_per_round = parse_opt(value)?;
-        }
-        // Unknown keys fall through untouched: older binaries reading newer
-        // baselines (and vice versa) must keep parsing.
-    }
-    if exp.id.is_empty() {
-        return Err(format!("experiment entry without id: {line:?}"));
-    }
-    Ok(exp)
 }
 
 /// The git revision of the working tree, or `unknown`.
@@ -431,16 +367,15 @@ mod tests {
                     trimmed_mean_s: 0.015,
                     min_s: 0.015,
                     max_s: 0.015,
-                    messages: None,
-                    bits: None,
-                    allocs: None,
-                    alloc_bytes: None,
-                    allocs_per_round: None,
+                    ..ExperimentBench::default()
                 },
             ],
-            recovery: RecoveryTotals::default(),
             total_wall_s: 0.25,
         }
+    }
+
+    fn gate(baseline: &BenchReport, current: &BenchReport) -> Result<Vec<String>, String> {
+        baseline.regressions_in(current, DEFAULT_REGRESSION_FACTOR)
     }
 
     #[test]
@@ -468,15 +403,10 @@ mod tests {
         let mut current = sample();
         // 1.9x: within the 2x budget.
         current.experiments[0].trimmed_mean_s = 0.120 * 1.9;
-        assert!(baseline
-            .regressions_in(&current, DEFAULT_REGRESSION_FACTOR)
-            .unwrap()
-            .is_empty());
+        assert!(gate(&baseline, &current).unwrap().is_empty());
         // 2.1x: regression.
         current.experiments[0].trimmed_mean_s = 0.120 * 2.1;
-        let regressions = baseline
-            .regressions_in(&current, DEFAULT_REGRESSION_FACTOR)
-            .unwrap();
+        let regressions = gate(&baseline, &current).unwrap();
         assert_eq!(regressions.len(), 1);
         assert!(regressions[0].starts_with("E1:"));
     }
@@ -487,34 +417,22 @@ mod tests {
         baseline.experiments[1].trimmed_mean_s = GATE_FLOOR_S * 0.9;
         let mut current = sample();
         current.experiments[1].trimmed_mean_s = 0.9; // 100x but meaningless
-        assert!(baseline
-            .regressions_in(&current, DEFAULT_REGRESSION_FACTOR)
-            .unwrap()
-            .is_empty());
+        assert!(gate(&baseline, &current).unwrap().is_empty());
         // At the floor the gate engages.
         baseline.experiments[1].trimmed_mean_s = GATE_FLOOR_S;
-        assert_eq!(
-            baseline
-                .regressions_in(&current, DEFAULT_REGRESSION_FACTOR)
-                .unwrap()
-                .len(),
-            1
-        );
+        assert_eq!(gate(&baseline, &current).unwrap().len(), 1);
     }
 
-    /// Regression test for the intersection bug: a current run that
-    /// *drops* a baseline experiment (or adds one the baseline has never
-    /// seen) must fail the comparison with a clear message — it used to
-    /// pass silently because only the intersection was compared.
+    /// A current run that *drops* a baseline experiment (or adds one the
+    /// baseline has never seen) must fail the comparison with a clear
+    /// message, not pass on the intersection.
     #[test]
     fn regression_gate_rejects_mismatched_experiment_sets() {
         let baseline = sample();
         // Current run dropped E11 entirely (e.g. a broken catalogue).
         let mut current = sample();
         current.experiments.retain(|e| e.id != "E11");
-        let err = baseline
-            .regressions_in(&current, DEFAULT_REGRESSION_FACTOR)
-            .unwrap_err();
+        let err = gate(&baseline, &current).unwrap_err();
         assert!(err.contains("missing baseline experiment(s) E11"), "{err}");
         // Current run grew an experiment the committed baseline predates.
         let mut current = sample();
@@ -522,9 +440,7 @@ mod tests {
             id: "E12".to_string(),
             ..ExperimentBench::default()
         });
-        let err = baseline
-            .regressions_in(&current, DEFAULT_REGRESSION_FACTOR)
-            .unwrap_err();
+        let err = gate(&baseline, &current).unwrap_err();
         assert!(err.contains("no entry for experiment(s) E12"), "{err}");
         assert!(err.contains("recapture"), "{err}");
     }
@@ -544,33 +460,6 @@ mod tests {
             .join("\n");
         let parsed = BenchReport::parse(&legacy).unwrap();
         assert_eq!(parsed.config.shards, 0, "absent field defaults");
-    }
-
-    #[test]
-    fn recovery_totals_round_trip_and_default_for_old_baselines() {
-        let mut report = sample();
-        report.recovery = RecoveryTotals { suspected_peers: 2 };
-        let json = report.to_json();
-        assert!(json.contains("\"recovery\": { \"suspected_peers\": 2 },"));
-        let parsed = BenchReport::parse(&json).unwrap();
-        assert_eq!(parsed.recovery, report.recovery);
-        // A file written while the shard-recovery counters existed still
-        // loads: the three retired keys are skipped.
-        let older = json.replace(
-            "{ \"suspected_peers\"",
-            "{ \"respawns\": 3, \"fallbacks\": 1, \"replayed_rounds\": 42, \"suspected_peers\"",
-        );
-        assert_ne!(older, json);
-        let parsed = BenchReport::parse(&older).unwrap();
-        assert_eq!(parsed.recovery, report.recovery);
-        // A baseline captured before the recovery layer has no such line.
-        let legacy = json
-            .lines()
-            .filter(|line| !line.contains("\"recovery\""))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let parsed = BenchReport::parse(&legacy).unwrap();
-        assert_eq!(parsed.recovery, RecoveryTotals::default());
     }
 
     #[test]
@@ -599,6 +488,67 @@ mod tests {
         assert_eq!(parsed.experiments[0].allocs, None);
         assert_eq!(parsed.experiments[0].messages, Some(123_456));
         assert_eq!(parsed.experiments[0].wall_s, 0.125);
+        // … and the allocation half of the gate is skipped for it.
+        let mut current = report.clone();
+        current.experiments[0].allocs_per_round = Some(13);
+        assert_eq!(gate(&parsed, &current), Ok(Vec::new()));
+    }
+
+    /// The counts are exact, so one allocation per round more *or fewer*
+    /// is reported, with both numbers; E11's table has no rounds column, so
+    /// its total is what is compared (E1's total moves too, and is not).
+    #[test]
+    fn allocation_gate_is_exact_in_both_directions() {
+        let mut baseline = sample();
+        baseline.experiments[1].allocs = Some(2_171);
+        assert_eq!(gate(&baseline, &baseline), Ok(Vec::new()));
+        for (exp, per_round, allocs, line) in [
+            (0, Some(13), 1, "E1: 13 allocs/round vs baseline 12"),
+            (0, Some(11), 1, "E1: 11 allocs/round vs baseline 12"),
+            (1, None, 2_172, "E11: 2172 allocs vs baseline 2171"),
+        ] {
+            let mut current = baseline.clone();
+            current.experiments[exp].allocs_per_round = per_round;
+            current.experiments[exp].allocs = Some(allocs);
+            let regressions = gate(&baseline, &current).unwrap();
+            assert_eq!(regressions.len(), 1, "{regressions:?}");
+            assert!(regressions[0].starts_with(line), "{regressions:?}");
+            assert!(regressions[0].contains("recapture"), "{regressions:?}");
+        }
+    }
+
+    /// A `--jobs 4` run has no counts; against a baseline that has them
+    /// that is a comparison that cannot be made, not a pass.
+    #[test]
+    fn allocation_gate_rejects_a_run_without_counts() {
+        let baseline = sample();
+        let mut current = sample();
+        for exp in &mut current.experiments {
+            (exp.allocs, exp.alloc_bytes, exp.allocs_per_round) = (None, None, None);
+        }
+        let err = gate(&baseline, &current).unwrap_err();
+        assert!(err.contains("E1") && err.contains("--jobs 1"), "{err}");
+    }
+
+    /// The one layout the line scanner read is not the only one: the
+    /// committed quick baseline, one key per line, is the same report.
+    #[test]
+    fn committed_baseline_parses_in_any_layout() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_quick.json");
+        let committed = std::fs::read_to_string(path).expect("read BENCH_quick.json");
+        let report = BenchReport::parse(&committed).unwrap();
+        assert_eq!(report.experiments.len(), 11);
+        assert_eq!(report.experiments[4].allocs_per_round, Some(41));
+        let pretty = committed
+            .replace("{ ", "{\n")
+            .replace(" }", "\n}")
+            .replace(", ", ",\n");
+        assert!(pretty.lines().count() > 100, "one key per line");
+        assert_eq!(BenchReport::parse(&pretty).unwrap(), report);
+        assert_eq!(report.to_json(), committed, "the emitter's own layout");
+        // An integer the parser's `f64` cannot hold exactly is refused.
+        let huge = committed.replace("\"allocs\": 93209,", "\"allocs\": 9007199254740993,");
+        assert!(BenchReport::parse(&huge).unwrap_err().contains("allocs"));
     }
 
     #[test]
@@ -606,9 +556,16 @@ mod tests {
         let baseline = sample();
         let mut current = sample();
         current.config.n = Some(4000);
-        assert!(baseline
-            .regressions_in(&current, DEFAULT_REGRESSION_FACTOR)
-            .is_err());
+        assert!(gate(&baseline, &current).is_err());
+        // A sharded run allocates for its workers and its frames: not the
+        // serial baseline's workload.
+        let mut current = sample();
+        current.config.shards = 2;
+        let err = gate(&baseline, &current).unwrap_err();
+        assert!(
+            err.contains("shards 1") && err.contains("shards 2"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -43,24 +43,29 @@
 //!   (`--jobs 1`) an `[alloc] Ek: … allocs, … bytes, … allocs/round` line
 //!   follows: heap allocations and bytes of the first sample, plus the last
 //!   sample's allocations divided by the table's total round count — the
-//!   steady-state signal the `dft-analyze hot` ratchet drives down.  The
-//!   counters are process-global, so concurrent experiments could not be
-//!   attributed, and under `--shards` they include the shard workers' and
-//!   the codec's allocations (the workers are threads of this process).  A
-//!   `--shards` run also ends with `[wire] TAG: … frames, … bytes` lines,
-//!   the coordinator's traffic per shard frame tag;
+//!   steady-state signal, exact from run to run, that `--bench-compare`
+//!   gates.  The counters are process-global, so concurrent experiments
+//!   could not be attributed, and under `--shards` they include the shard
+//!   workers' and the codec's allocations (the workers are threads of this
+//!   process).  A `--shards` run also ends with `[wire] TAG: … frames, …
+//!   bytes` lines, the coordinator's traffic per shard frame tag;
 //! * `--bench-json PATH` writes the machine-readable perf baseline
 //!   (`dft_bench::baseline::BenchReport`): per-experiment wall / trimmed
 //!   timings, message and bit totals, the allocation counts above when
-//!   the run was `--jobs 1` (`null` otherwise; diagnostic, never gated), and
-//!   the run configuration including the git revision;
+//!   the run was `--jobs 1` (`null` otherwise), and the run configuration
+//!   including the git revision;
 //! * `--bench-compare BASELINE` loads a committed baseline JSON and exits
 //!   non-zero if any experiment's trimmed-mean wall time regressed more
 //!   than 2× against the baseline's (with one sample the trimmed mean *is*
 //!   the single wall sample, so compare with the same `--samples` the
 //!   baseline was captured with; baselines under the 10 ms noise floor are
-//!   never gated; comparing against a baseline captured under a different
-//!   workload is an error, not a pass);
+//!   never gated), or if its allocations per round — its allocations,
+//!   where the table has no rounds column — differ from the baseline's at
+//!   all: the counts repeat exactly, so there is no tolerance, and the
+//!   cure is to fix the allocation or recapture.  Comparing against a
+//!   baseline captured under a different workload (`--shards` included),
+//!   or one that has counts against a run without them (`--jobs` above 1),
+//!   is an error, not a pass;
 //! * `--diag-json PATH` additionally writes every buffered stderr
 //!   diagnostic as one JSON object per line (`tool` / `level` /
 //!   `experiment` / `message`), in the same canonical E1–E11 flush order as
@@ -79,7 +84,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use dft_bench::baseline::{self, BenchConfig, BenchReport, ExperimentBench, RecoveryTotals};
+use dft_bench::baseline::{self, BenchConfig, BenchReport, ExperimentBench};
 use dft_bench::experiments::{experiment_catalog, Scale, SweepConfig};
 use dft_bench::stats::{format_summary, summarize};
 use dft_bench::Table;
@@ -318,7 +323,6 @@ fn bench_report(
             git_rev: baseline::git_revision(),
         },
         experiments,
-        recovery: RecoveryTotals::default(),
         total_wall_s: total_wall.as_secs_f64(),
     }
 }
@@ -510,14 +514,15 @@ fn main() -> ExitCode {
         match committed.regressions_in(&report, baseline::DEFAULT_REGRESSION_FACTOR) {
             Ok(regressions) if regressions.is_empty() => {
                 eprintln!(
-                    "run_experiments: no regressions > {:.1}x against {path} (rev {})",
+                    "run_experiments: no regressions > {:.1}x and no allocation count moved \
+                     against {path} (rev {})",
                     baseline::DEFAULT_REGRESSION_FACTOR,
                     committed.config.git_rev,
                 );
             }
             Ok(regressions) => {
                 for line in &regressions {
-                    eprintln!("run_experiments: perf regression: {line}");
+                    eprintln!("run_experiments: regression: {line}");
                 }
                 return ExitCode::FAILURE;
             }

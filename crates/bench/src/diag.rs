@@ -9,7 +9,6 @@
 //! E1–E11 order.  Outside a capture — library users calling `measure_*` or
 //! `experiment_*` directly — [`warn`] degrades to plain stderr, so no
 //! diagnostic is ever silently dropped.
-
 //!
 //! For machine consumers, [`json_line`] renders a diagnostic in the
 //! workspace's shared object-per-line idiom (`tool` / `level` / `message`
@@ -17,6 +16,8 @@
 //! both tools' output (`run_experiments --diag-json`).
 
 use std::cell::RefCell;
+
+use dft_analysis::json::escape;
 
 thread_local! {
     static CAPTURE: RefCell<Option<Vec<String>>> = const { RefCell::new(None) };
@@ -36,26 +37,6 @@ pub fn json_line(tool: &str, level: &str, experiment: &str, message: &str) -> St
         escape(experiment),
         escape(message)
     )
-}
-
-/// JSON string escaping: quotes, backslashes and control characters.
-/// Non-ASCII passes through (the output is UTF-8).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Reports a diagnostic line: buffered when the calling thread is inside

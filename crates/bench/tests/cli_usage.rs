@@ -9,6 +9,8 @@
 
 use std::process::{Command, Output};
 
+use dft_bench::baseline::{BenchReport, ExperimentBench};
+
 fn run(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_run_experiments"))
         .args(args)
@@ -142,6 +144,62 @@ fn tables_are_byte_identical_across_jobs() {
     let serial = tables("1");
     assert_eq!(serial.matches("\n== E").count(), 11, "every table printed");
     assert_eq!(serial, tables("3"), "--jobs 3 against --jobs 1");
+}
+
+/// The allocation half of `--bench-compare`, end to end with the built
+/// binary: a second run reproduces the first run's counts to the unit
+/// (exit 0), and a baseline that expects one allocation per round fewer in
+/// E5 fails naming E5.  The baseline is this binary's own capture because
+/// the counts belong to a build profile — a debug build's `debug_assert`
+/// re-verifications allocate (E8) — and a release build must besides
+/// reproduce the committed `BENCH_quick.json`, as CI's gate step demands.
+/// Timings are made generous so only counts can fail, and the counts do
+/// not depend on `--samples`.
+#[test]
+fn bench_compare_gates_allocation_counts_exactly() {
+    let tmp = |name: &str| {
+        let path = std::env::temp_dir().join(format!("{name}_{}.json", std::process::id()));
+        path.to_str().expect("utf-8 temp path").to_string()
+    };
+    let quick = ["--scale", "quick", "--jobs", "1", "--samples", "1"];
+    let captured = tmp("bench_capture");
+    let output = run(&[&quick[..], &["--bench-json", &captured]].concat());
+    assert_eq!(output.status.code(), Some(0));
+    let text = std::fs::read_to_string(&captured).expect("capture written");
+    std::fs::remove_file(&captured).ok();
+    let mut report = BenchReport::parse(&text).expect("parse capture");
+    for exp in &mut report.experiments {
+        exp.trimmed_mean_s = 9.0;
+    }
+    if !cfg!(debug_assertions) {
+        let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_quick.json");
+        let committed = std::fs::read_to_string(committed).expect("read BENCH_quick.json");
+        let committed = BenchReport::parse(&committed).expect("parse BENCH_quick.json");
+        let counts = |r: &BenchReport| -> Vec<_> {
+            let of = |e: &ExperimentBench| (e.allocs, e.alloc_bytes, e.allocs_per_round);
+            r.experiments.iter().map(of).collect()
+        };
+        assert_eq!(counts(&report), counts(&committed), "recapture, or fix");
+    }
+    let compare = |baseline: &BenchReport| {
+        let path = tmp("bench_baseline");
+        std::fs::write(&path, baseline.to_json()).expect("write baseline");
+        let output = run(&[&quick[..], &["--bench-compare", &path]].concat());
+        std::fs::remove_file(&path).ok();
+        let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+        (output.status.code(), stderr)
+    };
+    let (code, stderr) = compare(&report);
+    assert_eq!(code, Some(0), "a rerun must reproduce the counts: {stderr}");
+    let e5 = &mut report.experiments[4];
+    let per_round = e5.allocs_per_round.expect("E5 has a rounds column");
+    e5.allocs_per_round = Some(per_round - 1);
+    let (code, stderr) = compare(&report);
+    assert_eq!(code, Some(1), "{stderr}");
+    let expected = format!("E5: {per_round} allocs/round vs baseline {}", per_round - 1);
+    let regressions: Vec<&str> = stderr.lines().filter(|l| l.contains(" vs ")).collect();
+    assert_eq!(regressions.len(), 1, "{stderr}");
+    assert!(regressions[0].contains(&expected), "{stderr}");
 }
 
 #[test]

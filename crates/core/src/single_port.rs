@@ -29,8 +29,8 @@ use crate::values::JoinValue;
 
 /// A static communication plan: how a multi-port protocol's rounds map onto
 /// single-port slots.  (`Send + 'static` so adapted protocols satisfy the
-/// simulator's threading bounds, including the persistent worker pool's
-/// `'static` threads; plans are plain owned data.)
+/// simulator's threading bounds: a sharded execution moves each chunk's
+/// nodes onto a `'static` worker thread; plans are plain owned data.)
 pub trait PortPlan: Clone + Send + 'static {
     /// Number of send slots (= number of poll slots) allotted to multi-port
     /// round `mp_round`.  Must be at least 1 and identical at every node.

@@ -10,8 +10,9 @@
 /// generic over this trait lets one implementation serve both the scalar and
 /// the vectorised ("combined message") cases.
 /// (`Send + Sync + 'static` so protocols generic over a join value satisfy
-/// the simulator's threading bounds, including the persistent worker pool's
-/// `'static` threads; every value type here is plain owned data.)
+/// the simulator's threading bounds: a sharded execution moves each chunk's
+/// nodes onto a `'static` worker thread; every value type here is plain
+/// owned data.)
 pub trait JoinValue: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static {
     /// Joins `other` into `self`; returns `true` if `self` changed.
     fn join_in_place(&mut self, other: &Self) -> bool;

@@ -60,7 +60,6 @@ use std::process::{Command, ExitCode, Stdio};
 use std::time::{Duration, Instant};
 
 use dft_baselines::FloodingConsensus;
-use dft_bench::baseline::{self, BenchConfig, BenchReport, ExperimentBench, RecoveryTotals};
 use dft_bench::{Table, Workload};
 use dft_sim::shard::{
     frame, from_bytes, open_frame, to_bytes, ShardTransport, StreamTransport, Wire, WireReader,
@@ -92,7 +91,7 @@ type Schedule = Vec<(Round, usize, DeliveryFilter)>;
 
 const USAGE: &str = "\
 usage: dft-node --cluster N [--t T] [--crashes C] [--seed S] [--kill NODE@ROUND]
-                [--out PATH] [--serial-out PATH] [--bench-json PATH]
+                [--out PATH] [--serial-out PATH]
        dft-node --me ID --peers ADDR,ADDR,... --t T --seed S [--schedule HEX]
                 [--die-at ROUND]
 
@@ -106,7 +105,6 @@ cluster mode (launcher):
                      (needs crash budget: crashes + 1 <= t)
   --out PATH         also write the cluster decision table to PATH
   --serial-out PATH  also write the serial decision table to PATH
-  --bench-json PATH  write socket-cluster timings in the BENCH_*.json schema
 
 node mode (one process per node; normally spawned by the launcher):
   --me ID            this node's index into --peers
@@ -140,7 +138,6 @@ struct ClusterArgs {
     kill: Option<(usize, u64)>,
     out: Option<String>,
     serial_out: Option<String>,
-    bench_json: Option<String>,
 }
 
 struct WorkerArgs {
@@ -204,7 +201,6 @@ fn parse_args(args: Vec<String>) -> Result<Mode, String> {
     let mut die_at: Option<u64> = None;
     let mut out = None;
     let mut serial_out = None;
-    let mut bench_json = None;
 
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
@@ -220,7 +216,6 @@ fn parse_args(args: Vec<String>) -> Result<Mode, String> {
             "--die-at" => die_at = Some(parse_count("--die-at", it.next())? as u64),
             "--out" => out = Some(parse_path("--out", it.next())?),
             "--serial-out" => serial_out = Some(parse_path("--serial-out", it.next())?),
-            "--bench-json" => bench_json = Some(parse_path("--bench-json", it.next())?),
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -266,7 +261,6 @@ fn parse_args(args: Vec<String>) -> Result<Mode, String> {
                 kill,
                 out,
                 serial_out,
-                bench_json,
             }))
         }
         (None, Some(me)) => {
@@ -1029,7 +1023,6 @@ fn run_cluster(args: &ClusterArgs) -> Result<ExitCode, String> {
         usize::from(base) + args.n - 1,
         schedule.len()
     );
-    let started = Instant::now();
     let mut children = Vec::new();
     for i in 0..args.n {
         let mut command = Command::new(&exe);
@@ -1070,7 +1063,6 @@ fn run_cluster(args: &ClusterArgs) -> Result<ExitCode, String> {
             &String::from_utf8_lossy(&output.stdout),
         )?);
     }
-    let wall = started.elapsed();
 
     let mut crashed_at: Vec<Option<u64>> = (0..args.n)
         .map(|i| {
@@ -1114,39 +1106,6 @@ fn run_cluster(args: &ClusterArgs) -> Result<ExitCode, String> {
     if let Some(path) = &args.serial_out {
         write_table(path, &serial_table)?;
     }
-    if let Some(path) = &args.bench_json {
-        let wall_s = wall.as_secs_f64();
-        let report = BenchReport {
-            config: BenchConfig {
-                scale: "cluster".to_string(),
-                n: Some(args.n as u64),
-                t: Some(args.t as u64),
-                seed: Some(args.seed),
-                jobs: 1,
-                shards: args.n as u64,
-                samples: 1,
-                git_rev: baseline::git_revision(),
-            },
-            experiments: vec![ExperimentBench {
-                id: "EC1 cluster_flooding".to_string(),
-                wall_s,
-                trimmed_mean_s: wall_s,
-                min_s: wall_s,
-                max_s: wall_s,
-                messages: Some(cluster.messages),
-                bits: Some(cluster.bits),
-                allocs: None,
-                alloc_bytes: None,
-                allocs_per_round: None,
-            }],
-            recovery: RecoveryTotals {
-                suspected_peers: total_suspected,
-            },
-            total_wall_s: wall_s,
-        };
-        std::fs::write(path, report.to_json()).map_err(|err| format!("write {path}: {err}"))?;
-    }
-
     print!("{cluster_table}");
     if cluster_table == serial_table {
         println!("cluster and serial decision tables are byte-identical");

@@ -38,6 +38,8 @@ fn missing_or_conflicting_modes_are_usage_errors() {
     assert_usage_error(&[]);
     assert_usage_error(&["--cluster", "5", "--me", "0"]);
     assert_usage_error(&["--frobnicate"]);
+    // `--bench-json` is `run_experiments`'s flag; the launcher has none.
+    assert_usage_error(&["--cluster", "5", "--bench-json", "out.json"]);
     assert_usage_error(&["--seed", "abc", "--cluster", "5"]);
 }
 
@@ -121,6 +123,5 @@ fn missing_values_are_usage_errors() {
     assert_usage_error(&["--cluster"]);
     assert_usage_error(&["--cluster", "5", "--seed"]);
     assert_usage_error(&["--cluster", "5", "--out"]);
-    assert_usage_error(&["--cluster", "5", "--bench-json"]);
     assert_usage_error(&["--me", "0", "--peers"]);
 }

@@ -18,7 +18,7 @@
 //! deliver, then merge in node order; finalize, then replay in node order;
 //! the backend owns the single-port ports — is implemented once per model
 //! in `crate::coordinator`, over a host that only decides where the cores
-//! live: in this process (inline or on the worker pool) or behind shard
+//! live: in this process (one core, on the caller's thread) or behind shard
 //! transports (whose workers drive a core per chunk from decoded frames,
 //! see [`crate::shard`]).  The `dft-node` TCP cluster is the one backend
 //! outside that coordinator: a mesh of single-node cores with a
@@ -89,11 +89,11 @@ pub struct RoundOutcome<'c> {
 /// execution, owning nodes `base .. base + len()`.
 ///
 /// The scratch fields (`delivered`, `events`, the metric counters and every
-/// per-node queue) persist across rounds: a pool phase dispatch moves the
-/// whole core to its worker and back, a shard worker holds one for the
-/// execution's lifetime, and a `dft-node` process drives a single-node core
-/// over TCP — in every case buffer capacity survives instead of being
-/// reallocated per phase.
+/// per-node queue) persist across rounds: a serial runner keeps its one
+/// core on its own thread, a shard worker holds one for the execution's
+/// lifetime, and a `dft-node` process drives a single-node core over TCP —
+/// in every case buffer capacity survives instead of being reallocated per
+/// phase.
 pub struct RoundCore<P: SyncProtocol> {
     /// Global index of the first node in this core.
     pub(crate) base: usize,

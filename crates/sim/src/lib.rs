@@ -112,7 +112,6 @@ mod message;
 mod metrics;
 mod node;
 pub mod parallel;
-mod pool;
 mod protocol;
 mod report;
 mod round;

@@ -4,7 +4,7 @@
 //! node-range chunks — the sans-I/O [`RoundCore`]/[`SinglePortCore`]
 //! ownership unit of [`crate::driver`] — and each chunk is served by a
 //! **shard worker** on the far side of a [`ShardTransport`].  The workers
-//! are threads of a `WorkerPool` of the runner's own, connected by
+//! are threads the runner spawns and joins itself, connected by
 //! [`ChannelTransport`] pairs ([`ShardedRunner::in_process`]); every frame
 //! crosses the full wire codec, so a sharded run exercises the protocol a
 //! socket would carry.  [`ShardedRunner::connect`] takes transports to
@@ -57,6 +57,7 @@ pub mod wire;
 use std::collections::BTreeMap;
 use std::io;
 use std::ops::Range;
+use std::thread::JoinHandle;
 
 use crate::adversary::{CrashAdversary, DeliveryFilter};
 use crate::coordinator::{
@@ -67,7 +68,6 @@ use crate::error::{ShardError, SimError, SimResult};
 use crate::message::{Delivered, Outgoing, Payload};
 use crate::node::{NodeId, NodeSet};
 use crate::parallel::ChunkPlan;
-use crate::pool::WorkerPool;
 use crate::protocol::{NodeStatus, SinglePortProtocol, SyncProtocol};
 use crate::round::Round;
 use crate::runner::Participant;
@@ -466,9 +466,23 @@ struct Link {
     /// The round being executed, for error context.
     round: u64,
     wire: WireStats,
-    /// Keeps in-process serving threads alive for the host's lifetime;
-    /// `None` when the workers are served elsewhere.
-    _pool: Option<WorkerPool>,
+    /// The in-process serving threads, joined on drop; empty when the
+    /// workers are served elsewhere.
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl Drop for Link {
+    fn drop(&mut self) {
+        // The transports go first: a worker still serving (the run ended
+        // early, or never started) reads the closed channel as shutdown, so
+        // the joins below cannot hang.  A worker that panicked already
+        // unwound and was seen as a disconnect; its `Err` carries nothing
+        // to recover here.
+        self.transports.clear();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
+        }
+    }
 }
 
 impl Link {
@@ -596,7 +610,7 @@ impl<O: WireOutput, Q: Default> Framed<O, Q> {
         n: usize,
         shards: usize,
         transports: Vec<Box<dyn ShardTransport>>,
-        pool: Option<WorkerPool>,
+        workers: Vec<JoinHandle<()>>,
     ) -> SimResult<Self> {
         // Parent and workers must agree on the partition, so both derive it
         // from the *requested* shard count (see [`shard_count`] /
@@ -616,7 +630,7 @@ impl<O: WireOutput, Q: Default> Framed<O, Q> {
                 n,
                 round: 0,
                 wire: WireStats::default(),
-                _pool: pool,
+                workers,
             },
             outputs: vec![None; n],
             queued: (0..chunks).map(|_| Q::default()).collect(),
@@ -822,34 +836,35 @@ impl<M: WireMsg, O: WireOutput> SinglePortHost for Framed<O, SpQueued<M>> {
 }
 
 /// Splits `items` (one per node) into the chunks of `shards` and serves
-/// each chunk with `serve` on a job of a fresh [`WorkerPool`], behind a
-/// [`ChannelTransport`].
+/// each chunk with `serve` on a thread of its own, behind a
+/// [`ChannelTransport`].  The thread owns everything it touches — its
+/// chunk's state machines and its end of the transport — so a worker that
+/// panics drops both and the coordinator sees a disconnect (a
+/// `SimError::Shard`), never a deadlock.
 fn spawn_in_process<T: Send + 'static>(
     items: Vec<T>,
     shards: usize,
     serve: impl Fn(Vec<T>, usize, &mut dyn ShardTransport) -> io::Result<()> + Clone + Send + 'static,
-) -> (WorkerPool, Vec<Box<dyn ShardTransport>>) {
+) -> (Vec<JoinHandle<()>>, Vec<Box<dyn ShardTransport>>) {
     let n = items.len();
     let plan = ChunkPlan::new(n, shards);
-    let pool = WorkerPool::new(plan.chunks);
     let mut items = items.into_iter();
-    let transports = (0..plan.chunks)
+    (0..plan.chunks)
         .map(|ci| {
             let range = plan.range(ci, n);
             let chunk: Vec<T> = items.by_ref().take(range.len()).collect();
             let (parent_end, mut worker_end) = ChannelTransport::pair();
             let serve = serve.clone();
-            pool.submit(
-                ci,
-                Box::new(move || {
+            let worker = std::thread::Builder::new()
+                .name(format!("dft-sim-worker-{ci}"))
+                .spawn(move || {
                     serve(chunk, range.start, &mut worker_end)
                         .expect("in-process shard worker failed");
-                }),
-            );
-            Box::new(parent_end) as Box<dyn ShardTransport>
+                })
+                .expect("spawn shard worker");
+            (worker, Box::new(parent_end) as Box<dyn ShardTransport>)
         })
-        .collect();
-    (pool, transports)
+        .unzip()
 }
 
 /// Coordinates one **multi-port** execution whose chunks live behind shard
@@ -858,7 +873,7 @@ fn spawn_in_process<T: Send + 'static>(
 ///
 /// Generic over the message and output wire types only — the parent never
 /// holds protocol state machines.  Use [`ShardedRunner::in_process`] to
-/// serve the chunks on a worker pool of this process, or
+/// serve the chunks on threads of this process, or
 /// [`ShardedRunner::connect`] with transports to workers served elsewhere.
 /// `run` is single-shot: it shuts the workers down.
 pub type ShardedRunner<M, O> = Coordinator<Framed<O, Inbound<M>>, MultiPort<M>>;
@@ -885,13 +900,13 @@ impl<M: WireMsg, O: WireOutput> ShardedRunner<M, O> {
         transports: Vec<Box<dyn ShardTransport>>,
     ) -> SimResult<Self> {
         let central = Central::new(n, byzantine, adversary, fault_budget)?;
-        let host = Framed::new(n, shards, transports, None)?;
+        let host = Framed::new(n, shards, transports, Vec::new())?;
         Ok(Coordinator::assemble(central, host))
     }
 
     /// Spawns an in-process sharded execution: the participants are split
-    /// into `shard_count(n, shards)` chunks, each served by a job on a
-    /// fresh `WorkerPool` behind a [`ChannelTransport`].
+    /// into `shard_count(n, shards)` chunks, each served by a thread of
+    /// its own behind a [`ChannelTransport`].
     ///
     /// # Errors
     ///
@@ -910,8 +925,8 @@ impl<M: WireMsg, O: WireOutput> ShardedRunner<M, O> {
         let n = participants.len();
         let byzantine = Participant::byzantine_set(&participants);
         let central = Central::new(n, byzantine, adversary, fault_budget)?;
-        let (pool, transports) = spawn_in_process(participants, shards, serve_multi_port);
-        let host = Framed::new(n, shards, transports, Some(pool))?;
+        let (workers, transports) = spawn_in_process(participants, shards, serve_multi_port);
+        let host = Framed::new(n, shards, transports, workers)?;
         Ok(Coordinator::assemble(central, host))
     }
 }
@@ -938,7 +953,7 @@ impl<M: WireMsg, O: WireOutput> SpShardedRunner<M, O> {
         transports: Vec<Box<dyn ShardTransport>>,
     ) -> SimResult<Self> {
         let central = Central::new(n, NodeSet::empty(n), adversary, fault_budget)?;
-        let host = Framed::new(n, shards, transports, None)?;
+        let host = Framed::new(n, shards, transports, Vec::new())?;
         Ok(Coordinator::assemble(central, host))
     }
 
@@ -961,8 +976,8 @@ impl<M: WireMsg, O: WireOutput> SpShardedRunner<M, O> {
     {
         let n = nodes.len();
         let central = Central::new(n, NodeSet::empty(n), adversary, fault_budget)?;
-        let (pool, transports) = spawn_in_process(nodes, shards, serve_single_port);
-        let host = Framed::new(n, shards, transports, Some(pool))?;
+        let (workers, transports) = spawn_in_process(nodes, shards, serve_single_port);
+        let host = Framed::new(n, shards, transports, workers)?;
         Ok(Coordinator::assemble(central, host))
     }
 }

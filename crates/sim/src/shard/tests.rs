@@ -263,8 +263,9 @@ fn every_transport_and_frame_failure_is_a_structured_error() {
     }
 }
 
-/// A worker on the runner's own pool that dies (here: a state machine that
-/// panics) closes its channel, and the run ends with the same error.
+/// A worker thread that dies (here: a state machine that panics) unwinds,
+/// drops its end of the channel, and the run ends with the same error — a
+/// disconnect the coordinator sees, never a hang.
 #[test]
 fn failed_in_process_worker_is_a_shard_error() {
     struct Bomb(usize);
@@ -292,6 +293,44 @@ fn failed_in_process_worker_is_a_shard_error() {
         (1, Some(RESP_INTENTS), Some(2)),
         "{err}"
     );
+}
+
+/// Dropping the host joins every worker thread, whether or not the run
+/// was ever started: each worker owns its chunk's state machines, so once
+/// `drop` returns nothing else may still hold the marker they share.
+#[test]
+fn dropping_the_host_joins_every_worker() {
+    struct Marked {
+        _marker: Arc<()>,
+    }
+    impl SyncProtocol for Marked {
+        type Msg = bool;
+        type Output = bool;
+        fn send(&mut self, _round: Round, _out: &mut Vec<Outgoing<bool>>) {}
+        fn receive(&mut self, _round: Round, _inbox: &[Delivered<bool>]) {}
+        fn output(&self) -> Option<bool> {
+            None
+        }
+        fn has_halted(&self) -> bool {
+            false
+        }
+    }
+    for rounds in [0, 3] {
+        let marker = Arc::new(());
+        let nodes = (0..10).map(|_| {
+            Participant::Honest(Marked {
+                _marker: Arc::clone(&marker),
+            })
+        });
+        let mut sharded =
+            ShardedRunner::in_process(nodes.collect(), Box::new(NoFaults), 0, 4).unwrap();
+        assert_eq!(Arc::strong_count(&marker), 11);
+        for _ in 0..rounds {
+            sharded.step().unwrap();
+        }
+        drop(sharded);
+        assert_eq!(Arc::strong_count(&marker), 1, "after {rounds} rounds");
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@
 //! and one shard worker.  Two backends are provided:
 //!
 //! * [`ChannelTransport`] — in-process `mpsc` channel pairs, used when shard
-//!   workers run as threads on the runner's own `WorkerPool`: every
+//!   workers run as threads the runner spawns itself: every
 //!   sharded run of `run_experiments --shards` and every in-process test.
 //! * [`StreamTransport`] — length-prefixed frames over any `Read`/`Write`
 //!   pair; [`read_frame`] / [`write_frame`] are also the framing of
