@@ -547,7 +547,11 @@ mod tests {
         assert_eq!(BenchReport::parse(&pretty).unwrap(), report);
         assert_eq!(report.to_json(), committed, "the emitter's own layout");
         // An integer the parser's `f64` cannot hold exactly is refused.
-        let huge = committed.replace("\"allocs\": 93209,", "\"allocs\": 9007199254740993,");
+        let e1_allocs = report.experiments[0].allocs.expect("captured at --jobs 1");
+        let huge = committed.replace(
+            &format!("\"allocs\": {e1_allocs},"),
+            "\"allocs\": 9007199254740993,",
+        );
         assert!(BenchReport::parse(&huge).unwrap_err().contains("allocs"));
     }
 

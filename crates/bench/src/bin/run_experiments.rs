@@ -47,8 +47,12 @@
 //!   gates.  The counters are process-global, so concurrent experiments
 //!   could not be attributed, and under `--shards` they include the shard
 //!   workers' and the codec's allocations (the workers are threads of this
-//!   process).  A `--shards` run also ends with `[wire] TAG: … frames, …
-//!   bytes` lines, the coordinator's traffic per shard frame tag;
+//!   process).  An unsharded `--jobs 1` run adds an `[active] Ek: …
+//!   node-rounds called, … per message` line: how many node-rounds the
+//!   round cores actually called a state machine in (the rest were quiet,
+//!   see `SyncProtocol::quiet_until`), and that effort per message sent.  A
+//!   `--shards` run also ends with `[wire] TAG: … frames, … bytes` lines,
+//!   the coordinator's traffic per shard frame tag;
 //! * `--bench-json PATH` writes the machine-readable perf baseline
 //!   (`dft_bench::baseline::BenchReport`): per-experiment wall / trimmed
 //!   timings, message and bit totals, the allocation counts above when
@@ -163,6 +167,10 @@ struct Outcome {
     /// Per-sample `(allocations, bytes)` deltas; empty unless the
     /// experiments ran one at a time.
     alloc_samples: Vec<(u64, u64)>,
+    /// Node-rounds the round cores called during the first sample; `None`
+    /// unless the experiments ran one at a time, 0 where the cores were not
+    /// this process's (`--shards`) or nothing executed.
+    active_node_rounds: Option<u64>,
 }
 
 /// Derived allocation numbers for one experiment (the `[alloc]` line).
@@ -225,23 +233,27 @@ fn run_catalog(cfg: &SweepConfig, jobs: usize, samples: usize) -> Vec<(&'static 
     let order = execution_order(catalog.len());
     let next = AtomicUsize::new(0);
     let workers = jobs.clamp(1, catalog.len());
-    // The allocation counters are process-global: a delta belongs to an
-    // experiment only when nothing else allocates meanwhile.
+    // The allocation and activity counters are process-global: a delta
+    // belongs to an experiment only when nothing else runs meanwhile.
     let count_allocs = workers == 1;
     let run_one = |index: usize| {
         let (_, experiment) = catalog[index];
         let mut times = Vec::with_capacity(samples);
         let mut alloc_samples = Vec::new();
+        let mut active_node_rounds = None;
         let mut table = None;
         let ((), stderr) = dft_bench::diag::capture(|| {
             for _ in 0..samples {
                 let before = count_allocs.then(alloc_stats::snapshot);
+                let active0 = dft_bench::active_node_rounds_total();
                 let start = Instant::now();
                 let result = experiment(cfg);
                 times.push(start.elapsed());
                 if let Some((allocs0, bytes0)) = before {
                     let (allocs1, bytes1) = alloc_stats::snapshot();
                     alloc_samples.push((allocs1 - allocs0, bytes1 - bytes0));
+                    let active = dft_bench::active_node_rounds_total() - active0;
+                    active_node_rounds.get_or_insert(active);
                 }
                 table.get_or_insert(result);
             }
@@ -251,6 +263,7 @@ fn run_catalog(cfg: &SweepConfig, jobs: usize, samples: usize) -> Vec<(&'static 
             times,
             stderr,
             alloc_samples,
+            active_node_rounds,
         });
     };
     if workers == 1 {
@@ -462,6 +475,17 @@ fn main() -> ExitCode {
                     "[alloc] {id}: {} allocs, {} bytes, {per_round} allocs/round\n",
                     alloc.allocs, alloc.bytes,
                 );
+            }
+            if let Some(active) = outcome.active_node_rounds.filter(|&active| active > 0) {
+                let per_message = outcome
+                    .table
+                    .column_sum("messages")
+                    .filter(|&messages| messages > 0)
+                    .map_or_else(
+                        || "-".to_string(),
+                        |messages| format!("{:.2}", active as f64 / messages as f64),
+                    );
+                println!("[active] {id}: {active} node-rounds called, {per_message} per message\n");
             }
         }
     }

@@ -18,6 +18,7 @@ pub mod diag;
 pub mod experiments;
 pub mod stats;
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use dft_auth::KeyDirectory;
@@ -296,7 +297,9 @@ where
     fn run(nodes: Vec<P>, terms: Terms) -> ExecutionReport<P::Output> {
         let runner = Runner::with_adversary(nodes, terms.adversary, terms.budget);
         let mut runner = runner.expect("runner");
-        runner.run(terms.max_rounds)
+        let report = runner.run(terms.max_rounds);
+        TOTAL_ACTIVE.fetch_add(runner.active_node_rounds(), Ordering::Relaxed);
+        report
     }
 
     fn run_sharded(
@@ -323,7 +326,9 @@ where
     fn run(nodes: Vec<P>, terms: Terms) -> ExecutionReport<P::Output> {
         let runner = SinglePortRunner::with_adversary(nodes, terms.adversary, terms.budget);
         let mut runner = runner.expect("runner");
-        runner.run(terms.max_rounds)
+        let report = runner.run(terms.max_rounds);
+        TOTAL_ACTIVE.fetch_add(runner.active_node_rounds(), Ordering::Relaxed);
+        report
     }
 
     fn run_sharded(
@@ -336,6 +341,18 @@ where
         let report = runner.run(terms.max_rounds).expect("sharded execution");
         (report, runner.wire_stats().clone())
     }
+}
+
+static TOTAL_ACTIVE: AtomicU64 = AtomicU64::new(0);
+
+/// Node-rounds in which a round core called a node at all, accumulated over
+/// every unsharded measurement this process ran — the effort measure of
+/// Dwork–Halpern–Waarts (`run_experiments --timings` prints each
+/// experiment's share as an `[active]` line; never gated, never in a
+/// table).  A sharded measurement's cores live in its workers and are not
+/// counted.
+pub fn active_node_rounds_total() -> u64 {
+    TOTAL_ACTIVE.load(Ordering::Relaxed)
 }
 
 static TOTAL_WIRE: Mutex<WireStats> = Mutex::new(WireStats::new());

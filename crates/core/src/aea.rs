@@ -265,6 +265,21 @@ impl<V: JoinValue> SyncProtocol for AlmostEverywhereAgreement<V> {
     fn has_halted(&self) -> bool {
         self.halted
     }
+
+    /// Only little nodes ever speak before the notification round, and in
+    /// Part 1 only when a rumor gave them something new to flood: everyone
+    /// else waits for a message or for the next part of the schedule.
+    /// During probing a little node sends (or counts silence) every round
+    /// and keeps the default.
+    fn quiet_until(&self, now: Round) -> Option<Round> {
+        if !self.is_little() {
+            // Skipped probing rounds leave `probe` behind, which nothing
+            // reads at a node that sits probing out.
+            return Some(Round::new(self.config.notify_round()));
+        }
+        let flooding_over = now.as_u64() + 1 >= self.config.probing_start();
+        (!self.pending_flood && !flooding_over).then(|| Round::new(self.config.probing_start()))
+    }
 }
 
 #[cfg(test)]

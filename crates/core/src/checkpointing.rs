@@ -219,6 +219,19 @@ impl SyncProtocol for Checkpointing {
             .as_ref()
             .is_some_and(|consensus| consensus.has_halted())
     }
+
+    /// The running part's hint, in this protocol's rounds; the first round
+    /// of Part 2 is never slept through (it builds the consensus instance
+    /// from the gossip decision).
+    fn quiet_until(&self, now: Round) -> Option<Round> {
+        let handover = Round::new(self.gossip_rounds);
+        if now < handover {
+            return self.gossip.quiet_until(now).map(|r| r.min(handover));
+        }
+        let consensus_now = Round::new(now.as_u64() - self.gossip_rounds);
+        let wake = self.consensus.as_ref()?.quiet_until(consensus_now)?;
+        Some(wake + self.gossip_rounds)
+    }
 }
 
 #[cfg(test)]

@@ -194,6 +194,22 @@ impl<V: JoinValue> SyncProtocol for FewCrashesConsensus<V> {
     fn has_halted(&self) -> bool {
         self.transitioned && self.scv.has_halted()
     }
+
+    /// The running stage's hint, in this protocol's rounds.  The hand-over
+    /// round is never slept through: it is where the agreement stage's
+    /// decision becomes this node's output.
+    fn quiet_until(&self, now: Round) -> Option<Round> {
+        let handover = Round::new(self.aea_rounds);
+        if now < handover {
+            return self.aea.quiet_until(now).map(|r| r.min(handover));
+        }
+        if !self.transitioned {
+            return None;
+        }
+        let scv_now = Round::new(now.as_u64() - self.aea_rounds);
+        let scv_wake = self.scv.quiet_until(scv_now)?;
+        Some(scv_wake + self.aea_rounds)
+    }
 }
 
 #[cfg(test)]

@@ -366,6 +366,16 @@ impl SyncProtocol for Gossip {
     fn has_halted(&self) -> bool {
         self.halted
     }
+
+    /// A node that is not little never initiates anything: it answers an
+    /// inquiry, absorbs a pushed set, and decides in the last round — so
+    /// with no inquirer to answer it sleeps until a message or that round.
+    /// Little nodes inquire, push or probe in almost every round of every
+    /// phase and keep the default.
+    fn quiet_until(&self, _now: Round) -> Option<Round> {
+        let idle = !self.is_little() && self.inquirers.is_empty();
+        idle.then(|| Round::new(self.config.total_rounds().saturating_sub(1)))
+    }
 }
 
 #[cfg(test)]

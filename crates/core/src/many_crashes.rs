@@ -331,6 +331,23 @@ impl SyncProtocol for ManyCrashesConsensus {
     fn has_halted(&self) -> bool {
         self.halted
     }
+
+    /// The two stretches where the schedule alone says a node is silent: in
+    /// Part 1 a node with no fresh rumor `1` to flood waits for one or for
+    /// probing to start, and once decided a node that owes nobody a
+    /// response waits for an inquiry or for the last round.  Probing rounds
+    /// and undecided inquirers keep the default.
+    fn quiet_until(&self, now: Round) -> Option<Round> {
+        let next = now.as_u64() + 1;
+        if next < self.config.probing_start() {
+            let floods_next = self.pending_flood && self.candidate;
+            return (!floods_next).then(|| Round::new(self.config.probing_start()));
+        }
+        let idle = next >= self.config.inquiry_start()
+            && self.decided.is_some()
+            && self.inquirers.is_empty();
+        idle.then(|| Round::new(self.config.total_rounds().saturating_sub(1)))
+    }
 }
 
 #[cfg(test)]

@@ -282,6 +282,25 @@ impl<V: JoinValue> SyncProtocol for SpreadCommonValue<V> {
     fn has_halted(&self) -> bool {
         self.halted
     }
+
+    /// A node that holds the value, has nothing to forward and owes nobody
+    /// a response has nothing left to do but halt in the last round; a node
+    /// without the value is silent until the first inquiry round unless the
+    /// value reaches it.  Either is woken by a message (the value, an
+    /// inquiry).  An undecided node in Part 2 inquires every phase and
+    /// keeps the default.
+    fn quiet_until(&self, now: Round) -> Option<Round> {
+        if self.common.is_none() {
+            // Before Part 2 `inquirers` is still empty: only an
+            // inquiry-round `receive` fills it.
+            let part2 = Round::new(self.config.part1_rounds);
+            return (now < part2).then_some(part2);
+        }
+        // Forwarding happens in Part 1 only.
+        let forwards_next = self.forward_pending && now.as_u64() + 1 < self.config.part1_rounds;
+        let idle = !forwards_next && self.inquirers.is_empty();
+        idle.then(|| Round::new(self.config.total_rounds().saturating_sub(1)))
+    }
 }
 
 #[cfg(test)]

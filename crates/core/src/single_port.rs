@@ -36,9 +36,10 @@ pub trait PortPlan: Clone + Send + 'static {
     /// round `mp_round`.  Must be at least 1 and identical at every node.
     fn slots(&self, mp_round: u64) -> usize;
 
-    /// The in-ports node `me` polls during multi-port round `mp_round`, in
-    /// order; at most [`PortPlan::slots`] of them are used.
-    fn poll_list(&self, me: usize, mp_round: u64) -> Vec<usize>;
+    /// Appends to `ports` the in-ports node `me` polls during multi-port
+    /// round `mp_round`, in order; at most [`PortPlan::slots`] of them are
+    /// used.
+    fn poll_list(&self, me: usize, mp_round: u64, ports: &mut Vec<usize>);
 }
 
 /// Wraps a multi-port [`SyncProtocol`] into a [`SinglePortProtocol`] using a
@@ -49,13 +50,20 @@ pub trait PortPlan: Clone + Send + 'static {
 /// slot budget is dropped — plans must budget for the worst-case fanout),
 /// then polls its planned ports one per round.  The inner protocol's
 /// `receive` is invoked once all slots of the round have elapsed.
+///
+/// The adapter is driven by the round number, not by how often it is
+/// called: the slot is the distance from the single-port round the current
+/// multi-port round began in, so a runner may leave out every call
+/// [`SinglePortProtocol::quiet_until`] says is idle.  Executions start at
+/// round 0.
 #[derive(Clone, Debug)]
 pub struct SinglePortAdapter<P: SyncProtocol, L: PortPlan> {
     inner: P,
     plan: L,
     me: usize,
     mp_round: u64,
-    slot: usize,
+    /// The single-port round in which multi-port round `mp_round` began.
+    mp_start: u64,
     current_slots: usize,
     started: bool,
     pending: Vec<Outgoing<P::Msg>>,
@@ -71,7 +79,7 @@ impl<P: SyncProtocol, L: PortPlan> SinglePortAdapter<P, L> {
             plan,
             me,
             mp_round: 0,
-            slot: 0,
+            mp_start: 0,
             current_slots: 0,
             started: false,
             pending: Vec::new(),
@@ -93,34 +101,41 @@ impl<P: SyncProtocol, L: PortPlan> SinglePortAdapter<P, L> {
         &self.inner
     }
 
-    fn begin_round_if_needed(&mut self) {
-        if self.started {
-            return;
+    /// The slot `round` is within the current multi-port round, opening
+    /// that round (the inner `send`, this node's share of the plan) on its
+    /// first slot.
+    fn slot_at(&mut self, round: Round) -> usize {
+        if !self.started {
+            self.started = true;
+            self.current_slots = self.plan.slots(self.mp_round).max(1);
+            self.inner
+                .send(Round::new(self.mp_round), &mut self.pending);
+            self.pending.truncate(self.current_slots);
+            self.plan
+                .poll_list(self.me, self.mp_round, &mut self.poll_ports);
+            self.poll_ports.truncate(self.current_slots);
         }
-        self.started = true;
-        self.current_slots = self.plan.slots(self.mp_round).max(1);
-        self.pending.clear();
-        self.inner
-            .send(Round::new(self.mp_round), &mut self.pending);
-        self.pending.truncate(self.current_slots);
-        self.poll_ports = self.plan.poll_list(self.me, self.mp_round);
-        self.poll_ports.truncate(self.current_slots);
+        let slot = (round.as_u64() - self.mp_start) as usize;
+        debug_assert!(
+            slot < 2 * self.current_slots,
+            "called past the closing slot"
+        );
+        slot
     }
 
-    fn advance_slot(&mut self) {
-        self.slot += 1;
-        if self.slot >= 2 * self.current_slots {
-            // Ownership ping-pong so the inbox keeps its capacity.
-            let inbox = std::mem::take(&mut self.inbox);
-            self.inner.receive(Round::new(self.mp_round), &inbox);
-            self.inbox = inbox;
-            self.inbox.clear();
-            self.mp_round += 1;
-            self.slot = 0;
-            self.started = false;
-            self.pending.clear();
-            self.poll_ports.clear();
-        }
+    /// Closes the current multi-port round: the inner `receive`, then the
+    /// next one begins in single-port round `next_start`.
+    fn close_mp_round(&mut self, next_start: u64) {
+        // Ownership ping-pong so the inbox keeps its capacity.
+        let inbox = std::mem::take(&mut self.inbox);
+        self.inner.receive(Round::new(self.mp_round), &inbox);
+        self.inbox = inbox;
+        self.inbox.clear();
+        self.mp_round += 1;
+        self.mp_start = next_start;
+        self.started = false;
+        self.pending.clear();
+        self.poll_ports.clear();
     }
 }
 
@@ -128,31 +143,30 @@ impl<P: SyncProtocol, L: PortPlan> SinglePortProtocol for SinglePortAdapter<P, L
     type Msg = P::Msg;
     type Output = P::Output;
 
-    fn send(&mut self, _round: Round) -> Option<Outgoing<P::Msg>> {
+    fn send(&mut self, round: Round) -> Option<Outgoing<P::Msg>> {
         if self.inner.has_halted() {
             return None;
         }
-        self.begin_round_if_needed();
-        if self.slot < self.current_slots {
-            return self.pending.get(self.slot).cloned();
-        }
-        None
+        let slot = self.slot_at(round);
+        // Send slots come first; `pending` is no longer than they are.
+        self.pending.get(slot).cloned()
     }
 
-    fn poll(&mut self, _round: Round) -> Option<NodeId> {
+    fn poll(&mut self, round: Round) -> Option<NodeId> {
         if self.inner.has_halted() {
             return None;
         }
-        self.begin_round_if_needed();
-        let result = if self.slot >= self.current_slots {
-            self.poll_ports
-                .get(self.slot - self.current_slots)
-                .map(|&p| NodeId::new(p))
-        } else {
-            None
-        };
-        self.advance_slot();
-        result
+        let slot = self.slot_at(round);
+        let port = slot
+            .checked_sub(self.current_slots)
+            .and_then(|poll_slot| self.poll_ports.get(poll_slot))
+            .map(|&p| NodeId::new(p));
+        if slot + 1 == 2 * self.current_slots {
+            // What this last poll finds arrives after the inner `receive`
+            // and is carried into the next multi-port round's inbox.
+            self.close_mp_round(round.as_u64() + 1);
+        }
+        port
     }
 
     fn receive(&mut self, _round: Round, from: NodeId, msgs: &mut Vec<P::Msg>) {
@@ -168,109 +182,131 @@ impl<P: SyncProtocol, L: PortPlan> SinglePortProtocol for SinglePortAdapter<P, L
     fn has_halted(&self) -> bool {
         self.inner.has_halted()
     }
+
+    /// Within a multi-port round the adapter acts in three places only: the
+    /// send slots it has a queued message for, the poll slots it has a
+    /// planned port for, and the slot that closes the round; the round after
+    /// that opens the next one.
+    fn quiet_until(&self, now: Round) -> Option<Round> {
+        if !self.started {
+            return None;
+        }
+        let next = (now.as_u64() + 1 - self.mp_start) as usize;
+        let polls_end = self.current_slots + self.poll_ports.len();
+        let slot = if next < self.pending.len() {
+            next
+        } else if next < polls_end && !self.poll_ports.is_empty() {
+            next.max(self.current_slots)
+        } else {
+            2 * self.current_slots - 1
+        };
+        Some(Round::new(self.mp_start + slot as u64))
+    }
 }
 
 /// The communication plan of `Linear-Consensus`: one entry of slots and poll
 /// ports per multi-port round of [`FewCrashesConsensus`].
+///
+/// Everything [`PortPlan::slots`] returns is computed once here: a slot
+/// width is a maximum over a whole overlay graph, and the adapter asks for
+/// it once per node per multi-port round.
 #[derive(Clone, Debug)]
 pub struct LinearConsensusPlan {
-    n: usize,
     little: usize,
     aea_part1_and_2: u64,
     aea_total: u64,
     scv_part1: u64,
-    scv_phases: u64,
     little_graph: Arc<Graph>,
     h_graph: Arc<Graph>,
     family: Arc<dft_overlay::InquiryFamily>,
-    inquiry_cap: usize,
+    /// Slot width of AEA Parts 1–2: the little overlay's maximum degree.
+    little_slots: usize,
+    /// Slot width of AEA Part 3: a little node's fan-out to its related
+    /// nodes.
+    notify_slots: usize,
+    /// Slot width of SCV Part 1: the maximum degree of `H`.
+    h_slots: usize,
+    /// Slot width of each SCV inquiry phase (`phase_slots[i]` for phase
+    /// `i + 1`): the phase graph's degree, capped at `3t + 1`.
+    phase_slots: Arc<[usize]>,
 }
 
 impl LinearConsensusPlan {
     /// Builds the plan from the composed consensus configuration.
     pub fn new(config: &FewCrashesConfig) -> Self {
-        let t = (config.aea.little / 5).max(1);
+        let (n, little) = (config.aea.n, config.aea.little);
+        let t = (little / 5).max(1);
+        let inquiry_cap = 3 * t + 1;
+        let phase_slots = (1..=config.scv.inquiry_phases())
+            .map(|phase| {
+                config
+                    .scv
+                    .family
+                    .degree(phase as usize)
+                    .clamp(1, inquiry_cap)
+            })
+            .collect();
         LinearConsensusPlan {
-            n: config.aea.n,
-            little: config.aea.little,
+            little,
             aea_part1_and_2: config.aea.part1_rounds + config.aea.gamma,
             aea_total: config.aea.total_rounds(),
             scv_part1: config.scv.part1_rounds,
-            scv_phases: config.scv.inquiry_phases(),
             little_graph: config.aea.graph.clone(),
             h_graph: config.scv.h_graph.clone(),
             family: config.scv.family.clone(),
-            inquiry_cap: 3 * t + 1,
+            little_slots: config.aea.graph.max_degree().max(1),
+            notify_slots: n.div_ceil(little.max(1)).max(1),
+            h_slots: config.scv.h_graph.max_degree().max(1),
+            phase_slots,
         }
     }
 
     /// Total multi-port rounds of the underlying consensus.
     pub fn mp_rounds(&self) -> u64 {
-        self.aea_total + self.scv_part1 + 2 * self.scv_phases
+        self.aea_total + self.scv_part1 + 2 * self.phase_slots.len() as u64
     }
 
-    fn scv_phase_of(&self, mp_round: u64) -> Option<(u64, bool)> {
-        let start = self.aea_total + self.scv_part1;
-        if mp_round < start {
-            return None;
-        }
-        let offset = mp_round - start;
-        let phase = offset / 2 + 1;
-        if phase > self.scv_phases {
-            return None;
-        }
-        Some((phase, offset.is_multiple_of(2)))
-    }
-
-    fn phase_degree(&self, phase: u64) -> usize {
-        self.family
-            .degree(phase as usize)
-            .min(self.inquiry_cap)
-            .max(1)
+    /// The 1-based SCV inquiry phase `mp_round` belongs to, if any, and its
+    /// slot width.
+    fn scv_phase_of(&self, mp_round: u64) -> Option<(usize, usize)> {
+        let offset = mp_round.checked_sub(self.aea_total + self.scv_part1)?;
+        let phase = (offset / 2) as usize;
+        Some((phase + 1, *self.phase_slots.get(phase)?))
     }
 }
 
 impl PortPlan for LinearConsensusPlan {
     fn slots(&self, mp_round: u64) -> usize {
         if mp_round < self.aea_part1_and_2 {
-            self.little_graph.max_degree().max(1)
+            self.little_slots
         } else if mp_round < self.aea_total {
-            // AEA Part 3: little nodes fan out to their related nodes.
-            self.n.div_ceil(self.little.max(1)).max(1)
+            self.notify_slots
         } else if mp_round < self.aea_total + self.scv_part1 {
-            self.h_graph.max_degree().max(1)
-        } else if let Some((phase, _)) = self.scv_phase_of(mp_round) {
-            self.phase_degree(phase)
+            self.h_slots
+        } else if let Some((_, width)) = self.scv_phase_of(mp_round) {
+            width
         } else {
             1
         }
     }
 
-    fn poll_list(&self, me: usize, mp_round: u64) -> Vec<usize> {
+    fn poll_list(&self, me: usize, mp_round: u64, ports: &mut Vec<usize>) {
         if mp_round < self.aea_part1_and_2 {
             if me < self.little {
-                self.little_graph.neighbors(me).to_vec()
-            } else {
-                Vec::new()
+                ports.extend_from_slice(self.little_graph.neighbors(me));
             }
         } else if mp_round < self.aea_total {
             if me >= self.little {
-                vec![me % self.little.max(1)]
-            } else {
-                Vec::new()
+                ports.push(me % self.little.max(1));
             }
         } else if mp_round < self.aea_total + self.scv_part1 {
-            self.h_graph.neighbors(me).to_vec()
-        } else if let Some((phase, inquiry_round)) = self.scv_phase_of(mp_round) {
+            ports.extend_from_slice(self.h_graph.neighbors(me));
+        } else if let Some((phase, width)) = self.scv_phase_of(mp_round) {
             // Inquiry round: decided nodes listen for inquiries from their
             // G_i neighbours.  Response round: undecided nodes listen for
             // responses from the same neighbours.
-            let _ = inquiry_round;
-            let mut ports = self.family.graph(phase as usize).neighbors(me).to_vec();
-            ports.truncate(self.phase_degree(phase));
-            ports
-        } else {
-            Vec::new()
+            let neighbors = self.family.graph(phase).neighbors(me);
+            ports.extend(neighbors.iter().take(width));
         }
     }
 }
@@ -391,19 +427,189 @@ mod tests {
         assert!(sp_rounds <= bound, "{sp_rounds} vs {bound}");
     }
 
+    /// The slot widths and poll lists `LinearConsensusPlan` answered with
+    /// when it scanned the overlay graphs on every call.
+    fn scanned_slots(config: &FewCrashesConfig, mp_round: u64) -> usize {
+        let (aea, scv) = (&config.aea, &config.scv);
+        let inquiry_cap = 3 * (aea.little / 5).max(1) + 1;
+        let scv_part2 = aea.total_rounds() + scv.part1_rounds;
+        if mp_round < aea.part1_rounds + aea.gamma {
+            aea.graph.max_degree().max(1)
+        } else if mp_round < aea.total_rounds() {
+            aea.n.div_ceil(aea.little.max(1)).max(1)
+        } else if mp_round < scv_part2 {
+            scv.h_graph.max_degree().max(1)
+        } else {
+            let phase = (mp_round - scv_part2) / 2 + 1;
+            if phase > scv.inquiry_phases() {
+                return 1;
+            }
+            scv.family.degree(phase as usize).min(inquiry_cap).max(1)
+        }
+    }
+
+    #[test]
+    fn plan_slot_widths_equal_the_per_call_scans() {
+        for (n, t) in [(60, 7), (400, 40), (1600, 200)] {
+            let config = SystemConfig::new(n, t).unwrap().with_seed(9);
+            let mut shared = FewCrashesConfig::from_system(&config).unwrap();
+            shared.scv.force_phase_inquiry = true;
+            let plan = LinearConsensusPlan::new(&shared);
+            assert_eq!(plan.mp_rounds(), shared.total_rounds(), "n = {n}");
+            let mut ports = Vec::new();
+            for mp_round in 0..plan.mp_rounds() + 3 {
+                let slots = plan.slots(mp_round);
+                assert_eq!(
+                    slots,
+                    scanned_slots(&shared, mp_round),
+                    "n = {n}, round {mp_round}"
+                );
+                for me in [0, shared.aea.little - 1, shared.aea.little, n - 1] {
+                    ports.clear();
+                    plan.poll_list(me, mp_round, &mut ports);
+                    let distinct: std::collections::BTreeSet<_> = ports.iter().collect();
+                    assert_eq!(distinct.len(), ports.len(), "a port listed twice");
+                    assert!(ports.iter().all(|&port| port < n && port != me));
+                }
+            }
+        }
+    }
+
+    /// A scripted inner protocol: in multi-port round `r` it sends
+    /// `r % 4` messages, logs every inbox it is handed, and halts after
+    /// `rounds` rounds.
+    #[derive(Clone, Debug)]
+    struct Script {
+        rounds: u64,
+        received: Vec<(u64, Vec<(usize, u64)>)>,
+        halted: bool,
+    }
+
+    impl SyncProtocol for Script {
+        type Msg = u64;
+        type Output = u64;
+
+        fn send(&mut self, round: Round, out: &mut Vec<Outgoing<u64>>) {
+            let r = round.as_u64();
+            out.extend((0..r % 4).map(|k| Outgoing::new(NodeId::new(k as usize), 100 * r + k)));
+        }
+
+        fn receive(&mut self, round: Round, inbox: &[Delivered<u64>]) {
+            let inbox = inbox.iter().map(|d| (d.from.index(), d.msg)).collect();
+            self.received.push((round.as_u64(), inbox));
+            self.halted = round.as_u64() + 1 >= self.rounds;
+        }
+
+        fn output(&self) -> Option<u64> {
+            self.halted.then_some(self.received.len() as u64)
+        }
+
+        fn has_halted(&self) -> bool {
+            self.halted
+        }
+    }
+
+    /// A plan with a single slot, which truncates every fan-out above one.
+    #[derive(Clone)]
+    struct OneSlot;
+
+    impl PortPlan for OneSlot {
+        fn slots(&self, _mp_round: u64) -> usize {
+            1
+        }
+        fn poll_list(&self, _me: usize, _mp_round: u64, ports: &mut Vec<usize>) {
+            ports.push(0);
+        }
+    }
+
+    /// A plan whose width changes from one multi-port round to the next and
+    /// whose poll lists run from empty to longer than the width.
+    #[derive(Clone)]
+    struct Uneven;
+
+    impl PortPlan for Uneven {
+        fn slots(&self, mp_round: u64) -> usize {
+            1 + (mp_round % 3) as usize * 2
+        }
+        fn poll_list(&self, _me: usize, mp_round: u64, ports: &mut Vec<usize>) {
+            ports.extend(10..10 + (mp_round % 5) as usize);
+        }
+    }
+
+    /// What an adapter did in one single-port round: its send and its poll.
+    type SlotTrace = (Option<(usize, u64)>, Option<usize>);
+
+    /// Drives an adapter for `sp_rounds` single-port rounds — every round,
+    /// or only the rounds its own `quiet_until` names — feeding each poll
+    /// the same synthetic port contents; returns the per-round trace, the
+    /// inner protocol's log and the number of rounds it was called in.
+    fn drive<L: PortPlan>(
+        plan: L,
+        sp_rounds: u64,
+        only_when_asked: bool,
+    ) -> (Vec<SlotTrace>, Script, u64) {
+        let script = Script {
+            rounds: 9,
+            received: Vec::new(),
+            halted: false,
+        };
+        let mut adapter = SinglePortAdapter::new(script, plan, 7);
+        let (mut trace, mut wake, mut calls) = (Vec::new(), 0, 0);
+        for r in 0..sp_rounds {
+            if adapter.has_halted() {
+                break;
+            }
+            if only_when_asked && r < wake {
+                trace.push((None, None));
+                continue;
+            }
+            calls += 1;
+            let round = Round::new(r);
+            let sent = SinglePortProtocol::send(&mut adapter, round);
+            let polled = SinglePortProtocol::poll(&mut adapter, round);
+            if let Some(port) = polled {
+                // Every other poll finds two messages.
+                let mut msgs = vec![1000 * r + port.index() as u64, r];
+                msgs.truncate(2 * ((r + port.index() as u64) % 2) as usize);
+                SinglePortProtocol::receive(&mut adapter, round, port, &mut msgs);
+                assert!(msgs.is_empty(), "the adapter takes what it is lent");
+            }
+            wake = adapter.quiet_until(round).map_or(r + 1, Round::as_u64);
+            trace.push((
+                sent.map(|out| (out.to.index(), out.msg)),
+                polled.map(NodeId::index),
+            ));
+        }
+        (trace, adapter.inner().clone(), calls)
+    }
+
+    fn assert_same_when_called_only_when_asked<L: PortPlan>(plan: L) {
+        let sp_rounds = SinglePortAdapter::<Script, L>::sp_rounds_for(&plan, 9) + 5;
+        let (every_round, log, all_calls) = drive(plan.clone(), sp_rounds, false);
+        let (when_asked, asked_log, calls) = drive(plan, sp_rounds, true);
+        assert_eq!(when_asked, every_round, "sends and polls, round by round");
+        assert_eq!(asked_log.received, log.received, "inner receive calls");
+        assert_eq!(log.received.len(), 9, "every multi-port round closed");
+        assert!(log.received.iter().any(|(_, inbox)| !inbox.is_empty()));
+        assert!(calls <= all_calls);
+    }
+
+    #[test]
+    fn adapter_called_only_when_it_asks_behaves_the_same() {
+        assert_same_when_called_only_when_asked(OneSlot);
+        assert_same_when_called_only_when_asked(Uneven);
+        // The uneven plan has idle slots to leave out; the one-slot plan
+        // acts in both of its slots.
+        let sp_rounds = SinglePortAdapter::<Script, Uneven>::sp_rounds_for(&Uneven, 9);
+        let (trace, _, calls) = drive(Uneven, sp_rounds, true);
+        let acted = trace.iter().filter(|slot| **slot != (None, None)).count();
+        assert!(calls < sp_rounds, "{calls} calls in {sp_rounds} rounds");
+        assert!(acted as u64 <= calls);
+    }
+
     #[test]
     fn adapter_truncates_excess_fanout() {
         // A plan with a single slot forces truncation without panicking.
-        #[derive(Clone)]
-        struct OneSlot;
-        impl PortPlan for OneSlot {
-            fn slots(&self, _mp_round: u64) -> usize {
-                1
-            }
-            fn poll_list(&self, _me: usize, _mp_round: u64) -> Vec<usize> {
-                vec![0]
-            }
-        }
         let config = SystemConfig::new(30, 3).unwrap();
         let shared = FewCrashesConfig::from_system(&config).unwrap();
         let inner = FewCrashesConsensus::<bool>::new(shared, 1, true);

@@ -8,8 +8,21 @@
 //! byte-identity check — CI's `cluster-smoke` job runs the same command.
 
 use std::process::Command;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// One cluster at a time: the launcher derives its port range from the seed,
+/// two of these tests share seed 7, and the test harness runs them on
+/// parallel threads — two launchers that probe the same free range at the
+/// same moment hand their nodes the same ports, and a node whose peers
+/// lost that race waits in `accept` for ever.
+fn one_cluster_at_a_time() -> MutexGuard<'static, ()> {
+    static CLUSTER: Mutex<()> = Mutex::new(());
+    // A failed test must not fail the others through the lock.
+    CLUSTER.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn run_cluster(extra: &[&str]) -> std::process::Output {
+    let _alone = one_cluster_at_a_time();
     Command::new(env!("CARGO_BIN_EXE_dft-node"))
         .args(["--cluster", "5", "--t", "2", "--crashes", "2"])
         .args(extra)
@@ -48,6 +61,7 @@ fn five_process_cluster_matches_serial_run() {
 /// one more scheduled crash with an empty delivery filter).
 #[test]
 fn killed_node_is_suspected_and_tables_stay_identical() {
+    let _alone = one_cluster_at_a_time();
     let output = Command::new(env!("CARGO_BIN_EXE_dft-node"))
         .args(["--cluster", "5", "--t", "3", "--crashes", "2"])
         .args(["--seed", "7", "--kill", "2@3"])

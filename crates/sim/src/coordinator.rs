@@ -154,7 +154,9 @@ pub trait SinglePortHost: Host {
     /// Hands every pending send to `enqueue`, in sender order.
     fn drain_sends(&mut self, enqueue: impl FnMut(usize, Outgoing<Self::Msg>));
 
-    /// Asks `drain` for every node's polled port contents, in node order.
+    /// Asks `drain` for the polled port contents of every node that may
+    /// have polled this round (a host that knows which nodes were called
+    /// asks only for those), in node order.
     fn fill_drained(&mut self, drain: impl FnMut(usize) -> Option<Vec<Self::Msg>>);
 
     /// Phase 4: `finalize` everywhere; appends the decision/halt events in

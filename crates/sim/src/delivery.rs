@@ -208,10 +208,12 @@ impl EngineCore {
 /// destination's queues are dropped wholesale when it crashes or halts, so
 /// memory stays proportional to live traffic.
 pub(crate) struct PortMap<M> {
-    /// Two-level map (destination, then sender) so dropping a destination's
-    /// queues when it crashes or halts is one outer-entry removal, not a
-    /// scan of every occupied port.
-    queues: HashMap<usize, HashMap<usize, Vec<M>>>,
+    /// Indexed by destination (grown on first use), then keyed by sender.
+    /// Almost every poll finds nothing, and for those a destination with
+    /// no buffered port costs an index and an emptiness check, no hashing;
+    /// dropping a destination's queues when it crashes or halts clears one
+    /// inner map, not a scan of every occupied port.
+    queues: Vec<HashMap<usize, Vec<M>>>,
     buffered: usize,
     /// Emptied queue buffers waiting for reuse.  Drained queues leave the
     /// map (that is what keeps it sparse), so without recycling every
@@ -227,7 +229,7 @@ impl<M> PortMap<M> {
     /// Creates an empty port map.
     pub fn new() -> Self {
         PortMap {
-            queues: HashMap::new(),
+            queues: Vec::new(),
             buffered: 0,
             spares: Vec::new(),
         }
@@ -235,14 +237,17 @@ impl<M> PortMap<M> {
 
     /// Buffers `msg` on destination `to`'s in-port from `from`.
     pub fn push(&mut self, to: usize, from: usize, msg: M) {
+        if to >= self.queues.len() {
+            self.queues.resize_with(to + 1, HashMap::new);
+        }
         let spares = &mut self.spares;
-        self.queues
-            .entry(to)
-            .or_default()
-            .entry(from)
-            .or_insert_with(|| spares.pop().unwrap_or_default())
-            .push(msg);
-        self.buffered += 1;
+        if let Some(ports) = self.queues.get_mut(to) {
+            ports
+                .entry(from)
+                .or_insert_with(|| spares.pop().unwrap_or_default())
+                .push(msg);
+            self.buffered += 1;
+        }
     }
 
     /// Drains destination `to`'s in-port from `from`, in arrival order.
@@ -251,17 +256,14 @@ impl<M> PortMap<M> {
     /// either way — but it comes from the spare pool, not a fresh
     /// construction.
     pub fn drain(&mut self, to: usize, from: usize) -> Vec<M> {
-        let mut drained = None;
-        if let Some(inner) = self.queues.get_mut(&to) {
-            if let Some(msgs) = inner.remove(&from) {
-                if inner.is_empty() {
-                    self.queues.remove(&to);
-                }
+        let ports = self.queues.get_mut(to).filter(|ports| !ports.is_empty());
+        match ports.and_then(|ports| ports.remove(&from)) {
+            Some(msgs) => {
                 self.buffered -= msgs.len();
-                drained = Some(msgs);
+                msgs
             }
+            None => self.spares.pop().unwrap_or_default(),
         }
-        drained.unwrap_or_else(|| self.spares.pop().unwrap_or_default())
     }
 
     /// Moves the emptied poll buffers in `bufs` into the spare pool for
@@ -275,8 +277,8 @@ impl<M> PortMap<M> {
     /// Drops every queue addressed to `to` (the node crashed or halted and
     /// will never poll again).
     pub fn drop_destination(&mut self, to: usize) {
-        if let Some(inner) = self.queues.remove(&to) {
-            self.buffered -= inner.values().map(Vec::len).sum::<usize>();
+        if let Some(ports) = self.queues.get_mut(to) {
+            self.buffered -= ports.drain().map(|(_, msgs)| msgs.len()).sum::<usize>();
         }
     }
 
@@ -287,7 +289,7 @@ impl<M> PortMap<M> {
 
     /// Number of ports currently holding at least one message.
     pub fn ports_in_use(&self) -> usize {
-        self.queues.values().map(HashMap::len).sum()
+        self.queues.iter().map(HashMap::len).sum()
     }
 }
 

@@ -31,6 +31,20 @@
 //! `sans-io-boundary` rule: no `std::net`, `std::io` or `std::thread`
 //! imports may appear here or in `crates/core`.
 //!
+//! # Idle nodes are not called
+//!
+//! The paper's algorithms are phase-scheduled, so most node-rounds carry
+//! nothing.  A protocol may say so ([`SyncProtocol::quiet_until`],
+//! [`SinglePortProtocol::quiet_until`]); each core keeps the round every
+//! node asked to be woken at and, until then, calls neither half of its
+//! round — a multi-port node is woken early by a message
+//! ([`RoundCore::accept`]).  Byzantine participants are never skipped.
+//! Every per-node slice a backend reads (`send_intents()`, `sends()`,
+//! `polls()`) keeps its length; a skipped node's entry is simply empty.
+//! With `debug_assertions` the skipped calls are still made and must come
+//! back empty, which is how the hint is checked (`DESIGN.md`, "The
+//! activity contract").
+//!
 //! # The crash phase stays outside
 //!
 //! The crash adversary's contract ([`crate::CrashAdversary`]) hands one
@@ -118,6 +132,24 @@ pub struct RoundCore<P: SyncProtocol> {
     pub(crate) bits: u64,
     /// Messages sent by Byzantine senders this round (counted separately).
     pub(crate) byz_msgs: u64,
+    /// Per node, the first round it has to be called in again unprompted
+    /// (its last [`SyncProtocol::quiet_until`]); 0 while it is awake.
+    pub(crate) wake: Vec<u64>,
+    /// The nodes the last [`RoundCore::begin_round`] called, ascending —
+    /// the only ones with a send queue or intents to look at.
+    pub(crate) called: Vec<usize>,
+    /// Node-rounds in which a node was called at all.
+    pub(crate) active: u64,
+}
+
+/// Panics unless a node the core skipped kept the promise of its
+/// `quiet_until`: no first decision and no halt while quiet.
+fn assert_still_quiet(node: usize, round: Round, decided: bool, halted: bool) {
+    assert!(
+        !decided && !halted,
+        "node {node} claimed to be quiet through round {round} but changed state \
+         (first output: {decided}, halted: {halted})"
+    );
 }
 
 impl<P: SyncProtocol> RoundCore<P> {
@@ -142,6 +174,9 @@ impl<P: SyncProtocol> RoundCore<P> {
             msgs: 0,
             bits: 0,
             byz_msgs: 0,
+            wake: vec![0; len],
+            called: Vec::new(),
+            active: 0,
         }
     }
 
@@ -160,30 +195,72 @@ impl<P: SyncProtocol> RoundCore<P> {
         self.participants.is_empty()
     }
 
+    /// Node-rounds in which this core called a node at all — `send`, or a
+    /// `receive` a message woke it for — since the execution began.  The
+    /// effort measure of Dwork–Halpern–Waarts; a diagnostic, never part of
+    /// a report.
+    pub fn active_node_rounds(&self) -> u64 {
+        self.active
+    }
+
     /// Phase 1: collect sends and adversary-visible intents for this
-    /// core's nodes.
+    /// core's nodes that are awake.
     pub fn begin_round(&mut self, round: Round) {
-        for (i, participant) in self.participants.iter_mut().enumerate() {
-            match (&self.status[i], participant) {
-                (NodeStatus::Running, Participant::Honest(p)) => {
-                    // The queue doubles as the node's send scratch: cleared
-                    // here, filled by the protocol, drained by `deliver` —
-                    // its capacity is the only thing that survives the
-                    // round.
-                    self.outgoing[i].clear();
-                    p.send(round, &mut self.outgoing[i]);
-                }
-                (NodeStatus::Running, Participant::Byzantine(b)) => {
-                    // Byzantine nodes act on last round's inbox when sending.
-                    self.outgoing[i] = b.act(round, &self.byz_inboxes[i]);
-                }
-                // Clear-don't-drop: a crashed/halted sender keeps its (long
-                // empty) queue instead of swapping in a fresh one per round.
-                _ => self.outgoing[i].clear(),
-            }
+        // Only last round's callers can have left intents behind.
+        for &i in &self.called {
             self.send_intents[i].clear();
-            let intents = self.outgoing[i].iter().map(|m| m.to);
-            self.send_intents[i].extend(intents);
+        }
+        self.called.clear();
+        let queues = self.outgoing.iter_mut().zip(&mut self.send_intents);
+        let state = self.status.iter().zip(&mut self.wake);
+        let per_node = self.participants.iter_mut().zip(queues).zip(state);
+        for (i, ((participant, (queue, intents)), (status, wake))) in per_node.enumerate() {
+            if !status.is_running() {
+                continue;
+            }
+            // The queue doubles as the node's send scratch: cleared and
+            // filled by the protocol here, drained by `deliver` — its
+            // capacity is the only thing that survives the round.
+            match participant {
+                Participant::Honest(p) => {
+                    if *wake > round.as_u64() {
+                        if cfg!(debug_assertions) {
+                            p.send(round, queue);
+                            assert!(
+                                queue.is_empty(),
+                                "node {} claimed to be quiet until round {wake} but sends in round {round}",
+                                self.base + i,
+                            );
+                        }
+                        continue;
+                    }
+                    *wake = 0;
+                    queue.clear();
+                    p.send(round, queue);
+                }
+                // Byzantine nodes act on last round's inbox when sending.
+                Participant::Byzantine(b) => *queue = b.act(round, &self.byz_inboxes[i]),
+            }
+            intents.extend(queue.iter().map(|m| m.to));
+            self.called.push(i);
+        }
+        self.active += self.called.len() as u64;
+    }
+
+    /// [`RoundCore::begin_round`] for a backend that keeps a flat slot per
+    /// node for the adversary's view (`slots[i]` is node `base + i`'s):
+    /// each called node's destinations end up in its slot and the slots of
+    /// last round's callers are emptied, so a round costs the backend its
+    /// callers, not its nodes.  The intent vectors change hands by swapping
+    /// (both sides rebuild them, so only capacity persists), which leaves
+    /// [`RoundCore::send_intents`] meaningless for such a backend.
+    pub(crate) fn begin_round_into(&mut self, round: Round, slots: &mut [Vec<NodeId>]) {
+        for &i in &self.called {
+            slots[i].clear();
+        }
+        self.begin_round(round);
+        for &i in &self.called {
+            std::mem::swap(&mut slots[i], &mut self.send_intents[i]);
         }
     }
 
@@ -211,7 +288,7 @@ impl<P: SyncProtocol> RoundCore<P> {
         self.status[local]
     }
 
-    /// Phase 3: scan this core's senders into the delivery scratch
+    /// Phase 3: scan this round's senders into the delivery scratch
     /// (surviving messages in sender order plus message / bit / Byzantine
     /// counters).  `filters` holds the delivery filters of nodes that
     /// crashed this round (globally indexed; almost always empty).  The
@@ -226,7 +303,8 @@ impl<P: SyncProtocol> RoundCore<P> {
         self.msgs = 0;
         self.bits = 0;
         self.byz_msgs = 0;
-        for (i, queue) in self.outgoing.iter_mut().enumerate() {
+        for &i in &self.called {
+            let queue = &mut self.outgoing[i];
             let sender_idx = self.base + i;
             let sender = NodeId::new(sender_idx);
             let is_byzantine = self.byz[i];
@@ -265,10 +343,19 @@ impl<P: SyncProtocol> RoundCore<P> {
     /// round (`local` indexes from [`RoundCore::base`]).
     pub fn accept(&mut self, local: usize, msg: Delivered<P::Msg>) {
         self.inboxes[local].push(msg);
+        // A message ends a node's quiet: it was skipped in `begin_round`,
+        // and `finalize` now calls it after all.
+        let wake = &mut self.wake[local];
+        if *wake != 0 {
+            *wake = 0;
+            self.active += 1;
+        }
     }
 
-    /// Phase 4: drive `receive` for this core's nodes, record first
-    /// decisions and voluntary halts, and return the round's outcome.
+    /// Phase 4: drive `receive` for this core's nodes that are awake (a
+    /// message wakes its destination), record first decisions and voluntary
+    /// halts, ask each called node how long it stays quiet, and return the
+    /// round's outcome.
     ///
     /// The core does **not** advance its own status on a halt: the backend
     /// replays the returned events in global node order (and only then
@@ -276,17 +363,29 @@ impl<P: SyncProtocol> RoundCore<P> {
     /// traces — cannot depend on which core finalized first.
     pub fn finalize(&mut self, round: Round) -> RoundOutcome<'_> {
         self.events.clear();
-        for (i, participant) in self.participants.iter_mut().enumerate() {
-            if !self.status[i].is_running() {
+        let inboxes = self.inboxes.iter_mut().zip(&mut self.byz_inboxes);
+        let state = self.status.iter().zip(&mut self.wake);
+        let per_node = self.participants.iter_mut().zip(inboxes).zip(state);
+        let per_node = per_node.zip(&mut self.outputs).enumerate();
+        for (i, (((participant, (inbox, byz_inbox)), (status, wake)), first_output)) in per_node {
+            if !status.is_running() {
                 continue;
             }
             match participant {
                 Participant::Honest(p) => {
-                    p.receive(round, &self.inboxes[i]);
+                    if *wake > round.as_u64() {
+                        if cfg!(debug_assertions) {
+                            p.receive(round, &[]);
+                            let decided = first_output.is_none() && p.output().is_some();
+                            assert_still_quiet(self.base + i, round, decided, p.has_halted());
+                        }
+                        continue;
+                    }
+                    p.receive(round, inbox);
                     let mut decided = false;
                     if let Some(output) = p.output() {
-                        if self.outputs[i].is_none() {
-                            self.outputs[i] = Some(output);
+                        if first_output.is_none() {
+                            *first_output = Some(output);
                             decided = true;
                         }
                     }
@@ -298,11 +397,10 @@ impl<P: SyncProtocol> RoundCore<P> {
                             halted,
                         });
                     }
+                    *wake = p.quiet_until(round).map_or(0, Round::as_u64);
                 }
-                Participant::Byzantine(_) => {
-                    // Byzantine nodes just remember their inbox for next round.
-                    std::mem::swap(&mut self.byz_inboxes[i], &mut self.inboxes[i]);
-                }
+                // Byzantine nodes just remember their inbox for next round.
+                Participant::Byzantine(_) => std::mem::swap(byz_inbox, inbox),
             }
         }
         RoundOutcome {
@@ -352,6 +450,14 @@ pub struct SinglePortCore<P: SinglePortProtocol> {
     pub(crate) outputs: Vec<Option<P::Output>>,
     /// Receive scratch: decision/halt events for the backend's replay.
     pub(crate) events: Vec<NodeEvent>,
+    /// Per node, the first round it has to be called in again (its last
+    /// [`SinglePortProtocol::quiet_until`]); 0 while it is awake.
+    pub(crate) wake: Vec<u64>,
+    /// The nodes the last [`SinglePortCore::begin_round`] called, ascending
+    /// — the only ones that can have a send, a poll or an event this round.
+    pub(crate) called: Vec<usize>,
+    /// Node-rounds in which a node was called.
+    pub(crate) active: u64,
 }
 
 impl<P: SinglePortProtocol> SinglePortCore<P> {
@@ -369,6 +475,9 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
             spare: Vec::new(),
             outputs: (0..len).map(|_| None).collect(),
             events: Vec::new(),
+            wake: vec![0; len],
+            called: Vec::new(),
+            active: 0,
         }
     }
 
@@ -387,16 +496,85 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
         self.nodes.is_empty()
     }
 
-    /// Phase 1: collect each running node's single send and poll intent.
+    /// Node-rounds in which this core called a node (`send` and `poll`)
+    /// since the execution began; see [`RoundCore::active_node_rounds`].
+    pub fn active_node_rounds(&self) -> u64 {
+        self.active
+    }
+
+    /// Phase 1: collect the single send and poll intent of each running
+    /// node that is awake.
     pub fn begin_round(&mut self, round: Round) {
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            if self.status[i].is_running() {
-                self.sends[i] = node.send(round);
-                self.polls[i] = node.poll(round);
-            } else {
-                self.sends[i] = None;
-                self.polls[i] = None;
+        // Only last round's callers can have left a send or a poll behind.
+        for &i in &self.called {
+            self.sends[i] = None;
+            self.polls[i] = None;
+        }
+        self.called.clear();
+        let intents = self.sends.iter_mut().zip(&mut self.polls);
+        let state = self.status.iter().zip(&self.wake);
+        let per_node = self.nodes.iter_mut().zip(intents).zip(state);
+        for (i, ((node, (send, poll)), (status, &wake))) in per_node.enumerate() {
+            if wake > round.as_u64() {
+                if cfg!(debug_assertions) && status.is_running() {
+                    let (sent, polled) = (node.send(round).is_some(), node.poll(round).is_some());
+                    assert!(
+                        !sent && !polled,
+                        "node {} claimed to be quiet until round {wake} but in round {round} \
+                         sends: {sent}, polls: {polled}",
+                        self.base + i,
+                    );
+                }
+                continue;
             }
+            if !status.is_running() {
+                continue;
+            }
+            *send = node.send(round);
+            *poll = node.poll(round);
+            self.called.push(i);
+        }
+        self.active += self.called.len() as u64;
+    }
+
+    /// [`SinglePortCore::begin_round`] for a backend that keeps flat
+    /// per-node slots for the adversary's view (index `i` is node
+    /// `base + i`'s): each called node's destination and polled port end up
+    /// in its slots and the slots of last round's callers are emptied, so a
+    /// round costs the backend its callers, not its nodes.
+    pub(crate) fn begin_round_into(
+        &mut self,
+        round: Round,
+        send_intents: &mut [Vec<NodeId>],
+        polls: &mut [Option<NodeId>],
+    ) {
+        for &i in &self.called {
+            send_intents[i].clear();
+            polls[i] = None;
+        }
+        self.begin_round(round);
+        for &i in &self.called {
+            send_intents[i].extend(self.sends[i].iter().map(|out| out.to));
+            polls[i] = self.polls[i];
+        }
+    }
+
+    /// Moves the pending send of every node called this round out of the
+    /// core, in sender order.
+    pub(crate) fn drain_sends(&mut self, mut enqueue: impl FnMut(usize, Outgoing<P::Msg>)) {
+        for &i in &self.called {
+            if let Some(out) = self.sends[i].take() {
+                enqueue(self.base + i, out);
+            }
+        }
+    }
+
+    /// Asks `drain` for the polled port contents of every node called this
+    /// round, in node order.  Nobody else polled, and their slots are `None`
+    /// already ([`SinglePortCore::finalize`] takes what it is given).
+    pub(crate) fn fill_drained(&mut self, mut drain: impl FnMut(usize) -> Option<Vec<P::Msg>>) {
+        for &i in &self.called {
+            self.drained[i] = drain(self.base + i);
         }
     }
 
@@ -447,16 +625,30 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
         self.status[local]
     }
 
-    /// Phase 4: deliver pre-drained polls, advance outputs, and return the
-    /// round's outcome (message counters are zero — the backend counts
+    /// Phase 4: deliver pre-drained polls to the nodes called this round,
+    /// advance their outputs, ask each how long it stays quiet, and return
+    /// the round's outcome (message counters are zero — the backend counts
     /// single-port sends as it enqueues them).
     pub fn finalize(&mut self, round: Round) -> RoundOutcome<'_> {
         self.events.clear();
+        if cfg!(debug_assertions) {
+            // Whoever is asleep now was skipped in `begin_round` too.
+            let state = self.status.iter().zip(&self.wake).zip(&self.outputs);
+            for (i, (node, ((status, &wake), first_output))) in
+                self.nodes.iter().zip(state).enumerate()
+            {
+                if wake > round.as_u64() && status.is_running() {
+                    let decided = first_output.is_none() && node.output().is_some();
+                    assert_still_quiet(self.base + i, round, decided, node.has_halted());
+                }
+            }
+        }
         let spare_cap = self.nodes.len();
-        for (i, node) in self.nodes.iter_mut().enumerate() {
+        for &i in &self.called {
             if !self.status[i].is_running() {
                 continue;
             }
+            let node = &mut self.nodes[i];
             if let Some(port) = self.polls[i] {
                 let mut msgs = self.drained[i].take().unwrap_or_default();
                 node.receive(round, port, &mut msgs);
@@ -470,8 +662,9 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
             }
             let mut decided = false;
             if let Some(output) = node.output() {
-                if self.outputs[i].is_none() {
-                    self.outputs[i] = Some(output);
+                let first_output = &mut self.outputs[i];
+                if first_output.is_none() {
+                    *first_output = Some(output);
                     decided = true;
                 }
             }
@@ -483,6 +676,7 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
                     halted,
                 });
             }
+            self.wake[i] = node.quiet_until(round).map_or(0, Round::as_u64);
         }
         RoundOutcome {
             events: &self.events,

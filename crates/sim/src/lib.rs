@@ -100,6 +100,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(test)]
+#[path = "tests/activity.rs"]
+mod activity;
 pub mod adversary;
 #[cfg(test)]
 #[path = "tests/conformance.rs"]

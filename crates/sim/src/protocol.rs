@@ -93,6 +93,27 @@ pub trait SyncProtocol: Send + 'static {
     /// A halted node no longer sends or receives messages and is considered
     /// non-faulty for the rest of the execution.
     fn has_halted(&self) -> bool;
+
+    /// The activity hint: asked after [`SyncProtocol::receive`] of round
+    /// `now`, `Some(r)` says "absent an inbox message I send nothing, and
+    /// neither [`SyncProtocol::output`] nor [`SyncProtocol::has_halted`]
+    /// changes, before round `r` — and I do not need to be called until
+    /// then".  A round core then skips the node's `send` and `receive`
+    /// until round `r`, or until a message lands in its inbox, whichever
+    /// comes first (the node then sees that round's `receive` without its
+    /// `send`, and is asked again).  `None`, the default, and any `r` not
+    /// after `now + 1` mean "call me next round".
+    ///
+    /// The statement is checked, not trusted: with `debug_assertions` the
+    /// cores still make every call they would have skipped and panic on a
+    /// message, a decision or a halt (see `DESIGN.md`, "The activity
+    /// contract").  State it only where the protocol's schedule makes it
+    /// obvious; a wrapper that does not forward it merely keeps its inner
+    /// protocol awake.
+    fn quiet_until(&self, now: Round) -> Option<Round> {
+        let _ = now;
+        None
+    }
 }
 
 /// A deterministic protocol state machine for the **single-port** model
@@ -135,6 +156,17 @@ pub trait SinglePortProtocol: Send + 'static {
 
     /// Whether the node has voluntarily halted.
     fn has_halted(&self) -> bool;
+
+    /// The activity hint, as [`SyncProtocol::quiet_until`]: asked at the
+    /// end of a round in which the node was called, `Some(r)` says "I send
+    /// nothing and poll nothing, and neither `output()` nor `has_halted()`
+    /// changes, before round `r`, and I do not need to be called until
+    /// then".  Nothing wakes a single-port node early — it learns of a
+    /// message only by polling — so the statement is unconditional.
+    fn quiet_until(&self, now: Round) -> Option<Round> {
+        let _ = now;
+        None
+    }
 }
 
 /// Blanket helper: the status of a node as seen by a runner.

@@ -142,6 +142,13 @@ impl<P: SyncProtocol> Runner<P> {
             RoundCore::new(0, participants),
         ))
     }
+
+    /// Node-rounds in which a node was called at all, so far (see
+    /// [`RoundCore::active_node_rounds`]).  A diagnostic of the in-process
+    /// runner: it is not part of the report and no table may depend on it.
+    pub fn active_node_rounds(&self) -> u64 {
+        self.host.active_node_rounds()
+    }
 }
 
 /// [`Host::outcome`] for a host that cannot fail.
@@ -181,13 +188,7 @@ impl<P: SyncProtocol> MultiPortHost for RoundCore<P> {
         round: Round,
         send_intents: &mut [Vec<NodeId>],
     ) -> Result<(), Infallible> {
-        RoundCore::begin_round(self, round);
-        // Ownership of each node's intent vector ping-pongs between the
-        // core and the flat slot (both sides rebuild per round, so only
-        // capacity persists).
-        for (slot, intents) in send_intents.iter_mut().zip(&mut self.send_intents) {
-            std::mem::swap(slot, intents);
-        }
+        self.begin_round_into(round, send_intents);
         Ok(())
     }
 

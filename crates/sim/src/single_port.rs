@@ -114,6 +114,14 @@ impl<P: SinglePortProtocol> SinglePortRunner<P> {
             SinglePortCore::new(0, nodes),
         ))
     }
+
+    /// Node-rounds in which a node was called, so far (see
+    /// [`SinglePortCore::active_node_rounds`]).  A diagnostic of the
+    /// in-process runner: it is not part of the report and no table may
+    /// depend on it.
+    pub fn active_node_rounds(&self) -> u64 {
+        self.host.active_node_rounds()
+    }
 }
 
 // The in-process host is the runner's one core.  It owns every node from
@@ -146,12 +154,7 @@ impl<P: SinglePortProtocol> SinglePortHost for SinglePortCore<P> {
         send_intents: &mut [Vec<NodeId>],
         polls: &mut [Option<NodeId>],
     ) -> Result<(), Infallible> {
-        SinglePortCore::begin_round(self, round);
-        for (intents, send) in send_intents.iter_mut().zip(&self.sends) {
-            intents.clear();
-            intents.extend(send.iter().map(|out| out.to));
-        }
-        polls.copy_from_slice(&self.polls);
+        self.begin_round_into(round, send_intents, polls);
         Ok(())
     }
 
@@ -163,19 +166,12 @@ impl<P: SinglePortProtocol> SinglePortHost for SinglePortCore<P> {
         SinglePortCore::take_spares(self, out);
     }
 
-    fn drain_sends(&mut self, mut enqueue: impl FnMut(usize, Outgoing<P::Msg>)) {
-        for node in 0..self.len() {
-            if let Some(out) = self.take_send(node) {
-                enqueue(node, out);
-            }
-        }
+    fn drain_sends(&mut self, enqueue: impl FnMut(usize, Outgoing<P::Msg>)) {
+        SinglePortCore::drain_sends(self, enqueue);
     }
 
-    fn fill_drained(&mut self, mut drain: impl FnMut(usize) -> Option<Vec<P::Msg>>) {
-        for node in 0..self.len() {
-            let drained = drain(node);
-            self.set_drained(node, drained);
-        }
+    fn fill_drained(&mut self, drain: impl FnMut(usize) -> Option<Vec<P::Msg>>) {
+        SinglePortCore::fill_drained(self, drain);
     }
 
     fn finalize(&mut self, round: Round, events: &mut Vec<NodeEvent>) -> Result<(), Infallible> {

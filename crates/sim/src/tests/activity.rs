@@ -1,0 +1,280 @@
+//! The activity contract of the round cores: a node that says it is quiet
+//! is not called, a message wakes it, the per-node slices backends read
+//! stay whole, and a hint that lies trips the debug-build check.
+
+use crate::driver::{RoundCore, SinglePortCore};
+use crate::message::{Delivered, Outgoing};
+use crate::node::NodeId;
+use crate::protocol::{SinglePortProtocol, SyncProtocol};
+use crate::round::Round;
+use crate::runner::{Participant, Runner};
+use crate::single_port::SinglePortRunner;
+
+/// Sleeps until `speaks_at`, then tells `peer` so and halts; a message
+/// makes it decide at once.  The hint is honest unless `lies` says
+/// otherwise.
+struct Sleeper {
+    peer: usize,
+    speaks_at: u64,
+    lies: Option<Lie>,
+    decided: Option<u64>,
+    halted: bool,
+    /// Rounds `send` / `receive` were called in.
+    sends: Vec<u64>,
+    receives: Vec<u64>,
+}
+
+/// How a [`Sleeper`] breaks the promise of its hint (only a debug build
+/// has the check the liars are for).
+#[derive(Clone, Copy)]
+#[cfg_attr(not(debug_assertions), allow(dead_code))]
+enum Lie {
+    /// Sends in round 2 while claiming to be quiet.
+    Sends,
+    /// Decides in round 2 while claiming to be quiet.
+    Decides,
+}
+
+impl Sleeper {
+    fn new(peer: usize, speaks_at: u64) -> Self {
+        Sleeper {
+            peer,
+            speaks_at,
+            lies: None,
+            decided: None,
+            halted: false,
+            sends: Vec::new(),
+            receives: Vec::new(),
+        }
+    }
+
+    #[cfg_attr(not(debug_assertions), allow(dead_code))]
+    fn lying(lie: Lie) -> Self {
+        Sleeper {
+            lies: Some(lie),
+            ..Sleeper::new(0, 6)
+        }
+    }
+}
+
+impl SyncProtocol for Sleeper {
+    type Msg = u64;
+    type Output = u64;
+
+    fn send(&mut self, round: Round, out: &mut Vec<Outgoing<u64>>) {
+        self.sends.push(round.as_u64());
+        let lying = matches!(self.lies, Some(Lie::Sends)) && round.as_u64() == 2;
+        if round.as_u64() == self.speaks_at || lying {
+            out.push(Outgoing::new(NodeId::new(self.peer), round.as_u64()));
+        }
+    }
+
+    fn receive(&mut self, round: Round, inbox: &[Delivered<u64>]) {
+        self.receives.push(round.as_u64());
+        let lying = matches!(self.lies, Some(Lie::Decides)) && round.as_u64() == 2;
+        if let Some(msg) = inbox.first() {
+            self.decided.get_or_insert(msg.msg);
+        } else if lying {
+            self.decided = Some(0);
+        }
+        self.halted = round.as_u64() >= self.speaks_at;
+    }
+
+    fn output(&self) -> Option<u64> {
+        self.decided
+    }
+
+    fn has_halted(&self) -> bool {
+        self.halted
+    }
+
+    fn quiet_until(&self, _now: Round) -> Option<Round> {
+        Some(Round::new(self.speaks_at))
+    }
+}
+
+fn honest(nodes: Vec<Sleeper>) -> Vec<Participant<Sleeper>> {
+    nodes.into_iter().map(Participant::Honest).collect()
+}
+
+/// One round of a lone core, the way a backend drives it: every staged
+/// message is routed straight back in.
+fn step(core: &mut RoundCore<Sleeper>, round: u64) {
+    let round = Round::new(round);
+    core.begin_round(round);
+    core.deliver(&[]);
+    for (dest, msg) in core.delivered().to_vec() {
+        core.accept(dest, msg);
+    }
+    let halted: Vec<usize> = core.finalize(round).events.iter().map(|e| e.node).collect();
+    for node in halted {
+        core.set_halted(node);
+    }
+}
+
+#[test]
+fn a_quiet_node_is_called_when_it_said_and_when_a_message_arrives() {
+    // Node 0 speaks to node 1 in round 3; node 1 would sleep until round 9.
+    let mut core = RoundCore::new(0, honest(vec![Sleeper::new(1, 3), Sleeper::new(0, 9)]));
+    for round in 0..5 {
+        step(&mut core, round);
+        // The slices a backend reads stay whole.
+        assert_eq!(core.send_intents().len(), 2);
+    }
+    assert_eq!(core.output(1), Some(&3), "the message woke node 1");
+    let called = |node: usize| match &core.participants[node] {
+        Participant::Honest(p) => (p.sends.clone(), p.receives.clone()),
+        Participant::Byzantine(_) => unreachable!("honest nodes only"),
+    };
+    if cfg!(debug_assertions) {
+        // The checker made every call; none of them was counted.
+        assert_eq!(called(0), (vec![0, 1, 2, 3], vec![0, 1, 2, 3]));
+    } else {
+        assert_eq!(called(0), (vec![0, 3], vec![0, 3]));
+        // Woken in round 3 by the message (no `send` that round), asked
+        // again, quiet again.
+        assert_eq!(called(1), (vec![0], vec![0, 3]));
+    }
+    // Round 0 for both, round 3 for both: node 0 by its own word, node 1 by
+    // the message.
+    assert_eq!(core.active_node_rounds(), 4);
+}
+
+#[test]
+fn skipped_nodes_show_no_intents() {
+    let mut core = RoundCore::new(0, honest(vec![Sleeper::new(1, 1), Sleeper::new(0, 9)]));
+    step(&mut core, 0);
+    core.begin_round(Round::new(1));
+    assert_eq!(core.send_intents()[0], vec![NodeId::new(1)]);
+    assert!(core.send_intents()[1].is_empty());
+    core.deliver(&[]);
+    core.finalize(Round::new(1));
+    // Node 0 is still running as far as the core knows (nobody mirrored its
+    // halt), is called again, and last round's intent must not linger.
+    core.begin_round(Round::new(2));
+    assert!(core.send_intents().iter().all(Vec::is_empty));
+}
+
+#[test]
+fn the_runner_reports_the_same_execution_and_fewer_calls() {
+    let nodes = || vec![Sleeper::new(1, 3), Sleeper::new(0, 40)];
+    let mut runner = Runner::new(nodes()).unwrap();
+    let report = runner.run(50);
+    assert_eq!(report.outputs, vec![None, Some(3)]);
+    assert_eq!(report.halted_at[0], Some(Round::new(3)));
+    assert_eq!(report.halted_at[1], Some(Round::new(40)));
+    assert_eq!(report.metrics.messages, 2);
+    // Node 0: rounds 0 and 3.  Node 1: round 0, round 3 (woken), round 40.
+    assert_eq!(runner.active_node_rounds(), 5);
+}
+
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "claimed to be quiet until round 6 but sends in round 2")]
+fn a_quiet_node_that_sends_trips_the_check() {
+    let mut core = RoundCore::new(0, honest(vec![Sleeper::lying(Lie::Sends)]));
+    for round in 0..4 {
+        step(&mut core, round);
+    }
+}
+
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "claimed to be quiet through round 2 but changed state")]
+fn a_quiet_node_whose_output_changes_trips_the_check() {
+    let mut core = RoundCore::new(0, honest(vec![Sleeper::lying(Lie::Decides)]));
+    for round in 0..4 {
+        step(&mut core, round);
+    }
+}
+
+/// The single-port sleeper: polls `peer` in round `polls_at` and decides on
+/// what it finds (or on 0), sends `peer` its index in round 0.
+struct SpSleeper {
+    me: usize,
+    peer: usize,
+    polls_at: u64,
+    lies: bool,
+    decided: Option<u64>,
+    calls: u64,
+}
+
+impl SinglePortProtocol for SpSleeper {
+    type Msg = u64;
+    type Output = u64;
+
+    fn send(&mut self, round: Round) -> Option<Outgoing<u64>> {
+        self.calls += 1;
+        (round.as_u64() == 0).then(|| Outgoing::new(NodeId::new(self.peer), self.me as u64))
+    }
+
+    fn poll(&mut self, round: Round) -> Option<NodeId> {
+        let lying = self.lies && round.as_u64() == 2;
+        (round.as_u64() == self.polls_at || lying).then(|| NodeId::new(self.peer))
+    }
+
+    fn receive(&mut self, _round: Round, _from: NodeId, msgs: &mut Vec<u64>) {
+        self.decided = Some(msgs.first().copied().unwrap_or(0));
+    }
+
+    fn output(&self) -> Option<u64> {
+        self.decided
+    }
+
+    fn has_halted(&self) -> bool {
+        self.decided.is_some()
+    }
+
+    fn quiet_until(&self, _now: Round) -> Option<Round> {
+        Some(Round::new(self.polls_at))
+    }
+}
+
+fn sp_sleepers(lies: bool) -> Vec<SpSleeper> {
+    [(0, 1, 5), (1, 0, 30)]
+        .into_iter()
+        .map(|(me, peer, polls_at)| SpSleeper {
+            me,
+            peer,
+            polls_at,
+            lies,
+            decided: None,
+            calls: 0,
+        })
+        .collect()
+}
+
+#[test]
+fn single_port_nodes_are_called_only_when_they_said() {
+    let mut runner = SinglePortRunner::new(sp_sleepers(false)).unwrap();
+    let report = runner.run(40);
+    assert_eq!(report.outputs, vec![Some(1), Some(0)]);
+    assert_eq!(report.halted_at[0], Some(Round::new(5)));
+    assert_eq!(report.halted_at[1], Some(Round::new(30)));
+    // Round 0 and the polling round, for each.
+    assert_eq!(runner.active_node_rounds(), 4);
+    if !cfg!(debug_assertions) {
+        assert!(runner.host.nodes.iter().all(|node| node.calls == 2));
+    }
+}
+
+#[test]
+fn single_port_slices_keep_their_length_and_skipped_slots_are_empty() {
+    let mut core = SinglePortCore::new(0, sp_sleepers(false));
+    core.begin_round(Round::ZERO);
+    assert!(core.sends().iter().all(Option::is_some));
+    core.finalize(Round::ZERO);
+    // The sends of round 0 were never taken; nobody is called in round 1.
+    core.begin_round(Round::new(1));
+    assert_eq!((core.sends().len(), core.polls().len()), (2, 2));
+    assert!(core.sends().iter().all(Option::is_none));
+    assert!(core.polls().iter().all(Option::is_none));
+}
+
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "claimed to be quiet until round 5 but in round 2")]
+fn a_quiet_single_port_node_that_polls_trips_the_check() {
+    let mut runner = SinglePortRunner::new(sp_sleepers(true)).unwrap();
+    runner.run(10);
+}

@@ -26,6 +26,11 @@ fn main() {
         report.metrics.rounds
     );
     println!("messages:          {}", report.metrics.messages);
+    println!(
+        "node-rounds called:{} of {} (the rest were quiet)",
+        runner.active_node_rounds(),
+        n as u64 * report.metrics.rounds
+    );
     println!("bits:              {}", report.metrics.bits);
     println!(
         "peak msgs/round:   {} (<= n, one send per node per round)",
