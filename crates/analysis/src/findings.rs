@@ -1,21 +1,18 @@
-//! Findings: what a rule reports, and how findings render.
+//! Findings: what the schema pass reports, and how findings render.
 
-use crate::json::escape;
-
-/// One diagnostic from the rule engine.
+/// One diagnostic from the schema pass.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
-    /// Root-relative path with forward slashes (stable across platforms —
-    /// the baseline file embeds these).
+    /// Root-relative path with forward slashes (stable across platforms).
     pub file: String,
     /// 1-based line.
     pub line: usize,
-    /// Rule identifier (one of [`crate::rules::RULES`]).
+    /// Rule identifier: [`crate::schema::RULE_WIRE_HANDWRITTEN`] or
+    /// [`crate::schema::RULE_WIRE_UNTESTED`].
     pub rule: &'static str,
     /// Human-readable explanation of the hazard at this site.
     pub message: String,
-    /// The source line, whitespace-normalised — the baseline key, so
-    /// findings survive unrelated line-number churn.
+    /// The source line, whitespace-normalised.
     pub snippet: String,
 }
 
@@ -27,26 +24,9 @@ impl Finding {
             self.file, self.line, self.rule, self.message, self.snippet
         )
     }
-
-    /// The finding as one machine-readable JSON object, following the same
-    /// diagnostics idiom as `run_experiments --diag-json`: every line is an
-    /// object with at least `tool`, `level` and `message` keys.
-    pub fn to_json(&self, baselined: bool) -> String {
-        format!(
-            "{{\"tool\": \"dft-analyze\", \"level\": \"{}\", \"rule\": \"{}\", \
-             \"file\": \"{}\", \"line\": {}, \"message\": \"{}\", \"snippet\": \"{}\"}}",
-            if baselined { "baselined" } else { "error" },
-            self.rule,
-            escape(&self.file),
-            self.line,
-            escape(&self.message),
-            escape(&self.snippet),
-        )
-    }
 }
 
-/// Collapses runs of whitespace to single spaces and trims — the snippet
-/// normalisation used for baseline matching.
+/// Collapses runs of whitespace to single spaces and trims.
 pub fn normalize_snippet(line: &str) -> String {
     let mut out = String::with_capacity(line.len());
     let mut last_space = true;
@@ -76,24 +56,5 @@ mod tests {
         assert_eq!(normalize_snippet("   a \t b  \n"), "a b");
         assert_eq!(normalize_snippet("x"), "x");
         assert_eq!(normalize_snippet("  "), "");
-    }
-
-    #[test]
-    fn json_line_escapes_content() {
-        let finding = Finding {
-            file: "crates/x/src/lib.rs".to_string(),
-            line: 7,
-            rule: "panic-expect",
-            message: "msg with \"quotes\"".to_string(),
-            snippet: "let x = m.expect(\"why\");".to_string(),
-        };
-        let json = finding.to_json(false);
-        assert!(json.contains("\\\"quotes\\\""));
-        assert!(json.contains("\"level\": \"error\""));
-        let parsed = crate::json::parse(&json).expect("valid JSON");
-        assert_eq!(
-            parsed.get("snippet").and_then(crate::json::Json::as_str),
-            Some("let x = m.expect(\"why\");")
-        );
     }
 }

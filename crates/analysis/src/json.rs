@@ -252,6 +252,11 @@ impl Parser {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the cursor only advances over characters `peek` saw, so `start..pos` is inside \
+                  `chars`"
+    )]
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
         if self.peek() == Some('-') {

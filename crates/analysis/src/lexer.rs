@@ -2,21 +2,17 @@
 //!
 //! The build environment has no registry access, so `dft-analyze` cannot
 //! lean on `syn` or `proc-macro2`; instead this module tokenises Rust
-//! source just accurately enough for the rule engine: identifiers,
+//! source just accurately enough for the schema pass: identifiers,
 //! punctuation, numeric literals (with float detection), every string
 //! shape (plain, raw `r#"…"#`, byte, char — including the char-vs-lifetime
-//! ambiguity), and line/nested-block comments.  Tokens carry 1-based line
-//! numbers; comments are kept on the side so the `#[allow]` audit can ask
-//! "is there a justification next to this attribute?" without the rules
-//! ever seeing comment text as code.
+//! ambiguity), and line/nested-block comments, which are skipped.  Tokens
+//! carry 1-based line numbers.
 //!
 //! The lexer is deliberately lossless about *placement* (lines) and lossy
 //! about *content* it does not need: string and char literals become a
 //! single [`TokenKind::Str`] token with no text, which is exactly what
-//! stops `".unwrap()"` inside a diagnostic message from tripping the
-//! panic-hygiene rule.
-
-use std::collections::BTreeMap;
+//! stops `"wire_struct!(…)"` inside a diagnostic message from reading as a
+//! declaration.
 
 /// What a token is, as far as the rules need to know.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,15 +57,12 @@ impl Token {
     }
 }
 
-/// A lexed file: its token stream plus the comment text found on each line
-/// (doc and plain comments alike, block comments attributed to every line
-/// they cover).
+/// A lexed file: its token stream (comments, doc comments included, leave
+/// no token).
 #[derive(Debug, Default)]
 pub struct Lexed {
     /// Tokens in source order.
     pub tokens: Vec<Token>,
-    /// Line → concatenated comment text on that line.
-    pub comments: BTreeMap<usize, String>,
 }
 
 /// Tokenises `source`.  Unterminated literals and comments are tolerated
@@ -92,6 +85,10 @@ struct Lexer {
     out: Lexed,
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "slices are start..self.pos with pos <= len by the scan loop invariant"
+)]
 impl Lexer {
     fn peek(&self, ahead: usize) -> Option<char> {
         self.chars.get(self.pos + ahead).copied()
@@ -108,14 +105,6 @@ impl Lexer {
 
     fn push(&mut self, kind: TokenKind, text: String, line: usize) {
         self.out.tokens.push(Token { kind, text, line });
-    }
-
-    fn add_comment(&mut self, line: usize, text: &str) {
-        let entry = self.out.comments.entry(line).or_default();
-        if !entry.is_empty() {
-            entry.push(' ');
-        }
-        entry.push_str(text.trim());
     }
 
     fn run(mut self) -> Lexed {
@@ -146,30 +135,14 @@ impl Lexer {
     }
 
     fn line_comment(&mut self) {
-        let line = self.line;
-        let start = self.pos;
-        while let Some(c) = self.peek(0) {
-            if c == '\n' {
-                break;
-            }
+        while self.peek(0).is_some_and(|c| c != '\n') {
             self.bump();
         }
-        let text: String = self.chars[start..self.pos]
-            .iter()
-            .collect::<String>()
-            .trim_start_matches('/')
-            .trim_start_matches('!')
-            .to_string();
-        self.add_comment(line, &text);
     }
 
     fn block_comment(&mut self) {
-        // Nested /* */ per the Rust grammar; the text lands on every line
-        // the comment covers so a justification above an attribute is found
-        // whichever comment style it uses.
+        // Nested /* */ per the Rust grammar.
         let mut depth = 0usize;
-        let mut line_start = self.line;
-        let mut buf = String::new();
         while let Some(c) = self.peek(0) {
             if c == '/' && self.peek(1) == Some('*') {
                 depth += 1;
@@ -186,16 +159,8 @@ impl Lexer {
                 }
                 continue;
             }
-            if c == '\n' {
-                let text = std::mem::take(&mut buf);
-                self.add_comment(line_start, &text);
-                line_start = self.line + 1;
-            } else {
-                buf.push(c);
-            }
             self.bump();
         }
-        self.add_comment(line_start, &buf);
     }
 
     /// Consumes a string/char body after the opening delimiter, honouring
@@ -413,14 +378,10 @@ mod tests {
 
     #[test]
     fn comments_are_collected_not_tokenised() {
-        let lexed = lex("// has unwrap in text\nlet x = 1; /* block\nspanning */ y");
         assert_eq!(
-            idents("// has unwrap in text\nlet x = 1;"),
-            vec!["let", "x"]
+            idents("// has unwrap in text\nlet x = 1; /* block\nspanning */ y"),
+            vec!["let", "x", "y"]
         );
-        assert!(lexed.comments[&1].contains("has unwrap in text"));
-        assert!(lexed.comments[&2].contains("block"));
-        assert!(lexed.comments[&3].contains("spanning"));
     }
 
     #[test]

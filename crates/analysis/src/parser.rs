@@ -3,7 +3,7 @@
 //! structural analyses need.
 //!
 //! The lexer ([`crate::lexer`]) stays deliberately flat; this module adds
-//! just enough structure on top for the wire-schema and layering analyses:
+//! just enough structure on top for the wire-schema analysis:
 //! a [`Tree`] is either a single token or a `(…)` / `[…]` / `{…}` group of
 //! trees, so "the body of this `fn`" or "the arms of this `match`" become
 //! slice walks instead of index arithmetic.  Like the lexer, everything
@@ -291,35 +291,6 @@ fn tuple_arity(elems: &[Tree]) -> usize {
         }
     }
     arity
-}
-
-/// Splits a group's trees at top-level commas into non-empty elements
-/// (use-group members); a comma between the angle brackets of a generic
-/// type (`Map<K, V>`) is not top-level.
-pub fn top_level_elements(trees: &[Tree]) -> Vec<&[Tree]> {
-    let mut out = Vec::new();
-    let mut start = 0;
-    let mut angle_depth = 0usize;
-    for (i, tree) in trees.iter().enumerate() {
-        if tree.is_punct('<') {
-            angle_depth += 1;
-        } else if tree.is_punct('>') {
-            angle_depth = angle_depth.saturating_sub(1);
-        } else if tree.is_punct(',') && angle_depth == 0 {
-            if let Some(element) = trees.get(start..i) {
-                if !element.is_empty() {
-                    out.push(element);
-                }
-            }
-            start = i + 1;
-        }
-    }
-    if let Some(element) = trees.get(start..) {
-        if !element.is_empty() {
-            out.push(element);
-        }
-    }
-    out
 }
 
 /// The workspace's `WIRE_VERSION` constant (`pub const WIRE_VERSION: u16 =

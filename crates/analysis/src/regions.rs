@@ -1,7 +1,8 @@
 //! Test-region detection: which lines of a file are test code.
 //!
-//! Panic-hygiene and nondeterminism rules only apply to production code, so
-//! the engine must know where `#[cfg(test)]` modules and `#[test]`
+//! A codec declared inside test code is not part of the wire schema, and an
+//! identifier inside test code is evidence that a wire type is tested, so
+//! the schema pass must know where `#[cfg(test)]` modules and `#[test]`
 //! functions live.  Detection is token-based (comments and strings can
 //! never open a region) and brace-matched: an attribute marking a test item
 //! covers everything from the attribute's line to the item's closing brace.
@@ -28,6 +29,11 @@ impl TestRegions {
 }
 
 /// Finds the test regions of a token stream.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the token cursor is guarded by explicit `< tokens.len()` checks in the same \
+              expression or loop head"
+)]
 pub fn test_regions(tokens: &[Token]) -> TestRegions {
     let mut ranges = Vec::new();
     let mut i = 0;
@@ -101,6 +107,11 @@ fn is_test_attribute(names: &[&str]) -> bool {
 /// Finds the line of the `}` closing the item that starts after an
 /// attribute at token index `from`.  Returns `None` for brace-less items
 /// (`#[cfg(test)] mod tests;` — the out-of-line file is handled by path).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the token cursor is guarded by explicit `< tokens.len()` checks in the same \
+              expression or loop head"
+)]
 fn item_end_line(tokens: &[Token], from: usize) -> Option<usize> {
     let mut k = from;
     // Skip any further attributes between the test attribute and the item.

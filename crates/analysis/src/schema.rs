@@ -19,10 +19,14 @@
 //!   golden-bytes tests next to them, not by this file;
 //! * report any other hand-written `impl Wire for T` as
 //!   [`RULE_WIRE_HANDWRITTEN`], so "every composite type is declared once"
-//!   is itself enforced.
+//!   is itself enforced;
+//! * report every entry, declared or leaf, whose name no test mentions as
+//!   [`RULE_WIRE_UNTESTED`]: a codec nothing round-trips is an unpinned
+//!   wire format.
 //!
-//! The result is committed as `WIRE_SCHEMA.json` and ratcheted like
-//! `ANALYSIS_baseline.json`: a schema change without a `WIRE_VERSION` bump
+//! Neither problem has an exception mechanism; both fail the run whatever
+//! the committed file says.  The schema itself is committed as
+//! `WIRE_SCHEMA.json` and ratcheted: a change without a `WIRE_VERSION` bump
 //! fails `dft-analyze schema --ci`, turning a wire-format break from silent
 //! cross-process corruption into an explicit reviewed event.  See DESIGN.md
 //! §"Wire schema ratchet".
@@ -41,6 +45,8 @@ use crate::walk::{self, FileKind};
 
 /// Rule identifier for a composite `Wire` impl written by hand.
 pub const RULE_WIRE_HANDWRITTEN: &str = "wire-handwritten";
+/// Rule identifier for a wire type (declared or leaf) no test names.
+pub const RULE_WIRE_UNTESTED: &str = "wire-untested";
 
 /// The `"schema"` format number of `WIRE_SCHEMA.json` this module writes
 /// and reads.
@@ -178,27 +184,13 @@ pub struct Schema {
     pub types: Vec<SchemaType>,
 }
 
-/// Where one schema entry is written, for findings about it.
-#[derive(Clone, Debug)]
-pub struct Site {
-    /// The entry's type name.
-    pub name: String,
-    /// Root-relative file.
-    pub file: String,
-    /// 1-based line of the declaration or `impl`.
-    pub line: usize,
-    /// That line, normalized.
-    pub snippet: String,
-}
-
-/// Extraction result: the schema, where each entry is, and any problems.
+/// Extraction result: the schema and any problems.
 #[derive(Clone, Debug)]
 pub struct Extraction {
     /// The canonical schema.
     pub schema: Schema,
-    /// One site per schema entry.
-    pub sites: Vec<Site>,
-    /// Hand-written composite impls and duplicate names.
+    /// Hand-written composite impls, duplicate names and entries no test
+    /// names, sorted by `(file, line)`.
     pub problems: Vec<Finding>,
 }
 
@@ -223,21 +215,32 @@ pub enum SchemaStatus {
 }
 
 /// Extracts the wire schema under `root`: every declaration, every leaf
-/// codec, and a problem for every other hand-written `impl Wire for T`.
+/// codec, a problem for every other hand-written `impl Wire for T`, and a
+/// problem for every entry whose name appears in no test code under `root`.
 pub fn extract_schema(root: &Path) -> io::Result<Extraction> {
     let mut wire_version = None;
     let mut types = Vec::new();
-    let mut sites = Vec::new();
+    // One untested-codec finding per entry, dropped again below if the
+    // identifiers of the tree's test code name the entry.
+    let mut unnamed: Vec<(String, Finding)> = Vec::new();
+    let mut test_idents = BTreeSet::new();
     let mut problems = Vec::new();
     let mut seen = BTreeSet::new();
     for file in walk::discover(root)? {
-        if file.kind == FileKind::Test {
-            continue;
-        }
         let content = std::fs::read_to_string(&file.path)?;
         let lexed = lex(&content);
         let regions = test_regions(&lexed.tokens);
-        let is_test = |line: usize| regions.contains(line);
+        let is_test = |line: usize| file.kind == FileKind::Test || regions.contains(line);
+        test_idents.extend(
+            lexed
+                .tokens
+                .iter()
+                .filter(|t| t.kind == TokenKind::Ident && is_test(t.line))
+                .map(|t| t.text.clone()),
+        );
+        if file.kind == FileKind::Test {
+            continue;
+        }
         if wire_version.is_none() {
             wire_version = parser::wire_version_const(&lexed.tokens);
         }
@@ -252,13 +255,14 @@ pub fn extract_schema(root: &Path) -> io::Result<Extraction> {
         let snippet = |line: usize| {
             normalize_snippet(content.lines().nth(line.saturating_sub(1)).unwrap_or(""))
         };
-        let problem = |line: usize, message: String| Finding {
+        let finding = |rule: &'static str, line: usize, message: String| Finding {
             file: file.rel.clone(),
             line,
-            rule: RULE_WIRE_HANDWRITTEN,
+            rule,
             message,
             snippet: snippet(line),
         };
+        let problem = |line, message| finding(RULE_WIRE_HANDWRITTEN, line, message);
         for imp in parser::wire_impls(&trees, &is_test) {
             if is_leaf(&imp.type_name) {
                 found.push(Declaration {
@@ -289,12 +293,14 @@ pub fn extract_schema(root: &Path) -> io::Result<Extraction> {
                 ));
                 continue;
             }
-            sites.push(Site {
-                name: decl.name.clone(),
-                file: file.rel.clone(),
-                line: decl.line,
-                snippet: snippet(decl.line),
-            });
+            let untested = format!(
+                "the `Wire` codec of `{0}` has no test naming `{0}` (roundtrip / version-compat)",
+                decl.name
+            );
+            unnamed.push((
+                decl.name.clone(),
+                finding(RULE_WIRE_UNTESTED, decl.line, untested),
+            ));
             types.push(SchemaType {
                 name: decl.name,
                 file: file.rel.clone(),
@@ -303,12 +309,18 @@ pub fn extract_schema(root: &Path) -> io::Result<Extraction> {
         }
     }
     types.sort_by(|a, b| a.name.cmp(&b.name));
+    problems.extend(
+        unnamed
+            .into_iter()
+            .filter(|(name, _)| !test_idents.contains(name))
+            .map(|(_, finding)| finding),
+    );
+    problems.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(Extraction {
         schema: Schema {
             wire_version,
             types,
         },
-        sites,
         problems,
     })
 }

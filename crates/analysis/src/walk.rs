@@ -1,23 +1,19 @@
 //! Workspace discovery: which `.rs` files to scan, and as what.
 //!
 //! The walk is recursive with sorted directory entries, so the file order —
-//! and therefore finding order and baseline layout — is deterministic (the
-//! analyzer holds itself to the invariant it enforces).  `vendor/` and
-//! `target/` are third-party/generated and skipped outright; `fixtures/`
-//! trees are the analyzer's own seeded-violation corpora and must never
-//! leak into a real scan.
+//! and therefore finding order — is deterministic.  `vendor/` and `target/`
+//! are third-party/generated and skipped outright; `fixtures/` trees are
+//! the analyzer's own seeded-violation corpora and must never leak into a
+//! real scan.
 //!
 //! Classification is path-based:
 //! * files under a `tests/` directory, or named `tests.rs` (the
 //!   `#[cfg(test)] mod tests;` out-of-line idiom), are **test** files —
-//!   exempt from the rules, but their identifiers feed the wire-coverage
-//!   corpus;
+//!   they declare no wire type, and their identifiers are the evidence
+//!   that a wire type is tested;
 //! * files under `benches/` or `examples/` are neither library code nor
 //!   test evidence and are skipped;
-//! * files under `src/bin/` or named `main.rs` are **bin** files: scanned,
-//!   but exempt from the panic-hygiene rules (a harness aborting with a
-//!   usage message is correct behaviour, and its timing code is its
-//!   product).
+//! * everything else, binaries included, is **library** code.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -25,11 +21,9 @@ use std::path::{Path, PathBuf};
 /// How a discovered file participates in the scan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FileKind {
-    /// Library code: every rule applies.
+    /// Library or binary code: may declare wire types.
     Lib,
-    /// Binary code: nondeterminism rules apply, panic hygiene does not.
-    Bin,
-    /// Test code: no rules; contributes to the wire-coverage corpus.
+    /// Test code: declares nothing; names the wire types that are tested.
     Test,
 }
 
@@ -101,8 +95,6 @@ fn classify(rel: &str) -> FileKind {
     let name = parts.last().copied().unwrap_or_default();
     if parts.contains(&"tests") || name == "tests.rs" {
         FileKind::Test
-    } else if parts.contains(&"bin") || name == "main.rs" {
-        FileKind::Bin
     } else {
         FileKind::Lib
     }
@@ -120,9 +112,8 @@ mod tests {
         assert_eq!(classify("tests/facade_smoke.rs"), FileKind::Test);
         assert_eq!(
             classify("crates/bench/src/bin/run_experiments.rs"),
-            FileKind::Bin
+            FileKind::Lib
         );
-        assert_eq!(classify("src/main.rs"), FileKind::Bin);
         assert_eq!(classify("src/lib.rs"), FileKind::Lib);
     }
 }

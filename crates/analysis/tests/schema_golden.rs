@@ -4,9 +4,16 @@
 //! `fixtures/schema/drift-nobump` reordered a declaration's fields and
 //! `fixtures/schema/drift-generic-arg` changed a payload type inside
 //! `Arc<…>`, both without bumping `WIRE_VERSION`, and must be reported as
-//! drift; `fixtures/schema/handwritten` writes a composite codec by hand,
-//! which fails before any comparison.  Together they pin the ways the
-//! ratchet can say no.
+//! drift; `fixtures/schema/handwritten` writes a composite codec by hand
+//! and `fixtures/schema/untested` is the `ok` tree without the test that
+//! names its type, which both fail before any comparison.  Together they
+//! pin the ways the ratchet can say no.
+
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "helpers of a test target: a panic here is a failing test"
+)]
 
 use std::path::PathBuf;
 
@@ -113,5 +120,29 @@ fn handwritten_composite_codec_fails_before_any_comparison() {
     assert!(
         extraction.schema.types.is_empty(),
         "a hand-written composite codec is not a schema entry"
+    );
+}
+
+#[test]
+fn a_declared_type_no_test_names_fails_before_any_comparison() {
+    let extraction = extract_schema(&fixture("untested")).expect("extract untested tree");
+    // Nothing else is wrong with the tree: the schema is the `ok` tree's.
+    assert_eq!(
+        compare(&extraction.schema, &committed("untested")),
+        SchemaStatus::Match
+    );
+    assert_eq!(
+        extraction.problems.len(),
+        1,
+        "exactly the untested declaration: {:?}",
+        extraction.problems
+    );
+    let finding = extraction.problems.first().expect("one finding");
+    assert_eq!(finding.rule, "wire-untested");
+    assert_eq!(finding.file, "crates/sim/src/shard/wire.rs");
+    assert!(
+        finding.message.contains("Frame"),
+        "finding names the type: {}",
+        finding.message
     );
 }

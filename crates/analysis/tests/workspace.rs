@@ -2,9 +2,15 @@
 //!
 //! These tests are the in-repo twin of the CI gates: the committed
 //! `WIRE_SCHEMA.json` must match what the extractor derives from the
-//! tree (so `dft-analyze schema --ci` passes), and the walker must keep
-//! covering every first-party crate — a crate silently dropping out of
-//! the walk would disable every rule for it.
+//! tree (so `dft-analyze schema --ci` passes), the walker must keep
+//! covering every first-party crate, and every first-party manifest must
+//! opt in to `[workspace.lints]` — a crate silently dropping out of either
+//! would switch its checks off.
+
+#![expect(
+    clippy::expect_used,
+    reason = "helpers of a test target: a panic here is a failing test"
+)]
 
 use std::path::PathBuf;
 
@@ -25,7 +31,7 @@ fn committed_wire_schema_matches_the_tree() {
     let extraction = extract_schema(&root).expect("extract workspace schema");
     assert!(
         extraction.problems.is_empty(),
-        "every composite wire codec in the workspace must be declared:\n{}",
+        "every composite wire codec in the workspace must be declared and tested:\n{}",
         extraction
             .problems
             .iter()
@@ -62,6 +68,40 @@ fn walk_covers_every_first_party_crate() {
         assert!(
             rels.contains(&expected),
             "walk no longer discovers {expected}; its crate would go unanalyzed"
+        );
+    }
+}
+
+/// The hazard policy is `[workspace.lints]` in the root manifest, and a
+/// member is under it only if its own manifest says so.  The vendored
+/// stand-ins are third-party code and stay outside it.
+#[test]
+fn every_first_party_manifest_inherits_the_workspace_lints() {
+    let root = workspace_root();
+    let manifest = std::fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
+    let members = manifest
+        .split_once("members = [")
+        .and_then(|(_, rest)| rest.split_once(']'))
+        .map(|(list, _)| list)
+        .expect("a `members = [...]` list in the root manifest");
+    let members: Vec<&str> = members
+        .split(',')
+        .map(|entry| entry.trim().trim_matches('"'))
+        .filter(|entry| !entry.is_empty())
+        .collect();
+    assert!(members.len() >= 11, "members list misread: {members:?}");
+    // The root package is a member of its own workspace.
+    for member in members.into_iter().chain(["."]) {
+        let text = std::fs::read_to_string(root.join(member).join("Cargo.toml"))
+            .unwrap_or_else(|e| panic!("{member}/Cargo.toml: {e}"));
+        let inherits = text
+            .split_once("\n[lints]\n")
+            .is_some_and(|(_, rest)| rest.trim_start().starts_with("workspace = true"));
+        assert_eq!(
+            inherits,
+            !member.starts_with("vendor/"),
+            "{member}/Cargo.toml: first-party crates carry `[lints] workspace = true`, \
+             vendored stand-ins do not"
         );
     }
 }

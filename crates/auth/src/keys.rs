@@ -135,6 +135,11 @@ impl KeyDirectory {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented to panic on an id outside the directory; the protocols pass the node \
+                  indices the directory was generated for"
+    )]
     pub fn signer(&self, id: SignerId) -> Signer {
         Signer {
             id,

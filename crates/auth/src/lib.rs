@@ -44,7 +44,6 @@
 //! assert!(!tampered.verify_chain(&directory));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod error;

@@ -19,7 +19,6 @@
 //!   `Θ(n²)` messages per round and `Θ(n²·t)` signatures, the comparator for
 //!   Theorem 11 (the paper's `AB-Consensus` needs only `O(t² + n)`).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::sync::Arc;
@@ -145,6 +144,10 @@ pub struct AllToAllGossip {
 
 impl AllToAllGossip {
     /// Creates a node holding `rumor`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the rumor map is sized n on the line above and `me` is a node index below n"
+    )]
     pub fn new(n: usize, t: usize, me: usize, rumor: u64) -> Self {
         let mut known = RumorMap(vec![None; n]);
         known.0[me] = Some(rumor);
@@ -235,6 +238,10 @@ impl Payload for Membership {
 
 impl NaiveCheckpointing {
     /// Creates a node.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`seen` is sized n on the line above and `me` is a node index below n"
+    )]
     pub fn new(n: usize, t: usize, me: usize) -> Self {
         let mut seen = vec![false; n];
         seen[me] = true;
@@ -271,6 +278,10 @@ impl SyncProtocol for NaiveCheckpointing {
         out.extend((0..self.n).map(|p| Outgoing::new(NodeId::new(p), Arc::clone(&seen))));
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`seen` is sized n at construction and `i` ranges over 0..n"
+    )]
     fn receive(&mut self, _round: Round, inbox: &[Delivered<Arc<Membership>>]) {
         for msg in inbox {
             for (mine, theirs) in self.seen.iter_mut().zip(&msg.msg.0) {
@@ -361,6 +372,10 @@ impl SyncProtocol for ParallelDsConsensus {
     type Msg = Arc<SignedBatch>;
     type Output = u64;
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`accepted` has one set per node and `me` is this node's own index"
+    )]
     fn send(&mut self, round: Round, out: &mut Vec<Outgoing<Arc<SignedBatch>>>) {
         let r = round.as_u64();
         if r > self.t as u64 {
@@ -448,6 +463,10 @@ mod wire_impls {
 
     #[cfg(test)]
     mod tests {
+        #![expect(
+            clippy::disallowed_methods,
+            reason = "codec tests round-trip bare values; there is no frame, so no version to check"
+        )]
         use super::*;
         use dft_sim::shard::{decode_error_path_violations, from_bytes, to_bytes};
 

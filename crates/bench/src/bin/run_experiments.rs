@@ -73,24 +73,22 @@
 //! * `--diag-json PATH` additionally writes every buffered stderr
 //!   diagnostic as one JSON object per line (`tool` / `level` /
 //!   `experiment` / `message`), in the same canonical E1–E11 flush order as
-//!   stderr and the same object-per-line idiom as `dft-analyze --json`, so
-//!   one parser reads both tools' diagnostics (see `dft_bench::diag`).
+//!   stderr (see `dft_bench::diag`).
 
-// This binary is the one deliberate exception to the workspace-wide
-// `#![forbid(unsafe_code)]` rule: a counting `GlobalAlloc` cannot be
-// written without `unsafe impl`.  The exception is baselined (with this
-// justification) in `ANALYSIS_baseline.json`; everything outside the
-// allocator below is still `deny(unsafe_code)`.
-#![deny(unsafe_code)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "wall-clock timing is the harness's product (perf tables); it never feeds protocol \
+              state"
+)]
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use dft_bench::baseline::{self, BenchConfig, BenchReport, ExperimentBench};
-use dft_bench::experiments::{experiment_catalog, Scale, SweepConfig};
-use dft_bench::stats::{format_summary, summarize};
+use dft_bench::experiments::{experiment_catalog, ExperimentFn, Scale, SweepConfig};
+use dft_bench::stats::{format_summary, summarize, Summary};
 use dft_bench::Table;
 
 const USAGE: &str = "usage: run_experiments [--scale quick|full|paper] [--n N] [--t T] \
@@ -110,7 +108,11 @@ fn fail(message: &str) -> ExitCode {
 /// is why they are only read when experiments run one at a time: deltas
 /// taken around one experiment's samples then belong to that experiment
 /// alone.
-#[allow(unsafe_code)] // A GlobalAlloc impl is unsafe by definition; see the crate-root note.
+#[expect(
+    unsafe_code,
+    reason = "the workspace's one exception: a counting GlobalAlloc cannot be written without \
+              `unsafe impl`, and this one forwards verbatim to System"
+)]
 mod alloc_stats {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -157,12 +159,15 @@ mod alloc_stats {
     }
 }
 
-/// One experiment's outcome: its rendered table, every timed sample, and
+/// One experiment's outcome: its rendered table, its timed samples, and
 /// the stderr diagnostics it emitted (buffered per experiment so fan-out
 /// cannot interleave them; flushed in canonical E1–E11 order).
 struct Outcome {
     table: Table,
-    times: Vec<Duration>,
+    /// The first sample's wall time.
+    first: Duration,
+    /// All samples, summarised.
+    summary: Summary,
     stderr: Vec<String>,
     /// Per-sample `(allocations, bytes)` deltas; empty unless the
     /// experiments ran one at a time.
@@ -227,17 +232,29 @@ fn execution_order(catalog_len: usize) -> Vec<usize> {
 /// Runs the whole catalogue, up to `jobs` independent experiments at once.
 /// Results land in catalogue order regardless of which worker computed
 /// them, so the printed output is identical to a serial harness run.
-fn run_catalog(cfg: &SweepConfig, jobs: usize, samples: usize) -> Vec<(&'static str, Outcome)> {
+///
+/// # Errors
+///
+/// An experiment without an outcome: `samples` was 0 (refused when the
+/// arguments are parsed).
+fn run_catalog(
+    cfg: &SweepConfig,
+    jobs: usize,
+    samples: usize,
+) -> Result<Vec<(&'static str, Outcome)>, String> {
     let catalog = experiment_catalog();
     let slots: Vec<Mutex<Option<Outcome>>> = catalog.iter().map(|_| Mutex::new(None)).collect();
-    let order = execution_order(catalog.len());
+    // Each experiment with the slot its outcome goes to, in starting order.
+    let queue: Vec<_> = execution_order(catalog.len())
+        .into_iter()
+        .filter_map(|index| Some((catalog.get(index)?.1, slots.get(index)?)))
+        .collect();
     let next = AtomicUsize::new(0);
     let workers = jobs.clamp(1, catalog.len());
     // The allocation and activity counters are process-global: a delta
     // belongs to an experiment only when nothing else runs meanwhile.
     let count_allocs = workers == 1;
-    let run_one = |index: usize| {
-        let (_, experiment) = catalog[index];
+    let run_one = |&(experiment, slot): &(ExperimentFn, &Mutex<Option<Outcome>>)| {
         let mut times = Vec::with_capacity(samples);
         let mut alloc_samples = Vec::new();
         let mut active_node_rounds = None;
@@ -258,27 +275,31 @@ fn run_catalog(cfg: &SweepConfig, jobs: usize, samples: usize) -> Vec<(&'static 
                 table.get_or_insert(result);
             }
         });
-        *slots[index].lock().expect("experiment slot") = Some(Outcome {
-            table: table.expect("at least one sample"),
-            times,
-            stderr,
-            alloc_samples,
-            active_node_rounds,
-        });
+        let outcome = table
+            .zip(times.first().copied())
+            .zip(summarize(&times))
+            .map(|((table, first), summary)| Outcome {
+                table,
+                first,
+                summary,
+                stderr,
+                alloc_samples,
+                active_node_rounds,
+            });
+        // A slot is only ever assigned whole, so a poisoned one still holds
+        // a valid value; the panic that poisoned it resurfaces when the
+        // scope below joins its threads.
+        *slot.lock().unwrap_or_else(PoisonError::into_inner) = outcome;
     };
     if workers == 1 {
-        for &index in &order {
-            run_one(index);
-        }
+        queue.iter().for_each(run_one);
     } else {
         std::thread::scope(|s| {
             for _ in 0..workers {
-                s.spawn(|| loop {
-                    let slot = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&index) = order.get(slot) else {
-                        break;
-                    };
-                    run_one(index);
+                s.spawn(|| {
+                    while let Some(job) = queue.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        run_one(job);
+                    }
                 });
             }
         });
@@ -287,11 +308,11 @@ fn run_catalog(cfg: &SweepConfig, jobs: usize, samples: usize) -> Vec<(&'static 
         .into_iter()
         .zip(slots)
         .map(|((id, _), slot)| {
-            let outcome = slot
-                .into_inner()
-                .expect("experiment slot")
-                .expect("every experiment ran");
-            (id, outcome)
+            let outcome = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
+            Ok((
+                id,
+                outcome.ok_or_else(|| format!("{id}: no sample was taken"))?,
+            ))
         })
         .collect()
 }
@@ -308,11 +329,11 @@ fn bench_report(
     let experiments = outcomes
         .iter()
         .map(|(id, outcome)| {
-            let summary = summarize(&outcome.times).expect("at least one timed sample");
+            let summary = &outcome.summary;
             let alloc = outcome.alloc_summary();
             ExperimentBench {
                 id: (*id).to_string(),
-                wall_s: outcome.times[0].as_secs_f64(),
+                wall_s: outcome.first.as_secs_f64(),
                 trimmed_mean_s: summary.trimmed_mean.as_secs_f64(),
                 min_s: summary.min.as_secs_f64(),
                 max_s: summary.max.as_secs_f64(),
@@ -429,7 +450,10 @@ fn main() -> ExitCode {
         cfg.scale
     );
     let start = Instant::now();
-    let outcomes = run_catalog(&cfg, jobs, samples);
+    let outcomes = match run_catalog(&cfg, jobs, samples) {
+        Ok(outcomes) => outcomes,
+        Err(error) => return fail(&error),
+    };
     let total_wall = start.elapsed();
     // Flush buffered per-experiment diagnostics in canonical E1-E11 order,
     // so stderr is stable under any --jobs/--shards fan-out.
@@ -439,8 +463,7 @@ fn main() -> ExitCode {
         }
     }
     // Machine-readable escape hatch for the same diagnostics: one JSON
-    // object per line, same canonical order as the stderr flush above, in
-    // the shared `tool`/`level`/`message` idiom of `dft-analyze --json`.
+    // object per line, same canonical order as the stderr flush above.
     if let Some(path) = &diag_json {
         let mut out = String::new();
         for (id, outcome) in &outcomes {
@@ -461,11 +484,10 @@ fn main() -> ExitCode {
     for (id, outcome) in &outcomes {
         println!("{}", outcome.table.render());
         if timings {
-            if outcome.times.len() == 1 {
-                println!("[time] {id}: {:.2}s\n", outcome.times[0].as_secs_f64());
+            if outcome.summary.samples == 1 {
+                println!("[time] {id}: {:.2}s\n", outcome.first.as_secs_f64());
             } else {
-                let summary = summarize(&outcome.times).expect("at least one timed sample");
-                println!("[time] {id}: {}\n", format_summary(&summary));
+                println!("[time] {id}: {}\n", format_summary(&outcome.summary));
             }
             if let Some(alloc) = outcome.alloc_summary() {
                 let per_round = alloc

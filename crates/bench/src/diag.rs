@@ -10,10 +10,8 @@
 //! `experiment_*` directly — [`warn`] degrades to plain stderr, so no
 //! diagnostic is ever silently dropped.
 //!
-//! For machine consumers, [`json_line`] renders a diagnostic in the
-//! workspace's shared object-per-line idiom (`tool` / `level` / `message`
-//! keys) — the same shape `dft-analyze --json` emits — so one parser reads
-//! both tools' output (`run_experiments --diag-json`).
+//! For machine consumers, [`json_line`] renders a diagnostic as one JSON
+//! object per line (`run_experiments --diag-json`).
 
 use std::cell::RefCell;
 
@@ -25,10 +23,6 @@ thread_local! {
 
 /// Renders one diagnostic as a machine-readable JSON object on a single
 /// line: `{"tool": …, "level": …, "experiment": …, "message": …}`.
-///
-/// The key set and one-object-per-line framing are shared with
-/// `dft-analyze --json`; keep the two in sync so downstream tooling needs
-/// exactly one parser.
 pub fn json_line(tool: &str, level: &str, experiment: &str, message: &str) -> String {
     format!(
         "{{\"tool\": \"{}\", \"level\": \"{}\", \"experiment\": \"{}\", \"message\": \"{}\"}}",

@@ -16,7 +16,7 @@ use dft_overlay::{build, properties, spectral};
 use crate::{
     measure_ab_consensus, measure_aea, measure_all_to_all_gossip, measure_checkpointing,
     measure_few_crashes, measure_flooding, measure_gossip, measure_linear_consensus,
-    measure_many_crashes, measure_naive_checkpointing, measure_parallel_ds, measure_scv,
+    measure_many_crashes, measure_naive_checkpointing, measure_parallel_ds, measure_scv, must,
     Measurement, Table, Workload,
 };
 
@@ -485,7 +485,7 @@ pub fn experiment_overlay(cfg: &SweepConfig) -> Table {
         &["n", "d", "lambda", "ramanujan_bound", "expanding", "survival_frac_after_t_removed"],
     );
     for (n, d) in cfg.overlay_cases() {
-        let graph = build::random_regular(n, d, cfg.seed_or(99)).expect("construction");
+        let graph = must(build::random_regular(n, d, cfg.seed_or(99)), "construction");
         let est = spectral::second_eigenvalue(&graph, 200, 5);
         let expanding = properties::sampled_expansion_check(&graph, n / 5, 30, 7);
         // Remove the t = n/5 highest-index vertices and peel with delta = d/4.

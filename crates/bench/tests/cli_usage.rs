@@ -7,6 +7,11 @@
 //! cover exactly what users type — including that `--jobs`, the experiment
 //! fan-out, never changes a byte of the tables.
 
+#![expect(
+    clippy::expect_used,
+    reason = "helpers of a test target: a panic here is a failing test"
+)]
+
 use std::process::{Command, Output};
 
 use dft_bench::baseline::{BenchReport, ExperimentBench};

@@ -17,6 +17,12 @@
 //! (`--jobs` only fans independent experiments out; `tests/cli_usage.rs`
 //! diffs the binary's output across job counts.)
 
+#![expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "helpers of a test target: a panic here is a failing test"
+)]
+
 use dft_bench::experiments::{
     experiment_byzantine, experiment_many_crashes, experiment_table1, Scale, SweepConfig,
 };

@@ -491,6 +491,11 @@ impl SyncProtocol for AbConsensus {
     type Msg = AbMsg;
     type Output = u64;
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`accepted` has one map per node of the validated config, and `me` is this node's \
+                  own index"
+    )]
     fn send(&mut self, round: Round, out: &mut Vec<Outgoing<AbMsg>>) {
         let r = round.as_u64();
         let cfg = &self.config;
@@ -975,6 +980,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a bare CommonSet round trip; there is no frame, so no version to check"
+    )]
     fn the_memo_is_neither_compared_printed_nor_sent() {
         let directory = KeyDirectory::generate(12, 4);
         let judged = CommonSet::new(endorsed_entries(&directory, 5, 3));

@@ -157,6 +157,10 @@ impl SyncProtocol for Checkpointing {
     type Msg = CheckpointMsg;
     type Output = Checkpoint;
 
+    #[expect(
+        clippy::expect_used,
+        reason = "`ensure_transition` on the line above installed the consensus phase"
+    )]
     fn send(&mut self, round: Round, out: &mut Vec<Outgoing<CheckpointMsg>>) {
         let r = round.as_u64();
         if r < self.gossip_rounds {
@@ -182,6 +186,11 @@ impl SyncProtocol for Checkpointing {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "this arm is only reached at a consensus round, after `send` installed the \
+                  consensus phase"
+    )]
     fn receive(&mut self, round: Round, inbox: &[Delivered<CheckpointMsg>]) {
         let r = round.as_u64();
         if r < self.gossip_rounds {

@@ -6,23 +6,9 @@ use dft_overlay::{build, Graph, InquiryFamily, OverlayParams};
 
 use crate::error::{CoreError, CoreResult};
 
-/// Whether overlay parameters follow the paper's formulas verbatim or the
-/// laptop-scale practical scaling (see `DESIGN.md`, substitution notes).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ParamMode {
-    /// Verbatim paper formulas (`d = 5⁸`, `δ(d) = ½(d^{7/8} − d^{5/8})`, …);
-    /// degrees are still capped at the sub-network size, which for any
-    /// realistic `n` collapses the overlay to a complete graph.
-    Paper,
-    /// Practical constant-degree expanders with thresholds scaled to the
-    /// sub-network size (the default).
-    #[default]
-    Practical,
-}
-
 /// The system-level parameters shared by every protocol: the number of nodes
-/// `n`, the fault bound `t`, a seed for the deterministic overlay
-/// constructions and the parameter mode.
+/// `n`, the fault bound `t` and a seed for the deterministic overlay
+/// constructions.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SystemConfig {
     /// Number of nodes.
@@ -31,8 +17,6 @@ pub struct SystemConfig {
     pub t: usize,
     /// Seed for overlay construction and key generation.
     pub seed: u64,
-    /// Overlay parameter mode.
-    pub mode: ParamMode,
 }
 
 impl SystemConfig {
@@ -57,19 +41,12 @@ impl SystemConfig {
             n,
             t,
             seed: 0xD15C0,
-            mode: ParamMode::Practical,
         })
     }
 
     /// Sets the seed used for overlays and keys.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the overlay parameter mode.
-    pub fn with_mode(mut self, mode: ParamMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -106,6 +83,11 @@ impl SystemConfig {
     }
 
     /// The fault fraction `α = t/n`.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "the fault fraction is a ratio of two configuration integers, computed \
+                  identically on every node"
+    )]
     pub fn alpha(&self) -> f64 {
         self.t as f64 / self.n as f64
     }
@@ -117,15 +99,11 @@ impl SystemConfig {
     }
 
     /// Overlay parameters for the little-node graph `G(5t, d)` (the paper
-    /// uses `d = 5⁸`).
+    /// uses `d = 5⁸`, which exceeds any sub-network that can be simulated;
+    /// see `DESIGN.md`, substitution notes).
     pub fn little_params(&self) -> OverlayParams {
         let m = self.little_count();
-        match self.mode {
-            ParamMode::Paper => {
-                OverlayParams::paper(m, 5usize.pow(8).min(m.saturating_sub(1)).max(1))
-            }
-            ParamMode::Practical => OverlayParams::practical(m, self.t.min(m)),
-        }
+        OverlayParams::practical(m, self.t.min(m))
     }
 
     /// The little-node overlay graph, with vertex `i` mapped to the node of
@@ -139,15 +117,7 @@ impl SystemConfig {
     /// Overlay parameters for the full-network graph `G(n, d(α))` used by
     /// `Many-Crashes-Consensus`.
     pub fn full_params(&self) -> OverlayParams {
-        match self.mode {
-            ParamMode::Paper => {
-                let d = dft_overlay::params::many_crashes_degree(self.alpha())
-                    .ceil()
-                    .min((self.n - 1) as f64) as usize;
-                OverlayParams::paper(self.n, d.max(1))
-            }
-            ParamMode::Practical => OverlayParams::practical(self.n, self.t),
-        }
+        OverlayParams::practical(self.n, self.t)
     }
 
     /// The full-network overlay graph for `Many-Crashes-Consensus`.
@@ -160,16 +130,12 @@ impl SystemConfig {
         ))
     }
 
-    /// The constant-degree broadcast graph `H` (degree 64 in the paper) used
-    /// by `Spread-Common-Value` Part 1 and `AB-Consensus` Part 3.
+    /// The constant-degree broadcast graph `H` (degree 64 in the paper, 16
+    /// here) used by `Spread-Common-Value` Part 1 and `AB-Consensus` Part 3.
     pub fn h_graph(&self) -> Arc<Graph> {
-        let degree = match self.mode {
-            ParamMode::Paper => 64,
-            ParamMode::Practical => 16,
-        };
         Arc::new(build::capped_regular(
             self.n,
-            degree.min(self.n - 1),
+            16.min(self.n - 1),
             self.seed ^ 0xC3,
         ))
     }
@@ -195,6 +161,11 @@ impl SystemConfig {
 
     /// Number of rounds of Part 1 of `Spread-Common-Value`:
     /// `⌈log_{3/2}((2n/5) / max(t, n/t))⌉` (at least 1).
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "the paper's broadcast length is a logarithm of configuration values: computed \
+                  once at config time, never in round logic"
+    )]
     pub fn scv_broadcast_rounds(&self) -> u64 {
         let t = self.t.max(1) as f64;
         let n = self.n as f64;
@@ -241,18 +212,6 @@ mod tests {
         assert!(cfg.scv_family().phases() >= 1);
         assert!(cfg.many_crashes_family().phases() >= 1);
         assert!(cfg.scv_broadcast_rounds() >= 1);
-    }
-
-    #[test]
-    fn paper_mode_caps_degrees() {
-        let cfg = SystemConfig::new(60, 4)
-            .unwrap()
-            .with_mode(ParamMode::Paper);
-        // The paper degree 5^8 is capped at the little-count minus one.
-        let g = cfg.little_graph();
-        assert_eq!(g.num_vertices(), 20);
-        assert!(g.max_degree() <= 19);
-        assert!(cfg.full_params().degree >= 1);
     }
 
     #[test]

@@ -130,6 +130,10 @@ impl DolevStrong {
     /// # Errors
     ///
     /// Propagates configuration errors.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`me` ranges over 0..n, and the assert above holds `inputs` to n entries"
+    )]
     pub fn for_all_nodes(
         config: &SystemConfig,
         sources: Vec<usize>,
@@ -150,6 +154,11 @@ impl DolevStrong {
 
     /// Accepted value chains still queued for relay (exposed for
     /// `AB-Consensus`, which reuses them as endorsement evidence).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`accepted` has one set per source; AB-Consensus asks with indices below the \
+                  source count"
+    )]
     pub fn accepted_values(&self, source_index: usize) -> Vec<u64> {
         self.accepted[source_index].iter().copied().collect()
     }
@@ -168,6 +177,11 @@ impl SyncProtocol for DolevStrong {
     type Msg = DsBatch;
     type Output = Vec<Option<u64>>;
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`source_index` maps a source to its position in the source list, which sized \
+                  `accepted`"
+    )]
     fn send(&mut self, round: Round, out: &mut Vec<Outgoing<DsBatch>>) {
         let r = round.as_u64();
         if r >= self.config.total_rounds() || !self.participating {
@@ -192,6 +206,11 @@ impl SyncProtocol for DolevStrong {
         );
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`source_index` maps a source to its position in the source list, which sized \
+                  `accepted`; an unknown sender was skipped first"
+    )]
     fn receive(&mut self, round: Round, inbox: &[Delivered<DsBatch>]) {
         let r = round.as_u64();
         if r < self.config.total_rounds() && self.participating {

@@ -63,6 +63,9 @@ impl GossipConfig {
             delta,
             gamma: params.gamma as u64,
             family: config.scv_family(),
+            // ⌈lg n⌉ of a configuration integer: computed once, identically
+            // on every node (a conversion and a library call, so
+            // `float_arithmetic` has nothing to flag).
             phases: (config.n as f64).log2().ceil().max(1.0) as u64,
         })
     }
@@ -228,6 +231,11 @@ impl SyncProtocol for Gossip {
     type Msg = GossipMsg;
     type Output = ExtantSet;
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the slice starts at `out.len()` recorded before the pushes that extend it, so \
+                  `staged_from <= len` always holds"
+    )]
     fn send(&mut self, round: Round, out: &mut Vec<Outgoing<GossipMsg>>) {
         let Some((stage, phase, offset)) = self.locate(round.as_u64()) else {
             return;

@@ -47,8 +47,11 @@
 //! assert!(report.non_faulty_deciders_agree());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Protocol state must not hang on rounding: the few float expressions size
+// schedules once, from the configuration, identically on every node, and
+// each says so where it stands.
+#![warn(clippy::float_arithmetic)]
 
 pub mod ab_consensus;
 pub mod aea;
@@ -68,7 +71,7 @@ pub mod wire;
 pub use ab_consensus::{AbConfig, AbConsensus, AbMsg, CommonSet, NULL_VALUE};
 pub use aea::{AeaConfig, AeaMsg, AlmostEverywhereAgreement};
 pub use checkpointing::{Checkpoint, CheckpointConfig, CheckpointMsg, Checkpointing};
-pub use config::{ParamMode, SystemConfig};
+pub use config::SystemConfig;
 pub use dolev_strong::{DolevStrong, DolevStrongConfig, DsBatch};
 pub use error::{CoreError, CoreResult};
 pub use few_crashes::{FcMsg, FewCrashesConfig, FewCrashesConsensus};

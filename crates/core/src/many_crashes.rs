@@ -46,6 +46,11 @@ impl ManyCrashesConfig {
     /// # Errors
     ///
     /// Propagates [`SystemConfig`]-level validation errors.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "the paper's alpha-aware probing threshold sizes a constant from the \
+                  configuration: a pure function of (n, t), no cross-node divergence"
+    )]
     pub fn from_system(config: &SystemConfig) -> CoreResult<Self> {
         let params = config.full_params();
         let graph = config.full_graph();
@@ -124,6 +129,11 @@ impl ManyCrashesConfig {
 /// `α = t/n` — the same schedule [`ManyCrashesConfig::round_budget`] derives
 /// from a materialised configuration (`budget_formula_matches_config` pins
 /// the two against each other).
+#[expect(
+    clippy::float_arithmetic,
+    reason = "the paper's round budget is a logarithm of configuration values: a pure function of \
+              (n, t), no cross-node divergence"
+)]
 pub fn round_budget_for(n: usize, t: usize) -> u64 {
     let part1 = (n as u64).saturating_sub(1).max(1);
     let gamma = 2 + (n.max(1) as f64).log2().ceil() as u64;

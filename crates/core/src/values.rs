@@ -86,6 +86,10 @@ impl BitVector {
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "follows the assert that `idx < len`, and `bits` holds `len` bits"
+    )]
     pub fn get(&self, idx: usize) -> bool {
         assert!(idx < self.len, "bit index {idx} out of range {}", self.len);
         self.bits[idx / 64] & (1 << (idx % 64)) != 0
@@ -96,6 +100,10 @@ impl BitVector {
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "follows the assert that `idx < len`, and `bits` holds `len` bits"
+    )]
     pub fn set(&mut self, idx: usize, value: bool) {
         assert!(idx < self.len, "bit index {idx} out of range {}", self.len);
         if value {
@@ -221,6 +229,10 @@ impl ExtantSet {
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "follows the assert that `idx` is inside `entries`"
+    )]
     pub fn update(&mut self, idx: usize, rumor: Rumor) -> bool {
         assert!(idx < self.entries.len(), "node {idx} out of range");
         if self.entries[idx].is_none() {

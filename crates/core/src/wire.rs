@@ -126,6 +126,10 @@ impl Wire for ExtantSet {
 
 #[cfg(test)]
 mod tests {
+    #![expect(
+        clippy::disallowed_methods,
+        reason = "codec tests round-trip bare values; there is no frame, so no version to check"
+    )]
     use super::*;
     use dft_auth::KeyDirectory;
     use dft_sim::shard::{decode_error_path_violations, from_bytes, to_bytes};

@@ -9,6 +9,11 @@
 //! cache and no short-circuits, and the two must agree exactly: slots,
 //! counts, wire sizes, and each operation's `changed` return value.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "helpers of a test target: a panic here is a failing test"
+)]
+
 use dft_core::{ExtantSet, Rumor};
 use proptest::prelude::*;
 

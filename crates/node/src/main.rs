@@ -1,10 +1,10 @@
 //! `dft-node` — one OS process per protocol node, speaking the versioned
 //! wire format over real TCP sockets.
 //!
-//! This binary is the third execution backend for the sans-I/O round cores
-//! of [`dft_sim::driver`]: the same [`RoundCore`] that the in-process
-//! runners and the shard workers drive is driven here by a per-node TCP
-//! event loop.  Two modes:
+//! This binary is the third execution backend for `dft-sim`'s sans-I/O
+//! round cores: the same [`RoundCore`] that the in-process runners and the
+//! shard workers drive is driven here by a per-node TCP event loop.  Two
+//! modes:
 //!
 //! * `dft-node --cluster N …` — the launcher: derives the effective crash
 //!   schedule from the same seeded [`RandomCrashes`] adversary the
@@ -49,10 +49,13 @@
 //! `--schedule` they receive), and the serial comparison run adds the same
 //! crash to a [`FixedCrashSchedule`] — the tables must stay byte-identical.
 //! Each node reports how many peers it suspected (`suspected=` in its
-//! `RESULT` line); the launcher sums them into the bench JSON's recovery
-//! block.
+//! `RESULT` line).
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "dft-node is where sockets exist: the TCP mesh is this binary's job, and the wall \
+              clock only bounds the bind/connect retry loop, never protocol state"
+)]
 
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -189,6 +192,11 @@ fn parse_kill_spec(value: Option<String>) -> Result<(usize, u64), String> {
     Ok((node, round))
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "--schedule bytes are a bare Wire value the same binary's launcher just encoded; \
+              version agreement is by construction"
+)]
 fn parse_args(args: Vec<String>) -> Result<Mode, String> {
     let mut cluster: Option<usize> = None;
     let mut me: Option<usize> = None;
@@ -421,13 +429,15 @@ fn decision_table(data: &DecisionData) -> String {
         ),
         &["node", "input", "output", "crashed@", "halted@"],
     );
-    for i in 0..data.n {
+    let columns = data.inputs.iter().zip(&data.outputs);
+    let columns = columns.zip(data.crashed_at.iter().zip(&data.halted_at));
+    for (i, ((input, output), (crashed_at, halted_at))) in columns.enumerate() {
         table.push_row(vec![
             i.to_string(),
-            u8::from(data.inputs[i]).to_string(),
-            opt_bool(data.outputs[i]),
-            opt_u64(data.crashed_at[i]),
-            opt_u64(data.halted_at[i]),
+            u8::from(*input).to_string(),
+            opt_bool(*output),
+            opt_u64(*crashed_at),
+            opt_u64(*halted_at),
         ]);
     }
     format!(
@@ -522,8 +532,11 @@ fn connect_with_retry(addr: SocketAddr) -> Result<TcpStream, String> {
 /// handshake cannot deadlock.
 fn build_mesh(me: usize, peers: &[SocketAddr]) -> Result<Vec<Option<Link>>, String> {
     let n = peers.len();
-    let listener = bind_with_retry(peers[me])?;
-    let mut links: Vec<Option<Link>> = (0..n).map(|_| None).collect();
+    let own = peers
+        .get(me)
+        .ok_or_else(|| format!("--me {me} is out of range for {n} peers"))?;
+    let listener = bind_with_retry(*own)?;
+    let mut links: Vec<Option<Link>> = Vec::with_capacity(n);
     for (p, addr) in peers.iter().enumerate().take(me) {
         let mut link = make_link(connect_with_retry(*addr)?)?;
         let mut hello = frame(TAG_HELLO);
@@ -531,8 +544,9 @@ fn build_mesh(me: usize, peers: &[SocketAddr]) -> Result<Vec<Option<Link>>, Stri
         link.transport
             .send(&hello)
             .map_err(|err| format!("hello to node {p}: {err}"))?;
-        links[p] = Some(link);
+        links.push(Some(link));
     }
+    links.resize_with(n, || None);
     for _ in me + 1..n {
         let (sock, _) = listener.accept().map_err(|err| format!("accept: {err}"))?;
         let mut link = make_link(sock)?;
@@ -546,19 +560,42 @@ fn build_mesh(me: usize, peers: &[SocketAddr]) -> Result<Vec<Option<Link>>, Stri
             return Err(format!("expected HELLO, got tag {tag}"));
         }
         let peer = usize::decode(&mut reader).map_err(|err| format!("bad hello body: {err}"))?;
-        if peer <= me || peer >= n {
-            return Err(format!("hello from unexpected node {peer}"));
-        }
-        if links[peer].is_some() {
+        let slot = links
+            .get_mut(peer)
+            .filter(|_| peer > me)
+            .ok_or_else(|| format!("hello from unexpected node {peer}"))?;
+        if slot.is_some() {
             return Err(format!("duplicate hello from node {peer}"));
         }
-        links[peer] = Some(link);
+        *slot = Some(link);
     }
     Ok(links)
 }
 
-fn link_mut(links: &mut [Option<Link>], p: usize) -> &mut Link {
-    links[p].as_mut().expect("mesh link established at startup")
+/// What this node tracks about one peer.  Its own slot has no `link`
+/// ([`build_mesh`] fills every other), so every per-peer loop passes over
+/// it.
+struct Peer {
+    link: Option<Link>,
+    /// The round the schedule crashes the peer at.
+    crash_round: Option<u64>,
+    goodbyed: bool,
+    /// The round the peer was suspected in (deadline misses or a dead
+    /// link).  From the next round on it is treated exactly like one whose
+    /// schedule crashed it: no sends to it, no frames expected from it.
+    suspected_at: Option<u64>,
+}
+
+impl Peer {
+    /// The link a frame goes out on or is read from — unless the peer said
+    /// `GOODBYE`, was suspected, or its schedule crashed it before round
+    /// `crashed_before`.
+    fn live_link(&mut self, crashed_before: u64) -> Option<&mut Link> {
+        let gone = self.goodbyed
+            || self.suspected_at.is_some()
+            || self.crash_round.is_some_and(|cr| cr < crashed_before);
+        self.link.as_mut().filter(|_| !gone)
+    }
 }
 
 /// Reads the body of a `TAG_ROUND` frame that arrived on the link to peer
@@ -608,7 +645,7 @@ fn run_worker(args: &WorkerArgs) -> Result<(), String> {
     let node = FloodingConsensus::for_all_nodes(n, args.t, &inputs)
         .into_iter()
         .nth(me)
-        .expect("me < n validated at parse time");
+        .ok_or_else(|| format!("--me {me} is out of range for {n} peers"))?;
     let mut core: RoundCore<FloodingConsensus> =
         RoundCore::new(me, vec![Participant::Honest(node)]);
 
@@ -624,12 +661,16 @@ fn run_worker(args: &WorkerArgs) -> Result<(), String> {
             .map(|(round, _, _)| round.as_u64())
     };
 
-    let mut links = build_mesh(me, &args.peers)?;
-    let mut goodbyed = vec![false; n];
-    // The round a peer was suspected in (deadline misses or a dead link).
-    // From the next round on the peer is treated exactly like one whose
-    // schedule crashed it: no sends to it, no frames expected from it.
-    let mut suspected_at: Vec<Option<u64>> = vec![None; n];
+    let mut peers: Vec<Peer> = build_mesh(me, &args.peers)?
+        .into_iter()
+        .enumerate()
+        .map(|(p, link)| Peer {
+            link,
+            crash_round: crash_round_of(p),
+            goodbyed: false,
+            suspected_at: None,
+        })
+        .collect();
     let mut suspected = 0u64;
     let mut halted_at: Option<u64> = None;
     let mut messages = 0u64;
@@ -648,21 +689,25 @@ fn run_worker(args: &WorkerArgs) -> Result<(), String> {
         // Replay of the central crash phase: my own verdict only — peers
         // apply theirs, so the filters seen across the cluster are exactly
         // the serial engine's.
-        let crashing = matches!(&my_crash, Some((cr, _)) if *cr == r);
-        let filters: Vec<(usize, DeliveryFilter)> = if crashing {
-            let (_, filter) = my_crash.as_ref().expect("crashing implies schedule entry");
-            core.set_crashed(0, round);
-            vec![(me, filter.clone())]
-        } else {
-            Vec::new()
+        let crash_filter = my_crash
+            .as_ref()
+            .filter(|(cr, _)| *cr == r)
+            .map(|(_, filter)| filter);
+        let crashing = crash_filter.is_some();
+        let filters: Vec<(usize, DeliveryFilter)> = match crash_filter {
+            Some(filter) => {
+                core.set_crashed(0, round);
+                vec![(me, filter.clone())]
+            }
+            None => Vec::new(),
         };
         core.deliver(&filters);
 
         // Stage this round's surviving messages per destination.
         let mut per_dest: Vec<Vec<Delivered<bool>>> = (0..n).map(|_| Vec::new()).collect();
         for (dest, msg) in core.delivered() {
-            if *dest < n {
-                per_dest[*dest].push(msg.clone());
+            if let Some(staged) = per_dest.get_mut(*dest) {
+                staged.push(msg.clone());
             }
         }
 
@@ -670,17 +715,13 @@ fn run_worker(args: &WorkerArgs) -> Result<(), String> {
         // (a sync marker even when empty).  Peers that crashed at a round
         // <= r or said GOODBYE are gone — the serial merge drops messages
         // to them too.
-        for p in 0..n {
-            if p == me
-                || goodbyed[p]
-                || suspected_at[p].is_some()
-                || crash_round_of(p).is_some_and(|cr| cr <= r)
-            {
+        for (p, (peer, staged)) in peers.iter_mut().zip(&mut per_dest).enumerate() {
+            let Some(link) = peer.live_link(r + 1) else {
                 continue;
-            }
+            };
             let mut buf = frame(TAG_ROUND);
-            (round, std::mem::take(&mut per_dest[p])).encode(&mut buf);
-            if let Err(err) = link_mut(&mut links, p).transport.send(&buf) {
+            (round, std::mem::take(staged)).encode(&mut buf);
+            if let Err(err) = link.transport.send(&buf) {
                 // A peer that just died may already refuse writes; the read
                 // phase below is what confirms the death and records the
                 // suspicion.  The counters are unaffected — `deliver`
@@ -709,17 +750,13 @@ fn run_worker(args: &WorkerArgs) -> Result<(), String> {
         // delivery the serial engine produces for a crash with
         // `DeliveryFilter::None` — and it is skipped from here on.
         let mut from_peer: Vec<Vec<Delivered<bool>>> = (0..n).map(|_| Vec::new()).collect();
-        for p in 0..n {
-            if p == me
-                || goodbyed[p]
-                || suspected_at[p].is_some()
-                || crash_round_of(p).is_some_and(|cr| cr < r)
-            {
+        for (p, (peer, inbox)) in peers.iter_mut().zip(&mut from_peer).enumerate() {
+            let Some(link) = peer.live_link(r) else {
                 continue;
-            }
+            };
             let mut misses = 0u32;
             let buf = loop {
-                match link_mut(&mut links, p).transport.recv() {
+                match link.transport.recv() {
                     Ok(buf) => break Some(buf),
                     Err(err) => match err.kind() {
                         // Unix reports a timed-out read as WouldBlock.
@@ -748,31 +785,23 @@ fn run_worker(args: &WorkerArgs) -> Result<(), String> {
                 }
             };
             let Some(buf) = buf else {
-                suspected_at[p] = Some(r);
+                peer.suspected_at = Some(r);
                 suspected += 1;
                 continue;
             };
             let (tag, mut reader) =
                 open_frame(&buf).map_err(|err| format!("bad frame from node {p}: {err}"))?;
             match tag {
-                TAG_ROUND => from_peer[p] = round_body(p, round, &mut reader)?,
-                TAG_GOODBYE => {
-                    goodbyed[p] = true;
-                }
+                TAG_ROUND => *inbox = round_body(p, round, &mut reader)?,
+                TAG_GOODBYE => peer.goodbyed = true,
                 other => return Err(format!("unexpected tag {other} from node {p}")),
             }
         }
 
         // Merge in ascending sender order — the exact order the serial
         // engine's fixed-chunk merge produces.
-        #[allow(clippy::needless_range_loop)] // `p` switches between two vectors
-        for p in 0..n {
-            let staged = if p == me {
-                std::mem::take(&mut per_dest[me])
-            } else {
-                std::mem::take(&mut from_peer[p])
-            };
-            for msg in staged {
+        for (p, (own, received)) in per_dest.iter_mut().zip(&mut from_peer).enumerate() {
+            for msg in std::mem::take(if p == me { own } else { received }) {
                 core.accept(0, msg);
             }
         }
@@ -794,18 +823,13 @@ fn run_worker(args: &WorkerArgs) -> Result<(), String> {
                 // Early halt (not taken by fixed-length flooding, but the
                 // synchronizer supports it): release peers from expecting
                 // further frames.
-                #[allow(clippy::needless_range_loop)] // `p` also keys `link_mut`
-                for p in 0..n {
-                    if p == me
-                        || goodbyed[p]
-                        || suspected_at[p].is_some()
-                        || crash_round_of(p).is_some_and(|cr| cr <= r)
-                    {
+                for (p, peer) in peers.iter_mut().enumerate() {
+                    let Some(link) = peer.live_link(r + 1) else {
                         continue;
-                    }
+                    };
                     let mut buf = frame(TAG_GOODBYE);
                     round.encode(&mut buf);
-                    if let Err(err) = link_mut(&mut links, p).transport.send(&buf) {
+                    if let Err(err) = link.transport.send(&buf) {
                         eprintln!("dft-node {me}: goodbye to node {p} failed ({err})");
                     }
                 }
@@ -824,10 +848,10 @@ fn run_worker(args: &WorkerArgs) -> Result<(), String> {
     // process FINs before it blocks on a drain read, the drains cannot
     // deadlock, and no process can reset a socket that still carries
     // undelivered frames.
-    for link in links.iter().flatten() {
+    for link in peers.iter().filter_map(|peer| peer.link.as_ref()) {
         link.sock.shutdown(Shutdown::Write).ok();
     }
-    for link in links.iter_mut().flatten() {
+    for link in peers.iter_mut().filter_map(|peer| peer.link.as_mut()) {
         while link.transport.recv().is_ok() {}
     }
     Ok(())
@@ -1073,7 +1097,10 @@ fn run_cluster(args: &ClusterArgs) -> Result<ExitCode, String> {
         })
         .collect();
     if let Some((victim, round)) = args.kill {
-        crashed_at[victim] = Some(round);
+        *crashed_at
+            .get_mut(victim)
+            .ok_or_else(|| format!("--kill node {victim} is out of range for n = {}", args.n))? =
+            Some(round);
     }
     let total_suspected: u64 = results.iter().map(|r| r.suspected).sum();
     if total_suspected > 0 {
@@ -1134,6 +1161,11 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
+    #![expect(
+        clippy::disallowed_methods,
+        reason = "the hex round trip decodes the bare schedule the way `--schedule` does"
+    )]
+
     use super::*;
 
     #[test]

@@ -5,6 +5,11 @@
 //! — never a panic, a silent default, or a node process blocking on a mesh
 //! handshake that can never complete.
 
+#![expect(
+    clippy::expect_used,
+    reason = "helpers of a test target: a panic here is a failing test"
+)]
+
 use std::process::{Command, Output};
 
 fn run(args: &[&str]) -> Output {

@@ -7,6 +7,11 @@
 //! launcher exits non-zero on any divergence, so this test is the
 //! byte-identity check — CI's `cluster-smoke` job runs the same command.
 
+#![expect(
+    clippy::expect_used,
+    reason = "helpers of a test target: a panic here is a failing test"
+)]
+
 use std::process::Command;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 

@@ -9,13 +9,10 @@
 //! * [`random_regular`] — seeded union-of-random-cycles construction whose
 //!   measured spectral gap is near-Ramanujan with overwhelming probability;
 //!   the experiment harness verifies `λ ≤ 2√(d−1)` explicitly.
-//! * [`margulis`] — the deterministic Margulis–Gabber–Galil 8-regular
-//!   expander on `m²` vertices.
-//! * [`complete`], [`cycle`], [`circulant`], [`hypercube`] — reference
-//!   topologies: the complete graph is the degree-capped fallback when a
-//!   sub-network is smaller than the requested degree, and the others serve
-//!   as non-expanding or mildly expanding comparison points in tests and
-//!   benchmarks.
+//! * [`complete`], [`cycle`] — reference topologies: the complete graph is
+//!   the degree-capped fallback when a sub-network is smaller than the
+//!   requested degree, and the cycle is the non-expanding comparison point
+//!   of the property and spectral tests.
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -41,64 +38,6 @@ pub fn cycle(n: usize) -> Graph {
     g
 }
 
-/// A circulant graph: vertex `v` is adjacent to `v ± offset` (mod `n`) for
-/// every listed offset.
-pub fn circulant(n: usize, offsets: &[usize]) -> Graph {
-    let mut g = Graph::empty(n);
-    for v in 0..n {
-        for &off in offsets {
-            if off % n != 0 {
-                g.add_edge(v, (v + off) % n);
-            }
-        }
-    }
-    g
-}
-
-/// The `dim`-dimensional hypercube on `2^dim` vertices.
-pub fn hypercube(dim: u32) -> Graph {
-    let n = 1usize << dim;
-    let mut g = Graph::empty(n);
-    for v in 0..n {
-        for bit in 0..dim {
-            g.add_edge(v, v ^ (1 << bit));
-        }
-    }
-    g
-}
-
-/// The Margulis–Gabber–Galil expander on `m² ` vertices.
-///
-/// Vertex `(x, y) ∈ ℤ_m × ℤ_m` is adjacent to `(x ± 2y, y)`,
-/// `(x ± (2y+1), y)`, `(x, y ± 2x)` and `(x, y ± (2x+1))`, all mod `m` — an
-/// explicit 8-regular (as a multigraph) expander with constant spectral gap.
-/// Collapsing parallel edges can lower some degrees slightly; the expansion
-/// is preserved.
-pub fn margulis(m: usize) -> Graph {
-    let n = m * m;
-    let mut g = Graph::empty(n);
-    let idx = |x: usize, y: usize| -> usize { x * m + y };
-    for x in 0..m {
-        for y in 0..m {
-            let v = idx(x, y);
-            let neighbors = [
-                ((x + 2 * y) % m, y),
-                ((x + m - (2 * y) % m) % m, y),
-                ((x + 2 * y + 1) % m, y),
-                ((x + m - (2 * y + 1) % m) % m, y),
-                (x, (y + 2 * x) % m),
-                (x, (y + m - (2 * x) % m) % m),
-                (x, (y + 2 * x + 1) % m),
-                (x, (y + m - (2 * x + 1) % m) % m),
-            ];
-            for (nx, ny) in neighbors {
-                g.add_edge(v, idx(nx, ny));
-            }
-        }
-    }
-    g
-}
-
 /// A seeded random `d`-regular-style graph built as the union of `⌈d/2⌉`
 /// random Hamiltonian cycles (plus a perfect matching for odd `d` and even
 /// `n`).
@@ -113,6 +52,12 @@ pub fn margulis(m: usize) -> Graph {
 ///
 /// Returns [`OverlayError::InvalidParameters`] if `d >= n` or `d == 0` or
 /// `n < 3`.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    reason = "`order` is a permutation of 0..n indexed modulo n and `chunks_exact(2)` yields \
+              pairs, so every edge has both endpoints below n, which is all `from_edges` checks"
+)]
 pub fn random_regular(n: usize, d: usize, seed: u64) -> OverlayResult<Graph> {
     if n < 3 {
         return Err(OverlayError::InvalidParameters(format!(
@@ -166,24 +111,6 @@ pub fn capped_regular(n: usize, d: usize, seed: u64) -> Graph {
     random_regular(n, d, seed).unwrap_or_else(|_| complete(n))
 }
 
-/// A seeded Erdős–Rényi-style graph in which each ordered pair `(v, w)`
-/// chooses the edge with probability `degree_target / n`, matching the
-/// random construction in the proof of Lemma 5.
-pub fn bernoulli(n: usize, degree_target: f64, seed: u64) -> Graph {
-    use rand::Rng;
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let p = (degree_target / n as f64).clamp(0.0, 1.0);
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    for v in 0..n {
-        for w in 0..n {
-            if v != w && rng.gen_bool(p) {
-                edges.push((v, w));
-            }
-        }
-    }
-    Graph::from_edges(n, &edges).expect("endpoints in range by construction")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,29 +127,6 @@ mod tests {
         let g = cycle(7);
         assert!(g.is_regular(2));
         assert!(g.is_connected(None));
-    }
-
-    #[test]
-    fn circulant_degree() {
-        let g = circulant(10, &[1, 2]);
-        assert!(g.is_regular(4));
-    }
-
-    #[test]
-    fn hypercube_structure() {
-        let g = hypercube(4);
-        assert_eq!(g.num_vertices(), 16);
-        assert!(g.is_regular(4));
-        assert!(g.is_connected(None));
-    }
-
-    #[test]
-    fn margulis_is_near_eight_regular_and_connected() {
-        let g = margulis(8);
-        assert_eq!(g.num_vertices(), 64);
-        assert!(g.is_connected(None));
-        assert!(g.max_degree() <= 8);
-        assert!(g.min_degree() >= 4, "min degree {}", g.min_degree());
     }
 
     #[test]
@@ -250,14 +154,5 @@ mod tests {
         assert_eq!(g.num_edges(), 15, "complete graph fallback");
         let g = capped_regular(200, 8, 3);
         assert_eq!(g.max_degree(), 8);
-    }
-
-    #[test]
-    fn bernoulli_degree_concentrates() {
-        let g = bernoulli(400, 20.0, 11);
-        let avg = 2.0 * g.num_edges() as f64 / g.num_vertices() as f64;
-        // Each unordered pair is selected by either endpoint, so the expected
-        // degree is close to 2 * 20 (minus overlaps).
-        assert!(avg > 25.0 && avg < 55.0, "average degree {avg}");
     }
 }

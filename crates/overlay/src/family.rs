@@ -112,12 +112,22 @@ impl InquiryFamily {
     ///
     /// Panics if the family is empty (it never is: constructors always build
     /// at least one phase).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the phase is clamped into 1..=len first (documented to panic on an empty family, \
+                  which no constructor builds)"
+    )]
     pub fn graph(&self, phase: usize) -> &Graph {
         let idx = phase.max(1).min(self.graphs.len()) - 1;
         &self.graphs[idx]
     }
 
     /// The capped degree used in phase `i` (1-based, clamped).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the phase is clamped into 1..=len first; every constructor builds at least one \
+                  phase"
+    )]
     pub fn degree(&self, phase: usize) -> usize {
         let idx = phase.max(1).min(self.degrees.len()) - 1;
         self.degrees[idx]

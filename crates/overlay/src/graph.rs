@@ -1,5 +1,12 @@
 //! The core undirected simple-graph type used for overlay networks.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "the adjacency table has one list per vertex and `from_edges` / `add_edge` refuse an \
+              endpoint >= n, so every stored neighbour indexes it; per-vertex scratch vectors \
+              are sized n beside it, and a caller's vertex out of range is a documented panic"
+)]
+
 use std::collections::VecDeque;
 
 use crate::error::{OverlayError, OverlayResult};
@@ -231,6 +238,10 @@ impl Graph {
     /// Breadth-first distances from `source`, `None` for unreachable
     /// vertices.  Only vertices for which `allowed` is true are traversed
     /// (pass `None` to allow all).
+    #[expect(
+        clippy::expect_used,
+        reason = "BFS pushes a vertex only after recording its distance"
+    )]
     pub fn bfs_distances(&self, source: VertexId, allowed: Option<&[bool]>) -> Vec<Option<usize>> {
         let n = self.num_vertices();
         let mut dist = vec![None; n];

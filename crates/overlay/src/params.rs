@@ -8,12 +8,14 @@
 //! and the algorithms pick `d` so that `ℓ` matches the number of non-faulty
 //! vertices they need to keep connected (for example `d = 5⁸` in
 //! `Almost-Everywhere-Agreement`, giving `ℓ = 4t` on the `5t` little nodes).
-//! Those degrees exceed any laptop-scale sub-network, so [`OverlayParams`]
-//! offers both the verbatim [`OverlayParams::paper`] formulas and a
-//! [`OverlayParams::practical`] scaling that preserves the *structure* (a
-//! constant-degree expander plus the peeling threshold `δ` and probing radius
-//! `γ`) at sizes where the simulation can actually run.  The substitution is
-//! documented in `DESIGN.md` and evaluated in experiment E11.
+//! Those degrees exceed any laptop-scale sub-network (capped at the
+//! sub-network size they make every overlay complete), so the formulas stand
+//! here as the paper states them, with its own examples as tests, and
+//! [`OverlayParams::practical`] is the scaling the protocols run: it
+//! preserves the *structure* (a constant-degree expander plus the peeling
+//! threshold `δ` and probing radius `γ`) at sizes where the simulation can
+//! actually run.  The substitution is documented in `DESIGN.md` and
+//! evaluated in experiment E11.
 
 /// `ℓ(n, d) = 4 n d^{-1/8}`, the minimum set size for which expansion and
 /// compactness of a Ramanujan graph are guaranteed (Section 3).
@@ -53,20 +55,6 @@ pub struct OverlayParams {
 }
 
 impl OverlayParams {
-    /// The verbatim paper parameters for a sub-network of `m` vertices and
-    /// requested degree `d`: `γ = 2 + ⌈lg m⌉`, `δ = δ(d)` (rounded down, at
-    /// least 1).
-    ///
-    /// Note that for the paper's own degree choices `δ(d)` is enormous; use
-    /// [`OverlayParams::practical`] for runnable configurations.
-    pub fn paper(m: usize, d: usize) -> Self {
-        OverlayParams {
-            degree: d,
-            gamma: probing_radius(m),
-            delta: (delta(d).floor() as usize).max(1),
-        }
-    }
-
     /// A laptop-scale configuration for a sub-network of `m` vertices
     /// tolerating up to `faults` crashes among them.
     ///
@@ -137,14 +125,6 @@ mod tests {
         assert_eq!(probing_radius(1), 2);
         assert_eq!(probing_radius(8), 5);
         assert_eq!(probing_radius(1000), 12);
-    }
-
-    #[test]
-    fn paper_params_round_delta() {
-        let p = OverlayParams::paper(500, 64);
-        assert_eq!(p.degree, 64);
-        assert_eq!(p.gamma, probing_radius(500));
-        assert_eq!(p.delta, delta(64).floor() as usize);
     }
 
     #[test]

@@ -24,6 +24,11 @@ use crate::graph::{Graph, VertexId};
 /// This is the fixed point of the paper's `F_B` operator (proof of
 /// Theorem 2), computed by repeatedly peeling vertices of in-set degree
 /// below `delta`.  The result may be empty.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`inside` and `degree` are sized n, and every index is a vertex of the validated \
+              Graph (0..n or one of its adjacency entries)"
+)]
 pub fn survival_subset(graph: &Graph, candidate: &[bool], delta: usize) -> Vec<bool> {
     let n = graph.num_vertices();
     let mut inside: Vec<bool> = (0..n).map(|v| candidate.get(v) == Some(&true)).collect();
@@ -108,6 +113,11 @@ pub fn compact_survival_subset(
 /// local probing on the subgraph induced by `within` if and only if it
 /// belongs to such a set (and, being within distance `γ−1 ≥ 0` of itself,
 /// has `δ` neighbours in it).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`inside` and `dist` are sized n, and every index ranges over the validated Graph's \
+              0..n"
+)]
 pub fn dense_neighborhood(
     graph: &Graph,
     vertex: VertexId,
@@ -171,6 +181,10 @@ pub fn expansion_of_set(graph: &Graph, w: &[bool]) -> f64 {
 /// whether every sampled pair is connected by an edge — a randomized check of
 /// the paper's `ℓ`-expansion property (Theorem 1).  Deterministic for a fixed
 /// seed.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`vertices` holds n entries and the early return above left 2 * ell <= n"
+)]
 pub fn sampled_expansion_check(graph: &Graph, ell: usize, samples: usize, seed: u64) -> bool {
     let n = graph.num_vertices();
     if 2 * ell > n || ell == 0 {

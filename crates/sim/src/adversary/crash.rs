@@ -221,6 +221,11 @@ impl TargetedCrashes {
 }
 
 impl CrashAdversary for TargetedCrashes {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "sliced from `next`, checked below the list's length on entry, to an end clamped \
+                  to that length"
+    )]
     fn plan_round(&mut self, view: &AdversaryView<'_>) -> Vec<CrashDirective> {
         if view.round.as_u64() < self.start_round || self.next >= self.victims.len() {
             return Vec::new();

@@ -312,6 +312,11 @@ impl<M> Default for SinglePort<M> {
 }
 
 impl<M: Payload, H: SinglePortHost<Msg = M>> Model<H> for SinglePort<M> {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "single-port pre-drain: the node index is the host's own enumeration of 0..n, the \
+                  length of both per-node vectors"
+    )]
     fn step(&mut self, central: &mut Central, host: &mut H) -> Result<(), H::Error> {
         let round = central.engine.round;
         host.begin_round(round, &mut central.send_intents, &mut central.poll_intents)?;

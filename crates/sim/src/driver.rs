@@ -27,9 +27,10 @@
 //! every backend byte-identical: the round semantics live here exactly
 //! once.
 //!
-//! This module is a layer boundary enforced by `dft-analyze`'s
-//! `sans-io-boundary` rule: no `std::net`, `std::io` or `std::thread`
-//! imports may appear here or in `crates/core`.
+//! This module is private to `dft-sim` (backends outside the crate use the
+//! root re-exports), and the clock, thread and socket types are
+//! `disallowed-types` workspace-wide (`clippy.toml`): a module that does
+//! I/O says so with an `#![expect]`, and this one does not.
 //!
 //! # Idle nodes are not called
 //!
@@ -55,6 +56,12 @@
 //! passed to [`RoundCore::deliver`].  Because the shipped adversaries are
 //! deterministic functions of `(seed, round)`, every backend derives the
 //! same crash schedule independently.
+
+#![expect(
+    clippy::indexing_slicing,
+    reason = "core-local parallel vectors share one length fixed at construction; local indices \
+              are the core's own 0..len() loops or come from the backend's chunk arithmetic"
+)]
 
 use crate::adversary::DeliveryFilter;
 use crate::message::{Delivered, Outgoing, Payload};

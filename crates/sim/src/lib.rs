@@ -22,9 +22,9 @@
 //!   rounds until all non-faulty nodes halt, point-to-point messages and the
 //!   total bits they carry, counting only non-faulty senders in the Byzantine
 //!   model.
-//! * [`driver`] — the sans-I/O round cores ([`RoundCore`] /
-//!   [`SinglePortCore`]): what one round does to one chunk of nodes, as
-//!   pure state transitions, with no knowledge of threads, pipes, or
+//! * [`RoundCore`] / [`SinglePortCore`] — the sans-I/O round cores (the
+//!   private `driver` module): what one round does to one chunk of nodes,
+//!   as pure state transitions, with no knowledge of threads, pipes, or
 //!   sockets.
 //! * [`Coordinator`] — the one round loop per model: everything
 //!   order-sensitive across chunks (the central crash phase, the merge and
@@ -38,9 +38,10 @@
 //!   workers (threads of the runner's own) behind a versioned binary wire
 //!   format; a transport or frame failure ends the run with a structured
 //!   error.
-//! * [`parallel`] — the contiguous node partition the shards are cut by,
-//!   and [`available_jobs`], the default for a harness's experiment
-//!   fan-out.  An in-process execution itself is one thread.
+//! * [`available_jobs`] — the default for a harness's experiment fan-out
+//!   (the contiguous node partition the shards are cut by lives beside it,
+//!   in the private `parallel` module).  An in-process execution itself is
+//!   one thread.
 //!
 //! # Quick example
 //!
@@ -97,7 +98,6 @@
 //! assert_eq!(report.agreed_value(), Some(&true));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 #[cfg(test)]
@@ -109,12 +109,12 @@ pub mod adversary;
 mod conformance;
 mod coordinator;
 mod delivery;
-pub mod driver;
+mod driver;
 mod error;
 mod message;
 mod metrics;
 mod node;
-pub mod parallel;
+mod parallel;
 mod protocol;
 mod report;
 mod round;

@@ -56,6 +56,10 @@ impl PerRoundWindow {
         self.record_many(round, 1);
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`counts` was resized to hold `idx` on the lines above"
+    )]
     fn record_many(&mut self, round: u64, count: u64) {
         debug_assert!(
             round >= self.first_round,

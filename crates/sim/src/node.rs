@@ -118,6 +118,11 @@ pub struct NodeSet {
     universe: usize,
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the words cover `universe` bits, and every indexed access follows an assert that the \
+              NodeId is inside the universe"
+)]
 impl NodeSet {
     /// Creates an empty set over a universe of `universe` nodes.
     pub fn empty(universe: usize) -> Self {

@@ -41,6 +41,11 @@ pub struct ExecutionReport<O> {
     pub termination: Termination,
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the per-node vectors are sized n by the runner that produced the report, and ids \
+              come from 0..n or the report's own NodeSets"
+)]
 impl<O: Clone + PartialEq + fmt::Debug> ExecutionReport<O> {
     /// Number of nodes in the execution.
     pub fn n(&self) -> usize {

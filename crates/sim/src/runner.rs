@@ -192,6 +192,11 @@ impl<P: SyncProtocol> MultiPortHost for RoundCore<P> {
         Ok(())
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the one staged slot, indexed on the line after the vector is resized to length \
+                  one"
+    )]
     fn deliver(
         &mut self,
         round: Round,

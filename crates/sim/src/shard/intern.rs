@@ -100,6 +100,10 @@ pub fn resolve<M: Clone>(slots: Slots<M>) -> WireResult<Vec<(usize, Delivered<M>
 
 #[cfg(test)]
 mod tests {
+    #![expect(
+        clippy::disallowed_methods,
+        reason = "codec tests round-trip bare values; there is no frame, so no version to check"
+    )]
     use std::sync::Arc;
 
     use super::super::wire::{decode_error_path_violations, from_bytes, to_bytes};

@@ -2,7 +2,7 @@
 //!
 //! The per-node phase work of one run is partitioned into contiguous
 //! node-range chunks — the sans-I/O [`RoundCore`]/[`SinglePortCore`]
-//! ownership unit of [`crate::driver`] — and each chunk is served by a
+//! ownership unit of `crate::driver` — and each chunk is served by a
 //! **shard worker** on the far side of a [`ShardTransport`].  The workers
 //! are threads the runner spawns and joins itself, connected by
 //! [`ChannelTransport`] pairs ([`ShardedRunner::in_process`]); every frame
@@ -133,6 +133,10 @@ pub fn frame(tag: u8) -> Vec<u8> {
 ///
 /// Returns a [`WireError`] on a truncated header or a version mismatch (a
 /// stale worker binary must fail loudly, never mis-decode).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "this is open_frame itself: the one place that implements the WIRE_VERSION check"
+)]
 pub fn open_frame(buf: &[u8]) -> WireResult<(u8, WireReader<'_>)> {
     let mut r = WireReader::new(buf);
     let version = r.u16()?;
@@ -231,7 +235,7 @@ impl WireStats {
 /// The number of shard workers a system of `n` nodes actually uses when
 /// `shards` are requested: the chunk partition never creates empty trailing
 /// chunks, so tiny systems use fewer workers than requested (see
-/// [`crate::parallel`]'s `ChunkPlan`).  Parent and workers must agree on
+/// `crate::parallel`'s `ChunkPlan`).  Parent and workers must agree on
 /// this; both derive it from here.
 pub fn shard_count(n: usize, shards: usize) -> usize {
     ChunkPlan::new(n, shards).chunks
@@ -302,6 +306,11 @@ fn unexpected_request(tag: u8) -> io::Error {
 /// applies this round's voluntary halts to the chunk's status mirror (the
 /// in-process host does the latter during the coordinator's replay; on a
 /// shard worker the serve loop is the only writer).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "worker side: the events are the chunk's own core's, so `node - base` is a local \
+              index into the chunk's vectors"
+)]
 fn events_response<O: Wire + Clone>(
     events: &[NodeEvent],
     outputs: &[Option<O>],
@@ -485,6 +494,10 @@ impl Drop for Link {
     }
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`ci` is the coordinator's own enumeration of 0..chunks(), the length of `transports`"
+)]
 impl Link {
     fn chunks(&self) -> usize {
         self.transports.len()
@@ -604,6 +617,11 @@ fn round_request(tag: u8, round: Round) -> Vec<u8> {
     request
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`outputs` has one slot per node, and `own_nodes_only` refused any event outside the \
+              chunk's range first"
+)]
 impl<O: WireOutput, Q: Default> Framed<O, Q> {
     /// A host over `n` nodes whose chunks are served behind `transports`.
     fn new(
@@ -669,6 +687,10 @@ impl<O: WireOutput, Q: Default> Framed<O, Q> {
     }
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`outputs` has one slot per node; `node` is the coordinator's enumeration of 0..n"
+)]
 impl<O: WireOutput, Q> Host for Framed<O, Q> {
     type Output = O;
     type Error = SimError;
@@ -695,6 +717,11 @@ impl<O: WireOutput, Q> Host for Framed<O, Q> {
     }
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "chunk tables are sized by the ChunkPlan that `locate` / `range` answer from, and \
+              each reply's length is vetted by `sized` before it is zipped in"
+)]
 impl<M: WireMsg, O: WireOutput> MultiPortHost for Framed<O, Inbound<M>> {
     type Msg = M;
 
@@ -768,6 +795,11 @@ impl<M: WireMsg, O: WireOutput> MultiPortHost for Framed<O, Inbound<M>> {
     }
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "chunk tables are sized by the ChunkPlan that `locate` / `range` answer from, and \
+              each reply's length is vetted by `sized` before it is zipped in"
+)]
 impl<M: WireMsg, O: WireOutput> SinglePortHost for Framed<O, SpQueued<M>> {
     type Msg = M;
 
@@ -841,6 +873,13 @@ impl<M: WireMsg, O: WireOutput> SinglePortHost for Framed<O, SpQueued<M>> {
 /// chunk's state machines and its end of the transport — so a worker that
 /// panics drops both and the coordinator sees a disconnect (a
 /// `SimError::Shard`), never a deadlock.
+#[expect(
+    clippy::disallowed_types,
+    clippy::expect_used,
+    reason = "the in-process shard workers are the threads this module owns (Link joins them); a \
+              spawn failure leaves the harness unable to run, and a worker's error panics its own \
+              thread, which the coordinator sees as a disconnect"
+)]
 fn spawn_in_process<T: Send + 'static>(
     items: Vec<T>,
     shards: usize,

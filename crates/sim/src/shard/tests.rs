@@ -541,6 +541,10 @@ fn wire_event_golden_bytes() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a bare WireEvent round trip; there is no frame, so no version to check"
+)]
 fn wire_event_round_trips() {
     let decided = WireEvent::<u64> {
         node: 17,

@@ -177,6 +177,10 @@ fn read_body(reader: &mut impl Read, len: usize, frame: &mut Vec<u8>) -> io::Res
 /// signal landing mid-`read(2)` must not kill a cluster node), and EOF
 /// before the buffer fills maps to [`io::ErrorKind::UnexpectedEof`] (how
 /// the serve loops recognise a cleanly departed peer).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`read` returns n <= buf.len(), so the tail slice is in range"
+)]
 fn read_full(reader: &mut impl Read, mut buf: &mut [u8]) -> io::Result<()> {
     while !buf.is_empty() {
         match reader.read(buf) {

@@ -58,6 +58,12 @@ pub struct WireReader<'a> {
     pos: usize,
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    reason = "`take(len)` refuses a short buffer before slicing and returns exactly `len` bytes, \
+              which is what each fixed-width reader indexes or converts"
+)]
 impl<'a> WireReader<'a> {
     /// Wraps a byte slice for decoding.
     pub fn new(buf: &'a [u8]) -> Self {
@@ -139,6 +145,11 @@ pub fn to_bytes<T: Wire>(value: &T) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns a [`WireError`] on malformed or trailing bytes.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "from_bytes is the bare-value decode the lint fences: frames go through open_frame, \
+              bare values through here"
+)]
 pub fn from_bytes<T: Wire>(buf: &[u8]) -> WireResult<T> {
     let mut reader = WireReader::new(buf);
     let value = T::decode(&mut reader)?;
@@ -159,6 +170,10 @@ pub fn from_bytes<T: Wire>(buf: &[u8]) -> WireResult<T> {
 /// with one trailing byte appended must fail too.  An empty return means
 /// the codec rejects all of them; tests assert exactly that.  Offending
 /// lengths come back so the failing test names the bad cut point.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the truncation sweep decodes bare values by design; it is test support"
+)]
 pub fn decode_error_path_violations<T: Wire>(value: &T) -> Vec<usize> {
     let bytes = to_bytes(value);
     let mut violations = Vec::new();
@@ -382,6 +397,10 @@ impl Wire for u16 {
     }
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "take(4) just returned exactly four bytes"
+)]
 impl Wire for u32 {
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.to_le_bytes());
@@ -526,6 +545,10 @@ wire_struct!(Delivered<M: Wire> { from: NodeId, msg: M });
 
 #[cfg(test)]
 mod tests {
+    #![expect(
+        clippy::disallowed_methods,
+        reason = "codec tests round-trip bare values; there is no frame, so no version to check"
+    )]
     use super::*;
 
     // The analyzer names tuple impls canonically (`Unit`, `Tuple2`, …);

@@ -113,6 +113,10 @@ fn step(core: &mut RoundCore<Sleeper>, round: u64) {
 }
 
 #[test]
+#[expect(
+    clippy::unreachable,
+    reason = "the test built honest participants only"
+)]
 fn a_quiet_node_is_called_when_it_said_and_when_a_message_arrives() {
     // Node 0 speaks to node 1 in round 3; node 1 would sleep until round 9.
     let mut core = RoundCore::new(0, honest(vec![Sleeper::new(1, 3), Sleeper::new(0, 9)]));

@@ -210,6 +210,10 @@ pub(crate) enum Wiring {
 /// Runs `serve` on a fresh thread and returns the parent's end.  The
 /// worker sees EOF when the parent drops its end and exits; its result is
 /// ignored.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the conformance table serves each worker on its own thread, as a backend would"
+)]
 pub(crate) fn spawn_worker(
     wiring: Wiring,
     serve: impl FnOnce(&mut dyn ShardTransport) -> io::Result<()> + Send + 'static,

@@ -3,6 +3,11 @@
 //!
 //! Run with: `cargo run --release --example byzantine_committee`
 
+#![expect(
+    clippy::expect_used,
+    reason = "a demo's helpers abort on a bad setup; nothing here is library code"
+)]
+
 use std::sync::Arc;
 
 use linear_dft::auth::{KeyDirectory, SignedValue};

@@ -3,6 +3,12 @@
 //!
 //! Run with: `cargo run --release --example cluster_checkpointing`
 
+#![expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "a demo's helpers abort on a bad setup; nothing here is library code"
+)]
+
 use linear_dft::core::{Checkpointing, SystemConfig};
 use linear_dft::sim::{FixedCrashSchedule, NodeId, Runner};
 

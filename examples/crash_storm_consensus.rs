@@ -3,6 +3,12 @@
 //!
 //! Run with: `cargo run --release --example crash_storm_consensus`
 
+#![expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "a demo's helpers abort on a bad setup; nothing here is library code"
+)]
+
 use linear_dft::core::{ManyCrashesConsensus, SystemConfig};
 use linear_dft::sim::{RandomCrashes, Runner};
 

@@ -2,6 +2,12 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+#![expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "a demo's helpers abort on a bad setup; nothing here is library code"
+)]
+
 use linear_dft::core::{FewCrashesConsensus, SystemConfig};
 use linear_dft::sim::{RandomCrashes, Runner};
 

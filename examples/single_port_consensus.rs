@@ -3,6 +3,11 @@
 //!
 //! Run with: `cargo run --release --example single_port_consensus`
 
+#![expect(
+    clippy::expect_used,
+    reason = "a demo's helpers abort on a bad setup; nothing here is library code"
+)]
+
 use linear_dft::core::{linear_consensus_for_all_nodes, SystemConfig};
 use linear_dft::sim::{RandomCrashes, SinglePortRunner};
 

@@ -39,7 +39,6 @@
 //! assert!(report.all_non_faulty_decided() && report.non_faulty_deciders_agree());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use dft_auth as auth;

@@ -2,6 +2,12 @@
 //! the simulator under a variety of adversaries, checking the three consensus
 //! conditions (validity, agreement, termination) end to end.
 
+#![expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "helpers of a test target: a panic here is a failing test"
+)]
+
 use std::sync::Arc;
 
 use linear_dft::auth::KeyDirectory;

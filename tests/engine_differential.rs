@@ -13,6 +13,12 @@
 //! (the inline core, in-process shard workers) — so the tier-1 suite
 //! exercises the shard codec too.
 
+#![expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "helpers of a test target: a panic here is a failing test"
+)]
+
 use std::collections::VecDeque;
 
 use linear_dft::sim::shard::{ShardedRunner, SpShardedRunner};

@@ -14,6 +14,11 @@
 //! checker's workload; in `--release` it compares a run that really skips
 //! against one that does not.
 
+#![expect(
+    clippy::expect_used,
+    reason = "helpers of a test target: a panic here is a failing test"
+)]
+
 use linear_dft::core::{
     linear_consensus_for_all_nodes, AeaConfig, AlmostEverywhereAgreement, Checkpointing,
     FewCrashesConsensus, Gossip, ManyCrashesConsensus, ScvConfig, SpreadCommonValue, SystemConfig,

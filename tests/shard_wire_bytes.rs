@@ -4,6 +4,12 @@
 //! payload once per frame, and a protocol that shares nothing pays exactly
 //! one slot-tag byte per message for the table it does not use.
 
+#![expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "helpers of a test target: a panic here is a failing test"
+)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
