@@ -23,7 +23,8 @@
 
 use std::sync::Arc;
 
-use dft_auth::{KeyDirectory, SignedValue, Signer, DECISIVE_VALUES};
+use dft_auth::KeyDirectory;
+use dft_core::dolev_strong::{DsBatch, DsRelay};
 use dft_sim::{Delivered, NodeId, Outgoing, Payload, Round, SyncProtocol};
 
 /// The textbook flooding consensus: for `t + 1` rounds every node broadcasts
@@ -303,16 +304,6 @@ impl SyncProtocol for NaiveCheckpointing {
     }
 }
 
-/// A batch of signed values (the baseline's combined Dolev–Strong message).
-#[derive(Clone, Debug, PartialEq)]
-pub struct SignedBatch(pub Vec<SignedValue>);
-
-impl Payload for SignedBatch {
-    fn bit_len(&self) -> u64 {
-        64 + self.0.iter().map(SignedValue::encoded_bits).sum::<u64>()
-    }
-}
-
 /// Byzantine consensus baseline: every node Dolev–Strong-broadcasts its input
 /// to everyone (`n` parallel instances over the complete graph, `t + 1`
 /// rounds) and decides on the maximum consistently delivered value —
@@ -323,27 +314,21 @@ pub struct ParallelDsConsensus {
     n: usize,
     t: usize,
     me: usize,
-    signer: Signer,
-    directory: Arc<KeyDirectory>,
     input: u64,
-    accepted: Vec<std::collections::BTreeSet<u64>>,
-    relay_queue: Vec<SignedValue>,
+    /// The Dolev–Strong state, one slot per node.
+    relay: DsRelay,
     decided: Option<u64>,
 }
 
 impl ParallelDsConsensus {
     /// Creates a node with consensus input `input`.
     pub fn new(n: usize, t: usize, me: usize, input: u64, directory: Arc<KeyDirectory>) -> Self {
-        let signer = directory.signer(me);
         ParallelDsConsensus {
             n,
             t,
             me,
-            signer,
-            directory,
             input,
-            accepted: vec![std::collections::BTreeSet::new(); n],
-            relay_queue: Vec::new(),
+            relay: DsRelay::new(directory.signer(me), directory, n),
             decided: None,
         }
     }
@@ -369,32 +354,21 @@ impl ParallelDsConsensus {
 }
 
 impl SyncProtocol for ParallelDsConsensus {
-    type Msg = Arc<SignedBatch>;
+    type Msg = Arc<DsBatch>;
     type Output = u64;
 
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`accepted` has one set per node and `me` is this node's own index"
-    )]
-    fn send(&mut self, round: Round, out: &mut Vec<Outgoing<Arc<SignedBatch>>>) {
+    fn send(&mut self, round: Round, out: &mut Vec<Outgoing<Arc<DsBatch>>>) {
         let r = round.as_u64();
         if r > self.t as u64 {
             return;
         }
-        let mut batch = Vec::new();
         if r == 0 {
-            let sv = SignedValue::originate(&self.signer, self.input);
-            self.accepted[self.me].insert(self.input);
-            batch.push(sv);
+            self.relay.originate(self.me, self.input);
         }
-        batch.append(&mut self.relay_queue);
-        if batch.is_empty() {
+        // One shared batch for the n − 1 recipients, not a deep copy each.
+        let Some(batch) = self.relay.take_batch() else {
             return;
-        }
-        // One shared batch, reference-counted per recipient: the baseline's
-        // n² fan-out would otherwise deep-clone every signature chain n times
-        // per round.
-        let batch = Arc::new(SignedBatch(batch));
+        };
         out.extend(
             (0..self.n)
                 .filter(|&p| p != self.me)
@@ -402,44 +376,16 @@ impl SyncProtocol for ParallelDsConsensus {
         );
     }
 
-    fn receive(&mut self, round: Round, inbox: &[Delivered<Arc<SignedBatch>>]) {
+    fn receive(&mut self, round: Round, inbox: &[Delivered<Arc<DsBatch>>]) {
         let r = round.as_u64();
         if r <= self.t as u64 {
             for delivered in inbox {
-                for sv in &delivered.msg.0 {
-                    let Some(accepted) = self.accepted.get_mut(sv.source) else {
-                        continue;
-                    };
-                    // Skip settled sources and already-accepted values
-                    // before paying for chain verification; relays of known
-                    // values dominate later rounds.
-                    if accepted.len() >= DECISIVE_VALUES
-                        || accepted.contains(&sv.value)
-                        || !sv.verify_chain_with_length(&self.directory, r as usize + 1)
-                    {
-                        continue;
-                    }
-                    accepted.insert(sv.value);
-                    let mut relay = sv.clone();
-                    relay.countersign(&self.signer);
-                    self.relay_queue.push(relay);
-                }
+                self.relay.receive(r, &delivered.msg, Some);
             }
         }
         if r >= self.t as u64 {
-            let decision = self
-                .accepted
-                .iter()
-                .filter_map(|values| {
-                    if values.len() == 1 {
-                        values.iter().next().copied()
-                    } else {
-                        None
-                    }
-                })
-                .max()
-                .unwrap_or(0);
-            self.decided = Some(decision);
+            let delivered = self.relay.resolutions().flatten();
+            self.decided = Some(delivered.map(|chain| chain.value).max().unwrap_or(0));
         }
     }
 
@@ -455,11 +401,10 @@ impl SyncProtocol for ParallelDsConsensus {
 /// Shard wire codecs for the baseline message/output types, so the
 /// quadratic baselines can also run under `run_experiments --shards N`.
 mod wire_impls {
-    use super::{Membership, RumorMap, SignedBatch};
+    use super::{Membership, RumorMap};
 
     dft_sim::shard::wire_struct!(RumorMap(Vec<Option<u64>>));
     dft_sim::shard::wire_struct!(Membership(Vec<bool>));
-    dft_sim::shard::wire_struct!(SignedBatch(Vec<dft_auth::SignedValue>));
 
     #[cfg(test)]
     mod tests {
@@ -479,23 +424,16 @@ mod wire_impls {
                 from_bytes::<Membership>(&to_bytes(&membership)).unwrap(),
                 membership
             );
-            let directory = dft_auth::KeyDirectory::generate(3, 5);
-            let batch = SignedBatch(vec![dft_auth::SignedValue::originate(
-                &directory.signer(0),
-                12,
-            )]);
-            assert_eq!(from_bytes::<SignedBatch>(&to_bytes(&batch)).unwrap(), batch);
             assert_eq!(decode_error_path_violations(&map), Vec::<usize>::new());
             assert_eq!(
                 decode_error_path_violations(&membership),
                 Vec::<usize>::new()
             );
-            assert_eq!(decode_error_path_violations(&batch), Vec::<usize>::new());
         }
 
         #[test]
         fn baseline_payloads_golden_bytes() {
-            assert_eq!(dft_sim::shard::WIRE_VERSION, 5);
+            assert_eq!(dft_sim::shard::WIRE_VERSION, 6);
             assert_eq!(
                 to_bytes(&RumorMap(vec![Some(7), None])),
                 b"\x02\0\0\0\0\0\0\0\x01\x07\0\0\0\0\0\0\0\0"
@@ -503,16 +441,6 @@ mod wire_impls {
             assert_eq!(
                 to_bytes(&Membership(vec![true, false, true])),
                 b"\x03\0\0\0\0\0\0\0\x01\0\x01"
-            );
-            let value = dft_auth::SignedValue {
-                source: 1,
-                value: 12,
-                signatures: Vec::new(),
-            };
-            assert_eq!(
-                to_bytes(&SignedBatch(vec![value])),
-                b"\x01\0\0\0\0\0\0\0\x01\0\0\0\0\0\0\0\
-                  \x0c\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0"
             );
         }
     }
@@ -615,18 +543,18 @@ mod tests {
         let n = 8;
         let directory = Arc::new(KeyDirectory::generate(n, 9));
         let source = directory.signer(0);
-        let signed = (100..140).map(|value| SignedValue::originate(&source, value));
+        let signed = (100..140).map(|value| dft_auth::SignedValue::originate(&source, value));
         let inbox = [Delivered::new(
             NodeId::new(0),
-            Arc::new(SignedBatch(signed.collect())),
+            Arc::new(DsBatch(signed.collect())),
         )];
         let mut node = ParallelDsConsensus::new(n, 2, 1, 5, directory);
         node.receive(Round::ZERO, &inbox);
-        assert_eq!(node.accepted[0].len(), 2);
-        assert_eq!(
-            node.relay_queue.len(),
-            2,
-            "nothing past the second is relayed"
-        );
+        assert_eq!(node.relay.accepted(0).len(), 2);
+        let relayed = node
+            .relay
+            .take_batch()
+            .expect("the two are owed to the peers");
+        assert_eq!(relayed.0.len(), 2, "nothing past the second is relayed");
     }
 }

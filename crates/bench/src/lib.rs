@@ -161,7 +161,7 @@ pub(crate) fn build_aea(w: &Workload) -> BuiltNodes<AlmostEverywhereAgreement<bo
         AlmostEverywhereAgreement::for_all_nodes(&cfg, &inputs),
         "config",
     );
-    let rounds = must(dft_core::AeaConfig::from_system(&cfg), "config").total_rounds();
+    let rounds = nodes.first().map_or(0, |node| node.total_rounds());
     BuiltNodes { nodes, rounds }
 }
 
@@ -172,7 +172,7 @@ pub(crate) fn build_scv(w: &Workload) -> BuiltNodes<SpreadCommonValue<bool>> {
         .map(|i| (i >= w.n - initialized).then_some(true))
         .collect();
     let nodes = must(SpreadCommonValue::for_all_nodes(&cfg, &initials), "config");
-    let rounds = must(dft_core::ScvConfig::from_system(&cfg), "config").total_rounds();
+    let rounds = nodes.first().map_or(0, |node| node.total_rounds());
     BuiltNodes { nodes, rounds }
 }
 

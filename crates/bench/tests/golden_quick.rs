@@ -89,3 +89,21 @@ fn fixed_seed_measurements_are_deterministic() {
     let w = Workload::full_budget(50, 6, 37);
     assert_eq!(measure_linear_consensus(&w), measure_linear_consensus(&w));
 }
+
+/// Every quick-scale table, E1–E11, as `run_experiments --scale quick
+/// --jobs 1 | tail -n +2` printed it at the parent of the PR that last
+/// re-blessed the file: a change that is meant to leave the tables alone is
+/// checked against this, not by diffing two checkouts by hand.
+#[test]
+fn quick_tables_match_the_committed_golden() {
+    let golden = include_str!("golden_quick_tables.txt");
+    let mut printed = String::from("\n");
+    for table in dft_bench::experiments::all_experiments(dft_bench::experiments::Scale::Quick) {
+        printed.push_str(&table.render());
+        printed.push('\n');
+    }
+    for (line, (ours, theirs)) in printed.lines().zip(golden.lines()).enumerate() {
+        assert_eq!(ours, theirs, "line {} of the quick tables", line + 1);
+    }
+    assert_eq!(printed, golden);
+}

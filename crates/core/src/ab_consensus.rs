@@ -19,16 +19,15 @@
 //!
 //! Every node finally decides on the maximum value of its authenticated set.
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
-use dft_auth::{KeyDirectory, Signature, SignedValue, Signer, SignerSet, DECISIVE_VALUES};
+use dft_auth::{KeyDirectory, Signature, SignedValue, Signer, SignerSet};
 use dft_overlay::Graph;
 use dft_sim::shard::wire_struct;
 use dft_sim::{Delivered, NodeId, Outgoing, Payload, Round, SyncProtocol};
 
-use crate::config::SystemConfig;
-use crate::dolev_strong::DsBatch;
+use crate::config::{related_nodes, SystemConfig};
+use crate::dolev_strong::{chains_bits, DsBatch, DsRelay};
 use crate::error::CoreResult;
 
 /// The sentinel encoding of the paper's *null* value for a Byzantine source
@@ -176,11 +175,7 @@ impl CommonSet {
 
     /// Wire size in bits.
     pub fn encoded_bits(&self) -> u64 {
-        64 + self
-            .entries
-            .iter()
-            .map(SignedValue::encoded_bits)
-            .sum::<u64>()
+        chains_bits(&self.entries)
     }
 }
 
@@ -207,9 +202,7 @@ impl Payload for AbMsg {
     fn bit_len(&self) -> u64 {
         match self {
             AbMsg::Ds(batch) => batch.bit_len(),
-            AbMsg::Endorse(entries) => {
-                64 + entries.iter().map(SignedValue::encoded_bits).sum::<u64>()
-            }
+            AbMsg::Endorse(entries) => chains_bits(entries),
             AbMsg::CommonSet(set) => set.encoded_bits(),
             AbMsg::Inquiry(_) => Signature::BIT_LEN,
         }
@@ -276,6 +269,11 @@ impl AbConfig {
         self.part1_rounds() + 1 + self.part3_rounds + 2
     }
 
+    /// Whether `set` is a valid common set under this configuration.
+    fn accepts(&self, set: &CommonSet) -> bool {
+        set.verify(&self.directory, self.little, self.threshold)
+    }
+
     fn endorse_round(&self) -> u64 {
         self.t as u64 + 1
     }
@@ -316,10 +314,9 @@ pub struct AbConsensus {
     me: usize,
     signer: Signer,
     input: u64,
-    /// Dolev–Strong state: accepted values per little source, at most
-    /// [`DECISIVE_VALUES`] of them.
-    accepted: Vec<BTreeMap<u64, SignedValue>>,
-    relay_queue: Vec<SignedValue>,
+    /// Part 1's Dolev–Strong state, one slot per little source; a node
+    /// outside the little set sits Part 1 out and has no slots.
+    relay: DsRelay,
     /// Merged endorsement chains per source, from the endorsement round
     /// until they become the common set.
     endorsed: Vec<Endorsement>,
@@ -334,14 +331,13 @@ impl AbConsensus {
     /// Creates the state machine for node `me` with consensus input `input`.
     pub fn new(config: AbConfig, me: usize, input: u64) -> Self {
         let signer = config.directory.signer(me);
-        let accepted = vec![BTreeMap::new(); config.little];
+        let slots = if me < config.little { config.little } else { 0 };
         AbConsensus {
+            relay: DsRelay::new(signer.clone(), Arc::clone(&config.directory), slots),
             config,
             me,
             signer,
             input,
-            accepted,
-            relay_queue: Vec::new(),
             endorsed: Vec::new(),
             common: None,
             forward_pending: false,
@@ -379,27 +375,17 @@ impl AbConsensus {
         self.me < self.config.little
     }
 
-    fn little_peers(&self) -> Vec<usize> {
-        (0..self.config.little).filter(|&p| p != self.me).collect()
-    }
-
-    fn related_nodes(&self) -> Vec<usize> {
-        (0..self.config.n)
-            .skip(self.me + self.config.little)
-            .step_by(self.config.little.max(1))
-            .collect()
+    /// `msg` to every little node but this one (a copy of a bulky variant
+    /// is a reference-count bump).
+    fn to_little_peers(&self, msg: &AbMsg, out: &mut Vec<Outgoing<AbMsg>>) {
+        let peers = (0..self.config.little).filter(|&p| p != self.me);
+        out.extend(peers.map(|p| Outgoing::new(NodeId::new(p), msg.clone())));
     }
 
     fn adopt(&mut self, set: &Arc<CommonSet>) {
         // Check the cheap guard before the (expensive) chain verification:
         // once a node holds a verified set, further copies carry no news.
-        if self.common.is_none()
-            && set.verify(
-                &self.config.directory,
-                self.config.little,
-                self.config.threshold,
-            )
-        {
+        if self.common.is_none() && self.config.accepts(set) {
             self.common = Some(Arc::clone(set));
             self.forward_pending = true;
         }
@@ -411,12 +397,7 @@ impl AbConsensus {
         let little = self.config.little;
         let mut entries = Vec::with_capacity(little);
         self.endorsed = Vec::with_capacity(little);
-        for (source, accepted) in self.accepted.iter().enumerate() {
-            let resolved = if accepted.len() == 1 {
-                accepted.values().next()
-            } else {
-                None
-            };
+        for (source, resolved) in self.relay.resolutions().enumerate() {
             let entry = match resolved {
                 Some(chain) => {
                     let mut entry = chain.clone();
@@ -477,11 +458,7 @@ impl AbConsensus {
         // (Had they not been built, the empty set fails its own check.)
         let merged = std::mem::take(&mut self.endorsed);
         let set = CommonSet::new(merged.into_iter().map(|e| e.entry).collect());
-        if set.verify(
-            &self.config.directory,
-            self.config.little,
-            self.config.threshold,
-        ) {
+        if self.config.accepts(&set) {
             self.common = Some(Arc::new(set));
         }
     }
@@ -491,11 +468,6 @@ impl SyncProtocol for AbConsensus {
     type Msg = AbMsg;
     type Output = u64;
 
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`accepted` has one map per node of the validated config, and `me` is this node's \
-                  own index"
-    )]
     fn send(&mut self, round: Round, out: &mut Vec<Outgoing<AbMsg>>) {
         let r = round.as_u64();
         let cfg = &self.config;
@@ -504,22 +476,12 @@ impl SyncProtocol for AbConsensus {
             if !self.is_little() {
                 return;
             }
-            let mut batch: Vec<SignedValue> = Vec::new();
             if r == 0 {
-                let sv = SignedValue::originate(&self.signer, self.input);
-                self.accepted[self.me].insert(self.input, sv.clone());
-                batch.push(sv);
+                self.relay.originate(self.me, self.input);
             }
-            batch.append(&mut self.relay_queue);
-            if batch.is_empty() {
-                return;
+            if let Some(batch) = self.relay.take_batch() {
+                self.to_little_peers(&AbMsg::Ds(batch), out);
             }
-            let batch = Arc::new(DsBatch(batch));
-            out.extend(
-                self.little_peers()
-                    .into_iter()
-                    .map(|p| Outgoing::new(NodeId::new(p), AbMsg::Ds(Arc::clone(&batch)))),
-            );
             return;
         }
         if r == cfg.endorse_round() {
@@ -527,11 +489,7 @@ impl SyncProtocol for AbConsensus {
                 return;
             }
             let entries = Arc::new(self.build_endorsements());
-            out.extend(
-                self.little_peers()
-                    .into_iter()
-                    .map(|p| Outgoing::new(NodeId::new(p), AbMsg::Endorse(Arc::clone(&entries)))),
-            );
+            self.to_little_peers(&AbMsg::Endorse(entries), out);
             return;
         }
         if r == cfg.notify_round() {
@@ -540,8 +498,9 @@ impl SyncProtocol for AbConsensus {
                 self.finalize_common_set();
                 if let Some(set) = &self.common {
                     self.forward_pending = true;
+                    let related = related_nodes(self.config.n, self.config.little, self.me);
                     out.extend(
-                        self.related_nodes().into_iter().map(|p| {
+                        related.map(|p| {
                             Outgoing::new(NodeId::new(p), AbMsg::CommonSet(Arc::clone(set)))
                         }),
                     );
@@ -567,11 +526,7 @@ impl SyncProtocol for AbConsensus {
                 let signature = self
                     .signer
                     .sign_digest(dft_auth::hash::hash_words(&[0x1D_u64, self.me as u64]));
-                out.extend(
-                    (0..cfg.little)
-                        .filter(|&p| p != self.me)
-                        .map(|p| Outgoing::new(NodeId::new(p), AbMsg::Inquiry(signature))),
-                );
+                self.to_little_peers(&AbMsg::Inquiry(signature), out);
             }
             return;
         }
@@ -592,27 +547,9 @@ impl SyncProtocol for AbConsensus {
         let endorse_round = self.config.endorse_round();
         if r < endorse_round {
             if self.is_little() {
-                let directory = &self.config.directory;
                 for delivered in inbox {
                     if let AbMsg::Ds(batch) = &delivered.msg {
-                        for sv in &batch.0 {
-                            let Some(accepted) = self.accepted.get_mut(sv.source) else {
-                                continue;
-                            };
-                            // Skip already-accepted values before paying for
-                            // chain verification: relays of known values are
-                            // the common case in later Dolev–Strong rounds.
-                            if accepted.len() >= DECISIVE_VALUES
-                                || accepted.contains_key(&sv.value)
-                                || !sv.verify_chain_with_length(directory, r as usize + 1)
-                            {
-                                continue;
-                            }
-                            let mut relay = sv.clone();
-                            relay.countersign(&self.signer);
-                            accepted.insert(sv.value, sv.clone());
-                            self.relay_queue.push(relay);
-                        }
+                        self.relay.receive(r, batch, Some);
                     }
                 }
             }
@@ -736,7 +673,7 @@ mod tests {
             self.node.send(round, out);
             if round.as_u64() == self.node.config.endorse_round() && self.node.is_little() {
                 let view = (
-                    self.node.accepted[0].len(),
+                    self.node.relay.accepted(0).len(),
                     self.node.endorsed[0].entry.value,
                 );
                 self.views.lock().unwrap().push(view);
@@ -1071,8 +1008,8 @@ mod tests {
             .map(|me| Participant::Honest(AbConsensus::new(shared.clone(), me, me as u64)))
             .collect();
         participants[byzantine] = Participant::Byzantine(Box::new(strategy));
-        let related = AbConsensus::new(shared.clone(), byzantine, 0).related_nodes();
-        assert_eq!(related, vec![17, 32, 47]);
+        let related = related_nodes(n, little, byzantine);
+        assert_eq!(related.collect::<Vec<_>>(), vec![17, 32, 47]);
         let total = shared.total_rounds();
         let mut runner = Runner::with_participants(participants, Box::new(NoFaults), 0).unwrap();
         let report = runner.run(total + 2);

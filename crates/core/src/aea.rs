@@ -23,7 +23,7 @@ use std::sync::Arc;
 use dft_overlay::Graph;
 use dft_sim::{Delivered, NodeId, Outgoing, Payload, Round, SyncProtocol};
 
-use crate::config::SystemConfig;
+use crate::config::{related_nodes, SystemConfig};
 use crate::error::CoreResult;
 use crate::local_probing::LocalProbing;
 use crate::values::JoinValue;
@@ -158,19 +158,14 @@ impl<V: JoinValue> AlmostEverywhereAgreement<V> {
             .collect())
     }
 
+    /// Total rounds this protocol runs for.
+    pub fn total_rounds(&self) -> u64 {
+        self.config.total_rounds()
+    }
+
     /// Whether this node is a little node.
     pub fn is_little(&self) -> bool {
         self.me < self.config.little
-    }
-
-    /// The node's current candidate value.
-    pub fn candidate(&self) -> &V {
-        &self.candidate
-    }
-
-    /// Whether this node survived local probing (meaningful after Part 2).
-    pub fn survived_probing(&self) -> bool {
-        self.probe.survived()
     }
 
     fn little_neighbors(&self) -> &[usize] {
@@ -179,15 +174,6 @@ impl<V: JoinValue> AlmostEverywhereAgreement<V> {
         } else {
             &[]
         }
-    }
-
-    /// Nodes related to this little node: every node index congruent to `me`
-    /// modulo the number of little nodes, other than `me` itself.
-    fn related_nodes(&self) -> Vec<usize> {
-        (0..self.config.n)
-            .skip(self.me + self.config.little)
-            .step_by(self.config.little.max(1))
-            .collect()
     }
 }
 
@@ -216,7 +202,8 @@ impl<V: JoinValue> SyncProtocol for AlmostEverywhereAgreement<V> {
             // Part 3: little deciders notify their related nodes.
             if self.is_little() {
                 if let Some(decision) = &self.decided {
-                    out.extend(self.related_nodes().into_iter().map(|v| {
+                    let related = related_nodes(self.config.n, self.config.little, self.me);
+                    out.extend(related.map(|v| {
                         Outgoing::new(NodeId::new(v), AeaMsg::Decision(decision.clone()))
                     }));
                 }

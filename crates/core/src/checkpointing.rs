@@ -13,17 +13,19 @@
 //!
 //! The combined-message optimisation is exactly the
 //! [`BitVector`] instantiation of the generic consensus
-//! stack, so Part 2 is a single `FewCrashesConsensus<BitVector>` run.
+//! stack, so Part 2 is a single `FewCrashesConsensus<BitVector>` run, and the
+//! whole algorithm is gossip, [`Then`] that run.
 //!
 //! Theorem 10: `O(t + log n·log t)` rounds and `O(n + t·log n·log t)`
 //! messages.
 
-use dft_sim::{Delivered, Outgoing, Payload, Round, SyncProtocol};
+use dft_sim::{Payload, SyncProtocol};
 
 use crate::config::SystemConfig;
 use crate::error::CoreResult;
 use crate::few_crashes::{FcMsg, FewCrashesConfig, FewCrashesConsensus};
 use crate::gossip::{Gossip, GossipConfig, GossipMsg};
+use crate::then::{Stages, Then};
 use crate::values::BitVector;
 
 /// Combined configuration of the two parts.
@@ -36,16 +38,17 @@ pub struct CheckpointConfig {
 }
 
 impl CheckpointConfig {
-    /// Derives both part configurations from a [`SystemConfig`].
+    /// Derives both part configurations from a [`SystemConfig`].  The little
+    /// overlay and the inquiry family are built once and shared by the parts.
     ///
     /// # Errors
     ///
     /// Returns an error unless `t < n/5`.
     pub fn from_system(config: &SystemConfig) -> CoreResult<Self> {
-        Ok(CheckpointConfig {
-            gossip: GossipConfig::from_system(config)?,
-            consensus: FewCrashesConfig::from_system(config)?,
-        })
+        let consensus = FewCrashesConfig::from_system(config)?;
+        let (graph, family) = (consensus.aea.graph.clone(), consensus.scv.family.clone());
+        let gossip = GossipConfig::on_overlays(config, graph, family);
+        Ok(CheckpointConfig { gossip, consensus })
     }
 
     /// Total number of rounds (gossip followed by the combined consensus).
@@ -82,43 +85,75 @@ impl Payload for CheckpointMsg {
 /// The decided checkpoint: the agreed set of node indices.
 pub type Checkpoint = Vec<usize>;
 
-/// Per-node state machine for `Checkpointing`.
+/// The parts of `Checkpointing`: instance `i` of the combined consensus has
+/// input 1 at this node iff node `i` is in its gossip output (a node gossip
+/// left undecided vouches for itself only), and the decided vector is read
+/// back as the list of its indices.
 #[derive(Clone, Debug)]
-pub struct Checkpointing {
-    gossip: Gossip,
-    consensus: Option<FewCrashesConsensus<BitVector>>,
-    consensus_config: FewCrashesConfig,
+pub struct GossipThenConsensus {
+    consensus: FewCrashesConfig,
     me: usize,
-    n: usize,
-    gossip_rounds: u64,
-    decided: Option<Checkpoint>,
-    /// Send/receive scratch for the wrapped protocols, kept across rounds
-    /// so relabelling inner messages never allocates at steady state.
-    gossip_out: Vec<Outgoing<GossipMsg>>,
-    consensus_out: Vec<Outgoing<FcMsg<BitVector>>>,
-    gossip_in: Vec<Delivered<GossipMsg>>,
-    consensus_in: Vec<Delivered<FcMsg<BitVector>>>,
 }
+
+impl Stages for GossipThenConsensus {
+    type First = Gossip;
+    type Second = FewCrashesConsensus<BitVector>;
+    type Msg = CheckpointMsg;
+    type Output = Checkpoint;
+
+    fn second(&self, first: &Gossip) -> FewCrashesConsensus<BitVector> {
+        let n = self.consensus.aea.n;
+        let membership = match first.output() {
+            Some(extant) => BitVector::from_set_bits(n, extant.present_nodes()),
+            None => BitVector::from_set_bits(n, [self.me]),
+        };
+        FewCrashesConsensus::new(self.consensus.clone(), self.me, membership)
+    }
+
+    fn tag_first(msg: GossipMsg) -> CheckpointMsg {
+        CheckpointMsg::Gossip(msg)
+    }
+
+    fn tag_second(msg: FcMsg<BitVector>) -> CheckpointMsg {
+        CheckpointMsg::Consensus(msg)
+    }
+
+    fn as_first(msg: &CheckpointMsg) -> Option<&GossipMsg> {
+        match msg {
+            CheckpointMsg::Gossip(m) => Some(m),
+            CheckpointMsg::Consensus(_) => None,
+        }
+    }
+
+    fn as_second(msg: &CheckpointMsg) -> Option<&FcMsg<BitVector>> {
+        match msg {
+            CheckpointMsg::Consensus(m) => Some(m),
+            CheckpointMsg::Gossip(_) => None,
+        }
+    }
+
+    fn output(second: BitVector) -> Checkpoint {
+        second.ones()
+    }
+}
+
+/// Per-node state machine for `Checkpointing`.
+pub type Checkpointing = Then<GossipThenConsensus>;
 
 impl Checkpointing {
     /// Creates the state machine for node `me`.
     pub fn new(config: CheckpointConfig, me: usize) -> Self {
-        let n = config.gossip.n;
-        let gossip_rounds = config.gossip.total_rounds();
-        Checkpointing {
-            // Dummy rumor: the value is irrelevant, only presence matters.
-            gossip: Gossip::new(config.gossip, me, 1),
-            consensus: None,
-            consensus_config: config.consensus,
+        let (gossip_rounds, consensus_rounds) = (
+            config.gossip.total_rounds(),
+            config.consensus.total_rounds(),
+        );
+        let stages = GossipThenConsensus {
+            consensus: config.consensus,
             me,
-            n,
-            gossip_rounds,
-            decided: None,
-            gossip_out: Vec::new(),
-            consensus_out: Vec::new(),
-            gossip_in: Vec::new(),
-            consensus_in: Vec::new(),
-        }
+        };
+        // Dummy rumor: the value is irrelevant, only presence matters.
+        let gossip = Gossip::new(config.gossip, me, 1);
+        Then::compose(stages, gossip, gossip_rounds, consensus_rounds)
     }
 
     /// Builds state machines for all nodes.
@@ -131,115 +166,6 @@ impl Checkpointing {
         Ok((0..config.n)
             .map(|me| Self::new(shared.clone(), me))
             .collect())
-    }
-
-    /// Total rounds this protocol runs for.
-    pub fn total_rounds(&self) -> u64 {
-        self.gossip_rounds + self.consensus_config.total_rounds()
-    }
-
-    fn ensure_transition(&mut self) {
-        if self.consensus.is_none() {
-            let membership = match self.gossip.output() {
-                Some(extant) => BitVector::from_set_bits(self.n, extant.present_nodes()),
-                None => BitVector::from_set_bits(self.n, [self.me]),
-            };
-            self.consensus = Some(FewCrashesConsensus::new(
-                self.consensus_config.clone(),
-                self.me,
-                membership,
-            ));
-        }
-    }
-}
-
-impl SyncProtocol for Checkpointing {
-    type Msg = CheckpointMsg;
-    type Output = Checkpoint;
-
-    #[expect(
-        clippy::expect_used,
-        reason = "`ensure_transition` on the line above installed the consensus phase"
-    )]
-    fn send(&mut self, round: Round, out: &mut Vec<Outgoing<CheckpointMsg>>) {
-        let r = round.as_u64();
-        if r < self.gossip_rounds {
-            self.gossip_out.clear();
-            self.gossip.send(Round::new(r), &mut self.gossip_out);
-            out.extend(
-                self.gossip_out
-                    .drain(..)
-                    .map(|o| Outgoing::new(o.to, CheckpointMsg::Gossip(o.msg))),
-            );
-        } else {
-            self.ensure_transition();
-            self.consensus_out.clear();
-            self.consensus
-                .as_mut()
-                .expect("transitioned")
-                .send(Round::new(r - self.gossip_rounds), &mut self.consensus_out);
-            out.extend(
-                self.consensus_out
-                    .drain(..)
-                    .map(|o| Outgoing::new(o.to, CheckpointMsg::Consensus(o.msg))),
-            );
-        }
-    }
-
-    #[expect(
-        clippy::expect_used,
-        reason = "this arm is only reached at a consensus round, after `send` installed the \
-                  consensus phase"
-    )]
-    fn receive(&mut self, round: Round, inbox: &[Delivered<CheckpointMsg>]) {
-        let r = round.as_u64();
-        if r < self.gossip_rounds {
-            self.gossip_in.clear();
-            self.gossip_in
-                .extend(inbox.iter().filter_map(|d| match &d.msg {
-                    CheckpointMsg::Gossip(m) => Some(Delivered::new(d.from, m.clone())),
-                    CheckpointMsg::Consensus(_) => None,
-                }));
-            self.gossip.receive(Round::new(r), &self.gossip_in);
-        } else {
-            self.ensure_transition();
-            self.consensus_in.clear();
-            self.consensus_in
-                .extend(inbox.iter().filter_map(|d| match &d.msg {
-                    CheckpointMsg::Consensus(m) => Some(Delivered::new(d.from, m.clone())),
-                    CheckpointMsg::Gossip(_) => None,
-                }));
-            let consensus = self.consensus.as_mut().expect("transitioned");
-            consensus.receive(Round::new(r - self.gossip_rounds), &self.consensus_in);
-            if self.decided.is_none() {
-                if let Some(vector) = consensus.output() {
-                    self.decided = Some(vector.ones());
-                }
-            }
-        }
-    }
-
-    fn output(&self) -> Option<Checkpoint> {
-        self.decided.clone()
-    }
-
-    fn has_halted(&self) -> bool {
-        self.consensus
-            .as_ref()
-            .is_some_and(|consensus| consensus.has_halted())
-    }
-
-    /// The running part's hint, in this protocol's rounds; the first round
-    /// of Part 2 is never slept through (it builds the consensus instance
-    /// from the gossip decision).
-    fn quiet_until(&self, now: Round) -> Option<Round> {
-        let handover = Round::new(self.gossip_rounds);
-        if now < handover {
-            return self.gossip.quiet_until(now).map(|r| r.min(handover));
-        }
-        let consensus_now = Round::new(now.as_u64() - self.gossip_rounds);
-        let wake = self.consensus.as_ref()?.quiet_until(consensus_now)?;
-        Some(wake + self.gossip_rounds)
     }
 }
 
@@ -311,6 +237,25 @@ mod tests {
         for id in report.non_faulty().iter() {
             assert!(checkpoint.contains(&id.index()));
         }
+    }
+
+    #[test]
+    fn the_parts_share_one_little_overlay_and_one_inquiry_family() {
+        let config = SystemConfig::new(60, 8).unwrap().with_seed(5);
+        let cp = CheckpointConfig::from_system(&config).unwrap();
+        assert!(std::sync::Arc::ptr_eq(
+            &cp.gossip.graph,
+            &cp.consensus.aea.graph
+        ));
+        assert!(std::sync::Arc::ptr_eq(
+            &cp.gossip.family,
+            &cp.consensus.scv.family
+        ));
+        // Sharing changed nothing a part can see.
+        let alone = FewCrashesConfig::from_system(&config).unwrap();
+        assert_eq!(*cp.consensus.aea.graph, *alone.aea.graph);
+        assert_eq!(cp.consensus.aea.delta, alone.aea.delta);
+        assert_eq!(cp.consensus.total_rounds(), alone.total_rounds());
     }
 
     #[test]

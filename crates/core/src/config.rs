@@ -6,6 +6,12 @@ use dft_overlay::{build, Graph, InquiryFamily, OverlayParams};
 
 use crate::error::{CoreError, CoreResult};
 
+/// The nodes *related* to little node `me`: every node index congruent to
+/// `me` modulo the number of little nodes, other than `me` itself.
+pub(crate) fn related_nodes(n: usize, little: usize, me: usize) -> impl Iterator<Item = usize> {
+    (0..n).skip(me + little).step_by(little.max(1))
+}
+
 /// The system-level parameters shared by every protocol: the number of nodes
 /// `n`, the fault bound `t` and a seed for the deterministic overlay
 /// constructions.

@@ -11,8 +11,10 @@
 //! The implementation runs any number of parallel instances (one per source)
 //! with per-pair messages combined into a single batch, exactly as
 //! `AB-Consensus` Part 1 prescribes.
+//! The accept / countersign / relay rule is [`DsRelay`], which its owner
+//! drives: [`DolevStrong`] here, `AB-Consensus` Part 1, the quadratic baseline.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dft_auth::{KeyDirectory, SignedValue, Signer, DECISIVE_VALUES};
@@ -28,7 +30,103 @@ pub struct DsBatch(pub Vec<SignedValue>);
 
 impl Payload for DsBatch {
     fn bit_len(&self) -> u64 {
-        64 + self.0.iter().map(SignedValue::encoded_bits).sum::<u64>()
+        chains_bits(&self.0)
+    }
+}
+
+/// Wire size in bits of a sequence of signed values: a length, then each.
+pub(crate) fn chains_bits(chains: &[SignedValue]) -> u64 {
+    64 + chains.iter().map(SignedValue::encoded_bits).sum::<u64>()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Chains this thread verified (the MAC work an acceptance costs).
+    static CHAIN_CHECKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// One node's state in a parallel Dolev–Strong broadcast: what it accepted
+/// per source *slot* (the source's position in the owner's list) and what it
+/// owes its peers next round.  Two accepted values already make a source
+/// null, so at most [`DECISIVE_VALUES`] chains are kept per slot and nothing
+/// past them is verified, stored or relayed.
+#[derive(Clone, Debug)]
+pub struct DsRelay {
+    signer: Signer,
+    directory: Arc<KeyDirectory>,
+    /// Accepted chains per slot, as received, in order of acceptance.
+    accepted: Vec<Vec<SignedValue>>,
+    /// Values accepted since the last batch, countersigned.
+    queue: Vec<SignedValue>,
+}
+
+impl DsRelay {
+    /// The relay of the node `signer` signs for, over `slots` sources.
+    pub fn new(signer: Signer, directory: Arc<KeyDirectory>, slots: usize) -> Self {
+        DsRelay {
+            signer,
+            directory,
+            accepted: vec![Vec::new(); slots],
+            queue: Vec::new(),
+        }
+    }
+
+    /// Signs `input` as the source of `slot`, accepts it and queues it.
+    pub fn originate(&mut self, slot: usize, input: u64) {
+        if let Some(accepted) = self.accepted.get_mut(slot) {
+            let signed = SignedValue::originate(&self.signer, input);
+            accepted.push(signed.clone());
+            self.queue.push(signed);
+        }
+    }
+
+    /// Everything queued since the last batch, as one allocation every
+    /// recipient shares; `None` if there is nothing to say.
+    pub fn take_batch(&mut self) -> Option<Arc<DsBatch>> {
+        (!self.queue.is_empty()).then(|| Arc::new(DsBatch(std::mem::take(&mut self.queue))))
+    }
+
+    /// A batch delivered in round `r`: a value is accepted if its source has
+    /// a slot (`slot_of`) that is not settled, the value is new there, and its
+    /// chain verifies at length `r + 1` or more.  What is accepted is queued
+    /// with this node's countersignature.
+    pub fn receive(&mut self, r: u64, batch: &DsBatch, slot_of: impl Fn(usize) -> Option<usize>) {
+        for sv in &batch.0 {
+            let Some(accepted) = slot_of(sv.source).and_then(|slot| self.accepted.get_mut(slot))
+            else {
+                continue;
+            };
+            // Settled sources and known values — the common case in later
+            // rounds — are passed over before paying for chain verification.
+            if accepted.len() >= DECISIVE_VALUES || accepted.iter().any(|a| a.value == sv.value) {
+                continue;
+            }
+            #[cfg(test)]
+            CHAIN_CHECKS.with(|count| count.set(count.get() + 1));
+            if !sv.verify_chain_with_length(&self.directory, r as usize + 1) {
+                continue;
+            }
+            accepted.push(sv.clone());
+            let mut relay = sv.clone();
+            relay.countersign(&self.signer);
+            self.queue.push(relay);
+        }
+    }
+
+    /// The chains accepted for `slot` (none for a slot that does not exist).
+    pub fn accepted(&self, slot: usize) -> &[SignedValue] {
+        self.accepted.get(slot).map_or(&[], Vec::as_slice)
+    }
+
+    /// Per slot, the chain of the one value accepted for it, or `None` (the
+    /// paper's null) for a source that equivocated or stayed silent.
+    pub fn resolutions(&self) -> impl Iterator<Item = Option<&SignedValue>> {
+        self.accepted
+            .iter()
+            .map(|accepted| match accepted.as_slice() {
+                [only] => Some(only),
+                _ => None,
+            })
     }
 }
 
@@ -85,42 +183,37 @@ impl DolevStrongConfig {
 pub struct DolevStrong {
     config: DolevStrongConfig,
     me: usize,
-    signer: Signer,
     /// My own input (used only if I am a source).
     input: u64,
     /// Whether I am one of `config.participants`.
     participating: bool,
-    /// Each source's index into `config.sources`.
+    /// Each source's slot: its first position in `config.sources`.
     source_index: BTreeMap<usize, usize>,
-    /// Accepted values per source index, at most [`DECISIVE_VALUES`] each.
-    accepted: Vec<BTreeSet<u64>>,
-    /// Values accepted this round, to be relayed next round.
-    relay_queue: Vec<SignedValue>,
+    relay: DsRelay,
     resolved: Option<Vec<Option<u64>>>,
-    halted: bool,
 }
 
 impl DolevStrong {
     /// Creates the state machine for node `me` with broadcast input `input`
     /// (ignored unless `me` is a source).
     pub fn new(config: DolevStrongConfig, me: usize, input: u64) -> Self {
-        let signer = config.directory.signer(me);
-        let accepted = vec![BTreeSet::new(); config.sources.len()];
         let mut source_index = BTreeMap::new();
         for (index, &source) in config.sources.iter().enumerate() {
             source_index.entry(source).or_insert(index);
         }
+        let relay = DsRelay::new(
+            config.directory.signer(me),
+            Arc::clone(&config.directory),
+            config.sources.len(),
+        );
         DolevStrong {
             participating: config.participants.contains(&me),
             source_index,
+            relay,
             config,
             me,
-            signer,
             input,
-            accepted,
-            relay_queue: Vec::new(),
             resolved: None,
-            halted: false,
         }
     }
 
@@ -130,10 +223,6 @@ impl DolevStrong {
     /// # Errors
     ///
     /// Propagates configuration errors.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`me` ranges over 0..n, and the assert above holds `inputs` to n entries"
-    )]
     pub fn for_all_nodes(
         config: &SystemConfig,
         sources: Vec<usize>,
@@ -142,116 +231,46 @@ impl DolevStrong {
     ) -> CoreResult<Vec<Self>> {
         assert_eq!(inputs.len(), config.n, "one input per node required");
         let shared = DolevStrongConfig::all_nodes(config, sources, directory)?;
-        Ok((0..config.n)
-            .map(|me| Self::new(shared.clone(), me, inputs[me]))
-            .collect())
-    }
-
-    /// The resolved per-source values (meaningful after `t + 1` rounds).
-    pub fn resolution(&self) -> Option<&Vec<Option<u64>>> {
-        self.resolved.as_ref()
-    }
-
-    /// Accepted value chains still queued for relay (exposed for
-    /// `AB-Consensus`, which reuses them as endorsement evidence).
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`accepted` has one set per source; AB-Consensus asks with indices below the \
-                  source count"
-    )]
-    pub fn accepted_values(&self, source_index: usize) -> Vec<u64> {
-        self.accepted[source_index].iter().copied().collect()
-    }
-
-    fn broadcast_targets(&self) -> Vec<usize> {
-        self.config
-            .participants
+        Ok(inputs
             .iter()
-            .copied()
-            .filter(|&p| p != self.me)
-            .collect()
+            .enumerate()
+            .map(|(me, &input)| Self::new(shared.clone(), me, input))
+            .collect())
     }
 }
 
 impl SyncProtocol for DolevStrong {
-    type Msg = DsBatch;
+    type Msg = Arc<DsBatch>;
     type Output = Vec<Option<u64>>;
 
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`source_index` maps a source to its position in the source list, which sized \
-                  `accepted`"
-    )]
-    fn send(&mut self, round: Round, out: &mut Vec<Outgoing<DsBatch>>) {
+    fn send(&mut self, round: Round, out: &mut Vec<Outgoing<Arc<DsBatch>>>) {
         let r = round.as_u64();
         if r >= self.config.total_rounds() || !self.participating {
             return;
         }
-        let mut batch: Vec<SignedValue> = Vec::new();
         if r == 0 {
-            if let Some(&idx) = self.source_index.get(&self.me) {
-                let sv = SignedValue::originate(&self.signer, self.input);
-                self.accepted[idx].insert(self.input);
-                batch.push(sv);
+            if let Some(&slot) = self.source_index.get(&self.me) {
+                self.relay.originate(slot, self.input);
             }
         }
-        batch.append(&mut self.relay_queue);
-        if batch.is_empty() {
+        let Some(batch) = self.relay.take_batch() else {
             return;
-        }
-        out.extend(
-            self.broadcast_targets()
-                .into_iter()
-                .map(|p| Outgoing::new(NodeId::new(p), DsBatch(batch.clone()))),
-        );
+        };
+        let peers = self.config.participants.iter().filter(|&&p| p != self.me);
+        out.extend(peers.map(|&p| Outgoing::new(NodeId::new(p), Arc::clone(&batch))));
     }
 
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`source_index` maps a source to its position in the source list, which sized \
-                  `accepted`; an unknown sender was skipped first"
-    )]
-    fn receive(&mut self, round: Round, inbox: &[Delivered<DsBatch>]) {
+    fn receive(&mut self, round: Round, inbox: &[Delivered<Arc<DsBatch>>]) {
         let r = round.as_u64();
         if r < self.config.total_rounds() && self.participating {
             for delivered in inbox {
-                for sv in &delivered.msg.0 {
-                    let Some(&idx) = self.source_index.get(&sv.source) else {
-                        continue;
-                    };
-                    // Skip settled sources and already-accepted values
-                    // before paying for chain verification.  Acceptance:
-                    // valid chain with at least r+1 signatures.
-                    let accepted = &mut self.accepted[idx];
-                    if accepted.len() >= DECISIVE_VALUES
-                        || accepted.contains(&sv.value)
-                        || !sv.verify_chain_with_length(&self.config.directory, r as usize + 1)
-                    {
-                        continue;
-                    }
-                    // Newly accepted: relay with our countersignature in the
-                    // next round (if any remain).
-                    accepted.insert(sv.value);
-                    let mut relay = sv.clone();
-                    relay.countersign(&self.signer);
-                    self.relay_queue.push(relay);
-                }
+                let slot_of = |source| self.source_index.get(&source).copied();
+                self.relay.receive(r, &delivered.msg, slot_of);
             }
         }
         if r + 1 >= self.config.total_rounds() {
-            let resolution = self
-                .accepted
-                .iter()
-                .map(|values| {
-                    if values.len() == 1 {
-                        values.iter().next().copied()
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            self.resolved = Some(resolution);
-            self.halted = true;
+            let values = self.relay.resolutions().map(|chain| Some(chain?.value));
+            self.resolved = Some(values.collect());
         }
     }
 
@@ -260,7 +279,7 @@ impl SyncProtocol for DolevStrong {
     }
 
     fn has_halted(&self) -> bool {
-        self.halted
+        self.resolved.is_some()
     }
 }
 
@@ -304,7 +323,7 @@ mod tests {
         // to the other half in round 0, each correctly signed by itself.
         let byz_signer = dir.signer(0);
         let strategy =
-            ScriptedByzantine::new(move |round: Round, _inbox: &[Delivered<DsBatch>]| {
+            ScriptedByzantine::new(move |round: Round, _inbox: &[Delivered<Arc<DsBatch>>]| {
                 if round.as_u64() != 0 {
                     return Vec::new();
                 }
@@ -312,7 +331,7 @@ mod tests {
                     .map(|p| {
                         let value = if p % 2 == 0 { 7 } else { 8 };
                         let sv = SignedValue::originate(&byz_signer, value);
-                        Outgoing::new(NodeId::new(p), DsBatch(vec![sv]))
+                        Outgoing::new(NodeId::new(p), Arc::new(DsBatch(vec![sv])))
                     })
                     .collect()
             });
@@ -369,33 +388,92 @@ mod tests {
         assert_eq!(shared.total_rounds(), 7);
     }
 
+    fn chain_checks() -> usize {
+        CHAIN_CHECKS.with(std::cell::Cell::get)
+    }
+
+    /// Node 1's relay in a system of 8 whose two slots are sources 1 and 0.
+    fn relay_of_node_one(dir: &Arc<KeyDirectory>) -> (DsRelay, impl Fn(usize) -> Option<usize>) {
+        let relay = DsRelay::new(dir.signer(1), Arc::clone(dir), 2);
+        (relay, |source| [1, 0].iter().position(|&s| s == source))
+    }
+
+    fn values(chains: &[SignedValue]) -> Vec<u64> {
+        chains.iter().map(|chain| chain.value).collect()
+    }
+
     #[test]
     fn a_source_is_settled_by_its_first_two_values() {
-        let n = 8;
-        let config = SystemConfig::new(n, 2).unwrap();
-        let dir = directory(n);
-        let shared = DolevStrongConfig::all_nodes(&config, vec![3, 0], dir.clone()).unwrap();
+        let dir = directory(8);
+        let (mut relay, slot_of) = relay_of_node_one(&dir);
         let source = dir.signer(0);
         let signed = (100..140).map(|value| SignedValue::originate(&source, value));
-        let inbox = [Delivered::new(NodeId::new(0), DsBatch(signed.collect()))];
-        let mut node = DolevStrong::new(shared, 1, 5);
-        node.receive(Round::ZERO, &inbox);
-        assert_eq!(node.accepted_values(1), vec![100, 101]);
-        assert_eq!(
-            node.relay_queue.len(),
-            2,
-            "nothing past the second is relayed"
-        );
+        let before = chain_checks();
+        relay.receive(0, &DsBatch(signed.collect()), &slot_of);
+        assert_eq!(values(relay.accepted(1)), vec![100, 101]);
+        assert_eq!(chain_checks() - before, 2, "the other 38 cost nothing");
         // One more value in the next round changes nothing: the source is
         // null already.
         let mut late = SignedValue::originate(&source, 7);
         late.countersign(&dir.signer(2));
-        node.receive(
-            Round::new(1),
-            &[Delivered::new(NodeId::new(2), DsBatch(vec![late]))],
+        relay.receive(1, &DsBatch(vec![late]), &slot_of);
+        assert_eq!(values(relay.accepted(1)), vec![100, 101]);
+        assert!(relay.accepted(0).is_empty());
+        assert_eq!(relay.resolutions().collect::<Vec<_>>(), vec![None, None]);
+        // Nothing past the second is relayed, and both carry our signature.
+        let batch = relay.take_batch().expect("two relays are owed");
+        assert_eq!(values(&batch.0), vec![100, 101]);
+        assert!(batch.0.iter().all(|chain| chain.signers() == vec![0, 1]));
+        assert!(relay.take_batch().is_none(), "a batch is handed out once");
+    }
+
+    #[test]
+    fn a_short_chain_a_repeated_signer_and_a_stranger_are_refused() {
+        let dir = directory(8);
+        let (mut relay, slot_of) = relay_of_node_one(&dir);
+        let source = dir.signer(0);
+        // Round 1 asks for two signatures; the source's alone is too few.
+        let bare = SignedValue::originate(&source, 40);
+        // Twice the same countersigner is still one distinct signer.
+        let mut padded = SignedValue::originate(&source, 41);
+        padded.countersign(&dir.signer(5));
+        let repeat = padded.signatures[1];
+        padded.signatures.push(repeat);
+        // Node 6 is nobody's source here, however well it signs.
+        let mut stranger = SignedValue::originate(&dir.signer(6), 42);
+        stranger.countersign(&dir.signer(5));
+        relay.receive(1, &DsBatch(vec![bare, padded, stranger]), &slot_of);
+        assert!(relay.accepted(1).is_empty());
+        assert!(relay.take_batch().is_none());
+        // The same value with a chain of two is accepted in that round, and
+        // resolves its slot.
+        let mut relayed = SignedValue::originate(&source, 40);
+        relayed.countersign(&dir.signer(5));
+        relay.receive(1, &DsBatch(vec![relayed.clone()]), &slot_of);
+        assert_eq!(
+            relay.resolutions().collect::<Vec<_>>(),
+            vec![None, Some(&relayed)]
         );
-        assert_eq!(node.accepted_values(1), vec![100, 101]);
-        assert_eq!(node.accepted_values(0), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn an_accepted_value_is_skipped_without_a_mac_check() {
+        let dir = directory(8);
+        let (mut relay, slot_of) = relay_of_node_one(&dir);
+        // Our own value and one we accepted.
+        relay.originate(0, 9);
+        let accepted = SignedValue::originate(&dir.signer(0), 50);
+        relay.receive(0, &DsBatch(vec![accepted.clone()]), &slot_of);
+        assert_eq!(relay.take_batch().map(|batch| batch.0.len()), Some(2));
+        // Both come back round after round from every peer, countersigned.
+        let before = chain_checks();
+        let mut echo = accepted;
+        echo.countersign(&dir.signer(4));
+        let mut own_echo = relay.accepted(0)[0].clone();
+        own_echo.countersign(&dir.signer(4));
+        relay.receive(1, &DsBatch(vec![echo, own_echo]), &slot_of);
+        assert_eq!(chain_checks(), before, "no chain was verified");
+        assert!(relay.take_batch().is_none(), "and nothing is relayed twice");
     }
 
     #[test]
@@ -407,15 +485,25 @@ mod tests {
             sources: Arc::new(vec![4, 2, 4]),
             directory: dir,
         };
-        let member = DolevStrong::new(config.clone(), 4, 9);
+        let mut member = DolevStrong::new(config.clone(), 4, 9);
         assert!(member.participating);
         // A source listed twice keeps its first index, as a scan would find.
         assert_eq!(member.source_index.get(&4), Some(&0));
         assert_eq!(member.source_index.get(&2), Some(&1));
         assert_eq!(member.source_index.get(&0), None);
+        // One batch for the two peers, not a copy each.
+        let mut out = Vec::new();
+        member.send(Round::ZERO, &mut out);
+        assert_eq!(out.len(), 2);
+        assert!(Arc::ptr_eq(&out[0].msg, &out[1].msg));
+        assert_eq!(
+            member.relay.accepted(0).len(),
+            1,
+            "its own value, in slot 0"
+        );
         let mut outsider = DolevStrong::new(config, 3, 9);
         assert!(!outsider.participating);
-        let mut out = Vec::new();
+        out.clear();
         outsider.send(Round::ZERO, &mut out);
         assert!(out.is_empty());
     }

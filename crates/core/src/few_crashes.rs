@@ -6,17 +6,20 @@
 //! non-faulty node.  Theorem 7: `O(t + log n)` rounds and `O(n + t log t)`
 //! one-bit messages.
 //!
-//! The composition is generic over [`JoinValue`]: the scalar instance
-//! (`bool`) is the paper's binary consensus, and the [`crate::BitVector`]
-//! instance is the "n concurrent instances with combined messages" used by
-//! checkpointing (Section 6).
+//! The composition is [`Then`], generic over [`JoinValue`]: the scalar
+//! instance (`bool`) is the paper's binary consensus, and the
+//! [`crate::BitVector`] instance is the "n concurrent instances with combined
+//! messages" used by checkpointing (Section 6).
 
-use dft_sim::{Delivered, Outgoing, Payload, Round, SyncProtocol};
+use std::marker::PhantomData;
+
+use dft_sim::{Payload, SyncProtocol};
 
 use crate::aea::{AeaConfig, AeaMsg, AlmostEverywhereAgreement};
 use crate::config::SystemConfig;
 use crate::error::CoreResult;
 use crate::scv::{ScvConfig, ScvMsg, SpreadCommonValue};
+use crate::then::{Stages, Then};
 use crate::values::JoinValue;
 
 /// Combined configuration of the two stages.
@@ -66,39 +69,67 @@ impl<V: JoinValue> Payload for FcMsg<V> {
     }
 }
 
-/// Per-node state machine for `Few-Crashes-Consensus`.
+/// The parts of `Few-Crashes-Consensus`: the agreement stage's decision (or
+/// null) is the value this node enters the spreading stage with.
 #[derive(Clone, Debug)]
-pub struct FewCrashesConsensus<V: JoinValue> {
-    aea: AlmostEverywhereAgreement<V>,
-    scv: SpreadCommonValue<V>,
-    aea_rounds: u64,
-    total_rounds: u64,
-    transitioned: bool,
-    /// Send/receive scratch for the wrapped stages, kept across rounds so
-    /// relabelling inner messages never allocates at steady state.
-    aea_out: Vec<Outgoing<AeaMsg<V>>>,
-    scv_out: Vec<Outgoing<ScvMsg<V>>>,
-    aea_in: Vec<Delivered<AeaMsg<V>>>,
-    scv_in: Vec<Delivered<ScvMsg<V>>>,
+pub struct AeaThenScv<V> {
+    scv: ScvConfig,
+    me: usize,
+    value: PhantomData<V>,
 }
+
+impl<V: JoinValue> Stages for AeaThenScv<V> {
+    type First = AlmostEverywhereAgreement<V>;
+    type Second = SpreadCommonValue<V>;
+    type Msg = FcMsg<V>;
+    type Output = V;
+
+    fn second(&self, first: &Self::First) -> Self::Second {
+        SpreadCommonValue::new(self.scv.clone(), self.me, first.output())
+    }
+
+    fn tag_first(msg: AeaMsg<V>) -> FcMsg<V> {
+        FcMsg::Aea(msg)
+    }
+
+    fn tag_second(msg: ScvMsg<V>) -> FcMsg<V> {
+        FcMsg::Scv(msg)
+    }
+
+    fn as_first(msg: &FcMsg<V>) -> Option<&AeaMsg<V>> {
+        match msg {
+            FcMsg::Aea(m) => Some(m),
+            FcMsg::Scv(_) => None,
+        }
+    }
+
+    fn as_second(msg: &FcMsg<V>) -> Option<&ScvMsg<V>> {
+        match msg {
+            FcMsg::Scv(m) => Some(m),
+            FcMsg::Aea(_) => None,
+        }
+    }
+
+    fn output(second: V) -> V {
+        second
+    }
+}
+
+/// Per-node state machine for `Few-Crashes-Consensus`.
+pub type FewCrashesConsensus<V> = Then<AeaThenScv<V>>;
 
 impl<V: JoinValue> FewCrashesConsensus<V> {
     /// Creates the state machine for node `me` with the given consensus
     /// input.
     pub fn new(config: FewCrashesConfig, me: usize, input: V) -> Self {
-        let aea_rounds = config.aea.total_rounds();
-        let total_rounds = config.total_rounds();
-        FewCrashesConsensus {
-            aea: AlmostEverywhereAgreement::new(config.aea, me, input),
-            scv: SpreadCommonValue::new(config.scv, me, None),
-            aea_rounds,
-            total_rounds,
-            transitioned: false,
-            aea_out: Vec::new(),
-            scv_out: Vec::new(),
-            aea_in: Vec::new(),
-            scv_in: Vec::new(),
-        }
+        let (aea_rounds, scv_rounds) = (config.aea.total_rounds(), config.scv.total_rounds());
+        let stages = AeaThenScv {
+            scv: config.scv,
+            me,
+            value: PhantomData,
+        };
+        let aea = AlmostEverywhereAgreement::new(config.aea, me, input);
+        Then::compose(stages, aea, aea_rounds, scv_rounds)
     }
 
     /// Builds state machines for all nodes from per-node inputs.
@@ -118,97 +149,6 @@ impl<V: JoinValue> FewCrashesConsensus<V> {
             .enumerate()
             .map(|(me, input)| Self::new(shared.clone(), me, input.clone()))
             .collect())
-    }
-
-    /// Total rounds this protocol runs for.
-    pub fn total_rounds(&self) -> u64 {
-        self.total_rounds
-    }
-
-    fn ensure_transition(&mut self) {
-        if !self.transitioned {
-            self.scv.set_initial(self.aea.output());
-            self.transitioned = true;
-        }
-    }
-}
-
-impl<V: JoinValue> SyncProtocol for FewCrashesConsensus<V> {
-    type Msg = FcMsg<V>;
-    type Output = V;
-
-    fn send(&mut self, round: Round, out: &mut Vec<Outgoing<FcMsg<V>>>) {
-        let r = round.as_u64();
-        if r < self.aea_rounds {
-            self.aea_out.clear();
-            self.aea.send(Round::new(r), &mut self.aea_out);
-            out.extend(
-                self.aea_out
-                    .drain(..)
-                    .map(|o| Outgoing::new(o.to, FcMsg::Aea(o.msg))),
-            );
-        } else {
-            self.ensure_transition();
-            self.scv_out.clear();
-            self.scv
-                .send(Round::new(r - self.aea_rounds), &mut self.scv_out);
-            out.extend(
-                self.scv_out
-                    .drain(..)
-                    .map(|o| Outgoing::new(o.to, FcMsg::Scv(o.msg))),
-            );
-        }
-    }
-
-    fn receive(&mut self, round: Round, inbox: &[Delivered<FcMsg<V>>]) {
-        let r = round.as_u64();
-        if r < self.aea_rounds {
-            self.aea_in.clear();
-            self.aea_in
-                .extend(inbox.iter().filter_map(|d| match &d.msg {
-                    FcMsg::Aea(m) => Some(Delivered::new(d.from, m.clone())),
-                    FcMsg::Scv(_) => None,
-                }));
-            self.aea.receive(Round::new(r), &self.aea_in);
-        } else {
-            self.ensure_transition();
-            self.scv_in.clear();
-            self.scv_in
-                .extend(inbox.iter().filter_map(|d| match &d.msg {
-                    FcMsg::Scv(m) => Some(Delivered::new(d.from, m.clone())),
-                    FcMsg::Aea(_) => None,
-                }));
-            self.scv
-                .receive(Round::new(r - self.aea_rounds), &self.scv_in);
-        }
-    }
-
-    fn output(&self) -> Option<V> {
-        if self.transitioned {
-            self.scv.output()
-        } else {
-            None
-        }
-    }
-
-    fn has_halted(&self) -> bool {
-        self.transitioned && self.scv.has_halted()
-    }
-
-    /// The running stage's hint, in this protocol's rounds.  The hand-over
-    /// round is never slept through: it is where the agreement stage's
-    /// decision becomes this node's output.
-    fn quiet_until(&self, now: Round) -> Option<Round> {
-        let handover = Round::new(self.aea_rounds);
-        if now < handover {
-            return self.aea.quiet_until(now).map(|r| r.min(handover));
-        }
-        if !self.transitioned {
-            return None;
-        }
-        let scv_now = Round::new(now.as_u64() - self.aea_rounds);
-        let scv_wake = self.scv.quiet_until(scv_now)?;
-        Some(scv_wake + self.aea_rounds)
     }
 }
 

@@ -53,21 +53,31 @@ impl GossipConfig {
     /// Returns an error unless `t < n/5`.
     pub fn from_system(config: &SystemConfig) -> CoreResult<Self> {
         config.require_few_crashes()?;
+        let (graph, family) = (config.little_graph(), config.scv_family());
+        Ok(Self::on_overlays(config, graph, family))
+    }
+
+    /// As `from_system`, on the little overlay and the inquiry family that
+    /// checkpointing's consensus part already built from its checked `config`.
+    pub(crate) fn on_overlays(
+        config: &SystemConfig,
+        graph: Arc<Graph>,
+        family: Arc<InquiryFamily>,
+    ) -> Self {
         let params = config.little_params();
-        let graph = config.little_graph();
         let delta = params.delta.min(graph.min_degree());
-        Ok(GossipConfig {
+        GossipConfig {
             n: config.n,
             little: config.little_count(),
             graph,
             delta,
             gamma: params.gamma as u64,
-            family: config.scv_family(),
+            family,
             // ⌈lg n⌉ of a configuration integer: computed once, identically
             // on every node (a conversion and a library call, so
             // `float_arithmetic` has nothing to flag).
             phases: (config.n as f64).log2().ceil().max(1.0) as u64,
-        })
+        }
     }
 
     /// Rounds per phase: inquiry, response, then the probing window.

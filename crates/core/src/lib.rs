@@ -65,6 +65,7 @@ mod local_probing;
 pub mod many_crashes;
 pub mod scv;
 pub mod single_port;
+pub mod then;
 mod values;
 pub mod wire;
 
@@ -85,4 +86,5 @@ pub use single_port::{
     linear_consensus_for_all_nodes, LinearConsensus, LinearConsensusPlan, PortPlan,
     SinglePortAdapter,
 };
+pub use then::{Stages, Then};
 pub use values::{BitVector, ExtantSet, JoinValue, Rumor};

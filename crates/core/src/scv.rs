@@ -152,24 +152,9 @@ impl<V: JoinValue> SpreadCommonValue<V> {
             .collect())
     }
 
-    /// The adopted common value, if any.
-    pub fn common(&self) -> Option<&V> {
-        self.common.as_ref()
-    }
-
-    /// Replaces the initial value; used by composite protocols that learn the
-    /// value only when an earlier stage finishes (e.g. consensus wiring the
-    /// AEA decision into SCV).
-    pub fn set_initial(&mut self, value: Option<V>) {
-        if self.common.is_none() {
-            self.forward_pending = value.is_some();
-            self.common = value;
-        }
-    }
-
-    /// Whether this node is a little node (a Part 2 direct-inquiry target).
-    pub fn is_little(&self) -> bool {
-        self.me < self.config.little
+    /// Total rounds this protocol runs for.
+    pub fn total_rounds(&self) -> u64 {
+        self.config.total_rounds()
     }
 
     /// The phase (1-based) of Part 2 containing relative round `r`, together
@@ -393,14 +378,5 @@ mod tests {
             "{} messages exceeds {bound}",
             report.metrics.messages
         );
-    }
-
-    #[test]
-    fn set_initial_only_applies_once() {
-        let config = SystemConfig::new(50, 4).unwrap();
-        let shared = ScvConfig::from_system(&config).unwrap();
-        let mut node = SpreadCommonValue::new(shared, 0, Some(true));
-        node.set_initial(Some(false));
-        assert_eq!(node.common(), Some(&true));
     }
 }

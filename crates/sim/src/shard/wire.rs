@@ -639,7 +639,7 @@ mod tests {
     /// bump asserted beside it.
     #[test]
     fn golden_bytes() {
-        assert_eq!(crate::shard::WIRE_VERSION, 5);
+        assert_eq!(crate::shard::WIRE_VERSION, 6);
         let unit: Unit = ();
         let pair: Tuple2 = (true, 9);
         let triple: Tuple3 = (7, 0xBEEF, 0xDEAD_BEEF);

@@ -43,7 +43,7 @@ impl<O: Clone + PartialEq + std::fmt::Debug> ReferenceOutcome<O> {
         assert_eq!(report.crashed_at, self.crashed_at, "crash rounds diverged");
         assert_eq!(report.halted_at, self.halted_at, "halt rounds diverged");
         // `Metrics` equality covers rounds, messages, bits, crashes and the
-        // whole per-round window (counts, window start and peak).
+        // per-round state (the latest recorded round, its count, the peak).
         assert_eq!(report.metrics, self.metrics, "metrics diverged");
         assert_eq!(
             report.metrics.peak_messages_in_a_round(),
