@@ -10,13 +10,13 @@
 //! them, or allocates a different number of times (`--bench-compare`).
 //!
 //! The build has no registry access and so no JSON crate: the emitter
-//! below prints a stable layout by hand, and the reader is the workspace's
-//! one JSON parser (`dft_analysis::json`), so any layout of the same
-//! document parses to the same report.
+//! below prints a stable layout by hand, and the reader is the harness's
+//! JSON parser (`crate::json`), so any layout of the same document parses
+//! to the same report.
 
 use std::fmt::Write as _;
 
-use dft_analysis::json::{self, Json};
+use crate::json::{self, Json};
 
 /// Default regression gate: fail CI when an experiment's wall time grows
 /// beyond this factor of the committed baseline.  Wall clocks on shared CI

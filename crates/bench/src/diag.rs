@@ -15,7 +15,7 @@
 
 use std::cell::RefCell;
 
-use dft_analysis::json::escape;
+use crate::json::escape;
 
 thread_local! {
     static CAPTURE: RefCell<Option<Vec<String>>> = const { RefCell::new(None) };

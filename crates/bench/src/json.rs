@@ -1,11 +1,11 @@
 //! A minimal JSON reader/writer.
 //!
-//! The build has no registry access and so no JSON crate: every committed
-//! JSON file of the workspace — the analysis baseline, `WIRE_SCHEMA.json`
-//! and `dft-bench`'s `BENCH_*.json` — is read with this hand-rolled parser
-//! and written by [`escape`]-based emitters.  Baseline entries embed
-//! arbitrary source snippets — quotes, backslashes, anything — so strings
-//! need real escape handling, which is most of what this module is.
+//! The build has no registry access and so no JSON crate: the perf
+//! baselines (`BENCH_*.json`, [`crate::baseline`]) are read with this
+//! hand-rolled parser, and they and the `--diag-json` lines ([`crate::diag`])
+//! are written with [`escape`].  Diagnostics carry arbitrary text — quotes,
+//! backslashes, control characters — so strings need real escape handling,
+//! which is most of what this module is.
 
 use std::collections::BTreeMap;
 
@@ -40,14 +40,6 @@ impl Json {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a non-negative integer, if it is one.
-    pub fn as_usize(&self) -> Option<usize> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as usize),
             _ => None,
         }
     }
@@ -290,7 +282,7 @@ mod tests {
         let doc = r#"{ "a": [1, 2, {"b": null, "c": true}], "d": "x" }"#;
         let parsed = parse(doc).expect("parses");
         let arr = parsed.get("a").and_then(Json::as_arr).expect("array");
-        assert_eq!(arr[0].as_usize(), Some(1));
+        assert_eq!(arr[0].as_f64(), Some(1.0));
         assert_eq!(arr[1].as_f64(), Some(2.0));
         assert_eq!(parsed.get("d").and_then(Json::as_f64), None);
         assert_eq!(arr[2].get("b"), Some(&Json::Null));

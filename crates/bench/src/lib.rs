@@ -15,6 +15,7 @@
 pub mod baseline;
 pub mod diag;
 pub mod experiments;
+mod json;
 pub mod stats;
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,7 +27,7 @@ use dft_core::{
     linear_consensus_for_all_nodes, AbConsensus, AlmostEverywhereAgreement, Checkpointing,
     FewCrashesConsensus, Gossip, ManyCrashesConsensus, SpreadCommonValue, SystemConfig,
 };
-use dft_sim::shard::{ShardedRunner, SpShardedRunner, Wire, WireOutput, WireStats};
+use dft_sim::shard::{Schema, ShardedRunner, SpShardedRunner, Wire, WireOutput, WireStats};
 use dft_sim::{
     CrashAdversary, ExecutionReport, Participant, RandomCrashes, Runner, SinglePortProtocol,
     SinglePortRunner, SyncProtocol,
@@ -280,6 +281,9 @@ pub(crate) trait RoundModel<P> {
         terms: Terms,
         shards: usize,
     ) -> (ExecutionReport<Self::Output>, WireStats);
+
+    /// Declares what [`RoundModel::run_sharded`] puts on the wire.
+    fn describe(schema: &mut Schema);
 }
 
 /// What an execution runs under: the crash adversary, its fault budget and
@@ -323,6 +327,10 @@ where
         let report = must(runner.run(terms.max_rounds), "sharded execution");
         (report, runner.wire_stats().clone())
     }
+
+    fn describe(schema: &mut Schema) {
+        dft_sim::shard::describe_multi_port::<P::Msg, P::Output>(schema);
+    }
 }
 
 impl<P: SinglePortProtocol> RoundModel<P> for SinglePort
@@ -351,6 +359,10 @@ where
         let report = must(runner.run(terms.max_rounds), "sharded execution");
         (report, runner.wire_stats().clone())
     }
+
+    fn describe(schema: &mut Schema) {
+        dft_sim::shard::describe_single_port::<P::Msg, P::Output>(schema);
+    }
 }
 
 static TOTAL_ACTIVE: AtomicU64 = AtomicU64::new(0);
@@ -373,6 +385,12 @@ static TOTAL_WIRE: Mutex<WireStats> = Mutex::new(WireStats::new());
 pub fn wire_totals() -> WireStats {
     let totals = TOTAL_WIRE.lock().unwrap_or_else(PoisonError::into_inner);
     totals.clone()
+}
+
+/// Declares the wire roots of the round model `X` for the protocol `build`
+/// constructs (`build` is passed only for its type, never called).
+fn describe_kind<X: RoundModel<P>, P>(schema: &mut Schema, _build: fn(&Workload) -> BuiltNodes<P>) {
+    X::describe(schema);
 }
 
 /// Runs one measurement: the runner holds the nodes, or — `w.shards > 1` —
@@ -430,6 +448,16 @@ macro_rules! measure_kinds {
                 MeasureKind::$kind.measure(w)
             }
         )*
+
+        /// Declares to `schema` everything an execution can put on the
+        /// wire: each kind's round-model roots at its message and output
+        /// types, and `dft-node`'s mesh, which runs [`FloodingConsensus`].
+        /// A new row is in `WIRE_SCHEMA.json` by construction
+        /// (`tests/wire_schema.rs`).
+        pub fn describe_wire(schema: &mut Schema) {
+            $(describe_kind::<$model, _>(schema, $build);)*
+            dft_sim::shard::describe_mesh::<<FloodingConsensus as SyncProtocol>::Msg>(schema);
+        }
     };
 }
 

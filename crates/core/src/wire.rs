@@ -5,14 +5,14 @@
 //! Each message type declares its layout once (tag per variant, fields in
 //! order) and gets both directions generated from it; [`CommonSet`] does so
 //! in its own module, where its private fields are in reach.  [`BitVector`] and
-//! [`ExtantSet`] are written by hand: their decoders bound what a corrupt
-//! prefix can allocate and accept only the canonical form of a value.
+//! [`ExtantSet`] are written by hand ([`LEAVES`]): their decoders bound what a
+//! corrupt prefix can allocate and accept only the canonical form of a value.
 
 use std::sync::Arc;
 
 use dft_auth::{Signature, SignedValue};
 use dft_sim::shard::{
-    wire_enum, wire_struct, Wire, WireError, WireReader, WireResult, MAX_FRAME_LEN,
+    wire_enum, wire_struct, Schema, Wire, WireError, WireReader, WireResult, MAX_FRAME_LEN,
 };
 
 use crate::ab_consensus::{AbMsg, CommonSet};
@@ -24,6 +24,9 @@ use crate::gossip::GossipMsg;
 use crate::many_crashes::McMsg;
 use crate::scv::ScvMsg;
 use crate::values::{BitVector, ExtantSet, JoinValue};
+
+/// The hand-written codecs of this module, by schema name.
+pub const LEAVES: &[&str] = &["BitVector", "ExtantSet"];
 
 wire_enum!(AeaMsg<V: JoinValue + Wire> { 0 = Rumor(V), 1 = Decision(V) });
 wire_enum!(ScvMsg<V: JoinValue + Wire> { 0 = Value(V), 1 = Inquiry, 2 = Response(V) });
@@ -71,6 +74,10 @@ impl Wire for BitVector {
         }
         BitVector::from_raw_words(len, words)
             .ok_or_else(|| WireError::new("BitVector word count does not match its length"))
+    }
+
+    fn describe(schema: &mut Schema) {
+        schema.leaf("BitVector");
     }
 }
 
@@ -121,6 +128,10 @@ impl Wire for ExtantSet {
             floor = idx + 1;
         }
         Ok(set)
+    }
+
+    fn describe(schema: &mut Schema) {
+        schema.leaf("ExtantSet");
     }
 }
 

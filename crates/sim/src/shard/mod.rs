@@ -51,6 +51,7 @@
 //! node crashes, and those are the crash adversary's.
 
 pub mod intern;
+pub mod schema;
 pub mod transport;
 pub mod wire;
 
@@ -73,6 +74,7 @@ use crate::round::Round;
 use crate::runner::Participant;
 
 pub use intern::{Slot, Slots};
+pub use schema::{Schema, Verdict};
 pub use transport::{
     read_frame, write_frame, ChannelTransport, ShardTransport, StreamTransport, MAX_FRAME_LEN,
 };
@@ -300,6 +302,61 @@ fn serve(
 
 fn unexpected_request(tag: u8) -> io::Error {
     bad_frame(format!("unexpected shard request tag {tag}"))
+}
+
+/// The header every frame opens with: the `u16` [`WIRE_VERSION`] and the
+/// `u8` tag.
+fn describe_frame(schema: &mut Schema) {
+    schema.declare::<u16>();
+    schema.declare::<u8>();
+}
+
+/// The wire roots of a multi-port execution with message `M` and output
+/// `O`: the frame header and the fields [`serve_multi_port`] reads and
+/// writes.  Everything on the wire is reached from here (see
+/// [`schema`]).
+pub fn describe_multi_port<M: Wire, O: Wire>(schema: &mut Schema) {
+    describe_frame(schema);
+    // Collect, Deliver and Receive open with the round.
+    schema.declare::<Round>();
+    // Intents: each node's send intents.
+    schema.declare::<Vec<Vec<NodeId>>>();
+    // Deliver: the chunk's crashed nodes and their delivery filters.
+    schema.declare::<Vec<(usize, DeliveryFilter)>>();
+    // Delivered: three metric counters, then the surviving messages;
+    // Receive: the routed messages.
+    schema.declare::<u64>();
+    schema.declare::<Slots<M>>();
+    // Events: decisions and halts.
+    schema.declare::<Vec<WireEvent<O>>>();
+}
+
+/// The wire roots of a single-port execution with message `M` and output
+/// `O`: the frame header and the fields [`serve_single_port`] reads and
+/// writes.
+pub fn describe_single_port<M: Wire, O: Wire>(schema: &mut Schema) {
+    describe_frame(schema);
+    schema.declare::<Round>();
+    // SpIntents: each node's send, then its polled port.
+    schema.declare::<Vec<Option<Outgoing<M>>>>();
+    schema.declare::<Vec<Option<NodeId>>>();
+    // SpReceive: the crash mirror, then each node's drained port.
+    schema.declare::<Vec<usize>>();
+    schema.declare::<Vec<Option<Vec<M>>>>();
+    schema.declare::<Vec<WireEvent<O>>>();
+}
+
+/// The wire roots of `dft-node`'s mesh of one-node round cores exchanging
+/// messages `M`: the frame header, the `HELLO` frame's node index, a `ROUND`
+/// frame's round and messages (a `GOODBYE` carries the round alone), and
+/// the effective crash schedule its launcher passes as `--schedule` bytes.
+/// They stand here, beside the shard roots, because `dft-node` is a binary
+/// no test can call into.
+pub fn describe_mesh<M: Wire>(schema: &mut Schema) {
+    describe_frame(schema);
+    schema.declare::<usize>();
+    schema.declare::<(Round, Vec<Delivered<M>>)>();
+    schema.declare::<Vec<(Round, usize, DeliveryFilter)>>();
 }
 
 /// Encodes a chunk's decision/halt events as a `RESP_EVENTS` frame and

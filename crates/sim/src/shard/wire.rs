@@ -11,7 +11,7 @@
 //! `decode`: it declares its layout once with [`wire_struct!`](crate::wire_struct)
 //! or [`wire_enum!`](crate::wire_enum), and both directions are generated
 //! from that one list, so they cannot disagree.  The impls written by hand
-//! in this module are the leaves the declarations bottom out in.
+//! in this module are the leaves the declarations bottom out in ([`LEAVES`]).
 //!
 //! Every decode error is a [`WireError`] naming what was expected; nothing
 //! here panics on malformed input (a truncated frame from a dying worker
@@ -19,6 +19,7 @@
 
 use std::sync::{Arc, OnceLock};
 
+use super::schema::Schema;
 use crate::adversary::DeliveryFilter;
 use crate::message::{Delivered, Outgoing};
 use crate::node::NodeId;
@@ -130,6 +131,12 @@ pub trait Wire: Sized {
     ///
     /// Returns a [`WireError`] describing the first malformed field.
     fn decode(r: &mut WireReader<'_>) -> WireResult<Self>;
+
+    /// Describes this type to the wire schema: a declared type records its
+    /// declaration and declares its field types; a leaf codec records
+    /// [`Schema::leaf`] and declares its element types.  Only tests call it
+    /// (see [`super::schema`]).
+    fn describe(schema: &mut Schema);
 }
 
 /// Encodes a value into a fresh buffer (convenience for tests and frames).
@@ -247,6 +254,14 @@ macro_rules! wire_struct {
             fn decode(r: &mut $crate::shard::WireReader<'_>) -> $crate::shard::WireResult<Self> {
                 Ok(Self { $($field: <$ty as $crate::shard::Wire>::decode(r)?),+ })
             }
+
+            fn describe(schema: &mut $crate::shard::Schema) {
+                schema.record(
+                    stringify!($name),
+                    stringify!($name $(<$($g: $b0 $(+ $bn)*),+>)? { $($field: $ty),+ }),
+                );
+                $(schema.declare::<$ty>();)+
+            }
         }
     };
     ($name:ident $(<$($g:ident : $b0:ident $(+ $bn:ident)*),+>)? ($ty:ty)) => {
@@ -258,6 +273,11 @@ macro_rules! wire_struct {
 
             fn decode(r: &mut $crate::shard::WireReader<'_>) -> $crate::shard::WireResult<Self> {
                 Ok(Self(<$ty as $crate::shard::Wire>::decode(r)?))
+            }
+
+            fn describe(schema: &mut $crate::shard::Schema) {
+                schema.record(stringify!($name), stringify!($name $(<$($g: $b0 $(+ $bn)*),+>)? ($ty)));
+                schema.declare::<$ty>();
             }
         }
     };
@@ -311,22 +331,24 @@ macro_rules! wire_struct {
 #[macro_export]
 macro_rules! wire_enum {
     ($name:ident $(<$($g:ident : $b0:ident $(+ $bn:ident)*),+>)? { $($variants:tt)+ }) => {
-        $crate::wire_enum!(@variant ($name $(<$($g : $b0 $(+ $bn)*),+>)?) () $($variants)+);
+        $crate::wire_enum!(@variant ($name $(<$($g : $b0 $(+ $bn)*),+>)?)
+            (stringify!($name $(<$($g: $b0 $(+ $bn)*),+>)? { $($variants)+ })) () $($variants)+);
     };
     // Each step moves one variant into the list in the one shape the last
     // rule reads: `(tag Variant { field: binding: Type, .. })`, where the
-    // unnamed field of `Variant(Type)` is field `0`.
-    (@variant $head:tt ($($done:tt)*) $tag:literal = $v:ident ($ty:ty) $(, $($rest:tt)*)?) => {
-        $crate::wire_enum!(@variant $head ($($done)* ($tag $v { 0: inner: $ty })) $($($rest)*)?);
+    // unnamed field of `Variant(Type)` is field `0`.  The declaration's text
+    // rides along for `describe`.
+    (@variant $head:tt $decl:tt ($($done:tt)*) $tag:literal = $v:ident ($ty:ty) $(, $($rest:tt)*)?) => {
+        $crate::wire_enum!(@variant $head $decl ($($done)* ($tag $v { 0: inner: $ty })) $($($rest)*)?);
     };
-    (@variant $head:tt ($($done:tt)*)
+    (@variant $head:tt $decl:tt ($($done:tt)*)
         $tag:literal = $v:ident { $($f:ident : $ty:ty),+ $(,)? } $(, $($rest:tt)*)?) => {
-        $crate::wire_enum!(@variant $head ($($done)* ($tag $v { $($f: $f: $ty),+ })) $($($rest)*)?);
+        $crate::wire_enum!(@variant $head $decl ($($done)* ($tag $v { $($f: $f: $ty),+ })) $($($rest)*)?);
     };
-    (@variant $head:tt ($($done:tt)*) $tag:literal = $v:ident $(, $($rest:tt)*)?) => {
-        $crate::wire_enum!(@variant $head ($($done)* ($tag $v {})) $($($rest)*)?);
+    (@variant $head:tt $decl:tt ($($done:tt)*) $tag:literal = $v:ident $(, $($rest:tt)*)?) => {
+        $crate::wire_enum!(@variant $head $decl ($($done)* ($tag $v {})) $($($rest)*)?);
     };
-    (@variant ($name:ident $(<$($g:ident : $b0:ident $(+ $bn:ident)*),+>)?)
+    (@variant ($name:ident $(<$($g:ident : $b0:ident $(+ $bn:ident)*),+>)?) $decl:tt
         ($(($tag:literal $v:ident { $($f:tt : $b:ident : $ty:ty),* }))+)) => {
         impl $(<$($g: $b0 $(+ $bn)*),+>)? $crate::shard::Wire for $name $(<$($g),+>)? {
             fn encode(&self, out: &mut Vec<u8>) {
@@ -351,17 +373,23 @@ macro_rules! wire_enum {
                     ))),
                 }
             }
+
+            fn describe(schema: &mut $crate::shard::Schema) {
+                schema.record(stringify!($name), $decl);
+                $($(schema.declare::<$ty>();)*)+
+            }
         }
     };
 }
 
-impl Wire for () {
-    fn encode(&self, _out: &mut Vec<u8>) {}
-
-    fn decode(_r: &mut WireReader<'_>) -> WireResult<Self> {
-        Ok(())
-    }
-}
+/// The hand-written codecs of this module, by schema name (tuples are
+/// `Tuple2` / `Tuple3`): primitives and containers, the memo cell that is
+/// deliberately not on the wire, and the two identifier newtypes whose fields
+/// are private to their modules.  Everything else is declared.
+pub const LEAVES: &[&str] = &[
+    "bool", "u8", "u16", "u64", "usize", "Vec", "Tuple2", "Tuple3", "Arc", "OnceLock", "NodeId",
+    "Round",
+];
 
 impl Wire for bool {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -375,6 +403,10 @@ impl Wire for bool {
             other => Err(WireError::new(format!("invalid bool byte {other}"))),
         }
     }
+
+    fn describe(schema: &mut Schema) {
+        schema.leaf("bool");
+    }
 }
 
 impl Wire for u8 {
@@ -384,6 +416,10 @@ impl Wire for u8 {
 
     fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
         r.u8()
+    }
+
+    fn describe(schema: &mut Schema) {
+        schema.leaf("u8");
     }
 }
 
@@ -395,20 +431,9 @@ impl Wire for u16 {
     fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
         r.u16()
     }
-}
 
-#[expect(
-    clippy::expect_used,
-    reason = "take(4) just returned exactly four bytes"
-)]
-impl Wire for u32 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-        let b = r.take(4, "u32")?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4-byte slice")))
+    fn describe(schema: &mut Schema) {
+        schema.leaf("u16");
     }
 }
 
@@ -420,6 +445,10 @@ impl Wire for u64 {
     fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
         r.u64()
     }
+
+    fn describe(schema: &mut Schema) {
+        schema.leaf("u64");
+    }
 }
 
 impl Wire for usize {
@@ -429,6 +458,10 @@ impl Wire for usize {
 
     fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
         r.len()
+    }
+
+    fn describe(schema: &mut Schema) {
+        schema.leaf("usize");
     }
 }
 
@@ -446,8 +479,8 @@ impl<T: Wire> Wire for Vec<T> {
         let len = r.len()?;
         // Guard against a corrupt length prefix: no legitimate sequence has
         // more elements than a maximal frame has bytes (this also bounds
-        // the loop itself for zero-size element types like `()`, which
-        // would otherwise spin for up to 2^64 iterations)...
+        // the loop itself for zero-size element types like `OnceLock`,
+        // which would otherwise spin for up to 2^64 iterations)...
         if len as u64 > u64::from(super::transport::MAX_FRAME_LEN) {
             return Err(WireError::new(format!(
                 "sequence length {len} exceeds the maximum frame size"
@@ -461,6 +494,11 @@ impl<T: Wire> Wire for Vec<T> {
         }
         Ok(items)
     }
+
+    fn describe(schema: &mut Schema) {
+        schema.leaf("Vec");
+        schema.declare::<T>();
+    }
 }
 
 impl<A: Wire, B: Wire> Wire for (A, B) {
@@ -471,6 +509,12 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 
     fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
         Ok((A::decode(r)?, B::decode(r)?))
+    }
+
+    fn describe(schema: &mut Schema) {
+        schema.leaf("Tuple2");
+        schema.declare::<A>();
+        schema.declare::<B>();
     }
 }
 
@@ -483,6 +527,13 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
 
     fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
         Ok((A::decode(r)?, B::decode(r)?, C::decode(r)?))
+    }
+
+    fn describe(schema: &mut Schema) {
+        schema.leaf("Tuple3");
+        schema.declare::<A>();
+        schema.declare::<B>();
+        schema.declare::<C>();
     }
 }
 
@@ -501,6 +552,11 @@ impl<T: Wire> Wire for Arc<T> {
     fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
         Ok(Arc::new(T::decode(r)?))
     }
+
+    fn describe(schema: &mut Schema) {
+        schema.leaf("Arc");
+        schema.declare::<T>();
+    }
 }
 
 impl<T> Wire for OnceLock<T> {
@@ -512,6 +568,11 @@ impl<T> Wire for OnceLock<T> {
     fn decode(_r: &mut WireReader<'_>) -> WireResult<Self> {
         Ok(OnceLock::new())
     }
+
+    fn describe(schema: &mut Schema) {
+        // What the cell holds never reaches the wire, so it is not walked.
+        schema.leaf("OnceLock");
+    }
 }
 
 impl Wire for NodeId {
@@ -522,6 +583,10 @@ impl Wire for NodeId {
     fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
         Ok(NodeId::new(r.len()?))
     }
+
+    fn describe(schema: &mut Schema) {
+        schema.leaf("NodeId");
+    }
 }
 
 impl Wire for Round {
@@ -531,6 +596,10 @@ impl Wire for Round {
 
     fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
         Ok(Round::new(r.u64()?))
+    }
+
+    fn describe(schema: &mut Schema) {
+        schema.leaf("Round");
     }
 }
 
@@ -551,13 +620,6 @@ mod tests {
     )]
     use super::*;
 
-    // The analyzer names tuple impls canonically (`Unit`, `Tuple2`, …);
-    // these aliases let the coverage corpus see those names while the
-    // tests exercise the real tuple impls.
-    type Unit = ();
-    type Tuple2 = (bool, u64);
-    type Tuple3 = (u8, u16, u32);
-
     fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(value: T) {
         let bytes = to_bytes(&value);
         assert_eq!(from_bytes::<T>(&bytes).expect("round trip"), value);
@@ -570,22 +632,12 @@ mod tests {
 
     #[test]
     fn primitives_round_trip() {
-        round_trip(());
         round_trip(true);
         round_trip(false);
         round_trip(0xABu8);
         round_trip(0xBEEFu16);
-        round_trip(0xDEAD_BEEFu32);
         round_trip(u64::MAX);
         round_trip(usize::MAX);
-        // Width extremes, spelling out each type: the analyzer's
-        // wire-untested rule requires every `impl Wire for T` to be *named*
-        // by a test, and a suffixed literal like `0xBEEFu16` is not a name.
-        round_trip(u8::MAX);
-        round_trip(u16::MAX);
-        round_trip(u32::MAX);
-        round_trip(u64::MIN);
-        round_trip(usize::MIN);
     }
 
     #[test]
@@ -600,6 +652,15 @@ mod tests {
         round_trip(vec![Some((NodeId::new(3), 4u64)), None]);
     }
 
+    /// The pair and triple codecs, the leaves the schema names `Tuple2` and
+    /// `Tuple3`, on the element types the protocols put in them.
+    #[test]
+    fn tuple_aliases_round_trip() {
+        round_trip((false, 0x0102_0304_0506_0708u64));
+        round_trip((9u8, 0xBEEFu16, 0xDEAD_BEEFu64));
+        round_trip((9u8, 0xBEEFu16, u64::MAX));
+    }
+
     #[test]
     fn memo_cells_stay_off_the_wire() {
         assert_eq!(to_bytes(&OnceLock::from(7u64)), b"");
@@ -610,16 +671,6 @@ mod tests {
         let decoded: (u8, OnceLock<u64>) =
             from_bytes(&to_bytes(&(5u8, OnceLock::from(7u64)))).expect("the pair is one byte long");
         assert_eq!(decoded, (5, OnceLock::new()));
-    }
-
-    #[test]
-    fn tuple_aliases_round_trip() {
-        let unit: Unit = ();
-        let pair: Tuple2 = (false, 0x0102_0304_0506_0708);
-        let triple: Tuple3 = (9, 0xBEEF, 0xDEAD_BEEF);
-        round_trip(unit);
-        round_trip(pair);
-        round_trip(triple);
     }
 
     #[test]
@@ -640,14 +691,9 @@ mod tests {
     #[test]
     fn golden_bytes() {
         assert_eq!(crate::shard::WIRE_VERSION, 6);
-        let unit: Unit = ();
-        let pair: Tuple2 = (true, 9);
-        let triple: Tuple3 = (7, 0xBEEF, 0xDEAD_BEEF);
-        assert_eq!(to_bytes(&unit), b"");
         assert_eq!(to_bytes(&true), b"\x01");
         assert_eq!(to_bytes(&0xABu8), b"\xab");
         assert_eq!(to_bytes(&0xBEEFu16), b"\xef\xbe");
-        assert_eq!(to_bytes(&0xDEAD_BEEFu32), b"\xef\xbe\xad\xde");
         assert_eq!(
             to_bytes(&0x0102_0304_0506_0708u64),
             b"\x08\x07\x06\x05\x04\x03\x02\x01"
@@ -659,8 +705,11 @@ mod tests {
             to_bytes(&vec![1u8, 2, 3]),
             b"\x03\0\0\0\0\0\0\0\x01\x02\x03"
         );
-        assert_eq!(to_bytes(&pair), b"\x01\x09\0\0\0\0\0\0\0");
-        assert_eq!(to_bytes(&triple), b"\x07\xef\xbe\xef\xbe\xad\xde");
+        assert_eq!(to_bytes(&(true, 9u64)), b"\x01\x09\0\0\0\0\0\0\0");
+        assert_eq!(
+            to_bytes(&(7u8, 0xBEEFu16, (0xBEEFu16, 0xDEADu16))),
+            b"\x07\xef\xbe\xef\xbe\xad\xde"
+        );
         assert_eq!(to_bytes(&Arc::new(0xBEEFu16)), b"\xef\xbe");
         assert_eq!(to_bytes(&OnceLock::from(0xBEEFu16)), b"");
         assert_eq!(to_bytes(&NodeId::new(12)), b"\x0c\0\0\0\0\0\0\0");
@@ -697,7 +746,7 @@ mod tests {
         assert!(from_bytes::<Vec<u64>>(&huge).is_err());
         // ... including for zero-size element types, where the decode loop
         // itself (not the allocation) is what must be bounded.
-        assert!(from_bytes::<Vec<()>>(&huge).is_err());
+        assert!(from_bytes::<Vec<OnceLock<u64>>>(&huge).is_err());
     }
 
     #[test]
