@@ -259,6 +259,17 @@ mod tests {
     }
 
     #[test]
+    fn the_nodes_share_a_fully_built_inquiry_family() {
+        let config = SystemConfig::new(60, 8).unwrap().with_seed(5);
+        let nodes = Checkpointing::for_all_nodes(&config).unwrap();
+        let family = &nodes[0].stages().consensus.scv.family;
+        assert_eq!(family.built_phases(), family.phases());
+        assert!(nodes
+            .iter()
+            .all(|node| std::sync::Arc::ptr_eq(&node.stages().consensus.scv.family, family)));
+    }
+
+    #[test]
     fn rounds_are_linear_in_t_plus_polylog() {
         let config = SystemConfig::new(1000, 150).unwrap();
         let cp = CheckpointConfig::from_system(&config).unwrap();

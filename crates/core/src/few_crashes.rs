@@ -285,6 +285,21 @@ mod tests {
     }
 
     #[test]
+    fn no_inquiry_phase_is_built_when_everyone_decides_before_part_2() {
+        let (n, t) = (120, 20);
+        let config = SystemConfig::new(n, t).unwrap().with_seed(8);
+        let shared = FewCrashesConfig::from_system(&config).unwrap();
+        assert!(!shared.scv.direct_inquiry(), "t² > n: Part 2 reads G_i");
+        let nodes = (0..n)
+            .map(|me| FewCrashesConsensus::new(shared.clone(), me, true))
+            .collect();
+        let mut runner = Runner::new(nodes).unwrap();
+        let report = runner.run(shared.total_rounds() + 2);
+        assert_consensus(&report, &[true]);
+        assert_eq!(shared.scv.family.built_phases(), 0);
+    }
+
+    #[test]
     fn config_rejects_large_t() {
         let config = SystemConfig::new(50, 10).unwrap();
         assert!(FewCrashesConfig::from_system(&config).is_err());

@@ -59,11 +59,14 @@ impl GossipConfig {
 
     /// As `from_system`, on the little overlay and the inquiry family that
     /// checkpointing's consensus part already built from its checked `config`.
+    /// The little survivors inquire in every phase of both parts, so the
+    /// whole family is built here.
     pub(crate) fn on_overlays(
         config: &SystemConfig,
         graph: Arc<Graph>,
         family: Arc<InquiryFamily>,
     ) -> Self {
+        family.build_all();
         let params = config.little_params();
         let delta = params.delta.min(graph.min_degree());
         GossipConfig {
@@ -417,6 +420,13 @@ mod tests {
         let total = GossipConfig::from_system(&config).unwrap().total_rounds();
         let mut runner = Runner::with_adversary(nodes, adversary, budget).unwrap();
         runner.run(total + 2)
+    }
+
+    #[test]
+    fn the_config_builds_every_inquiry_phase() {
+        let config = SystemConfig::new(60, 8).unwrap().with_seed(3);
+        let family = GossipConfig::from_system(&config).unwrap().family;
+        assert_eq!(family.built_phases(), family.phases());
     }
 
     #[test]

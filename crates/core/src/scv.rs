@@ -358,6 +358,51 @@ mod tests {
     }
 
     #[test]
+    fn inquiry_phases_built_on_first_read_give_the_same_transcript_sharded() {
+        use dft_sim::shard::ShardedRunner;
+        use dft_sim::Participant;
+
+        let (n, t) = (200, 30);
+        let config = SystemConfig::new(n, t).unwrap().with_seed(4);
+        // One initialised node and no Part 1 broadcast: the value travels by
+        // inquiry only, so undecided nodes read G_1, G_2, … in turn.  Each
+        // execution gets a fresh config, with no phase built yet.
+        let fresh = || ScvConfig {
+            part1_rounds: 0,
+            ..ScvConfig::from_system(&config).unwrap()
+        };
+        let nodes = |scv: &ScvConfig| -> Vec<_> {
+            (0..n)
+                .map(|me| SpreadCommonValue::new(scv.clone(), me, (me == n - 1).then_some(true)))
+                .collect()
+        };
+        let serial_config = fresh();
+        assert_eq!(serial_config.family.built_phases(), 0);
+        let rounds = serial_config.total_rounds() + 2;
+        let mut serial = Runner::new(nodes(&serial_config)).unwrap();
+        serial.enable_trace();
+        let report = serial.run(rounds);
+        assert!(report.all_non_faulty_decided());
+        let built = serial_config.family.built_phases();
+        assert!(built >= 2, "only {built} phase(s) read");
+
+        let sharded_config = fresh();
+        let participants = nodes(&sharded_config)
+            .into_iter()
+            .map(Participant::Honest)
+            .collect();
+        let mut sharded =
+            ShardedRunner::in_process(participants, Box::new(NoFaults), 0, 2).unwrap();
+        sharded.enable_trace();
+        assert_eq!(sharded.run(rounds).unwrap(), report);
+        assert_eq!(
+            format!("{:?}", sharded.trace().events()),
+            format!("{:?}", serial.trace().events())
+        );
+        assert_eq!(sharded_config.family.built_phases(), built);
+    }
+
+    #[test]
     fn rounds_are_logarithmic() {
         let config = SystemConfig::new(4000, 500).unwrap();
         let scv = ScvConfig::from_system(&config).unwrap();

@@ -232,8 +232,11 @@ pub struct LinearConsensusPlan {
 }
 
 impl LinearConsensusPlan {
-    /// Builds the plan from the composed consensus configuration.
+    /// Builds the plan from the composed consensus configuration.  Every
+    /// node polls its `G_i` neighbours in every inquiry phase, so the whole
+    /// inquiry family is built here.
     pub fn new(config: &FewCrashesConfig) -> Self {
+        config.scv.family.build_all();
         let (n, little) = (config.aea.n, config.aea.little);
         let t = (little / 5).max(1);
         let inquiry_cap = 3 * t + 1;
@@ -425,6 +428,16 @@ mod tests {
             + 2 * (3 * t as u64 + 1) * (2 * log_n + 4)
             + 2 * 16 * (2 * log_n + 6);
         assert!(sp_rounds <= bound, "{sp_rounds} vs {bound}");
+    }
+
+    #[test]
+    fn the_plan_builds_every_inquiry_phase() {
+        let config = SystemConfig::new(400, 40).unwrap().with_seed(2);
+        let shared = FewCrashesConfig::from_system(&config).unwrap();
+        let family = &shared.scv.family;
+        assert_eq!(family.built_phases(), 0, "the config alone builds none");
+        LinearConsensusPlan::new(&shared);
+        assert_eq!(family.built_phases(), family.phases());
     }
 
     /// The slot widths and poll lists `LinearConsensusPlan` answered with

@@ -110,6 +110,12 @@ impl<S: Stages> Then<S> {
         self.total_rounds
     }
 
+    /// The composite's parts, as it was built with them.
+    #[cfg(test)]
+    pub(crate) fn stages(&self) -> &S {
+        &self.stages
+    }
+
     /// The stage that owns round `r`, after handing over if that is due.
     fn stage_at(&mut self, r: u64) -> &mut Stage<S::First, S::Second> {
         if let Stage::First(first) = &self.stage {

@@ -10,35 +10,28 @@
 //! * `Many-Crashes-Consensus`, Part 3 (Section 4.4): phase `i` uses a
 //!   Ramanujan graph `G(n, d_i)` with `d_i = 64/(3(1−α)(1+3α)) · 2^i`.
 //!
-//! [`InquiryFamily`] materialises these families with seeded constructions,
-//! capping each degree at `n − 1` (complete graph) as documented in
-//! `DESIGN.md`.
+//! [`InquiryFamily`] fixes every phase's degree, capped at `n − 1` (complete
+//! graph) as documented in `DESIGN.md`, and builds phase `i`'s seeded graph
+//! the first time a node reads it: only nodes still undecided after phase
+//! `i − 1` do, so a phase nobody reaches costs nothing.  A reader that reads
+//! every phase whatever the data calls [`InquiryFamily::build_all`] when it
+//! is constructed, which keeps that cost in set-up.
+
+use std::sync::OnceLock;
 
 use crate::build;
 use crate::graph::Graph;
 
-/// How the per-phase degrees of an [`InquiryFamily`] are derived.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum FamilyKind {
-    /// The `Spread-Common-Value` family of Lemma 5: degree `10·2^i` in
-    /// phase `i` (1-based).
-    SpreadCommonValue,
-    /// The `Many-Crashes-Consensus` Part 3 family: degree
-    /// `64/(3(1−α)(1+3α))·2^i` where `α = t/n`.
-    ManyCrashes {
-        /// The fault fraction `α = t/n` scaled by 1000 (kept integral so the
-        /// family stays `Eq`-comparable and serializable without float
-        /// caveats).
-        alpha_milli: u32,
-    },
-}
-
-/// A family of per-phase overlay graphs with geometrically growing degree.
+/// A family of per-phase overlay graphs with geometrically growing degree,
+/// each built on its first read.
 #[derive(Clone, Debug)]
 pub struct InquiryFamily {
-    graphs: Vec<Graph>,
+    n: usize,
+    seed: u64,
+    /// `degrees[i]` is phase `i + 1`'s capped degree, and `graphs[i]` its
+    /// graph once something has read it.
     degrees: Vec<usize>,
-    kind: FamilyKind,
+    graphs: Vec<OnceLock<Graph>>,
 }
 
 impl InquiryFamily {
@@ -47,13 +40,7 @@ impl InquiryFamily {
     /// `10·2^i`, capped at `n − 1`.
     pub fn spread_common_value(n: usize, t: usize, seed: u64) -> Self {
         let phases = ((t + 1) as f64).log2().ceil().max(1.0) as usize;
-        Self::build(
-            n,
-            phases,
-            |i| 10.0 * 2f64.powi(i as i32),
-            seed,
-            FamilyKind::SpreadCommonValue,
-        )
+        Self::new(n, phases, |i| 10.0 * 2f64.powi(i as i32), seed)
     }
 
     /// Builds the `Many-Crashes-Consensus` Part 3 family for `n` nodes and
@@ -64,49 +51,44 @@ impl InquiryFamily {
         let m = (1.0 + 3.0 * alpha) * n as f64 / 4.0;
         let phases = (1.0 + m.log2().ceil()).max(1.0) as usize;
         let base = 64.0 / (3.0 * (1.0 - alpha) * (1.0 + 3.0 * alpha));
-        Self::build(
-            n,
-            phases,
-            move |i| base * 2f64.powi(i as i32),
-            seed,
-            FamilyKind::ManyCrashes {
-                alpha_milli: (alpha * 1000.0).round() as u32,
-            },
-        )
+        Self::new(n, phases, move |i| base * 2f64.powi(i as i32), seed)
     }
 
-    fn build(
-        n: usize,
-        phases: usize,
-        degree_of_phase: impl Fn(usize) -> f64,
-        seed: u64,
-        kind: FamilyKind,
-    ) -> Self {
-        let mut graphs = Vec::with_capacity(phases);
-        let mut degrees = Vec::with_capacity(phases);
-        for i in 1..=phases {
-            let target = degree_of_phase(i).ceil().max(1.0) as usize;
-            let degree = target.min(n.saturating_sub(1));
-            graphs.push(build::capped_regular(
-                n,
-                degree,
-                seed.wrapping_add(i as u64),
-            ));
-            degrees.push(degree);
-        }
+    fn new(n: usize, phases: usize, degree_of_phase: impl Fn(usize) -> f64, seed: u64) -> Self {
+        let degrees = (1..=phases)
+            .map(|i| (degree_of_phase(i).ceil().max(1.0) as usize).min(n.saturating_sub(1)))
+            .collect();
+        let graphs = (1..=phases).map(|_| OnceLock::new()).collect();
         InquiryFamily {
-            graphs,
+            n,
+            seed,
             degrees,
-            kind,
+            graphs,
+        }
+    }
+
+    /// Builds every phase's graph now, for a reader that reads them all.
+    pub fn build_all(&self) {
+        for phase in 1..=self.phases() {
+            self.graph(phase);
         }
     }
 
     /// Number of phases in the family.
     pub fn phases(&self) -> usize {
-        self.graphs.len()
+        self.degrees.len()
     }
 
-    /// The graph used in phase `i` (1-based, clamped to the last phase).
+    /// How many phases' graphs have been built so far.
+    pub fn built_phases(&self) -> usize {
+        self.graphs
+            .iter()
+            .filter(|graph| graph.get().is_some())
+            .count()
+    }
+
+    /// The graph used in phase `i` (1-based, clamped to the last phase),
+    /// built on its first read: `build::capped_regular(n, degree(i), seed + i)`.
     ///
     /// # Panics
     ///
@@ -118,8 +100,14 @@ impl InquiryFamily {
                   which no constructor builds)"
     )]
     pub fn graph(&self, phase: usize) -> &Graph {
-        let idx = phase.max(1).min(self.graphs.len()) - 1;
-        &self.graphs[idx]
+        let i = self.index(phase);
+        self.graphs[i].get_or_init(|| {
+            build::capped_regular(
+                self.n,
+                self.degrees[i],
+                self.seed.wrapping_add(i as u64 + 1),
+            )
+        })
     }
 
     /// The capped degree used in phase `i` (1-based, clamped).
@@ -129,19 +117,12 @@ impl InquiryFamily {
                   phase"
     )]
     pub fn degree(&self, phase: usize) -> usize {
-        let idx = phase.max(1).min(self.degrees.len()) - 1;
-        self.degrees[idx]
+        self.degrees[self.index(phase)]
     }
 
-    /// Which family this is.
-    pub fn kind(&self) -> FamilyKind {
-        self.kind
-    }
-
-    /// Total of all phase degrees — proportional to the worst-case number of
-    /// inquiry messages a single undecided node can send across all phases.
-    pub fn total_degree(&self) -> usize {
-        self.degrees.iter().sum()
+    /// The 0-based index of phase `phase`, clamped into `1..=phases`.
+    fn index(&self, phase: usize) -> usize {
+        phase.max(1).min(self.degrees.len()) - 1
     }
 }
 
@@ -156,7 +137,6 @@ mod tests {
         assert_eq!(family.degree(1), 20);
         assert_eq!(family.degree(2), 40);
         assert!(family.degree(6) <= 999);
-        assert_eq!(family.kind(), FamilyKind::SpreadCommonValue);
         for phase in 1..=family.phases() {
             assert_eq!(family.graph(phase).num_vertices(), 1000);
         }
@@ -177,10 +157,6 @@ mod tests {
         let family = InquiryFamily::many_crashes(n, alpha, 3);
         // 1 + ⌈lg((1+3α)n/4)⌉ = 1 + ⌈lg 160⌉ = 9.
         assert_eq!(family.phases(), 9);
-        assert!(matches!(
-            family.kind(),
-            FamilyKind::ManyCrashes { alpha_milli: 500 }
-        ));
         assert!(family.degree(1) >= 1);
         assert!(family.degree(9) < n);
     }
@@ -192,14 +168,63 @@ mod tests {
         assert_eq!(family.degree(100), family.degree(family.phases()));
     }
 
+    /// Both constructors at a few `(n, t or α)` points, with the seed each
+    /// was built from.
+    fn families() -> Vec<(usize, u64, InquiryFamily)> {
+        let scv = [(1000, 63, 5), (20, 15, 5), (300, 40, 9)]
+            .map(|(n, t, seed)| (n, seed, InquiryFamily::spread_common_value(n, t, seed)));
+        let many = [(256, 0.5, 3), (200, 0.9, 1), (64, 0.1, 8)]
+            .map(|(n, alpha, seed)| (n, seed, InquiryFamily::many_crashes(n, alpha, seed)));
+        scv.into_iter().chain(many).collect()
+    }
+
     #[test]
-    fn total_degree_bounds_inquiry_cost() {
-        let family = InquiryFamily::spread_common_value(500, 31, 2);
-        assert_eq!(
-            family.total_degree(),
-            (1..=family.phases())
-                .map(|i| family.degree(i))
-                .sum::<usize>()
-        );
+    fn every_phase_built_lazily_equals_the_eager_recipe() {
+        for (n, seed, family) in families() {
+            for phase in 1..=family.phases() {
+                let eager = build::capped_regular(n, family.degree(phase), seed + phase as u64);
+                // `Graph`'s equality is on adjacency lists: the same edge
+                // sets in the same neighbour order.
+                assert_eq!(*family.graph(phase), eager, "n = {n}, phase {phase}");
+            }
+            assert_eq!(family.built_phases(), family.phases());
+        }
+    }
+
+    #[test]
+    fn reading_a_phase_builds_that_phase_only() {
+        for (n, _, family) in families() {
+            for phase in 1..=family.phases() {
+                let fresh = family.clone();
+                assert_eq!(fresh.built_phases(), 0, "n = {n}");
+                fresh.graph(phase);
+                fresh.graph(phase);
+                assert_eq!(fresh.built_phases(), 1, "n = {n}, phase {phase}");
+                assert!(fresh.graphs[phase - 1].get().is_some());
+            }
+        }
+    }
+
+    #[test]
+    fn clamped_reads_build_only_the_phase_they_clamp_to() {
+        for (n, _, family) in families() {
+            let last = family.phases();
+            let below = family.clone();
+            assert_eq!(*below.graph(0), *family.clone().graph(1), "n = {n}");
+            assert_eq!(below.built_phases(), 1);
+            assert!(below.graphs[0].get().is_some());
+            let above = family.clone();
+            above.graph(last + 5);
+            assert_eq!(above.built_phases(), 1);
+            assert!(above.graphs[last - 1].get().is_some());
+        }
+    }
+
+    #[test]
+    fn build_all_builds_every_phase() {
+        for (_, _, family) in families() {
+            family.build_all();
+            assert_eq!(family.built_phases(), family.phases());
+        }
     }
 }

@@ -57,7 +57,7 @@ pub mod properties;
 pub mod spectral;
 
 pub use error::{OverlayError, OverlayResult};
-pub use family::{FamilyKind, InquiryFamily};
+pub use family::InquiryFamily;
 pub use graph::{Graph, VertexId};
 pub use params::OverlayParams;
 pub use spectral::SpectralEstimate;
