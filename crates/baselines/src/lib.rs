@@ -315,7 +315,7 @@ pub struct ParallelDsConsensus {
     t: usize,
     me: usize,
     input: u64,
-    /// The Dolev–Strong state, one slot per node.
+    /// The Dolev–Strong state; every node is a source.
     relay: DsRelay,
     decided: Option<u64>,
 }
@@ -363,7 +363,7 @@ impl SyncProtocol for ParallelDsConsensus {
             return;
         }
         if r == 0 {
-            self.relay.originate(self.me, self.input);
+            self.relay.originate(self.input);
         }
         // One shared batch for the n − 1 recipients, not a deep copy each.
         let Some(batch) = self.relay.take_batch() else {
@@ -380,7 +380,7 @@ impl SyncProtocol for ParallelDsConsensus {
         let r = round.as_u64();
         if r <= self.t as u64 {
             for delivered in inbox {
-                self.relay.receive(r, &delivered.msg, Some);
+                self.relay.receive(r, &delivered.msg);
             }
         }
         if r >= self.t as u64 {

@@ -29,6 +29,7 @@ use dft_sim::{Delivered, NodeId, Outgoing, Payload, Round, SyncProtocol};
 use crate::config::{related_nodes, SystemConfig};
 use crate::dolev_strong::{chains_bits, DsBatch, DsRelay};
 use crate::error::CoreResult;
+use crate::inquiries::{Inquiries, Step, Targets};
 
 /// The sentinel encoding of the paper's *null* value for a Byzantine source
 /// that equivocated or stayed silent.
@@ -219,6 +220,11 @@ impl Payload for AbMsg {
     }
 }
 
+/// What a Part 4 inquiry from node `from` signs.
+fn inquiry_digest(from: usize) -> u64 {
+    dft_auth::hash::hash_words(&[0x1D_u64, from as u64])
+}
+
 /// Static configuration shared by every node running [`AbConsensus`].
 #[derive(Clone, Debug)]
 pub struct AbConfig {
@@ -258,15 +264,9 @@ impl AbConfig {
         })
     }
 
-    /// Rounds of Part 1: `t + 1` Dolev–Strong rounds plus the endorsement
-    /// round.
-    pub fn part1_rounds(&self) -> u64 {
-        self.t as u64 + 2
-    }
-
     /// Total number of rounds (Parts 1–4).
     pub fn total_rounds(&self) -> u64 {
-        self.part1_rounds() + 1 + self.part3_rounds + 2
+        self.part4().end()
     }
 
     /// Whether `set` is a valid common set under this configuration.
@@ -278,20 +278,17 @@ impl AbConfig {
         self.t as u64 + 1
     }
 
+    /// The round after Part 1's `t + 1` Dolev–Strong rounds and its
+    /// endorsement round.
     fn notify_round(&self) -> u64 {
-        self.part1_rounds()
+        self.endorse_round() + 1
     }
 
-    fn part3_start(&self) -> u64 {
-        self.notify_round() + 1
-    }
-
-    fn inquiry_round(&self) -> u64 {
-        self.part3_start() + self.part3_rounds
-    }
-
-    fn response_round(&self) -> u64 {
-        self.inquiry_round() + 1
+    /// Part 4 as one node runs it: one inquiry phase to the little nodes
+    /// once Part 3's propagation is over.
+    fn part4(&self) -> Inquiries {
+        let start = self.notify_round() + 1 + self.part3_rounds;
+        Inquiries::two_round(start, Targets::Little(self.little))
     }
 }
 
@@ -322,7 +319,7 @@ pub struct AbConsensus {
     endorsed: Vec<Endorsement>,
     common: Option<Arc<CommonSet>>,
     forward_pending: bool,
-    inquirers: Vec<usize>,
+    part4: Inquiries,
     decided: Option<u64>,
     halted: bool,
 }
@@ -334,6 +331,7 @@ impl AbConsensus {
         let slots = if me < config.little { config.little } else { 0 };
         AbConsensus {
             relay: DsRelay::new(signer.clone(), Arc::clone(&config.directory), slots),
+            part4: config.part4(),
             config,
             me,
             signer,
@@ -341,7 +339,6 @@ impl AbConsensus {
             endorsed: Vec::new(),
             common: None,
             forward_pending: false,
-            inquirers: Vec::new(),
             decided: None,
             halted: false,
         }
@@ -368,7 +365,7 @@ impl AbConsensus {
 
     /// Total rounds this protocol runs for.
     pub fn total_rounds(&self) -> u64 {
-        self.config.total_rounds()
+        self.part4.end()
     }
 
     fn is_little(&self) -> bool {
@@ -477,7 +474,7 @@ impl SyncProtocol for AbConsensus {
                 return;
             }
             if r == 0 {
-                self.relay.originate(self.me, self.input);
+                self.relay.originate(self.input);
             }
             if let Some(batch) = self.relay.take_batch() {
                 self.to_little_peers(&AbMsg::Ds(batch), out);
@@ -508,7 +505,7 @@ impl SyncProtocol for AbConsensus {
             }
             return;
         }
-        if r < cfg.inquiry_round() {
+        if r < self.part4.start() {
             // Part 3: propagate over H when newly adopted.
             if self.forward_pending {
                 self.forward_pending = false;
@@ -520,25 +517,24 @@ impl SyncProtocol for AbConsensus {
             }
             return;
         }
-        if r == cfg.inquiry_round() {
+        match self.part4.at(r) {
             // Part 4, first round: signed inquiries from nodes without a set.
-            if self.common.is_none() {
-                let signature = self
-                    .signer
-                    .sign_digest(dft_auth::hash::hash_words(&[0x1D_u64, self.me as u64]));
-                self.to_little_peers(&AbMsg::Inquiry(signature), out);
-            }
-            return;
-        }
-        if r == cfg.response_round() && self.is_little() {
-            if let Some(set) = &self.common {
-                let inquirers = std::mem::take(&mut self.inquirers);
+            Some((phase, Step::Inquiry)) if self.common.is_none() => {
+                let signature = self.signer.sign_digest(inquiry_digest(self.me));
+                let targets = self.part4.targets(self.me, phase);
                 out.extend(
-                    inquirers
-                        .into_iter()
-                        .map(|p| Outgoing::new(NodeId::new(p), AbMsg::CommonSet(Arc::clone(set)))),
+                    targets.map(|p| Outgoing::new(NodeId::new(p), AbMsg::Inquiry(signature))),
                 );
             }
+            // Second round: little nodes holding a set answer.
+            Some((_, Step::Response)) if self.is_little() => {
+                let answer = self
+                    .common
+                    .as_ref()
+                    .map(|s| || AbMsg::CommonSet(Arc::clone(s)));
+                self.part4.answer(answer, out);
+            }
+            _ => {}
         }
     }
 
@@ -549,7 +545,7 @@ impl SyncProtocol for AbConsensus {
             if self.is_little() {
                 for delivered in inbox {
                     if let AbMsg::Ds(batch) = &delivered.msg {
-                        self.relay.receive(r, batch, Some);
+                        self.relay.receive(r, batch);
                     }
                 }
             }
@@ -564,22 +560,24 @@ impl SyncProtocol for AbConsensus {
             }
         } else {
             for delivered in inbox {
-                match &delivered.msg {
-                    AbMsg::CommonSet(set) => self.adopt(set),
-                    AbMsg::Inquiry(signature) => {
-                        let digest =
-                            dft_auth::hash::hash_words(&[0x1D_u64, delivered.from.index() as u64]);
-                        if signature.signer == delivered.from.index()
-                            && self.config.directory.verify_digest(signature, digest)
-                        {
-                            self.inquirers.push(delivered.from.index());
-                        }
-                    }
-                    _ => {}
+                if let AbMsg::CommonSet(set) = &delivered.msg {
+                    self.adopt(set);
                 }
             }
+            if let Some((_, Step::Inquiry)) = self.part4.at(r) {
+                // Only an inquiry its sender signed counts.
+                let directory = &self.config.directory;
+                self.part4.record(inbox, |d| match &d.msg {
+                    AbMsg::Inquiry(signature) => {
+                        let from = d.from.index();
+                        signature.signer == from
+                            && directory.verify_digest(signature, inquiry_digest(from))
+                    }
+                    _ => false,
+                });
+            }
         }
-        if r + 1 >= self.config.total_rounds() {
+        if r + 1 >= self.part4.end() {
             if let Some(set) = &self.common {
                 self.decided = Some(set.decision());
             }
@@ -626,6 +624,26 @@ mod tests {
         assert!(report.non_faulty_deciders_agree());
         // Little nodes are 0..20; the maximum little input is 19.
         assert_eq!(report.agreed_value(), Some(&19));
+    }
+
+    /// In Part 1 a little node hands every little peer one shared batch,
+    /// not a copy each; a node outside the little set sits it out.
+    #[test]
+    fn a_dolev_strong_batch_is_one_allocation_for_every_recipient() {
+        let (config, directory) = setup(30, 3, 2);
+        let shared = AbConfig::from_system(&config, directory).unwrap();
+        let mut out = Vec::new();
+        AbConsensus::new(shared.clone(), 4, 9).send(Round::ZERO, &mut out);
+        assert_eq!(out.len(), shared.little - 1);
+        let AbMsg::Ds(first) = &out[0].msg else {
+            panic!("a Dolev–Strong batch: {:?}", out[0].msg);
+        };
+        assert!(out
+            .iter()
+            .all(|o| matches!(&o.msg, AbMsg::Ds(batch) if Arc::ptr_eq(batch, first))));
+        out.clear();
+        AbConsensus::new(shared.clone(), shared.little, 9).send(Round::ZERO, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -23,6 +23,7 @@ use dft_sim::{Delivered, NodeId, Outgoing, Payload, Round, SyncProtocol};
 
 use crate::config::SystemConfig;
 use crate::error::CoreResult;
+use crate::inquiries::{Inquiries, Step, Targets};
 use crate::local_probing::LocalProbing;
 use crate::values::{BitVector, ExtantSet, JoinValue, Rumor};
 
@@ -41,8 +42,10 @@ pub struct GossipConfig {
     pub gamma: u64,
     /// Doubling-degree inquiry family (`G_i`).
     pub family: Arc<InquiryFamily>,
-    /// Number of phases per part (`⌈lg n⌉`).
-    pub phases: u64,
+    /// Part 1: `⌈lg n⌉` phases, each an inquiry round along `G_i`, a
+    /// response round, then the probing window.  Part 2's phases repeat
+    /// its schedule.
+    pub(crate) part1: Inquiries,
 }
 
 impl GossipConfig {
@@ -68,29 +71,25 @@ impl GossipConfig {
     ) -> Self {
         family.build_all();
         let params = config.little_params();
-        let delta = params.delta.min(graph.min_degree());
+        let gamma = params.gamma as u64;
+        // ⌈lg n⌉ of a configuration integer: computed once, identically on
+        // every node (a conversion and a library call, so `float_arithmetic`
+        // has nothing to flag).
+        let phases = (config.n as f64).log2().ceil().max(1.0) as u64;
         GossipConfig {
             n: config.n,
             little: config.little_count(),
+            delta: params.delta.min(graph.min_degree()),
             graph,
-            delta,
-            gamma: params.gamma as u64,
+            gamma,
+            part1: Inquiries::new(0, 2 + gamma, phases, Targets::Family(Arc::clone(&family))),
             family,
-            // ⌈lg n⌉ of a configuration integer: computed once, identically
-            // on every node (a conversion and a library call, so
-            // `float_arithmetic` has nothing to flag).
-            phases: (config.n as f64).log2().ceil().max(1.0) as u64,
         }
     }
 
-    /// Rounds per phase: inquiry, response, then the probing window.
-    pub fn phase_rounds(&self) -> u64 {
-        2 + self.gamma
-    }
-
-    /// Total number of rounds (two parts of `phases` phases each).
+    /// Total number of rounds (two parts of `⌈lg n⌉` phases each).
     pub fn total_rounds(&self) -> u64 {
-        2 * self.phases * self.phase_rounds()
+        2 * self.part1.end()
     }
 }
 
@@ -149,13 +148,15 @@ enum Stage {
 /// Per-node state machine for `Gossip`.
 #[derive(Clone, Debug)]
 pub struct Gossip {
-    config: GossipConfig,
+    graph: Arc<Graph>,
+    little: usize,
     me: usize,
     extant: ExtantSet,
     completion: BitVector,
     probe: LocalProbing,
     survived_last_phase: bool,
-    inquirers: Vec<usize>,
+    /// Part 1's inquiries; Part 2 pushes to the same targets.
+    part1: Inquiries,
     decided: Option<ExtantSet>,
     halted: bool,
 }
@@ -170,13 +171,14 @@ impl Gossip {
         let is_little = me < config.little;
         let probe = LocalProbing::new(config.delta, config.gamma, is_little);
         Gossip {
-            config,
+            part1: config.part1,
+            graph: config.graph,
+            little: config.little,
             me,
             extant,
             completion,
             probe,
             survived_last_phase: true,
-            inquirers: Vec::new(),
             decided: None,
             halted: false,
         }
@@ -203,40 +205,31 @@ impl Gossip {
 
     /// Total rounds this protocol runs for.
     pub fn total_rounds(&self) -> u64 {
-        self.config.total_rounds()
+        2 * self.part1.end()
     }
 
     fn is_little(&self) -> bool {
-        self.me < self.config.little
+        self.me < self.little
     }
 
-    /// Decomposes a relative round into (stage, phase 1-based, offset within
-    /// the phase).
-    fn locate(&self, r: u64) -> Option<(Stage, u64, u64)> {
-        let per_part = self.config.phases * self.config.phase_rounds();
-        if r >= 2 * per_part {
-            return None;
-        }
-        let (part, within) = if r < per_part {
+    /// Decomposes a round into (stage, phase 1-based, step within the
+    /// phase).
+    fn locate(&self, r: u64) -> Option<(Stage, u64, Step)> {
+        let per_part = self.part1.end();
+        let (stage, within) = if r < per_part {
             (Stage::BuildExtant, r)
         } else {
             (Stage::BuildCompletion, r - per_part)
         };
-        let phase = within / self.config.phase_rounds() + 1;
-        let offset = within % self.config.phase_rounds();
-        Some((part, phase, offset))
+        let (phase, step) = self.part1.at(within)?;
+        Some((stage, phase, step))
     }
 
+    /// `msg` to every little-overlay neighbour; the caller checks that the
+    /// probe sends this round before it builds `msg`.
     fn probing_sends(&self, msg: GossipMsg, out: &mut Vec<Outgoing<GossipMsg>>) {
-        if self.probe.should_send() {
-            out.extend(
-                self.config
-                    .graph
-                    .neighbors(self.me)
-                    .iter()
-                    .map(|&v| Outgoing::new(NodeId::new(v), msg.clone())),
-            );
-        }
+        let neighbours = self.graph.neighbors(self.me).iter();
+        out.extend(neighbours.map(|&v| Outgoing::new(NodeId::new(v), msg.clone())));
     }
 }
 
@@ -244,69 +237,59 @@ impl SyncProtocol for Gossip {
     type Msg = GossipMsg;
     type Output = ExtantSet;
 
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "the slice starts at `out.len()` recorded before the pushes that extend it, so \
-                  `staged_from <= len` always holds"
-    )]
     fn send(&mut self, round: Round, out: &mut Vec<Outgoing<GossipMsg>>) {
-        let Some((stage, phase, offset)) = self.locate(round.as_u64()) else {
+        let Some((stage, phase, step)) = self.locate(round.as_u64()) else {
             return;
         };
-        match (stage, offset) {
+        match (stage, step) {
             // Phase round 1: little survivors reach out along G_i.
-            (Stage::BuildExtant, 0) => {
+            (Stage::BuildExtant, Step::Inquiry) => {
                 if self.is_little() && self.survived_last_phase {
-                    let graph = self.config.family.graph(phase as usize);
+                    let extant = &self.extant;
+                    let targets = self.part1.targets(self.me, phase);
                     out.extend(
-                        graph
-                            .neighbors(self.me)
-                            .iter()
-                            .filter(|&&v| v != self.me && !self.extant.is_present(v))
-                            .map(|&v| Outgoing::new(NodeId::new(v), GossipMsg::Inquiry)),
+                        targets
+                            .filter(|&v| !extant.is_present(v))
+                            .map(|v| Outgoing::new(NodeId::new(v), GossipMsg::Inquiry)),
                     );
                 }
             }
-            (Stage::BuildCompletion, 0) => {
+            (Stage::BuildCompletion, Step::Inquiry) => {
                 if self.is_little() && self.survived_last_phase {
-                    let graph = self.config.family.graph(phase as usize);
                     // First pass stages the targets (marking as it goes),
                     // second pass attaches the shared payload; `out` itself
                     // is the staging area, so no side list is built.
                     let staged_from = out.len();
-                    for &v in graph.neighbors(self.me) {
-                        if v != self.me && !self.completion.get(v) {
+                    for v in self.part1.targets(self.me, phase) {
+                        if !self.completion.get(v) {
                             self.completion.set(v, true);
                             out.push(Outgoing::new(NodeId::new(v), GossipMsg::Inquiry));
                         }
                     }
                     if out.len() > staged_from {
                         let set = Arc::new(self.extant.clone());
-                        for staged in &mut out[staged_from..] {
+                        for staged in out.iter_mut().skip(staged_from) {
                             staged.msg = GossipMsg::Extant(Arc::clone(&set));
                         }
                     }
                 }
             }
             // Phase round 2: respond to inquiries (Part 1 only).
-            (Stage::BuildExtant, 1) => {
+            (Stage::BuildExtant, Step::Response) => {
                 let rumor = self.extant.rumor_of(self.me).unwrap_or_default();
-                let me = self.me as u64;
-                out.extend(
-                    self.inquirers.drain(..).map(|v| {
-                        Outgoing::new(NodeId::new(v), GossipMsg::Pair { node: me, rumor })
-                    }),
-                );
+                let node = self.me as u64;
+                self.part1
+                    .answer(Some(|| GossipMsg::Pair { node, rumor }), out);
             }
-            (Stage::BuildCompletion, 1) => {}
+            (Stage::BuildCompletion, Step::Response) => {}
             // Probing rounds.
-            (Stage::BuildExtant, _) => {
+            (Stage::BuildExtant, Step::Other) => {
                 if self.probe.should_send() {
                     let msg = GossipMsg::Extant(Arc::new(self.extant.clone()));
                     self.probing_sends(msg, out);
                 }
             }
-            (Stage::BuildCompletion, _) => {
+            (Stage::BuildCompletion, Step::Other) => {
                 if self.probe.should_send() {
                     let msg = GossipMsg::Completion(Arc::new(self.completion.clone()));
                     self.probing_sends(msg, out);
@@ -317,15 +300,13 @@ impl SyncProtocol for Gossip {
 
     fn receive(&mut self, round: Round, inbox: &[Delivered<GossipMsg>]) {
         let r = round.as_u64();
-        if let Some((stage, _phase, offset)) = self.locate(r) {
-            match offset {
-                0 => {
-                    // Collect inquiries (only meaningful in Part 1).
-                    self.inquirers = inbox
-                        .iter()
-                        .filter(|m| matches!(m.msg, GossipMsg::Inquiry))
-                        .map(|m| m.from.index())
-                        .collect();
+        if let Some((stage, _, step)) = self.locate(r) {
+            match step {
+                Step::Inquiry => {
+                    if stage == Stage::BuildExtant {
+                        self.part1
+                            .record(inbox, |d| matches!(d.msg, GossipMsg::Inquiry));
+                    }
                     // In Part 2, absorb pushed extant sets.
                     for msg in inbox {
                         if let GossipMsg::Extant(set) = &msg.msg {
@@ -333,7 +314,7 @@ impl SyncProtocol for Gossip {
                         }
                     }
                 }
-                1 => {
+                Step::Response => {
                     for msg in inbox {
                         match &msg.msg {
                             GossipMsg::Pair { node, rumor } => {
@@ -351,7 +332,7 @@ impl SyncProtocol for Gossip {
                         self.probe.reset(self.survived_last_phase);
                     }
                 }
-                _ => {
+                Step::Other => {
                     let mut received = 0;
                     for msg in inbox {
                         match &msg.msg {
@@ -370,11 +351,10 @@ impl SyncProtocol for Gossip {
                     if self.probe.finished() && self.is_little() {
                         self.survived_last_phase = self.probe.survived();
                     }
-                    let _ = stage;
                 }
             }
         }
-        if r + 1 >= self.config.total_rounds() {
+        if r + 1 >= self.total_rounds() {
             self.decided = Some(self.extant.clone());
             self.halted = true;
         }
@@ -394,8 +374,8 @@ impl SyncProtocol for Gossip {
     /// Little nodes inquire, push or probe in almost every round of every
     /// phase and keep the default.
     fn quiet_until(&self, _now: Round) -> Option<Round> {
-        let idle = !self.is_little() && self.inquirers.is_empty();
-        idle.then(|| Round::new(self.config.total_rounds().saturating_sub(1)))
+        let idle = !self.is_little() && !self.part1.owed();
+        idle.then(|| Round::new(self.total_rounds().saturating_sub(1)))
     }
 }
 

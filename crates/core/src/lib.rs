@@ -18,13 +18,13 @@
 //!   `O(n + t log n log t)` messages.
 //! * [`Checkpointing`] — Section 6 (Theorem 10): gossip plus `n` combined
 //!   consensus instances.
-//! * [`DolevStrong`] / [`AbConsensus`] — Section 7 (Theorem 11):
-//!   authenticated-Byzantine consensus, `t < n/2`, `O(t)` rounds,
-//!   `O(t² + n)` messages from non-faulty nodes.
+//! * [`AbConsensus`] — Section 7 (Theorem 11): authenticated-Byzantine
+//!   consensus, `t < n/2`, `O(t)` rounds, `O(t² + n)` messages from
+//!   non-faulty nodes; Part 1 is parallel Dolev–Strong ([`dolev_strong::DsRelay`]).
 //! * [`LinearConsensus`] / [`SinglePortAdapter`] — Section 8 (Theorem 12):
 //!   the single-port adaptation.
-//! * [`LocalProbing`] — the probing primitive of Proposition 1 shared by all
-//!   of the above.
+//! * [`LocalProbing`] — Proposition 1's probing primitive; beside it, one
+//!   block runs the inquiry phases of Lemma 5 for the algorithms above.
 //!
 //! # Quick example
 //!
@@ -61,6 +61,7 @@ pub mod dolev_strong;
 mod error;
 pub mod few_crashes;
 pub mod gossip;
+mod inquiries;
 mod local_probing;
 pub mod many_crashes;
 pub mod scv;
@@ -73,7 +74,7 @@ pub use ab_consensus::{AbConfig, AbConsensus, AbMsg, CommonSet, NULL_VALUE};
 pub use aea::{AeaConfig, AeaMsg, AlmostEverywhereAgreement};
 pub use checkpointing::{Checkpoint, CheckpointConfig, CheckpointMsg, Checkpointing};
 pub use config::SystemConfig;
-pub use dolev_strong::{DolevStrong, DolevStrongConfig, DsBatch};
+pub use dolev_strong::DsBatch;
 pub use error::{CoreError, CoreResult};
 pub use few_crashes::{FcMsg, FewCrashesConfig, FewCrashesConsensus};
 pub use gossip::{Gossip, GossipConfig, GossipMsg};

@@ -15,19 +15,18 @@
 
 use std::sync::Arc;
 
-use dft_overlay::{Graph, InquiryFamily};
+use dft_overlay::Graph;
 use dft_sim::{Delivered, NodeId, Outgoing, Payload, Round, SyncProtocol};
 
 use crate::config::SystemConfig;
 use crate::error::CoreResult;
+use crate::inquiries::{Inquiries, Step, Targets};
 use crate::local_probing::LocalProbing;
 
 /// Static configuration shared by every node running
 /// [`ManyCrashesConsensus`].
 #[derive(Clone, Debug)]
 pub struct ManyCrashesConfig {
-    /// Number of nodes.
-    pub n: usize,
     /// The full-network overlay graph `G(n, d(α))`.
     pub graph: Arc<Graph>,
     /// Survival threshold `δ` for local probing.
@@ -36,8 +35,9 @@ pub struct ManyCrashesConfig {
     pub gamma: u64,
     /// Length of the broadcasting part (the paper uses `n − 1`).
     pub part1_rounds: u64,
-    /// The per-phase inquiry family for Part 3.
-    pub family: Arc<InquiryFamily>,
+    /// Part 3: two-round phases along the per-phase inquiry family, from
+    /// the end of local probing.
+    pub(crate) part3: Inquiries,
 }
 
 impl ManyCrashesConfig {
@@ -72,30 +72,21 @@ impl ManyCrashesConfig {
         let delta = (params.delta / 2)
             .min(alpha_cap)
             .clamp(1, graph.min_degree().max(1));
+        let part1_rounds = (config.n as u64).saturating_sub(1).max(1);
+        let (gamma, family) = (params.gamma as u64, config.many_crashes_family());
         Ok(ManyCrashesConfig {
-            n: config.n,
             graph,
             delta,
-            gamma: params.gamma as u64,
-            part1_rounds: (config.n as u64).saturating_sub(1).max(1),
-            family: config.many_crashes_family(),
+            gamma,
+            part1_rounds,
+            part3: Inquiries::two_round(part1_rounds + gamma, Targets::Family(family)),
         })
     }
 
-    /// Number of inquiry phases in Part 3.
-    pub fn phases(&self) -> u64 {
-        self.family.phases() as u64
-    }
-
-    /// Total number of rounds.
-    pub fn total_rounds(&self) -> u64 {
-        self.part1_rounds + self.gamma + 2 * self.phases()
-    }
-
-    /// The α-aware round budget: the number of rounds within which every
-    /// correct node decides, derived from the actual phase schedule —
-    /// Part 1 (`n − 1` rounds) + local probing (`γ = 2 + ⌈lg n⌉`) + two
-    /// rounds per inquiry phase (`1 + ⌈lg((1+3α)n/4)⌉` phases).
+    /// Total number of rounds, the α-aware round budget within which every
+    /// correct node decides: Part 1 (`n − 1` rounds) + local probing
+    /// (`γ = 2 + ⌈lg n⌉`) + two rounds per inquiry phase
+    /// (`1 + ⌈lg((1+3α)n/4)⌉` phases).
     ///
     /// Theorem 8's closed form `n + 3(1 + lg n)` is this schedule evaluated
     /// at the worst case α → 1, where the phase count reaches
@@ -104,29 +95,15 @@ impl ManyCrashesConfig {
     /// `round_budget_stays_within_theorem_8`), and — unlike the closed form
     /// read with an exact `lg n` — it cannot be exhausted before the last
     /// inquiry phase completes at any fault fraction.
-    pub fn round_budget(&self) -> u64 {
-        self.total_rounds()
-    }
-
-    /// Theorem 8's closed-form round bound `n + 3(1 + ⌈lg n⌉)`, for
-    /// comparison against the α-aware [`ManyCrashesConfig::round_budget`].
-    pub fn theorem8_round_bound(&self) -> u64 {
-        theorem8_round_bound(self.n)
-    }
-
-    fn probing_start(&self) -> u64 {
-        self.part1_rounds
-    }
-
-    fn inquiry_start(&self) -> u64 {
-        self.part1_rounds + self.gamma
+    pub fn total_rounds(&self) -> u64 {
+        self.part3.end()
     }
 }
 
 /// The α-aware round budget of `Many-Crashes-Consensus` for a system of `n`
 /// nodes with fault bound `t`, computed in closed form (no overlay graphs are
 /// materialised): `(n − 1) + (2 + ⌈lg n⌉) + 2·(1 + ⌈lg((1+3α)n/4)⌉)` where
-/// `α = t/n` — the same schedule [`ManyCrashesConfig::round_budget`] derives
+/// `α = t/n` — the same schedule [`ManyCrashesConfig::total_rounds`] derives
 /// from a materialised configuration (`budget_formula_matches_config` pins
 /// the two against each other).
 #[expect(
@@ -169,28 +146,30 @@ impl Payload for McMsg {
 /// Per-node state machine for `Many-Crashes-Consensus`.
 #[derive(Clone, Debug)]
 pub struct ManyCrashesConsensus {
-    config: ManyCrashesConfig,
+    graph: Arc<Graph>,
+    /// Part 1 ends, and probing starts, in this round.
+    part1_rounds: u64,
     me: usize,
     candidate: bool,
     pending_flood: bool,
     probe: LocalProbing,
     decided: Option<bool>,
-    inquirers: Vec<usize>,
+    part3: Inquiries,
     halted: bool,
 }
 
 impl ManyCrashesConsensus {
     /// Creates the state machine for node `me` with binary input `input`.
     pub fn new(config: ManyCrashesConfig, me: usize, input: bool) -> Self {
-        let probe = LocalProbing::new(config.delta, config.gamma, true);
         ManyCrashesConsensus {
-            config,
+            probe: LocalProbing::new(config.delta, config.gamma, true),
+            part3: config.part3,
+            graph: config.graph,
+            part1_rounds: config.part1_rounds,
             me,
             candidate: input,
             pending_flood: input,
-            probe,
             decided: None,
-            inquirers: Vec::new(),
             halted: false,
         }
     }
@@ -216,19 +195,7 @@ impl ManyCrashesConsensus {
 
     /// Total rounds this protocol runs for.
     pub fn total_rounds(&self) -> u64 {
-        self.config.total_rounds()
-    }
-
-    fn phase_of(&self, r: u64) -> Option<(u64, bool)> {
-        if r < self.config.inquiry_start() {
-            return None;
-        }
-        let offset = r - self.config.inquiry_start();
-        let phase = offset / 2 + 1;
-        if phase > self.config.phases() {
-            return None;
-        }
-        Some((phase, offset.is_multiple_of(2)))
+        self.part3.end()
     }
 }
 
@@ -238,12 +205,11 @@ impl SyncProtocol for ManyCrashesConsensus {
 
     fn send(&mut self, round: Round, out: &mut Vec<Outgoing<McMsg>>) {
         let r = round.as_u64();
-        if r < self.config.probing_start() {
+        if r < self.part1_rounds {
             if self.pending_flood && self.candidate {
                 self.pending_flood = false;
                 out.extend(
-                    self.config
-                        .graph
+                    self.graph
                         .neighbors(self.me)
                         .iter()
                         .map(|&v| Outgoing::new(NodeId::new(v), McMsg::Rumor(true))),
@@ -251,11 +217,10 @@ impl SyncProtocol for ManyCrashesConsensus {
             }
             return;
         }
-        if r < self.config.inquiry_start() {
+        if r < self.part3.start() {
             if self.probe.should_send() {
                 out.extend(
-                    self.config
-                        .graph
+                    self.graph
                         .neighbors(self.me)
                         .iter()
                         .map(|&v| Outgoing::new(NodeId::new(v), McMsg::Rumor(self.candidate))),
@@ -263,42 +228,31 @@ impl SyncProtocol for ManyCrashesConsensus {
             }
             return;
         }
-        let Some((phase, inquiry_round)) = self.phase_of(r) else {
-            return;
-        };
-        if inquiry_round {
-            if self.decided.is_none() {
-                out.extend(
-                    self.config
-                        .family
-                        .graph(phase as usize)
-                        .neighbors(self.me)
-                        .iter()
-                        .filter(|&&v| v != self.me)
-                        .map(|&v| Outgoing::new(NodeId::new(v), McMsg::Inquiry)),
-                );
+        match self.part3.at(r) {
+            Some((phase, Step::Inquiry)) if self.decided.is_none() => {
+                let targets = self.part3.targets(self.me, phase);
+                out.extend(targets.map(|v| Outgoing::new(NodeId::new(v), McMsg::Inquiry)));
             }
-        } else if let Some(decision) = self.decided {
-            out.extend(
-                self.inquirers
-                    .drain(..)
-                    .map(|v| Outgoing::new(NodeId::new(v), McMsg::Response(decision))),
-            );
-        } else {
-            self.inquirers.clear();
+            Some((_, Step::Response)) => {
+                let response = self
+                    .decided
+                    .map(|decision| move || McMsg::Response(decision));
+                self.part3.answer(response, out);
+            }
+            _ => {}
         }
     }
 
     fn receive(&mut self, round: Round, inbox: &[Delivered<McMsg>]) {
         let r = round.as_u64();
-        if r < self.config.probing_start() {
+        if r < self.part1_rounds {
             for msg in inbox {
                 if matches!(msg.msg, McMsg::Rumor(true)) && !self.candidate {
                     self.candidate = true;
                     self.pending_flood = true;
                 }
             }
-        } else if r < self.config.inquiry_start() {
+        } else if r < self.part3.start() {
             let mut received = 0;
             for msg in inbox {
                 if let McMsg::Rumor(value) = msg.msg {
@@ -309,27 +263,25 @@ impl SyncProtocol for ManyCrashesConsensus {
                 }
             }
             self.probe.observe_round(received);
-            if r + 1 == self.config.inquiry_start() && self.probe.survived() {
+            if r + 1 == self.part3.start() && self.probe.survived() {
                 self.decided = Some(self.candidate);
             }
-        } else if let Some((_, inquiry_round)) = self.phase_of(r) {
-            if inquiry_round {
-                self.inquirers = inbox
-                    .iter()
-                    .filter(|m| matches!(m.msg, McMsg::Inquiry))
-                    .map(|m| m.from.index())
-                    .collect();
-            } else {
-                for msg in inbox {
-                    if let McMsg::Response(value) = msg.msg {
-                        if self.decided.is_none() {
-                            self.decided = Some(value);
-                        }
-                    }
+        } else {
+            match self.part3.at(r) {
+                Some((_, Step::Inquiry)) => {
+                    self.part3
+                        .record(inbox, |d| matches!(d.msg, McMsg::Inquiry));
                 }
+                Some((_, Step::Response)) if self.decided.is_none() => {
+                    self.decided = inbox.iter().find_map(|d| match d.msg {
+                        McMsg::Response(value) => Some(value),
+                        _ => None,
+                    });
+                }
+                _ => {}
             }
         }
-        if r + 1 >= self.config.total_rounds() {
+        if r + 1 >= self.part3.end() {
             self.halted = true;
         }
     }
@@ -349,14 +301,12 @@ impl SyncProtocol for ManyCrashesConsensus {
     /// and undecided inquirers keep the default.
     fn quiet_until(&self, now: Round) -> Option<Round> {
         let next = now.as_u64() + 1;
-        if next < self.config.probing_start() {
+        if next < self.part1_rounds {
             let floods_next = self.pending_flood && self.candidate;
-            return (!floods_next).then(|| Round::new(self.config.probing_start()));
+            return (!floods_next).then(|| Round::new(self.part1_rounds));
         }
-        let idle = next >= self.config.inquiry_start()
-            && self.decided.is_some()
-            && self.inquirers.is_empty();
-        idle.then(|| Round::new(self.config.total_rounds().saturating_sub(1)))
+        let idle = next >= self.part3.start() && self.decided.is_some() && !self.part3.owed();
+        idle.then(|| Round::new(self.part3.end().saturating_sub(1)))
     }
 }
 
@@ -436,7 +386,7 @@ mod tests {
         let n = 200;
         let config = SystemConfig::new(n, 50).unwrap();
         let mc = ManyCrashesConfig::from_system(&config).unwrap();
-        let bound = n as u64 + 3 * (1 + (n as f64).log2().ceil() as u64) + 2 * mc.phases();
+        let bound = n as u64 + 3 * (1 + (n as f64).log2().ceil() as u64) + 2 * mc.part3.phases();
         assert!(
             mc.total_rounds() <= bound + 8,
             "{} vs {bound}",
@@ -453,7 +403,7 @@ mod tests {
                 let config = SystemConfig::new(n, t).unwrap();
                 let mc = ManyCrashesConfig::from_system(&config).unwrap();
                 assert_eq!(
-                    mc.round_budget(),
+                    mc.total_rounds(),
                     round_budget_for(n, t),
                     "n={n} t={t}: schedule-derived and closed-form budgets drifted"
                 );

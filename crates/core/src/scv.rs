@@ -21,29 +21,22 @@ use dft_sim::{Delivered, NodeId, Outgoing, Payload, Round, SyncProtocol};
 
 use crate::config::SystemConfig;
 use crate::error::CoreResult;
+use crate::inquiries::{Inquiries, Step, Targets};
 use crate::values::JoinValue;
 
 /// Static configuration shared by every node running [`SpreadCommonValue`].
 #[derive(Clone, Debug)]
 pub struct ScvConfig {
-    /// Number of nodes.
-    pub n: usize,
-    /// Fault bound.
-    pub t: usize,
-    /// Number of little nodes.
-    pub little: usize,
     /// The constant-degree broadcast graph `H`.
     pub h_graph: Arc<Graph>,
     /// The per-phase inquiry family `G_i` of Lemma 5.
     pub family: Arc<InquiryFamily>,
-    /// Number of broadcast rounds in Part 1.
-    pub part1_rounds: u64,
-    /// Forces the phase-based inquiry branch of Part 2 even when `t² ≤ n`.
-    ///
-    /// The single-port adaptation (Section 8) uses this: polling schedules
-    /// must be data-independent, which the per-phase overlay graphs provide
-    /// but the "ask every little node" broadcast does not.
-    pub force_phase_inquiry: bool,
+    /// Part 2, which starts when Part 1's broadcast ends: undecided nodes
+    /// ask the little nodes if `t² ≤ n`, their `G_i` neighbours otherwise.
+    /// The single-port adaptation (Section 8) always asks along `G_i`:
+    /// polling schedules must be data-independent, which the per-phase
+    /// graphs provide but the "ask every little node" broadcast does not.
+    pub(crate) part2: Inquiries,
 }
 
 impl ScvConfig {
@@ -54,35 +47,22 @@ impl ScvConfig {
     /// Returns an error unless `t < n/5`.
     pub fn from_system(config: &SystemConfig) -> CoreResult<Self> {
         config.require_few_crashes()?;
-        Ok(ScvConfig {
-            n: config.n,
-            t: config.t,
-            little: config.little_count(),
-            h_graph: config.h_graph(),
-            family: config.scv_family(),
-            part1_rounds: config.scv_broadcast_rounds(),
-            force_phase_inquiry: false,
-        })
-    }
-
-    /// Whether Part 2 uses the direct "ask every little node" branch
-    /// (`t² ≤ n`).
-    pub fn direct_inquiry(&self) -> bool {
-        self.t * self.t <= self.n && !self.force_phase_inquiry
-    }
-
-    /// Number of inquiry phases in Part 2 (each phase is two rounds).
-    pub fn inquiry_phases(&self) -> u64 {
-        if self.direct_inquiry() {
-            1
+        let family = config.scv_family();
+        let targets = if config.t * config.t <= config.n {
+            Targets::Little(config.little_count())
         } else {
-            self.family.phases() as u64
-        }
+            Targets::Family(Arc::clone(&family))
+        };
+        Ok(ScvConfig {
+            h_graph: config.h_graph(),
+            part2: Inquiries::two_round(config.scv_broadcast_rounds(), targets),
+            family,
+        })
     }
 
     /// Total number of rounds of the protocol.
     pub fn total_rounds(&self) -> u64 {
-        self.part1_rounds + 2 * self.inquiry_phases()
+        self.part2.end()
     }
 }
 
@@ -109,11 +89,11 @@ impl<V: JoinValue> Payload for ScvMsg<V> {
 /// Per-node state machine for `Spread-Common-Value`.
 #[derive(Clone, Debug)]
 pub struct SpreadCommonValue<V: JoinValue> {
-    config: ScvConfig,
+    h_graph: Arc<Graph>,
     me: usize,
     common: Option<V>,
     forward_pending: bool,
-    inquirers: Vec<usize>,
+    part2: Inquiries,
     halted: bool,
 }
 
@@ -121,13 +101,12 @@ impl<V: JoinValue> SpreadCommonValue<V> {
     /// Creates the state machine for node `me`.  `initial` is the common
     /// value for initialized nodes and `None` (null) for the rest.
     pub fn new(config: ScvConfig, me: usize, initial: Option<V>) -> Self {
-        let forward_pending = initial.is_some();
         SpreadCommonValue {
-            config,
+            part2: config.part2,
+            h_graph: config.h_graph,
             me,
+            forward_pending: initial.is_some(),
             common: initial,
-            forward_pending,
-            inquirers: Vec::new(),
             halted: false,
         }
     }
@@ -154,21 +133,7 @@ impl<V: JoinValue> SpreadCommonValue<V> {
 
     /// Total rounds this protocol runs for.
     pub fn total_rounds(&self) -> u64 {
-        self.config.total_rounds()
-    }
-
-    /// The phase (1-based) of Part 2 containing relative round `r`, together
-    /// with whether it is the inquiry (first) or response (second) round.
-    fn phase_of(&self, r: u64) -> Option<(u64, bool)> {
-        if r < self.config.part1_rounds {
-            return None;
-        }
-        let offset = r - self.config.part1_rounds;
-        let phase = offset / 2 + 1;
-        if phase > self.config.inquiry_phases() {
-            return None;
-        }
-        Some((phase, offset.is_multiple_of(2)))
+        self.part2.end()
     }
 }
 
@@ -178,14 +143,13 @@ impl<V: JoinValue> SyncProtocol for SpreadCommonValue<V> {
 
     fn send(&mut self, round: Round, out: &mut Vec<Outgoing<ScvMsg<V>>>) {
         let r = round.as_u64();
-        if r < self.config.part1_rounds {
+        if r < self.part2.start() {
             // Part 1: forward the value to H-neighbours when newly adopted.
             if self.forward_pending {
                 self.forward_pending = false;
                 if let Some(value) = &self.common {
                     out.extend(
-                        self.config
-                            .h_graph
+                        self.h_graph
                             .neighbors(self.me)
                             .iter()
                             .map(|&v| Outgoing::new(NodeId::new(v), ScvMsg::Value(value.clone()))),
@@ -194,40 +158,24 @@ impl<V: JoinValue> SyncProtocol for SpreadCommonValue<V> {
             }
             return;
         }
-        let Some((phase, is_inquiry_round)) = self.phase_of(r) else {
-            return;
-        };
-        if is_inquiry_round {
-            // First round of the phase: undecided nodes inquire.
-            if self.common.is_none() {
-                let me = self.me;
-                let inquiry =
-                    |v: usize| (v != me).then(|| Outgoing::new(NodeId::new(v), ScvMsg::Inquiry));
-                if self.config.direct_inquiry() {
-                    out.extend((0..self.config.little).filter_map(inquiry));
-                } else {
-                    let graph = self.config.family.graph(phase as usize);
-                    out.extend(graph.neighbors(self.me).iter().filter_map(|&v| inquiry(v)));
-                }
+        match self.part2.at(r) {
+            // First round of a phase: undecided nodes inquire.
+            Some((phase, Step::Inquiry)) if self.common.is_none() => {
+                let targets = self.part2.targets(self.me, phase);
+                out.extend(targets.map(|v| Outgoing::new(NodeId::new(v), ScvMsg::Inquiry)));
             }
-        } else {
-            // Second round of the phase: decided nodes answer last round's
-            // inquirers.
-            if let Some(value) = &self.common {
-                out.extend(
-                    self.inquirers
-                        .drain(..)
-                        .map(|v| Outgoing::new(NodeId::new(v), ScvMsg::Response(value.clone()))),
-                );
-            } else {
-                self.inquirers.clear();
+            // Second round: decided nodes answer last round's inquirers.
+            Some((_, Step::Response)) => {
+                let response = self.common.as_ref().map(|v| || ScvMsg::Response(v.clone()));
+                self.part2.answer(response, out);
             }
+            _ => {}
         }
     }
 
     fn receive(&mut self, round: Round, inbox: &[Delivered<ScvMsg<V>>]) {
         let r = round.as_u64();
-        if r < self.config.part1_rounds {
+        if r < self.part2.start() {
             for msg in inbox {
                 if let ScvMsg::Value(v) = &msg.msg {
                     if self.common.is_none() {
@@ -236,26 +184,23 @@ impl<V: JoinValue> SyncProtocol for SpreadCommonValue<V> {
                     }
                 }
             }
-        } else if let Some((_, is_inquiry_round)) = self.phase_of(r) {
-            if is_inquiry_round {
-                self.inquirers = inbox
-                    .iter()
-                    .filter(|m| matches!(m.msg, ScvMsg::Inquiry))
-                    .map(|m| m.from.index())
-                    .collect();
-                // Little nodes answer inquiries only if decided; keep the
-                // inquirer list regardless — `send` checks the decision.
-            } else {
-                for msg in inbox {
-                    if let ScvMsg::Response(v) = &msg.msg {
-                        if self.common.is_none() {
-                            self.common = Some(v.clone());
-                        }
-                    }
+        } else {
+            match self.part2.at(r) {
+                // Recorded with or without the value: `send` checks it.
+                Some((_, Step::Inquiry)) => {
+                    self.part2
+                        .record(inbox, |d| matches!(d.msg, ScvMsg::Inquiry));
                 }
+                Some((_, Step::Response)) if self.common.is_none() => {
+                    self.common = inbox.iter().find_map(|d| match &d.msg {
+                        ScvMsg::Response(v) => Some(v.clone()),
+                        _ => None,
+                    });
+                }
+                _ => {}
             }
         }
-        if r + 1 >= self.config.total_rounds() {
+        if r + 1 >= self.part2.end() {
             self.halted = true;
         }
     }
@@ -275,16 +220,16 @@ impl<V: JoinValue> SyncProtocol for SpreadCommonValue<V> {
     /// inquiry).  An undecided node in Part 2 inquires every phase and
     /// keeps the default.
     fn quiet_until(&self, now: Round) -> Option<Round> {
+        let part2 = Round::new(self.part2.start());
         if self.common.is_none() {
-            // Before Part 2 `inquirers` is still empty: only an
-            // inquiry-round `receive` fills it.
-            let part2 = Round::new(self.config.part1_rounds);
+            // Before Part 2 nobody is owed an answer: only an inquiry-round
+            // `receive` records inquirers.
             return (now < part2).then_some(part2);
         }
         // Forwarding happens in Part 1 only.
-        let forwards_next = self.forward_pending && now.as_u64() + 1 < self.config.part1_rounds;
-        let idle = !forwards_next && self.inquirers.is_empty();
-        idle.then(|| Round::new(self.config.total_rounds().saturating_sub(1)))
+        let forwards_next = self.forward_pending && now + 1 < part2;
+        let idle = !forwards_next && !self.part2.owed();
+        idle.then(|| Round::new(self.part2.end().saturating_sub(1)))
     }
 }
 
@@ -367,9 +312,13 @@ mod tests {
         // One initialised node and no Part 1 broadcast: the value travels by
         // inquiry only, so undecided nodes read G_1, G_2, … in turn.  Each
         // execution gets a fresh config, with no phase built yet.
-        let fresh = || ScvConfig {
-            part1_rounds: 0,
-            ..ScvConfig::from_system(&config).unwrap()
+        let fresh = || {
+            let scv = ScvConfig::from_system(&config).unwrap();
+            let family = Targets::Family(Arc::clone(&scv.family));
+            ScvConfig {
+                part2: Inquiries::two_round(0, family),
+                ..scv
+            }
         };
         let nodes = |scv: &ScvConfig| -> Vec<_> {
             (0..n)

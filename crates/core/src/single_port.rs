@@ -25,6 +25,7 @@ use dft_sim::{Delivered, NodeId, Outgoing, Round, SinglePortProtocol, SyncProtoc
 use crate::config::SystemConfig;
 use crate::error::CoreResult;
 use crate::few_crashes::{FewCrashesConfig, FewCrashesConsensus};
+use crate::inquiries::{Inquiries, Targets};
 use crate::values::JoinValue;
 
 /// A static communication plan: how a multi-port protocol's rounds map onto
@@ -215,10 +216,11 @@ pub struct LinearConsensusPlan {
     little: usize,
     aea_part1_and_2: u64,
     aea_total: u64,
-    scv_part1: u64,
+    /// SCV's inquiry phases, in SCV's rounds; its Part 1 ends where they
+    /// start.
+    scv: Inquiries,
     little_graph: Arc<Graph>,
     h_graph: Arc<Graph>,
-    family: Arc<dft_overlay::InquiryFamily>,
     /// Slot width of AEA Parts 1–2: the little overlay's maximum degree.
     little_slots: usize,
     /// Slot width of AEA Part 3: a little node's fan-out to its related
@@ -240,7 +242,8 @@ impl LinearConsensusPlan {
         let (n, little) = (config.aea.n, config.aea.little);
         let t = (little / 5).max(1);
         let inquiry_cap = 3 * t + 1;
-        let phase_slots = (1..=config.scv.inquiry_phases())
+        let scv = config.scv.part2.clone();
+        let phase_slots = (1..=scv.phases())
             .map(|phase| {
                 config
                     .scv
@@ -253,10 +256,9 @@ impl LinearConsensusPlan {
             little,
             aea_part1_and_2: config.aea.part1_rounds + config.aea.gamma,
             aea_total: config.aea.total_rounds(),
-            scv_part1: config.scv.part1_rounds,
+            scv,
             little_graph: config.aea.graph.clone(),
             h_graph: config.scv.h_graph.clone(),
-            family: config.scv.family.clone(),
             little_slots: config.aea.graph.max_degree().max(1),
             notify_slots: n.div_ceil(little.max(1)).max(1),
             h_slots: config.scv.h_graph.max_degree().max(1),
@@ -266,15 +268,7 @@ impl LinearConsensusPlan {
 
     /// Total multi-port rounds of the underlying consensus.
     pub fn mp_rounds(&self) -> u64 {
-        self.aea_total + self.scv_part1 + 2 * self.phase_slots.len() as u64
-    }
-
-    /// The 1-based SCV inquiry phase `mp_round` belongs to, if any, and its
-    /// slot width.
-    fn scv_phase_of(&self, mp_round: u64) -> Option<(usize, usize)> {
-        let offset = mp_round.checked_sub(self.aea_total + self.scv_part1)?;
-        let phase = (offset / 2) as usize;
-        Some((phase + 1, *self.phase_slots.get(phase)?))
+        self.aea_total + self.scv.end()
     }
 }
 
@@ -284,10 +278,11 @@ impl PortPlan for LinearConsensusPlan {
             self.little_slots
         } else if mp_round < self.aea_total {
             self.notify_slots
-        } else if mp_round < self.aea_total + self.scv_part1 {
+        } else if mp_round < self.aea_total + self.scv.start() {
             self.h_slots
-        } else if let Some((_, width)) = self.scv_phase_of(mp_round) {
-            width
+        } else if let Some((phase, _)) = self.scv.at(mp_round - self.aea_total) {
+            let width = self.phase_slots.get(phase as usize - 1);
+            width.copied().unwrap_or(1)
         } else {
             1
         }
@@ -302,14 +297,13 @@ impl PortPlan for LinearConsensusPlan {
             if me >= self.little {
                 ports.push(me % self.little.max(1));
             }
-        } else if mp_round < self.aea_total + self.scv_part1 {
+        } else if mp_round < self.aea_total + self.scv.start() {
             ports.extend_from_slice(self.h_graph.neighbors(me));
-        } else if let Some((phase, width)) = self.scv_phase_of(mp_round) {
-            // Inquiry round: decided nodes listen for inquiries from their
-            // G_i neighbours.  Response round: undecided nodes listen for
-            // responses from the same neighbours.
-            let neighbors = self.family.graph(phase).neighbors(me);
-            ports.extend(neighbors.iter().take(width));
+        } else if let Some((phase, _)) = self.scv.at(mp_round - self.aea_total) {
+            // Inquiry round: decided nodes listen for inquiries from whom
+            // they would ask.  Response round: undecided nodes listen for
+            // responses from the same nodes.
+            ports.extend(self.scv.targets(me, phase).take(self.slots(mp_round)));
         }
     }
 }
@@ -317,6 +311,15 @@ impl PortPlan for LinearConsensusPlan {
 /// `Linear-Consensus`: the single-port adaptation of
 /// [`FewCrashesConsensus`].
 pub type LinearConsensus<V> = SinglePortAdapter<FewCrashesConsensus<V>, LinearConsensusPlan>;
+
+/// The consensus configuration Theorem 12 adapts: SCV inquires along `G_i`
+/// even when `t² ≤ n`, since a polling schedule must not depend on the data.
+fn single_port_config(config: &SystemConfig) -> CoreResult<FewCrashesConfig> {
+    let mut shared = FewCrashesConfig::from_system(config)?;
+    let family = Targets::Family(Arc::clone(&shared.scv.family));
+    shared.scv.part2 = Inquiries::two_round(shared.scv.part2.start(), family);
+    Ok(shared)
+}
 
 /// Builds `Linear-Consensus` state machines for all nodes, together with the
 /// number of single-port rounds required to finish.
@@ -333,8 +336,7 @@ pub fn linear_consensus_for_all_nodes<V: JoinValue>(
     inputs: &[V],
 ) -> CoreResult<(Vec<LinearConsensus<V>>, u64)> {
     assert_eq!(inputs.len(), config.n, "one input per node required");
-    let mut shared = FewCrashesConfig::from_system(config)?;
-    shared.scv.force_phase_inquiry = true;
+    let shared = single_port_config(config)?;
     let plan = LinearConsensusPlan::new(&shared);
     let sp_rounds = SinglePortAdapter::<FewCrashesConsensus<V>, LinearConsensusPlan>::sp_rounds_for(
         &plan,
@@ -413,8 +415,7 @@ mod tests {
         let n = 400;
         let t = 40;
         let config = SystemConfig::new(n, t).unwrap();
-        let mut shared = FewCrashesConfig::from_system(&config).unwrap();
-        shared.scv.force_phase_inquiry = true;
+        let shared = single_port_config(&config).unwrap();
         let plan = LinearConsensusPlan::new(&shared);
         let sp_rounds = SinglePortAdapter::<FewCrashesConsensus<bool>, _>::sp_rounds_for(
             &plan,
@@ -445,7 +446,7 @@ mod tests {
     fn scanned_slots(config: &FewCrashesConfig, mp_round: u64) -> usize {
         let (aea, scv) = (&config.aea, &config.scv);
         let inquiry_cap = 3 * (aea.little / 5).max(1) + 1;
-        let scv_part2 = aea.total_rounds() + scv.part1_rounds;
+        let scv_part2 = aea.total_rounds() + scv.part2.start();
         if mp_round < aea.part1_rounds + aea.gamma {
             aea.graph.max_degree().max(1)
         } else if mp_round < aea.total_rounds() {
@@ -454,7 +455,7 @@ mod tests {
             scv.h_graph.max_degree().max(1)
         } else {
             let phase = (mp_round - scv_part2) / 2 + 1;
-            if phase > scv.inquiry_phases() {
+            if phase > scv.part2.phases() {
                 return 1;
             }
             scv.family.degree(phase as usize).min(inquiry_cap).max(1)
@@ -465,8 +466,7 @@ mod tests {
     fn plan_slot_widths_equal_the_per_call_scans() {
         for (n, t) in [(60, 7), (400, 40), (1600, 200)] {
             let config = SystemConfig::new(n, t).unwrap().with_seed(9);
-            let mut shared = FewCrashesConfig::from_system(&config).unwrap();
-            shared.scv.force_phase_inquiry = true;
+            let shared = single_port_config(&config).unwrap();
             let plan = LinearConsensusPlan::new(&shared);
             assert_eq!(plan.mp_rounds(), shared.total_rounds(), "n = {n}");
             let mut ports = Vec::new();
