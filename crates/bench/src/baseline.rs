@@ -537,7 +537,7 @@ mod tests {
         let committed = std::fs::read_to_string(path).expect("read BENCH_quick.json");
         let report = BenchReport::parse(&committed).unwrap();
         assert_eq!(report.experiments.len(), 11);
-        assert_eq!(report.experiments[4].allocs_per_round, Some(9));
+        assert_eq!(report.experiments[4].allocs_per_round, Some(13));
         let pretty = committed
             .replace("{ ", "{\n")
             .replace(" }", "\n}")

@@ -24,8 +24,9 @@ use std::sync::{Arc, Mutex, PoisonError};
 use dft_auth::KeyDirectory;
 use dft_baselines::{AllToAllGossip, FloodingConsensus, NaiveCheckpointing, ParallelDsConsensus};
 use dft_core::{
-    linear_consensus_for_all_nodes, AbConsensus, AlmostEverywhereAgreement, Checkpointing,
-    FewCrashesConsensus, Gossip, ManyCrashesConsensus, SpreadCommonValue, SystemConfig,
+    linear_consensus_for_all_nodes, many_crashes_for_all_nodes, AbConsensus,
+    AlmostEverywhereAgreement, Checkpointing, FewCrashesConsensus, Gossip, SpreadCommonValue,
+    SystemConfig,
 };
 use dft_sim::shard::{Schema, ShardedRunner, SpShardedRunner, Wire, WireOutput, WireStats};
 use dft_sim::{
@@ -185,10 +186,10 @@ pub(crate) fn build_few_crashes(w: &Workload) -> BuiltNodes<FewCrashesConsensus<
     BuiltNodes { nodes, rounds }
 }
 
-pub(crate) fn build_many_crashes(w: &Workload) -> BuiltNodes<ManyCrashesConsensus> {
+pub(crate) fn build_many_crashes(w: &Workload) -> BuiltNodes<FewCrashesConsensus<bool>> {
     let cfg = config(w);
     let inputs = w.mixed_inputs();
-    let nodes = must(ManyCrashesConsensus::for_all_nodes(&cfg, &inputs), "config");
+    let nodes = must(many_crashes_for_all_nodes(&cfg, &inputs), "config");
     let rounds = nodes.first().map_or(0, |node| node.total_rounds());
     BuiltNodes { nodes, rounds }
 }

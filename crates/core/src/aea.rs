@@ -9,7 +9,9 @@
 //! 2. **Local probing** (`2 + ⌈lg 5t⌉` rounds): little nodes probe `G`;
 //!    survivors decide on their candidate value.
 //! 3. **Notification** (1 round): little deciders notify their *related*
-//!    nodes (same name modulo `5t`), which adopt the decision.
+//!    nodes (same name modulo `5t`), which adopt the decision.  With every
+//!    node little (`Many-Crashes-Consensus`) no node is related to another,
+//!    and the part has no round.
 //!
 //! Theorem 5: at least `3/5·n` nodes decide the same valid value, in `O(t)`
 //! rounds with `O(n)` one-bit messages.
@@ -34,7 +36,8 @@ use crate::values::JoinValue;
 pub struct AeaConfig {
     /// Number of nodes in the system.
     pub n: usize,
-    /// Number of little nodes (`5t`, clamped to `[1, n]`).
+    /// Number of little nodes (`5t`, clamped to `[1, n]`; `n` in
+    /// `Many-Crashes-Consensus`).
     pub little: usize,
     /// The little-node overlay graph (vertex `i` is the node with index `i`).
     pub graph: Arc<Graph>,
@@ -72,9 +75,10 @@ impl AeaConfig {
         })
     }
 
-    /// Total number of rounds of the protocol (Parts 1–3).
+    /// Total number of rounds of the protocol (Parts 1–3; Part 3 only if
+    /// some node is not little).
     pub fn total_rounds(&self) -> u64 {
-        self.part1_rounds + self.gamma + 1
+        self.part1_rounds + self.gamma + u64::from(self.little < self.n)
     }
 
     /// First round of the local-probing part.

@@ -174,20 +174,13 @@ mod tests {
         runner.run(total + 2)
     }
 
-    fn assert_consensus(report: &dft_sim::ExecutionReport<bool>, inputs: &[bool]) {
-        assert!(report.all_non_faulty_decided(), "termination");
-        assert!(report.non_faulty_deciders_agree(), "agreement");
-        let agreed = report.agreed_value().copied().expect("agreement value");
-        assert!(inputs.contains(&agreed), "validity");
-    }
-
     #[test]
     fn fault_free_unanimous_inputs() {
         let n = 80;
         for value in [false, true] {
             let inputs = vec![value; n];
             let report = run_consensus(n, 10, &inputs, Box::new(NoFaults), 0, 1);
-            assert_consensus(&report, &inputs);
+            assert_eq!(report.consensus_violation(|v| inputs.contains(v)), None);
             assert_eq!(report.agreed_value(), Some(&value));
         }
     }
@@ -197,7 +190,7 @@ mod tests {
         let n = 100;
         let inputs: Vec<bool> = (0..n).map(|i| i % 4 == 0).collect();
         let report = run_consensus(n, 12, &inputs, Box::new(NoFaults), 0, 2);
-        assert_consensus(&report, &inputs);
+        assert_eq!(report.consensus_violation(|v| inputs.contains(v)), None);
     }
 
     #[test]
@@ -208,7 +201,7 @@ mod tests {
         for seed in 0..4u64 {
             let adversary = RandomCrashes::new(n, t, 60, seed);
             let report = run_consensus(n, t, &inputs, Box::new(adversary), t, 3 + seed);
-            assert_consensus(&report, &inputs);
+            assert_eq!(report.consensus_violation(|v| inputs.contains(v)), None);
         }
     }
 
@@ -220,7 +213,7 @@ mod tests {
         let victims: Vec<NodeId> = (0..t).map(NodeId::new).collect();
         let adversary = TargetedCrashes::one_per_round(victims);
         let report = run_consensus(n, t, &inputs, Box::new(adversary), t, 4);
-        assert_consensus(&report, &inputs);
+        assert_eq!(report.consensus_violation(|v| inputs.contains(v)), None);
         assert_eq!(
             report.agreed_value(),
             Some(&true),
@@ -295,7 +288,7 @@ mod tests {
             .collect();
         let mut runner = Runner::new(nodes).unwrap();
         let report = runner.run(shared.total_rounds() + 2);
-        assert_consensus(&report, &[true]);
+        assert_eq!(report.consensus_violation(|&v| v), None);
         assert_eq!(shared.scv.family.built_phases(), 0);
     }
 

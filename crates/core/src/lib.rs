@@ -12,8 +12,10 @@
 //!   3/5·n nodes to everyone in `O(log t)` rounds and `O(t log t)` messages.
 //! * [`FewCrashesConsensus`] — Section 4.3 (Theorem 7): consensus in
 //!   `O(t + log n)` rounds and `O(n + t log t)` bits, `t < n/5`.
-//! * [`ManyCrashesConsensus`] — Section 4.4 (Theorem 8 / Corollary 1):
-//!   consensus for any `t < n` in `≤ n + 3(1 + lg n)` rounds.
+//! * [`many_crashes_for_all_nodes`] — Section 4.4 (Theorem 8 / Corollary 1):
+//!   consensus for any `t < n` in `≤ n + 3(1 + lg n)` rounds, built as a
+//!   [`FewCrashesConsensus`] whose AEA stage makes every node little on
+//!   `G(n, d(α))` and whose SCV stage only inquires.
 //! * [`Gossip`] — Section 5 (Theorem 9): `O(log n log t)` rounds,
 //!   `O(n + t log n log t)` messages.
 //! * [`Checkpointing`] — Section 6 (Theorem 10): gossip plus `n` combined
@@ -25,6 +27,7 @@
 //!   the single-port adaptation.
 //! * [`LocalProbing`] — Proposition 1's probing primitive; beside it, one
 //!   block runs the inquiry phases of Lemma 5 for the algorithms above.
+//! * [`bounds`] — the theorems' bounds as functions of the configuration.
 //!
 //! # Quick example
 //!
@@ -55,6 +58,7 @@
 
 pub mod ab_consensus;
 pub mod aea;
+pub mod bounds;
 pub mod checkpointing;
 pub mod config;
 pub mod dolev_strong;
@@ -72,6 +76,7 @@ pub mod wire;
 
 pub use ab_consensus::{AbConfig, AbConsensus, AbMsg, CommonSet, NULL_VALUE};
 pub use aea::{AeaConfig, AeaMsg, AlmostEverywhereAgreement};
+pub use bounds::{round_budget_for, theorem8_round_bound};
 pub use checkpointing::{Checkpoint, CheckpointConfig, CheckpointMsg, Checkpointing};
 pub use config::SystemConfig;
 pub use dolev_strong::DsBatch;
@@ -79,9 +84,7 @@ pub use error::{CoreError, CoreResult};
 pub use few_crashes::{FcMsg, FewCrashesConfig, FewCrashesConsensus};
 pub use gossip::{Gossip, GossipConfig, GossipMsg};
 pub use local_probing::LocalProbing;
-pub use many_crashes::{
-    round_budget_for, theorem8_round_bound, ManyCrashesConfig, ManyCrashesConsensus, McMsg,
-};
+pub use many_crashes::many_crashes_for_all_nodes;
 pub use scv::{ScvConfig, ScvMsg, SpreadCommonValue};
 pub use single_port::{
     linear_consensus_for_all_nodes, LinearConsensus, LinearConsensusPlan, PortPlan,

@@ -21,7 +21,6 @@ use crate::checkpointing::CheckpointMsg;
 use crate::dolev_strong::DsBatch;
 use crate::few_crashes::FcMsg;
 use crate::gossip::GossipMsg;
-use crate::many_crashes::McMsg;
 use crate::scv::ScvMsg;
 use crate::values::{BitVector, ExtantSet, JoinValue};
 
@@ -31,7 +30,6 @@ pub const LEAVES: &[&str] = &["BitVector", "ExtantSet"];
 wire_enum!(AeaMsg<V: JoinValue + Wire> { 0 = Rumor(V), 1 = Decision(V) });
 wire_enum!(ScvMsg<V: JoinValue + Wire> { 0 = Value(V), 1 = Inquiry, 2 = Response(V) });
 wire_enum!(FcMsg<V: JoinValue + Wire> { 0 = Aea(AeaMsg<V>), 1 = Scv(ScvMsg<V>) });
-wire_enum!(McMsg { 0 = Rumor(bool), 1 = Inquiry, 2 = Response(bool) });
 wire_enum!(GossipMsg {
     0 = Inquiry,
     1 = Pair { node: u64, rumor: u64 },
@@ -163,9 +161,6 @@ mod tests {
         round_trip(ScvMsg::Value(true));
         round_trip(FcMsg::Aea(AeaMsg::Rumor(true)));
         round_trip(FcMsg::<bool>::Scv(ScvMsg::Response(false)));
-        round_trip(McMsg::Rumor(true));
-        round_trip(McMsg::Inquiry);
-        round_trip(McMsg::Response(false));
     }
 
     #[test]
@@ -269,7 +264,7 @@ mod tests {
     /// bump asserted beside it.
     #[test]
     fn golden_bytes() {
-        assert_eq!(dft_sim::shard::WIRE_VERSION, 6);
+        assert_eq!(dft_sim::shard::WIRE_VERSION, 7);
         let tagged = |tag: u8, body: &[u8]| [&[tag], body].concat();
 
         assert_eq!(to_bytes(&AeaMsg::Rumor(true)), b"\0\x01");
@@ -279,9 +274,6 @@ mod tests {
         assert_eq!(to_bytes(&ScvMsg::Response(false)), b"\x02\0");
         assert_eq!(to_bytes(&FcMsg::Aea(AeaMsg::Rumor(true))), b"\0\0\x01");
         assert_eq!(to_bytes(&FcMsg::<bool>::Scv(ScvMsg::Inquiry)), b"\x01\x01");
-        assert_eq!(to_bytes(&McMsg::Rumor(true)), b"\0\x01");
-        assert_eq!(to_bytes(&McMsg::Inquiry), b"\x01");
-        assert_eq!(to_bytes(&McMsg::Response(false)), b"\x02\0");
 
         let bits = BitVector::from_set_bits(70, [0, 64, 69]);
         let bits_bytes = b"\x46\0\0\0\0\0\0\0\x02\0\0\0\0\0\0\0\

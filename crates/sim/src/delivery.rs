@@ -14,8 +14,9 @@
 //! `n × n` port matrix: it stores only ports that currently buffer messages,
 //! so memory stays `O(n + live messages)` at paper-scale `n`.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{DefaultHasher, HashMap};
 use std::fmt;
+use std::hash::BuildHasherDefault;
 
 use crate::adversary::{AdversaryView, CrashAdversary, DeliveryFilter};
 use crate::error::{SimError, SimResult};
@@ -218,8 +219,10 @@ pub(crate) struct PortMap<M> {
     /// Almost every poll finds nothing, and for those a destination with
     /// no buffered port costs an index and an emptiness check, no hashing;
     /// dropping a destination's queues when it crashes or halts clears one
-    /// inner map, not a scan of every occupied port.
-    queues: Vec<HashMap<usize, Vec<M>>>,
+    /// inner map, not a scan of every occupied port.  The hasher is the
+    /// same in every process, so where entries land, and with it when a
+    /// map grows and what it allocates, repeats from run to run.
+    queues: Vec<HashMap<usize, Vec<M>, BuildHasherDefault<DefaultHasher>>>,
     buffered: usize,
     /// Emptied queue buffers waiting for reuse.  Drained queues leave the
     /// map (that is what keeps it sparse), so without recycling every
@@ -244,7 +247,7 @@ impl<M> PortMap<M> {
     /// Buffers `msg` on destination `to`'s in-port from `from`.
     pub fn push(&mut self, to: usize, from: usize, msg: M) {
         if to >= self.queues.len() {
-            self.queues.resize_with(to + 1, HashMap::new);
+            self.queues.resize_with(to + 1, HashMap::default);
         }
         let spares = &mut self.spares;
         if let Some(ports) = self.queues.get_mut(to) {

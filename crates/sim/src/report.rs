@@ -156,6 +156,22 @@ impl<O: Clone + PartialEq + fmt::Debug> ExecutionReport<O> {
             .find_map(|(_, o)| o.as_ref())
     }
 
+    /// The first of consensus's three conditions this execution breaks:
+    /// `"termination"` (a non-faulty node did not decide), `"agreement"`
+    /// (two non-faulty deciders differ) or `"validity"` (`valid` rejects
+    /// the value they agree on).  `None` when all three hold.
+    pub fn consensus_violation(&self, valid: impl Fn(&O) -> bool) -> Option<&'static str> {
+        if !self.all_non_faulty_decided() {
+            Some("termination")
+        } else if !self.non_faulty_deciders_agree() {
+            Some("agreement")
+        } else if self.agreed_value().is_some_and(|v| !valid(v)) {
+            Some("validity")
+        } else {
+            None
+        }
+    }
+
     /// Histogram of decision values among non-faulty deciders (useful when
     /// checking almost-everywhere agreement, where a minority may be
     /// undecided but deciders must agree).
@@ -233,6 +249,20 @@ mod tests {
         let hist = r.decision_histogram();
         assert_eq!(hist.get("1"), Some(&2));
         assert_eq!(hist.get("0"), None);
+    }
+
+    #[test]
+    fn consensus_violation_names_the_first_condition_broken() {
+        let valid = |v: &u8| *v <= 1;
+        let crashed = Some(Round::new(1));
+        let holds = report(vec![Some(1), Some(1), Some(2)], vec![None, None, crashed]);
+        assert_eq!(holds.consensus_violation(valid), None);
+        let undecided = report(vec![Some(1), Some(0), None], vec![None; 3]);
+        assert_eq!(undecided.consensus_violation(valid), Some("termination"));
+        let split = report(vec![Some(1), Some(0)], vec![None; 2]);
+        assert_eq!(split.consensus_violation(valid), Some("agreement"));
+        let invalid = report(vec![Some(2), Some(2)], vec![None; 2]);
+        assert_eq!(invalid.consensus_violation(valid), Some("validity"));
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //! A list with nothing shared costs one tag byte per message over the plain
 //! list encoding, and nothing else.
 
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::hash_map::{DefaultHasher, Entry, HashMap};
+use std::hash::BuildHasherDefault;
 
 use super::wire::{Wire, WireError, WireResult};
 use crate::message::{Delivered, Payload};
@@ -52,7 +53,9 @@ pub type Slots<M> = Vec<(usize, NodeId, Slot<M>)>;
 /// first message with a given [`Payload::share_key`] stays inline, every
 /// further one becomes a back-reference to that position.
 pub fn intern<M: Payload>(list: &mut Vec<(usize, Delivered<M>)>) -> Slots<M> {
-    let mut first_at: HashMap<usize, usize> = HashMap::new();
+    // A hasher seeded the same in every process: the table grows, and
+    // allocates, the same way on every run.
+    let mut first_at: HashMap<usize, usize, BuildHasherDefault<DefaultHasher>> = HashMap::default();
     let mut slots = Vec::with_capacity(list.len());
     for (position, (node, Delivered { from, msg })) in list.drain(..).enumerate() {
         let slot = match msg.share_key() {
@@ -175,7 +178,7 @@ mod tests {
 
     #[test]
     fn slot_golden_bytes() {
-        assert_eq!(crate::shard::WIRE_VERSION, 6);
+        assert_eq!(crate::shard::WIRE_VERSION, 7);
         assert_eq!(to_bytes(&Slot::Inline(0xBEEFu16)), b"\0\xef\xbe");
         assert_eq!(to_bytes(&Slot::<u16>::Shared(3)), b"\x01\x03\0\0\0\0\0\0\0");
     }

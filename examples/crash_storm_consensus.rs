@@ -9,7 +9,7 @@
     reason = "a demo's helpers abort on a bad setup; nothing here is library code"
 )]
 
-use linear_dft::core::{ManyCrashesConsensus, SystemConfig};
+use linear_dft::core::{many_crashes_for_all_nodes, SystemConfig};
 use linear_dft::sim::{RandomCrashes, Runner};
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
     // deciding 0 or 1, and agreement must hold among all survivors.
     let inputs: Vec<bool> = (0..n).map(|i| i < 5).collect();
 
-    let nodes = ManyCrashesConsensus::for_all_nodes(&config, &inputs).expect("config");
+    let nodes = many_crashes_for_all_nodes(&config, &inputs).expect("config");
     let rounds = nodes[0].total_rounds();
 
     let adversary = RandomCrashes::new(n, t, rounds / 2, 3);

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use linear_dft::auth::KeyDirectory;
 use linear_dft::core::{
-    linear_consensus_for_all_nodes, AbConsensus, FewCrashesConsensus, ManyCrashesConsensus,
+    linear_consensus_for_all_nodes, many_crashes_for_all_nodes, AbConsensus, FewCrashesConsensus,
     SystemConfig,
 };
 use linear_dft::sim::adversary::byzantine::{ReplayByzantine, SilentByzantine};
@@ -21,13 +21,6 @@ use linear_dft::sim::{
     CrashAdversary, FixedCrashSchedule, NoFaults, NodeId, Participant, RandomCrashes, Runner,
     SinglePortRunner, TargetedCrashes,
 };
-
-fn check_consensus_report(report: &linear_dft::sim::ExecutionReport<bool>, inputs: &[bool]) {
-    assert!(report.all_non_faulty_decided(), "termination violated");
-    assert!(report.non_faulty_deciders_agree(), "agreement violated");
-    let agreed = report.agreed_value().copied().expect("agreed value");
-    assert!(inputs.contains(&agreed), "validity violated");
-}
 
 fn run_few_crashes(
     n: usize,
@@ -62,7 +55,7 @@ fn few_crashes_consensus_across_seeds_and_adversaries() {
         ];
         for adversary in adversaries {
             let report = run_few_crashes(n, t, &inputs, adversary, seed);
-            check_consensus_report(&report, &inputs);
+            assert_eq!(report.consensus_violation(|v| inputs.contains(v)), None);
         }
     }
 }
@@ -87,12 +80,12 @@ fn many_crashes_consensus_with_heavy_crash_schedule() {
     let t = 32;
     let config = SystemConfig::new(n, t).expect("valid (n, t)").with_seed(8);
     let inputs: Vec<bool> = (0..n).map(|i| i >= 60).collect();
-    let nodes = ManyCrashesConsensus::for_all_nodes(&config, &inputs).unwrap();
+    let nodes = many_crashes_for_all_nodes(&config, &inputs).unwrap();
     let rounds = nodes[0].total_rounds();
     let adversary = RandomCrashes::new(n, t, rounds / 2, 21);
     let mut runner = Runner::with_adversary(nodes, Box::new(adversary), t).unwrap();
     let report = runner.run(rounds + 2);
-    check_consensus_report(&report, &inputs);
+    assert_eq!(report.consensus_violation(|v| inputs.contains(v)), None);
 }
 
 #[test]
@@ -105,7 +98,7 @@ fn many_crashes_consensus_safety_at_extreme_fault_fraction() {
     let t = 40;
     let config = SystemConfig::new(n, t).expect("valid (n, t)").with_seed(8);
     let inputs: Vec<bool> = (0..n).map(|i| i >= 60).collect();
-    let nodes = ManyCrashesConsensus::for_all_nodes(&config, &inputs).unwrap();
+    let nodes = many_crashes_for_all_nodes(&config, &inputs).unwrap();
     let rounds = nodes[0].total_rounds();
     let adversary = RandomCrashes::new(n, t, rounds / 2, 21);
     let mut runner = Runner::with_adversary(nodes, Box::new(adversary), t).unwrap();
@@ -139,7 +132,7 @@ fn crash_exactly_when_little_nodes_notify() {
     let adversary = FixedCrashSchedule::new().crash_all_at(aea_rounds - 1, (0..t).map(NodeId::new));
     let mut runner = Runner::with_adversary(nodes, Box::new(adversary), t).unwrap();
     let report = runner.run(rounds + 2);
-    check_consensus_report(&report, &inputs);
+    assert_eq!(report.consensus_violation(|v| inputs.contains(v)), None);
     assert_eq!(report.agreed_value(), Some(&true));
 }
 
@@ -150,7 +143,7 @@ fn single_port_and_multi_port_agree_on_the_same_inputs() {
     let inputs: Vec<bool> = (0..n).map(|i| i % 5 == 0).collect();
 
     let multi = run_few_crashes(n, t, &inputs, Box::new(NoFaults), 2);
-    check_consensus_report(&multi, &inputs);
+    assert_eq!(multi.consensus_violation(|v| inputs.contains(v)), None);
 
     let config = SystemConfig::new(n, t).expect("valid (n, t)").with_seed(2);
     let (nodes, sp_rounds) = linear_consensus_for_all_nodes(&config, &inputs).unwrap();
@@ -209,11 +202,9 @@ fn authenticated_consensus_agrees_across_hosts_with_byzantine_nodes() {
 
     let mut serial = Runner::with_participants(participants(), Box::new(NoFaults), 0).unwrap();
     let report = serial.run(rounds);
-    assert!(report.all_non_faulty_decided(), "termination violated");
-    assert!(report.non_faulty_deciders_agree(), "agreement violated");
     let little = config.little_count();
-    let decision = report.agreed_value().expect("agreed value");
-    assert!(inputs[..little].contains(decision), "validity violated");
+    let valid = |v: &u64| inputs[..little].contains(v);
+    assert_eq!(report.consensus_violation(valid), None);
 
     let mut sharded = ShardedRunner::in_process(participants(), Box::new(NoFaults), 0, 2).unwrap();
     let sharded = sharded.run(rounds).expect("no shard worker fails");

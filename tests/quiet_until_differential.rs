@@ -20,8 +20,9 @@
 )]
 
 use linear_dft::core::{
-    linear_consensus_for_all_nodes, AeaConfig, AlmostEverywhereAgreement, Checkpointing,
-    FewCrashesConsensus, Gossip, ManyCrashesConsensus, ScvConfig, SpreadCommonValue, SystemConfig,
+    linear_consensus_for_all_nodes, many_crashes_for_all_nodes, AeaConfig,
+    AlmostEverywhereAgreement, Checkpointing, FewCrashesConsensus, Gossip, ScvConfig,
+    SpreadCommonValue, SystemConfig,
 };
 use linear_dft::sim::shard::{ShardedRunner, SpShardedRunner, Wire, WireOutput};
 use linear_dft::sim::{
@@ -219,7 +220,7 @@ fn few_crashes_consensus() {
 fn many_crashes_consensus() {
     assert_hint_is_invisible("Many-Crashes-Consensus", |system| {
         let inputs = system.mixed_inputs();
-        let nodes = ManyCrashesConsensus::for_all_nodes(&system.config(), &inputs).unwrap();
+        let nodes = many_crashes_for_all_nodes(&system.config(), &inputs).unwrap();
         let rounds = nodes[0].total_rounds();
         (nodes, rounds)
     });
