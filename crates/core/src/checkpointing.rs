@@ -172,7 +172,7 @@ impl Checkpointing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dft_sim::{FixedCrashSchedule, NoFaults, NodeId, RandomCrashes, Runner};
+    use dft_sim::{ExecutionReport, FixedCrashSchedule, NoFaults, NodeId, RandomCrashes, Runner};
 
     fn run_checkpointing(
         n: usize,
@@ -190,15 +190,23 @@ mod tests {
         runner.run(total + 2)
     }
 
+    /// Consensus on a checkpoint, with validity as condition (2): the agreed
+    /// set holds every node that halted operational, and only node indices.
+    fn checkpoint_violation(report: &ExecutionReport<Checkpoint>) -> Option<&'static str> {
+        let (n, non_faulty) = (report.n(), report.non_faulty());
+        report.consensus_violation(|checkpoint| {
+            checkpoint.iter().all(|&i| i < n)
+                && non_faulty.iter().all(|id| checkpoint.contains(&id.index()))
+        })
+    }
+
     #[test]
     fn fault_free_checkpoint_is_everyone() {
         let n = 50;
         let t = 6;
         let report = run_checkpointing(n, t, Box::new(NoFaults), 0, 1);
-        assert!(report.all_non_faulty_decided());
-        assert!(report.non_faulty_deciders_agree(), "all decided sets equal");
-        let checkpoint = report.agreed_value().expect("agreed");
-        assert_eq!(checkpoint.len(), n);
+        assert_eq!(checkpoint_violation(&report), None);
+        assert_eq!(report.agreed_value().expect("agreed").len(), n);
     }
 
     #[test]
@@ -208,21 +216,12 @@ mod tests {
         // Crash nodes 1 and 2 at round 0 before they send anything.
         let adversary = FixedCrashSchedule::new().crash_all_at(0, [NodeId::new(1), NodeId::new(2)]);
         let report = run_checkpointing(n, t, Box::new(adversary), t, 2);
-        assert!(report.all_non_faulty_decided());
-        assert!(report.non_faulty_deciders_agree());
-        let checkpoint = report.agreed_value().expect("agreed");
+        assert_eq!(checkpoint_violation(&report), None);
         // Condition (1): nodes that crashed before sending any message are
         // not in the decided checkpoint.
+        let checkpoint = report.agreed_value().expect("agreed");
         assert!(!checkpoint.contains(&1));
         assert!(!checkpoint.contains(&2));
-        // Condition (2): every node that halted operational is included.
-        for id in report.non_faulty().iter() {
-            assert!(
-                checkpoint.contains(&id.index()),
-                "operational node {} missing",
-                id.index()
-            );
-        }
     }
 
     #[test]
@@ -231,12 +230,7 @@ mod tests {
         let t = 10;
         let adversary = RandomCrashes::new(n, t, 15, 33);
         let report = run_checkpointing(n, t, Box::new(adversary), t, 3);
-        assert!(report.all_non_faulty_decided());
-        assert!(report.non_faulty_deciders_agree());
-        let checkpoint = report.agreed_value().expect("agreed");
-        for id in report.non_faulty().iter() {
-            assert!(checkpoint.contains(&id.index()));
-        }
+        assert_eq!(checkpoint_violation(&report), None);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use dft_overlay::{Graph, InquiryFamily};
-use dft_sim::{Delivered, NodeId, Outgoing, Payload, Round, SyncProtocol};
+use dft_sim::{Delivered, ExecutionReport, NodeId, Outgoing, Payload, Round, SyncProtocol};
 
 use crate::config::SystemConfig;
 use crate::error::CoreResult;
@@ -136,6 +136,30 @@ impl Payload for GossipMsg {
     }
 }
 
+/// The first of gossip's conditions (Section 5) an execution breaks, given
+/// the rumor each node started with: `"termination"` (a non-faulty node did
+/// not decide), `"completeness"` (a non-faulty node's rumor is missing from
+/// a non-faulty node's decided set) or `"genuineness"` (a decided pair is
+/// not the rumor its node started with).  `None` when all three hold.  The
+/// gossip counterpart of [`ExecutionReport::consensus_violation`].
+pub fn gossip_violation(
+    report: &ExecutionReport<ExtantSet>,
+    rumors: &[Rumor],
+) -> Option<&'static str> {
+    if !report.all_non_faulty_decided() {
+        return Some("termination");
+    }
+    let non_faulty = report.non_faulty();
+    let decided = || non_faulty.iter().filter_map(|id| report.output_of(id));
+    if decided().any(|set| non_faulty.iter().any(|id| !set.is_present(id.index()))) {
+        Some("completeness")
+    } else if decided().any(|set| set.pairs().any(|(i, rumor)| rumors.get(i) != Some(&rumor))) {
+        Some("genuineness")
+    } else {
+        None
+    }
+}
+
 /// Which part of the algorithm a round belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Stage {
@@ -152,7 +176,12 @@ pub struct Gossip {
     little: usize,
     me: usize,
     extant: ExtantSet,
+    /// `extant` as last sent, kept while `extant` does not change: a round
+    /// that sends the same set again hands out this allocation.
+    extant_out: Option<Arc<ExtantSet>>,
     completion: BitVector,
+    /// `completion` as last sent, on the same terms.
+    completion_out: Option<Arc<BitVector>>,
     probe: LocalProbing,
     survived_last_phase: bool,
     /// Part 1's inquiries; Part 2 pushes to the same targets.
@@ -176,7 +205,9 @@ impl Gossip {
             little: config.little,
             me,
             extant,
+            extant_out: None,
             completion,
+            completion_out: None,
             probe,
             survived_last_phase: true,
             decided: None,
@@ -225,6 +256,32 @@ impl Gossip {
         Some((stage, phase, step))
     }
 
+    /// The extant set as a message: the `Arc` last sent, unless the set has
+    /// changed since.
+    fn extant_msg(&mut self) -> GossipMsg {
+        let extant = &self.extant;
+        let set = self
+            .extant_out
+            .get_or_insert_with(|| Arc::new(extant.clone()));
+        GossipMsg::Extant(Arc::clone(set))
+    }
+
+    /// The completion set as a message, on the terms of `extant_msg`.
+    fn completion_msg(&mut self) -> GossipMsg {
+        let completion = &self.completion;
+        let bits = self
+            .completion_out
+            .get_or_insert_with(|| Arc::new(completion.clone()));
+        GossipMsg::Completion(Arc::clone(bits))
+    }
+
+    /// Merges `set` into the extant set; a set that grew is sent afresh.
+    fn absorb(&mut self, set: &ExtantSet) {
+        if self.extant.merge(set) {
+            self.extant_out = None;
+        }
+    }
+
     /// `msg` to every little-overlay neighbour; the caller checks that the
     /// probe sends this round before it builds `msg`.
     fn probing_sends(&self, msg: GossipMsg, out: &mut Vec<Outgoing<GossipMsg>>) {
@@ -267,9 +324,10 @@ impl SyncProtocol for Gossip {
                         }
                     }
                     if out.len() > staged_from {
-                        let set = Arc::new(self.extant.clone());
+                        self.completion_out = None;
+                        let msg = self.extant_msg();
                         for staged in out.iter_mut().skip(staged_from) {
-                            staged.msg = GossipMsg::Extant(Arc::clone(&set));
+                            staged.msg = msg.clone();
                         }
                     }
                 }
@@ -285,13 +343,13 @@ impl SyncProtocol for Gossip {
             // Probing rounds.
             (Stage::BuildExtant, Step::Other) => {
                 if self.probe.should_send() {
-                    let msg = GossipMsg::Extant(Arc::new(self.extant.clone()));
+                    let msg = self.extant_msg();
                     self.probing_sends(msg, out);
                 }
             }
             (Stage::BuildCompletion, Step::Other) => {
                 if self.probe.should_send() {
-                    let msg = GossipMsg::Completion(Arc::new(self.completion.clone()));
+                    let msg = self.completion_msg();
                     self.probing_sends(msg, out);
                 }
             }
@@ -310,19 +368,19 @@ impl SyncProtocol for Gossip {
                     // In Part 2, absorb pushed extant sets.
                     for msg in inbox {
                         if let GossipMsg::Extant(set) = &msg.msg {
-                            self.extant.merge(set);
+                            self.absorb(set);
                         }
                     }
                 }
                 Step::Response => {
                     for msg in inbox {
                         match &msg.msg {
-                            GossipMsg::Pair { node, rumor } => {
-                                self.extant.update(*node as usize, *rumor);
+                            GossipMsg::Pair { node, rumor }
+                                if self.extant.update(*node as usize, *rumor) =>
+                            {
+                                self.extant_out = None;
                             }
-                            GossipMsg::Extant(set) => {
-                                self.extant.merge(set);
-                            }
+                            GossipMsg::Extant(set) => self.absorb(set),
                             _ => {}
                         }
                     }
@@ -338,11 +396,13 @@ impl SyncProtocol for Gossip {
                         match &msg.msg {
                             GossipMsg::Extant(set) => {
                                 received += 1;
-                                self.extant.merge(set);
+                                self.absorb(set);
                             }
                             GossipMsg::Completion(bits) => {
                                 received += 1;
-                                self.completion.join_in_place(bits);
+                                if self.completion.join_in_place(bits) {
+                                    self.completion_out = None;
+                                }
                             }
                             _ => {}
                         }
@@ -409,19 +469,38 @@ mod tests {
         assert_eq!(family.built_phases(), family.phases());
     }
 
+    /// `set` with node `idx`'s pair dropped (`None`) or its rumor replaced.
+    fn edited(set: &ExtantSet, idx: usize, rumor: Option<Rumor>) -> ExtantSet {
+        let mut out = ExtantSet::nil(set.len());
+        for (i, r) in set.pairs() {
+            match (i == idx, rumor) {
+                (false, _) => out.update(i, r),
+                (true, Some(other)) => out.update(i, other),
+                (true, None) => false,
+            };
+        }
+        out
+    }
+
+    /// A fault-free run's report with node 5's decision replaced by `set`.
+    fn with_decision_of_5(
+        set: impl FnOnce(&ExtantSet) -> Option<ExtantSet>,
+    ) -> Option<&'static str> {
+        let mut report = run_gossip(60, 8, Box::new(NoFaults), 0, 1);
+        report.outputs[5] = set(report.outputs[5].as_ref().expect("decided"));
+        gossip_violation(&report, &rumors(60))
+    }
+
     #[test]
     fn fault_free_every_node_learns_every_rumor() {
         let n = 60;
-        let t = 8;
-        let report = run_gossip(n, t, Box::new(NoFaults), 0, 1);
-        assert!(report.all_non_faulty_decided());
-        for (i, output) in report.outputs.iter().enumerate() {
-            let set = output.as_ref().expect("decided");
-            assert_eq!(set.present_count(), n, "node {i} missing rumors");
-            for j in 0..n {
-                assert_eq!(set.rumor_of(j), Some(1000 + j as u64));
-            }
-        }
+        let report = run_gossip(n, 8, Box::new(NoFaults), 0, 1);
+        assert_eq!(gossip_violation(&report, &rumors(n)), None);
+        assert!(report
+            .outputs
+            .iter()
+            .flatten()
+            .all(|set| set.present_count() == n));
     }
 
     #[test]
@@ -432,20 +511,12 @@ mod tests {
         let adversary =
             dft_sim::FixedCrashSchedule::new().crash_all_at(0, (0..5).map(dft_sim::NodeId::new));
         let report = run_gossip(n, t, Box::new(adversary), t, 2);
-        assert!(report.all_non_faulty_decided());
-        let non_faulty = report.non_faulty();
-        for id in non_faulty.iter() {
-            let set = report.outputs[id.index()].as_ref().expect("decided");
-            // Gossip condition (2): every operational node's pair is present
-            // in every decided extant set.
-            for other in non_faulty.iter() {
-                assert!(
-                    set.is_present(other.index()),
-                    "node {} missing operational node {}",
-                    id.index(),
-                    other.index()
-                );
-            }
+        assert_eq!(gossip_violation(&report, &rumors(n)), None);
+        // Gossip condition (1): no decided set holds a node that crashed
+        // before it sent anything.
+        for id in report.non_faulty().iter() {
+            let set = report.output_of(id).expect("decided");
+            assert!((0..5).all(|crashed| !set.is_present(crashed)));
         }
     }
 
@@ -455,14 +526,63 @@ mod tests {
         let t = 15;
         let adversary = RandomCrashes::new(n, t, 20, 9);
         let report = run_gossip(n, t, Box::new(adversary), t, 3);
-        assert!(report.all_non_faulty_decided());
-        let non_faulty = report.non_faulty();
-        for id in non_faulty.iter() {
-            let set = report.outputs[id.index()].as_ref().expect("decided");
-            for other in non_faulty.iter() {
-                assert!(set.is_present(other.index()));
-            }
-        }
+        assert_eq!(gossip_violation(&report, &rumors(n)), None);
+    }
+
+    #[test]
+    fn gossip_violation_fires_on_an_undecided_node() {
+        assert_eq!(with_decision_of_5(|_| None), Some("termination"));
+    }
+
+    #[test]
+    fn gossip_violation_fires_on_a_dropped_pair() {
+        let dropped = |set: &ExtantSet| Some(edited(set, 9, None));
+        assert_eq!(with_decision_of_5(dropped), Some("completeness"));
+    }
+
+    #[test]
+    fn gossip_violation_fires_on_a_corrupted_rumor() {
+        let corrupted = |set: &ExtantSet| Some(edited(set, 9, Some(7)));
+        assert_eq!(with_decision_of_5(corrupted), Some("genuineness"));
+    }
+
+    #[test]
+    fn an_unchanged_set_is_sent_again_as_the_same_allocation() {
+        let config = SystemConfig::new(60, 8).unwrap().with_seed(1);
+        let gossip = GossipConfig::from_system(&config).unwrap();
+        let delta = gossip.delta;
+        let mut node = Gossip::new(gossip, 0, 1000);
+        // Rounds 2, 3 and 4 are probing rounds of Part 1's first phase.
+        let probe = |node: &mut Gossip, round: u64| {
+            let mut out = Vec::new();
+            node.send(Round::new(round), &mut out);
+            let keys: Vec<_> = out.iter().map(|o| o.msg.share_key()).collect();
+            assert!(!keys.is_empty() && keys.windows(2).all(|w| w[0] == w[1]));
+            keys[0].expect("an extant set is shared")
+        };
+        // `delta` copies of `set` from neighbours keep the probe running.
+        let inbox = |set: ExtantSet| {
+            let msg = GossipMsg::Extant(Arc::new(set));
+            let from = (1..=delta).map(NodeId::new);
+            from.map(|v| Delivered::new(v, msg.clone()))
+                .collect::<Vec<_>>()
+        };
+        let mut nothing_new = ExtantSet::nil(60);
+        nothing_new.update(0, 1000);
+        let first = probe(&mut node, 2);
+        node.receive(Round::new(2), &inbox(nothing_new));
+        assert_eq!(probe(&mut node, 3), first, "no change: the same `Arc`");
+        // Kept alive, so the next set cannot land at this one's address.
+        let _sent = node.extant_out.clone();
+        let mut one_new = ExtantSet::nil(60);
+        one_new.update(7, 1007);
+        node.receive(Round::new(3), &inbox(one_new));
+        assert_ne!(
+            probe(&mut node, 4),
+            first,
+            "a merge added a pair: a new set"
+        );
+        assert_eq!(node.extant.rumor_of(7), Some(1007));
     }
 
     #[test]

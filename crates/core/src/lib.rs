@@ -17,7 +17,8 @@
 //!   [`FewCrashesConsensus`] whose AEA stage makes every node little on
 //!   `G(n, d(α))` and whose SCV stage only inquires.
 //! * [`Gossip`] — Section 5 (Theorem 9): `O(log n log t)` rounds,
-//!   `O(n + t log n log t)` messages.
+//!   `O(n + t log n log t)` messages; [`gossip_violation`] checks an
+//!   execution against the problem's conditions.
 //! * [`Checkpointing`] — Section 6 (Theorem 10): gossip plus `n` combined
 //!   consensus instances.
 //! * [`AbConsensus`] — Section 7 (Theorem 11): authenticated-Byzantine
@@ -82,7 +83,7 @@ pub use config::SystemConfig;
 pub use dolev_strong::DsBatch;
 pub use error::{CoreError, CoreResult};
 pub use few_crashes::{FcMsg, FewCrashesConfig, FewCrashesConsensus};
-pub use gossip::{Gossip, GossipConfig, GossipMsg};
+pub use gossip::{gossip_violation, Gossip, GossipConfig, GossipMsg};
 pub use local_probing::LocalProbing;
 pub use many_crashes::many_crashes_for_all_nodes;
 pub use scv::{ScvConfig, ScvMsg, SpreadCommonValue};

@@ -178,18 +178,23 @@ pub type Rumor = u64;
 /// An extant set: for every node, either the node's rumor (a *proper pair*)
 /// or `nil` (Section 5).
 ///
-/// Gossip and checkpointing executions merge millions of extant sets and
-/// compute every message copy's wire size ([`ExtantSet::wire_bits`]), so
-/// the number of proper pairs is cached: `wire_bits` is O(1) instead of an
-/// O(n) rescan per message copy, and a merge into an already-full set (the
-/// steady state of a push phase) returns in O(1).  The slots themselves
-/// stay a flat `Option<Rumor>` array — a merge is then a linear scan of the
-/// receiving set for nil slots (compare-and-branch, well predicted; the
-/// compiler does not vectorise it), which measured faster at paper scale
-/// than a presence-bitmask layout with its per-bit scatter loop.
+/// Gossip and checkpointing executions merge millions of extant sets, so
+/// presence is kept apart from the rumors: one bit per slot in 64-slot
+/// words, beside a flat rumor array that holds 0 wherever the slot is nil
+/// (so the derived equality compares content, not history).  A merge reads
+/// the presence words of each 64 slots first and skips the block when
+/// `other` has nothing `self` lacks — the digest comparison of push-pull
+/// anti-entropy, a word at a time — copies the 64 rumors as one slice when
+/// `self` lacks all of them, and otherwise visits only the slots it lacks.
+/// The number of proper pairs is cached, so [`ExtantSet::wire_bits`] is
+/// O(1) for every message copy and a merge into a full set returns at once.
 #[derive(Clone, PartialEq, Eq)]
 pub struct ExtantSet {
-    entries: Vec<Option<Rumor>>,
+    /// Bit `i % 64` of word `i / 64` is set iff node `i` is present; bits
+    /// past the last slot stay clear.
+    mask: Vec<u64>,
+    /// Node `i`'s rumor where it is present, 0 where it is nil.
+    rumors: Vec<Rumor>,
     /// Number of proper pairs (cached).
     present: usize,
 }
@@ -198,29 +203,32 @@ impl ExtantSet {
     /// An extant set of `n` nil pairs.
     pub fn nil(n: usize) -> Self {
         ExtantSet {
-            entries: vec![None; n],
+            mask: vec![0; n.div_ceil(64)],
+            rumors: vec![0; n],
             present: 0,
         }
     }
 
     /// Number of slots (the system size `n`).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.rumors.len()
     }
 
     /// Whether the set has zero slots.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.rumors.is_empty()
     }
 
     /// Whether node `idx` is *present* (has a proper pair).
     pub fn is_present(&self, idx: usize) -> bool {
-        self.entries.get(idx).copied().flatten().is_some()
+        let word = self.mask.get(idx / 64).copied().unwrap_or(0);
+        word & (1 << (idx % 64)) != 0
     }
 
     /// The rumor recorded for node `idx`, if present.
     pub fn rumor_of(&self, idx: usize) -> Option<Rumor> {
-        self.entries.get(idx).copied().flatten()
+        let rumor = self.rumors.get(idx).copied();
+        rumor.filter(|_| self.is_present(idx))
     }
 
     /// Records `(idx, rumor)` if node `idx` is currently absent; returns
@@ -229,18 +237,17 @@ impl ExtantSet {
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "follows the assert that `idx` is inside `entries`"
-    )]
     pub fn update(&mut self, idx: usize, rumor: Rumor) -> bool {
-        assert!(idx < self.entries.len(), "node {idx} out of range");
-        if self.entries[idx].is_none() {
-            self.entries[idx] = Some(rumor);
-            self.present += 1;
-            true
-        } else {
-            false
+        assert!(idx < self.len(), "node {idx} out of range");
+        let bit = 1 << (idx % 64);
+        match (self.mask.get_mut(idx / 64), self.rumors.get_mut(idx)) {
+            (Some(word), Some(slot)) if *word & bit == 0 => {
+                *word |= bit;
+                *slot = rumor;
+                self.present += 1;
+                true
+            }
+            _ => false,
         }
     }
 
@@ -258,29 +265,33 @@ impl ExtantSet {
     /// surfacing it.
     pub fn merge(&mut self, other: &ExtantSet) -> bool {
         assert_eq!(
-            self.entries.len(),
-            other.entries.len(),
+            self.len(),
+            other.len(),
             "merging extant sets of different system sizes"
         );
-        if self.present == self.entries.len() || other.present == 0 {
+        if self.present == self.len() || other.present == 0 {
             return false;
         }
-        // The usual pass finds next to nothing absent, so it is a scan of
-        // `self` alone, a stride at a time; `other` is read only where a
-        // stride has a gap.  A stride, not a slot, per turn: a slot-by-slot
-        // scan compiles to a loop of five instructions that runs at half
-        // speed wherever the linker lets it straddle a 64-byte line, so the
-        // same source measured 20 % apart from one build to the next
-        // (ROADMAP item 4); eight tests span lines wherever they land.
         let mut taken = 0;
-        let mut dst_strides = self.entries.chunks_exact_mut(MERGE_STRIDE);
-        let mut src_strides = other.entries.chunks_exact(MERGE_STRIDE);
-        for (dst, src) in dst_strides.by_ref().zip(src_strides.by_ref()) {
-            if !dst.iter().all(Option::is_some) {
-                taken += fill_gaps(dst, src);
+        let words = self.mask.iter_mut().zip(&other.mask);
+        let blocks = self.rumors.chunks_mut(64).zip(other.rumors.chunks(64));
+        for ((word, &theirs), (dst, src)) in words.zip(blocks) {
+            let gaps = theirs & !*word;
+            if gaps == 0 {
+                continue;
             }
+            if gaps == u64::MAX {
+                dst.copy_from_slice(src);
+            } else {
+                for bit in set_bits(gaps) {
+                    if let (Some(dst), Some(&src)) = (dst.get_mut(bit), src.get(bit)) {
+                        *dst = src;
+                    }
+                }
+            }
+            *word |= gaps;
+            taken += gaps.count_ones() as usize;
         }
-        taken += fill_gaps(dst_strides.into_remainder(), src_strides.remainder());
         self.present += taken;
         taken > 0
     }
@@ -292,13 +303,15 @@ impl ExtantSet {
 
     /// The proper pairs `(index, rumor)`, in ascending index order.
     pub fn pairs(&self) -> impl Iterator<Item = (usize, Rumor)> + '_ {
-        let slots = self.entries.iter().enumerate();
-        slots.filter_map(|(idx, entry)| entry.map(|rumor| (idx, rumor)))
+        let blocks = self.mask.iter().zip(self.rumors.chunks(64)).enumerate();
+        blocks.flat_map(|(w, (&word, block))| {
+            set_bits(word).filter_map(move |bit| block.get(bit).map(|&r| (64 * w + bit, r)))
+        })
     }
 
     /// The set of present node indices.
     pub fn present_nodes(&self) -> Vec<usize> {
-        (0..self.len()).filter(|&i| self.is_present(i)).collect()
+        self.pairs().map(|(idx, _)| idx).collect()
     }
 
     /// Wire size in bits: one presence bit per slot plus 64 bits per proper
@@ -308,20 +321,15 @@ impl ExtantSet {
     }
 }
 
-/// Slots [`ExtantSet::merge`] tests per step of its scan.
-const MERGE_STRIDE: usize = 8;
-
-/// Copies `src`'s proper pairs into the nil slots of `dst` (first rumor
-/// wins); returns how many it copied.
-fn fill_gaps(dst: &mut [Option<Rumor>], src: &[Option<Rumor>]) -> usize {
-    let mut taken = 0;
-    for (dst, src) in dst.iter_mut().zip(src) {
-        if dst.is_none() && src.is_some() {
-            *dst = *src;
-            taken += 1;
-        }
-    }
-    taken
+/// The positions of `word`'s set bits, ascending.
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            bit
+        })
+    })
 }
 
 impl std::fmt::Debug for ExtantSet {
@@ -447,11 +455,11 @@ mod tests {
     }
 
     #[test]
-    fn extant_set_merge_matches_slotwise_updates_around_the_stride() {
-        // Sizes below, at and past a multiple of the stride, and gap patterns
-        // that put nil slots first, last and nowhere in a stride: the merge
-        // must equal `update` called slot by slot, count included.
-        for n in [1, 7, 8, 9, 15, 16, 17, 64, 67] {
+    fn extant_set_merge_matches_slotwise_updates_around_word_edges() {
+        // Sizes below, at and past a multiple of the 64-slot word, and gap
+        // patterns that leave a word with no gap, all gaps, or a few: the
+        // merge must equal `update` called slot by slot, count included.
+        for n in [1, 7, 63, 64, 65, 127, 128, 129, 200] {
             for (keep, give) in [(1, 1), (2, 3), (3, 2), (8, 1), (1, 8), (9, 5), (n, 1)] {
                 let mut merged = ExtantSet::nil(n);
                 let mut other = ExtantSet::nil(n);

@@ -87,20 +87,23 @@ impl Wire for ExtantSet {
         out.reserve(16 + 16 * self.present_count());
         self.len().encode(out);
         self.present_count().encode(out);
+        // A pair is its index then its rumor, both `u64` little-endian: one
+        // 16-byte write, so one capacity check per pair.
         for (idx, rumor) in self.pairs() {
-            idx.encode(out);
-            rumor.encode(out);
+            let pair = u128::from(rumor) << 64 | idx as u128;
+            out.extend_from_slice(&pair.to_le_bytes());
         }
     }
 
     fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
         let len = usize::decode(r)?;
         let count = r.len()?;
-        // A decoded set holds 16 bytes per slot whatever the frame carried,
-        // so — unlike a `Vec` prefix — the slot count is not bounded by the
-        // bytes that follow it.  Cap it where the allocation reaches what a
-        // maximal frame could make any decoder allocate; the pairs
-        // themselves must still be in the frame.
+        // A decoded set holds about 8⅛ bytes per slot (a rumor word and a
+        // presence bit) whatever the frame carried, so — unlike a `Vec`
+        // prefix — the slot count is not bounded by the bytes that follow
+        // it.  Cap it at a sixteenth of a maximal frame, which keeps the
+        // allocation below what such a frame could make any decoder
+        // allocate; the pairs themselves must still be in the frame.
         if len > MAX_FRAME_LEN as usize / 16 {
             return Err(WireError::new(format!(
                 "ExtantSet of {len} slots exceeds the maximum frame size"

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests for gossip and checkpointing: the paper's
 //! extant-set conditions checked end to end under crash schedules.
 
-use linear_dft::core::{Checkpointing, Gossip, SystemConfig};
+use linear_dft::core::{gossip_violation, Checkpointing, Gossip, SystemConfig};
 use linear_dft::sim::{FixedCrashSchedule, NodeId, RandomCrashes, Runner};
 
 #[test]
@@ -19,26 +19,13 @@ fn gossip_extant_sets_respect_both_conditions() {
     let mut runner = Runner::with_adversary(nodes, Box::new(adversary), t).unwrap();
     let report = runner.run(rounds + 2);
 
-    assert!(
-        report.all_non_faulty_decided(),
-        "every survivor decides an extant set"
-    );
-    let non_faulty = report.non_faulty();
-    for id in non_faulty.iter() {
-        let set = report.outputs[id.index()].as_ref().unwrap();
+    // Termination, condition (2) and genuine rumors.
+    assert_eq!(gossip_violation(&report, &rumors), None);
+    for id in report.non_faulty().iter() {
+        let set = report.output_of(id).unwrap();
         // Condition (1): nodes crashed at round 0 (before sending) are absent.
         assert!(!set.is_present(0), "node 0 crashed before sending");
         assert!(!set.is_present(1), "node 1 crashed before sending");
-        // Condition (2): every operational node's pair is present with its rumor.
-        for other in non_faulty.iter() {
-            assert_eq!(
-                set.rumor_of(other.index()),
-                Some(7_000 + other.index() as u64),
-                "node {} missing rumor of {}",
-                id.index(),
-                other.index()
-            );
-        }
     }
 }
 
