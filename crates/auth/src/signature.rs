@@ -22,6 +22,12 @@ impl Signature {
     pub const BIT_LEN: u64 = 64 + 64;
 }
 
+impl dft_sim::Payload for Signature {
+    fn bit_len(&self) -> u64 {
+        Signature::BIT_LEN
+    }
+}
+
 dft_sim::shard::wire_struct!(Signature {
     signer: SignerId,
     tag: u64
@@ -84,7 +90,7 @@ mod tests {
 
     #[test]
     fn wire_golden_bytes() {
-        assert_eq!(dft_sim::shard::WIRE_VERSION, 7);
+        assert_eq!(dft_sim::shard::WIRE_VERSION, 8);
         let signature = Signature {
             signer: 2,
             tag: 0x0102_0304_0506_0708,

@@ -3,33 +3,36 @@
 //!
 //! For `t < n/2` Byzantine nodes with authentication, the algorithm reaches
 //! consensus in `O(t)` rounds while non-faulty nodes send `O(t² + n)`
-//! messages:
+//! messages.  It has the shape of `Few-Crashes-Consensus`, with Dolev–Strong
+//! in place of `Almost-Everywhere-Agreement`, and is the same [`Then`]:
 //!
-//! 1. **Part 1** — the `5t` little nodes run parallel Dolev–Strong broadcasts
-//!    of their inputs (`t + 1` rounds, messages combined per pair), then one
-//!    endorsement round in which the little nodes cross-sign their resolved
-//!    value set, producing an *authenticated common set of values*: one entry
-//!    per little source, each carrying at least `little − t` little-node
-//!    signatures.
-//! 2. **Part 2** — little nodes hand the set to their related nodes.
-//! 3. **Part 3** — slow propagation of the set along the constant-degree
-//!    graph `H`; every hop verifies the signatures before adopting.
-//! 4. **Part 4** — nodes still missing the set send signed inquiries to all
-//!    little nodes, which respond with the set.
+//! 1. [`AbAgreement`], rounds `0..=t+2`.  **Part 1**: the `5t` little nodes
+//!    run parallel Dolev–Strong broadcasts of their inputs (`t + 1` rounds,
+//!    messages combined per pair), then one endorsement round in which they
+//!    cross-sign their resolved value set, producing an *authenticated
+//!    common set of values*: one entry per little source, each carrying at
+//!    least `little − t` little-node signatures.  **Part 2**: little nodes
+//!    hand the set to their related nodes.
+//! 2. [`SpreadCommonValue`] of the set, believing what [`Authenticated`]
+//!    does.  **Part 3**: slow propagation of the set along the
+//!    constant-degree graph `H`; every hop verifies the signatures before
+//!    adopting.  **Part 4**: nodes still missing the set send signed
+//!    inquiries to all little nodes, which respond with the set.
 //!
 //! Every node finally decides on the maximum value of its authenticated set.
 
 use std::sync::{Arc, OnceLock};
 
 use dft_auth::{KeyDirectory, Signature, SignedValue, Signer, SignerSet};
-use dft_overlay::Graph;
 use dft_sim::shard::wire_struct;
 use dft_sim::{Delivered, NodeId, Outgoing, Payload, Round, SyncProtocol};
 
 use crate::config::{related_nodes, SystemConfig};
 use crate::dolev_strong::{chains_bits, DsBatch, DsRelay};
 use crate::error::CoreResult;
-use crate::inquiries::{Inquiries, Step, Targets};
+use crate::inquiries::{Inquiries, Targets};
+use crate::scv::{ScvConfig, ScvMsg, SpreadCommonValue, Trust};
+use crate::then::{Staged, Stages, Then};
 
 /// The sentinel encoding of the paper's *null* value for a Byzantine source
 /// that equivocated or stayed silent.
@@ -173,52 +176,56 @@ impl CommonSet {
             .max()
             .unwrap_or(0)
     }
+}
 
-    /// Wire size in bits.
-    pub fn encoded_bits(&self) -> u64 {
+impl Payload for CommonSet {
+    fn bit_len(&self) -> u64 {
         chains_bits(&self.entries)
     }
 }
 
-/// Messages of `AB-Consensus`.
+/// Messages of [`AbAgreement`], Parts 1–2.
 ///
-/// The bulky variants are [`Arc`]-wrapped: the same batch, endorsement list
-/// or common set is broadcast to many destinations each round, and sharing
-/// makes the per-recipient copy a reference-count bump instead of a deep
-/// clone of a signature chain.  Wire sizes ([`Payload::bit_len`]) are those
-/// of the inner values, so the paper's bit accounting is unchanged.
+/// The variants are [`Arc`]-wrapped: the same batch, endorsement list or
+/// common set goes to many destinations each round, and sharing makes the
+/// per-recipient copy a reference-count bump instead of a deep clone of a
+/// signature chain.  Wire sizes ([`Payload::bit_len`]) are those of the
+/// inner values, so the paper's bit accounting is unchanged.
 #[derive(Clone, Debug, PartialEq)]
-pub enum AbMsg {
+pub enum AgreementMsg {
     /// Part 1: a batch of Dolev–Strong relays.
     Ds(Arc<DsBatch>),
     /// Part 1 endorsement round: a little node's endorsed entries.
     Endorse(Arc<Vec<SignedValue>>),
-    /// Parts 2–4: the authenticated common set of values.
-    CommonSet(Arc<CommonSet>),
-    /// Part 4: an authenticated inquiry (signature over the inquirer's id).
-    Inquiry(Signature),
+    /// Part 2: a little node's common set, to its related nodes.
+    Notify(Arc<CommonSet>),
 }
 
-impl Payload for AbMsg {
+impl Payload for AgreementMsg {
     fn bit_len(&self) -> u64 {
         match self {
-            AbMsg::Ds(batch) => batch.bit_len(),
-            AbMsg::Endorse(entries) => chains_bits(entries),
-            AbMsg::CommonSet(set) => set.encoded_bits(),
-            AbMsg::Inquiry(_) => Signature::BIT_LEN,
+            AgreementMsg::Ds(batch) => batch.bit_len(),
+            AgreementMsg::Endorse(entries) => chains_bits(entries),
+            AgreementMsg::Notify(set) => set.bit_len(),
         }
     }
 
-    /// The bulky variants are nothing but their `Arc`.
+    /// A batch or an endorsement list is nothing but its `Arc`.  A notified
+    /// set is not keyed: a related node that replays it sends it in the
+    /// round its little node forwards the same `Arc` as Part 3's `Value`,
+    /// and one key must stand for one message.
     fn share_key(&self) -> Option<usize> {
         match self {
-            AbMsg::Ds(batch) => Some(Arc::as_ptr(batch).addr()),
-            AbMsg::Endorse(entries) => Some(Arc::as_ptr(entries).addr()),
-            AbMsg::CommonSet(set) => Some(Arc::as_ptr(set).addr()),
-            AbMsg::Inquiry(_) => None,
+            AgreementMsg::Ds(batch) => Some(Arc::as_ptr(batch).addr()),
+            AgreementMsg::Endorse(entries) => Some(Arc::as_ptr(entries).addr()),
+            AgreementMsg::Notify(_) => None,
         }
     }
 }
+
+/// Messages of `AB-Consensus`: Parts 1–2's, then `Spread-Common-Value`'s
+/// with signed inquiries.
+pub type AbMsg = Staged<AgreementMsg, ScvMsg<Arc<CommonSet>, Signature>>;
 
 /// What a Part 4 inquiry from node `from` signs.
 fn inquiry_digest(from: usize) -> u64 {
@@ -236,12 +243,11 @@ pub struct AbConfig {
     pub little: usize,
     /// Minimum little-node signatures per entry of a valid common set.
     pub threshold: usize,
-    /// The broadcast graph `H` of Part 3.
-    pub h_graph: Arc<Graph>,
-    /// Number of Part 3 propagation rounds.
-    pub part3_rounds: u64,
     /// Key directory.
     pub directory: Arc<KeyDirectory>,
+    /// Parts 3–4: the broadcast over `H`, then one inquiry phase to the
+    /// little nodes, even when `t² > n` (this algorithm admits `t < n/2`).
+    pub scv: ScvConfig,
 }
 
 impl AbConfig {
@@ -253,42 +259,64 @@ impl AbConfig {
     pub fn from_system(config: &SystemConfig, directory: Arc<KeyDirectory>) -> CoreResult<Self> {
         config.require_byzantine_minority()?;
         let little = config.little_count();
+        let part4 = Targets::Little(little);
         Ok(AbConfig {
             n: config.n,
             t: config.t,
             little,
             threshold: little.saturating_sub(config.t).max(1),
-            h_graph: config.h_graph(),
-            part3_rounds: config.scv_broadcast_rounds(),
             directory,
+            scv: ScvConfig {
+                h_graph: config.h_graph(),
+                family: config.scv_family(),
+                part2: Inquiries::two_round(config.scv_broadcast_rounds(), part4),
+            },
         })
+    }
+
+    /// Rounds of Parts 1–2: `t + 1` Dolev–Strong rounds, the endorsement
+    /// round and the notify round.
+    fn agreement_rounds(&self) -> u64 {
+        self.t as u64 + 3
     }
 
     /// Total number of rounds (Parts 1–4).
     pub fn total_rounds(&self) -> u64 {
-        self.part4().end()
+        self.agreement_rounds() + self.scv.total_rounds()
     }
+}
 
-    /// Whether `set` is a valid common set under this configuration.
-    fn accepts(&self, set: &CommonSet) -> bool {
+/// What an `AB-Consensus` node believes in Parts 3–4.
+#[derive(Clone, Debug)]
+pub struct Authenticated {
+    directory: Arc<KeyDirectory>,
+    little: usize,
+    threshold: usize,
+    signer: Signer,
+}
+
+impl Trust<Arc<CommonSet>> for Authenticated {
+    type Inquiry = Signature;
+
+    /// A set that verifies.
+    fn adopts(&self, set: &Arc<CommonSet>) -> bool {
         set.verify(&self.directory, self.little, self.threshold)
     }
 
-    fn endorse_round(&self) -> u64 {
-        self.t as u64 + 1
+    /// An inquiry its sender signed, and only at a little node.  No honest
+    /// node asks another; but were every holder of the set to answer, a
+    /// Byzantine node asking all n would draw n sets, and t of them t·n,
+    /// past Theorem 11's `O(t² + n)`.
+    fn records(&self, from: usize, signature: &Signature) -> bool {
+        self.signer.id() < self.little
+            && signature.signer == from
+            && self
+                .directory
+                .verify_digest(signature, inquiry_digest(from))
     }
 
-    /// The round after Part 1's `t + 1` Dolev–Strong rounds and its
-    /// endorsement round.
-    fn notify_round(&self) -> u64 {
-        self.endorse_round() + 1
-    }
-
-    /// Part 4 as one node runs it: one inquiry phase to the little nodes
-    /// once Part 3's propagation is over.
-    fn part4(&self) -> Inquiries {
-        let start = self.notify_round() + 1 + self.part3_rounds;
-        Inquiries::two_round(start, Targets::Little(self.little))
+    fn inquiry(&self) -> Signature {
+        self.signer.sign_digest(inquiry_digest(self.signer.id()))
     }
 }
 
@@ -304,12 +332,17 @@ struct Endorsement {
     signers: SignerSet,
 }
 
-/// Per-node state machine for `AB-Consensus`.
+/// `AB-Consensus` Parts 1–2 at one node: `Almost-Everywhere-Agreement`'s
+/// Parts 1–3 with Dolev–Strong and an endorsement round among the little
+/// nodes in place of flooding and probing.  In the notify round a little
+/// node finalizes its set and sends it to its related nodes, and every node
+/// adopts a set that verifies; the set held is the output.
 #[derive(Clone, Debug)]
-pub struct AbConsensus {
-    config: AbConfig,
+pub struct AbAgreement {
+    n: usize,
+    endorse_round: u64,
+    trust: Authenticated,
     me: usize,
-    signer: Signer,
     input: u64,
     /// Part 1's Dolev–Strong state, one slot per little source; a node
     /// outside the little set sits Part 1 out and has no slots.
@@ -318,93 +351,59 @@ pub struct AbConsensus {
     /// until they become the common set.
     endorsed: Vec<Endorsement>,
     common: Option<Arc<CommonSet>>,
-    forward_pending: bool,
-    part4: Inquiries,
-    decided: Option<u64>,
-    halted: bool,
 }
 
-impl AbConsensus {
-    /// Creates the state machine for node `me` with consensus input `input`.
-    pub fn new(config: AbConfig, me: usize, input: u64) -> Self {
+impl AbAgreement {
+    fn new(config: &AbConfig, me: usize, input: u64) -> Self {
         let signer = config.directory.signer(me);
         let slots = if me < config.little { config.little } else { 0 };
-        AbConsensus {
-            relay: DsRelay::new(signer.clone(), Arc::clone(&config.directory), slots),
-            part4: config.part4(),
-            config,
+        let directory = Arc::clone(&config.directory);
+        AbAgreement {
+            n: config.n,
+            endorse_round: config.t as u64 + 1,
+            relay: DsRelay::new(signer.clone(), Arc::clone(&directory), slots),
+            trust: Authenticated {
+                directory,
+                little: config.little,
+                threshold: config.threshold,
+                signer,
+            },
             me,
-            signer,
             input,
             endorsed: Vec::new(),
             common: None,
-            forward_pending: false,
-            decided: None,
-            halted: false,
         }
-    }
-
-    /// Builds state machines for all nodes from per-node inputs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors (requires `t < n/2`).
-    pub fn for_all_nodes(
-        config: &SystemConfig,
-        inputs: &[u64],
-        directory: Arc<KeyDirectory>,
-    ) -> CoreResult<Vec<Self>> {
-        assert_eq!(inputs.len(), config.n, "one input per node required");
-        let shared = AbConfig::from_system(config, directory)?;
-        Ok(inputs
-            .iter()
-            .enumerate()
-            .map(|(me, &input)| Self::new(shared.clone(), me, input))
-            .collect())
-    }
-
-    /// Total rounds this protocol runs for.
-    pub fn total_rounds(&self) -> u64 {
-        self.part4.end()
     }
 
     fn is_little(&self) -> bool {
-        self.me < self.config.little
+        self.me < self.trust.little
     }
 
-    /// `msg` to every little node but this one (a copy of a bulky variant
-    /// is a reference-count bump).
-    fn to_little_peers(&self, msg: &AbMsg, out: &mut Vec<Outgoing<AbMsg>>) {
-        let peers = (0..self.config.little).filter(|&p| p != self.me);
+    /// `msg` to every little node but this one (a copy is a reference-count
+    /// bump).
+    fn to_little_peers(&self, msg: &AgreementMsg, out: &mut Vec<Outgoing<AgreementMsg>>) {
+        let peers = (0..self.trust.little).filter(|&p| p != self.me);
         out.extend(peers.map(|p| Outgoing::new(NodeId::new(p), msg.clone())));
-    }
-
-    fn adopt(&mut self, set: &Arc<CommonSet>) {
-        // Check the cheap guard before the (expensive) chain verification:
-        // once a node holds a verified set, further copies carry no news.
-        if self.common.is_none() && self.config.accepts(set) {
-            self.common = Some(Arc::clone(set));
-            self.forward_pending = true;
-        }
     }
 
     /// Builds this little node's endorsed entries after Dolev–Strong
     /// resolution.
     fn build_endorsements(&mut self) -> Vec<SignedValue> {
-        let little = self.config.little;
+        let little = self.trust.little;
         let mut entries = Vec::with_capacity(little);
         self.endorsed = Vec::with_capacity(little);
         for (source, resolved) in self.relay.resolutions().enumerate() {
             let entry = match resolved {
                 Some(chain) => {
                     let mut entry = chain.clone();
-                    entry.countersign(&self.signer);
+                    entry.countersign(&self.trust.signer);
                     entry
                 }
                 None => SignedValue {
                     source,
                     value: NULL_VALUE,
                     signatures: vec![self
+                        .trust
                         .signer
                         .sign_digest(dft_auth::value_digest(source, NULL_VALUE))],
                 },
@@ -426,7 +425,7 @@ impl AbConsensus {
     /// Merges a peer's endorsements into our own chains (same source and
     /// value only): each little node's signature once, if it verifies.
     fn merge_endorsements(&mut self, entries: &[SignedValue]) {
-        let directory = &self.config.directory;
+        let directory = &self.trust.directory;
         for entry in entries {
             let Some(own) = self.endorsed.get_mut(entry.source) else {
                 continue;
@@ -447,158 +446,148 @@ impl AbConsensus {
         }
     }
 
+    /// The merged chains become the set; nothing reads them afterwards.
+    /// (Had they not been built, the empty set fails its own check.)
     fn finalize_common_set(&mut self) {
-        if self.common.is_some() {
-            return;
-        }
-        // The merged chains become the set; nothing reads them afterwards.
-        // (Had they not been built, the empty set fails its own check.)
         let merged = std::mem::take(&mut self.endorsed);
-        let set = CommonSet::new(merged.into_iter().map(|e| e.entry).collect());
-        if self.config.accepts(&set) {
-            self.common = Some(Arc::new(set));
-        }
+        let set = Arc::new(CommonSet::new(
+            merged.into_iter().map(|e| e.entry).collect(),
+        ));
+        self.common = self.trust.adopts(&set).then_some(set);
     }
 }
 
-impl SyncProtocol for AbConsensus {
-    type Msg = AbMsg;
-    type Output = u64;
+impl SyncProtocol for AbAgreement {
+    type Msg = AgreementMsg;
+    type Output = Arc<CommonSet>;
 
-    fn send(&mut self, round: Round, out: &mut Vec<Outgoing<AbMsg>>) {
+    /// Only little nodes speak in Parts 1–2.
+    fn send(&mut self, round: Round, out: &mut Vec<Outgoing<AgreementMsg>>) {
         let r = round.as_u64();
-        let cfg = &self.config;
-        if r < cfg.endorse_round() {
-            // Part 1: Dolev–Strong rounds (little nodes only).
-            if !self.is_little() {
-                return;
-            }
+        if !self.is_little() {
+            return;
+        }
+        if r < self.endorse_round {
             if r == 0 {
                 self.relay.originate(self.input);
             }
             if let Some(batch) = self.relay.take_batch() {
-                self.to_little_peers(&AbMsg::Ds(batch), out);
+                self.to_little_peers(&AgreementMsg::Ds(batch), out);
             }
-            return;
-        }
-        if r == cfg.endorse_round() {
-            if !self.is_little() {
-                return;
-            }
+        } else if r == self.endorse_round {
             let entries = Arc::new(self.build_endorsements());
-            self.to_little_peers(&AbMsg::Endorse(entries), out);
-            return;
-        }
-        if r == cfg.notify_round() {
-            // Part 2: little nodes notify related nodes.
-            if self.is_little() {
-                self.finalize_common_set();
-                if let Some(set) = &self.common {
-                    self.forward_pending = true;
-                    let related = related_nodes(self.config.n, self.config.little, self.me);
-                    out.extend(
-                        related.map(|p| {
-                            Outgoing::new(NodeId::new(p), AbMsg::CommonSet(Arc::clone(set)))
-                        }),
-                    );
-                }
-            }
-            return;
-        }
-        if r < self.part4.start() {
-            // Part 3: propagate over H when newly adopted.
-            if self.forward_pending {
-                self.forward_pending = false;
-                if let Some(set) = &self.common {
-                    out.extend(cfg.h_graph.neighbors(self.me).iter().map(|&p| {
-                        Outgoing::new(NodeId::new(p), AbMsg::CommonSet(Arc::clone(set)))
-                    }));
-                }
-            }
-            return;
-        }
-        match self.part4.at(r) {
-            // Part 4, first round: signed inquiries from nodes without a set.
-            Some((phase, Step::Inquiry)) if self.common.is_none() => {
-                let signature = self.signer.sign_digest(inquiry_digest(self.me));
-                let targets = self.part4.targets(self.me, phase);
-                out.extend(
-                    targets.map(|p| Outgoing::new(NodeId::new(p), AbMsg::Inquiry(signature))),
-                );
-            }
-            // Second round: little nodes holding a set answer.
-            Some((_, Step::Response)) if self.is_little() => {
-                let answer = self
-                    .common
-                    .as_ref()
-                    .map(|s| || AbMsg::CommonSet(Arc::clone(s)));
-                self.part4.answer(answer, out);
-            }
-            _ => {}
-        }
-    }
-
-    fn receive(&mut self, round: Round, inbox: &[Delivered<AbMsg>]) {
-        let r = round.as_u64();
-        let endorse_round = self.config.endorse_round();
-        if r < endorse_round {
-            if self.is_little() {
-                for delivered in inbox {
-                    if let AbMsg::Ds(batch) = &delivered.msg {
-                        self.relay.receive(r, batch);
-                    }
-                }
-            }
-        } else if r == endorse_round {
-            if self.is_little() {
-                // Our own endorsements were built in `send`; merge peers'.
-                for delivered in inbox {
-                    if let AbMsg::Endorse(entries) = &delivered.msg {
-                        self.merge_endorsements(entries);
-                    }
-                }
-            }
+            self.to_little_peers(&AgreementMsg::Endorse(entries), out);
         } else {
-            for delivered in inbox {
-                if let AbMsg::CommonSet(set) = &delivered.msg {
-                    self.adopt(set);
-                }
-            }
-            if let Some((_, Step::Inquiry)) = self.part4.at(r) {
-                // Only an inquiry its sender signed counts.
-                let directory = &self.config.directory;
-                self.part4.record(inbox, |d| match &d.msg {
-                    AbMsg::Inquiry(signature) => {
-                        let from = d.from.index();
-                        signature.signer == from
-                            && directory.verify_digest(signature, inquiry_digest(from))
-                    }
-                    _ => false,
-                });
-            }
-        }
-        if r + 1 >= self.part4.end() {
+            self.finalize_common_set();
             if let Some(set) = &self.common {
-                self.decided = Some(set.decision());
+                let related = related_nodes(self.n, self.trust.little, self.me);
+                let notify =
+                    |p| Outgoing::new(NodeId::new(p), AgreementMsg::Notify(Arc::clone(set)));
+                out.extend(related.map(notify));
             }
-            self.halted = true;
         }
     }
 
-    fn output(&self) -> Option<u64> {
-        self.decided
+    fn receive(&mut self, round: Round, inbox: &[Delivered<AgreementMsg>]) {
+        let (r, little) = (round.as_u64(), self.is_little());
+        for delivered in inbox {
+            match &delivered.msg {
+                AgreementMsg::Ds(batch) if little && r < self.endorse_round => {
+                    self.relay.receive(r, batch);
+                }
+                // Our own endorsements were built in `send`; merge peers'.
+                AgreementMsg::Endorse(entries) if little && r == self.endorse_round => {
+                    self.merge_endorsements(entries);
+                }
+                // The cheap guards before the (expensive) chain verification.
+                AgreementMsg::Notify(set)
+                    if r > self.endorse_round
+                        && self.common.is_none()
+                        && self.trust.adopts(set) =>
+                {
+                    self.common = Some(Arc::clone(set));
+                }
+                _ => {}
+            }
+        }
     }
 
+    fn output(&self) -> Option<Arc<CommonSet>> {
+        self.common.clone()
+    }
+
+    /// [`Then`] ends this stage after the notify round.
     fn has_halted(&self) -> bool {
-        self.halted
+        false
+    }
+}
+
+/// The parts of `AB-Consensus`: the set [`AbAgreement`] ends with, or none,
+/// is what this node enters `Spread-Common-Value` with, and the decision is
+/// read off the set that stage holds.
+#[derive(Clone, Debug)]
+pub struct AgreeThenSpread {
+    scv: ScvConfig,
+    me: usize,
+}
+
+impl Stages for AgreeThenSpread {
+    type First = AbAgreement;
+    type Second = SpreadCommonValue<Arc<CommonSet>, Authenticated>;
+    type Output = u64;
+
+    fn second(&self, first: &AbAgreement) -> Self::Second {
+        let trust = first.trust.clone();
+        SpreadCommonValue::new(self.scv.clone(), self.me, first.output(), trust)
+    }
+
+    fn output(set: Arc<CommonSet>) -> u64 {
+        set.decision()
+    }
+}
+
+/// Per-node state machine for `AB-Consensus`.
+pub type AbConsensus = Then<AgreeThenSpread>;
+
+impl AbConsensus {
+    /// Creates the state machine for node `me` with consensus input `input`.
+    pub fn new(config: AbConfig, me: usize, input: u64) -> Self {
+        let (first_rounds, second_rounds) = (config.agreement_rounds(), config.scv.total_rounds());
+        let first = AbAgreement::new(&config, me, input);
+        let stages = AgreeThenSpread {
+            scv: config.scv,
+            me,
+        };
+        Then::compose(stages, first, first_rounds, second_rounds)
+    }
+
+    /// Builds state machines for all nodes from per-node inputs.
+    ///
+    /// # Errors
+    ///
+    /// Propagates configuration errors (requires `t < n/2`).
+    pub fn for_all_nodes(
+        config: &SystemConfig,
+        inputs: &[u64],
+        directory: Arc<KeyDirectory>,
+    ) -> CoreResult<Vec<Self>> {
+        assert_eq!(inputs.len(), config.n, "one input per node required");
+        let shared = AbConfig::from_system(config, directory)?;
+        Ok(inputs
+            .iter()
+            .enumerate()
+            .map(|(me, &input)| Self::new(shared.clone(), me, input))
+            .collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bounds::{theorem11_messages, theorem11_rounds};
     use dft_sim::adversary::byzantine::{ScriptedByzantine, SilentByzantine};
     use dft_sim::{NoFaults, Participant, Runner};
+    use std::sync::Mutex;
 
     fn setup(n: usize, t: usize, seed: u64) -> (SystemConfig, Arc<KeyDirectory>) {
         let config = SystemConfig::new(n, t).unwrap().with_seed(seed);
@@ -635,12 +624,13 @@ mod tests {
         let mut out = Vec::new();
         AbConsensus::new(shared.clone(), 4, 9).send(Round::ZERO, &mut out);
         assert_eq!(out.len(), shared.little - 1);
-        let AbMsg::Ds(first) = &out[0].msg else {
+        let Staged::First(AgreementMsg::Ds(first)) = &out[0].msg else {
             panic!("a Dolev–Strong batch: {:?}", out[0].msg);
         };
-        assert!(out
-            .iter()
-            .all(|o| matches!(&o.msg, AbMsg::Ds(batch) if Arc::ptr_eq(batch, first))));
+        assert!(out.iter().all(|o| matches!(
+            &o.msg,
+            Staged::First(AgreementMsg::Ds(batch)) if Arc::ptr_eq(batch, first)
+        )));
         out.clear();
         AbConsensus::new(shared.clone(), shared.little, 9).send(Round::ZERO, &mut out);
         assert!(out.is_empty());
@@ -673,29 +663,22 @@ mod tests {
         let _ = inputs;
     }
 
-    /// What an honest little node held about source 0 when it endorsed:
-    /// how many of its values it had accepted, and the entry it resolved to.
-    type SourceZero = Arc<std::sync::Mutex<Vec<(usize, u64)>>>;
+    /// What an honest node sends, shown to a test every round.
+    type Watch = Box<dyn FnMut(&[Outgoing<AbMsg>]) + Send>;
 
-    /// An honest node that reports its view of source 0 as it endorses.
-    struct Probed {
+    /// An honest node whose outgoing messages a test watches.
+    struct Observed {
         node: AbConsensus,
-        views: SourceZero,
+        watch: Watch,
     }
 
-    impl SyncProtocol for Probed {
+    impl SyncProtocol for Observed {
         type Msg = AbMsg;
         type Output = u64;
 
         fn send(&mut self, round: Round, out: &mut Vec<Outgoing<AbMsg>>) {
             self.node.send(round, out);
-            if round.as_u64() == self.node.config.endorse_round() && self.node.is_little() {
-                let view = (
-                    self.node.relay.accepted(0).len(),
-                    self.node.endorsed[0].entry.value,
-                );
-                self.views.lock().unwrap().push(view);
-            }
+            (self.watch)(out);
         }
 
         fn receive(&mut self, round: Round, inbox: &[Delivered<AbMsg>]) {
@@ -709,6 +692,26 @@ mod tests {
         fn has_halted(&self) -> bool {
             self.node.has_halted()
         }
+    }
+
+    /// What an honest little node held about source 0 when it endorsed:
+    /// how many of its values it had accepted, and the entry it resolved to.
+    type SourceZero = Arc<Mutex<Vec<(usize, u64)>>>;
+
+    /// Reads source 0 off a little node's messages: it relays each value it
+    /// accepts once, and endorses the entry it resolved to.
+    fn watch_source_zero(views: &SourceZero) -> Watch {
+        let (views, mut relayed) = (Arc::clone(views), 0);
+        Box::new(move |out| match out.first().map(|o| &o.msg) {
+            // Every peer is sent the same batch.
+            Some(Staged::First(AgreementMsg::Ds(batch))) => {
+                relayed += batch.0.iter().filter(|chain| chain.source == 0).count();
+            }
+            Some(Staged::First(AgreementMsg::Endorse(entries))) => {
+                views.lock().unwrap().push((relayed, entries[0].value));
+            }
+            _ => {}
+        })
     }
 
     /// n = 30, t = 3, everyone's input 5; little node 0 is Byzantine and in
@@ -733,17 +736,18 @@ mod tests {
                         .into_iter()
                         .map(|value| SignedValue::originate(&byz_signer, value))
                         .collect();
-                    Outgoing::new(NodeId::new(p), AbMsg::Ds(Arc::new(DsBatch(signed))))
+                    let batch = AgreementMsg::Ds(Arc::new(DsBatch(signed)));
+                    Outgoing::new(NodeId::new(p), Staged::First(batch))
                 })
                 .collect()
         });
         let views = SourceZero::default();
-        let mut participants: Vec<Participant<Probed>> = Vec::new();
+        let mut participants: Vec<Participant<Observed>> = Vec::new();
         participants.push(Participant::Byzantine(Box::new(strategy)));
         for me in 1..n {
-            participants.push(Participant::Honest(Probed {
+            participants.push(Participant::Honest(Observed {
                 node: AbConsensus::new(shared.clone(), me, 5),
-                views: Arc::clone(&views),
+                watch: watch_source_zero(&views),
             }));
         }
         let total = shared.total_rounds();
@@ -801,16 +805,67 @@ mod tests {
         let t = 4;
         let inputs: Vec<u64> = vec![1; n];
         let report = run_honest(n, t, &inputs);
-        // Theorem 11: O(t² + n) messages from non-faulty nodes.  With little
-        // = 5t = 20 the dominant Part 1 term is ~ (5t)²·(t+1); check we stay
-        // well below n² rounds of all-to-all traffic.
-        let little = 5 * t as u64;
-        let bound = little * little * (t as u64 + 3) + 20 * n as u64;
+        // Theorem 11: O(t² + n) messages from non-faulty nodes, well below
+        // n² rounds of all-to-all traffic.
+        let bound = theorem11_messages(&SystemConfig::new(n, t).unwrap());
         assert!(
             report.metrics.messages <= bound,
             "{} messages exceeds {bound}",
             report.metrics.messages
         );
+    }
+
+    /// A Byzantine node outside the little set signs its own inquiry and
+    /// sends it to every node in Part 4's inquiry round.  Exactly the honest
+    /// little nodes answer it, and the honest nodes' messages stay within
+    /// Theorem 11's bound.
+    #[test]
+    fn only_little_nodes_answer_an_inquiry() {
+        let (n, t) = (60, 3);
+        let (config, directory) = setup(n, t, 13);
+        let shared = AbConfig::from_system(&config, directory.clone()).unwrap();
+        let byzantine = n - 1;
+        let inquiry_round = theorem11_rounds(&config) - 2;
+        let signature = directory
+            .signer(byzantine)
+            .sign_digest(inquiry_digest(byzantine));
+        let strategy = ScriptedByzantine::new(move |round: Round, _inbox: &[Delivered<AbMsg>]| {
+            let everyone = (0..byzantine).filter(|_| round.as_u64() == inquiry_round);
+            let inquiry =
+                |p| Outgoing::new(NodeId::new(p), Staged::Second(ScvMsg::Inquiry(signature)));
+            everyone.map(inquiry).collect()
+        });
+        let answered = Arc::new(Mutex::new(Vec::new()));
+        let mut participants: Vec<Participant<Observed>> = (0..byzantine)
+            .map(|me| {
+                let answered = Arc::clone(&answered);
+                let watch = move |out: &[Outgoing<AbMsg>]| {
+                    let answers = |o: &Outgoing<AbMsg>| {
+                        o.to.index() == byzantine
+                            && matches!(o.msg, Staged::Second(ScvMsg::Response(_)))
+                    };
+                    if out.iter().any(answers) {
+                        answered.lock().unwrap().push(me);
+                    }
+                };
+                let node = AbConsensus::new(shared.clone(), me, me as u64);
+                Participant::Honest(Observed {
+                    node,
+                    watch: Box::new(watch),
+                })
+            })
+            .collect();
+        participants.push(Participant::Byzantine(Box::new(strategy)));
+        let mut runner = Runner::with_participants(participants, Box::new(NoFaults), 0).unwrap();
+        let report = runner.run(shared.total_rounds() + 2);
+        let largest_little_input = shared.little as u64 - 1;
+        assert_eq!(
+            report.consensus_violation(|&v| v == largest_little_input),
+            None
+        );
+        let little: Vec<usize> = (0..shared.little).collect();
+        assert_eq!(*answered.lock().unwrap(), little);
+        assert!(report.metrics.messages <= theorem11_messages(&config));
     }
 
     #[test]
@@ -992,7 +1047,7 @@ mod tests {
         let byzantine = 2;
         let (config, directory) = setup(n, t, 11);
         let shared = AbConfig::from_system(&config, directory.clone()).unwrap();
-        let (little, notify_round) = (shared.little, shared.notify_round());
+        let (little, notify_round) = (shared.little, shared.agreement_rounds() - 1);
         let signer = directory.signer(byzantine);
         let forged = Arc::new(CommonSet::new(
             (0..little)
@@ -1018,8 +1073,9 @@ mod tests {
             if round.as_u64() != notify_round {
                 return Vec::new();
             }
+            let notify = || Staged::First(AgreementMsg::Notify(Arc::clone(&forged)));
             (little..n)
-                .map(|p| Outgoing::new(NodeId::new(p), AbMsg::CommonSet(Arc::clone(&forged))))
+                .map(|p| Outgoing::new(NodeId::new(p), notify()))
                 .collect()
         });
         let mut participants: Vec<Participant<AbConsensus>> = (0..n)

@@ -108,7 +108,7 @@ pub enum AeaMsg<V> {
 impl<V: JoinValue> Payload for AeaMsg<V> {
     fn bit_len(&self) -> u64 {
         match self {
-            AeaMsg::Rumor(v) | AeaMsg::Decision(v) => v.wire_bits(),
+            AeaMsg::Rumor(v) | AeaMsg::Decision(v) => v.bit_len(),
         }
     }
 }

@@ -1,6 +1,8 @@
 //! The paper's complexity bounds as functions of the configuration, each
 //! named after the theorem that states it.
 
+use crate::config::SystemConfig;
+
 /// Theorem 8 / Corollary 1: the α-aware round budget of
 /// `Many-Crashes-Consensus` for `n` nodes and fault bound `t`, in closed
 /// form (no overlay graph is built).  With `α = t/n` it is
@@ -31,11 +33,38 @@ pub fn theorem8_round_bound(n: usize) -> u64 {
     n as u64 + 3 * (1 + (n.max(2) as f64).log2().ceil() as u64)
 }
 
+/// Theorem 11: `AB-Consensus` ends after `t + 3 + b + 2` rounds, `b` being
+/// [`SystemConfig::scv_broadcast_rounds`]: `t + 1` Dolev–Strong rounds, the
+/// endorsement round and the notify round, `b` rounds of broadcast over `H`,
+/// and one two-round inquiry phase.  Every correct node decides by the last
+/// of them; `theorem11_rounds_is_the_ab_consensus_schedule` pins this
+/// against the schedule.
+pub fn theorem11_rounds(config: &SystemConfig) -> u64 {
+    config.t as u64 + 3 + config.scv_broadcast_rounds() + 2
+}
+
+/// Theorem 11: non-faulty nodes running `AB-Consensus` send at most
+/// `L²·(t + 3) + 20n` messages, `L` the number of little nodes (`5t`).
+/// Per part:
+/// - Part 1, `t + 1` Dolev–Strong rounds and the endorsement round: at most
+///   one message per ordered pair of little nodes a round, `(t + 2)·L(L − 1)`;
+/// - Part 2, one notification per node that is not little: `n − L`;
+/// - Part 3, one forward of the set per node over `H` (degree ≤ 16): `16n`;
+/// - Part 4, at most `2(L − 1)` messages per node still without a set (its
+///   inquiries and their answers).  What the bound leaves after Parts 1–3,
+///   `L² + (t + 3)·L + 3n`, pays for `L/2 + 1.5·n/L` such nodes; a
+///   fault-free run has none.
+pub fn theorem11_messages(config: &SystemConfig) -> u64 {
+    let little = config.little_count() as u64;
+    little * little * (config.t as u64 + 3) + 20 * config.n as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SystemConfig;
+    use crate::ab_consensus::{AbConfig, AbConsensus};
     use crate::many_crashes::many_crashes_config;
+    use std::sync::Arc;
 
     #[test]
     fn round_bound_matches_theorem_8() {
@@ -84,6 +113,22 @@ mod tests {
                     theorem8_round_bound(n)
                 );
             }
+        }
+    }
+
+    /// Theorem 11's closed form is the schedule `AB-Consensus` runs, on
+    /// both sides of `t² ≤ n`.
+    #[test]
+    fn theorem11_rounds_is_the_ab_consensus_schedule() {
+        for (n, t) in [(10, 1), (50, 7), (100, 10), (120, 40), (301, 150)] {
+            let config = SystemConfig::new(n, t).unwrap();
+            let directory = Arc::new(dft_auth::KeyDirectory::generate(n, 3));
+            let node = AbConsensus::new(AbConfig::from_system(&config, directory).unwrap(), 0, 1);
+            assert_eq!(
+                node.total_rounds(),
+                theorem11_rounds(&config),
+                "n={n} t={t}"
+            );
         }
     }
 }

@@ -19,13 +19,13 @@
 //! Theorem 10: `O(t + log n·log t)` rounds and `O(n + t·log n·log t)`
 //! messages.
 
-use dft_sim::{Payload, SyncProtocol};
+use dft_sim::SyncProtocol;
 
 use crate::config::SystemConfig;
 use crate::error::CoreResult;
 use crate::few_crashes::{FcMsg, FewCrashesConfig, FewCrashesConsensus};
 use crate::gossip::{Gossip, GossipConfig, GossipMsg};
-use crate::then::{Stages, Then};
+use crate::then::{Staged, Stages, Then};
 use crate::values::BitVector;
 
 /// Combined configuration of the two parts.
@@ -57,30 +57,9 @@ impl CheckpointConfig {
     }
 }
 
-/// Messages of `Checkpointing`: part-tagged wrappers.
-#[derive(Clone, Debug, PartialEq)]
-pub enum CheckpointMsg {
-    /// A Part 1 gossip message.
-    Gossip(GossipMsg),
-    /// A Part 2 combined-consensus message (bit-vector payloads).
-    Consensus(FcMsg<BitVector>),
-}
-
-impl Payload for CheckpointMsg {
-    fn bit_len(&self) -> u64 {
-        match self {
-            CheckpointMsg::Gossip(m) => m.bit_len(),
-            CheckpointMsg::Consensus(m) => m.bit_len(),
-        }
-    }
-
-    fn share_key(&self) -> Option<usize> {
-        match self {
-            CheckpointMsg::Gossip(m) => m.share_key(),
-            CheckpointMsg::Consensus(_) => None,
-        }
-    }
-}
+/// Messages of `Checkpointing`: a Part 1 gossip message, or a Part 2
+/// combined-consensus message (bit-vector payloads), under its part's tag.
+pub type CheckpointMsg = Staged<GossipMsg, FcMsg<BitVector>>;
 
 /// The decided checkpoint: the agreed set of node indices.
 pub type Checkpoint = Vec<usize>;
@@ -98,7 +77,6 @@ pub struct GossipThenConsensus {
 impl Stages for GossipThenConsensus {
     type First = Gossip;
     type Second = FewCrashesConsensus<BitVector>;
-    type Msg = CheckpointMsg;
     type Output = Checkpoint;
 
     fn second(&self, first: &Gossip) -> FewCrashesConsensus<BitVector> {
@@ -108,28 +86,6 @@ impl Stages for GossipThenConsensus {
             None => BitVector::from_set_bits(n, [self.me]),
         };
         FewCrashesConsensus::new(self.consensus.clone(), self.me, membership)
-    }
-
-    fn tag_first(msg: GossipMsg) -> CheckpointMsg {
-        CheckpointMsg::Gossip(msg)
-    }
-
-    fn tag_second(msg: FcMsg<BitVector>) -> CheckpointMsg {
-        CheckpointMsg::Consensus(msg)
-    }
-
-    fn as_first(msg: &CheckpointMsg) -> Option<&GossipMsg> {
-        match msg {
-            CheckpointMsg::Gossip(m) => Some(m),
-            CheckpointMsg::Consensus(_) => None,
-        }
-    }
-
-    fn as_second(msg: &CheckpointMsg) -> Option<&FcMsg<BitVector>> {
-        match msg {
-            CheckpointMsg::Consensus(m) => Some(m),
-            CheckpointMsg::Gossip(_) => None,
-        }
     }
 
     fn output(second: BitVector) -> Checkpoint {

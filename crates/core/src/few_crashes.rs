@@ -13,13 +13,13 @@
 
 use std::marker::PhantomData;
 
-use dft_sim::{Payload, SyncProtocol};
+use dft_sim::SyncProtocol;
 
 use crate::aea::{AeaConfig, AeaMsg, AlmostEverywhereAgreement};
 use crate::config::SystemConfig;
 use crate::error::CoreResult;
-use crate::scv::{ScvConfig, ScvMsg, SpreadCommonValue};
-use crate::then::{Stages, Then};
+use crate::scv::{ScvConfig, ScvMsg, SpreadCommonValue, TrustAll};
+use crate::then::{Staged, Stages, Then};
 use crate::values::JoinValue;
 
 /// Combined configuration of the two stages.
@@ -50,24 +50,9 @@ impl FewCrashesConfig {
     }
 }
 
-/// Messages of `Few-Crashes-Consensus`: stage-tagged wrappers around the
-/// component messages (one extra bit of framing on the wire).
-#[derive(Clone, Debug, PartialEq)]
-pub enum FcMsg<V> {
-    /// A message of the almost-everywhere-agreement stage.
-    Aea(AeaMsg<V>),
-    /// A message of the spread-common-value stage.
-    Scv(ScvMsg<V>),
-}
-
-impl<V: JoinValue> Payload for FcMsg<V> {
-    fn bit_len(&self) -> u64 {
-        match self {
-            FcMsg::Aea(m) => m.bit_len(),
-            FcMsg::Scv(m) => m.bit_len(),
-        }
-    }
-}
+/// Messages of `Few-Crashes-Consensus`: either stage's message under its
+/// stage's tag.
+pub type FcMsg<V> = Staged<AeaMsg<V>, ScvMsg<V>>;
 
 /// The parts of `Few-Crashes-Consensus`: the agreement stage's decision (or
 /// null) is the value this node enters the spreading stage with.
@@ -81,33 +66,10 @@ pub struct AeaThenScv<V> {
 impl<V: JoinValue> Stages for AeaThenScv<V> {
     type First = AlmostEverywhereAgreement<V>;
     type Second = SpreadCommonValue<V>;
-    type Msg = FcMsg<V>;
     type Output = V;
 
     fn second(&self, first: &Self::First) -> Self::Second {
-        SpreadCommonValue::new(self.scv.clone(), self.me, first.output())
-    }
-
-    fn tag_first(msg: AeaMsg<V>) -> FcMsg<V> {
-        FcMsg::Aea(msg)
-    }
-
-    fn tag_second(msg: ScvMsg<V>) -> FcMsg<V> {
-        FcMsg::Scv(msg)
-    }
-
-    fn as_first(msg: &FcMsg<V>) -> Option<&AeaMsg<V>> {
-        match msg {
-            FcMsg::Aea(m) => Some(m),
-            FcMsg::Scv(_) => None,
-        }
-    }
-
-    fn as_second(msg: &FcMsg<V>) -> Option<&ScvMsg<V>> {
-        match msg {
-            FcMsg::Scv(m) => Some(m),
-            FcMsg::Aea(_) => None,
-        }
+        SpreadCommonValue::new(self.scv.clone(), self.me, first.output(), TrustAll)
     }
 
     fn output(second: V) -> V {

@@ -122,7 +122,7 @@ impl Payload for GossipMsg {
             GossipMsg::Inquiry => 1,
             GossipMsg::Pair { .. } => 128,
             GossipMsg::Extant(set) => set.wire_bits(),
-            GossipMsg::Completion(bits) => bits.wire_bits(),
+            GossipMsg::Completion(bits) => bits.bit_len(),
         }
     }
 

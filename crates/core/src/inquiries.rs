@@ -1,8 +1,8 @@
 //! The inquiry phases of Lemma 5, written once: undecided nodes inquire
 //! along the doubling-degree graphs `G_i`, or straight to the little nodes,
-//! and decided nodes answer in the next round.  SCV Part 2, Many-Crashes
-//! Part 3, Gossip Part 1 and AB-Consensus Part 4 each drive one
-//! [`Inquiries`] with their own messages, decision and filter.
+//! and decided nodes answer in the next round.  SCV Part 2 (which
+//! Many-Crashes Part 3 and AB-Consensus Part 4 run as) and Gossip Part 1
+//! each drive one [`Inquiries`] with their own messages, decision and filter.
 
 use std::sync::Arc;
 

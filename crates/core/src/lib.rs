@@ -75,9 +75,9 @@ pub mod then;
 mod values;
 pub mod wire;
 
-pub use ab_consensus::{AbConfig, AbConsensus, AbMsg, CommonSet, NULL_VALUE};
+pub use ab_consensus::{AbConfig, AbConsensus, AbMsg, AgreementMsg, CommonSet, NULL_VALUE};
 pub use aea::{AeaConfig, AeaMsg, AlmostEverywhereAgreement};
-pub use bounds::{round_budget_for, theorem8_round_bound};
+pub use bounds::{round_budget_for, theorem11_messages, theorem11_rounds, theorem8_round_bound};
 pub use checkpointing::{Checkpoint, CheckpointConfig, CheckpointMsg, Checkpointing};
 pub use config::SystemConfig;
 pub use dolev_strong::DsBatch;
@@ -86,10 +86,10 @@ pub use few_crashes::{FcMsg, FewCrashesConfig, FewCrashesConsensus};
 pub use gossip::{gossip_violation, Gossip, GossipConfig, GossipMsg};
 pub use local_probing::LocalProbing;
 pub use many_crashes::many_crashes_for_all_nodes;
-pub use scv::{ScvConfig, ScvMsg, SpreadCommonValue};
+pub use scv::{ScvConfig, ScvMsg, SpreadCommonValue, Trust, TrustAll};
 pub use single_port::{
     linear_consensus_for_all_nodes, LinearConsensus, LinearConsensusPlan, PortPlan,
     SinglePortAdapter,
 };
-pub use then::{Stages, Then};
+pub use then::{Staged, Stages, Then};
 pub use values::{BitVector, ExtantSet, JoinValue, Rumor};

@@ -12,7 +12,9 @@
 //!    undecided nodes inquire along the Lemma 5 graph `G_i` of degree
 //!    `Θ(2^i)` and adopt any response.
 //!
-//! Theorem 6: `O(log t)` rounds and `O(t log t)` messages.
+//! Theorem 6: `O(log t)` rounds and `O(t log t)` messages.  What a node
+//! believes of the values and inquiries it is sent is its [`Trust`]: all of
+//! them in the crash model, only signed ones in `AB-Consensus` Parts 3–4.
 
 use std::sync::Arc;
 
@@ -22,7 +24,6 @@ use dft_sim::{Delivered, NodeId, Outgoing, Payload, Round, SyncProtocol};
 use crate::config::SystemConfig;
 use crate::error::CoreResult;
 use crate::inquiries::{Inquiries, Step, Targets};
-use crate::values::JoinValue;
 
 /// Static configuration shared by every node running [`SpreadCommonValue`].
 #[derive(Clone, Debug)]
@@ -66,53 +67,105 @@ impl ScvConfig {
     }
 }
 
+/// What a node running [`SpreadCommonValue`] believes: which values it
+/// adopts, which inquiries it records, and what its own inquiry says.
+pub trait Trust<V>: Clone + std::fmt::Debug + Send + 'static {
+    /// What an inquiry carries.
+    type Inquiry: Payload;
+    /// Whether a value this node is sent is adopted.
+    fn adopts(&self, value: &V) -> bool;
+    /// Whether an inquiry from node `from` is recorded, to be answered.
+    fn records(&self, from: usize, inquiry: &Self::Inquiry) -> bool;
+    /// This node's own inquiry.
+    fn inquiry(&self) -> Self::Inquiry;
+}
+
+/// The crash model's [`Trust`]: every value and every inquiry is genuine,
+/// and an inquiry carries nothing.
+#[derive(Clone, Copy, Debug)]
+pub struct TrustAll;
+
+impl<V> Trust<V> for TrustAll {
+    type Inquiry = ();
+
+    fn adopts(&self, _value: &V) -> bool {
+        true
+    }
+
+    fn records(&self, _from: usize, _inquiry: &()) -> bool {
+        true
+    }
+
+    fn inquiry(&self) {}
+}
+
 /// Messages of `Spread-Common-Value`.
 #[derive(Clone, Debug, PartialEq)]
-pub enum ScvMsg<V> {
+pub enum ScvMsg<V, I = ()> {
     /// The common value, forwarded during Part 1 broadcast.
     Value(V),
     /// An inquiry from an undecided node (Part 2).
-    Inquiry,
+    Inquiry(I),
     /// A response carrying the common value (Part 2).
     Response(V),
 }
 
-impl<V: JoinValue> Payload for ScvMsg<V> {
+impl<V: Payload, I: Payload> Payload for ScvMsg<V, I> {
     fn bit_len(&self) -> u64 {
         match self {
-            ScvMsg::Value(v) | ScvMsg::Response(v) => v.wire_bits(),
-            ScvMsg::Inquiry => 1,
+            ScvMsg::Value(v) | ScvMsg::Response(v) => v.bit_len(),
+            ScvMsg::Inquiry(inquiry) => inquiry.bit_len(),
+        }
+    }
+
+    /// Only a `Value` is keyed: a replayed `Value` can meet a `Response`
+    /// carrying the same shared value in one round, and one key must stand
+    /// for one message.
+    fn share_key(&self) -> Option<usize> {
+        match self {
+            ScvMsg::Value(v) => v.share_key(),
+            ScvMsg::Inquiry(_) | ScvMsg::Response(_) => None,
         }
     }
 }
 
-/// Per-node state machine for `Spread-Common-Value`.
+/// Per-node state machine for `Spread-Common-Value`, believing what `A`
+/// does.
 #[derive(Clone, Debug)]
-pub struct SpreadCommonValue<V: JoinValue> {
+pub struct SpreadCommonValue<V, A = TrustAll> {
     h_graph: Arc<Graph>,
     me: usize,
     common: Option<V>,
     forward_pending: bool,
     part2: Inquiries,
+    trust: A,
     halted: bool,
 }
 
-impl<V: JoinValue> SpreadCommonValue<V> {
+impl<V: Payload, A: Trust<V>> SpreadCommonValue<V, A> {
     /// Creates the state machine for node `me`.  `initial` is the common
     /// value for initialized nodes and `None` (null) for the rest.
-    pub fn new(config: ScvConfig, me: usize, initial: Option<V>) -> Self {
+    pub fn new(config: ScvConfig, me: usize, initial: Option<V>, trust: A) -> Self {
         SpreadCommonValue {
             part2: config.part2,
             h_graph: config.h_graph,
             me,
             forward_pending: initial.is_some(),
             common: initial,
+            trust,
             halted: false,
         }
     }
 
-    /// Builds state machines for all nodes; `initials[i]` is node `i`'s
-    /// initial common value (or `None`).
+    /// Total rounds this protocol runs for.
+    pub fn total_rounds(&self) -> u64 {
+        self.part2.end()
+    }
+}
+
+impl<V: Payload> SpreadCommonValue<V> {
+    /// Builds state machines for all nodes in the crash model; `initials[i]`
+    /// is node `i`'s initial common value (or `None`).
     ///
     /// # Errors
     ///
@@ -127,21 +180,16 @@ impl<V: JoinValue> SpreadCommonValue<V> {
         Ok(initials
             .iter()
             .enumerate()
-            .map(|(me, init)| Self::new(shared.clone(), me, init.clone()))
+            .map(|(me, init)| Self::new(shared.clone(), me, init.clone(), TrustAll))
             .collect())
-    }
-
-    /// Total rounds this protocol runs for.
-    pub fn total_rounds(&self) -> u64 {
-        self.part2.end()
     }
 }
 
-impl<V: JoinValue> SyncProtocol for SpreadCommonValue<V> {
-    type Msg = ScvMsg<V>;
+impl<V: Payload, A: Trust<V>> SyncProtocol for SpreadCommonValue<V, A> {
+    type Msg = ScvMsg<V, A::Inquiry>;
     type Output = V;
 
-    fn send(&mut self, round: Round, out: &mut Vec<Outgoing<ScvMsg<V>>>) {
+    fn send(&mut self, round: Round, out: &mut Vec<Outgoing<Self::Msg>>) {
         let r = round.as_u64();
         if r < self.part2.start() {
             // Part 1: forward the value to H-neighbours when newly adopted.
@@ -161,8 +209,12 @@ impl<V: JoinValue> SyncProtocol for SpreadCommonValue<V> {
         match self.part2.at(r) {
             // First round of a phase: undecided nodes inquire.
             Some((phase, Step::Inquiry)) if self.common.is_none() => {
+                let inquiry = self.trust.inquiry();
                 let targets = self.part2.targets(self.me, phase);
-                out.extend(targets.map(|v| Outgoing::new(NodeId::new(v), ScvMsg::Inquiry)));
+                out.extend(
+                    targets
+                        .map(|v| Outgoing::new(NodeId::new(v), ScvMsg::Inquiry(inquiry.clone()))),
+                );
             }
             // Second round: decided nodes answer last round's inquirers.
             Some((_, Step::Response)) => {
@@ -173,12 +225,12 @@ impl<V: JoinValue> SyncProtocol for SpreadCommonValue<V> {
         }
     }
 
-    fn receive(&mut self, round: Round, inbox: &[Delivered<ScvMsg<V>>]) {
+    fn receive(&mut self, round: Round, inbox: &[Delivered<Self::Msg>]) {
         let r = round.as_u64();
         if r < self.part2.start() {
             for msg in inbox {
                 if let ScvMsg::Value(v) = &msg.msg {
-                    if self.common.is_none() {
+                    if self.common.is_none() && self.trust.adopts(v) {
                         self.common = Some(v.clone());
                         self.forward_pending = true;
                     }
@@ -188,12 +240,14 @@ impl<V: JoinValue> SyncProtocol for SpreadCommonValue<V> {
             match self.part2.at(r) {
                 // Recorded with or without the value: `send` checks it.
                 Some((_, Step::Inquiry)) => {
-                    self.part2
-                        .record(inbox, |d| matches!(d.msg, ScvMsg::Inquiry));
+                    let trust = &self.trust;
+                    self.part2.record(inbox, |d| {
+                        matches!(&d.msg, ScvMsg::Inquiry(inquiry) if trust.records(d.from.index(), inquiry))
+                    });
                 }
                 Some((_, Step::Response)) if self.common.is_none() => {
                     self.common = inbox.iter().find_map(|d| match &d.msg {
-                        ScvMsg::Response(v) => Some(v.clone()),
+                        ScvMsg::Response(v) if self.trust.adopts(v) => Some(v.clone()),
                         _ => None,
                     });
                 }
@@ -322,7 +376,10 @@ mod tests {
         };
         let nodes = |scv: &ScvConfig| -> Vec<_> {
             (0..n)
-                .map(|me| SpreadCommonValue::new(scv.clone(), me, (me == n - 1).then_some(true)))
+                .map(|me| {
+                    let initial = (me == n - 1).then_some(true);
+                    SpreadCommonValue::new(scv.clone(), me, initial, TrustAll)
+                })
                 .collect()
         };
         let serial_config = fresh();

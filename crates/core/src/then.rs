@@ -1,7 +1,9 @@
 //! Sequential composition: one protocol for its round budget, then a second
 //! one built from what the first decided — the paper's "followed by"
-//! (`Few-Crashes-Consensus`, Figure 3; `Checkpointing`, Figure 6), written
-//! once.  A composite names its parts in a [`Stages`] implementation.
+//! (`Few-Crashes-Consensus`, Figure 3; `Checkpointing`, Figure 6;
+//! `AB-Consensus`, Figure 7), written once.  A composite names its parts in a
+//! [`Stages`] implementation; its message is [`Staged`], either stage's
+//! message under that stage's tag.
 //!
 //! The hand-over contract: the first stage owns rounds `0..first_rounds`; the
 //! first call at or after round `first_rounds` — a `send`, or a `receive` when
@@ -18,23 +20,39 @@ pub trait Stages: Send + 'static {
     type First: SyncProtocol;
     /// The protocol of the remaining rounds.
     type Second: SyncProtocol;
-    /// The composite's message: either stage's message under a tag.
-    type Msg: Payload;
     /// The composite's output.
     type Output: Clone + std::fmt::Debug + Send + 'static;
 
     /// Builds the second stage from the finished first one.
     fn second(&self, first: &Self::First) -> Self::Second;
-    /// Tags a first-stage message.
-    fn tag_first(msg: <Self::First as SyncProtocol>::Msg) -> Self::Msg;
-    /// Tags a second-stage message.
-    fn tag_second(msg: <Self::Second as SyncProtocol>::Msg) -> Self::Msg;
-    /// The first-stage message under the tag, if that is the tag.
-    fn as_first(msg: &Self::Msg) -> Option<&<Self::First as SyncProtocol>::Msg>;
-    /// The second-stage message under the tag, if that is the tag.
-    fn as_second(msg: &Self::Msg) -> Option<&<Self::Second as SyncProtocol>::Msg>;
     /// The composite's output, from the second stage's.
     fn output(second: <Self::Second as SyncProtocol>::Output) -> Self::Output;
+}
+
+/// A message of a [`Then`]: either stage's message under its stage's tag.
+/// Its size and its share key are the inner message's.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Staged<A, B> {
+    /// A message of the first stage.
+    First(A),
+    /// A message of the second stage.
+    Second(B),
+}
+
+impl<A: Payload, B: Payload> Payload for Staged<A, B> {
+    fn bit_len(&self) -> u64 {
+        match self {
+            Staged::First(msg) => msg.bit_len(),
+            Staged::Second(msg) => msg.bit_len(),
+        }
+    }
+
+    fn share_key(&self) -> Option<usize> {
+        match self {
+            Staged::First(msg) => msg.share_key(),
+            Staged::Second(msg) => msg.share_key(),
+        }
+    }
 }
 
 /// A stage and the scratch its messages cross the tag through, kept across
@@ -128,22 +146,28 @@ impl<S: Stages> Then<S> {
 }
 
 impl<S: Stages> SyncProtocol for Then<S> {
-    type Msg = S::Msg;
+    type Msg = Staged<<S::First as SyncProtocol>::Msg, <S::Second as SyncProtocol>::Msg>;
     type Output = S::Output;
 
-    fn send(&mut self, round: Round, out: &mut Vec<Outgoing<S::Msg>>) {
+    fn send(&mut self, round: Round, out: &mut Vec<Outgoing<Self::Msg>>) {
         let (r, handover) = (round.as_u64(), self.first_rounds);
         match self.stage_at(r) {
-            Stage::First(first) => first.send(r, out, S::tag_first),
-            Stage::Second(second) => second.send(r - handover, out, S::tag_second),
+            Stage::First(first) => first.send(r, out, Staged::First),
+            Stage::Second(second) => second.send(r - handover, out, Staged::Second),
         }
     }
 
-    fn receive(&mut self, round: Round, inbox: &[Delivered<S::Msg>]) {
+    fn receive(&mut self, round: Round, inbox: &[Delivered<Self::Msg>]) {
         let (r, handover) = (round.as_u64(), self.first_rounds);
         match self.stage_at(r) {
-            Stage::First(first) => first.receive(r, inbox, S::as_first),
-            Stage::Second(second) => second.receive(r - handover, inbox, S::as_second),
+            Stage::First(first) => first.receive(r, inbox, |msg| match msg {
+                Staged::First(msg) => Some(msg),
+                Staged::Second(_) => None,
+            }),
+            Stage::Second(second) => second.receive(r - handover, inbox, |msg| match msg {
+                Staged::Second(msg) => Some(msg),
+                Staged::First(_) => None,
+            }),
         }
     }
 
@@ -228,17 +252,8 @@ mod tests {
         }
     }
 
-    #[derive(Clone, Debug, PartialEq)]
-    enum Tagged {
-        A(u8),
-        B(u8),
-    }
-
-    impl Payload for Tagged {
-        fn bit_len(&self) -> u64 {
-            9
-        }
-    }
+    /// The composite's message.
+    type Tagged = Staged<u8, u8>;
 
     /// Toy `A` for three rounds, then toy `B` seeded with what `A` decided.
     struct AThenB {
@@ -248,34 +263,11 @@ mod tests {
     impl Stages for AThenB {
         type First = Toy;
         type Second = Toy;
-        type Msg = Tagged;
         type Output = String;
 
         fn second(&self, first: &Toy) -> Toy {
             self.log.lock().unwrap().push("hand-over".to_string());
             toy('B', first.decided.unwrap_or(0), &self.log)
-        }
-
-        fn tag_first(msg: u8) -> Tagged {
-            Tagged::A(msg)
-        }
-
-        fn tag_second(msg: u8) -> Tagged {
-            Tagged::B(msg)
-        }
-
-        fn as_first(msg: &Tagged) -> Option<&u8> {
-            match msg {
-                Tagged::A(m) => Some(m),
-                Tagged::B(_) => None,
-            }
-        }
-
-        fn as_second(msg: &Tagged) -> Option<&u8> {
-            match msg {
-                Tagged::B(m) => Some(m),
-                Tagged::A(_) => None,
-            }
         }
 
         fn output(second: u8) -> String {
@@ -338,7 +330,7 @@ mod tests {
             node.receive(Round::new(r), &[]);
         }
         // `A` sends its own seed, `B` the 7 that `A` decided.
-        let (a, b) = (Tagged::A(1), Tagged::B(7));
+        let (a, b) = (Tagged::First(1), Tagged::Second(7));
         assert_eq!(sent, vec![a.clone(), a.clone(), a, b.clone(), b]);
         let calls = log.lock().unwrap().join(", ");
         assert_eq!(
@@ -353,7 +345,7 @@ mod tests {
         let (mut node, log) = composite();
         // Asleep since round 0; a message of the second stage arrives in the
         // hand-over round, so that round's `receive` comes without its `send`.
-        node.receive(Round::new(3), &inbox(&[Tagged::B(9)]));
+        node.receive(Round::new(3), &inbox(&[Tagged::Second(9)]));
         let mut out = Vec::new();
         node.send(Round::new(4), &mut out);
         assert_eq!(
@@ -365,7 +357,7 @@ mod tests {
     #[test]
     fn a_message_with_the_other_stages_tag_is_dropped() {
         let (mut node, log) = composite();
-        let both = inbox(&[Tagged::B(2), Tagged::A(3), Tagged::B(4)]);
+        let both = inbox(&[Tagged::Second(2), Tagged::First(3), Tagged::Second(4)]);
         node.receive(Round::new(1), &both);
         node.receive(Round::new(3), &both);
         assert_eq!(

@@ -1,6 +1,8 @@
 //! Protocol value types: joinable candidate values, extant sets and
 //! completion sets.
 
+use dft_sim::Payload;
+
 /// A value that can only grow under a join (least-upper-bound) operation.
 ///
 /// The paper's crash-tolerant algorithms flood information monotonically:
@@ -9,19 +11,16 @@
 /// coordinate-wise OR of a bit vector.  Making the agreement protocols
 /// generic over this trait lets one implementation serve both the scalar and
 /// the vectorised ("combined message") cases.
-/// (`Send + Sync + 'static` so protocols generic over a join value satisfy
-/// the simulator's threading bounds: a sharded execution moves each chunk's
-/// nodes onto a `'static` worker thread; every value type here is plain
-/// owned data.)
-pub trait JoinValue: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static {
+/// (A [`Payload`], so a value states its own wire size in bits, and
+/// protocols generic over a join value satisfy the simulator's threading
+/// bounds: a sharded execution moves each chunk's nodes onto a `'static`
+/// worker thread; every value type here is plain owned data.)
+pub trait JoinValue: Payload + PartialEq {
     /// Joins `other` into `self`; returns `true` if `self` changed.
     fn join_in_place(&mut self, other: &Self) -> bool;
 
     /// Whether this is the bottom element (nothing to flood).
     fn is_bottom(&self) -> bool;
-
-    /// Wire size in bits when carried in a message.
-    fn wire_bits(&self) -> u64;
 }
 
 impl JoinValue for bool {
@@ -33,10 +32,6 @@ impl JoinValue for bool {
 
     fn is_bottom(&self) -> bool {
         !*self
-    }
-
-    fn wire_bits(&self) -> u64 {
-        1
     }
 }
 
@@ -166,8 +161,11 @@ impl JoinValue for BitVector {
     fn is_bottom(&self) -> bool {
         self.bits.iter().all(|&w| w == 0)
     }
+}
 
-    fn wire_bits(&self) -> u64 {
+impl Payload for BitVector {
+    /// One bit per instance.
+    fn bit_len(&self) -> u64 {
         self.len as u64
     }
 }
@@ -350,7 +348,7 @@ mod tests {
         assert!(v.join_in_place(&true));
         assert!(!v.join_in_place(&true));
         assert!(!v.is_bottom());
-        assert_eq!(true.wire_bits(), 1);
+        assert_eq!(true.bit_len(), 1);
     }
 
     #[test]
@@ -365,7 +363,7 @@ mod tests {
         assert!(!a.get(2));
         assert!(!a.is_bottom());
         assert!(BitVector::zeros(10).is_bottom());
-        assert_eq!(a.wire_bits(), 130);
+        assert_eq!(a.bit_len(), 130);
         a.set(0, false);
         assert!(!a.get(0));
     }

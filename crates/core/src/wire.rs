@@ -4,45 +4,44 @@
 //!
 //! Each message type declares its layout once (tag per variant, fields in
 //! order) and gets both directions generated from it; [`CommonSet`] does so
-//! in its own module, where its private fields are in reach.  [`BitVector`] and
-//! [`ExtantSet`] are written by hand ([`LEAVES`]): their decoders bound what a
-//! corrupt prefix can allocate and accept only the canonical form of a value.
+//! in its own module, where its private fields are in reach.  A composite's
+//! message is [`Staged`], declared here once for all of them.  [`BitVector`]
+//! and [`ExtantSet`] are written by hand ([`LEAVES`]): their decoders bound
+//! what a corrupt prefix can allocate and accept only the canonical form of
+//! a value.
 
 use std::sync::Arc;
 
-use dft_auth::{Signature, SignedValue};
+use dft_auth::SignedValue;
 use dft_sim::shard::{
     wire_enum, wire_struct, Schema, Wire, WireError, WireReader, WireResult, MAX_FRAME_LEN,
 };
 
-use crate::ab_consensus::{AbMsg, CommonSet};
+use crate::ab_consensus::{AgreementMsg, CommonSet};
 use crate::aea::AeaMsg;
-use crate::checkpointing::CheckpointMsg;
 use crate::dolev_strong::DsBatch;
-use crate::few_crashes::FcMsg;
 use crate::gossip::GossipMsg;
 use crate::scv::ScvMsg;
+use crate::then::Staged;
 use crate::values::{BitVector, ExtantSet, JoinValue};
 
 /// The hand-written codecs of this module, by schema name.
 pub const LEAVES: &[&str] = &["BitVector", "ExtantSet"];
 
+wire_enum!(Staged<A: Wire, B: Wire> { 0 = First(A), 1 = Second(B) });
 wire_enum!(AeaMsg<V: JoinValue + Wire> { 0 = Rumor(V), 1 = Decision(V) });
-wire_enum!(ScvMsg<V: JoinValue + Wire> { 0 = Value(V), 1 = Inquiry, 2 = Response(V) });
-wire_enum!(FcMsg<V: JoinValue + Wire> { 0 = Aea(AeaMsg<V>), 1 = Scv(ScvMsg<V>) });
+wire_enum!(ScvMsg<V: Wire, I: Wire> { 0 = Value(V), 1 = Inquiry(I), 2 = Response(V) });
 wire_enum!(GossipMsg {
     0 = Inquiry,
     1 = Pair { node: u64, rumor: u64 },
     2 = Extant(Arc<ExtantSet>),
     3 = Completion(Arc<BitVector>),
 });
-wire_enum!(CheckpointMsg { 0 = Gossip(GossipMsg), 1 = Consensus(FcMsg<BitVector>) });
 wire_struct!(DsBatch(Vec<SignedValue>));
-wire_enum!(AbMsg {
+wire_enum!(AgreementMsg {
     0 = Ds(Arc<DsBatch>),
     1 = Endorse(Arc<Vec<SignedValue>>),
-    2 = CommonSet(Arc<CommonSet>),
-    3 = Inquiry(Signature),
+    2 = Notify(Arc<CommonSet>),
 });
 
 /// The bit length, then the backing words as a sequence (word count, words).
@@ -143,8 +142,14 @@ mod tests {
         reason = "codec tests round-trip bare values; there is no frame, so no version to check"
     )]
     use super::*;
+    use crate::ab_consensus::AbMsg;
+    use crate::checkpointing::CheckpointMsg;
+    use crate::few_crashes::FcMsg;
     use dft_auth::KeyDirectory;
     use dft_sim::shard::{decode_error_path_violations, from_bytes, to_bytes};
+
+    /// The crash model's `Spread-Common-Value` message.
+    type Scv = ScvMsg<bool>;
 
     fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(value: T) {
         let bytes = to_bytes(&value);
@@ -160,10 +165,10 @@ mod tests {
     fn consensus_messages_round_trip() {
         round_trip(AeaMsg::Rumor(true));
         round_trip(AeaMsg::Decision(false));
-        round_trip(ScvMsg::<bool>::Inquiry);
-        round_trip(ScvMsg::Value(true));
-        round_trip(FcMsg::Aea(AeaMsg::Rumor(true)));
-        round_trip(FcMsg::<bool>::Scv(ScvMsg::Response(false)));
+        round_trip(Scv::Inquiry(()));
+        round_trip(Scv::Value(true));
+        round_trip(FcMsg::First(AeaMsg::Rumor(true)));
+        round_trip(FcMsg::<bool>::Second(Scv::Response(false)));
     }
 
     #[test]
@@ -243,8 +248,8 @@ mod tests {
             10,
             [1, 9],
         ))));
-        round_trip(CheckpointMsg::Gossip(GossipMsg::Inquiry));
-        round_trip(CheckpointMsg::Consensus(FcMsg::Aea(AeaMsg::Rumor(
+        round_trip(CheckpointMsg::First(GossipMsg::Inquiry));
+        round_trip(CheckpointMsg::Second(Staged::First(AeaMsg::Rumor(
             BitVector::from_set_bits(8, [0, 7]),
         ))));
     }
@@ -256,10 +261,15 @@ mod tests {
         value.countersign(&directory.signer(2));
         round_trip(DsBatch(vec![value.clone()]));
         round_trip(CommonSet::new(vec![value.clone()]));
-        round_trip(AbMsg::Ds(Arc::new(DsBatch(vec![value.clone()]))));
-        round_trip(AbMsg::Endorse(Arc::new(vec![value.clone()])));
-        round_trip(AbMsg::CommonSet(Arc::new(CommonSet::new(vec![value]))));
-        round_trip(AbMsg::Inquiry(directory.signer(1).sign_digest(9)));
+        let common = Arc::new(CommonSet::new(vec![value.clone()]));
+        let batch = Arc::new(DsBatch(vec![value.clone()]));
+        round_trip(AbMsg::First(AgreementMsg::Ds(batch)));
+        round_trip(AbMsg::First(AgreementMsg::Endorse(Arc::new(vec![value]))));
+        round_trip(AbMsg::First(AgreementMsg::Notify(Arc::clone(&common))));
+        round_trip(AbMsg::Second(ScvMsg::Value(Arc::clone(&common))));
+        let signature = directory.signer(1).sign_digest(9);
+        round_trip(AbMsg::Second(ScvMsg::Inquiry(signature)));
+        round_trip(AbMsg::Second(ScvMsg::Response(common)));
     }
 
     /// One sample value per codec of this module and the bytes it must
@@ -267,16 +277,19 @@ mod tests {
     /// bump asserted beside it.
     #[test]
     fn golden_bytes() {
-        assert_eq!(dft_sim::shard::WIRE_VERSION, 7);
+        assert_eq!(dft_sim::shard::WIRE_VERSION, 8);
         let tagged = |tag: u8, body: &[u8]| [&[tag], body].concat();
 
         assert_eq!(to_bytes(&AeaMsg::Rumor(true)), b"\0\x01");
         assert_eq!(to_bytes(&AeaMsg::Decision(false)), b"\x01\0");
-        assert_eq!(to_bytes(&ScvMsg::Value(true)), b"\0\x01");
-        assert_eq!(to_bytes(&ScvMsg::<bool>::Inquiry), b"\x01");
-        assert_eq!(to_bytes(&ScvMsg::Response(false)), b"\x02\0");
-        assert_eq!(to_bytes(&FcMsg::Aea(AeaMsg::Rumor(true))), b"\0\0\x01");
-        assert_eq!(to_bytes(&FcMsg::<bool>::Scv(ScvMsg::Inquiry)), b"\x01\x01");
+        assert_eq!(to_bytes(&Scv::Value(true)), b"\0\x01");
+        assert_eq!(to_bytes(&Scv::Inquiry(())), b"\x01");
+        assert_eq!(to_bytes(&Scv::Response(false)), b"\x02\0");
+        assert_eq!(to_bytes(&FcMsg::First(AeaMsg::Rumor(true))), b"\0\0\x01");
+        assert_eq!(
+            to_bytes(&FcMsg::<bool>::Second(Scv::Inquiry(()))),
+            b"\x01\x01"
+        );
 
         let bits = BitVector::from_set_bits(70, [0, 64, 69]);
         let bits_bytes = b"\x46\0\0\0\0\0\0\0\x02\0\0\0\0\0\0\0\
@@ -306,12 +319,9 @@ mod tests {
             to_bytes(&GossipMsg::Completion(Arc::new(bits))),
             tagged(3, bits_bytes)
         );
+        assert_eq!(to_bytes(&CheckpointMsg::First(GossipMsg::Inquiry)), b"\0\0");
         assert_eq!(
-            to_bytes(&CheckpointMsg::Gossip(GossipMsg::Inquiry)),
-            b"\0\0"
-        );
-        assert_eq!(
-            to_bytes(&CheckpointMsg::Consensus(FcMsg::Aea(AeaMsg::Rumor(
+            to_bytes(&CheckpointMsg::Second(Staged::First(AeaMsg::Rumor(
                 BitVector::from_set_bits(8, [0, 7])
             )))),
             b"\x01\0\0\x08\0\0\0\0\0\0\0\x01\0\0\0\0\0\0\0\x81\0\0\0\0\0\0\0"
@@ -335,24 +345,35 @@ mod tests {
         ]
         .concat();
         let batch = DsBatch(chain.clone());
-        let common = CommonSet::new(chain.clone());
+        let common = Arc::new(CommonSet::new(chain.clone()));
         assert_eq!(to_bytes(&batch), chain_bytes);
-        assert_eq!(to_bytes(&common), chain_bytes);
+        assert_eq!(to_bytes(&*common), chain_bytes);
+        // Parts 1–2 under the first tag, `Spread-Common-Value` under the
+        // second.
+        let part = |stage: u8, tag: u8, body: &[u8]| tagged(stage, &tagged(tag, body));
         assert_eq!(
-            to_bytes(&AbMsg::Ds(Arc::new(batch))),
-            tagged(0, &chain_bytes)
+            to_bytes(&AbMsg::First(AgreementMsg::Ds(Arc::new(batch)))),
+            part(0, 0, &chain_bytes)
         );
         assert_eq!(
-            to_bytes(&AbMsg::Endorse(Arc::new(chain))),
-            tagged(1, &chain_bytes)
+            to_bytes(&AbMsg::First(AgreementMsg::Endorse(Arc::new(chain)))),
+            part(0, 1, &chain_bytes)
         );
         assert_eq!(
-            to_bytes(&AbMsg::CommonSet(Arc::new(common))),
-            tagged(2, &chain_bytes)
+            to_bytes(&AbMsg::First(AgreementMsg::Notify(Arc::clone(&common)))),
+            part(0, 2, &chain_bytes)
         );
         assert_eq!(
-            to_bytes(&AbMsg::Inquiry(signature)),
-            tagged(3, signature_bytes)
+            to_bytes(&AbMsg::Second(ScvMsg::Value(Arc::clone(&common)))),
+            part(1, 0, &chain_bytes)
+        );
+        assert_eq!(
+            to_bytes(&AbMsg::Second(ScvMsg::Inquiry(signature))),
+            part(1, 1, signature_bytes)
+        );
+        assert_eq!(
+            to_bytes(&AbMsg::Second(ScvMsg::Response(common))),
+            part(1, 2, &chain_bytes)
         );
     }
 

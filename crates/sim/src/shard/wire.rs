@@ -383,13 +383,27 @@ macro_rules! wire_enum {
 }
 
 /// The hand-written codecs of this module, by schema name (tuples are
-/// `Tuple2` / `Tuple3`): primitives and containers, the memo cell that is
-/// deliberately not on the wire, and the two identifier newtypes whose fields
-/// are private to their modules.  Everything else is declared.
+/// `Tuple2` / `Tuple3`, `()` is `Unit`): primitives and containers, the memo
+/// cell that is deliberately not on the wire, and the two identifier
+/// newtypes whose fields are private to their modules.  Everything else is
+/// declared.
 pub const LEAVES: &[&str] = &[
-    "bool", "u8", "u16", "u64", "usize", "Vec", "Tuple2", "Tuple3", "Arc", "OnceLock", "NodeId",
-    "Round",
+    "Unit", "bool", "u8", "u16", "u64", "usize", "Vec", "Tuple2", "Tuple3", "Arc", "OnceLock",
+    "NodeId", "Round",
 ];
+
+/// A field that carries nothing writes nothing.
+impl Wire for () {
+    fn encode(&self, _out: &mut Vec<u8>) {}
+
+    fn decode(_r: &mut WireReader<'_>) -> WireResult<Self> {
+        Ok(())
+    }
+
+    fn describe(schema: &mut Schema) {
+        schema.leaf("Unit");
+    }
+}
 
 impl Wire for bool {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -690,7 +704,7 @@ mod tests {
     /// bump asserted beside it.
     #[test]
     fn golden_bytes() {
-        assert_eq!(crate::shard::WIRE_VERSION, 7);
+        assert_eq!(crate::shard::WIRE_VERSION, 8);
         assert_eq!(to_bytes(&true), b"\x01");
         assert_eq!(to_bytes(&0xABu8), b"\xab");
         assert_eq!(to_bytes(&0xBEEFu16), b"\xef\xbe");

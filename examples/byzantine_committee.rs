@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use linear_dft::auth::{KeyDirectory, SignedValue};
-use linear_dft::core::{AbConfig, AbConsensus, AbMsg, DsBatch, SystemConfig};
+use linear_dft::core::{AbConfig, AbConsensus, AbMsg, AgreementMsg, DsBatch, Staged, SystemConfig};
 use linear_dft::sim::adversary::byzantine::{ScriptedByzantine, SilentByzantine};
 use linear_dft::sim::{Delivered, NoFaults, NodeId, Outgoing, Participant, Round, Runner};
 
@@ -33,7 +33,8 @@ fn main() {
             .map(|p| {
                 let value = if p % 2 == 0 { 1_000_000 } else { 2_000_000 };
                 let sv = SignedValue::originate(&byz_signer, value);
-                Outgoing::new(NodeId::new(p), AbMsg::Ds(Arc::new(DsBatch(vec![sv]))))
+                let batch = AgreementMsg::Ds(Arc::new(DsBatch(vec![sv])));
+                Outgoing::new(NodeId::new(p), Staged::First(batch))
             })
             .collect()
     });

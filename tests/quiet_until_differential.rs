@@ -19,8 +19,11 @@
     reason = "helpers of a test target: a panic here is a failing test"
 )]
 
+use std::sync::Arc;
+
+use linear_dft::auth::KeyDirectory;
 use linear_dft::core::{
-    linear_consensus_for_all_nodes, many_crashes_for_all_nodes, AeaConfig,
+    linear_consensus_for_all_nodes, many_crashes_for_all_nodes, AbConsensus, AeaConfig,
     AlmostEverywhereAgreement, Checkpointing, FewCrashesConsensus, Gossip, ScvConfig,
     SpreadCommonValue, SystemConfig,
 };
@@ -240,6 +243,19 @@ fn gossip() {
 fn checkpointing() {
     assert_hint_is_invisible("Checkpointing", |system| {
         let nodes = Checkpointing::for_all_nodes(&system.config()).unwrap();
+        let rounds = nodes[0].total_rounds();
+        (nodes, rounds)
+    });
+}
+
+/// Parts 3–4 are `Spread-Common-Value`'s, hint included; the crash
+/// adversaries are Byzantine behaviour too.
+#[test]
+fn ab_consensus() {
+    assert_hint_is_invisible("AB-Consensus", |system| {
+        let directory = Arc::new(KeyDirectory::generate(system.n, 5));
+        let inputs: Vec<u64> = (0..system.n as u64).collect();
+        let nodes = AbConsensus::for_all_nodes(&system.config(), &inputs, directory).unwrap();
         let rounds = nodes[0].total_rounds();
         (nodes, rounds)
     });
