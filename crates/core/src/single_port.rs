@@ -20,7 +20,7 @@
 use std::sync::Arc;
 
 use dft_overlay::Graph;
-use dft_sim::{Delivered, NodeId, Outgoing, Round, SinglePortProtocol, SyncProtocol};
+use dft_sim::{Delivered, IdlePolls, NodeId, Outgoing, Round, SinglePortProtocol, SyncProtocol};
 
 use crate::config::SystemConfig;
 use crate::error::CoreResult;
@@ -40,7 +40,7 @@ pub trait PortPlan: Clone + Send + 'static {
     /// Appends to `ports` the in-ports node `me` polls during multi-port
     /// round `mp_round`, in order; at most [`PortPlan::slots`] of them are
     /// used.
-    fn poll_list(&self, me: usize, mp_round: u64, ports: &mut Vec<usize>);
+    fn poll_list(&self, me: usize, mp_round: u64, ports: &mut Vec<NodeId>);
 }
 
 /// Wraps a multi-port [`SyncProtocol`] into a [`SinglePortProtocol`] using a
@@ -55,8 +55,9 @@ pub trait PortPlan: Clone + Send + 'static {
 /// The adapter is driven by the round number, not by how often it is
 /// called: the slot is the distance from the single-port round the current
 /// multi-port round began in, so a runner may leave out every call
-/// [`SinglePortProtocol::quiet_until`] says is idle.  Executions start at
-/// round 0.
+/// [`SinglePortProtocol::quiet_until`] says is idle, and every poll slot
+/// before the closing one whose port is empty
+/// ([`SinglePortProtocol::idle_polls`]).  Executions start at round 0.
 #[derive(Clone, Debug)]
 pub struct SinglePortAdapter<P: SyncProtocol, L: PortPlan> {
     inner: P,
@@ -68,7 +69,9 @@ pub struct SinglePortAdapter<P: SyncProtocol, L: PortPlan> {
     current_slots: usize,
     started: bool,
     pending: Vec<Outgoing<P::Msg>>,
-    poll_ports: Vec<usize>,
+    /// This node's share of the plan for the current multi-port round —
+    /// the one copy, which [`SinglePortProtocol::idle_polls`] lends out.
+    poll_ports: Vec<NodeId>,
     inbox: Vec<Delivered<P::Msg>>,
 }
 
@@ -161,7 +164,7 @@ impl<P: SyncProtocol, L: PortPlan> SinglePortProtocol for SinglePortAdapter<P, L
         let port = slot
             .checked_sub(self.current_slots)
             .and_then(|poll_slot| self.poll_ports.get(poll_slot))
-            .map(|&p| NodeId::new(p));
+            .copied();
         if slot + 1 == 2 * self.current_slots {
             // What this last poll finds arrives after the inner `receive`
             // and is carried into the next multi-port round's inbox.
@@ -202,6 +205,23 @@ impl<P: SyncProtocol, L: PortPlan> SinglePortProtocol for SinglePortAdapter<P, L
             2 * self.current_slots - 1
         };
         Some(Round::new(self.mp_start + slot as u64))
+    }
+
+    /// Every planned poll before the closing slot is idle: it sends
+    /// nothing, and what it finds only joins the inbox that the closing
+    /// slot hands to the inner `receive`.  The run starts at the hint's
+    /// poll slot, and the closing slot follows it.
+    fn idle_polls(&self, now: Round) -> Option<IdlePolls<'_>> {
+        let slot = (self.quiet_until(now)?.as_u64() - self.mp_start) as usize;
+        // Poll indices: the hint's slot (none if it is a send slot) and the
+        // closing slot.
+        let first = slot.checked_sub(self.current_slots)?;
+        let closing = self.current_slots - 1;
+        let ports = self
+            .poll_ports
+            .get(first..self.poll_ports.len().min(closing))?;
+        let resume = Round::new(self.mp_start + (self.current_slots + closing) as u64);
+        (!ports.is_empty()).then_some(IdlePolls { ports, resume })
     }
 }
 
@@ -288,22 +308,25 @@ impl PortPlan for LinearConsensusPlan {
         }
     }
 
-    fn poll_list(&self, me: usize, mp_round: u64, ports: &mut Vec<usize>) {
+    fn poll_list(&self, me: usize, mp_round: u64, ports: &mut Vec<NodeId>) {
         if mp_round < self.aea_part1_and_2 {
             if me < self.little {
-                ports.extend_from_slice(self.little_graph.neighbors(me));
+                let neighbours = self.little_graph.neighbors(me).iter().copied();
+                ports.extend(neighbours.map(NodeId::new));
             }
         } else if mp_round < self.aea_total {
             if me >= self.little {
-                ports.push(me % self.little.max(1));
+                ports.push(NodeId::new(me % self.little.max(1)));
             }
         } else if mp_round < self.aea_total + self.scv.start() {
-            ports.extend_from_slice(self.h_graph.neighbors(me));
+            let neighbours = self.h_graph.neighbors(me).iter().copied();
+            ports.extend(neighbours.map(NodeId::new));
         } else if let Some((phase, _)) = self.scv.at(mp_round - self.aea_total) {
             // Inquiry round: decided nodes listen for inquiries from whom
             // they would ask.  Response round: undecided nodes listen for
             // responses from the same nodes.
-            ports.extend(self.scv.targets(me, phase).take(self.slots(mp_round)));
+            let targets = self.scv.targets(me, phase).take(self.slots(mp_round));
+            ports.extend(targets.map(NodeId::new));
         }
     }
 }
@@ -479,7 +502,9 @@ mod tests {
                     plan.poll_list(me, mp_round, &mut ports);
                     let distinct: std::collections::BTreeSet<_> = ports.iter().collect();
                     assert_eq!(distinct.len(), ports.len(), "a port listed twice");
-                    assert!(ports.iter().all(|&port| port < n && port != me));
+                    assert!(ports
+                        .iter()
+                        .all(|port| port.index() < n && port.index() != me));
                 }
             }
         }
@@ -527,8 +552,8 @@ mod tests {
         fn slots(&self, _mp_round: u64) -> usize {
             1
         }
-        fn poll_list(&self, _me: usize, _mp_round: u64, ports: &mut Vec<usize>) {
-            ports.push(0);
+        fn poll_list(&self, _me: usize, _mp_round: u64, ports: &mut Vec<NodeId>) {
+            ports.push(NodeId::new(0));
         }
     }
 
@@ -541,23 +566,40 @@ mod tests {
         fn slots(&self, mp_round: u64) -> usize {
             1 + (mp_round % 3) as usize * 2
         }
-        fn poll_list(&self, _me: usize, mp_round: u64, ports: &mut Vec<usize>) {
-            ports.extend(10..10 + (mp_round % 5) as usize);
+        fn poll_list(&self, _me: usize, mp_round: u64, ports: &mut Vec<NodeId>) {
+            ports.extend((10..10 + (mp_round % 5) as usize).map(NodeId::new));
         }
     }
 
     /// What an adapter did in one single-port round: its send and its poll.
     type SlotTrace = (Option<(usize, u64)>, Option<usize>);
 
-    /// Drives an adapter for `sp_rounds` single-port rounds — every round,
-    /// or only the rounds its own `quiet_until` names — feeding each poll
-    /// the same synthetic port contents; returns the per-round trace, the
-    /// inner protocol's log and the number of rounds it was called in.
-    fn drive<L: PortPlan>(
-        plan: L,
-        sp_rounds: u64,
-        only_when_asked: bool,
-    ) -> (Vec<SlotTrace>, Script, u64) {
+    /// Which rounds a driver calls an adapter in.
+    #[derive(Clone, Copy)]
+    enum Calls {
+        EveryRound,
+        /// Only the rounds its own `quiet_until` names.
+        WhenAsked,
+        /// As `WhenAsked`, and an idle poll only if its port holds
+        /// something — the core's own rule.
+        SkippingEmptyIdlePolls,
+    }
+
+    /// The synthetic contents of `port` in round `r`: one poll in three
+    /// finds two messages.
+    fn port_contents(r: u64, port: NodeId) -> Vec<u64> {
+        let found = (r + 2 * port.index() as u64).is_multiple_of(3);
+        let mut msgs = vec![1000 * r + port.index() as u64, r];
+        msgs.truncate(2 * usize::from(found));
+        msgs
+    }
+
+    /// Drives an adapter for `sp_rounds` single-port rounds, calling it as
+    /// `mode` says and feeding each poll the same synthetic port contents;
+    /// returns the per-round trace (a poll answered without a call shows
+    /// its planned port, as a core's `polls()` does), the inner protocol's
+    /// log and the number of rounds it was called in.
+    fn drive<L: PortPlan>(plan: L, sp_rounds: u64, mode: Calls) -> (Vec<SlotTrace>, Script, u64) {
         let script = Script {
             rounds: 9,
             received: Vec::new(),
@@ -565,26 +607,43 @@ mod tests {
         };
         let mut adapter = SinglePortAdapter::new(script, plan, 7);
         let (mut trace, mut wake, mut calls) = (Vec::new(), 0, 0);
+        // The idle polls last stated: first round, ports, resume round.
+        let mut idle: Option<(u64, Vec<NodeId>, u64)> = None;
         for r in 0..sp_rounds {
             if adapter.has_halted() {
                 break;
             }
-            if only_when_asked && r < wake {
+            if !matches!(mode, Calls::EveryRound) && r < wake {
                 trace.push((None, None));
                 continue;
+            }
+            if let Some((start, ports, resume)) = &idle {
+                match ports.get((r - start) as usize) {
+                    Some(&port) if port_contents(r, port).is_empty() => {
+                        trace.push((None, Some(port.index())));
+                        continue;
+                    }
+                    None if r < *resume => {
+                        trace.push((None, None));
+                        continue;
+                    }
+                    _ => {}
+                }
             }
             calls += 1;
             let round = Round::new(r);
             let sent = SinglePortProtocol::send(&mut adapter, round);
             let polled = SinglePortProtocol::poll(&mut adapter, round);
             if let Some(port) = polled {
-                // Every other poll finds two messages.
-                let mut msgs = vec![1000 * r + port.index() as u64, r];
-                msgs.truncate(2 * ((r + port.index() as u64) % 2) as usize);
+                let mut msgs = port_contents(r, port);
                 SinglePortProtocol::receive(&mut adapter, round, port, &mut msgs);
                 assert!(msgs.is_empty(), "the adapter takes what it is lent");
             }
             wake = adapter.quiet_until(round).map_or(r + 1, Round::as_u64);
+            idle = adapter
+                .idle_polls(round)
+                .filter(|_| matches!(mode, Calls::SkippingEmptyIdlePolls))
+                .map(|run| (wake, run.ports.to_vec(), run.resume.as_u64()));
             trace.push((
                 sent.map(|out| (out.to.index(), out.msg)),
                 polled.map(NodeId::index),
@@ -593,28 +652,39 @@ mod tests {
         (trace, adapter.inner().clone(), calls)
     }
 
-    fn assert_same_when_called_only_when_asked<L: PortPlan>(plan: L) {
+    /// Drives `plan` every round, when asked and skipping empty idle polls;
+    /// asserts the three behave the same and returns their call counts.
+    fn assert_same_when_called_only_when_asked<L: PortPlan>(plan: L) -> [u64; 3] {
         let sp_rounds = SinglePortAdapter::<Script, L>::sp_rounds_for(&plan, 9) + 5;
-        let (every_round, log, all_calls) = drive(plan.clone(), sp_rounds, false);
-        let (when_asked, asked_log, calls) = drive(plan, sp_rounds, true);
-        assert_eq!(when_asked, every_round, "sends and polls, round by round");
-        assert_eq!(asked_log.received, log.received, "inner receive calls");
+        let (every_round, log, all_calls) = drive(plan.clone(), sp_rounds, Calls::EveryRound);
         assert_eq!(log.received.len(), 9, "every multi-port round closed");
         assert!(log.received.iter().any(|(_, inbox)| !inbox.is_empty()));
-        assert!(calls <= all_calls);
+        let (when_asked, asked_log, asked_calls) = drive(plan.clone(), sp_rounds, Calls::WhenAsked);
+        let skipping = drive(plan, sp_rounds, Calls::SkippingEmptyIdlePolls);
+        let (skipping_trace, skipping_log, skipping_calls) = skipping;
+        assert_eq!(when_asked, every_round, "sends and polls, round by round");
+        assert_eq!(
+            skipping_trace, every_round,
+            "sends and polls, round by round"
+        );
+        assert_eq!(asked_log.received, log.received, "inner receive calls");
+        assert_eq!(skipping_log.received, log.received, "inner receive calls");
+        [all_calls, asked_calls, skipping_calls]
     }
 
     #[test]
     fn adapter_called_only_when_it_asks_behaves_the_same() {
-        assert_same_when_called_only_when_asked(OneSlot);
-        assert_same_when_called_only_when_asked(Uneven);
-        // The uneven plan has idle slots to leave out; the one-slot plan
-        // acts in both of its slots.
-        let sp_rounds = SinglePortAdapter::<Script, Uneven>::sp_rounds_for(&Uneven, 9);
-        let (trace, _, calls) = drive(Uneven, sp_rounds, true);
-        let acted = trace.iter().filter(|slot| **slot != (None, None)).count();
-        assert!(calls < sp_rounds, "{calls} calls in {sp_rounds} rounds");
-        assert!(acted as u64 <= calls);
+        let [all, asked, skipping] = assert_same_when_called_only_when_asked(OneSlot);
+        // The one-slot plan acts in both of its slots, and its one poll
+        // closes the multi-port round.
+        assert_eq!((asked, skipping), (all, all));
+        let [all, asked, skipping] = assert_same_when_called_only_when_asked(Uneven);
+        // The uneven plan has idle slots to leave out, and polls before
+        // the closing slot, half of which find nothing.
+        assert!(
+            skipping < asked && asked < all,
+            "{skipping} < {asked} < {all}"
+        );
     }
 
     #[test]

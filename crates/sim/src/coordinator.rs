@@ -21,8 +21,8 @@
 //!    ascending node order, so traces cannot depend on which chunk finished
 //!    first.
 //! 4. **Single-port: the coordinator owns the ports.**  Enqueue in sender
-//!    order, pre-drain in poller order, drop a destination's queues when it
-//!    crashes or halts.
+//!    order, pre-drain every polled port that holds a message, drop a
+//!    destination's queues when it crashes or halts.
 //!
 //! A [`Coordinator`] is generic (static dispatch) over *where the chunks
 //! live*: a [`Host`] only answers "run phase X on every chunk and give me
@@ -156,7 +156,7 @@ pub trait SinglePortHost: Host {
 
     /// Asks `drain` for the polled port contents of every node that may
     /// have polled this round (a host that knows which nodes were called
-    /// asks only for those), in node order.
+    /// or probed asks only for those).
     fn fill_drained(&mut self, drain: impl FnMut(usize) -> Option<Vec<Self::Msg>>);
 
     /// Phase 4: `finalize` everywhere; appends the decision/halt events in
@@ -347,11 +347,12 @@ impl<M: Payload, H: SinglePortHost<Msg = M>> Model<H> for SinglePort<M> {
             }
         });
         // `receive` never touches the port map and each drain touches only
-        // the poller's own in-ports, so draining everything up front equals
-        // draining inside the receive loop.
+        // the poller's own in-ports, so draining everything up front, in any
+        // order, equals draining inside the receive loop.  An empty port
+        // hands over nothing: that is what lets a core answer an idle poll.
         host.fill_drained(|node| {
             let port = polls[node].filter(|_| engine.status[node].is_running())?;
-            Some(ports.drain(node, port.index()))
+            ports.drain(node, port.index())
         });
 
         host.finalize(round, &mut central.events)?;

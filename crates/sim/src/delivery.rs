@@ -228,9 +228,9 @@ pub(crate) struct PortMap<M> {
     /// map (that is what keeps it sparse), so without recycling every
     /// drain/push cycle of a port would drop one `Vec` and construct
     /// another; backends return finished poll buffers here each round (see
-    /// [`PortMap::reclaim`]) and `push`/`drain` take from the pool first.
-    /// Growth is bounded: at most one buffer per node enters per round and
-    /// steady-state traffic takes them right back out.
+    /// [`PortMap::reclaim`]) and `push` takes from the pool first.
+    /// Growth is bounded: a buffer enters only after a drain took it, with
+    /// its messages, out of the map.
     spares: Vec<Vec<M>>,
 }
 
@@ -259,25 +259,19 @@ impl<M> PortMap<M> {
         }
     }
 
-    /// Drains destination `to`'s in-port from `from`, in arrival order.
-    ///
-    /// An empty port still yields a buffer — the poller's `receive` runs
-    /// either way — but it comes from the spare pool, not a fresh
-    /// construction.
-    pub fn drain(&mut self, to: usize, from: usize) -> Vec<M> {
+    /// Drains destination `to`'s in-port from `from`, in arrival order, or
+    /// `None` if it holds nothing: almost every poll finds an empty port,
+    /// and such a poll takes no buffer.
+    pub fn drain(&mut self, to: usize, from: usize) -> Option<Vec<M>> {
         let ports = self.queues.get_mut(to).filter(|ports| !ports.is_empty());
-        match ports.and_then(|ports| ports.remove(&from)) {
-            Some(msgs) => {
-                self.buffered -= msgs.len();
-                msgs
-            }
-            None => self.spares.pop().unwrap_or_default(),
-        }
+        let msgs = ports?.remove(&from)?;
+        self.buffered -= msgs.len();
+        Some(msgs)
     }
 
     /// Moves the emptied poll buffers in `bufs` into the spare pool for
-    /// reuse by later `push`/`drain` calls.  Buffers must already be empty
-    /// (the cores clear them as part of recycling).
+    /// reuse by later `push` calls.  Buffers must already be empty (the
+    /// cores clear them as part of recycling).
     pub fn reclaim(&mut self, bufs: &mut Vec<Vec<M>>) {
         debug_assert!(bufs.iter().all(Vec::is_empty));
         self.spares.append(bufs);
@@ -417,8 +411,9 @@ mod tests {
         ports.push(2, 0, 20);
         assert_eq!(ports.buffered_messages(), 3);
         assert_eq!(ports.ports_in_use(), 2);
-        assert_eq!(ports.drain(1, 0), vec![10, 11]);
-        assert_eq!(ports.drain(1, 0), Vec::<u32>::new(), "drained port empty");
+        assert_eq!(ports.drain(1, 0), Some(vec![10, 11]));
+        assert_eq!(ports.drain(1, 0), None, "drained port empty");
+        assert_eq!(ports.drain(3, 0), None, "a destination never pushed to");
         assert_eq!(ports.buffered_messages(), 1);
         assert_eq!(ports.ports_in_use(), 1);
     }
@@ -432,6 +427,7 @@ mod tests {
         ports.drop_destination(0);
         assert_eq!(ports.buffered_messages(), 1);
         assert_eq!(ports.ports_in_use(), 1);
-        assert_eq!(ports.drain(1, 0), vec![3]);
+        assert_eq!(ports.drain(1, 0), Some(vec![3]));
+        assert_eq!(ports.drain(0, 1), None, "dropped with its destination");
     }
 }

@@ -40,8 +40,12 @@
 //! node asked to be woken at and, until then, calls neither half of its
 //! round — a multi-port node is woken early by a message
 //! ([`RoundCore::accept`]).  Byzantine participants are never skipped.
-//! Every per-node slice a backend reads (`send_intents()`, `sends()`,
-//! `polls()`) keeps its length; a skipped node's entry is simply empty.
+//! A single-port node may also state the planned polls in which it only
+//! listens ([`SinglePortProtocol::idle_polls`]); the core answers those
+//! itself and calls the node only when the pre-drained port holds a
+//! message.  Every per-node slice a backend reads (`send_intents()`,
+//! `sends()`, `polls()`) keeps its length; a skipped node's entry is simply
+//! empty, and an idle poll shows its planned port.
 //! With `debug_assertions` the skipped calls are still made and must come
 //! back empty, which is how the hint is checked (`DESIGN.md`, "The
 //! activity contract").
@@ -425,6 +429,71 @@ impl<P: SyncProtocol> RoundCore<P> {
     }
 }
 
+/// A node's last statement of idle polls ([`SinglePortProtocol::idle_polls`])
+/// as a core keeps it: the run covers rounds `start .. end`, and the node
+/// is called again in `resume`.  The ports are not copied: the core asks
+/// again with the round the run was stated in.  The default is no run.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct IdleRun {
+    stated: u64,
+    start: u64,
+    end: u64,
+    resume: u64,
+}
+
+impl IdleRun {
+    /// What `node` states at the end of round `now`, whose hint wakes it in
+    /// `wake` (0: next round).
+    fn stated<P: SinglePortProtocol>(node: &P, now: u64, wake: u64) -> Self {
+        let Some(idle) = node.idle_polls(Round::new(now)) else {
+            return IdleRun::default();
+        };
+        let start = wake.max(now + 1);
+        IdleRun {
+            stated: now,
+            start,
+            end: start + idle.ports.len() as u64,
+            resume: idle.resume.as_u64(),
+        }
+    }
+
+    /// The port `node` planned for `round` of this run, if its statement
+    /// still names one.
+    fn port<P: SinglePortProtocol>(&self, node: &P, round: u64) -> Option<NodeId> {
+        let idle = node.idle_polls(Round::new(self.stated))?;
+        let k = usize::try_from(round.checked_sub(self.start)?).ok()?;
+        idle.ports.get(k).copied()
+    }
+}
+
+/// Makes the calls of an idle poll of `port` in `round` — `send`, `poll`,
+/// `receive` — and panics if the node sends or polls another port.
+fn call_idle_poll<P: SinglePortProtocol>(
+    node: &mut P,
+    global: usize,
+    round: Round,
+    port: NodeId,
+    msgs: &mut Vec<P::Msg>,
+) {
+    let sent = node.send(round).is_some();
+    let polled = node.poll(round);
+    assert!(
+        !sent && polled == Some(port),
+        "node {global} stated an idle poll of port {port:?} in round {round} but sends: {sent}, \
+         polls: {polled:?}"
+    );
+    node.receive(round, port, msgs);
+}
+
+/// Keeps an emptied poll buffer for the backend to reuse, unless it never
+/// held anything or `spare` is full.
+fn recycle<M>(spare: &mut Vec<Vec<M>>, cap: usize, mut msgs: Vec<M>) {
+    if msgs.capacity() > 0 && spare.len() < cap {
+        msgs.clear();
+        spare.push(msgs);
+    }
+}
+
 /// The single-port sans-I/O core: one backend-agnostic slice of a
 /// single-port execution, owning nodes `base .. base + len()`.
 ///
@@ -457,12 +526,18 @@ pub struct SinglePortCore<P: SinglePortProtocol> {
     pub(crate) outputs: Vec<Option<P::Output>>,
     /// Receive scratch: decision/halt events for the backend's replay.
     pub(crate) events: Vec<NodeEvent>,
-    /// Per node, the first round it has to be called in again (its last
-    /// [`SinglePortProtocol::quiet_until`]); 0 while it is awake.
+    /// Per node, the first round the core has to act for it in again —
+    /// call it, or answer its next idle poll; 0 while it is awake.
     pub(crate) wake: Vec<u64>,
+    /// Per node, its last statement of idle polls.
+    pub(crate) runs: Vec<IdleRun>,
     /// The nodes the last [`SinglePortCore::begin_round`] called, ascending
-    /// — the only ones that can have a send, a poll or an event this round.
+    /// — the only ones that can have a send this round — and, once
+    /// [`SinglePortCore::finalize`] ran, the probed ones it called too.
     pub(crate) called: Vec<usize>,
+    /// The nodes whose idle poll the last [`SinglePortCore::begin_round`]
+    /// answered, ascending: a poll and nothing else.
+    pub(crate) probed: Vec<usize>,
     /// Node-rounds in which a node was called.
     pub(crate) active: u64,
 }
@@ -483,7 +558,9 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
             outputs: (0..len).map(|_| None).collect(),
             events: Vec::new(),
             wake: vec![0; len],
+            runs: vec![IdleRun::default(); len],
             called: Vec::new(),
+            probed: Vec::new(),
             active: 0,
         }
     }
@@ -505,24 +582,35 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
 
     /// Node-rounds in which this core called a node (`send` and `poll`)
     /// since the execution began; see [`RoundCore::active_node_rounds`].
+    /// An idle poll the core answers itself
+    /// ([`SinglePortProtocol::idle_polls`]) is not a call.
     pub fn active_node_rounds(&self) -> u64 {
         self.active
     }
 
     /// Phase 1: collect the single send and poll intent of each running
-    /// node that is awake.
+    /// node that is awake, and show the planned port of each idle poll.
     pub fn begin_round(&mut self, round: Round) {
-        // Only last round's callers can have left a send or a poll behind.
+        // Only last round's callers can have left a send behind, and only
+        // they and last round's probes a poll.
         for &i in &self.called {
             self.sends[i] = None;
             self.polls[i] = None;
         }
+        for &i in &self.probed {
+            self.polls[i] = None;
+        }
         self.called.clear();
+        self.probed.clear();
+        let r = round.as_u64();
         let intents = self.sends.iter_mut().zip(&mut self.polls);
-        let state = self.status.iter().zip(&self.wake);
+        let state = self
+            .status
+            .iter()
+            .zip(self.wake.iter_mut().zip(&mut self.runs));
         let per_node = self.nodes.iter_mut().zip(intents).zip(state);
-        for (i, ((node, (send, poll)), (status, &wake))) in per_node.enumerate() {
-            if wake > round.as_u64() {
+        for (i, ((node, (send, poll)), (status, (wake, run)))) in per_node.enumerate() {
+            if *wake > r {
                 if cfg!(debug_assertions) && status.is_running() {
                     let (sent, polled) = (node.send(round).is_some(), node.poll(round).is_some());
                     assert!(
@@ -537,6 +625,17 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
             if !status.is_running() {
                 continue;
             }
+            if r < run.end {
+                // An idle poll: `finalize` calls the node only if the port
+                // holds a message.
+                if let Some(port) = run.port(node, r) {
+                    *poll = Some(port);
+                    *wake = if r + 1 < run.end { r + 1 } else { run.resume };
+                    self.probed.push(i);
+                    continue;
+                }
+                *run = IdleRun::default();
+            }
             *send = node.send(round);
             *poll = node.poll(round);
             self.called.push(i);
@@ -546,9 +645,10 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
 
     /// [`SinglePortCore::begin_round`] for a backend that keeps flat
     /// per-node slots for the adversary's view (index `i` is node
-    /// `base + i`'s): each called node's destination and polled port end up
-    /// in its slots and the slots of last round's callers are emptied, so a
-    /// round costs the backend its callers, not its nodes.
+    /// `base + i`'s): each called node's destination and each called or
+    /// probed node's polled port end up in its slots and the slots of last
+    /// round's are emptied, so a round costs the backend its callers and
+    /// probes, not its nodes.
     pub(crate) fn begin_round_into(
         &mut self,
         round: Round,
@@ -559,9 +659,15 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
             send_intents[i].clear();
             polls[i] = None;
         }
+        for &i in &self.probed {
+            polls[i] = None;
+        }
         self.begin_round(round);
         for &i in &self.called {
             send_intents[i].extend(self.sends[i].iter().map(|out| out.to));
+            polls[i] = self.polls[i];
+        }
+        for &i in &self.probed {
             polls[i] = self.polls[i];
         }
     }
@@ -577,10 +683,11 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
     }
 
     /// Asks `drain` for the polled port contents of every node called this
-    /// round, in node order.  Nobody else polled, and their slots are `None`
-    /// already ([`SinglePortCore::finalize`] takes what it is given).
+    /// round, then of every node probed.  Nobody else polled, and their
+    /// slots are `None` already ([`SinglePortCore::finalize`] takes what it
+    /// is given).
     pub(crate) fn fill_drained(&mut self, mut drain: impl FnMut(usize) -> Option<Vec<P::Msg>>) {
-        for &i in &self.called {
+        for &i in self.called.iter().chain(&self.probed) {
             self.drained[i] = drain(self.base + i);
         }
     }
@@ -599,13 +706,14 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
     }
 
     /// The per-node poll intents collected by the last
-    /// [`SinglePortCore::begin_round`].
+    /// [`SinglePortCore::begin_round`], idle polls included.
     pub fn polls(&self) -> &[Option<NodeId>] {
         &self.polls
     }
 
     /// Hands a node the contents the backend drained from its polled port
-    /// (`None` when the node did not poll or is not running).
+    /// (`None` when the node did not poll, is not running, or its port is
+    /// empty).
     pub fn set_drained(&mut self, local: usize, msgs: Option<Vec<P::Msg>>) {
         self.drained[local] = msgs;
     }
@@ -632,25 +740,61 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
         self.status[local]
     }
 
-    /// Phase 4: deliver pre-drained polls to the nodes called this round,
-    /// advance their outputs, ask each how long it stays quiet, and return
-    /// the round's outcome (message counters are zero — the backend counts
-    /// single-port sends as it enqueues them).
+    /// Phase 4: call each probed node whose port held a message, deliver
+    /// pre-drained polls to the nodes called this round, advance their
+    /// outputs, ask each how long it stays quiet and which idle polls it
+    /// states, and return the round's outcome (message counters are zero —
+    /// the backend counts single-port sends as it enqueues them).
     pub fn finalize(&mut self, round: Round) -> RoundOutcome<'_> {
         self.events.clear();
+        let r = round.as_u64();
+        let spare_cap = self.nodes.len();
+        let called_before = self.called.len();
+        for &i in &self.probed {
+            if !self.status[i].is_running() {
+                continue;
+            }
+            if self.drained[i]
+                .as_ref()
+                .is_some_and(|msgs| !msgs.is_empty())
+            {
+                // A message on the port: the node is called after all.
+                self.called.push(i);
+                self.wake[i] = 0;
+                continue;
+            }
+            let mut msgs = self.drained[i].take().unwrap_or_default();
+            if cfg!(debug_assertions) {
+                let (node, global) = (&mut self.nodes[i], self.base + i);
+                if let Some(port) = self.polls[i] {
+                    call_idle_poll(node, global, round, port, &mut msgs);
+                }
+                let decided = self.outputs[i].is_none() && node.output().is_some();
+                let halted = node.has_halted();
+                assert!(
+                    !decided && !halted,
+                    "node {global} stated an idle poll in round {round} but changed state on an \
+                     empty port (first output: {decided}, halted: {halted})"
+                );
+            }
+            recycle(&mut self.spare, spare_cap, msgs);
+        }
+        if self.called.len() > called_before {
+            self.active += (self.called.len() - called_before) as u64;
+            self.called.sort_unstable();
+        }
         if cfg!(debug_assertions) {
             // Whoever is asleep now was skipped in `begin_round` too.
             let state = self.status.iter().zip(&self.wake).zip(&self.outputs);
             for (i, (node, ((status, &wake), first_output))) in
                 self.nodes.iter().zip(state).enumerate()
             {
-                if wake > round.as_u64() && status.is_running() {
+                if wake > r && status.is_running() {
                     let decided = first_output.is_none() && node.output().is_some();
                     assert_still_quiet(self.base + i, round, decided, node.has_halted());
                 }
             }
         }
-        let spare_cap = self.nodes.len();
         for &i in &self.called {
             if !self.status[i].is_running() {
                 continue;
@@ -658,14 +802,15 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
             let node = &mut self.nodes[i];
             if let Some(port) = self.polls[i] {
                 let mut msgs = self.drained[i].take().unwrap_or_default();
-                node.receive(round, port, &mut msgs);
+                if r < self.runs[i].end {
+                    call_idle_poll(node, self.base + i, round, port, &mut msgs);
+                } else {
+                    node.receive(round, port, &mut msgs);
+                }
                 // Recycle whatever the protocol left behind (capped so a
                 // backend that never reclaims holds at most one buffer per
                 // node).
-                if self.spare.len() < spare_cap {
-                    msgs.clear();
-                    self.spare.push(msgs);
-                }
+                recycle(&mut self.spare, spare_cap, msgs);
             }
             let mut decided = false;
             if let Some(output) = node.output() {
@@ -683,7 +828,9 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
                     halted,
                 });
             }
-            self.wake[i] = node.quiet_until(round).map_or(0, Round::as_u64);
+            let wake = node.quiet_until(round).map_or(0, Round::as_u64);
+            self.wake[i] = wake;
+            self.runs[i] = IdleRun::stated(node, r, wake);
         }
         RoundOutcome {
             events: &self.events,

@@ -134,7 +134,7 @@ pub use message::{Delivered, Outgoing, Payload};
 pub use metrics::Metrics;
 pub use node::{NodeId, NodeSet};
 pub use parallel::available_jobs;
-pub use protocol::{NodeStatus, SinglePortProtocol, SyncProtocol};
+pub use protocol::{IdlePolls, NodeStatus, SinglePortProtocol, SyncProtocol};
 pub use report::{ExecutionReport, Termination};
 pub use round::Round;
 pub use runner::{run_with_crashes, Participant, Runner};

@@ -141,7 +141,9 @@ pub trait SinglePortProtocol: Send + 'static {
     /// Processes the messages drained from the polled port.
     ///
     /// Called only when [`SinglePortProtocol::poll`] returned `Some`; `msgs`
-    /// may be empty if nothing was buffered on that port.
+    /// may be empty if nothing was buffered on that port — except in an idle
+    /// poll ([`SinglePortProtocol::idle_polls`]), where an empty port means
+    /// the node is not called at all.
     ///
     /// The buffer is lent, not given: take what you need (iterate, `drain`,
     /// or `mem::take` the whole `Vec`), and the runner clears and recycles
@@ -167,6 +169,38 @@ pub trait SinglePortProtocol: Send + 'static {
         let _ = now;
         None
     }
+
+    /// The idle polls, stated beside the hint: asked right after
+    /// [`SinglePortProtocol::quiet_until`] of round `now`, `Some` says "in
+    /// round `w + k`, where `w` is the round that hint wakes me in, I poll
+    /// `ports[k]` and send nothing, and if that port is empty the call
+    /// changes nothing — state, `output()`, `has_halted()`, hint; after the
+    /// run I send nothing and poll nothing before `resume`, and I must be
+    /// called then".  A round core then answers those polls itself: it
+    /// shows the planned port in `polls()` and calls the node (`send`,
+    /// `poll`, `receive`, in that order) only in a round whose port holds a
+    /// message, after which the node states its hint and its idle polls
+    /// afresh.  A poll the core answers is not a call.
+    ///
+    /// Because nothing changes while the node is not called, the core may
+    /// ask again with the same `now` to read the next port, so the ports
+    /// are lent, not copied.  `None`, the default, states no idle polls.
+    /// Checked like the hint: with `debug_assertions` the core still makes
+    /// every call it leaves out and panics if the node sends, polls another
+    /// port, decides or halts.
+    fn idle_polls(&self, now: Round) -> Option<IdlePolls<'_>> {
+        let _ = now;
+        None
+    }
+}
+
+/// A run of idle polls ([`SinglePortProtocol::idle_polls`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct IdlePolls<'a> {
+    /// The planned ports, one per round from the hint's wake round on.
+    pub ports: &'a [NodeId],
+    /// The round the node must be called in after the run.
+    pub resume: Round,
 }
 
 /// Blanket helper: the status of a node as seen by a runner.

@@ -116,7 +116,9 @@ impl<P: SinglePortProtocol> SinglePortRunner<P> {
     }
 
     /// Node-rounds in which a node was called, so far (see
-    /// [`SinglePortCore::active_node_rounds`]).  A diagnostic of the
+    /// [`SinglePortCore::active_node_rounds`]).  An idle poll the core
+    /// answers itself, because the port was empty, is not a call
+    /// ([`SinglePortProtocol::idle_polls`]).  A diagnostic of the
     /// in-process runner: it is not part of the report and no table may
     /// depend on it.
     pub fn active_node_rounds(&self) -> u64 {

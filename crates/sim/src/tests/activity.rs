@@ -1,11 +1,16 @@
 //! The activity contract of the round cores: a node that says it is quiet
-//! is not called, a message wakes it, the per-node slices backends read
-//! stay whole, and a hint that lies trips the debug-build check.
+//! is not called, a message wakes it, a single-port idle poll of an empty
+//! port is answered without a call, the per-node slices backends read stay
+//! whole, and a hint or an idle poll that lies trips the debug-build check.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use crate::adversary::{AdversaryView, CrashAdversary, CrashDirective};
 use crate::driver::{RoundCore, SinglePortCore};
 use crate::message::{Delivered, Outgoing};
 use crate::node::NodeId;
-use crate::protocol::{SinglePortProtocol, SyncProtocol};
+use crate::protocol::{IdlePolls, SinglePortProtocol, SyncProtocol};
 use crate::round::Round;
 use crate::runner::{Participant, Runner};
 use crate::single_port::SinglePortRunner;
@@ -281,4 +286,195 @@ fn single_port_slices_keep_their_length_and_skipped_slots_are_empty() {
 fn a_quiet_single_port_node_that_polls_trips_the_check() {
     let mut runner = SinglePortRunner::new(sp_sleepers(true)).unwrap();
     runner.run(10);
+}
+
+/// A single-port node that polls `peer` idly in rounds `1..=run` (and
+/// says so), is called again in `run + 1` and every round after, sends
+/// `peer` a message in round `sends_at` if it has one, and decides on the
+/// first message it finds.
+struct Prober {
+    peer: usize,
+    sends_at: Option<u64>,
+    /// `peer` once per round of the run: the ports its idle polls lend.
+    ports: Vec<NodeId>,
+    lies: Option<Lie>,
+    decided: Option<u64>,
+    /// Rounds `send` was called in.
+    calls: Vec<u64>,
+}
+
+impl Prober {
+    /// Polls `peer` idly in rounds `1..=run` and sends nothing.
+    fn listener(peer: usize, run: u64) -> Self {
+        Prober {
+            peer,
+            sends_at: None,
+            ports: vec![NodeId::new(peer); run as usize],
+            lies: None,
+            decided: None,
+            calls: Vec::new(),
+        }
+    }
+
+    /// Sends `peer` a message in round `sends_at` and never polls.
+    fn talker(peer: usize, sends_at: u64) -> Self {
+        Prober {
+            sends_at: Some(sends_at),
+            ..Prober::listener(peer, 0)
+        }
+    }
+
+    fn run(&self) -> u64 {
+        self.ports.len() as u64
+    }
+}
+
+impl SinglePortProtocol for Prober {
+    type Msg = u64;
+    type Output = u64;
+
+    fn send(&mut self, round: Round) -> Option<Outgoing<u64>> {
+        let r = round.as_u64();
+        self.calls.push(r);
+        let lying = matches!(self.lies, Some(Lie::Sends)) && r == 2;
+        (self.sends_at == Some(r) || lying).then(|| Outgoing::new(NodeId::new(self.peer), 100 + r))
+    }
+
+    fn poll(&mut self, round: Round) -> Option<NodeId> {
+        (1..=self.run())
+            .contains(&round.as_u64())
+            .then(|| NodeId::new(self.peer))
+    }
+
+    fn receive(&mut self, round: Round, _from: NodeId, msgs: &mut Vec<u64>) {
+        let lying = matches!(self.lies, Some(Lie::Decides)) && round.as_u64() == 2;
+        if let Some(&msg) = msgs.first() {
+            self.decided.get_or_insert(msg);
+        } else if lying {
+            self.decided = Some(0);
+        }
+    }
+
+    fn output(&self) -> Option<u64> {
+        self.decided
+    }
+
+    fn has_halted(&self) -> bool {
+        false
+    }
+
+    fn quiet_until(&self, now: Round) -> Option<Round> {
+        let sends_at = self.sends_at?;
+        (now.as_u64() < sends_at).then_some(Round::new(sends_at))
+    }
+
+    fn idle_polls(&self, now: Round) -> Option<IdlePolls<'_>> {
+        let ports = self.ports.get(now.as_u64() as usize..)?;
+        let resume = Round::new(self.run() + 1);
+        (!ports.is_empty()).then_some(IdlePolls { ports, resume })
+    }
+}
+
+/// The poll intents the crash adversary was shown, round by round.
+type Seen = Rc<RefCell<Vec<Vec<Option<NodeId>>>>>;
+
+/// Records what the crash adversary is shown, and crashes nobody.
+struct PollWatch(Seen);
+
+impl CrashAdversary for PollWatch {
+    fn plan_round(&mut self, view: &AdversaryView<'_>) -> Vec<CrashDirective> {
+        self.0.borrow_mut().push(view.poll_intents.to_vec());
+        Vec::new()
+    }
+}
+
+/// A runner over `nodes` whose adversary records what it is shown.
+fn watched(nodes: Vec<Prober>) -> (SinglePortRunner<Prober>, Seen) {
+    let seen = Rc::new(RefCell::new(Vec::new()));
+    let runner = SinglePortRunner::with_adversary(nodes, Box::new(PollWatch(Rc::clone(&seen))), 0);
+    (runner.unwrap(), seen)
+}
+
+#[test]
+fn an_idle_poll_of_an_empty_port_is_not_a_call() {
+    // Node 1 polls node 0 idly in rounds 1..=4; node 0 never sends.
+    let (mut runner, seen) = watched(vec![Prober::listener(1, 0), Prober::listener(0, 4)]);
+    runner.step();
+    assert_eq!(runner.active_node_rounds(), 2, "round 0 calls both");
+    for round in 1..=4 {
+        runner.step();
+        // Node 0 states no hint and is called every round; node 1 is not.
+        assert_eq!(runner.active_node_rounds(), 2 + round, "round {round}");
+        // The planned port shows where every backend reads it.
+        let planned = [None, Some(NodeId::new(0))];
+        assert_eq!(runner.host.polls(), planned, "round {round}: polls()");
+        assert_eq!(
+            seen.borrow()[round as usize],
+            planned,
+            "round {round}: poll_intents"
+        );
+    }
+    runner.step();
+    assert_eq!(
+        runner.active_node_rounds(),
+        8,
+        "the run is over: round 5 calls both"
+    );
+    assert_eq!(runner.host.polls(), [None, None]);
+    assert_eq!(runner.host.output(1), None);
+    if !cfg!(debug_assertions) {
+        assert_eq!(runner.host.nodes[1].calls, vec![0, 5]);
+    }
+}
+
+#[test]
+fn a_message_on_an_idle_port_gets_its_node_called_that_round() {
+    // Node 0 sends in round 3 (its hint wakes it then); node 1 polls it
+    // idly in rounds 1..=6.
+    let (mut runner, _) = watched(vec![Prober::talker(1, 3), Prober::listener(0, 6)]);
+    for _ in 0..3 {
+        runner.step();
+    }
+    assert_eq!(runner.active_node_rounds(), 2, "rounds 1 and 2 call nobody");
+    runner.step();
+    assert_eq!(runner.active_node_rounds(), 4, "round 3 calls both");
+    assert_eq!(
+        runner.host.output(1),
+        Some(&103),
+        "found and decided in round 3"
+    );
+    assert_eq!(runner.ports_in_use(), 0);
+    for _ in 4..=7 {
+        runner.step();
+    }
+    // Node 0 is awake from round 4 on; node 1 polls idly again until it
+    // resumes in round 7.
+    assert_eq!(runner.active_node_rounds(), 4 + 4 + 1);
+    if !cfg!(debug_assertions) {
+        assert_eq!(runner.host.nodes[1].calls, vec![0, 3, 7]);
+    }
+}
+
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "stated an idle poll in round 2 but changed state on an empty port")]
+fn an_idle_poll_that_decides_on_an_empty_port_trips_the_check() {
+    let liar = Prober {
+        lies: Some(Lie::Decides),
+        ..Prober::listener(0, 4)
+    };
+    let (mut runner, _) = watched(vec![Prober::listener(1, 0), liar]);
+    runner.run(6);
+}
+
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "stated an idle poll of port n0 in round 2 but sends: true")]
+fn a_node_that_sends_in_an_idle_poll_round_trips_the_check() {
+    let liar = Prober {
+        lies: Some(Lie::Sends),
+        ..Prober::listener(0, 4)
+    };
+    let (mut runner, _) = watched(vec![Prober::listener(1, 0), liar]);
+    runner.run(6);
 }

@@ -2,12 +2,14 @@
 //!
 //! A protocol that states a hint promises that the calls a round core
 //! leaves out would have done nothing.  [`AlwaysAwake`] forwards every
-//! method of a protocol except the hint, so a core calls it every round,
-//! as cores did before the hint existed; for every protocol that states
-//! one, under every kind of crash adversary, through both in-process
-//! runners and both sharded ones, the two executions must produce the same
-//! [`ExecutionReport`] to the last field (outputs, crash and halt rounds,
-//! every `Metrics` counter and the per-round message series).
+//! method of a protocol except the hint (and, single-port, the idle polls
+//! stated beside it), so a core calls it every round and it polls every
+//! planned port itself, as cores did before the hint existed; for every
+//! protocol that states one, under every kind of crash adversary, through
+//! both in-process runners and both sharded ones, the two executions must
+//! produce the same [`ExecutionReport`] to the last field (outputs, crash
+//! and halt rounds, every `Metrics` counter and the per-round message
+//! series).
 //!
 //! In a debug build the cores also make the calls they would skip and
 //! assert that they come back empty, so this suite doubles as the contract
@@ -34,8 +36,9 @@ use linear_dft::sim::{
     TargetedCrashes,
 };
 
-/// Forwards everything except `quiet_until`: the protocol with its hint
-/// taken away.
+/// Forwards everything except `quiet_until` and `idle_polls`: the protocol
+/// with its hint taken away, and the "always poll" row of the single-port
+/// table — no poll of an empty port is left to the core.
 struct AlwaysAwake<P>(P);
 
 impl<P: SyncProtocol> SyncProtocol for AlwaysAwake<P> {
@@ -293,9 +296,13 @@ fn linear_consensus_single_port() {
                 (always.buffered_messages(), always.ports_in_use()),
                 "{label}: what is left on the ports"
             );
+            // Hint alone (no idle polls): always / hinted = 2.64–2.86 at
+            // n = 60 and 2.26–2.36 at n = 100.  With the empty idle polls
+            // answered by the core: 6.77–7.64 and 8.43–9.35.
             assert!(
-                hinted.active_node_rounds() * 2 < always.active_node_rounds(),
-                "{label}: the adapter's hint skipped too little ({} of {} node-rounds called)",
+                hinted.active_node_rounds() * 5 < always.active_node_rounds(),
+                "{label}: the adapter's hint and idle polls skipped too little ({} of {} \
+                 node-rounds called)",
                 hinted.active_node_rounds(),
                 always.active_node_rounds()
             );
