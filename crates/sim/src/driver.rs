@@ -40,6 +40,10 @@
 //! node asked to be woken at and, until then, calls neither half of its
 //! round — a multi-port node is woken early by a message
 //! ([`RoundCore::accept`]).  Byzantine participants are never skipped.
+//! A multi-port core files each sleeper in a wake calendar and visits only
+//! the nodes due or woken, so a round costs O(called + woken) plus a heap
+//! push and a later pop per node that goes to sleep, not a pass over every
+//! node.
 //! A single-port node may also state the planned polls in which it only
 //! listens ([`SinglePortProtocol::idle_polls`]); the core answers those
 //! itself and calls the node only when the pre-drained port holds a
@@ -66,6 +70,9 @@
     reason = "core-local parallel vectors share one length fixed at construction; local indices \
               are the core's own 0..len() loops or come from the backend's chunk arithmetic"
 )]
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::adversary::DeliveryFilter;
 use crate::message::{Delivered, Outgoing, Payload};
@@ -147,8 +154,16 @@ pub struct RoundCore<P: SyncProtocol> {
     /// (its last [`SyncProtocol::quiet_until`]); 0 while it is awake.
     pub(crate) wake: Vec<u64>,
     /// The nodes the last [`RoundCore::begin_round`] called, ascending —
-    /// the only ones with a send queue or intents to look at.
+    /// the only ones with a send queue or intents to look at — and, once
+    /// [`RoundCore::accept`] ran, the ones a message woke, appended.
     pub(crate) called: Vec<usize>,
+    /// The nodes to call next round: filed by [`RoundCore::finalize`],
+    /// joined by the calendar's entries that fall due.
+    pub(crate) due: Vec<usize>,
+    /// `(wake round, node)` for each node asleep past next round, earliest
+    /// first.  An entry is live only while `wake[node]` still equals its
+    /// round; a message and a new hint leave the old one behind, stale.
+    pub(crate) calendar: BinaryHeap<Reverse<(u64, usize)>>,
     /// Node-rounds in which a node was called at all.
     pub(crate) active: u64,
 }
@@ -187,6 +202,8 @@ impl<P: SyncProtocol> RoundCore<P> {
             byz_msgs: 0,
             wake: vec![0; len],
             called: Vec::new(),
+            due: (0..len).collect(),
+            calendar: BinaryHeap::new(),
             active: 0,
         }
     }
@@ -215,45 +232,63 @@ impl<P: SyncProtocol> RoundCore<P> {
     }
 
     /// Phase 1: collect sends and adversary-visible intents for this
-    /// core's nodes that are awake.
+    /// core's nodes that are due, in ascending node order.
     pub fn begin_round(&mut self, round: Round) {
+        let r = round.as_u64();
         // Only last round's callers can have left intents behind.
         for &i in &self.called {
             self.send_intents[i].clear();
         }
         self.called.clear();
-        let queues = self.outgoing.iter_mut().zip(&mut self.send_intents);
-        let state = self.status.iter().zip(&mut self.wake);
-        let per_node = self.participants.iter_mut().zip(queues).zip(state);
-        for (i, ((participant, (queue, intents)), (status, wake))) in per_node.enumerate() {
-            if !status.is_running() {
+        while let Some(&Reverse((at, i))) = self.calendar.peek() {
+            if at > r {
+                break;
+            }
+            self.calendar.pop();
+            if self.wake[i] == at {
+                self.due.push(i);
+            }
+        }
+        self.due.sort_unstable();
+        self.due.dedup();
+        for &i in &self.due {
+            if !self.status[i].is_running() {
                 continue;
             }
             // The queue doubles as the node's send scratch: cleared and
             // filled by the protocol here, drained by `deliver` — its
             // capacity is the only thing that survives the round.
-            match participant {
+            let queue = &mut self.outgoing[i];
+            match &mut self.participants[i] {
                 Participant::Honest(p) => {
-                    if *wake > round.as_u64() {
-                        if cfg!(debug_assertions) {
-                            p.send(round, queue);
-                            assert!(
-                                queue.is_empty(),
-                                "node {} claimed to be quiet until round {wake} but sends in round {round}",
-                                self.base + i,
-                            );
-                        }
-                        continue;
-                    }
-                    *wake = 0;
+                    self.wake[i] = 0;
                     queue.clear();
                     p.send(round, queue);
                 }
                 // Byzantine nodes act on last round's inbox when sending.
                 Participant::Byzantine(b) => *queue = b.act(round, &self.byz_inboxes[i]),
             }
-            intents.extend(queue.iter().map(|m| m.to));
+            self.send_intents[i].extend(queue.iter().map(|m| m.to));
             self.called.push(i);
+        }
+        self.due.clear();
+        if cfg!(debug_assertions) {
+            // Whoever is asleep was skipped: make its call anyway.
+            let queues = self.outgoing.iter_mut().zip(&self.status).zip(&self.wake);
+            for (i, (participant, ((queue, status), &wake))) in
+                self.participants.iter_mut().zip(queues).enumerate()
+            {
+                if let Participant::Honest(p) = participant {
+                    if wake > r && status.is_running() {
+                        p.send(round, queue);
+                        assert!(
+                            queue.is_empty(),
+                            "node {} claimed to be quiet until round {wake} but sends in round {round}",
+                            self.base + i,
+                        );
+                    }
+                }
+            }
         }
         self.active += self.called.len() as u64;
     }
@@ -303,13 +338,10 @@ impl<P: SyncProtocol> RoundCore<P> {
     /// (surviving messages in sender order plus message / bit / Byzantine
     /// counters).  `filters` holds the delivery filters of nodes that
     /// crashed this round (globally indexed; almost always empty).  The
-    /// destination-status check happens in the backend during the merge,
-    /// which also clears this core's inboxes for the new round — done here,
-    /// while the core is exclusively owned by its driver.
+    /// destination-status check happens in the backend during the merge.
+    /// Inboxes are not touched: [`RoundCore::finalize`] empties each one
+    /// right after its node's `receive`, so every inbox is empty here.
     pub fn deliver(&mut self, filters: &[(usize, DeliveryFilter)]) {
-        for inbox in &mut self.inboxes {
-            inbox.clear();
-        }
         self.delivered.clear();
         self.msgs = 0;
         self.bits = 0;
@@ -351,8 +383,12 @@ impl<P: SyncProtocol> RoundCore<P> {
     }
 
     /// Routes one inbound message into a node's inbox for the current
-    /// round (`local` indexes from [`RoundCore::base`]).
+    /// round (`local` indexes from [`RoundCore::base`]).  A message to a
+    /// node that is not running is dropped: it would never be read.
     pub fn accept(&mut self, local: usize, msg: Delivered<P::Msg>) {
+        if !self.status[local].is_running() {
+            return;
+        }
         self.inboxes[local].push(msg);
         // A message ends a node's quiet: it was skipped in `begin_round`,
         // and `finalize` now calls it after all.
@@ -360,12 +396,14 @@ impl<P: SyncProtocol> RoundCore<P> {
         if *wake != 0 {
             *wake = 0;
             self.active += 1;
+            self.called.push(local);
         }
     }
 
-    /// Phase 4: drive `receive` for this core's nodes that are awake (a
-    /// message wakes its destination), record first decisions and voluntary
-    /// halts, ask each called node how long it stays quiet, and return the
+    /// Phase 4: drive `receive` for the nodes called this round and the
+    /// ones a message woke, in node order; empty their inboxes; record
+    /// first decisions and voluntary halts; ask each how long it stays
+    /// quiet and file it for next round or in the calendar; and return the
     /// round's outcome.
     ///
     /// The core does **not** advance its own status on a halt: the backend
@@ -374,27 +412,37 @@ impl<P: SyncProtocol> RoundCore<P> {
     /// traces — cannot depend on which core finalized first.
     pub fn finalize(&mut self, round: Round) -> RoundOutcome<'_> {
         self.events.clear();
-        let inboxes = self.inboxes.iter_mut().zip(&mut self.byz_inboxes);
-        let state = self.status.iter().zip(&mut self.wake);
-        let per_node = self.participants.iter_mut().zip(inboxes).zip(state);
-        let per_node = per_node.zip(&mut self.outputs).enumerate();
-        for (i, (((participant, (inbox, byz_inbox)), (status, wake)), first_output)) in per_node {
-            if !status.is_running() {
+        let r = round.as_u64();
+        // `accept` appended the nodes it woke.
+        self.called.sort_unstable();
+        if cfg!(debug_assertions) {
+            // Whoever is still asleep was skipped: make its call anyway.
+            let state = self.status.iter().zip(&self.wake).zip(&self.outputs);
+            for (i, (participant, ((status, &wake), first_output))) in
+                self.participants.iter_mut().zip(state).enumerate()
+            {
+                if let Participant::Honest(p) = participant {
+                    if wake > r && status.is_running() {
+                        p.receive(round, &[]);
+                        let decided = first_output.is_none() && p.output().is_some();
+                        assert_still_quiet(self.base + i, round, decided, p.has_halted());
+                    }
+                }
+            }
+        }
+        for &i in &self.called {
+            let inbox = &mut self.inboxes[i];
+            if !self.status[i].is_running() {
+                // Crashed after its `send`; nothing was accepted for it.
                 continue;
             }
-            match participant {
+            match &mut self.participants[i] {
                 Participant::Honest(p) => {
-                    if *wake > round.as_u64() {
-                        if cfg!(debug_assertions) {
-                            p.receive(round, &[]);
-                            let decided = first_output.is_none() && p.output().is_some();
-                            assert_still_quiet(self.base + i, round, decided, p.has_halted());
-                        }
-                        continue;
-                    }
                     p.receive(round, inbox);
+                    inbox.clear();
                     let mut decided = false;
                     if let Some(output) = p.output() {
+                        let first_output = &mut self.outputs[i];
                         if first_output.is_none() {
                             *first_output = Some(output);
                             decided = true;
@@ -408,11 +456,31 @@ impl<P: SyncProtocol> RoundCore<P> {
                             halted,
                         });
                     }
-                    *wake = p.quiet_until(round).map_or(0, Round::as_u64);
+                    let wake = p.quiet_until(round).map_or(0, Round::as_u64);
+                    self.wake[i] = wake;
+                    if wake > r + 1 {
+                        self.calendar.push(Reverse((wake, i)));
+                        continue;
+                    }
                 }
                 // Byzantine nodes just remember their inbox for next round.
-                Participant::Byzantine(_) => std::mem::swap(byz_inbox, inbox),
+                Participant::Byzantine(_) => {
+                    std::mem::swap(&mut self.byz_inboxes[i], inbox);
+                    inbox.clear();
+                }
             }
+            self.due.push(i);
+        }
+        if self.calendar.len() > 2 * self.len() {
+            // Mostly stale entries and duplicates by now: keep one entry per
+            // live wake round, so the calendar stays O(n) however often
+            // messages cut a node's sleep short.
+            let wake = &self.wake;
+            let mut entries = std::mem::take(&mut self.calendar).into_vec();
+            entries.retain(|&Reverse((at, i))| wake[i] == at);
+            entries.sort_unstable();
+            entries.dedup();
+            self.calendar = entries.into();
         }
         RoundOutcome {
             events: &self.events,

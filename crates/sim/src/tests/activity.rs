@@ -5,7 +5,9 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
+use crate::adversary::byzantine::ByzantineStrategy;
 use crate::adversary::{AdversaryView, CrashAdversary, CrashDirective};
 use crate::driver::{RoundCore, SinglePortCore};
 use crate::message::{Delivered, Outgoing};
@@ -98,20 +100,29 @@ impl SyncProtocol for Sleeper {
     }
 }
 
-fn honest(nodes: Vec<Sleeper>) -> Vec<Participant<Sleeper>> {
+fn honest<P: SyncProtocol>(nodes: Vec<P>) -> Vec<Participant<P>> {
     nodes.into_iter().map(Participant::Honest).collect()
 }
 
 /// One round of a lone core, the way a backend drives it: every staged
 /// message is routed straight back in.
-fn step(core: &mut RoundCore<Sleeper>, round: u64) {
+fn step<P: SyncProtocol>(core: &mut RoundCore<P>, round: u64) {
+    step_crashing(core, round, &[]);
+}
+
+/// [`step`] with `victims` crashed in the crash phase, before delivery.
+fn step_crashing<P: SyncProtocol>(core: &mut RoundCore<P>, round: u64, victims: &[usize]) {
     let round = Round::new(round);
     core.begin_round(round);
+    for &victim in victims {
+        core.set_crashed(victim, round);
+    }
     core.deliver(&[]);
     for (dest, msg) in core.delivered().to_vec() {
         core.accept(dest, msg);
     }
-    let halted: Vec<usize> = core.finalize(round).events.iter().map(|e| e.node).collect();
+    let events = core.finalize(round).events.iter();
+    let halted: Vec<usize> = events.filter(|e| e.halted).map(|e| e.node).collect();
     for node in halted {
         core.set_halted(node);
     }
@@ -194,6 +205,251 @@ fn a_quiet_node_whose_output_changes_trips_the_check() {
     let mut core = RoundCore::new(0, honest(vec![Sleeper::lying(Lie::Decides)]));
     for round in 0..4 {
         step(&mut core, round);
+    }
+}
+
+/// A multi-port node on a script: in each round of `speaks` it sends its
+/// own index to every one of `peers`, it decides on the first message it
+/// receives, and at the end of round `now` it asks to be woken at
+/// `hint(now, decided)`.
+struct Scripted {
+    me: u64,
+    peers: Vec<usize>,
+    speaks: Vec<u64>,
+    hint: fn(u64, bool) -> Option<u64>,
+    decided: Option<u64>,
+    /// Rounds `send` / `receive` were called in.
+    sends: Vec<u64>,
+    receives: Vec<u64>,
+}
+
+impl Scripted {
+    fn new(me: u64, hint: fn(u64, bool) -> Option<u64>) -> Self {
+        Scripted {
+            me,
+            peers: Vec::new(),
+            speaks: Vec::new(),
+            hint,
+            decided: None,
+            sends: Vec::new(),
+            receives: Vec::new(),
+        }
+    }
+
+    /// Also speaks to `peers` in each round of `speaks`.
+    fn speaking(self, peers: &[usize], speaks: &[u64]) -> Self {
+        Scripted {
+            peers: peers.to_vec(),
+            speaks: speaks.to_vec(),
+            ..self
+        }
+    }
+}
+
+impl SyncProtocol for Scripted {
+    type Msg = u64;
+    type Output = u64;
+
+    fn send(&mut self, round: Round, out: &mut Vec<Outgoing<u64>>) {
+        let r = round.as_u64();
+        self.sends.push(r);
+        if self.speaks.contains(&r) {
+            out.extend(
+                self.peers
+                    .iter()
+                    .map(|&peer| Outgoing::new(NodeId::new(peer), self.me)),
+            );
+        }
+    }
+
+    fn receive(&mut self, round: Round, inbox: &[Delivered<u64>]) {
+        self.receives.push(round.as_u64());
+        if let Some(msg) = inbox.first() {
+            self.decided.get_or_insert(msg.msg);
+        }
+    }
+
+    fn output(&self) -> Option<u64> {
+        self.decided
+    }
+
+    fn has_halted(&self) -> bool {
+        false
+    }
+
+    fn quiet_until(&self, now: Round) -> Option<Round> {
+        (self.hint)(now.as_u64(), self.decided.is_some()).map(Round::new)
+    }
+}
+
+/// The rounds `send` and `receive` were called in, for an honest node.
+#[expect(
+    clippy::unreachable,
+    reason = "the tests ask only about honest participants"
+)]
+fn calls(core: &RoundCore<Scripted>, node: usize) -> (Vec<u64>, Vec<u64>) {
+    match &core.participants[node] {
+        Participant::Honest(p) => (p.sends.clone(), p.receives.clone()),
+        Participant::Byzantine(_) => unreachable!("honest nodes only"),
+    }
+}
+
+#[test]
+fn a_woken_node_that_hints_later_is_not_called_at_its_old_wake_round() {
+    // Node 1 asks for round 6, is woken by node 0's message in round 2 and
+    // then asks for round 10: its round-6 calendar entry is stale.
+    let talker = Scripted::new(0, |now, _| Some(if now < 2 { 2 } else { 50 }));
+    let sleeper = Scripted::new(1, |_, decided| Some(if decided { 10 } else { 6 }));
+    let mut core = RoundCore::new(0, honest(vec![talker.speaking(&[1], &[2]), sleeper]));
+    for round in 0..=10 {
+        step(&mut core, round);
+    }
+    assert_eq!(core.output(1), Some(&0));
+    // Round 0 for both, round 2 for both, round 10 for node 1.
+    assert_eq!(core.active_node_rounds(), 5);
+    if !cfg!(debug_assertions) {
+        assert_eq!(calls(&core, 1), (vec![0, 10], vec![0, 2, 10]));
+    }
+}
+
+#[test]
+fn a_hint_naming_this_round_a_past_round_or_the_next_means_next_round() {
+    let mut core = RoundCore::new(
+        0,
+        honest(vec![
+            Scripted::new(0, |now, _| Some(now)),
+            Scripted::new(1, |_, _| Some(0)),
+            Scripted::new(2, |now, _| Some(now + 1)),
+            Scripted::new(3, |_, _| Some(100)),
+        ]),
+    );
+    for round in 0..5 {
+        step(&mut core, round);
+    }
+    // The first three are called in every round, the last in round 0 only.
+    assert_eq!(core.active_node_rounds(), 3 * 5 + 1);
+    for node in 0..3 {
+        assert_eq!(
+            calls(&core, node),
+            (vec![0, 1, 2, 3, 4], vec![0, 1, 2, 3, 4])
+        );
+    }
+}
+
+/// A Byzantine participant that sends nothing and logs, per round, how many
+/// messages last round's inbox held.
+struct Counting(Arc<Mutex<Vec<(u64, usize)>>>);
+
+impl ByzantineStrategy<u64> for Counting {
+    fn act(&mut self, round: Round, inbox: &[Delivered<u64>]) -> Vec<Outgoing<u64>> {
+        self.0.lock().unwrap().push((round.as_u64(), inbox.len()));
+        Vec::new()
+    }
+}
+
+#[test]
+fn a_byzantine_participant_among_sleepers_is_called_every_round() {
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let talker = Scripted::new(0, |now, _| Some(if now < 2 { 2 } else { 50 }));
+    let participants = vec![
+        Participant::Honest(talker.speaking(&[1], &[2])),
+        Participant::Byzantine(Box::new(Counting(Arc::clone(&log)))),
+        Participant::Honest(Scripted::new(2, |_, _| Some(50))),
+    ];
+    let mut core = RoundCore::new(0, participants);
+    for round in 0..6 {
+        step(&mut core, round);
+    }
+    // Node 1 in every round, node 0 in rounds 0 and 2, node 2 in round 0.
+    assert_eq!(core.active_node_rounds(), 6 + 2 + 1);
+    // It acts on last round's inbox, and that inbox was emptied after.
+    let seen = log.lock().unwrap().clone();
+    assert_eq!(seen, vec![(0, 0), (1, 0), (2, 0), (3, 1), (4, 0), (5, 0)]);
+}
+
+#[test]
+fn a_node_crashed_while_asleep_is_never_called_again() {
+    // Node 0 would wake in round 5 to speak to node 1; it crashes in round 2.
+    let sleeper = Scripted::new(0, |_, _| Some(5)).speaking(&[1], &[5]);
+    let mut core = RoundCore::new(0, honest(vec![sleeper, Scripted::new(1, |_, _| Some(50))]));
+    step(&mut core, 0);
+    step(&mut core, 1);
+    step_crashing(&mut core, 2, &[0]);
+    for round in 3..9 {
+        step(&mut core, round);
+    }
+    assert_eq!(core.active_node_rounds(), 2, "round 0 only, for both");
+    assert_eq!(core.output(1), None);
+    // Not even the debug build's check calls a node that is not running:
+    // its last call is round 2's `send`, made before the crash.
+    let (sends, receives) = calls(&core, 0);
+    let last = if cfg!(debug_assertions) {
+        (2, 1)
+    } else {
+        (0, 0)
+    };
+    assert_eq!(
+        (sends.last(), receives.last()),
+        (Some(&last.0), Some(&last.1))
+    );
+}
+
+#[test]
+fn woken_and_due_nodes_interleave_in_sender_and_node_order() {
+    // Nodes 1 and 3 are due in round 3 and speak; nodes 0 and 2 sleep and
+    // are woken by them, so `accept` appends 2, then 0.
+    let at_3 = |now: u64, _| Some(if now < 3 { 3 } else { 50 });
+    let mut core = RoundCore::new(
+        0,
+        honest(vec![
+            Scripted::new(0, |_, _| Some(50)),
+            Scripted::new(1, at_3).speaking(&[2, 0], &[3]),
+            Scripted::new(2, |_, _| Some(50)),
+            Scripted::new(3, at_3).speaking(&[0, 1], &[3]),
+        ]),
+    );
+    for round in 0..3 {
+        step(&mut core, round);
+    }
+    let round = Round::new(3);
+    core.begin_round(round);
+    assert_eq!(core.called, [1, 3]);
+    core.deliver(&[]);
+    let staged: Vec<(usize, u64)> = core
+        .delivered()
+        .iter()
+        .map(|(dest, msg)| (*dest, msg.from.index() as u64))
+        .collect();
+    assert_eq!(staged, [(2, 1), (0, 1), (0, 3), (1, 3)], "sender order");
+    for (dest, msg) in core.delivered().to_vec() {
+        core.accept(dest, msg);
+    }
+    assert_eq!(core.called, [1, 3, 2, 0]);
+    let events: Vec<usize> = core.finalize(round).events.iter().map(|e| e.node).collect();
+    assert_eq!(events, [0, 1, 2], "node order");
+    // Node 0's inbox held node 1's message before node 3's.
+    let outputs: Vec<Option<&u64>> = (0..4).map(|node| core.output(node)).collect();
+    assert_eq!(outputs, [Some(&1), Some(&3), Some(&1), None]);
+    assert_eq!(core.active_node_rounds(), 4 + 4);
+    assert!(
+        core.inboxes.iter().all(Vec::is_empty),
+        "emptied after receive"
+    );
+}
+
+#[test]
+fn a_sleeper_woken_every_round_keeps_the_calendar_small() {
+    // Node 0 speaks to node 1 in every round; node 1 always asks for round
+    // 1000, so each round leaves a duplicate entry behind.
+    let talker = Scripted::new(0, |_, _| None).speaking(&[1], &(0..60).collect::<Vec<_>>());
+    let mut core = RoundCore::new(0, honest(vec![talker, Scripted::new(1, |_, _| Some(1000))]));
+    for round in 0..60 {
+        step(&mut core, round);
+        assert!(core.calendar.len() <= 2 * core.len(), "round {round}");
+    }
+    assert_eq!(core.active_node_rounds(), 2 * 60);
+    if !cfg!(debug_assertions) {
+        assert_eq!(calls(&core, 1).0, [0]);
     }
 }
 
