@@ -130,10 +130,8 @@ impl<P: SyncProtocol, L: PortPlan> SinglePortAdapter<P, L> {
     /// Closes the current multi-port round: the inner `receive`, then the
     /// next one begins in single-port round `next_start`.
     fn close_mp_round(&mut self, next_start: u64) {
-        // Ownership ping-pong so the inbox keeps its capacity.
-        let inbox = std::mem::take(&mut self.inbox);
-        self.inner.receive(Round::new(self.mp_round), &inbox);
-        self.inbox = inbox;
+        self.inner
+            .receive_owned(Round::new(self.mp_round), &mut self.inbox);
         self.inbox.clear();
         self.mp_round += 1;
         self.mp_start = next_start;

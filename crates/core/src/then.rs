@@ -78,20 +78,22 @@ impl<P: SyncProtocol> Lent<P> {
         out.extend(self.out.drain(..).map(|o| Outgoing::new(o.to, tag(o.msg))));
     }
 
-    /// A message carrying the other stage's tag is dropped.
+    /// Moves each message of `inbox` under this stage's tag into the
+    /// stage's scratch, untagged, and hands that on; a message carrying the
+    /// other stage's tag is dropped.  `inbox` is left empty.
     fn receive<M>(
         &mut self,
         round: u64,
-        inbox: &[Delivered<M>],
-        own: impl Fn(&M) -> Option<&P::Msg>,
+        inbox: &mut Vec<Delivered<M>>,
+        own: impl Fn(M) -> Option<P::Msg>,
     ) {
-        self.inbox.clear();
         self.inbox.extend(
             inbox
-                .iter()
-                .filter_map(|d| Some(Delivered::new(d.from, own(&d.msg)?.clone()))),
+                .drain(..)
+                .filter_map(|d| Some(Delivered::new(d.from, own(d.msg)?))),
         );
-        self.node.receive(Round::new(round), &self.inbox);
+        self.node.receive_owned(Round::new(round), &mut self.inbox);
+        self.inbox.clear();
     }
 }
 
@@ -101,14 +103,26 @@ enum Stage<A: SyncProtocol, B: SyncProtocol> {
     Second(Lent<B>),
 }
 
+/// A [`Then`]'s message.
+type ThenMsg<S> = Staged<
+    <<S as Stages>::First as SyncProtocol>::Msg,
+    <<S as Stages>::Second as SyncProtocol>::Msg,
+>;
+
 /// The two-stage sequencer: [`Stages::First`] for `first_rounds` rounds, then
 /// [`Stages::Second`], as one [`SyncProtocol`].
+///
+/// The relabel moves each delivered message once
+/// ([`SyncProtocol::receive_owned`]); the borrowed `receive` clones its
+/// inbox into a reused scratch and takes the same path.
 #[derive(Clone, Debug)]
 pub struct Then<S: Stages> {
     stages: S,
     stage: Stage<S::First, S::Second>,
     first_rounds: u64,
     total_rounds: u64,
+    /// The borrowed `receive`'s copy of its inbox (empty between calls).
+    borrowed: Vec<Delivered<ThenMsg<S>>>,
 }
 
 impl<S: Stages> Then<S> {
@@ -120,6 +134,7 @@ impl<S: Stages> Then<S> {
             stage: Stage::First(Lent::new(first)),
             first_rounds,
             total_rounds: first_rounds + second_rounds,
+            borrowed: Vec::new(),
         }
     }
 
@@ -146,7 +161,7 @@ impl<S: Stages> Then<S> {
 }
 
 impl<S: Stages> SyncProtocol for Then<S> {
-    type Msg = Staged<<S::First as SyncProtocol>::Msg, <S::Second as SyncProtocol>::Msg>;
+    type Msg = ThenMsg<S>;
     type Output = S::Output;
 
     fn send(&mut self, round: Round, out: &mut Vec<Outgoing<Self::Msg>>) {
@@ -158,6 +173,13 @@ impl<S: Stages> SyncProtocol for Then<S> {
     }
 
     fn receive(&mut self, round: Round, inbox: &[Delivered<Self::Msg>]) {
+        let mut owned = std::mem::take(&mut self.borrowed);
+        owned.extend_from_slice(inbox);
+        self.receive_owned(round, &mut owned);
+        self.borrowed = owned;
+    }
+
+    fn receive_owned(&mut self, round: Round, inbox: &mut Vec<Delivered<Self::Msg>>) {
         let (r, handover) = (round.as_u64(), self.first_rounds);
         match self.stage_at(r) {
             Stage::First(first) => first.receive(r, inbox, |msg| match msg {
@@ -364,6 +386,43 @@ mod tests {
             log.lock().unwrap().join(", "),
             "A.receive 1 [3], hand-over, B.receive 0 [2, 4]"
         );
+    }
+
+    /// Hands `inboxes` (round, messages) to a fresh composite, once through
+    /// the borrowed `receive` and once through `receive_owned`, then lets it
+    /// send in round `then_send`; returns both call logs.  The owned path
+    /// must leave every inbox it is handed empty.
+    fn through_both_paths(inboxes: &[(u64, &[Tagged])], then_send: u64) -> [String; 2] {
+        [false, true].map(|owned| {
+            let (mut node, log) = composite();
+            for &(r, msgs) in inboxes {
+                let mut inbox = inbox(msgs);
+                if owned {
+                    node.receive_owned(Round::new(r), &mut inbox);
+                    assert!(inbox.is_empty(), "round {r}: {inbox:?} left behind");
+                } else {
+                    node.receive(Round::new(r), &inbox);
+                }
+            }
+            node.send(Round::new(then_send), &mut Vec::new());
+            let calls = log.lock().unwrap().join(", ");
+            calls
+        })
+    }
+
+    #[test]
+    fn the_owned_and_the_borrowed_receive_make_the_same_calls() {
+        // The cases of the two tests above.
+        let both = [Tagged::Second(2), Tagged::First(3), Tagged::Second(4)];
+        let [borrowed, owned] = through_both_paths(&[(1, &both), (3, &both)], 4);
+        assert_eq!(
+            borrowed,
+            "A.receive 1 [3], hand-over, B.receive 0 [2, 4], B.send 1"
+        );
+        assert_eq!(owned, borrowed);
+        let [borrowed, owned] = through_both_paths(&[(3, &[Tagged::Second(9)])], 4);
+        assert_eq!(borrowed, "hand-over, B.receive 0 [9], B.send 1");
+        assert_eq!(owned, borrowed);
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //! 2. **Deliver, then merge in node order.**  All chunks stage their
 //!    surviving messages before any is routed; the merge walks chunks in
 //!    ascending order — which is sender order — counts them, and drops
-//!    those whose destination is no longer running.
+//!    those whose destination is no longer running.  Only a sharded host
+//!    stages: the serial one is a single chunk, so its core routes each
+//!    message into its inbox as it delivers, in the same order and under
+//!    the same drop rule, and hands the merge nothing but the counts.
 //! 3. **Finalize, then replay in node order.**  All chunks `finalize`
 //!    before any halt is applied; decisions and halts are replayed in
 //!    ascending node order, so traces cannot depend on which chunk finished
@@ -74,7 +77,9 @@ pub trait Host {
     fn shutdown(&mut self) {}
 }
 
-/// One chunk's share of a multi-port delivery phase.
+/// One chunk's share of a multi-port delivery phase.  A host that routes
+/// as it delivers (the serial one) leaves `delivered` empty and reports
+/// only the counts; a sharded host stages every surviving message here.
 #[derive(Debug)]
 pub struct Staged<M> {
     /// Messages sent by the chunk's non-Byzantine senders this round.

@@ -8,9 +8,10 @@
 //!    adversary-visible intents;
 //! 2. (the crash phase happens *outside* the core — see below);
 //! 3. [`RoundCore::deliver`] — apply crash delivery filters, count surviving
-//!    messages, and stage them in sender order;
-//! 4. [`RoundCore::finalize`] — drive `receive`, record decisions and halts,
-//!    and return a [`RoundOutcome`].
+//!    messages, and stage them in sender order (a core that owns every node
+//!    puts them straight into their inboxes instead);
+//! 4. [`RoundCore::finalize`] — drive `receive_owned`, record decisions and
+//!    halts, and return a [`RoundOutcome`].
 //!
 //! The core knows nothing about threads, pipes, or sockets, and nothing
 //! about the other cores of its execution.  Everything order-sensitive
@@ -141,7 +142,8 @@ pub struct RoundCore<P: SyncProtocol> {
     pub(crate) byz_inboxes: Vec<Vec<Delivered<P::Msg>>>,
     pub(crate) outputs: Vec<Option<P::Output>>,
     /// Delivery scratch: surviving messages in sender order, tagged with
-    /// their global destination for the backend's merge.
+    /// their global destination for the backend's merge (left empty by
+    /// [`RoundCore::deliver_direct`]).
     pub(crate) delivered: Vec<(usize, Delivered<P::Msg>)>,
     /// Receive scratch: decision/halt events for the backend's replay.
     pub(crate) events: Vec<NodeEvent>,
@@ -343,11 +345,39 @@ impl<P: SyncProtocol> RoundCore<P> {
     /// right after its node's `receive`, so every inbox is empty here.
     pub fn deliver(&mut self, filters: &[(usize, DeliveryFilter)]) {
         self.delivered.clear();
+        self.survivors(filters, |core, dest, msg| core.delivered.push((dest, msg)));
+    }
+
+    /// Phase 3 for a core that owns every node of its execution (base 0,
+    /// so a destination is a local index): as [`RoundCore::deliver`], but
+    /// each surviving message goes straight into its destination's inbox
+    /// through [`RoundCore::accept`], in sender order, and one addressed
+    /// past the last node is dropped.  Nothing is staged.
+    pub(crate) fn deliver_direct(&mut self, filters: &[(usize, DeliveryFilter)]) {
+        self.survivors(filters, |core, dest, msg| {
+            if dest < core.len() {
+                core.accept(dest, msg);
+            }
+        });
+    }
+
+    /// The survivor loop of both delivery phases: applies the crash
+    /// filters to this round's senders' queues, in sender order, counts
+    /// the messages that survive and hands each to `sink` with its global
+    /// destination.
+    fn survivors(
+        &mut self,
+        filters: &[(usize, DeliveryFilter)],
+        mut sink: impl FnMut(&mut Self, usize, Delivered<P::Msg>),
+    ) {
         self.msgs = 0;
         self.bits = 0;
         self.byz_msgs = 0;
-        for &i in &self.called {
-            let queue = &mut self.outgoing[i];
+        // Only the senders: `accept` appends the nodes it wakes behind them.
+        for k in 0..self.called.len() {
+            let i = self.called[k];
+            // Lent out so `sink` may take the core; handed back drained.
+            let mut queue = std::mem::take(&mut self.outgoing[i]);
             let sender_idx = self.base + i;
             let sender = NodeId::new(sender_idx);
             let is_byzantine = self.byz[i];
@@ -367,9 +397,9 @@ impl<P: SyncProtocol> RoundCore<P> {
                     self.msgs += 1;
                     self.bits += out.msg.bit_len();
                 }
-                self.delivered
-                    .push((out.to.index(), Delivered::new(sender, out.msg)));
+                sink(self, out.to.index(), Delivered::new(sender, out.msg));
             }
+            self.outgoing[i] = queue;
         }
     }
 
@@ -400,11 +430,12 @@ impl<P: SyncProtocol> RoundCore<P> {
         }
     }
 
-    /// Phase 4: drive `receive` for the nodes called this round and the
-    /// ones a message woke, in node order; empty their inboxes; record
-    /// first decisions and voluntary halts; ask each how long it stays
-    /// quiet and file it for next round or in the calendar; and return the
-    /// round's outcome.
+    /// Phase 4: drive [`SyncProtocol::receive_owned`] for the nodes called
+    /// this round and the ones a message woke, in node order, each moving
+    /// what it wants out of its inbox; empty their inboxes; record first
+    /// decisions and voluntary halts; ask each how long it stays quiet and
+    /// file it for next round or in the calendar; and return the round's
+    /// outcome.
     ///
     /// The core does **not** advance its own status on a halt: the backend
     /// replays the returned events in global node order (and only then
@@ -423,7 +454,7 @@ impl<P: SyncProtocol> RoundCore<P> {
             {
                 if let Participant::Honest(p) = participant {
                     if wake > r && status.is_running() {
-                        p.receive(round, &[]);
+                        p.receive_owned(round, &mut Vec::new());
                         let decided = first_output.is_none() && p.output().is_some();
                         assert_still_quiet(self.base + i, round, decided, p.has_halted());
                     }
@@ -438,7 +469,7 @@ impl<P: SyncProtocol> RoundCore<P> {
             }
             match &mut self.participants[i] {
                 Participant::Honest(p) => {
-                    p.receive(round, inbox);
+                    p.receive_owned(round, inbox);
                     inbox.clear();
                     let mut decided = false;
                     if let Some(output) = p.output() {

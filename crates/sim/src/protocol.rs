@@ -15,8 +15,8 @@ use crate::round::Round;
 ///    messages for the round;
 /// 2. the adversary may crash nodes, possibly suppressing part of a crashing
 ///    node's output;
-/// 3. [`SyncProtocol::receive`] is called once with every message delivered
-///    to the node in this round;
+/// 3. [`SyncProtocol::receive_owned`] (by default [`SyncProtocol::receive`])
+///    is called once with every message delivered to the node in this round;
 /// 4. the node may record a decision ([`SyncProtocol::output`]) and/or halt
 ///    ([`SyncProtocol::has_halted`]).
 ///
@@ -81,6 +81,23 @@ pub trait SyncProtocol: Send + 'static {
 
     /// Processes all messages delivered to this node during `round`.
     fn receive(&mut self, round: Round, inbox: &[Delivered<Self::Msg>]);
+
+    /// [`SyncProtocol::receive`] for a caller that owns the inbox, which is
+    /// how the round cores call a node: the messages are the callee's to
+    /// move out (`drain`, `mem::take`), and whatever it leaves behind the
+    /// caller clears.  The default lends the vector to `receive`.  A
+    /// protocol that re-wraps what it receives (`dft_core::Then` relabels a
+    /// stage's messages) overrides it to move each message instead of
+    /// cloning it.
+    ///
+    /// A wrapper that does not forward this method (the benchmark's
+    /// `Timed<P>`, the tests' `Tap` and `AlwaysAwake`) falls back to the
+    /// borrowed path: its inner protocol is handed the same messages
+    /// through `receive`, so the two paths must agree on everything a node
+    /// does.
+    fn receive_owned(&mut self, round: Round, inbox: &mut Vec<Delivered<Self::Msg>>) {
+        self.receive(round, inbox);
+    }
 
     /// The node's decision, if it has made one.
     ///

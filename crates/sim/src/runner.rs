@@ -206,15 +206,14 @@ impl<P: SyncProtocol> MultiPortHost for RoundCore<P> {
         for (victim, _) in &crashed {
             self.set_crashed(*victim, round);
         }
-        RoundCore::deliver(self, &crashed);
-        // The staged messages change hands by swapping buffers with the
-        // (drained) one of the round before, so both keep their capacity.
+        // One core owns every node, so it routes as it delivers: the
+        // coordinator gets the counts and nothing to merge.
+        self.deliver_direct(&crashed);
         staged.resize_with(1, Staged::default);
         let slot = &mut staged[0];
         slot.messages = self.msgs;
         slot.bits = self.bits;
         slot.byzantine_messages = self.byz_msgs;
-        std::mem::swap(&mut slot.delivered, &mut self.delivered);
         Ok(())
     }
 
@@ -487,6 +486,84 @@ mod tests {
         assert_eq!(report.metrics.messages, 6);
         // Node 1 received exactly one message (round 0) before halting.
         assert_eq!(report.output_of(NodeId::new(1)), Some(&1));
+    }
+
+    /// Node 0 sends to nodes that cannot take a message: in round 0 to
+    /// index n, which does not exist, and to node 1, which crashes silently
+    /// that round; in round 1 to node 2, which halted in round 0, and to
+    /// node 3, which takes it.  Each node halts with the number of messages
+    /// it got as its output.
+    struct Misaddressed {
+        me: usize,
+        n: usize,
+        received: u64,
+        halted: bool,
+    }
+
+    impl SyncProtocol for Misaddressed {
+        type Msg = bool;
+        type Output = u64;
+
+        fn send(&mut self, round: Round, out: &mut Vec<Outgoing<bool>>) {
+            let to: &[usize] = match (self.me, round.as_u64()) {
+                (0, 0) => &[self.n, 1],
+                (0, 1) => &[2, 3],
+                _ => &[],
+            };
+            out.extend(to.iter().map(|&to| Outgoing::new(NodeId::new(to), true)));
+        }
+
+        fn receive(&mut self, round: Round, inbox: &[Delivered<bool>]) {
+            self.received += inbox.len() as u64;
+            self.halted = self.me == 2 || round.as_u64() >= 1;
+        }
+
+        fn output(&self) -> Option<u64> {
+            self.halted.then_some(self.received)
+        }
+
+        fn has_halted(&self) -> bool {
+            self.halted
+        }
+    }
+
+    /// A message to a node that does not exist, to one crashed this round
+    /// and to one halted is counted against its sender and dropped, and the
+    /// serial host, which routes as it delivers, agrees with the sharded
+    /// one, whose coordinator routes the staged messages.
+    #[test]
+    fn misaddressed_messages_are_counted_and_dropped_by_every_host() {
+        let n = 4;
+        let nodes = || {
+            (0..n)
+                .map(|me| {
+                    Participant::Honest(Misaddressed {
+                        me,
+                        n,
+                        received: 0,
+                        halted: false,
+                    })
+                })
+                .collect::<Vec<_>>()
+        };
+        let crash = || {
+            let crash = CrashDirective::silent(NodeId::new(1));
+            Box::new(FixedCrashSchedule::new().crash_at(0, crash))
+        };
+        let serial = Runner::with_participants(nodes(), crash(), 1)
+            .unwrap()
+            .run(5);
+        let sharded = crate::shard::ShardedRunner::in_process(nodes(), crash(), 1, 2)
+            .unwrap()
+            .run(5)
+            .unwrap();
+        assert_eq!(serial.termination, Termination::AllHalted);
+        assert_eq!(serial.metrics.messages, 4, "all four sends are counted");
+        assert_eq!(serial.crashed_at[1], Some(Round::new(0)));
+        assert_eq!(serial.halted_at[2], Some(Round::new(0)));
+        let received = [0, 2, 3].map(|i| serial.output_of(NodeId::new(i)).copied());
+        assert_eq!(received, [Some(0), Some(0), Some(1)], "only node 3 got one");
+        assert_eq!(serial, sharded);
     }
 
     /// Regression test: the multi-port runner hands the adversary one poll

@@ -11,6 +11,12 @@
 //! and halt rounds, every `Metrics` counter and the per-round message
 //! series).
 //!
+//! [`AlwaysAwake`] does not forward `receive_owned` either, so a core hands
+//! the wrapped protocol its inbox through the borrowed `receive`: every
+//! multi-port row also checks a composite's owned relabel
+//! (`Then::receive_owned`, which moves each message) against its borrowed
+//! one (which clones).
+//!
 //! In a debug build the cores also make the calls they would skip and
 //! assert that they come back empty, so this suite doubles as the contract
 //! checker's workload; in `--release` it compares a run that really skips
@@ -38,7 +44,9 @@ use linear_dft::sim::{
 
 /// Forwards everything except `quiet_until` and `idle_polls`: the protocol
 /// with its hint taken away, and the "always poll" row of the single-port
-/// table — no poll of an empty port is left to the core.
+/// table — no poll of an empty port is left to the core.  It leaves out
+/// `receive_owned` too, so the wrapped protocol is handed its inbox by
+/// `receive`.
 struct AlwaysAwake<P>(P);
 
 impl<P: SyncProtocol> SyncProtocol for AlwaysAwake<P> {
