@@ -4,8 +4,7 @@
 //! benchmark harness:
 //!
 //! * [`FloodingConsensus`] — the textbook `t + 1`-round all-to-all flooding
-//!   consensus (early-stopping variant): `Θ(n²)` messages per round,
-//!   `Θ(n²·(f+1))` total.  This is the time-optimal but
+//!   consensus: `Θ(n²)` messages per round, `Θ(n²·(t+1))` total.  This is the time-optimal but
 //!   communication-hungry comparator for Theorems 7 and 8.
 //! * [`AllToAllGossip`] — every node sends its rumor set to every node each
 //!   round for `t + 1` rounds: `Θ(n²·t)` messages, the comparator for
@@ -30,23 +29,17 @@ use dft_sim::{Delivered, NodeId, Outgoing, Payload, Round, SyncProtocol};
 /// The textbook flooding consensus: for `t + 1` rounds every node broadcasts
 /// the set of values it has seen (here: the OR of binary values); after the
 /// last round it decides on the OR.
-///
-/// With the early-stopping rule a node decides as soon as it sees two
-/// consecutive rounds with no new information, giving `O(f + 2)` rounds, but
-/// communication stays `Θ(n²)` per round.
 #[derive(Clone, Debug)]
 pub struct FloodingConsensus {
     n: usize,
     t: usize,
     value: bool,
     rounds_done: u64,
-    quiet_rounds: u64,
     decided: Option<bool>,
-    early_stopping: bool,
 }
 
 impl FloodingConsensus {
-    /// Creates a node of the fixed-length (`t + 1` rounds) variant.
+    /// Creates node `me` with its input.
     pub fn new(n: usize, t: usize, me: usize, input: bool) -> Self {
         let _ = me;
         FloodingConsensus {
@@ -54,21 +47,11 @@ impl FloodingConsensus {
             t,
             value: input,
             rounds_done: 0,
-            quiet_rounds: 0,
             decided: None,
-            early_stopping: false,
         }
     }
 
-    /// Creates a node of the early-stopping variant (decide after two
-    /// consecutive rounds without new information).
-    pub fn early_stopping(n: usize, t: usize, me: usize, input: bool) -> Self {
-        let mut node = Self::new(n, t, me, input);
-        node.early_stopping = true;
-        node
-    }
-
-    /// Builds the fixed-length variant for all nodes.
+    /// Builds every node, node `i` with input `inputs[i]`.
     pub fn for_all_nodes(n: usize, t: usize, inputs: &[bool]) -> Vec<Self> {
         inputs
             .iter()
@@ -77,7 +60,7 @@ impl FloodingConsensus {
             .collect()
     }
 
-    /// Total rounds of the fixed-length variant.
+    /// Total rounds: `t + 1`.
     pub fn total_rounds(t: usize) -> u64 {
         t as u64 + 1
     }
@@ -95,19 +78,11 @@ impl SyncProtocol for FloodingConsensus {
     }
 
     fn receive(&mut self, _round: Round, inbox: &[Delivered<bool>]) {
-        let before = self.value;
         for msg in inbox {
             self.value |= msg.msg;
         }
         self.rounds_done += 1;
-        if self.value == before {
-            self.quiet_rounds += 1;
-        } else {
-            self.quiet_rounds = 0;
-        }
-        let fixed_done = self.rounds_done > self.t as u64;
-        let early_done = self.early_stopping && self.quiet_rounds >= 2;
-        if self.decided.is_none() && (fixed_done || early_done) {
+        if self.decided.is_none() && self.rounds_done > self.t as u64 {
             self.decided = Some(self.value);
         }
     }
@@ -478,23 +453,6 @@ mod tests {
         let mut runner = Runner::with_adversary(nodes, Box::new(adversary), t).unwrap();
         let report = runner.run(FloodingConsensus::total_rounds(t) + 2);
         assert!(report.all_non_faulty_decided());
-        assert!(report.non_faulty_deciders_agree());
-    }
-
-    #[test]
-    fn early_stopping_halts_fast_without_faults() {
-        let n = 30;
-        let t = 10;
-        let inputs = vec![false; n];
-        let nodes: Vec<FloodingConsensus> = (0..n)
-            .map(|me| FloodingConsensus::early_stopping(n, t, me, inputs[me]))
-            .collect();
-        let mut runner = Runner::new(nodes).unwrap();
-        let report = runner.run(FloodingConsensus::total_rounds(t) + 2);
-        assert!(
-            report.metrics.rounds <= 4,
-            "stops well before t+1 = 11 rounds"
-        );
         assert!(report.non_faulty_deciders_agree());
     }
 

@@ -1,35 +1,21 @@
 //! `dft-node` — one OS process per protocol node, speaking the versioned
 //! wire format over real TCP sockets.
 //!
-//! This binary is the third execution backend for `dft-sim`'s sans-I/O
-//! round cores: the same [`RoundCore`] that the in-process runners and the
-//! shard workers drive is driven here by a per-node TCP event loop.  Two
-//! modes:
+//! Each process runs the one multi-port round loop of `dft-sim`'s
+//! coordinator over a [`MeshRunner`]: its own single-node round core, with a
+//! TCP link to every peer.  This binary only brings the sockets.  Two modes:
 //!
-//! * `dft-node --cluster N …` — the launcher: derives the effective crash
-//!   schedule from the same seeded [`RandomCrashes`] adversary the
-//!   simulators use, spawns `N` copies of itself as node processes on
-//!   localhost, collects their results into a decision table, runs the same
-//!   workload through the serial in-process [`Runner`], and diffs the two
-//!   tables byte-for-byte (exit 0 only when identical).
+//! * `dft-node --cluster N …` — the launcher: spawns `N` copies of itself as
+//!   node processes on localhost, collects their results into a decision
+//!   table, runs the same workload through the serial in-process [`Runner`],
+//!   and diffs the two tables byte-for-byte (exit 0 only when identical).
 //! * `dft-node --me ID --peers …` — one node: builds a full TCP mesh
-//!   (connect down to lower ids, accept from higher ids), then runs the
-//!   lock-step round synchronizer described below.
+//!   (connect down to lower ids, take connections from higher ids), then
+//!   runs the mesh's lock step (see `dft_sim::shard::mesh`).
 //!
-//! # Round synchronizer
-//!
-//! Every process executes the same loop: `begin_round` on its single-node
-//! core, apply its own crash directive (every process knows the full
-//! schedule, so the central crash phase of the simulators is replayed
-//! identically everywhere), `deliver` through its own filter, send exactly
-//! one `ROUND` frame to every peer it still owes one (a sync marker even
-//! when the payload is empty), then read exactly one frame from every peer
-//! it still expects one from, merge inboxes in ascending sender order, and
-//! `finalize`.  A node expects a round-`r` frame from peer `p` iff `p` has
-//! not announced a voluntary halt (`GOODBYE`) and `p`'s scheduled crash
-//! round is absent or `>= r` — a peer crashing *at* `r` still owes its
-//! final, filter-limited frame.  All sends complete before any read, so the
-//! lock step cannot deadlock (frames park in kernel socket buffers).
+//! Every node runs the serial run's own adversary, [`RandomCrashes`] from
+//! `--crashes` and `--seed`: it plans from the seed and the round alone, so
+//! every process derives the same crashes without being sent them.
 //!
 //! Exit is a half-close: shut down the write side of every link (FIN), then
 //! drain reads to EOF, so a departing node can never reset a connection
@@ -37,24 +23,21 @@
 //!
 //! # Graceful degradation
 //!
-//! Every socket carries a read deadline ([`READ_DEADLINE`]).  A peer that
-//! misses [`MAX_READ_MISSES`] consecutive deadlines on one frame — or whose
-//! link reports EOF / reset / broken pipe — is **suspected**: treated
-//! exactly like a peer whose schedule crashed it at the current round with
-//! an empty delivery filter, so survivors keep lock step and still reach
-//! the serial decision table.  The launcher's `--kill NODE@ROUND` knob
-//! exercises this end to end: the victim process exits at the top of round
-//! `ROUND` (worker flag `--die-at`), the survivors discover the death
-//! dynamically through their links (the kill is deliberately *not* in the
-//! `--schedule` they receive), and the serial comparison run adds the same
-//! crash to a [`FixedCrashSchedule`] — the tables must stay byte-identical.
-//! Each node reports how many peers it suspected (`suspected=` in its
-//! `RESULT` line).
+//! Every socket carries a read deadline ([`READ_DEADLINE`]), and the mesh
+//! suspects a peer that misses too many or whose link dies: from then on it
+//! is treated like a peer crashed with an empty filter, so survivors keep
+//! lock step and still reach the serial decision table.  The launcher's
+//! `--kill NODE@ROUND` knob exercises this end to end: the victim process
+//! exits at the top of round `ROUND` (node flag `--die-at`), the survivors
+//! discover the death through their links (no adversary of theirs plans
+//! it), and the serial comparison run adds the same crash to a
+//! [`FixedCrashSchedule`] — the tables must stay byte-identical.  Each node
+//! reports how many peers it suspected (`suspected=` in its `RESULT` line).
 
 #![expect(
     clippy::disallowed_types,
     reason = "dft-node is where sockets exist: the TCP mesh is this binary's job, and the wall \
-              clock only bounds the bind/connect retry loop, never protocol state"
+              clock only bounds the bind/connect/listen retry loops, never protocol state"
 )]
 
 use std::io;
@@ -64,38 +47,24 @@ use std::time::{Duration, Instant};
 
 use dft_baselines::FloodingConsensus;
 use dft_bench::{Table, Workload};
-use dft_sim::shard::{
-    frame, from_bytes, open_frame, to_bytes, ShardTransport, StreamTransport, Wire, WireReader,
-};
+use dft_sim::shard::mesh::{MeshRunner, Suspicion, TAG_HELLO};
+use dft_sim::shard::{frame, open_frame, read_frame, write_frame, StreamTransport, Wire};
 use dft_sim::{
-    AdversaryView, CrashAdversary, CrashDirective, Delivered, DeliveryFilter, FixedCrashSchedule,
-    NodeId, NodeSet, Participant, RandomCrashes, Round, RoundCore, Runner,
+    CrashDirective, FixedCrashSchedule, NodeId, Participant, RandomCrashes, Round, Runner,
 };
-
-/// Frame tags of the node-to-node protocol (the shard protocol uses low tag
-/// numbers; this range is disjoint so a misdirected frame fails loudly).
-const TAG_HELLO: u8 = 110;
-const TAG_ROUND: u8 = 111;
-const TAG_GOODBYE: u8 = 112;
 
 /// Per-read socket deadline.  Generous — healthy localhost frames arrive in
 /// microseconds; the deadline only exists so a hung peer degrades into a
 /// suspicion instead of hanging the whole cluster.
 const READ_DEADLINE: Duration = Duration::from_secs(10);
 
-/// Consecutive deadline misses on one expected frame before the peer is
-/// suspected.  EOF, reset and broken pipe suspect immediately.
-const MAX_READ_MISSES: u32 = 2;
-
-/// The effective crash schedule: `(round, node, filter)` triples, already
-/// passed through the engine's budget/acceptance rules by the launcher, so
-/// every process can replay the central crash phase without an adversary.
-type Schedule = Vec<(Round, usize, DeliveryFilter)>;
+/// How long a node waits for its peers to connect, either way round.
+const MESH_WAIT: Duration = Duration::from_secs(10);
 
 const USAGE: &str = "\
 usage: dft-node --cluster N [--t T] [--crashes C] [--seed S] [--kill NODE@ROUND]
                 [--out PATH] [--serial-out PATH]
-       dft-node --me ID --peers ADDR,ADDR,... --t T --seed S [--schedule HEX]
+       dft-node --me ID --peers ADDR,ADDR,... --t T --crashes C --seed S
                 [--die-at ROUND]
 
 cluster mode (launcher):
@@ -113,8 +82,9 @@ node mode (one process per node; normally spawned by the launcher):
   --me ID            this node's index into --peers
   --peers LIST       every node's host:port in node-id order (includes own)
   --t T              fault bound (default 2)
-  --seed S           seed the inputs derive from (default 7)
-  --schedule HEX     hex-encoded wire bytes of the effective crash schedule
+  --crashes C        crashes the seeded schedule plans, <= T (default min(2, T))
+  --seed S           seed the inputs and the crash schedule derive from
+                     (default 7)
   --die-at ROUND     exit cleanly at the top of ROUND, simulating a crash
                      the peers were never told about";
 
@@ -147,8 +117,8 @@ struct WorkerArgs {
     me: usize,
     peers: Vec<SocketAddr>,
     t: usize,
+    crashes: usize,
     seed: u64,
-    schedule: Schedule,
     /// `--die-at ROUND`: exit at the top of this round.
     die_at: Option<u64>,
 }
@@ -158,18 +128,11 @@ enum Mode {
     Worker(Box<WorkerArgs>),
 }
 
-fn parse_count(flag: &str, value: Option<String>) -> Result<usize, String> {
+fn parse_number<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
     let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
     value
-        .parse::<usize>()
+        .parse::<T>()
         .map_err(|_| format!("{flag} needs a non-negative integer, got `{value}`"))
-}
-
-fn parse_seed(value: Option<String>) -> Result<u64, String> {
-    let value = value.ok_or("--seed needs a value")?;
-    value
-        .parse::<u64>()
-        .map_err(|_| format!("--seed needs a non-negative integer, got `{value}`"))
 }
 
 fn parse_path(flag: &str, value: Option<String>) -> Result<String, String> {
@@ -192,11 +155,6 @@ fn parse_kill_spec(value: Option<String>) -> Result<(usize, u64), String> {
     Ok((node, round))
 }
 
-#[expect(
-    clippy::disallowed_methods,
-    reason = "--schedule bytes are a bare Wire value the same binary's launcher just encoded; \
-              version agreement is by construction"
-)]
 fn parse_args(args: Vec<String>) -> Result<Mode, String> {
     let mut cluster: Option<usize> = None;
     let mut me: Option<usize> = None;
@@ -204,7 +162,6 @@ fn parse_args(args: Vec<String>) -> Result<Mode, String> {
     let mut t: usize = 2;
     let mut crashes: Option<usize> = None;
     let mut seed: u64 = 7;
-    let mut schedule_hex: Option<String> = None;
     let mut kill: Option<(usize, u64)> = None;
     let mut die_at: Option<u64> = None;
     let mut out = None;
@@ -213,179 +170,102 @@ fn parse_args(args: Vec<String>) -> Result<Mode, String> {
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--cluster" => cluster = Some(parse_count("--cluster", it.next())?),
-            "--me" => me = Some(parse_count("--me", it.next())?),
+            "--cluster" => cluster = Some(parse_number("--cluster", it.next())?),
+            "--me" => me = Some(parse_number("--me", it.next())?),
             "--peers" => peers = Some(it.next().ok_or("--peers needs an address list")?),
-            "--t" => t = parse_count("--t", it.next())?,
-            "--crashes" => crashes = Some(parse_count("--crashes", it.next())?),
-            "--seed" => seed = parse_seed(it.next())?,
-            "--schedule" => schedule_hex = Some(it.next().ok_or("--schedule needs hex bytes")?),
+            "--t" => t = parse_number("--t", it.next())?,
+            "--crashes" => crashes = Some(parse_number("--crashes", it.next())?),
+            "--seed" => seed = parse_number("--seed", it.next())?,
             "--kill" => kill = Some(parse_kill_spec(it.next())?),
-            "--die-at" => die_at = Some(parse_count("--die-at", it.next())? as u64),
+            "--die-at" => die_at = Some(parse_number("--die-at", it.next())?),
             "--out" => out = Some(parse_path("--out", it.next())?),
             "--serial-out" => serial_out = Some(parse_path("--serial-out", it.next())?),
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-
-    match (cluster, me) {
-        (Some(_), Some(_)) => Err("--cluster and --me are mutually exclusive".to_string()),
-        (Some(n), None) => {
-            if n < 2 {
-                return Err(format!("--cluster needs at least 2 nodes, got {n}"));
-            }
-            if t >= n {
-                return Err(format!("--t must be < n ({n}), got {t}"));
-            }
-            let crashes = crashes.unwrap_or_else(|| t.min(2));
-            if crashes > t {
-                return Err(format!("--crashes must be <= t ({t}), got {crashes}"));
-            }
-            if die_at.is_some() {
-                return Err("--die-at is a node-mode flag; use --kill NODE@ROUND".to_string());
-            }
-            if let Some((victim, round)) = kill {
-                if victim >= n {
-                    return Err(format!("--kill node {victim} is out of range for n = {n}"));
-                }
-                let horizon = FloodingConsensus::total_rounds(t);
-                if round >= horizon {
-                    return Err(format!(
-                        "--kill round {round} is past the protocol's {horizon}-round horizon"
-                    ));
-                }
-                if crashes + 1 > t {
-                    return Err(format!(
-                        "--kill needs crash budget: crashes + 1 must be <= t, \
-                         got crashes = {crashes}, t = {t}"
-                    ));
-                }
-            }
-            Ok(Mode::Cluster(ClusterArgs {
-                n,
-                t,
-                crashes,
-                seed,
-                kill,
-                out,
-                serial_out,
-            }))
+    let crashes = crashes.unwrap_or_else(|| t.min(2));
+    let parse_addr = |addr: &str| {
+        addr.parse::<SocketAddr>()
+            .map_err(|_| format!("bad peer address `{addr}` (want host:port)"))
+    };
+    let peers = match (cluster, me, peers) {
+        (Some(_), Some(_), _) => return Err("--cluster and --me are mutually exclusive".into()),
+        (None, None, _) => return Err("pick a mode: --cluster N or --me ID".to_string()),
+        (None, Some(_), None) => return Err("node mode needs --peers".to_string()),
+        (None, Some(_), Some(list)) => list.split(',').map(parse_addr).collect::<Result<_, _>>()?,
+        (Some(_), None, _) => Vec::new(),
+    };
+    let n = cluster.unwrap_or(peers.len());
+    if n < 2 {
+        return Err(format!("a cluster needs at least 2 nodes, got {n}"));
+    }
+    if t >= n {
+        return Err(format!("--t must be < n ({n}), got {t}"));
+    }
+    if crashes > t {
+        return Err(format!("--crashes must be <= t ({t}), got {crashes}"));
+    }
+    if let Some(me) = me {
+        if kill.is_some() {
+            return Err("--kill is a cluster-mode flag; use --die-at ROUND".to_string());
         }
-        (None, Some(me)) => {
-            if kill.is_some() {
-                return Err("--kill is a cluster-mode flag; use --die-at ROUND".to_string());
-            }
-            let peers = peers.ok_or("node mode needs --peers")?;
-            if peers.is_empty() {
-                return Err("--peers must list at least two addresses, got none".to_string());
-            }
-            let peers = peers
-                .split(',')
-                .map(|addr| {
-                    addr.parse::<SocketAddr>()
-                        .map_err(|_| format!("bad peer address `{addr}` (want host:port)"))
-                })
-                .collect::<Result<Vec<SocketAddr>, String>>()?;
-            if peers.len() < 2 {
-                return Err(format!(
-                    "--peers must list at least two addresses, got {}",
-                    peers.len()
-                ));
-            }
-            if me >= peers.len() {
-                return Err(format!(
-                    "--me {me} is out of range for {} peers",
-                    peers.len()
-                ));
-            }
-            if t >= peers.len() {
-                return Err(format!("--t must be < n ({}), got {t}", peers.len()));
-            }
-            let schedule = match schedule_hex {
-                None => Vec::new(),
-                Some(hex) => {
-                    let bytes = hex_decode(&hex)
-                        .ok_or_else(|| format!("--schedule is not hex: `{hex}`"))?;
-                    from_bytes::<Schedule>(&bytes)
-                        .map_err(|err| format!("--schedule does not decode: {err}"))?
-                }
-            };
-            Ok(Mode::Worker(Box::new(WorkerArgs {
-                me,
-                peers,
-                t,
-                seed,
-                schedule,
-                die_at,
-            })))
+        if me >= n {
+            return Err(format!("--me {me} is out of range for {n} peers"));
         }
-        (None, None) => Err("pick a mode: --cluster N or --me ID".to_string()),
+        let worker = WorkerArgs {
+            me,
+            peers,
+            t,
+            crashes,
+            seed,
+            die_at,
+        };
+        return Ok(Mode::Worker(Box::new(worker)));
     }
-}
-
-fn hex_encode(bytes: &[u8]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        let _ = write!(out, "{b:02x}");
+    if die_at.is_some() {
+        return Err("--die-at is a node-mode flag; use --kill NODE@ROUND".to_string());
     }
-    out
-}
-
-fn hex_decode(hex: &str) -> Option<Vec<u8>> {
-    if !hex.len().is_multiple_of(2) {
-        return None;
+    if let Some((victim, round)) = kill {
+        if victim >= n {
+            return Err(format!("--kill node {victim} is out of range for n = {n}"));
+        }
+        let horizon = FloodingConsensus::total_rounds(t);
+        if round >= horizon {
+            return Err(format!(
+                "--kill round {round} is past the protocol's {horizon}-round horizon"
+            ));
+        }
+        if crashes + 1 > t {
+            return Err(format!(
+                "--kill needs crash budget: crashes + 1 must be <= t, \
+                 got crashes = {crashes}, t = {t}"
+            ));
+        }
     }
-    (0..hex.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(hex.get(i..i + 2)?, 16).ok())
-        .collect()
+    Ok(Mode::Cluster(ClusterArgs {
+        n,
+        t,
+        crashes,
+        seed,
+        kill,
+        out,
+        serial_out,
+    }))
 }
 
 // ---------------------------------------------------------------------------
-// Shared: schedule extraction and the decision table
+// Shared: the workload and the decision table
 
-/// Replays the crash adversary against synthetic views and the engine's
-/// acceptance rules ([`dft_sim`]'s budget `break`, out-of-range /
-/// already-crashed `continue`) to obtain the *effective* schedule — exactly
-/// the crashes a serial run applies.  Sound because [`RandomCrashes`] plans
-/// from `(seed, round)` alone, never from the view's intents; the launcher
-/// passes the result to every node process so all of them replay the same
-/// central crash phase.
-fn extract_schedule(n: usize, t: usize, crashes: usize, horizon: u64, seed: u64) -> Schedule {
-    let mut accepted: Schedule = Vec::new();
-    if crashes == 0 {
-        return accepted;
+/// The inputs both the nodes and the serial run derive from the seed.
+fn inputs(n: usize, t: usize, crashes: usize, seed: u64) -> Vec<bool> {
+    Workload {
+        n,
+        t,
+        crashes,
+        seed,
+        shards: 1,
     }
-    let mut adversary = RandomCrashes::new(n, crashes, horizon, seed);
-    let mut alive = NodeSet::full(n);
-    let mut crashed = NodeSet::empty(n);
-    let send_intents: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    let poll_intents: Vec<Option<NodeId>> = vec![None; n];
-    for r in 0..horizon {
-        let round = Round::new(r);
-        let directives = adversary.plan_round(&AdversaryView {
-            round,
-            alive: &alive,
-            crashed: &crashed,
-            send_intents: &send_intents,
-            poll_intents: &poll_intents,
-            remaining_budget: t - accepted.len(),
-        });
-        for directive in directives {
-            if accepted.len() >= t {
-                break;
-            }
-            let idx = directive.node.index();
-            if idx >= n || crashed.contains(directive.node) {
-                continue;
-            }
-            alive.remove(directive.node);
-            crashed.insert(directive.node);
-            accepted.push((round, idx, directive.deliver));
-        }
-    }
-    accepted
+    .mixed_inputs()
 }
 
 /// Everything one decision table needs; built identically from the cluster's
@@ -450,31 +330,18 @@ fn decision_table(data: &DecisionData) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Node mode: the TCP event loop around one single-node RoundCore
+// Node mode: a MeshRunner over TCP links
 
-/// One mesh link: the framed transport plus the raw socket handle kept for
-/// the half-close at exit.
-struct Link {
-    transport: StreamTransport<TcpStream, TcpStream>,
-    sock: TcpStream,
-}
-
-fn make_link(sock: TcpStream) -> Result<Link, String> {
+/// Readies one mesh socket: no Nagle delay, blocking reads (a socket taken
+/// from the non-blocking listener may inherit its mode) bounded by
+/// [`READ_DEADLINE`] — what turns a hung peer into a suspicion instead of a
+/// hung cluster.
+fn open_link(sock: TcpStream) -> Result<TcpStream, String> {
     sock.set_nodelay(true).ok();
-    // The read deadline is what turns a hung peer into a suspicion instead
-    // of a hung cluster; see the module docs.
-    sock.set_read_timeout(Some(READ_DEADLINE))
+    sock.set_nonblocking(false)
+        .and_then(|()| sock.set_read_timeout(Some(READ_DEADLINE)))
         .map_err(|err| format!("set read deadline: {err}"))?;
-    let reader = sock
-        .try_clone()
-        .map_err(|err| format!("clone socket: {err}"))?;
-    let writer = sock
-        .try_clone()
-        .map_err(|err| format!("clone socket: {err}"))?;
-    Ok(Link {
-        transport: StreamTransport::new(reader, writer),
-        sock,
-    })
+    Ok(sock)
 }
 
 /// Retries `op` under bounded exponential backoff (doubling from
@@ -520,40 +387,68 @@ fn bind_with_retry(addr: SocketAddr) -> Result<TcpListener, String> {
 fn connect_with_retry(addr: SocketAddr) -> Result<TcpStream, String> {
     retry_with_backoff(
         &format!("connect {addr}"),
-        Duration::from_secs(10),
+        MESH_WAIT,
         Duration::from_millis(5),
         || TcpStream::connect(addr),
     )
 }
 
 /// Builds the full mesh: listen on `peers[me]`, connect down to every lower
-/// id (announcing ourselves with a `HELLO` frame), accept one connection
-/// from every higher id.  Connect direction is strictly downwards, so the
-/// handshake cannot deadlock.
-fn build_mesh(me: usize, peers: &[SocketAddr]) -> Result<Vec<Option<Link>>, String> {
+/// id (announcing ourselves with a `HELLO` frame), take one connection from
+/// every higher id.  Connect direction is strictly downwards, so the
+/// handshake cannot deadlock.  Returns one socket per peer, in node order.
+fn build_mesh(me: usize, peers: &[SocketAddr]) -> Result<Vec<TcpStream>, String> {
     let n = peers.len();
     let own = peers
         .get(me)
         .ok_or_else(|| format!("--me {me} is out of range for {n} peers"))?;
     let listener = bind_with_retry(*own)?;
-    let mut links: Vec<Option<Link>> = Vec::with_capacity(n);
+    let mut links: Vec<Option<TcpStream>> = Vec::with_capacity(n);
     for (p, addr) in peers.iter().enumerate().take(me) {
-        let mut link = make_link(connect_with_retry(*addr)?)?;
+        let mut sock = open_link(connect_with_retry(*addr)?)?;
         let mut hello = frame(TAG_HELLO);
         me.encode(&mut hello);
-        link.transport
-            .send(&hello)
-            .map_err(|err| format!("hello to node {p}: {err}"))?;
-        links.push(Some(link));
+        write_frame(&mut sock, &hello).map_err(|err| format!("hello to node {p}: {err}"))?;
+        links.push(Some(sock));
     }
     links.resize_with(n, || None);
-    for _ in me + 1..n {
-        let (sock, _) = listener.accept().map_err(|err| format!("accept: {err}"))?;
-        let mut link = make_link(sock)?;
-        let buf = link
-            .transport
-            .recv()
-            .map_err(|err| format!("read hello: {err}"))?;
+    take_higher_peers(&listener, me, &mut links, MESH_WAIT)?;
+    Ok(links.into_iter().flatten().collect())
+}
+
+/// Fills the slot of every node above `me` with its connection, each
+/// announced by a `HELLO` frame, within `wait` in all: a peer that never
+/// dials fails this node, naming who is missing, instead of hanging it.
+fn take_higher_peers(
+    listener: &TcpListener,
+    me: usize,
+    links: &mut [Option<TcpStream>],
+    wait: Duration,
+) -> Result<(), String> {
+    listener
+        .set_nonblocking(true)
+        .map_err(|err| format!("listen: {err}"))?;
+    let deadline = Instant::now() + wait;
+    let mut incoming = listener.incoming();
+    for _ in me + 1..links.len() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        let dialled = retry_with_backoff("listen", left, Duration::from_millis(5), || {
+            incoming
+                .next()
+                .unwrap_or_else(|| Err(io::ErrorKind::NotConnected.into()))
+        });
+        let Ok(sock) = dialled else {
+            let missing = links
+                .iter()
+                .enumerate()
+                .skip(me + 1)
+                .filter(|(_, slot)| slot.is_none());
+            let missing: Vec<String> = missing.map(|(p, _)| p.to_string()).collect();
+            let missing = missing.join(", ");
+            return Err(format!("node(s) {missing} never connected within {wait:?}"));
+        };
+        let mut sock = open_link(sock)?;
+        let buf = read_frame(&mut sock).map_err(|err| format!("read hello: {err}"))?;
         let (tag, mut reader) =
             open_frame(&buf).map_err(|err| format!("bad hello frame: {err}"))?;
         if tag != TAG_HELLO {
@@ -567,292 +462,56 @@ fn build_mesh(me: usize, peers: &[SocketAddr]) -> Result<Vec<Option<Link>>, Stri
         if slot.is_some() {
             return Err(format!("duplicate hello from node {peer}"));
         }
-        *slot = Some(link);
+        *slot = Some(sock);
     }
-    Ok(links)
-}
-
-/// What this node tracks about one peer.  Its own slot has no `link`
-/// ([`build_mesh`] fills every other), so every per-peer loop passes over
-/// it.
-struct Peer {
-    link: Option<Link>,
-    /// The round the schedule crashes the peer at.
-    crash_round: Option<u64>,
-    goodbyed: bool,
-    /// The round the peer was suspected in (deadline misses or a dead
-    /// link).  From the next round on it is treated exactly like one whose
-    /// schedule crashed it: no sends to it, no frames expected from it.
-    suspected_at: Option<u64>,
-}
-
-impl Peer {
-    /// The link a frame goes out on or is read from — unless the peer said
-    /// `GOODBYE`, was suspected, or its schedule crashed it before round
-    /// `crashed_before`.
-    fn live_link(&mut self, crashed_before: u64) -> Option<&mut Link> {
-        let gone = self.goodbyed
-            || self.suspected_at.is_some()
-            || self.crash_round.is_some_and(|cr| cr < crashed_before);
-        self.link.as_mut().filter(|_| !gone)
-    }
-}
-
-/// Reads the body of a `TAG_ROUND` frame that arrived on the link to peer
-/// `p` during `round`.  In the paper's model the link *is* the sender's
-/// identity, so the body is refused unless it is for this round, has no
-/// trailing bytes, and every message in it names `p` as its sender — a
-/// forged `from` would otherwise pass for another node's message (or, out
-/// of range, index a protocol's per-sender state).
-fn round_body(
-    p: usize,
-    round: Round,
-    reader: &mut WireReader<'_>,
-) -> Result<Vec<Delivered<bool>>, String> {
-    let (sent_round, msgs): (Round, Vec<Delivered<bool>>) =
-        Wire::decode(reader).map_err(|err| format!("bad round body from node {p}: {err}"))?;
-    if !reader.is_empty() {
-        return Err(format!("trailing bytes in round frame from node {p}"));
-    }
-    if sent_round != round {
-        return Err(format!(
-            "node {p} sent a round-{} frame during round {}",
-            sent_round.as_u64(),
-            round.as_u64()
-        ));
-    }
-    if let Some(forged) = msgs.iter().find(|msg| msg.from.index() != p) {
-        return Err(format!(
-            "node {p} sent a message claiming node {} as its sender",
-            forged.from.index()
-        ));
-    }
-    Ok(msgs)
+    Ok(())
 }
 
 fn run_worker(args: &WorkerArgs) -> Result<(), String> {
-    let n = args.peers.len();
-    let me = args.me;
-    let rounds = FloodingConsensus::total_rounds(args.t);
-    let inputs = Workload {
-        n,
-        t: args.t,
-        crashes: 0,
-        seed: args.seed,
-        shards: 1,
-    }
-    .mixed_inputs();
-    let node = FloodingConsensus::for_all_nodes(n, args.t, &inputs)
+    let (n, me, t) = (args.peers.len(), args.me, args.t);
+    let horizon = FloodingConsensus::total_rounds(t);
+    let node = FloodingConsensus::for_all_nodes(n, t, &inputs(n, t, args.crashes, args.seed))
         .into_iter()
         .nth(me)
         .ok_or_else(|| format!("--me {me} is out of range for {n} peers"))?;
-    let mut core: RoundCore<FloodingConsensus> =
-        RoundCore::new(me, vec![Participant::Honest(node)]);
-
-    let my_crash = args
-        .schedule
-        .iter()
-        .find(|(_, victim, _)| *victim == me)
-        .map(|(round, _, filter)| (round.as_u64(), filter.clone()));
-    let crash_round_of = |p: usize| {
-        args.schedule
-            .iter()
-            .find(|(_, victim, _)| *victim == p)
-            .map(|(round, _, _)| round.as_u64())
-    };
-
-    let mut peers: Vec<Peer> = build_mesh(me, &args.peers)?
-        .into_iter()
-        .enumerate()
-        .map(|(p, link)| Peer {
-            link,
-            crash_round: crash_round_of(p),
-            goodbyed: false,
-            suspected_at: None,
-        })
-        .collect();
-    let mut suspected = 0u64;
-    let mut halted_at: Option<u64> = None;
-    let mut messages = 0u64;
-    let mut bits = 0u64;
-
-    for r in 0..rounds {
-        if args.die_at == Some(r) {
-            // Simulated crash: stop before this round's sends, exactly like
-            // a scheduled crash at `r` with an empty delivery filter.  The
-            // peers were never told — they must discover it on their links.
-            break;
-        }
-        let round = Round::new(r);
-        core.begin_round(round);
-
-        // Replay of the central crash phase: my own verdict only — peers
-        // apply theirs, so the filters seen across the cluster are exactly
-        // the serial engine's.
-        let crash_filter = my_crash
-            .as_ref()
-            .filter(|(cr, _)| *cr == r)
-            .map(|(_, filter)| filter);
-        let crashing = crash_filter.is_some();
-        let filters: Vec<(usize, DeliveryFilter)> = match crash_filter {
-            Some(filter) => {
-                core.set_crashed(0, round);
-                vec![(me, filter.clone())]
-            }
-            None => Vec::new(),
+    let socks = build_mesh(me, &args.peers)?;
+    let mut links = Vec::with_capacity(socks.len());
+    for sock in &socks {
+        let clone = || {
+            sock.try_clone()
+                .map_err(|err| format!("clone socket: {err}"))
         };
-        core.deliver(&filters);
-
-        // Stage this round's surviving messages per destination.
-        let mut per_dest: Vec<Vec<Delivered<bool>>> = (0..n).map(|_| Vec::new()).collect();
-        for (dest, msg) in core.delivered() {
-            if let Some(staged) = per_dest.get_mut(*dest) {
-                staged.push(msg.clone());
-            }
-        }
-
-        // Send phase: one ROUND frame to every peer that still expects one
-        // (a sync marker even when empty).  Peers that crashed at a round
-        // <= r or said GOODBYE are gone — the serial merge drops messages
-        // to them too.
-        for (p, (peer, staged)) in peers.iter_mut().zip(&mut per_dest).enumerate() {
-            let Some(link) = peer.live_link(r + 1) else {
-                continue;
-            };
-            let mut buf = frame(TAG_ROUND);
-            (round, std::mem::take(staged)).encode(&mut buf);
-            if let Err(err) = link.transport.send(&buf) {
-                // A peer that just died may already refuse writes; the read
-                // phase below is what confirms the death and records the
-                // suspicion.  The counters are unaffected — `deliver`
-                // already accounted these sends, exactly as the serial
-                // engine counts sends to crashed destinations.
-                eprintln!(
-                    "dft-node {me}: round {r} frame to node {p} failed ({err}); \
-                     the read phase decides its fate"
-                );
-            }
-        }
-
-        if crashing {
-            // A crashed node never receives or halts; `finalize` only
-            // surfaces the counters `deliver` recorded for the filtered
-            // final sends.
-            let outcome = core.finalize(round);
-            messages += outcome.messages;
-            bits += outcome.bits;
-            break;
-        }
-
-        // Read phase: exactly one frame from every peer still owing one.
-        // A dead or deadline-missing link suspects the peer instead of
-        // failing the node: its inbox entry stays empty — the same empty
-        // delivery the serial engine produces for a crash with
-        // `DeliveryFilter::None` — and it is skipped from here on.
-        let mut from_peer: Vec<Vec<Delivered<bool>>> = (0..n).map(|_| Vec::new()).collect();
-        for (p, (peer, inbox)) in peers.iter_mut().zip(&mut from_peer).enumerate() {
-            let Some(link) = peer.live_link(r) else {
-                continue;
-            };
-            let mut misses = 0u32;
-            let buf = loop {
-                match link.transport.recv() {
-                    Ok(buf) => break Some(buf),
-                    Err(err) => match err.kind() {
-                        // Unix reports a timed-out read as WouldBlock.
-                        io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock => {
-                            misses += 1;
-                            if misses >= MAX_READ_MISSES {
-                                eprintln!(
-                                    "dft-node {me}: node {p} missed {misses} read deadlines \
-                                     in round {r}; suspecting it"
-                                );
-                                break None;
-                            }
-                        }
-                        io::ErrorKind::UnexpectedEof
-                        | io::ErrorKind::ConnectionReset
-                        | io::ErrorKind::ConnectionAborted
-                        | io::ErrorKind::BrokenPipe => {
-                            eprintln!(
-                                "dft-node {me}: node {p} is gone in round {r} ({err}); \
-                                 suspecting it"
-                            );
-                            break None;
-                        }
-                        _ => return Err(format!("round {r} frame from node {p}: {err}")),
-                    },
-                }
-            };
-            let Some(buf) = buf else {
-                peer.suspected_at = Some(r);
-                suspected += 1;
-                continue;
-            };
-            let (tag, mut reader) =
-                open_frame(&buf).map_err(|err| format!("bad frame from node {p}: {err}"))?;
-            match tag {
-                TAG_ROUND => *inbox = round_body(p, round, &mut reader)?,
-                TAG_GOODBYE => peer.goodbyed = true,
-                other => return Err(format!("unexpected tag {other} from node {p}")),
-            }
-        }
-
-        // Merge in ascending sender order — the exact order the serial
-        // engine's fixed-chunk merge produces.
-        for (p, (own, received)) in per_dest.iter_mut().zip(&mut from_peer).enumerate() {
-            for msg in std::mem::take(if p == me { own } else { received }) {
-                core.accept(0, msg);
-            }
-        }
-
-        let (halted, round_messages, round_bits) = {
-            let outcome = core.finalize(round);
-            (
-                outcome.events.iter().any(|event| event.halted),
-                outcome.messages,
-                outcome.bits,
-            )
-        };
-        messages += round_messages;
-        bits += round_bits;
-        if halted {
-            core.set_halted(0);
-            halted_at = Some(r);
-            if r + 1 < rounds {
-                // Early halt (not taken by fixed-length flooding, but the
-                // synchronizer supports it): release peers from expecting
-                // further frames.
-                for (p, peer) in peers.iter_mut().enumerate() {
-                    let Some(link) = peer.live_link(r + 1) else {
-                        continue;
-                    };
-                    let mut buf = frame(TAG_GOODBYE);
-                    round.encode(&mut buf);
-                    if let Err(err) = link.transport.send(&buf) {
-                        eprintln!("dft-node {me}: goodbye to node {p} failed ({err})");
-                    }
-                }
-            }
-            break;
-        }
+        links.push(Box::new(StreamTransport::new(clone()?, clone()?)) as _);
     }
-
+    let adversary = Box::new(RandomCrashes::new(n, args.crashes, horizon, args.seed));
+    let mut runner = MeshRunner::connect(Participant::Honest(node), me, links, adversary, t)
+        .map_err(|err| err.to_string())?;
+    // `--die-at` stops the node before that round's sends.
+    let report = runner
+        .run(args.die_at.unwrap_or(horizon))
+        .map_err(|err| err.to_string())?;
+    for Suspicion { node, round, cause } in runner.suspicions() {
+        eprintln!("dft-node {me}: no round-{round} frame from node {node}: {cause}; suspecting it");
+    }
+    let halted = report.halted_at.get(me).copied().flatten();
     println!(
-        "RESULT me={me} output={} halted={} msgs={messages} bits={bits} suspected={suspected}",
-        opt_bool(core.output(0).copied()),
-        opt_u64(halted_at),
+        "RESULT me={me} output={} halted={} msgs={} bits={} suspected={}",
+        opt_bool(report.outputs.get(me).copied().flatten()),
+        opt_u64(halted.map(Round::as_u64)),
+        report.metrics.messages,
+        report.metrics.bits,
+        runner.suspicions().len(),
     );
 
     // Half-close: FIN everything first, then drain to EOF.  Because every
     // process FINs before it blocks on a drain read, the drains cannot
     // deadlock, and no process can reset a socket that still carries
-    // undelivered frames.
-    for link in peers.iter().filter_map(|peer| peer.link.as_ref()) {
-        link.sock.shutdown(Shutdown::Write).ok();
+    // unread frames.
+    for sock in &socks {
+        sock.shutdown(Shutdown::Write).ok();
     }
-    for link in peers.iter_mut().filter_map(|peer| peer.link.as_mut()) {
-        while link.transport.recv().is_ok() {}
+    for mut sock in &socks {
+        io::copy(&mut sock, &mut io::sink()).ok();
     }
     Ok(())
 }
@@ -945,41 +604,27 @@ fn pick_base_port(n: usize, seed: u64) -> Option<u16> {
     None
 }
 
-/// Runs the serial comparison under a [`FixedCrashSchedule`] built from the
-/// effective schedule **plus** any `--kill` entry — sound because replaying
-/// the extracted schedule reproduces the `RandomCrashes` run exactly (the
-/// `effective_schedule_reproduces_the_random_run` test pins this), and the
-/// kill is, to the protocol, one more crash with an empty delivery filter.
+/// Runs the serial comparison under a [`FixedCrashSchedule`] of the
+/// adversary's planned crashes **plus** any `--kill` entry, which is, to the
+/// protocol, one more crash with an empty filter.
 fn serial_decision_data(
     args: &ClusterArgs,
     horizon: u64,
-    schedule: &Schedule,
+    adversary: &RandomCrashes,
     inputs: &[bool],
 ) -> Result<DecisionData, String> {
     let nodes = FloodingConsensus::for_all_nodes(args.n, args.t, inputs);
-    let mut fixed = FixedCrashSchedule::new();
-    for (round, victim, filter) in schedule {
-        fixed = fixed.crash_at(
-            round.as_u64(),
-            CrashDirective {
-                node: NodeId::new(*victim),
-                deliver: filter.clone(),
-            },
-        );
-    }
+    let planned = adversary.planned();
+    let mut fixed = planned.fold(FixedCrashSchedule::new(), |fixed, (round, crash)| {
+        fixed.crash_at(round, crash.clone())
+    });
     if let Some((victim, round)) = args.kill {
-        fixed = fixed.crash_at(
-            round,
-            CrashDirective {
-                node: NodeId::new(victim),
-                deliver: DeliveryFilter::None,
-            },
-        );
+        fixed = fixed.crash_at(round, CrashDirective::silent(NodeId::new(victim)));
     }
-    let adversary: Box<dyn CrashAdversary> = Box::new(fixed);
     let mut runner =
-        Runner::with_adversary(nodes, adversary, args.t).map_err(|err| err.to_string())?;
+        Runner::with_adversary(nodes, Box::new(fixed), args.t).map_err(|err| err.to_string())?;
     let report = runner.run(horizon + 2);
+    let as_u64 = |rounds: &[Option<Round>]| rounds.iter().map(|r| r.map(Round::as_u64)).collect();
     Ok(DecisionData {
         n: args.n,
         t: args.t,
@@ -987,16 +632,8 @@ fn serial_decision_data(
         seed: args.seed,
         inputs: inputs.to_vec(),
         outputs: report.outputs.clone(),
-        crashed_at: report
-            .crashed_at
-            .iter()
-            .map(|round| round.map(Round::as_u64))
-            .collect(),
-        halted_at: report
-            .halted_at
-            .iter()
-            .map(|round| round.map(Round::as_u64))
-            .collect(),
+        crashed_at: as_u64(&report.crashed_at),
+        halted_at: as_u64(&report.halted_at),
         rounds: report.metrics.rounds,
         messages: report.metrics.messages,
         bits: report.metrics.bits,
@@ -1009,11 +646,15 @@ fn write_table(path: &str, table: &str) -> Result<(), String> {
 
 fn run_cluster(args: &ClusterArgs) -> Result<ExitCode, String> {
     let horizon = FloodingConsensus::total_rounds(args.t);
-    let schedule = extract_schedule(args.n, args.t, args.crashes, horizon, args.seed);
+    let adversary = RandomCrashes::new(args.n, args.crashes, horizon, args.seed);
+    let crash_round = |node: usize| {
+        let mut planned = adversary.planned();
+        planned.find_map(|(round, crash)| (crash.node.index() == node).then_some(round))
+    };
     if let Some((victim, round)) = args.kill {
         // The kill must be a *new* death — a victim the schedule already
         // crashes would never reach its --die-at round.
-        if schedule.iter().any(|(_, v, _)| *v == victim) {
+        if crash_round(victim).is_some() {
             return Err(format!(
                 "--kill node {victim} already crashes in the derived schedule \
                  (seed {}); pick another node or seed",
@@ -1022,22 +663,13 @@ fn run_cluster(args: &ClusterArgs) -> Result<ExitCode, String> {
         }
         eprintln!("dft-node: will kill node {victim}'s process at the top of round {round}");
     }
-    let inputs = Workload {
-        n: args.n,
-        t: args.t,
-        crashes: args.crashes,
-        seed: args.seed,
-        shards: 1,
-    }
-    .mixed_inputs();
-
+    let inputs = inputs(args.n, args.t, args.crashes, args.seed);
     let base =
         pick_base_port(args.n, args.seed).ok_or("no free localhost port range for the cluster")?;
     let peers: Vec<String> = (0..args.n)
         .map(|i| format!("127.0.0.1:{}", base + i as u16))
         .collect();
     let peers_arg = peers.join(",");
-    let schedule_hex = hex_encode(&to_bytes(&schedule));
     let exe = std::env::current_exe().map_err(|err| format!("current_exe: {err}"))?;
 
     eprintln!(
@@ -1045,7 +677,7 @@ fn run_cluster(args: &ClusterArgs) -> Result<ExitCode, String> {
         args.n,
         base,
         usize::from(base) + args.n - 1,
-        schedule.len()
+        adversary.planned().count()
     );
     let mut children = Vec::new();
     for i in 0..args.n {
@@ -1057,12 +689,12 @@ fn run_cluster(args: &ClusterArgs) -> Result<ExitCode, String> {
             .arg(&peers_arg)
             .arg("--t")
             .arg(args.t.to_string())
+            .arg("--crashes")
+            .arg(args.crashes.to_string())
             .arg("--seed")
-            .arg(args.seed.to_string())
-            .arg("--schedule")
-            .arg(&schedule_hex);
+            .arg(args.seed.to_string());
         // Only the victim learns about the kill — its peers must discover
-        // the death through their links, not through the schedule.
+        // the death through their links, not through their adversary.
         if let Some((victim, round)) = args.kill {
             if victim == i {
                 command.arg("--die-at").arg(round.to_string());
@@ -1088,19 +720,12 @@ fn run_cluster(args: &ClusterArgs) -> Result<ExitCode, String> {
         )?);
     }
 
-    let mut crashed_at: Vec<Option<u64>> = (0..args.n)
-        .map(|i| {
-            schedule
-                .iter()
-                .find(|(_, victim, _)| *victim == i)
-                .map(|(round, _, _)| round.as_u64())
-        })
-        .collect();
+    let mut crashed_at: Vec<Option<u64>> = (0..args.n).map(crash_round).collect();
     if let Some((victim, round)) = args.kill {
-        *crashed_at
-            .get_mut(victim)
-            .ok_or_else(|| format!("--kill node {victim} is out of range for n = {}", args.n))? =
-            Some(round);
+        // In range: `parse_args` checked the victim against `n`.
+        if let Some(slot) = crashed_at.get_mut(victim) {
+            *slot = Some(round);
+        }
     }
     let total_suspected: u64 = results.iter().map(|r| r.suspected).sum();
     if total_suspected > 0 {
@@ -1125,7 +750,7 @@ fn run_cluster(args: &ClusterArgs) -> Result<ExitCode, String> {
         bits: results.iter().map(|r| r.bits).sum(),
     };
     let cluster_table = decision_table(&cluster);
-    let serial_table = decision_table(&serial_decision_data(args, horizon, &schedule, &inputs)?);
+    let serial_table = decision_table(&serial_decision_data(args, horizon, &adversary, &inputs)?);
 
     if let Some(path) = &args.out {
         write_table(path, &cluster_table)?;
@@ -1161,131 +786,7 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    #![expect(
-        clippy::disallowed_methods,
-        reason = "the hex round trip decodes the bare schedule the way `--schedule` does"
-    )]
-
     use super::*;
-
-    #[test]
-    fn hex_round_trips() {
-        let bytes = vec![0u8, 1, 0xab, 0xff, 16];
-        assert_eq!(hex_decode(&hex_encode(&bytes)), Some(bytes));
-        assert_eq!(hex_decode("zz"), None);
-        assert_eq!(hex_decode("abc"), None);
-        assert_eq!(hex_decode(""), Some(Vec::new()));
-    }
-
-    #[test]
-    fn schedule_wire_round_trips_through_hex() {
-        let schedule: Schedule = vec![
-            (Round::new(0), 3, DeliveryFilter::None),
-            (Round::new(2), 1, DeliveryFilter::Prefix(4)),
-            (Round::new(2), 4, DeliveryFilter::Only(vec![NodeId::new(0)])),
-        ];
-        let hex = hex_encode(&to_bytes(&schedule));
-        let bytes = hex_decode(&hex).expect("valid hex");
-        let decoded: Schedule = from_bytes(&bytes).expect("valid wire bytes");
-        assert_eq!(decoded, schedule);
-    }
-
-    #[test]
-    fn round_frames_must_name_their_link_as_the_sender() {
-        let round = Round::new(4);
-        let body_of = |sent: Round, from: usize| {
-            let mut buf = frame(TAG_ROUND);
-            (sent, vec![Delivered::new(NodeId::new(from), true)]).encode(&mut buf);
-            buf
-        };
-        let read = |buf: &[u8]| {
-            let (tag, mut reader) = open_frame(buf).expect("version header");
-            assert_eq!(tag, TAG_ROUND);
-            round_body(1, round, &mut reader)
-        };
-        assert_eq!(
-            read(&body_of(round, 1)),
-            Ok(vec![Delivered::new(NodeId::new(1), true)])
-        );
-        // Another node's identity, or one outside the system, on link 1.
-        for forged in [0, 2, usize::MAX] {
-            let err = read(&body_of(round, forged)).expect_err("forged sender");
-            assert!(err.contains("as its sender"), "{err}");
-        }
-        let err = read(&body_of(Round::new(3), 1)).expect_err("wrong round");
-        assert!(err.contains("round-3 frame during round 4"), "{err}");
-        let mut trailing = body_of(round, 1);
-        trailing.push(0);
-        assert!(read(&trailing).is_err());
-    }
-
-    /// The extraction replica must agree with what a real serial run
-    /// applies: same victims, same rounds.
-    #[test]
-    fn extracted_schedule_matches_serial_crash_bookkeeping() {
-        for seed in [0u64, 7, 42, 1337] {
-            let (n, t, crashes) = (9, 4, 4);
-            let horizon = FloodingConsensus::total_rounds(t);
-            let schedule = extract_schedule(n, t, crashes, horizon, seed);
-            let inputs: Vec<bool> = (0..n)
-                .map(|i| (i + seed as usize).is_multiple_of(2))
-                .collect();
-            let nodes = FloodingConsensus::for_all_nodes(n, t, &inputs);
-            let adversary = Box::new(RandomCrashes::new(n, crashes, horizon, seed));
-            let mut runner = Runner::with_adversary(nodes, adversary, t).expect("runner");
-            let report = runner.run(horizon + 2);
-            let mut expected: Vec<Option<u64>> = vec![None; n];
-            for (round, victim, _) in &schedule {
-                expected[*victim] = Some(round.as_u64());
-            }
-            let actual: Vec<Option<u64>> = report
-                .crashed_at
-                .iter()
-                .map(|round| round.map(Round::as_u64))
-                .collect();
-            assert_eq!(actual, expected, "seed {seed}");
-        }
-    }
-
-    /// Replaying the effective schedule through a [`FixedCrashSchedule`]
-    /// must reproduce the RandomCrashes run exactly — this is the identity
-    /// node processes rely on when they apply their own directive locally.
-    #[test]
-    fn effective_schedule_reproduces_the_random_run() {
-        let (n, t, crashes, seed) = (7, 3, 3, 11);
-        let horizon = FloodingConsensus::total_rounds(t);
-        let schedule = extract_schedule(n, t, crashes, horizon, seed);
-        let inputs: Vec<bool> = (0..n)
-            .map(|i| (i + seed as usize).is_multiple_of(2))
-            .collect();
-
-        let mut random = Runner::with_adversary(
-            FloodingConsensus::for_all_nodes(n, t, &inputs),
-            Box::new(RandomCrashes::new(n, crashes, horizon, seed)),
-            t,
-        )
-        .expect("runner");
-        let random_report = random.run(horizon + 2);
-
-        let mut fixed_schedule = FixedCrashSchedule::new();
-        for (round, victim, filter) in &schedule {
-            fixed_schedule = fixed_schedule.crash_at(
-                round.as_u64(),
-                dft_sim::CrashDirective {
-                    node: NodeId::new(*victim),
-                    deliver: filter.clone(),
-                },
-            );
-        }
-        let mut fixed = Runner::with_adversary(
-            FloodingConsensus::for_all_nodes(n, t, &inputs),
-            Box::new(fixed_schedule),
-            t,
-        )
-        .expect("runner");
-        let fixed_report = fixed.run(horizon + 2);
-        assert_eq!(random_report, fixed_report);
-    }
 
     #[test]
     fn result_lines_round_trip() {
@@ -1409,6 +910,17 @@ mod tests {
         .expect_err("deadline must expire");
         assert!(err.contains("probe"), "{err}");
         assert!(err.contains("attempts"), "{err}");
+    }
+
+    /// A node whose higher peers never dial gives up after its wait and
+    /// names them, instead of waiting in the listen loop for ever.
+    #[test]
+    fn peers_that_never_connect_fail_the_node_by_name() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut links: Vec<Option<TcpStream>> = (0..4).map(|_| None).collect();
+        let err = take_higher_peers(&listener, 1, &mut links, Duration::from_millis(50))
+            .expect_err("nobody dials");
+        assert!(err.contains("node(s) 2, 3 never connected"), "{err}");
     }
 
     #[test]

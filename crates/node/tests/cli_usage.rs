@@ -79,15 +79,16 @@ fn out_of_range_ids_and_budgets_are_usage_errors() {
     assert_usage_error(&["--cluster", "1"]);
     assert_usage_error(&["--cluster", "5", "--t", "5"]);
     assert_usage_error(&["--cluster", "5", "--t", "2", "--crashes", "3"]);
-}
-
-#[test]
-fn malformed_schedules_are_usage_errors() {
-    let peers = "127.0.0.1:9001,127.0.0.1:9002";
-    assert_usage_error(&["--me", "0", "--peers", peers, "--schedule", "zz"]);
-    assert_usage_error(&["--me", "0", "--peers", peers, "--schedule", "abc"]);
-    // Valid hex, but not a wire-encoded schedule.
-    assert_usage_error(&["--me", "0", "--peers", peers, "--schedule", "ff"]);
+    assert_usage_error(&[
+        "--me",
+        "0",
+        "--peers",
+        "127.0.0.1:9001,127.0.0.1:9002,127.0.0.1:9003",
+        "--t",
+        "1",
+        "--crashes",
+        "2",
+    ]);
 }
 
 #[test]

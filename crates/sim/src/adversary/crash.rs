@@ -176,6 +176,14 @@ impl RandomCrashes {
         }
         RandomCrashes { schedule }
     }
+
+    /// The planned crashes, in round order.  The victims are distinct, so a
+    /// run whose fault budget is at least `budget` applies every one whose
+    /// round it reaches.
+    pub fn planned(&self) -> impl Iterator<Item = (u64, &CrashDirective)> + '_ {
+        let by_round = self.schedule.by_round.iter();
+        by_round.flat_map(|(round, directives)| directives.iter().map(|d| (*round, d)))
+    }
 }
 
 impl CrashAdversary for RandomCrashes {

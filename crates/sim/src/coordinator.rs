@@ -29,11 +29,13 @@
 //!
 //! A [`Coordinator`] is generic (static dispatch) over *where the chunks
 //! live*: a [`Host`] only answers "run phase X on every chunk and give me
-//! its outputs".  Two hosts exist — one core holding every node, called
-//! directly on this thread ([`crate::RoundCore`], [`crate::SinglePortCore`])
-//! and [`crate::shard::Framed`], which speaks frames to shard workers — and
-//! the four public runners are type aliases that pick a model and a host:
-//! the serial run and `--shards` are configurations of the loops below, not
+//! its outputs".  Three hosts exist — one core holding every node, called
+//! directly on this thread ([`crate::RoundCore`], [`crate::SinglePortCore`]);
+//! [`crate::shard::Framed`], which speaks frames to shard workers; and
+//! [`crate::shard::mesh::Mesh`], one node's core with a link to every peer,
+//! run by each node of a mesh for itself — and the five public runners are
+//! type aliases that pick a model and a host: the serial run, `--shards` and
+//! `dft-node`'s TCP cluster are configurations of the loops below, not
 //! loops of their own.
 //!
 //! The host traits are public only so the aliases can name them; the
@@ -370,7 +372,8 @@ impl<M: Payload, H: SinglePortHost<Msg = M>> Model<H> for SinglePort<M> {
 ///
 /// Use it through the aliases that fix the two parameters:
 /// [`crate::Runner`], [`crate::SinglePortRunner`],
-/// [`crate::shard::ShardedRunner`] and [`crate::shard::SpShardedRunner`].
+/// [`crate::shard::ShardedRunner`], [`crate::shard::SpShardedRunner`] and
+/// [`crate::shard::mesh::MeshRunner`].
 /// A fallible operation returns the host's `Outcome`: the value itself from
 /// the in-process runners, a [`SimResult`] from the sharded ones.
 pub struct Coordinator<H: Host, X> {

@@ -19,14 +19,13 @@
 //! deliver, then merge in node order; finalize, then replay in node order;
 //! the backend owns the single-port ports — is implemented once per model
 //! in `crate::coordinator`, over a host that only decides where the cores
-//! live: in this process (one core, on the caller's thread) or behind shard
+//! live: in this process (one core, on the caller's thread), behind shard
 //! transports (whose workers drive a core per chunk from decoded frames,
-//! see [`crate::shard`]).  The `dft-node` TCP cluster is the one backend
-//! outside that coordinator: a mesh of single-node cores with a
-//! pre-extracted crash schedule has no central process to run it.  In
-//! every case the *same* struct runs the phase bodies, which is what keeps
-//! every backend byte-identical: the round semantics live here exactly
-//! once.
+//! see [`crate::shard`]), or one node per process of a mesh, where every
+//! node runs the coordinator for itself ([`crate::shard::mesh`], the
+//! `dft-node` TCP cluster).  In every case the *same* struct runs the phase
+//! bodies, which is what keeps every backend byte-identical: the round
+//! semantics live here exactly once.
 //!
 //! This module is private to `dft-sim` (backends outside the crate use the
 //! root re-exports), and the clock, thread and socket types are
@@ -59,12 +58,13 @@
 //!
 //! The crash adversary's contract ([`crate::CrashAdversary`]) hands one
 //! mutable strategy a coherent view of the *whole* round, so the phase can
-//! never be split across cores.  The coordinator runs it centrally (the
-//! cluster launcher: before spawning) and mirrors its verdicts into each
-//! core with [`RoundCore::set_crashed`]; the resulting delivery filters are
-//! passed to [`RoundCore::deliver`].  Because the shipped adversaries are
-//! deterministic functions of `(seed, round)`, every backend derives the
-//! same crash schedule independently.
+//! never be split across cores.  The coordinator runs it centrally (in a
+//! mesh, every node runs the same seeded adversary for itself) and mirrors
+//! its verdicts into each core with [`RoundCore::set_crashed`]; the
+//! resulting delivery filters are passed to [`RoundCore::deliver`].
+//! Because the shipped adversaries are deterministic functions of
+//! `(seed, round)`, every backend derives the same crash schedule
+//! independently.
 
 #![expect(
     clippy::indexing_slicing,

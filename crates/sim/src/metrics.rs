@@ -69,11 +69,6 @@ impl Metrics {
         self.peak = self.peak.max(in_round);
     }
 
-    /// Records a message sent by a Byzantine node (not counted).
-    pub fn record_byzantine_message(&mut self) {
-        self.byzantine_messages += 1;
-    }
-
     /// Records a crash.
     pub fn record_crash(&mut self) {
         self.crashes += 1;
@@ -105,11 +100,9 @@ mod tests {
         m.record_message(0, 1);
         m.record_message(3, 8);
         m.record_crash();
-        m.record_byzantine_message();
         assert_eq!(m.messages, 3);
         assert_eq!(m.bits, 10);
         assert_eq!(m.crashes, 1);
-        assert_eq!(m.byzantine_messages, 1);
         assert_eq!(m.peak_messages_in_a_round(), 2);
         assert!((m.messages_per_node(3) - 1.0).abs() < f64::EPSILON);
     }

@@ -51,6 +51,7 @@
 //! node crashes, and those are the crash adversary's.
 
 pub mod intern;
+pub mod mesh;
 pub mod schema;
 pub mod transport;
 pub mod wire;
@@ -346,17 +347,15 @@ pub fn describe_single_port<M: Wire, O: Wire>(schema: &mut Schema) {
     schema.declare::<Vec<WireEvent<O>>>();
 }
 
-/// The wire roots of `dft-node`'s mesh of one-node round cores exchanging
-/// messages `M`: the frame header, the `HELLO` frame's node index, a `ROUND`
-/// frame's round and messages (a `GOODBYE` carries the round alone), and
-/// the effective crash schedule its launcher passes as `--schedule` bytes.
-/// They stand here, beside the shard roots, because `dft-node` is a binary
-/// no test can call into.
+/// The wire roots of a [`mesh`] of one-node round cores exchanging
+/// messages `M`: the frame header, the `HELLO` frame's node index, and a
+/// `ROUND` frame's round and messages (a `GOODBYE` carries the round alone).
+/// They stand here, beside the shard roots, so one schema covers every
+/// frame this crate defines.
 pub fn describe_mesh<M: Wire>(schema: &mut Schema) {
     describe_frame(schema);
     schema.declare::<usize>();
     schema.declare::<(Round, Vec<Delivered<M>>)>();
-    schema.declare::<Vec<(Round, usize, DeliveryFilter)>>();
 }
 
 /// Encodes a chunk's decision/halt events as a `RESP_EVENTS` frame and

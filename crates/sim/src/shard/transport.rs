@@ -159,7 +159,9 @@ const FIRST_RESERVE: usize = 64 * 1024;
 /// hostile prefix costs one reserve, not [`MAX_FRAME_LEN`].
 fn read_body(reader: &mut impl Read, len: usize, frame: &mut Vec<u8>) -> io::Result<()> {
     frame.reserve(len.min(FIRST_RESERVE));
-    let arrived = reader.by_ref().take(len as u64).read_to_end(frame)?;
+    // The prefix has arrived, so a deadline here is one mid-frame.
+    let arrived = reader.by_ref().take(len as u64).read_to_end(frame);
+    let arrived = arrived.map_err(mid_frame)?;
     if arrived < len {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
@@ -169,19 +171,35 @@ fn read_body(reader: &mut impl Read, len: usize, frame: &mut Vec<u8>) -> io::Res
     Ok(())
 }
 
+/// A read deadline that fires once part of a frame has arrived leaves the
+/// rest in the stream, where the next read would take it for a length
+/// prefix: the link is out of step for good, so the deadline becomes
+/// [`io::ErrorKind::ConnectionAborted`], which no caller retries.
+fn mid_frame(err: io::Error) -> io::Error {
+    match err.kind() {
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => io::Error::new(
+            io::ErrorKind::ConnectionAborted,
+            format!("read deadline fired mid-frame ({err}); the stream is out of step"),
+        ),
+        _ => err,
+    }
+}
+
 /// Fills `buf` completely from `reader` — `read_exact` semantics, written
 /// out so the frame layer's behaviour on real sockets is guaranteed locally
 /// rather than inherited: short reads are retried until the buffer is full
 /// (a TCP `read` returns whatever one segment delivered, routinely less
 /// than a frame), `ErrorKind::Interrupted` is transparently retried (a
-/// signal landing mid-`read(2)` must not kill a cluster node), and EOF
+/// signal landing mid-`read(2)` must not kill a cluster node), EOF
 /// before the buffer fills maps to [`io::ErrorKind::UnexpectedEof`] (how
-/// the serve loops recognise a cleanly departed peer).
+/// the serve loops recognise a cleanly departed peer), and a read deadline
+/// after the first byte is [`mid_frame`]'s.
 #[expect(
     clippy::indexing_slicing,
     reason = "`read` returns n <= buf.len(), so the tail slice is in range"
 )]
 fn read_full(reader: &mut impl Read, mut buf: &mut [u8]) -> io::Result<()> {
+    let want = buf.len();
     while !buf.is_empty() {
         match reader.read(buf) {
             Ok(0) => {
@@ -192,6 +210,7 @@ fn read_full(reader: &mut impl Read, mut buf: &mut [u8]) -> io::Result<()> {
             }
             Ok(n) => buf = &mut buf[n..],
             Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
+            Err(err) if buf.len() < want => return Err(mid_frame(err)),
             Err(err) => return Err(err),
         }
     }
@@ -351,6 +370,62 @@ mod tests {
         let mut written = Vec::new();
         write_frame(&mut written, &body).unwrap();
         assert_eq!(read_frame(&mut written.as_slice()).unwrap(), body);
+    }
+
+    /// Hands out its script one step per `read`: bytes (as many as fit), or
+    /// a read deadline.
+    struct ScriptedReader(Vec<Option<Vec<u8>>>);
+
+    impl Read for ScriptedReader {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.0.is_empty() {
+                return Ok(0);
+            }
+            match self.0.remove(0) {
+                None => Err(io::Error::new(io::ErrorKind::WouldBlock, "deadline")),
+                Some(mut bytes) => {
+                    let n = bytes.len().min(buf.len());
+                    buf[..n].copy_from_slice(&bytes[..n]);
+                    if n < bytes.len() {
+                        self.0.insert(0, Some(bytes.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    /// A deadline before a frame's first byte is a plain miss, and the
+    /// frame still arrives whole; one after it, in the prefix or in the
+    /// body, is an error no caller retries, so no later read can take the
+    /// rest of the frame for a length prefix.
+    #[test]
+    fn a_deadline_mid_frame_is_not_a_retryable_miss() {
+        let mut written = Vec::new();
+        write_frame(&mut written, b"hello").unwrap();
+        let (prefix, body) = written.split_at(4);
+
+        let mut clean = ScriptedReader(vec![None, Some(written.clone())]);
+        let err = read_frame(&mut clean).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        assert_eq!(read_frame(&mut clean).unwrap(), b"hello");
+
+        let mut in_prefix = ScriptedReader(vec![
+            Some(prefix[..2].to_vec()),
+            None,
+            Some(written[2..].to_vec()),
+        ]);
+        let err = read_frame(&mut in_prefix).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::ConnectionAborted, "{err}");
+
+        let mut in_body = ScriptedReader(vec![
+            Some(prefix.to_vec()),
+            Some(body[..1].to_vec()),
+            None,
+            Some(body[1..].to_vec()),
+        ]);
+        let err = read_frame(&mut in_body).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::ConnectionAborted, "{err}");
     }
 
     #[test]

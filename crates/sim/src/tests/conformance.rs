@@ -319,7 +319,7 @@ fn stream_workers(
 
 /// Node 0 is Byzantine (floods everyone, never halts); the rest flood the
 /// OR of what they have seen.
-fn flood_participants(n: usize) -> Vec<Participant<FloodOr>> {
+pub(crate) fn flood_participants(n: usize) -> Vec<Participant<FloodOr>> {
     let mut participants: Vec<_> = FloodOr::nodes(n, 3)
         .into_iter()
         .map(Participant::Honest)
