@@ -50,7 +50,9 @@
 //!   process).  An unsharded `--jobs 1` run adds an `[active] Ek: …
 //!   node-rounds called, … per message` line: how many node-rounds the
 //!   round cores actually called a state machine in (the rest were quiet,
-//!   see `SyncProtocol::quiet_until`), and that effort per message sent.  A
+//!   see `SyncProtocol::quiet_until`), and that effort per message sent;
+//!   a single-port experiment's line also counts the planned idle polls the
+//!   core answered without a call and the polled ports that held messages.  A
 //!   `--shards` run also ends with `[wire] TAG: … frames, … bytes` lines,
 //!   the coordinator's traffic per shard frame tag;
 //! * `--bench-json PATH` writes the machine-readable perf baseline
@@ -172,10 +174,10 @@ struct Outcome {
     /// Per-sample `(allocations, bytes)` deltas; empty unless the
     /// experiments ran one at a time.
     alloc_samples: Vec<(u64, u64)>,
-    /// Node-rounds the round cores called during the first sample; `None`
-    /// unless the experiments ran one at a time, 0 where the cores were not
+    /// What the round cores did during the first sample; `None` unless
+    /// the experiments ran one at a time, all 0 where the cores were not
     /// this process's (`--shards`) or nothing executed.
-    active_node_rounds: Option<u64>,
+    activity: Option<dft_bench::Activity>,
 }
 
 /// Derived allocation numbers for one experiment (the `[alloc]` line).
@@ -257,20 +259,19 @@ fn run_catalog(
     let run_one = |&(experiment, slot): &(ExperimentFn, &Mutex<Option<Outcome>>)| {
         let mut times = Vec::with_capacity(samples);
         let mut alloc_samples = Vec::new();
-        let mut active_node_rounds = None;
+        let mut activity = None;
         let mut table = None;
         let ((), stderr) = dft_bench::diag::capture(|| {
             for _ in 0..samples {
                 let before = count_allocs.then(alloc_stats::snapshot);
-                let active0 = dft_bench::active_node_rounds_total();
+                let activity0 = dft_bench::activity_totals();
                 let start = Instant::now();
                 let result = experiment(cfg);
                 times.push(start.elapsed());
                 if let Some((allocs0, bytes0)) = before {
                     let (allocs1, bytes1) = alloc_stats::snapshot();
                     alloc_samples.push((allocs1 - allocs0, bytes1 - bytes0));
-                    let active = dft_bench::active_node_rounds_total() - active0;
-                    active_node_rounds.get_or_insert(active);
+                    activity.get_or_insert(dft_bench::activity_totals().since(activity0));
                 }
                 table.get_or_insert(result);
             }
@@ -284,7 +285,7 @@ fn run_catalog(
                 summary,
                 stderr,
                 alloc_samples,
-                active_node_rounds,
+                activity,
             });
         // A slot is only ever assigned whole, so a poisoned one still holds
         // a valid value; the panic that poisoned it resurfaces when the
@@ -498,7 +499,8 @@ fn main() -> ExitCode {
                     alloc.allocs, alloc.bytes,
                 );
             }
-            if let Some(active) = outcome.active_node_rounds.filter(|&active| active > 0) {
+            if let Some(activity) = outcome.activity.filter(|a| a.node_rounds > 0) {
+                let active = activity.node_rounds;
                 let per_message = outcome
                     .table
                     .column_sum("messages")
@@ -507,7 +509,19 @@ fn main() -> ExitCode {
                         || "-".to_string(),
                         |messages| format!("{:.2}", active as f64 / messages as f64),
                     );
-                println!("[active] {id}: {active} node-rounds called, {per_message} per message\n");
+                // Single-port experiments also say how their planned polls
+                // went: answered by the core, or handed a full port.
+                let polls = if activity.answered_idle_polls + activity.full_ports > 0 {
+                    format!(
+                        ", {} idle polls answered, {} polled ports held messages",
+                        activity.answered_idle_polls, activity.full_ports
+                    )
+                } else {
+                    String::new()
+                };
+                println!(
+                    "[active] {id}: {active} node-rounds called, {per_message} per message{polls}\n"
+                );
             }
         }
     }

@@ -347,6 +347,8 @@ where
         let mut runner = must(runner, "runner");
         let report = runner.run(terms.max_rounds);
         TOTAL_ACTIVE.fetch_add(runner.active_node_rounds(), Ordering::Relaxed);
+        TOTAL_ANSWERED.fetch_add(runner.answered_idle_polls(), Ordering::Relaxed);
+        TOTAL_FULL_PORTS.fetch_add(runner.full_ports_drained(), Ordering::Relaxed);
         report
     }
 
@@ -367,15 +369,43 @@ where
 }
 
 static TOTAL_ACTIVE: AtomicU64 = AtomicU64::new(0);
+static TOTAL_ANSWERED: AtomicU64 = AtomicU64::new(0);
+static TOTAL_FULL_PORTS: AtomicU64 = AtomicU64::new(0);
 
-/// Node-rounds in which a round core called a node at all, accumulated over
-/// every unsharded measurement this process ran — the effort measure of
-/// Dwork–Halpern–Waarts (`run_experiments --timings` prints each
-/// experiment's share as an `[active]` line; never gated, never in a
-/// table).  A sharded measurement's cores live in its workers and are not
-/// counted.
-pub fn active_node_rounds_total() -> u64 {
-    TOTAL_ACTIVE.load(Ordering::Relaxed)
+/// What the round cores did, accumulated over every unsharded measurement
+/// this process ran — the effort measure of Dwork–Halpern–Waarts
+/// (`run_experiments --timings` prints each experiment's share as an
+/// `[active]` line; never gated, never in a table).  A sharded
+/// measurement's cores live in its workers and are not counted.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Activity {
+    /// Node-rounds in which a round core called a node at all.
+    pub node_rounds: u64,
+    /// Single-port planned idle polls answered without a call.
+    pub answered_idle_polls: u64,
+    /// Single-port polled ports that held messages when drained.
+    pub full_ports: u64,
+}
+
+impl Activity {
+    /// What was counted after `earlier`, a total read before this one.
+    #[must_use]
+    pub fn since(self, earlier: Activity) -> Activity {
+        Activity {
+            node_rounds: self.node_rounds - earlier.node_rounds,
+            answered_idle_polls: self.answered_idle_polls - earlier.answered_idle_polls,
+            full_ports: self.full_ports - earlier.full_ports,
+        }
+    }
+}
+
+/// The [`Activity`] totals so far.
+pub fn activity_totals() -> Activity {
+    Activity {
+        node_rounds: TOTAL_ACTIVE.load(Ordering::Relaxed),
+        answered_idle_polls: TOTAL_ANSWERED.load(Ordering::Relaxed),
+        full_ports: TOTAL_FULL_PORTS.load(Ordering::Relaxed),
+    }
 }
 
 static TOTAL_WIRE: Mutex<WireStats> = Mutex::new(WireStats::new());

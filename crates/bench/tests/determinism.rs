@@ -30,8 +30,8 @@ use std::collections::BTreeMap;
 
 use dft_sim::{
     AdversaryView, CrashAdversary, CrashDirective, Delivered, DeliveryFilter, ExecutionReport,
-    FixedCrashSchedule, NodeEvent, NodeId, NodeSet, Outgoing, Participant, Payload, Round,
-    RoundCore, Runner, SinglePortCore, SinglePortProtocol, SinglePortRunner, SyncProtocol,
+    FixedCrashSchedule, IdlePolls, NodeEvent, NodeId, NodeSet, Outgoing, Participant, Payload,
+    Round, RoundCore, Runner, SinglePortCore, SinglePortProtocol, SinglePortRunner, SyncProtocol,
     Termination,
 };
 use proptest::prelude::*;
@@ -168,6 +168,98 @@ impl SinglePortProtocol for Ring {
     }
 }
 
+/// `n` ring nodes; the one after `seed`'s residue starts with the token.
+fn rings(n: usize, seed: u64) -> Vec<Ring> {
+    (0..n)
+        .map(|me| Ring {
+            me,
+            n,
+            value: me as u64 == seed % n as u64,
+            rounds: 0,
+            decided: None,
+        })
+        .collect()
+}
+
+/// The ring with one sender a round: node `i` sends its OR to `i + 1` only
+/// in rounds `≡ i (mod n)`, polls `i − 1` in every round and decides in
+/// round `2n`.  Between its own sends it states the polls as idle polls
+/// ([`SinglePortProtocol::idle_polls`]), so the core answers most of them
+/// without a call and calls the node when the port holds the token.
+struct IdleRing {
+    me: usize,
+    n: usize,
+    value: bool,
+    decided: Option<bool>,
+    /// Port `i − 1` once per round of the longest possible idle run.
+    ports: Vec<NodeId>,
+}
+
+impl IdleRing {
+    /// The round after `now` in which the node must be called: its next
+    /// send, or the decision round if that comes first.
+    fn next_call(&self, now: u64) -> u64 {
+        let (n, me) = (self.n as u64, self.me as u64);
+        let next_send = now + 1 + (me + n - (now + 1) % n) % n;
+        next_send.min((2 * n).max(now + 1))
+    }
+}
+
+impl SinglePortProtocol for IdleRing {
+    type Msg = bool;
+    type Output = bool;
+
+    fn send(&mut self, round: Round) -> Option<Outgoing<bool>> {
+        (round.as_u64() % self.n as u64 == self.me as u64)
+            .then(|| Outgoing::new(NodeId::new((self.me + 1) % self.n), self.value))
+    }
+
+    fn poll(&mut self, _round: Round) -> Option<NodeId> {
+        Some(NodeId::new((self.me + self.n - 1) % self.n))
+    }
+
+    fn receive(&mut self, round: Round, _from: NodeId, msgs: &mut Vec<bool>) {
+        for m in msgs.drain(..) {
+            self.value |= m;
+        }
+        if round.as_u64() >= 2 * self.n as u64 {
+            self.decided = Some(self.value);
+        }
+    }
+
+    fn output(&self) -> Option<bool> {
+        self.decided
+    }
+
+    fn has_halted(&self) -> bool {
+        self.decided.is_some()
+    }
+
+    fn idle_polls(&self, now: Round) -> Option<IdlePolls<'_>> {
+        let now = now.as_u64();
+        let resume = self.next_call(now);
+        let len = usize::try_from(resume - now - 1).expect("a run shorter than n");
+        let ports = self.ports.get(..len).filter(|ports| !ports.is_empty())?;
+        Some(IdlePolls {
+            ports,
+            resume: Round::new(resume),
+        })
+    }
+}
+
+/// `n` idle-polling ring nodes, seeded as [`rings`].
+fn idle_rings(n: usize, seed: u64) -> Vec<IdleRing> {
+    (0..n)
+        .map(|me| IdleRing {
+            me,
+            n,
+            value: me as u64 == seed % n as u64,
+            decided: None,
+            ports: vec![NodeId::new((me + n - 1) % n); n],
+        })
+        .collect()
+}
+
 /// Builds a crash schedule from sampled bits: up to five directives with
 /// varying rounds, victims and delivery filters.
 fn schedule_from(n: usize, seed: u64, crashes: usize) -> (FixedCrashSchedule, usize) {
@@ -211,16 +303,13 @@ fn flood_run(n: usize, seed: u64, crashes: usize) -> (ExecutionReport<bool>, Str
     (report, trace)
 }
 
-fn ring_run(n: usize, seed: u64, crashes: usize) -> (ExecutionReport<bool>, String) {
-    let nodes: Vec<Ring> = (0..n)
-        .map(|me| Ring {
-            me,
-            n,
-            value: me as u64 == seed % n as u64,
-            rounds: 0,
-            decided: None,
-        })
-        .collect();
+/// A single-port execution of `nodes` on the serial runner, under
+/// `seed`'s crash schedule.
+fn sp_run<P>(nodes: Vec<P>, seed: u64, crashes: usize) -> (ExecutionReport<bool>, String)
+where
+    P: SinglePortProtocol<Msg = bool, Output = bool>,
+{
+    let n = nodes.len();
     let (schedule, budget) = schedule_from(n, seed, crashes);
     let mut runner =
         SinglePortRunner::with_adversary(nodes, Box::new(schedule), budget).expect("runner");
@@ -263,22 +352,17 @@ fn flood_run_sharded(
     (report, trace)
 }
 
-/// In-process sharded execution of the single-port ring workload.
-fn ring_run_sharded(
-    n: usize,
+/// [`sp_run`] in process over `shards` shard workers.
+fn sp_run_sharded<P>(
+    nodes: Vec<P>,
     seed: u64,
     crashes: usize,
     shards: usize,
-) -> (ExecutionReport<bool>, String) {
-    let nodes: Vec<Ring> = (0..n)
-        .map(|me| Ring {
-            me,
-            n,
-            value: me as u64 == seed % n as u64,
-            rounds: 0,
-            decided: None,
-        })
-        .collect();
+) -> (ExecutionReport<bool>, String)
+where
+    P: SinglePortProtocol<Msg = bool, Output = bool> + Send + 'static,
+{
+    let n = nodes.len();
     let (schedule, budget) = schedule_from(n, seed, crashes);
     let mut runner = dft_sim::shard::SpShardedRunner::<bool, bool>::in_process(
         nodes,
@@ -320,8 +404,8 @@ proptest! {
         crashes in 1usize..6,
         shards in 2usize..5,
     ) {
-        let (serial_report, serial_trace) = ring_run(n, seed, crashes);
-        let (sharded_report, sharded_trace) = ring_run_sharded(n, seed, crashes, shards);
+        let (serial_report, serial_trace) = sp_run(rings(n, seed), seed, crashes);
+        let (sharded_report, sharded_trace) = sp_run_sharded(rings(n, seed), seed, crashes, shards);
         prop_assert_eq!(&serial_report, &sharded_report);
         prop_assert_eq!(serial_trace, sharded_trace);
     }
@@ -563,26 +647,27 @@ fn reference_flood_run(n: usize, seed: u64, crashes: usize, core_count: usize) -
 /// ordered map keyed by `(destination, sender)` — the backend owns
 /// order-sensitive state), the cores only collect intents and receive
 /// pre-drained contents.
-fn reference_ring_run(n: usize, seed: u64, crashes: usize, core_count: usize) -> Transcript {
+fn reference_single_port_run<P>(
+    nodes: Vec<P>,
+    seed: u64,
+    crashes: usize,
+    core_count: usize,
+) -> Transcript
+where
+    P: SinglePortProtocol<Msg = bool, Output = bool>,
+{
+    let n = nodes.len();
     let (mut adversary, budget) = schedule_from(n, seed, crashes);
     let ranges = partition(n, core_count);
     let mut owner = vec![0usize; n];
-    let mut cores: Vec<SinglePortCore<Ring>> = Vec::new();
+    let mut cores: Vec<SinglePortCore<P>> = Vec::new();
+    let mut nodes = nodes.into_iter();
     for (ci, range) in ranges.iter().enumerate() {
         for node in range.clone() {
             owner[node] = ci;
         }
-        let nodes = range
-            .clone()
-            .map(|me| Ring {
-                me,
-                n,
-                value: me as u64 == seed % n as u64,
-                rounds: 0,
-                decided: None,
-            })
-            .collect();
-        cores.push(SinglePortCore::new(range.start, nodes));
+        let chunk = nodes.by_ref().take(range.len()).collect();
+        cores.push(SinglePortCore::new(range.start, chunk));
     }
 
     let mut backend = RefBackend::new(n, budget);
@@ -633,7 +718,9 @@ fn reference_ring_run(n: usize, seed: u64, crashes: usize, core_count: usize) ->
                 }
             }
         }
-        // Pre-drain polled ports in node-index order.
+        // Pre-drain the polled port of every running poller in node-index
+        // order, an empty one as `Some(vec![])`, as a backend that does not
+        // track which ports hold messages would.
         for core in &mut cores {
             for i in 0..core.len() {
                 let global = core.base() + i;
@@ -716,20 +803,29 @@ proptest! {
         crashes in 1usize..6,
         core_count in 1usize..4,
     ) {
-        let nodes: Vec<Ring> = (0..n)
-            .map(|me| Ring {
-                me,
-                n,
-                value: me as u64 == seed % n as u64,
-                rounds: 0,
-                decided: None,
-            })
-            .collect();
-        let (schedule, budget) = schedule_from(n, seed, crashes);
-        let mut runner = SinglePortRunner::with_adversary(nodes, Box::new(schedule), budget)
-            .expect("runner");
-        let runner_report = runner.run(3 * n as u64);
-        let reference = reference_ring_run(n, seed, crashes, core_count);
+        let (runner_report, _) = sp_run(rings(n, seed), seed, crashes);
+        let reference = reference_single_port_run(rings(n, seed), seed, crashes, core_count);
         prop_assert_eq!(transcript_of(&runner_report), reference);
+    }
+
+    /// The same with idle polls: the reference backend hands every poller
+    /// its port, empty ones included, the runner hands over only the ports
+    /// that hold messages, and the shard workers get them through frames.
+    /// All three run the same execution.
+    #[test]
+    fn reference_single_port_core_backend_matches_runners_with_idle_polls(
+        n in 10usize..30,
+        seed in any::<u64>(),
+        crashes in 1usize..6,
+        core_count in 1usize..4,
+        shards in 2usize..4,
+    ) {
+        let (runner_report, runner_trace) = sp_run(idle_rings(n, seed), seed, crashes);
+        let reference = reference_single_port_run(idle_rings(n, seed), seed, crashes, core_count);
+        prop_assert_eq!(transcript_of(&runner_report), reference);
+        let (sharded_report, sharded_trace) =
+            sp_run_sharded(idle_rings(n, seed), seed, crashes, shards);
+        prop_assert_eq!(&runner_report, &sharded_report);
+        prop_assert_eq!(runner_trace, sharded_trace);
     }
 }

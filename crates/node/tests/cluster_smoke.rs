@@ -19,7 +19,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// two of these tests share seed 7, and the test harness runs them on
 /// parallel threads — two launchers that probe the same free range at the
 /// same moment hand their nodes the same ports, and a node whose peers
-/// lost that race waits in `accept` for ever.
+/// lost that race gives up accepting after 10 s, naming the peers that
+/// never connected, and fails the test.
 fn one_cluster_at_a_time() -> MutexGuard<'static, ()> {
     static CLUSTER: Mutex<()> = Mutex::new(());
     // A failed test must not fail the others through the lock.

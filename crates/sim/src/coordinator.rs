@@ -24,8 +24,11 @@
 //!    ascending node order, so traces cannot depend on which chunk finished
 //!    first.
 //! 4. **Single-port: the coordinator owns the ports.**  Enqueue in sender
-//!    order, pre-drain every polled port that holds a message, drop a
-//!    destination's queues when it crashes or halts.
+//!    order; walk the destinations that hold a buffered message and
+//!    pre-drain the polled port of each that runs and polls, handing the
+//!    contents to its chunk (every other poller's port is empty and is
+//!    handed nothing); drop a destination's queues when it crashes or
+//!    halts.
 //!
 //! A [`Coordinator`] is generic (static dispatch) over *where the chunks
 //! live*: a [`Host`] only answers "run phase X on every chunk and give me
@@ -136,7 +139,11 @@ pub trait MultiPortHost: Host {
     fn finalize(&mut self, round: Round, events: &mut Vec<NodeEvent>) -> Result<(), Self::Error>;
 }
 
-/// The phases a single-port host runs on every chunk.
+/// The phases a single-port host runs on every chunk.  The coordinator
+/// keeps the ports: it takes the sends ([`SinglePortHost::drain_sends`])
+/// and hands back the contents of each polled port that held messages
+/// ([`SinglePortHost::set_drained`]); a poller it hands nothing polled an
+/// empty port.
 pub trait SinglePortHost: Host {
     /// What nodes send each other.
     type Msg: Payload;
@@ -161,10 +168,10 @@ pub trait SinglePortHost: Host {
     /// Hands every pending send to `enqueue`, in sender order.
     fn drain_sends(&mut self, enqueue: impl FnMut(usize, Outgoing<Self::Msg>));
 
-    /// Asks `drain` for the polled port contents of every node that may
-    /// have polled this round (a host that knows which nodes were called
-    /// or probed asks only for those).
-    fn fill_drained(&mut self, drain: impl FnMut(usize) -> Option<Vec<Self::Msg>>);
+    /// Hands a running poller the messages drained from its polled port
+    /// this round (never empty).  Called only for pollers whose port held
+    /// something; every other poller's port is empty.
+    fn set_drained(&mut self, node: usize, msgs: Vec<Self::Msg>);
 
     /// Phase 4: `finalize` everywhere; appends the decision/halt events in
     /// node order.
@@ -321,8 +328,8 @@ impl<M> Default for SinglePort<M> {
 impl<M: Payload, H: SinglePortHost<Msg = M>> Model<H> for SinglePort<M> {
     #[expect(
         clippy::indexing_slicing,
-        reason = "single-port pre-drain: the node index is the host's own enumeration of 0..n, the \
-                  length of both per-node vectors"
+        reason = "single-port pre-drain: every occupied destination was pushed to as a running \
+                  node's index, below n, the length of both per-node vectors"
     )]
     fn step(&mut self, central: &mut Central, host: &mut H) -> Result<(), H::Error> {
         let round = central.engine.round;
@@ -354,14 +361,18 @@ impl<M: Payload, H: SinglePortHost<Msg = M>> Model<H> for SinglePort<M> {
             }
         });
         // `receive` never touches the port map and each drain touches only
-        // the poller's own in-ports, so draining everything up front, in any
-        // order, equals draining inside the receive loop.  An empty port
-        // hands over nothing: that is what lets a core answer an idle poll.
-        host.fill_drained(|node| {
-            let port = polls[node].filter(|_| engine.status[node].is_running())?;
-            ports.drain(node, port.index())
-        });
-
+        // the poller's own in-ports, so draining up front, in any order,
+        // equals draining inside the receive loop.  Only the few occupied
+        // destinations are visited: every other poller's port is empty and
+        // is handed nothing, which is what lets a core answer an idle poll.
+        ports.drain_polled(
+            |node| {
+                polls[node]
+                    .filter(|_| engine.status[node].is_running())
+                    .map(NodeId::index)
+            },
+            |node, msgs| host.set_drained(node, msgs),
+        );
         host.finalize(round, &mut central.events)?;
         central.replay(host, |halted| self.ports.drop_destination(halted));
         Ok(())

@@ -214,15 +214,21 @@ impl EngineCore {
 /// message occupy an entry here; draining a port removes its entry, and a
 /// destination's queues are dropped wholesale when it crashes or halts, so
 /// memory stays proportional to live traffic.
+///
+/// The destinations that hold anything are also kept in a list, so a round
+/// drains polled ports by walking the few occupied destinations
+/// ([`PortMap::drain_polled`]), not every poller: most pollers poll an
+/// empty port, and those cost nothing.
 pub(crate) struct PortMap<M> {
     /// Indexed by destination (grown on first use), then keyed by sender.
-    /// Almost every poll finds nothing, and for those a destination with
-    /// no buffered port costs an index and an emptiness check, no hashing;
-    /// dropping a destination's queues when it crashes or halts clears one
+    /// Dropping a destination's queues when it crashes or halts clears one
     /// inner map, not a scan of every occupied port.  The hasher is the
     /// same in every process, so where entries land, and with it when a
     /// map grows and what it allocates, repeats from run to run.
     queues: Vec<HashMap<usize, Vec<M>, BuildHasherDefault<DefaultHasher>>>,
+    /// The destinations whose inner map is not empty, in the order their
+    /// first buffered message arrived.
+    occupied: Vec<usize>,
     buffered: usize,
     /// Emptied queue buffers waiting for reuse.  Drained queues leave the
     /// map (that is what keeps it sparse), so without recycling every
@@ -239,6 +245,7 @@ impl<M> PortMap<M> {
     pub fn new() -> Self {
         PortMap {
             queues: Vec::new(),
+            occupied: Vec::new(),
             buffered: 0,
             spares: Vec::new(),
         }
@@ -251,6 +258,9 @@ impl<M> PortMap<M> {
         }
         let spares = &mut self.spares;
         if let Some(ports) = self.queues.get_mut(to) {
+            if ports.is_empty() {
+                self.occupied.push(to);
+            }
             ports
                 .entry(from)
                 .or_insert_with(|| spares.pop().unwrap_or_default())
@@ -259,14 +269,27 @@ impl<M> PortMap<M> {
         }
     }
 
-    /// Drains destination `to`'s in-port from `from`, in arrival order, or
-    /// `None` if it holds nothing: almost every poll finds an empty port,
-    /// and such a poll takes no buffer.
-    pub fn drain(&mut self, to: usize, from: usize) -> Option<Vec<M>> {
-        let ports = self.queues.get_mut(to).filter(|ports| !ports.is_empty());
-        let msgs = ports?.remove(&from)?;
-        self.buffered -= msgs.len();
-        Some(msgs)
+    /// Drains the polled port of every occupied destination, in the order
+    /// the destinations became occupied: `port_of(to)` names the port `to`
+    /// polls this round (`None`: it does not poll, or is not running), and
+    /// each port that holds messages is handed to `hand` in arrival order.
+    /// A destination left with nothing buffered leaves the occupied list.
+    pub fn drain_polled(
+        &mut self,
+        mut port_of: impl FnMut(usize) -> Option<usize>,
+        mut hand: impl FnMut(usize, Vec<M>),
+    ) {
+        let (queues, buffered) = (&mut self.queues, &mut self.buffered);
+        self.occupied.retain(|&to| {
+            let Some(ports) = queues.get_mut(to) else {
+                return false;
+            };
+            if let Some(msgs) = port_of(to).and_then(|from| ports.remove(&from)) {
+                *buffered -= msgs.len();
+                hand(to, msgs);
+            }
+            !ports.is_empty()
+        });
     }
 
     /// Moves the emptied poll buffers in `bufs` into the spare pool for
@@ -284,8 +307,9 @@ impl<M> PortMap<M> {
         reason = "the drained queues are only counted (a sum of lengths), so hash order cannot show"
     )]
     pub fn drop_destination(&mut self, to: usize) {
-        if let Some(ports) = self.queues.get_mut(to) {
+        if let Some(ports) = self.queues.get_mut(to).filter(|ports| !ports.is_empty()) {
             self.buffered -= ports.drain().map(|(_, msgs)| msgs.len()).sum::<usize>();
+            self.occupied.retain(|&dest| dest != to);
         }
     }
 
@@ -297,6 +321,13 @@ impl<M> PortMap<M> {
     /// Number of ports currently holding at least one message.
     pub fn ports_in_use(&self) -> usize {
         self.queues.iter().map(HashMap::len).sum()
+    }
+
+    /// The destinations holding at least one buffered message, in the
+    /// order they became occupied.
+    #[cfg(test)]
+    pub fn occupied(&self) -> &[usize] {
+        &self.occupied
     }
 }
 
@@ -401,6 +432,17 @@ mod tests {
         assert_eq!(core.crashes, 2);
     }
 
+    /// Drains `to`'s in-port from `from`, as a round in which `to` is the
+    /// only poller.
+    fn drain<M>(ports: &mut PortMap<M>, to: usize, from: usize) -> Option<Vec<M>> {
+        let mut got = None;
+        ports.drain_polled(
+            |dest| (dest == to).then_some(from),
+            |_, msgs| got = Some(msgs),
+        );
+        got
+    }
+
     #[test]
     fn port_map_buffers_and_drains_sparsely() {
         let mut ports: PortMap<u32> = PortMap::new();
@@ -411,9 +453,13 @@ mod tests {
         ports.push(2, 0, 20);
         assert_eq!(ports.buffered_messages(), 3);
         assert_eq!(ports.ports_in_use(), 2);
-        assert_eq!(ports.drain(1, 0), Some(vec![10, 11]));
-        assert_eq!(ports.drain(1, 0), None, "drained port empty");
-        assert_eq!(ports.drain(3, 0), None, "a destination never pushed to");
+        assert_eq!(drain(&mut ports, 1, 0), Some(vec![10, 11]));
+        assert_eq!(drain(&mut ports, 1, 0), None, "drained port empty");
+        assert_eq!(
+            drain(&mut ports, 3, 0),
+            None,
+            "a destination never pushed to"
+        );
         assert_eq!(ports.buffered_messages(), 1);
         assert_eq!(ports.ports_in_use(), 1);
     }
@@ -427,7 +473,64 @@ mod tests {
         ports.drop_destination(0);
         assert_eq!(ports.buffered_messages(), 1);
         assert_eq!(ports.ports_in_use(), 1);
-        assert_eq!(ports.drain(1, 0), Some(vec![3]));
-        assert_eq!(ports.drain(0, 1), None, "dropped with its destination");
+        assert_eq!(drain(&mut ports, 1, 0), Some(vec![3]));
+        assert_eq!(
+            drain(&mut ports, 0, 1),
+            None,
+            "dropped with its destination"
+        );
+    }
+
+    #[test]
+    fn port_map_lists_occupied_destinations_in_first_push_order() {
+        let mut ports: PortMap<u8> = PortMap::new();
+        ports.push(3, 0, 1);
+        ports.push(1, 0, 2);
+        ports.push(3, 2, 3);
+        ports.push(5, 4, 4);
+        ports.push(1, 0, 5);
+        assert_eq!(ports.occupied(), [3, 1, 5]);
+        // Everybody polls: the ports are handed over in the list's order.
+        let mut handed = Vec::new();
+        ports.drain_polled(|_| Some(0), |to, msgs| handed.push((to, msgs)));
+        assert_eq!(handed, [(3, vec![1]), (1, vec![2, 5])]);
+        // Node 3 still holds the port from node 2, and keeps its place.
+        assert_eq!(ports.occupied(), [3, 5]);
+        ports.push(1, 0, 6);
+        assert_eq!(ports.occupied(), [3, 5, 1], "re-occupied: at the end");
+    }
+
+    #[test]
+    fn emptied_crashed_and_halted_destinations_leave_the_occupied_list() {
+        let mut ports: PortMap<u8> = PortMap::new();
+        for to in 0..4 {
+            ports.push(to, 9, to as u8);
+        }
+        assert_eq!(drain(&mut ports, 2, 9), Some(vec![2]), "emptied");
+        // A crash and a halt look the same to the port map.
+        ports.drop_destination(0);
+        ports.drop_destination(3);
+        ports.drop_destination(3);
+        ports.drop_destination(7);
+        assert_eq!(ports.occupied(), [1]);
+        assert_eq!(ports.buffered_messages(), 1);
+        assert_eq!(ports.ports_in_use(), 1);
+    }
+
+    #[test]
+    fn an_unpolled_port_stays_buffered_and_counted() {
+        let mut ports: PortMap<u8> = PortMap::new();
+        ports.push(2, 0, 7);
+        // Node 2 does not poll, then polls another port: nothing is handed.
+        let mut handed = 0;
+        ports.drain_polled(|_| None, |_, _| handed += 1);
+        ports.drain_polled(|_| Some(1), |_, _| handed += 1);
+        assert_eq!(handed, 0);
+        assert_eq!(ports.occupied(), [2]);
+        assert_eq!(ports.buffered_messages(), 1);
+        assert_eq!(ports.ports_in_use(), 1);
+        assert_eq!(drain(&mut ports, 2, 0), Some(vec![7]), "found when polled");
+        assert_eq!(ports.buffered_messages(), 0);
+        assert!(ports.occupied().is_empty());
     }
 }

@@ -47,11 +47,16 @@
 //! A single-port node may also state the planned polls in which it only
 //! listens ([`SinglePortProtocol::idle_polls`]); the core answers those
 //! itself and calls the node only when the pre-drained port holds a
-//! message.  Every per-node slice a backend reads (`send_intents()`,
+//! message.  A backend need hand over only the ports that hold messages
+//! ([`SinglePortCore::set_drained`] records a probed node it is handed one
+//! for), so [`SinglePortCore::finalize`] visits the nodes it called and
+//! those, and an idle poll of an empty port costs nothing after
+//! `begin_round`.  Every per-node slice a backend reads (`send_intents()`,
 //! `sends()`, `polls()`) keeps its length; a skipped node's entry is simply
 //! empty, and an idle poll shows its planned port.
 //! With `debug_assertions` the skipped calls are still made and must come
-//! back empty, which is how the hint is checked (`DESIGN.md`, "The
+//! back empty (for idle polls, in a checking pass over every one answered),
+//! which is how the hint is checked (`DESIGN.md`, "The
 //! activity contract").
 //!
 //! # The crash phase stays outside
@@ -611,9 +616,12 @@ pub struct SinglePortCore<P: SinglePortProtocol> {
     pub(crate) sends: Vec<Option<Outgoing<P::Msg>>>,
     /// Per-node poll intent for the current round.
     pub(crate) polls: Vec<Option<NodeId>>,
-    /// Per-node pre-drained poll results (`Some` only for running nodes
-    /// that polled this round; filled by the backend).
+    /// Per-node pre-drained poll results: `Some` only for the nodes listed
+    /// in `handed`, between [`SinglePortCore::set_drained`] and
+    /// [`SinglePortCore::finalize`].
     pub(crate) drained: Vec<Option<Vec<P::Msg>>>,
+    /// The nodes handed a non-empty port this round, in hand-over order.
+    pub(crate) handed: Vec<usize>,
     /// Emptied poll buffers waiting to be recycled.  [`SinglePortCore::finalize`]
     /// clears each consumed `drained` buffer into this pool instead of
     /// dropping it; in-process backends reclaim it into their `PortMap`
@@ -639,6 +647,10 @@ pub struct SinglePortCore<P: SinglePortProtocol> {
     pub(crate) probed: Vec<usize>,
     /// Node-rounds in which a node was called.
     pub(crate) active: u64,
+    /// Idle polls answered without a call.
+    pub(crate) answered: u64,
+    /// Polled ports handed over holding messages.
+    pub(crate) full_ports: u64,
 }
 
 impl<P: SinglePortProtocol> SinglePortCore<P> {
@@ -653,6 +665,7 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
             sends: (0..len).map(|_| None).collect(),
             polls: vec![None; len],
             drained: (0..len).map(|_| None).collect(),
+            handed: Vec::new(),
             spare: Vec::new(),
             outputs: (0..len).map(|_| None).collect(),
             events: Vec::new(),
@@ -661,6 +674,8 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
             called: Vec::new(),
             probed: Vec::new(),
             active: 0,
+            answered: 0,
+            full_ports: 0,
         }
     }
 
@@ -685,6 +700,19 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
     /// ([`SinglePortProtocol::idle_polls`]) is not a call.
     pub fn active_node_rounds(&self) -> u64 {
         self.active
+    }
+
+    /// Planned idle polls this core answered without calling the node,
+    /// since the execution began: every idle poll whose port was handed
+    /// nothing (a poll by a node that crashed in the same round included).
+    pub fn answered_idle_polls(&self) -> u64 {
+        self.answered
+    }
+
+    /// Polled ports that held messages when they were handed to this core
+    /// ([`SinglePortCore::set_drained`]), since the execution began.
+    pub fn full_ports_drained(&self) -> u64 {
+        self.full_ports
     }
 
     /// Phase 1: collect the single send and poll intent of each running
@@ -781,16 +809,6 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
         }
     }
 
-    /// Asks `drain` for the polled port contents of every node called this
-    /// round, then of every node probed.  Nobody else polled, and their
-    /// slots are `None` already ([`SinglePortCore::finalize`] takes what it
-    /// is given).
-    pub(crate) fn fill_drained(&mut self, mut drain: impl FnMut(usize) -> Option<Vec<P::Msg>>) {
-        for &i in self.called.iter().chain(&self.probed) {
-            self.drained[i] = drain(self.base + i);
-        }
-    }
-
     /// The per-node sends collected by the last
     /// [`SinglePortCore::begin_round`].
     pub fn sends(&self) -> &[Option<Outgoing<P::Msg>>] {
@@ -811,10 +829,27 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
     }
 
     /// Hands a node the contents the backend drained from its polled port
-    /// (`None` when the node did not poll, is not running, or its port is
-    /// empty).
+    /// this round, between [`SinglePortCore::begin_round`] and
+    /// [`SinglePortCore::finalize`].  `None` (the node did not poll or is
+    /// not running) and an empty port mean the same, so a backend may hand
+    /// over only the ports that hold messages and leave every other poller
+    /// alone.  A node whose idle poll is handed a message is called after
+    /// all.
     pub fn set_drained(&mut self, local: usize, msgs: Option<Vec<P::Msg>>) {
-        self.drained[local] = msgs;
+        match msgs {
+            Some(msgs) if !msgs.is_empty() => {
+                self.full_ports += 1;
+                if self.drained[local].replace(msgs).is_none() {
+                    self.handed.push(local);
+                }
+            }
+            empty => {
+                self.drained[local] = None;
+                if let Some(buf) = empty {
+                    recycle(&mut self.spare, self.nodes.len(), buf);
+                }
+            }
+        }
     }
 
     /// Moves the emptied poll buffers the last [`SinglePortCore::finalize`]
@@ -843,28 +878,40 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
     /// pre-drained polls to the nodes called this round, advance their
     /// outputs, ask each how long it stays quiet and which idle polls it
     /// states, and return the round's outcome (message counters are zero —
-    /// the backend counts single-port sends as it enqueues them).
+    /// the backend counts single-port sends as it enqueues them).  Only the
+    /// called nodes and the ones handed a port are visited; the other idle
+    /// polls are answered by not calling their nodes.
     pub fn finalize(&mut self, round: Round) -> RoundOutcome<'_> {
         self.events.clear();
         let r = round.as_u64();
         let spare_cap = self.nodes.len();
+        // A message on an idle poll's port: the node is called after all.
+        // Called and probed nodes are disjoint, so each joins `called` once.
+        self.handed.sort_unstable();
+        self.handed.dedup();
         let called_before = self.called.len();
-        for &i in &self.probed {
-            if !self.status[i].is_running() {
-                continue;
-            }
-            if self.drained[i]
-                .as_ref()
-                .is_some_and(|msgs| !msgs.is_empty())
-            {
-                // A message on the port: the node is called after all.
+        for &i in &self.handed {
+            let probed = self.probed.binary_search(&i).is_ok();
+            if probed && self.drained[i].is_some() && self.status[i].is_running() {
                 self.called.push(i);
                 self.wake[i] = 0;
-                continue;
             }
-            let mut msgs = self.drained[i].take().unwrap_or_default();
-            if cfg!(debug_assertions) {
+        }
+        let woken = self.called.len() - called_before;
+        self.answered += (self.probed.len() - woken) as u64;
+        if woken > 0 {
+            self.active += woken as u64;
+            self.called.sort_unstable();
+        }
+        if cfg!(debug_assertions) {
+            // Every idle poll answered on an empty port is made anyway and
+            // must change nothing.
+            for &i in &self.probed {
+                if !self.status[i].is_running() || self.drained[i].is_some() {
+                    continue;
+                }
                 let (node, global) = (&mut self.nodes[i], self.base + i);
+                let mut msgs = Vec::new();
                 if let Some(port) = self.polls[i] {
                     call_idle_poll(node, global, round, port, &mut msgs);
                 }
@@ -875,14 +922,8 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
                     "node {global} stated an idle poll in round {round} but changed state on an \
                      empty port (first output: {decided}, halted: {halted})"
                 );
+                recycle(&mut self.spare, spare_cap, msgs);
             }
-            recycle(&mut self.spare, spare_cap, msgs);
-        }
-        if self.called.len() > called_before {
-            self.active += (self.called.len() - called_before) as u64;
-            self.called.sort_unstable();
-        }
-        if cfg!(debug_assertions) {
             // Whoever is asleep now was skipped in `begin_round` too.
             let state = self.status.iter().zip(&self.wake).zip(&self.outputs);
             for (i, (node, ((status, &wake), first_output))) in
@@ -931,6 +972,14 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
             self.wake[i] = wake;
             self.runs[i] = IdleRun::stated(node, r, wake);
         }
+        // A port handed to a node that was not called (it crashed, or did
+        // not poll) is dropped unread.
+        for &i in &self.handed {
+            if let Some(msgs) = self.drained[i].take() {
+                recycle(&mut self.spare, spare_cap, msgs);
+            }
+        }
+        self.handed.clear();
         RoundOutcome {
             events: &self.events,
             messages: 0,

@@ -505,7 +505,9 @@ where
             for local in crashed {
                 chunk.set_crashed(check_local(local, chunk.len())?, round);
             }
-            chunk.drained = drained;
+            for (local, msgs) in drained.into_iter().enumerate() {
+                chunk.set_drained(local, msgs);
+            }
             chunk.finalize(round);
             Ok(events_response(
                 &chunk.events,
@@ -649,7 +651,9 @@ pub struct Framed<O, Q> {
 pub type Inbound<M> = Vec<(usize, Delivered<M>)>;
 
 /// Single-port: a chunk's pending sends (the parent enqueues them), and the
-/// crash mirror and pre-drained ports for its next `SpReceive`.
+/// crash mirror and pre-drained ports for its next `SpReceive` (one slot per
+/// node of the chunk from `Collect` on, `Some` only where a port held
+/// messages).
 pub struct SpQueued<M> {
     sends: Vec<Option<Outgoing<M>>>,
     crashed: Vec<usize>,
@@ -883,6 +887,7 @@ impl<M: WireMsg, O: WireOutput> SinglePortHost for Framed<O, SpQueued<M>> {
                 polls[node] = poll;
             }
             queued.sends = sends;
+            queued.drained.resize_with(len, || None);
         }
         Ok(())
     }
@@ -903,11 +908,9 @@ impl<M: WireMsg, O: WireOutput> SinglePortHost for Framed<O, SpQueued<M>> {
         }
     }
 
-    fn fill_drained(&mut self, mut drain: impl FnMut(usize) -> Option<Vec<M>>) {
-        for (ci, queued) in self.queued.iter_mut().enumerate() {
-            let pollers = self.link.plan.range(ci, self.link.n);
-            queued.drained.extend(pollers.map(&mut drain));
-        }
+    fn set_drained(&mut self, node: usize, msgs: Vec<M>) {
+        let (ci, local) = self.link.plan.locate(node);
+        self.queued[ci].drained[local] = Some(msgs);
     }
 
     fn finalize(&mut self, round: Round, events: &mut Vec<NodeEvent>) -> SimResult<()> {

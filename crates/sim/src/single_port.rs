@@ -124,6 +124,20 @@ impl<P: SinglePortProtocol> SinglePortRunner<P> {
     pub fn active_node_rounds(&self) -> u64 {
         self.host.active_node_rounds()
     }
+
+    /// Planned idle polls answered without a call, so far (see
+    /// [`SinglePortCore::answered_idle_polls`]).  A diagnostic, like
+    /// [`SinglePortRunner::active_node_rounds`].
+    pub fn answered_idle_polls(&self) -> u64 {
+        self.host.answered_idle_polls()
+    }
+
+    /// Polled ports that held messages, so far (see
+    /// [`SinglePortCore::full_ports_drained`]).  A diagnostic, like
+    /// [`SinglePortRunner::active_node_rounds`].
+    pub fn full_ports_drained(&self) -> u64 {
+        self.host.full_ports_drained()
+    }
 }
 
 // The in-process host is the runner's one core.  It owns every node from
@@ -172,8 +186,8 @@ impl<P: SinglePortProtocol> SinglePortHost for SinglePortCore<P> {
         SinglePortCore::drain_sends(self, enqueue);
     }
 
-    fn fill_drained(&mut self, drain: impl FnMut(usize) -> Option<Vec<P::Msg>>) {
-        SinglePortCore::fill_drained(self, drain);
+    fn set_drained(&mut self, node: usize, msgs: Vec<P::Msg>) {
+        SinglePortCore::set_drained(self, node, Some(msgs));
     }
 
     fn finalize(&mut self, round: Round, events: &mut Vec<NodeEvent>) -> Result<(), Infallible> {

@@ -712,6 +712,41 @@ fn a_message_on_an_idle_port_gets_its_node_called_that_round() {
 }
 
 #[test]
+fn a_message_buffered_before_an_idle_run_is_found_by_its_planned_poll() {
+    // Node 0 sends in round 0 and is called every round after; node 1
+    // polls nothing in round 0, so the message waits on its port while
+    // node 1 states its idle polls of node 0 for rounds 1..=5.
+    let (mut runner, _) = watched(vec![Prober::talker(1, 0), Prober::listener(0, 5)]);
+    runner.step();
+    assert_eq!(runner.active_node_rounds(), 2, "round 0 calls both");
+    assert_eq!(runner.buffered_messages(), 1, "nobody polled the port");
+    assert_eq!(runner.ports_in_use(), 1);
+    assert_eq!(runner.host.output(1), None);
+    runner.step();
+    assert_eq!(runner.active_node_rounds(), 4, "round 1 calls both");
+    assert_eq!(
+        runner.host.output(1),
+        Some(&100),
+        "the run's first planned poll found it"
+    );
+    assert_eq!(runner.buffered_messages(), 0);
+    assert_eq!(runner.ports_in_use(), 0);
+    assert_eq!(runner.full_ports_drained(), 1);
+    assert_eq!(runner.answered_idle_polls(), 0);
+    for _ in 2..=6 {
+        runner.step();
+    }
+    // Node 1 restated its run when it was called: rounds 2..=5 are
+    // answered for it, and it resumes in round 6.
+    assert_eq!(runner.active_node_rounds(), 4 + 5 + 1);
+    assert_eq!(runner.answered_idle_polls(), 4);
+    assert_eq!(runner.full_ports_drained(), 1);
+    if !cfg!(debug_assertions) {
+        assert_eq!(runner.host.nodes[1].calls, vec![0, 1, 6]);
+    }
+}
+
+#[test]
 #[cfg(debug_assertions)]
 #[should_panic(expected = "stated an idle poll in round 2 but changed state on an empty port")]
 fn an_idle_poll_that_decides_on_an_empty_port_trips_the_check() {
