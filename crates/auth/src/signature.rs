@@ -90,7 +90,7 @@ mod tests {
 
     #[test]
     fn wire_golden_bytes() {
-        assert_eq!(dft_sim::shard::WIRE_VERSION, 8);
+        assert_eq!(dft_sim::shard::WIRE_VERSION, 9);
         let signature = Signature {
             signer: 2,
             tag: 0x0102_0304_0506_0708,

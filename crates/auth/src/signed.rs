@@ -153,7 +153,7 @@ mod tests {
 
     #[test]
     fn wire_golden_bytes() {
-        assert_eq!(dft_sim::shard::WIRE_VERSION, 8);
+        assert_eq!(dft_sim::shard::WIRE_VERSION, 9);
         let value = SignedValue {
             source: 3,
             value: 31,

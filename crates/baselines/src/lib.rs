@@ -408,7 +408,7 @@ mod wire_impls {
 
         #[test]
         fn baseline_payloads_golden_bytes() {
-            assert_eq!(dft_sim::shard::WIRE_VERSION, 8);
+            assert_eq!(dft_sim::shard::WIRE_VERSION, 9);
             assert_eq!(
                 to_bytes(&RumorMap(vec![Some(7), None])),
                 b"\x02\0\0\0\0\0\0\0\x01\x07\0\0\0\0\0\0\0\0"

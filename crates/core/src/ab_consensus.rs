@@ -21,6 +21,7 @@
 //!
 //! Every node finally decides on the maximum value of its authenticated set.
 
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 use dft_auth::{KeyDirectory, Signature, SignedValue, Signer, SignerSet};
@@ -184,6 +185,130 @@ impl Payload for CommonSet {
     }
 }
 
+/// A little node's endorsement list: its entry for every little source,
+/// countersigned, sent to every little peer in the endorsement round.
+///
+/// Like a [`CommonSet`] the list is immutable and travels as one shared
+/// [`Arc`], so all `little − 1` receivers merge the *same object*, and it
+/// remembers which of its signatures verify under the same contract: the
+/// entries are private with no mutating method, and only the judging
+/// function (`judged`) writes the memo, so a list that is built or decoded
+/// from the wire starts without one.
+pub struct Endorsements {
+    entries: Vec<SignedValue>,
+    verified: OnceLock<Verified>,
+}
+
+/// The signatures of an endorsement list that verify over their entry's
+/// `value_digest(source, value)`, flat: entry `i`'s are
+/// `signatures[ends[i - 1]..ends[i]]`, in the order the entry holds them.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Verified {
+    /// [`KeyDirectory::fingerprint`] of the directory they verify under.
+    directory: u64,
+    signatures: Vec<Signature>,
+    ends: Vec<usize>,
+}
+
+// As for `CommonSet`: the memo is neither on the wire nor part of the value.
+wire_struct!(Endorsements {
+    entries: Vec<SignedValue>,
+    verified: OnceLock<Verified>,
+});
+
+impl PartialEq for Endorsements {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries == other.entries
+    }
+}
+
+impl std::fmt::Debug for Endorsements {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Endorsements")
+            .field("entries", &self.entries)
+            .finish()
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Endorsement lists this thread judged in full for a caller (the debug
+    /// cross-check of a remembered judgement is not one).
+    static FULL_JUDGEMENTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+impl Verified {
+    fn judge(entries: &[SignedValue], directory: &KeyDirectory) -> Self {
+        let mut verified = Verified {
+            directory: directory.fingerprint(),
+            signatures: Vec::new(),
+            ends: Vec::with_capacity(entries.len()),
+        };
+        for entry in entries {
+            let digest = dft_auth::value_digest(entry.source, entry.value);
+            let valid = entry
+                .signatures
+                .iter()
+                .filter(|signature| directory.verify_digest(signature, digest));
+            verified.signatures.extend(valid);
+            verified.ends.push(verified.signatures.len());
+        }
+        verified
+    }
+
+    /// Each entry's verified signatures, in entry order.
+    fn per_entry(&self) -> impl Iterator<Item = &[Signature]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| self.signatures.get(start..end).unwrap_or_default())
+    }
+}
+
+impl Endorsements {
+    /// A list of the given entries, not yet judged.
+    pub fn new(entries: Vec<SignedValue>) -> Self {
+        Endorsements {
+            entries,
+            verified: OnceLock::new(),
+        }
+    }
+
+    /// The entries, one per little source, indexed by source.
+    pub fn entries(&self) -> &[SignedValue] {
+        &self.entries
+    }
+
+    /// The signatures of each entry that verify under `directory`.
+    ///
+    /// The first call works them out and stores them in the list beside the
+    /// directory's fingerprint; a later call under the same keys, by
+    /// whichever node or thread, reads them from there.  Under other keys
+    /// they are worked out in full and not stored.  They are a pure function
+    /// of the entries and the keys, so who asks first changes nothing; debug
+    /// builds check exactly that on every remembered answer.
+    fn judged(&self, directory: &KeyDirectory) -> Cow<'_, Verified> {
+        let full = || {
+            #[cfg(test)]
+            FULL_JUDGEMENTS.with(|count| count.set(count.get() + 1));
+            Verified::judge(&self.entries, directory)
+        };
+        let mut remembered = true;
+        let memo = self.verified.get_or_init(|| {
+            remembered = false;
+            full()
+        });
+        if memo.directory != directory.fingerprint() {
+            return Cow::Owned(full());
+        }
+        debug_assert!(
+            !remembered || *memo == Verified::judge(&self.entries, directory),
+            "remembered signatures differ from the judgement they stand for"
+        );
+        Cow::Borrowed(memo)
+    }
+}
+
 /// Messages of [`AbAgreement`], Parts 1–2.
 ///
 /// The variants are [`Arc`]-wrapped: the same batch, endorsement list or
@@ -196,7 +321,7 @@ pub enum AgreementMsg {
     /// Part 1: a batch of Dolev–Strong relays.
     Ds(Arc<DsBatch>),
     /// Part 1 endorsement round: a little node's endorsed entries.
-    Endorse(Arc<Vec<SignedValue>>),
+    Endorse(Arc<Endorsements>),
     /// Part 2: a little node's common set, to its related nodes.
     Notify(Arc<CommonSet>),
 }
@@ -205,7 +330,7 @@ impl Payload for AgreementMsg {
     fn bit_len(&self) -> u64 {
         match self {
             AgreementMsg::Ds(batch) => batch.bit_len(),
-            AgreementMsg::Endorse(entries) => chains_bits(entries),
+            AgreementMsg::Endorse(list) => chains_bits(list.entries()),
             AgreementMsg::Notify(set) => set.bit_len(),
         }
     }
@@ -217,7 +342,7 @@ impl Payload for AgreementMsg {
     fn share_key(&self) -> Option<usize> {
         match self {
             AgreementMsg::Ds(batch) => Some(Arc::as_ptr(batch).addr()),
-            AgreementMsg::Endorse(entries) => Some(Arc::as_ptr(entries).addr()),
+            AgreementMsg::Endorse(list) => Some(Arc::as_ptr(list).addr()),
             AgreementMsg::Notify(_) => None,
         }
     }
@@ -324,12 +449,32 @@ impl Trust<Arc<CommonSet>> for Authenticated {
 #[derive(Clone, Debug)]
 struct Endorsement {
     entry: SignedValue,
-    /// `value_digest` of the entry, which every endorsement of it signs.
-    digest: u64,
     /// The little nodes among the entry's signers.  Only their signatures
     /// count towards a quorum, so only theirs are merged, and the set is
     /// `little` bits wide.
     signers: SignerSet,
+}
+
+impl Endorsement {
+    /// `entry`, with room for every little node's signature: the merge into
+    /// it never regrows the list.
+    fn new(entry: &SignedValue, little: usize) -> Self {
+        let mut signers = SignerSet::new(little);
+        for signature in &entry.signatures {
+            signers.insert(signature.signer);
+        }
+        let missing = little - signers.count_below(little);
+        let mut signatures = Vec::with_capacity(entry.signatures.len() + missing);
+        signatures.extend_from_slice(&entry.signatures);
+        Endorsement {
+            entry: SignedValue {
+                source: entry.source,
+                value: entry.value,
+                signatures,
+            },
+            signers,
+        }
+    }
 }
 
 /// `AB-Consensus` Parts 1–2 at one node: `Almost-Everywhere-Agreement`'s
@@ -408,15 +553,7 @@ impl AbAgreement {
                         .sign_digest(dft_auth::value_digest(source, NULL_VALUE))],
                 },
             };
-            let mut signers = SignerSet::new(little);
-            for signature in &entry.signatures {
-                signers.insert(signature.signer);
-            }
-            self.endorsed.push(Endorsement {
-                digest: dft_auth::value_digest(source, entry.value),
-                signers,
-                entry: entry.clone(),
-            });
+            self.endorsed.push(Endorsement::new(&entry, little));
             entries.push(entry);
         }
         entries
@@ -424,22 +561,19 @@ impl AbAgreement {
 
     /// Merges a peer's endorsements into our own chains (same source and
     /// value only): each little node's signature once, if it verifies.
-    fn merge_endorsements(&mut self, entries: &[SignedValue]) {
-        let directory = &self.trust.directory;
-        for entry in entries {
+    /// Which signatures verify is read off the list, judged once for all
+    /// its receivers.
+    fn merge_endorsements(&mut self, list: &Endorsements) {
+        let verified = list.judged(&self.trust.directory);
+        for (entry, signatures) in list.entries().iter().zip(verified.per_entry()) {
             let Some(own) = self.endorsed.get_mut(entry.source) else {
                 continue;
             };
             if own.entry.value != entry.value {
                 continue;
             }
-            for signature in &entry.signatures {
-                // Known signers are the common case (the source signs every
-                // copy); they are passed over without paying for a MAC.
-                if !own.signers.contains(signature.signer)
-                    && directory.verify_digest(signature, own.digest)
-                    && own.signers.insert(signature.signer)
-                {
+            for signature in signatures {
+                if own.signers.insert(signature.signer) {
                     own.entry.signatures.push(*signature);
                 }
             }
@@ -475,8 +609,8 @@ impl SyncProtocol for AbAgreement {
                 self.to_little_peers(&AgreementMsg::Ds(batch), out);
             }
         } else if r == self.endorse_round {
-            let entries = Arc::new(self.build_endorsements());
-            self.to_little_peers(&AgreementMsg::Endorse(entries), out);
+            let list = Arc::new(Endorsements::new(self.build_endorsements()));
+            self.to_little_peers(&AgreementMsg::Endorse(list), out);
         } else {
             self.finalize_common_set();
             if let Some(set) = &self.common {
@@ -496,8 +630,8 @@ impl SyncProtocol for AbAgreement {
                     self.relay.receive(r, batch);
                 }
                 // Our own endorsements were built in `send`; merge peers'.
-                AgreementMsg::Endorse(entries) if little && r == self.endorse_round => {
-                    self.merge_endorsements(entries);
+                AgreementMsg::Endorse(list) if little && r == self.endorse_round => {
+                    self.merge_endorsements(list);
                 }
                 // The cheap guards before the (expensive) chain verification.
                 AgreementMsg::Notify(set)
@@ -707,8 +841,11 @@ mod tests {
             Some(Staged::First(AgreementMsg::Ds(batch))) => {
                 relayed += batch.0.iter().filter(|chain| chain.source == 0).count();
             }
-            Some(Staged::First(AgreementMsg::Endorse(entries))) => {
-                views.lock().unwrap().push((relayed, entries[0].value));
+            Some(Staged::First(AgreementMsg::Endorse(list))) => {
+                views
+                    .lock()
+                    .unwrap()
+                    .push((relayed, list.entries()[0].value));
             }
             _ => {}
         })
@@ -1093,6 +1230,269 @@ mod tests {
         assert_eq!(report.agreed_value(), Some(&(little as u64 - 1)));
     }
 
+    fn full_judgements() -> usize {
+        FULL_JUDGEMENTS.with(std::cell::Cell::get)
+    }
+
+    /// Little node 0 of `little`, in the endorsement round, whose merged
+    /// chains are `own` as `build_endorsements` leaves them.
+    fn receiver(directory: &Arc<KeyDirectory>, little: usize, own: &[SignedValue]) -> AbAgreement {
+        let signer = directory.signer(0);
+        AbAgreement {
+            n: directory.len(),
+            endorse_round: 1,
+            relay: DsRelay::new(signer.clone(), Arc::clone(directory), 0),
+            trust: Authenticated {
+                directory: Arc::clone(directory),
+                little,
+                threshold: 1,
+                signer,
+            },
+            me: 0,
+            input: 0,
+            endorsed: own.iter().map(|e| Endorsement::new(e, little)).collect(),
+            common: None,
+        }
+    }
+
+    /// The merge as it was before lists were judged: every receiver checks
+    /// each signature of a signer it has not merged yet.  The oracle of the
+    /// memo merge.
+    fn merge_signature_by_signature(node: &mut AbAgreement, entries: &[SignedValue]) {
+        let directory = Arc::clone(&node.trust.directory);
+        for entry in entries {
+            let Some(own) = node.endorsed.get_mut(entry.source) else {
+                continue;
+            };
+            if own.entry.value != entry.value {
+                continue;
+            }
+            let digest = dft_auth::value_digest(entry.source, entry.value);
+            for signature in &entry.signatures {
+                if !own.signers.contains(signature.signer)
+                    && directory.verify_digest(signature, digest)
+                    && own.signers.insert(signature.signer)
+                {
+                    own.entry.signatures.push(*signature);
+                }
+            }
+        }
+    }
+
+    fn merged(node: &AbAgreement) -> Vec<SignedValue> {
+        node.endorsed.iter().map(|e| e.entry.clone()).collect()
+    }
+
+    /// A receiver's own entries: source `s` holds value `10 + s`, signed by
+    /// `s` and up to two other nodes of the directory, little or not.
+    fn random_own_entries(
+        rng: &mut impl rand::Rng,
+        directory: &KeyDirectory,
+        little: usize,
+    ) -> Vec<SignedValue> {
+        (0..little)
+            .map(|source| {
+                let mut entry =
+                    SignedValue::originate(&directory.signer(source), 10 + source as u64);
+                for _ in 0..rng.gen_range(0..3) {
+                    entry.countersign(&directory.signer(rng.gen_range(0..directory.len())));
+                }
+                entry
+            })
+            .collect()
+    }
+
+    /// Up to seven entries, some for a source without a slot (`little` or
+    /// `little + 1`) or with a value the receivers do not hold (99), each
+    /// signed by up to six nodes of the directory, little or not; a
+    /// signature may carry a wrong tag, claim a signer the directory does
+    /// not know, or repeat the one before it.
+    fn random_list(
+        rng: &mut impl rand::Rng,
+        directory: &KeyDirectory,
+        little: usize,
+    ) -> Vec<SignedValue> {
+        let keys = directory.len();
+        (0..rng.gen_range(0..8))
+            .map(|_| {
+                let source = rng.gen_range(0..little + 2);
+                let value = if rng.gen_bool(0.8) {
+                    10 + source as u64
+                } else {
+                    99
+                };
+                let digest = dft_auth::value_digest(source, value);
+                let mut signatures: Vec<Signature> = Vec::new();
+                for _ in 0..rng.gen_range(0..7) {
+                    let mut signature =
+                        directory.signer(rng.gen_range(0..keys)).sign_digest(digest);
+                    match rng.gen_range(0..4) {
+                        0 => signature.tag ^= 1,
+                        1 => signature.signer += keys,
+                        2 => signature = signatures.last().copied().unwrap_or(signature),
+                        _ => {}
+                    }
+                    signatures.push(signature);
+                }
+                SignedValue {
+                    source,
+                    value,
+                    signatures,
+                }
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// A list with one signature changed in any one bit of its tag or in
+        /// a low bit of its signer: no receiver merges that signature — the
+        /// first, which judges the fresh list, nor the four that read the
+        /// judgement — and each merges exactly what checking every
+        /// signature itself would.
+        #[test]
+        fn a_mutated_endorsement_is_merged_by_no_receiver(
+            entry in 0usize..5,
+            signature in 0usize..3,
+            bit in 0u32..64,
+            in_tag in proptest::any::<bool>(),
+        ) {
+            let directory = Arc::new(KeyDirectory::generate(12, 4));
+            let mut entries = endorsed_entries(&directory, 5, 3);
+            let target = &mut entries[entry].signatures[signature];
+            if in_tag {
+                target.tag ^= 1 << bit;
+            } else {
+                target.signer ^= 1 << (bit % 5);
+            }
+            let mutated = *target;
+            let list = Endorsements::new(entries);
+            let own = endorsed_entries(&directory, 5, 1);
+            let before = full_judgements();
+            for _ in 0..5 {
+                let mut by_memo = receiver(&directory, 5, &own);
+                let mut by_oracle = receiver(&directory, 5, &own);
+                by_memo.merge_endorsements(&list);
+                merge_signature_by_signature(&mut by_oracle, list.entries());
+                let memo_merged = merged(&by_memo);
+                assert!(memo_merged.iter().all(|e| !e.signatures.contains(&mutated)));
+                assert_eq!(memo_merged, merged(&by_oracle));
+            }
+            assert_eq!(full_judgements() - before, 1, "judged by the first receiver only");
+        }
+
+        /// The memo merge leaves every own entry with the signatures, in the
+        /// order, that checking each signature at each receiver leaves —
+        /// over lists with duplicated signers, wrong tags, signers the
+        /// directory does not know, signers outside the little set,
+        /// mismatched values and sources without a slot.  Two receivers
+        /// merge each list: the first judges it, the second reads the memo.
+        #[test]
+        fn the_memo_merge_equals_the_signature_by_signature_merge(seed in proptest::any::<u64>()) {
+            use rand::SeedableRng;
+            let directory = Arc::new(KeyDirectory::generate(12, 4));
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let mut receivers: Vec<(AbAgreement, AbAgreement)> = (0..2)
+                .map(|_| {
+                    let own = random_own_entries(&mut rng, &directory, 5);
+                    (receiver(&directory, 5, &own), receiver(&directory, 5, &own))
+                })
+                .collect();
+            for _ in 0..3 {
+                let list = Arc::new(Endorsements::new(random_list(&mut rng, &directory, 5)));
+                for (by_memo, by_oracle) in &mut receivers {
+                    by_memo.merge_endorsements(&list);
+                    merge_signature_by_signature(by_oracle, list.entries());
+                }
+            }
+            for (by_memo, by_oracle) in &receivers {
+                assert_eq!(merged(by_memo), merged(by_oracle));
+                let signers = |node: &AbAgreement| -> Vec<SignerSet> {
+                    node.endorsed.iter().map(|e| e.signers.clone()).collect()
+                };
+                assert_eq!(signers(by_memo), signers(by_oracle));
+            }
+        }
+    }
+
+    #[test]
+    fn a_list_judged_under_other_keys_is_judged_again_not_read_from_the_memo() {
+        let directory = Arc::new(KeyDirectory::generate(12, 4));
+        let other_keys = KeyDirectory::generate(12, 5);
+        let list = Endorsements::new(endorsed_entries(&directory, 5, 3));
+        let before = full_judgements();
+        let judged = list.judged(&directory).into_owned();
+        assert_eq!(judged.signatures.len(), 15, "every signature verifies");
+        assert!(matches!(list.judged(&directory), Cow::Borrowed(_)));
+        assert_eq!(full_judgements() - before, 1, "asked twice, judged once");
+        for _ in 0..2 {
+            let elsewhere = list.judged(&other_keys);
+            assert!(
+                elsewhere.signatures.is_empty(),
+                "none verify under other keys"
+            );
+            assert_eq!(elsewhere.ends, vec![0; 5]);
+        }
+        assert_eq!(full_judgements() - before, 3, "each judged in full");
+        // The memo belongs to the keys, not to the directory object.
+        assert_eq!(
+            *list.judged(&KeyDirectory::generate(12, 4)),
+            judged,
+            "same keys, another directory object"
+        );
+        assert_eq!(full_judgements() - before, 3);
+        // A list first judged under other keys holds their judgement, and a
+        // receiver under the real keys still merges every signature.
+        let first_elsewhere = Endorsements::new(endorsed_entries(&directory, 5, 3));
+        assert!(first_elsewhere.judged(&other_keys).signatures.is_empty());
+        let own = endorsed_entries(&directory, 5, 1);
+        let mut node = receiver(&directory, 5, &own);
+        node.merge_endorsements(&first_elsewhere);
+        assert_eq!(merged(&node), first_elsewhere.entries());
+        assert_eq!(full_judgements() - before, 5);
+    }
+
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a bare Endorsements round trip; there is no frame, so no version to check"
+    )]
+    fn the_endorsement_memo_is_neither_compared_printed_nor_sent() {
+        let directory = KeyDirectory::generate(12, 4);
+        let judged = Endorsements::new(endorsed_entries(&directory, 5, 3));
+        let fresh = Endorsements::new(endorsed_entries(&directory, 5, 3));
+        assert_eq!(judged.judged(&directory).signatures.len(), 15);
+        assert_eq!(judged, fresh);
+        assert_eq!(format!("{judged:?}"), format!("{fresh:?}"));
+        let bytes = dft_sim::shard::to_bytes(&judged);
+        assert_eq!(bytes, dft_sim::shard::to_bytes(&fresh));
+        assert_eq!(bytes, dft_sim::shard::to_bytes(&judged.entries));
+        // What arrives is unjudged: the receiver judges it for itself.
+        let received: Endorsements = dft_sim::shard::from_bytes(&bytes).unwrap();
+        assert_eq!(received.entries(), judged.entries());
+        let before = full_judgements();
+        assert_eq!(*received.judged(&directory), *judged.judged(&directory));
+        assert_eq!(full_judgements() - before, 1);
+    }
+
+    /// Each little node's list is judged by the first peer to merge it; the
+    /// other `little − 2` read the judgement.
+    #[test]
+    fn each_endorsement_list_is_judged_once() {
+        let (n, t) = (40, 4);
+        let little = SystemConfig::new(n, t).unwrap().little_count();
+        let before = full_judgements();
+        let inputs: Vec<u64> = (0..n as u64).collect();
+        let report = run_honest(n, t, &inputs);
+        assert!(report.all_non_faulty_decided());
+        let full = full_judgements() - before;
+        assert!(
+            (1..=little).contains(&full),
+            "{full} full judgements for {little} little nodes (n = {n})"
+        );
+    }
+
     /// Every little node judges the set it built; everyone else is handed
     /// one of those objects and reads the verdict off it.
     #[test]
@@ -1110,8 +1510,10 @@ mod tests {
         );
     }
 
-    /// The count behind "verified once" at the benchmark's scale: n = 1000,
-    /// t = 31, with t Byzantine nodes alternately silent and replaying.
+    /// The counts behind "verified once" and "judged once" at the
+    /// benchmark's scale: n = 1000, t = 31, with t Byzantine nodes
+    /// alternately silent and replaying.  A replayed list is an `Arc` an
+    /// honest little node made, so the lists judged are at most `little`.
     #[test]
     #[ignore = "paper scale; run with --release -- --ignored"]
     fn paper_scale_full_verifications_stay_below_little_plus_byzantine() {
@@ -1131,13 +1533,18 @@ mod tests {
                 Participant::Byzantine(Box::new(ReplayByzantine::new(n, 4, k as u64)))
             };
         }
-        let before = full_verifications();
+        let (before, lists_before) = (full_verifications(), full_judgements());
         let mut runner = Runner::with_participants(participants, Box::new(NoFaults), 0).unwrap();
         let report = runner.run(total + 2);
         assert!(report.all_non_faulty_decided());
         assert!(report.non_faulty_deciders_agree());
         let full = full_verifications() - before;
-        println!("{full} full verifications (little = {little}, Byzantine = {t}, n = {n})");
+        let lists = full_judgements() - lists_before;
+        println!(
+            "{full} full verifications, {lists} endorsement lists judged \
+             (little = {little}, Byzantine = {t}, n = {n})"
+        );
         assert!((1..=little + t).contains(&full));
+        assert!((1..=little).contains(&lists));
     }
 }

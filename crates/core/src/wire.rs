@@ -3,8 +3,9 @@
 //! across shard workers (`run_experiments --shards`) or `dft-node` peers.
 //!
 //! Each message type declares its layout once (tag per variant, fields in
-//! order) and gets both directions generated from it; [`CommonSet`] does so
-//! in its own module, where its private fields are in reach.  A composite's
+//! order) and gets both directions generated from it; [`CommonSet`] and
+//! [`Endorsements`] do so in their own module, where their private fields
+//! are in reach.  A composite's
 //! message is [`Staged`], declared here once for all of them.  [`BitVector`]
 //! and [`ExtantSet`] are written by hand ([`LEAVES`]): their decoders bound
 //! what a corrupt prefix can allocate and accept only the canonical form of
@@ -17,7 +18,7 @@ use dft_sim::shard::{
     wire_enum, wire_struct, Schema, Wire, WireError, WireReader, WireResult, MAX_FRAME_LEN,
 };
 
-use crate::ab_consensus::{AgreementMsg, CommonSet};
+use crate::ab_consensus::{AgreementMsg, CommonSet, Endorsements};
 use crate::aea::AeaMsg;
 use crate::dolev_strong::DsBatch;
 use crate::gossip::GossipMsg;
@@ -40,7 +41,7 @@ wire_enum!(GossipMsg {
 wire_struct!(DsBatch(Vec<SignedValue>));
 wire_enum!(AgreementMsg {
     0 = Ds(Arc<DsBatch>),
-    1 = Endorse(Arc<Vec<SignedValue>>),
+    1 = Endorse(Arc<Endorsements>),
     2 = Notify(Arc<CommonSet>),
 });
 
@@ -261,10 +262,13 @@ mod tests {
         value.countersign(&directory.signer(2));
         round_trip(DsBatch(vec![value.clone()]));
         round_trip(CommonSet::new(vec![value.clone()]));
+        round_trip(Endorsements::new(vec![value.clone()]));
         let common = Arc::new(CommonSet::new(vec![value.clone()]));
         let batch = Arc::new(DsBatch(vec![value.clone()]));
         round_trip(AbMsg::First(AgreementMsg::Ds(batch)));
-        round_trip(AbMsg::First(AgreementMsg::Endorse(Arc::new(vec![value]))));
+        round_trip(AbMsg::First(AgreementMsg::Endorse(Arc::new(
+            Endorsements::new(vec![value]),
+        ))));
         round_trip(AbMsg::First(AgreementMsg::Notify(Arc::clone(&common))));
         round_trip(AbMsg::Second(ScvMsg::Value(Arc::clone(&common))));
         let signature = directory.signer(1).sign_digest(9);
@@ -277,7 +281,7 @@ mod tests {
     /// bump asserted beside it.
     #[test]
     fn golden_bytes() {
-        assert_eq!(dft_sim::shard::WIRE_VERSION, 8);
+        assert_eq!(dft_sim::shard::WIRE_VERSION, 9);
         let tagged = |tag: u8, body: &[u8]| [&[tag], body].concat();
 
         assert_eq!(to_bytes(&AeaMsg::Rumor(true)), b"\0\x01");
@@ -356,7 +360,9 @@ mod tests {
             part(0, 0, &chain_bytes)
         );
         assert_eq!(
-            to_bytes(&AbMsg::First(AgreementMsg::Endorse(Arc::new(chain)))),
+            to_bytes(&AbMsg::First(AgreementMsg::Endorse(Arc::new(
+                Endorsements::new(chain)
+            )))),
             part(0, 1, &chain_bytes)
         );
         assert_eq!(

@@ -178,7 +178,7 @@ mod tests {
 
     #[test]
     fn slot_golden_bytes() {
-        assert_eq!(crate::shard::WIRE_VERSION, 8);
+        assert_eq!(crate::shard::WIRE_VERSION, 9);
         assert_eq!(to_bytes(&Slot::Inline(0xBEEFu16)), b"\0\xef\xbe");
         assert_eq!(to_bytes(&Slot::<u16>::Shared(3)), b"\x01\x03\0\0\0\0\0\0\0");
     }

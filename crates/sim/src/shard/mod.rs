@@ -89,7 +89,7 @@ pub use crate::{wire_enum, wire_struct};
 /// Version of the shard wire format.  Every frame carries it; both sides
 /// reject a mismatch, so a peer built from another revision fails loudly
 /// instead of silently mis-decoding.
-pub const WIRE_VERSION: u16 = 8;
+pub const WIRE_VERSION: u16 = 9;
 
 /// Frame tags (parent → worker).
 const REQ_COLLECT: u8 = 1;
