@@ -123,19 +123,12 @@ impl BitVector {
         &self.bits
     }
 
-    /// Rebuilds a vector from its backing words, validating the word count
-    /// and masking bits beyond `len` so decoded vectors are canonical.
-    pub(crate) fn from_raw_words(len: usize, mut bits: Vec<u64>) -> Option<Self> {
-        if bits.len() != len.div_ceil(64) {
-            return None;
-        }
-        if let Some(last) = bits.last_mut() {
-            let used = len % 64;
-            if used != 0 {
-                *last &= (1u64 << used) - 1;
-            }
-        }
-        Some(BitVector { bits, len })
+    /// Rebuilds a vector from its backing words: `None` unless there is one
+    /// word per 64 bits and no bit past `len` is set, so a decoded vector is
+    /// canonical and re-encodes to the words it came from.
+    pub(crate) fn from_raw_words(len: usize, bits: Vec<u64>) -> Option<Self> {
+        let canonical = bits.len() == len.div_ceil(64) && clear_past(&bits, len);
+        canonical.then_some(BitVector { bits, len })
     }
 }
 
@@ -317,10 +310,42 @@ impl ExtantSet {
     pub fn wire_bits(&self) -> u64 {
         self.len() as u64 + 64 * self.present_count() as u64
     }
+
+    /// The presence words and the rumor array (for the shard wire codec).
+    pub(crate) fn raw_parts(&self) -> (&[u64], &[Rumor]) {
+        (&self.mask, &self.rumors)
+    }
+
+    /// Rebuilds a set from its presence words and rumor array, counting the
+    /// proper pairs afresh: `None` unless there is one word per 64 slots and
+    /// no presence bit past the last slot.  The caller leaves every nil
+    /// slot's rumor 0.
+    pub(crate) fn from_raw_parts(mask: Vec<u64>, rumors: Vec<Rumor>) -> Option<Self> {
+        if mask.len() != rumors.len().div_ceil(64) || !clear_past(&mask, rumors.len()) {
+            return None;
+        }
+        let present = mask.iter().map(|w| w.count_ones() as usize).sum();
+        let set = ExtantSet {
+            mask,
+            rumors,
+            present,
+        };
+        debug_assert!(
+            (set.rumors.iter().enumerate()).all(|(idx, &rumor)| rumor == 0 || set.is_present(idx)),
+            "a nil slot holds a rumor"
+        );
+        Some(set)
+    }
+}
+
+/// Whether `words`, holding `len` bits, has no bit set past the last.
+fn clear_past(words: &[u64], len: usize) -> bool {
+    let used = len % 64;
+    used == 0 || words.last().is_none_or(|&last| last >> used == 0)
 }
 
 /// The positions of `word`'s set bits, ascending.
-fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+pub(crate) fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         (word != 0).then(|| {
             let bit = word.trailing_zeros() as usize;

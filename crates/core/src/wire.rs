@@ -15,7 +15,8 @@ use std::sync::Arc;
 
 use dft_auth::SignedValue;
 use dft_sim::shard::{
-    wire_enum, wire_struct, Schema, Wire, WireError, WireReader, WireResult, MAX_FRAME_LEN,
+    put_u64s, wire_enum, wire_struct, Schema, Wire, WireError, WireReader, WireResult,
+    MAX_FRAME_LEN,
 };
 
 use crate::ab_consensus::{AgreementMsg, CommonSet, Endorsements};
@@ -24,7 +25,7 @@ use crate::dolev_strong::DsBatch;
 use crate::gossip::GossipMsg;
 use crate::scv::ScvMsg;
 use crate::then::Staged;
-use crate::values::{BitVector, ExtantSet, JoinValue};
+use crate::values::{set_bits, BitVector, ExtantSet, JoinValue};
 
 /// The hand-written codecs of this module, by schema name.
 pub const LEAVES: &[&str] = &["BitVector", "ExtantSet"];
@@ -50,9 +51,7 @@ impl Wire for BitVector {
     fn encode(&self, out: &mut Vec<u8>) {
         self.len().encode(out);
         self.raw_words().len().encode(out);
-        for word in self.raw_words() {
-            word.encode(out);
-        }
+        put_u64s(out, self.raw_words());
     }
 
     fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
@@ -66,12 +65,13 @@ impl Wire for BitVector {
                 r.remaining()
             )));
         }
-        let mut words = Vec::with_capacity(count);
-        for _ in 0..count {
-            words.push(r.u64()?);
-        }
-        BitVector::from_raw_words(len, words)
-            .ok_or_else(|| WireError::new("BitVector word count does not match its length"))
+        let mut words = vec![0; count];
+        r.u64s(&mut words)?;
+        BitVector::from_raw_words(len, words).ok_or_else(|| {
+            WireError::new(format!(
+                "BitVector of {len} bits in {count} words, or with a bit set past the last"
+            ))
+        })
     }
 
     fn describe(schema: &mut Schema) {
@@ -79,56 +79,81 @@ impl Wire for BitVector {
     }
 }
 
-/// The slot count, then the proper pairs as a sequence (pair count, then
-/// `(index, rumor)` in strictly ascending index order — the one encoding of
-/// a set, so an accepted frame re-encodes to the same bytes).
+/// The slot count, then the set as it is stored: the ⌈len/64⌉ presence
+/// words, then the rumor of each present slot in ascending slot order.
+/// That is `wire_bits` rounded up to whole words, plus the count: between
+/// 64 and 127 bits more.  No presence bit past the last slot is set, so an
+/// accepted frame re-encodes to the same bytes.
 impl Wire for ExtantSet {
     fn encode(&self, out: &mut Vec<u8>) {
-        out.reserve(16 + 16 * self.present_count());
+        let (mask, rumors) = self.raw_parts();
+        out.reserve(8 * (1 + mask.len() + self.present_count()));
         self.len().encode(out);
-        self.present_count().encode(out);
-        // A pair is its index then its rumor, both `u64` little-endian: one
-        // 16-byte write, so one capacity check per pair.
-        for (idx, rumor) in self.pairs() {
-            let pair = u128::from(rumor) << 64 | idx as u128;
-            out.extend_from_slice(&pair.to_le_bytes());
+        put_u64s(out, mask);
+        // A full block of 64 slots is one copy, as in `merge`; any other
+        // gathers its present rumors first and writes them as one run.
+        for (&word, block) in mask.iter().zip(rumors.chunks(64)) {
+            if word == u64::MAX {
+                put_u64s(out, block);
+            } else {
+                let mut run = [0; 64];
+                for (dst, bit) in run.iter_mut().zip(set_bits(word)) {
+                    *dst = block.get(bit).copied().unwrap_or_default();
+                }
+                let present = word.count_ones() as usize;
+                put_u64s(out, run.get(..present).unwrap_or_default());
+            }
         }
     }
 
     fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
         let len = usize::decode(r)?;
-        let count = r.len()?;
-        // A decoded set holds about 8⅛ bytes per slot (a rumor word and a
-        // presence bit) whatever the frame carried, so — unlike a `Vec`
-        // prefix — the slot count is not bounded by the bytes that follow
-        // it.  Cap it at a sixteenth of a maximal frame, which keeps the
-        // allocation below what such a frame could make any decoder
-        // allocate; the pairs themselves must still be in the frame.
-        if len > MAX_FRAME_LEN as usize / 16 {
+        // A decoded set holds 8⅛ bytes per slot (a rumor word and a
+        // presence bit) however few rumors the frame carries, which spends
+        // only ⅛ byte per slot on presence.  So the slot count is capped at
+        // a sixteenth of a maximal frame, which keeps the allocation below
+        // what such a frame could make any decoder allocate, and the
+        // presence words must be in the frame before anything is allocated.
+        let words = len.div_ceil(64);
+        if len > MAX_FRAME_LEN as usize / 16 || words > r.remaining() / 8 {
             return Err(WireError::new(format!(
-                "ExtantSet of {len} slots exceeds the maximum frame size"
+                "ExtantSet of {len} slots with {} bytes left (at most {} slots)",
+                r.remaining(),
+                MAX_FRAME_LEN / 16
             )));
         }
-        if count > len || count > r.remaining() / 16 {
+        let mut mask = vec![0; words];
+        r.u64s(&mut mask)?;
+        let present: usize = mask.iter().map(|w| w.count_ones() as usize).sum();
+        if present > r.remaining() / 8 {
             return Err(WireError::new(format!(
-                "ExtantSet of {len} slots with {count} pairs ({} bytes left)",
+                "ExtantSet with {present} present slots and {} bytes left",
                 r.remaining()
             )));
         }
-        let mut set = ExtantSet::nil(len);
-        let mut floor = 0;
-        for _ in 0..count {
-            let idx = r.len()?;
-            let rumor = r.u64()?;
-            if idx < floor || idx >= len {
-                return Err(WireError::new(format!(
-                    "ExtantSet pair index {idx} outside {floor}..{len} (indices ascend strictly)"
-                )));
+        let mut rumors = vec![0; len];
+        for (&word, block) in mask.iter().zip(rumors.chunks_mut(64)) {
+            if word == u64::MAX {
+                r.u64s(block)?;
+            } else {
+                let mut run = [0; 64];
+                let present = word.count_ones() as usize;
+                let run = run.get_mut(..present).unwrap_or_default();
+                r.u64s(run)?;
+                // A bit past the last slot has no slot; `from_raw_parts`
+                // refuses the set below.
+                for (bit, &rumor) in set_bits(word).zip(&*run) {
+                    if let Some(slot) = block.get_mut(bit) {
+                        *slot = rumor;
+                    }
+                }
             }
-            set.update(idx, rumor);
-            floor = idx + 1;
         }
-        Ok(set)
+        ExtantSet::from_raw_parts(mask, rumors).ok_or_else(|| {
+            WireError::new(format!(
+                "ExtantSet of {len} slots with a presence bit past the last"
+            ))
+        })
     }
 
     fn describe(schema: &mut Schema) {
@@ -185,13 +210,19 @@ mod tests {
 
     #[test]
     fn decoded_bit_vectors_are_canonical() {
-        // A wire peer could claim set bits beyond `len`; decoding must mask
-        // them so equality and joins behave.
+        // A wire peer could claim set bits beyond `len`: masking them would
+        // accept a frame that re-encodes to other bytes, so it is refused.
         let mut bytes = Vec::new();
         70usize.encode(&mut bytes);
         vec![u64::MAX, u64::MAX].encode(&mut bytes);
-        let decoded: BitVector = from_bytes(&bytes).expect("decodes");
+        assert!(from_bytes::<BitVector>(&bytes).is_err());
+        // The same words with the spare bits clear decode and re-encode.
+        let mut clear = Vec::new();
+        70usize.encode(&mut clear);
+        vec![u64::MAX, (1 << 6) - 1].encode(&mut clear);
+        let decoded: BitVector = from_bytes(&clear).expect("canonical words decode");
         assert_eq!(decoded.count_ones(), 70);
+        assert_eq!(to_bytes(&decoded), clear);
         // Wrong word count is rejected outright.
         let mut bad = Vec::new();
         70usize.encode(&mut bad);
@@ -199,40 +230,109 @@ mod tests {
         assert!(from_bytes::<BitVector>(&bad).is_err());
     }
 
+    /// The slot count, the presence words and the rumors as `u64`s: an
+    /// extant set's frame, well formed or not.
+    fn extant_frame(len: u64, words: &[u64]) -> Vec<u8> {
+        let mut bytes = to_bytes(&len);
+        for word in words {
+            word.encode(&mut bytes);
+        }
+        bytes
+    }
+
     /// The sibling of `malformed_input_is_an_error_not_a_panic` in the
-    /// simulator's codec: a corrupt slot count must not size an allocation.
+    /// simulator's codec: a corrupt slot count must not size an allocation,
+    /// and what is accepted is the one encoding of its set.
     #[test]
     fn malformed_extant_set_is_an_error_not_an_allocation() {
-        let frame = |len: u64, pairs: &[(u64, u64)]| {
-            let mut bytes = to_bytes(&len);
-            (pairs.len() as u64).encode(&mut bytes);
-            for pair in pairs {
-                pair.encode(&mut bytes);
-            }
-            bytes
-        };
-        // A slot count straight off a corrupt prefix: 16 * len bytes would
+        // A slot count straight off a corrupt prefix: 8 * len bytes would
         // abort the process, not fail the frame.
         for len in [u64::MAX, 1 << 40, u64::from(MAX_FRAME_LEN)] {
-            assert!(from_bytes::<ExtantSet>(&frame(len, &[])).is_err(), "{len}");
+            assert!(
+                from_bytes::<ExtantSet>(&extant_frame(len, &[])).is_err(),
+                "{len}"
+            );
         }
-        // More pairs than slots, or than the frame still holds.
-        assert!(from_bytes::<ExtantSet>(&frame(1, &[(0, 5), (0, 6)])).is_err());
-        let mut short = frame(8, &[]);
-        short[8..16].copy_from_slice(&3u64.to_le_bytes());
-        assert!(from_bytes::<ExtantSet>(&short).is_err());
-        // Indices out of range, repeated or descending.
-        assert!(from_bytes::<ExtantSet>(&frame(4, &[(4, 5)])).is_err());
-        assert!(from_bytes::<ExtantSet>(&frame(4, &[(2, 5), (2, 6)])).is_err());
-        assert!(from_bytes::<ExtantSet>(&frame(4, &[(3, 5), (1, 6)])).is_err());
-        // What is accepted re-encodes to the bytes it came from.
-        let accepted = frame(4, &[(1, 6), (3, 5)]);
-        let set: ExtantSet = from_bytes(&accepted).expect("ascending pairs decode");
+        // 130 slots take three presence words; two are there.
+        assert!(from_bytes::<ExtantSet>(&extant_frame(130, &[0, 0])).is_err());
+        // A presence bit past the last of 4 slots, with a rumor for it.
+        assert!(from_bytes::<ExtantSet>(&extant_frame(4, &[0b1_0010, 6, 5])).is_err());
+        // One rumor fewer than the presence bits.
+        assert!(from_bytes::<ExtantSet>(&extant_frame(4, &[0b1010, 6])).is_err());
+        // A full block of 64 with its last rumor missing.
+        let mut full = vec![u64::MAX];
+        full.extend(1..64);
+        assert!(from_bytes::<ExtantSet>(&extant_frame(64, &full)).is_err());
+        // What is accepted re-encodes to the bytes it came from...
+        let accepted = extant_frame(4, &[0b1010, 6, 5]);
+        let set: ExtantSet = from_bytes(&accepted).expect("a canonical set decodes");
+        assert_eq!(set.pairs().collect::<Vec<_>>(), [(1, 6), (3, 5)]);
         assert_eq!(to_bytes(&set), accepted);
+        full.push(64);
+        let set: ExtantSet = from_bytes(&extant_frame(64, &full)).expect("a full block decodes");
+        assert_eq!(set.present_count(), 64);
+        assert_eq!(to_bytes(&set), extant_frame(64, &full));
+        // ...and one trailing byte is an error.
+        let mut trailing = accepted;
+        trailing.push(0);
+        assert!(from_bytes::<ExtantSet>(&trailing).is_err());
         // The bit vector's word count is pinned by its length.
         let mut bits = to_bytes(&(1u64 << 50));
         (1u64 << 44).encode(&mut bits);
         assert!(from_bytes::<BitVector>(&bits).is_err());
+    }
+
+    /// A set of `n` slots whose 64-slot blocks are each, by two bits of
+    /// `kinds`, empty, full or every third slot present, with rumors from
+    /// `seed`.
+    fn blocky_set(n: usize, kinds: u64, seed: u64) -> ExtantSet {
+        let mut set = ExtantSet::nil(n);
+        for idx in 0..n {
+            let present = match (kinds >> (2 * (idx / 64) % 64)) & 3 {
+                0 => false,
+                1 => true,
+                _ => idx % 3 == 0,
+            };
+            if present {
+                set.update(idx, seed.rotate_left(idx as u32) ^ idx as u64);
+            }
+        }
+        set
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Sizes at and around the 64-slot word, and the benchmark's 700,
+        /// with blocks empty, full and mixed: the set round-trips, its bytes
+        /// are the only encoding of it, and they carry `wire_bits` rounded
+        /// up to words plus the slot count.
+        #[test]
+        fn extant_set_bytes_are_its_wire_bits_in_words(
+            size in 0usize..8,
+            kinds in proptest::any::<u64>(),
+            seed in proptest::any::<u64>(),
+        ) {
+            let n = [0, 1, 63, 64, 65, 127, 128, 700][size];
+            let set = blocky_set(n, kinds, seed);
+            let bytes = to_bytes(&set);
+            let decoded: ExtantSet = from_bytes(&bytes).expect("round trip");
+            proptest::prop_assert_eq!(&decoded, &set);
+            proptest::prop_assert_eq!(to_bytes(&decoded), bytes.clone());
+            let spare = 8 * bytes.len() as u64 - set.wire_bits();
+            proptest::prop_assert!((64..128).contains(&spare), "n={} spare={}", n, spare);
+        }
+    }
+
+    #[test]
+    fn extant_sets_at_benchmark_size_fail_on_every_cut() {
+        let full = blocky_set(700, 0x5555_5555_5555_5555, 7);
+        assert_eq!(full.present_count(), 700);
+        let sparse = blocky_set(700, 0x2a19, 7);
+        assert!((1..700).contains(&sparse.present_count()));
+        for set in [full, sparse] {
+            assert_eq!(decode_error_path_violations(&set), Vec::<usize>::new());
+        }
     }
 
     #[test]
@@ -281,7 +381,7 @@ mod tests {
     /// bump asserted beside it.
     #[test]
     fn golden_bytes() {
-        assert_eq!(dft_sim::shard::WIRE_VERSION, 9);
+        assert_eq!(dft_sim::shard::WIRE_VERSION, 10);
         let tagged = |tag: u8, body: &[u8]| [&[tag], body].concat();
 
         assert_eq!(to_bytes(&AeaMsg::Rumor(true)), b"\0\x01");
@@ -302,9 +402,9 @@ mod tests {
         let mut set = ExtantSet::nil(5);
         set.update(1, 77);
         set.update(4, 99);
-        let set_bytes = b"\x05\0\0\0\0\0\0\0\x02\0\0\0\0\0\0\0\
-                          \x01\0\0\0\0\0\0\0\x4d\0\0\0\0\0\0\0\
-                          \x04\0\0\0\0\0\0\0\x63\0\0\0\0\0\0\0";
+        // Five slots, presence word 0b1_0010, the rumors of slots 1 and 4.
+        let set_bytes = b"\x05\0\0\0\0\0\0\0\x12\0\0\0\0\0\0\0\
+                          \x4d\0\0\0\0\0\0\0\x63\0\0\0\0\0\0\0";
         assert_eq!(to_bytes(&set), set_bytes);
 
         assert_eq!(to_bytes(&GossipMsg::Inquiry), b"\0");

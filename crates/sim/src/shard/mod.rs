@@ -80,7 +80,8 @@ pub use transport::{
     read_frame, write_frame, ChannelTransport, ShardTransport, StreamTransport, MAX_FRAME_LEN,
 };
 pub use wire::{
-    decode_error_path_violations, from_bytes, to_bytes, Wire, WireError, WireReader, WireResult,
+    decode_error_path_violations, from_bytes, put_u64s, to_bytes, Wire, WireError, WireReader,
+    WireResult,
 };
 // `#[macro_export]` puts the declaration macros at the crate root; the codec's
 // users find them here, next to the trait they implement.
@@ -89,7 +90,7 @@ pub use crate::{wire_enum, wire_struct};
 /// Version of the shard wire format.  Every frame carries it; both sides
 /// reject a mismatch, so a peer built from another revision fails loudly
 /// instead of silently mis-decoding.
-pub const WIRE_VERSION: u16 = 9;
+pub const WIRE_VERSION: u16 = 10;
 
 /// Frame tags (parent → worker).
 const REQ_COLLECT: u8 = 1;

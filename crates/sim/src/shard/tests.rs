@@ -531,7 +531,7 @@ fn parent_refuses_events_for_another_chunks_node() {
 
 #[test]
 fn wire_event_golden_bytes() {
-    assert_eq!(WIRE_VERSION, 9);
+    assert_eq!(WIRE_VERSION, 10);
     let decided = WireEvent {
         node: 17,
         halted: false,

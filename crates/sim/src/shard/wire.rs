@@ -114,6 +114,16 @@ impl<'a> WireReader<'a> {
     pub fn len(&mut self) -> WireResult<usize> {
         usize::try_from(self.u64()?).map_err(|_| WireError::new("length does not fit in usize"))
     }
+
+    /// Fills `words` with a run of little-endian `u64`s (what [`put_u64s`]
+    /// writes): one bounds check for the whole run.
+    pub fn u64s(&mut self, words: &mut [u64]) -> WireResult<()> {
+        let bytes = self.take(8 * words.len(), "u64 run")?;
+        for (word, b) in words.iter_mut().zip(bytes.chunks_exact(8)) {
+            *word = u64::from_le_bytes(b.try_into().expect("8-byte chunk"));
+        }
+        Ok(())
+    }
 }
 
 /// A value with an explicit binary encoding for the shard protocol.
@@ -144,6 +154,19 @@ pub fn to_bytes<T: Wire>(value: &T) -> Vec<u8> {
     let mut out = Vec::new();
     value.encode(&mut out);
     out
+}
+
+/// Appends `words` as a run of little-endian `u64`s, the bytes of encoding
+/// each in turn, with one capacity check for the whole run (read back by
+/// [`WireReader::u64s`]).
+pub fn put_u64s(out: &mut Vec<u8>, words: &[u64]) {
+    let start = out.len();
+    out.resize(start + 8 * words.len(), 0);
+    if let Some(run) = out.get_mut(start..) {
+        for (b, word) in run.chunks_exact_mut(8).zip(words) {
+            b.copy_from_slice(&word.to_le_bytes());
+        }
+    }
 }
 
 /// Decodes a value from a complete buffer, requiring every byte to be
@@ -704,7 +727,7 @@ mod tests {
     /// bump asserted beside it.
     #[test]
     fn golden_bytes() {
-        assert_eq!(crate::shard::WIRE_VERSION, 9);
+        assert_eq!(crate::shard::WIRE_VERSION, 10);
         assert_eq!(to_bytes(&true), b"\x01");
         assert_eq!(to_bytes(&0xABu8), b"\xab");
         assert_eq!(to_bytes(&0xBEEFu16), b"\xef\xbe");
@@ -761,6 +784,25 @@ mod tests {
         // ... including for zero-size element types, where the decode loop
         // itself (not the allocation) is what must be bounded.
         assert!(from_bytes::<Vec<OnceLock<u64>>>(&huge).is_err());
+    }
+
+    /// A run of words is the bytes of its words one after another, and
+    /// reads back only whole.
+    #[test]
+    fn word_runs_are_their_words_in_turn() {
+        let words = [1u64, u64::MAX, 0x0102_0304_0506_0708];
+        let mut out = vec![9u8];
+        put_u64s(&mut out, &words);
+        let each: Vec<u8> = words.iter().flat_map(to_bytes).collect();
+        assert_eq!(out, [&[9u8][..], &each].concat());
+        let mut reader = WireReader::new(&each);
+        let mut back = [0u64; 3];
+        reader.u64s(&mut back).expect("three whole words");
+        assert_eq!(back, words);
+        assert!(reader.is_empty());
+        let mut short = WireReader::new(&each[..23]);
+        assert!(short.u64s(&mut back).is_err(), "a word cut short");
+        assert_eq!(short.remaining(), 23, "a failed run consumes nothing");
     }
 
     #[test]
