@@ -424,7 +424,7 @@ mod wire_impls {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dft_sim::{RandomCrashes, Runner};
+    use dft_sim::{check, RandomCrashes, Runner, Spec};
 
     #[test]
     fn flooding_consensus_agrees_and_is_quadratic() {
@@ -434,9 +434,7 @@ mod tests {
         let nodes = FloodingConsensus::for_all_nodes(n, t, &inputs);
         let mut runner = Runner::new(nodes).unwrap();
         let report = runner.run(FloodingConsensus::total_rounds(t) + 2);
-        assert!(report.all_non_faulty_decided());
-        assert!(report.non_faulty_deciders_agree());
-        assert_eq!(report.agreed_value(), Some(&true));
+        assert_eq!(check(&report, &Spec::consensus(&[true])), Ok(()));
         assert!(
             report.metrics.messages >= (n * n) as u64,
             "quadratic traffic"
@@ -452,8 +450,7 @@ mod tests {
         let adversary = RandomCrashes::new(n, t, t as u64, 3);
         let mut runner = Runner::with_adversary(nodes, Box::new(adversary), t).unwrap();
         let report = runner.run(FloodingConsensus::total_rounds(t) + 2);
-        assert!(report.all_non_faulty_decided());
-        assert!(report.non_faulty_deciders_agree());
+        assert_eq!(check(&report, &Spec::consensus(&inputs)), Ok(()));
     }
 
     #[test]
@@ -464,9 +461,8 @@ mod tests {
         let nodes = AllToAllGossip::for_all_nodes(n, t, &rumors);
         let mut runner = Runner::new(nodes).unwrap();
         let report = runner.run(AllToAllGossip::total_rounds(t) + 1);
-        assert!(report.all_non_faulty_decided());
-        let map = report.outputs[0].as_ref().unwrap();
-        assert!(map.0.iter().all(Option::is_some));
+        let full = [RumorMap(rumors.iter().copied().map(Some).collect())];
+        assert_eq!(check(&report, &Spec::consensus(&full)), Ok(()));
     }
 
     #[test]
@@ -476,9 +472,8 @@ mod tests {
         let nodes = NaiveCheckpointing::for_all_nodes(n, t);
         let mut runner = Runner::new(nodes).unwrap();
         let report = runner.run(NaiveCheckpointing::total_rounds(t) + 1);
-        assert!(report.all_non_faulty_decided());
-        assert!(report.non_faulty_deciders_agree());
-        assert_eq!(report.agreed_value().unwrap().len(), n);
+        let everyone: Vec<usize> = (0..n).collect();
+        assert_eq!(check(&report, &Spec::consensus(&[everyone])), Ok(()));
     }
 
     #[test]
@@ -490,9 +485,7 @@ mod tests {
         let nodes = ParallelDsConsensus::for_all_nodes(n, t, &inputs, directory);
         let mut runner = Runner::new(nodes).unwrap();
         let report = runner.run(ParallelDsConsensus::total_rounds(t) + 2);
-        assert!(report.all_non_faulty_decided());
-        assert!(report.non_faulty_deciders_agree());
-        assert_eq!(report.agreed_value(), Some(&(n as u64 - 1)));
+        assert_eq!(check(&report, &Spec::consensus(&[n as u64 - 1])), Ok(()));
         assert!(report.metrics.messages >= (n * (n - 1)) as u64);
     }
 

@@ -76,6 +76,11 @@
 //!   diagnostic as one JSON object per line (`tool` / `level` /
 //!   `experiment` / `message`), in the same canonical E1–E11 flush order as
 //!   stderr (see `dft_bench::diag`).
+//!
+//! Every measured row is judged with `dft_sim::check` against its kind's
+//! spec (the problem's conditions and, for the paper's algorithms, its
+//! theorem's bounds); after the tables, each violation is printed on
+//! stderr and the run exits 1.
 
 #![expect(
     clippy::disallowed_types,
@@ -545,8 +550,13 @@ fn main() -> ExitCode {
         );
     }
 
+    let mut verdict = ExitCode::SUCCESS;
+    for violation in outcomes.iter().flat_map(|(_, o)| &o.table.violations) {
+        eprintln!("run_experiments: violation: {violation}");
+        verdict = ExitCode::FAILURE;
+    }
     if bench_json.is_none() && bench_compare.is_none() {
-        return ExitCode::SUCCESS;
+        return verdict;
     }
     let report = bench_report(&cfg, jobs, shards, samples, &outcomes, total_wall);
     if let Some(path) = bench_json {
@@ -592,5 +602,5 @@ fn main() -> ExitCode {
             }
         }
     }
-    ExitCode::SUCCESS
+    verdict
 }

@@ -19,6 +19,7 @@ use crate::{
     measure_many_crashes, measure_naive_checkpointing, measure_parallel_ds, measure_scv, must,
     Measurement, Table, Workload,
 };
+use dft_sim::Violation;
 
 /// The scale of an experiment sweep.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -179,14 +180,26 @@ impl From<Scale> for SweepConfig {
     }
 }
 
+/// The `all_decided` and `agreement` cells, rendered from the verdict:
+/// each reads `no` only when the run broke that condition first.
+fn verdict_cells(m: &Measurement) -> [String; 2] {
+    let holds = |broken: bool| if broken { "no" } else { "yes" }.to_string();
+    let undecided = matches!(
+        m.verdict,
+        Err(Violation::Termination(..) | Violation::Quorum(..))
+    );
+    let split = matches!(m.verdict, Err(Violation::Agreement(..)));
+    [holds(undecided), holds(split)]
+}
+
 fn fmt_measurement(m: &Measurement) -> Vec<String> {
-    vec![
+    let mut cells = vec![
         m.rounds.to_string(),
         m.messages.to_string(),
         m.bits.to_string(),
-        if m.all_decided { "yes" } else { "no" }.to_string(),
-        if m.agreement { "yes" } else { "no" }.to_string(),
-    ]
+    ];
+    cells.extend(verdict_cells(m));
+    cells
 }
 
 /// E1 — Table 1: the ranges of `t` for which time `O(t)` and communication
@@ -220,14 +233,15 @@ pub fn experiment_table1(cfg: &SweepConfig) -> Table {
                     &Workload::fault_free(n, t, seed).with_shards(cfg.shards()),
                 ),
             };
-            table.push_row(vec![
+            let row = vec![
                 problem.to_string(),
                 n.to_string(),
                 t.to_string(),
                 m.rounds.to_string(),
                 m.messages.to_string(),
                 format!("{:.1}", m.messages as f64 / n as f64),
-            ]);
+            ];
+            table.push_judged(row, &m);
         }
     }
     table
@@ -253,15 +267,16 @@ pub fn experiment_aea(cfg: &SweepConfig) -> Table {
         for t in cfg.t_sweep(vec![(n / 10).max(1), (n / 6).max(1)], n / 5) {
             let w = Workload::full_budget(n, t, cfg.seed_or(11)).with_shards(cfg.shards());
             let m = measure_aea(&w);
-            table.push_row(vec![
+            let row = vec![
                 n.to_string(),
                 t.to_string(),
                 m.rounds.to_string(),
                 m.messages.to_string(),
                 m.bits.to_string(),
                 format!("{:.2}", m.decider_fraction),
-                if m.agreement { "yes" } else { "no" }.to_string(),
-            ]);
+                verdict_cells(&m)[1].clone(),
+            ];
+            table.push_judged(row, &m);
         }
     }
     table
@@ -289,7 +304,7 @@ pub fn experiment_scv(cfg: &SweepConfig) -> Table {
             );
             let mut row = vec![n.to_string(), t.to_string()];
             row.extend(fmt_measurement(&m));
-            table.push_row(row);
+            table.push_judged(row, &m);
         }
     }
     table
@@ -312,7 +327,7 @@ pub fn experiment_few_crashes(cfg: &SweepConfig) -> Table {
         for (name, m) in runs {
             let mut row = vec![name.to_string(), n.to_string(), t.to_string()];
             row.extend(fmt_measurement(&m));
-            table.push_row(row);
+            table.push_judged(row, &m);
         }
     }
     table
@@ -335,7 +350,7 @@ pub fn experiment_many_crashes(cfg: &SweepConfig) -> Table {
             let m = measure_many_crashes(
                 &Workload::full_budget(n, t, cfg.seed_or(19)).with_shards(cfg.shards()),
             );
-            table.push_row(vec![
+            let mut row = vec![
                 n.to_string(),
                 format!("{:.2}", t as f64 / n as f64),
                 t.to_string(),
@@ -345,9 +360,9 @@ pub fn experiment_many_crashes(cfg: &SweepConfig) -> Table {
                 dft_core::round_budget_for(n, t).to_string(),
                 dft_core::theorem8_round_bound(n).to_string(),
                 m.messages.to_string(),
-                if m.all_decided { "yes" } else { "no" }.to_string(),
-                if m.agreement { "yes" } else { "no" }.to_string(),
-            ]);
+            ];
+            row.extend(verdict_cells(&m));
+            table.push_judged(row, &m);
         }
     }
     table
@@ -370,7 +385,7 @@ pub fn experiment_gossip(cfg: &SweepConfig) -> Table {
         for (name, m) in runs {
             let mut row = vec![name.to_string(), n.to_string(), t.to_string()];
             row.extend(fmt_measurement(&m));
-            table.push_row(row);
+            table.push_judged(row, &m);
         }
     }
     table
@@ -393,7 +408,7 @@ pub fn experiment_checkpointing(cfg: &SweepConfig) -> Table {
         for (name, m) in runs {
             let mut row = vec![name.to_string(), n.to_string(), t.to_string()];
             row.extend(fmt_measurement(&m));
-            table.push_row(row);
+            table.push_judged(row, &m);
         }
     }
     table
@@ -417,7 +432,7 @@ pub fn experiment_byzantine(cfg: &SweepConfig) -> Table {
         for (name, m) in runs {
             let mut row = vec![name.to_string(), n.to_string(), t.to_string()];
             row.extend(fmt_measurement(&m));
-            table.push_row(row);
+            table.push_judged(row, &m);
         }
     }
     table
@@ -445,7 +460,7 @@ pub fn experiment_single_port(cfg: &SweepConfig) -> Table {
         );
         let mut row = vec![n.to_string(), t.to_string()];
         row.extend(fmt_measurement(&m));
-        table.push_row(row);
+        table.push_judged(row, &m);
     }
     table
 }
@@ -464,12 +479,13 @@ pub fn experiment_lower_bound(cfg: &SweepConfig) -> Table {
             let m = measure_linear_consensus(
                 &Workload::full_budget(n, t, cfg.seed_or(41)).with_shards(cfg.shards()),
             );
-            table.push_row(vec![
+            let row = vec![
                 n.to_string(),
                 t.to_string(),
                 m.rounds.to_string(),
                 (t as u64 + (n as f64).log2().ceil() as u64).to_string(),
-            ]);
+            ];
+            table.push_judged(row, &m);
         }
     }
     table
@@ -556,6 +572,7 @@ mod tests {
     fn quick_aea_experiment_reports_agreement() {
         let table = experiment_aea(&Scale::Quick.into());
         assert!(!table.rows.is_empty());
+        assert_eq!(table.violations, Vec::<String>::new());
         for row in &table.rows {
             assert_eq!(row.last().map(String::as_str), Some("yes"));
         }

@@ -22,20 +22,22 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use dft_auth::KeyDirectory;
-use dft_baselines::{AllToAllGossip, FloodingConsensus, NaiveCheckpointing, ParallelDsConsensus};
+use dft_baselines::{
+    AllToAllGossip, FloodingConsensus, NaiveCheckpointing, ParallelDsConsensus, RumorMap,
+};
 use dft_core::{
-    linear_consensus_for_all_nodes, many_crashes_for_all_nodes, AbConsensus,
-    AlmostEverywhereAgreement, Checkpointing, FewCrashesConsensus, Gossip, SpreadCommonValue,
-    SystemConfig,
+    bounds, linear_consensus_for_all_nodes, many_crashes_for_all_nodes, AbConsensus,
+    AlmostEverywhereAgreement, Checkpoint, Checkpointing, ExtantSet, FewCrashesConsensus, Gossip,
+    SpreadCommonValue, SystemConfig,
 };
 use dft_sim::shard::{Schema, ShardedRunner, SpShardedRunner, Wire, WireOutput, WireStats};
 use dft_sim::{
-    CrashAdversary, ExecutionReport, Participant, RandomCrashes, Runner, SinglePortProtocol,
-    SinglePortRunner, SyncProtocol,
+    check, CrashAdversary, ExecutionReport, Participant, RandomCrashes, Runner, SinglePortProtocol,
+    SinglePortRunner, Spec, SyncProtocol, Violation,
 };
 
 /// One measured execution.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Measurement {
     /// Rounds until all non-faulty nodes halted (or the cap).
     pub rounds: u64,
@@ -43,24 +45,23 @@ pub struct Measurement {
     pub messages: u64,
     /// Bits sent by non-faulty nodes.
     pub bits: u64,
-    /// Whether every non-faulty node decided.
-    pub all_decided: bool,
-    /// Whether all non-faulty deciders agreed.
-    pub agreement: bool,
+    /// The run judged against its kind's spec: the problem's conditions
+    /// and, for the paper's algorithms, its theorem's bounds.
+    pub verdict: Result<(), Violation>,
     /// Fraction of nodes that decided (relevant for almost-everywhere
     /// agreement).
     pub decider_fraction: f64,
 }
 
 impl Measurement {
-    fn from_report<O: Clone + PartialEq + std::fmt::Debug>(report: &ExecutionReport<O>) -> Self {
+    fn from_report<O>(report: &ExecutionReport<O>, verdict: Result<(), Violation>) -> Self {
+        let deciders = report.outputs.iter().filter(|output| output.is_some());
         Measurement {
             rounds: report.metrics.rounds,
             messages: report.metrics.messages,
             bits: report.metrics.bits,
-            all_decided: report.all_non_faulty_decided(),
-            agreement: report.non_faulty_deciders_agree(),
-            decider_fraction: report.deciders().len() as f64 / report.n() as f64,
+            verdict,
+            decider_fraction: deciders.count() as f64 / report.n() as f64,
         }
     }
 }
@@ -149,14 +150,37 @@ fn config(w: &Workload) -> SystemConfig {
     must(SystemConfig::new(w.n, w.t), "valid workload").with_seed(w.seed)
 }
 
-/// A deterministically constructed node set plus the protocol's round
-/// budget.
-pub(crate) struct BuiltNodes<P> {
+/// A deterministically constructed node set, the protocol's round budget,
+/// and the verdict on a run of it: its kind's spec, holding the inputs.
+pub(crate) struct BuiltNodes<P, V> {
     pub(crate) nodes: Vec<P>,
     pub(crate) rounds: u64,
+    pub(crate) verdict: V,
 }
 
-pub(crate) fn build_aea(w: &Workload) -> BuiltNodes<AlmostEverywhereAgreement<bool>> {
+/// What a [`BuiltNodes`] judges its run with.
+pub(crate) trait Verdict<O>: FnOnce(&ExecutionReport<O>) -> Result<(), Violation> {}
+
+impl<O, V: FnOnce(&ExecutionReport<O>) -> Result<(), Violation>> Verdict<O> for V {}
+
+/// The nodes, with `verdict` judging their run against `spec(inputs)`.
+fn built<P, O: PartialEq, I>(
+    nodes: Vec<P>,
+    rounds: u64,
+    inputs: I,
+    spec: impl Fn(&I) -> Spec<'_, O>,
+) -> BuiltNodes<P, impl Verdict<O>> {
+    let verdict = move |report: &ExecutionReport<O>| check(report, &spec(&inputs));
+    BuiltNodes {
+        nodes,
+        rounds,
+        verdict,
+    }
+}
+
+pub(crate) fn build_aea(
+    w: &Workload,
+) -> BuiltNodes<AlmostEverywhereAgreement<bool>, impl Verdict<bool>> {
     let cfg = config(w);
     let inputs = w.mixed_inputs();
     let nodes = must(
@@ -164,10 +188,12 @@ pub(crate) fn build_aea(w: &Workload) -> BuiltNodes<AlmostEverywhereAgreement<bo
         "config",
     );
     let rounds = nodes.first().map_or(0, |node| node.total_rounds());
-    BuiltNodes { nodes, rounds }
+    built(nodes, rounds, inputs, move |inputs| {
+        bounds::aea(&cfg, inputs)
+    })
 }
 
-pub(crate) fn build_scv(w: &Workload) -> BuiltNodes<SpreadCommonValue<bool>> {
+pub(crate) fn build_scv(w: &Workload) -> BuiltNodes<SpreadCommonValue<bool>, impl Verdict<bool>> {
     let cfg = config(w);
     let initialized = 3 * w.n / 5 + 1;
     let initials: Vec<Option<bool>> = (0..w.n)
@@ -175,41 +201,53 @@ pub(crate) fn build_scv(w: &Workload) -> BuiltNodes<SpreadCommonValue<bool>> {
         .collect();
     let nodes = must(SpreadCommonValue::for_all_nodes(&cfg, &initials), "config");
     let rounds = nodes.first().map_or(0, |node| node.total_rounds());
-    BuiltNodes { nodes, rounds }
+    built(nodes, rounds, (), move |()| bounds::scv(&cfg, &[true]))
 }
 
-pub(crate) fn build_few_crashes(w: &Workload) -> BuiltNodes<FewCrashesConsensus<bool>> {
+pub(crate) fn build_few_crashes(
+    w: &Workload,
+) -> BuiltNodes<FewCrashesConsensus<bool>, impl Verdict<bool>> {
     let cfg = config(w);
     let inputs = w.mixed_inputs();
     let nodes = must(FewCrashesConsensus::for_all_nodes(&cfg, &inputs), "config");
     let rounds = nodes.first().map_or(0, |node| node.total_rounds());
-    BuiltNodes { nodes, rounds }
+    built(nodes, rounds, inputs, move |inputs| {
+        bounds::few_crashes(&cfg, inputs)
+    })
 }
 
-pub(crate) fn build_many_crashes(w: &Workload) -> BuiltNodes<FewCrashesConsensus<bool>> {
+pub(crate) fn build_many_crashes(
+    w: &Workload,
+) -> BuiltNodes<FewCrashesConsensus<bool>, impl Verdict<bool>> {
     let cfg = config(w);
     let inputs = w.mixed_inputs();
     let nodes = must(many_crashes_for_all_nodes(&cfg, &inputs), "config");
     let rounds = nodes.first().map_or(0, |node| node.total_rounds());
-    BuiltNodes { nodes, rounds }
+    built(nodes, rounds, inputs, move |inputs| {
+        bounds::many_crashes(&cfg, inputs)
+    })
 }
 
-pub(crate) fn build_gossip(w: &Workload) -> BuiltNodes<Gossip> {
+pub(crate) fn build_gossip(w: &Workload) -> BuiltNodes<Gossip, impl Verdict<ExtantSet>> {
     let cfg = config(w);
     let rumors: Vec<u64> = (0..w.n as u64).map(|i| 1_000 + i).collect();
     let nodes = must(Gossip::for_all_nodes(&cfg, &rumors), "config");
     let rounds = nodes.first().map_or(0, |node| node.total_rounds());
-    BuiltNodes { nodes, rounds }
+    built(nodes, rounds, rumors, move |rumors| {
+        bounds::gossip(&cfg, rumors)
+    })
 }
 
-pub(crate) fn build_checkpointing(w: &Workload) -> BuiltNodes<Checkpointing> {
+pub(crate) fn build_checkpointing(
+    w: &Workload,
+) -> BuiltNodes<Checkpointing, impl Verdict<Checkpoint>> {
     let cfg = config(w);
     let nodes = must(Checkpointing::for_all_nodes(&cfg), "config");
     let rounds = nodes.first().map_or(0, |node| node.total_rounds());
-    BuiltNodes { nodes, rounds }
+    built(nodes, rounds, (), move |()| bounds::checkpointing(&cfg))
 }
 
-pub(crate) fn build_ab_consensus(w: &Workload) -> BuiltNodes<AbConsensus> {
+pub(crate) fn build_ab_consensus(w: &Workload) -> BuiltNodes<AbConsensus, impl Verdict<u64>> {
     let cfg = config(w);
     let directory = Arc::new(KeyDirectory::generate(w.n, w.seed));
     let inputs: Vec<u64> = (0..w.n as u64).collect();
@@ -218,49 +256,57 @@ pub(crate) fn build_ab_consensus(w: &Workload) -> BuiltNodes<AbConsensus> {
         "config",
     );
     let rounds = nodes.first().map_or(0, |node| node.total_rounds());
-    BuiltNodes { nodes, rounds }
+    built(nodes, rounds, inputs, move |inputs| {
+        bounds::ab_consensus(&cfg, inputs)
+    })
 }
 
-pub(crate) fn build_linear_consensus(w: &Workload) -> BuiltNodes<dft_core::LinearConsensus<bool>> {
+pub(crate) fn build_linear_consensus(
+    w: &Workload,
+) -> BuiltNodes<dft_core::LinearConsensus<bool>, impl Verdict<bool>> {
     let cfg = config(w);
     let inputs = w.mixed_inputs();
     let (nodes, sp_rounds) = must(linear_consensus_for_all_nodes(&cfg, &inputs), "config");
-    BuiltNodes {
-        nodes,
-        rounds: sp_rounds,
-    }
+    built(nodes, sp_rounds, inputs, move |inputs| {
+        bounds::linear_consensus(&cfg, inputs)
+    })
 }
 
-pub(crate) fn build_flooding(w: &Workload) -> BuiltNodes<FloodingConsensus> {
+pub(crate) fn build_flooding(w: &Workload) -> BuiltNodes<FloodingConsensus, impl Verdict<bool>> {
     let inputs = w.mixed_inputs();
-    BuiltNodes {
-        nodes: FloodingConsensus::for_all_nodes(w.n, w.t, &inputs),
-        rounds: FloodingConsensus::total_rounds(w.t),
-    }
+    let nodes = FloodingConsensus::for_all_nodes(w.n, w.t, &inputs);
+    let rounds = FloodingConsensus::total_rounds(w.t);
+    built(nodes, rounds, inputs, |inputs| Spec::consensus(inputs))
 }
 
-pub(crate) fn build_all_to_all_gossip(w: &Workload) -> BuiltNodes<AllToAllGossip> {
+pub(crate) fn build_all_to_all_gossip(
+    w: &Workload,
+) -> BuiltNodes<AllToAllGossip, impl Verdict<RumorMap>> {
     let rumors: Vec<u64> = (0..w.n as u64).map(|i| 1_000 + i).collect();
-    BuiltNodes {
-        nodes: AllToAllGossip::for_all_nodes(w.n, w.t, &rumors),
-        rounds: AllToAllGossip::total_rounds(w.t),
-    }
+    let nodes = AllToAllGossip::for_all_nodes(w.n, w.t, &rumors);
+    let rounds = AllToAllGossip::total_rounds(w.t);
+    let slot = |map: &RumorMap, i: usize| map.0.get(i).copied().flatten();
+    built(nodes, rounds, rumors, move |rumors| {
+        bounds::gossip_conditions(rumors, slot)
+    })
 }
 
-pub(crate) fn build_naive_checkpointing(w: &Workload) -> BuiltNodes<NaiveCheckpointing> {
-    BuiltNodes {
-        nodes: NaiveCheckpointing::for_all_nodes(w.n, w.t),
-        rounds: NaiveCheckpointing::total_rounds(w.t),
-    }
+pub(crate) fn build_naive_checkpointing(
+    w: &Workload,
+) -> BuiltNodes<NaiveCheckpointing, impl Verdict<Checkpoint>> {
+    let nodes = NaiveCheckpointing::for_all_nodes(w.n, w.t);
+    let rounds = NaiveCheckpointing::total_rounds(w.t);
+    built(nodes, rounds, w.n, |&n| bounds::checkpoint_conditions(n))
 }
 
-pub(crate) fn build_parallel_ds(w: &Workload) -> BuiltNodes<ParallelDsConsensus> {
+pub(crate) fn build_parallel_ds(
+    w: &Workload,
+) -> BuiltNodes<ParallelDsConsensus, impl Verdict<u64>> {
     let directory = Arc::new(KeyDirectory::generate(w.n, w.seed));
     let inputs: Vec<u64> = (0..w.n as u64).collect();
-    BuiltNodes {
-        nodes: ParallelDsConsensus::for_all_nodes(w.n, w.t, &inputs, directory),
-        rounds: ParallelDsConsensus::total_rounds(w.t),
-    }
+    let nodes = ParallelDsConsensus::for_all_nodes(w.n, w.t, &inputs, directory);
+    let rounds = ParallelDsConsensus::total_rounds(w.t);
+    built(nodes, rounds, inputs, |inputs| Spec::consensus(inputs))
 }
 
 /// The part of a measurement that depends on the round model: which runner
@@ -420,25 +466,31 @@ pub fn wire_totals() -> WireStats {
 
 /// Declares the wire roots of the round model `X` for the protocol `build`
 /// constructs (`build` is passed only for its type, never called).
-fn describe_kind<X: RoundModel<P>, P>(schema: &mut Schema, _build: fn(&Workload) -> BuiltNodes<P>) {
+fn describe_kind<X: RoundModel<P>, P, V>(
+    schema: &mut Schema,
+    _build: fn(&Workload) -> BuiltNodes<P, V>,
+) {
     X::describe(schema);
 }
 
-/// Runs one measurement: the runner holds the nodes, or — `w.shards > 1` —
-/// shard workers do, byte-identically.
-fn run_measurement<X: RoundModel<P>, P>(
+/// Runs one measurement and judges it: the runner holds the nodes, or —
+/// `w.shards > 1` — shard workers do, byte-identically.
+fn run_measurement<X: RoundModel<P>, P, V: Verdict<X::Output>>(
     kind: MeasureKind,
     w: &Workload,
-    built: BuiltNodes<P>,
+    built: BuiltNodes<P, V>,
 ) -> Measurement {
     let terms = kind.terms::<X, P>(w, built.rounds);
-    if w.shards <= 1 {
-        return Measurement::from_report(&X::run(built.nodes, terms));
-    }
-    let (report, wire) = X::run_sharded(built.nodes, terms, w.shards);
-    let mut totals = TOTAL_WIRE.lock().unwrap_or_else(PoisonError::into_inner);
-    totals.absorb(&wire);
-    Measurement::from_report(&report)
+    let report = if w.shards <= 1 {
+        X::run(built.nodes, terms)
+    } else {
+        let (report, wire) = X::run_sharded(built.nodes, terms, w.shards);
+        let mut totals = TOTAL_WIRE.lock().unwrap_or_else(PoisonError::into_inner);
+        totals.absorb(&wire);
+        report
+    };
+    let verdict = (built.verdict)(&report);
+    Measurement::from_report(&report, verdict)
 }
 
 /// The one table of measurements.  A row gives the kind, the public entry
@@ -468,7 +520,7 @@ macro_rules! measure_kinds {
             /// codec, byte-identically.
             pub fn measure(self, w: &Workload) -> Measurement {
                 match self {
-                    $(MeasureKind::$kind => run_measurement::<$model, _>(self, w, $build(w)),)*
+                    $(MeasureKind::$kind => run_measurement::<$model, _, _>(self, w, $build(w)),)*
                 }
             }
         }
@@ -486,7 +538,7 @@ macro_rules! measure_kinds {
         /// A new row is in `WIRE_SCHEMA.json` by construction
         /// (`tests/wire_schema.rs`).
         pub fn describe_wire(schema: &mut Schema) {
-            $(describe_kind::<$model, _>(schema, $build);)*
+            $(describe_kind::<$model, _, _>(schema, $build);)*
             dft_sim::shard::describe_mesh::<<FloodingConsensus as SyncProtocol>::Msg>(schema);
         }
     };
@@ -546,6 +598,9 @@ pub struct Table {
     pub columns: Vec<String>,
     /// Rows of cells, already rendered as strings.
     pub rows: Vec<Vec<String>>,
+    /// The violations of the rows' measurements, each naming its row; not
+    /// rendered.
+    pub violations: Vec<String>,
 }
 
 impl Table {
@@ -556,12 +611,24 @@ impl Table {
             paper_claim: paper_claim.to_string(),
             columns: columns.iter().map(|c| c.to_string()).collect(),
             rows: Vec::new(),
+            violations: Vec::new(),
         }
     }
 
     /// Appends a row.
     pub fn push_row(&mut self, cells: Vec<String>) {
         self.rows.push(cells);
+    }
+
+    /// Appends a row measured by `m`, keeping `m`'s violation, if any.
+    pub fn push_judged(&mut self, cells: Vec<String>, m: &Measurement) {
+        if let Err(violation) = m.verdict {
+            let row = cells.iter().take(3).map(String::as_str);
+            let row = row.collect::<Vec<_>>().join(" ");
+            let id = &self.id;
+            self.violations.push(format!("{id} [{row}]: {violation}"));
+        }
+        self.push_row(cells);
     }
 
     /// Sums the parseable integer cells of the column named `name`, if the
@@ -625,16 +692,15 @@ mod tests {
     #[test]
     fn consensus_measurements_report_agreement() {
         let m = measure_few_crashes(&small());
-        assert!(m.all_decided);
-        assert!(m.agreement);
+        assert_eq!(m.verdict, Ok(()));
         assert!(m.rounds > 0 && m.messages > 0);
     }
 
     #[test]
     fn aea_measurement_reports_decider_fraction() {
         let m = measure_aea(&small());
-        assert!(m.agreement);
-        assert!(m.decider_fraction >= 0.6 || m.all_decided);
+        assert_eq!(m.verdict, Ok(()));
+        assert!(m.decider_fraction >= 0.6);
     }
 
     #[test]

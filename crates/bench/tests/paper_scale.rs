@@ -13,7 +13,7 @@ use dft_bench::{
     measure_ab_consensus, measure_few_crashes, measure_linear_consensus, measure_many_crashes,
     Table, Workload,
 };
-use dft_sim::{NodeId, Outgoing, Round, SinglePortProtocol, SinglePortRunner};
+use dft_sim::{check, NodeId, Outgoing, Round, SinglePortProtocol, SinglePortRunner, Spec};
 
 /// E8 at the paper's scale: authenticated-Byzantine consensus at `n = 1000`
 /// terminates with agreement in `O(t)` rounds.
@@ -23,8 +23,7 @@ fn e8_ab_consensus_at_n_1000() {
     let n = 1000;
     let t = 31; // ⌊√n⌋, Table 1's claimed boundary.
     let m = measure_ab_consensus(&Workload::fault_free(n, t, 31));
-    assert!(m.all_decided);
-    assert!(m.agreement);
+    assert_eq!(m.verdict, Ok(()));
     assert!(
         m.rounds <= 4 * t as u64,
         "O(t) rounds expected, got {}",
@@ -40,8 +39,7 @@ fn e9_single_port_consensus_at_n_1000() {
     let n = 1000;
     let t = n / 8;
     let m = measure_linear_consensus(&Workload::full_budget(n, t, 37));
-    assert!(m.all_decided);
-    assert!(m.agreement);
+    assert_eq!(m.verdict, Ok(()));
 }
 
 /// E4/E5 at paper scale: crash-fault consensus across the fault spectrum,
@@ -53,12 +51,12 @@ fn e9_single_port_consensus_at_n_1000() {
 fn crash_consensus_at_n_2000() {
     let n = 2000;
     let m = measure_few_crashes(&Workload::full_budget(n, n / 8, 17));
-    assert!(m.all_decided && m.agreement);
+    assert_eq!(m.verdict, Ok(()));
     let m = measure_many_crashes(&Workload::full_budget(n, n / 2, 19));
-    assert!(m.all_decided && m.agreement);
+    assert_eq!(m.verdict, Ok(()));
+    // Theorem 8's spec bounds the rounds by `round_budget_for`.
     let m = measure_many_crashes(&Workload::full_budget(n, (9 * n) / 10, 19));
-    assert!(m.all_decided && m.agreement, "alpha = 0.9 regression");
-    assert!(m.rounds <= dft_core::round_budget_for(n, (9 * n) / 10));
+    assert_eq!(m.verdict, Ok(()), "alpha = 0.9 regression");
 }
 
 /// E6/E7 at `--scale paper --n 1000` with two shard workers: the
@@ -141,6 +139,6 @@ fn single_port_memory_stays_sparse_at_n_4000() {
         assert!(runner.ports_in_use() <= n);
     }
     let report = runner.run(10);
-    assert!(report.all_non_faulty_decided());
+    assert_eq!(check(&report, &Spec::decisions(|_, _, _| Ok(()))), Ok(()));
     assert_eq!(runner.buffered_messages(), 0, "all ports drained at halt");
 }

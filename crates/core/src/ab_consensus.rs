@@ -718,9 +718,9 @@ impl AbConsensus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bounds::{theorem11_messages, theorem11_rounds};
+    use crate::bounds::{self, theorem11_rounds};
     use dft_sim::adversary::byzantine::{ScriptedByzantine, SilentByzantine};
-    use dft_sim::{NoFaults, Participant, Runner};
+    use dft_sim::{check, NoFaults, Participant, Runner, Spec, Violation};
     use std::sync::Mutex;
 
     fn setup(n: usize, t: usize, seed: u64) -> (SystemConfig, Arc<KeyDirectory>) {
@@ -729,24 +729,24 @@ mod tests {
         (config, directory)
     }
 
-    fn run_honest(n: usize, t: usize, inputs: &[u64]) -> dft_sim::ExecutionReport<u64> {
+    /// An all-honest run judged by Theorem 11's spec, deciding `decided`.
+    fn run_honest(n: usize, t: usize, inputs: &[u64], decided: u64) -> Result<(), Violation> {
         let (config, directory) = setup(n, t, 3);
         let nodes = AbConsensus::for_all_nodes(&config, inputs, directory).unwrap();
         let total = nodes[0].total_rounds();
         let mut runner = Runner::new(nodes).unwrap();
-        runner.run(total + 2)
+        check(
+            &runner.run(total + 2),
+            &bounds::ab_consensus(&config, &[decided]),
+        )
     }
 
     #[test]
     fn all_honest_decide_max_little_input() {
         let n = 40;
-        let t = 4;
         let inputs: Vec<u64> = (0..n as u64).collect();
-        let report = run_honest(n, t, &inputs);
-        assert!(report.all_non_faulty_decided());
-        assert!(report.non_faulty_deciders_agree());
         // Little nodes are 0..20; the maximum little input is 19.
-        assert_eq!(report.agreed_value(), Some(&19));
+        assert_eq!(run_honest(n, 4, &inputs, 19), Ok(()));
     }
 
     /// In Part 1 a little node hands every little peer one shared batch,
@@ -788,12 +788,9 @@ mod tests {
         let total = shared.total_rounds();
         let mut runner = Runner::with_participants(participants, Box::new(NoFaults), 0).unwrap();
         let report = runner.run(total + 2);
-        assert!(
-            report.all_non_faulty_decided(),
-            "termination despite silent Byzantine nodes"
-        );
-        assert!(report.non_faulty_deciders_agree());
-        assert_eq!(report.agreed_value(), Some(&7));
+        // Termination, agreement on 7 and Theorem 11's bound despite
+        // silent Byzantine nodes.
+        assert_eq!(check(&report, &bounds::ab_consensus(&config, &[7])), Ok(()));
         let _ = inputs;
     }
 
@@ -899,14 +896,9 @@ mod tests {
     fn equivocating_little_source_cannot_split_decisions() {
         let (report, views) =
             run_with_equivocating_source(|p| vec![if p % 2 == 0 { 100 } else { 200 }]);
-        assert!(
-            report.non_faulty_deciders_agree(),
-            "agreement under equivocation"
-        );
-        assert!(report.all_non_faulty_decided());
         // The equivocator resolves to null, so the decision is the maximum of
         // the honest little inputs (5), never 100 or 200.
-        assert_eq!(report.agreed_value(), Some(&5));
+        assert_eq!(check(&report, &Spec::consensus(&[5])), Ok(()));
         assert!(views.iter().all(|&view| view == (2, NULL_VALUE)));
     }
 
@@ -921,10 +913,8 @@ mod tests {
             views.iter().all(|&view| view == (2, NULL_VALUE)),
             "{views:?}"
         );
-        assert!(many.all_non_faulty_decided());
-        assert!(many.non_faulty_deciders_agree());
-        assert_eq!(many.agreed_value(), two.agreed_value());
-        assert_eq!(many.agreed_value(), Some(&5));
+        assert_eq!(check(&many, &Spec::consensus(&[5])), Ok(()));
+        assert_eq!(check(&two, &Spec::consensus(&[5])), Ok(()));
         // Within 5 % of the two-value run, where the 40 values would
         // otherwise each be relayed by every honest little node.
         assert!(
@@ -940,16 +930,11 @@ mod tests {
     fn message_complexity_is_quadratic_in_t_not_n() {
         let n = 80;
         let t = 4;
-        let inputs: Vec<u64> = vec![1; n];
-        let report = run_honest(n, t, &inputs);
         // Theorem 11: O(t² + n) messages from non-faulty nodes, well below
         // n² rounds of all-to-all traffic.
-        let bound = theorem11_messages(&SystemConfig::new(n, t).unwrap());
-        assert!(
-            report.metrics.messages <= bound,
-            "{} messages exceeds {bound}",
-            report.metrics.messages
-        );
+        assert_eq!(run_honest(n, t, &vec![1; n], 1), Ok(()));
+        let bound = bounds::theorem11(&SystemConfig::new(n, t).unwrap());
+        assert!(bound.messages < (n * n) as u64, "{bound:?}");
     }
 
     /// A Byzantine node outside the little set signs its own inquiry and
@@ -995,14 +980,11 @@ mod tests {
         participants.push(Participant::Byzantine(Box::new(strategy)));
         let mut runner = Runner::with_participants(participants, Box::new(NoFaults), 0).unwrap();
         let report = runner.run(shared.total_rounds() + 2);
-        let largest_little_input = shared.little as u64 - 1;
-        assert_eq!(
-            report.consensus_violation(|&v| v == largest_little_input),
-            None
-        );
+        let largest_little_input = [shared.little as u64 - 1];
+        let spec = bounds::ab_consensus(&config, &largest_little_input);
+        assert_eq!(check(&report, &spec), Ok(()));
         let little: Vec<usize> = (0..shared.little).collect();
         assert_eq!(*answered.lock().unwrap(), little);
-        assert!(report.metrics.messages <= theorem11_messages(&config));
     }
 
     #[test]
@@ -1224,10 +1206,12 @@ mod tests {
         let total = shared.total_rounds();
         let mut runner = Runner::with_participants(participants, Box::new(NoFaults), 0).unwrap();
         let report = runner.run(total + 2);
-        assert!(report.all_non_faulty_decided());
-        assert!(report.non_faulty_deciders_agree());
         // The largest input of an honest little node.
-        assert_eq!(report.agreed_value(), Some(&(little as u64 - 1)));
+        let largest = [little as u64 - 1];
+        assert_eq!(
+            check(&report, &bounds::ab_consensus(&config, &largest)),
+            Ok(())
+        );
     }
 
     fn full_judgements() -> usize {
@@ -1484,8 +1468,7 @@ mod tests {
         let little = SystemConfig::new(n, t).unwrap().little_count();
         let before = full_judgements();
         let inputs: Vec<u64> = (0..n as u64).collect();
-        let report = run_honest(n, t, &inputs);
-        assert!(report.all_non_faulty_decided());
+        assert_eq!(run_honest(n, t, &inputs, little as u64 - 1), Ok(()));
         let full = full_judgements() - before;
         assert!(
             (1..=little).contains(&full),
@@ -1501,8 +1484,7 @@ mod tests {
         let little = SystemConfig::new(n, t).unwrap().little_count();
         let before = full_verifications();
         let inputs: Vec<u64> = (0..n as u64).collect();
-        let report = run_honest(n, t, &inputs);
-        assert!(report.all_non_faulty_decided());
+        assert_eq!(run_honest(n, t, &inputs, little as u64 - 1), Ok(()));
         let full = full_verifications() - before;
         assert!(
             (1..=little).contains(&full),
@@ -1536,8 +1518,8 @@ mod tests {
         let (before, lists_before) = (full_verifications(), full_judgements());
         let mut runner = Runner::with_participants(participants, Box::new(NoFaults), 0).unwrap();
         let report = runner.run(total + 2);
-        assert!(report.all_non_faulty_decided());
-        assert!(report.non_faulty_deciders_agree());
+        let agreed = Spec::decisions(|_, _: &u64, _| Ok(())).agreed();
+        assert_eq!(check(&report, &agreed), Ok(()));
         let full = full_verifications() - before;
         let lists = full_judgements() - lists_before;
         println!(

@@ -128,8 +128,10 @@ impl Checkpointing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dft_sim::{ExecutionReport, FixedCrashSchedule, NoFaults, NodeId, RandomCrashes, Runner};
+    use crate::bounds;
+    use dft_sim::{check, FixedCrashSchedule, NoFaults, NodeId, RandomCrashes, Runner};
 
+    /// Runs Checkpointing and asserts Theorem 10's spec holds.
     fn run_checkpointing(
         n: usize,
         t: usize,
@@ -143,17 +145,9 @@ mod tests {
             .unwrap()
             .total_rounds();
         let mut runner = Runner::with_adversary(nodes, adversary, budget).unwrap();
-        runner.run(total + 2)
-    }
-
-    /// Consensus on a checkpoint, with validity as condition (2): the agreed
-    /// set holds every node that halted operational, and only node indices.
-    fn checkpoint_violation(report: &ExecutionReport<Checkpoint>) -> Option<&'static str> {
-        let (n, non_faulty) = (report.n(), report.non_faulty());
-        report.consensus_violation(|checkpoint| {
-            checkpoint.iter().all(|&i| i < n)
-                && non_faulty.iter().all(|id| checkpoint.contains(&id.index()))
-        })
+        let report = runner.run(total + 2);
+        assert_eq!(check(&report, &bounds::checkpointing(&config)), Ok(()));
+        report
     }
 
     #[test]
@@ -161,7 +155,6 @@ mod tests {
         let n = 50;
         let t = 6;
         let report = run_checkpointing(n, t, Box::new(NoFaults), 0, 1);
-        assert_eq!(checkpoint_violation(&report), None);
         assert_eq!(report.agreed_value().expect("agreed").len(), n);
     }
 
@@ -172,7 +165,6 @@ mod tests {
         // Crash nodes 1 and 2 at round 0 before they send anything.
         let adversary = FixedCrashSchedule::new().crash_all_at(0, [NodeId::new(1), NodeId::new(2)]);
         let report = run_checkpointing(n, t, Box::new(adversary), t, 2);
-        assert_eq!(checkpoint_violation(&report), None);
         // Condition (1): nodes that crashed before sending any message are
         // not in the decided checkpoint.
         let checkpoint = report.agreed_value().expect("agreed");
@@ -185,8 +177,7 @@ mod tests {
         let n = 70;
         let t = 10;
         let adversary = RandomCrashes::new(n, t, 15, 33);
-        let report = run_checkpointing(n, t, Box::new(adversary), t, 3);
-        assert_eq!(checkpoint_violation(&report), None);
+        run_checkpointing(n, t, Box::new(adversary), t, 3);
     }
 
     #[test]

@@ -117,7 +117,11 @@ impl<V: JoinValue> FewCrashesConsensus<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dft_sim::{NoFaults, NodeId, RandomCrashes, Runner, TargetedCrashes};
+    use crate::bounds;
+    use dft_sim::{
+        check, ExecutionReport, NoFaults, NodeId, RandomCrashes, Runner, Spec, TargetedCrashes,
+        Violation,
+    };
 
     fn run_consensus(
         n: usize,
@@ -126,24 +130,24 @@ mod tests {
         adversary: Box<dyn dft_sim::CrashAdversary>,
         budget: usize,
         seed: u64,
-    ) -> dft_sim::ExecutionReport<bool> {
+    ) -> (ExecutionReport<bool>, Result<(), Violation>) {
         let config = SystemConfig::new(n, t).unwrap().with_seed(seed);
         let nodes = FewCrashesConsensus::for_all_nodes(&config, inputs).unwrap();
         let total = FewCrashesConfig::from_system(&config)
             .unwrap()
             .total_rounds();
         let mut runner = Runner::with_adversary(nodes, adversary, budget).unwrap();
-        runner.run(total + 2)
+        let report = runner.run(total + 2);
+        let verdict = check(&report, &bounds::few_crashes(&config, inputs));
+        (report, verdict)
     }
 
     #[test]
     fn fault_free_unanimous_inputs() {
         let n = 80;
         for value in [false, true] {
-            let inputs = vec![value; n];
-            let report = run_consensus(n, 10, &inputs, Box::new(NoFaults), 0, 1);
-            assert_eq!(report.consensus_violation(|v| inputs.contains(v)), None);
-            assert_eq!(report.agreed_value(), Some(&value));
+            let (_, verdict) = run_consensus(n, 10, &vec![value; n], Box::new(NoFaults), 0, 1);
+            assert_eq!(verdict, Ok(()));
         }
     }
 
@@ -151,8 +155,8 @@ mod tests {
     fn fault_free_mixed_inputs() {
         let n = 100;
         let inputs: Vec<bool> = (0..n).map(|i| i % 4 == 0).collect();
-        let report = run_consensus(n, 12, &inputs, Box::new(NoFaults), 0, 2);
-        assert_eq!(report.consensus_violation(|v| inputs.contains(v)), None);
+        let (_, verdict) = run_consensus(n, 12, &inputs, Box::new(NoFaults), 0, 2);
+        assert_eq!(verdict, Ok(()));
     }
 
     #[test]
@@ -162,8 +166,8 @@ mod tests {
         let inputs: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
         for seed in 0..4u64 {
             let adversary = RandomCrashes::new(n, t, 60, seed);
-            let report = run_consensus(n, t, &inputs, Box::new(adversary), t, 3 + seed);
-            assert_eq!(report.consensus_violation(|v| inputs.contains(v)), None);
+            let (_, verdict) = run_consensus(n, t, &inputs, Box::new(adversary), t, 3 + seed);
+            assert_eq!(verdict, Ok(()));
         }
     }
 
@@ -174,13 +178,8 @@ mod tests {
         let inputs = vec![true; n];
         let victims: Vec<NodeId> = (0..t).map(NodeId::new).collect();
         let adversary = TargetedCrashes::one_per_round(victims);
-        let report = run_consensus(n, t, &inputs, Box::new(adversary), t, 4);
-        assert_eq!(report.consensus_violation(|v| inputs.contains(v)), None);
-        assert_eq!(
-            report.agreed_value(),
-            Some(&true),
-            "validity with unanimous 1"
-        );
+        let (_, verdict) = run_consensus(n, t, &inputs, Box::new(adversary), t, 4);
+        assert_eq!(verdict, Ok(()), "validity with unanimous 1");
     }
 
     #[test]
@@ -188,23 +187,16 @@ mod tests {
         let n = 300;
         let t = 30;
         let inputs: Vec<bool> = (0..n).map(|i| i % 2 == 1).collect();
-        let report = run_consensus(n, t, &inputs, Box::new(NoFaults), 0, 5);
-        let config = SystemConfig::new(n, t).unwrap();
-        let total = FewCrashesConfig::from_system(&config)
-            .unwrap()
-            .total_rounds();
-        // Rounds: O(t + log n); the schedule is fixed so the report matches it.
-        assert!(report.metrics.rounds <= total + 2);
-        assert!(total <= 8 * t as u64 + 12 * (n as f64).log2().ceil() as u64 + 20);
+        let (report, verdict) = run_consensus(n, t, &inputs, Box::new(NoFaults), 0, 5);
+        // Theorem 7's bound holds, and its rounds are O(t + log n).
+        assert_eq!(verdict, Ok(()));
+        let bound = bounds::theorem7(&SystemConfig::new(n, t).unwrap());
+        assert!(bound.rounds <= 8 * t as u64 + 12 * (n as f64).log2().ceil() as u64 + 20);
         // Bits: O(n + t log t) with a generous practical constant (the
         // probing term t·log t·d dominates at this scale); the point is to
         // stay far below the all-to-all n² = 90 000.
-        let bound = 250 * n as u64;
-        assert!(
-            report.metrics.bits < bound,
-            "{} bits exceeds {bound}",
-            report.metrics.bits
-        );
+        let bits = report.metrics.bits;
+        assert!(bits < 250 * n as u64, "{bits} bits");
     }
 
     #[test]
@@ -214,9 +206,9 @@ mod tests {
         let n = 80;
         let t = 8;
         let inputs = vec![true; n];
-        let clean = run_consensus(n, t, &inputs, Box::new(NoFaults), 0, 6);
+        let (clean, _) = run_consensus(n, t, &inputs, Box::new(NoFaults), 0, 6);
         let adversary = RandomCrashes::new(n, 1, 5, 1);
-        let crashed = run_consensus(n, t, &inputs, Box::new(adversary), t, 6);
+        let (crashed, _) = run_consensus(n, t, &inputs, Box::new(adversary), t, 6);
         assert_eq!(clean.metrics.rounds, crashed.metrics.rounds);
     }
 
@@ -235,8 +227,8 @@ mod tests {
             .total_rounds();
         let mut runner = Runner::new(nodes).unwrap();
         let report = runner.run(total + 2);
-        assert!(report.all_non_faulty_decided());
-        assert!(report.non_faulty_deciders_agree());
+        let agreed = Spec::decisions(|_, _: &BitVector, _| Ok(())).agreed();
+        assert_eq!(check(&report, &agreed), Ok(()));
     }
 
     #[test]
@@ -250,7 +242,10 @@ mod tests {
             .collect();
         let mut runner = Runner::new(nodes).unwrap();
         let report = runner.run(shared.total_rounds() + 2);
-        assert_eq!(report.consensus_violation(|&v| v), None);
+        assert_eq!(
+            check(&report, &bounds::few_crashes(&config, &[true])),
+            Ok(())
+        );
         assert_eq!(shared.scv.family.built_phases(), 0);
     }
 

@@ -17,8 +17,7 @@
 //!   [`FewCrashesConsensus`] whose AEA stage makes every node little on
 //!   `G(n, d(α))` and whose SCV stage only inquires.
 //! * [`Gossip`] — Section 5 (Theorem 9): `O(log n log t)` rounds,
-//!   `O(n + t log n log t)` messages; [`gossip_violation`] checks an
-//!   execution against the problem's conditions.
+//!   `O(n + t log n log t)` messages.
 //! * [`Checkpointing`] — Section 6 (Theorem 10): gossip plus `n` combined
 //!   consensus instances.
 //! * [`AbConsensus`] — Section 7 (Theorem 11): authenticated-Byzantine
@@ -28,13 +27,15 @@
 //!   the single-port adaptation.
 //! * [`LocalProbing`] — Proposition 1's probing primitive; beside it, one
 //!   block runs the inquiry phases of Lemma 5 for the algorithms above.
-//! * [`bounds`] — the theorems' bounds as functions of the configuration.
+//! * [`bounds`] — the theorems as checkable specs: each problem's
+//!   conditions with its theorem's bounds on rounds, messages and bits,
+//!   for `dft_sim::check`.
 //!
 //! # Quick example
 //!
 //! ```
-//! use dft_core::{FewCrashesConsensus, SystemConfig};
-//! use dft_sim::{RandomCrashes, Runner};
+//! use dft_core::{bounds, FewCrashesConsensus, SystemConfig};
+//! use dft_sim::{check, RandomCrashes, Runner};
 //!
 //! let n = 60;
 //! let t = 8;
@@ -47,8 +48,7 @@
 //! let mut runner = Runner::with_adversary(nodes, Box::new(adversary), t).unwrap();
 //! let report = runner.run(rounds + 2);
 //!
-//! assert!(report.all_non_faulty_decided());
-//! assert!(report.non_faulty_deciders_agree());
+//! assert_eq!(check(&report, &bounds::few_crashes(&config, &inputs)), Ok(()));
 //! ```
 
 #![warn(missing_docs)]
@@ -83,7 +83,7 @@ pub use config::SystemConfig;
 pub use dolev_strong::DsBatch;
 pub use error::{CoreError, CoreResult};
 pub use few_crashes::{FcMsg, FewCrashesConfig, FewCrashesConsensus};
-pub use gossip::{gossip_violation, Gossip, GossipConfig, GossipMsg};
+pub use gossip::{Gossip, GossipConfig, GossipMsg};
 pub use local_probing::LocalProbing;
 pub use many_crashes::many_crashes_for_all_nodes;
 pub use scv::{ScvConfig, ScvMsg, SpreadCommonValue, Trust, TrustAll};

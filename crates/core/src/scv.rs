@@ -290,7 +290,8 @@ impl<V: Payload, A: Trust<V>> SyncProtocol for SpreadCommonValue<V, A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dft_sim::{NoFaults, RandomCrashes, Runner};
+    use crate::bounds;
+    use dft_sim::{check, ExecutionReport, NoFaults, RandomCrashes, Runner, Spec, Violation};
 
     fn run_scv(
         n: usize,
@@ -298,7 +299,7 @@ mod tests {
         initialized: usize,
         adversary: Box<dyn dft_sim::CrashAdversary>,
         budget: usize,
-    ) -> dft_sim::ExecutionReport<bool> {
+    ) -> (ExecutionReport<bool>, SystemConfig) {
         let config = SystemConfig::new(n, t).unwrap().with_seed(21);
         // The `initialized` highest-index nodes know the value `true`; this
         // leaves little nodes uninitialised, exercising the inquiry path too.
@@ -308,27 +309,25 @@ mod tests {
         let nodes = SpreadCommonValue::for_all_nodes(&config, &initials).unwrap();
         let total = ScvConfig::from_system(&config).unwrap().total_rounds();
         let mut runner = Runner::with_adversary(nodes, adversary, budget).unwrap();
-        runner.run(total + 2)
+        (runner.run(total + 2), config)
+    }
+
+    /// Theorem 6's verdict on a run with at least `3n/5` nodes initialized.
+    fn spreads(run: (ExecutionReport<bool>, SystemConfig)) -> Result<(), Violation> {
+        let (report, config) = run;
+        check(&report, &bounds::scv(&config, &[true]))
     }
 
     #[test]
     fn spreads_to_everyone_without_faults_small_t() {
         // t² ≤ n branch.
-        let n = 100;
-        let t = 8;
-        let report = run_scv(n, t, 70, Box::new(NoFaults), 0);
-        assert!(report.all_non_faulty_decided());
-        assert_eq!(report.agreed_value(), Some(&true));
+        assert_eq!(spreads(run_scv(100, 8, 70, Box::new(NoFaults), 0)), Ok(()));
     }
 
     #[test]
     fn spreads_to_everyone_without_faults_large_t() {
         // t² > n branch (phase-based inquiries).
-        let n = 120;
-        let t = 20;
-        let report = run_scv(n, t, 90, Box::new(NoFaults), 0);
-        assert!(report.all_non_faulty_decided());
-        assert_eq!(report.agreed_value(), Some(&true));
+        assert_eq!(spreads(run_scv(120, 20, 90, Box::new(NoFaults), 0)), Ok(()));
     }
 
     #[test]
@@ -336,24 +335,19 @@ mod tests {
         let n = 150;
         let t = 18;
         let adversary = RandomCrashes::new(n, t, 10, 5);
-        let report = run_scv(n, t, 110, Box::new(adversary), t);
-        assert!(report.non_faulty_deciders_agree());
-        assert_eq!(report.agreed_value(), Some(&true));
-        // All non-faulty nodes that are not little decide; little nodes may be
-        // left undecided only if nobody held the value near them — with 110
-        // initialized nodes the broadcast reaches everyone.
-        assert!(report.all_non_faulty_decided());
+        // With 110 initialized nodes the broadcast reaches everyone, little
+        // nodes included.
+        assert_eq!(spreads(run_scv(n, t, 110, Box::new(adversary), t)), Ok(()));
     }
 
     #[test]
     fn no_initial_value_means_no_decisions() {
         let n = 80;
         let t = 8;
-        let report = run_scv(n, t, 0, Box::new(NoFaults), 0);
-        assert!(report.deciders().is_empty());
+        let (report, _) = run_scv(n, t, 0, Box::new(NoFaults), 0);
+        assert!(report.outputs.iter().all(Option::is_none));
         // Undecided nodes still sent inquiries; nobody answered.
         assert!(report.metrics.messages > 0);
-        assert!(report.non_faulty_deciders_agree());
     }
 
     #[test]
@@ -388,7 +382,7 @@ mod tests {
         let mut serial = Runner::new(nodes(&serial_config)).unwrap();
         serial.enable_trace();
         let report = serial.run(rounds);
-        assert!(report.all_non_faulty_decided());
+        assert_eq!(check(&report, &Spec::consensus(&[true])), Ok(()));
         let built = serial_config.family.built_phases();
         assert!(built >= 2, "only {built} phase(s) read");
 
@@ -420,14 +414,11 @@ mod tests {
     fn message_count_is_moderate() {
         let n = 200;
         let t = 20;
-        let report = run_scv(n, t, 140, Box::new(NoFaults), 0);
+        let run = run_scv(n, t, 140, Box::new(NoFaults), 0);
         // Theorem 6 charges O(t log t) to Part 2 plus O(n) for Part 1
         // forwarding over the constant-degree H.
-        let bound = (40 * n) as u64;
-        assert!(
-            report.metrics.messages < bound,
-            "{} messages exceeds {bound}",
-            report.metrics.messages
-        );
+        let messages = run.0.metrics.messages;
+        assert!(messages < (40 * n) as u64, "{messages} messages");
+        assert_eq!(spreads(run), Ok(()));
     }
 }

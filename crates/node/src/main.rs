@@ -8,7 +8,9 @@
 //! * `dft-node --cluster N …` — the launcher: spawns `N` copies of itself as
 //!   node processes on localhost, collects their results into a decision
 //!   table, runs the same workload through the serial in-process [`Runner`],
-//!   and diffs the two tables byte-for-byte (exit 0 only when identical).
+//!   judges that reference run with `dft_sim::check` (exit 1 if it breaks
+//!   consensus), and diffs the two tables byte-for-byte (exit 0 only when
+//!   identical).
 //! * `dft-node --me ID --peers …` — one node: builds a full TCP mesh
 //!   (connect down to lower ids, take connections from higher ids), then
 //!   runs the mesh's lock step (see `dft_sim::shard::mesh`).
@@ -50,7 +52,8 @@ use dft_bench::{Table, Workload};
 use dft_sim::shard::mesh::{MeshRunner, Suspicion, TAG_HELLO};
 use dft_sim::shard::{frame, open_frame, read_frame, write_frame, StreamTransport, Wire};
 use dft_sim::{
-    CrashDirective, FixedCrashSchedule, NodeId, Participant, RandomCrashes, Round, Runner,
+    check, CrashDirective, FixedCrashSchedule, NodeId, Participant, RandomCrashes, Round, Runner,
+    Spec,
 };
 
 /// Per-read socket deadline.  Generous — healthy localhost frames arrive in
@@ -624,6 +627,10 @@ fn serial_decision_data(
     let mut runner =
         Runner::with_adversary(nodes, Box::new(fixed), args.t).map_err(|err| err.to_string())?;
     let report = runner.run(horizon + 2);
+    // A cluster that matches a wrong reference proves nothing: the serial
+    // run must itself be consensus.
+    check(&report, &Spec::consensus(inputs))
+        .map_err(|violation| format!("the serial reference run breaks its spec: {violation}"))?;
     let as_u64 = |rounds: &[Option<Round>]| rounds.iter().map(|r| r.map(Round::as_u64)).collect();
     Ok(DecisionData {
         n: args.n,

@@ -47,8 +47,8 @@
 //!
 //! ```
 //! use dft_sim::{
-//!     CrashDirective, Delivered, FixedCrashSchedule, NodeId, Outgoing, Round, Runner,
-//!     SyncProtocol,
+//!     check, CrashDirective, Delivered, FixedCrashSchedule, NodeId, Outgoing, Round, Runner,
+//!     Spec, SyncProtocol,
 //! };
 //!
 //! /// Every node broadcasts the OR of everything it has seen, then decides
@@ -94,8 +94,7 @@
 //! let schedule = FixedCrashSchedule::new().crash_at(1, CrashDirective::silent(NodeId::new(2)));
 //! let mut runner = Runner::with_adversary(nodes, Box::new(schedule), 1).unwrap();
 //! let report = runner.run(10);
-//! assert!(report.non_faulty_deciders_agree());
-//! assert_eq!(report.agreed_value(), Some(&true));
+//! assert_eq!(check(&report, &Spec::consensus(&[true])), Ok(()));
 //! ```
 
 #![warn(missing_docs)]
@@ -135,7 +134,7 @@ pub use metrics::Metrics;
 pub use node::{NodeId, NodeSet};
 pub use parallel::available_jobs;
 pub use protocol::{IdlePolls, NodeStatus, SinglePortProtocol, SyncProtocol};
-pub use report::{ExecutionReport, Termination};
+pub use report::{check, Bound, Cost, ExecutionReport, Spec, Termination, Violation};
 pub use round::Round;
 pub use runner::{run_with_crashes, Participant, Runner};
 pub use single_port::SinglePortRunner;

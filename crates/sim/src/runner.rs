@@ -77,7 +77,7 @@ impl<P: SyncProtocol> std::fmt::Debug for Participant<P> {
 /// Running a toy protocol in which every node halts immediately:
 ///
 /// ```
-/// use dft_sim::{Delivered, Outgoing, Round, Runner, SyncProtocol};
+/// use dft_sim::{check, Delivered, Outgoing, Round, Runner, Spec, SyncProtocol};
 ///
 /// struct Halt;
 /// impl SyncProtocol for Halt {
@@ -91,7 +91,7 @@ impl<P: SyncProtocol> std::fmt::Debug for Participant<P> {
 ///
 /// let mut runner = Runner::new((0..4).map(|_| Halt).collect()).unwrap();
 /// let report = runner.run(10);
-/// assert!(report.all_non_faulty_decided());
+/// assert_eq!(check(&report, &Spec::consensus(&[true])), Ok(()));
 /// assert_eq!(report.metrics.rounds, 1);
 /// ```
 pub type Runner<P> = Coordinator<RoundCore<P>, MultiPort<<P as SyncProtocol>::Msg>>;
@@ -248,7 +248,7 @@ mod tests {
     use super::*;
     use crate::adversary::{AdversaryView, CrashDirective, FixedCrashSchedule};
     use crate::message::Outgoing;
-    use crate::report::Termination;
+    use crate::report::{check, Spec, Termination};
     use crate::SimError;
 
     /// Every node floods its input to all nodes each round; decides on the OR
@@ -319,9 +319,7 @@ mod tests {
         runner.enable_trace();
         let report = runner.run(10);
         assert_eq!(report.termination, Termination::AllHalted);
-        assert!(report.all_non_faulty_decided());
-        assert!(report.non_faulty_deciders_agree());
-        assert_eq!(report.agreed_value(), Some(&true));
+        assert_eq!(check(&report, &Spec::consensus(&[true])), Ok(()));
         assert_eq!(report.metrics.rounds, 3);
         // Every node sends n messages in each of 3 rounds.
         assert_eq!(report.metrics.messages, (n * n * 3) as u64);
@@ -339,8 +337,7 @@ mod tests {
             FixedCrashSchedule::new().crash_at(0, CrashDirective::silent(NodeId::new(0)));
         let report = run_with_crashes(protocols, Box::new(adversary), 1, 10).unwrap();
         assert_eq!(report.metrics.crashes, 1);
-        assert!(report.non_faulty_deciders_agree());
-        assert_eq!(report.agreed_value(), Some(&false));
+        assert_eq!(check(&report, &Spec::consensus(&[false])), Ok(()));
         assert_eq!(report.non_faulty().len(), n - 1);
     }
 
@@ -351,7 +348,7 @@ mod tests {
         let adversary =
             FixedCrashSchedule::new().crash_at(0, CrashDirective::after_send(NodeId::new(0)));
         let report = run_with_crashes(protocols, Box::new(adversary), 1, 10).unwrap();
-        assert_eq!(report.agreed_value(), Some(&true));
+        assert_eq!(check(&report, &Spec::consensus(&[true])), Ok(()));
     }
 
     #[test]
@@ -369,8 +366,7 @@ mod tests {
         );
         let report = run_with_crashes(protocols, Box::new(adversary), 1, 10).unwrap();
         // Node 1 got the value and re-floods it, so everyone still decides true.
-        assert_eq!(report.agreed_value(), Some(&true));
-        assert!(report.non_faulty_deciders_agree());
+        assert_eq!(check(&report, &Spec::consensus(&[true])), Ok(()));
     }
 
     #[test]
@@ -403,7 +399,7 @@ mod tests {
         // Honest nodes: 3 nodes * n messages * 3 rounds.
         assert_eq!(report.metrics.messages, (3 * n * 3) as u64);
         assert!(report.metrics.byzantine_messages > 0);
-        assert!(report.non_faulty_deciders_agree());
+        assert_eq!(check(&report, &Spec::consensus(&[true])), Ok(()));
     }
 
     #[test]

@@ -11,6 +11,7 @@ use crate::adversary::NoFaults;
 use crate::conformance::{
     crash_schedule, multi_port_worker, ring_worker, spawn_worker, FloodOr, Ring, Wiring,
 };
+use crate::report::{check, Spec};
 use crate::runner::Runner;
 use crate::single_port::SinglePortRunner;
 
@@ -397,7 +398,7 @@ fn interned_frames_carry_each_payload_once_and_match_the_serial_run() {
         Runner::with_participants(FloodSets::participants(n), Box::new(crash_schedule(n)), 3)
             .unwrap();
     let serial = serial.run(10);
-    assert!(serial.all_non_faulty_decided());
+    assert_eq!(check(&serial, &Spec::decisions(|_, _, _| Ok(()))), Ok(()));
 
     let adversary = Box::new(crash_schedule(n));
     let mut sharded =

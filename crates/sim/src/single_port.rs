@@ -36,7 +36,7 @@ use crate::runner::never_fails;
 /// # Examples
 ///
 /// ```
-/// use dft_sim::{NodeId, Outgoing, Round, SinglePortProtocol, SinglePortRunner};
+/// use dft_sim::{check, NodeId, Outgoing, Round, SinglePortProtocol, SinglePortRunner, Spec};
 ///
 /// /// Node 0 sends its value to node 1 in round 0; node 1 polls port 0 in
 /// /// round 1 and decides on what it finds.
@@ -79,7 +79,7 @@ use crate::runner::never_fails;
 /// ];
 /// let mut runner = SinglePortRunner::new(nodes).unwrap();
 /// let report = runner.run(5);
-/// assert_eq!(report.agreed_value(), Some(&true));
+/// assert_eq!(check(&report, &Spec::consensus(&[true])), Ok(()));
 /// ```
 pub type SinglePortRunner<P> =
     Coordinator<SinglePortCore<P>, SinglePort<<P as SinglePortProtocol>::Msg>>;
@@ -200,7 +200,7 @@ impl<P: SinglePortProtocol> SinglePortHost for SinglePortCore<P> {
 mod tests {
     use super::*;
     use crate::adversary::AdaptiveSplitAdversary;
-    use crate::report::Termination;
+    use crate::report::{check, Spec, Termination};
     use crate::SimError;
 
     /// A round-robin token ring: node i sends its accumulated OR to node
@@ -309,9 +309,7 @@ mod tests {
         let n = 6;
         let mut runner = SinglePortRunner::new(ring(n, 0)).unwrap();
         let report = runner.run(3 * n as u64);
-        assert!(report.all_non_faulty_decided());
-        assert!(report.non_faulty_deciders_agree());
-        assert_eq!(report.agreed_value(), Some(&true));
+        assert_eq!(check(&report, &Spec::consensus(&[true])), Ok(()));
         // Each node sends exactly one message per round.
         assert_eq!(report.metrics.peak_messages_in_a_round(), n as u64);
     }

@@ -9,8 +9,8 @@
     reason = "a demo's helpers abort on a bad setup; nothing here is library code"
 )]
 
-use linear_dft::core::{Checkpointing, SystemConfig};
-use linear_dft::sim::{FixedCrashSchedule, NodeId, Runner};
+use linear_dft::core::{bounds, Checkpointing, SystemConfig};
+use linear_dft::sim::{check, FixedCrashSchedule, NodeId, Runner};
 
 fn main() {
     let n = 80;
@@ -38,15 +38,10 @@ fn main() {
         !checkpoint.contains(&3) && !checkpoint.contains(&4)
     );
 
-    assert!(
-        report.non_faulty_deciders_agree(),
-        "all nodes agree on the same checkpoint"
-    );
+    // One checkpoint everywhere, holding every operational node, within
+    // Theorem 10's bounds.
+    let verdict = check(&report, &bounds::checkpointing(&config));
+    println!("spec:             {verdict:?}");
+    verdict.expect("Theorem 10's spec holds");
     assert!(!checkpoint.contains(&3) && !checkpoint.contains(&4));
-    for id in report.non_faulty().iter() {
-        assert!(
-            checkpoint.contains(&id.index()),
-            "operational node {id:?} must be included"
-        );
-    }
 }

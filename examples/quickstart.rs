@@ -8,8 +8,8 @@
     reason = "a demo's helpers abort on a bad setup; nothing here is library code"
 )]
 
-use linear_dft::core::{FewCrashesConsensus, SystemConfig};
-use linear_dft::sim::{RandomCrashes, Runner};
+use linear_dft::core::{bounds, FewCrashesConsensus, SystemConfig};
+use linear_dft::sim::{check, RandomCrashes, Runner};
 
 fn main() {
     let n = 100;
@@ -36,10 +36,10 @@ fn main() {
     println!("rounds:             {}", report.metrics.rounds);
     println!("messages:           {}", report.metrics.messages);
     println!("bits:               {}", report.metrics.bits);
-    println!("all decided:        {}", report.all_non_faulty_decided());
-    println!("agreement:          {}", report.non_faulty_deciders_agree());
     println!("decision:           {:?}", report.agreed_value());
 
-    assert!(report.all_non_faulty_decided());
-    assert!(report.non_faulty_deciders_agree());
+    // Termination, agreement, validity, and Theorem 7's bounds.
+    let verdict = check(&report, &bounds::few_crashes(&config, &inputs));
+    println!("spec:               {verdict:?}");
+    verdict.expect("Theorem 7's spec holds");
 }

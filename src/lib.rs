@@ -24,8 +24,8 @@
 //! # Quickstart
 //!
 //! ```
-//! use linear_dft::core::{FewCrashesConsensus, SystemConfig};
-//! use linear_dft::sim::{RandomCrashes, Runner};
+//! use linear_dft::core::{bounds, FewCrashesConsensus, SystemConfig};
+//! use linear_dft::sim::{check, RandomCrashes, Runner};
 //!
 //! let n = 50;
 //! let t = 6;
@@ -36,7 +36,7 @@
 //! let mut runner =
 //!     Runner::with_adversary(nodes, Box::new(RandomCrashes::new(n, t, 20, 1)), t).unwrap();
 //! let report = runner.run(rounds + 2);
-//! assert!(report.all_non_faulty_decided() && report.non_faulty_deciders_agree());
+//! assert_eq!(check(&report, &bounds::few_crashes(&config, &inputs)), Ok(()));
 //! ```
 
 #![warn(missing_docs)]

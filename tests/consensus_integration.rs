@@ -12,16 +12,17 @@ use std::sync::Arc;
 
 use linear_dft::auth::KeyDirectory;
 use linear_dft::core::{
-    linear_consensus_for_all_nodes, many_crashes_for_all_nodes, AbConsensus, FewCrashesConsensus,
-    SystemConfig,
+    bounds, linear_consensus_for_all_nodes, many_crashes_for_all_nodes, AbConsensus,
+    FewCrashesConsensus, SystemConfig,
 };
 use linear_dft::sim::adversary::byzantine::{ReplayByzantine, SilentByzantine};
 use linear_dft::sim::shard::ShardedRunner;
 use linear_dft::sim::{
-    CrashAdversary, FixedCrashSchedule, NoFaults, NodeId, Participant, RandomCrashes, Runner,
-    SinglePortRunner, TargetedCrashes,
+    check, CrashAdversary, FixedCrashSchedule, NoFaults, NodeId, Participant, RandomCrashes,
+    Runner, SinglePortRunner, Spec, TargetedCrashes,
 };
 
+/// Runs Few-Crashes-Consensus and asserts Theorem 7's spec holds.
 fn run_few_crashes(
     n: usize,
     t: usize,
@@ -35,7 +36,12 @@ fn run_few_crashes(
     let nodes = FewCrashesConsensus::for_all_nodes(&config, inputs).expect("valid config");
     let rounds = nodes[0].total_rounds();
     let mut runner = Runner::with_adversary(nodes, adversary, t).expect("runner");
-    runner.run(rounds + 2)
+    let report = runner.run(rounds + 2);
+    assert_eq!(
+        check(&report, &bounds::few_crashes(&config, inputs)),
+        Ok(())
+    );
+    report
 }
 
 #[test]
@@ -54,8 +60,7 @@ fn few_crashes_consensus_across_seeds_and_adversaries() {
             )),
         ];
         for adversary in adversaries {
-            let report = run_few_crashes(n, t, &inputs, adversary, seed);
-            assert_eq!(report.consensus_violation(|v| inputs.contains(v)), None);
+            run_few_crashes(n, t, &inputs, adversary, seed);
         }
     }
 }
@@ -85,7 +90,10 @@ fn many_crashes_consensus_with_heavy_crash_schedule() {
     let adversary = RandomCrashes::new(n, t, rounds / 2, 21);
     let mut runner = Runner::with_adversary(nodes, Box::new(adversary), t).unwrap();
     let report = runner.run(rounds + 2);
-    assert_eq!(report.consensus_violation(|v| inputs.contains(v)), None);
+    assert_eq!(
+        check(&report, &bounds::many_crashes(&config, &inputs)),
+        Ok(())
+    );
 }
 
 #[test]
@@ -103,17 +111,11 @@ fn many_crashes_consensus_safety_at_extreme_fault_fraction() {
     let adversary = RandomCrashes::new(n, t, rounds / 2, 21);
     let mut runner = Runner::with_adversary(nodes, Box::new(adversary), t).unwrap();
     let report = runner.run(rounds + 2);
-    assert!(report.non_faulty_deciders_agree(), "agreement violated");
-    if let Some(v) = report.agreed_value() {
-        assert!(inputs.contains(v), "validity violated");
-    }
-    // The overwhelming majority of survivors still decide.
-    let survivors = report.non_faulty().len();
-    let deciders = report.non_faulty_deciders().len();
-    assert!(
-        deciders * 2 >= survivors,
-        "only {deciders} of {survivors} survivors decided"
-    );
+    // Agreement and validity among deciders, and at least half of the
+    // survivors decide.
+    let half = report.non_faulty().len().div_ceil(2);
+    let spec = Spec::consensus(&inputs).at_least(half);
+    assert_eq!(check(&report, &spec), Ok(()));
 }
 
 #[test]
@@ -132,8 +134,10 @@ fn crash_exactly_when_little_nodes_notify() {
     let adversary = FixedCrashSchedule::new().crash_all_at(aea_rounds - 1, (0..t).map(NodeId::new));
     let mut runner = Runner::with_adversary(nodes, Box::new(adversary), t).unwrap();
     let report = runner.run(rounds + 2);
-    assert_eq!(report.consensus_violation(|v| inputs.contains(v)), None);
-    assert_eq!(report.agreed_value(), Some(&true));
+    assert_eq!(
+        check(&report, &bounds::few_crashes(&config, &[true])),
+        Ok(())
+    );
 }
 
 #[test]
@@ -143,14 +147,13 @@ fn single_port_and_multi_port_agree_on_the_same_inputs() {
     let inputs: Vec<bool> = (0..n).map(|i| i % 5 == 0).collect();
 
     let multi = run_few_crashes(n, t, &inputs, Box::new(NoFaults), 2);
-    assert_eq!(multi.consensus_violation(|v| inputs.contains(v)), None);
 
     let config = SystemConfig::new(n, t).expect("valid (n, t)").with_seed(2);
     let (nodes, sp_rounds) = linear_consensus_for_all_nodes(&config, &inputs).unwrap();
     let mut runner = SinglePortRunner::new(nodes).unwrap();
     let single = runner.run(sp_rounds + 4);
-    assert!(single.all_non_faulty_decided());
-    assert!(single.non_faulty_deciders_agree());
+    let spec = bounds::linear_consensus(&config, &inputs);
+    assert_eq!(check(&single, &spec), Ok(()));
 
     // Fault-free, both port models must reach the same decision.
     assert_eq!(multi.agreed_value(), single.agreed_value());
@@ -165,7 +168,7 @@ fn consensus_message_complexity_beats_flooding_baseline() {
     let baseline_nodes = linear_dft::baselines::FloodingConsensus::for_all_nodes(n, t, &inputs);
     let mut baseline_runner = Runner::new(baseline_nodes).unwrap();
     let baseline = baseline_runner.run(t as u64 + 3);
-    assert!(baseline.non_faulty_deciders_agree());
+    assert_eq!(check(&baseline, &Spec::consensus(&inputs)), Ok(()));
     assert!(
         ours.metrics.messages < baseline.metrics.messages,
         "paper algorithm ({}) should send fewer messages than flooding ({})",
@@ -203,8 +206,8 @@ fn authenticated_consensus_agrees_across_hosts_with_byzantine_nodes() {
     let mut serial = Runner::with_participants(participants(), Box::new(NoFaults), 0).unwrap();
     let report = serial.run(rounds);
     let little = config.little_count();
-    let valid = |v: &u64| inputs[..little].contains(v);
-    assert_eq!(report.consensus_violation(valid), None);
+    let spec = bounds::ab_consensus(&config, &inputs[..little]);
+    assert_eq!(check(&report, &spec), Ok(()));
 
     let mut sharded = ShardedRunner::in_process(participants(), Box::new(NoFaults), 0, 2).unwrap();
     let sharded = sharded.run(rounds).expect("no shard worker fails");

@@ -6,9 +6,9 @@
 
 use linear_dft::auth::{KeyDirectory, SignedValue};
 use linear_dft::baselines::FloodingConsensus;
-use linear_dft::core::{FewCrashesConsensus, SystemConfig};
+use linear_dft::core::{bounds, FewCrashesConsensus, SystemConfig};
 use linear_dft::overlay::{build, properties};
-use linear_dft::sim::{NoFaults, RandomCrashes, Runner};
+use linear_dft::sim::{check, NoFaults, RandomCrashes, Runner, Spec};
 
 /// `dft-core` + `dft-sim`: a full consensus execution through the facade.
 #[test]
@@ -22,8 +22,10 @@ fn facade_runs_core_consensus_on_sim_runner() {
     let adversary = RandomCrashes::new(n, t, rounds, 2);
     let mut runner = Runner::with_adversary(nodes, Box::new(adversary), t).unwrap();
     let report = runner.run(rounds + 2);
-    assert!(report.all_non_faulty_decided());
-    assert!(report.non_faulty_deciders_agree());
+    assert_eq!(
+        check(&report, &bounds::few_crashes(&config, &inputs)),
+        Ok(())
+    );
 }
 
 /// `dft-overlay`: construction and fault-tolerance properties.
@@ -56,6 +58,5 @@ fn facade_runs_baseline_flooding_consensus() {
     let rounds = FloodingConsensus::total_rounds(t);
     let mut runner = Runner::with_adversary(nodes, Box::new(NoFaults), t).unwrap();
     let report = runner.run(rounds + 1);
-    assert!(report.all_non_faulty_decided());
-    assert!(report.non_faulty_deciders_agree());
+    assert_eq!(check(&report, &Spec::consensus(&inputs)), Ok(()));
 }

@@ -1,8 +1,8 @@
 //! Cross-crate integration tests for gossip and checkpointing: the paper's
 //! extant-set conditions checked end to end under crash schedules.
 
-use linear_dft::core::{gossip_violation, Checkpointing, Gossip, SystemConfig};
-use linear_dft::sim::{FixedCrashSchedule, NodeId, RandomCrashes, Runner};
+use linear_dft::core::{bounds, Checkpointing, Gossip, SystemConfig};
+use linear_dft::sim::{check, FixedCrashSchedule, NodeId, RandomCrashes, Runner};
 
 #[test]
 fn gossip_extant_sets_respect_both_conditions() {
@@ -19,8 +19,8 @@ fn gossip_extant_sets_respect_both_conditions() {
     let mut runner = Runner::with_adversary(nodes, Box::new(adversary), t).unwrap();
     let report = runner.run(rounds + 2);
 
-    // Termination, condition (2) and genuine rumors.
-    assert_eq!(gossip_violation(&report, &rumors), None);
+    // Termination, condition (2), genuine rumors and Theorem 9's bound.
+    assert_eq!(check(&report, &bounds::gossip(&config, &rumors)), Ok(()));
     for id in report.non_faulty().iter() {
         let set = report.output_of(id).unwrap();
         // Condition (1): nodes crashed at round 0 (before sending) are absent.
@@ -41,15 +41,9 @@ fn checkpointing_reaches_identical_checkpoints_under_random_crashes() {
         let mut runner = Runner::with_adversary(nodes, Box::new(adversary), t).unwrap();
         let report = runner.run(rounds + 2);
 
-        assert!(report.all_non_faulty_decided());
-        assert!(
-            report.non_faulty_deciders_agree(),
-            "checkpoint must be identical everywhere"
-        );
-        let checkpoint = report.agreed_value().unwrap();
-        for id in report.non_faulty().iter() {
-            assert!(checkpoint.contains(&id.index()));
-        }
+        // One checkpoint everywhere, holding every non-faulty node, within
+        // Theorem 10's bound.
+        assert_eq!(check(&report, &bounds::checkpointing(&config)), Ok(()));
     }
 }
 
@@ -62,10 +56,12 @@ fn checkpointing_is_cheaper_than_naive_baseline_in_messages_per_round() {
     let rounds = nodes[0].total_rounds();
     let mut runner = Runner::new(nodes).unwrap();
     let ours = runner.run(rounds + 2);
+    assert_eq!(check(&ours, &bounds::checkpointing(&config)), Ok(()));
 
     let baseline_nodes = linear_dft::baselines::NaiveCheckpointing::for_all_nodes(n, t);
     let mut baseline_runner = Runner::new(baseline_nodes).unwrap();
     let baseline = baseline_runner.run(t as u64 + 3);
+    assert_eq!(check(&baseline, &bounds::checkpoint_conditions(n)), Ok(()));
 
     let ours_per_round = ours.metrics.messages as f64 / ours.metrics.rounds as f64;
     let baseline_per_round = baseline.metrics.messages as f64 / baseline.metrics.rounds as f64;

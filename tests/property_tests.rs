@@ -1,9 +1,9 @@
 //! Property-based tests (proptest): protocol safety invariants and overlay
 //! substrate invariants over randomly drawn parameters and crash schedules.
 
-use linear_dft::core::{FewCrashesConsensus, Gossip, SystemConfig};
+use linear_dft::core::{bounds, FewCrashesConsensus, Gossip, SystemConfig};
 use linear_dft::overlay::{build, properties};
-use linear_dft::sim::{RandomCrashes, Runner};
+use linear_dft::sim::{check, RandomCrashes, Runner};
 use proptest::prelude::*;
 
 proptest! {
@@ -28,14 +28,8 @@ proptest! {
         let mut runner = Runner::with_adversary(nodes, Box::new(adversary), t).unwrap();
         let report = runner.run(rounds + 2);
 
-        // Agreement among non-faulty deciders.
-        prop_assert!(report.non_faulty_deciders_agree());
-        // Validity: the decision (if any) is some node's input.
-        if let Some(v) = report.agreed_value() {
-            prop_assert!(inputs.contains(v));
-        }
-        // Termination holds for every non-faulty node.
-        prop_assert!(report.all_non_faulty_decided());
+        // Termination, agreement, validity, and Theorem 7's bound.
+        prop_assert_eq!(check(&report, &bounds::few_crashes(&config, &inputs)), Ok(()));
     }
 
     /// Gossip never invents rumors: every proper pair in a decided extant set
@@ -54,15 +48,9 @@ proptest! {
         let mut runner = Runner::with_adversary(nodes, Box::new(adversary), t).unwrap();
         let report = runner.run(rounds + 2);
 
-        for id in report.non_faulty().iter() {
-            let set = report.outputs[id.index()].as_ref().unwrap();
-            prop_assert!(set.is_present(id.index()), "own pair always present");
-            for (j, &expected) in rumors.iter().enumerate() {
-                if let Some(rumor) = set.rumor_of(j) {
-                    prop_assert_eq!(rumor, expected, "rumor of {} corrupted", j);
-                }
-            }
-        }
+        // Genuineness (and completeness, which includes each node's own
+        // pair), within Theorem 9's bound.
+        prop_assert_eq!(check(&report, &bounds::gossip(&config, &rumors)), Ok(()));
     }
 
     /// The survival-subset peeling operator returns a set in which every

@@ -15,7 +15,9 @@ use std::sync::Arc;
 
 use linear_dft::core::{FewCrashesConsensus, Gossip, SystemConfig};
 use linear_dft::sim::shard::{to_bytes, ShardedRunner, Wire, WireStats};
-use linear_dft::sim::{Delivered, NoFaults, Outgoing, Participant, Round, SyncProtocol};
+use linear_dft::sim::{
+    check, Delivered, NoFaults, Outgoing, Participant, Round, Spec, SyncProtocol,
+};
 
 /// Messages and per-message `to_bytes` lengths, one direction.
 #[derive(Default)]
@@ -103,7 +105,8 @@ where
     let mut sharded = ShardedRunner::in_process(participants.collect(), Box::new(NoFaults), 0, 2)
         .expect("a valid system");
     let report = sharded.run(max_rounds).expect("no shard worker fails");
-    assert!(report.all_non_faulty_decided());
+    let terminated = Spec::decisions(|_, _: &P::Output, _| Ok(()));
+    assert_eq!(check(&report, &terminated), Ok(()));
     (sharded.wire_stats().clone(), tally)
 }
 
