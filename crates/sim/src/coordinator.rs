@@ -12,13 +12,13 @@
 //!    strategy a coherent view of the whole round, so [`Central`] gathers
 //!    every node's intents into flat per-node views, runs the adversary
 //!    once, and mirrors the verdicts into the chunks.
-//! 2. **Deliver, then merge in node order.**  All chunks stage their
-//!    surviving messages before any is routed; the merge walks chunks in
-//!    ascending order — which is sender order — counts them, and drops
-//!    those whose destination is no longer running.  Only a sharded host
-//!    stages: the serial one is a single chunk, so its core routes each
-//!    message into its inbox as it delivers, in the same order and under
-//!    the same drop rule, and hands the merge nothing but the counts.
+//! 2. **Deliver, then count in node order; each host routes and the
+//!    core's `accept` drops.**  Every chunk delivers, routes its survivors
+//!    to their destinations' cores in sender order, and reports only its
+//!    counts, which the coordinator adds in ascending chunk order.  The
+//!    receiving core's [`crate::RoundCore::accept`] is the one drop rule: a
+//!    destination no longer running takes no part, and the message is
+//!    counted and dropped.
 //! 3. **Finalize, then replay in node order.**  All chunks `finalize`
 //!    before any halt is applied; decisions and halts are replayed in
 //!    ascending node order, so traces cannot depend on which chunk finished
@@ -50,7 +50,7 @@ use crate::adversary::{CrashAdversary, DeliveryFilter};
 use crate::delivery::{EngineCore, PortMap};
 use crate::driver::NodeEvent;
 use crate::error::SimResult;
-use crate::message::{Delivered, Outgoing, Payload};
+use crate::message::{Outgoing, Payload};
 use crate::metrics::Metrics;
 use crate::node::{NodeId, NodeSet};
 use crate::report::{ExecutionReport, Termination};
@@ -82,37 +82,19 @@ pub trait Host {
     fn shutdown(&mut self) {}
 }
 
-/// One chunk's share of a multi-port delivery phase.  A host that routes
-/// as it delivers (the serial one) leaves `delivered` empty and reports
-/// only the counts; a sharded host stages every surviving message here.
-#[derive(Debug)]
-pub struct Staged<M> {
+/// One chunk's counts from a multi-port delivery phase.
+#[derive(Clone, Copy, Debug)]
+pub struct Staged {
     /// Messages sent by the chunk's non-Byzantine senders this round.
     pub messages: u64,
     /// Total bits carried by those messages.
     pub bits: u64,
     /// Messages sent by the chunk's Byzantine senders (counted apart).
     pub byzantine_messages: u64,
-    /// Surviving messages in sender order, tagged with their destination.
-    pub delivered: Vec<(usize, Delivered<M>)>,
-}
-
-impl<M> Default for Staged<M> {
-    fn default() -> Self {
-        Staged {
-            messages: 0,
-            bits: 0,
-            byzantine_messages: 0,
-            delivered: Vec::new(),
-        }
-    }
 }
 
 /// The phases a multi-port host runs on every chunk.
 pub trait MultiPortHost: Host {
-    /// What nodes send each other.
-    type Msg: Payload;
-
     /// Phase 1: `begin_round` everywhere; each node's destinations land in
     /// its `send_intents` slot.
     fn begin_round(
@@ -122,17 +104,15 @@ pub trait MultiPortHost: Host {
     ) -> Result<(), Self::Error>;
 
     /// Phase 3: mirrors this round's crashes (global index, delivery
-    /// filter) into the owning chunks, runs `deliver` everywhere, and
-    /// leaves one [`Staged`] per chunk, in chunk order, in `staged`.
+    /// filter) into the owning chunks, runs `deliver` everywhere, routes
+    /// each survivor to its destination's core, and pushes one [`Staged`]
+    /// per chunk, in chunk order, onto `staged`.
     fn deliver(
         &mut self,
         round: Round,
         crashed: Vec<(usize, DeliveryFilter)>,
-        staged: &mut Vec<Staged<Self::Msg>>,
+        staged: &mut Vec<Staged>,
     ) -> Result<(), Self::Error>;
-
-    /// Routes one surviving message into `dest`'s inbox for this round.
-    fn accept(&mut self, dest: usize, msg: Delivered<Self::Msg>);
 
     /// Phase 4: `finalize` everywhere; appends the decision/halt events in
     /// node order.
@@ -260,19 +240,13 @@ pub trait Model<H: Host>: Default {
 
 /// The multi-port round (§2): any number of sends per node, everything
 /// addressed to a running node arrives in the same round.
-#[derive(Debug)]
-pub struct MultiPort<M> {
-    /// Per-chunk delivery outputs (reused).
-    staged: Vec<Staged<M>>,
+#[derive(Debug, Default)]
+pub struct MultiPort {
+    /// Per-chunk delivery counts (reused).
+    staged: Vec<Staged>,
 }
 
-impl<M> Default for MultiPort<M> {
-    fn default() -> Self {
-        MultiPort { staged: Vec::new() }
-    }
-}
-
-impl<M, H: MultiPortHost<Msg = M>> Model<H> for MultiPort<M> {
+impl<H: MultiPortHost> Model<H> for MultiPort {
     fn step(&mut self, central: &mut Central, host: &mut H) -> Result<(), H::Error> {
         let round = central.engine.round;
         host.begin_round(round, &mut central.send_intents)?;
@@ -284,20 +258,13 @@ impl<M, H: MultiPortHost<Msg = M>> Model<H> for MultiPort<M> {
             .iter()
             .filter_map(|&idx| Some((idx, engine.filter(idx)?.clone())))
             .collect();
+        self.staged.clear();
         host.deliver(round, crashed, &mut self.staged)?;
-        for chunk in &mut self.staged {
+        for chunk in &self.staged {
             engine
                 .metrics
                 .record_messages(round.as_u64(), chunk.messages, chunk.bits);
             engine.metrics.byzantine_messages += chunk.byzantine_messages;
-            for (dest, msg) in chunk.delivered.drain(..) {
-                // A crashed or halted destination (or one that does not
-                // exist) takes no part: the send is counted, the message
-                // dropped.
-                if engine.status.get(dest).is_some_and(|s| s.is_running()) {
-                    host.accept(dest, msg);
-                }
-            }
         }
 
         host.finalize(round, &mut central.events)?;

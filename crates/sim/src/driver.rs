@@ -16,7 +16,7 @@
 //! The core knows nothing about threads, pipes, or sockets, and nothing
 //! about the other cores of its execution.  Everything order-sensitive
 //! *across* cores — the four backend obligations: central crash phase;
-//! deliver, then merge in node order; finalize, then replay in node order;
+//! deliver, then count in node order; finalize, then replay in node order;
 //! the backend owns the single-port ports — is implemented once per model
 //! in `crate::coordinator`, over a host that only decides where the cores
 //! live: in this process (one core, on the caller's thread), behind shard
@@ -147,7 +147,7 @@ pub struct RoundCore<P: SyncProtocol> {
     pub(crate) byz_inboxes: Vec<Vec<Delivered<P::Msg>>>,
     pub(crate) outputs: Vec<Option<P::Output>>,
     /// Delivery scratch: surviving messages in sender order, tagged with
-    /// their global destination for the backend's merge (left empty by
+    /// their global destination for the backend to route (left empty by
     /// [`RoundCore::deliver_direct`]).
     pub(crate) delivered: Vec<(usize, Delivered<P::Msg>)>,
     /// Receive scratch: decision/halt events for the backend's replay.
@@ -345,7 +345,7 @@ impl<P: SyncProtocol> RoundCore<P> {
     /// (surviving messages in sender order plus message / bit / Byzantine
     /// counters).  `filters` holds the delivery filters of nodes that
     /// crashed this round (globally indexed; almost always empty).  The
-    /// destination-status check happens in the backend during the merge.
+    /// destination's core checks its status in [`RoundCore::accept`].
     /// Inboxes are not touched: [`RoundCore::finalize`] empties each one
     /// right after its node's `receive`, so every inbox is empty here.
     pub fn deliver(&mut self, filters: &[(usize, DeliveryFilter)]) {
@@ -410,9 +410,8 @@ impl<P: SyncProtocol> RoundCore<P> {
 
     /// The surviving messages staged by the last [`RoundCore::deliver`], in
     /// sender order, tagged with their global destination.  The backend
-    /// routes each entry to its destination core with
-    /// [`RoundCore::accept`] (dropping entries whose destination is no
-    /// longer running).
+    /// routes each entry to its destination core's [`RoundCore::accept`],
+    /// which drops it if the destination is no longer running.
     pub fn delivered(&self) -> &[(usize, Delivered<P::Msg>)] {
         &self.delivered
     }

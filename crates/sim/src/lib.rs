@@ -27,7 +27,7 @@
 //!   as pure state transitions, with no knowledge of threads, pipes, or
 //!   sockets.
 //! * [`Coordinator`] — the one round loop per model: everything
-//!   order-sensitive across chunks (the central crash phase, the merge and
+//!   order-sensitive across chunks (the central crash phase, the counts and
 //!   the event replay in node order, the single-port port map), generic
 //!   over a *host* that only decides where the chunks live.  [`Runner`],
 //!   [`SinglePortRunner`], [`shard::ShardedRunner`] and

@@ -46,7 +46,7 @@ pub trait Payload: Clone + fmt::Debug + Send + Sync + 'static {
     /// data.
     ///
     /// The shard layer uses it to write each distinct payload once per
-    /// frame (see `crate::shard::intern`); serial runs never call it.
+    /// block (see `crate::shard::intern`); serial runs never call it.
     /// Contract: two messages of one round that return the same key are
     /// equal — identity stands in for equality, so an override returns the
     /// address only when the whole message is determined by that

@@ -4,7 +4,7 @@
 //! An in-process execution is one thread.  Two things here concern more
 //! than one: `ChunkPlan`, the contiguous index partition the framed host
 //! ([`crate::shard`]) cuts an execution's nodes into — one chunk per shard
-//! worker, merged by the coordinator in fixed node-index order, which is
+//! worker, counted and replayed in fixed node-index order, which is
 //! what keeps a sharded run byte-identical to the serial one — and
 //! [`available_jobs`], the default for a harness that fans *independent*
 //! executions out (`run_experiments --jobs`).

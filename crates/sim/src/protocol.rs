@@ -27,7 +27,7 @@ use crate::round::Round;
 /// sharded runner may hand disjoint groups of nodes to its shard workers,
 /// threads that outlive any single borrow; state machines are plain owned
 /// data, so both bounds are auto-derived.  Determinism is unaffected: the
-/// coordinator merges per-worker results in fixed node-index order (see
+/// coordinator takes per-worker results in fixed node-index order (see
 /// `DESIGN.md`).
 ///
 /// # Examples

@@ -19,7 +19,6 @@ use crate::adversary::{CrashAdversary, DeliveryFilter, NoFaults};
 use crate::coordinator::{Central, Coordinator, Host, MultiPort, MultiPortHost, Staged};
 use crate::driver::{NodeEvent, RoundCore};
 use crate::error::SimResult;
-use crate::message::Delivered;
 use crate::node::{NodeId, NodeSet};
 use crate::protocol::SyncProtocol;
 use crate::report::ExecutionReport;
@@ -94,7 +93,7 @@ impl<P: SyncProtocol> std::fmt::Debug for Participant<P> {
 /// assert_eq!(check(&report, &Spec::consensus(&[true])), Ok(()));
 /// assert_eq!(report.metrics.rounds, 1);
 /// ```
-pub type Runner<P> = Coordinator<RoundCore<P>, MultiPort<<P as SyncProtocol>::Msg>>;
+pub type Runner<P> = Coordinator<RoundCore<P>, MultiPort>;
 
 impl<P: SyncProtocol> Runner<P> {
     /// Creates a runner over honest nodes only, with no faults.
@@ -181,8 +180,6 @@ impl<P: SyncProtocol> Host for RoundCore<P> {
 }
 
 impl<P: SyncProtocol> MultiPortHost for RoundCore<P> {
-    type Msg = P::Msg;
-
     fn begin_round(
         &mut self,
         round: Round,
@@ -192,33 +189,23 @@ impl<P: SyncProtocol> MultiPortHost for RoundCore<P> {
         Ok(())
     }
 
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "the one staged slot, indexed on the line after the vector is resized to length \
-                  one"
-    )]
     fn deliver(
         &mut self,
         round: Round,
         crashed: Vec<(usize, DeliveryFilter)>,
-        staged: &mut Vec<Staged<P::Msg>>,
+        staged: &mut Vec<Staged>,
     ) -> Result<(), Infallible> {
         for (victim, _) in &crashed {
             self.set_crashed(*victim, round);
         }
-        // One core owns every node, so it routes as it delivers: the
-        // coordinator gets the counts and nothing to merge.
+        // One core owns every node, so it routes as it delivers.
         self.deliver_direct(&crashed);
-        staged.resize_with(1, Staged::default);
-        let slot = &mut staged[0];
-        slot.messages = self.msgs;
-        slot.bits = self.bits;
-        slot.byzantine_messages = self.byz_msgs;
+        staged.push(Staged {
+            messages: self.msgs,
+            bits: self.bits,
+            byzantine_messages: self.byz_msgs,
+        });
         Ok(())
-    }
-
-    fn accept(&mut self, dest: usize, msg: Delivered<P::Msg>) {
-        RoundCore::accept(self, dest, msg);
     }
 
     fn finalize(&mut self, round: Round, events: &mut Vec<NodeEvent>) -> Result<(), Infallible> {
@@ -247,7 +234,7 @@ pub fn run_with_crashes<P: SyncProtocol>(
 mod tests {
     use super::*;
     use crate::adversary::{AdversaryView, CrashDirective, FixedCrashSchedule};
-    use crate::message::Outgoing;
+    use crate::message::{Delivered, Outgoing};
     use crate::report::{check, Spec, Termination};
     use crate::SimError;
 
@@ -484,11 +471,11 @@ mod tests {
         assert_eq!(report.output_of(NodeId::new(1)), Some(&1));
     }
 
-    /// Node 0 sends to nodes that cannot take a message: in round 0 to
-    /// index n, which does not exist, and to node 1, which crashes silently
-    /// that round; in round 1 to node 2, which halted in round 0, and to
-    /// node 3, which takes it.  Each node halts with the number of messages
-    /// it got as its output.
+    /// Nodes 0 and 3 send to nodes that cannot take a message.  In round
+    /// 0, node 0 sends to index n, which does not exist, and both send to
+    /// node 1, which crashes silently that round.  In round 1, node 0 sends
+    /// to node 2, which halted in round 0, and to node 3, which takes it.
+    /// Each node halts with the number of messages it got as its output.
     struct Misaddressed {
         me: usize,
         n: usize,
@@ -503,6 +490,7 @@ mod tests {
         fn send(&mut self, round: Round, out: &mut Vec<Outgoing<bool>>) {
             let to: &[usize] = match (self.me, round.as_u64()) {
                 (0, 0) => &[self.n, 1],
+                (3, 0) => &[1],
                 (0, 1) => &[2, 3],
                 _ => &[],
             };
@@ -525,8 +513,10 @@ mod tests {
 
     /// A message to a node that does not exist, to one crashed this round
     /// and to one halted is counted against its sender and dropped, and the
-    /// serial host, which routes as it delivers, agrees with the sharded
-    /// one, whose coordinator routes the staged messages.
+    /// serial host agrees with the sharded one.  Over two shards (nodes
+    /// 0–1 and 2–3) node 3's message to the crashing node 1 and node 0's
+    /// to the halted node 2 cross to the other chunk, so the receiving
+    /// worker's core is the only place that drops them.
     #[test]
     fn misaddressed_messages_are_counted_and_dropped_by_every_host() {
         let n = 4;
@@ -554,7 +544,7 @@ mod tests {
             .run(5)
             .unwrap();
         assert_eq!(serial.termination, Termination::AllHalted);
-        assert_eq!(serial.metrics.messages, 4, "all four sends are counted");
+        assert_eq!(serial.metrics.messages, 5, "all five sends are counted");
         assert_eq!(serial.crashed_at[1], Some(Round::new(0)));
         assert_eq!(serial.halted_at[2], Some(Round::new(0)));
         let received = [0, 2, 3].map(|i| serial.output_of(NodeId::new(i)).copied());

@@ -11,7 +11,8 @@
 //! Each round a node sends one `ROUND` frame to every peer still taking
 //! part (a sync marker even when empty), then reads one frame from every
 //! peer still owing one and hands its core the messages in ascending sender
-//! order, as the serial merge does.  A peer owes a round-`r` frame unless it
+//! order, as the serial core takes them; the core's `accept` drops what its
+//! node may no longer take.  A peer owes a round-`r` frame unless it
 //! said `GOODBYE` (it halted), was suspected, or crashed before `r`.  All
 //! sends precede all reads, so a buffering transport cannot deadlock.
 //!
@@ -70,7 +71,7 @@ pub struct Mesh<P: SyncProtocol> {
 /// One node of a mesh: the multi-port round of `crate::coordinator` over
 /// the [`Mesh`] host.  Its report speaks for this node alone: its output,
 /// halt and message counts, next to the crash list every node derives.
-pub type MeshRunner<P> = Coordinator<Mesh<P>, MultiPort<<P as SyncProtocol>::Msg>>;
+pub type MeshRunner<P> = Coordinator<Mesh<P>, MultiPort>;
 
 impl<P: SyncProtocol<Msg: Wire>> MeshRunner<P> {
     /// Node `me` of a mesh of `links.len() + 1` nodes, reaching its peers
@@ -184,13 +185,9 @@ fn round_body<M: Wire>(p: usize, round: Round, buf: &[u8]) -> SimResult<Option<V
 impl<P: SyncProtocol<Msg: Wire>> Mesh<P> {
     /// One round of the lock step for a node still taking part: sends its
     /// staged messages, then (unless it is crashing now) reads a frame from
-    /// every peer owing one, and returns what it receives, its own messages
-    /// to itself included, in ascending sender order.
-    fn exchange(
-        &mut self,
-        round: Round,
-        crashed: &[(usize, DeliveryFilter)],
-    ) -> SimResult<Vec<(usize, Delivered<P::Msg>)>> {
+    /// every peer owing one, and hands its core what it receives, its own
+    /// messages to itself included, in ascending sender order.
+    fn exchange(&mut self, round: Round, crashed: &[(usize, DeliveryFilter)]) -> SimResult<()> {
         let me = self.core.base();
         // Per destination; one addressed past the last node is counted and
         // dropped.
@@ -212,10 +209,9 @@ impl<P: SyncProtocol<Msg: Wire>> Mesh<P> {
                 let _ = link.send(&buf);
             }
         }
-        let mut delivered = Vec::new();
         if crashing(me) {
             // A crashed node never receives.
-            return Ok(delivered);
+            return Ok(());
         }
         for (p, (slot, own)) in self.links.iter_mut().zip(mail).enumerate() {
             let msgs = match slot {
@@ -240,9 +236,11 @@ impl<P: SyncProtocol<Msg: Wire>> Mesh<P> {
             if crashing(p) {
                 *slot = None;
             }
-            delivered.extend(msgs.into_iter().map(|msg| (me, msg)));
+            for msg in msgs {
+                self.core.accept(0, msg);
+            }
         }
-        Ok(delivered)
+        Ok(())
     }
 }
 
@@ -267,8 +265,6 @@ impl<P: SyncProtocol<Msg: Wire>> Host for Mesh<P> {
 }
 
 impl<P: SyncProtocol<Msg: Wire>> MultiPortHost for Mesh<P> {
-    type Msg = P::Msg;
-
     /// The adversary is shown this node's intents alone.
     fn begin_round(&mut self, round: Round, send_intents: &mut [Vec<NodeId>]) -> SimResult<()> {
         let me = self.core.base();
@@ -278,13 +274,13 @@ impl<P: SyncProtocol<Msg: Wire>> MultiPortHost for Mesh<P> {
         Ok(())
     }
 
-    /// Runs the round's exchange and stages what this node receives as the
-    /// one chunk.
+    /// Runs the round's exchange, which hands this node's core what it
+    /// receives, and reports the node's counts as the one chunk.
     fn deliver(
         &mut self,
         round: Round,
         crashed: Vec<(usize, DeliveryFilter)>,
-        staged: &mut Vec<Staged<P::Msg>>,
+        staged: &mut Vec<Staged>,
     ) -> SimResult<()> {
         let me = self.core.base();
         // A node that halted or crashed before this round has left the lock
@@ -295,23 +291,15 @@ impl<P: SyncProtocol<Msg: Wire>> MultiPortHost for Mesh<P> {
             self.core.set_crashed(0, round);
         }
         self.core.deliver(own_crash.as_slice());
-        let delivered = if exchanging {
-            self.exchange(round, &crashed)?
-        } else {
-            Vec::new()
-        };
-        staged.clear();
+        if exchanging {
+            self.exchange(round, &crashed)?;
+        }
         staged.push(Staged {
             messages: self.core.msgs,
             bits: self.core.bits,
             byzantine_messages: self.core.byz_msgs,
-            delivered,
         });
         Ok(())
-    }
-
-    fn accept(&mut self, _dest: usize, msg: Delivered<P::Msg>) {
-        self.core.accept(0, msg);
     }
 
     /// On a halt, tells every peer still in the lock step.

@@ -18,8 +18,8 @@
 //! host** of this module ([`Framed`]), which runs a phase on every chunk by
 //! exchanging frames.  The coordinator therefore keeps everything
 //! order-sensitive exactly where the serial runners keep it — the
-//! crash-adversary phase, the merge in chunk (= node-index) order, the
-//! event replay, the single-port port map — and a sharded run is
+//! crash-adversary phase, the counts added in chunk (= node-index) order,
+//! the event replay, the single-port port map — and a sharded run is
 //! byte-identical to a serial run of the same seeded workload;
 //! `crates/bench/tests/determinism.rs` pins this with table diffs and
 //! transcript proptests.
@@ -28,14 +28,14 @@
 //!
 //! Each frame is `[u16 version][u8 tag][payload]` (see [`WIRE_VERSION`] and
 //! the [`wire`] codec).  Per round the host sends `Collect` and returns the
-//! intents; after the coordinator's crash phase it sends `Deliver`
-//! (multi-port; the worker returns surviving messages and metric deltas),
-//! queues the messages the coordinator routes, and sends them with
-//! `Receive` — or, single-port, sends the crash mirror and the pre-drained
-//! port contents with `SpReceive` — and returns the decision/halt events.
-//! The two bulk message lists (`Delivered` response, `Receive` request) are
-//! interned per frame: each distinct `Arc`-shared payload is written once
-//! and every further copy as a back-reference (see [`intern`]).
+//! intents; after the coordinator's crash phase, multi-port, it sends
+//! `Deliver` with the chunk's crashes and every chunk's end index.  The
+//! worker answers with its metric deltas and one [`Block`] per destination
+//! chunk; the host splices each block, as the bytes it arrived in, into its
+//! destination's `Receive` in source-chunk (= sender) order, and the
+//! receiving worker hands the messages to its core's `accept`.  Single-port,
+//! the host sends the crash mirror and the pre-drained port contents with
+//! `SpReceive`.  Both answer with the decision/halt events.
 //! `Shutdown` ends the loop; a worker treats transport EOF as shutdown, so
 //! a dying parent never leaves workers spinning.  Both sides treat a frame
 //! as untrusted: an index outside the chunk, a list of the wrong length or
@@ -58,6 +58,7 @@ pub mod wire;
 
 use std::collections::BTreeMap;
 use std::io;
+use std::marker::PhantomData;
 use std::ops::Range;
 use std::thread::JoinHandle;
 
@@ -74,7 +75,7 @@ use crate::protocol::{NodeStatus, SinglePortProtocol, SyncProtocol};
 use crate::round::Round;
 use crate::runner::Participant;
 
-pub use intern::{Slot, Slots};
+pub use intern::{Block, Slot, Slots};
 pub use schema::{Schema, Verdict};
 pub use transport::{
     read_frame, write_frame, ChannelTransport, ShardTransport, StreamTransport, MAX_FRAME_LEN,
@@ -90,7 +91,7 @@ pub use crate::{wire_enum, wire_struct};
 /// Version of the shard wire format.  Every frame carries it; both sides
 /// reject a mismatch, so a peer built from another revision fails loudly
 /// instead of silently mis-decoding.
-pub const WIRE_VERSION: u16 = 10;
+pub const WIRE_VERSION: u16 = 11;
 
 /// Frame tags (parent → worker).
 const REQ_COLLECT: u8 = 1;
@@ -317,18 +318,19 @@ fn describe_frame(schema: &mut Schema) {
 /// `O`: the frame header and the fields [`serve_multi_port`] reads and
 /// writes.  Everything on the wire is reached from here (see
 /// [`schema`]).
-pub fn describe_multi_port<M: Wire, O: Wire>(schema: &mut Schema) {
+pub fn describe_multi_port<M: WireMsg, O: Wire>(schema: &mut Schema) {
     describe_frame(schema);
     // Collect, Deliver and Receive open with the round.
     schema.declare::<Round>();
     // Intents: each node's send intents.
     schema.declare::<Vec<Vec<NodeId>>>();
-    // Deliver: the chunk's crashed nodes and their delivery filters.
+    // Deliver: the chunk's crashes, then every chunk's end index.
     schema.declare::<Vec<(usize, DeliveryFilter)>>();
-    // Delivered: three metric counters, then the surviving messages;
-    // Receive: the routed messages.
+    schema.declare::<Vec<usize>>();
+    // Delivered: three counters, then a block per destination chunk;
+    // Receive: a block per source chunk.
     schema.declare::<u64>();
-    schema.declare::<Slots<M>>();
+    schema.declare::<Vec<Block<M>>>();
     // Events: decisions and halts.
     schema.declare::<Vec<WireEvent<O>>>();
 }
@@ -404,8 +406,8 @@ fn events_response<O: Wire + Clone>(
 ///
 /// Returns an I/O error when the transport fails mid-execution or a frame is
 /// malformed ([`io::ErrorKind::InvalidData`]: bad header, unknown tag,
-/// undecodable payload, or an index outside this chunk); a clean EOF before
-/// a request is treated as shutdown.
+/// undecodable payload, no partition, or an index outside this chunk); a
+/// clean EOF before a request is treated as shutdown.
 pub fn serve_multi_port<P>(
     participants: Vec<Participant<P>>,
     base: usize,
@@ -417,6 +419,8 @@ where
     P::Output: Wire,
 {
     let mut chunk = RoundCore::new(base, participants);
+    // This round's survivors per destination chunk (reused).
+    let mut outbound: Vec<Block<P::Msg>> = Vec::new();
     serve(transport, |tag, r| match tag {
         REQ_COLLECT => {
             chunk.begin_round(field(r)?);
@@ -427,24 +431,40 @@ where
         REQ_DELIVER => {
             let round: Round = field(r)?;
             let crashed: Vec<(usize, DeliveryFilter)> = field(r)?;
+            let ends: Vec<usize> = field(r)?;
+            if ends.first().is_none_or(|&end| end == 0) || !ends.is_sorted_by(|a, b| a < b) {
+                return Err(bad_frame(format!("{ends:?} is no partition into chunks")));
+            }
             let mut filters = Vec::with_capacity(crashed.len());
             for (local, filter) in crashed {
                 chunk.set_crashed(check_local(local, chunk.len())?, round);
                 filters.push((base + local, filter));
             }
             chunk.deliver(&filters);
+            // By chunk-local index; a node past the last has no chunk.
+            outbound.resize_with(ends.len(), || Block(Vec::new()));
+            for (dest, msg) in chunk.delivered.drain(..) {
+                let to = ends.partition_point(|&end| end <= dest);
+                let start = to.checked_sub(1).and_then(|before| ends.get(before));
+                if let Some(Block(list)) = outbound.get_mut(to) {
+                    list.push((dest - start.copied().unwrap_or(0), msg));
+                }
+            }
             let mut resp = frame(RESP_DELIVERED);
             chunk.msgs.encode(&mut resp);
             chunk.bits.encode(&mut resp);
             chunk.byz_msgs.encode(&mut resp);
-            intern::intern(&mut chunk.delivered).encode(&mut resp);
+            outbound.encode(&mut resp);
+            outbound.iter_mut().for_each(|Block(list)| list.clear());
             Ok(resp)
         }
         REQ_RECEIVE => {
             let round: Round = field(r)?;
-            let inbound = intern::resolve(field::<Slots<P::Msg>>(r)?).map_err(wire_io)?;
-            for (local, msg) in inbound {
-                chunk.accept(check_local(local, chunk.len())?, msg);
+            // In source-chunk order, which is sender order.
+            for Block(list) in field::<Vec<Block<P::Msg>>>(r)? {
+                for (local, msg) in list {
+                    chunk.accept(check_local(local, chunk.len())?, msg);
+                }
             }
             chunk.finalize(round);
             Ok(events_response(
@@ -592,14 +612,14 @@ impl Link {
     }
 
     /// Receives shard `ci`'s pending response, checks its tag, decodes the
-    /// payload and has `vet` check and finish it; any failure — transport
-    /// error, bad frame, wrong tag, undecodable or implausible payload — is
-    /// the run's error.
+    /// payload and has `vet` check and finish it, reading what follows the
+    /// payload itself if it wants; any failure — transport error, bad frame,
+    /// wrong tag, undecodable or implausible payload — is the run's error.
     fn transact<T: Wire, U>(
         &mut self,
         ci: usize,
         expected: u8,
-        vet: impl Fn(T) -> Result<U, String>,
+        vet: impl FnOnce(T, &mut WireReader<'_>) -> Result<U, String>,
     ) -> SimResult<U> {
         let tag = Some(expected);
         let received = self.transports[ci].recv();
@@ -613,7 +633,7 @@ impl Link {
             return Err(self.fail(ci, tag, detail));
         }
         let payload = T::decode(&mut r).map_err(|err| err.to_string());
-        let vetted = payload.and_then(vet);
+        let vetted = payload.and_then(|payload| vet(payload, &mut r));
         vetted.map_err(|detail| self.fail(ci, tag, format!("response payload: {detail}")))
     }
 }
@@ -636,7 +656,7 @@ pub trait WireOutput: Wire + Clone + PartialEq + std::fmt::Debug + Send + 'stati
 impl<O: Wire + Clone + PartialEq + std::fmt::Debug + Send + 'static> WireOutput for O {}
 
 /// The framed host: the chunks live behind shard transports, and a phase
-/// runs on every chunk by sending each worker a request frame and decoding
+/// runs on every chunk by sending each worker a request frame and reading
 /// its response.
 ///
 /// It never holds protocol state machines — only the outputs the workers
@@ -647,9 +667,10 @@ pub struct Framed<O, Q> {
     queued: Vec<Q>,
 }
 
-/// Multi-port: the messages routed to a chunk (chunk-local destination)
-/// since its last `Receive`.
-pub type Inbound<M> = Vec<(usize, Delivered<M>)>;
+/// Multi-port: a chunk's next `Receive` frame, built from the `Delivered`
+/// responses as they come in: each source chunk's block for it, as bytes.
+/// The blocks encode messages `M`, which the host never decodes.
+pub type Receive<M> = (Vec<u8>, PhantomData<M>);
 
 /// Single-port: a chunk's pending sends (the parent enqueues them), and the
 /// crash mirror and pre-drained ports for its next `SpReceive` (one slot per
@@ -722,7 +743,7 @@ impl<O: WireOutput, Q: Default> Framed<O, Q> {
     fn recv_events(&mut self, events: &mut Vec<NodeEvent>) -> SimResult<()> {
         for ci in 0..self.link.chunks() {
             let range = self.link.range(ci);
-            let own_nodes_only = |reported: Vec<WireEvent<O>>| match reported
+            let own_nodes_only = |reported: Vec<WireEvent<O>>, _: &mut WireReader| match reported
                 .iter()
                 .find(|event| !range.contains(&event.node))
             {
@@ -783,20 +804,17 @@ impl<O: WireOutput, Q> Host for Framed<O, Q> {
     reason = "chunk tables are sized by the ChunkPlan that `locate` / `range` answer from, and \
               each reply's length is vetted by `sized` before it is zipped in"
 )]
-impl<M: WireMsg, O: WireOutput> MultiPortHost for Framed<O, Inbound<M>> {
-    type Msg = M;
-
+impl<M, O: WireOutput> MultiPortHost for Framed<O, Receive<M>> {
     fn begin_round(&mut self, round: Round, send_intents: &mut [Vec<NodeId>]) -> SimResult<()> {
         self.link.round = round.as_u64();
         self.link.broadcast(&round_request(REQ_COLLECT, round))?;
         for ci in 0..self.link.chunks() {
             let range = self.link.range(ci);
             let len = range.len();
-            let intents = self
-                .link
-                .transact(ci, RESP_INTENTS, |intents: Vec<Vec<NodeId>>| {
-                    sized(intents.len(), len, "intent lists").map(|()| intents)
-                })?;
+            let vet = |intents: Vec<Vec<NodeId>>, _: &mut WireReader| {
+                sized(intents.len(), len, "intent lists").map(|()| intents)
+            };
+            let intents = self.link.transact(ci, RESP_INTENTS, vet)?;
             for (slot, list) in send_intents[range].iter_mut().zip(intents) {
                 *slot = list;
             }
@@ -808,49 +826,55 @@ impl<M: WireMsg, O: WireOutput> MultiPortHost for Framed<O, Inbound<M>> {
         &mut self,
         round: Round,
         crashed: Vec<(usize, DeliveryFilter)>,
-        staged: &mut Vec<Staged<M>>,
+        staged: &mut Vec<Staged>,
     ) -> SimResult<()> {
-        let mut crashed_by_chunk = vec![Vec::new(); self.link.chunks()];
+        let chunks = self.link.chunks();
+        let mut crashed_by_chunk = vec![Vec::new(); chunks];
         for (victim, filter) in crashed {
             let (ci, local) = self.link.plan.locate(victim);
             crashed_by_chunk[ci].push((local, filter));
         }
+        let ends: Vec<usize> = (0..chunks).map(|ci| self.link.range(ci).end).collect();
         for (ci, crashed) in crashed_by_chunk.iter().enumerate() {
             let mut request = round_request(REQ_DELIVER, round);
             crashed.encode(&mut request);
+            ends.encode(&mut request);
             self.link.send_to(ci, &request)?;
         }
-        staged.clear();
-        for ci in 0..self.link.chunks() {
-            // Counters, then the surviving messages in frame form — nested so
-            // the tuple codec reads them in the order the worker wrote them.
-            type Delivery<M> = ((u64, u64, u64), Slots<M>);
-            let ((messages, bits, byzantine_messages), delivered) =
-                self.link
-                    .transact(ci, RESP_DELIVERED, |(counters, slots): Delivery<M>| {
-                        let delivered = intern::resolve(slots).map_err(|err| err.to_string())?;
-                        Ok((counters, delivered))
-                    })?;
-            staged.push(Staged {
-                messages,
-                bits,
-                byzantine_messages,
-                delivered,
-            });
+        for (receive, _) in &mut self.queued {
+            *receive = round_request(REQ_RECEIVE, round);
+            chunks.encode(receive);
+        }
+        for ci in 0..chunks {
+            // Counters and the block count, then one block per destination
+            // chunk, each appended to that chunk's `Receive` as it stands.
+            type Counts = ((u64, u64, u64), usize);
+            let queued = &mut self.queued;
+            let vet = |((messages, bits, byzantine_messages), blocks): Counts,
+                       r: &mut WireReader| {
+                if blocks != chunks {
+                    return Err(format!("{blocks} blocks for {chunks} chunks"));
+                }
+                for (receive, _) in queued.iter_mut() {
+                    let block = r.block().map_err(|err| err.to_string())?;
+                    block.len().encode(receive);
+                    receive.extend_from_slice(block);
+                }
+                Ok(Staged {
+                    messages,
+                    bits,
+                    byzantine_messages,
+                })
+            };
+            staged.push(self.link.transact(ci, RESP_DELIVERED, vet)?);
         }
         Ok(())
     }
 
-    fn accept(&mut self, dest: usize, msg: Delivered<M>) {
-        let (ci, local) = self.link.plan.locate(dest);
-        self.queued[ci].push((local, msg));
-    }
-
-    fn finalize(&mut self, round: Round, events: &mut Vec<NodeEvent>) -> SimResult<()> {
-        for (ci, inbound) in self.queued.iter_mut().enumerate() {
-            let mut request = round_request(REQ_RECEIVE, round);
-            intern::intern(inbound).encode(&mut request);
-            self.link.send_to(ci, &request)?;
+    fn finalize(&mut self, _round: Round, events: &mut Vec<NodeEvent>) -> SimResult<()> {
+        // Taken, so no round's blocks stay resident into the next.
+        for (ci, (receive, _)) in self.queued.iter_mut().enumerate() {
+            self.link.send_to(ci, &std::mem::take(receive))?;
         }
         self.recv_events(events)
     }
@@ -876,7 +900,7 @@ impl<M: WireMsg, O: WireOutput> SinglePortHost for Framed<O, SpQueued<M>> {
             let range = self.link.range(ci);
             let len = range.len();
             type SpIntents<M> = (Vec<Option<Outgoing<M>>>, Vec<Option<NodeId>>);
-            let vet = |(sends, polled): SpIntents<M>| {
+            let vet = |(sends, polled): SpIntents<M>, _: &mut WireReader| {
                 sized(sends.len(), len, "sends")
                     .and(sized(polled.len(), len, "polled ports"))
                     .map(|()| (sends, polled))
@@ -975,7 +999,7 @@ fn spawn_in_process<T: Send + 'static>(
 /// serve the chunks on threads of this process, or
 /// [`ShardedRunner::connect`] with transports to workers served elsewhere.
 /// `run` is single-shot: it shuts the workers down.
-pub type ShardedRunner<M, O> = Coordinator<Framed<O, Inbound<M>>, MultiPort<M>>;
+pub type ShardedRunner<M, O> = Coordinator<Framed<O, Receive<M>>, MultiPort>;
 
 impl<M: WireMsg, O: WireOutput> ShardedRunner<M, O> {
     /// Connects a coordinator over `n` nodes to already-serving shard

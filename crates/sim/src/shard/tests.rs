@@ -389,8 +389,9 @@ impl SyncProtocol for FloodSets {
     }
 }
 
-/// Back-references resolve to the payloads the serial run delivers, and
-/// each sender's two payloads cross once per frame, not once per copy.
+/// Back-references resolve to the payloads the serial run delivers, each
+/// sender's two payloads cross once per destination chunk, not once per
+/// copy, and the coordinator forwards every block as it arrived.
 #[test]
 fn interned_frames_carry_each_payload_once_and_match_the_serial_run() {
     let n = 12;
@@ -405,12 +406,26 @@ fn interned_frames_carry_each_payload_once_and_match_the_serial_run() {
         ShardedRunner::in_process(FloodSets::participants(n), adversary, 3, 2).unwrap();
     assert_eq!(serial, sharded.run(10).expect("sharded run"));
 
-    // The `Delivered` frames, envelopes and all, are smaller than the
-    // payloads alone would be per copy (a `Vec<u64>` is as many bytes on
-    // the wire as `bit_len` counts bits, over eight).
+    // A block is interned on its own, so a payload is written once per
+    // destination chunk: both of a sender's payloads reach both chunks
+    // (their destinations alternate), so each is written twice a round
+    // where it has n / 2 copies.  The `Delivered` frames, envelopes and
+    // all, therefore stay smaller than the payloads alone would be per copy
+    // (a `Vec<u64>` is as many bytes on the wire as `bit_len` counts bits,
+    // over eight).
     let delivered = sharded.wire_stats().named("Delivered");
     assert_eq!(delivered.frames, 2 * 3, "two shards, three rounds");
     assert!(delivered.bytes < serial.metrics.bits / 8, "{delivered:?}");
+    // The same blocks, byte for byte, make up the `Receive` frames: per
+    // frame, only the 35-byte opening (header, counters, block count) of a
+    // `Delivered` becomes the 19-byte one (header, round, block count) of a
+    // `Receive`.
+    let receive = sharded.wire_stats().named("Receive");
+    assert_eq!(receive.frames, delivered.frames);
+    assert_eq!(
+        delivered.bytes - receive.bytes,
+        (35 - 19) * delivered.frames
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -435,29 +450,98 @@ fn request(tag: u8, payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     request
 }
 
+/// `slots` as one block on the wire: the length prefix, then the slots.
+fn block(slots: Slots<bool>) -> Vec<u8> {
+    let body = to_bytes(&slots);
+    [to_bytes(&body.len()), body].concat()
+}
+
+/// A `Receive` payload of `blocks`.
+fn blocks(blocks: &[Vec<u8>]) -> impl FnOnce(&mut Vec<u8>) + '_ {
+    |out| {
+        blocks.len().encode(out);
+        blocks.iter().for_each(|block| out.extend_from_slice(block));
+    }
+}
+
 #[test]
 fn worker_refuses_indices_and_lengths_outside_its_chunk() {
-    let hostile = [
+    let (from, partition) = (NodeId::new(0), vec![4usize, 6]);
+    let mut long_block = block(vec![(0, from, Slot::Inline(true))]);
+    long_block[0] += 1;
+    long_block.push(0);
+    let hostile: [(bool, Vec<u8>, &str); 10] = [
         // A crash verdict for local node 2 of a 2-node chunk.
         (
             false,
             request(REQ_DELIVER, |out| {
-                vec![(2usize, DeliveryFilter::All)].encode(out)
+                vec![(2usize, DeliveryFilter::All)].encode(out);
+                partition.encode(out);
             }),
+            "local node index 2 outside a chunk of 2 nodes",
+        ),
+        // Chunk ends that do not ascend, none at all, or an empty first
+        // chunk: no partition to split the survivors by.
+        (
+            false,
+            request(REQ_DELIVER, |out| {
+                Vec::<(usize, DeliveryFilter)>::new().encode(out);
+                vec![6usize, 4].encode(out);
+            }),
+            "no partition",
+        ),
+        (
+            false,
+            request(REQ_DELIVER, |out| {
+                Vec::<(usize, DeliveryFilter)>::new().encode(out);
+                Vec::<usize>::new().encode(out);
+            }),
+            "no partition",
+        ),
+        (
+            false,
+            request(REQ_DELIVER, |out| {
+                Vec::<(usize, DeliveryFilter)>::new().encode(out);
+                vec![0usize, 6].encode(out);
+            }),
+            "no partition",
         ),
         // A message routed to local node 7.
         (
             false,
-            request(REQ_RECEIVE, |out| {
-                vec![(7usize, NodeId::new(0), Slot::Inline(true))].encode(out)
-            }),
+            request(
+                REQ_RECEIVE,
+                blocks(&[block(vec![(7, from, Slot::Inline(true))])]),
+            ),
+            "local node index 7 outside a chunk of 2 nodes",
         ),
-        // A back-reference to a slot the frame has not defined.
+        // A back-reference to a slot the block has not defined ...
         (
             false,
-            request(REQ_RECEIVE, |out| {
-                vec![(0usize, NodeId::new(0), Slot::<bool>::Shared(0))].encode(out)
-            }),
+            request(
+                REQ_RECEIVE,
+                blocks(&[block(vec![(0, from, Slot::Shared(0))])]),
+            ),
+            "not defined yet",
+        ),
+        // ... and, in a second block, to a slot of the first: each block
+        // is interned, and resolved, on its own.
+        (
+            false,
+            request(
+                REQ_RECEIVE,
+                blocks(&[
+                    block(vec![(0, from, Slot::Inline(true))]),
+                    block(vec![(1, NodeId::new(5), Slot::Shared(0))]),
+                ]),
+            ),
+            "not defined yet",
+        ),
+        // A block whose byte length covers more than its slots.
+        (
+            false,
+            request(REQ_RECEIVE, blocks(&[long_block])),
+            "1 bytes left over in a block",
         ),
         // Single-port: a crash verdict for local node 2 ...
         (
@@ -466,6 +550,7 @@ fn worker_refuses_indices_and_lengths_outside_its_chunk() {
                 vec![2usize].encode(out);
                 vec![None::<Vec<bool>>; 2].encode(out);
             }),
+            "local node index 2 outside a chunk of 2 nodes",
         ),
         // ... and three drained ports for two nodes.
         (
@@ -474,65 +559,84 @@ fn worker_refuses_indices_and_lengths_outside_its_chunk() {
                 Vec::<usize>::new().encode(out);
                 vec![None::<Vec<bool>>; 3].encode(out);
             }),
+            "3 drained ports for a chunk of 2 nodes",
         ),
     ];
-    for (single_port, frame) in hostile {
+    for (single_port, frame, detail) in hostile {
         let err = serve_one(single_port, frame);
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains(detail), "{detail}: {err}");
     }
 }
 
-/// A worker may report decisions and halts only for its own nodes: shard 1
-/// (nodes 2..4) claiming that node 0 halted is a malformed response — a
-/// structured error.
+/// A worker may answer only for its own chunk, in the partition's shape:
+/// shard 1 (nodes 2..4) delivering three blocks for two chunks, or claiming
+/// that node 0 halted, is a malformed response — a structured error naming
+/// the shard, the response and the round.
 #[test]
 fn parent_refuses_events_for_another_chunks_node() {
     let n = 4;
-    let lying = spawn_worker(Wiring::Channel, |transport| loop {
-        let (tag, _) = open_frame(&transport.recv()?).map_err(wire_io)?;
-        let mut resp;
-        match tag {
-            REQ_COLLECT => {
-                resp = frame(RESP_INTENTS);
-                vec![Vec::<NodeId>::new(); 2].encode(&mut resp);
+    let lies = [
+        (RESP_DELIVERED, "3 blocks for 2 chunks"),
+        (RESP_EVENTS, "an event for node 0, outside the chunk"),
+    ];
+    for (lie_at, detail) in lies {
+        let lying = spawn_worker(Wiring::Channel, move |transport| loop {
+            let (tag, _) = open_frame(&transport.recv()?).map_err(wire_io)?;
+            let mut resp;
+            match tag {
+                REQ_COLLECT => {
+                    resp = frame(RESP_INTENTS);
+                    vec![Vec::<NodeId>::new(); 2].encode(&mut resp);
+                }
+                REQ_DELIVER => {
+                    resp = frame(RESP_DELIVERED);
+                    (0u64, 0u64, 0u64).encode(&mut resp);
+                    let blocks = if lie_at == RESP_DELIVERED { 3 } else { 2 };
+                    vec![Block::<bool>(Vec::new()); blocks].encode(&mut resp);
+                }
+                _ => {
+                    resp = frame(RESP_EVENTS);
+                    let stray = WireEvent {
+                        node: 0,
+                        halted: true,
+                        output: Some(true),
+                    };
+                    let events = if lie_at == RESP_EVENTS {
+                        vec![stray]
+                    } else {
+                        Vec::new()
+                    };
+                    events.encode(&mut resp);
+                }
             }
-            REQ_DELIVER => {
-                resp = frame(RESP_DELIVERED);
-                (0u64, 0u64, 0u64).encode(&mut resp);
-                Slots::<bool>::new().encode(&mut resp);
-            }
-            _ => {
-                resp = frame(RESP_EVENTS);
-                let stray = WireEvent {
-                    node: 0,
-                    halted: true,
-                    output: Some(true),
-                };
-                vec![stray].encode(&mut resp);
-            }
-        }
-        transport.send(&resp)?;
-    });
-    let transports = vec![flood_or_worker(n, 2, 0), lying];
-    let mut sharded = ShardedRunner::<bool, bool>::connect(
-        n,
-        Box::new(NoFaults),
-        0,
-        NodeSet::empty(n),
-        2,
-        transports,
-    )
-    .unwrap();
-    let Err(SimError::Shard(err)) = sharded.run(5) else {
-        panic!("a stray event must fail the run");
-    };
-    assert_eq!((err.shard, err.frame_tag), (1, Some(RESP_EVENTS)));
-    assert!(err.detail.contains("outside the chunk"), "{}", err.detail);
+            transport.send(&resp)?;
+        });
+        let transports = vec![flood_or_worker(n, 2, 0), lying];
+        let mut sharded = ShardedRunner::<bool, bool>::connect(
+            n,
+            Box::new(NoFaults),
+            0,
+            NodeSet::empty(n),
+            2,
+            transports,
+        )
+        .unwrap();
+        let Err(SimError::Shard(err)) = sharded.run(5) else {
+            panic!("a lie at tag {lie_at} must fail the run");
+        };
+        assert_eq!(
+            (err.shard, err.frame_tag, err.round),
+            (1, Some(lie_at), Some(0)),
+            "{err}"
+        );
+        assert!(err.detail.contains(detail), "{}", err.detail);
+    }
 }
 
 #[test]
 fn wire_event_golden_bytes() {
-    assert_eq!(WIRE_VERSION, 10);
+    assert_eq!(WIRE_VERSION, 11);
     let decided = WireEvent {
         node: 17,
         halted: false,

@@ -17,9 +17,9 @@ use std::sync::mpsc::{Receiver, Sender};
 /// not make the receiver allocate unbounded memory, so the cap exists as a
 /// sanity bound, not a workload limit.  One `Delivered` response carries a
 /// chunk's whole round of surviving messages, but an `Arc`-shared payload
-/// is written once per frame and every further copy as a back-reference
-/// (`super::intern`), so a frame grows with the *distinct* payloads of a
-/// round plus 17 bytes per message.  Protocols that deep-copy a large
+/// is written once per destination chunk and every further copy as a
+/// back-reference (`super::intern`), so a frame grows with the *distinct*
+/// payloads of a round per chunk plus 17 bytes per message.  Protocols that deep-copy a large
 /// payload per destination still pay per copy; the cap is sized to clear
 /// them at paper-scale `n` rather than reject them.
 pub const MAX_FRAME_LEN: u32 = 1024 * 1024 * 1024;

@@ -115,6 +115,13 @@ impl<'a> WireReader<'a> {
         usize::try_from(self.u64()?).map_err(|_| WireError::new("length does not fit in usize"))
     }
 
+    /// Reads a length-prefixed run of bytes (a `u64` byte count, then the
+    /// bytes) without looking inside it.
+    pub fn block(&mut self) -> WireResult<&'a [u8]> {
+        let len = self.len()?;
+        self.take(len, "block")
+    }
+
     /// Fills `words` with a run of little-endian `u64`s (what [`put_u64s`]
     /// writes): one bounds check for the whole run.
     pub fn u64s(&mut self, words: &mut [u64]) -> WireResult<()> {
@@ -405,14 +412,13 @@ macro_rules! wire_enum {
     };
 }
 
-/// The hand-written codecs of this module, by schema name (tuples are
-/// `Tuple2` / `Tuple3`, `()` is `Unit`): primitives and containers, the memo
-/// cell that is deliberately not on the wire, and the two identifier
-/// newtypes whose fields are private to their modules.  Everything else is
-/// declared.
+/// The hand-written codecs of this module, by schema name (`()` is
+/// `Unit`): primitives and containers, the memo cell that is deliberately
+/// not on the wire, and the two identifier newtypes whose fields are
+/// private to their modules.  Everything else is declared, the tuples too
+/// (as `Tuple2` / `Tuple3`, by their element types).
 pub const LEAVES: &[&str] = &[
-    "Unit", "bool", "u8", "u16", "u64", "usize", "Vec", "Tuple2", "Tuple3", "Arc", "OnceLock",
-    "NodeId", "Round",
+    "Unit", "bool", "u8", "u16", "u64", "usize", "Vec", "Arc", "OnceLock", "NodeId", "Round",
 ];
 
 /// A field that carries nothing writes nothing.
@@ -549,7 +555,7 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
     }
 
     fn describe(schema: &mut Schema) {
-        schema.leaf("Tuple2");
+        schema.record("Tuple2", "Tuple2<A: Wire, B: Wire>(A, B)");
         schema.declare::<A>();
         schema.declare::<B>();
     }
@@ -567,7 +573,7 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
     }
 
     fn describe(schema: &mut Schema) {
-        schema.leaf("Tuple3");
+        schema.record("Tuple3", "Tuple3<A: Wire, B: Wire, C: Wire>(A, B, C)");
         schema.declare::<A>();
         schema.declare::<B>();
         schema.declare::<C>();
@@ -577,11 +583,11 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
 impl<T: Wire> Wire for Arc<T> {
     /// The per-value codec is the inner value's: one `Arc` encodes in full
     /// and decodes into a fresh allocation.  Sharing *between* the copies
-    /// of a round is the frame's business, not the value's: the bulk
-    /// message lists write each distinct allocation once and every further
-    /// copy as a back-reference, by address (see [`super::intern`] and
+    /// of a round is the frame's business, not the value's: a message
+    /// block writes each distinct allocation once and every further copy
+    /// as a back-reference, by address (see [`super::intern`] and
     /// [`Payload::share_key`](crate::message::Payload::share_key)), so this
-    /// impl runs once per distinct payload per frame.
+    /// impl runs once per distinct payload per block.
     fn encode(&self, out: &mut Vec<u8>) {
         self.as_ref().encode(out);
     }
@@ -689,7 +695,7 @@ mod tests {
         round_trip(vec![Some((NodeId::new(3), 4u64)), None]);
     }
 
-    /// The pair and triple codecs, the leaves the schema names `Tuple2` and
+    /// The pair and triple codecs, which the schema names `Tuple2` and
     /// `Tuple3`, on the element types the protocols put in them.
     #[test]
     fn tuple_aliases_round_trip() {
@@ -727,7 +733,7 @@ mod tests {
     /// bump asserted beside it.
     #[test]
     fn golden_bytes() {
-        assert_eq!(crate::shard::WIRE_VERSION, 10);
+        assert_eq!(crate::shard::WIRE_VERSION, 11);
         assert_eq!(to_bytes(&true), b"\x01");
         assert_eq!(to_bytes(&0xABu8), b"\xab");
         assert_eq!(to_bytes(&0xBEEFu16), b"\xef\xbe");

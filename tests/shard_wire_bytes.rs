@@ -1,8 +1,9 @@
 //! What a sharded execution puts on its transports, counted per frame tag
 //! by the coordinator (`wire_stats`) and checked against the per-message
 //! codec: a protocol that `Arc`-shares its payloads crosses each distinct
-//! payload once per frame, and a protocol that shares nothing pays exactly
-//! one slot-tag byte per message for the table it does not use.
+//! payload once per block (one per pair of chunks), and a protocol that
+//! shares nothing pays exactly one slot-tag byte per message for the table
+//! it does not use.
 
 #![expect(
     clippy::expect_used,
@@ -41,9 +42,9 @@ impl Flow {
     }
 }
 
-/// Everything the nodes sent (what the `Delivered` responses carry when
-/// nobody crashes) and everything handed to a `receive` (what the `Receive`
-/// requests carry).
+/// Everything the nodes sent (what the `Delivered` responses, and the
+/// `Receive` requests that forward them, carry when nobody crashes) and
+/// everything handed to a `receive`.
 #[derive(Default)]
 struct Tally {
     sent: Flow,
@@ -112,10 +113,13 @@ where
 
 /// Bytes of the two bulk frame kinds outside the messages themselves.
 /// Per frame: the 3-byte header, then three `u64` counters (`Delivered`) or
-/// the round (`Receive`), then the list length.  Per message: the node the
-/// list is keyed by, the sender, and the slot tag.
+/// the round (`Receive`), then the block count.  Per frame and shard: one
+/// block, its byte length and its list length.  Per message: the
+/// destination's index within its chunk, the sender, and the slot tag.
 const DELIVERED_FRAME: u64 = 3 + 24 + 8;
 const RECEIVE_FRAME: u64 = 3 + 8 + 8;
+const BLOCK: u64 = 8 + 8;
+const SHARDS: u64 = 2;
 const ENVELOPE: u64 = 8 + 8;
 const SLOT_TAG: u64 = 1;
 
@@ -148,16 +152,21 @@ fn unshared_consensus_payloads_cost_one_tag_byte_per_message() {
     let (wire, tally) = run_tapped(nodes, rounds + 2);
 
     let (sent, sent_bytes) = tally.sent.read();
+    let messages = sent * (ENVELOPE + SLOT_TAG) + sent_bytes;
     let delivered = wire.named("Delivered");
     assert!(sent > 0);
     assert_eq!(
         delivered.bytes,
-        delivered.frames * DELIVERED_FRAME + sent * (ENVELOPE + SLOT_TAG) + sent_bytes
+        delivered.frames * (DELIVERED_FRAME + SHARDS * BLOCK) + messages
     );
-    let (received, received_bytes) = tally.received.read();
+    // The coordinator forwards the same blocks.  A message to a node that
+    // has halted crosses too, and only the receiving worker drops it, so
+    // the nodes are handed at most what was sent.
     let receive = wire.named("Receive");
     assert_eq!(
         receive.bytes,
-        receive.frames * RECEIVE_FRAME + received * (ENVELOPE + SLOT_TAG) + received_bytes
+        receive.frames * (RECEIVE_FRAME + SHARDS * BLOCK) + messages
     );
+    let (received, _) = tally.received.read();
+    assert!(0 < received && received <= sent);
 }
