@@ -11,7 +11,7 @@
 //!
 //! * `--scale` picks the size tier (`quick` is the CI default, `full` the
 //!   sizes recorded in `EXPERIMENTS.md`, `paper` the n = 10^3–10^4 sizes of
-//!   the slow suite; `--full` is kept as an alias for `--scale full`);
+//!   the slow suite);
 //! * `--n`, `--t`, `--seed` override system size, fault bound and base seed
 //!   for every experiment (see `SweepConfig`; out-of-range `--t` overrides
 //!   are clamped per experiment with a warning on stderr);
@@ -383,7 +383,6 @@ fn main() -> ExitCode {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
-            "--full" => cfg.scale = Scale::Full,
             "--timings" => timings = true,
             "--scale" => {
                 let Some(name) = args.next() else {

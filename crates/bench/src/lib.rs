@@ -376,7 +376,7 @@ where
     }
 
     fn describe(schema: &mut Schema) {
-        dft_sim::shard::describe_multi_port::<P::Msg, P::Output>(schema);
+        dft_sim::shard::describe_shard::<P::Msg, P::Output>(schema);
     }
 }
 
@@ -410,7 +410,7 @@ where
     }
 
     fn describe(schema: &mut Schema) {
-        dft_sim::shard::describe_single_port::<P::Msg, P::Output>(schema);
+        dft_sim::shard::describe_shard::<P::Msg, P::Output>(schema);
     }
 }
 

@@ -1,18 +1,19 @@
 //! The batched-delivery core shared by both round engines.
 //!
 //! [`Runner`](crate::Runner) and [`SinglePortRunner`](crate::SinglePortRunner)
-//! drive different communication models but share the same round skeleton:
+//! drive different communication models but share the same round loop:
 //! collect intents from running nodes, let the crash adversary pick this
 //! round's victims, deliver the surviving messages, then advance node
-//! statuses.  [`EngineCore`] holds the state both engines need across rounds
+//! statuses.  [`EngineCore`] holds the state that loop needs across rounds
 //! and keeps it *incremental*: the alive/crashed [`NodeSet`]s handed to the
 //! adversary are updated on each crash instead of being re-derived from the
-//! status vector every round, and the per-node delivery-filter slots are
-//! reused flat buffers rather than a fresh allocation per round.
+//! status vector every round, and the round's crashes with their delivery
+//! filters are a reused buffer rather than a fresh allocation per round.
 //!
 //! [`PortMap`] is the sparse replacement for the single-port engine's dense
-//! `n × n` port matrix: it stores only ports that currently buffer messages,
-//! so memory stays `O(n + live messages)` at paper-scale `n`.
+//! `n × n` port matrix, kept by the single-port core for the nodes it owns:
+//! it stores only ports that currently buffer messages, so memory stays
+//! `O(n + live messages)` at paper-scale `n`.
 
 use std::collections::hash_map::{DefaultHasher, HashMap};
 use std::fmt;
@@ -51,11 +52,9 @@ pub(crate) struct EngineCore {
     pub metrics: Metrics,
     /// Coarse-grained event trace.
     pub trace: Trace,
-    /// Reusable per-node delivery-filter slots for the current round; only
-    /// the indices listed in `struck` are ever `Some`.
-    filters: Vec<Option<DeliveryFilter>>,
-    /// Nodes crashed in the current round (indices into `filters`).
-    struck: Vec<usize>,
+    /// Nodes crashed in the current round, with their delivery filters
+    /// (reused).
+    struck: Vec<(usize, DeliveryFilter)>,
     /// Number of nodes still [`NodeStatus::Running`] — maintained on every
     /// crash/halt transition so the runners' per-round "has everyone
     /// halted?" check is O(1) instead of an O(n) status scan (single-port
@@ -97,7 +96,6 @@ impl EngineCore {
             round: Round::ZERO,
             metrics: Metrics::new(),
             trace: Trace::disabled(),
-            filters: vec![None; n],
             struck: Vec::new(),
             running: n,
         })
@@ -153,18 +151,12 @@ impl EngineCore {
                 round,
                 node: directive.node,
             });
-            self.filters[idx] = Some(directive.deliver);
-            self.struck.push(idx);
+            self.struck.push((idx, directive.deliver));
         }
     }
 
-    /// The delivery filter of a node that crashed this round, if any.
-    pub fn filter(&self, idx: usize) -> Option<&DeliveryFilter> {
-        self.filters[idx].as_ref()
-    }
-
-    /// Nodes crashed during the current round.
-    pub fn crashed_this_round(&self) -> &[usize] {
+    /// Nodes crashed during the current round, with their delivery filters.
+    pub fn crashed_this_round(&self) -> &[(usize, DeliveryFilter)] {
         &self.struck
     }
 
@@ -193,12 +185,9 @@ impl EngineCore {
         }
     }
 
-    /// Finishes the current round: clears this round's filter slots and
+    /// Finishes the current round: clears this round's crashes and
     /// advances the round counter and metrics.
     pub fn finish_round(&mut self) {
-        for &idx in &self.struck {
-            self.filters[idx] = None;
-        }
         self.struck.clear();
         self.metrics.rounds = self.round.as_u64() + 1;
         self.round = self.round.next();
@@ -206,7 +195,8 @@ impl EngineCore {
 }
 
 /// A sparse map of buffered single-port message queues, keyed by
-/// `(destination, sender)`.
+/// `(destination, sender)`: the in-ports of the nodes a
+/// [`crate::SinglePortCore`] owns.
 ///
 /// The seed engine kept a dense `n × n` matrix of [`std::collections::VecDeque`]s —
 /// `O(n²)` memory before a single message moved, which is what ruled out
@@ -233,11 +223,11 @@ pub(crate) struct PortMap<M> {
     /// Emptied queue buffers waiting for reuse.  Drained queues leave the
     /// map (that is what keeps it sparse), so without recycling every
     /// drain/push cycle of a port would drop one `Vec` and construct
-    /// another; backends return finished poll buffers here each round (see
-    /// [`PortMap::reclaim`]) and `push` takes from the pool first.
-    /// Growth is bounded: a buffer enters only after a drain took it, with
-    /// its messages, out of the map.
+    /// another; the core returns each finished poll buffer here
+    /// ([`PortMap::recycle`]) and `push` takes from the pool first.
     spares: Vec<Vec<M>>,
+    /// Buffers the last drain handed out that have not come back yet.
+    lent: usize,
 }
 
 impl<M> PortMap<M> {
@@ -248,6 +238,7 @@ impl<M> PortMap<M> {
             occupied: Vec::new(),
             buffered: 0,
             spares: Vec::new(),
+            lent: 0,
         }
     }
 
@@ -279,25 +270,42 @@ impl<M> PortMap<M> {
         mut port_of: impl FnMut(usize) -> Option<usize>,
         mut hand: impl FnMut(usize, Vec<M>),
     ) {
-        let (queues, buffered) = (&mut self.queues, &mut self.buffered);
+        let (queues, buffered, lent) = (&mut self.queues, &mut self.buffered, &mut self.lent);
+        *lent = 0;
         self.occupied.retain(|&to| {
             let Some(ports) = queues.get_mut(to) else {
                 return false;
             };
             if let Some(msgs) = port_of(to).and_then(|from| ports.remove(&from)) {
                 *buffered -= msgs.len();
+                *lent += 1;
                 hand(to, msgs);
             }
             !ports.is_empty()
         });
     }
 
-    /// Moves the emptied poll buffers in `bufs` into the spare pool for
-    /// reuse by later `push` calls.  Buffers must already be empty (the
-    /// cores clear them as part of recycling).
-    pub fn reclaim(&mut self, bufs: &mut Vec<Vec<M>>) {
-        debug_assert!(bufs.iter().all(Vec::is_empty));
-        self.spares.append(bufs);
+    /// Keeps a finished poll buffer for a later `push`, emptied, unless it
+    /// never held anything.  The pool takes back as many buffers as the
+    /// last drain handed out, and `cap` others at most: a caller that hands
+    /// the core buffers of its own, and never takes them back, is held to
+    /// `cap`.
+    pub fn recycle(&mut self, mut buf: Vec<M>, cap: usize) {
+        if buf.capacity() == 0 {
+            return;
+        }
+        if self.lent > 0 {
+            self.lent -= 1;
+        } else if self.spares.len() >= cap {
+            return;
+        }
+        buf.clear();
+        self.spares.push(buf);
+    }
+
+    /// Moves the pooled buffers into `out`.
+    pub fn take_spares(&mut self, out: &mut Vec<Vec<M>>) {
+        out.append(&mut self.spares);
     }
 
     /// Drops every queue addressed to `to` (the node crashed or halted and
@@ -322,13 +330,6 @@ impl<M> PortMap<M> {
     pub fn ports_in_use(&self) -> usize {
         self.queues.iter().map(HashMap::len).sum()
     }
-
-    /// The destinations holding at least one buffered message, in the
-    /// order they became occupied.
-    #[cfg(test)]
-    pub fn occupied(&self) -> &[usize] {
-        &self.occupied
-    }
 }
 
 #[cfg(test)]
@@ -347,11 +348,10 @@ mod tests {
         let polls = vec![None; 4];
 
         core.apply_crash_phase(&mut adversary, &intents, &polls);
-        assert_eq!(core.crashed_this_round(), &[1]);
-        assert!(core.filter(1).is_some());
+        assert_eq!(core.crashed_this_round(), &[(1, DeliveryFilter::None)]);
         assert!(core.status[1].is_crashed());
         core.finish_round();
-        assert!(core.filter(1).is_none(), "filter slot cleared");
+        assert!(core.crashed_this_round().is_empty(), "crashes cleared");
 
         // Round 1 wants two crashes but only one budget slot remains.
         core.apply_crash_phase(&mut adversary, &intents, &polls);
@@ -489,15 +489,15 @@ mod tests {
         ports.push(3, 2, 3);
         ports.push(5, 4, 4);
         ports.push(1, 0, 5);
-        assert_eq!(ports.occupied(), [3, 1, 5]);
+        assert_eq!(ports.occupied, [3, 1, 5]);
         // Everybody polls: the ports are handed over in the list's order.
         let mut handed = Vec::new();
         ports.drain_polled(|_| Some(0), |to, msgs| handed.push((to, msgs)));
         assert_eq!(handed, [(3, vec![1]), (1, vec![2, 5])]);
         // Node 3 still holds the port from node 2, and keeps its place.
-        assert_eq!(ports.occupied(), [3, 5]);
+        assert_eq!(ports.occupied, [3, 5]);
         ports.push(1, 0, 6);
-        assert_eq!(ports.occupied(), [3, 5, 1], "re-occupied: at the end");
+        assert_eq!(ports.occupied, [3, 5, 1], "re-occupied: at the end");
     }
 
     #[test]
@@ -512,7 +512,7 @@ mod tests {
         ports.drop_destination(3);
         ports.drop_destination(3);
         ports.drop_destination(7);
-        assert_eq!(ports.occupied(), [1]);
+        assert_eq!(ports.occupied, [1]);
         assert_eq!(ports.buffered_messages(), 1);
         assert_eq!(ports.ports_in_use(), 1);
     }
@@ -526,11 +526,11 @@ mod tests {
         ports.drain_polled(|_| None, |_, _| handed += 1);
         ports.drain_polled(|_| Some(1), |_, _| handed += 1);
         assert_eq!(handed, 0);
-        assert_eq!(ports.occupied(), [2]);
+        assert_eq!(ports.occupied, [2]);
         assert_eq!(ports.buffered_messages(), 1);
         assert_eq!(ports.ports_in_use(), 1);
         assert_eq!(drain(&mut ports, 2, 0), Some(vec![7]), "found when polled");
         assert_eq!(ports.buffered_messages(), 0);
-        assert!(ports.occupied().is_empty());
+        assert!(ports.occupied.is_empty());
     }
 }

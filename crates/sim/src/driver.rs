@@ -8,22 +8,26 @@
 //!    adversary-visible intents;
 //! 2. (the crash phase happens *outside* the core — see below);
 //! 3. [`RoundCore::deliver`] — apply crash delivery filters, count surviving
-//!    messages, and stage them in sender order (a core that owns every node
-//!    puts them straight into their inboxes instead);
+//!    messages, and stage them in sender order for the backend to route to
+//!    their destinations' cores ([`RoundCore::accept`]; a core that owns
+//!    every node routes them itself);
 //! 4. [`RoundCore::finalize`] — drive `receive_owned`, record decisions and
 //!    halts, and return a [`RoundOutcome`].
 //!
+//! A [`SinglePortCore`] runs the same four phases and also owns its nodes'
+//! in-ports: its `accept` buffers a message on the `(destination, sender)`
+//! port, and its `finalize` drains each polled port before calling anyone.
+//!
 //! The core knows nothing about threads, pipes, or sockets, and nothing
 //! about the other cores of its execution.  Everything order-sensitive
-//! *across* cores — the four backend obligations: central crash phase;
-//! deliver, then count in node order; finalize, then replay in node order;
-//! the backend owns the single-port ports — is implemented once per model
-//! in `crate::coordinator`, over a host that only decides where the cores
-//! live: in this process (one core, on the caller's thread), behind shard
-//! transports (whose workers drive a core per chunk from decoded frames,
-//! see [`crate::shard`]), or one node per process of a mesh, where every
-//! node runs the coordinator for itself ([`crate::shard::mesh`], the
-//! `dft-node` TCP cluster).  In every case the *same* struct runs the phase
+//! *across* cores — the three backend obligations: central crash phase;
+//! deliver, then count in node order; finalize, then replay in node order —
+//! is implemented once in `crate::coordinator`, over a host that only
+//! decides where the cores live: in this process (one core, on the
+//! caller's thread), behind shard transports (whose workers drive a core
+//! per chunk from decoded frames, see [`crate::shard`]), or one node per
+//! process of a mesh, where every node runs the coordinator for itself
+//! ([`crate::shard::mesh`], the `dft-node` TCP cluster).  In every case the *same* struct runs the phase
 //! bodies, which is what keeps every backend byte-identical: the round
 //! semantics live here exactly once.
 //!
@@ -46,11 +50,11 @@
 //! node.
 //! A single-port node may also state the planned polls in which it only
 //! listens ([`SinglePortProtocol::idle_polls`]); the core answers those
-//! itself and calls the node only when the pre-drained port holds a
-//! message.  A backend need hand over only the ports that hold messages
-//! ([`SinglePortCore::set_drained`] records a probed node it is handed one
-//! for), so [`SinglePortCore::finalize`] visits the nodes it called and
-//! those, and an idle poll of an empty port costs nothing after
+//! itself and calls the node only when the drained port holds a message.
+//! Only the ports that hold messages are drained (walking the occupied
+//! destinations; [`SinglePortCore::set_drained`] records a probed node a
+//! port is handed to), so [`SinglePortCore::finalize`] visits the nodes it
+//! called and those, and an idle poll of an empty port costs nothing after
 //! `begin_round`.  Every per-node slice a backend reads (`send_intents()`,
 //! `sends()`, `polls()`) keeps its length; a skipped node's entry is simply
 //! empty, and an idle poll shows its planned port.
@@ -79,8 +83,11 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::fmt;
 
 use crate::adversary::DeliveryFilter;
+use crate::coordinator::Staged;
+use crate::delivery::PortMap;
 use crate::message::{Delivered, Outgoing, Payload};
 use crate::node::NodeId;
 use crate::protocol::{NodeStatus, SinglePortProtocol, SyncProtocol};
@@ -105,10 +112,8 @@ pub struct NodeEvent {
 
 /// What one core's round produced: the decision/halt events of
 /// [`RoundCore::finalize`] plus the metric deltas counted by
-/// [`RoundCore::deliver`].
-///
-/// Single-port cores report zero message counters — in that model the
-/// backend owns the port buffers and counts sends itself.
+/// [`RoundCore::deliver`] (zero for a single-port core driven through its
+/// pre-drain API, which never delivers).
 #[derive(Debug)]
 pub struct RoundOutcome<'c> {
     /// Decision/halt events in node-index order.
@@ -121,6 +126,70 @@ pub struct RoundOutcome<'c> {
     /// Messages sent by this core's Byzantine senders this round (counted
     /// separately; the paper excludes them from communication totals).
     pub byzantine_messages: u64,
+}
+
+/// What a host asks of a core, whichever model it runs: the in-process
+/// host (`crate::runner`) calls it directly on its one core, a shard
+/// worker (`crate::shard`) from decoded frames.  Each method is the phase
+/// body of the same name (`local` indexes from the core's base).  Public
+/// only so that host can name it: this module is private, so no other
+/// crate can implement or call it.
+pub trait ChunkCore {
+    type Msg: Payload;
+    type Output: Clone + fmt::Debug;
+
+    fn base(&self) -> usize;
+    fn len(&self) -> usize;
+    /// Phase 1 for a backend that keeps flat per-node slots for the
+    /// adversary's view (index `i` is node `base + i`'s): each called
+    /// node's destinations and, single-port, each called or probed node's
+    /// polled port end up in its slots, and last round's are emptied, so a
+    /// round costs the backend its callers, not its nodes.
+    fn begin_round_into(
+        &mut self,
+        round: Round,
+        send_intents: &mut [Vec<NodeId>],
+        polls: &mut [Option<NodeId>],
+    );
+    fn set_crashed(&mut self, local: usize, round: Round);
+    fn set_halted(&mut self, local: usize);
+    /// The survivor loop of both delivery phases: applies the crash filters
+    /// (`filters`, globally indexed, of the nodes that crashed this round)
+    /// to this round's sends, in sender order, counts the messages that
+    /// survive, hands each to `sink` with its global destination, and
+    /// returns the counts.
+    fn survivors(
+        &mut self,
+        filters: &[(usize, DeliveryFilter)],
+        sink: impl FnMut(&mut Self, usize, Delivered<Self::Msg>),
+    ) -> Staged;
+    fn delivered(&mut self) -> &mut Vec<(usize, Delivered<Self::Msg>)>;
+    fn accept(&mut self, local: usize, msg: Delivered<Self::Msg>);
+    fn finalize(&mut self, round: Round);
+    /// The decision/halt events of the last `finalize`.
+    fn events(&self) -> &[NodeEvent];
+    fn output(&self, local: usize) -> Option<&Self::Output>;
+
+    /// Phase 3: stages the survivors, tagged with their global destination,
+    /// for the backend to route to their destinations' `accept`.
+    fn deliver(&mut self, filters: &[(usize, DeliveryFilter)]) -> Staged {
+        self.delivered().clear();
+        self.survivors(filters, |core, dest, msg| {
+            core.delivered().push((dest, msg))
+        })
+    }
+
+    /// Phase 3 for a core that owns every node of its execution (base 0,
+    /// so a destination is a local index): each survivor goes straight to
+    /// `accept`, in sender order, and one addressed past the last node is
+    /// dropped.  Nothing is staged.
+    fn deliver_direct(&mut self, filters: &[(usize, DeliveryFilter)]) -> Staged {
+        self.survivors(filters, |core, dest, msg| {
+            if dest < core.len() {
+                core.accept(dest, msg);
+            }
+        })
+    }
 }
 
 /// The multi-port sans-I/O core: one backend-agnostic slice of an
@@ -148,7 +217,7 @@ pub struct RoundCore<P: SyncProtocol> {
     pub(crate) outputs: Vec<Option<P::Output>>,
     /// Delivery scratch: surviving messages in sender order, tagged with
     /// their global destination for the backend to route (left empty by
-    /// [`RoundCore::deliver_direct`]).
+    /// [`ChunkCore::deliver_direct`]).
     pub(crate) delivered: Vec<(usize, Delivered<P::Msg>)>,
     /// Receive scratch: decision/halt events for the backend's replay.
     pub(crate) events: Vec<NodeEvent>,
@@ -300,23 +369,6 @@ impl<P: SyncProtocol> RoundCore<P> {
         self.active += self.called.len() as u64;
     }
 
-    /// [`RoundCore::begin_round`] for a backend that keeps a flat slot per
-    /// node for the adversary's view (`slots[i]` is node `base + i`'s):
-    /// each called node's destinations end up in its slot and the slots of
-    /// last round's callers are emptied, so a round costs the backend its
-    /// callers, not its nodes.  The intent vectors change hands by swapping
-    /// (both sides rebuild them, so only capacity persists), which leaves
-    /// [`RoundCore::send_intents`] meaningless for such a backend.
-    pub(crate) fn begin_round_into(&mut self, round: Round, slots: &mut [Vec<NodeId>]) {
-        for &i in &self.called {
-            slots[i].clear();
-        }
-        self.begin_round(round);
-        for &i in &self.called {
-            std::mem::swap(&mut slots[i], &mut self.send_intents[i]);
-        }
-    }
-
     /// The per-node destination lists collected by the last
     /// [`RoundCore::begin_round`] — what the crash adversary is shown.
     pub fn send_intents(&self) -> &[Vec<NodeId>] {
@@ -349,63 +401,7 @@ impl<P: SyncProtocol> RoundCore<P> {
     /// Inboxes are not touched: [`RoundCore::finalize`] empties each one
     /// right after its node's `receive`, so every inbox is empty here.
     pub fn deliver(&mut self, filters: &[(usize, DeliveryFilter)]) {
-        self.delivered.clear();
-        self.survivors(filters, |core, dest, msg| core.delivered.push((dest, msg)));
-    }
-
-    /// Phase 3 for a core that owns every node of its execution (base 0,
-    /// so a destination is a local index): as [`RoundCore::deliver`], but
-    /// each surviving message goes straight into its destination's inbox
-    /// through [`RoundCore::accept`], in sender order, and one addressed
-    /// past the last node is dropped.  Nothing is staged.
-    pub(crate) fn deliver_direct(&mut self, filters: &[(usize, DeliveryFilter)]) {
-        self.survivors(filters, |core, dest, msg| {
-            if dest < core.len() {
-                core.accept(dest, msg);
-            }
-        });
-    }
-
-    /// The survivor loop of both delivery phases: applies the crash
-    /// filters to this round's senders' queues, in sender order, counts
-    /// the messages that survive and hands each to `sink` with its global
-    /// destination.
-    fn survivors(
-        &mut self,
-        filters: &[(usize, DeliveryFilter)],
-        mut sink: impl FnMut(&mut Self, usize, Delivered<P::Msg>),
-    ) {
-        self.msgs = 0;
-        self.bits = 0;
-        self.byz_msgs = 0;
-        // Only the senders: `accept` appends the nodes it wakes behind them.
-        for k in 0..self.called.len() {
-            let i = self.called[k];
-            // Lent out so `sink` may take the core; handed back drained.
-            let mut queue = std::mem::take(&mut self.outgoing[i]);
-            let sender_idx = self.base + i;
-            let sender = NodeId::new(sender_idx);
-            let is_byzantine = self.byz[i];
-            let filter = filters
-                .iter()
-                .find(|(node, _)| *node == sender_idx)
-                .map(|(_, filter)| filter);
-            for (msg_idx, out) in queue.drain(..).enumerate() {
-                if let Some(filter) = filter {
-                    if !filter.allows(msg_idx, out.to) {
-                        continue;
-                    }
-                }
-                if is_byzantine {
-                    self.byz_msgs += 1;
-                } else {
-                    self.msgs += 1;
-                    self.bits += out.msg.bit_len();
-                }
-                sink(self, out.to.index(), Delivered::new(sender, out.msg));
-            }
-            self.outgoing[i] = queue;
-        }
+        ChunkCore::deliver(self, filters);
     }
 
     /// The surviving messages staged by the last [`RoundCore::deliver`], in
@@ -532,6 +528,98 @@ impl<P: SyncProtocol> RoundCore<P> {
     }
 }
 
+impl<P: SyncProtocol> ChunkCore for RoundCore<P> {
+    type Msg = P::Msg;
+    type Output = P::Output;
+
+    fn base(&self) -> usize {
+        self.base
+    }
+    fn len(&self) -> usize {
+        self.participants.len()
+    }
+    /// The intent vectors change hands by swapping (both sides rebuild
+    /// them, so only capacity persists), which leaves
+    /// [`RoundCore::send_intents`] meaningless for such a backend.
+    fn begin_round_into(
+        &mut self,
+        round: Round,
+        send_intents: &mut [Vec<NodeId>],
+        _polls: &mut [Option<NodeId>],
+    ) {
+        for &i in &self.called {
+            send_intents[i].clear();
+        }
+        self.begin_round(round);
+        for &i in &self.called {
+            std::mem::swap(&mut send_intents[i], &mut self.send_intents[i]);
+        }
+    }
+    fn set_crashed(&mut self, local: usize, round: Round) {
+        RoundCore::set_crashed(self, local, round);
+    }
+    fn set_halted(&mut self, local: usize) {
+        RoundCore::set_halted(self, local);
+    }
+    fn survivors(
+        &mut self,
+        filters: &[(usize, DeliveryFilter)],
+        mut sink: impl FnMut(&mut Self, usize, Delivered<P::Msg>),
+    ) -> Staged {
+        self.msgs = 0;
+        self.bits = 0;
+        self.byz_msgs = 0;
+        // Only the senders: `accept` appends the nodes it wakes behind them.
+        for k in 0..self.called.len() {
+            let i = self.called[k];
+            // Lent out so `sink` may take the core; handed back drained.
+            let mut queue = std::mem::take(&mut self.outgoing[i]);
+            let sender_idx = self.base + i;
+            let sender = NodeId::new(sender_idx);
+            let is_byzantine = self.byz[i];
+            let filter = filters
+                .iter()
+                .find(|(node, _)| *node == sender_idx)
+                .map(|(_, filter)| filter);
+            for (msg_idx, out) in queue.drain(..).enumerate() {
+                if let Some(filter) = filter {
+                    if !filter.allows(msg_idx, out.to) {
+                        continue;
+                    }
+                }
+                if is_byzantine {
+                    self.byz_msgs += 1;
+                } else {
+                    self.msgs += 1;
+                    self.bits += out.msg.bit_len();
+                }
+                sink(self, out.to.index(), Delivered::new(sender, out.msg));
+            }
+            self.outgoing[i] = queue;
+        }
+        Staged {
+            messages: self.msgs,
+            bits: self.bits,
+            byzantine_messages: self.byz_msgs,
+        }
+    }
+    fn delivered(&mut self) -> &mut Vec<(usize, Delivered<P::Msg>)> {
+        &mut self.delivered
+    }
+    fn accept(&mut self, local: usize, msg: Delivered<P::Msg>) {
+        RoundCore::accept(self, local, msg);
+    }
+    fn finalize(&mut self, round: Round) {
+        RoundCore::finalize(self, round);
+    }
+    fn events(&self) -> &[NodeEvent] {
+        &self.events
+    }
+    fn output(&self, local: usize) -> Option<&P::Output> {
+        RoundCore::output(self, local)
+    }
+}
+
 /// A node's last statement of idle polls ([`SinglePortProtocol::idle_polls`])
 /// as a core keeps it: the run covers rounds `start .. end`, and the node
 /// is called again in `resume`.  The ports are not copied: the core asks
@@ -588,23 +676,19 @@ fn call_idle_poll<P: SinglePortProtocol>(
     node.receive(round, port, msgs);
 }
 
-/// Keeps an emptied poll buffer for the backend to reuse, unless it never
-/// held anything or `spare` is full.
-fn recycle<M>(spare: &mut Vec<Vec<M>>, cap: usize, mut msgs: Vec<M>) {
-    if msgs.capacity() > 0 && spare.len() < cap {
-        msgs.clear();
-        spare.push(msgs);
-    }
-}
-
 /// The single-port sans-I/O core: one backend-agnostic slice of a
-/// single-port execution, owning nodes `base .. base + len()`.
+/// single-port execution, owning nodes `base .. base + len()` and their
+/// in-ports.
 ///
-/// Port buffers are shared, order-sensitive state and therefore live in the
-/// backend (the runners' sparse `PortMap`, the shard coordinator's parent
-/// side): the core only collects each node's single send and poll intent
-/// ([`SinglePortCore::begin_round`]) and consumes backend-pre-drained port
-/// contents ([`SinglePortCore::finalize`]).
+/// A round is the multi-port core's: [`SinglePortCore::begin_round`]
+/// collects each node's single send and poll intent,
+/// [`SinglePortCore::deliver`] filters, counts and stages the sends for the
+/// backend to route to their destinations' [`SinglePortCore::accept`], which
+/// buffers each on its port, and [`SinglePortCore::finalize`] drains every
+/// polled port that holds something before it calls a node.  A caller that
+/// keeps the ports itself skips `deliver` and `accept`: it takes the sends
+/// ([`SinglePortCore::take_send`]) and hands each poller its port
+/// ([`SinglePortCore::set_drained`]), and the core's own ports stay empty.
 pub struct SinglePortCore<P: SinglePortProtocol> {
     /// Global index of the first node in this core.
     pub(crate) base: usize,
@@ -615,20 +699,24 @@ pub struct SinglePortCore<P: SinglePortProtocol> {
     pub(crate) sends: Vec<Option<Outgoing<P::Msg>>>,
     /// Per-node poll intent for the current round.
     pub(crate) polls: Vec<Option<NodeId>>,
-    /// Per-node pre-drained poll results: `Some` only for the nodes listed
-    /// in `handed`, between [`SinglePortCore::set_drained`] and
+    /// Per-node drained poll results: `Some` only for the nodes listed
+    /// in `handed`, between the drain (or [`SinglePortCore::set_drained`]) and
     /// [`SinglePortCore::finalize`].
     pub(crate) drained: Vec<Option<Vec<P::Msg>>>,
     /// The nodes handed a non-empty port this round, in hand-over order.
     pub(crate) handed: Vec<usize>,
-    /// Emptied poll buffers waiting to be recycled.  [`SinglePortCore::finalize`]
-    /// clears each consumed `drained` buffer into this pool instead of
-    /// dropping it; in-process backends reclaim it into their `PortMap`
-    /// every round ([`SinglePortCore::take_spares`]), and backends that
-    /// cannot (a shard worker's buffers arrive off the wire) are protected
-    /// by the `len()` cap in `finalize` — at most one retained buffer per
-    /// node, so memory stays `O(n)` either way.
-    pub(crate) spare: Vec<Vec<P::Msg>>,
+    /// The in-ports of this core's nodes, keyed by `(local destination,
+    /// global sender)`.  Its pool of emptied buffers is where
+    /// [`SinglePortCore::finalize`] recycles each consumed poll buffer,
+    /// capped at one buffer per node.
+    pub(crate) ports: PortMap<P::Msg>,
+    /// Delivery scratch: surviving sends in sender order, tagged with their
+    /// global destination for the backend to route (left empty by
+    /// [`ChunkCore::deliver_direct`]).
+    pub(crate) delivered: Vec<(usize, Delivered<P::Msg>)>,
+    /// Messages / bits sent this round.
+    pub(crate) msgs: u64,
+    pub(crate) bits: u64,
     pub(crate) outputs: Vec<Option<P::Output>>,
     /// Receive scratch: decision/halt events for the backend's replay.
     pub(crate) events: Vec<NodeEvent>,
@@ -665,7 +753,10 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
             polls: vec![None; len],
             drained: (0..len).map(|_| None).collect(),
             handed: Vec::new(),
-            spare: Vec::new(),
+            ports: PortMap::new(),
+            delivered: Vec::new(),
+            msgs: 0,
+            bits: 0,
             outputs: (0..len).map(|_| None).collect(),
             events: Vec::new(),
             wake: vec![0; len],
@@ -708,8 +799,9 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
         self.answered
     }
 
-    /// Polled ports that held messages when they were handed to this core
-    /// ([`SinglePortCore::set_drained`]), since the execution began.
+    /// Polled ports that held messages when they were drained (or handed
+    /// to this core with [`SinglePortCore::set_drained`]), since the
+    /// execution began.
     pub fn full_ports_drained(&self) -> u64 {
         self.full_ports
     }
@@ -769,42 +861,22 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
         self.active += self.called.len() as u64;
     }
 
-    /// [`SinglePortCore::begin_round`] for a backend that keeps flat
-    /// per-node slots for the adversary's view (index `i` is node
-    /// `base + i`'s): each called node's destination and each called or
-    /// probed node's polled port end up in its slots and the slots of last
-    /// round's are emptied, so a round costs the backend its callers and
-    /// probes, not its nodes.
-    pub(crate) fn begin_round_into(
-        &mut self,
-        round: Round,
-        send_intents: &mut [Vec<NodeId>],
-        polls: &mut [Option<NodeId>],
-    ) {
-        for &i in &self.called {
-            send_intents[i].clear();
-            polls[i] = None;
-        }
-        for &i in &self.probed {
-            polls[i] = None;
-        }
-        self.begin_round(round);
-        for &i in &self.called {
-            send_intents[i].extend(self.sends[i].iter().map(|out| out.to));
-            polls[i] = self.polls[i];
-        }
-        for &i in &self.probed {
-            polls[i] = self.polls[i];
-        }
+    /// Phase 3: applies the crash filters (`filters`, globally indexed, of
+    /// the nodes that crashed this round) to this round's sends, in sender
+    /// order, counts the ones that survive and stages each with its global
+    /// destination.  The destination's core checks its status in
+    /// [`SinglePortCore::accept`].
+    pub fn deliver(&mut self, filters: &[(usize, DeliveryFilter)]) {
+        ChunkCore::deliver(self, filters);
     }
 
-    /// Moves the pending send of every node called this round out of the
-    /// core, in sender order.
-    pub(crate) fn drain_sends(&mut self, mut enqueue: impl FnMut(usize, Outgoing<P::Msg>)) {
-        for &i in &self.called {
-            if let Some(out) = self.sends[i].take() {
-                enqueue(self.base + i, out);
-            }
+    /// Buffers one inbound message on its port (`local` indexes the
+    /// destination from [`SinglePortCore::base`]; the port is the sender's).
+    /// A message to a node that is not running is dropped: a crashed or
+    /// halted node never polls again, so buffering it could only leak.
+    pub fn accept(&mut self, local: usize, msg: Delivered<P::Msg>) {
+        if self.status[local].is_running() {
+            self.ports.push(local, msg.from.index(), msg.msg);
         }
     }
 
@@ -814,9 +886,9 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
         &self.sends
     }
 
-    /// Moves a node's pending send out of the core (the backend enqueues
-    /// it onto the destination's port, applying crash filters and
-    /// counting).
+    /// Moves a node's pending send out of the core (a caller that keeps
+    /// the ports itself enqueues it onto the destination's port, applying
+    /// crash filters and counting).
     pub fn take_send(&mut self, local: usize) -> Option<Outgoing<P::Msg>> {
         self.sends[local].take()
     }
@@ -827,13 +899,13 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
         &self.polls
     }
 
-    /// Hands a node the contents the backend drained from its polled port
-    /// this round, between [`SinglePortCore::begin_round`] and
-    /// [`SinglePortCore::finalize`].  `None` (the node did not poll or is
-    /// not running) and an empty port mean the same, so a backend may hand
-    /// over only the ports that hold messages and leave every other poller
-    /// alone.  A node whose idle poll is handed a message is called after
-    /// all.
+    /// Hands a node the contents a caller that keeps the ports itself
+    /// drained from its polled port this round, between
+    /// [`SinglePortCore::begin_round`] and [`SinglePortCore::finalize`].
+    /// `None` (the node did not poll or is not running) and an empty port
+    /// mean the same, so a caller may hand over only the ports that hold
+    /// messages and leave every other poller alone.  A node whose idle poll
+    /// is handed a message is called after all.
     pub fn set_drained(&mut self, local: usize, msgs: Option<Vec<P::Msg>>) {
         match msgs {
             Some(msgs) if !msgs.is_empty() => {
@@ -845,27 +917,42 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
             empty => {
                 self.drained[local] = None;
                 if let Some(buf) = empty {
-                    recycle(&mut self.spare, self.nodes.len(), buf);
+                    self.ports.recycle(buf, self.nodes.len());
                 }
             }
         }
     }
 
-    /// Moves the emptied poll buffers the last [`SinglePortCore::finalize`]
-    /// retained into `out` (for the backend to recycle into its port
-    /// buffers).
+    /// Moves the emptied poll buffers the core pooled into `out` (for a
+    /// caller that keeps the ports itself to reuse).
     pub fn take_spares(&mut self, out: &mut Vec<Vec<P::Msg>>) {
-        out.append(&mut self.spare);
+        self.ports.take_spares(out);
     }
 
-    /// Mirrors a crash verdict from the backend's central crash phase.
+    /// Mirrors a crash verdict from the backend's central crash phase and
+    /// drops the node's ports: it never polls again.
     pub fn set_crashed(&mut self, local: usize, round: Round) {
         self.status[local] = NodeStatus::Crashed(round);
+        self.ports.drop_destination(local);
     }
 
-    /// Mirrors a voluntary halt into this core's status.
+    /// Mirrors a voluntary halt into this core's status and drops the
+    /// node's ports, as [`SinglePortCore::set_crashed`] does.
     pub fn set_halted(&mut self, local: usize) {
         self.status[local] = NodeStatus::Halted;
+        self.ports.drop_destination(local);
+    }
+
+    /// Messages buffered on this core's ports, sent but not yet polled.
+    /// With [`SinglePortCore::ports_in_use`] this is the core's port
+    /// memory: both are `O(live messages)`, never `O(n²)`.
+    pub fn buffered_messages(&self) -> usize {
+        self.ports.buffered_messages()
+    }
+
+    /// Ports of this core's nodes currently buffering at least one message.
+    pub fn ports_in_use(&self) -> usize {
+        self.ports.ports_in_use()
     }
 
     /// A node's current status as this core sees it.
@@ -873,17 +960,37 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
         self.status[local]
     }
 
-    /// Phase 4: call each probed node whose port held a message, deliver
-    /// pre-drained polls to the nodes called this round, advance their
+    /// Phase 4: drain the polled port of each running poller that holds
+    /// something, call each probed node whose port held a message, hand
+    /// the drained polls to the nodes called this round, advance their
     /// outputs, ask each how long it stays quiet and which idle polls it
-    /// states, and return the round's outcome (message counters are zero —
-    /// the backend counts single-port sends as it enqueues them).  Only the
-    /// called nodes and the ones handed a port are visited; the other idle
-    /// polls are answered by not calling their nodes.
+    /// states, and return the round's outcome.  Only the called nodes and
+    /// the ones handed a port are visited; the other idle polls are
+    /// answered by not calling their nodes.
     pub fn finalize(&mut self, round: Round) -> RoundOutcome<'_> {
         self.events.clear();
         let r = round.as_u64();
         let spare_cap = self.nodes.len();
+        // Every send of the round was routed before this drain, and
+        // `receive` never touches a port, so draining here, in the order
+        // the destinations became occupied, equals draining in the receive
+        // loop.  Only the few occupied destinations are visited.
+        let (polls, status) = (&self.polls, &self.status);
+        let (drained, handed, full_ports) =
+            (&mut self.drained, &mut self.handed, &mut self.full_ports);
+        self.ports.drain_polled(
+            |to| {
+                polls[to]
+                    .filter(|_| status[to].is_running())
+                    .map(NodeId::index)
+            },
+            |to, msgs| {
+                *full_ports += 1;
+                if drained[to].replace(msgs).is_none() {
+                    handed.push(to);
+                }
+            },
+        );
         // A message on an idle poll's port: the node is called after all.
         // Called and probed nodes are disjoint, so each joins `called` once.
         self.handed.sort_unstable();
@@ -921,7 +1028,6 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
                     "node {global} stated an idle poll in round {round} but changed state on an \
                      empty port (first output: {decided}, halted: {halted})"
                 );
-                recycle(&mut self.spare, spare_cap, msgs);
             }
             // Whoever is asleep now was skipped in `begin_round` too.
             let state = self.status.iter().zip(&self.wake).zip(&self.outputs);
@@ -946,10 +1052,8 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
                 } else {
                     node.receive(round, port, &mut msgs);
                 }
-                // Recycle whatever the protocol left behind (capped so a
-                // backend that never reclaims holds at most one buffer per
-                // node).
-                recycle(&mut self.spare, spare_cap, msgs);
+                // Recycle whatever the protocol left behind.
+                self.ports.recycle(msgs, spare_cap);
             }
             let mut decided = false;
             if let Some(output) = node.output() {
@@ -975,14 +1079,14 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
         // not poll) is dropped unread.
         for &i in &self.handed {
             if let Some(msgs) = self.drained[i].take() {
-                recycle(&mut self.spare, spare_cap, msgs);
+                self.ports.recycle(msgs, spare_cap);
             }
         }
         self.handed.clear();
         RoundOutcome {
             events: &self.events,
-            messages: 0,
-            bits: 0,
+            messages: self.msgs,
+            bits: self.bits,
             byzantine_messages: 0,
         }
     }
@@ -990,5 +1094,94 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
     /// A node's first output, if it has decided.
     pub fn output(&self, local: usize) -> Option<&P::Output> {
         self.outputs[local].as_ref()
+    }
+}
+
+impl<P: SinglePortProtocol> ChunkCore for SinglePortCore<P> {
+    type Msg = P::Msg;
+    type Output = P::Output;
+
+    fn base(&self) -> usize {
+        self.base
+    }
+    fn len(&self) -> usize {
+        self.nodes.len()
+    }
+    fn begin_round_into(
+        &mut self,
+        round: Round,
+        send_intents: &mut [Vec<NodeId>],
+        polls: &mut [Option<NodeId>],
+    ) {
+        for &i in &self.called {
+            send_intents[i].clear();
+            polls[i] = None;
+        }
+        for &i in &self.probed {
+            polls[i] = None;
+        }
+        self.begin_round(round);
+        for &i in &self.called {
+            send_intents[i].extend(self.sends[i].iter().map(|out| out.to));
+            polls[i] = self.polls[i];
+        }
+        for &i in &self.probed {
+            polls[i] = self.polls[i];
+        }
+    }
+    fn set_crashed(&mut self, local: usize, round: Round) {
+        SinglePortCore::set_crashed(self, local, round);
+    }
+    fn set_halted(&mut self, local: usize) {
+        SinglePortCore::set_halted(self, local);
+    }
+    /// A single-port send is a send queue of at most one message, so a
+    /// crash filter judges it as the multi-port core judges a queue's first
+    /// message.
+    fn survivors(
+        &mut self,
+        filters: &[(usize, DeliveryFilter)],
+        mut sink: impl FnMut(&mut Self, usize, Delivered<P::Msg>),
+    ) -> Staged {
+        self.msgs = 0;
+        self.bits = 0;
+        for k in 0..self.called.len() {
+            let i = self.called[k];
+            let Some(out) = self.sends[i].take() else {
+                continue;
+            };
+            let sender = self.base + i;
+            let filter = filters.iter().find(|(node, _)| *node == sender);
+            if filter.is_some_and(|(_, filter)| !filter.allows(0, out.to)) {
+                continue;
+            }
+            self.msgs += 1;
+            self.bits += out.msg.bit_len();
+            sink(
+                self,
+                out.to.index(),
+                Delivered::new(NodeId::new(sender), out.msg),
+            );
+        }
+        Staged {
+            messages: self.msgs,
+            bits: self.bits,
+            byzantine_messages: 0,
+        }
+    }
+    fn delivered(&mut self) -> &mut Vec<(usize, Delivered<P::Msg>)> {
+        &mut self.delivered
+    }
+    fn accept(&mut self, local: usize, msg: Delivered<P::Msg>) {
+        SinglePortCore::accept(self, local, msg);
+    }
+    fn finalize(&mut self, round: Round) {
+        SinglePortCore::finalize(self, round);
+    }
+    fn events(&self) -> &[NodeEvent] {
+        &self.events
+    }
+    fn output(&self, local: usize) -> Option<&P::Output> {
+        SinglePortCore::output(self, local)
     }
 }

@@ -23,17 +23,16 @@
 //!   total bits they carry, counting only non-faulty senders in the Byzantine
 //!   model.
 //! * [`RoundCore`] / [`SinglePortCore`] — the sans-I/O round cores (the
-//!   private `driver` module): what one round does to one chunk of nodes,
-//!   as pure state transitions, with no knowledge of threads, pipes, or
-//!   sockets.
-//! * [`Coordinator`] — the one round loop per model: everything
+//!   private `driver` module): what one round does to one chunk of nodes
+//!   (a single-port core keeps its nodes' in-ports too), as pure state
+//!   transitions, with no knowledge of threads, pipes, or sockets.
+//! * [`Coordinator`] — the one round loop of both models: everything
 //!   order-sensitive across chunks (the central crash phase, the counts and
-//!   the event replay in node order, the single-port port map), generic
-//!   over a *host* that only decides where the chunks live.  [`Runner`],
-//!   [`SinglePortRunner`], [`shard::ShardedRunner`] and
-//!   [`shard::SpShardedRunner`] are type aliases that pick a model and a
-//!   host, so every one of them is byte-identical to the serial run by
-//!   construction of the one loop they share.
+//!   the event replay in node order), generic over a *host* that only
+//!   decides where the chunks live.  [`Runner`], [`SinglePortRunner`],
+//!   [`shard::ShardedRunner`] and [`shard::SpShardedRunner`] are type
+//!   aliases that pick a host, so every one of them is byte-identical to
+//!   the serial run by construction of the one loop they share.
 //! * [`shard`] — the framed host: one execution's chunks served by shard
 //!   workers (threads of the runner's own) behind a versioned binary wire
 //!   format; a transport or frame failure ends the run with a structured

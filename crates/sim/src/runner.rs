@@ -5,19 +5,19 @@
 //! paper reports: rounds until all non-faulty nodes halt, messages and bits
 //! sent by non-faulty nodes.
 //!
-//! [`Runner`] is a configuration, not a loop: the multi-port round of
+//! [`Runner`] is a configuration, not a loop: the round of
 //! [`crate::coordinator`] over the in-process host, which is one sans-I/O
 //! [`RoundCore`] of [`crate::driver`] owning every node.  One execution is
 //! one thread: each phase is a direct call on the caller's.  This module
-//! holds the constructors and the multi-port half of that host — how each
-//! phase reaches the core and how its outputs come back in node order.
+//! holds the constructors and that host, for both models — how each phase
+//! reaches the core and how its outputs come back in node order.
 
 use std::convert::Infallible;
 
 use crate::adversary::byzantine::ByzantineStrategy;
 use crate::adversary::{CrashAdversary, DeliveryFilter, NoFaults};
-use crate::coordinator::{Central, Coordinator, Host, MultiPort, MultiPortHost, Staged};
-use crate::driver::{NodeEvent, RoundCore};
+use crate::coordinator::{Central, Coordinator, Host, Staged};
+use crate::driver::{ChunkCore, NodeEvent, RoundCore};
 use crate::error::SimResult;
 use crate::node::{NodeId, NodeSet};
 use crate::protocol::SyncProtocol;
@@ -93,7 +93,7 @@ impl<P: SyncProtocol> std::fmt::Debug for Participant<P> {
 /// assert_eq!(check(&report, &Spec::consensus(&[true])), Ok(()));
 /// assert_eq!(report.metrics.rounds, 1);
 /// ```
-pub type Runner<P> = Coordinator<RoundCore<P>, MultiPort>;
+pub type Runner<P> = Coordinator<RoundCore<P>>;
 
 impl<P: SyncProtocol> Runner<P> {
     /// Creates a runner over honest nodes only, with no faults.
@@ -158,11 +158,10 @@ pub(crate) fn never_fails<T>(result: Result<T, Infallible>) -> T {
     }
 }
 
-// The in-process host is the runner's one core.  It owns every node from
-// base 0, so a global node index *is* the core-local one; the phase bodies
-// called below are the core's own inherent methods of the same names.
-impl<P: SyncProtocol> Host for RoundCore<P> {
-    type Output = P::Output;
+// The in-process host of both models is the runner's one core.  It owns
+// every node from base 0, so a global node index *is* the core-local one.
+impl<C: ChunkCore> Host for C {
+    type Output = C::Output;
     type Error = Infallible;
     type Outcome<T> = T;
 
@@ -170,46 +169,39 @@ impl<P: SyncProtocol> Host for RoundCore<P> {
         never_fails(result)
     }
 
-    fn output(&self, node: usize) -> Option<&P::Output> {
-        RoundCore::output(self, node)
+    fn output(&self, node: usize) -> Option<&C::Output> {
+        ChunkCore::output(self, node)
     }
 
     fn set_halted(&mut self, node: usize) {
-        RoundCore::set_halted(self, node);
+        ChunkCore::set_halted(self, node);
     }
-}
 
-impl<P: SyncProtocol> MultiPortHost for RoundCore<P> {
     fn begin_round(
         &mut self,
         round: Round,
         send_intents: &mut [Vec<NodeId>],
+        polls: &mut [Option<NodeId>],
     ) -> Result<(), Infallible> {
-        self.begin_round_into(round, send_intents);
+        self.begin_round_into(round, send_intents, polls);
         Ok(())
     }
 
     fn deliver(
         &mut self,
         round: Round,
-        crashed: Vec<(usize, DeliveryFilter)>,
-        staged: &mut Vec<Staged>,
-    ) -> Result<(), Infallible> {
-        for (victim, _) in &crashed {
+        crashed: &[(usize, DeliveryFilter)],
+    ) -> Result<Staged, Infallible> {
+        for (victim, _) in crashed {
             self.set_crashed(*victim, round);
         }
         // One core owns every node, so it routes as it delivers.
-        self.deliver_direct(&crashed);
-        staged.push(Staged {
-            messages: self.msgs,
-            bits: self.bits,
-            byzantine_messages: self.byz_msgs,
-        });
-        Ok(())
+        Ok(self.deliver_direct(crashed))
     }
 
     fn finalize(&mut self, round: Round, events: &mut Vec<NodeEvent>) -> Result<(), Infallible> {
-        events.extend_from_slice(RoundCore::finalize(self, round).events);
+        ChunkCore::finalize(self, round);
+        events.extend_from_slice(self.events());
         Ok(())
     }
 }

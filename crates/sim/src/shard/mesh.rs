@@ -1,6 +1,6 @@
 //! The mesh host: one node's round core with a framed link to every peer.
 //!
-//! A [`MeshRunner`] is the multi-port round of `crate::coordinator`, run by
+//! A [`MeshRunner`] is the round of `crate::coordinator`, run by
 //! every node of a mesh for itself over a [`Mesh`] host: one single-node
 //! [`RoundCore`] and one [`ShardTransport`] per peer, which the caller brings
 //! (`dft-node` brings TCP sockets, the tests channels).  No process is
@@ -27,8 +27,8 @@ use std::io;
 
 use super::{frame, open_frame, ShardTransport, Wire};
 use crate::adversary::{CrashAdversary, DeliveryFilter};
-use crate::coordinator::{Central, Coordinator, Host, MultiPort, MultiPortHost, Staged};
-use crate::driver::{NodeEvent, RoundCore};
+use crate::coordinator::{Central, Coordinator, Host, Staged};
+use crate::driver::{ChunkCore, NodeEvent, RoundCore};
 use crate::error::{ShardError, SimError, SimResult};
 use crate::message::Delivered;
 use crate::node::{NodeId, NodeSet};
@@ -68,10 +68,10 @@ pub struct Mesh<P: SyncProtocol> {
     suspicions: Vec<Suspicion>,
 }
 
-/// One node of a mesh: the multi-port round of `crate::coordinator` over
-/// the [`Mesh`] host.  Its report speaks for this node alone: its output,
+/// One node of a mesh: the round of `crate::coordinator` over the
+/// [`Mesh`] host, multi-port.  Its report speaks for this node alone: its output,
 /// halt and message counts, next to the crash list every node derives.
-pub type MeshRunner<P> = Coordinator<Mesh<P>, MultiPort>;
+pub type MeshRunner<P> = Coordinator<Mesh<P>>;
 
 impl<P: SyncProtocol<Msg: Wire>> MeshRunner<P> {
     /// Node `me` of a mesh of `links.len() + 1` nodes, reaching its peers
@@ -262,26 +262,24 @@ impl<P: SyncProtocol<Msg: Wire>> Host for Mesh<P> {
     fn set_halted(&mut self, _node: usize) {
         self.core.set_halted(0);
     }
-}
 
-impl<P: SyncProtocol<Msg: Wire>> MultiPortHost for Mesh<P> {
     /// The adversary is shown this node's intents alone.
-    fn begin_round(&mut self, round: Round, send_intents: &mut [Vec<NodeId>]) -> SimResult<()> {
+    fn begin_round(
+        &mut self,
+        round: Round,
+        send_intents: &mut [Vec<NodeId>],
+        _polls: &mut [Option<NodeId>],
+    ) -> SimResult<()> {
         let me = self.core.base();
         if let Some(slot) = send_intents.get_mut(me..=me) {
-            self.core.begin_round_into(round, slot);
+            self.core.begin_round_into(round, slot, &mut []);
         }
         Ok(())
     }
 
     /// Runs the round's exchange, which hands this node's core what it
     /// receives, and reports the node's counts as the one chunk.
-    fn deliver(
-        &mut self,
-        round: Round,
-        crashed: Vec<(usize, DeliveryFilter)>,
-        staged: &mut Vec<Staged>,
-    ) -> SimResult<()> {
+    fn deliver(&mut self, round: Round, crashed: &[(usize, DeliveryFilter)]) -> SimResult<Staged> {
         let me = self.core.base();
         // A node that halted or crashed before this round has left the lock
         // step: its peers were told (GOODBYE) or derived it themselves.
@@ -290,16 +288,11 @@ impl<P: SyncProtocol<Msg: Wire>> MultiPortHost for Mesh<P> {
         if own_crash.is_some() {
             self.core.set_crashed(0, round);
         }
-        self.core.deliver(own_crash.as_slice());
+        let counts = ChunkCore::deliver(&mut self.core, own_crash.as_slice());
         if exchanging {
-            self.exchange(round, &crashed)?;
+            self.exchange(round, crashed)?;
         }
-        staged.push(Staged {
-            messages: self.core.msgs,
-            bits: self.core.bits,
-            byzantine_messages: self.core.byz_msgs,
-        });
-        Ok(())
+        Ok(counts)
     }
 
     /// On a halt, tells every peer still in the lock step.

@@ -14,32 +14,38 @@
 //! # Determinism
 //!
 //! [`ShardedRunner`] and [`SpShardedRunner`] are not round loops of their
-//! own: they are the loops of `crate::coordinator` over the **framed
-//! host** of this module ([`Framed`]), which runs a phase on every chunk by
+//! own: they are the loop of `crate::coordinator` over the **framed host**
+//! of this module ([`Framed`]), which runs a phase on every chunk by
 //! exchanging frames.  The coordinator therefore keeps everything
 //! order-sensitive exactly where the serial runners keep it — the
 //! crash-adversary phase, the counts added in chunk (= node-index) order,
-//! the event replay, the single-port port map — and a sharded run is
+//! the event replay — and each worker's core holds its own nodes' inboxes
+//! or in-ports, as the serial core holds everyone's, so a sharded run is
 //! byte-identical to a serial run of the same seeded workload;
 //! `crates/bench/tests/determinism.rs` pins this with table diffs and
 //! transcript proptests.
 //!
 //! # Protocol
 //!
-//! Each frame is `[u16 version][u8 tag][payload]` (see [`WIRE_VERSION`] and
-//! the [`wire`] codec).  Per round the host sends `Collect` and returns the
-//! intents; after the coordinator's crash phase, multi-port, it sends
-//! `Deliver` with the chunk's crashes and every chunk's end index.  The
-//! worker answers with its metric deltas and one [`Block`] per destination
-//! chunk; the host splices each block, as the bytes it arrived in, into its
-//! destination's `Receive` in source-chunk (= sender) order, and the
-//! receiving worker hands the messages to its core's `accept`.  Single-port,
-//! the host sends the crash mirror and the pre-drained port contents with
-//! `SpReceive`.  Both answer with the decision/halt events.
-//! `Shutdown` ends the loop; a worker treats transport EOF as shutdown, so
-//! a dying parent never leaves workers spinning.  Both sides treat a frame
-//! as untrusted: an index outside the chunk, a list of the wrong length or
-//! an event for another chunk's node is an error, never a panic.
+//! One frame protocol serves both models.  Each frame is `[u16
+//! version][u8 tag][payload]` (see [`WIRE_VERSION`] and the [`wire`]
+//! codec).  Per round the host sends `Collect` and the worker answers
+//! `Intents`: each node's destinations, then the chunk's polls as `(local
+//! index, port)` (none for a multi-port chunk).  After the coordinator's
+//! crash phase the host sends `Deliver` with the chunk's crashes and every
+//! chunk's end index.  The worker answers `Delivered`: its metric deltas
+//! and one [`Block`] per destination chunk, its own chunk's left empty —
+//! it keeps those survivors, unencoded.  The host splices each block, as
+//! the bytes it arrived in, into its destination's `Receive` in
+//! source-chunk (= sender) order; the receiving worker takes its own held
+//! survivors at its own position, between the lower and the higher chunks'
+//! blocks, and hands every message to its core's `accept`, which puts it in
+//! an inbox (multi-port) or on its port (single-port).  Both answer
+//! `Events`: the decisions and halts.  `Shutdown` ends the loop; a worker
+//! treats transport EOF as shutdown, so a dying parent never leaves
+//! workers spinning.  Both sides treat a frame as untrusted: an index
+//! outside the chunk, a list of the wrong length or an event for another
+//! chunk's node is an error, never a panic.
 //!
 //! # Failures
 //!
@@ -63,15 +69,13 @@ use std::ops::Range;
 use std::thread::JoinHandle;
 
 use crate::adversary::{CrashAdversary, DeliveryFilter};
-use crate::coordinator::{
-    Central, Coordinator, Host, MultiPort, MultiPortHost, SinglePort, SinglePortHost, Staged,
-};
-use crate::driver::{NodeEvent, RoundCore, SinglePortCore};
+use crate::coordinator::{Central, Coordinator, Host, Staged};
+use crate::driver::{ChunkCore, NodeEvent, RoundCore, SinglePortCore};
 use crate::error::{ShardError, SimError, SimResult};
-use crate::message::{Delivered, Outgoing, Payload};
+use crate::message::{Delivered, Payload};
 use crate::node::{NodeId, NodeSet};
 use crate::parallel::ChunkPlan;
-use crate::protocol::{NodeStatus, SinglePortProtocol, SyncProtocol};
+use crate::protocol::{SinglePortProtocol, SyncProtocol};
 use crate::round::Round;
 use crate::runner::Participant;
 
@@ -91,18 +95,16 @@ pub use crate::{wire_enum, wire_struct};
 /// Version of the shard wire format.  Every frame carries it; both sides
 /// reject a mismatch, so a peer built from another revision fails loudly
 /// instead of silently mis-decoding.
-pub const WIRE_VERSION: u16 = 11;
+pub const WIRE_VERSION: u16 = 12;
 
 /// Frame tags (parent → worker).
 const REQ_COLLECT: u8 = 1;
 const REQ_DELIVER: u8 = 2;
 const REQ_RECEIVE: u8 = 3;
-const REQ_SP_RECEIVE: u8 = 4;
 const REQ_SHUTDOWN: u8 = 5;
 
 /// Frame tags (worker → parent).
 const RESP_INTENTS: u8 = 64;
-const RESP_SP_INTENTS: u8 = 65;
 const RESP_DELIVERED: u8 = 66;
 const RESP_EVENTS: u8 = 67;
 
@@ -112,10 +114,8 @@ pub fn tag_name(tag: u8) -> &'static str {
         REQ_COLLECT => "Collect",
         REQ_DELIVER => "Deliver",
         REQ_RECEIVE => "Receive",
-        REQ_SP_RECEIVE => "SpReceive",
         REQ_SHUTDOWN => "Shutdown",
         RESP_INTENTS => "Intents",
-        RESP_SP_INTENTS => "SpIntents",
         RESP_DELIVERED => "Delivered",
         RESP_EVENTS => "Events",
         _ => "?",
@@ -283,12 +283,22 @@ fn check_local(local: usize, len: usize) -> io::Result<usize> {
     }
 }
 
-/// The serve loop both models share: answers each request frame with what
-/// `answer` returns for its tag, until `Shutdown` or a clean EOF.
-fn serve(
-    transport: &mut dyn ShardTransport,
-    mut answer: impl FnMut(u8, &mut WireReader<'_>) -> io::Result<Vec<u8>>,
-) -> io::Result<()> {
+/// Serves one chunk's core over `transport`, answering each request frame
+/// until `Shutdown` or a clean EOF.
+fn serve<C>(mut chunk: C, transport: &mut dyn ShardTransport) -> io::Result<()>
+where
+    C: ChunkCore<Msg: Wire, Output: Wire>,
+{
+    let (base, len) = (chunk.base(), chunk.len());
+    // Phase 1's per-node slots (reused).
+    let mut intents: Vec<Vec<NodeId>> = vec![Vec::new(); len];
+    let mut polls: Vec<Option<NodeId>> = vec![None; len];
+    // This round's survivors per destination chunk (reused), and the ones
+    // for this chunk itself, held back until `Receive`.
+    let mut outbound: Vec<Block<C::Msg>> = Vec::new();
+    let mut held: Vec<(usize, Delivered<C::Msg>)> = Vec::new();
+    // This chunk's index in the last `Deliver`'s partition.
+    let mut own = 0;
     loop {
         let request = match transport.recv() {
             Ok(frame) => frame,
@@ -296,15 +306,74 @@ fn serve(
             Err(err) => return Err(err),
         };
         let (tag, mut r) = open_frame(&request).map_err(wire_io)?;
-        if tag == REQ_SHUTDOWN {
-            return Ok(());
-        }
-        transport.send(&answer(tag, &mut r)?)?;
+        let r = &mut r;
+        let resp = match tag {
+            REQ_SHUTDOWN => return Ok(()),
+            REQ_COLLECT => {
+                chunk.begin_round_into(field(r)?, &mut intents, &mut polls);
+                let mut resp = frame(RESP_INTENTS);
+                intents.encode(&mut resp);
+                // By local index; none from a multi-port chunk.
+                let polled = polls.iter().enumerate();
+                let polled = polled.filter_map(|(local, port)| Some((local, (*port)?)));
+                polled.collect::<Vec<_>>().encode(&mut resp);
+                resp
+            }
+            REQ_DELIVER => {
+                let round: Round = field(r)?;
+                let crashed: Vec<(usize, DeliveryFilter)> = field(r)?;
+                let ends: Vec<usize> = field(r)?;
+                if ends.first().is_none_or(|&end| end == 0) || !ends.is_sorted_by(|a, b| a < b) {
+                    return Err(bad_frame(format!("{ends:?} is no partition into chunks")));
+                }
+                let mut filters = Vec::with_capacity(crashed.len());
+                for (local, filter) in crashed {
+                    chunk.set_crashed(check_local(local, len)?, round);
+                    filters.push((base + local, filter));
+                }
+                let counts = chunk.deliver(&filters);
+                // By chunk-local index; a node past the last has no chunk.
+                outbound.resize_with(ends.len(), || Block(Vec::new()));
+                for (dest, msg) in chunk.delivered().drain(..) {
+                    let to = ends.partition_point(|&end| end <= dest);
+                    let start = to.checked_sub(1).and_then(|before| ends.get(before));
+                    if let Some(Block(list)) = outbound.get_mut(to) {
+                        list.push((dest - start.copied().unwrap_or(0), msg));
+                    }
+                }
+                own = ends.partition_point(|&end| end <= base);
+                if let Some(Block(list)) = outbound.get_mut(own) {
+                    std::mem::swap(list, &mut held);
+                }
+                let mut resp = frame(RESP_DELIVERED);
+                (counts.messages, counts.bits, counts.byzantine_messages).encode(&mut resp);
+                outbound.encode(&mut resp);
+                outbound.iter_mut().for_each(|Block(list)| list.clear());
+                resp
+            }
+            REQ_RECEIVE => {
+                let round: Round = field(r)?;
+                // In source-chunk order, which is sender order, with the
+                // held survivors at this chunk's own position.
+                let blocks: Vec<Block<C::Msg>> = field(r)?;
+                let count = blocks.len();
+                for (ci, Block(list)) in blocks.into_iter().enumerate() {
+                    let own_first = if ci == own { held.len() } else { 0 };
+                    for (local, msg) in held.drain(..own_first).chain(list) {
+                        chunk.accept(check_local(local, len)?, msg);
+                    }
+                }
+                if !held.is_empty() {
+                    return Err(bad_frame(format!(
+                        "a Receive of {count} blocks has no place for this chunk's own, block {own}"
+                    )));
+                }
+                events_response(&mut chunk, round)
+            }
+            other => return Err(bad_frame(format!("unexpected shard request tag {other}"))),
+        };
+        transport.send(&resp)?;
     }
-}
-
-fn unexpected_request(tag: u8) -> io::Error {
-    bad_frame(format!("unexpected shard request tag {tag}"))
 }
 
 /// The header every frame opens with: the `u16` [`WIRE_VERSION`] and the
@@ -314,16 +383,17 @@ fn describe_frame(schema: &mut Schema) {
     schema.declare::<u8>();
 }
 
-/// The wire roots of a multi-port execution with message `M` and output
-/// `O`: the frame header and the fields [`serve_multi_port`] reads and
-/// writes.  Everything on the wire is reached from here (see
-/// [`schema`]).
-pub fn describe_multi_port<M: WireMsg, O: Wire>(schema: &mut Schema) {
+/// The wire roots of a sharded execution, of either model, with message
+/// `M` and output `O`: the frame header and the fields the serve loop
+/// ([`serve_multi_port`], [`serve_single_port`]) reads and writes.
+/// Everything on the wire is reached from here (see [`schema`]).
+pub fn describe_shard<M: WireMsg, O: Wire>(schema: &mut Schema) {
     describe_frame(schema);
     // Collect, Deliver and Receive open with the round.
     schema.declare::<Round>();
-    // Intents: each node's send intents.
+    // Intents: each node's send intents, then the chunk's polls.
     schema.declare::<Vec<Vec<NodeId>>>();
+    schema.declare::<Vec<(usize, NodeId)>>();
     // Deliver: the chunk's crashes, then every chunk's end index.
     schema.declare::<Vec<(usize, DeliveryFilter)>>();
     schema.declare::<Vec<usize>>();
@@ -332,21 +402,6 @@ pub fn describe_multi_port<M: WireMsg, O: Wire>(schema: &mut Schema) {
     schema.declare::<u64>();
     schema.declare::<Vec<Block<M>>>();
     // Events: decisions and halts.
-    schema.declare::<Vec<WireEvent<O>>>();
-}
-
-/// The wire roots of a single-port execution with message `M` and output
-/// `O`: the frame header and the fields [`serve_single_port`] reads and
-/// writes.
-pub fn describe_single_port<M: Wire, O: Wire>(schema: &mut Schema) {
-    describe_frame(schema);
-    schema.declare::<Round>();
-    // SpIntents: each node's send, then its polled port.
-    schema.declare::<Vec<Option<Outgoing<M>>>>();
-    schema.declare::<Vec<Option<NodeId>>>();
-    // SpReceive: the crash mirror, then each node's drained port.
-    schema.declare::<Vec<usize>>();
-    schema.declare::<Vec<Option<Vec<M>>>>();
     schema.declare::<Vec<WireEvent<O>>>();
 }
 
@@ -361,36 +416,29 @@ pub fn describe_mesh<M: Wire>(schema: &mut Schema) {
     schema.declare::<(Round, Vec<Delivered<M>>)>();
 }
 
-/// Encodes a chunk's decision/halt events as a `RESP_EVENTS` frame and
-/// applies this round's voluntary halts to the chunk's status mirror (the
-/// in-process host does the latter during the coordinator's replay; on a
-/// shard worker the serve loop is the only writer).
-#[expect(
-    clippy::indexing_slicing,
-    reason = "worker side: the events are the chunk's own core's, so `node - base` is a local \
-              index into the chunk's vectors"
-)]
-fn events_response<O: Wire + Clone>(
-    events: &[NodeEvent],
-    outputs: &[Option<O>],
-    status: &mut [NodeStatus],
-    base: usize,
-) -> Vec<u8> {
-    let wire_events: Vec<WireEvent<O>> = events
+/// Finalizes the chunk's round, encodes its decision/halt events as a
+/// `RESP_EVENTS` frame and applies this round's voluntary halts to the
+/// chunk (the in-process host does the latter during the coordinator's
+/// replay; on a shard worker the serve loop is the only writer).
+fn events_response<C: ChunkCore<Output: Wire>>(chunk: &mut C, round: Round) -> Vec<u8> {
+    let base = chunk.base();
+    chunk.finalize(round);
+    let wire_events: Vec<WireEvent<C::Output>> = chunk
+        .events()
         .iter()
         .map(|event| WireEvent {
             node: event.node,
             halted: event.halted,
-            output: outputs[event.node - base]
-                .as_ref()
+            output: chunk
+                .output(event.node - base)
                 .filter(|_| event.decided)
                 .cloned(),
         })
         .collect();
     let mut resp = frame(RESP_EVENTS);
     wire_events.encode(&mut resp);
-    for event in events.iter().filter(|event| event.halted) {
-        status[event.node - base] = NodeStatus::Halted;
+    for event in wire_events.iter().filter(|event| event.halted) {
+        chunk.set_halted(event.node - base);
     }
     resp
 }
@@ -418,77 +466,16 @@ where
     P::Msg: Wire,
     P::Output: Wire,
 {
-    let mut chunk = RoundCore::new(base, participants);
-    // This round's survivors per destination chunk (reused).
-    let mut outbound: Vec<Block<P::Msg>> = Vec::new();
-    serve(transport, |tag, r| match tag {
-        REQ_COLLECT => {
-            chunk.begin_round(field(r)?);
-            let mut resp = frame(RESP_INTENTS);
-            chunk.send_intents.encode(&mut resp);
-            Ok(resp)
-        }
-        REQ_DELIVER => {
-            let round: Round = field(r)?;
-            let crashed: Vec<(usize, DeliveryFilter)> = field(r)?;
-            let ends: Vec<usize> = field(r)?;
-            if ends.first().is_none_or(|&end| end == 0) || !ends.is_sorted_by(|a, b| a < b) {
-                return Err(bad_frame(format!("{ends:?} is no partition into chunks")));
-            }
-            let mut filters = Vec::with_capacity(crashed.len());
-            for (local, filter) in crashed {
-                chunk.set_crashed(check_local(local, chunk.len())?, round);
-                filters.push((base + local, filter));
-            }
-            chunk.deliver(&filters);
-            // By chunk-local index; a node past the last has no chunk.
-            outbound.resize_with(ends.len(), || Block(Vec::new()));
-            for (dest, msg) in chunk.delivered.drain(..) {
-                let to = ends.partition_point(|&end| end <= dest);
-                let start = to.checked_sub(1).and_then(|before| ends.get(before));
-                if let Some(Block(list)) = outbound.get_mut(to) {
-                    list.push((dest - start.copied().unwrap_or(0), msg));
-                }
-            }
-            let mut resp = frame(RESP_DELIVERED);
-            chunk.msgs.encode(&mut resp);
-            chunk.bits.encode(&mut resp);
-            chunk.byz_msgs.encode(&mut resp);
-            outbound.encode(&mut resp);
-            outbound.iter_mut().for_each(|Block(list)| list.clear());
-            Ok(resp)
-        }
-        REQ_RECEIVE => {
-            let round: Round = field(r)?;
-            // In source-chunk order, which is sender order.
-            for Block(list) in field::<Vec<Block<P::Msg>>>(r)? {
-                for (local, msg) in list {
-                    chunk.accept(check_local(local, chunk.len())?, msg);
-                }
-            }
-            chunk.finalize(round);
-            Ok(events_response(
-                &chunk.events,
-                &chunk.outputs,
-                &mut chunk.status,
-                base,
-            ))
-        }
-        other => Err(unexpected_request(other)),
-    })
+    serve(RoundCore::new(base, participants), transport)
 }
 
-/// Serves one single-port chunk over `transport` until `Shutdown` (or EOF).
-///
-/// The port map and its mutations (enqueue, drain, drop) live in the parent
-/// — they are shared, order-sensitive state — so the single-port worker only
-/// runs the per-node `send`/`poll` collection and the `receive` loop over
-/// parent-pre-drained port contents.
+/// Serves one single-port chunk over `transport` until `Shutdown` (or EOF):
+/// the serve loop of [`serve_multi_port`] over a [`SinglePortCore`], which
+/// keeps its nodes' in-ports itself.
 ///
 /// # Errors
 ///
-/// As [`serve_multi_port`]; a drained-port list whose length is not the
-/// chunk's is malformed too.
+/// As [`serve_multi_port`].
 pub fn serve_single_port<P>(
     nodes: Vec<P>,
     base: usize,
@@ -499,46 +486,7 @@ where
     P::Msg: Wire,
     P::Output: Wire,
 {
-    let mut chunk = SinglePortCore::new(base, nodes);
-    serve(transport, |tag, r| match tag {
-        REQ_COLLECT => {
-            chunk.begin_round(field(r)?);
-            // The parent enqueues the sends itself, so they are *moved* out
-            // of the chunk, exactly as the in-process host takes them.
-            let sends: Vec<Option<Outgoing<P::Msg>>> =
-                chunk.sends.iter_mut().map(Option::take).collect();
-            let mut resp = frame(RESP_SP_INTENTS);
-            sends.encode(&mut resp);
-            chunk.polls.encode(&mut resp);
-            Ok(resp)
-        }
-        REQ_SP_RECEIVE => {
-            let round: Round = field(r)?;
-            let crashed: Vec<usize> = field(r)?;
-            let drained: Vec<Option<Vec<P::Msg>>> = field(r)?;
-            if drained.len() != chunk.len() {
-                return Err(bad_frame(format!(
-                    "{} drained ports for a chunk of {} nodes",
-                    drained.len(),
-                    chunk.len()
-                )));
-            }
-            for local in crashed {
-                chunk.set_crashed(check_local(local, chunk.len())?, round);
-            }
-            for (local, msgs) in drained.into_iter().enumerate() {
-                chunk.set_drained(local, msgs);
-            }
-            chunk.finalize(round);
-            Ok(events_response(
-                &chunk.events,
-                &chunk.outputs,
-                &mut chunk.status,
-                base,
-            ))
-        }
-        other => Err(unexpected_request(other)),
-    })
+    serve(SinglePortCore::new(base, nodes), transport)
 }
 
 // ---------------------------------------------------------------------------
@@ -638,15 +586,6 @@ impl Link {
     }
 }
 
-/// Vets the length of a per-node list a worker reported for its chunk.
-fn sized(got: usize, want: usize, what: &str) -> Result<(), String> {
-    if got == want {
-        Ok(())
-    } else {
-        Err(format!("{got} {what} for {want} nodes"))
-    }
-}
-
 /// Bound alias for message types the shard protocol can carry.
 pub trait WireMsg: Payload + Wire {}
 impl<M: Payload + Wire> WireMsg for M {}
@@ -659,38 +598,27 @@ impl<O: Wire + Clone + PartialEq + std::fmt::Debug + Send + 'static> WireOutput 
 /// runs on every chunk by sending each worker a request frame and reading
 /// its response.
 ///
-/// It never holds protocol state machines — only the outputs the workers
-/// report (`O`) and, per chunk, what is queued for its next request (`Q`).
-pub struct Framed<O, Q> {
+/// It never holds protocol state machines or messages — only the outputs
+/// the workers report (`O`) and each chunk's next `Receive` frame.  `W`
+/// names the workers' serve loop and message type ([`MultiPortWorkers`],
+/// [`SinglePortWorkers`]); only the constructors read it.
+pub struct Framed<O, W> {
     link: Link,
     outputs: Vec<Option<O>>,
-    queued: Vec<Q>,
+    /// Per chunk, its next `Receive` frame, built from the `Delivered`
+    /// responses as they come in: each source chunk's block for it, as
+    /// bytes.
+    queued: Vec<Vec<u8>>,
+    workers: PhantomData<W>,
 }
 
-/// Multi-port: a chunk's next `Receive` frame, built from the `Delivered`
-/// responses as they come in: each source chunk's block for it, as bytes.
-/// The blocks encode messages `M`, which the host never decodes.
-pub type Receive<M> = (Vec<u8>, PhantomData<M>);
+/// The workers of a [`ShardedRunner`]: [`serve_multi_port`] over messages
+/// `M`.
+pub struct MultiPortWorkers<M>(PhantomData<M>);
 
-/// Single-port: a chunk's pending sends (the parent enqueues them), and the
-/// crash mirror and pre-drained ports for its next `SpReceive` (one slot per
-/// node of the chunk from `Collect` on, `Some` only where a port held
-/// messages).
-pub struct SpQueued<M> {
-    sends: Vec<Option<Outgoing<M>>>,
-    crashed: Vec<usize>,
-    drained: Vec<Option<Vec<M>>>,
-}
-
-impl<M> Default for SpQueued<M> {
-    fn default() -> Self {
-        SpQueued {
-            sends: Vec::new(),
-            crashed: Vec::new(),
-            drained: Vec::new(),
-        }
-    }
-}
+/// The workers of a [`SpShardedRunner`]: [`serve_single_port`] over
+/// messages `M`.
+pub struct SinglePortWorkers<M>(PhantomData<M>);
 
 /// Opens a round-phase request: tag, then the round.
 fn round_request(tag: u8, round: Round) -> Vec<u8> {
@@ -699,12 +627,7 @@ fn round_request(tag: u8, round: Round) -> Vec<u8> {
     request
 }
 
-#[expect(
-    clippy::indexing_slicing,
-    reason = "`outputs` has one slot per node, and `own_nodes_only` refused any event outside the \
-              chunk's range first"
-)]
-impl<O: WireOutput, Q: Default> Framed<O, Q> {
+impl<O: WireOutput, W> Framed<O, W> {
     /// A host over `n` nodes whose chunks are served behind `transports`.
     fn new(
         n: usize,
@@ -733,14 +656,132 @@ impl<O: WireOutput, Q: Default> Framed<O, Q> {
                 workers,
             },
             outputs: vec![None; n],
-            queued: (0..chunks).map(|_| Q::default()).collect(),
+            queued: vec![Vec::new(); chunks],
+            workers: PhantomData,
         })
+    }
+}
+
+#[expect(
+    clippy::indexing_slicing,
+    reason = "per-node tables have one slot per node and chunk tables one per chunk of the \
+              ChunkPlan that `locate` / `range` answer from; a reply's lengths and indices are \
+              vetted before they are used, and `own_nodes_only` refused any event outside the \
+              chunk's range"
+)]
+impl<O: WireOutput, W> Host for Framed<O, W> {
+    type Output = O;
+    type Error = SimError;
+    type Outcome<T> = SimResult<T>;
+
+    fn outcome<T>(result: SimResult<T>) -> SimResult<T> {
+        result
+    }
+
+    fn output(&self, node: usize) -> Option<&O> {
+        self.outputs[node].as_ref()
+    }
+
+    /// A worker applies its own halts (see [`serve_multi_port`]).
+    fn set_halted(&mut self, _node: usize) {}
+
+    /// Best-effort (errors ignored: a worker that already went away has
+    /// nothing left to shut down).
+    fn shutdown(&mut self) {
+        let request = frame(REQ_SHUTDOWN);
+        for transport in &mut self.link.transports {
+            let _ = transport.send(&request);
+        }
+    }
+
+    fn begin_round(
+        &mut self,
+        round: Round,
+        send_intents: &mut [Vec<NodeId>],
+        polls: &mut [Option<NodeId>],
+    ) -> SimResult<()> {
+        self.link.round = round.as_u64();
+        self.link.broadcast(&round_request(REQ_COLLECT, round))?;
+        for ci in 0..self.link.chunks() {
+            let range = self.link.range(ci);
+            let len = range.len();
+            type Intents = (Vec<Vec<NodeId>>, Vec<(usize, NodeId)>);
+            let vet = |(intents, polled): Intents, _: &mut WireReader| {
+                if intents.len() != len {
+                    return Err(format!("{} intent lists for {len} nodes", intents.len()));
+                }
+                match polled.iter().find(|(local, _)| *local >= len) {
+                    Some((local, _)) => Err(format!(
+                        "a poll by local node {local}, outside a chunk of {len} nodes"
+                    )),
+                    None => Ok((intents, polled)),
+                }
+            };
+            let (intents, polled) = self.link.transact(ci, RESP_INTENTS, vet)?;
+            for (slot, list) in send_intents[range.clone()].iter_mut().zip(intents) {
+                *slot = list;
+            }
+            polls[range.clone()].fill(None);
+            for (local, port) in polled {
+                polls[range.start + local] = Some(port);
+            }
+        }
+        Ok(())
+    }
+
+    fn deliver(&mut self, round: Round, crashed: &[(usize, DeliveryFilter)]) -> SimResult<Staged> {
+        let chunks = self.link.chunks();
+        let mut crashed_by_chunk = vec![Vec::new(); chunks];
+        for (victim, filter) in crashed {
+            let (ci, local) = self.link.plan.locate(*victim);
+            crashed_by_chunk[ci].push((local, filter.clone()));
+        }
+        let ends: Vec<usize> = (0..chunks).map(|ci| self.link.range(ci).end).collect();
+        for (ci, crashed) in crashed_by_chunk.iter().enumerate() {
+            let mut request = round_request(REQ_DELIVER, round);
+            crashed.encode(&mut request);
+            ends.encode(&mut request);
+            self.link.send_to(ci, &request)?;
+        }
+        for receive in &mut self.queued {
+            *receive = round_request(REQ_RECEIVE, round);
+            chunks.encode(receive);
+        }
+        let mut total = Staged::default();
+        for ci in 0..chunks {
+            // Counters and the block count, then one block per destination
+            // chunk, each appended to that chunk's `Receive` as it stands
+            // (a worker's block for itself is empty: it holds those back).
+            type Counts = ((u64, u64, u64), usize);
+            let queued = &mut self.queued;
+            let vet = |(counts, blocks): Counts, r: &mut WireReader| {
+                if blocks != chunks {
+                    return Err(format!("{blocks} blocks for {chunks} chunks"));
+                }
+                for receive in queued.iter_mut() {
+                    let block = r.block().map_err(|err| err.to_string())?;
+                    block.len().encode(receive);
+                    receive.extend_from_slice(block);
+                }
+                Ok(counts)
+            };
+            let (messages, bits, byzantine_messages) =
+                self.link.transact(ci, RESP_DELIVERED, vet)?;
+            total.messages += messages;
+            total.bits += bits;
+            total.byzantine_messages += byzantine_messages;
+        }
+        Ok(total)
     }
 
     /// Receives every chunk's `RESP_EVENTS`, keeps the reported outputs and
     /// appends the events in chunk (= node) order.  A worker may only speak
     /// for the nodes of its own chunk.
-    fn recv_events(&mut self, events: &mut Vec<NodeEvent>) -> SimResult<()> {
+    fn finalize(&mut self, _round: Round, events: &mut Vec<NodeEvent>) -> SimResult<()> {
+        // Taken, so no round's blocks stay resident into the next.
+        for (ci, receive) in self.queued.iter_mut().enumerate() {
+            self.link.send_to(ci, &std::mem::take(receive))?;
+        }
         for ci in 0..self.link.chunks() {
             let range = self.link.range(ci);
             let own_nodes_only = |reported: Vec<WireEvent<O>>, _: &mut WireReader| match reported
@@ -766,188 +807,6 @@ impl<O: WireOutput, Q: Default> Framed<O, Q> {
             }
         }
         Ok(())
-    }
-}
-
-#[expect(
-    clippy::indexing_slicing,
-    reason = "`outputs` has one slot per node; `node` is the coordinator's enumeration of 0..n"
-)]
-impl<O: WireOutput, Q> Host for Framed<O, Q> {
-    type Output = O;
-    type Error = SimError;
-    type Outcome<T> = SimResult<T>;
-
-    fn outcome<T>(result: SimResult<T>) -> SimResult<T> {
-        result
-    }
-
-    fn output(&self, node: usize) -> Option<&O> {
-        self.outputs[node].as_ref()
-    }
-
-    /// A worker applies its own halts (see [`serve_multi_port`]).
-    fn set_halted(&mut self, _node: usize) {}
-
-    /// Best-effort (errors ignored: a worker that already went away has
-    /// nothing left to shut down).
-    fn shutdown(&mut self) {
-        let request = frame(REQ_SHUTDOWN);
-        for transport in &mut self.link.transports {
-            let _ = transport.send(&request);
-        }
-    }
-}
-
-#[expect(
-    clippy::indexing_slicing,
-    reason = "chunk tables are sized by the ChunkPlan that `locate` / `range` answer from, and \
-              each reply's length is vetted by `sized` before it is zipped in"
-)]
-impl<M, O: WireOutput> MultiPortHost for Framed<O, Receive<M>> {
-    fn begin_round(&mut self, round: Round, send_intents: &mut [Vec<NodeId>]) -> SimResult<()> {
-        self.link.round = round.as_u64();
-        self.link.broadcast(&round_request(REQ_COLLECT, round))?;
-        for ci in 0..self.link.chunks() {
-            let range = self.link.range(ci);
-            let len = range.len();
-            let vet = |intents: Vec<Vec<NodeId>>, _: &mut WireReader| {
-                sized(intents.len(), len, "intent lists").map(|()| intents)
-            };
-            let intents = self.link.transact(ci, RESP_INTENTS, vet)?;
-            for (slot, list) in send_intents[range].iter_mut().zip(intents) {
-                *slot = list;
-            }
-        }
-        Ok(())
-    }
-
-    fn deliver(
-        &mut self,
-        round: Round,
-        crashed: Vec<(usize, DeliveryFilter)>,
-        staged: &mut Vec<Staged>,
-    ) -> SimResult<()> {
-        let chunks = self.link.chunks();
-        let mut crashed_by_chunk = vec![Vec::new(); chunks];
-        for (victim, filter) in crashed {
-            let (ci, local) = self.link.plan.locate(victim);
-            crashed_by_chunk[ci].push((local, filter));
-        }
-        let ends: Vec<usize> = (0..chunks).map(|ci| self.link.range(ci).end).collect();
-        for (ci, crashed) in crashed_by_chunk.iter().enumerate() {
-            let mut request = round_request(REQ_DELIVER, round);
-            crashed.encode(&mut request);
-            ends.encode(&mut request);
-            self.link.send_to(ci, &request)?;
-        }
-        for (receive, _) in &mut self.queued {
-            *receive = round_request(REQ_RECEIVE, round);
-            chunks.encode(receive);
-        }
-        for ci in 0..chunks {
-            // Counters and the block count, then one block per destination
-            // chunk, each appended to that chunk's `Receive` as it stands.
-            type Counts = ((u64, u64, u64), usize);
-            let queued = &mut self.queued;
-            let vet = |((messages, bits, byzantine_messages), blocks): Counts,
-                       r: &mut WireReader| {
-                if blocks != chunks {
-                    return Err(format!("{blocks} blocks for {chunks} chunks"));
-                }
-                for (receive, _) in queued.iter_mut() {
-                    let block = r.block().map_err(|err| err.to_string())?;
-                    block.len().encode(receive);
-                    receive.extend_from_slice(block);
-                }
-                Ok(Staged {
-                    messages,
-                    bits,
-                    byzantine_messages,
-                })
-            };
-            staged.push(self.link.transact(ci, RESP_DELIVERED, vet)?);
-        }
-        Ok(())
-    }
-
-    fn finalize(&mut self, _round: Round, events: &mut Vec<NodeEvent>) -> SimResult<()> {
-        // Taken, so no round's blocks stay resident into the next.
-        for (ci, (receive, _)) in self.queued.iter_mut().enumerate() {
-            self.link.send_to(ci, &std::mem::take(receive))?;
-        }
-        self.recv_events(events)
-    }
-}
-
-#[expect(
-    clippy::indexing_slicing,
-    reason = "chunk tables are sized by the ChunkPlan that `locate` / `range` answer from, and \
-              each reply's length is vetted by `sized` before it is zipped in"
-)]
-impl<M: WireMsg, O: WireOutput> SinglePortHost for Framed<O, SpQueued<M>> {
-    type Msg = M;
-
-    fn begin_round(
-        &mut self,
-        round: Round,
-        send_intents: &mut [Vec<NodeId>],
-        polls: &mut [Option<NodeId>],
-    ) -> SimResult<()> {
-        self.link.round = round.as_u64();
-        self.link.broadcast(&round_request(REQ_COLLECT, round))?;
-        for (ci, queued) in self.queued.iter_mut().enumerate() {
-            let range = self.link.range(ci);
-            let len = range.len();
-            type SpIntents<M> = (Vec<Option<Outgoing<M>>>, Vec<Option<NodeId>>);
-            let vet = |(sends, polled): SpIntents<M>, _: &mut WireReader| {
-                sized(sends.len(), len, "sends")
-                    .and(sized(polled.len(), len, "polled ports"))
-                    .map(|()| (sends, polled))
-            };
-            let (sends, polled) = self.link.transact(ci, RESP_SP_INTENTS, vet)?;
-            for (node, (send, poll)) in range.zip(sends.iter().zip(polled)) {
-                send_intents[node].clear();
-                send_intents[node].extend(send.iter().map(|out| out.to));
-                polls[node] = poll;
-            }
-            queued.sends = sends;
-            queued.drained.resize_with(len, || None);
-        }
-        Ok(())
-    }
-
-    fn set_crashed(&mut self, node: usize, _round: Round) {
-        let (ci, local) = self.link.plan.locate(node);
-        self.queued[ci].crashed.push(local);
-    }
-
-    fn drain_sends(&mut self, mut enqueue: impl FnMut(usize, Outgoing<M>)) {
-        for (ci, queued) in self.queued.iter_mut().enumerate() {
-            let senders = self.link.plan.range(ci, self.link.n);
-            for (sender, send) in senders.zip(queued.sends.drain(..)) {
-                if let Some(out) = send {
-                    enqueue(sender, out);
-                }
-            }
-        }
-    }
-
-    fn set_drained(&mut self, node: usize, msgs: Vec<M>) {
-        let (ci, local) = self.link.plan.locate(node);
-        self.queued[ci].drained[local] = Some(msgs);
-    }
-
-    fn finalize(&mut self, round: Round, events: &mut Vec<NodeEvent>) -> SimResult<()> {
-        for (ci, queued) in self.queued.iter_mut().enumerate() {
-            let mut request = round_request(REQ_SP_RECEIVE, round);
-            queued.crashed.encode(&mut request);
-            queued.drained.encode(&mut request);
-            queued.crashed.clear();
-            queued.drained.clear();
-            self.link.send_to(ci, &request)?;
-        }
-        self.recv_events(events)
     }
 }
 
@@ -991,15 +850,14 @@ fn spawn_in_process<T: Send + 'static>(
 }
 
 /// Coordinates one **multi-port** execution whose chunks live behind shard
-/// transports: the multi-port round of `crate::coordinator` over the
-/// [`Framed`] host.
+/// transports: the round of `crate::coordinator` over the [`Framed`] host.
 ///
 /// Generic over the message and output wire types only — the parent never
 /// holds protocol state machines.  Use [`ShardedRunner::in_process`] to
 /// serve the chunks on threads of this process, or
 /// [`ShardedRunner::connect`] with transports to workers served elsewhere.
 /// `run` is single-shot: it shuts the workers down.
-pub type ShardedRunner<M, O> = Coordinator<Framed<O, Receive<M>>, MultiPort>;
+pub type ShardedRunner<M, O> = Coordinator<Framed<O, MultiPortWorkers<M>>>;
 
 impl<M: WireMsg, O: WireOutput> ShardedRunner<M, O> {
     /// Connects a coordinator over `n` nodes to already-serving shard
@@ -1055,9 +913,9 @@ impl<M: WireMsg, O: WireOutput> ShardedRunner<M, O> {
 }
 
 /// Coordinates one **single-port** execution whose chunks live behind shard
-/// transports: the single-port round of `crate::coordinator` — sparse port
-/// map included — over the [`Framed`] host.
-pub type SpShardedRunner<M, O> = Coordinator<Framed<O, SpQueued<M>>, SinglePort<M>>;
+/// transports: the same host and frames as a [`ShardedRunner`], over
+/// [`serve_single_port`] workers, whose cores keep their nodes' in-ports.
+pub type SpShardedRunner<M, O> = Coordinator<Framed<O, SinglePortWorkers<M>>>;
 
 impl<M: WireMsg, O: WireOutput> SpShardedRunner<M, O> {
     /// Connects a coordinator over `n` nodes to already-serving single-port
@@ -1105,10 +963,7 @@ impl<M: WireMsg, O: WireOutput> SpShardedRunner<M, O> {
     }
 }
 
-impl<O, Q, X> Coordinator<Framed<O, Q>, X>
-where
-    Framed<O, Q>: Host,
-{
+impl<O: WireOutput, W> Coordinator<Framed<O, W>> {
     /// Always the unit value — see [`RecoveryStats`] for why it is still
     /// here and what drops it.
     pub fn recovery_stats(&self) -> RecoveryStats {

@@ -8,9 +8,9 @@
 //! hand-written leaf codec records itself with [`Schema::leaf`] (its name must
 //! be on a `LEAVES` list: [`super::wire::LEAVES`] and `dft_core::wire::LEAVES`)
 //! and declares its element types.  Walking from the roots — the field types
-//! the serve loops read and write ([`super::describe_multi_port`],
-//! [`super::describe_single_port`], [`super::describe_mesh`]) — visits every
-//! type that reaches the wire and nothing else.
+//! the serve loops read and write ([`super::describe_shard`],
+//! [`super::describe_mesh`]) — visits every type that reaches the wire and
+//! nothing else.
 //!
 //! [`Schema::render`] writes the result as `WIRE_SCHEMA.json` (format 3: the
 //! format and the [`WIRE_VERSION`], then one `{"name", "decl"}` line per entry,
@@ -248,7 +248,7 @@ mod tests {
 
     #[test]
     fn a_declaration_is_recorded_without_whitespace() {
-        let schema = schema_of::<crate::message::Outgoing<before::Toy>>();
+        let schema = schema_of::<crate::message::Delivered<before::Toy>>();
         // The walk reaches every field type, leaves included, and no more.
         let entries: Vec<(&str, &str)> = schema
             .entries
@@ -258,8 +258,8 @@ mod tests {
         assert_eq!(
             entries,
             [
+                ("Delivered", "Delivered<M:Wire>{from:NodeId,msg:M}"),
                 ("NodeId", "leaf"),
-                ("Outgoing", "Outgoing<M:Wire>{to:NodeId,msg:M}"),
                 ("Toy", "Toy{a:u64,b:bool}"),
                 ("bool", "leaf"),
                 ("u64", "leaf"),

@@ -11,6 +11,7 @@ use crate::adversary::NoFaults;
 use crate::conformance::{
     crash_schedule, multi_port_worker, ring_worker, spawn_worker, FloodOr, Ring, Wiring,
 };
+use crate::message::Outgoing;
 use crate::report::{check, Spec};
 use crate::runner::Runner;
 use crate::single_port::SinglePortRunner;
@@ -158,17 +159,14 @@ impl ShardTransport for Scripted {
 /// A well-formed intents response for a chunk of one node.
 fn intents_for_one_node(real: Vec<u8>) -> Vec<u8> {
     let mut resp = frame(real[2]);
-    if real[2] == RESP_INTENTS {
-        vec![Vec::<NodeId>::new()].encode(&mut resp);
-    } else {
-        vec![None::<Outgoing<bool>>].encode(&mut resp);
-        vec![None::<NodeId>].encode(&mut resp);
-    }
+    vec![Vec::<NodeId>::new()].encode(&mut resp);
+    Vec::<(usize, NodeId)>::new().encode(&mut resp);
     resp
 }
 
 /// Shard 1's `Collect` exchange of round 1 goes wrong in every way a
-/// transport or a frame can, under both round models: the run ends with the
+/// transport or a frame can, under both round models (which speak the same
+/// frames): the run ends with the
 /// structured error — which shard, which frame, which round — and nothing
 /// is retried, masked or left hanging.
 #[test]
@@ -213,7 +211,7 @@ fn every_transport_and_frame_failure_is_a_structured_error() {
         ),
     ];
     for (name, fault, detail) in faults {
-        // Round 1's `Collect` is a model's fourth or third exchange.
+        // Round 1's `Collect` is the fourth exchange of either model.
         let scripted = |inner, healthy| -> Box<dyn ShardTransport> {
             Box::new(Scripted {
                 inner,
@@ -239,20 +237,20 @@ fn every_transport_and_frame_failure_is_a_structured_error() {
             2,
             vec![
                 ring_worker(n, 2, 0, Wiring::Channel),
-                scripted(ring_worker(n, 2, 1, Wiring::Channel), 2),
+                scripted(ring_worker(n, 2, 1, Wiring::Channel), 3),
             ],
         );
         let outcomes = [
-            (multi_port.unwrap().run(10).unwrap_err(), RESP_INTENTS),
-            (single_port.unwrap().run(30).unwrap_err(), RESP_SP_INTENTS),
+            multi_port.unwrap().run(10).unwrap_err(),
+            single_port.unwrap().run(30).unwrap_err(),
         ];
-        for (err, response_tag) in outcomes {
+        for err in outcomes {
             let SimError::Shard(err) = err else {
                 panic!("{name}: expected a shard error, got {err}");
             };
             let tag = match fault {
                 Fault::Send => REQ_COLLECT,
-                _ => response_tag,
+                _ => RESP_INTENTS,
             };
             assert_eq!(
                 (err.shard, err.frame_tag, err.round),
@@ -390,8 +388,9 @@ impl SyncProtocol for FloodSets {
 }
 
 /// Back-references resolve to the payloads the serial run delivers, each
-/// sender's two payloads cross once per destination chunk, not once per
-/// copy, and the coordinator forwards every block as it arrived.
+/// sender's two payloads cross once per other chunk, not once per copy, a
+/// worker's messages to its own chunk do not cross at all, and the
+/// coordinator forwards every block as it arrived.
 #[test]
 fn interned_frames_carry_each_payload_once_and_match_the_serial_run() {
     let n = 12;
@@ -406,20 +405,22 @@ fn interned_frames_carry_each_payload_once_and_match_the_serial_run() {
         ShardedRunner::in_process(FloodSets::participants(n), adversary, 3, 2).unwrap();
     assert_eq!(serial, sharded.run(10).expect("sharded run"));
 
-    // A block is interned on its own, so a payload is written once per
-    // destination chunk: both of a sender's payloads reach both chunks
-    // (their destinations alternate), so each is written twice a round
-    // where it has n / 2 copies.  The `Delivered` frames, envelopes and
-    // all, therefore stay smaller than the payloads alone would be per copy
-    // (a `Vec<u64>` is as many bytes on the wire as `bit_len` counts bits,
-    // over eight).
+    // Each sender's destinations alternate between its two payloads, so
+    // each chunk of six gets three copies of each: half of the bits the
+    // serial run counts go to the sender's own chunk, whose block stays on
+    // the worker, and half to the other chunk.  A block is interned on its
+    // own, so there each payload is written once where it has three
+    // copies.  The `Delivered` frames, envelopes and all, therefore stay
+    // smaller than the crossing half of the payloads alone would be per
+    // copy (a `Vec<u64>` is as many bytes on the wire as `bit_len` counts
+    // bits, over eight).
     let delivered = sharded.wire_stats().named("Delivered");
     assert_eq!(delivered.frames, 2 * 3, "two shards, three rounds");
-    assert!(delivered.bytes < serial.metrics.bits / 8, "{delivered:?}");
-    // The same blocks, byte for byte, make up the `Receive` frames: per
-    // frame, only the 35-byte opening (header, counters, block count) of a
-    // `Delivered` becomes the 19-byte one (header, round, block count) of a
-    // `Receive`.
+    assert!(delivered.bytes < serial.metrics.bits / 16, "{delivered:?}");
+    // The same blocks, byte for byte, make up the `Receive` frames, a
+    // worker's empty block for itself included: per frame, only the
+    // 35-byte opening (header, counters, block count) of a `Delivered`
+    // becomes the 19-byte one (header, round, block count) of a `Receive`.
     let receive = sharded.wire_stats().named("Receive");
     assert_eq!(receive.frames, delivered.frames);
     assert_eq!(
@@ -470,7 +471,7 @@ fn worker_refuses_indices_and_lengths_outside_its_chunk() {
     let mut long_block = block(vec![(0, from, Slot::Inline(true))]);
     long_block[0] += 1;
     long_block.push(0);
-    let hostile: [(bool, Vec<u8>, &str); 10] = [
+    let hostile: [(bool, Vec<u8>, &str); 9] = [
         // A crash verdict for local node 2 of a 2-node chunk.
         (
             false,
@@ -543,23 +544,15 @@ fn worker_refuses_indices_and_lengths_outside_its_chunk() {
             request(REQ_RECEIVE, blocks(&[long_block])),
             "1 bytes left over in a block",
         ),
-        // Single-port: a crash verdict for local node 2 ...
+        // Single-port: a message for the port of local node 2, which a
+        // chunk of two nodes does not have.
         (
             true,
-            request(REQ_SP_RECEIVE, |out| {
-                vec![2usize].encode(out);
-                vec![None::<Vec<bool>>; 2].encode(out);
-            }),
+            request(
+                REQ_RECEIVE,
+                blocks(&[block(vec![(2, from, Slot::Inline(true))])]),
+            ),
             "local node index 2 outside a chunk of 2 nodes",
-        ),
-        // ... and three drained ports for two nodes.
-        (
-            true,
-            request(REQ_SP_RECEIVE, |out| {
-                Vec::<usize>::new().encode(out);
-                vec![None::<Vec<bool>>; 3].encode(out);
-            }),
-            "3 drained ports for a chunk of 2 nodes",
         ),
     ];
     for (single_port, frame, detail) in hostile {
@@ -570,13 +563,18 @@ fn worker_refuses_indices_and_lengths_outside_its_chunk() {
 }
 
 /// A worker may answer only for its own chunk, in the partition's shape:
-/// shard 1 (nodes 2..4) delivering three blocks for two chunks, or claiming
-/// that node 0 halted, is a malformed response — a structured error naming
-/// the shard, the response and the round.
+/// shard 1 (nodes 2..4) stating a poll by its local node 2, delivering
+/// three blocks for two chunks, or claiming that node 0 halted, is a
+/// malformed response — a structured error naming the shard, the response
+/// and the round.
 #[test]
 fn parent_refuses_events_for_another_chunks_node() {
     let n = 4;
     let lies = [
+        (
+            RESP_INTENTS,
+            "a poll by local node 2, outside a chunk of 2 nodes",
+        ),
         (RESP_DELIVERED, "3 blocks for 2 chunks"),
         (RESP_EVENTS, "an event for node 0, outside the chunk"),
     ];
@@ -588,6 +586,12 @@ fn parent_refuses_events_for_another_chunks_node() {
                 REQ_COLLECT => {
                     resp = frame(RESP_INTENTS);
                     vec![Vec::<NodeId>::new(); 2].encode(&mut resp);
+                    let polls = if lie_at == RESP_INTENTS {
+                        vec![(2usize, NodeId::new(0))]
+                    } else {
+                        Vec::new()
+                    };
+                    polls.encode(&mut resp);
                 }
                 REQ_DELIVER => {
                     resp = frame(RESP_DELIVERED);
@@ -636,7 +640,7 @@ fn parent_refuses_events_for_another_chunks_node() {
 
 #[test]
 fn wire_event_golden_bytes() {
-    assert_eq!(WIRE_VERSION, 11);
+    assert_eq!(WIRE_VERSION, 12);
     let decided = WireEvent {
         node: 17,
         halted: false,

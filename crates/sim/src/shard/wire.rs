@@ -21,7 +21,7 @@ use std::sync::{Arc, OnceLock};
 
 use super::schema::Schema;
 use crate::adversary::DeliveryFilter;
-use crate::message::{Delivered, Outgoing};
+use crate::message::Delivered;
 use crate::node::NodeId;
 use crate::round::Round;
 
@@ -652,7 +652,6 @@ wire_enum!(DeliveryFilter {
     2 = Prefix(usize),
     3 = Only(Vec<NodeId>),
 });
-wire_struct!(Outgoing<M: Wire> { to: NodeId, msg: M });
 wire_struct!(Delivered<M: Wire> { from: NodeId, msg: M });
 
 #[cfg(test)]
@@ -724,7 +723,6 @@ mod tests {
         round_trip(DeliveryFilter::None);
         round_trip(DeliveryFilter::Prefix(5));
         round_trip(DeliveryFilter::Only(vec![NodeId::new(1), NodeId::new(4)]));
-        round_trip(Outgoing::new(NodeId::new(2), true));
         round_trip(Delivered::new(NodeId::new(3), 8u64));
     }
 
@@ -733,7 +731,7 @@ mod tests {
     /// bump asserted beside it.
     #[test]
     fn golden_bytes() {
-        assert_eq!(crate::shard::WIRE_VERSION, 11);
+        assert_eq!(crate::shard::WIRE_VERSION, 12);
         assert_eq!(to_bytes(&true), b"\x01");
         assert_eq!(to_bytes(&0xABu8), b"\xab");
         assert_eq!(to_bytes(&0xBEEFu16), b"\xef\xbe");
@@ -766,10 +764,6 @@ mod tests {
         assert_eq!(
             to_bytes(&DeliveryFilter::Only(vec![NodeId::new(4)])),
             b"\x03\x01\0\0\0\0\0\0\0\x04\0\0\0\0\0\0\0"
-        );
-        assert_eq!(
-            to_bytes(&Outgoing::new(NodeId::new(2), true)),
-            b"\x02\0\0\0\0\0\0\0\x01"
         );
         assert_eq!(
             to_bytes(&Delivered::new(NodeId::new(3), 0xABu8)),

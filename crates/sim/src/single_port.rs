@@ -6,25 +6,19 @@
 //! messages; it must decide which port to poll blindly.  Messages sent to a
 //! port are buffered until polled.
 //!
-//! [`SinglePortRunner`] is a configuration, not a loop: the single-port
-//! round of [`crate::coordinator`] — which owns the sparse port map, so a
-//! runner over `n` nodes costs `O(n + live messages)` memory — over the
-//! in-process host, which is one sans-I/O [`SinglePortCore`] of
-//! [`crate::driver`] owning every node, called directly on the caller's
-//! thread.  This module holds the constructors and the single-port half of
-//! that host.
-
-use std::convert::Infallible;
+//! [`SinglePortRunner`] is a configuration, not a loop: the round of
+//! [`crate::coordinator`] over the in-process host, which is one sans-I/O
+//! [`SinglePortCore`] of [`crate::driver`] owning every node and its sparse
+//! in-ports (so a runner over `n` nodes costs `O(n + live messages)`
+//! memory), called directly on the caller's thread.  This module holds the
+//! constructors; the host is `crate::runner`'s, the same for both models.
 
 use crate::adversary::{CrashAdversary, NoFaults};
-use crate::coordinator::{Central, Coordinator, Host, SinglePort, SinglePortHost};
-use crate::driver::{NodeEvent, SinglePortCore};
+use crate::coordinator::{Central, Coordinator};
+use crate::driver::SinglePortCore;
 use crate::error::SimResult;
-use crate::message::Outgoing;
-use crate::node::{NodeId, NodeSet};
+use crate::node::NodeSet;
 use crate::protocol::SinglePortProtocol;
-use crate::round::Round;
-use crate::runner::never_fails;
 
 /// Single-port synchronous runner.
 ///
@@ -81,8 +75,7 @@ use crate::runner::never_fails;
 /// let report = runner.run(5);
 /// assert_eq!(check(&report, &Spec::consensus(&[true])), Ok(()));
 /// ```
-pub type SinglePortRunner<P> =
-    Coordinator<SinglePortCore<P>, SinglePort<<P as SinglePortProtocol>::Msg>>;
+pub type SinglePortRunner<P> = Coordinator<SinglePortCore<P>>;
 
 impl<P: SinglePortProtocol> SinglePortRunner<P> {
     /// Creates a fault-free single-port runner.
@@ -138,69 +131,28 @@ impl<P: SinglePortProtocol> SinglePortRunner<P> {
     pub fn full_ports_drained(&self) -> u64 {
         self.host.full_ports_drained()
     }
-}
 
-// The in-process host is the runner's one core.  It owns every node from
-// base 0, so a global node index *is* the core-local one; the phase bodies
-// called below are the core's own inherent methods of the same names.
-impl<P: SinglePortProtocol> Host for SinglePortCore<P> {
-    type Output = P::Output;
-    type Error = Infallible;
-    type Outcome<T> = T;
-
-    fn outcome<T>(result: Result<T, Infallible>) -> T {
-        never_fails(result)
+    /// Total sent-but-not-yet-polled messages currently buffered on ports.
+    /// With [`SinglePortRunner::ports_in_use`] this is the engine's memory
+    /// footprint: both are `O(live messages)`, never `O(n²)`.
+    pub fn buffered_messages(&self) -> usize {
+        self.host.buffered_messages()
     }
 
-    fn output(&self, node: usize) -> Option<&P::Output> {
-        SinglePortCore::output(self, node)
-    }
-
-    fn set_halted(&mut self, node: usize) {
-        SinglePortCore::set_halted(self, node);
-    }
-}
-
-impl<P: SinglePortProtocol> SinglePortHost for SinglePortCore<P> {
-    type Msg = P::Msg;
-
-    fn begin_round(
-        &mut self,
-        round: Round,
-        send_intents: &mut [Vec<NodeId>],
-        polls: &mut [Option<NodeId>],
-    ) -> Result<(), Infallible> {
-        self.begin_round_into(round, send_intents, polls);
-        Ok(())
-    }
-
-    fn set_crashed(&mut self, node: usize, round: Round) {
-        SinglePortCore::set_crashed(self, node, round);
-    }
-
-    fn take_spares(&mut self, out: &mut Vec<Vec<P::Msg>>) {
-        SinglePortCore::take_spares(self, out);
-    }
-
-    fn drain_sends(&mut self, enqueue: impl FnMut(usize, Outgoing<P::Msg>)) {
-        SinglePortCore::drain_sends(self, enqueue);
-    }
-
-    fn set_drained(&mut self, node: usize, msgs: Vec<P::Msg>) {
-        SinglePortCore::set_drained(self, node, Some(msgs));
-    }
-
-    fn finalize(&mut self, round: Round, events: &mut Vec<NodeEvent>) -> Result<(), Infallible> {
-        events.extend_from_slice(SinglePortCore::finalize(self, round).events);
-        Ok(())
+    /// Number of ports currently buffering at least one message.
+    pub fn ports_in_use(&self) -> usize {
+        self.host.ports_in_use()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::AdaptiveSplitAdversary;
+    use crate::adversary::{AdaptiveSplitAdversary, CrashDirective, FixedCrashSchedule};
+    use crate::message::Outgoing;
+    use crate::node::NodeId;
     use crate::report::{check, Spec, Termination};
+    use crate::round::Round;
     use crate::SimError;
 
     /// A round-robin token ring: node i sends its accumulated OR to node
@@ -415,9 +367,93 @@ mod tests {
         assert_eq!(runner.ports_in_use(), 0);
     }
 
+    /// Nodes 0 and 3 send to nodes that cannot take a message.  In round
+    /// 0, node 0 sends to index n, which does not exist, and node 3 to node
+    /// 1, which crashes silently that round; node 2 halts.  In round 1,
+    /// node 0 sends to the halted node 2, and node 3 to node 0, which polls
+    /// its port.  Each node halts with the number of messages it got as its
+    /// output.
+    struct Misaddressed {
+        me: usize,
+        n: usize,
+        round: u64,
+        received: u64,
+    }
+
+    impl SinglePortProtocol for Misaddressed {
+        type Msg = bool;
+        type Output = u64;
+
+        fn send(&mut self, round: Round) -> Option<Outgoing<bool>> {
+            self.round = round.as_u64();
+            let to = match (self.me, self.round) {
+                (0, 0) => self.n,
+                (3, 0) => 1,
+                (0, 1) => 2,
+                (3, 1) => 0,
+                _ => return None,
+            };
+            Some(Outgoing::new(NodeId::new(to), true))
+        }
+
+        fn poll(&mut self, round: Round) -> Option<NodeId> {
+            (self.me == 0 && round.as_u64() == 1).then(|| NodeId::new(3))
+        }
+
+        fn receive(&mut self, _round: Round, _from: NodeId, msgs: &mut Vec<bool>) {
+            self.received += msgs.len() as u64;
+        }
+
+        fn output(&self) -> Option<u64> {
+            self.has_halted().then_some(self.received)
+        }
+
+        fn has_halted(&self) -> bool {
+            self.me == 2 || self.round >= 1
+        }
+    }
+
+    /// A message to a node that does not exist, to one crashed this round
+    /// and to one halted is counted against its sender and dropped, never
+    /// buffered, and the serial host agrees with the sharded one.  Over
+    /// two shards (nodes 0–1 and 2–3) node 3's message to the crashing
+    /// node 1 and node 0's to the halted node 2 cross to the other chunk,
+    /// so the receiving worker's core is the only place that drops them.
+    #[test]
+    fn misaddressed_messages_are_counted_and_dropped_by_every_single_port_host() {
+        let n = 4;
+        let nodes = || {
+            (0..n)
+                .map(|me| Misaddressed {
+                    me,
+                    n,
+                    round: 0,
+                    received: 0,
+                })
+                .collect::<Vec<_>>()
+        };
+        let crash = || {
+            let crash = CrashDirective::silent(NodeId::new(1));
+            Box::new(FixedCrashSchedule::new().crash_at(0, crash))
+        };
+        let mut runner = SinglePortRunner::with_adversary(nodes(), crash(), 1).unwrap();
+        let serial = runner.run(5);
+        let sharded = crate::shard::SpShardedRunner::in_process(nodes(), crash(), 1, 2)
+            .unwrap()
+            .run(5)
+            .unwrap();
+        assert_eq!(serial.termination, Termination::AllHalted);
+        assert_eq!(serial.metrics.messages, 4, "all four sends are counted");
+        assert_eq!(serial.crashed_at[1], Some(Round::new(0)));
+        assert_eq!(serial.halted_at[2], Some(Round::new(0)));
+        let received = [0, 2, 3].map(|i| serial.output_of(NodeId::new(i)).copied());
+        assert_eq!(received, [Some(1), Some(0), Some(0)], "only node 0 got one");
+        assert_eq!(runner.buffered_messages(), 0, "nothing left on a port");
+        assert_eq!(serial, sharded);
+    }
+
     #[test]
     fn crashed_destination_ports_are_freed() {
-        use crate::adversary::{CrashDirective, FixedCrashSchedule};
         /// Node 0 sends to node 2 every round; node 2 never polls, so its
         /// port from node 0 accumulates messages until node 2 crashes.
         struct Pester;

@@ -1,9 +1,10 @@
 //! What a sharded execution puts on its transports, counted per frame tag
 //! by the coordinator (`wire_stats`) and checked against the per-message
 //! codec: a protocol that `Arc`-shares its payloads crosses each distinct
-//! payload once per block (one per pair of chunks), and a protocol that
-//! shares nothing pays exactly one slot-tag byte per message for the table
-//! it does not use.
+//! payload once per block (one per pair of distinct chunks: a worker keeps
+//! its messages to its own chunk), and a protocol that shares nothing pays
+//! exactly one slot-tag byte per crossing message for the table it does
+//! not use.
 
 #![expect(
     clippy::expect_used,
@@ -11,11 +12,12 @@
     reason = "helpers of a test target: a panic here is a failing test"
 )]
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use linear_dft::core::{FewCrashesConsensus, Gossip, SystemConfig};
-use linear_dft::sim::shard::{to_bytes, ShardedRunner, Wire, WireStats};
+use linear_dft::sim::shard::{shard_range, to_bytes, ShardedRunner, Wire, WireStats};
 use linear_dft::sim::{
     check, Delivered, NoFaults, Outgoing, Participant, Round, Spec, SyncProtocol,
 };
@@ -42,12 +44,13 @@ impl Flow {
     }
 }
 
-/// Everything the nodes sent (what the `Delivered` responses, and the
-/// `Receive` requests that forward them, carry when nobody crashes) and
-/// everything handed to a `receive`.
+/// Everything the nodes sent, the part of it sent to another chunk (what
+/// the `Delivered` responses, and the `Receive` requests that forward
+/// them, carry when nobody crashes) and everything handed to a `receive`.
 #[derive(Default)]
 struct Tally {
     sent: Flow,
+    crossing: Flow,
     received: Flow,
 }
 
@@ -55,6 +58,8 @@ struct Tally {
 /// execution is the wrapped protocol's.
 struct Tap<P> {
     inner: P,
+    /// The nodes of the tapped node's own chunk.
+    chunk: Range<usize>,
     tally: Arc<Tally>,
 }
 
@@ -70,6 +75,9 @@ where
         self.inner.send(round, out);
         for outgoing in &out[before..] {
             self.tally.sent.add(&outgoing.msg);
+            if !self.chunk.contains(&outgoing.to.index()) {
+                self.tally.crossing.add(&outgoing.msg);
+            }
         }
     }
 
@@ -97,14 +105,25 @@ where
     P::Msg: Wire,
     P::Output: Wire + PartialEq,
 {
+    let n = nodes.len();
     let tally = Arc::new(Tally::default());
-    let tap = |inner| Tap {
+    let chunks: Vec<_> = (0..SHARDS as usize)
+        .map(|ci| shard_range(n, SHARDS as usize, ci))
+        .collect();
+    let tap = |(me, inner)| Tap {
         inner,
+        chunk: chunks
+            .iter()
+            .find(|chunk| chunk.contains(&me))
+            .cloned()
+            .expect("every node has a chunk"),
         tally: Arc::clone(&tally),
     };
-    let participants = nodes.into_iter().map(tap).map(Participant::Honest);
-    let mut sharded = ShardedRunner::in_process(participants.collect(), Box::new(NoFaults), 0, 2)
-        .expect("a valid system");
+    let participants = nodes.into_iter().enumerate().map(tap);
+    let participants = participants.map(Participant::Honest).collect();
+    let mut sharded =
+        ShardedRunner::in_process(participants, Box::new(NoFaults), 0, SHARDS as usize)
+            .expect("a valid system");
     let report = sharded.run(max_rounds).expect("no shard worker fails");
     let terminated = Spec::decisions(|_, _: &P::Output, _| Ok(()));
     assert_eq!(check(&report, &terminated), Ok(()));
@@ -114,8 +133,9 @@ where
 /// Bytes of the two bulk frame kinds outside the messages themselves.
 /// Per frame: the 3-byte header, then three `u64` counters (`Delivered`) or
 /// the round (`Receive`), then the block count.  Per frame and shard: one
-/// block, its byte length and its list length.  Per message: the
-/// destination's index within its chunk, the sender, and the slot tag.
+/// block, its byte length and its list length (a worker's block for its own
+/// chunk is empty).  Per crossing message: the destination's index within
+/// its chunk, the sender, and the slot tag.
 const DELIVERED_FRAME: u64 = 3 + 24 + 8;
 const RECEIVE_FRAME: u64 = 3 + 8 + 8;
 const BLOCK: u64 = 8 + 8;
@@ -151,10 +171,11 @@ fn unshared_consensus_payloads_cost_one_tag_byte_per_message() {
     let rounds = nodes[0].total_rounds();
     let (wire, tally) = run_tapped(nodes, rounds + 2);
 
-    let (sent, sent_bytes) = tally.sent.read();
-    let messages = sent * (ENVELOPE + SLOT_TAG) + sent_bytes;
+    let (sent, _) = tally.sent.read();
+    let (crossing, crossing_bytes) = tally.crossing.read();
+    let messages = crossing * (ENVELOPE + SLOT_TAG) + crossing_bytes;
     let delivered = wire.named("Delivered");
-    assert!(sent > 0);
+    assert!(0 < crossing && crossing < sent);
     assert_eq!(
         delivered.bytes,
         delivered.frames * (DELIVERED_FRAME + SHARDS * BLOCK) + messages
