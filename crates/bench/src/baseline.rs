@@ -94,6 +94,23 @@ pub struct BenchReport {
     pub experiments: Vec<ExperimentBench>,
     /// Wall time of the whole harness run, seconds.
     pub total_wall_s: f64,
+    /// The process's peak resident set at the end of the run, MiB (see
+    /// [`peak_rss_mib`]); `None` where that is unreadable and in older
+    /// baselines.  Recorded, never gated: it depends on the allocator and
+    /// the kernel as much as on the code.
+    pub peak_rss_mib: Option<f64>,
+}
+
+/// This process's peak resident set so far, MiB: `VmHWM` from
+/// `/proc/self/status`, or `None` where that is unreadable (not Linux, no
+/// `/proc`).
+pub fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))?;
+    let kib: u64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kib as f64 / 1024.0)
 }
 
 fn json_opt(value: Option<u64>) -> String {
@@ -136,7 +153,10 @@ impl BenchReport {
             );
         }
         out.push_str("  ],\n");
-        let _ = writeln!(out, "  \"total_wall_s\": {:.6}", self.total_wall_s);
+        let _ = writeln!(out, "  \"total_wall_s\": {:.6},", self.total_wall_s);
+        let peak = self.peak_rss_mib;
+        let peak = peak.map_or_else(|| "null".to_string(), |mib| format!("{mib:.1}"));
+        let _ = writeln!(out, "  \"peak_rss_mib\": {peak}");
         out.push_str("}\n");
         out
     }
@@ -182,6 +202,7 @@ impl BenchReport {
                 })
                 .collect::<Result<_, String>>()?,
             total_wall_s: num(&root, "total_wall_s")?.unwrap_or(0.0),
+            peak_rss_mib: num(&root, "peak_rss_mib")?,
         };
         if report.config.scale.is_empty() {
             return Err("missing config.scale".to_string());
@@ -370,6 +391,7 @@ mod tests {
                 },
             ],
             total_wall_s: 0.25,
+            peak_rss_mib: Some(35.5),
         }
     }
 
@@ -388,6 +410,30 @@ mod tests {
         assert!(json.contains("\"git_rev\": \"abc1234\""));
         assert!(json.contains("\"messages\": 123456"));
         assert!(json.contains("\"messages\": null"));
+        assert!(json.contains("\"peak_rss_mib\": 35.5"));
+    }
+
+    /// The peak is recorded, absent where unreadable or in an older
+    /// baseline, and never gated.
+    #[test]
+    fn peak_rss_is_optional_and_ungated() {
+        let report = sample();
+        let unread = BenchReport {
+            peak_rss_mib: None,
+            ..report.clone()
+        };
+        let json = unread.to_json();
+        assert!(json.contains("\"peak_rss_mib\": null"));
+        assert_eq!(BenchReport::parse(&json).unwrap(), unread);
+        let legacy = json.replace(",\n  \"peak_rss_mib\": null", "");
+        assert!(!legacy.contains("peak_rss"));
+        assert_eq!(BenchReport::parse(&legacy).unwrap(), unread);
+        let mut swollen = report.clone();
+        swollen.peak_rss_mib = Some(10_000.0);
+        assert_eq!(gate(&report, &swollen), Ok(Vec::new()));
+        if cfg!(target_os = "linux") {
+            assert!(peak_rss_mib().is_some_and(|mib| mib > 0.0));
+        }
     }
 
     #[test]
@@ -537,7 +583,7 @@ mod tests {
         let committed = std::fs::read_to_string(path).expect("read BENCH_quick.json");
         let report = BenchReport::parse(&committed).unwrap();
         assert_eq!(report.experiments.len(), 11);
-        assert_eq!(report.experiments[4].allocs_per_round, Some(13));
+        assert_eq!(report.experiments[4].allocs_per_round, Some(9));
         let pretty = committed
             .replace("{ ", "{\n")
             .replace(" }", "\n}")

@@ -54,12 +54,15 @@
 //!   a single-port experiment's line also counts the planned idle polls the
 //!   core answered without a call and the polled ports that held messages.  A
 //!   `--shards` run also ends with `[wire] TAG: … frames, … bytes` lines,
-//!   the coordinator's traffic per shard frame tag;
+//!   the coordinator's traffic per shard frame tag, and every run with one
+//!   `[rss] peak … MiB` line, the process's peak resident set (`VmHWM`;
+//!   omitted where `/proc/self/status` is unreadable);
 //! * `--bench-json PATH` writes the machine-readable perf baseline
 //!   (`dft_bench::baseline::BenchReport`): per-experiment wall / trimmed
 //!   timings, message and bit totals, the allocation counts above when
-//!   the run was `--jobs 1` (`null` otherwise), and the run configuration
-//!   including the git revision;
+//!   the run was `--jobs 1` (`null` otherwise), the run configuration
+//!   including the git revision, and the peak resident set (recorded, not
+//!   gated);
 //! * `--bench-compare BASELINE` loads a committed baseline JSON and exits
 //!   non-zero if any experiment's trimmed-mean wall time regressed more
 //!   than 2× against the baseline's (with one sample the trimmed mean *is*
@@ -117,7 +120,7 @@ fn fail(message: &str) -> ExitCode {
 /// alone.
 #[expect(
     unsafe_code,
-    reason = "the workspace's one exception: a counting GlobalAlloc cannot be written without \
+    reason = "one of the workspace's two exceptions: a counting GlobalAlloc cannot be written without \
               `unsafe impl`, and this one forwards verbatim to System"
 )]
 mod alloc_stats {
@@ -364,6 +367,7 @@ fn bench_report(
         },
         experiments,
         total_wall_s: total_wall.as_secs_f64(),
+        peak_rss_mib: baseline::peak_rss_mib(),
     }
 }
 
@@ -547,6 +551,10 @@ fn main() -> ExitCode {
             "[wire] total: {} frames, {} bytes\n",
             total.frames, total.bytes
         );
+    }
+    // The whole run's peak resident set: printed, never gated.
+    if let Some(peak) = baseline::peak_rss_mib().filter(|_| timings) {
+        println!("[rss] peak {peak:.1} MiB\n");
     }
 
     let mut verdict = ExitCode::SUCCESS;

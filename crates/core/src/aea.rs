@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use dft_overlay::Graph;
+use dft_overlay::{Graph, Neighbors};
 use dft_sim::{Delivered, NodeId, Outgoing, Payload, Round, SyncProtocol};
 
 use crate::config::{related_nodes, SystemConfig};
@@ -172,11 +172,11 @@ impl<V: JoinValue> AlmostEverywhereAgreement<V> {
         self.me < self.config.little
     }
 
-    fn little_neighbors(&self) -> &[usize] {
+    fn little_neighbors(&self) -> Neighbors<'_> {
         if self.is_little() {
             self.config.graph.neighbors(self.me)
         } else {
-            &[]
+            Neighbors::default()
         }
     }
 }
@@ -191,16 +191,16 @@ impl<V: JoinValue> SyncProtocol for AlmostEverywhereAgreement<V> {
             // Part 1: flood the candidate when it is new.
             if self.is_little() && self.pending_flood {
                 self.pending_flood = false;
-                out.extend(self.little_neighbors().iter().map(|&v| {
-                    Outgoing::new(NodeId::new(v), AeaMsg::Rumor(self.candidate.clone()))
-                }));
+                let rumor =
+                    |v| Outgoing::new(NodeId::new(v), AeaMsg::Rumor(self.candidate.clone()));
+                out.extend(self.little_neighbors().map(rumor));
             }
         } else if r < self.config.notify_round() {
             // Part 2: local probing — send to every neighbour unless paused.
             if self.probe.should_send() {
-                out.extend(self.little_neighbors().iter().map(|&v| {
-                    Outgoing::new(NodeId::new(v), AeaMsg::Rumor(self.candidate.clone()))
-                }));
+                let rumor =
+                    |v| Outgoing::new(NodeId::new(v), AeaMsg::Rumor(self.candidate.clone()));
+                out.extend(self.little_neighbors().map(rumor));
             }
         } else if r == self.config.notify_round() {
             // Part 3: little deciders notify their related nodes.

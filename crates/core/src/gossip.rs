@@ -278,8 +278,8 @@ impl Gossip {
     /// `msg` to every little-overlay neighbour; the caller checks that the
     /// probe sends this round before it builds `msg`.
     fn probing_sends(&self, msg: GossipMsg, out: &mut Vec<Outgoing<GossipMsg>>) {
-        let neighbours = self.graph.neighbors(self.me).iter();
-        out.extend(neighbours.map(|&v| Outgoing::new(NodeId::new(v), msg.clone())));
+        let neighbours = self.graph.neighbors(self.me);
+        out.extend(neighbours.map(|v| Outgoing::new(NodeId::new(v), msg.clone())));
     }
 }
 

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use dft_overlay::InquiryFamily;
+use dft_overlay::{InquiryFamily, Neighbors};
 use dft_sim::{Delivered, NodeId, Outgoing};
 
 /// Whom an inquiring node asks.
@@ -93,11 +93,11 @@ impl Inquiries {
     /// self-loops.  `G_phase` is built here on its first read.
     pub(crate) fn targets(&self, me: usize, phase: u64) -> impl Iterator<Item = usize> + '_ {
         let (little, neighbours) = match &self.targets {
-            Targets::Little(k) => (*k, [].as_slice()),
+            Targets::Little(k) => (*k, Neighbors::default()),
             Targets::Family(family) => (0, family.graph(phase as usize).neighbors(me)),
         };
         let little = (0..me.min(little)).chain(me + 1..little);
-        little.chain(neighbours.iter().copied())
+        little.chain(neighbours)
     }
 
     /// Records the senders of the inquiries in an inquiry round's inbox.
@@ -208,7 +208,8 @@ mod tests {
             for me in [0, 17, 59] {
                 let targets: Vec<_> = inquiries.targets(me, phase).collect();
                 assert!(!targets.contains(&me));
-                assert_eq!(targets, family.graph(phase as usize).neighbors(me));
+                let neighbours = family.graph(phase as usize).neighbors(me);
+                assert_eq!(targets, neighbours.collect::<Vec<_>>());
             }
         }
     }

@@ -199,8 +199,7 @@ impl<V: Payload, A: Trust<V>> SyncProtocol for SpreadCommonValue<V, A> {
                     out.extend(
                         self.h_graph
                             .neighbors(self.me)
-                            .iter()
-                            .map(|&v| Outgoing::new(NodeId::new(v), ScvMsg::Value(value.clone()))),
+                            .map(|v| Outgoing::new(NodeId::new(v), ScvMsg::Value(value.clone()))),
                     );
                 }
             }

@@ -309,16 +309,14 @@ impl PortPlan for LinearConsensusPlan {
     fn poll_list(&self, me: usize, mp_round: u64, ports: &mut Vec<NodeId>) {
         if mp_round < self.aea_part1_and_2 {
             if me < self.little {
-                let neighbours = self.little_graph.neighbors(me).iter().copied();
-                ports.extend(neighbours.map(NodeId::new));
+                ports.extend(self.little_graph.neighbors(me).map(NodeId::new));
             }
         } else if mp_round < self.aea_total {
             if me >= self.little {
                 ports.push(NodeId::new(me % self.little.max(1)));
             }
         } else if mp_round < self.aea_total + self.scv.start() {
-            let neighbours = self.h_graph.neighbors(me).iter().copied();
-            ports.extend(neighbours.map(NodeId::new));
+            ports.extend(self.h_graph.neighbors(me).map(NodeId::new));
         } else if let Some((phase, _)) = self.scv.at(mp_round - self.aea_total) {
             // Inquiry round: decided nodes listen for inquiries from whom
             // they would ask.  Response round: undecided nodes listen for

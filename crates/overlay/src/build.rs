@@ -19,23 +19,30 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::error::{OverlayError, OverlayResult};
-use crate::graph::Graph;
+use crate::graph::{check_vertex_count, Graph};
 
-/// The complete graph `K_n` (built directly in `O(n²)`; see
-/// [`Graph::complete`]).
+/// The complete graph `K_n`, stored implicitly (see [`Graph::complete`]).
 pub fn complete(n: usize) -> Graph {
     Graph::complete(n)
 }
 
 /// The cycle `C_n`.
+///
+/// # Panics
+///
+/// Panics if `n` exceeds `u32::MAX`.
+#[expect(
+    clippy::expect_used,
+    reason = "each edge joins u < n to (u + 1) mod n, which is all `from_edges` checks besides n \
+              itself; a cycle past u32::MAX vertices is a documented panic"
+)]
 pub fn cycle(n: usize) -> Graph {
-    let mut g = Graph::empty(n);
-    if n >= 2 {
-        for u in 0..n {
-            g.add_edge(u, (u + 1) % n);
-        }
-    }
-    g
+    let edges: Vec<_> = if n >= 2 {
+        (0..n).map(|u| (u, (u + 1) % n)).collect()
+    } else {
+        Vec::new()
+    };
+    Graph::from_edges(n, &edges).expect("a cycle's endpoints are in range")
 }
 
 /// A seeded random `d`-regular-style graph built as the union of `⌈d/2⌉`
@@ -48,15 +55,22 @@ pub fn cycle(n: usize) -> Graph {
 /// overwhelming probability and their measured second eigenvalue is close to
 /// the Ramanujan bound `2√(d−1)`; the benchmark suite checks this.
 ///
+/// Each cycle gives every vertex two endpoints and the matching at most
+/// one, so every vertex's row is written straight into a slot of
+/// `2·⌊d/2⌋ + d mod 2` entries, then sorted, deduplicated and slid down
+/// in place: `O(n·d log d)`, no edge list, and the finished graph holds
+/// one `u32` per endpoint.
+///
 /// # Errors
 ///
 /// Returns [`OverlayError::InvalidParameters`] if `d >= n` or `d == 0` or
-/// `n < 3`.
+/// `n < 3`, and [`OverlayError::TooManyVertices`] if `n` exceeds
+/// `u32::MAX`.
 #[expect(
     clippy::indexing_slicing,
-    clippy::expect_used,
     reason = "`order` is a permutation of 0..n indexed modulo n and `chunks_exact(2)` yields \
-              pairs, so every edge has both endpoints below n, which is all `from_edges` checks"
+              pairs, so every endpoint is below n; a vertex gets two endpoints per cycle and at \
+              most one from the matching, which is its slot's width, and `fill` has n + 1 entries"
 )]
 pub fn random_regular(n: usize, d: usize, seed: u64) -> OverlayResult<Graph> {
     if n < 3 {
@@ -69,30 +83,41 @@ pub fn random_regular(n: usize, d: usize, seed: u64) -> OverlayResult<Graph> {
             "degree {d} must satisfy 1 <= d < n = {n}"
         )));
     }
+    check_vertex_count(n)?;
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    // Collect the edge list and build the graph in one bulk pass
-    // (`Graph::from_edges` sorts each adjacency list once): identical result
-    // to inserting edge by edge, but `O(n·d log d)` instead of `O(n·d²)` —
-    // the difference between seconds and minutes for the near-complete
-    // inquiry-phase graphs at paper scale.
-    let cycles = d / 2;
-    let mut edges: Vec<(usize, usize)> = Vec::with_capacity(cycles * n + n / 2);
-    for _ in 0..cycles {
-        let mut order: Vec<usize> = (0..n).collect();
+    let width = 2 * (d / 2) + d % 2;
+    let mut rows = vec![0; n * width];
+    // `fill[v + 1]` counts the endpoints written into v's slot so far.
+    let mut fill = vec![0; n + 1];
+    let mut link = |u: u32, v: u32| {
+        for (from, to) in [(u, v), (v, u)] {
+            let from = from as usize;
+            rows[from * width + fill[from + 1]] = to;
+            fill[from + 1] += 1;
+        }
+    };
+    // Shuffling ids as `u32` draws what shuffling them as `usize` does: the
+    // draws depend on the slice length alone.
+    let mut order: Vec<u32> = Vec::with_capacity(n);
+    let mut shuffle = |order: &mut Vec<u32>| {
+        order.clear();
+        order.extend(0..n as u32);
         order.shuffle(&mut rng);
+    };
+    for _ in 0..d / 2 {
+        shuffle(&mut order);
         for i in 0..n {
-            edges.push((order[i], order[(i + 1) % n]));
+            link(order[i], order[(i + 1) % n]);
         }
     }
     if d % 2 == 1 {
         // Add a random perfect matching (drop one vertex if n is odd).
-        let mut order: Vec<usize> = (0..n).collect();
-        order.shuffle(&mut rng);
+        shuffle(&mut order);
         for pair in order.chunks_exact(2) {
-            edges.push((pair[0], pair[1]));
+            link(pair[0], pair[1]);
         }
     }
-    Ok(Graph::from_edges(n, &edges).expect("endpoints in range by construction"))
+    Ok(Graph::compact(n, rows, fill, Some(width)))
 }
 
 /// The degree-capped overlay the protocols actually use: a seeded

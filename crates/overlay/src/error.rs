@@ -13,6 +13,11 @@ pub enum OverlayError {
         /// The number of vertices in the graph.
         n: usize,
     },
+    /// A graph with more vertices than a row's `u32` ids can name.
+    TooManyVertices {
+        /// The requested number of vertices.
+        n: usize,
+    },
     /// The requested construction parameters are infeasible (for example a
     /// regular graph with degree at least the number of vertices).
     InvalidParameters(String),
@@ -28,6 +33,9 @@ impl fmt::Display for OverlayError {
                     f,
                     "vertex {vertex} out of range for a graph on {n} vertices"
                 )
+            }
+            OverlayError::TooManyVertices { n } => {
+                write!(f, "{n} vertices exceed the u32 vertex ids of a graph")
             }
             OverlayError::InvalidParameters(msg) => write!(f, "invalid parameters: {msg}"),
             OverlayError::ConstructionFailed(msg) => write!(f, "construction failed: {msg}"),
@@ -49,6 +57,9 @@ mod tests {
         assert!(OverlayError::VertexOutOfRange { vertex: 9, n: 4 }
             .to_string()
             .contains("vertex 9"));
+        assert!(OverlayError::TooManyVertices { n: 1 << 40 }
+            .to_string()
+            .contains("u32"));
         assert!(OverlayError::InvalidParameters("d >= n".into())
             .to_string()
             .contains("d >= n"));

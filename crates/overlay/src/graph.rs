@@ -2,12 +2,14 @@
 
 #![expect(
     clippy::indexing_slicing,
-    reason = "the adjacency table has one list per vertex and `from_edges` / `add_edge` refuse an \
-              endpoint >= n, so every stored neighbour indexes it; per-vertex scratch vectors \
-              are sized n beside it, and a caller's vertex out of range is a documented panic"
+    reason = "a row graph's offsets hold n + 1 entries and every stored neighbour is below n (the \
+              builders refuse any other endpoint), so each row and per-vertex scratch slot \
+              indexes in bounds; a caller's vertex out of range is a documented panic"
 )]
 
 use std::collections::VecDeque;
+use std::iter::FusedIterator;
+use std::ops::Range;
 
 use crate::error::{OverlayError, OverlayResult};
 
@@ -18,97 +20,155 @@ use crate::error::{OverlayError, OverlayResult};
 /// of the "little nodes" overlay is the node with the `i`-th smallest name).
 pub type VertexId = usize;
 
-/// An undirected simple graph stored as sorted adjacency lists.
+/// An undirected simple graph with sorted neighbour rows.
 ///
 /// This is the representation of the paper's overlay networks: nodes are
 /// vertices and messages are only sent along edges (Section 2, "Overlay
-/// graphs").
+/// graphs").  A graph is stored one of two ways, invisible to its readers:
+///
+/// * as one compressed-sparse-row adjacency: `n + 1` row offsets into a
+///   single `Vec<u32>` of neighbours, each row sorted and free of
+///   duplicates, so an explicit graph holds at most `u32::MAX` vertices;
+/// * as the implicit complete graph `K_n`, which stores nothing: vertex
+///   `v`'s row is `0..v` then `v + 1..n`.  The degree-capped overlays fall
+///   back to it (see [`crate::build::capped_regular`]).
+///
+/// Equality is by content: an implicit `K_n` equals an explicit one.
 ///
 /// # Examples
 ///
 /// ```
 /// use dft_overlay::Graph;
 ///
-/// let mut g = Graph::empty(4);
-/// g.add_edge(0, 1);
-/// g.add_edge(1, 2);
+/// let g = Graph::from_edges(4, &[(0, 1), (1, 2)]).unwrap();
 /// assert_eq!(g.degree(1), 2);
 /// assert!(g.has_edge(0, 1));
 /// assert!(!g.has_edge(0, 2));
 /// assert_eq!(g.num_edges(), 2);
+/// assert_eq!(g.neighbors(1).collect::<Vec<_>>(), [0, 2]);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct Graph {
-    adjacency: Vec<Vec<VertexId>>,
+    n: usize,
     num_edges: usize,
+    adjacency: Adjacency,
+}
+
+#[derive(Clone, Debug)]
+enum Adjacency {
+    /// Row `v` is `targets[offsets[v]..offsets[v + 1]]`.
+    Rows {
+        offsets: Vec<usize>,
+        targets: Vec<u32>,
+    },
+    /// Every vertex is adjacent to every other.
+    Complete,
 }
 
 impl Graph {
-    /// Creates a graph with `n` vertices and no edges.
-    pub fn empty(n: usize) -> Self {
-        Graph {
-            adjacency: vec![Vec::new(); n],
-            num_edges: 0,
-        }
-    }
-
     /// Creates a graph from an explicit edge list.
     ///
-    /// Self-loops and duplicate edges are ignored.  Adjacency lists are
-    /// built in bulk — pushed unsorted, then sorted and deduplicated once
-    /// per vertex — so construction is `O(E log E)` instead of the
-    /// `O(E · degree)` that repeated [`Graph::add_edge`] sorted insertions
-    /// cost.  The result is identical to inserting the edges one at a time
-    /// (same edge set, same sorted lists); the bulk path is what keeps
-    /// paper-scale high-degree overlays (the inquiry families' near-complete
-    /// graphs at `n = 4 · 10^3`) affordable to build.
+    /// Self-loops and duplicate edges are ignored.  The rows are built in
+    /// bulk: each vertex's endpoints are counted, written into its row and
+    /// the row sorted and deduplicated once, `O(n + E log E)` in all.
     ///
     /// # Errors
     ///
-    /// Returns [`OverlayError::VertexOutOfRange`] if an endpoint is ≥ `n`.
+    /// Returns [`OverlayError::TooManyVertices`] if `n` exceeds `u32::MAX`
+    /// (before anything is allocated), and
+    /// [`OverlayError::VertexOutOfRange`] if an endpoint is ≥ `n`.
     pub fn from_edges(n: usize, edges: &[(VertexId, VertexId)]) -> OverlayResult<Self> {
-        let mut adjacency: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-        for &(u, v) in edges {
-            if u >= n || v >= n {
-                return Err(OverlayError::VertexOutOfRange {
-                    vertex: u.max(v),
-                    n,
-                });
-            }
-            if u == v {
-                continue;
-            }
-            adjacency[u].push(v);
-            adjacency[v].push(u);
+        check_vertex_count(n)?;
+        if let Some(&(u, v)) = edges.iter().find(|&&(u, v)| u >= n || v >= n) {
+            return Err(OverlayError::VertexOutOfRange {
+                vertex: u.max(v),
+                n,
+            });
         }
-        let mut endpoint_count = 0;
-        for adj in &mut adjacency {
-            adj.sort_unstable();
-            adj.dedup();
-            endpoint_count += adj.len();
+        let links = || edges.iter().filter(|(u, v)| u != v);
+        // Degrees, shifted one up: `offsets[v + 1]` counts v's endpoints...
+        let mut offsets = vec![0; n + 1];
+        for &(u, v) in links() {
+            offsets[u + 1] += 1;
+            offsets[v + 1] += 1;
         }
-        Ok(Graph {
-            adjacency,
-            num_edges: endpoint_count / 2,
-        })
+        // ...then, as prefix sums, where row v starts: v's write cursor, which
+        // each endpoint written moves one on, so a filled row v ends at
+        // `offsets[v + 1]`.
+        let mut start = 0;
+        for slot in offsets.iter_mut().skip(1) {
+            (start, *slot) = (start + *slot, start);
+        }
+        let mut targets = vec![0; start];
+        for &(u, v) in links() {
+            for (from, to) in [(u, v), (v, u)] {
+                targets[offsets[from + 1]] = vertex_id(to);
+                offsets[from + 1] += 1;
+            }
+        }
+        Ok(Graph::compact(n, targets, offsets, None))
     }
 
-    /// The complete graph `K_n`, built directly (each adjacency list is
-    /// `0..n` minus the vertex itself, already sorted) — `O(n²)`, versus the
-    /// cubic cost of inserting the edges one at a time.
-    pub fn complete(n: usize) -> Self {
-        let adjacency: Vec<Vec<VertexId>> = (0..n)
-            .map(|u| (0..n).filter(|&v| v != u).collect())
-            .collect();
+    /// Builds a graph from rows filled in place, sorting, deduplicating and
+    /// sliding each row down over the gaps before it.
+    ///
+    /// On entry `offsets[v + 1]` is where row `v` ends, its rows packed end
+    /// to end (`stride` `None`), or how many endpoints row `v` holds at the
+    /// start of its `stride`-wide slot `v · stride` (`Some(stride)`).  The
+    /// endpoints are below `n` and never `v` itself, and each edge's two
+    /// endpoints are both written.  On return `offsets` are the rows'
+    /// offsets and `targets` holds the rows and nothing else.
+    pub(crate) fn compact(
+        n: usize,
+        mut targets: Vec<u32>,
+        mut offsets: Vec<usize>,
+        stride: Option<usize>,
+    ) -> Graph {
+        let mut end = 0;
+        let mut packed = 0;
+        for v in 0..n {
+            let entry = offsets[v + 1];
+            let row = match stride {
+                Some(stride) => v * stride..v * stride + entry,
+                None => packed..entry,
+            };
+            packed = row.end;
+            let start = row.start;
+            let row = &mut targets[row];
+            row.sort_unstable();
+            let mut kept = 0;
+            for i in 0..row.len() {
+                if kept == 0 || row[kept - 1] != row[i] {
+                    row[kept] = row[i];
+                    kept += 1;
+                }
+            }
+            targets.copy_within(start..start + kept, end);
+            end += kept;
+            offsets[v + 1] = end;
+        }
+        targets.truncate(end);
+        targets.shrink_to_fit();
         Graph {
-            adjacency,
+            n,
+            num_edges: end / 2,
+            adjacency: Adjacency::Rows { offsets, targets },
+        }
+    }
+
+    /// The complete graph `K_n`, which stores nothing: any `n` is fine, and
+    /// building it is `O(1)`.
+    pub fn complete(n: usize) -> Self {
+        Graph {
+            n,
             num_edges: if n < 2 { 0 } else { n * (n - 1) / 2 },
+            adjacency: Adjacency::Complete,
         }
     }
 
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
-        self.adjacency.len()
+        self.n
     }
 
     /// Number of (undirected) edges.
@@ -116,51 +176,41 @@ impl Graph {
         self.num_edges
     }
 
-    /// Adds the undirected edge `{u, v}`; self-loops and duplicates are
-    /// ignored.  Returns `true` if the edge was newly inserted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either endpoint is out of range.
-    pub fn add_edge(&mut self, u: VertexId, v: VertexId) -> bool {
-        let n = self.num_vertices();
-        assert!(
-            u < n && v < n,
-            "edge ({u},{v}) out of range for {n} vertices"
-        );
-        if u == v {
-            return false;
-        }
-        // Adjacency lists are kept sorted, so the binary search doubles as
-        // the membership test: `Ok` means the edge already exists.
-        let pos_u = match self.adjacency[u].binary_search(&v) {
-            Ok(_) => return false,
-            Err(pos) => pos,
-        };
-        let pos_v = match self.adjacency[v].binary_search(&u) {
-            Ok(_) => return false,
-            Err(pos) => pos,
-        };
-        self.adjacency[u].insert(pos_u, v);
-        self.adjacency[v].insert(pos_v, u);
-        self.num_edges += 1;
-        true
-    }
-
     /// Whether the edge `{u, v}` is present.
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        self.adjacency
-            .get(u)
-            .is_some_and(|adj| adj.binary_search(&v).is_ok())
+        if u >= self.n || v >= self.n {
+            return false;
+        }
+        match &self.adjacency {
+            Adjacency::Rows { offsets, targets } => {
+                let row = &targets[offsets[u]..offsets[u + 1]];
+                row.binary_search(&vertex_id(v)).is_ok()
+            }
+            Adjacency::Complete => u != v,
+        }
     }
 
-    /// The sorted neighbour list of `v`.
+    /// The neighbours of `v`, in ascending order.
     ///
     /// # Panics
     ///
     /// Panics if `v` is out of range.
-    pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        &self.adjacency[v]
+    pub fn neighbors(&self, v: VertexId) -> Neighbors<'_> {
+        assert!(
+            v < self.n,
+            "vertex {v} out of range for {} vertices",
+            self.n
+        );
+        let walk = match &self.adjacency {
+            Adjacency::Rows { offsets, targets } => {
+                Walk::Row(targets[offsets[v]..offsets[v + 1]].iter())
+            }
+            Adjacency::Complete => Walk::AllBut {
+                below: 0..v,
+                above: v + 1..self.n,
+            },
+        };
+        Neighbors(walk)
     }
 
     /// Degree of `v`.
@@ -169,30 +219,36 @@ impl Graph {
     ///
     /// Panics if `v` is out of range.
     pub fn degree(&self, v: VertexId) -> usize {
-        self.adjacency[v].len()
+        self.neighbors(v).len()
+    }
+
+    /// Every vertex's degree, in vertex order.
+    fn degrees(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.n).map(|v| self.degree(v))
     }
 
     /// Maximum vertex degree (0 for an empty graph).
     pub fn max_degree(&self) -> usize {
-        self.adjacency.iter().map(Vec::len).max().unwrap_or(0)
+        self.degrees().max().unwrap_or(0)
     }
 
     /// Minimum vertex degree (0 for an empty graph).
     pub fn min_degree(&self) -> usize {
-        self.adjacency.iter().map(Vec::len).min().unwrap_or(0)
+        self.degrees().min().unwrap_or(0)
     }
 
     /// Whether every vertex has exactly degree `d`.
     pub fn is_regular(&self, d: usize) -> bool {
-        self.adjacency.iter().all(|adj| adj.len() == d)
+        self.degrees().all(|degree| degree == d)
     }
 
     /// Iterates over all edges, each reported once with `u < v`.
     pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        self.adjacency
-            .iter()
-            .enumerate()
-            .flat_map(|(u, adj)| adj.iter().filter(move |&&v| u < v).map(move |&v| (u, v)))
+        (0..self.n).flat_map(move |u| {
+            self.neighbors(u)
+                .filter(move |&v| u < v)
+                .map(move |v| (u, v))
+        })
     }
 
     /// Number of edges with both endpoints inside `set` — the paper's
@@ -229,9 +285,8 @@ impl Graph {
 
     /// Degree of `v` counting only neighbours inside `set`.
     pub fn degree_within(&self, v: VertexId, set: &[bool]) -> usize {
-        self.adjacency[v]
-            .iter()
-            .filter(|&&u| set.get(u) == Some(&true))
+        self.neighbors(v)
+            .filter(|&u| set.get(u) == Some(&true))
             .count()
     }
 
@@ -253,7 +308,7 @@ impl Graph {
         let mut queue = VecDeque::from([source]);
         while let Some(u) = queue.pop_front() {
             let du = dist[u].expect("queued vertices have distances");
-            for &v in &self.adjacency[u] {
+            for v in self.neighbors(u) {
                 if dist[v].is_none() && permitted(v) {
                     dist[v] = Some(du + 1);
                     queue.push_back(v);
@@ -278,7 +333,7 @@ impl Graph {
         for _ in 0..radius {
             let mut next = Vec::new();
             for &u in &frontier {
-                for &v in &self.adjacency[u] {
+                for v in self.neighbors(u) {
                     if !reached[v] {
                         reached[v] = true;
                         next.push(v);
@@ -309,7 +364,7 @@ impl Graph {
             seen[start] = true;
             while let Some(u) = queue.pop_front() {
                 component.push(u);
-                for &v in &self.adjacency[u] {
+                for v in self.neighbors(u) {
                     if !seen[v] && permitted(v) {
                         seen[v] = true;
                         queue.push_back(v);
@@ -329,14 +384,28 @@ impl Graph {
 
     /// The subgraph induced by the vertex mask `keep`, preserving vertex
     /// indices (vertices outside the mask become isolated).
+    ///
+    /// # Panics
+    ///
+    /// Panics if it keeps an edge of an implicit `K_n` whose `n` exceeds
+    /// `u32::MAX`, which no row graph can hold.
     pub fn induced_subgraph(&self, keep: &[bool]) -> Graph {
-        let mut sub = Graph::empty(self.num_vertices());
-        for (u, v) in self.edges() {
-            if keep.get(u) == Some(&true) && keep.get(v) == Some(&true) {
-                sub.add_edge(u, v);
+        let kept = |v: VertexId| keep.get(v) == Some(&true);
+        let mut offsets = Vec::with_capacity(self.n + 1);
+        offsets.push(0);
+        let mut targets = Vec::new();
+        for v in 0..self.n {
+            if kept(v) {
+                let row = self.neighbors(v).filter(|&u| kept(u));
+                targets.extend(row.map(vertex_id));
             }
+            offsets.push(targets.len());
         }
-        sub
+        Graph {
+            n: self.n,
+            num_edges: targets.len() / 2,
+            adjacency: Adjacency::Rows { offsets, targets },
+        }
     }
 
     /// Builds a membership mask from a vertex list.
@@ -351,6 +420,100 @@ impl Graph {
     }
 }
 
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        if self.n != other.n || self.num_edges != other.num_edges {
+            return false;
+        }
+        match (&self.adjacency, &other.adjacency) {
+            (Adjacency::Complete, Adjacency::Complete) => true,
+            // Rows are sorted, deduplicated and packed, so equal contents
+            // are equal vectors.
+            (
+                Adjacency::Rows { offsets, targets },
+                Adjacency::Rows {
+                    offsets: other_offsets,
+                    targets: other_targets,
+                },
+            ) => offsets == other_offsets && targets == other_targets,
+            _ => (0..self.n).all(|v| self.neighbors(v).eq(other.neighbors(v))),
+        }
+    }
+}
+
+impl Eq for Graph {}
+
+/// Refuses a vertex count whose ids do not fit a row's `u32`.
+pub(crate) fn check_vertex_count(n: usize) -> OverlayResult<()> {
+    match u32::try_from(n) {
+        Ok(_) => Ok(()),
+        Err(_) => Err(OverlayError::TooManyVertices { n }),
+    }
+}
+
+/// A vertex as a row stores it.
+///
+/// # Panics
+///
+/// Panics if `v` exceeds `u32::MAX`; every builder of rows refuses such a
+/// vertex count first (see [`check_vertex_count`]).
+#[expect(
+    clippy::expect_used,
+    reason = "the row builders refuse n > u32::MAX before they store a vertex; only \
+              `induced_subgraph` of a larger implicit K_n reaches this, a documented panic"
+)]
+pub(crate) fn vertex_id(v: VertexId) -> u32 {
+    u32::try_from(v).expect("row graphs hold at most u32::MAX vertices")
+}
+
+/// The neighbours of one vertex, in ascending order (see
+/// [`Graph::neighbors`]).
+#[derive(Clone, Debug, Default)]
+pub struct Neighbors<'a>(Walk<'a>);
+
+#[derive(Clone, Debug)]
+enum Walk<'a> {
+    /// A stored row.
+    Row(std::slice::Iter<'a, u32>),
+    /// `K_n`'s row of `v`: every vertex but `v`.
+    AllBut {
+        below: Range<usize>,
+        above: Range<usize>,
+    },
+}
+
+/// An empty walk, for a vertex with no neighbours to visit.
+impl Default for Walk<'_> {
+    fn default() -> Self {
+        Walk::Row([].iter())
+    }
+}
+
+impl Iterator for Neighbors<'_> {
+    type Item = VertexId;
+
+    #[inline]
+    fn next(&mut self) -> Option<VertexId> {
+        match &mut self.0 {
+            Walk::Row(row) => row.next().map(|&v| v as VertexId),
+            Walk::AllBut { below, above } => below.next().or_else(|| above.next()),
+        }
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let len = match &self.0 {
+            Walk::Row(row) => row.len(),
+            Walk::AllBut { below, above } => below.len() + above.len(),
+        };
+        (len, Some(len))
+    }
+}
+
+impl ExactSizeIterator for Neighbors<'_> {}
+
+impl FusedIterator for Neighbors<'_> {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,12 +524,47 @@ mod tests {
     }
 
     #[test]
-    fn add_edge_deduplicates_and_ignores_loops() {
-        let mut g = Graph::empty(3);
-        assert!(g.add_edge(0, 1));
-        assert!(!g.add_edge(1, 0), "duplicate ignored");
-        assert!(!g.add_edge(2, 2), "self-loop ignored");
+    fn from_edges_deduplicates_and_ignores_loops() {
+        let g = Graph::from_edges(3, &[(0, 1), (1, 0), (2, 2), (0, 1)]).unwrap();
         assert_eq!(g.num_edges(), 1);
+        assert_eq!(g.neighbors(0).collect::<Vec<_>>(), [1]);
+        assert_eq!(g.neighbors(1).collect::<Vec<_>>(), [0]);
+        assert_eq!(g.degree(2), 0);
+    }
+
+    #[test]
+    fn rows_are_sorted_whatever_the_edge_order() {
+        let g = Graph::from_edges(5, &[(4, 0), (0, 2), (3, 0), (1, 0), (2, 4)]).unwrap();
+        assert_eq!(g.neighbors(0).collect::<Vec<_>>(), [1, 2, 3, 4]);
+        assert_eq!(g.neighbors(4).collect::<Vec<_>>(), [0, 2]);
+        assert_eq!(g.neighbors(0).len(), 4);
+    }
+
+    #[test]
+    fn implicit_complete_graph_walks_every_other_vertex() {
+        let k = Graph::complete(4);
+        assert_eq!(k.neighbors(0).collect::<Vec<_>>(), [1, 2, 3]);
+        assert_eq!(k.neighbors(2).collect::<Vec<_>>(), [0, 1, 3]);
+        let mut walk = k.neighbors(3);
+        assert_eq!(walk.len(), 3);
+        walk.next();
+        assert_eq!(walk.len(), 2);
+        assert!(k.has_edge(1, 3) && !k.has_edge(3, 3) && !k.has_edge(0, 4));
+        assert_eq!((k.min_degree(), k.max_degree(), k.num_edges()), (3, 3, 6));
+        assert_eq!(Graph::complete(1).neighbors(0).count(), 0);
+        assert_eq!(Graph::complete(0).max_degree(), 0);
+    }
+
+    #[test]
+    fn equality_is_by_content() {
+        let pairs: Vec<_> = (0..5)
+            .flat_map(|u| (u + 1..5).map(move |v| (u, v)))
+            .collect();
+        let explicit = Graph::from_edges(5, &pairs).unwrap();
+        assert_eq!(Graph::complete(5), explicit);
+        assert_eq!(explicit, Graph::complete(5));
+        assert_ne!(Graph::complete(5), path(5));
+        assert_ne!(Graph::complete(4), Graph::complete(5));
     }
 
     #[test]

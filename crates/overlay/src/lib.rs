@@ -58,6 +58,6 @@ pub mod spectral;
 
 pub use error::{OverlayError, OverlayResult};
 pub use family::InquiryFamily;
-pub use graph::{Graph, VertexId};
+pub use graph::{Graph, Neighbors, VertexId};
 pub use params::OverlayParams;
 pub use spectral::SpectralEstimate;

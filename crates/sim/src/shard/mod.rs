@@ -30,8 +30,10 @@
 //! One frame protocol serves both models.  Each frame is `[u16
 //! version][u8 tag][payload]` (see [`WIRE_VERSION`] and the [`wire`]
 //! codec).  Per round the host sends `Collect` and the worker answers
-//! `Intents`: each node's destinations, then the chunk's polls as `(local
-//! index, port)` (none for a multi-port chunk).  After the coordinator's
+//! `Intents`: `(local index, destinations)` for each node that sends, then
+//! the chunk's polls as `(local index, port)` (none for a multi-port
+//! chunk), both in ascending local order; a node that neither sends nor
+//! polls is absent from both.  After the coordinator's
 //! crash phase the host sends `Deliver` with the chunk's crashes and every
 //! chunk's end index.  The worker answers `Delivered`: its metric deltas
 //! and one [`Block`] per destination chunk, its own chunk's left empty —
@@ -44,8 +46,8 @@
 //! `Events`: the decisions and halts.  `Shutdown` ends the loop; a worker
 //! treats transport EOF as shutdown, so a dying parent never leaves
 //! workers spinning.  Both sides treat a frame as untrusted: an index
-//! outside the chunk, a list of the wrong length or an event for another
-//! chunk's node is an error, never a panic.
+//! outside the chunk or listed twice, a list of the wrong length or an event
+//! for another chunk's node is an error, never a panic.
 //!
 //! # Failures
 //!
@@ -95,7 +97,7 @@ pub use crate::{wire_enum, wire_struct};
 /// Version of the shard wire format.  Every frame carries it; both sides
 /// reject a mismatch, so a peer built from another revision fails loudly
 /// instead of silently mis-decoding.
-pub const WIRE_VERSION: u16 = 12;
+pub const WIRE_VERSION: u16 = 13;
 
 /// Frame tags (parent → worker).
 const REQ_COLLECT: u8 = 1;
@@ -283,6 +285,39 @@ fn check_local(local: usize, len: usize) -> io::Result<usize> {
     }
 }
 
+/// Encodes `(local index, item)` pairs as the `Vec<(usize, T)>` they
+/// would collect into, without collecting them.
+fn encode_by_local<'a, T: Wire + 'a>(
+    pairs: impl Iterator<Item = (usize, &'a T)> + Clone,
+    out: &mut Vec<u8>,
+) {
+    pairs.clone().count().encode(out);
+    for (local, item) in pairs {
+        local.encode(out);
+        item.encode(out);
+    }
+}
+
+/// Refuses an `Intents` list whose local indices leave a chunk of `len`
+/// nodes or do not ascend strictly (a node listed twice).
+fn check_by_local<T>(list: &[(usize, T)], len: usize, what: &str) -> Result<(), String> {
+    let mut floor = 0;
+    for (local, _) in list {
+        if *local >= len {
+            return Err(format!(
+                "{what} by local node {local}, outside a chunk of {len} nodes"
+            ));
+        }
+        if *local < floor {
+            return Err(format!(
+                "{what} by local node {local} listed twice or out of order"
+            ));
+        }
+        floor = local + 1;
+    }
+    Ok(())
+}
+
 /// Serves one chunk's core over `transport`, answering each request frame
 /// until `Shutdown` or a clean EOF.
 fn serve<C>(mut chunk: C, transport: &mut dyn ShardTransport) -> io::Result<()>
@@ -312,11 +347,15 @@ where
             REQ_COLLECT => {
                 chunk.begin_round_into(field(r)?, &mut intents, &mut polls);
                 let mut resp = frame(RESP_INTENTS);
-                intents.encode(&mut resp);
-                // By local index; none from a multi-port chunk.
+                // By local index, the senders only (the core left every
+                // other node's list empty); no polls from a multi-port chunk.
+                let sending = intents.iter().enumerate();
+                encode_by_local(sending.filter(|(_, list)| !list.is_empty()), &mut resp);
                 let polled = polls.iter().enumerate();
-                let polled = polled.filter_map(|(local, port)| Some((local, (*port)?)));
-                polled.collect::<Vec<_>>().encode(&mut resp);
+                encode_by_local(
+                    polled.filter_map(|(local, port)| Some((local, port.as_ref()?))),
+                    &mut resp,
+                );
                 resp
             }
             REQ_DELIVER => {
@@ -391,8 +430,9 @@ pub fn describe_shard<M: WireMsg, O: Wire>(schema: &mut Schema) {
     describe_frame(schema);
     // Collect, Deliver and Receive open with the round.
     schema.declare::<Round>();
-    // Intents: each node's send intents, then the chunk's polls.
-    schema.declare::<Vec<Vec<NodeId>>>();
+    // Intents: the senders' destinations, then the chunk's polls, both by
+    // local index.
+    schema.declare::<Vec<(usize, Vec<NodeId>)>>();
     schema.declare::<Vec<(usize, NodeId)>>();
     // Deliver: the chunk's crashes, then every chunk's end index.
     schema.declare::<Vec<(usize, DeliveryFilter)>>();
@@ -609,6 +649,9 @@ pub struct Framed<O, W> {
     /// responses as they come in: each source chunk's block for it, as
     /// bytes.
     queued: Vec<Vec<u8>>,
+    /// The nodes whose intent or poll slot the last `Intents` filled,
+    /// cleared before the next round's are read.
+    filled: Vec<usize>,
     workers: PhantomData<W>,
 }
 
@@ -657,6 +700,7 @@ impl<O: WireOutput, W> Framed<O, W> {
             },
             outputs: vec![None; n],
             queued: vec![Vec::new(); chunks],
+            filled: Vec::new(),
             workers: PhantomData,
         })
     }
@@ -702,28 +746,29 @@ impl<O: WireOutput, W> Host for Framed<O, W> {
     ) -> SimResult<()> {
         self.link.round = round.as_u64();
         self.link.broadcast(&round_request(REQ_COLLECT, round))?;
+        // Last round's slots; a node absent from this round's lists
+        // neither sends nor polls.
+        for node in self.filled.drain(..) {
+            send_intents[node].clear();
+            polls[node] = None;
+        }
         for ci in 0..self.link.chunks() {
             let range = self.link.range(ci);
             let len = range.len();
-            type Intents = (Vec<Vec<NodeId>>, Vec<(usize, NodeId)>);
+            type Intents = (Vec<(usize, Vec<NodeId>)>, Vec<(usize, NodeId)>);
             let vet = |(intents, polled): Intents, _: &mut WireReader| {
-                if intents.len() != len {
-                    return Err(format!("{} intent lists for {len} nodes", intents.len()));
-                }
-                match polled.iter().find(|(local, _)| *local >= len) {
-                    Some((local, _)) => Err(format!(
-                        "a poll by local node {local}, outside a chunk of {len} nodes"
-                    )),
-                    None => Ok((intents, polled)),
-                }
+                check_by_local(&intents, len, "intents")?;
+                check_by_local(&polled, len, "a poll")?;
+                Ok((intents, polled))
             };
             let (intents, polled) = self.link.transact(ci, RESP_INTENTS, vet)?;
-            for (slot, list) in send_intents[range.clone()].iter_mut().zip(intents) {
-                *slot = list;
+            for (local, list) in intents {
+                send_intents[range.start + local] = list;
+                self.filled.push(range.start + local);
             }
-            polls[range.clone()].fill(None);
             for (local, port) in polled {
                 polls[range.start + local] = Some(port);
+                self.filled.push(range.start + local);
             }
         }
         Ok(())

@@ -156,10 +156,19 @@ impl ShardTransport for Scripted {
     }
 }
 
-/// A well-formed intents response for a chunk of one node.
-fn intents_for_one_node(real: Vec<u8>) -> Vec<u8> {
+/// A well-formed intents response that names local node 5 as a sender.
+fn intents_of_node_five(real: Vec<u8>) -> Vec<u8> {
     let mut resp = frame(real[2]);
-    vec![Vec::<NodeId>::new()].encode(&mut resp);
+    vec![(5usize, Vec::<NodeId>::new())].encode(&mut resp);
+    Vec::<(usize, NodeId)>::new().encode(&mut resp);
+    resp
+}
+
+/// A well-formed intents response that names local node 1 twice.
+fn intents_of_node_one_twice(real: Vec<u8>) -> Vec<u8> {
+    let mut resp = frame(real[2]);
+    let once = (1usize, vec![NodeId::new(0)]);
+    vec![once.clone(), once].encode(&mut resp);
     Vec::<(usize, NodeId)>::new().encode(&mut resp);
     resp
 }
@@ -172,7 +181,7 @@ fn intents_for_one_node(real: Vec<u8>) -> Vec<u8> {
 #[test]
 fn every_transport_and_frame_failure_is_a_structured_error() {
     let n = 10;
-    let faults: [(&str, Fault, &str); 7] = [
+    let faults: [(&str, Fault, &str); 8] = [
         ("EOF on recv", Fault::Recv, "receiving response"),
         ("broken pipe on send", Fault::Send, "sending request"),
         (
@@ -205,9 +214,14 @@ fn every_transport_and_frame_failure_is_a_structured_error() {
             "response payload",
         ),
         (
-            "a list of the wrong length",
-            Fault::Respond(intents_for_one_node),
-            "for 5 nodes",
+            "a sender outside the chunk",
+            Fault::Respond(intents_of_node_five),
+            "intents by local node 5, outside a chunk of 5 nodes",
+        ),
+        (
+            "a sender listed twice",
+            Fault::Respond(intents_of_node_one_twice),
+            "intents by local node 1 listed twice",
         ),
     ];
     for (name, fault, detail) in faults {
@@ -585,7 +599,7 @@ fn parent_refuses_events_for_another_chunks_node() {
             match tag {
                 REQ_COLLECT => {
                     resp = frame(RESP_INTENTS);
-                    vec![Vec::<NodeId>::new(); 2].encode(&mut resp);
+                    Vec::<(usize, Vec<NodeId>)>::new().encode(&mut resp);
                     let polls = if lie_at == RESP_INTENTS {
                         vec![(2usize, NodeId::new(0))]
                     } else {
@@ -638,9 +652,43 @@ fn parent_refuses_events_for_another_chunks_node() {
     }
 }
 
+/// An `Intents` payload names only the nodes that send or poll: here a
+/// chunk of four whose local node 1 sends to nodes 6 and 9 and whose local
+/// node 3 polls node 2, in 8-byte little-endian words.
+#[test]
+fn intents_golden_bytes() {
+    let mut intents = vec![Vec::new(); 4];
+    intents[1] = vec![NodeId::new(6), NodeId::new(9)];
+    let mut polls = [None; 4];
+    polls[3] = Some(NodeId::new(2));
+    let mut payload = Vec::new();
+    let sending = intents.iter().enumerate();
+    encode_by_local(sending.filter(|(_, list)| !list.is_empty()), &mut payload);
+    let polled = polls.iter().enumerate();
+    encode_by_local(
+        polled.filter_map(|(local, port)| Some((local, port.as_ref()?))),
+        &mut payload,
+    );
+    let words: Vec<u64> = payload
+        .chunks_exact(8)
+        .map(|word| u64::from_le_bytes(word.try_into().unwrap()))
+        .collect();
+    assert_eq!(payload.len(), 8 * words.len());
+    // [1 sender: local 1, 2 destinations: 6, 9] [1 poll: local 3, port 2]
+    assert_eq!(words, [1, 1, 2, 6, 9, 1, 3, 2]);
+    type Intents = (Vec<(usize, Vec<NodeId>)>, Vec<(usize, NodeId)>);
+    let mut framed = frame(RESP_INTENTS);
+    framed.extend_from_slice(&payload);
+    let (tag, mut r) = open_frame(&framed).unwrap();
+    assert_eq!(tag, RESP_INTENTS);
+    let (sent, polled): Intents = field(&mut r).unwrap();
+    assert_eq!(sent, [(1, vec![NodeId::new(6), NodeId::new(9)])]);
+    assert_eq!(polled, [(3, NodeId::new(2))]);
+}
+
 #[test]
 fn wire_event_golden_bytes() {
-    assert_eq!(WIRE_VERSION, 12);
+    assert_eq!(WIRE_VERSION, 13);
     let decided = WireEvent {
         node: 17,
         halted: false,
