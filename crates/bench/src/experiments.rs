@@ -465,9 +465,15 @@ pub fn experiment_single_port(cfg: &SweepConfig) -> Table {
     table
 }
 
-/// E10 — Theorem 13: the single-port lower bound, demonstrated by running
-/// consensus against the information-splitting adversary and reporting the
-/// rounds needed as `t` and `n` grow.
+/// E10 — Theorem 13: the single-port lower bound.  Runs single-port
+/// Linear-Consensus under `Workload::full_budget`'s `RandomCrashes` (as E9
+/// does, at other seeds and `t`) and reports the rounds needed as `t` and
+/// `n` grow, beside `t + log n`.
+///
+/// Theorem 13's own adversary, `AdaptiveSplitAdversary`, is not run here.
+/// It is adaptive: it reads every node's send and poll intents, so only the
+/// in-process runners can run it, and a table that measures it must stay
+/// serial even under `--shards`.
 pub fn experiment_lower_bound(cfg: &SweepConfig) -> Table {
     let mut table = Table::new(
         "E10 thm13_lower_bound",

@@ -381,7 +381,7 @@ mod tests {
     /// bump asserted beside it.
     #[test]
     fn golden_bytes() {
-        assert_eq!(dft_sim::shard::WIRE_VERSION, 13);
+        assert_eq!(dft_sim::shard::WIRE_VERSION, 14);
         let tagged = |tag: u8, body: &[u8]| [&[tag], body].concat();
 
         assert_eq!(to_bytes(&AeaMsg::Rumor(true)), b"\0\x01");

@@ -74,9 +74,23 @@ impl CrashDirective {
 /// The runner calls [`CrashAdversary::plan_round`] once per round, before
 /// messages are delivered, and enforces the global fault budget `t`:
 /// directives beyond the budget are ignored in the order returned.
+///
+/// An adversary is *adaptive* unless it declares itself
+/// [`oblivious`](CrashAdversary::oblivious).  Only a runner that holds the
+/// whole round in this process ([`crate::Runner`],
+/// [`crate::SinglePortRunner`]) can show an adaptive one the intents it
+/// reads; the sharded runners and a mesh node refuse it.
 pub trait CrashAdversary {
     /// Decide which nodes crash in the round described by `view`.
     fn plan_round(&mut self, view: &AdversaryView<'_>) -> Vec<CrashDirective>;
+
+    /// Whether [`CrashAdversary::plan_round`] reads neither
+    /// `view.send_intents` nor `view.poll_intents`: its directives follow
+    /// from the round, the alive and crashed sets and the budget alone, so
+    /// a host that cannot show the round's intents may leave them empty.
+    fn oblivious(&self) -> bool {
+        false
+    }
 }
 
 /// The fault-free adversary: nobody ever crashes.
@@ -86,6 +100,10 @@ pub struct NoFaults;
 impl CrashAdversary for NoFaults {
     fn plan_round(&mut self, _view: &AdversaryView<'_>) -> Vec<CrashDirective> {
         Vec::new()
+    }
+
+    fn oblivious(&self) -> bool {
+        true
     }
 }
 
@@ -140,6 +158,10 @@ impl CrashAdversary for FixedCrashSchedule {
             .remove(&view.round.as_u64())
             .unwrap_or_default()
     }
+
+    fn oblivious(&self) -> bool {
+        true
+    }
 }
 
 /// Crashes up to `budget` random nodes, each in a uniformly random round of
@@ -189,6 +211,10 @@ impl RandomCrashes {
 impl CrashAdversary for RandomCrashes {
     fn plan_round(&mut self, view: &AdversaryView<'_>) -> Vec<CrashDirective> {
         self.schedule.plan_round(view)
+    }
+
+    fn oblivious(&self) -> bool {
+        true
     }
 }
 
@@ -245,6 +271,10 @@ impl CrashAdversary for TargetedCrashes {
             .collect();
         self.next = end;
         batch
+    }
+
+    fn oblivious(&self) -> bool {
+        true
     }
 }
 
@@ -428,6 +458,68 @@ mod tests {
         assert!(crashed_nodes.contains(&NodeId::new(2)));
         assert!(crashed_nodes.contains(&NodeId::new(3)));
         assert_eq!(crashed_nodes.len(), 3);
+    }
+
+    /// Each adversary that declares itself oblivious plans the same rounds
+    /// whether it is shown no intents at all or every node's, so a host
+    /// that cannot show them loses it nothing.  The adaptive one is the
+    /// control: shown intents, it plans differently.
+    #[test]
+    fn an_oblivious_adversary_plans_the_same_without_intents() {
+        const N: usize = 8;
+        let oblivious: [fn() -> Box<dyn CrashAdversary>; 4] = [
+            || Box::new(NoFaults),
+            || {
+                Box::new(
+                    FixedCrashSchedule::new()
+                        .crash_at(1, CrashDirective::silent(NodeId::new(2)))
+                        .crash_at(3, CrashDirective::after_send(NodeId::new(5))),
+                )
+            },
+            || Box::new(RandomCrashes::new(N, 3, 5, 9)),
+            || {
+                Box::new(TargetedCrashes::new(
+                    (0..5).map(NodeId::new).collect(),
+                    1,
+                    2,
+                ))
+            },
+        ];
+        let adaptive =
+            || -> Box<dyn CrashAdversary> { Box::new(AdaptiveSplitAdversary::new(NodeId::new(0))) };
+        let alive = NodeSet::full(N);
+        let crashed = NodeSet::empty(N);
+        // Every node sends to the next two and polls the one before it,
+        // shifted by the round.
+        let intents = |r: usize| -> Vec<Vec<NodeId>> {
+            let to = |i: usize, k: usize| NodeId::new((i + r + k) % N);
+            (0..N).map(|i| vec![to(i, 1), to(i, 2)]).collect()
+        };
+        let polls = |r: usize| -> Vec<Option<NodeId>> {
+            (0..N)
+                .map(|i| Some(NodeId::new((i + N - 1 + r) % N)))
+                .collect()
+        };
+        let plans = |mut adversary: Box<dyn CrashAdversary>, shown: bool| {
+            (0..6)
+                .map(|r| {
+                    let (intents, polls) = if shown {
+                        (intents(r), polls(r))
+                    } else {
+                        (Vec::new(), Vec::new())
+                    };
+                    let view = view(r as u64, &alive, &crashed, &intents, &polls, N - 1);
+                    adversary.plan_round(&view)
+                })
+                .collect::<Vec<_>>()
+        };
+        for build in oblivious {
+            assert!(build().oblivious());
+            let blind = plans(build(), false);
+            assert_eq!(blind, plans(build(), true), "{blind:?}");
+        }
+        assert!(!adaptive().oblivious());
+        assert_ne!(plans(adaptive(), false), plans(adaptive(), true));
     }
 
     #[test]

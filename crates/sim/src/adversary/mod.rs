@@ -28,6 +28,11 @@ use crate::round::Round;
 /// destinations (and, in the single-port model, poll choices), which is what
 /// the adaptive strategies in this repository need — notably the
 /// information-splitting adversary from the Theorem 13 lower bound.
+///
+/// Only a runner that holds the whole round in this process fills the two
+/// intent views.  The sharded runners and a mesh node leave every slot
+/// empty, and accept only an adversary that declares it never reads them
+/// ([`CrashAdversary::oblivious`]).
 #[derive(Debug)]
 pub struct AdversaryView<'a> {
     /// The round being planned.

@@ -10,10 +10,14 @@
 //! the backend obligations every execution style has to meet:
 //!
 //! 1. **Central crash phase.**  The adversary contract hands one mutable
-//!    strategy a coherent view of the whole round, so [`Central`] gathers
-//!    every node's intents (its destinations and, single-port, its polled
-//!    port) into flat per-node views, runs the adversary once, and mirrors
-//!    the verdicts into the chunks.
+//!    strategy a coherent view of the whole round, and [`Central`] runs it
+//!    once and mirrors the verdicts into the chunks.  Only a host that holds
+//!    the whole round ([`Host::SHOWS_INTENTS`]: the one core of an
+//!    in-process run) fills the view with every node's intents (its
+//!    destinations and, single-port, its polled port).  A host that does
+//!    not, shard workers or a mesh node, runs only an adversary that never
+//!    reads them ([`CrashAdversary::oblivious`]); [`Coordinator::central`]
+//!    refuses any other before a worker or a link is touched.
 //! 2. **Deliver, then count in node order; each host routes, and the
 //!    destination core's `accept` drops or buffers.**  Every chunk
 //!    delivers, routes its survivors to their destinations' cores in sender
@@ -51,7 +55,7 @@ use std::fmt;
 use crate::adversary::{CrashAdversary, DeliveryFilter};
 use crate::delivery::EngineCore;
 use crate::driver::NodeEvent;
-use crate::error::SimResult;
+use crate::error::{SimError, SimResult};
 use crate::metrics::Metrics;
 use crate::node::{NodeId, NodeSet};
 use crate::report::{ExecutionReport, Termination};
@@ -80,6 +84,11 @@ pub trait Host {
     /// that cannot fail, `SimResult<T>` otherwise.
     type Outcome<T>;
 
+    /// Whether [`Host::begin_round`] fills the adversary's view with every
+    /// node's intents.  A host that does not leaves the view's slots empty
+    /// and runs only an oblivious adversary.
+    const SHOWS_INTENTS: bool;
+
     /// Converts a result into this host's [`Host::Outcome`].
     fn outcome<T>(result: Result<T, Self::Error>) -> Self::Outcome<T>;
 
@@ -93,9 +102,12 @@ pub trait Host {
     /// exit; chunks in this process have nothing to end).
     fn shutdown(&mut self) {}
 
-    /// Phase 1: `begin_round` everywhere; each node's destinations land in
-    /// its `send_intents` slot and, single-port, its polled port in its
-    /// `polls` slot (a multi-port host leaves every `polls` slot `None`).
+    /// Phase 1: `begin_round` everywhere.  A host that
+    /// [shows intents](Host::SHOWS_INTENTS) puts each node's destinations
+    /// in its `send_intents` slot and, single-port, its polled port in its
+    /// `polls` slot (a multi-port host leaves every `polls` slot `None`);
+    /// one that does not leaves every slot alone, and may run the phase
+    /// when its chunks next hear from it.
     fn begin_round(
         &mut self,
         round: Round,
@@ -139,29 +151,6 @@ pub struct Central {
 }
 
 impl Central {
-    /// The one constructor check all five runners share.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::SimError::EmptySystem`] for zero nodes,
-    /// [`crate::SimError::InvalidConfig`] unless `fault_budget < n`.
-    pub(crate) fn new(
-        n: usize,
-        byzantine: NodeSet,
-        adversary: Box<dyn CrashAdversary>,
-        fault_budget: usize,
-    ) -> SimResult<Self> {
-        Ok(Central {
-            engine: EngineCore::new(n, fault_budget)?,
-            adversary,
-            send_intents: (0..n).map(|_| Vec::new()).collect(),
-            poll_intents: vec![None; n],
-            byz_running: byzantine.len(),
-            byzantine,
-            events: Vec::new(),
-        })
-    }
-
     /// Executes the current round on `host`.
     fn step<H: Host>(&mut self, host: &mut H) -> Result<(), H::Error> {
         let round = self.engine.round;
@@ -215,6 +204,39 @@ pub struct Coordinator<H: Host> {
 }
 
 impl<H: Host> Coordinator<H> {
+    /// The one constructor check all five runners share, made before the
+    /// host is built.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::EmptySystem`] for zero nodes, [`SimError::InvalidConfig`]
+    /// unless `fault_budget < n`, or when the adversary is adaptive and the
+    /// host cannot [show it the round's intents](Host::SHOWS_INTENTS).
+    pub(crate) fn central(
+        n: usize,
+        byzantine: NodeSet,
+        adversary: Box<dyn CrashAdversary>,
+        fault_budget: usize,
+    ) -> SimResult<Central> {
+        let engine = EngineCore::new(n, fault_budget)?;
+        if !H::SHOWS_INTENTS && !adversary.oblivious() {
+            return Err(SimError::InvalidConfig(
+                "an adaptive crash adversary reads every node's intents, which only an \
+                 in-process runner holds; run it there, or pass an oblivious one"
+                    .to_owned(),
+            ));
+        }
+        Ok(Central {
+            engine,
+            adversary,
+            send_intents: (0..n).map(|_| Vec::new()).collect(),
+            poll_intents: vec![None; n],
+            byz_running: byzantine.len(),
+            byzantine,
+            events: Vec::new(),
+        })
+    }
+
     pub(crate) fn assemble(central: Central, host: H) -> Self {
         Coordinator { central, host }
     }

@@ -71,9 +71,11 @@
 //! mesh, every node runs the same seeded adversary for itself) and mirrors
 //! its verdicts into each core with [`RoundCore::set_crashed`]; the
 //! resulting delivery filters are passed to [`RoundCore::deliver`].
-//! Because the shipped adversaries are deterministic functions of
-//! `(seed, round)`, every backend derives the same crash schedule
-//! independently.
+//! Only the in-process host, whose one core holds every node, shows the
+//! adversary the intents `begin_round` collected
+//! ([`ChunkCore::begin_round_into`]).  A shard worker or a mesh node calls
+//! `begin_round` alone, and its coordinator accepts only an oblivious
+//! adversary, which plans without them.
 
 #![expect(
     clippy::indexing_slicing,
@@ -140,6 +142,8 @@ pub trait ChunkCore {
 
     fn base(&self) -> usize;
     fn len(&self) -> usize;
+    /// Phase 1 for a backend that shows the adversary no intents.
+    fn begin_round(&mut self, round: Round);
     /// Phase 1 for a backend that keeps flat per-node slots for the
     /// adversary's view (index `i` is node `base + i`'s): each called
     /// node's destinations and, single-port, each called or probed node's
@@ -537,6 +541,9 @@ impl<P: SyncProtocol> ChunkCore for RoundCore<P> {
     }
     fn len(&self) -> usize {
         self.participants.len()
+    }
+    fn begin_round(&mut self, round: Round) {
+        RoundCore::begin_round(self, round);
     }
     /// The intent vectors change hands by swapping (both sides rebuild
     /// them, so only capacity persists), which leaves
@@ -1106,6 +1113,9 @@ impl<P: SinglePortProtocol> ChunkCore for SinglePortCore<P> {
     }
     fn len(&self) -> usize {
         self.nodes.len()
+    }
+    fn begin_round(&mut self, round: Round) {
+        SinglePortCore::begin_round(self, round);
     }
     fn begin_round_into(
         &mut self,

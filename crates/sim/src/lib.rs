@@ -12,10 +12,12 @@
 //!   it in that round.
 //! * [`SinglePortProtocol`] / [`SinglePortRunner`] — the single-port model of
 //!   Section 8: one send and one buffered-port poll per node per round.
-//! * [`CrashAdversary`] and concrete schedules ([`NoFaults`],
-//!   [`FixedCrashSchedule`], [`RandomCrashes`], [`TargetedCrashes`],
-//!   [`AdaptiveSplitAdversary`]) — adaptive crash fault injection limited by
-//!   the fault budget `t`.
+//! * [`CrashAdversary`] and concrete schedules — crash fault injection
+//!   limited by the fault budget `t`.  The oblivious ones ([`NoFaults`],
+//!   [`FixedCrashSchedule`], [`RandomCrashes`], [`TargetedCrashes`]) never
+//!   read the round's intents and run on every runner; the adaptive
+//!   [`AdaptiveSplitAdversary`] reads every node's intents, so only
+//!   [`Runner`] and [`SinglePortRunner`], which hold the whole round, run it.
 //! * [`adversary::byzantine`] — Byzantine node strategies for the
 //!   authenticated-Byzantine model of Section 7.
 //! * [`Metrics`] / [`ExecutionReport`] — the paper's performance accounting:

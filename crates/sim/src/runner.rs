@@ -16,7 +16,7 @@ use std::convert::Infallible;
 
 use crate::adversary::byzantine::ByzantineStrategy;
 use crate::adversary::{CrashAdversary, DeliveryFilter, NoFaults};
-use crate::coordinator::{Central, Coordinator, Host, Staged};
+use crate::coordinator::{Coordinator, Host, Staged};
 use crate::driver::{ChunkCore, NodeEvent, RoundCore};
 use crate::error::SimResult;
 use crate::node::{NodeId, NodeSet};
@@ -135,7 +135,7 @@ impl<P: SyncProtocol> Runner<P> {
         fault_budget: usize,
     ) -> SimResult<Self> {
         let byzantine = Participant::byzantine_set(&participants);
-        let central = Central::new(participants.len(), byzantine, adversary, fault_budget)?;
+        let central = Self::central(participants.len(), byzantine, adversary, fault_budget)?;
         Ok(Coordinator::assemble(
             central,
             RoundCore::new(0, participants),
@@ -159,11 +159,14 @@ pub(crate) fn never_fails<T>(result: Result<T, Infallible>) -> T {
 }
 
 // The in-process host of both models is the runner's one core.  It owns
-// every node from base 0, so a global node index *is* the core-local one.
+// every node from base 0, so a global node index *is* the core-local one,
+// and it holds the whole round, so it shows the adversary every intent.
 impl<C: ChunkCore> Host for C {
     type Output = C::Output;
     type Error = Infallible;
     type Outcome<T> = T;
+
+    const SHOWS_INTENTS: bool = true;
 
     fn outcome<T>(result: Result<T, Infallible>) -> T {
         never_fails(result)

@@ -4,9 +4,12 @@
 //! every node of a mesh for itself over a [`Mesh`] host: one single-node
 //! [`RoundCore`] and one [`ShardTransport`] per peer, which the caller brings
 //! (`dft-node` brings TCP sockets, the tests channels).  No process is
-//! central, so each node runs the crash phase itself, with an adversary that
-//! plans from the seed and the round alone ([`crate::RandomCrashes`]): every
-//! node's coordinator then passes the same crash list.
+//! central, so each node runs the crash phase itself.  No node holds the
+//! round's intents either, so the adversary must be oblivious
+//! ([`CrashAdversary::oblivious`], as [`crate::RandomCrashes`] is: it plans
+//! from the seed and the round alone) and the same on every node; then
+//! every node's coordinator passes the same crash list.
+//! [`MeshRunner::connect`] refuses an adaptive one.
 //!
 //! Each round a node sends one `ROUND` frame to every peer still taking
 //! part (a sync marker even when empty), then reads one frame from every
@@ -27,7 +30,7 @@ use std::io;
 
 use super::{frame, open_frame, ShardTransport, Wire};
 use crate::adversary::{CrashAdversary, DeliveryFilter};
-use crate::coordinator::{Central, Coordinator, Host, Staged};
+use crate::coordinator::{Coordinator, Host, Staged};
 use crate::driver::{ChunkCore, NodeEvent, RoundCore};
 use crate::error::{ShardError, SimError, SimResult};
 use crate::message::Delivered;
@@ -80,8 +83,10 @@ impl<P: SyncProtocol<Msg: Wire>> MeshRunner<P> {
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidConfig`] when `me` is not a node of the mesh or
-    /// the budget is not smaller than the number of nodes.
+    /// [`SimError::InvalidConfig`] when `me` is not a node of the mesh, the
+    /// budget is not smaller than the number of nodes or the adversary is
+    /// not [oblivious](CrashAdversary::oblivious) — before any link is
+    /// used.
     pub fn connect(
         participant: Participant<P>,
         me: usize,
@@ -96,7 +101,7 @@ impl<P: SyncProtocol<Msg: Wire>> MeshRunner<P> {
             )));
         }
         let byzantine = participant.is_byzantine().then_some(NodeId::new(me));
-        let central = Central::new(n, NodeSet::from_iter(n, byzantine), adversary, fault_budget)?;
+        let central = Self::central(n, NodeSet::from_iter(n, byzantine), adversary, fault_budget)?;
         let mut links: Vec<_> = links.into_iter().map(Some).collect();
         links.insert(me, None);
         let host = Mesh {
@@ -249,6 +254,8 @@ impl<P: SyncProtocol<Msg: Wire>> Host for Mesh<P> {
     type Error = SimError;
     type Outcome<T> = SimResult<T>;
 
+    const SHOWS_INTENTS: bool = false;
+
     fn outcome<T>(result: SimResult<T>) -> SimResult<T> {
         result
     }
@@ -263,17 +270,13 @@ impl<P: SyncProtocol<Msg: Wire>> Host for Mesh<P> {
         self.core.set_halted(0);
     }
 
-    /// The adversary is shown this node's intents alone.
     fn begin_round(
         &mut self,
         round: Round,
-        send_intents: &mut [Vec<NodeId>],
+        _send_intents: &mut [Vec<NodeId>],
         _polls: &mut [Option<NodeId>],
     ) -> SimResult<()> {
-        let me = self.core.base();
-        if let Some(slot) = send_intents.get_mut(me..=me) {
-            self.core.begin_round_into(round, slot, &mut []);
-        }
+        self.core.begin_round(round);
         Ok(())
     }
 

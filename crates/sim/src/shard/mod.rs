@@ -29,14 +29,14 @@
 //!
 //! One frame protocol serves both models.  Each frame is `[u16
 //! version][u8 tag][payload]` (see [`WIRE_VERSION`] and the [`wire`]
-//! codec).  Per round the host sends `Collect` and the worker answers
-//! `Intents`: `(local index, destinations)` for each node that sends, then
-//! the chunk's polls as `(local index, port)` (none for a multi-port
-//! chunk), both in ascending local order; a node that neither sends nor
-//! polls is absent from both.  After the coordinator's
-//! crash phase the host sends `Deliver` with the chunk's crashes and every
-//! chunk's end index.  The worker answers `Delivered`: its metric deltas
-//! and one [`Block`] per destination chunk, its own chunk's left empty —
+//! codec).  A round is two exchanges per worker.  The host holds no
+//! intents to show, so the coordinator's crash adversary is an oblivious
+//! one ([`CrashAdversary::oblivious`]) and its crash phase comes first;
+//! then the host sends `Deliver` with the round, the chunk's crashes and
+//! every chunk's end index.  The worker runs the round's first phase as the
+//! serial core does: `begin_round`, then the crashes, then `deliver`.  It
+//! answers `Delivered`: its metric deltas and one [`Block`] per
+//! destination chunk, its own chunk's left empty —
 //! it keeps those survivors, unencoded.  The host splices each block, as
 //! the bytes it arrived in, into its destination's `Receive` in
 //! source-chunk (= sender) order; the receiving worker takes its own held
@@ -46,8 +46,8 @@
 //! `Events`: the decisions and halts.  `Shutdown` ends the loop; a worker
 //! treats transport EOF as shutdown, so a dying parent never leaves
 //! workers spinning.  Both sides treat a frame as untrusted: an index
-//! outside the chunk or listed twice, a list of the wrong length or an event
-//! for another chunk's node is an error, never a panic.
+//! outside the chunk, a list of the wrong length or an event for another
+//! chunk's node is an error, never a panic.
 //!
 //! # Failures
 //!
@@ -71,7 +71,7 @@ use std::ops::Range;
 use std::thread::JoinHandle;
 
 use crate::adversary::{CrashAdversary, DeliveryFilter};
-use crate::coordinator::{Central, Coordinator, Host, Staged};
+use crate::coordinator::{Coordinator, Host, Staged};
 use crate::driver::{ChunkCore, NodeEvent, RoundCore, SinglePortCore};
 use crate::error::{ShardError, SimError, SimResult};
 use crate::message::{Delivered, Payload};
@@ -97,27 +97,23 @@ pub use crate::{wire_enum, wire_struct};
 /// Version of the shard wire format.  Every frame carries it; both sides
 /// reject a mismatch, so a peer built from another revision fails loudly
 /// instead of silently mis-decoding.
-pub const WIRE_VERSION: u16 = 13;
+pub const WIRE_VERSION: u16 = 14;
 
 /// Frame tags (parent → worker).
-const REQ_COLLECT: u8 = 1;
 const REQ_DELIVER: u8 = 2;
 const REQ_RECEIVE: u8 = 3;
 const REQ_SHUTDOWN: u8 = 5;
 
 /// Frame tags (worker → parent).
-const RESP_INTENTS: u8 = 64;
 const RESP_DELIVERED: u8 = 66;
 const RESP_EVENTS: u8 = 67;
 
 /// The protocol's name for a frame tag (`"?"` for a tag it does not define).
 pub fn tag_name(tag: u8) -> &'static str {
     match tag {
-        REQ_COLLECT => "Collect",
         REQ_DELIVER => "Deliver",
         REQ_RECEIVE => "Receive",
         REQ_SHUTDOWN => "Shutdown",
-        RESP_INTENTS => "Intents",
         RESP_DELIVERED => "Delivered",
         RESP_EVENTS => "Events",
         _ => "?",
@@ -285,39 +281,6 @@ fn check_local(local: usize, len: usize) -> io::Result<usize> {
     }
 }
 
-/// Encodes `(local index, item)` pairs as the `Vec<(usize, T)>` they
-/// would collect into, without collecting them.
-fn encode_by_local<'a, T: Wire + 'a>(
-    pairs: impl Iterator<Item = (usize, &'a T)> + Clone,
-    out: &mut Vec<u8>,
-) {
-    pairs.clone().count().encode(out);
-    for (local, item) in pairs {
-        local.encode(out);
-        item.encode(out);
-    }
-}
-
-/// Refuses an `Intents` list whose local indices leave a chunk of `len`
-/// nodes or do not ascend strictly (a node listed twice).
-fn check_by_local<T>(list: &[(usize, T)], len: usize, what: &str) -> Result<(), String> {
-    let mut floor = 0;
-    for (local, _) in list {
-        if *local >= len {
-            return Err(format!(
-                "{what} by local node {local}, outside a chunk of {len} nodes"
-            ));
-        }
-        if *local < floor {
-            return Err(format!(
-                "{what} by local node {local} listed twice or out of order"
-            ));
-        }
-        floor = local + 1;
-    }
-    Ok(())
-}
-
 /// Serves one chunk's core over `transport`, answering each request frame
 /// until `Shutdown` or a clean EOF.
 fn serve<C>(mut chunk: C, transport: &mut dyn ShardTransport) -> io::Result<()>
@@ -325,9 +288,6 @@ where
     C: ChunkCore<Msg: Wire, Output: Wire>,
 {
     let (base, len) = (chunk.base(), chunk.len());
-    // Phase 1's per-node slots (reused).
-    let mut intents: Vec<Vec<NodeId>> = vec![Vec::new(); len];
-    let mut polls: Vec<Option<NodeId>> = vec![None; len];
     // This round's survivors per destination chunk (reused), and the ones
     // for this chunk itself, held back until `Receive`.
     let mut outbound: Vec<Block<C::Msg>> = Vec::new();
@@ -344,20 +304,6 @@ where
         let r = &mut r;
         let resp = match tag {
             REQ_SHUTDOWN => return Ok(()),
-            REQ_COLLECT => {
-                chunk.begin_round_into(field(r)?, &mut intents, &mut polls);
-                let mut resp = frame(RESP_INTENTS);
-                // By local index, the senders only (the core left every
-                // other node's list empty); no polls from a multi-port chunk.
-                let sending = intents.iter().enumerate();
-                encode_by_local(sending.filter(|(_, list)| !list.is_empty()), &mut resp);
-                let polled = polls.iter().enumerate();
-                encode_by_local(
-                    polled.filter_map(|(local, port)| Some((local, port.as_ref()?))),
-                    &mut resp,
-                );
-                resp
-            }
             REQ_DELIVER => {
                 let round: Round = field(r)?;
                 let crashed: Vec<(usize, DeliveryFilter)> = field(r)?;
@@ -365,6 +311,7 @@ where
                 if ends.first().is_none_or(|&end| end == 0) || !ends.is_sorted_by(|a, b| a < b) {
                     return Err(bad_frame(format!("{ends:?} is no partition into chunks")));
                 }
+                chunk.begin_round(round);
                 let mut filters = Vec::with_capacity(crashed.len());
                 for (local, filter) in crashed {
                     chunk.set_crashed(check_local(local, len)?, round);
@@ -428,12 +375,8 @@ fn describe_frame(schema: &mut Schema) {
 /// Everything on the wire is reached from here (see [`schema`]).
 pub fn describe_shard<M: WireMsg, O: Wire>(schema: &mut Schema) {
     describe_frame(schema);
-    // Collect, Deliver and Receive open with the round.
+    // Deliver and Receive open with the round.
     schema.declare::<Round>();
-    // Intents: the senders' destinations, then the chunk's polls, both by
-    // local index.
-    schema.declare::<Vec<(usize, Vec<NodeId>)>>();
-    schema.declare::<Vec<(usize, NodeId)>>();
     // Deliver: the chunk's crashes, then every chunk's end index.
     schema.declare::<Vec<(usize, DeliveryFilter)>>();
     schema.declare::<Vec<usize>>();
@@ -594,11 +537,6 @@ impl Link {
             .map_err(|err| self.fail(ci, tag, format!("sending request: {err}")))
     }
 
-    /// Sends one already-encoded request to every shard.
-    fn broadcast(&mut self, request: &[u8]) -> SimResult<()> {
-        (0..self.chunks()).try_for_each(|ci| self.send_to(ci, request))
-    }
-
     /// Receives shard `ci`'s pending response, checks its tag, decodes the
     /// payload and has `vet` check and finish it, reading what follows the
     /// payload itself if it wants; any failure — transport error, bad frame,
@@ -649,9 +587,6 @@ pub struct Framed<O, W> {
     /// responses as they come in: each source chunk's block for it, as
     /// bytes.
     queued: Vec<Vec<u8>>,
-    /// The nodes whose intent or poll slot the last `Intents` filled,
-    /// cleared before the next round's are read.
-    filled: Vec<usize>,
     workers: PhantomData<W>,
 }
 
@@ -700,7 +635,6 @@ impl<O: WireOutput, W> Framed<O, W> {
             },
             outputs: vec![None; n],
             queued: vec![Vec::new(); chunks],
-            filled: Vec::new(),
             workers: PhantomData,
         })
     }
@@ -717,6 +651,8 @@ impl<O: WireOutput, W> Host for Framed<O, W> {
     type Output = O;
     type Error = SimError;
     type Outcome<T> = SimResult<T>;
+
+    const SHOWS_INTENTS: bool = false;
 
     fn outcome<T>(result: SimResult<T>) -> SimResult<T> {
         result
@@ -738,39 +674,14 @@ impl<O: WireOutput, W> Host for Framed<O, W> {
         }
     }
 
+    /// Exchanges nothing: a worker begins its round when `Deliver` comes.
     fn begin_round(
         &mut self,
         round: Round,
-        send_intents: &mut [Vec<NodeId>],
-        polls: &mut [Option<NodeId>],
+        _send_intents: &mut [Vec<NodeId>],
+        _polls: &mut [Option<NodeId>],
     ) -> SimResult<()> {
         self.link.round = round.as_u64();
-        self.link.broadcast(&round_request(REQ_COLLECT, round))?;
-        // Last round's slots; a node absent from this round's lists
-        // neither sends nor polls.
-        for node in self.filled.drain(..) {
-            send_intents[node].clear();
-            polls[node] = None;
-        }
-        for ci in 0..self.link.chunks() {
-            let range = self.link.range(ci);
-            let len = range.len();
-            type Intents = (Vec<(usize, Vec<NodeId>)>, Vec<(usize, NodeId)>);
-            let vet = |(intents, polled): Intents, _: &mut WireReader| {
-                check_by_local(&intents, len, "intents")?;
-                check_by_local(&polled, len, "a poll")?;
-                Ok((intents, polled))
-            };
-            let (intents, polled) = self.link.transact(ci, RESP_INTENTS, vet)?;
-            for (local, list) in intents {
-                send_intents[range.start + local] = list;
-                self.filled.push(range.start + local);
-            }
-            for (local, port) in polled {
-                polls[range.start + local] = Some(port);
-                self.filled.push(range.start + local);
-            }
-        }
         Ok(())
     }
 
@@ -916,7 +827,9 @@ impl<M: WireMsg, O: WireOutput> ShardedRunner<M, O> {
     ///
     /// Returns [`SimError::EmptySystem`] for zero nodes,
     /// [`SimError::InvalidConfig`] when the fault budget or transport count
-    /// is inconsistent with `n`.
+    /// is inconsistent with `n` or the adversary is not
+    /// [oblivious](CrashAdversary::oblivious) — before any transport is
+    /// used.
     pub fn connect(
         n: usize,
         adversary: Box<dyn CrashAdversary>,
@@ -925,7 +838,7 @@ impl<M: WireMsg, O: WireOutput> ShardedRunner<M, O> {
         shards: usize,
         transports: Vec<Box<dyn ShardTransport>>,
     ) -> SimResult<Self> {
-        let central = Central::new(n, byzantine, adversary, fault_budget)?;
+        let central = Self::central(n, byzantine, adversary, fault_budget)?;
         let host = Framed::new(n, shards, transports, Vec::new())?;
         Ok(Coordinator::assemble(central, host))
     }
@@ -938,7 +851,9 @@ impl<M: WireMsg, O: WireOutput> ShardedRunner<M, O> {
     ///
     /// Returns [`SimError::EmptySystem`] if `participants` is empty, or
     /// [`SimError::InvalidConfig`] if the budget is not smaller than the
-    /// number of nodes — before any worker is spawned.
+    /// number of nodes or the adversary is not
+    /// [oblivious](CrashAdversary::oblivious) — before any worker is
+    /// spawned.
     pub fn in_process<P>(
         participants: Vec<Participant<P>>,
         adversary: Box<dyn CrashAdversary>,
@@ -950,7 +865,7 @@ impl<M: WireMsg, O: WireOutput> ShardedRunner<M, O> {
     {
         let n = participants.len();
         let byzantine = Participant::byzantine_set(&participants);
-        let central = Central::new(n, byzantine, adversary, fault_budget)?;
+        let central = Self::central(n, byzantine, adversary, fault_budget)?;
         let (workers, transports) = spawn_in_process(participants, shards, serve_multi_port);
         let host = Framed::new(n, shards, transports, workers)?;
         Ok(Coordinator::assemble(central, host))
@@ -970,7 +885,9 @@ impl<M: WireMsg, O: WireOutput> SpShardedRunner<M, O> {
     ///
     /// Returns [`SimError::EmptySystem`] for zero nodes,
     /// [`SimError::InvalidConfig`] when the fault budget or transport count
-    /// is inconsistent with `n`.
+    /// is inconsistent with `n` or the adversary is not
+    /// [oblivious](CrashAdversary::oblivious) — before any transport is
+    /// used.
     pub fn connect(
         n: usize,
         adversary: Box<dyn CrashAdversary>,
@@ -978,7 +895,7 @@ impl<M: WireMsg, O: WireOutput> SpShardedRunner<M, O> {
         shards: usize,
         transports: Vec<Box<dyn ShardTransport>>,
     ) -> SimResult<Self> {
-        let central = Central::new(n, NodeSet::empty(n), adversary, fault_budget)?;
+        let central = Self::central(n, NodeSet::empty(n), adversary, fault_budget)?;
         let host = Framed::new(n, shards, transports, Vec::new())?;
         Ok(Coordinator::assemble(central, host))
     }
@@ -988,9 +905,7 @@ impl<M: WireMsg, O: WireOutput> SpShardedRunner<M, O> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::EmptySystem`] if `nodes` is empty, or
-    /// [`SimError::InvalidConfig`] if the budget is not smaller than the
-    /// number of nodes — before any worker is spawned.
+    /// As [`ShardedRunner::in_process`].
     pub fn in_process<P>(
         nodes: Vec<P>,
         adversary: Box<dyn CrashAdversary>,
@@ -1001,7 +916,7 @@ impl<M: WireMsg, O: WireOutput> SpShardedRunner<M, O> {
         P: SinglePortProtocol<Msg = M, Output = O>,
     {
         let n = nodes.len();
-        let central = Central::new(n, NodeSet::empty(n), adversary, fault_budget)?;
+        let central = Self::central(n, NodeSet::empty(n), adversary, fault_budget)?;
         let (workers, transports) = spawn_in_process(nodes, shards, serve_single_port);
         let host = Framed::new(n, shards, transports, workers)?;
         Ok(Coordinator::assemble(central, host))

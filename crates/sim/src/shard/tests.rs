@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use super::*;
-use crate::adversary::NoFaults;
+use crate::adversary::{AdaptiveSplitAdversary, NoFaults};
 use crate::conformance::{
     crash_schedule, multi_port_worker, ring_worker, spawn_worker, FloodOr, Ring, Wiring,
 };
@@ -87,6 +87,100 @@ fn coordinator_rejects_empty_and_overbudget_systems() {
     );
 }
 
+/// A node that does nothing and holds a marker its test counts.
+struct Marked {
+    _marker: Arc<()>,
+}
+
+impl Marked {
+    fn nodes(n: usize, marker: &Arc<()>) -> Vec<Marked> {
+        let node = |_| Marked {
+            _marker: Arc::clone(marker),
+        };
+        (0..n).map(node).collect()
+    }
+}
+
+impl SyncProtocol for Marked {
+    type Msg = bool;
+    type Output = bool;
+    fn send(&mut self, _round: Round, _out: &mut Vec<Outgoing<bool>>) {}
+    fn receive(&mut self, _round: Round, _inbox: &[Delivered<bool>]) {}
+    fn output(&self) -> Option<bool> {
+        None
+    }
+    fn has_halted(&self) -> bool {
+        false
+    }
+}
+
+impl SinglePortProtocol for Marked {
+    type Msg = bool;
+    type Output = bool;
+    fn send(&mut self, _round: Round) -> Option<Outgoing<bool>> {
+        None
+    }
+    fn poll(&mut self, _round: Round) -> Option<NodeId> {
+        None
+    }
+    fn receive(&mut self, _round: Round, _from: NodeId, _msgs: &mut Vec<bool>) {}
+    fn output(&self) -> Option<bool> {
+        None
+    }
+    fn has_halted(&self) -> bool {
+        false
+    }
+}
+
+/// Only a runner that holds the whole round runs an adversary that reads
+/// the round's intents.  Every other refuses it before it spawns a worker
+/// (the nodes it was handed are dropped, not moved to a thread) or touches
+/// a link (the far end finds it closed, never written to).
+#[test]
+fn only_a_host_holding_the_round_runs_an_adaptive_adversary() {
+    let adaptive = || Box::new(AdaptiveSplitAdversary::new(NodeId::new(0)));
+    let n = 4;
+    assert!(Runner::with_adversary(FloodOr::nodes(n, 0), adaptive(), 1).is_ok());
+    assert!(SinglePortRunner::with_adversary(Ring::nodes(n, 0), adaptive(), 1).is_ok());
+
+    let marker = Arc::new(());
+    let honest = Marked::nodes(n, &marker)
+        .into_iter()
+        .map(Participant::Honest);
+    let spawned = [
+        ShardedRunner::in_process(honest.collect(), adaptive(), 1, 2).err(),
+        SpShardedRunner::in_process(Marked::nodes(n, &marker), adaptive(), 1, 2).err(),
+    ];
+    assert_eq!(Arc::strong_count(&marker), 1, "a node went to a worker");
+
+    let mut far_ends = Vec::new();
+    let mut link = || -> Box<dyn ShardTransport> {
+        let (near, far) = ChannelTransport::pair();
+        far_ends.push(far);
+        Box::new(near)
+    };
+    let connected = [
+        ShardedRunner::<bool, bool>::connect(n, adaptive(), 1, NodeSet::empty(n), 1, vec![link()])
+            .err(),
+        SpShardedRunner::<bool, bool>::connect(n, adaptive(), 1, 1, vec![link()]).err(),
+        mesh::MeshRunner::connect(
+            Participant::Honest(FloodOr::nodes(n, 0).remove(0)),
+            0,
+            (1..n).map(|_| link()).collect(),
+            adaptive(),
+            1,
+        )
+        .err(),
+    ];
+    for err in spawned.into_iter().chain(connected) {
+        assert!(matches!(err, Some(SimError::InvalidConfig(_))), "{err:?}");
+    }
+    for mut far in far_ends {
+        let closed = far.recv().expect_err("no frame was sent");
+        assert_eq!(closed.kind(), io::ErrorKind::UnexpectedEof);
+    }
+}
+
 #[test]
 fn dead_worker_surfaces_as_shard_error_not_a_hang() {
     let (parent, worker) = ChannelTransport::pair();
@@ -156,24 +250,7 @@ impl ShardTransport for Scripted {
     }
 }
 
-/// A well-formed intents response that names local node 5 as a sender.
-fn intents_of_node_five(real: Vec<u8>) -> Vec<u8> {
-    let mut resp = frame(real[2]);
-    vec![(5usize, Vec::<NodeId>::new())].encode(&mut resp);
-    Vec::<(usize, NodeId)>::new().encode(&mut resp);
-    resp
-}
-
-/// A well-formed intents response that names local node 1 twice.
-fn intents_of_node_one_twice(real: Vec<u8>) -> Vec<u8> {
-    let mut resp = frame(real[2]);
-    let once = (1usize, vec![NodeId::new(0)]);
-    vec![once.clone(), once].encode(&mut resp);
-    Vec::<(usize, NodeId)>::new().encode(&mut resp);
-    resp
-}
-
-/// Shard 1's `Collect` exchange of round 1 goes wrong in every way a
+/// Shard 1's `Deliver` exchange of round 1 goes wrong in every way a
 /// transport or a frame can, under both round models (which speak the same
 /// frames): the run ends with the
 /// structured error — which shard, which frame, which round — and nothing
@@ -181,7 +258,7 @@ fn intents_of_node_one_twice(real: Vec<u8>) -> Vec<u8> {
 #[test]
 fn every_transport_and_frame_failure_is_a_structured_error() {
     let n = 10;
-    let faults: [(&str, Fault, &str); 8] = [
+    let faults: [(&str, Fault, &str); 6] = [
         ("EOF on recv", Fault::Recv, "receiving response"),
         ("broken pipe on send", Fault::Send, "sending request"),
         (
@@ -213,19 +290,9 @@ fn every_transport_and_frame_failure_is_a_structured_error() {
             Fault::Respond(|real| [&real[..3], &[0xFF; 9]].concat()),
             "response payload",
         ),
-        (
-            "a sender outside the chunk",
-            Fault::Respond(intents_of_node_five),
-            "intents by local node 5, outside a chunk of 5 nodes",
-        ),
-        (
-            "a sender listed twice",
-            Fault::Respond(intents_of_node_one_twice),
-            "intents by local node 1 listed twice",
-        ),
     ];
     for (name, fault, detail) in faults {
-        // Round 1's `Collect` is the fourth exchange of either model.
+        // Round 1's `Deliver` is the third exchange of either model.
         let scripted = |inner, healthy| -> Box<dyn ShardTransport> {
             Box::new(Scripted {
                 inner,
@@ -241,7 +308,7 @@ fn every_transport_and_frame_failure_is_a_structured_error() {
             2,
             vec![
                 flood_or_worker(n, 2, 0),
-                scripted(flood_or_worker(n, 2, 1), 3),
+                scripted(flood_or_worker(n, 2, 1), 2),
             ],
         );
         let single_port = SpShardedRunner::<bool, bool>::connect(
@@ -251,7 +318,7 @@ fn every_transport_and_frame_failure_is_a_structured_error() {
             2,
             vec![
                 ring_worker(n, 2, 0, Wiring::Channel),
-                scripted(ring_worker(n, 2, 1, Wiring::Channel), 3),
+                scripted(ring_worker(n, 2, 1, Wiring::Channel), 2),
             ],
         );
         let outcomes = [
@@ -263,8 +330,8 @@ fn every_transport_and_frame_failure_is_a_structured_error() {
                 panic!("{name}: expected a shard error, got {err}");
             };
             let tag = match fault {
-                Fault::Send => REQ_COLLECT,
-                _ => RESP_INTENTS,
+                Fault::Send => REQ_DELIVER,
+                _ => RESP_DELIVERED,
             };
             assert_eq!(
                 (err.shard, err.frame_tag, err.round),
@@ -303,7 +370,7 @@ fn failed_in_process_worker_is_a_shard_error() {
     };
     assert_eq!(
         (err.shard, err.frame_tag, err.round),
-        (1, Some(RESP_INTENTS), Some(2)),
+        (1, Some(RESP_DELIVERED), Some(2)),
         "{err}"
     );
 }
@@ -313,28 +380,11 @@ fn failed_in_process_worker_is_a_shard_error() {
 /// `drop` returns nothing else may still hold the marker they share.
 #[test]
 fn dropping_the_host_joins_every_worker() {
-    struct Marked {
-        _marker: Arc<()>,
-    }
-    impl SyncProtocol for Marked {
-        type Msg = bool;
-        type Output = bool;
-        fn send(&mut self, _round: Round, _out: &mut Vec<Outgoing<bool>>) {}
-        fn receive(&mut self, _round: Round, _inbox: &[Delivered<bool>]) {}
-        fn output(&self) -> Option<bool> {
-            None
-        }
-        fn has_halted(&self) -> bool {
-            false
-        }
-    }
     for rounds in [0, 3] {
         let marker = Arc::new(());
-        let nodes = (0..10).map(|_| {
-            Participant::Honest(Marked {
-                _marker: Arc::clone(&marker),
-            })
-        });
+        let nodes = Marked::nodes(10, &marker)
+            .into_iter()
+            .map(Participant::Honest);
         let mut sharded =
             ShardedRunner::in_process(nodes.collect(), Box::new(NoFaults), 0, 4).unwrap();
         assert_eq!(Arc::strong_count(&marker), 11);
@@ -577,18 +627,13 @@ fn worker_refuses_indices_and_lengths_outside_its_chunk() {
 }
 
 /// A worker may answer only for its own chunk, in the partition's shape:
-/// shard 1 (nodes 2..4) stating a poll by its local node 2, delivering
-/// three blocks for two chunks, or claiming that node 0 halted, is a
-/// malformed response — a structured error naming the shard, the response
-/// and the round.
+/// shard 1 (nodes 2..4) delivering three blocks for two chunks, or claiming
+/// that node 0 halted, is a malformed response — a structured error naming
+/// the shard, the response and the round.
 #[test]
 fn parent_refuses_events_for_another_chunks_node() {
     let n = 4;
     let lies = [
-        (
-            RESP_INTENTS,
-            "a poll by local node 2, outside a chunk of 2 nodes",
-        ),
         (RESP_DELIVERED, "3 blocks for 2 chunks"),
         (RESP_EVENTS, "an event for node 0, outside the chunk"),
     ];
@@ -597,16 +642,6 @@ fn parent_refuses_events_for_another_chunks_node() {
             let (tag, _) = open_frame(&transport.recv()?).map_err(wire_io)?;
             let mut resp;
             match tag {
-                REQ_COLLECT => {
-                    resp = frame(RESP_INTENTS);
-                    Vec::<(usize, Vec<NodeId>)>::new().encode(&mut resp);
-                    let polls = if lie_at == RESP_INTENTS {
-                        vec![(2usize, NodeId::new(0))]
-                    } else {
-                        Vec::new()
-                    };
-                    polls.encode(&mut resp);
-                }
                 REQ_DELIVER => {
                     resp = frame(RESP_DELIVERED);
                     (0u64, 0u64, 0u64).encode(&mut resp);
@@ -652,43 +687,9 @@ fn parent_refuses_events_for_another_chunks_node() {
     }
 }
 
-/// An `Intents` payload names only the nodes that send or poll: here a
-/// chunk of four whose local node 1 sends to nodes 6 and 9 and whose local
-/// node 3 polls node 2, in 8-byte little-endian words.
-#[test]
-fn intents_golden_bytes() {
-    let mut intents = vec![Vec::new(); 4];
-    intents[1] = vec![NodeId::new(6), NodeId::new(9)];
-    let mut polls = [None; 4];
-    polls[3] = Some(NodeId::new(2));
-    let mut payload = Vec::new();
-    let sending = intents.iter().enumerate();
-    encode_by_local(sending.filter(|(_, list)| !list.is_empty()), &mut payload);
-    let polled = polls.iter().enumerate();
-    encode_by_local(
-        polled.filter_map(|(local, port)| Some((local, port.as_ref()?))),
-        &mut payload,
-    );
-    let words: Vec<u64> = payload
-        .chunks_exact(8)
-        .map(|word| u64::from_le_bytes(word.try_into().unwrap()))
-        .collect();
-    assert_eq!(payload.len(), 8 * words.len());
-    // [1 sender: local 1, 2 destinations: 6, 9] [1 poll: local 3, port 2]
-    assert_eq!(words, [1, 1, 2, 6, 9, 1, 3, 2]);
-    type Intents = (Vec<(usize, Vec<NodeId>)>, Vec<(usize, NodeId)>);
-    let mut framed = frame(RESP_INTENTS);
-    framed.extend_from_slice(&payload);
-    let (tag, mut r) = open_frame(&framed).unwrap();
-    assert_eq!(tag, RESP_INTENTS);
-    let (sent, polled): Intents = field(&mut r).unwrap();
-    assert_eq!(sent, [(1, vec![NodeId::new(6), NodeId::new(9)])]);
-    assert_eq!(polled, [(3, NodeId::new(2))]);
-}
-
 #[test]
 fn wire_event_golden_bytes() {
-    assert_eq!(WIRE_VERSION, 13);
+    assert_eq!(WIRE_VERSION, 14);
     let decided = WireEvent {
         node: 17,
         halted: false,

@@ -731,7 +731,7 @@ mod tests {
     /// bump asserted beside it.
     #[test]
     fn golden_bytes() {
-        assert_eq!(crate::shard::WIRE_VERSION, 13);
+        assert_eq!(crate::shard::WIRE_VERSION, 14);
         assert_eq!(to_bytes(&true), b"\x01");
         assert_eq!(to_bytes(&0xABu8), b"\xab");
         assert_eq!(to_bytes(&0xBEEFu16), b"\xef\xbe");

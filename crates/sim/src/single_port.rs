@@ -14,7 +14,7 @@
 //! constructors; the host is `crate::runner`'s, the same for both models.
 
 use crate::adversary::{CrashAdversary, NoFaults};
-use crate::coordinator::{Central, Coordinator};
+use crate::coordinator::Coordinator;
 use crate::driver::SinglePortCore;
 use crate::error::SimResult;
 use crate::node::NodeSet;
@@ -101,7 +101,7 @@ impl<P: SinglePortProtocol> SinglePortRunner<P> {
         fault_budget: usize,
     ) -> SimResult<Self> {
         let n = nodes.len();
-        let central = Central::new(n, NodeSet::empty(n), adversary, fault_budget)?;
+        let central = Self::central(n, NodeSet::empty(n), adversary, fault_budget)?;
         Ok(Coordinator::assemble(
             central,
             SinglePortCore::new(0, nodes),

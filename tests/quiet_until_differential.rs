@@ -6,10 +6,11 @@
 //! stated beside it), so a core calls it every round and it polls every
 //! planned port itself, as cores did before the hint existed; for every
 //! protocol that states one, under every kind of crash adversary, through
-//! both in-process runners and both sharded ones, the two executions must
-//! produce the same [`ExecutionReport`] to the last field (outputs, crash
-//! and halt rounds, every `Metrics` counter and the per-round message
-//! series).
+//! both in-process runners and both sharded ones (which refuse the adaptive
+//! adversary: only an in-process runner holds the intents it reads), the
+//! two executions must produce the same [`ExecutionReport`] to the last
+//! field (outputs, crash and halt rounds, every `Metrics` counter and the
+//! per-round message series).
 //!
 //! [`AlwaysAwake`] does not forward `receive_owned` either, so a core hands
 //! the wrapped protocol its inbox through the borrowed `receive`: every
@@ -38,8 +39,8 @@ use linear_dft::core::{
 use linear_dft::sim::shard::{ShardedRunner, SpShardedRunner, Wire, WireOutput};
 use linear_dft::sim::{
     AdaptiveSplitAdversary, CrashAdversary, Delivered, ExecutionReport, NoFaults, NodeId, Outgoing,
-    Participant, RandomCrashes, Round, Runner, SinglePortProtocol, SinglePortRunner, SyncProtocol,
-    TargetedCrashes,
+    Participant, RandomCrashes, Round, Runner, SimError, SinglePortProtocol, SinglePortRunner,
+    SyncProtocol, TargetedCrashes,
 };
 
 /// Forwards everything except `quiet_until` and `idle_polls`: the protocol
@@ -110,6 +111,8 @@ const SYSTEMS: [System; 2] = [System { n: 60, t: 7 }, System { n: 100, t: 15 }];
 
 const MULTI_PORT_ADVERSARIES: usize = 3;
 const SINGLE_PORT_ADVERSARIES: usize = 4;
+/// The adaptive adversary's index, the last of the single-port ones.
+const ADAPTIVE: usize = 3;
 
 impl System {
     fn config(self) -> SystemConfig {
@@ -315,10 +318,19 @@ fn linear_consensus_single_port() {
                 always.active_node_rounds()
             );
 
-            let mut sharded =
-                SpShardedRunner::in_process(build(), adversary().1, budget, SHARDS).unwrap();
+            // The adaptive adversary reads every node's intents, which only
+            // an in-process runner holds: the sharded one refuses it.
+            let sharded = SpShardedRunner::in_process(build(), adversary().1, budget, SHARDS);
+            if kind == ADAPTIVE {
+                let refused = sharded.err();
+                assert!(
+                    matches!(refused, Some(SimError::InvalidConfig(_))),
+                    "{label}: {refused:?}"
+                );
+                continue;
+            }
             assert_eq!(
-                sharded.run(max_rounds).unwrap(),
+                sharded.unwrap().run(max_rounds).unwrap(),
                 expected,
                 "{label}: SpShardedRunner"
             );

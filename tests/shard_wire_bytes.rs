@@ -4,7 +4,7 @@
 //! payload once per block (one per pair of distinct chunks: a worker keeps
 //! its messages to its own chunk), and a protocol that shares nothing pays
 //! exactly one slot-tag byte per crossing message for the table it does
-//! not use.
+//! not use.  Either way a round costs each worker four frames.
 
 #![expect(
     clippy::expect_used,
@@ -127,7 +127,17 @@ where
     let report = sharded.run(max_rounds).expect("no shard worker fails");
     let terminated = Spec::decisions(|_, _: &P::Output, _| Ok(()));
     assert_eq!(check(&report, &terminated), Ok(()));
-    (sharded.wire_stats().clone(), tally)
+    let wire = sharded.wire_stats().clone();
+    // A round is two exchanges per worker: `Deliver` / `Delivered`, then
+    // `Receive` / `Events`.  Nothing is exchanged to show the adversary
+    // intents.
+    assert_eq!(
+        wire.total().frames,
+        4 * SHARDS * report.metrics.rounds,
+        "{:?}",
+        wire.tags().collect::<Vec<_>>()
+    );
+    (wire, tally)
 }
 
 /// Bytes of the two bulk frame kinds outside the messages themselves.
