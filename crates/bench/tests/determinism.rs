@@ -26,13 +26,15 @@
 use dft_bench::experiments::{
     experiment_byzantine, experiment_many_crashes, experiment_table1, Scale, SweepConfig,
 };
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use dft_sim::{
-    AdversaryView, CrashAdversary, CrashDirective, Delivered, DeliveryFilter, ExecutionReport,
-    FixedCrashSchedule, IdlePolls, NodeEvent, NodeId, NodeSet, Outgoing, Participant, Payload,
-    Round, RoundCore, Runner, SinglePortCore, SinglePortProtocol, SinglePortRunner, SyncProtocol,
-    Termination,
+    AdaptiveSplitAdversary, AdversaryView, CrashAdversary, CrashDirective, Delivered,
+    DeliveryFilter, ExecutionReport, FixedCrashSchedule, IdlePolls, NodeEvent, NodeId, NodeSet,
+    Outgoing, Participant, Payload, Round, RoundCore, Runner, SinglePortCore, SinglePortProtocol,
+    SinglePortRunner, SyncProtocol, Termination,
 };
 use proptest::prelude::*;
 
@@ -286,37 +288,100 @@ fn schedule_from(n: usize, seed: u64, crashes: usize) -> (FixedCrashSchedule, us
     (schedule, budget)
 }
 
-fn flood_run(n: usize, seed: u64, crashes: usize) -> (ExecutionReport<bool>, String) {
-    let nodes: Vec<FloodOr> = (0..n)
+/// What a crash adversary was shown in one round: every node's
+/// destinations and its polled port.
+type View = (Vec<Vec<NodeId>>, Vec<Option<NodeId>>);
+
+/// An adversary that records each view it is shown, then plans as `inner`.
+struct Recorded {
+    inner: Box<dyn CrashAdversary>,
+    views: Rc<RefCell<Vec<View>>>,
+}
+
+impl CrashAdversary for Recorded {
+    fn plan_round(&mut self, view: &AdversaryView<'_>) -> Vec<CrashDirective> {
+        let shown = (view.send_intents.to_vec(), view.poll_intents.to_vec());
+        self.views.borrow_mut().push(shown);
+        self.inner.plan_round(view)
+    }
+}
+
+/// `seed`'s adversary over `n` nodes, recorded, with its budget: the crash
+/// schedule of [`schedule_from`], or with `adaptive` Theorem 13's
+/// adversary, which reads every intent, watching the node `seed` draws.
+fn adversary_from(
+    n: usize,
+    seed: u64,
+    crashes: usize,
+    adaptive: bool,
+) -> (Recorded, usize, Rc<RefCell<Vec<View>>>) {
+    let (inner, budget): (Box<dyn CrashAdversary>, usize) = if adaptive {
+        let watched = NodeId::new((seed % n as u64) as usize);
+        (
+            Box::new(AdaptiveSplitAdversary::new(watched)),
+            crashes.clamp(1, 5),
+        )
+    } else {
+        let (schedule, budget) = schedule_from(n, seed, crashes);
+        (Box::new(schedule), budget)
+    };
+    let views = Rc::new(RefCell::new(Vec::new()));
+    let recorded = Recorded {
+        inner,
+        views: Rc::clone(&views),
+    };
+    (recorded, budget, views)
+}
+
+/// `n` flooding nodes, their inputs drawn from `seed`.
+fn flood_nodes(n: usize, seed: u64) -> Vec<FloodOr> {
+    (0..n)
         .map(|i| FloodOr {
             n,
             value: (i as u64).wrapping_mul(seed).is_multiple_of(7),
             rounds: 0,
             decided: None,
         })
-        .collect();
-    let (schedule, budget) = schedule_from(n, seed, crashes);
-    let mut runner = Runner::with_adversary(nodes, Box::new(schedule), budget).expect("runner");
+        .collect()
+}
+
+/// The flooding execution on the serial runner under
+/// [`adversary_from`]'s adversary: its report, its trace and the views
+/// the adversary was shown.
+fn flood_run(
+    n: usize,
+    seed: u64,
+    crashes: usize,
+    adaptive: bool,
+) -> (ExecutionReport<bool>, String, Vec<View>) {
+    let (adversary, budget, views) = adversary_from(n, seed, crashes, adaptive);
+    let mut runner =
+        Runner::with_adversary(flood_nodes(n, seed), Box::new(adversary), budget).expect("runner");
     runner.enable_trace();
     let report = runner.run(12);
     let trace = format!("{:?}", runner.trace().events());
-    (report, trace)
+    (report, trace, views.take())
 }
 
-/// A single-port execution of `nodes` on the serial runner, under
-/// `seed`'s crash schedule.
-fn sp_run<P>(nodes: Vec<P>, seed: u64, crashes: usize) -> (ExecutionReport<bool>, String)
+/// A single-port execution of `nodes` on the serial runner, as
+/// [`flood_run`].
+fn sp_run<P>(
+    nodes: Vec<P>,
+    seed: u64,
+    crashes: usize,
+    adaptive: bool,
+) -> (ExecutionReport<bool>, String, Vec<View>)
 where
     P: SinglePortProtocol<Msg = bool, Output = bool>,
 {
     let n = nodes.len();
-    let (schedule, budget) = schedule_from(n, seed, crashes);
+    let (adversary, budget, views) = adversary_from(n, seed, crashes, adaptive);
     let mut runner =
-        SinglePortRunner::with_adversary(nodes, Box::new(schedule), budget).expect("runner");
+        SinglePortRunner::with_adversary(nodes, Box::new(adversary), budget).expect("runner");
     runner.enable_trace();
     let report = runner.run(3 * n as u64);
     let trace = format!("{:?}", runner.trace().events());
-    (report, trace)
+    (report, trace, views.take())
 }
 
 /// In-process sharded execution of the flooding workload (full wire
@@ -327,16 +392,9 @@ fn flood_run_sharded(
     crashes: usize,
     shards: usize,
 ) -> (ExecutionReport<bool>, String) {
-    use dft_sim::Participant;
-    let participants: Vec<Participant<FloodOr>> = (0..n)
-        .map(|i| {
-            Participant::Honest(FloodOr {
-                n,
-                value: (i as u64).wrapping_mul(seed).is_multiple_of(7),
-                rounds: 0,
-                decided: None,
-            })
-        })
+    let participants: Vec<Participant<FloodOr>> = flood_nodes(n, seed)
+        .into_iter()
+        .map(Participant::Honest)
         .collect();
     let (schedule, budget) = schedule_from(n, seed, crashes);
     let mut runner = dft_sim::shard::ShardedRunner::<bool, bool>::in_process(
@@ -390,7 +448,7 @@ proptest! {
         crashes in 1usize..6,
         shards in 2usize..5,
     ) {
-        let (serial_report, serial_trace) = flood_run(n, seed, crashes);
+        let (serial_report, serial_trace, _) = flood_run(n, seed, crashes, false);
         let (sharded_report, sharded_trace) = flood_run_sharded(n, seed, crashes, shards);
         prop_assert_eq!(&serial_report, &sharded_report);
         prop_assert_eq!(serial_trace, sharded_trace);
@@ -404,7 +462,7 @@ proptest! {
         crashes in 1usize..6,
         shards in 2usize..5,
     ) {
-        let (serial_report, serial_trace) = sp_run(rings(n, seed), seed, crashes);
+        let (serial_report, serial_trace, _) = sp_run(rings(n, seed), seed, crashes, false);
         let (sharded_report, sharded_trace) = sp_run_sharded(rings(n, seed), seed, crashes, shards);
         prop_assert_eq!(&serial_report, &sharded_report);
         prop_assert_eq!(serial_trace, sharded_trace);
@@ -540,27 +598,26 @@ fn partition(n: usize, core_count: usize) -> Vec<std::ops::Range<usize>> {
 }
 
 /// The reference multi-port backend: drives `RoundCore`s through the four
-/// documented phases, entirely through the public API.
-fn reference_flood_run(n: usize, seed: u64, crashes: usize, core_count: usize) -> Transcript {
-    let (mut adversary, budget) = schedule_from(n, seed, crashes);
+/// documented phases, entirely through the public API, under
+/// [`adversary_from`]'s adversary, which it shows a view gathered from
+/// every core's `send_intents()`.  Returns the transcript and the views.
+fn reference_flood_run(
+    n: usize,
+    seed: u64,
+    crashes: usize,
+    adaptive: bool,
+    core_count: usize,
+) -> (Transcript, Vec<View>) {
+    let (mut adversary, budget, views) = adversary_from(n, seed, crashes, adaptive);
     let ranges = partition(n, core_count);
     let mut owner = vec![0usize; n];
     let mut cores: Vec<RoundCore<FloodOr>> = Vec::new();
+    let mut nodes = flood_nodes(n, seed).into_iter().map(Participant::Honest);
     for (ci, range) in ranges.iter().enumerate() {
         for node in range.clone() {
             owner[node] = ci;
         }
-        let participants = range
-            .clone()
-            .map(|i| {
-                Participant::Honest(FloodOr {
-                    n,
-                    value: (i as u64).wrapping_mul(seed).is_multiple_of(7),
-                    rounds: 0,
-                    decided: None,
-                })
-            })
-            .collect();
+        let participants = nodes.by_ref().take(range.len()).collect();
         cores.push(RoundCore::new(range.start, participants));
     }
 
@@ -631,7 +688,7 @@ fn reference_flood_run(n: usize, seed: u64, crashes: usize, core_count: usize) -
             outputs[core.base() + i] = core.output(i).cloned();
         }
     }
-    Transcript {
+    let transcript = Transcript {
         outputs,
         crashed_at: backend.crashed_at,
         halted_at: backend.halted_at,
@@ -640,24 +697,27 @@ fn reference_flood_run(n: usize, seed: u64, crashes: usize, core_count: usize) -
         bits,
         crashes: backend.crashes as u64,
         all_halted,
-    }
+    };
+    (transcript, views.take())
 }
 
 /// The reference single-port backend: port buffers live here (a plain
 /// ordered map keyed by `(destination, sender)` — the backend owns
 /// order-sensitive state), the cores only collect intents and receive
-/// pre-drained contents.
+/// pre-drained contents.  The adversary's view is gathered from every
+/// core's `sends()` and `polls()`; returned as [`reference_flood_run`].
 fn reference_single_port_run<P>(
     nodes: Vec<P>,
     seed: u64,
     crashes: usize,
+    adaptive: bool,
     core_count: usize,
-) -> Transcript
+) -> (Transcript, Vec<View>)
 where
     P: SinglePortProtocol<Msg = bool, Output = bool>,
 {
     let n = nodes.len();
-    let (mut adversary, budget) = schedule_from(n, seed, crashes);
+    let (mut adversary, budget, views) = adversary_from(n, seed, crashes, adaptive);
     let ranges = partition(n, core_count);
     let mut owner = vec![0usize; n];
     let mut cores: Vec<SinglePortCore<P>> = Vec::new();
@@ -762,7 +822,7 @@ where
             outputs[core.base() + i] = core.output(i).cloned();
         }
     }
-    Transcript {
+    let transcript = Transcript {
         outputs,
         crashed_at: backend.crashed_at,
         halted_at: backend.halted_at,
@@ -771,16 +831,19 @@ where
         bits,
         crashes: backend.crashes as u64,
         all_halted,
-    }
+    };
+    (transcript, views.take())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random crash schedules and arbitrary core partitions: the reference
-    /// multi-port backend written against the public `RoundCore` API
-    /// reproduces the `Runner`'s execution byte for byte — outputs, crash
-    /// and halt rounds, message/bit totals, round count and termination.
+    /// Random crash schedules, Theorem 13's adaptive adversary, and
+    /// arbitrary core partitions: the reference multi-port backend written
+    /// against the public `RoundCore` API reproduces the `Runner`'s
+    /// execution byte for byte — outputs, crash and halt rounds,
+    /// message/bit totals, round count and termination — and shows the
+    /// adversary the same view every round.
     #[test]
     fn reference_round_core_backend_matches_runner_under_random_crashes(
         n in 20usize..60,
@@ -788,14 +851,20 @@ proptest! {
         crashes in 1usize..6,
         core_count in 1usize..4,
     ) {
-        let (runner_report, _) = flood_run(n, seed, crashes);
-        let reference = reference_flood_run(n, seed, crashes, core_count);
-        prop_assert_eq!(transcript_of(&runner_report), reference);
+        for adaptive in [false, true] {
+            let (runner_report, _, runner_views) = flood_run(n, seed, crashes, adaptive);
+            let (reference, reference_views) =
+                reference_flood_run(n, seed, crashes, adaptive, core_count);
+            prop_assert_eq!(transcript_of(&runner_report), reference);
+            prop_assert_eq!(runner_views, reference_views);
+        }
     }
 
     /// The single-port variant: the reference backend (port buffers in a
     /// plain ordered map on the backend side) reproduces the
-    /// `SinglePortRunner`'s execution byte for byte.
+    /// `SinglePortRunner`'s execution byte for byte, and its view.  A
+    /// destination the runner's core kept from an earlier round shows
+    /// here.
     #[test]
     fn reference_single_port_core_backend_matches_runner_under_random_crashes(
         n in 10usize..30,
@@ -803,9 +872,14 @@ proptest! {
         crashes in 1usize..6,
         core_count in 1usize..4,
     ) {
-        let (runner_report, _) = sp_run(rings(n, seed), seed, crashes);
-        let reference = reference_single_port_run(rings(n, seed), seed, crashes, core_count);
-        prop_assert_eq!(transcript_of(&runner_report), reference);
+        for adaptive in [false, true] {
+            let (runner_report, _, runner_views) =
+                sp_run(rings(n, seed), seed, crashes, adaptive);
+            let (reference, reference_views) =
+                reference_single_port_run(rings(n, seed), seed, crashes, adaptive, core_count);
+            prop_assert_eq!(transcript_of(&runner_report), reference);
+            prop_assert_eq!(runner_views, reference_views);
+        }
     }
 
     /// The same with idle polls: the reference backend hands every poller
@@ -820,9 +894,12 @@ proptest! {
         core_count in 1usize..4,
         shards in 2usize..4,
     ) {
-        let (runner_report, runner_trace) = sp_run(idle_rings(n, seed), seed, crashes);
-        let reference = reference_single_port_run(idle_rings(n, seed), seed, crashes, core_count);
+        let (runner_report, runner_trace, runner_views) =
+            sp_run(idle_rings(n, seed), seed, crashes, false);
+        let (reference, reference_views) =
+            reference_single_port_run(idle_rings(n, seed), seed, crashes, false, core_count);
         prop_assert_eq!(transcript_of(&runner_report), reference);
+        prop_assert_eq!(runner_views, reference_views);
         let (sharded_report, sharded_trace) =
             sp_run_sharded(idle_rings(n, seed), seed, crashes, shards);
         prop_assert_eq!(&runner_report, &sharded_report);

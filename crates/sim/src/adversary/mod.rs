@@ -29,9 +29,10 @@ use crate::round::Round;
 /// the adaptive strategies in this repository need — notably the
 /// information-splitting adversary from the Theorem 13 lower bound.
 ///
-/// Only a runner that holds the whole round in this process fills the two
-/// intent views.  The sharded runners and a mesh node leave every slot
-/// empty, and accept only an adversary that declares it never reads them
+/// Only a runner that holds the whole round in this process shows the two
+/// intent views: it lends its core's own per-node slices.  A host that
+/// holds no intents (the sharded runners, a mesh node) shows empty slices,
+/// and accepts only an adversary that declares it never reads them
 /// ([`CrashAdversary::oblivious`]).
 #[derive(Debug)]
 pub struct AdversaryView<'a> {

@@ -4,8 +4,8 @@
 //! contiguous range of one execution's protocol state machines and exposes
 //! the four phase bodies of a synchronous round as pure state transitions:
 //!
-//! 1. [`RoundCore::begin_round`] — collect outgoing messages and
-//!    adversary-visible intents;
+//! 1. [`RoundCore::begin_round`] — collect outgoing messages and the
+//!    per-node intents the adversary may be shown;
 //! 2. (the crash phase happens *outside* the core — see below);
 //! 3. [`RoundCore::deliver`] — apply crash delivery filters, count surviving
 //!    messages, and stage them in sender order for the backend to route to
@@ -27,9 +27,9 @@
 //! caller's thread), behind shard transports (whose workers drive a core
 //! per chunk from decoded frames, see [`crate::shard`]), or one node per
 //! process of a mesh, where every node runs the coordinator for itself
-//! ([`crate::shard::mesh`], the `dft-node` TCP cluster).  In every case the *same* struct runs the phase
-//! bodies, which is what keeps every backend byte-identical: the round
-//! semantics live here exactly once.
+//! ([`crate::shard::mesh`], the `dft-node` TCP cluster).  In every case
+//! the *same* struct runs the phase bodies, which is what keeps every
+//! backend byte-identical: the round semantics live here exactly once.
 //!
 //! This module is private to `dft-sim` (backends outside the crate use the
 //! root re-exports), and the clock, thread and socket types are
@@ -72,10 +72,10 @@
 //! its verdicts into each core with [`RoundCore::set_crashed`]; the
 //! resulting delivery filters are passed to [`RoundCore::deliver`].
 //! Only the in-process host, whose one core holds every node, shows the
-//! adversary the intents `begin_round` collected
-//! ([`ChunkCore::begin_round_into`]).  A shard worker or a mesh node calls
-//! `begin_round` alone, and its coordinator accepts only an oblivious
-//! adversary, which plans without them.
+//! adversary the intents `begin_round` collected: it lends the core's own
+//! per-node slices ([`ChunkCore::intents`]), so nothing is copied.  A
+//! shard worker or a mesh node shows none, and its coordinator accepts
+//! only an oblivious adversary, which plans without them.
 
 #![expect(
     clippy::indexing_slicing,
@@ -142,19 +142,11 @@ pub trait ChunkCore {
 
     fn base(&self) -> usize;
     fn len(&self) -> usize;
-    /// Phase 1 for a backend that shows the adversary no intents.
     fn begin_round(&mut self, round: Round);
-    /// Phase 1 for a backend that keeps flat per-node slots for the
-    /// adversary's view (index `i` is node `base + i`'s): each called
-    /// node's destinations and, single-port, each called or probed node's
-    /// polled port end up in its slots, and last round's are emptied, so a
-    /// round costs the backend its callers, not its nodes.
-    fn begin_round_into(
-        &mut self,
-        round: Round,
-        send_intents: &mut [Vec<NodeId>],
-        polls: &mut [Option<NodeId>],
-    );
+    /// What the last `begin_round` collected for the adversary, one slot
+    /// per node (index `i` is node `base + i`'s): each node's destinations
+    /// and its polled port (always `None` in the multi-port model).
+    fn intents(&self) -> (&[Vec<NodeId>], &[Option<NodeId>]);
     fn set_crashed(&mut self, local: usize, round: Round);
     fn set_halted(&mut self, local: usize);
     /// The survivor loop of both delivery phases: applies the crash filters
@@ -209,13 +201,16 @@ pub struct RoundCore<P: SyncProtocol> {
     /// Global index of the first node in this core.
     pub(crate) base: usize,
     pub(crate) participants: Vec<Participant<P>>,
-    /// Core-local mirror of the backend's status vector, kept in sync via
-    /// [`RoundCore::set_crashed`] and the event replay.
+    /// Core-local status of each node, kept in sync with the coordinator
+    /// via [`RoundCore::set_crashed`] and the event replay.
     pub(crate) status: Vec<NodeStatus>,
     /// Core-local mirror of the Byzantine mask.
     pub(crate) byz: Vec<bool>,
     pub(crate) outgoing: Vec<Vec<Outgoing<P::Msg>>>,
     pub(crate) send_intents: Vec<Vec<NodeId>>,
+    /// One `None` per node: the multi-port model has no polls, but the
+    /// adversary's view has a poll slot per node.
+    pub(crate) polls: Vec<Option<NodeId>>,
     pub(crate) inboxes: Vec<Vec<Delivered<P::Msg>>>,
     pub(crate) byz_inboxes: Vec<Vec<Delivered<P::Msg>>>,
     pub(crate) outputs: Vec<Option<P::Output>>,
@@ -272,6 +267,7 @@ impl<P: SyncProtocol> RoundCore<P> {
             byz,
             outgoing: (0..len).map(|_| Vec::new()).collect(),
             send_intents: (0..len).map(|_| Vec::new()).collect(),
+            polls: vec![None; len],
             inboxes: (0..len).map(|_| Vec::new()).collect(),
             byz_inboxes: (0..len).map(|_| Vec::new()).collect(),
             outputs: (0..len).map(|_| None).collect(),
@@ -545,22 +541,8 @@ impl<P: SyncProtocol> ChunkCore for RoundCore<P> {
     fn begin_round(&mut self, round: Round) {
         RoundCore::begin_round(self, round);
     }
-    /// The intent vectors change hands by swapping (both sides rebuild
-    /// them, so only capacity persists), which leaves
-    /// [`RoundCore::send_intents`] meaningless for such a backend.
-    fn begin_round_into(
-        &mut self,
-        round: Round,
-        send_intents: &mut [Vec<NodeId>],
-        _polls: &mut [Option<NodeId>],
-    ) {
-        for &i in &self.called {
-            send_intents[i].clear();
-        }
-        self.begin_round(round);
-        for &i in &self.called {
-            std::mem::swap(&mut send_intents[i], &mut self.send_intents[i]);
-        }
+    fn intents(&self) -> (&[Vec<NodeId>], &[Option<NodeId>]) {
+        (&self.send_intents, &self.polls)
     }
     fn set_crashed(&mut self, local: usize, round: Round) {
         RoundCore::set_crashed(self, local, round);
@@ -700,12 +682,15 @@ pub struct SinglePortCore<P: SinglePortProtocol> {
     /// Global index of the first node in this core.
     pub(crate) base: usize,
     pub(crate) nodes: Vec<P>,
-    /// Core-local mirror of the backend's status vector.
+    /// Core-local status of each node, kept in sync with the coordinator.
     pub(crate) status: Vec<NodeStatus>,
     /// Per-node single send for the current round.
     pub(crate) sends: Vec<Option<Outgoing<P::Msg>>>,
     /// Per-node poll intent for the current round.
     pub(crate) polls: Vec<Option<NodeId>>,
+    /// Per-node destination of the current round's send, as the list the
+    /// adversary's view holds: empty, or the one destination.
+    pub(crate) dests: Vec<Vec<NodeId>>,
     /// Per-node drained poll results: `Some` only for the nodes listed
     /// in `handed`, between the drain (or [`SinglePortCore::set_drained`]) and
     /// [`SinglePortCore::finalize`].
@@ -758,6 +743,7 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
             status: vec![NodeStatus::Running; len],
             sends: (0..len).map(|_| None).collect(),
             polls: vec![None; len],
+            dests: (0..len).map(|_| Vec::new()).collect(),
             drained: (0..len).map(|_| None).collect(),
             handed: Vec::new(),
             ports: PortMap::new(),
@@ -821,6 +807,7 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
         for &i in &self.called {
             self.sends[i] = None;
             self.polls[i] = None;
+            self.dests[i].clear();
         }
         for &i in &self.probed {
             self.polls[i] = None;
@@ -828,13 +815,17 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
         self.called.clear();
         self.probed.clear();
         let r = round.as_u64();
-        let intents = self.sends.iter_mut().zip(&mut self.polls);
+        let intents = self
+            .sends
+            .iter_mut()
+            .zip(&mut self.polls)
+            .zip(&mut self.dests);
         let state = self
             .status
             .iter()
             .zip(self.wake.iter_mut().zip(&mut self.runs));
         let per_node = self.nodes.iter_mut().zip(intents).zip(state);
-        for (i, ((node, (send, poll)), (status, (wake, run)))) in per_node.enumerate() {
+        for (i, ((node, ((send, poll), dests)), (status, (wake, run)))) in per_node.enumerate() {
             if *wake > r {
                 if cfg!(debug_assertions) && status.is_running() {
                     let (sent, polled) = (node.send(round).is_some(), node.poll(round).is_some());
@@ -863,6 +854,7 @@ impl<P: SinglePortProtocol> SinglePortCore<P> {
             }
             *send = node.send(round);
             *poll = node.poll(round);
+            dests.extend(send.as_ref().map(|out| out.to));
             self.called.push(i);
         }
         self.active += self.called.len() as u64;
@@ -1117,27 +1109,8 @@ impl<P: SinglePortProtocol> ChunkCore for SinglePortCore<P> {
     fn begin_round(&mut self, round: Round) {
         SinglePortCore::begin_round(self, round);
     }
-    fn begin_round_into(
-        &mut self,
-        round: Round,
-        send_intents: &mut [Vec<NodeId>],
-        polls: &mut [Option<NodeId>],
-    ) {
-        for &i in &self.called {
-            send_intents[i].clear();
-            polls[i] = None;
-        }
-        for &i in &self.probed {
-            polls[i] = None;
-        }
-        self.begin_round(round);
-        for &i in &self.called {
-            send_intents[i].extend(self.sends[i].iter().map(|out| out.to));
-            polls[i] = self.polls[i];
-        }
-        for &i in &self.probed {
-            polls[i] = self.polls[i];
-        }
+    fn intents(&self) -> (&[Vec<NodeId>], &[Option<NodeId>]) {
+        (&self.dests, &self.polls)
     }
     fn set_crashed(&mut self, local: usize, round: Round) {
         SinglePortCore::set_crashed(self, local, round);

@@ -180,14 +180,14 @@ impl<C: ChunkCore> Host for C {
         ChunkCore::set_halted(self, node);
     }
 
-    fn begin_round(
-        &mut self,
-        round: Round,
-        send_intents: &mut [Vec<NodeId>],
-        polls: &mut [Option<NodeId>],
-    ) -> Result<(), Infallible> {
-        self.begin_round_into(round, send_intents, polls);
+    fn begin_round(&mut self, round: Round) -> Result<(), Infallible> {
+        ChunkCore::begin_round(self, round);
         Ok(())
+    }
+
+    /// The core's own per-node slices, lent as they stand.
+    fn intents(&self) -> (&[Vec<NodeId>], &[Option<NodeId>]) {
+        ChunkCore::intents(self)
     }
 
     fn deliver(
@@ -382,6 +382,35 @@ mod tests {
         assert_eq!(report.metrics.messages, (3 * n * 3) as u64);
         assert!(report.metrics.byzantine_messages > 0);
         assert_eq!(check(&report, &Spec::consensus(&[true])), Ok(()));
+    }
+
+    /// A finished execution runs no further round: running it again, for
+    /// any number of rounds, returns the first report.
+    #[test]
+    fn a_finished_run_runs_again_unchanged() {
+        let n = 4;
+        let protocols: Vec<FloodOr> = (0..n).map(|i| FloodOr::new(n, i == 0)).collect();
+        let mut runner = Runner::new(protocols).unwrap();
+        let first = runner.run(10);
+        assert_eq!(first.termination, Termination::AllHalted);
+        assert_eq!(first.metrics.rounds, 3);
+        assert_eq!(runner.run(10), first);
+        assert_eq!(runner.run(0), first);
+    }
+
+    /// With no honest participant there is nobody to wait for: the
+    /// execution is over before round 0.
+    #[test]
+    fn an_execution_of_byzantine_participants_only_runs_no_round() {
+        use crate::adversary::byzantine::FloodByzantine;
+        let participants: Vec<Participant<FloodOr>> = (0..3)
+            .map(|_| Participant::Byzantine(Box::new(FloodByzantine::<bool>::new(3)) as _))
+            .collect();
+        let mut runner = Runner::with_participants(participants, Box::new(NoFaults), 0).unwrap();
+        let report = runner.run(10);
+        assert_eq!(report.termination, Termination::AllHalted);
+        assert_eq!(report.metrics.rounds, 0);
+        assert_eq!(report.metrics.byzantine_messages, 0);
     }
 
     #[test]

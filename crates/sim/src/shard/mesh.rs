@@ -270,12 +270,7 @@ impl<P: SyncProtocol<Msg: Wire>> Host for Mesh<P> {
         self.core.set_halted(0);
     }
 
-    fn begin_round(
-        &mut self,
-        round: Round,
-        _send_intents: &mut [Vec<NodeId>],
-        _polls: &mut [Option<NodeId>],
-    ) -> SimResult<()> {
+    fn begin_round(&mut self, round: Round) -> SimResult<()> {
         self.core.begin_round(round);
         Ok(())
     }

@@ -75,7 +75,7 @@ use crate::coordinator::{Coordinator, Host, Staged};
 use crate::driver::{ChunkCore, NodeEvent, RoundCore, SinglePortCore};
 use crate::error::{ShardError, SimError, SimResult};
 use crate::message::{Delivered, Payload};
-use crate::node::{NodeId, NodeSet};
+use crate::node::NodeSet;
 use crate::parallel::ChunkPlan;
 use crate::protocol::{SinglePortProtocol, SyncProtocol};
 use crate::round::Round;
@@ -675,12 +675,7 @@ impl<O: WireOutput, W> Host for Framed<O, W> {
     }
 
     /// Exchanges nothing: a worker begins its round when `Deliver` comes.
-    fn begin_round(
-        &mut self,
-        round: Round,
-        _send_intents: &mut [Vec<NodeId>],
-        _polls: &mut [Option<NodeId>],
-    ) -> SimResult<()> {
+    fn begin_round(&mut self, round: Round) -> SimResult<()> {
         self.link.round = round.as_u64();
         Ok(())
     }

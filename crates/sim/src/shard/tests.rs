@@ -12,6 +12,7 @@ use crate::conformance::{
     crash_schedule, multi_port_worker, ring_worker, spawn_worker, FloodOr, Ring, Wiring,
 };
 use crate::message::Outgoing;
+use crate::node::NodeId;
 use crate::report::{check, Spec};
 use crate::runner::Runner;
 use crate::single_port::SinglePortRunner;

@@ -266,6 +266,19 @@ mod tests {
         assert_eq!(report.metrics.peak_messages_in_a_round(), n as u64);
     }
 
+    /// A finished execution runs no further round: running it again, for
+    /// any number of rounds, returns the first report.
+    #[test]
+    fn a_finished_run_runs_again_unchanged() {
+        let n = 5;
+        let mut runner = SinglePortRunner::new(ring(n, 2)).unwrap();
+        let first = runner.run(3 * n as u64);
+        assert_eq!(first.termination, Termination::AllHalted);
+        assert_eq!(first.metrics.rounds, 2 * n as u64);
+        assert_eq!(runner.run(3 * n as u64), first);
+        assert_eq!(runner.run(0), first);
+    }
+
     #[test]
     fn ports_buffer_until_polled() {
         // A node that never polls never sees the message, but the message is

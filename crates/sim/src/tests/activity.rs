@@ -175,6 +175,43 @@ fn skipped_nodes_show_no_intents() {
     assert!(core.send_intents().iter().all(Vec::is_empty));
 }
 
+/// The send intents the crash adversary was shown, round by round.
+type SeenSends = Rc<RefCell<Vec<Vec<Vec<NodeId>>>>>;
+
+/// Records the send intents the crash adversary is shown, and crashes
+/// nobody: the multi-port twin of [`PollWatch`].
+struct SendWatch(SeenSends);
+
+impl CrashAdversary for SendWatch {
+    fn plan_round(&mut self, view: &AdversaryView<'_>) -> Vec<CrashDirective> {
+        self.0.borrow_mut().push(view.send_intents.to_vec());
+        Vec::new()
+    }
+}
+
+#[test]
+fn the_adversary_is_shown_the_cores_own_send_intents() {
+    // Node 0 speaks to node 1 in round 3 and halts; node 1 sleeps past it.
+    let seen = Rc::new(RefCell::new(Vec::new()));
+    let adversary = Box::new(SendWatch(Rc::clone(&seen)));
+    let nodes = vec![Sleeper::new(1, 3), Sleeper::new(0, 9)];
+    let mut runner = Runner::with_adversary(nodes, adversary, 0).unwrap();
+    for round in 0..5 {
+        runner.step();
+        assert_eq!(
+            seen.borrow()[round],
+            runner.host.send_intents(),
+            "round {round}"
+        );
+    }
+    let spoke = [vec![NodeId::new(1)], Vec::new()];
+    assert_eq!(seen.borrow()[3], spoke, "node 0 speaks in round 3");
+    for round in [0, 1, 2, 4] {
+        let shown = &seen.borrow()[round];
+        assert!(shown.iter().all(Vec::is_empty), "round {round}: {shown:?}");
+    }
+}
+
 #[test]
 fn the_runner_reports_the_same_execution_and_fewer_calls() {
     let nodes = || vec![Sleeper::new(1, 3), Sleeper::new(0, 40)];
